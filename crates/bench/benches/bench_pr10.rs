@@ -23,7 +23,7 @@
 //!    median overhead <= 2% widened to noise (cores >= 2 to gate).
 //! 4. **Crash matrix** — all six crash points (claim-publish,
 //!    during-copy, during-persist, between-persist-and-commit,
-//!    after-commit, delta-chain) on flat, 2-way-striped, and two-tenant
+//!    after-commit, dedup-chain) on flat, 2-way-striped, and two-tenant
 //!    namespace stores whose committed baselines are chunk-framed
 //!    (compressed + deduped): every audit must be invariant-clean with
 //!    the auditor's framed verification engaged, the lattice prediction
@@ -34,17 +34,17 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
+use pccheck::store::SlotLease;
 use pccheck::{
-    recover, recovery, CheckpointStore, DeltaPolicy, JobId, PcCheckConfig, PcCheckEngine,
-    PccheckError, PersistPipeline, PipelineCtx,
+    recover, recovery, CheckpointStore, DeltaPolicy, FramedPlan, JobId, PcCheckConfig,
+    PcCheckEngine, PccheckError, PersistPipeline, PipelineCtx,
 };
 use pccheck_bench::stats::{bench_json_path, effective_ceiling, host_cores, median};
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice, StripedDevice};
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, SnapshotSource, StateDigest, TrainingState};
 use pccheck_harness::ext_compress;
 use pccheck_harness::forensics_run::{
-    commit_delta_checkpoint_scoped, drive_to_crash_point_scoped, sparse_payload,
-    synthetic_payload, CrashPoint, Scope,
+    drive_to_crash_point_scoped, sparse_payload, synthetic_payload, CrashPoint, Scope,
 };
 use pccheck_telemetry::{SpanId, Telemetry};
 use pccheck_util::{Bandwidth, ByteSize};
@@ -73,12 +73,9 @@ const CRASH_STATE: u64 = 16 * 1024;
 const CRASH_SLOTS: u32 = 4;
 const CRASH_FLIGHT: u32 = 128;
 const CRASH_CHUNK: u64 = 2 * 1024;
-/// Codec policy for framed commits (permissive: the codec decides
-/// per-chunk; the chain cap bounds dedup-base pinning).
-const POLICY: DeltaPolicy = DeltaPolicy {
-    max_dirty_ratio: 1.0,
-    max_chain: 8,
-};
+/// Codec policy for framed commits (the codec decides per-chunk; the
+/// chain cap bounds dedup-base pinning).
+const POLICY: DeltaPolicy = DeltaPolicy { max_chain: 8 };
 
 /// A host-resident payload standing in for GPU weights.
 struct HostPayload {
@@ -252,15 +249,17 @@ fn run_family(
     }
 }
 
-/// Commits a chunk-framed checkpoint of `payload` through `pipeline`
-/// (job-scoped when `job` is set). Panics if the codec declines — the
-/// crash legs feed tiled payloads precisely so framing always engages.
-fn commit_framed(
+/// Persists (but does not commit) a chunk-framed checkpoint of `payload`
+/// through `pipeline` (job-scoped when `job` is set): the frame is
+/// durable in its slot, its meta record unwritten. Panics if the codec
+/// declines — the crash legs feed tiled payloads precisely so framing
+/// always engages.
+fn persist_framed(
     pipeline: &PersistPipeline,
     job: Option<JobId>,
     iteration: u64,
     payload: &[u8],
-) -> Result<u64, PccheckError> {
+) -> Result<(SlotLease, FramedPlan), PccheckError> {
     let telemetry = Telemetry::disabled();
     let ctx = PipelineCtx {
         telemetry: &telemetry,
@@ -273,7 +272,6 @@ fn commit_framed(
     let total = src.size();
     let digest = StateDigest::of_payload(payload, iteration).0;
     let lease = pipeline.lease_for(ctx, job)?;
-    let counter = lease.counter;
     let plan = pipeline
         .copy_framed(ctx, &src, &lease, total, digest, POLICY)?
         .expect("tiled payload must frame");
@@ -284,8 +282,46 @@ fn commit_framed(
         ByteSize::from_bytes(plan.payload_len),
         plan.persist_start,
     )?;
+    Ok((lease, plan))
+}
+
+/// Commits a chunk-framed checkpoint of `payload`; returns its counter.
+fn commit_framed(
+    pipeline: &PersistPipeline,
+    job: Option<JobId>,
+    iteration: u64,
+    payload: &[u8],
+) -> Result<u64, PccheckError> {
+    let (lease, plan) = persist_framed(pipeline, job, iteration, payload)?;
+    let counter = lease.counter;
+    let telemetry = Telemetry::disabled();
+    let ctx = PipelineCtx {
+        telemetry: &telemetry,
+        span: SpanId::NONE,
+    };
     pipeline.commit_framed(ctx, lease, iteration, &plan)?;
     Ok(counter)
+}
+
+/// The dedup-chain crash leg over `baseline` (already committed, framed):
+/// commits a sparse successor whose clean chunks reference the baseline,
+/// then strands a second frame with its payload durable and no meta
+/// record. Returns the committed successor's `(counter, payload)`.
+fn drive_dedup_chain(
+    pipeline: &PersistPipeline,
+    job: Option<JobId>,
+    baseline: &[u8],
+) -> Result<(u64, Vec<u8>), PccheckError> {
+    let full_mid = sparse_payload(
+        baseline,
+        150,
+        &[(0, CRASH_STATE / 8), (CRASH_STATE / 2, CRASH_STATE / 8)],
+    );
+    let mid_counter = commit_framed(pipeline, job, 150, &full_mid)?;
+    let full_crash = sparse_payload(&full_mid, 200, &[(CRASH_STATE / 4, CRASH_STATE / 8)]);
+    let (lease, _) = persist_framed(pipeline, job, 200, &full_crash)?;
+    std::mem::forget(lease);
+    Ok((mid_counter, full_mid))
 }
 
 fn framed_pipeline(store: Arc<CheckpointStore>) -> PersistPipeline {
@@ -346,23 +382,9 @@ fn framed_crash_case(point: CrashPoint, striped: bool) -> Result<bool, PccheckEr
             crash_slot = None;
             crash_len = 0;
         }
-        CrashPoint::DeltaChain => {
-            let ranges = [(0u64, CRASH_STATE / 8), (CRASH_STATE / 2, CRASH_STATE / 8)];
-            let full_mid = sparse_payload(&baseline_payload, 150, &ranges);
-            let mid_counter =
-                commit_delta_checkpoint_scoped(&store, Scope::Global, 150, &full_mid, &ranges)?;
-            // Strand a second in-flight checkpoint (payload durable, no
-            // meta) exactly like the canonical delta-chain scenario.
-            let stranded = synthetic_payload(200, CRASH_STATE);
-            drive_to_crash_point_scoped(
-                &store,
-                Scope::Global,
-                CrashPoint::BetweenPersistAndCommit,
-                200,
-                &stranded,
-            )?;
-            expected_counter = mid_counter;
-            expected_payload = full_mid;
+        CrashPoint::DedupChain => {
+            (expected_counter, expected_payload) =
+                drive_dedup_chain(&pipeline, None, &baseline_payload)?;
             crash_slot = None;
             crash_len = 0;
         }
@@ -390,10 +412,14 @@ fn framed_crash_case(point: CrashPoint, striped: bool) -> Result<bool, PccheckEr
     let report = pccheck_monitor::audit(Arc::clone(&device))?;
     device.recover();
     let recovered = recover(device)?;
+    // The dedup-chain cell only proves something if the recovered head
+    // really resolves chunks out of a pinned base.
+    let linked = report.expected_recovery.is_some_and(|m| m.is_delta());
     Ok(report.is_clean()
         && report.expected_recovery.map(|m| m.counter) == Some(recovered.counter)
         && recovered.counter == expected_counter
-        && recovered.payload == expected_payload)
+        && recovered.payload == expected_payload
+        && (point != CrashPoint::DedupChain || linked))
 }
 
 /// One two-tenant namespace crash case: both tenants hold chunk-framed
@@ -435,21 +461,9 @@ fn namespace_framed_crash_case(point: CrashPoint) -> Result<bool, PccheckError> 
             crash_slot = None;
             crash_len = 0;
         }
-        CrashPoint::DeltaChain => {
-            let ranges = [(0u64, CRASH_STATE / 8)];
-            let full_mid = sparse_payload(&baseline2, 150, &ranges);
-            let mid =
-                commit_delta_checkpoint_scoped(&store, Scope::Job(2), 150, &full_mid, &ranges)?;
-            let stranded = synthetic_payload(200, CRASH_STATE);
-            drive_to_crash_point_scoped(
-                &store,
-                Scope::Job(2),
-                CrashPoint::BetweenPersistAndCommit,
-                200,
-                &stranded,
-            )?;
-            expected2_counter = mid;
-            expected2_payload = full_mid;
+        CrashPoint::DedupChain => {
+            (expected2_counter, expected2_payload) =
+                drive_dedup_chain(&pipeline, Some(2), &baseline2)?;
             crash_slot = None;
             crash_len = 0;
         }

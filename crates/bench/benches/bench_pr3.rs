@@ -120,7 +120,7 @@ fn measure(ways: u32) -> WaysResult {
         let digest = src.digest();
         let lease = pipeline.lease(ctx);
         let persist_start = pipeline
-            .copy_staged(ctx, &src, &lease, total)
+            .copy_chunks(ctx, &src, &lease, total, false)
             .expect("staged copy on healthy device");
         pipeline
             .seal(ctx, &lease, iteration, total, persist_start)

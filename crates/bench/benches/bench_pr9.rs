@@ -26,7 +26,7 @@
 //!
 //! The crash leg runs all six crash points (claim-publish, during-copy,
 //! during-persist, between-persist-and-commit, after-commit,
-//! delta-chain) on a flat SSD store, a 2-way striped store, and a
+//! dedup-chain) on a flat SSD store, a 2-way striped store, and a
 //! two-tenant service-mode store, asserting for every run that the
 //! forensic audit is invariant-clean, that no slot decides `Torn`, and
 //! that the auditor's prediction (global or per-namespace) matches what

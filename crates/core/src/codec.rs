@@ -4,10 +4,9 @@
 //! # Frame layout
 //!
 //! A framed slot's payload is `[frame table][packed physical chunks]`. The
-//! table comes first — exactly like the delta path's extent table — so
-//! recovery can classify a slot from its payload prefix alone: `XTB1` means
-//! extent delta, [`FRAME_MAGIC`] means framed, anything else is a legacy
-//! raw payload. The table header binds the frame to its commit (checkpoint
+//! table comes first so recovery can classify a slot from its payload
+//! prefix alone ([`is_frame`]): [`FRAME_MAGIC`] means framed, anything else
+//! is a raw payload. The table header binds the frame to its commit (checkpoint
 //! counter), names the logical (uncompressed) payload length and the
 //! end-to-end digest of the reconstructed state, and is sealed by a folded
 //! FNV-1a CRC over header + records so a torn table write is detected
@@ -23,13 +22,19 @@
 //!   materialized chunk of this same frame; stores only its index.
 //! - [`ChunkEncoding::DedupBase`] — byte-identical to a materialized chunk
 //!   of the base checkpoint named by the commit's [`DeltaLink`]; the link
-//!   pins the base exactly like a delta chain does, so the referenced
-//!   bytes cannot be recycled while this checkpoint is live.
+//!   pins the base's slot, so the referenced bytes cannot be recycled
+//!   while this checkpoint is live.
 //!
 //! Every record carries the [`chunk_digest`] content address of its
 //! logical bytes: restore verifies each chunk as it materializes, so a
 //! stale or torn reference is detected (and the candidate discarded) —
 //! never silently accepted.
+//!
+//! [`decode_frame`] is the one reader of this layout: recovery and the
+//! forensics auditor both materialize a frame through it, each supplying
+//! its own way to fetch a referenced base checkpoint.
+//!
+//! [`DeltaLink`]: crate::meta::DeltaLink
 //!
 //! # LZ block format
 //!
@@ -60,9 +65,12 @@
 //! checkpoint, never at a chain of references. Entries are capped per
 //! generation; overflow chunks simply stay materialized.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use pccheck_util::fnv::{chunk_digest, fnv1a, fnv1a_fold, FNV_SEED};
+
+use crate::meta::{checksum, CheckMeta};
 
 /// Frame table magic: ASCII `PCFRAME1` (little-endian `u64`).
 pub const FRAME_MAGIC: u64 = u64::from_le_bytes(*b"PCFRAME1");
@@ -308,6 +316,139 @@ impl FrameTable {
             records,
         })
     }
+}
+
+/// Whether a slot payload (or any prefix of it at least 8 bytes long)
+/// opens with the frame magic. Shorter prefixes are never frames.
+pub fn is_frame(head: &[u8]) -> bool {
+    head.get(..8)
+        .is_some_and(|magic| magic == FRAME_MAGIC.to_le_bytes())
+}
+
+/// Decodes the frame table at the head of `payload` and binds it to its
+/// commit record: a framed commit's digest is the checksum of the
+/// serialized table, and the table names the commit's counter. `None` on
+/// a torn table or one that belongs to a different commit.
+pub fn bind_frame_table(payload: &[u8], meta: &CheckMeta) -> Option<FrameTable> {
+    let table = FrameTable::decode(payload)?;
+    let table_len = usize::try_from(table.encoded_len()).ok()?;
+    (table.counter == meta.counter && checksum(payload.get(..table_len)?) == meta.digest)
+        .then_some(table)
+}
+
+/// The logical bytes of one materialized (Raw/Lz) record, out of the
+/// packed region it indexes. `None` when the record's physical range lies
+/// outside `packed` or does not decode to exactly `logical_len` bytes.
+fn materialize<'a>(packed: &'a [u8], r: &FrameRecord) -> Option<Cow<'a, [u8]>> {
+    let n = usize::try_from(r.logical_len).ok()?;
+    let end = usize::try_from(r.a.checked_add(r.b)?).ok()?;
+    let src = packed.get(usize::try_from(r.a).ok()?..end)?;
+    match r.kind {
+        ChunkEncoding::Raw => (src.len() == n).then_some(Cow::Borrowed(src)),
+        ChunkEncoding::Lz => lz_decompress(src, n).map(Cow::Owned),
+        ChunkEncoding::DedupSelf | ChunkEncoding::DedupBase => None,
+    }
+}
+
+/// A dedup base as the walk holds it: the raw slot payload, plus its
+/// bound frame table when the base is itself framed.
+struct BaseImage {
+    payload: Vec<u8>,
+    table: Option<FrameTable>,
+}
+
+impl BaseImage {
+    /// The base bytes a [`ChunkEncoding::DedupBase`] record names. A
+    /// framed base answers from the materialized record carrying the same
+    /// content address (only materialized chunks are ever installed as
+    /// dedup targets, so one hop always suffices); a raw base answers the
+    /// logical byte range directly.
+    fn chunk(&self, r: &FrameRecord) -> Option<Cow<'_, [u8]>> {
+        match &self.table {
+            Some(table) => {
+                let packed = self
+                    .payload
+                    .get(usize::try_from(table.encoded_len()).ok()?..)?;
+                let rec = table.records.iter().find(|b| {
+                    b.kind.is_materialized()
+                        && b.digest == r.digest
+                        && b.logical_len == r.logical_len
+                })?;
+                materialize(packed, rec)
+            }
+            None => {
+                let start = usize::try_from(r.b).ok()?;
+                let end = start.checked_add(usize::try_from(r.logical_len).ok()?)?;
+                self.payload.get(start..end).map(Cow::Borrowed)
+            }
+        }
+    }
+}
+
+/// The one `PCFRAME1` walk: fully materializes the framed slot payload
+/// `payload` committed as `meta`.
+///
+/// Decodes the table and binds it to `meta`, then resolves every record —
+/// `Raw` copies, `Lz` decompresses, `DedupSelf` copies an earlier chunk of
+/// this frame, `DedupBase` asks `base(counter, slot)` for that base
+/// checkpoint's commit record and raw slot payload (fetched once per
+/// referenced base, not per chunk). Every chunk re-verifies its
+/// [`chunk_digest`] content address however it was resolved, so a stale,
+/// recycled or colliding reference fails here and never silently
+/// corrupts; the reconstructed payload then verifies against the frame's
+/// end-to-end digest.
+///
+/// Returns `(logical payload, full-state digest)`; `None` on any torn
+/// table, missing base, out-of-range record or digest mismatch — callers
+/// fall back to an older candidate, like every other verification
+/// failure.
+pub fn decode_frame(
+    payload: &[u8],
+    meta: &CheckMeta,
+    base: &mut dyn FnMut(u64, u32) -> Option<(CheckMeta, Vec<u8>)>,
+) -> Option<(Vec<u8>, u64)> {
+    let table = bind_frame_table(payload, meta)?;
+    let packed = payload.get(usize::try_from(table.encoded_len()).ok()?..)?;
+    let mut out = vec![0u8; usize::try_from(table.logical_len).ok()?];
+    let mut bases: HashMap<(u64, u32), Option<BaseImage>> = HashMap::new();
+    let mut offsets = Vec::with_capacity(table.records.len());
+    let mut off = 0usize;
+    for r in &table.records {
+        offsets.push(off);
+        let n = usize::try_from(r.logical_len).ok()?;
+        let end = off.checked_add(n)?;
+        match r.kind {
+            ChunkEncoding::Raw | ChunkEncoding::Lz => {
+                out.get_mut(off..end)?
+                    .copy_from_slice(&materialize(packed, r)?);
+            }
+            ChunkEncoding::DedupSelf => {
+                // `FrameTable::decode` validated `aux` as a backward
+                // materialized reference of equal logical length.
+                let j = *offsets.get(r.aux as usize)?;
+                out.copy_within(j..j + n, off);
+            }
+            ChunkEncoding::DedupBase => {
+                let image = bases.entry((r.a, r.aux)).or_insert_with(|| {
+                    let (base_meta, payload) = base(r.a, r.aux)?;
+                    let table = if is_frame(&payload) {
+                        Some(bind_frame_table(&payload, &base_meta)?)
+                    } else {
+                        None
+                    };
+                    Some(BaseImage { payload, table })
+                });
+                out.get_mut(off..end)?
+                    .copy_from_slice(&image.as_ref()?.chunk(r)?);
+            }
+        }
+        if chunk_digest(out.get(off..end)?) != r.digest {
+            return None;
+        }
+        off = end;
+    }
+    payload_digest_matches(&out, meta.iteration, table.full_digest)
+        .then_some((out, table.full_digest))
 }
 
 /// Estimates Shannon entropy (bits/byte) from an evenly strided sample of
@@ -809,6 +950,212 @@ mod tests {
         assert!(idx.lookup(None, 1, 1, 8).is_some());
         assert!(idx.lookup(None, 1, 2, 8).is_some());
         assert!(idx.lookup(None, 1, 3, 8).is_none());
+    }
+
+    /// A hand-assembled frame exercising every record kind, its commit
+    /// record, the raw base checkpoint it references, and the logical
+    /// payload it must reconstruct.
+    struct FrameFixture {
+        payload: Vec<u8>,
+        meta: CheckMeta,
+        table: FrameTable,
+        base_meta: CheckMeta,
+        base_payload: Vec<u8>,
+        logical: Vec<u8>,
+    }
+
+    /// The fixture frame's commit record over (possibly re-encoded)
+    /// `table_bytes`.
+    fn meta_for(table_bytes: &[u8], payload_len: u64) -> CheckMeta {
+        CheckMeta {
+            counter: 9,
+            slot: 0,
+            iteration: 3,
+            payload_len,
+            digest: checksum(table_bytes),
+            delta: None,
+        }
+    }
+
+    fn frame_fixture() -> FrameFixture {
+        let mut raw = vec![0u8; 64];
+        pccheck_util::rng::fill_deterministic(&mut raw, 5);
+        let text: Vec<u8> = (0..256u32).map(|i| (i % 5) as u8).collect();
+        let lz = compress_gated(&text).expect("periodic bytes compress");
+        let mut base_payload = vec![0u8; 128];
+        pccheck_util::rng::fill_deterministic(&mut base_payload, 6);
+        let from_base = base_payload[64..128].to_vec();
+        let base_meta = CheckMeta {
+            counter: 5,
+            slot: 1,
+            iteration: 2,
+            payload_len: 128,
+            digest: checksum(&base_payload),
+            delta: None,
+        };
+
+        let logical = [&raw[..], &text, &raw, &from_base].concat();
+        let record = |kind, aux, a, b, bytes: &[u8]| FrameRecord {
+            kind,
+            aux,
+            logical_len: bytes.len() as u64,
+            a,
+            b,
+            digest: chunk_digest(bytes),
+        };
+        let table = FrameTable {
+            counter: 9,
+            logical_len: logical.len() as u64,
+            full_digest: fnv1a(&logical),
+            records: vec![
+                record(ChunkEncoding::Raw, 0, 0, 64, &raw),
+                record(ChunkEncoding::Lz, 0, 64, lz.len() as u64, &text),
+                record(ChunkEncoding::DedupSelf, 0, 0, 0, &raw),
+                record(ChunkEncoding::DedupBase, 1, 5, 64, &from_base),
+            ],
+        };
+        let table_bytes = table.encode();
+        let payload = [&table_bytes[..], &raw, &lz].concat();
+        let meta = meta_for(&table_bytes, payload.len() as u64);
+        FrameFixture {
+            payload,
+            meta,
+            table,
+            base_meta,
+            base_payload,
+            logical,
+        }
+    }
+
+    #[test]
+    fn frame_walk_resolves_every_record_kind() {
+        let f = frame_fixture();
+        let mut base_reads = 0;
+        let got = decode_frame(&f.payload, &f.meta, &mut |counter, slot| {
+            base_reads += 1;
+            assert_eq!((counter, slot), (5, 1));
+            Some((f.base_meta, f.base_payload.clone()))
+        });
+        assert_eq!(got, Some((f.logical.clone(), f.table.full_digest)));
+        assert_eq!(base_reads, 1);
+        assert!(is_frame(&f.payload));
+        assert!(!is_frame(&f.base_payload));
+        assert!(!is_frame(&f.payload[..7]));
+    }
+
+    #[test]
+    fn frame_walk_rejects_every_hostile_frame() {
+        let f = frame_fixture();
+        let table_len = f.table.encoded_len() as usize;
+        let walk = |payload: &[u8], meta: &CheckMeta| {
+            decode_frame(payload, meta, &mut |_, _| {
+                Some((f.base_meta, f.base_payload.clone()))
+            })
+        };
+
+        // Re-seals a tampered table so that only the tampered field can
+        // be what fails the walk.
+        let resealed = |table: &FrameTable| {
+            let bytes = table.encode();
+            let payload = [&bytes[..], &f.payload[table_len..]].concat();
+            let meta = meta_for(&bytes, payload.len() as u64);
+            (payload, meta)
+        };
+
+        assert!(
+            walk(&f.payload[..table_len - 1], &f.meta).is_none(),
+            "truncated table"
+        );
+
+        let mut bad_crc = f.payload.clone();
+        bad_crc[table_len - 1] ^= 0x01;
+        let bad_crc_meta = meta_for(&bad_crc[..table_len], bad_crc.len() as u64);
+        assert!(walk(&bad_crc, &bad_crc_meta).is_none(), "bad table CRC");
+
+        let other_commit = CheckMeta {
+            counter: 10,
+            ..f.meta
+        };
+        assert!(
+            walk(&f.payload, &other_commit).is_none(),
+            "table counter differs from the commit's"
+        );
+
+        let unbound = CheckMeta {
+            digest: f.meta.digest ^ 1,
+            ..f.meta
+        };
+        assert!(
+            walk(&f.payload, &unbound).is_none(),
+            "commit digest does not cover this table"
+        );
+
+        for (a, b) in [(64, 10_000), (u64::MAX, 2), (10_000, 8)] {
+            let mut table = f.table.clone();
+            table.records[1].a = a;
+            table.records[1].b = b;
+            let (payload, meta) = resealed(&table);
+            assert!(
+                walk(&payload, &meta).is_none(),
+                "packed range {a}+{b} past the payload"
+            );
+        }
+
+        let mut short_raw = f.table.clone();
+        short_raw.records[0].b = 63;
+        let (payload, meta) = resealed(&short_raw);
+        assert!(
+            walk(&payload, &meta).is_none(),
+            "raw record shorter than its logical length"
+        );
+
+        assert!(
+            decode_frame(&f.payload, &f.meta, &mut |_, _| None).is_none(),
+            "dedup base missing"
+        );
+
+        // The named slot was recycled: whatever lives there now is not the
+        // referenced content, and the per-chunk content address says so.
+        let mut recycled = f.base_payload.clone();
+        recycled[100] ^= 0x40;
+        let recycled_meta = CheckMeta {
+            counter: 12,
+            digest: checksum(&recycled),
+            ..f.base_meta
+        };
+        assert!(
+            decode_frame(&f.payload, &f.meta, &mut |_, _| Some((
+                recycled_meta,
+                recycled.clone()
+            )))
+            .is_none(),
+            "dedup base recycled"
+        );
+        assert!(
+            decode_frame(&f.payload, &f.meta, &mut |_, _| Some((
+                f.base_meta,
+                f.base_payload[..100].to_vec()
+            )))
+            .is_none(),
+            "dedup base shorter than the referenced range"
+        );
+
+        for pos in table_len..f.payload.len() {
+            let mut flipped = f.payload.clone();
+            flipped[pos] ^= 0x10;
+            assert!(
+                walk(&flipped, &f.meta).is_none(),
+                "flipped payload byte {pos}"
+            );
+        }
+
+        let mut wrong_total = f.table.clone();
+        wrong_total.full_digest ^= 1;
+        let (payload, meta) = resealed(&wrong_total);
+        assert!(
+            walk(&payload, &meta).is_none(),
+            "end-to-end digest mismatch"
+        );
     }
 
     proptest! {

@@ -544,11 +544,7 @@ impl PcCheckEngine {
                 return pipeline.commit_framed(ctx, lease, iteration, &plan);
             }
         }
-        let persist_start = if config.pipelined {
-            pipeline.copy_streamed(ctx, &guard, &lease, total)?
-        } else {
-            pipeline.copy_staged(ctx, &guard, &lease, total)?
-        };
+        let persist_start = pipeline.copy_chunks(ctx, &guard, &lease, total, config.pipelined)?;
         // Ordering: in per-writer-fence mode all persist work finished with
         // the copy scope, so seal (and its Persist phase_done) runs before
         // the guard drop — otherwise the weights handoff and any trainer
@@ -1239,6 +1235,48 @@ mod tests {
         assert_eq!(engine.pipeline().writers(), ctrl.writers());
         assert_eq!(engine.pipeline().codec_enabled(), ctrl.codec_enabled());
         assert_eq!(engine.last_committed().unwrap().iteration, 8);
+    }
+
+    #[test]
+    fn sparse_updates_reach_the_controller_and_lengthen_the_chain() {
+        let gpu = Gpu::new(
+            GpuConfig::fast_for_tests(),
+            TrainingState::compressible(ByteSize::from_bytes(4096), 15, 32),
+        );
+        // Consume the "never checkpointed, all dirty" set: every snapshot
+        // below sees only its sparse step.
+        drop(gpu.lock_weights_shared());
+        let cap = CheckpointStore::required_capacity(gpu.state_size(), 4) + ByteSize::from_kb(1);
+        let device: Arc<dyn PersistentDevice> =
+            Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
+        let config = PcCheckConfig::builder()
+            .max_concurrent(2)
+            .writer_threads(2)
+            .chunk_size(ByteSize::from_bytes(256))
+            .dram_chunks(16)
+            .codec(true)
+            .adaptive_interval(1)
+            .build()
+            .unwrap();
+        let telemetry = Telemetry::enabled();
+        let engine = PcCheckEngine::new(config, device, gpu.state_size())
+            .unwrap()
+            .with_telemetry(telemetry.clone());
+        for iter in 1..=4 {
+            gpu.update_sparse(0.05);
+            engine.checkpoint(&gpu, iter);
+            engine.drain();
+        }
+        let ratio = telemetry.snapshot().unwrap().dirty_ratio_permille;
+        assert!(
+            ratio > 0 && ratio < 150,
+            "the framed path reports the snapshot's dirty ratio, got {ratio}"
+        );
+        assert!(
+            engine.delta_policy().max_chain > crate::pipeline::DeltaPolicy::default().max_chain,
+            "sparse updates lengthen the chain: {:?}",
+            engine.delta_policy()
+        );
     }
 
     #[test]

@@ -80,7 +80,8 @@ pub mod store;
 pub mod tuner;
 
 pub use codec::{
-    compress_gated, lz_decompress, ChunkEncoding, DedupIndex, FrameRecord, FrameTable, FRAME_MAGIC,
+    bind_frame_table, compress_gated, decode_frame, is_frame, lz_decompress, ChunkEncoding,
+    DedupIndex, FrameRecord, FrameTable,
 };
 pub use config::{PcCheckConfig, PcCheckConfigBuilder};
 pub use engine::{EngineStats, PcCheckEngine};
@@ -88,8 +89,8 @@ pub use error::PccheckError;
 pub use meta::NamespaceDesc;
 pub use meta::{CheckMeta, DeltaLink, SlotState, SLOT_STATE_SIZE};
 pub use pipeline::{
-    DeltaOutcome, DeltaPlan, DeltaPolicy, FenceMode, FramedOutcome, FramedPlan, PersistPipeline,
-    PipelineCtx, KERNEL_COPY_CHUNK,
+    DeltaPolicy, FenceMode, FramedOutcome, FramedPlan, PersistPipeline, PipelineCtx,
+    KERNEL_COPY_CHUNK,
 };
 pub use qos::{QosArbiter, QosConfig, QosGrant};
 pub use recovery::{
@@ -97,8 +98,7 @@ pub use recovery::{
     Strategy,
 };
 pub use restore::{
-    recover_instrumented_with, recover_into_gpu, LayerCache, RestoreOptions, RestorePipeline,
-    RestoreSink,
+    recover_instrumented_with, recover_into_gpu, RestoreOptions, RestorePipeline, RestoreSink,
 };
 pub use store::{CheckpointStore, CommitOutcome, JobId, RawStoreView, SlotOutcome};
 pub use tuner::{

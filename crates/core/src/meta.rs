@@ -13,21 +13,22 @@ pub const META_RECORD_SIZE: u64 = 64;
 
 const META_MAGIC: u32 = 0x5043_4B31; // "PCK1"
 
-/// Back-pointer from a delta checkpoint to the checkpoint it patches.
+/// Back-pointer from a checkpoint to the base checkpoint it references.
 ///
-/// A delta slot stores only the bytes that changed since its base; this
-/// link lets recovery walk from a delta back to the full checkpoint at the
-/// root of the chain. `base_counter` is never 0 (the global counter starts
-/// at 1), which is how the serialized record distinguishes delta metas
-/// from full ones.
+/// A framed payload stores a chunk it shares with its base as a
+/// `DedupBase` reference instead of bytes; this link names that base so
+/// the store keeps its slot pinned while the referencing checkpoint is
+/// live. `base_counter` is never 0 (the global counter starts at 1),
+/// which is how the serialized record distinguishes linked metas from
+/// unlinked ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaLink {
-    /// Counter of the checkpoint this delta patches.
+    /// Counter of the base checkpoint.
     pub base_counter: u64,
     /// Slot holding the base checkpoint's payload.
     pub base_slot: u32,
-    /// Links between this checkpoint and the chain's full root (the root
-    /// has depth 0, the first delta 1, and so on).
+    /// Links between this checkpoint and the chain's unlinked root (the
+    /// root has depth 0, the first linked checkpoint 1, and so on).
     pub chain_depth: u32,
 }
 
@@ -43,10 +44,10 @@ pub struct CheckMeta {
     pub iteration: u64,
     /// Payload length in bytes.
     pub payload_len: u64,
-    /// Digest of the captured training state (for a delta checkpoint: of
-    /// the serialized extent table at the head of the payload).
+    /// Digest of the captured training state (for a framed payload: of
+    /// the serialized frame table at the head of the payload).
     pub digest: u64,
-    /// `Some` when the payload is a delta over an earlier checkpoint.
+    /// `Some` when the payload references an earlier checkpoint's chunks.
     pub delta: Option<DeltaLink>,
 }
 
@@ -100,7 +101,7 @@ impl CheckMeta {
         })
     }
 
-    /// Whether the payload is a delta over an earlier checkpoint.
+    /// Whether the payload references (and so pins) a base checkpoint.
     pub fn is_delta(&self) -> bool {
         self.delta.is_some()
     }

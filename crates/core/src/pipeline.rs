@@ -25,14 +25,11 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::bounded;
 use parking_lot::Mutex;
 
-use pccheck_device::{
-    chunk_count, chunk_digest, fnv1a_fold, ChunkDigestTable, ExtentRecord, ExtentTable, HostBuffer,
-    HostBufferPool, FNV_SEED,
-};
-use pccheck_gpu::{merge_ranges, SnapshotSource};
+use pccheck_device::{chunk_count, chunk_digest, ChunkDigestTable, HostBuffer, HostBufferPool};
+use pccheck_gpu::SnapshotSource;
 use pccheck_telemetry::{FlightEventKind, Phase, SpanId, Telemetry};
 use pccheck_util::ByteSize;
 
@@ -58,69 +55,19 @@ pub enum FenceMode {
     Deferred,
 }
 
-/// When the delta path gives up and streams a full checkpoint instead.
+/// How far a chain of pinned dedup bases may grow.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeltaPolicy {
-    /// Fall back to a full checkpoint when dirty bytes exceed this fraction
-    /// of the full state (a dense update saves nothing and costs a table).
-    pub max_dirty_ratio: f64,
-    /// Longest allowed base chain. Every `max_chain`-th checkpoint is
-    /// forced full, bounding how many slots a chain pins and how many
-    /// payloads recovery must replay.
+    /// Longest allowed base chain. A framed checkpoint whose base already
+    /// sits at this depth takes no base references (so it commits
+    /// unlinked), bounding how many slots a chain pins.
     pub max_chain: u32,
 }
 
 impl Default for DeltaPolicy {
     fn default() -> Self {
-        DeltaPolicy {
-            max_dirty_ratio: 0.5,
-            max_chain: 7,
-        }
+        DeltaPolicy { max_chain: 7 }
     }
-}
-
-/// What [`PersistPipeline::copy_delta`] actually persisted, and what the
-/// caller must pass to `seal`/commit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeltaPlan {
-    /// The policy forced a full checkpoint; the payload was streamed by
-    /// [`PersistPipeline::copy_streamed`]. Commit with the full-state
-    /// digest via [`PersistPipeline::commit`].
-    Full {
-        /// Persist-phase start timestamp for the caller's `seal`.
-        persist_start: u64,
-    },
-    /// A delta payload (extent table + packed dirty bytes) was streamed.
-    /// Commit with `payload_digest` via [`PersistPipeline::commit_delta`].
-    Delta {
-        /// Persist-phase start timestamp for the caller's `seal`.
-        persist_start: u64,
-        /// Bytes of payload in the slot (table + packed extents).
-        payload_len: u64,
-        /// Checksum of the serialized extent table (the delta slot's meta
-        /// digest).
-        payload_digest: u64,
-        /// Back-pointer to commit with.
-        link: DeltaLink,
-        /// Packed dirty bytes persisted (excludes the table).
-        dirty_bytes: u64,
-    },
-}
-
-/// Rolled-up outcome of [`PersistPipeline::checkpoint_delta`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeltaOutcome {
-    /// Only dirty extents were persisted, chained onto the base.
-    Delta {
-        /// Bytes of payload in the slot (table + packed extents).
-        payload_len: u64,
-        /// Packed dirty bytes persisted.
-        dirty_bytes: u64,
-        /// Depth of the committed checkpoint in its chain.
-        chain_depth: u32,
-    },
-    /// The policy fell back to a full streamed checkpoint.
-    Full,
 }
 
 /// Rolled-up outcome of [`PersistPipeline::checkpoint_framed`].
@@ -147,6 +94,18 @@ pub struct PipelineCtx<'a> {
     pub telemetry: &'a Telemetry,
     /// The checkpoint's span.
     pub span: SpanId,
+}
+
+/// One staged chunk: a pooled DRAM buffer and how much of it is payload.
+struct StagedChunk {
+    buf: HostBuffer,
+    len: usize,
+}
+
+impl AsRef<[u8]> for StagedChunk {
+    fn as_ref(&self) -> &[u8] {
+        &self.buf.as_slice()[..self.len]
+    }
 }
 
 /// Per-chunk digests collected while a full payload streamed through the
@@ -201,7 +160,8 @@ pub struct FramedPlan {
     /// Physical bytes in the slot (frame table + packed chunks).
     pub payload_len: u64,
     /// Checksum of the serialized frame table (the framed slot's meta
-    /// digest, mirroring the delta path's table-checksum discipline).
+    /// digest: it binds the table, and through it every chunk, to the
+    /// commit).
     pub payload_digest: u64,
     /// Back-pointer pinning the base checkpoint, present iff any chunk
     /// deduplicated against it.
@@ -324,8 +284,8 @@ impl PersistPipeline {
     }
 
     /// Attaches the DRAM staging pool used by the chunk-scheduled copy
-    /// paths ([`copy_staged`](Self::copy_staged) /
-    /// [`copy_streamed`](Self::copy_streamed)).
+    /// paths ([`copy_chunks`](Self::copy_chunks) /
+    /// [`copy_framed`](Self::copy_framed)).
     pub fn with_staging(mut self, pool: HostBufferPool) -> Self {
         self.pool = Some(pool);
         self
@@ -489,146 +449,57 @@ impl PersistPipeline {
         Ok(media)
     }
 
-    /// Non-pipelined copy (Figure 6): stage the entire snapshot in DRAM
-    /// chunks, then persist with `p` parallel writers distributing chunks
-    /// round-robin.
+    /// The one chunk executor: `p` writer threads pull `(slot offset,
+    /// bytes)` jobs off a bounded hand-off queue of depth `queue` and
+    /// write-and-fence each under the lease's QoS grant, while `feed` runs
+    /// on the calling thread and pushes jobs through the `send` callback
+    /// it is handed. A job's bytes are dropped the moment its write
+    /// returns, so pooled staging buffers go back to a producer that is
+    /// still copying later chunks.
     ///
-    /// Returns the persist-phase start timestamp so the caller can close
-    /// the phase after [`seal`](Self::seal).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first device error any writer hit.
-    pub fn copy_staged(
-        &self,
-        ctx: PipelineCtx<'_>,
-        src: &dyn SnapshotSource,
-        lease: &SlotLease,
-        total: ByteSize,
-    ) -> Result<u64, PccheckError> {
-        let pool = self.pool();
-        // Stage all chunks (blocks on the pool if DRAM is scarce).
-        let copy_start = ctx.telemetry.now_nanos();
-        let chunk = pool.chunk_size();
-        let mut chunk_digests = self.digest_table_fits(total, chunk).then(Vec::new);
-        let mut staged = Vec::new();
-        let mut off = 0u64;
-        while off < total.as_u64() {
-            let n = chunk.as_u64().min(total.as_u64() - off) as usize;
-            let mut buf = pool.acquire();
-            src.copy_range_to_host(off, &mut buf.as_mut_slice()[..n]);
-            if let Some(d) = chunk_digests.as_mut() {
-                d.push(chunk_digest(&buf.as_slice()[..n]));
-            }
-            ctx.telemetry.chunk(ctx.span, Phase::GpuCopy, off, n as u64);
-            staged.push((off, n, buf));
-            off += n as u64;
-        }
-        if let Some(digests) = chunk_digests {
-            self.park_digests(lease, chunk.as_u64(), total, digests);
-        }
-        ctx.telemetry
-            .phase_done(ctx.span, Phase::GpuCopy, copy_start);
-        self.store.flight().record(
-            FlightEventKind::CopyDone,
-            lease.counter,
-            lease.slot,
-            0,
-            total.as_u64(),
-            0,
-        );
-        // Persist with p writers, chunks distributed round-robin.
-        let persist_start = ctx.telemetry.now_nanos();
-        let p = self.writers();
-        let results: Mutex<Vec<PccheckError>> = Mutex::new(Vec::new());
-        crossbeam::thread::scope(|s| {
-            for w in 0..p {
-                let staged = &staged;
-                let results = &results;
-                s.spawn(move |_| {
-                    let actor_start = ctx.telemetry.now_nanos();
-                    let mut actor_bytes = 0u64;
-                    let mut media_nanos = 0u64;
-                    for (off, n, buf) in staged.iter().skip(w).step_by(p) {
-                        match self.write_and_fence_chunk(ctx, lease, *off, &buf.as_slice()[..*n]) {
-                            Ok(media) => {
-                                actor_bytes += *n as u64;
-                                media_nanos += media;
-                            }
-                            Err(e) => results.lock().push(e),
-                        }
-                    }
-                    if actor_bytes > 0 && ctx.telemetry.is_enabled() {
-                        ctx.telemetry.actor_span_split(
-                            ctx.span,
-                            &format!("writer-{w}"),
-                            actor_start,
-                            actor_bytes,
-                            media_nanos,
-                        );
-                    }
-                });
-            }
-        })
-        .expect("writer thread panicked");
-        drop(staged); // chunks return to the pool
-        if let Some(e) = results.into_inner().into_iter().next() {
-            return Err(e);
-        }
-        Ok(persist_start)
-    }
-
-    /// Pipelined copy (Figure 7): a producer copies chunks from the GPU
-    /// while `p` writer threads persist already-copied chunks; each DRAM
-    /// buffer returns to the pool the moment its chunk is durable.
-    ///
-    /// Returns the persist-phase start timestamp (the phases overlap, so
-    /// it coincides with the copy start).
+    /// The first device error aborts the run: writers stop issuing I/O
+    /// (they keep draining the queue so a producer blocked on a full pool
+    /// never deadlocks) and `send` starts returning `false`, telling the
+    /// producer to stop. Each writer that moved bytes reports one
+    /// `writer-{w}` actor span.
     ///
     /// # Errors
     ///
-    /// Propagates the first device error any writer hit.
-    pub fn copy_streamed(
+    /// The first device error any writer hit.
+    fn write_chunks<D: AsRef<[u8]> + Send>(
         &self,
         ctx: PipelineCtx<'_>,
-        src: &dyn SnapshotSource,
         lease: &SlotLease,
-        total: ByteSize,
-    ) -> Result<u64, PccheckError> {
-        type Job = (u64, usize, HostBuffer);
-        let pool = self.pool();
-        let start = ctx.telemetry.now_nanos();
-        let p = self.writers();
-        let (tx, rx): (Sender<Job>, Receiver<Job>) = bounded(pool.total_chunks());
-        let results: Mutex<Vec<PccheckError>> = Mutex::new(Vec::new());
-        // First device error aborts the stream: writers stop issuing I/O
-        // (they keep draining the channel so the producer never deadlocks
-        // on a full pool) and the producer stops copying and enqueueing.
+        queue: usize,
+        feed: impl FnOnce(&mut dyn FnMut(u64, D) -> bool),
+    ) -> Result<(), PccheckError> {
+        let (tx, rx) = bounded::<(u64, D)>(queue.max(1));
+        let first_error: Mutex<Option<PccheckError>> = Mutex::new(None);
         let abort = AtomicBool::new(false);
         crossbeam::thread::scope(|s| {
-            for w in 0..p {
+            for w in 0..self.writers() {
                 let rx = rx.clone();
-                let results = &results;
+                let first_error = &first_error;
                 let abort = &abort;
                 s.spawn(move |_| {
                     let actor_start = ctx.telemetry.now_nanos();
                     let mut actor_bytes = 0u64;
                     let mut media_nanos = 0u64;
-                    while let Ok((off, n, buf)) = rx.recv() {
-                        if !abort.load(Ordering::Acquire) {
-                            match self.write_and_fence_chunk(ctx, lease, off, &buf.as_slice()[..n])
-                            {
-                                Ok(media) => {
-                                    actor_bytes += n as u64;
-                                    media_nanos += media;
-                                }
-                                Err(e) => {
-                                    results.lock().push(e);
-                                    abort.store(true, Ordering::Release);
-                                }
+                    while let Ok((off, data)) = rx.recv() {
+                        if abort.load(Ordering::Acquire) {
+                            continue;
+                        }
+                        let bytes = data.as_ref();
+                        match self.write_and_fence_chunk(ctx, lease, off, bytes) {
+                            Ok(media) => {
+                                actor_bytes += bytes.len() as u64;
+                                media_nanos += media;
+                            }
+                            Err(e) => {
+                                abort.store(true, Ordering::Release);
+                                first_error.lock().get_or_insert(e);
                             }
                         }
-                        drop(buf); // free the DRAM chunk for the producer
                     }
                     if actor_bytes > 0 && ctx.telemetry.is_enabled() {
                         ctx.telemetry.actor_span_split(
@@ -642,24 +513,67 @@ impl PersistPipeline {
                 });
             }
             drop(rx);
-            // Producer: GPU→DRAM chunk copies. Per-chunk digests fold in
-            // here, where the bytes are already hot in cache.
-            let chunk = pool.chunk_size();
+            feed(&mut |off, data| {
+                if abort.load(Ordering::Acquire) {
+                    return false;
+                }
+                tx.send((off, data)).expect("writers outlive the producer");
+                true
+            });
+            drop(tx); // writers drain and exit
+        })
+        .expect("writer thread panicked");
+        first_error.into_inner().map_or(Ok(()), Err)
+    }
+
+    /// Chunk-scheduled raw copy: a producer copies the snapshot from the
+    /// GPU into pooled DRAM chunks and `p` writer threads persist them.
+    /// With `pipelined` (Figure 7) the two overlap — writers persist
+    /// already-copied chunks while the producer copies the next, and each
+    /// DRAM buffer returns to the pool the moment its chunk is written.
+    /// Without it (Figure 6) the producer stages the entire snapshot
+    /// before the first write, so the pool must hold the whole snapshot.
+    ///
+    /// Returns the persist-phase start timestamp so the caller can close
+    /// the phase after [`seal`](Self::seal): the copy start when
+    /// pipelined (the phases overlap), the end of staging otherwise.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first device error any writer hit.
+    pub fn copy_chunks(
+        &self,
+        ctx: PipelineCtx<'_>,
+        src: &dyn SnapshotSource,
+        lease: &SlotLease,
+        total: ByteSize,
+        pipelined: bool,
+    ) -> Result<u64, PccheckError> {
+        let pool = self.pool();
+        let chunk = pool.chunk_size();
+        let copy_start = ctx.telemetry.now_nanos();
+        // Producer: GPU→DRAM chunk copies (blocking on the pool when DRAM
+        // is scarce). Per-chunk digests fold in here, where the bytes are
+        // already hot in cache. Stops when `sink` refuses a chunk.
+        let produce = |sink: &mut dyn FnMut(u64, StagedChunk) -> bool| {
             let mut chunk_digests = self.digest_table_fits(total, chunk).then(Vec::new);
             let mut off = 0u64;
-            while off < total.as_u64() && !abort.load(Ordering::Acquire) {
-                let n = chunk.as_u64().min(total.as_u64() - off) as usize;
+            let mut accepted = true;
+            while accepted && off < total.as_u64() {
+                let len = chunk.as_u64().min(total.as_u64() - off) as usize;
                 let mut buf = pool.acquire();
-                src.copy_range_to_host(off, &mut buf.as_mut_slice()[..n]);
+                src.copy_range_to_host(off, &mut buf.as_mut_slice()[..len]);
                 if let Some(d) = chunk_digests.as_mut() {
-                    d.push(chunk_digest(&buf.as_slice()[..n]));
+                    d.push(chunk_digest(&buf.as_slice()[..len]));
                 }
-                ctx.telemetry.chunk(ctx.span, Phase::GpuCopy, off, n as u64);
-                tx.send((off, n, buf)).expect("writers outlive producer");
-                off += n as u64;
+                ctx.telemetry
+                    .chunk(ctx.span, Phase::GpuCopy, off, len as u64);
+                accepted = sink(off, StagedChunk { buf, len });
+                off += len as u64;
             }
-            ctx.telemetry.phase_done(ctx.span, Phase::GpuCopy, start);
-            if off >= total.as_u64() {
+            ctx.telemetry
+                .phase_done(ctx.span, Phase::GpuCopy, copy_start);
+            if accepted {
                 self.store.flight().record(
                     FlightEventKind::CopyDone,
                     lease.counter,
@@ -672,319 +586,25 @@ impl PersistPipeline {
                     self.park_digests(lease, chunk.as_u64(), total, digests);
                 }
             }
-            drop(tx); // writers drain and exit
-        })
-        .expect("pipelined checkpoint thread panicked");
-        if let Some(e) = results.into_inner().into_iter().next() {
-            return Err(e);
-        }
-        Ok(start)
-    }
-
-    /// The logical state length a committed checkpoint represents,
-    /// regardless of how it is stored: a framed payload answers from its
-    /// frame header, an extent delta from its table's `full_len`, and a
-    /// legacy full checkpoint is its own logical image. 0 when the head
-    /// is unreadable (the caller's size check then forces a full
-    /// fallback).
-    fn base_logical_len(&self, base: &crate::meta::CheckMeta) -> u64 {
-        let off = self.store.slot_payload_offset(base.slot);
-        if base.payload_len >= crate::codec::FRAME_HEADER as u64 {
-            let mut head = [0u8; crate::codec::FRAME_HEADER];
-            if self.store.device().read_durable_at(off, &mut head).is_ok()
-                && u64::from_le_bytes(head[..8].try_into().expect("8 bytes"))
-                    == crate::codec::FRAME_MAGIC
-            {
-                return u64::from_le_bytes(head[24..32].try_into().expect("8 bytes"));
-            }
-        }
-        if base.delta.is_some() {
-            self.read_extent_table(base.slot, base.payload_len)
-                .map(|t| t.full_len)
-                .unwrap_or(0)
-        } else {
-            base.payload_len
-        }
-    }
-
-    /// Reads and authenticates the extent table at the head of a delta
-    /// slot's payload.
-    fn read_extent_table(&self, slot: u32, payload_len: u64) -> Result<ExtentTable, PccheckError> {
-        let base_off = self.store.slot_payload_offset(slot);
-        let mut head = [0u8; pccheck_device::extent::EXTENT_TABLE_HEADER + 8];
-        self.store.device().read_durable_at(base_off, &mut head)?;
-        let count = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes")) as usize;
-        let table_len = ExtentTable::encoded_len_for(count).min(payload_len);
-        let mut buf = vec![0u8; table_len as usize];
-        self.store.device().read_durable_at(base_off, &mut buf)?;
-        Ok(ExtentTable::decode(&buf)?)
-    }
-
-    /// Incremental copy: persists only the snapshot's dirty extents
-    /// (`[extent table][packed dirty bytes]`) into the leased slot,
-    /// streaming the packed bytes through the same overlapped
-    /// producer/writer machinery as [`copy_streamed`](Self::copy_streamed).
-    ///
-    /// Falls back to a full `copy_streamed` — returning
-    /// [`DeltaPlan::Full`] — when there is no committed base, the base
-    /// chain would exceed `policy.max_chain`, the dirty ratio exceeds
-    /// `policy.max_dirty_ratio`, the delta payload would not actually be
-    /// smaller than the full state, or the base describes a different
-    /// state size. Periodic falls back bound recovery cost: a chain is
-    /// never longer than `max_chain` links.
-    ///
-    /// `full_digest` is the digest of the complete state *after* this
-    /// update (what [`commit`](Self::commit) would be given on the full
-    /// path); recovery verifies the chain-reconstructed state against it.
-    ///
-    /// Delta checkpoints require the serial checkpoint discipline: one
-    /// in-flight checkpoint at a time, each based on the latest committed
-    /// one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first device error any writer hit.
-    pub fn copy_delta(
-        &self,
-        ctx: PipelineCtx<'_>,
-        src: &dyn SnapshotSource,
-        lease: &SlotLease,
-        total: ByteSize,
-        full_digest: u64,
-        policy: DeltaPolicy,
-    ) -> Result<DeltaPlan, PccheckError> {
-        let dirty = merge_ranges(src.dirty_ranges());
-        let dirty_bytes: u64 = dirty.iter().map(|(_, len)| len).sum();
-        let ratio = if total.as_u64() == 0 {
-            1.0
-        } else {
-            dirty_bytes as f64 / total.as_u64() as f64
         };
-        ctx.telemetry.gauge_dirty_ratio((ratio * 1000.0) as u64);
-
-        // Delta chains are per-tenant: a namespaced lease bases on its own
-        // namespace's head, never on another job's checkpoint.
-        let base = self.store.latest_committed_for(lease);
-        let plan_delta = match &base {
-            None => None,
-            Some(base) => {
-                let base_depth = base.delta.map_or(0, |l| l.chain_depth);
-                let base_full_len = self.base_logical_len(base);
-                let table_len = ExtentTable::encoded_len_for(dirty.len());
-                let fits = table_len + dirty_bytes < total.as_u64()
-                    && table_len + dirty_bytes <= self.store.slot_size().as_u64();
-                (base_depth + 1 <= policy.max_chain
-                    && ratio <= policy.max_dirty_ratio
-                    && base_full_len == total.as_u64()
-                    && fits)
-                    .then_some((*base, base_depth, table_len))
-            }
-        };
-        let Some((base, base_depth, table_len)) = plan_delta else {
-            let persist_start = self.copy_streamed(ctx, src, lease, total)?;
-            return Ok(DeltaPlan::Full { persist_start });
-        };
-
-        let pool = self.pool();
-        let start = ctx.telemetry.now_nanos();
-        let p = self.writers();
-        type Job = (u64, usize, HostBuffer);
-        let (tx, rx): (Sender<Job>, Receiver<Job>) = bounded(pool.total_chunks());
-        let results: Mutex<Vec<PccheckError>> = Mutex::new(Vec::new());
-        let abort = AtomicBool::new(false);
-        let mut extent_digests: Vec<u64> = Vec::with_capacity(dirty.len());
-        crossbeam::thread::scope(|s| {
-            for w in 0..p {
-                let rx = rx.clone();
-                let results = &results;
-                let abort = &abort;
-                s.spawn(move |_| {
-                    let actor_start = ctx.telemetry.now_nanos();
-                    let mut actor_bytes = 0u64;
-                    let mut media_nanos = 0u64;
-                    while let Ok((off, n, buf)) = rx.recv() {
-                        if !abort.load(Ordering::Acquire) {
-                            match self.write_and_fence_chunk(ctx, lease, off, &buf.as_slice()[..n])
-                            {
-                                Ok(media) => {
-                                    actor_bytes += n as u64;
-                                    media_nanos += media;
-                                }
-                                Err(e) => {
-                                    results.lock().push(e);
-                                    abort.store(true, Ordering::Release);
-                                }
-                            }
-                        }
-                        drop(buf);
-                    }
-                    if actor_bytes > 0 && ctx.telemetry.is_enabled() {
-                        ctx.telemetry.actor_span_split(
-                            ctx.span,
-                            &format!("writer-{w}"),
-                            actor_start,
-                            actor_bytes,
-                            media_nanos,
-                        );
-                    }
-                });
-            }
-            drop(rx);
-            // Producer: copy each dirty extent from the snapshot, packing
-            // them back to back after the table and folding the per-extent
-            // digest as the chunks stream by.
-            let chunk = pool.chunk_size();
-            let mut dst = table_len;
-            'extents: for &(ext_off, ext_len) in &dirty {
-                let mut h = FNV_SEED;
-                let mut done = 0u64;
-                while done < ext_len {
-                    if abort.load(Ordering::Acquire) {
-                        break 'extents;
-                    }
-                    let n = chunk.as_u64().min(ext_len - done) as usize;
-                    let mut buf = pool.acquire();
-                    src.copy_range_to_host(ext_off + done, &mut buf.as_mut_slice()[..n]);
-                    h = fnv1a_fold(h, &buf.as_slice()[..n]);
-                    ctx.telemetry
-                        .chunk(ctx.span, Phase::GpuCopy, ext_off + done, n as u64);
-                    tx.send((dst, n, buf)).expect("writers outlive producer");
-                    done += n as u64;
-                    dst += n as u64;
+        if pipelined {
+            self.write_chunks(ctx, lease, pool.total_chunks(), produce)?;
+            return Ok(copy_start);
+        }
+        let mut staged = Vec::new();
+        produce(&mut |off, chunk| {
+            staged.push((off, chunk));
+            true
+        });
+        let persist_start = ctx.telemetry.now_nanos();
+        self.write_chunks(ctx, lease, staged.len(), |send| {
+            for (off, chunk) in staged {
+                if !send(off, chunk) {
+                    break;
                 }
-                extent_digests.push(h);
             }
-            ctx.telemetry.phase_done(ctx.span, Phase::GpuCopy, start);
-            if extent_digests.len() == dirty.len() {
-                self.store.flight().record(
-                    FlightEventKind::CopyDone,
-                    lease.counter,
-                    lease.slot,
-                    0,
-                    dirty_bytes,
-                    0,
-                );
-            }
-            drop(tx);
-        })
-        .expect("delta checkpoint thread panicked");
-        if let Some(e) = results.into_inner().into_iter().next() {
-            return Err(e);
-        }
-
-        // Build and persist the extent table at the head of the slot.
-        let map_start = ctx.telemetry.now_nanos();
-        let table = ExtentTable {
-            full_len: total.as_u64(),
-            full_digest,
-            extents: dirty
-                .iter()
-                .zip(&extent_digests)
-                .map(|(&(offset, len), &digest)| ExtentRecord {
-                    offset,
-                    len,
-                    digest,
-                })
-                .collect(),
-        };
-        let table_bytes = table.encode();
-        debug_assert_eq!(table_bytes.len() as u64, table_len);
-        self.write_and_fence_chunk(ctx, lease, 0, &table_bytes)?;
-        ctx.telemetry
-            .phase_done(ctx.span, Phase::DeltaMap, map_start);
-        let payload_len = table_len + dirty_bytes;
-        ctx.telemetry
-            .add_delta_bytes_saved(total.as_u64().saturating_sub(payload_len));
-        Ok(DeltaPlan::Delta {
-            persist_start: start,
-            payload_len,
-            payload_digest: crate::meta::checksum(&table_bytes),
-            link: DeltaLink {
-                base_counter: base.counter,
-                base_slot: base.slot,
-                chain_depth: base_depth + 1,
-            },
-            dirty_bytes,
-        })
-    }
-
-    /// Runs the store's delta-aware CAS commit and closes the `Commit`
-    /// phase. Pairs with [`DeltaPlan::Delta`] from
-    /// [`copy_delta`](Self::copy_delta).
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors.
-    pub fn commit_delta(
-        &self,
-        ctx: PipelineCtx<'_>,
-        lease: SlotLease,
-        iteration: u64,
-        payload_len: u64,
-        payload_digest: u64,
-        link: DeltaLink,
-    ) -> Result<CommitOutcome, PccheckError> {
-        let commit_start = ctx.telemetry.now_nanos();
-        // Delta payloads carry per-extent digests in their extent table
-        // already; any digests parked for this slot are stale leftovers.
-        self.pending_digests.lock().remove(&lease.slot);
-        let outcome =
-            self.store
-                .commit_with_delta(lease, iteration, payload_len, payload_digest, Some(link));
-        ctx.telemetry
-            .phase_done(ctx.span, Phase::Commit, commit_start);
-        outcome
-    }
-
-    /// One-call incremental checkpoint: lease →
-    /// [`copy_delta`](Self::copy_delta) → `seal` → commit, routing to the
-    /// delta or full commit as the plan dictates.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors.
-    pub fn checkpoint_delta(
-        &self,
-        ctx: PipelineCtx<'_>,
-        src: &dyn SnapshotSource,
-        iteration: u64,
-        full_digest: u64,
-        policy: DeltaPolicy,
-    ) -> Result<(CommitOutcome, DeltaOutcome), PccheckError> {
-        let total = src.size();
-        let lease = self.lease(ctx);
-        match self.copy_delta(ctx, src, &lease, total, full_digest, policy)? {
-            DeltaPlan::Full { persist_start } => {
-                self.seal(ctx, &lease, iteration, total, persist_start)?;
-                let out = self.commit(ctx, lease, iteration, total.as_u64(), full_digest)?;
-                Ok((out, DeltaOutcome::Full))
-            }
-            DeltaPlan::Delta {
-                persist_start,
-                payload_len,
-                payload_digest,
-                link,
-                dirty_bytes,
-            } => {
-                self.seal(
-                    ctx,
-                    &lease,
-                    iteration,
-                    ByteSize::from_bytes(payload_len),
-                    persist_start,
-                )?;
-                let out =
-                    self.commit_delta(ctx, lease, iteration, payload_len, payload_digest, link)?;
-                Ok((
-                    out,
-                    DeltaOutcome::Delta {
-                        payload_len,
-                        dirty_bytes,
-                        chain_depth: link.chain_depth,
-                    },
-                ))
-            }
-        }
+        })?;
+        Ok(persist_start)
     }
 
     /// Codec copy: stages the snapshot, content-addresses every chunk,
@@ -992,8 +612,7 @@ impl PersistPipeline {
     /// the latest committed checkpoint's frame), entropy-gate-compresses
     /// the rest, and persists `[frame table][packed chunks]` into the
     /// leased slot. The table is written *last* so a torn frame is never
-    /// mistaken for a complete one — the same ordering discipline as the
-    /// delta path's extent table.
+    /// mistaken for a complete one.
     ///
     /// Returns `Ok(None)` — persisting nothing — when the codec path is
     /// inapplicable or unprofitable: the staging pool cannot hold the
@@ -1017,6 +636,12 @@ impl PersistPipeline {
         full_digest: u64,
         policy: DeltaPolicy,
     ) -> Result<Option<FramedPlan>, PccheckError> {
+        // The controller's chain-length signal: how much of the state
+        // changed since the previous snapshot.
+        let dirty_bytes: u64 = src.dirty_ranges().iter().map(|&(_, len)| len).sum();
+        ctx.telemetry
+            .gauge_dirty_ratio(dirty_bytes * 1000 / total.as_u64().max(1));
+
         let pool = self.pool();
         let chunk = pool.chunk_size();
         let n_chunks = chunk_count(total.as_u64(), chunk.as_u64());
@@ -1053,8 +678,8 @@ impl PersistPipeline {
         );
 
         // Cross-checkpoint dedup bases on the job's latest committed
-        // checkpoint, bounded by the same chain policy as deltas: every
-        // base reference pins the base's slot via a `DeltaLink`.
+        // checkpoint, bounded by the chain policy: every base reference
+        // pins the base's slot via a `DeltaLink`.
         let base = self.store.latest_committed_for(lease);
         let cross = base.as_ref().and_then(|b| {
             let base_depth = b.delta.map_or(0, |l| l.chain_depth);
@@ -1162,56 +787,27 @@ impl PersistPipeline {
             return Ok(None);
         }
 
-        // Persist the packed chunks with p writers, round-robin — then the
+        // Persist the packed chunks through the writer pool — then the
         // table, last.
-        let jobs: Vec<(u64, usize)> = materialized
+        let jobs = materialized
             .iter()
             .filter(|&&i| records[i].kind.is_materialized())
-            .map(|&i| (table_len + records[i].a, i))
-            .collect();
-        let results: Mutex<Vec<PccheckError>> = Mutex::new(Vec::new());
-        crossbeam::thread::scope(|s| {
-            for w in 0..p {
-                let jobs = &jobs;
-                let staged = &staged;
-                let records = &records;
-                let compressed = &compressed;
-                let results = &results;
-                s.spawn(move |_| {
-                    let actor_start = ctx.telemetry.now_nanos();
-                    let mut actor_bytes = 0u64;
-                    let mut media_nanos = 0u64;
-                    for (dst, i) in jobs.iter().skip(w).step_by(p) {
-                        let data: &[u8] = match compressed.get(i) {
-                            Some(c) => c,
-                            None => &staged[*i].2.as_slice()[..staged[*i].1],
-                        };
-                        debug_assert_eq!(data.len() as u64, records[*i].b);
-                        match self.write_and_fence_chunk(ctx, lease, *dst, data) {
-                            Ok(media) => {
-                                actor_bytes += data.len() as u64;
-                                media_nanos += media;
-                            }
-                            Err(e) => results.lock().push(e),
-                        }
-                    }
-                    if actor_bytes > 0 && ctx.telemetry.is_enabled() {
-                        ctx.telemetry.actor_span_split(
-                            ctx.span,
-                            &format!("writer-{w}"),
-                            actor_start,
-                            actor_bytes,
-                            media_nanos,
-                        );
-                    }
-                });
+            .map(|&i| {
+                let data: &[u8] = match compressed.get(&i) {
+                    Some(c) => c,
+                    None => &staged[i].2.as_slice()[..staged[i].1],
+                };
+                debug_assert_eq!(data.len() as u64, records[i].b);
+                (table_len + records[i].a, data)
+            });
+        self.write_chunks(ctx, lease, materialized.len(), |send| {
+            for (dst, data) in jobs {
+                if !send(dst, data) {
+                    break;
+                }
             }
-        })
-        .expect("codec writer thread panicked");
+        })?;
         drop(staged); // chunks return to the pool
-        if let Some(e) = results.into_inner().into_iter().next() {
-            return Err(e);
-        }
 
         let table = FrameTable {
             counter: lease.counter,
@@ -1321,7 +917,7 @@ impl PersistPipeline {
         let lease = self.lease(ctx);
         match self.copy_framed(ctx, src, &lease, total, full_digest, policy)? {
             None => {
-                let persist_start = self.copy_streamed(ctx, src, &lease, total)?;
+                let persist_start = self.copy_chunks(ctx, src, &lease, total, true)?;
                 self.seal(ctx, &lease, iteration, total, persist_start)?;
                 let out = self.commit(ctx, lease, iteration, total.as_u64(), full_digest)?;
                 Ok((out, FramedOutcome::Raw))
@@ -1591,11 +1187,9 @@ mod tests {
             let digest = guard.digest();
             let total = guard.size();
             let lease = pipeline.lease(ctx);
-            let persist_start = if streamed {
-                pipeline.copy_streamed(ctx, &guard, &lease, total).unwrap()
-            } else {
-                pipeline.copy_staged(ctx, &guard, &lease, total).unwrap()
-            };
+            let persist_start = pipeline
+                .copy_chunks(ctx, &guard, &lease, total, streamed)
+                .unwrap();
             drop(guard);
             pipeline.seal(ctx, &lease, 1, total, persist_start).unwrap();
             let outcome = pipeline
@@ -1629,11 +1223,9 @@ mod tests {
             let guard = g.lock_weights_shared_owned();
             let total = guard.size();
             let lease = pipeline.lease(ctx);
-            let persist_start = if streamed {
-                pipeline.copy_streamed(ctx, &guard, &lease, total).unwrap()
-            } else {
-                pipeline.copy_staged(ctx, &guard, &lease, total).unwrap()
-            };
+            let persist_start = pipeline
+                .copy_chunks(ctx, &guard, &lease, total, streamed)
+                .unwrap();
             drop(guard);
             pipeline.seal(ctx, &lease, 1, total, persist_start).unwrap();
 
@@ -1658,11 +1250,6 @@ mod tests {
                 spans.iter().all(|(a, _)| a.starts_with("writer-")),
                 "streamed={streamed}: {spans:?}"
             );
-            if !streamed {
-                // Round-robin distribution guarantees both writers worked.
-                assert!(spans.iter().any(|(a, _)| a == "writer-0"));
-                assert!(spans.iter().any(|(a, _)| a == "writer-1"));
-            }
         }
     }
 
@@ -1685,7 +1272,9 @@ mod tests {
         let digest = guard.digest();
         let total = guard.size();
         let lease = pipeline.lease(ctx);
-        let start = pipeline.copy_staged(ctx, &guard, &lease, total).unwrap();
+        let start = pipeline
+            .copy_chunks(ctx, &guard, &lease, total, false)
+            .unwrap();
         drop(guard);
         pipeline.seal(ctx, &lease, 1, total, start).unwrap();
         pipeline
@@ -1733,147 +1322,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_copy_aborts_after_first_writer_error() {
-        let g = gpu(4096, 31);
-        g.update();
-        let state = g.state_size();
-        let cap = CheckpointStore::required_capacity(state, 2) + ByteSize::from_kb(1);
-        let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let store = Arc::new(
-            CheckpointStore::format(Arc::clone(&ssd) as Arc<dyn PersistentDevice>, state, 2)
-                .unwrap(),
-        );
-        let pool = HostBufferPool::new(ByteSize::from_bytes(128), 2);
-        let pipeline = PersistPipeline::new(store)
-            .with_writers(2)
-            .with_staging(pool);
-        let telemetry = Telemetry::enabled();
-        let span = telemetry.span_requested("test", 1, 4096);
-        let ctx = PipelineCtx {
-            telemetry: &telemetry,
-            span,
-        };
-        let guard = g.lock_weights_shared_owned();
-        let lease = pipeline.lease(ctx);
-        // The very next persist crashes the device: every later write (and
-        // the per-writer fence) fails.
-        ssd.arm_crash_after_persists(0);
-        let err = pipeline.copy_streamed(ctx, &guard, &lease, guard.size());
-        assert!(err.is_err(), "the first writer error must propagate");
-        // Without the abort flag the producer would copy and enqueue all 32
-        // chunks after the device was already dead.
-        let snap = telemetry.snapshot().unwrap();
-        assert!(
-            snap.gpu_copy_bytes < 4096,
-            "producer kept copying after a writer failed ({} bytes)",
-            snap.gpu_copy_bytes
-        );
-    }
-
-    #[test]
-    fn delta_path_persists_only_dirty_extents_and_chains() {
-        let g = gpu(1024, 29);
-        g.update();
-        let pool = HostBufferPool::new(ByteSize::from_bytes(128), 4);
-        let pipeline = PersistPipeline::new(ssd_store(g.state_size(), 4))
-            .with_writers(2)
-            .with_staging(pool);
-        let telemetry = Telemetry::enabled();
-        let span = telemetry.span_requested("test", 1, 1024);
-        let ctx = PipelineCtx {
-            telemetry: &telemetry,
-            span,
-        };
-        let policy = DeltaPolicy::default();
-
-        // First checkpoint: no committed base → falls back to full.
-        let guard = g.lock_weights_shared_owned();
-        let digest = guard.digest();
-        let (out, kind) = pipeline
-            .checkpoint_delta(ctx, &guard, 1, digest.0, policy)
-            .unwrap();
-        drop(guard);
-        assert_eq!(out, CommitOutcome::Committed);
-        assert_eq!(kind, DeltaOutcome::Full);
-        assert!(!pipeline.store().latest_committed().unwrap().is_delta());
-
-        // Sparse update → a delta chained on the full base.
-        g.update_sparse(0.1);
-        let guard = g.lock_weights_shared_owned();
-        let digest = guard.digest();
-        let (out, kind) = pipeline
-            .checkpoint_delta(ctx, &guard, 2, digest.0, policy)
-            .unwrap();
-        drop(guard);
-        assert_eq!(out, CommitOutcome::Committed);
-        let DeltaOutcome::Delta {
-            payload_len,
-            dirty_bytes,
-            chain_depth,
-        } = kind
-        else {
-            panic!("sparse update must take the delta path, got {kind:?}");
-        };
-        assert_eq!(chain_depth, 1);
-        assert!(dirty_bytes < 1024, "only dirty bytes persisted");
-        assert!(payload_len < 1024, "delta payload smaller than the state");
-        let head = pipeline.store().latest_committed().unwrap();
-        assert_eq!(head.iteration, 2);
-        assert_eq!(head.delta.unwrap().chain_depth, 1);
-        // Base + delta pinned out of the 4-slot store.
-        assert_eq!(pipeline.store().free_slot_count(), 2);
-        let snap = telemetry.snapshot().unwrap();
-        assert!(snap.dirty_ratio_permille >= 100 && snap.dirty_ratio_permille < 500);
-        assert!(snap.delta_bytes_saved > 0);
-        assert_eq!(snap.phase(Phase::DeltaMap).count, 1);
-
-        // Dense update → dirty ratio 100% → full fallback frees the chain.
-        g.update();
-        let guard = g.lock_weights_shared_owned();
-        let digest = guard.digest();
-        let (out, kind) = pipeline
-            .checkpoint_delta(ctx, &guard, 3, digest.0, policy)
-            .unwrap();
-        drop(guard);
-        assert_eq!(out, CommitOutcome::Committed);
-        assert_eq!(kind, DeltaOutcome::Full);
-        assert_eq!(pipeline.store().free_slot_count(), 3);
-    }
-
-    #[test]
-    fn chain_length_cap_forces_a_periodic_full_checkpoint() {
-        let g = gpu(1024, 37);
-        g.update();
-        let pool = HostBufferPool::new(ByteSize::from_bytes(128), 4);
-        let pipeline = PersistPipeline::new(ssd_store(g.state_size(), 6))
-            .with_writers(2)
-            .with_staging(pool);
-        let telemetry = Telemetry::disabled();
-        let ctx = PipelineCtx {
-            telemetry: &telemetry,
-            span: SpanId::NONE,
-        };
-        let policy = DeltaPolicy {
-            max_dirty_ratio: 0.5,
-            max_chain: 2,
-        };
-        let mut kinds = Vec::new();
-        for iter in 1..=7u64 {
-            let guard = g.lock_weights_shared_owned();
-            let digest = guard.digest();
-            let (out, kind) = pipeline
-                .checkpoint_delta(ctx, &guard, iter, digest.0, policy)
-                .unwrap();
-            drop(guard);
-            assert_eq!(out, CommitOutcome::Committed);
-            kinds.push(matches!(kind, DeltaOutcome::Full));
-            g.update_sparse(0.05);
-        }
-        // full, delta, delta, full, delta, delta, full.
-        assert_eq!(kinds, [true, false, false, true, false, false, true]);
-    }
-
-    #[test]
     fn streamed_copy_records_a_chunk_digest_table() {
         let g = gpu(8192, 41);
         g.update();
@@ -1891,7 +1339,9 @@ mod tests {
         let total = guard.size();
         let lease = pipeline.lease(ctx);
         let slot = lease.slot;
-        let start = pipeline.copy_streamed(ctx, &guard, &lease, total).unwrap();
+        let start = pipeline
+            .copy_chunks(ctx, &guard, &lease, total, true)
+            .unwrap();
         drop(guard);
         pipeline.seal(ctx, &lease, 1, total, start).unwrap();
         pipeline
@@ -1932,7 +1382,9 @@ mod tests {
         let digest = guard.digest();
         let total = guard.size();
         let lease = pipeline.lease(ctx);
-        let start = pipeline.copy_streamed(ctx, &guard, &lease, total).unwrap();
+        let start = pipeline
+            .copy_chunks(ctx, &guard, &lease, total, true)
+            .unwrap();
         drop(guard);
         pipeline.seal(ctx, &lease, 1, total, start).unwrap();
         pipeline
@@ -1974,7 +1426,9 @@ mod tests {
             let total = guard.size();
             let lease = pipeline.lease_for(ctx, Some(job)).unwrap();
             assert_eq!(lease.job(), Some(job));
-            let start = pipeline.copy_streamed(ctx, &guard, &lease, total).unwrap();
+            let start = pipeline
+            .copy_chunks(ctx, &guard, &lease, total, true)
+            .unwrap();
             drop(guard);
             pipeline.seal(ctx, &lease, iter, total, start).unwrap();
             let out = pipeline
@@ -1998,104 +1452,6 @@ mod tests {
         assert_eq!(shares.iter().find(|s| s.0 == 2).unwrap().1, 900);
         // An unknown job is rejected at lease time.
         assert!(pipeline.lease_for(ctx, Some(99)).is_err());
-    }
-
-    #[test]
-    fn delta_chains_stay_inside_their_namespace() {
-        // Job 1 commits iteration 1 (full) then a sparse update; job 2
-        // commits nothing. Job 2's first delta attempt must fall back to
-        // full (no base IN ITS NAMESPACE) even though job 1's head exists.
-        let state = ByteSize::from_bytes(1024);
-        let cap = CheckpointStore::required_capacity_service(state, 8, 0, 4) + ByteSize::from_kb(1);
-        let device: Arc<dyn PersistentDevice> =
-            Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let store = Arc::new(CheckpointStore::format_service(device, state, 8, 0, 4).unwrap());
-        store.allocate_namespace(1, 4).unwrap();
-        store.allocate_namespace(2, 4).unwrap();
-        let pool = HostBufferPool::new(ByteSize::from_bytes(128), 4);
-        let pipeline = PersistPipeline::new(store)
-            .with_writers(2)
-            .with_staging(pool);
-        let telemetry = Telemetry::disabled();
-        let ctx = PipelineCtx {
-            telemetry: &telemetry,
-            span: SpanId::NONE,
-        };
-        let policy = DeltaPolicy::default();
-
-        let g1 = gpu(1024, 51);
-        g1.update();
-        for iter in 1..=2u64 {
-            let guard = g1.lock_weights_shared_owned();
-            let digest = guard.digest();
-            let total = guard.size();
-            let lease = pipeline.lease_for(ctx, Some(1)).unwrap();
-            let plan = pipeline
-                .copy_delta(ctx, &guard, &lease, total, digest.0, policy)
-                .unwrap();
-            drop(guard);
-            match plan {
-                DeltaPlan::Full { persist_start } => {
-                    assert_eq!(iter, 1, "first commit has no base");
-                    pipeline
-                        .seal(ctx, &lease, iter, total, persist_start)
-                        .unwrap();
-                    pipeline
-                        .commit(ctx, lease, iter, total.as_u64(), digest.0)
-                        .unwrap();
-                }
-                DeltaPlan::Delta {
-                    persist_start,
-                    payload_len,
-                    payload_digest,
-                    link,
-                    ..
-                } => {
-                    assert_eq!(iter, 2, "sparse update chains on the job's own base");
-                    pipeline
-                        .seal(
-                            ctx,
-                            &lease,
-                            iter,
-                            ByteSize::from_bytes(payload_len),
-                            persist_start,
-                        )
-                        .unwrap();
-                    pipeline
-                        .commit_delta(ctx, lease, iter, payload_len, payload_digest, link)
-                        .unwrap();
-                }
-            }
-            g1.update_sparse(0.1);
-        }
-        assert_eq!(
-            pipeline
-                .store()
-                .latest_committed_job(1)
-                .unwrap()
-                .unwrap()
-                .delta
-                .unwrap()
-                .chain_depth,
-            1
-        );
-
-        // Job 2, sparse dirty set but empty namespace: must plan Full.
-        let g2 = gpu(1024, 52);
-        g2.update();
-        g2.update_sparse(0.1);
-        let guard = g2.lock_weights_shared_owned();
-        let digest = guard.digest();
-        let total = guard.size();
-        let lease = pipeline.lease_for(ctx, Some(2)).unwrap();
-        let plan = pipeline
-            .copy_delta(ctx, &guard, &lease, total, digest.0, policy)
-            .unwrap();
-        drop(guard);
-        assert!(
-            matches!(plan, DeltaPlan::Full { .. }),
-            "job 2 has no base in its namespace: {plan:?}"
-        );
     }
 
     #[test]
@@ -2174,6 +1530,215 @@ mod tests {
             telemetry,
             span: pccheck_telemetry::SpanId::NONE,
         }
+    }
+
+    /// An SSD whose `n`-th payload write from arming fails once; every
+    /// other operation passes through, so writes issued *after* the fault
+    /// still land and are counted.
+    #[derive(Debug)]
+    struct FaultyDevice {
+        inner: SsdDevice,
+        /// Writes left until the fault; negative = disarmed or fired.
+        countdown: std::sync::atomic::AtomicI64,
+        /// `(offset of the failed write, bytes written when it failed)`.
+        fault: Mutex<Option<(u64, u64)>>,
+    }
+
+    impl PersistentDevice for FaultyDevice {
+        fn capacity(&self) -> ByteSize {
+            self.inner.capacity()
+        }
+        fn bandwidth(&self) -> pccheck_util::Bandwidth {
+            self.inner.bandwidth()
+        }
+        fn write_at(&self, offset: u64, data: &[u8]) -> pccheck_device::Result<()> {
+            if self.countdown.fetch_sub(1, Ordering::AcqRel) == 1 {
+                let written = self.inner.stats().bytes_written().as_u64();
+                *self.fault.lock() = Some((offset, written));
+                return Err(pccheck_device::DeviceError::ReadFault { offset });
+            }
+            self.inner.write_at(offset, data)
+        }
+        fn persist(&self, offset: u64, len: u64) -> pccheck_device::Result<()> {
+            self.inner.persist(offset, len)
+        }
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> pccheck_device::Result<()> {
+            self.inner.read_at(offset, buf)
+        }
+        fn read_durable_at(&self, offset: u64, buf: &mut [u8]) -> pccheck_device::Result<()> {
+            self.inner.read_durable_at(offset, buf)
+        }
+        fn crash_now(&self) {
+            self.inner.crash_now();
+        }
+        fn recover(&self) {
+            self.inner.recover();
+        }
+        fn stats(&self) -> &pccheck_device::DeviceStats {
+            self.inner.stats()
+        }
+    }
+
+    /// One behaviour, three callers: whichever copy verb drives the chunk
+    /// executor, the first device error comes back and the writers stop
+    /// issuing I/O (at most the chunks already in other writers' hands
+    /// land after the fault).
+    #[test]
+    fn every_copy_path_aborts_after_the_first_writer_error() {
+        const TOTAL: u64 = 4096;
+        const CHUNK: u64 = 128;
+        const WRITERS: usize = 2;
+        // Compressible and chunk-wise distinct, so the framed caller
+        // materializes (and writes) all 32 chunks instead of declining.
+        let data: Vec<u8> = (0..TOTAL as u32).map(|i| (i / 48) as u8).collect();
+        for caller in ["staged", "overlapped", "framed"] {
+            let state = ByteSize::from_bytes(TOTAL);
+            let cap = CheckpointStore::required_capacity(state, 2) + ByteSize::from_kb(1);
+            let device = Arc::new(FaultyDevice {
+                inner: SsdDevice::new(DeviceConfig::fast_for_tests(cap)),
+                countdown: std::sync::atomic::AtomicI64::new(-1),
+                fault: Mutex::new(None),
+            });
+            let store = Arc::new(
+                CheckpointStore::format(Arc::clone(&device) as Arc<dyn PersistentDevice>, state, 2)
+                    .unwrap(),
+            );
+            let pipeline = PersistPipeline::new(store)
+                .with_writers(WRITERS)
+                .with_staging(HostBufferPool::new(ByteSize::from_bytes(CHUNK), 32))
+                .with_codec(true);
+            let telemetry = Telemetry::enabled();
+            let span = telemetry.span_requested("test", 1, TOTAL);
+            let ctx = PipelineCtx {
+                telemetry: &telemetry,
+                span,
+            };
+            let src = VecSource {
+                data: data.clone(),
+                step: 1,
+            };
+            let lease = pipeline.lease(ctx);
+            device.countdown.store(3, Ordering::Release);
+            let err = match caller {
+                "staged" => pipeline.copy_chunks(ctx, &src, &lease, state, false).err(),
+                "overlapped" => pipeline.copy_chunks(ctx, &src, &lease, state, true).err(),
+                _ => pipeline
+                    .copy_framed(ctx, &src, &lease, state, 0, DeltaPolicy::default())
+                    .err(),
+            };
+            let (fault_offset, written_at_fault) =
+                device.fault.lock().expect("the armed write was reached");
+            match err {
+                Some(PccheckError::Device(pccheck_device::DeviceError::ReadFault { offset })) => {
+                    assert_eq!(offset, fault_offset, "{caller}: the first error propagates");
+                }
+                other => panic!("{caller}: expected the injected fault, got {other:?}"),
+            }
+            let after = device.inner.stats().bytes_written().as_u64() - written_at_fault;
+            assert!(
+                after <= (WRITERS as u64 - 1) * CHUNK,
+                "{caller}: writers kept issuing I/O after the fault ({after} bytes)"
+            );
+        }
+    }
+
+    #[test]
+    fn dedup_bases_stay_inside_their_namespace() {
+        // Job 1 commits a framed checkpoint and a near-duplicate that
+        // references it; job 2 then checkpoints the *same bytes*. Job 2
+        // has no base in its own namespace, so none of its chunks may
+        // reference job 1's slots even though job 1's generation holds
+        // byte-identical content.
+        let state = ByteSize::from_bytes(4096);
+        let cap = CheckpointStore::required_capacity_service(state, 8, 0, 4) + ByteSize::from_kb(1);
+        let device: Arc<dyn PersistentDevice> =
+            Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
+        let store = Arc::new(CheckpointStore::format_service(device, state, 8, 0, 4).unwrap());
+        store.allocate_namespace(1, 4).unwrap();
+        store.allocate_namespace(2, 4).unwrap();
+        let pipeline = PersistPipeline::new(store)
+            .with_writers(2)
+            .with_staging(HostBufferPool::new(ByteSize::from_bytes(256), 16))
+            .with_codec(true);
+        let telemetry = Telemetry::disabled();
+        let ctx = test_ctx(&telemetry);
+        let commit = |job: u64, iter: u64, data: &[u8]| {
+            let src = VecSource {
+                data: data.to_vec(),
+                step: iter,
+            };
+            let digest = pccheck_gpu::SnapshotSource::digest(&src).0;
+            let lease = pipeline.lease_for(ctx, Some(job)).unwrap();
+            let plan = pipeline
+                .copy_framed(ctx, &src, &lease, state, digest, DeltaPolicy::default())
+                .unwrap()
+                .expect("self-redundant payload frames");
+            let sealed = ByteSize::from_bytes(plan.payload_len);
+            pipeline
+                .seal(ctx, &lease, iter, sealed, plan.persist_start)
+                .unwrap();
+            pipeline.commit_framed(ctx, lease, iter, &plan).unwrap();
+            plan
+        };
+
+        let mut data = vec![0u8; 4096];
+        pccheck_util::rng::fill_deterministic(&mut data[..2048], 7);
+        data.copy_within(..2048, 2048);
+        let first = commit(1, 1, &data);
+        assert!(first.link.is_none(), "first commit has no base");
+        let mut next = data.clone();
+        next[100] ^= 0x5A;
+        let second = commit(1, 2, &next);
+        let base = pipeline.store().latest_committed_job(1).unwrap().unwrap();
+        assert_eq!(
+            second.link.expect("near-duplicate references its base").base_counter,
+            1
+        );
+        assert_eq!(base.delta.unwrap().chain_depth, 1);
+
+        let foreign = commit(2, 1, &next);
+        assert!(!foreign.table.references_base());
+        assert!(foreign.link.is_none(), "job 2 has no base in its namespace");
+        let head = pipeline.store().latest_committed_job(2).unwrap().unwrap();
+        assert!(!head.is_delta());
+    }
+
+    #[test]
+    fn chain_length_cap_forces_a_periodic_unlinked_checkpoint() {
+        // Four copies of a 1 KiB block (so every checkpoint frames, linked
+        // or not); each iteration dirties one more chunk. With `max_chain`
+        // 2 every third checkpoint must commit without base references,
+        // releasing the chain's pinned slots.
+        let (device, pipeline) = framed_rig(4096, 256, 16);
+        let telemetry = Telemetry::disabled();
+        let ctx = test_ctx(&telemetry);
+        let policy = DeltaPolicy { max_chain: 2 };
+        let mut data = vec![0u8; 4096];
+        pccheck_util::rng::fill_deterministic(&mut data[..1024], 37);
+        for copy in 1..4 {
+            data.copy_within(..1024, copy * 1024);
+        }
+        let mut depths = Vec::new();
+        for iter in 1..=7u64 {
+            // A different flip per copy, so no dirtied chunk equals another.
+            data[iter as usize * 256 + 5] ^= iter as u8;
+            let src = VecSource {
+                data: data.clone(),
+                step: iter,
+            };
+            let digest = pccheck_gpu::SnapshotSource::digest(&src).0;
+            let (out, kind) = pipeline
+                .checkpoint_framed(ctx, &src, iter, digest, policy)
+                .unwrap();
+            assert_eq!(out, CommitOutcome::Committed);
+            assert!(matches!(kind, FramedOutcome::Framed { .. }), "{kind:?}");
+            let head = pipeline.store().latest_committed().unwrap();
+            depths.push(head.delta.map_or(0, |l| l.chain_depth));
+        }
+        assert_eq!(depths, [0, 1, 2, 0, 1, 2, 0]);
+        let rec = crate::recovery::recover(device).unwrap();
+        assert_eq!(rec.iteration, 7);
+        assert_eq!(rec.payload, data);
     }
 
     #[test]

@@ -62,8 +62,9 @@ pub struct RecoveryTrace {
     /// Candidates rejected before one verified (0 = the newest committed
     /// checkpoint verified on the first try).
     pub fallbacks: u64,
-    /// Delta links replayed to reconstruct the recovered state (0 when the
-    /// recovered checkpoint was a full one).
+    /// Base links followed to reconstruct the recovered state: 1 when the
+    /// recovered frame's `DedupBase` records resolved out of its pinned
+    /// base, 0 when the checkpoint was self-contained.
     pub chain_links: u64,
     /// The recovered checkpoint's global counter.
     pub counter: u64,
@@ -78,11 +79,11 @@ pub struct RecoveryTrace {
 /// verified newest-first, payload reads fan out across
 /// [`RestoreOptions::default`]'s readers, and verification overlaps the
 /// reads (per-chunk when the slot carries a digest table, as an
-/// order-preserving fold otherwise). A delta checkpoint is reconstructed
-/// by fetching its chain layers in parallel and replaying every extent
-/// table with per-extent digest verification; verified layers are cached
-/// across candidates within the pass. If the newest committed slot fails
-/// verification — digest mismatch, broken chain, *or a device read
+/// order-preserving fold otherwise). A framed (codec) checkpoint is
+/// materialized by the one frame walk in [`crate::codec`], which resolves
+/// its `DedupBase` references out of the pinned base in one hop and
+/// re-verifies every chunk's content address. If the newest committed slot
+/// fails verification — digest mismatch, missing base, *or a device read
 /// fault* — older intact committed slots are tried newest-first: the
 /// paper keeps `N+1` slots precisely so a torn newest checkpoint degrades
 /// to the previous one instead of to data loss.
@@ -455,14 +456,15 @@ mod tests {
         assert_eq!(trace.iteration, 3);
     }
 
-    /// Drives `iters` checkpoints through the delta pipeline (first full,
-    /// the rest 10%-sparse deltas) and returns the device, the store, and
+    /// Drives `iters` checkpoints of a compressible state through the
+    /// framed pipeline (first dense, the rest 10%-sparse, so their clean
+    /// chunks reference the base) and returns the device, the store, and
     /// the GPU at its final state.
-    fn delta_chain_setup(iters: u64) -> (Arc<SsdDevice>, Arc<CheckpointStore>, Gpu) {
+    fn framed_chain_setup(iters: u64) -> (Arc<SsdDevice>, Arc<CheckpointStore>, Gpu) {
         use crate::pipeline::{DeltaPolicy, PersistPipeline, PipelineCtx};
         use pccheck_device::HostBufferPool;
 
-        let state = TrainingState::synthetic(ByteSize::from_bytes(2048), 7);
+        let state = TrainingState::compressible(ByteSize::from_bytes(2048), 7, 32);
         let gpu = Gpu::new(GpuConfig::fast_for_tests(), state);
         gpu.update();
         let cap = CheckpointStore::required_capacity(gpu.state_size(), 4) + ByteSize::from_kb(1);
@@ -477,7 +479,8 @@ mod tests {
         );
         let pipeline = PersistPipeline::new(Arc::clone(&store))
             .with_writers(2)
-            .with_staging(HostBufferPool::new(ByteSize::from_bytes(256), 4));
+            .with_staging(HostBufferPool::new(ByteSize::from_bytes(256), 8))
+            .with_codec(true);
         let telemetry = Telemetry::disabled();
         let ctx = PipelineCtx {
             telemetry: &telemetry,
@@ -490,17 +493,17 @@ mod tests {
             let guard = gpu.lock_weights_shared_owned();
             let digest = guard.digest();
             pipeline
-                .checkpoint_delta(ctx, &guard, iter, digest.0, DeltaPolicy::default())
+                .checkpoint_framed(ctx, &guard, iter, digest.0, DeltaPolicy::default())
                 .unwrap();
         }
         (ssd, store, gpu)
     }
 
     #[test]
-    fn recovery_replays_a_delta_chain() {
-        let (ssd, store, gpu) = delta_chain_setup(3);
+    fn recovery_resolves_a_framed_dedup_chain() {
+        let (ssd, store, gpu) = framed_chain_setup(2);
         let head = store.latest_committed().unwrap();
-        assert_eq!(head.delta.unwrap().chain_depth, 2);
+        assert_eq!(head.delta.unwrap().chain_depth, 1);
         let digest_final = gpu.digest();
         drop(store);
         ssd.crash_now();
@@ -510,8 +513,8 @@ mod tests {
         let (rec, trace) =
             recover_instrumented(Arc::clone(&ssd) as Arc<dyn PersistentDevice>, &telemetry)
                 .unwrap();
-        assert_eq!(rec.iteration, 3);
-        assert_eq!(trace.chain_links, 2);
+        assert_eq!(rec.iteration, 2);
+        assert_eq!(trace.chain_links, 1);
         assert_eq!(trace.fallbacks, 0);
         let fresh = Gpu::new(
             GpuConfig::fast_for_tests(),
@@ -519,18 +522,18 @@ mod tests {
         );
         rec.restore_into(&fresh);
         assert_eq!(fresh.digest(), digest_final, "bit-identical reconstruction");
-        assert_eq!(fresh.step_count(), 3);
+        assert_eq!(fresh.step_count(), 2);
         let snap = telemetry.snapshot().unwrap();
-        assert_eq!(snap.phase(Phase::DeltaReplay).count, 1);
+        assert_eq!(snap.phase(Phase::RecoveryLoad).count, 1);
     }
 
     #[test]
-    fn torn_delta_payload_falls_back_to_its_base() {
-        let (ssd, store, _gpu) = delta_chain_setup(2);
+    fn torn_framed_payload_falls_back_to_its_base() {
+        let (ssd, store, _gpu) = framed_chain_setup(2);
         let head = store.latest_committed().unwrap();
         assert!(head.is_delta());
-        // Corrupt the last packed extent byte of the delta payload; the
-        // extent table itself stays intact.
+        // Corrupt the last packed chunk byte of the framed payload; the
+        // frame table itself stays intact.
         let off = store.slot_payload_offset(head.slot) + head.payload_len - 1;
         let mut b = [0u8; 1];
         ssd.read_durable_at(off, &mut b).unwrap();
@@ -546,7 +549,7 @@ mod tests {
             &Telemetry::disabled(),
         )
         .unwrap();
-        assert_eq!(rec.iteration, 1, "fell back to the full base checkpoint");
+        assert_eq!(rec.iteration, 1, "fell back to the base checkpoint");
         assert_eq!(trace.fallbacks, 1);
         assert_eq!(trace.chain_links, 0);
     }

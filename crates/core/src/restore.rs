@@ -22,10 +22,10 @@
 //!
 //! [`recover_instrumented_with`] rebuilds the crate's recovery flow on top
 //! of this pipeline: candidates fall back newest-first on *any* failure
-//! (digest mismatch **or** device read fault), delta chains fetch all
-//! layers in parallel, and verified layers are cached across candidates
-//! within one recovery pass so a torn newest delta does not force the
-//! shared base to be re-read and re-verified.
+//! (digest mismatch **or** device read fault). A candidate is one of two
+//! kinds, told apart by its payload head: *framed* (`PCFRAME1`, decoded by
+//! the one walk in [`crate::codec`], which resolves `DedupBase`
+//! references in one hop) or *raw*.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -36,16 +36,15 @@ use crossbeam::channel::bounded;
 use parking_lot::Mutex;
 
 use pccheck_device::{
-    chunk_digest, fnv1a, fnv1a_fold, ChunkDigestTable, ExtentTable, HostBuffer, HostBufferPool,
-    PersistentDevice, FNV_SEED,
+    fnv1a_fold, ChunkDigestTable, HostBuffer, HostBufferPool, PersistentDevice, FNV_SEED,
 };
 use pccheck_gpu::{Gpu, RestoreTarget};
 use pccheck_telemetry::{FlightEventKind, Phase, Telemetry};
 use pccheck_util::ByteSize;
 
-use crate::codec::{lz_decompress, payload_digest_matches, ChunkEncoding, FrameTable, FRAME_MAGIC};
+use crate::codec::{decode_frame, is_frame};
 use crate::error::PccheckError;
-use crate::meta::{checksum, CheckMeta};
+use crate::meta::CheckMeta;
 use crate::pipeline::PipelineCtx;
 use crate::recovery::{RecoveredCheckpoint, RecoveryTrace};
 use crate::store::CheckpointStore;
@@ -93,22 +92,6 @@ impl RestoreSink for RestoreTarget {
     }
 }
 
-/// Verified layers shared across candidates within one recovery pass.
-///
-/// Keyed by `(counter, slot)` — the identity a delta link names. `None`
-/// caches a *failed* layer (torn payload, bad digest): the device contents
-/// cannot change mid-pass, so retrying is wasted I/O.
-#[derive(Debug, Default)]
-pub struct LayerCache {
-    /// Verified full payloads (delta-chain roots) with the full-state
-    /// digest they verified against (for legacy roots that is the meta
-    /// digest; for framed roots, the frame's end-to-end digest).
-    full: HashMap<(u64, u32), Option<(Arc<Vec<u8>>, u64)>>,
-    /// Verified delta payloads: decoded extent table + raw slot payload
-    /// with every per-extent digest already checked.
-    delta: HashMap<(u64, u32), Option<Arc<(ExtentTable, Vec<u8>)>>>,
-}
-
 /// Per-fetch accounting the private fetch paths hand back to the recovery
 /// flow (summed verification / sink compute time, in nanoseconds).
 #[derive(Debug, Clone, Copy, Default)]
@@ -132,10 +115,6 @@ pub struct RestorePipeline {
     /// Digest tables probed ahead of the fetches, keyed `(counter, slot)`.
     /// A present `None` means "probed, no usable table" — don't re-read.
     tables: Arc<Mutex<HashMap<(u64, u32), Option<ChunkDigestTable>>>>,
-    /// Memoized payload-head classification (framed or not), keyed
-    /// `(counter, slot)` — chain walks re-ask per candidate and the device
-    /// contents cannot change mid-pass.
-    framed: Arc<Mutex<HashMap<(u64, u32), bool>>>,
 }
 
 impl RestorePipeline {
@@ -147,7 +126,6 @@ impl RestorePipeline {
             chunk: ByteSize::from_bytes(DEFAULT_READ_CHUNK),
             pool: None,
             tables: Arc::new(Mutex::new(HashMap::new())),
-            framed: Arc::new(Mutex::new(HashMap::new())),
         }
     }
 
@@ -626,32 +604,30 @@ impl RestorePipeline {
 
     /// Whether `meta`'s payload begins with a chunk-frame table (the codec
     /// persist path). Unreadable heads count as not framed — the candidate
-    /// then fails verification on whichever path it is routed to.
+    /// then fails verification on the raw path it is routed to.
     pub fn is_framed(&self, meta: &CheckMeta) -> bool {
-        if meta.payload_len < 8 {
-            return false;
-        }
-        let key = (meta.counter, meta.slot);
-        if let Some(&f) = self.framed.lock().get(&key) {
-            return f;
-        }
         let mut head = [0u8; 8];
-        let f = self
-            .store
-            .device()
-            .read_durable_at(self.store.slot_payload_offset(meta.slot), &mut head)
-            .is_ok()
-            && u64::from_le_bytes(head) == FRAME_MAGIC;
-        self.framed.lock().insert(key, f);
-        f
+        meta.payload_len >= 8
+            && self
+                .store
+                .device()
+                .read_durable_at(self.store.slot_payload_offset(meta.slot), &mut head)
+                .is_ok()
+            && is_frame(&head)
     }
 
-    /// Reads, decodes, and fully materializes a framed (codec) payload:
-    /// decompresses LZ chunks, copies self-dedup references, and resolves
-    /// base-dedup references with one read into the base checkpoint named
-    /// by each record (found among `candidates`). Every chunk re-verifies
-    /// its content address and the reconstructed payload verifies against
-    /// the frame's end-to-end digest.
+    /// Reads `meta`'s whole slot payload in one device read.
+    fn read_slot(&self, ctx: PipelineCtx<'_>, meta: &CheckMeta) -> Option<Vec<u8>> {
+        let mut payload = vec![0u8; usize::try_from(meta.payload_len).ok()?];
+        self.read_chunk(ctx, self.store.slot_payload_offset(meta.slot), 0, &mut payload)
+            .ok()?;
+        Some(payload)
+    }
+
+    /// Reads and fully materializes a framed (codec) payload through the
+    /// shared [`decode_frame`] walk, resolving each base-dedup reference
+    /// with one read of the base checkpoint it names (found among
+    /// `candidates`).
     ///
     /// Returns `(logical payload, full-state digest)`; `None` on any torn
     /// table, failed read, or digest mismatch — the caller falls back to
@@ -662,283 +638,13 @@ impl RestorePipeline {
         meta: &CheckMeta,
         candidates: &[CheckMeta],
     ) -> Option<(Vec<u8>, u64)> {
-        let slot_base = self.store.slot_payload_offset(meta.slot);
-        let mut payload = vec![0u8; usize::try_from(meta.payload_len).ok()?];
-        self.read_chunk(ctx, slot_base, 0, &mut payload).ok()?;
-        let table = FrameTable::decode(&payload)?;
-        let table_len = usize::try_from(table.encoded_len()).ok()?;
-        // The commit's digest is the table checksum: binds frame to meta.
-        if checksum(payload.get(..table_len)?) != meta.digest || table.counter != meta.counter {
-            return None;
-        }
-        let packed = payload.get(table_len..)?;
-
-        let mut out = vec![0u8; usize::try_from(table.logical_len).ok()?];
-        // Base payloads read once per referenced checkpoint, not per chunk.
-        let mut bases: HashMap<(u64, u32), Option<(CheckMeta, Vec<u8>)>> = HashMap::new();
-        let mut offsets = Vec::with_capacity(table.records.len());
-        let mut off = 0usize;
-        for r in &table.records {
-            offsets.push(off);
-            let n = usize::try_from(r.logical_len).ok()?;
-            match r.kind {
-                ChunkEncoding::Raw => {
-                    let end = usize::try_from(r.a.checked_add(r.b)?).ok()?;
-                    let src = packed.get(usize::try_from(r.a).ok()?..end)?;
-                    out.get_mut(off..off + n)?.copy_from_slice(src);
-                }
-                ChunkEncoding::Lz => {
-                    let end = usize::try_from(r.a.checked_add(r.b)?).ok()?;
-                    let src = packed.get(usize::try_from(r.a).ok()?..end)?;
-                    let decoded = lz_decompress(src, n)?;
-                    out.get_mut(off..off + n)?.copy_from_slice(&decoded);
-                }
-                ChunkEncoding::DedupSelf => {
-                    // Decode validated aux as a backward materialized
-                    // reference of equal logical length.
-                    let j = offsets[r.aux as usize];
-                    out.copy_within(j..j + n, off);
-                }
-                ChunkEncoding::DedupBase => {
-                    let key = (r.a, r.aux);
-                    let entry = bases.entry(key).or_insert_with(|| {
-                        let base = candidates
-                            .iter()
-                            .find(|c| c.counter == r.a && c.slot == r.aux)?;
-                        let mut buf = vec![0u8; usize::try_from(base.payload_len).ok()?];
-                        self.read_chunk(ctx, self.store.slot_payload_offset(base.slot), 0, &mut buf)
-                            .ok()?;
-                        Some((*base, buf))
-                    });
-                    let (base_meta, base_payload) = entry.as_ref()?;
-                    let chunk =
-                        resolve_base_chunk(base_meta, base_payload, r.digest, r.b, r.logical_len)?;
-                    out.get_mut(off..off + n)?.copy_from_slice(&chunk);
-                }
-            }
-            // Every chunk re-verifies its content address regardless of how
-            // it was resolved — a stale or colliding base reference fails
-            // here, never silently corrupts.
-            if chunk_digest(out.get(off..off + n)?) != r.digest {
-                return None;
-            }
-            off += n;
-        }
-        payload_digest_matches(&out, meta.iteration, table.full_digest)
-            .then_some((out, table.full_digest))
-    }
-
-    /// Reconstructs the full state a delta candidate represents, fetching
-    /// every uncached chain layer in parallel and reusing `cache` across
-    /// candidates within one recovery pass.
-    ///
-    /// The chain is collected newest→root from the committed candidates;
-    /// the root (a full checkpoint) fetches through the multi-reader path,
-    /// each delta layer loads and verifies (table checksum + per-extent
-    /// digests) on its own thread. Replay then applies the already-verified
-    /// extents root→newest and checks the reconstructed image against the
-    /// newest layer's full-state digest. Any gap, torn layer, or digest
-    /// mismatch returns `None` — and is remembered in the cache so a later
-    /// candidate sharing the layer doesn't re-read it.
-    ///
-    /// On success returns `(full payload, full-state digest, links
-    /// replayed)`.
-    pub fn replay_delta_chain(
-        &self,
-        ctx: PipelineCtx<'_>,
-        meta: &CheckMeta,
-        candidates: &[CheckMeta],
-        cache: &mut LayerCache,
-    ) -> Option<(Vec<u8>, u64, u64)> {
-        // Collect the chain newest→root from the committed candidates. A
-        // framed (codec) layer ends the walk: it materializes the complete
-        // logical state on its own (resolving its base references with
-        // direct slot reads), so it serves as the chain's root even when
-        // its commit carries a link.
-        let mut chain = vec![*meta];
-        loop {
-            let head = chain.last().expect("chain starts non-empty");
-            if self.is_framed(head) {
-                break;
-            }
-            let Some(link) = head.delta else { break };
-            if chain.len() > candidates.len() {
-                return None; // cycle or longer than the slot count can hold
-            }
+        let payload = self.read_slot(ctx, meta)?;
+        decode_frame(&payload, meta, &mut |counter, slot| {
             let base = candidates
                 .iter()
-                .find(|c| c.counter == link.base_counter && c.slot == link.base_slot)?;
-            chain.push(*base);
-        }
-        let root = *chain.last().expect("chain ends at a root");
-        let root_key = (root.counter, root.slot);
-        let deltas = &chain[..chain.len() - 1];
-
-        // Fetch every uncached layer in parallel: delta layers on their own
-        // threads, the (largest) root through the multi-reader fetch here.
-        let uncached: Vec<CheckMeta> = deltas
-            .iter()
-            .filter(|d| !cache.delta.contains_key(&(d.counter, d.slot)))
-            .copied()
-            .collect();
-        let fetched: Mutex<Vec<((u64, u32), Option<Arc<(ExtentTable, Vec<u8>)>>)>> =
-            Mutex::new(Vec::new());
-        std::thread::scope(|s| {
-            for d in &uncached {
-                let fetched = &fetched;
-                s.spawn(move || {
-                    let layer = self.load_delta_layer(ctx, d);
-                    fetched.lock().push(((d.counter, d.slot), layer));
-                });
-            }
-            if !cache.full.contains_key(&root_key) {
-                let payload = if self.is_framed(&root) {
-                    self.fetch_framed(ctx, &root, candidates)
-                        .map(|(p, fd)| (Arc::new(p), fd))
-                } else {
-                    self.fetch_verified(ctx, &root)
-                        .map(|p| (Arc::new(p), root.digest))
-                };
-                cache.full.insert(root_key, payload);
-            }
-        });
-        for (key, layer) in fetched.into_inner() {
-            cache.delta.insert(key, layer);
-        }
-
-        // Replay root→newest over a copy of the verified root image.
-        let (root_payload, root_digest) = cache.full.get(&root_key)?.as_ref()?;
-        let mut state = (**root_payload).clone();
-        let mut full_digest = *root_digest;
-        for delta in chain.iter().rev().skip(1) {
-            let layer = Arc::clone(cache.delta.get(&(delta.counter, delta.slot))?.as_ref()?);
-            let (table, payload) = &*layer;
-            if table.full_len != state.len() as u64 {
-                return None;
-            }
-            let mut src = usize::try_from(table.encoded_len()).ok()?;
-            for rec in &table.extents {
-                let src_end = src.checked_add(rec.len as usize)?;
-                let chunk = payload.get(src..src_end)?;
-                let dst_start = usize::try_from(rec.offset).ok()?;
-                let dst = state.get_mut(dst_start..dst_start.checked_add(rec.len as usize)?)?;
-                dst.copy_from_slice(chunk);
-                src = src_end;
-            }
-            full_digest = table.full_digest;
-        }
-
-        // The reconstructed image must match the newest delta's full-state
-        // digest under either digest discipline.
-        let ok = fnv1a_fold(FNV_SEED ^ meta.iteration, &state) == full_digest
-            || checksum(&state) == full_digest;
-        ok.then(|| (state, full_digest, chain.len() as u64 - 1))
-    }
-
-    /// Loads one delta layer and verifies everything verifiable without
-    /// the rest of the chain: the extent-table checksum against the meta
-    /// digest and every packed extent against its per-extent FNV — the
-    /// latter fanned out across the readers for wide tables.
-    fn load_delta_layer(
-        &self,
-        ctx: PipelineCtx<'_>,
-        meta: &CheckMeta,
-    ) -> Option<Arc<(ExtentTable, Vec<u8>)>> {
-        let base = self.store.slot_payload_offset(meta.slot);
-        let mut payload = vec![0u8; usize::try_from(meta.payload_len).ok()?];
-        self.read_chunk(ctx, base, 0, &mut payload).ok()?;
-        let table = ExtentTable::decode(&payload).ok()?;
-        let table_len = usize::try_from(table.encoded_len()).ok()?;
-        if checksum(payload.get(..table_len)?) != meta.digest {
-            return None;
-        }
-        // Precompute each extent's packed offset, validating the packing.
-        let mut offs = Vec::with_capacity(table.extents.len());
-        let mut src = table_len;
-        for rec in &table.extents {
-            let end = src.checked_add(rec.len as usize)?;
-            if end > payload.len() {
-                return None;
-            }
-            offs.push(src);
-            src = end;
-        }
-        let wide = self.readers > 1 && table.extents.len() >= 8;
-        let ok = if wide {
-            let next = AtomicUsize::new(0);
-            let bad = AtomicBool::new(false);
-            std::thread::scope(|s| {
-                for _ in 0..self.readers {
-                    let next = &next;
-                    let bad = &bad;
-                    let table = &table;
-                    let payload = &payload;
-                    let offs = &offs;
-                    s.spawn(move || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= table.extents.len() || bad.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let rec = &table.extents[i];
-                        let chunk = &payload[offs[i]..offs[i] + rec.len as usize];
-                        if fnv1a(chunk) != rec.digest {
-                            bad.store(true, Ordering::Release);
-                        }
-                    });
-                }
-            });
-            !bad.into_inner()
-        } else {
-            table
-                .extents
-                .iter()
-                .zip(&offs)
-                .all(|(rec, &off)| fnv1a(&payload[off..off + rec.len as usize]) == rec.digest)
-        };
-        ok.then(|| Arc::new((table, payload)))
-    }
-}
-
-/// Resolves one base-dedup reference from the base checkpoint's raw slot
-/// payload: a framed base answers from the materialized record matching
-/// the reference's content address; a legacy full base answers the logical
-/// byte range directly. Extent-delta bases are never valid dedup targets
-/// (the persist path only installs materialized framed chunks), so they
-/// resolve to `None`.
-fn resolve_base_chunk(
-    base: &CheckMeta,
-    payload: &[u8],
-    digest: u64,
-    logical_off: u64,
-    len: u64,
-) -> Option<Vec<u8>> {
-    let n = usize::try_from(len).ok()?;
-    let framed =
-        payload.len() >= 8 && u64::from_le_bytes(payload[..8].try_into().ok()?) == FRAME_MAGIC;
-    if framed {
-        let table = FrameTable::decode(payload)?;
-        let table_len = usize::try_from(table.encoded_len()).ok()?;
-        if checksum(payload.get(..table_len)?) != base.digest {
-            return None;
-        }
-        let packed = payload.get(table_len..)?;
-        let rec = table
-            .records
-            .iter()
-            .find(|r| r.kind.is_materialized() && r.digest == digest && r.logical_len == len)?;
-        let end = usize::try_from(rec.a.checked_add(rec.b)?).ok()?;
-        let src = packed.get(usize::try_from(rec.a).ok()?..end)?;
-        match rec.kind {
-            ChunkEncoding::Raw => Some(src.to_vec()),
-            ChunkEncoding::Lz => lz_decompress(src, n),
-            _ => None,
-        }
-    } else if base.delta.is_none() {
-        // Legacy full checkpoint: logical bytes are the physical payload.
-        let start = usize::try_from(logical_off).ok()?;
-        Some(payload.get(start..start.checked_add(n)?)?.to_vec())
-    } else {
-        None
+                .find(|c| c.counter == counter && c.slot == slot)?;
+            Some((*base, self.read_slot(ctx, base)?))
+        })
     }
 }
 
@@ -966,9 +672,9 @@ pub fn recover_instrumented_with(
 }
 
 /// Recovers the newest verifiable checkpoint straight into `gpu`'s device
-/// memory: full checkpoints stream chunk-by-chunk into a
-/// [`RestoreTarget`] as they verify (no full-payload DRAM image), delta
-/// chains reconstruct in DRAM and upload once.
+/// memory: raw checkpoints stream chunk-by-chunk into a
+/// [`RestoreTarget`] as they verify (no full-payload DRAM image), framed
+/// checkpoints reconstruct in DRAM and upload once.
 ///
 /// # Errors
 ///
@@ -1027,7 +733,6 @@ fn recover_core(
         return Err(PccheckError::NoCheckpoint);
     }
     let newest_counter = candidates[0].counter;
-    let mut cache = LayerCache::default();
 
     for meta in &candidates {
         trace.candidates_scanned += 1;
@@ -1047,25 +752,6 @@ fn recover_core(
             telemetry.phase_done(span, Phase::RecoveryVerify, load_start);
             out.map(|(payload, digest)| {
                 trace.chain_links = meta.delta.map_or(0, |_| 1);
-                let payload = match gpu {
-                    Some(gpu) => {
-                        let upload_start = telemetry.now_nanos();
-                        gpu.restore(&payload, meta.iteration);
-                        telemetry.phase_done(span, Phase::RestoreUpload, upload_start);
-                        None
-                    }
-                    None => Some(payload),
-                };
-                (payload, digest)
-            })
-        } else if meta.is_delta() {
-            let replay_t0 = Instant::now();
-            let replay_start = telemetry.now_nanos();
-            let out = pipeline.replay_delta_chain(ctx, meta, &candidates, &mut cache);
-            trace.load_nanos += replay_t0.elapsed().as_nanos() as u64;
-            telemetry.phase_done(span, Phase::DeltaReplay, replay_start);
-            out.map(|(payload, digest, links)| {
-                trace.chain_links = links;
                 let payload = match gpu {
                     Some(gpu) => {
                         let upload_start = telemetry.now_nanos();
@@ -1155,6 +841,7 @@ mod tests {
     use pccheck_gpu::{GpuConfig, TrainingState};
     use pccheck_telemetry::SpanId;
 
+    use crate::meta::checksum;
     use crate::pipeline::{DeltaPolicy, PersistPipeline};
 
     fn ctx(telemetry: &Telemetry) -> PipelineCtx<'_> {
@@ -1233,7 +920,9 @@ mod tests {
             let guard = gpu.lock_weights_shared_owned();
             let digest = guard.digest().0;
             let lease = pipeline.lease(ctx);
-            let persist_start = pipeline.copy_streamed(ctx, &guard, &lease, total).unwrap();
+            let persist_start = pipeline
+                .copy_chunks(ctx, &guard, &lease, total, true)
+                .unwrap();
             drop(guard);
             pipeline
                 .seal(ctx, &lease, iter, total, persist_start)
@@ -1411,62 +1100,6 @@ mod tests {
         ));
     }
 
-    /// Satellite: the layer cache must prevent any device re-reads when the
-    /// same chain (or a chain sharing layers) replays again in one pass.
-    #[test]
-    fn layer_cache_avoids_rereading_shared_chain_layers() {
-        use pccheck_device::HostBufferPool;
-
-        let state = TrainingState::synthetic(ByteSize::from_bytes(2048), 7);
-        let gpu = Gpu::new(GpuConfig::fast_for_tests(), state);
-        gpu.update();
-        let cap = CheckpointStore::required_capacity(gpu.state_size(), 4) + ByteSize::from_kb(1);
-        let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let store = Arc::new(
-            CheckpointStore::format(
-                Arc::clone(&ssd) as Arc<dyn PersistentDevice>,
-                gpu.state_size(),
-                4,
-            )
-            .unwrap(),
-        );
-        let persist = PersistPipeline::new(Arc::clone(&store))
-            .with_writers(2)
-            .with_staging(HostBufferPool::new(ByteSize::from_bytes(256), 4));
-        let telemetry = Telemetry::disabled();
-        let ctx = ctx(&telemetry);
-        for iter in 1..=3u64 {
-            if iter > 1 {
-                gpu.update_sparse(0.1);
-            }
-            let guard = gpu.lock_weights_shared_owned();
-            let digest = guard.digest();
-            persist
-                .checkpoint_delta(ctx, &guard, iter, digest.0, DeltaPolicy::default())
-                .unwrap();
-        }
-        let mut candidates = store.history().unwrap();
-        candidates.reverse();
-        let head = candidates[0];
-        assert!(head.is_delta());
-
-        let restore = RestorePipeline::new(Arc::clone(&store)).with_readers(2);
-        let mut cache = LayerCache::default();
-        let first = restore
-            .replay_delta_chain(ctx, &head, &candidates, &mut cache)
-            .unwrap();
-        let reads_after_first = ssd.stats().read_ops();
-        let second = restore
-            .replay_delta_chain(ctx, &head, &candidates, &mut cache)
-            .unwrap();
-        assert_eq!(first, second);
-        assert_eq!(
-            ssd.stats().read_ops(),
-            reads_after_first,
-            "cached chain replays touch the device zero times"
-        );
-    }
-
     #[test]
     fn recover_into_gpu_streams_full_checkpoints() {
         // 16 KiB state, 4 KiB pipeline chunks → the persist side wrote a
@@ -1500,10 +1133,10 @@ mod tests {
     }
 
     #[test]
-    fn recover_into_gpu_materializes_delta_chains() {
+    fn recover_into_gpu_materializes_framed_chains() {
         use pccheck_device::HostBufferPool;
 
-        let state = TrainingState::synthetic(ByteSize::from_bytes(2048), 7);
+        let state = TrainingState::compressible(ByteSize::from_bytes(2048), 7, 32);
         let gpu = Gpu::new(GpuConfig::fast_for_tests(), state);
         gpu.update();
         let cap = CheckpointStore::required_capacity(gpu.state_size(), 4) + ByteSize::from_kb(1);
@@ -1518,19 +1151,22 @@ mod tests {
         );
         let persist = PersistPipeline::new(Arc::clone(&store))
             .with_writers(2)
-            .with_staging(HostBufferPool::new(ByteSize::from_bytes(256), 4));
+            .with_staging(HostBufferPool::new(ByteSize::from_bytes(256), 8))
+            .with_codec(true);
         let telemetry = Telemetry::disabled();
         let pctx = ctx(&telemetry);
-        for iter in 1..=3u64 {
+        for iter in 1..=2u64 {
             if iter > 1 {
                 gpu.update_sparse(0.1);
             }
             let guard = gpu.lock_weights_shared_owned();
             let digest = guard.digest();
             persist
-                .checkpoint_delta(pctx, &guard, iter, digest.0, DeltaPolicy::default())
+                .checkpoint_framed(pctx, &guard, iter, digest.0, DeltaPolicy::default())
                 .unwrap();
         }
+        let head = store.latest_committed().unwrap();
+        assert!(head.is_delta(), "clean chunks reference the pinned base");
         let want = gpu.digest();
         drop(store);
         ssd.crash_now();
@@ -1547,9 +1183,9 @@ mod tests {
             RestoreOptions::default(),
         )
         .unwrap();
-        assert_eq!(trace.chain_links, 2);
+        assert_eq!(trace.chain_links, 1);
         assert_eq!(fresh.digest(), want);
-        assert_eq!(fresh.step_count(), 3);
+        assert_eq!(fresh.step_count(), 2);
     }
 
     #[test]

@@ -1270,13 +1270,13 @@ impl CheckpointStore {
         self.commit_with_delta(lease, iteration, payload_len, digest, None)
     }
 
-    /// Commits a checkpoint whose payload is a *delta* over the checkpoint
-    /// named by `delta` (extent table + packed dirty bytes; see the
-    /// pipeline's `copy_delta`). Identical to [`commit`](Self::commit)
+    /// Commits a checkpoint whose payload references the checkpoint named
+    /// by `delta` (a framed payload with `DedupBase` records; see the
+    /// pipeline's `copy_framed`). Identical to [`commit`](Self::commit)
     /// except that, on success, every slot on the base chain stays pinned
     /// out of the free queue — the committed state is only recoverable
-    /// through the whole chain. Pinned slots are released the next time a
-    /// full checkpoint (or a delta on a different chain) commits.
+    /// with its base in place. Pinned slots are released the next time an
+    /// unlinked checkpoint (or a linked one on a different chain) commits.
     ///
     /// Delta commits assume the serial checkpoint discipline: the base must
     /// be the latest committed checkpoint, with no concurrent commit racing

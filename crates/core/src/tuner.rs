@@ -375,10 +375,10 @@ pub struct ControllerConfig {
     /// (payload compressibility changes across training phases).
     pub codec_probe_interval: u32,
     /// Dirty-ratio (permille) below which sparse updates justify longer
-    /// delta chains.
+    /// dedup-base chains.
     pub delta_dirty_lo_permille: u64,
-    /// Dirty-ratio above which chains shorten (dense updates make deltas
-    /// pay a table for little saving, and long chains tax recovery).
+    /// Dirty-ratio above which chains shorten (dense updates leave few
+    /// clean chunks to reference, and long chains pin more slots).
     pub delta_dirty_hi_permille: u64,
     /// Bounds on [`DeltaPolicy::max_chain`].
     pub min_chain: u32,
@@ -434,7 +434,7 @@ pub struct ControllerSignals {
     /// Last framed commit's physical/logical ratio, permille (0 = no
     /// framed commit observed yet).
     pub compression_ratio_permille: u64,
-    /// Last delta commit's dirty ratio, permille (0 = no delta observed).
+    /// Last framed snapshot's dirty ratio, permille (0 = none observed).
     pub dirty_ratio_permille: u64,
 }
 
@@ -578,7 +578,6 @@ impl PersistController {
             max_chain: DeltaPolicy::default()
                 .max_chain
                 .clamp(cfg.min_chain, cfg.max_chain),
-            ..DeltaPolicy::default()
         };
         PersistController {
             cfg,
@@ -724,8 +723,8 @@ impl PersistController {
             }
         }
 
-        // --- Delta policy: sparse updates amortize the chain's recovery
-        // tax over more saved bytes, dense updates don't.
+        // --- Chain policy: sparse updates amortize the chain's pinned
+        // slots over more saved bytes, dense updates don't.
         if self.delta_cooldown == 0 && signals.dirty_ratio_permille > 0 && checkpoints > 0 {
             if signals.dirty_ratio_permille < self.cfg.delta_dirty_lo_permille
                 && self.delta.max_chain < self.cfg.max_chain

@@ -17,7 +17,7 @@
 //! cause extra work, never wrong acceptance.
 
 use crate::error::DeviceError;
-use crate::extent::{chunk_digest, fnv1a};
+use pccheck_util::fnv::{chunk_digest, fnv1a};
 use crate::Result;
 
 /// Table magic: ASCII `CDT1` (little-endian `u32`).

@@ -28,9 +28,6 @@ pub enum DeviceError {
     },
     /// The network peer is unreachable (remote node failed).
     PeerUnavailable,
-    /// A delta slot's extent table failed validation (bad magic, an
-    /// impossible extent count, or a checksum mismatch from a torn write).
-    CorruptExtentTable,
     /// A slot's per-chunk digest table failed validation (bad magic,
     /// inconsistent geometry, or a checksum mismatch from a torn write).
     /// Recovery treats this as "no table": it falls back to the legacy
@@ -62,9 +59,6 @@ impl fmt::Display for DeviceError {
                 "requested buffer of {requested} bytes exceeds pool chunk size {chunk}"
             ),
             DeviceError::PeerUnavailable => write!(f, "network peer is unavailable"),
-            DeviceError::CorruptExtentTable => {
-                write!(f, "delta checkpoint extent table failed validation")
-            }
             DeviceError::CorruptDigestTable => {
                 write!(f, "per-chunk digest table failed validation")
             }
@@ -98,9 +92,6 @@ mod tests {
         }
         .to_string()
         .contains("chunk"));
-        assert!(DeviceError::CorruptExtentTable
-            .to_string()
-            .contains("extent table"));
         assert!(DeviceError::ReadFault { offset: 77 }
             .to_string()
             .contains("77"));

@@ -132,21 +132,11 @@ impl Gpu {
     /// Applies one *sparse* update step: only the trailing
     /// `update_fraction` of each tensor mutates (see
     /// [`TrainingState::step_sparse`]), and the mutated ranges are recorded
-    /// in the dirty tracker so the next snapshot can persist a delta.
+    /// in the dirty tracker for the next snapshot to report.
     pub fn update_sparse(&self, update_fraction: f64) {
         let mut state = self.inner.state.write();
         let ranges = state.step_sparse(update_fraction);
         self.inner.dirty.lock().extend(ranges);
-    }
-
-    /// Marks the entire state dirty again — call after abandoning a
-    /// snapshot whose drained dirty set never reached a committed
-    /// checkpoint (a failed or aborted delta attempt), so the next
-    /// snapshot captures everything.
-    pub fn mark_all_dirty(&self) {
-        let state = self.inner.state.read();
-        let size = state.size().as_u64();
-        self.inner.dirty.lock().push((0, size));
     }
 
     /// Runs `f` with read access to the weights.
@@ -185,11 +175,10 @@ impl Gpu {
     /// under the state read lock so no update can interleave: updates need
     /// the write lock, and the tracker is only pushed to from there.
     ///
-    /// Note the drain makes snapshots consume the dirty set: delta
-    /// checkpointing assumes one snapshot at a time reaches a commit (the
-    /// engine's serial checkpoint discipline). A concurrent second guard
-    /// would see an empty set; per-extent digests at recovery catch any
-    /// misuse.
+    /// Note the drain makes snapshots consume the dirty set: each guard
+    /// sees what changed since the previous guard was taken. The persist
+    /// path only reads it as a steering signal (the dirty-ratio gauge), so
+    /// concurrent checkpoints need no discipline around it.
     fn drain_dirty(&self) -> Vec<(u64, u64)> {
         merge_ranges(std::mem::take(&mut *self.inner.dirty.lock()))
     }
@@ -356,7 +345,7 @@ impl WeightsGuard<'_> {
     }
 
     /// The byte ranges mutated since the previous snapshot (merged,
-    /// sorted) — what a delta checkpoint of this snapshot must persist.
+    /// sorted).
     pub fn dirty_ranges(&self) -> Vec<(u64, u64)> {
         self.dirty.clone()
     }
@@ -403,7 +392,7 @@ impl OwnedWeightsGuard {
     }
 
     /// The byte ranges mutated since the previous snapshot (merged,
-    /// sorted) — what a delta checkpoint of this snapshot must persist.
+    /// sorted).
     pub fn dirty_ranges(&self) -> Vec<(u64, u64)> {
         self.dirty.clone()
     }
@@ -432,7 +421,7 @@ pub trait SnapshotSource: Sync {
 
     /// The byte ranges mutated since the previous snapshot, merged and
     /// sorted by offset. Sources without dirty tracking report the whole
-    /// state dirty, which makes delta paths degrade to full checkpoints.
+    /// state dirty.
     fn dirty_ranges(&self) -> Vec<(u64, u64)> {
         vec![(0, self.size().as_u64())]
     }
@@ -633,14 +622,6 @@ mod tests {
     }
 
     #[test]
-    fn mark_all_dirty_rearms_after_abandoned_snapshot() {
-        let g = gpu(300, 23);
-        drop(g.lock_weights_shared()); // drained, but "checkpoint failed"
-        g.mark_all_dirty();
-        assert_eq!(g.lock_weights_shared().dirty_ranges(), vec![(0, 300)]);
-    }
-
-    #[test]
     fn restore_resets_dirty_to_full() {
         let g = gpu(300, 24);
         g.update();
@@ -660,7 +641,6 @@ mod tests {
         drop(g.lock_weights_shared());
         let mut before = vec![0u8; 999];
         g.lock_weights_shared().copy_range_to_host(0, &mut before);
-        g.mark_all_dirty(); // the copy above drained; re-arm is irrelevant here
         drop(g.lock_weights_shared()); // drain again so only the sparse step counts
         g.update_sparse(0.25);
         let guard = g.lock_weights_shared_owned();

@@ -240,7 +240,7 @@ impl ModelZoo {
 
     /// Sparse-update workload family: each entry is a Table-3 model whose
     /// synthetic step mutates only `update_fraction` of the state, spanning
-    /// the sparsity sweep the `ext_delta` experiment measures (1/10/50/100%).
+    /// sparsities of 1/10/50/100%.
     pub fn sparse_family() -> Vec<SparseModelSpec> {
         vec![
             SparseModelSpec {
@@ -297,12 +297,6 @@ impl SparseModelSpec {
         ByteSize::from_bytes(
             (self.base.shard_size().as_u64() as f64 * self.update_fraction).ceil() as u64,
         )
-    }
-
-    /// Whether a delta checkpoint is worthwhile under `max_dirty_ratio`
-    /// (dense workloads should fall back to the full persist path).
-    pub fn prefers_delta(&self, max_dirty_ratio: f64) -> bool {
-        self.update_fraction <= max_dirty_ratio
     }
 }
 
@@ -404,11 +398,6 @@ mod tests {
         // The 10% LoRA workload dirties ~1.62 GB of OPT-1.3B per step.
         let lora = ModelZoo::sparse_by_name("opt-1.3b-lora").unwrap();
         assert!((lora.dirty_bytes_per_step().as_gb() - 1.62).abs() < 0.01);
-        // Dense falls back; sparse workloads take the delta path.
-        assert!(!ModelZoo::sparse_by_name("VGG16-dense")
-            .unwrap()
-            .prefers_delta(0.5));
-        assert!(lora.prefers_delta(0.5));
         assert!(ModelZoo::sparse_by_name("GPT-5-lora").is_none());
     }
 

@@ -91,12 +91,9 @@ pub fn measure(period: usize, sparsity: f64) -> ExtCompressRow {
         telemetry: &telemetry,
         span: SpanId::NONE,
     };
-    // Permissive policy: the codec decides per-chunk; the chain cap only
-    // bounds how long a dedup base stays pinned.
-    let policy = DeltaPolicy {
-        max_dirty_ratio: 1.0,
-        max_chain: 8,
-    };
+    // The codec decides per-chunk; the chain cap only bounds how long a
+    // dedup base stays pinned.
+    let policy = DeltaPolicy { max_chain: 8 };
     let mut persisted_bytes = 0u64;
     let mut framed = 0u64;
     let mut dedup_chunks = 0u64;

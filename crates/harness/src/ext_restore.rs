@@ -139,7 +139,7 @@ pub fn committed_store(size: ByteSize, ways: u32) -> Arc<CheckpointStore> {
     };
     let lease = persist.lease(ctx);
     let persist_start = persist
-        .copy_streamed(ctx, &src, &lease, size)
+        .copy_chunks(ctx, &src, &lease, size, true)
         .expect("persist payload");
     persist
         .seal(ctx, &lease, 1, size, persist_start)

@@ -12,9 +12,10 @@
 //!   mid-call, so the range never becomes durable),
 //! * between payload persist and commit (payload durable, never published),
 //! * after commit (the checkpoint is the recovery target),
-//! * mid delta chain (a delta checkpoint committed on the baseline, a
-//!   second delta stranded before its meta record — recovery must replay
-//!   the committed chain).
+//! * mid dedup chain (a chunk-framed checkpoint whose clean chunks are
+//!   `DedupBase` references into the baseline committed on top of it, a
+//!   second frame stranded before its meta record — recovery must resolve
+//!   the committed frame through its pinned base).
 //!
 //! Each scenario drives the [`CheckpointStore`] directly, emitting the
 //! same flight records the engine does, crashes, audits the frozen
@@ -26,12 +27,11 @@ use std::sync::Arc;
 
 use pccheck::store::SlotLease;
 use pccheck::{
-    recover_instrumented_with, CheckMeta, CheckpointStore, DeltaLink, JobId, PccheckError,
-    RecoveredCheckpoint, RecoveryTrace, RestoreOptions,
+    recover_instrumented_with, CheckMeta, CheckpointStore, ChunkEncoding, DeltaLink, FrameRecord,
+    FrameTable, JobId, PccheckError, RecoveredCheckpoint, RecoveryTrace, RestoreOptions,
 };
 use pccheck_device::{
-    fnv1a, DeviceConfig, ExtentRecord, ExtentTable, PersistentDevice, SsdDevice, StripedDevice,
-    TieredDevice,
+    chunk_digest, fnv1a, DeviceConfig, PersistentDevice, SsdDevice, StripedDevice, TieredDevice,
 };
 use pccheck_gpu::StateDigest;
 use pccheck_monitor::ForensicReport;
@@ -54,10 +54,11 @@ pub enum CrashPoint {
     BetweenPersistAndCommit,
     /// After the commit completed; the checkpoint must be recovered.
     AfterCommit,
-    /// Mid delta chain: one delta committed on the baseline, a second
-    /// delta's payload durable but its meta record never written —
-    /// recovery must replay the committed base + delta.
-    DeltaChain,
+    /// Mid dedup chain: one frame committed whose clean chunks reference
+    /// the baseline, a second frame's payload durable but its meta record
+    /// never written — recovery must resolve the committed frame through
+    /// its pinned base.
+    DedupChain,
 }
 
 impl CrashPoint {
@@ -68,7 +69,7 @@ impl CrashPoint {
         CrashPoint::DuringPersist,
         CrashPoint::BetweenPersistAndCommit,
         CrashPoint::AfterCommit,
-        CrashPoint::DeltaChain,
+        CrashPoint::DedupChain,
     ];
 
     /// Stable name (accepted by [`CrashPoint::from_name`] and pccheckctl).
@@ -79,7 +80,7 @@ impl CrashPoint {
             CrashPoint::DuringPersist => "during-persist",
             CrashPoint::BetweenPersistAndCommit => "between-persist-and-commit",
             CrashPoint::AfterCommit => "after-commit",
-            CrashPoint::DeltaChain => "delta-chain",
+            CrashPoint::DedupChain => "dedup-chain",
         }
     }
 
@@ -199,28 +200,64 @@ pub fn sparse_payload(base: &[u8], iteration: u64, ranges: &[(u64, u64)]) -> Vec
     full
 }
 
-/// Serializes a delta payload for `full`: an extent table (with per-extent
-/// FNV digests and `full`'s state digest) followed by the packed dirty
-/// bytes. Returns `(payload, table length)`.
-fn build_delta_payload(full: &[u8], iteration: u64, ranges: &[(u64, u64)]) -> (Vec<u8>, u64) {
-    let extents: Vec<ExtentRecord> = ranges
-        .iter()
-        .map(|&(off, len)| ExtentRecord {
-            offset: off,
-            len,
-            digest: fnv1a(&full[off as usize..(off + len) as usize]),
+/// Chunk grid of the hand-assembled frames: the state cut into eighths.
+const FRAME_CHUNKS: usize = 8;
+
+/// Which chunks of `full` are byte-identical to the same chunk of `base`.
+fn unchanged_chunks(full: &[u8], base: &[u8]) -> Vec<bool> {
+    let chunk = full.len() / FRAME_CHUNKS;
+    full.chunks(chunk)
+        .zip(base.chunks(chunk))
+        .map(|(a, b)| a == b)
+        .collect()
+}
+
+/// Serializes a `PCFRAME1` payload for `full`, laid out the way the
+/// persist pipeline would over base checkpoint `base`: chunk `i` becomes
+/// a `DedupBase` record naming `base` when `reuse[i]` (the base holds
+/// those bytes materialized), a packed `Raw` record otherwise. Returns
+/// `(payload, table length)`.
+fn build_frame_payload(
+    full: &[u8],
+    iteration: u64,
+    counter: u64,
+    base: &CheckMeta,
+    reuse: &[bool],
+) -> (Vec<u8>, usize) {
+    let chunk = full.len() / FRAME_CHUNKS;
+    let mut packed = Vec::new();
+    let records = full
+        .chunks(chunk)
+        .zip(reuse)
+        .enumerate()
+        .map(|(i, (bytes, &reuse))| {
+            let (kind, aux, a, b) = if reuse {
+                let logical_off = (i * chunk) as u64;
+                (ChunkEncoding::DedupBase, base.slot, base.counter, logical_off)
+            } else {
+                let phys_off = packed.len() as u64;
+                packed.extend_from_slice(bytes);
+                (ChunkEncoding::Raw, 0, phys_off, bytes.len() as u64)
+            };
+            FrameRecord {
+                kind,
+                aux,
+                logical_len: bytes.len() as u64,
+                a,
+                b,
+                digest: chunk_digest(bytes),
+            }
         })
         .collect();
-    let table = ExtentTable {
-        full_len: full.len() as u64,
+    let table = FrameTable {
+        counter,
+        logical_len: full.len() as u64,
         full_digest: StateDigest::of_payload(full, iteration).0,
-        extents,
+        records,
     };
     let mut payload = table.encode();
-    let table_len = payload.len() as u64;
-    for &(off, len) in ranges {
-        payload.extend_from_slice(&full[off as usize..(off + len) as usize]);
-    }
+    let table_len = payload.len();
+    payload.extend_from_slice(&packed);
     (payload, table_len)
 }
 
@@ -255,69 +292,36 @@ impl Scope {
     }
 }
 
-/// Commits a delta checkpoint of `full` over the latest committed base,
-/// persisting only `ranges` behind an extent table and chaining via a
-/// [`DeltaLink`]. Emits the engine's flight records. Returns the
-/// checkpoint's counter.
-///
-/// # Errors
-///
-/// [`PccheckError::NoCheckpoint`] when the store has no committed base;
-/// otherwise propagates device/store errors.
-pub fn commit_delta_checkpoint(
-    store: &CheckpointStore,
-    iteration: u64,
-    full: &[u8],
-    ranges: &[(u64, u64)],
-) -> Result<u64, PccheckError> {
-    commit_delta_checkpoint_scoped(store, Scope::Global, iteration, full, ranges)
-}
-
-/// [`commit_delta_checkpoint`] in an explicit [`Scope`] — the namespace
-/// variant drives one tenant's delta chain on a service-mode store.
-///
-/// # Errors
-///
-/// Same as [`commit_delta_checkpoint`].
-pub fn commit_delta_checkpoint_scoped(
+/// Writes and persists a hand-assembled frame of `full` over `base` into
+/// a fresh slot of `scope`, emitting the engine's flight records up to
+/// `PayloadPersisted`. Returns the still-open lease with the frame's
+/// payload length and table checksum (its commit digest).
+fn persist_frame(
     store: &CheckpointStore,
     scope: Scope,
     iteration: u64,
     full: &[u8],
-    ranges: &[(u64, u64)],
-) -> Result<u64, PccheckError> {
-    let base = scope.latest(store)?.ok_or(PccheckError::NoCheckpoint)?;
-    let depth = base.delta.map_or(0, |l| l.chain_depth);
-    let (payload, table_len) = build_delta_payload(full, iteration, ranges);
+    base: &CheckMeta,
+    reuse: &[bool],
+) -> Result<(SlotLease, u64, u64), PccheckError> {
     let lease = scope.begin(store)?;
-    let counter = lease.counter;
+    let (counter, slot) = (lease.counter, lease.slot);
+    let (payload, table_len) = build_frame_payload(full, iteration, counter, base, reuse);
     let len = payload.len() as u64;
     store.write_payload(&lease, 0, &payload)?;
     store
         .flight()
-        .record(FlightEventKind::CopyDone, counter, lease.slot, 0, len, 0);
+        .record(FlightEventKind::CopyDone, counter, slot, 0, len, 0);
     store.persist_payload(&lease, 0, len)?;
     store.flight().record(
         FlightEventKind::PayloadPersisted,
         counter,
-        lease.slot,
+        slot,
         iteration,
         len,
         0,
     );
-    let digest = fnv1a(&payload[..table_len as usize]);
-    store.commit_with_delta(
-        lease,
-        iteration,
-        len,
-        digest,
-        Some(DeltaLink {
-            base_counter: base.counter,
-            base_slot: base.slot,
-            chain_depth: depth + 1,
-        }),
-    )?;
-    Ok(counter)
+    Ok((lease, len, fnv1a(&payload[..table_len])))
 }
 
 /// Commits one checkpoint through the store, emitting the same flight
@@ -423,40 +427,49 @@ pub fn drive_to_crash_point_scoped(
         store.commit(lease, iteration, len, digest)?;
         return Ok((counter, slot));
     }
-    if point == CrashPoint::DeltaChain {
-        // A delta committed halfway between the baseline and the crash
-        // iteration, then a second delta stranded with its payload durable
-        // but no meta record — the crash strands it exactly like a process
-        // dying between persist and commit.
+    if point == CrashPoint::DedupChain {
+        // A frame committed halfway between the baseline and the crash
+        // iteration — its clean chunks reference the (raw) baseline, which
+        // its link pins — then a second frame stranded with its payload
+        // durable but no meta record, exactly like a process dying
+        // between persist and commit.
         let base = scope.latest(store)?.ok_or(PccheckError::NoCheckpoint)?;
         let len = payload.len() as u64;
         let base_payload = synthetic_payload(base.iteration, len);
-        let mid = base.iteration + iteration.saturating_sub(base.iteration) / 2;
-        let ranges = [(0u64, len / 8), (len / 2, len / 8)];
-        let full_mid = sparse_payload(&base_payload, mid, &ranges);
-        commit_delta_checkpoint_scoped(store, scope, mid, &full_mid, &ranges)?;
-
-        let ranges2 = [(len / 4, len / 8)];
-        let full_crash = sparse_payload(&full_mid, iteration, &ranges2);
-        let (delta_payload, _) = build_delta_payload(&full_crash, iteration, &ranges2);
-        let lease = scope.begin(store)?;
-        let (counter, slot) = (lease.counter, lease.slot);
-        let dlen = delta_payload.len() as u64;
-        store.write_payload(&lease, 0, &delta_payload)?;
-        store
-            .flight()
-            .record(FlightEventKind::CopyDone, counter, slot, 0, dlen, 0);
-        store.persist_payload(&lease, 0, dlen)?;
-        store.flight().record(
-            FlightEventKind::PayloadPersisted,
-            counter,
-            slot,
-            iteration,
-            dlen,
-            0,
+        let mid_iteration = base.iteration + iteration.saturating_sub(base.iteration) / 2;
+        let full_mid = sparse_payload(
+            &base_payload,
+            mid_iteration,
+            &[(0u64, len / 8), (len / 2, len / 8)],
         );
+        let from_base = unchanged_chunks(&full_mid, &base_payload);
+        let (lease, mid_len, mid_digest) =
+            persist_frame(store, scope, mid_iteration, &full_mid, &base, &from_base)?;
+        store.commit_with_delta(
+            lease,
+            mid_iteration,
+            mid_len,
+            mid_digest,
+            Some(DeltaLink {
+                base_counter: base.counter,
+                base_slot: base.slot,
+                chain_depth: base.delta.map_or(0, |l| l.chain_depth) + 1,
+            }),
+        )?;
+
+        // The stranded frame bases on the committed one and may only
+        // reference chunks that one materialized (references never chain).
+        let mid = scope.latest(store)?.ok_or(PccheckError::NoCheckpoint)?;
+        let full_crash = sparse_payload(&full_mid, iteration, &[(len / 4, len / 8)]);
+        let from_mid: Vec<bool> = unchanged_chunks(&full_crash, &full_mid)
+            .iter()
+            .zip(&from_base)
+            .map(|(&unchanged, &mid_referenced)| unchanged && !mid_referenced)
+            .collect();
+        let (lease, _, _) = persist_frame(store, scope, iteration, &full_crash, &mid, &from_mid)?;
+        let stranded = (lease.counter, lease.slot);
         std::mem::forget(lease);
-        return Ok((counter, slot));
+        return Ok(stranded);
     }
     let lease = scope.begin(store)?;
     let (counter, slot) = (lease.counter, lease.slot);
@@ -493,7 +506,7 @@ pub fn drive_to_crash_point_scoped(
                 0,
             );
         }
-        CrashPoint::AfterCommit | CrashPoint::DeltaChain => unreachable!("handled above"),
+        CrashPoint::AfterCommit | CrashPoint::DedupChain => unreachable!("handled above"),
     }
     // The lease is deliberately leaked: the crash strands the in-flight
     // slot, exactly like a process dying mid-checkpoint.
@@ -708,13 +721,13 @@ mod tests {
     }
 
     #[test]
-    fn crash_mid_delta_chain_recovers_by_replaying_the_chain() {
-        let run = scenario(CrashPoint::DeltaChain);
+    fn crash_mid_dedup_chain_recovers_through_the_pinned_base() {
+        let run = scenario(CrashPoint::DedupChain);
         assert!(run.report.is_clean(), "{}", run.report.render());
-        assert_eq!(run.crashed_counter, 3, "the stranded second delta");
-        assert_eq!(run.recovered.counter, 2, "the committed delta survives");
+        assert_eq!(run.crashed_counter, 3, "the stranded second frame");
+        assert_eq!(run.recovered.counter, 2, "the committed frame survives");
         assert_eq!(run.recovered.iteration, 150);
-        assert_eq!(run.trace.chain_links, 1, "one delta replayed on the base");
+        assert_eq!(run.trace.chain_links, 1, "one base link resolved");
         // The reconstructed state is the sparse mutation of the baseline.
         let base = synthetic_payload(100, 4 * 1024);
         let expected = sparse_payload(&base, 150, &[(0, 512), (2048, 512)]);
@@ -722,7 +735,7 @@ mod tests {
         assert_eq!(
             run.report.expected_recovery.map(|m| m.counter),
             Some(run.recovered.counter),
-            "forensic prediction matches chain replay"
+            "forensic prediction matches the frame walk"
         );
         assert!(run.report.expected_recovery.is_some_and(|m| m.is_delta()));
     }
@@ -747,8 +760,8 @@ mod tests {
                     assert_eq!(run.recovered.iteration, 200, "{point}");
                     assert_eq!(run.recovered.payload, synthetic_payload(200, 4 * 1024));
                 }
-                CrashPoint::DeltaChain => {
-                    assert_eq!(run.recovered.counter, 2, "{point}: delta survives");
+                CrashPoint::DedupChain => {
+                    assert_eq!(run.recovered.counter, 2, "{point}: frame survives");
                     assert_eq!(run.recovered.iteration, 150, "{point}");
                 }
                 _ => {
@@ -774,8 +787,8 @@ mod tests {
                     assert_eq!(run.recovered.counter, 2, "{point}");
                     assert_eq!(run.recovered.payload, synthetic_payload(200, 4 * 1024));
                 }
-                CrashPoint::DeltaChain => {
-                    assert_eq!(run.recovered.counter, 2, "{point}: delta survives");
+                CrashPoint::DedupChain => {
+                    assert_eq!(run.recovered.counter, 2, "{point}: frame survives");
                     assert_eq!(run.recovered.iteration, 150, "{point}");
                 }
                 _ => {

@@ -7,7 +7,6 @@
 //! `cargo bench` targets.
 
 pub mod ext_compress;
-pub mod ext_delta;
 pub mod ext_h100;
 pub mod ext_jit;
 pub mod ext_restore;

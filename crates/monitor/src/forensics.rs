@@ -32,19 +32,16 @@
 //!    ring can never be ahead of the durable pointer).
 //! 5. **Committed slots are intact** — the payload of every slot holding
 //!    a complete checkpoint verifies against its recorded digest (for a
-//!    delta slot: the extent table at the head of the payload; for a
 //!    chunk-framed codec slot: the frame table, bound to the commit's
 //!    counter).
-//! 6. **Delta chains are whole** — when the recovery target is a delta
-//!    checkpoint, every base pointer lands on a slot still holding that
-//!    base (superseded bases stay pinned until their dependents retire),
-//!    every base committed per the ring, and replaying the chain
-//!    reconstructs a state matching the newest table's full digest. A
-//!    chunk-framed layer roots the chain: it materializes the complete
-//!    logical state on its own (decompressing LZ chunks and resolving
-//!    self/base dedup references with re-verified content addresses), so
-//!    the auditor replays the frame exactly the way recovery would —
-//!    including for framed recovery targets with no delta link at all.
+//! 6. **Dedup bases stay pinned** — when the recovery target carries a
+//!    base link, every base pointer down the chain lands on a slot still
+//!    holding that base (superseded bases stay pinned until their
+//!    dependents retire) and every base committed per the ring. And every
+//!    framed recovery target, linked or not, materializes through the
+//!    same `pccheck::decode_frame` walk recovery uses (decompressing LZ
+//!    chunks and resolving self/base dedup references with re-verified
+//!    content addresses) to a state matching its end-to-end digest.
 //!
 //! A report that violates any invariant means either real corruption or a
 //! bug in the checkpointing protocol — `pccheckctl forensics` exits
@@ -55,12 +52,10 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use pccheck::{
-    lz_decompress, CheckMeta, ChunkEncoding, FrameTable, PccheckError, RawStoreView, SlotOutcome,
-    FRAME_MAGIC,
+    bind_frame_table, decode_frame, is_frame, CheckMeta, PccheckError, RawStoreView, SlotOutcome,
 };
-use pccheck_device::{fnv1a, ExtentTable, PersistentDevice};
+use pccheck_device::PersistentDevice;
 use pccheck_gpu::StateDigest;
-use pccheck_util::fnv::chunk_digest;
 use pccheck_telemetry::{FlightEventKind, FlightRecord, FlightRing};
 
 /// How far an in-flight (never terminated) checkpoint got before the
@@ -154,7 +149,7 @@ pub enum InvariantViolation {
         newest: u64,
     },
     /// The expected recovery target's payload fails digest verification
-    /// (for a delta target: replaying its chain cannot reconstruct a state
+    /// (for a framed target: the frame walk cannot reconstruct a state
     /// matching the recorded full digest).
     TornCommittedSlot {
         /// Slot of the torn checkpoint.
@@ -162,22 +157,22 @@ pub enum InvariantViolation {
         /// Its counter.
         counter: u64,
     },
-    /// A delta checkpoint in the recovery target's chain points at a base
+    /// A linked checkpoint in the recovery target's chain points at a base
     /// whose slot no longer holds that base — the chain has a gap, so the
     /// pinning rule (bases survive until every dependent retires) broke.
     DeltaChainGap {
-        /// The delta checkpoint whose base pointer dangles.
+        /// The linked checkpoint whose base pointer dangles.
         counter: u64,
         /// The base counter it expected.
         base_counter: u64,
         /// The slot that should hold the base.
         base_slot: u32,
     },
-    /// A base in the recovery target's delta chain never committed per the
+    /// A base in the recovery target's chain never committed per the
     /// flight ring (the chain depends on a checkpoint the protocol knows
     /// was in flight or failed).
     DeltaBaseNotCommitted {
-        /// The delta checkpoint depending on the dubious base.
+        /// The linked checkpoint depending on the dubious base.
         counter: u64,
         /// The base that never committed.
         base_counter: u64,
@@ -237,7 +232,7 @@ impl std::fmt::Display for InvariantViolation {
             } => {
                 write!(
                     f,
-                    "delta checkpoint {counter} points at base {base_counter} \
+                    "checkpoint {counter} points at base {base_counter} \
                      but slot {base_slot} no longer holds it"
                 )
             }
@@ -247,7 +242,7 @@ impl std::fmt::Display for InvariantViolation {
             } => {
                 write!(
                     f,
-                    "delta checkpoint {counter} chains onto base {base_counter} that never committed"
+                    "checkpoint {counter} chains onto base {base_counter} that never committed"
                 )
             }
             InvariantViolation::StateLatticeViolation {
@@ -577,7 +572,7 @@ pub fn audit(device: Arc<dyn PersistentDevice>) -> Result<ForensicReport, Pcchec
     }
 
     // Invariant 5 + payload_valid: verify slot payloads against digests.
-    // A delta slot's digest covers the extent table at the payload head.
+    // A framed slot's digest covers the frame table at the payload head.
     // On a service store every namespace's recovery head is a target —
     // one tenant's torn head is a violation even when another tenant
     // holds the globally newest commit.
@@ -591,10 +586,8 @@ pub fn audit(device: Arc<dyn PersistentDevice>) -> Result<ForensicReport, Pcchec
             continue;
         };
         let payload = view.read_slot_payload(device.as_ref(), slot)?;
-        let valid = if is_framed_payload(&payload) {
-            framed_table_valid(&payload, &meta)
-        } else if meta.is_delta() {
-            delta_table_valid(&payload, meta.digest)
+        let valid = if is_frame(&payload) {
+            bind_frame_table(&payload, &meta).is_some()
         } else {
             StateDigest::of_payload(&payload, meta.iteration).0 == meta.digest
                 || pccheck_raw_checksum(&payload) == meta.digest
@@ -657,30 +650,16 @@ pub fn audit(device: Arc<dyn PersistentDevice>) -> Result<ForensicReport, Pcchec
         }
     }
 
-    // Invariant 6: a delta recovery target's chain must be whole, built on
-    // committed bases, and replayable to the recorded full-state digest.
-    // Every tenant's head is audited on a service store. (A framed target
-    // carrying a delta link roots its own chain and replays as a frame
-    // inside `replay_chain`.)
-    for target in recovery_targets.iter().filter(|m| m.is_delta()) {
-        audit_delta_chain(
-            device.as_ref(),
-            &view,
-            target,
-            &checkpoints,
-            &mut violations,
-        )?;
-    }
-
-    // Invariant 6 for unlinked framed targets: a chunk-framed recovery
-    // head with no delta link still resolves chunks out of other slots
-    // (self/base dedup), so it gets the same deep replay a chain root
-    // does — invariant 5's table check alone would miss a torn packed
-    // region or a vanished dedup base.
-    for target in recovery_targets.iter().filter(|m| !m.is_delta()) {
+    // Invariant 6: a linked recovery target's base chain must be pinned in
+    // place and built on committed bases, and every framed target — linked
+    // or not — must materialize through the frame walk: invariant 5's
+    // table check alone would miss a torn packed region or a vanished
+    // dedup base. Every tenant's head is audited on a service store.
+    for target in &recovery_targets {
+        audit_base_pins(&view, target, &checkpoints, &mut violations);
         let payload = view.read_slot_payload(device.as_ref(), target.slot)?;
-        if is_framed_payload(&payload)
-            && replay_frame(device.as_ref(), &view, target, &payload).is_none()
+        if is_frame(&payload)
+            && materialize_frame(device.as_ref(), &view, target, &payload).is_none()
         {
             violations.push(InvariantViolation::TornCommittedSlot {
                 slot: target.slot,
@@ -718,180 +697,41 @@ fn bump_phase(
     }
 }
 
-/// Whether a delta payload's extent table decodes and matches the slot
-/// meta's digest (which covers the serialized table only).
-fn delta_table_valid(payload: &[u8], digest: u64) -> bool {
-    let Ok(table) = ExtentTable::decode(payload) else {
-        return false;
-    };
-    let Ok(table_len) = usize::try_from(table.encoded_len()) else {
-        return false;
-    };
-    payload
-        .get(..table_len)
-        .is_some_and(|t| pccheck_raw_checksum(t) == digest)
-}
-
-/// Whether a slot payload begins with the chunk-frame magic (the codec
-/// persist path).
-fn is_framed_payload(payload: &[u8]) -> bool {
-    payload.len() >= 8
-        && u64::from_le_bytes(payload[..8].try_into().expect("8 bytes")) == FRAME_MAGIC
-}
-
-/// Shallow framed-slot check for invariant 5: the frame table decodes,
-/// is bound to this commit's counter, and matches the meta digest (which
-/// covers the serialized table, exactly like a delta slot's).
-fn framed_table_valid(payload: &[u8], meta: &CheckMeta) -> bool {
-    let Some(table) = FrameTable::decode(payload) else {
-        return false;
-    };
-    let Ok(table_len) = usize::try_from(table.encoded_len()) else {
-        return false;
-    };
-    table.counter == meta.counter
-        && payload
-            .get(..table_len)
-            .is_some_and(|t| pccheck_raw_checksum(t) == meta.digest)
-}
-
-/// Fully materializes a framed slot the way recovery would: decompresses
-/// LZ chunks, copies self-dedup references, resolves base-dedup
-/// references out of the named base slots, re-verifies every chunk's
-/// content address, and checks the reconstructed payload against the
-/// frame's end-to-end digest. Returns `(logical payload, full digest)`;
-/// `None` on any broken promise.
-fn replay_frame(
+/// Materializes a framed slot exactly the way recovery does — through the
+/// shared `pccheck::decode_frame` walk — resolving each base reference
+/// out of the slot the record names, provided that slot still holds that
+/// checkpoint. `None` on any broken promise.
+fn materialize_frame(
     device: &dyn PersistentDevice,
     view: &RawStoreView,
     meta: &CheckMeta,
     payload: &[u8],
 ) -> Option<(Vec<u8>, u64)> {
-    let table = FrameTable::decode(payload)?;
-    let table_len = usize::try_from(table.encoded_len()).ok()?;
-    if table.counter != meta.counter
-        || pccheck_raw_checksum(payload.get(..table_len)?) != meta.digest
-    {
-        return None;
-    }
-    let packed = payload.get(table_len..)?;
-    let mut out = vec![0u8; usize::try_from(table.logical_len).ok()?];
-    // Base payloads read once per referenced checkpoint, not per chunk.
-    let mut bases: BTreeMap<(u64, u32), Option<(CheckMeta, Vec<u8>)>> = BTreeMap::new();
-    let mut offsets = Vec::with_capacity(table.records.len());
-    let mut off = 0usize;
-    for r in &table.records {
-        offsets.push(off);
-        let n = usize::try_from(r.logical_len).ok()?;
-        match r.kind {
-            ChunkEncoding::Raw | ChunkEncoding::Lz => {
-                let end = usize::try_from(r.a.checked_add(r.b)?).ok()?;
-                let src = packed.get(usize::try_from(r.a).ok()?..end)?;
-                if r.kind == ChunkEncoding::Raw {
-                    out.get_mut(off..off + n)?.copy_from_slice(src);
-                } else {
-                    out.get_mut(off..off + n)?
-                        .copy_from_slice(&lz_decompress(src, n)?);
-                }
-            }
-            ChunkEncoding::DedupSelf => {
-                let j = *offsets.get(r.aux as usize)?;
-                out.copy_within(j..j + n, off);
-            }
-            ChunkEncoding::DedupBase => {
-                let entry = bases.entry((r.a, r.aux)).or_insert_with(|| {
-                    let base = view
-                        .slot_meta
-                        .get(r.aux as usize)
-                        .copied()
-                        .flatten()
-                        .filter(|m| m.counter == r.a)?;
-                    let buf = view.read_slot_payload(device, base.slot).ok()?;
-                    Some((base, buf))
-                });
-                let (base_meta, base_payload) = entry.as_ref()?;
-                let chunk = base_chunk(base_meta, base_payload, r.digest, r.b, r.logical_len)?;
-                out.get_mut(off..off + n)?.copy_from_slice(&chunk);
-            }
-        }
-        // Every chunk re-verifies its content address regardless of how
-        // it resolved — a stale or colliding base reference fails here.
-        if chunk_digest(out.get(off..off + n)?) != r.digest {
-            return None;
-        }
-        off += n;
-    }
-    let ok = StateDigest::of_payload(&out, meta.iteration).0 == table.full_digest
-        || pccheck_raw_checksum(&out) == table.full_digest;
-    ok.then_some((out, table.full_digest))
+    decode_frame(payload, meta, &mut |counter, slot| {
+        let base = view
+            .slot_meta
+            .get(slot as usize)
+            .copied()
+            .flatten()
+            .filter(|m| m.counter == counter)?;
+        Some((base, view.read_slot_payload(device, base.slot).ok()?))
+    })
 }
 
-/// Resolves one base-dedup reference from the base checkpoint's raw slot
-/// payload: a framed base answers from the materialized record matching
-/// the reference's content address; a legacy full base answers the
-/// logical byte range directly. Extent-delta bases are never valid dedup
-/// targets.
-fn base_chunk(
-    base: &CheckMeta,
-    payload: &[u8],
-    digest: u64,
-    logical_off: u64,
-    len: u64,
-) -> Option<Vec<u8>> {
-    let n = usize::try_from(len).ok()?;
-    if is_framed_payload(payload) {
-        let table = FrameTable::decode(payload)?;
-        let table_len = usize::try_from(table.encoded_len()).ok()?;
-        if pccheck_raw_checksum(payload.get(..table_len)?) != base.digest {
-            return None;
-        }
-        let packed = payload.get(table_len..)?;
-        let rec = table
-            .records
-            .iter()
-            .find(|r| r.kind.is_materialized() && r.digest == digest && r.logical_len == len)?;
-        let end = usize::try_from(rec.a.checked_add(rec.b)?).ok()?;
-        let src = packed.get(usize::try_from(rec.a).ok()?..end)?;
-        match rec.kind {
-            ChunkEncoding::Raw => Some(src.to_vec()),
-            ChunkEncoding::Lz => lz_decompress(src, n),
-            _ => None,
-        }
-    } else if base.delta.is_none() {
-        // Legacy full checkpoint: logical bytes are the physical payload.
-        let start = usize::try_from(logical_off).ok()?;
-        Some(payload.get(start..start.checked_add(n)?)?.to_vec())
-    } else {
-        None
-    }
-}
-
-/// Walks and replays the recovery target's delta chain, pushing a
-/// violation for each broken promise: a dangling base pointer
-/// ([`InvariantViolation::DeltaChainGap`]), a base the ring says never
-/// committed ([`InvariantViolation::DeltaBaseNotCommitted`]), or a replay
-/// that cannot reproduce the recorded full-state digest
-/// ([`InvariantViolation::TornCommittedSlot`]).
-fn audit_delta_chain(
-    device: &dyn PersistentDevice,
+/// Walks the recovery target's base links, pushing a violation for each
+/// broken pin: a dangling base pointer
+/// ([`InvariantViolation::DeltaChainGap`]) or a base the ring says never
+/// committed ([`InvariantViolation::DeltaBaseNotCommitted`]).
+fn audit_base_pins(
     view: &RawStoreView,
     target: &CheckMeta,
     checkpoints: &BTreeMap<u64, CheckpointVerdict>,
     violations: &mut Vec<InvariantViolation>,
-) -> Result<(), PccheckError> {
-    let mut chain = vec![*target];
-    loop {
-        let head = *chain.last().expect("chain starts non-empty");
-        // A framed layer is self-contained — it ends the walk even when
-        // its commit carries a link (the link only pins its dedup base).
-        let head_framed = view
-            .read_slot_payload(device, head.slot)
-            .map(|p| is_framed_payload(&p))
-            .unwrap_or(false);
-        if head_framed {
-            break;
-        }
-        let Some(link) = head.delta else { break };
+) {
+    let mut head = *target;
+    // Cycle guard: a chain is never longer than the store has slots.
+    for _ in 0..view.slots {
+        let Some(link) = head.delta else { return };
         let base = view
             .slot_meta
             .get(link.base_slot as usize)
@@ -904,7 +744,7 @@ fn audit_delta_chain(
                 base_counter: link.base_counter,
                 base_slot: link.base_slot,
             });
-            return Ok(());
+            return;
         };
         if matches!(
             checkpoints.get(&base.counter),
@@ -915,76 +755,8 @@ fn audit_delta_chain(
                 base_counter: base.counter,
             });
         }
-        if chain.len() as u32 > view.slots {
-            break; // cycle guard: longer than the store can hold
-        }
-        chain.push(base);
+        head = base;
     }
-    if replay_chain(device, view, &chain).is_none() {
-        violations.push(InvariantViolation::TornCommittedSlot {
-            slot: target.slot,
-            counter: target.counter,
-        });
-    }
-    Ok(())
-}
-
-/// Replays a delta chain (newest→root order in `chain`) into the full
-/// state it represents, verifying every digest along the way. `None` on
-/// any mismatch.
-fn replay_chain(
-    device: &dyn PersistentDevice,
-    view: &RawStoreView,
-    chain: &[CheckMeta],
-) -> Option<Vec<u8>> {
-    let root = chain.last()?;
-    let mut state = view.read_slot_payload(device, root.slot).ok()?;
-    let mut full_digest = root.digest;
-    if is_framed_payload(&state) {
-        // Framed root: materialize it the way recovery would (the frame
-        // verifies its own table, chunks, and end-to-end digest, which
-        // becomes the chain's running full-state digest).
-        let (replayed, frame_digest) = replay_frame(device, view, root, &state)?;
-        state = replayed;
-        full_digest = frame_digest;
-    } else if root.is_delta() {
-        return None; // the cycle guard bailed before reaching a full root
-    } else {
-        let root_ok = StateDigest::of_payload(&state, root.iteration).0 == root.digest
-            || pccheck_raw_checksum(&state) == root.digest;
-        if !root_ok {
-            return None;
-        }
-    }
-    let mut final_iter = root.iteration;
-    for delta in chain.iter().rev().skip(1) {
-        let payload = view.read_slot_payload(device, delta.slot).ok()?;
-        let table = ExtentTable::decode(&payload).ok()?;
-        let table_len = usize::try_from(table.encoded_len()).ok()?;
-        if pccheck_raw_checksum(payload.get(..table_len)?) != delta.digest {
-            return None;
-        }
-        if table.full_len != state.len() as u64 {
-            return None;
-        }
-        let mut src = table_len;
-        for rec in &table.extents {
-            let src_end = src.checked_add(rec.len as usize)?;
-            let chunk = payload.get(src..src_end)?;
-            if fnv1a(chunk) != rec.digest {
-                return None;
-            }
-            let dst_start = usize::try_from(rec.offset).ok()?;
-            let dst = state.get_mut(dst_start..dst_start.checked_add(rec.len as usize)?)?;
-            dst.copy_from_slice(chunk);
-            src = src_end;
-        }
-        full_digest = table.full_digest;
-        final_iter = delta.iteration;
-    }
-    let ok = StateDigest::of_payload(&state, final_iter).0 == full_digest
-        || pccheck_raw_checksum(&state) == full_digest;
-    ok.then_some(state)
 }
 
 /// FNV-1a over raw payload bytes — the same checksum `pccheck::meta` uses
@@ -1002,17 +774,19 @@ mod tests {
     use pccheck_util::ByteSize;
 
     fn flight_store(slots: u32, ring: u32) -> (Arc<dyn PersistentDevice>, CheckpointStore) {
-        let cap =
-            CheckpointStore::required_capacity_with_flight(ByteSize::from_bytes(64), slots, ring);
+        flight_store_sized(64, slots, ring)
+    }
+
+    fn flight_store_sized(
+        slot_bytes: u64,
+        slots: u32,
+        ring: u32,
+    ) -> (Arc<dyn PersistentDevice>, CheckpointStore) {
+        let slot = ByteSize::from_bytes(slot_bytes);
+        let cap = CheckpointStore::required_capacity_with_flight(slot, slots, ring);
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let st = CheckpointStore::format_with_flight(
-            Arc::clone(&dev),
-            ByteSize::from_bytes(64),
-            slots,
-            ring,
-        )
-        .unwrap();
+        let st = CheckpointStore::format_with_flight(Arc::clone(&dev), slot, slots, ring).unwrap();
         (dev, st)
     }
 
@@ -1028,39 +802,49 @@ mod tests {
         );
     }
 
-    /// Commits a delta checkpoint of `full` over the latest committed
-    /// base, persisting only `ranges` behind an extent table.
-    fn commit_delta_one(st: &CheckpointStore, iter: u64, full: &[u8], ranges: &[(u64, u64)]) {
-        use pccheck::DeltaLink;
-        use pccheck_device::ExtentRecord;
+    /// Commits a hand-assembled frame over the latest committed (raw)
+    /// checkpoint: one `Raw` chunk of `fresh` bytes followed by one
+    /// `DedupBase` chunk naming the base's whole payload, pinned through
+    /// a link that names `link_slot`.
+    fn commit_frame_over_base(st: &CheckpointStore, iter: u64, fresh: &[u8], link_slot: u32) {
+        use pccheck::{ChunkEncoding, DeltaLink, FrameRecord, FrameTable};
+        use pccheck_util::fnv::chunk_digest;
 
         let base = st.latest_committed().unwrap();
-        let depth = base.delta.map_or(0, |l| l.chain_depth);
-        let extents: Vec<ExtentRecord> = ranges
-            .iter()
-            .map(|&(off, len)| ExtentRecord {
-                offset: off,
-                len,
-                digest: fnv1a(&full[off as usize..(off + len) as usize]),
-            })
-            .collect();
-        let table = ExtentTable {
-            full_len: full.len() as u64,
-            full_digest: pccheck_raw_checksum(full),
-            extents,
+        let base_bytes = st.read_checkpoint(&base).unwrap();
+        let logical = [fresh, &base_bytes[..]].concat();
+        let lease = st.begin_checkpoint();
+        let table = FrameTable {
+            counter: lease.counter,
+            logical_len: logical.len() as u64,
+            full_digest: pccheck_raw_checksum(&logical),
+            records: vec![
+                FrameRecord {
+                    kind: ChunkEncoding::Raw,
+                    aux: 0,
+                    logical_len: fresh.len() as u64,
+                    a: 0,
+                    b: fresh.len() as u64,
+                    digest: chunk_digest(fresh),
+                },
+                FrameRecord {
+                    kind: ChunkEncoding::DedupBase,
+                    aux: base.slot,
+                    logical_len: base_bytes.len() as u64,
+                    a: base.counter,
+                    b: 0,
+                    digest: chunk_digest(&base_bytes),
+                },
+            ],
         };
         let table_bytes = table.encode();
-        let mut payload = table_bytes.clone();
-        for &(off, len) in ranges {
-            payload.extend_from_slice(&full[off as usize..(off + len) as usize]);
-        }
-        let lease = st.begin_checkpoint();
+        let payload = [&table_bytes[..], fresh].concat();
         st.write_payload(&lease, 0, &payload).unwrap();
         st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
         let link = DeltaLink {
             base_counter: base.counter,
-            base_slot: base.slot,
-            chain_depth: depth + 1,
+            base_slot: link_slot,
+            chain_depth: base.delta.map_or(0, |l| l.chain_depth) + 1,
         };
         assert_eq!(
             st.commit_with_delta(
@@ -1076,22 +860,19 @@ mod tests {
     }
 
     #[test]
-    fn delta_chain_audits_clean() {
-        let (dev, st) = flight_store(4, 64);
-        let mut full = vec![7u8; 64];
-        commit_one(&st, 1, &full);
-        full[8..16].copy_from_slice(&[1u8; 8]);
-        commit_delta_one(&st, 2, &full, &[(8, 8)]);
-        full[40..44].copy_from_slice(&[2u8; 4]);
-        commit_delta_one(&st, 3, &full, &[(40, 4)]);
+    fn linked_frame_audits_clean() {
+        let (dev, st) = flight_store_sized(256, 4, 64);
+        commit_one(&st, 1, &[7u8; 64]);
+        let base = st.latest_committed().unwrap();
+        commit_frame_over_base(&st, 2, &[1u8; 8], base.slot);
         dev.crash_now();
         let report = audit(Arc::clone(&dev)).unwrap();
         assert!(report.is_clean(), "{:?}", report.violations);
         let target = report.expected_recovery.unwrap();
-        assert_eq!(target.iteration, 3);
-        assert_eq!(target.delta.unwrap().chain_depth, 2);
+        assert_eq!(target.iteration, 2);
+        assert_eq!(target.delta.unwrap().chain_depth, 1);
         assert!(matches!(
-            report.checkpoints[&3],
+            report.checkpoints[&2],
             CheckpointVerdict::Committed {
                 payload_valid: true,
                 ..
@@ -1100,35 +881,12 @@ mod tests {
     }
 
     #[test]
-    fn delta_chain_gap_is_flagged() {
-        let (dev, st) = flight_store(4, 64);
-        let full = vec![9u8; 64];
-        commit_one(&st, 1, &full);
+    fn dangling_base_link_is_flagged() {
+        let (dev, st) = flight_store_sized(256, 4, 64);
+        commit_one(&st, 1, &[9u8; 64]);
         let base = st.latest_committed().unwrap();
-        // Fabricate a delta whose base pointer dangles: right counter,
-        // wrong slot.
-        let lease = st.begin_checkpoint();
-        let table = ExtentTable {
-            full_len: 64,
-            full_digest: pccheck_raw_checksum(&full),
-            extents: vec![],
-        };
-        let bytes = table.encode();
-        st.write_payload(&lease, 0, &bytes).unwrap();
-        st.persist_payload(&lease, 0, bytes.len() as u64).unwrap();
-        let wrong_slot = (base.slot + 1) % 4;
-        st.commit_with_delta(
-            lease,
-            2,
-            bytes.len() as u64,
-            pccheck_raw_checksum(&bytes),
-            Some(pccheck::DeltaLink {
-                base_counter: base.counter,
-                base_slot: wrong_slot,
-                chain_depth: 1,
-            }),
-        )
-        .unwrap();
+        // Right counter, wrong slot: the pin protects nothing.
+        commit_frame_over_base(&st, 2, &[2u8; 8], (base.slot + 1) % 4);
         dev.crash_now();
         let report = audit(Arc::clone(&dev)).unwrap();
         assert!(report.violations.iter().any(|v| matches!(
@@ -1142,15 +900,14 @@ mod tests {
     }
 
     #[test]
-    fn delta_base_that_never_committed_is_flagged() {
-        let (dev, st) = flight_store(4, 64);
-        let mut full = vec![3u8; 64];
-        commit_one(&st, 1, &full);
-        // Fabricate a ring record claiming checkpoint 1 failed: the chain
+    fn base_that_never_committed_is_flagged() {
+        let (dev, st) = flight_store_sized(256, 4, 64);
+        commit_one(&st, 1, &[3u8; 64]);
+        let base = st.latest_committed().unwrap();
+        // Fabricate a ring record claiming checkpoint 1 failed: the frame
         // now depends on a base the protocol disowned.
         st.flight().record(K::Failed, 1, 0, 1, 64, 0);
-        full[0..4].copy_from_slice(&[5u8; 4]);
-        commit_delta_one(&st, 2, &full, &[(0, 4)]);
+        commit_frame_over_base(&st, 2, &[5u8; 4], base.slot);
         dev.crash_now();
         let report = audit(Arc::clone(&dev)).unwrap();
         assert!(report.violations.iter().any(|v| matches!(
@@ -1163,16 +920,14 @@ mod tests {
     }
 
     #[test]
-    fn torn_delta_chain_replay_is_flagged() {
-        let (dev, st) = flight_store(4, 64);
-        let mut full = vec![11u8; 64];
-        commit_one(&st, 1, &full);
-        full[16..24].copy_from_slice(&[13u8; 8]);
-        commit_delta_one(&st, 2, &full, &[(16, 8)]);
-        // Corrupt a packed extent byte (the table stays intact, so the
-        // per-slot digest check passes and only chain replay catches it).
-        let target = st.latest_committed().unwrap();
-        let off = st.slot_payload_offset(target.slot) + target.payload_len - 1;
+    fn recycled_dedup_base_is_flagged() {
+        let (dev, st) = flight_store_sized(256, 4, 64);
+        commit_one(&st, 1, &[11u8; 64]);
+        let base = st.latest_committed().unwrap();
+        commit_frame_over_base(&st, 2, &[13u8; 8], base.slot);
+        // Flip one base byte behind the store's back: the frame's own slot
+        // is intact, so only resolving the reference catches it.
+        let off = st.slot_payload_offset(base.slot) + 10;
         dev.write_at(off, &[0xEE]).unwrap();
         dev.persist(off, 1).unwrap();
         dev.crash_now();
@@ -1565,7 +1320,7 @@ mod tests {
             .filter(|&s| view.slot_meta[s as usize].is_some())
             .filter(|&s| {
                 view.read_slot_payload(dev.as_ref(), s)
-                    .is_ok_and(|p| is_framed_payload(&p))
+                    .is_ok_and(|p| is_frame(&p))
             })
             .count();
         assert!(framed > 0, "no slot framed — codec never engaged");
@@ -1607,11 +1362,11 @@ mod tests {
             .copied()
             .unwrap();
         let payload = view.read_slot_payload(dev.as_ref(), head.slot).unwrap();
-        assert!(is_framed_payload(&payload), "newest slot should be framed");
+        assert!(is_frame(&payload), "newest slot should be framed");
         // Corrupt one byte of the packed chunk region (past the table, so
         // the shallow table check still passes): only the deep frame
         // replay catches it.
-        let table = FrameTable::decode(&payload).unwrap();
+        let table = bind_frame_table(&payload, &head).unwrap();
         let corrupt_at = table.encoded_len();
         let slot_off = view.slot_payload_offset(head.slot) + corrupt_at;
         let mut byte = [0u8; 1];

@@ -52,12 +52,6 @@ pub enum Phase {
     RecoveryLoad,
     /// Recovery: digest verification of a candidate payload.
     RecoveryVerify,
-    /// Delta checkpoint: building and persisting the dirty-extent table
-    /// that maps a sparse payload back onto the full state.
-    DeltaMap,
-    /// Recovery: replaying a delta chain (base payload + per-extent
-    /// patches) into a full state image.
-    DeltaReplay,
     /// Parallel restore: one reader's device→DRAM chunk fetch leg.
     RestoreRead,
     /// Parallel restore: per-chunk (or legacy whole-payload) digest
@@ -69,8 +63,8 @@ pub enum Phase {
 
 impl Phase {
     /// All phases, in lifecycle order (checkpoint phases first, then the
-    /// post-crash recovery-path phases, then the delta-checkpoint phases).
-    pub const ALL: [Phase; 12] = [
+    /// post-crash recovery-path phases, then the parallel-restore phases).
+    pub const ALL: [Phase; 10] = [
         Phase::TicketWait,
         Phase::GpuCopy,
         Phase::Persist,
@@ -78,8 +72,6 @@ impl Phase {
         Phase::RecoveryScan,
         Phase::RecoveryLoad,
         Phase::RecoveryVerify,
-        Phase::DeltaMap,
-        Phase::DeltaReplay,
         Phase::RestoreRead,
         Phase::RestoreVerify,
         Phase::RestoreUpload,
@@ -95,8 +87,6 @@ impl Phase {
             Phase::RecoveryScan => "recovery_scan",
             Phase::RecoveryLoad => "recovery_load",
             Phase::RecoveryVerify => "recovery_verify",
-            Phase::DeltaMap => "delta_map",
-            Phase::DeltaReplay => "delta_replay",
             Phase::RestoreRead => "restore_read",
             Phase::RestoreVerify => "restore_verify",
             Phase::RestoreUpload => "restore_upload",
@@ -113,11 +103,9 @@ impl Phase {
             Phase::RecoveryScan => 4,
             Phase::RecoveryLoad => 5,
             Phase::RecoveryVerify => 6,
-            Phase::DeltaMap => 7,
-            Phase::DeltaReplay => 8,
-            Phase::RestoreRead => 9,
-            Phase::RestoreVerify => 10,
-            Phase::RestoreUpload => 11,
+            Phase::RestoreRead => 7,
+            Phase::RestoreVerify => 8,
+            Phase::RestoreUpload => 9,
         }
     }
 }
@@ -292,8 +280,6 @@ mod tests {
                 "recovery_scan",
                 "recovery_load",
                 "recovery_verify",
-                "delta_map",
-                "delta_replay",
                 "restore_read",
                 "restore_verify",
                 "restore_upload",

@@ -939,9 +939,9 @@ pub struct ProfileDiff {
 /// Actor-lane prefixes that serve a given phase, for blame attribution.
 fn phase_actor_prefixes(phase: &str) -> &'static [&'static str] {
     match phase {
-        "persist" | "commit" | "delta_map" => &["writer-", "stripe-", "fence", "tier", "spill"],
+        "persist" | "commit" => &["writer-", "stripe-", "fence", "tier", "spill"],
         "restore_read" | "restore_verify" | "restore_upload" | "recovery_load"
-        | "recovery_verify" | "delta_replay" => &["reader-"],
+        | "recovery_verify" => &["reader-"],
         _ => &[],
     }
 }

@@ -90,7 +90,6 @@ pub struct MemoryRecorder {
     persist_chunk_bytes: AtomicU64,
     restore_chunk_bytes: AtomicU64,
     dirty_ratio_permille: Gauge,
-    delta_bytes_saved: AtomicU64,
     codec_bytes_saved: AtomicU64,
     dedup_chunks: AtomicU64,
     compression_ratio_permille: Gauge,
@@ -122,7 +121,6 @@ impl MemoryRecorder {
             persist_chunk_bytes: AtomicU64::new(0),
             restore_chunk_bytes: AtomicU64::new(0),
             dirty_ratio_permille: Gauge::default(),
-            delta_bytes_saved: AtomicU64::new(0),
             codec_bytes_saved: AtomicU64::new(0),
             dedup_chunks: AtomicU64::new(0),
             compression_ratio_permille: Gauge::default(),
@@ -203,7 +201,6 @@ impl MemoryRecorder {
             restore_chunk_bytes: self.restore_chunk_bytes.load(Ordering::Acquire),
             dirty_ratio_permille: self.dirty_ratio_permille.current(),
             dirty_ratio_permille_peak: self.dirty_ratio_permille.peak(),
-            delta_bytes_saved: self.delta_bytes_saved.load(Ordering::Acquire),
             codec_bytes_saved: self.codec_bytes_saved.load(Ordering::Acquire),
             dedup_chunks: self.dedup_chunks.load(Ordering::Acquire),
             compression_ratio_permille: self.compression_ratio_permille.current(),
@@ -246,14 +243,11 @@ pub struct TelemetrySnapshot {
     pub persist_chunk_bytes: u64,
     /// Bytes moved by the device→DRAM restore-read phase.
     pub restore_chunk_bytes: u64,
-    /// Last observed dirty-byte ratio of a delta checkpoint, in permille
-    /// (dirty bytes / full state bytes × 1000).
+    /// Last observed dirty-byte ratio of a framed checkpoint's snapshot,
+    /// in permille (dirty bytes / full state bytes × 1000).
     pub dirty_ratio_permille: u64,
     /// High-water mark of the dirty-ratio gauge.
     pub dirty_ratio_permille_peak: u64,
-    /// Total payload bytes the delta path avoided persisting versus full
-    /// checkpoints of the same iterations.
-    pub delta_bytes_saved: u64,
     /// Total payload bytes the chunk codec (compression + dedup) avoided
     /// persisting versus raw payloads of the same checkpoints.
     pub codec_bytes_saved: u64,
@@ -594,19 +588,11 @@ impl Telemetry {
         }
     }
 
-    /// Updates the delta-checkpoint dirty-ratio gauge (dirty bytes / full
-    /// state bytes, in permille).
+    /// Updates the snapshot dirty-ratio gauge (dirty bytes / full state
+    /// bytes, in permille).
     pub fn gauge_dirty_ratio(&self, permille: u64) {
         if let Some(r) = &self.inner {
             r.dirty_ratio_permille.set(permille);
-        }
-    }
-
-    /// Adds `bytes` to the running total of payload bytes the delta path
-    /// avoided persisting.
-    pub fn add_delta_bytes_saved(&self, bytes: u64) {
-        if let Some(r) = &self.inner {
-            r.delta_bytes_saved.fetch_add(bytes, Ordering::Release);
         }
     }
 
@@ -822,20 +808,16 @@ mod tests {
     }
 
     #[test]
-    fn delta_metrics_roll_up() {
+    fn dirty_ratio_gauge_rolls_up() {
         let t = Telemetry::enabled();
         t.gauge_dirty_ratio(100);
         t.gauge_dirty_ratio(40);
-        t.add_delta_bytes_saved(900);
-        t.add_delta_bytes_saved(100);
         let snap = t.snapshot().unwrap();
         assert_eq!(snap.dirty_ratio_permille, 40);
         assert_eq!(snap.dirty_ratio_permille_peak, 100);
-        assert_eq!(snap.delta_bytes_saved, 1000);
 
         let d = Telemetry::disabled();
         d.gauge_dirty_ratio(1);
-        d.add_delta_bytes_saved(1);
         assert!(d.snapshot().is_none());
     }
 

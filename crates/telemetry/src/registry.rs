@@ -176,7 +176,7 @@ impl MetricsRegistry {
         // Family-major: HELP/TYPE once, then the aggregate series, then
         // one `job`-labelled series per registered tenant.
         type Sel = fn(&TelemetrySnapshot) -> u64;
-        let counters: [(&str, &str, Sel); 11] = [
+        let counters: [(&str, &str, Sel); 10] = [
             (
                 "pccheck_checkpoints_requested_total",
                 "Checkpoint requests accepted.",
@@ -216,11 +216,6 @@ impl MetricsRegistry {
                 "pccheck_restore_chunk_bytes_total",
                 "Bytes moved by the device-to-DRAM restore-read phase.",
                 |s| s.restore_chunk_bytes,
-            ),
-            (
-                "pccheck_delta_bytes_saved_total",
-                "Payload bytes the delta path avoided persisting.",
-                |s| s.delta_bytes_saved,
             ),
             (
                 "pccheck_codec_bytes_saved_total",
@@ -268,7 +263,7 @@ impl MetricsRegistry {
             ),
             (
                 "pccheck_dirty_ratio_permille",
-                "Last observed delta-checkpoint dirty ratio, permille.",
+                "Last observed snapshot dirty ratio (framed path), permille.",
                 |s| s.dirty_ratio_permille,
             ),
             (
@@ -413,7 +408,7 @@ impl MetricsRegistry {
              \"requested\":{},\"committed\":{},\"superseded\":{},\
              \"failed\":{},\"bytes_persisted\":{},\"gpu_copy_bytes\":{},\
              \"persist_chunk_bytes\":{},\"restore_chunk_bytes\":{},\
-             \"delta_bytes_saved\":{},\"codec_bytes_saved\":{},\
+             \"codec_bytes_saved\":{},\
              \"dedup_chunks\":{}}},\"gauges\":{{\
              \"in_flight\":{},\"in_flight_peak\":{},\"queue_depth\":{},\
              \"queue_depth_peak\":{},\"dirty_ratio_permille\":{},\
@@ -428,7 +423,6 @@ impl MetricsRegistry {
             snap.gpu_copy_bytes,
             snap.persist_chunk_bytes,
             snap.restore_chunk_bytes,
-            snap.delta_bytes_saved,
             snap.codec_bytes_saved,
             snap.dedup_chunks,
             snap.in_flight,

@@ -192,7 +192,7 @@ fn cmd_info(path: &str) -> Result<(), Box<dyn std::error::Error>> {
     println!("history:");
     for meta in store.history()? {
         let kind = match meta.delta {
-            Some(link) => format!("delta->c{} depth {}", link.base_counter, link.chain_depth),
+            Some(link) => format!("base->c{} depth {}", link.base_counter, link.chain_depth),
             None => "full".to_string(),
         };
         println!(
@@ -247,7 +247,7 @@ fn cmd_recover(path: &str, readers: usize) -> Result<(), Box<dyn std::error::Err
         trace.fallbacks
     );
     println!(
-        "  load   {:>9.3} ms  ({} delta link(s) replayed)",
+        "  load   {:>9.3} ms  ({} base link(s) resolved)",
         ms(trace.load_nanos),
         trace.chain_links
     );

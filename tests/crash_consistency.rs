@@ -248,10 +248,10 @@ fn forensic_verdicts_match_actual_recovery_at_every_crash_point() {
                 );
                 assert_eq!(run.recovered.counter, run.crashed_counter);
             }
-            CrashPoint::DeltaChain => {
-                // The stranded second delta died with its payload durable
+            CrashPoint::DedupChain => {
+                // The stranded second frame died with its payload durable
                 // but no meta, and recovery must land on the committed
-                // *delta* head — replayed through its chain.
+                // *linked* head — resolved through its pinned base.
                 assert!(
                     matches!(
                         verdict,
@@ -267,7 +267,7 @@ fn forensic_verdicts_match_actual_recovery_at_every_crash_point() {
                         .expected_recovery
                         .as_ref()
                         .is_some_and(|m| m.is_delta()),
-                    "{point}: recovery target must be a delta checkpoint"
+                    "{point}: recovery target must carry a base link"
                 );
             }
         }

@@ -1,12 +1,15 @@
-//! Cross-validation of the delta checkpoint path: the same training run
-//! checkpointed as a base + delta chain on one store and as plain full
-//! checkpoints on another must recover to *bit-identical* state, verified
-//! both by direct comparison and by `pccheck_monitor::diff` over the
-//! tensor layout.
+//! Cross-validation of the framed dedup path: the same training run
+//! checkpointed as chunk-framed commits (sparse updates persisting their
+//! clean chunks as `DedupBase` references into a pinned base) on one
+//! store and as plain full checkpoints on another must recover to
+//! *bit-identical* state, verified both by direct comparison and by
+//! `pccheck_monitor::diff` over the tensor layout.
 
 use std::sync::Arc;
 
-use pccheck::{recovery, CheckpointStore, DeltaOutcome, DeltaPolicy, PersistPipeline, PipelineCtx};
+use pccheck::{
+    recovery, CheckpointStore, DeltaPolicy, FramedOutcome, PersistPipeline, PipelineCtx,
+};
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
 use pccheck_gpu::{Gpu, GpuConfig, TrainingState};
 use pccheck_telemetry::{SpanId, Telemetry};
@@ -27,19 +30,21 @@ fn store_on(slots: u32) -> (Arc<SsdDevice>, Arc<CheckpointStore>) {
 fn pipeline_for(store: &Arc<CheckpointStore>) -> PersistPipeline {
     PersistPipeline::new(Arc::clone(store))
         .with_writers(2)
-        .with_staging(HostBufferPool::new(ByteSize::from_bytes(512), 8))
+        .with_staging(HostBufferPool::new(ByteSize::from_bytes(512), 16))
+        .with_codec(true)
 }
 
 #[test]
-fn delta_chain_restore_is_bit_identical_to_full_checkpoints() {
+fn dedup_chain_restore_is_bit_identical_to_full_checkpoints() {
     let gpu = Gpu::new(
         GpuConfig::fast_for_tests(),
-        TrainingState::synthetic(ByteSize::from_bytes(STATE), 11),
+        TrainingState::compressible(ByteSize::from_bytes(STATE), 11, 32),
     );
     gpu.update();
 
-    // Store A takes base + chained deltas; store B takes a plain full
-    // checkpoint of the very same weights at every iteration.
+    // Store A takes chunk-framed commits chained through dedup bases;
+    // store B takes a plain full checkpoint of the very same weights at
+    // every iteration.
     let (ssd_a, store_a) = store_on(MAX_CHAIN + 2);
     let (ssd_b, store_b) = store_on(2);
     let pipe_a = pipeline_for(&store_a);
@@ -50,11 +55,10 @@ fn delta_chain_restore_is_bit_identical_to_full_checkpoints() {
         span: SpanId::NONE,
     };
     let policy = DeltaPolicy {
-        max_dirty_ratio: 0.5,
         max_chain: MAX_CHAIN,
     };
 
-    let mut saw_delta = false;
+    let mut linked_commits = 0;
     for iter in 1..=4u64 {
         if iter > 1 {
             gpu.update_sparse(0.10);
@@ -64,13 +68,19 @@ fn delta_chain_restore_is_bit_identical_to_full_checkpoints() {
         let total = guard.size();
 
         let (_, kind) = pipe_a
-            .checkpoint_delta(ctx, &guard, iter, digest.0, policy)
-            .expect("delta checkpoint");
-        saw_delta |= matches!(kind, DeltaOutcome::Delta { .. });
+            .checkpoint_framed(ctx, &guard, iter, digest.0, policy)
+            .expect("framed checkpoint");
+        assert!(
+            matches!(kind, FramedOutcome::Framed { .. }),
+            "compressible state must persist framed, got {kind:?}"
+        );
+        if store_a.latest_committed().expect("head").is_delta() {
+            linked_commits += 1;
+        }
 
         let lease = pipe_b.lease(ctx);
         let persist_start = pipe_b
-            .copy_streamed(ctx, &guard, &lease, total)
+            .copy_chunks(ctx, &guard, &lease, total, true)
             .expect("full copy");
         drop(guard);
         pipe_b
@@ -80,9 +90,12 @@ fn delta_chain_restore_is_bit_identical_to_full_checkpoints() {
             .commit(ctx, lease, iter, total.as_u64(), digest.0)
             .expect("commit");
     }
-    assert!(saw_delta, "the sparse run must exercise the delta path");
+    assert!(
+        linked_commits >= 1,
+        "the sparse run must commit at least one frame pinned to a dedup base"
+    );
     let head = store_a.latest_committed().expect("head");
-    let link = head.delta.expect("head of store A is a delta");
+    let link = head.delta.expect("head of store A references its base");
     assert!(link.chain_depth >= 1);
 
     drop(pipe_a);
@@ -94,7 +107,7 @@ fn delta_chain_restore_is_bit_identical_to_full_checkpoints() {
     assert_eq!(rec_b.iteration, 4);
     assert_eq!(
         rec_a.payload, rec_b.payload,
-        "delta-chain replay must reproduce the full checkpoint byte for byte"
+        "the frame walk must reproduce the full checkpoint byte for byte"
     );
 
     // The forensic differ over the tensor layout agrees: zero changed bytes

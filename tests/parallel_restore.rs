@@ -1,13 +1,13 @@
 //! Cross-validation of the parallel restore pipeline: recovering the same
 //! device with four readers and with one reader must produce bit-identical
 //! checkpoints — for plain full checkpoints (digest-table path) and for
-//! base + delta chains (parallel layer fetch + extent replay).
+//! chunk-framed commits chained through dedup bases (the frame walk).
 
 use std::sync::Arc;
 
 use pccheck::{
-    recover_instrumented_with, recovery, CheckpointStore, DeltaOutcome, DeltaPolicy,
-    PersistPipeline, PipelineCtx, RestoreOptions,
+    recover_instrumented_with, recovery, CheckpointStore, DeltaPolicy, PersistPipeline,
+    PipelineCtx, RestoreOptions,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
 use pccheck_gpu::{Gpu, GpuConfig, TrainingState};
@@ -29,7 +29,7 @@ fn store_on(slots: u32) -> (Arc<SsdDevice>, Arc<CheckpointStore>) {
 fn pipeline_for(store: &Arc<CheckpointStore>) -> PersistPipeline {
     PersistPipeline::new(Arc::clone(store))
         .with_writers(2)
-        .with_staging(HostBufferPool::new(ByteSize::from_bytes(512), 8))
+        .with_staging(HostBufferPool::new(ByteSize::from_bytes(512), 16))
 }
 
 fn sequential() -> RestoreOptions {
@@ -72,7 +72,7 @@ fn parallel_and_sequential_recovery_agree_on_full_checkpoints() {
         let total = guard.size();
         let lease = pipe.lease(ctx);
         let persist_start = pipe
-            .copy_streamed(ctx, &guard, &lease, total)
+            .copy_chunks(ctx, &guard, &lease, total, true)
             .expect("full copy");
         drop(guard);
         pipe.seal(ctx, &lease, iter, total, persist_start)
@@ -105,39 +105,33 @@ fn parallel_and_sequential_recovery_agree_on_full_checkpoints() {
 }
 
 #[test]
-fn parallel_and_sequential_recovery_agree_on_delta_chains() {
+fn parallel_and_sequential_recovery_agree_on_dedup_chains() {
     let gpu = Gpu::new(
         GpuConfig::fast_for_tests(),
-        TrainingState::synthetic(ByteSize::from_bytes(STATE), 23),
+        TrainingState::compressible(ByteSize::from_bytes(STATE), 23, 32),
     );
     gpu.update();
 
     let (ssd, store) = store_on(MAX_CHAIN + 2);
-    let pipe = pipeline_for(&store);
+    let pipe = pipeline_for(&store).with_codec(true);
     let telemetry = Telemetry::disabled();
     let ctx = PipelineCtx {
         telemetry: &telemetry,
         span: SpanId::NONE,
     };
     let policy = DeltaPolicy {
-        max_dirty_ratio: 0.5,
         max_chain: MAX_CHAIN,
     };
 
-    let mut saw_delta = false;
     for iter in 1..=4u64 {
         if iter > 1 {
             gpu.update_sparse(0.10);
         }
         let guard = gpu.lock_weights_shared_owned();
         let digest = guard.digest();
-        let (_, kind) = pipe
-            .checkpoint_delta(ctx, &guard, iter, digest.0, policy)
-            .expect("delta checkpoint");
-        drop(guard);
-        saw_delta |= matches!(kind, DeltaOutcome::Delta { .. });
+        pipe.checkpoint_framed(ctx, &guard, iter, digest.0, policy)
+            .expect("framed checkpoint");
     }
-    assert!(saw_delta, "the sparse run must exercise the delta path");
     drop(pipe);
 
     let dev: Arc<dyn PersistentDevice> = ssd.clone();
@@ -147,12 +141,12 @@ fn parallel_and_sequential_recovery_agree_on_delta_chains() {
         recover_instrumented_with(dev, &telemetry, sequential()).expect("sequential");
 
     assert_eq!(par.iteration, 4);
-    assert!(par_trace.chain_links >= 1, "head must be a delta");
+    assert!(par_trace.chain_links >= 1, "head must reference its base");
     assert_eq!(par_trace.chain_links, seq_trace.chain_links);
     assert_eq!(par.counter, seq.counter);
     assert_eq!(
         par.payload, seq.payload,
-        "parallel delta replay must reproduce the sequential bytes"
+        "the parallel frame walk must reproduce the sequential bytes"
     );
 
     // Both land on a GPU identical to the live weights.
