@@ -543,7 +543,7 @@ fn main() {
     let adaptive_pass = families.iter().all(|f| f.pass);
 
     // Leg 2: high-redundancy codec savings (deterministic byte counts).
-    let savings = ext_compress::measure(16, 0.05);
+    let savings = ext_compress::measure(ext_compress::Payload::Tiled(16), 0.05);
     let savings_pass =
         savings.bytes_saved_ratio >= SAVINGS_FLOOR && savings.recovered_bit_identical;
     println!(

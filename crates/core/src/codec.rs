@@ -21,9 +21,11 @@
 //! - [`ChunkEncoding::DedupSelf`] — byte-identical to an *earlier*
 //!   materialized chunk of this same frame; stores only its index.
 //! - [`ChunkEncoding::DedupBase`] — byte-identical to a materialized chunk
-//!   of the base checkpoint named by the commit's [`DeltaLink`]; the link
-//!   pins the base's slot, so the referenced bytes cannot be recycled
-//!   while this checkpoint is live.
+//!   of an earlier checkpoint, the chunk's *home*, which the record names
+//!   by `(counter, slot)`. One frame may name several homes; all of them
+//!   lie on the link chain the commit's [`DeltaLink`] starts, which pins
+//!   their slots, so the referenced bytes cannot be recycled while this
+//!   checkpoint is live.
 //!
 //! Every record carries the [`chunk_digest`] content address of its
 //! logical bytes: restore verifies each chunk as it materializes, so a
@@ -57,13 +59,36 @@
 //!
 //! # Dedup index lifetime
 //!
-//! The [`DedupIndex`] holds one *generation* per job: the content
-//! addresses of the **materialized** (Raw/Lz) chunks of that job's latest
-//! framed commit. Installing the next commit's generation evicts the
-//! previous one wholesale, so a reference produced by a lookup is always
-//! depth-≤1: it points at bytes physically present in the immediate base
-//! checkpoint, never at a chain of references. Entries are capped per
-//! generation; overflow chunks simply stay materialized.
+//! The [`DedupIndex`] holds one *generation* per job: a map from content
+//! address to the chunk's **home** ([`DedupHome`]) — the checkpoint that
+//! physically holds the bytes, with that checkpoint's chain depth. A
+//! committed frame installs the next generation wholesale: its own
+//! `Raw`/`Lz` chunks, homed at itself, plus every base hit it took,
+//! carried forward unchanged. A clean chunk therefore stays a one-hop
+//! reference to the same home for as long as it stays clean; it is never
+//! a reference to a reference, and the read side never follows more than
+//! one hop. A generation answers only while the commit that installed it
+//! is still the job's head, because that head's link chain is what pins
+//! every home in it.
+//!
+//! The persist path bounds each hit, not each checkpoint: a hit is taken
+//! iff `home.depth + 1` fits both `DeltaPolicy::max_chain` and the lease's
+//! slot budget minus two (a chain of depth `d` pins `d + 1` slots, and one
+//! slot must stay free for the next checkpoint to land in), and the frame
+//! links to the *youngest* home it references with `chain_depth =
+//! home.depth + 1`. Every home a generation holds lies on its installer's
+//! link chain, which is linear, so the older homes of a frame lie on the
+//! youngest one's chain and the store's chain pinning covers them all;
+//! heads the new frame does not reference are released at its commit.
+//! Chunks whose home sits at the bound are materialized again. Entries are
+//! capped per generation; overflow chunks simply stay materialized.
+//!
+//! `DedupSelf` references are byte-compared before they are emitted. Base
+//! hits are not: the staged bytes of the home are long gone, so a hit
+//! rests on the 64-bit content address (plus equal length) at persist time
+//! and on restore-side verification — every chunk re-checks its
+//! [`chunk_digest`] and the frame its end-to-end digest, so a colliding
+//! reference fails the candidate instead of returning wrong bytes.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -108,8 +133,9 @@ pub enum ChunkEncoding {
     Lz,
     /// Byte-identical to an earlier materialized chunk of this frame.
     DedupSelf,
-    /// Byte-identical to a materialized chunk of the base checkpoint
-    /// named by the commit's `DeltaLink`.
+    /// Byte-identical to a materialized chunk of the earlier checkpoint
+    /// the record names (the chunk's home), pinned through the commit's
+    /// `DeltaLink` chain.
     DedupBase,
 }
 
@@ -147,7 +173,7 @@ impl ChunkEncoding {
 /// |------------|-------------------|----------------|----------------------|
 /// | Raw / Lz   | 0                 | phys offset    | phys len             |
 /// | DedupSelf  | referenced index  | 0              | 0                    |
-/// | DedupBase  | base slot         | base counter   | base logical offset  |
+/// | DedupBase  | home slot         | home counter   | home logical offset  |
 ///
 /// Physical offsets are relative to the start of the packed region (the
 /// byte right after the encoded table).
@@ -217,8 +243,8 @@ impl FrameTable {
             .sum()
     }
 
-    /// Whether any record references the base checkpoint (the commit must
-    /// then carry a `DeltaLink` pinning it).
+    /// Whether any record references an earlier checkpoint (the commit
+    /// must then carry a `DeltaLink` whose chain pins every home named).
     pub fn references_base(&self) -> bool {
         self.records
             .iter()
@@ -350,30 +376,55 @@ fn materialize<'a>(packed: &'a [u8], r: &FrameRecord) -> Option<Cow<'a, [u8]>> {
     }
 }
 
-/// A dedup base as the walk holds it: the raw slot payload, plus its
-/// bound frame table when the base is itself framed.
+/// A dedup base as the walk holds it: the raw slot payload, plus — when
+/// the base is itself framed — its bound frame table and the content
+/// index over that table's materialized records.
 struct BaseImage {
     payload: Vec<u8>,
     table: Option<FrameTable>,
+    /// `(digest, logical_len)` → index of the first materialized record
+    /// of `table` holding that content; empty for a raw base.
+    by_content: HashMap<(u64, u64), usize>,
 }
 
 impl BaseImage {
+    /// Binds a fetched base to its commit record. The content index is
+    /// built here, once per base, so resolving a frame whose every record
+    /// is a reference stays linear in its length.
+    fn bind(meta: &CheckMeta, payload: Vec<u8>) -> Option<BaseImage> {
+        let mut by_content = HashMap::new();
+        let table = if is_frame(&payload) {
+            let table = bind_frame_table(&payload, meta)?;
+            for (i, r) in table.records.iter().enumerate() {
+                if r.kind.is_materialized() {
+                    by_content.entry((r.digest, r.logical_len)).or_insert(i);
+                }
+            }
+            Some(table)
+        } else {
+            None
+        };
+        Some(BaseImage {
+            payload,
+            table,
+            by_content,
+        })
+    }
+
     /// The base bytes a [`ChunkEncoding::DedupBase`] record names. A
     /// framed base answers from the materialized record carrying the same
-    /// content address (only materialized chunks are ever installed as
-    /// dedup targets, so one hop always suffices); a raw base answers the
-    /// logical byte range directly.
+    /// content address (a reference always names the chunk's home, the
+    /// frame that materialized it, so one hop always suffices); a raw base
+    /// answers the logical byte range directly.
     fn chunk(&self, r: &FrameRecord) -> Option<Cow<'_, [u8]>> {
         match &self.table {
             Some(table) => {
                 let packed = self
                     .payload
                     .get(usize::try_from(table.encoded_len()).ok()?..)?;
-                let rec = table.records.iter().find(|b| {
-                    b.kind.is_materialized()
-                        && b.digest == r.digest
-                        && b.logical_len == r.logical_len
-                })?;
+                let rec = table
+                    .records
+                    .get(*self.by_content.get(&(r.digest, r.logical_len))?)?;
                 materialize(packed, rec)
             }
             None => {
@@ -390,9 +441,11 @@ impl BaseImage {
 ///
 /// Decodes the table and binds it to `meta`, then resolves every record —
 /// `Raw` copies, `Lz` decompresses, `DedupSelf` copies an earlier chunk of
-/// this frame, `DedupBase` asks `base(counter, slot)` for that base
+/// this frame, `DedupBase` asks `base(counter, slot)` for its home
 /// checkpoint's commit record and raw slot payload (fetched once per
-/// referenced base, not per chunk). Every chunk re-verifies its
+/// home, not per chunk) and resolves each distinct `(digest, len)` out of
+/// it once — repeats copy the bytes already reconstructed instead of
+/// decompressing the same home chunk again. Every chunk re-verifies its
 /// [`chunk_digest`] content address however it was resolved, so a stale,
 /// recycled or colliding reference fails here and never silently
 /// corrupts; the reconstructed payload then verifies against the frame's
@@ -411,6 +464,8 @@ pub fn decode_frame(
     let packed = payload.get(usize::try_from(table.encoded_len()).ok()?..)?;
     let mut out = vec![0u8; usize::try_from(table.logical_len).ok()?];
     let mut bases: HashMap<(u64, u32), Option<BaseImage>> = HashMap::new();
+    // Where each distinct base chunk already sits in `out`.
+    let mut resolved: HashMap<(u64, u64), usize> = HashMap::new();
     let mut offsets = Vec::with_capacity(table.records.len());
     let mut off = 0usize;
     for r in &table.records {
@@ -428,19 +483,18 @@ pub fn decode_frame(
                 let j = *offsets.get(r.aux as usize)?;
                 out.copy_within(j..j + n, off);
             }
-            ChunkEncoding::DedupBase => {
-                let image = bases.entry((r.a, r.aux)).or_insert_with(|| {
-                    let (base_meta, payload) = base(r.a, r.aux)?;
-                    let table = if is_frame(&payload) {
-                        Some(bind_frame_table(&payload, &base_meta)?)
-                    } else {
-                        None
-                    };
-                    Some(BaseImage { payload, table })
-                });
-                out.get_mut(off..end)?
-                    .copy_from_slice(&image.as_ref()?.chunk(r)?);
-            }
+            ChunkEncoding::DedupBase => match resolved.get(&(r.digest, r.logical_len)) {
+                Some(&j) => out.copy_within(j..j + n, off),
+                None => {
+                    let image = bases.entry((r.a, r.aux)).or_insert_with(|| {
+                        let (base_meta, payload) = base(r.a, r.aux)?;
+                        BaseImage::bind(&base_meta, payload)
+                    });
+                    out.get_mut(off..end)?
+                        .copy_from_slice(&image.as_ref()?.chunk(r)?);
+                    resolved.insert((r.digest, r.logical_len), off);
+                }
+            },
         }
         if chunk_digest(out.get(off..end)?) != r.digest {
             return None;
@@ -636,35 +690,39 @@ pub fn lz_decompress(src: &[u8], logical_len: usize) -> Option<Vec<u8>> {
     (out.len() == logical_len).then_some(out)
 }
 
-/// Where a deduplicated chunk's materialized bytes live.
+/// A chunk's home: the checkpoint that physically holds its bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DedupHit {
-    /// Checkpoint counter of the generation the entry belongs to.
+pub struct DedupHome {
+    /// Counter of the checkpoint that materialized the chunk.
     pub counter: u64,
-    /// Slot holding the materialized bytes.
+    /// Slot holding that checkpoint.
     pub slot: u32,
     /// Logical byte offset of the chunk within that checkpoint's payload.
     pub logical_off: u64,
     /// Chunk length.
     pub len: u64,
+    /// Chain depth of the home checkpoint (0 = unlinked). A frame that
+    /// references this home commits at depth `depth + 1` or deeper.
+    pub depth: u32,
 }
 
 #[derive(Debug, Default)]
 struct Generation {
-    counter: u64,
-    slot: u32,
-    by_digest: HashMap<u64, (u64, u64)>, // digest -> (logical_off, len)
+    /// Counter of the commit that installed this generation; its link
+    /// chain pins every home below.
+    head: u64,
+    homes: HashMap<u64, DedupHome>, // digest -> home
 }
 
-/// Content-addressed index over the *materialized* chunks of each job's
-/// latest framed commit.
+/// Content-addressed index from each chunk of a job's latest framed commit
+/// to that chunk's home.
 ///
-/// One generation per job: installing a new commit's chunks evicts the
-/// prior generation wholesale, which is exactly the lifetime the depth-≤1
-/// reference rule needs — a lookup can only ever name bytes physically
-/// present in the current base checkpoint. Jobs are keyed by their id
-/// (`u64::MAX` stands for the single-tenant "no job" namespace) so
-/// multi-tenant stores never dedup across namespaces.
+/// One generation per job: installing a new commit's homes evicts the
+/// prior generation wholesale, and a generation answers only while its
+/// installer is the job's head — the lifetime over which that head's link
+/// chain pins every home it names. Jobs are keyed by their id (`u64::MAX`
+/// stands for the single-tenant "no job" namespace) so multi-tenant stores
+/// never dedup across namespaces.
 #[derive(Debug, Default)]
 pub struct DedupIndex {
     generations: HashMap<u64, Generation>,
@@ -688,61 +746,56 @@ impl DedupIndex {
         job.unwrap_or(u64::MAX)
     }
 
-    /// Replaces `job`'s generation with the materialized chunks of the
-    /// just-committed checkpoint `counter` in `slot`. `chunks` yields
-    /// `(digest, logical_off, len)` per materialized chunk.
+    /// Replaces `job`'s generation with the homes of the just-committed
+    /// checkpoint `head`: `(digest, home)` for each chunk it materialized
+    /// (homed at itself) and each base hit it carried forward. A late
+    /// install from a commit an already-installed newer one displaced is
+    /// dropped.
     pub fn install(
         &mut self,
         job: Option<u64>,
-        counter: u64,
-        slot: u32,
-        chunks: impl IntoIterator<Item = (u64, u64, u64)>,
+        head: u64,
+        homes: impl IntoIterator<Item = (u64, DedupHome)>,
     ) {
+        let key = Self::job_key(job);
+        if self.generations.get(&key).is_some_and(|g| g.head > head) {
+            return;
+        }
         let cap = if self.cap == 0 {
             DEDUP_DEFAULT_CAP
         } else {
             self.cap
         };
         let mut by_digest = HashMap::new();
-        for (digest, off, len) in chunks {
+        for (digest, home) in homes {
             if by_digest.len() >= cap {
                 break;
             }
-            by_digest.entry(digest).or_insert((off, len));
+            by_digest.entry(digest).or_insert(home);
         }
         self.generations.insert(
-            Self::job_key(job),
+            key,
             Generation {
-                counter,
-                slot,
-                by_digest,
+                head,
+                homes: by_digest,
             },
         );
     }
 
-    /// Looks up a chunk by content address, only answering from `job`'s
-    /// generation when it is exactly checkpoint `base_counter` — a lookup
-    /// against any other generation would reference bytes the commit's
-    /// `DeltaLink` does not pin.
-    pub fn lookup(&self, job: Option<u64>, base_counter: u64, digest: u64, len: u64) -> Option<DedupHit> {
+    /// Looks up a chunk's home by content address, only answering from
+    /// `job`'s generation when checkpoint `head` installed it — any other
+    /// generation names homes the current head's chain may not pin.
+    pub fn lookup(&self, job: Option<u64>, head: u64, digest: u64, len: u64) -> Option<DedupHome> {
         let g = self.generations.get(&Self::job_key(job))?;
-        if g.counter != base_counter {
+        if g.head != head {
             return None;
         }
-        let &(logical_off, entry_len) = g.by_digest.get(&digest)?;
-        (entry_len == len).then_some(DedupHit {
-            counter: g.counter,
-            slot: g.slot,
-            logical_off,
-            len,
-        })
+        g.homes.get(&digest).copied().filter(|home| home.len == len)
     }
 
     /// The checkpoint counter of `job`'s current generation, if any.
     pub fn generation_counter(&self, job: Option<u64>) -> Option<u64> {
-        self.generations
-            .get(&Self::job_key(job))
-            .map(|g| g.counter)
+        self.generations.get(&Self::job_key(job)).map(|g| g.head)
     }
 
     /// Drops `job`'s generation (e.g., its namespace was released).
@@ -906,35 +959,50 @@ mod tests {
         assert!(lz_decompress(&[0x01, 0x01, 0x00], 5).is_none());
     }
 
+    fn home(counter: u64, slot: u32, logical_off: u64, len: u64, depth: u32) -> DedupHome {
+        DedupHome {
+            counter,
+            slot,
+            logical_off,
+            len,
+            depth,
+        }
+    }
+
     #[test]
-    fn dedup_index_answers_only_current_generation() {
+    fn dedup_index_answers_only_for_its_installer() {
         let mut idx = DedupIndex::default();
-        idx.install(None, 7, 2, vec![(111, 0, 64), (222, 64, 64)]);
-        assert_eq!(
-            idx.lookup(None, 7, 111, 64),
-            Some(DedupHit {
-                counter: 7,
-                slot: 2,
-                logical_off: 0,
-                len: 64
-            })
+        // Checkpoint 7 materialized one chunk and carried one from 5.
+        idx.install(
+            None,
+            7,
+            vec![(111, home(7, 2, 0, 64, 1)), (222, home(5, 0, 64, 64, 0))],
         );
-        // Wrong base counter: the caller's link would not pin gen 7.
+        assert_eq!(idx.lookup(None, 7, 111, 64), Some(home(7, 2, 0, 64, 1)));
+        assert_eq!(
+            idx.lookup(None, 7, 222, 64),
+            Some(home(5, 0, 64, 64, 0)),
+            "a carried hit keeps its original home"
+        );
+        // Another head: its chain may not pin these homes.
         assert!(idx.lookup(None, 6, 111, 64).is_none());
         // Length mismatch is a digest collision, not a hit.
         assert!(idx.lookup(None, 7, 111, 32).is_none());
         // Installing the next generation evicts the old one.
-        idx.install(None, 8, 0, vec![(333, 0, 64)]);
+        idx.install(None, 8, vec![(333, home(8, 0, 0, 64, 0))]);
         assert!(idx.lookup(None, 8, 111, 64).is_none());
         assert_eq!(idx.lookup(None, 8, 333, 64).unwrap().slot, 0);
+        assert_eq!(idx.generation_counter(None), Some(8));
+        // A displaced commit installing late does not roll it back.
+        idx.install(None, 7, vec![(111, home(7, 2, 0, 64, 1))]);
         assert_eq!(idx.generation_counter(None), Some(8));
     }
 
     #[test]
     fn dedup_index_is_per_job() {
         let mut idx = DedupIndex::default();
-        idx.install(Some(1), 5, 0, vec![(42, 0, 128)]);
-        idx.install(Some(2), 9, 1, vec![(42, 0, 128)]);
+        idx.install(Some(1), 5, vec![(42, home(5, 0, 0, 128, 0))]);
+        idx.install(Some(2), 9, vec![(42, home(9, 1, 0, 128, 0))]);
         assert_eq!(idx.lookup(Some(1), 5, 42, 128).unwrap().counter, 5);
         assert_eq!(idx.lookup(Some(2), 9, 42, 128).unwrap().counter, 9);
         assert!(idx.lookup(Some(3), 5, 42, 128).is_none());
@@ -946,7 +1014,15 @@ mod tests {
     #[test]
     fn dedup_index_caps_generation_size() {
         let mut idx = DedupIndex::with_capacity(2);
-        idx.install(None, 1, 0, vec![(1, 0, 8), (2, 8, 8), (3, 16, 8)]);
+        idx.install(
+            None,
+            1,
+            vec![
+                (1, home(1, 0, 0, 8, 0)),
+                (2, home(1, 0, 8, 8, 0)),
+                (3, home(1, 0, 16, 8, 0)),
+            ],
+        );
         assert!(idx.lookup(None, 1, 1, 8).is_some());
         assert!(idx.lookup(None, 1, 2, 8).is_some());
         assert!(idx.lookup(None, 1, 3, 8).is_none());
@@ -1041,6 +1117,101 @@ mod tests {
         assert!(is_frame(&f.payload));
         assert!(!is_frame(&f.base_payload));
         assert!(!is_frame(&f.payload[..7]));
+    }
+
+    #[test]
+    fn frame_walk_resolves_repeats_once_across_a_framed_and_a_raw_home() {
+        let text: Vec<u8> = (0..256u32).map(|i| (i % 5) as u8).collect();
+        let lz = compress_gated(&text).expect("periodic bytes compress");
+        let mut noise = vec![0u8; 64];
+        pccheck_util::rng::fill_deterministic(&mut noise, 8);
+        let record = |kind, aux, a, b, bytes: &[u8]| FrameRecord {
+            kind,
+            aux,
+            logical_len: bytes.len() as u64,
+            a,
+            b,
+            digest: chunk_digest(bytes),
+        };
+        let commit = |counter, slot, table_bytes: &[u8], payload_len| CheckMeta {
+            counter,
+            slot,
+            iteration: 1,
+            payload_len,
+            digest: checksum(table_bytes),
+            delta: None,
+        };
+
+        // Home 5 (slot 1) is itself a frame: one Lz chunk, one Raw chunk.
+        let framed_logical = [&text[..], &noise].concat();
+        let framed_table = FrameTable {
+            counter: 5,
+            logical_len: framed_logical.len() as u64,
+            full_digest: fnv1a(&framed_logical),
+            records: vec![
+                record(ChunkEncoding::Lz, 0, 0, lz.len() as u64, &text),
+                record(ChunkEncoding::Raw, 0, lz.len() as u64, 64, &noise),
+            ],
+        };
+        let framed_bytes = framed_table.encode();
+        let framed_payload = [&framed_bytes[..], &lz, &noise].concat();
+        let framed_meta = commit(5, 1, &framed_bytes, framed_payload.len() as u64);
+
+        // Home 3 (slot 2) is a raw payload.
+        let mut raw_payload = vec![0u8; 128];
+        pccheck_util::rng::fill_deterministic(&mut raw_payload, 6);
+        let raw_meta = CheckMeta {
+            counter: 3,
+            slot: 2,
+            iteration: 1,
+            payload_len: 128,
+            digest: checksum(&raw_payload),
+            delta: None,
+        };
+        let from_raw = raw_payload[64..128].to_vec();
+
+        // Every record of frame 9 is a reference; the Lz chunk twice.
+        let logical = [&text[..], &from_raw, &text, &noise].concat();
+        let table = FrameTable {
+            counter: 9,
+            logical_len: logical.len() as u64,
+            full_digest: fnv1a(&logical),
+            records: vec![
+                record(ChunkEncoding::DedupBase, 1, 5, 0, &text),
+                record(ChunkEncoding::DedupBase, 2, 3, 64, &from_raw),
+                record(ChunkEncoding::DedupBase, 1, 5, 0, &text),
+                record(ChunkEncoding::DedupBase, 1, 5, 256, &noise),
+            ],
+        };
+        let payload = table.encode();
+        let meta = commit(9, 0, &payload, payload.len() as u64);
+
+        let mut fetched = Vec::new();
+        let got = decode_frame(&payload, &meta, &mut |counter, slot| {
+            fetched.push((counter, slot));
+            match (counter, slot) {
+                (5, 1) => Some((framed_meta, framed_payload.clone())),
+                (3, 2) => Some((raw_meta, raw_payload.clone())),
+                _ => None,
+            }
+        });
+        assert_eq!(got, Some((logical, table.full_digest)));
+        assert_eq!(fetched, [(5, 1), (3, 2)], "each home is read once");
+
+        // A reference to content its (framed) home never materialized.
+        let mut lying = table.clone();
+        lying.records[2].digest ^= 1;
+        let lying_payload = lying.encode();
+        let lying_meta = commit(9, 0, &lying_payload, lying_payload.len() as u64);
+        assert!(decode_frame(
+            &lying_payload,
+            &lying_meta,
+            &mut |counter, _| match counter {
+                5 => Some((framed_meta, framed_payload.clone())),
+                _ => Some((raw_meta, raw_payload.clone())),
+            }
+        )
+        .is_none());
     }
 
     #[test]

@@ -13,19 +13,22 @@ pub const META_RECORD_SIZE: u64 = 64;
 
 const META_MAGIC: u32 = 0x5043_4B31; // "PCK1"
 
-/// Back-pointer from a checkpoint to the base checkpoint it references.
+/// Back-pointer from a checkpoint to the youngest earlier checkpoint it
+/// references.
 ///
-/// A framed payload stores a chunk it shares with its base as a
-/// `DedupBase` reference instead of bytes; this link names that base so
-/// the store keeps its slot pinned while the referencing checkpoint is
-/// live. `base_counter` is never 0 (the global counter starts at 1),
-/// which is how the serialized record distinguishes linked metas from
-/// unlinked ones.
+/// A framed payload stores a chunk an earlier checkpoint already holds as
+/// a `DedupBase` reference to that checkpoint (the chunk's home) instead
+/// of bytes. A frame may name several homes; they all lie on one link
+/// chain, so the link names the youngest and the store keeps every slot on
+/// the chain it starts pinned while the referencing checkpoint is live.
+/// `base_counter` is never 0 (the global counter starts at 1), which is
+/// how the serialized record distinguishes linked metas from unlinked
+/// ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaLink {
-    /// Counter of the base checkpoint.
+    /// Counter of the linked checkpoint.
     pub base_counter: u64,
-    /// Slot holding the base checkpoint's payload.
+    /// Slot holding the linked checkpoint's payload.
     pub base_slot: u32,
     /// Links between this checkpoint and the chain's unlinked root (the
     /// root has depth 0, the first linked checkpoint 1, and so on).
@@ -101,7 +104,7 @@ impl CheckMeta {
         })
     }
 
-    /// Whether the payload references (and so pins) a base checkpoint.
+    /// Whether the payload references (and so pins) earlier checkpoints.
     pub fn is_delta(&self) -> bool {
         self.delta.is_some()
     }

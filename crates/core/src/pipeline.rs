@@ -33,7 +33,7 @@ use pccheck_gpu::SnapshotSource;
 use pccheck_telemetry::{FlightEventKind, Phase, SpanId, Telemetry};
 use pccheck_util::ByteSize;
 
-use crate::codec::{compress_gated, ChunkEncoding, DedupIndex, FrameRecord, FrameTable};
+use crate::codec::{compress_gated, ChunkEncoding, DedupHome, DedupIndex, FrameRecord, FrameTable};
 use crate::error::PccheckError;
 use crate::meta::DeltaLink;
 use crate::qos::QosArbiter;
@@ -58,9 +58,12 @@ pub enum FenceMode {
 /// How far a chain of pinned dedup bases may grow.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeltaPolicy {
-    /// Longest allowed base chain. A framed checkpoint whose base already
-    /// sits at this depth takes no base references (so it commits
-    /// unlinked), bounding how many slots a chain pins.
+    /// Deepest chain a framed checkpoint may commit at. A chunk whose home
+    /// already sits at this depth is materialized again instead of
+    /// referenced, bounding how many slots a chain pins.
+    /// [`copy_framed`](PersistPipeline::copy_framed) clamps it further to
+    /// the lease's slot budget minus two, so a committed chain always
+    /// leaves a slot free.
     pub max_chain: u32,
 }
 
@@ -144,7 +147,8 @@ pub struct PersistPipeline {
 }
 
 /// Shared chunk-codec state: the on/off switch the controller flips and
-/// the content-addressed dedup index over each job's latest framed commit.
+/// the content-addressed index of chunk homes as of each job's latest
+/// framed commit.
 #[derive(Debug, Default)]
 struct CodecState {
     enabled: AtomicBool,
@@ -163,8 +167,9 @@ pub struct FramedPlan {
     /// digest: it binds the table, and through it every chunk, to the
     /// commit).
     pub payload_digest: u64,
-    /// Back-pointer pinning the base checkpoint, present iff any chunk
-    /// deduplicated against it.
+    /// Back-pointer to the youngest home any chunk references — its chain
+    /// pins every other home the frame names. Present iff any chunk
+    /// deduplicated against an earlier checkpoint.
     pub link: Option<DeltaLink>,
     /// Logical (uncompressed) payload length.
     pub logical_len: u64,
@@ -172,9 +177,12 @@ pub struct FramedPlan {
     pub saved_bytes: u64,
     /// Chunks stored as dedup references instead of materialized bytes.
     pub dedup_chunks: u64,
-    /// The frame table as persisted (commit installs the next dedup
-    /// generation from its materialized records).
+    /// The frame table as persisted.
     pub table: FrameTable,
+    /// The next dedup generation, `(digest, home)`: this frame's
+    /// materialized chunks homed at itself plus every base hit it took,
+    /// carried forward unchanged. Commit installs it.
+    pub homes: Vec<(u64, DedupHome)>,
 }
 
 impl PersistPipeline {
@@ -609,10 +617,15 @@ impl PersistPipeline {
 
     /// Codec copy: stages the snapshot, content-addresses every chunk,
     /// deduplicates byte-identical chunks (within this frame and against
-    /// the latest committed checkpoint's frame), entropy-gate-compresses
-    /// the rest, and persists `[frame table][packed chunks]` into the
-    /// leased slot. The table is written *last* so a torn frame is never
-    /// mistaken for a complete one.
+    /// the homes the job's head installed), entropy-gate-compresses the
+    /// rest, and persists `[frame table][packed chunks]` into the leased
+    /// slot. The table is written *last* so a torn frame is never mistaken
+    /// for a complete one.
+    ///
+    /// A base hit is taken iff `home.depth + 1` fits `policy.max_chain`
+    /// and the lease's slot budget minus two; the frame links to the
+    /// youngest home it references (see the `codec` module docs, "Dedup
+    /// index lifetime").
     ///
     /// Returns `Ok(None)` — persisting nothing — when the codec path is
     /// inapplicable or unprofitable: the staging pool cannot hold the
@@ -677,23 +690,25 @@ impl PersistPipeline {
             0,
         );
 
-        // Cross-checkpoint dedup bases on the job's latest committed
-        // checkpoint, bounded by the chain policy: every base reference
-        // pins the base's slot via a `DeltaLink`.
-        let base = self.store.latest_committed_for(lease);
-        let cross = base.as_ref().and_then(|b| {
-            let base_depth = b.delta.map_or(0, |l| l.chain_depth);
-            (base_depth + 1 <= policy.max_chain).then_some((b.counter, b.slot, base_depth))
-        });
+        // Cross-checkpoint dedup answers from the generation the job's
+        // head installed, hit by hit: a home is referenced only while the
+        // frame that links to it stays within the depth bound. A chain of
+        // depth d pins d + 1 slots and the next checkpoint needs one more,
+        // so the lease's slot budget bounds the depth too.
+        let head = self.store.latest_committed_for(lease).map(|h| h.counter);
+        let max_depth = policy
+            .max_chain
+            .min(self.store.slot_budget_for(lease).saturating_sub(2));
 
         let persist_start = ctx.telemetry.now_nanos();
 
         // Classify every chunk: self-dedup (byte compare — exact), then
-        // base dedup (content address against the pinned generation), then
+        // base dedup (content address against the head's homes), then
         // materialize.
         let mut records: Vec<FrameRecord> = Vec::with_capacity(staged.len());
         let mut self_seen: HashMap<u64, usize> = HashMap::new();
         let mut materialized: Vec<usize> = Vec::new();
+        let mut homes: Vec<(u64, DedupHome)> = Vec::new();
         {
             let dedup = self.codec.dedup.lock();
             for (i, (_, n, buf, digest)) in staged.iter().enumerate() {
@@ -711,20 +726,20 @@ impl PersistPipeline {
                         continue;
                     }
                 }
-                if let Some((base_counter, _, _)) = cross {
-                    if let Some(hit) =
-                        dedup.lookup(lease.job(), base_counter, *digest, *n as u64)
-                    {
-                        records.push(FrameRecord {
-                            kind: ChunkEncoding::DedupBase,
-                            aux: hit.slot,
-                            logical_len: *n as u64,
-                            a: hit.counter,
-                            b: hit.logical_off,
-                            digest: *digest,
-                        });
-                        continue;
-                    }
+                let hit = head
+                    .and_then(|h| dedup.lookup(lease.job(), h, *digest, *n as u64))
+                    .filter(|home| home.depth < max_depth);
+                if let Some(home) = hit {
+                    records.push(FrameRecord {
+                        kind: ChunkEncoding::DedupBase,
+                        aux: home.slot,
+                        logical_len: *n as u64,
+                        a: home.counter,
+                        b: home.logical_off,
+                        digest: *digest,
+                    });
+                    homes.push((*digest, home));
+                    continue;
                 }
                 self_seen.entry(*digest).or_insert(i);
                 materialized.push(i);
@@ -830,15 +845,34 @@ impl PersistPipeline {
         ctx.telemetry
             .gauge_compression_ratio(physical * 1000 / total.as_u64().max(1));
 
-        let link = table.references_base().then(|| {
-            let (base_counter, base_slot, base_depth) =
-                cross.expect("base references require a dedup base");
-            DeltaLink {
-                base_counter,
-                base_slot,
-                chain_depth: base_depth + 1,
+        // Link to the youngest home referenced: the older ones lie on its
+        // chain, so pinning that chain pins them all.
+        let link = homes
+            .iter()
+            .map(|(_, home)| home)
+            .max_by_key(|home| home.counter)
+            .map(|home| DeltaLink {
+                base_counter: home.counter,
+                base_slot: home.slot,
+                chain_depth: home.depth + 1,
+            });
+        let depth = link.map_or(0, |l| l.chain_depth);
+        let mut logical_off = 0u64;
+        for r in &table.records {
+            if r.kind.is_materialized() {
+                homes.push((
+                    r.digest,
+                    DedupHome {
+                        counter: lease.counter,
+                        slot: lease.slot,
+                        logical_off,
+                        len: r.logical_len,
+                        depth,
+                    },
+                ));
             }
-        });
+            logical_off += r.logical_len;
+        }
         Ok(Some(FramedPlan {
             persist_start,
             payload_len: physical,
@@ -848,12 +882,13 @@ impl PersistPipeline {
             saved_bytes,
             dedup_chunks,
             table,
+            homes,
         }))
     }
 
-    /// Runs the store's delta-aware CAS commit for a framed payload and,
-    /// on success, installs the frame's materialized chunks as the job's
-    /// next dedup generation. Pairs with [`copy_framed`](Self::copy_framed).
+    /// Runs the store's link-aware CAS commit for a framed payload and, on
+    /// success, installs the plan's homes as the job's next dedup
+    /// generation. Pairs with [`copy_framed`](Self::copy_framed).
     ///
     /// # Errors
     ///
@@ -880,18 +915,10 @@ impl PersistPipeline {
             plan.link,
         )?;
         if outcome == CommitOutcome::Committed {
-            // Only materialized (Raw/Lz) chunks enter the generation, so a
-            // future DedupBase reference always resolves in one hop —
-            // chains of indirection never form.
-            let mut chunks = Vec::new();
-            let mut logical_off = 0u64;
-            for r in &plan.table.records {
-                if r.kind.is_materialized() {
-                    chunks.push((r.digest, logical_off, r.logical_len));
-                }
-                logical_off += r.logical_len;
-            }
-            self.codec.dedup.lock().install(job, counter, slot, chunks);
+            self.codec
+                .dedup
+                .lock()
+                .install(job, counter, plan.homes.iter().copied());
         }
         ctx.telemetry
             .phase_done(ctx.span, Phase::Commit, commit_start);
@@ -1704,11 +1731,14 @@ mod tests {
     }
 
     #[test]
-    fn chain_length_cap_forces_a_periodic_unlinked_checkpoint() {
+    fn chain_depth_cap_rematerializes_chunks_homed_at_the_cap() {
         // Four copies of a 1 KiB block (so every checkpoint frames, linked
-        // or not); each iteration dirties one more chunk. With `max_chain`
-        // 2 every third checkpoint must commit without base references,
-        // releasing the chain's pinned slots.
+        // or not); iteration k dirties chunk k and leaves it alone after.
+        // With `max_chain` 2 a chunk dirtied at iteration 3 or later is
+        // homed at depth 2: no frame may reference it, so it is written
+        // again each time, while the chunks homed at depths 0 and 1 stay
+        // references to the same two homes. Four slots carry it: the chain
+        // pins three and one stays free.
         let (device, pipeline) = framed_rig(4096, 256, 16);
         let telemetry = Telemetry::disabled();
         let ctx = test_ctx(&telemetry);
@@ -1719,6 +1749,7 @@ mod tests {
             data.copy_within(..1024, copy * 1024);
         }
         let mut depths = Vec::new();
+        let mut homes_of_clean_chunks = Vec::new();
         for iter in 1..=7u64 {
             // A different flip per copy, so no dirtied chunk equals another.
             data[iter as usize * 256 + 5] ^= iter as u8;
@@ -1732,10 +1763,33 @@ mod tests {
                 .unwrap();
             assert_eq!(out, CommitOutcome::Committed);
             assert!(matches!(kind, FramedOutcome::Framed { .. }), "{kind:?}");
-            let head = pipeline.store().latest_committed().unwrap();
+            let store = pipeline.store();
+            assert!(
+                store.free_slot_count() >= 1,
+                "iteration {iter} pinned every slot"
+            );
+            let head = store.latest_committed().unwrap();
             depths.push(head.delta.map_or(0, |l| l.chain_depth));
+            let table = FrameTable::decode(&store.read_checkpoint(&head).unwrap()).unwrap();
+            for k in 1..=iter as usize {
+                let r = &table.records[k];
+                let referenced = r.kind == ChunkEncoding::DedupBase;
+                // Dirtied this iteration, or homed at the depth cap.
+                let rewritten = k == iter as usize || k >= 3;
+                assert_eq!(referenced, !rewritten, "iteration {iter}, chunk {k}: {r:?}");
+            }
+            if iter >= 3 {
+                let home = |k: usize| (table.records[k].a, table.records[k].aux);
+                homes_of_clean_chunks.push((home(0), home(2)));
+            }
         }
-        assert_eq!(depths, [0, 1, 2, 0, 1, 2, 0]);
+        assert_eq!(depths, [0, 1, 2, 2, 2, 2, 2]);
+        assert!(
+            homes_of_clean_chunks.windows(2).all(|w| w[0] == w[1]),
+            "clean chunks keep their homes: {homes_of_clean_chunks:?}"
+        );
+        let (never_dirtied, dirtied_at_2) = homes_of_clean_chunks[0];
+        assert_eq!((never_dirtied.0, dirtied_at_2.0), (1, 2));
         let rec = crate::recovery::recover(device).unwrap();
         assert_eq!(rec.iteration, 7);
         assert_eq!(rec.payload, data);

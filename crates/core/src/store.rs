@@ -776,23 +776,23 @@ impl CheckpointStore {
         SLOTS_OFFSET + u64::from(slot) * (META_RECORD_SIZE + slot_size.as_u64())
     }
 
-    /// The slots a checkpoint occupies: its own, plus — when it is a delta
-    /// — every slot on the base chain down to the full root. Walks the
-    /// durable slot records, stopping (leniently) at the first record that
-    /// fails to decode or disagrees with the expected (slot, counter), and
-    /// guards against pointer cycles; the head slot is always included.
-    fn chain_slots_static(
+    /// The checkpoints a checkpoint depends on, as `(slot, counter)`: its
+    /// own, plus — when it is linked — every checkpoint on the base chain
+    /// down to the unlinked root. Walks the durable slot records, stopping
+    /// (leniently) at the first record that fails to decode or disagrees
+    /// with the expected (slot, counter), and guards against pointer
+    /// cycles; the head is always included.
+    fn chain_static(
         device: &dyn PersistentDevice,
         slots: u32,
         slot_size: ByteSize,
         head_slot: u32,
         head_counter: u64,
-    ) -> Vec<u32> {
-        let mut chain = vec![head_slot];
-        let mut expect = (head_slot, head_counter);
+    ) -> Vec<(u32, u64)> {
+        let mut chain = vec![(head_slot, head_counter)];
         let mut rec = [0u8; META_RECORD_SIZE as usize];
         loop {
-            let (s, c) = expect;
+            let (s, c) = *chain.last().expect("chain starts with its head");
             if device
                 .read_durable_at(Self::slot_meta_offset_static(s, slot_size), &mut rec)
                 .is_err()
@@ -808,13 +808,29 @@ impl CheckpointStore {
             let Some(link) = meta.delta else {
                 break;
             };
-            if chain.contains(&link.base_slot) || chain.len() as u32 >= slots {
+            if chain.iter().any(|&(slot, _)| slot == link.base_slot)
+                || chain.len() as u32 >= slots
+            {
                 break;
             }
-            chain.push(link.base_slot);
-            expect = (link.base_slot, link.base_counter);
+            chain.push((link.base_slot, link.base_counter));
         }
         chain
+    }
+
+    /// The slots of [`chain_static`](Self::chain_static): what a committed
+    /// checkpoint keeps out of the free queue.
+    fn chain_slots_static(
+        device: &dyn PersistentDevice,
+        slots: u32,
+        slot_size: ByteSize,
+        head_slot: u32,
+        head_counter: u64,
+    ) -> Vec<u32> {
+        Self::chain_static(device, slots, slot_size, head_slot, head_counter)
+            .into_iter()
+            .map(|(slot, _)| slot)
+            .collect()
     }
 
     /// Rebuilds the in-memory slot-state words on reopen: every slot that
@@ -845,13 +861,18 @@ impl CheckpointStore {
         Ok(states)
     }
 
-    fn chain_slots(&self, head_slot: u32, head_counter: u64) -> Vec<u32> {
-        Self::chain_slots_static(
+    /// The `(slot, counter)` chain `head` pins; empty when there is no
+    /// head.
+    fn chain(&self, head: PackedCheckAddr) -> Vec<(u32, u64)> {
+        if head.is_none() {
+            return Vec::new();
+        }
+        Self::chain_static(
             self.device.as_ref(),
             self.num_slots,
             self.slot_size,
-            head_slot,
-            head_counter,
+            head.slot(),
+            head.counter(),
         )
     }
 
@@ -983,6 +1004,16 @@ impl CheckpointStore {
             Some(ns) => self.resolve_check_addr(&ns.commit.addr),
             None => self.resolve_check_addr(&self.commit.addr),
         }
+    }
+
+    /// How many slots `lease`'s checkpoints rotate through: its
+    /// namespace's `slot_count` on a multi-tenant store, every slot
+    /// otherwise. A committed chain may pin at most this minus one.
+    pub fn slot_budget_for(&self, lease: &SlotLease) -> u32 {
+        lease
+            .ns
+            .as_deref()
+            .map_or(self.num_slots, |ns| ns.desc.slot_count)
     }
 
     /// The current in-memory commit-state word of `slot` (diagnostics;
@@ -1270,17 +1301,22 @@ impl CheckpointStore {
         self.commit_with_delta(lease, iteration, payload_len, digest, None)
     }
 
-    /// Commits a checkpoint whose payload references the checkpoint named
-    /// by `delta` (a framed payload with `DedupBase` records; see the
-    /// pipeline's `copy_framed`). Identical to [`commit`](Self::commit)
-    /// except that, on success, every slot on the base chain stays pinned
-    /// out of the free queue — the committed state is only recoverable
-    /// with its base in place. Pinned slots are released the next time an
-    /// unlinked checkpoint (or a linked one on a different chain) commits.
+    /// Commits a checkpoint whose payload references earlier checkpoints
+    /// (a framed payload with `DedupBase` records; see the pipeline's
+    /// `copy_framed`), all of them on the chain `delta` starts. Identical
+    /// to [`commit`](Self::commit) except that, on success, every slot on
+    /// that chain stays pinned out of the free queue — the committed state
+    /// is only recoverable with its homes in place. Pinned slots the next
+    /// head's chain does not include are released when it commits.
     ///
-    /// Delta commits assume the serial checkpoint discipline: the base must
-    /// be the latest committed checkpoint, with no concurrent commit racing
-    /// this one.
+    /// The link target must itself be pinned when this checkpoint becomes
+    /// the head: each CAS attempt first requires `(base_counter,
+    /// base_slot)` to be on the chain of the head it would displace. With
+    /// several checkpoints in flight a frame planned against head *k−1*
+    /// can reach this point after an unlinked *k* displaced it and sent
+    /// its slot back to the free queue; such a frame is withdrawn — meta
+    /// record scrubbed, slot released, `SupersededBy` the head that stands
+    /// — instead of committed over references that dangle.
     ///
     /// # Errors
     ///
@@ -1330,18 +1366,66 @@ impl CheckpointStore {
         let check_addr = ns.map_or(&self.commit.addr, |n| &n.commit.addr);
         let free_slots = ns.map_or(&self.free_slots, |n| &n.free_slots);
 
+        // Losing the commit: help publish CHECK_ADDR, then recycle our own
+        // slot — our data is obsolete. The durable state word stays
+        // Claimed{ours}.
+        let superseded = |by: PackedCheckAddr| -> Result<CommitOutcome, PccheckError> {
+            self.publish_check_addr(ns)?;
+            self.flight.record(
+                FlightEventKind::Superseded,
+                lease.counter,
+                lease.slot,
+                iteration,
+                payload_len,
+                by.counter(),
+            );
+            self.release_slot(free_slots, lease.slot);
+            Ok(CommitOutcome::SupersededBy {
+                counter: by.counter(),
+            })
+        };
+
         let ours = PackedCheckAddr::pack(lease.counter, lease.slot);
         let mut last = lease.last_check;
         // Lines 19-34: the CAS loop.
         loop {
-            match check_addr.compare_exchange(last.0, ours.0, Ordering::AcqRel, Ordering::Acquire) {
+            // The chain this attempt would displace, and how much of its
+            // head end goes back to the free queue: all of it under an
+            // unlinked commit, everything younger than the link target
+            // under a linked one — from the target down it is our own
+            // chain. `None`: the target is not on it.
+            let displaced = self.chain(last);
+            let released = match delta {
+                None => Some(displaced.len()),
+                Some(l) => displaced
+                    .iter()
+                    .position(|&pinned| pinned == (l.base_slot, l.base_counter)),
+            };
+            let attempt = if released.is_some() {
+                check_addr.compare_exchange(last.0, ours.0, Ordering::AcqRel, Ordering::Acquire)
+            } else {
+                // Only a verdict against the head that actually stands
+                // counts; a stale `last` just retries against the real one.
+                let current = check_addr.load(Ordering::Acquire);
+                if current == last.0 {
+                    // Our meta record is durable and carries the highest
+                    // counter, so a crash now would let recovery adopt a
+                    // frame whose homes are up for recycling: scrub it
+                    // before giving the slot back.
+                    self.device
+                        .write_at(meta_off, &[0u8; META_RECORD_SIZE as usize])?;
+                    self.device.persist(meta_off, META_RECORD_SIZE)?;
+                    return superseded(last);
+                }
+                Err(current)
+            };
+            match attempt {
                 Ok(_) => {
                     // Success: publish the Committed state word (the meta
                     // record is already durable, so the lattice ordering
                     // Claimed → meta persist → Committed holds), publish
-                    // CHECK_ADDR, then free the displaced slot(s) — for a
-                    // displaced delta chain, every chain slot the new
-                    // checkpoint does not itself depend on.
+                    // CHECK_ADDR, then free every slot of the displaced
+                    // chain the new checkpoint does not itself depend on.
                     self.publish_slot_state(
                         lease.slot,
                         SlotState::Committed {
@@ -1349,17 +1433,9 @@ impl CheckpointStore {
                         },
                     )?;
                     self.publish_check_addr(ns)?;
-                    if !last.is_none() {
-                        let pinned = if meta.is_delta() {
-                            self.chain_slots(lease.slot, lease.counter)
-                        } else {
-                            vec![lease.slot]
-                        };
-                        for displaced in self.chain_slots(last.slot(), last.counter()) {
-                            if !pinned.contains(&displaced) {
-                                self.release_slot(free_slots, displaced);
-                            }
-                        }
+                    let released = released.expect("the CAS ran only with the link target pinned");
+                    for &(slot, _) in &displaced[..released] {
+                        self.release_slot(free_slots, slot);
                     }
                     return Ok(CommitOutcome::Committed);
                 }
@@ -1370,25 +1446,11 @@ impl CheckpointStore {
                         last = current;
                         continue;
                     }
-                    // A newer checkpoint won. Help publish CHECK_ADDR, then
-                    // recycle our own slot — our data is obsolete. The
-                    // durable state word stays Claimed{ours}: with our
-                    // meta durable but a newer counter committed, the
-                    // decision procedure classifies the slot Persisted —
-                    // adoptable only if it were the max, which it is not.
-                    self.publish_check_addr(ns)?;
-                    self.flight.record(
-                        FlightEventKind::Superseded,
-                        lease.counter,
-                        lease.slot,
-                        iteration,
-                        payload_len,
-                        current.counter(),
-                    );
-                    self.release_slot(free_slots, lease.slot);
-                    return Ok(CommitOutcome::SupersededBy {
-                        counter: current.counter(),
-                    });
+                    // A newer checkpoint won. With our meta durable but a
+                    // newer counter committed, the decision procedure
+                    // classifies the slot Persisted — adoptable only if it
+                    // were the max, which it is not.
+                    return superseded(current);
                 }
             }
         }

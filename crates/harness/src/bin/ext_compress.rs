@@ -19,7 +19,7 @@ fn main() -> std::io::Result<()> {
     for r in &rows {
         println!(
             "{:>7} {:>9.2} {:>12} {:>13} {:>15} {:>12.2} {:>7} {:>12} {:>10}",
-            r.period,
+            r.payload,
             r.sparsity,
             r.checkpoints,
             r.logical_bytes,

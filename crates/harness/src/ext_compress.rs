@@ -2,7 +2,7 @@
 //!
 //! Sweeps payload compressibility (the tile period of
 //! [`TrainingState::compressible`], with `0` meaning RNG-dense synthetic
-//! state) against update sparsity (which controls how many chunks survive
+//! state, plus one mixed dense-and-tiled layout) against update sparsity (which controls how many chunks survive
 //! unchanged between checkpoints and therefore the cross-checkpoint dedup
 //! hit rate) through the concrete
 //! [`PersistPipeline::checkpoint_framed`] path. Each row reports the
@@ -19,7 +19,7 @@ use pccheck::{
     recover, CheckpointStore, DeltaPolicy, FramedOutcome, PersistPipeline, PipelineCtx,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
-use pccheck_gpu::{Gpu, GpuConfig, TrainingState};
+use pccheck_gpu::{Gpu, GpuConfig, Tensor, TrainingState};
 use pccheck_telemetry::{SpanId, Telemetry};
 use pccheck_util::{ByteSize, CsvWriter};
 
@@ -29,20 +29,88 @@ pub const PERIODS: [usize; 3] = [0, 16, 64];
 /// Update sparsities swept (fraction of each tensor mutated per step).
 pub const SPARSITIES: [f64; 3] = [0.05, 0.50, 1.00];
 
-/// Training-state size per run.
+/// Update sparsity of the mixed-state row.
+pub const MIXED_SPARSITY: f64 = 0.05;
+
+/// Training-state size per run of the period sweep.
 pub const STATE_BYTES: u64 = 256 * 1024;
 
-/// Staging/codec chunk size.
+/// Staging/codec chunk size of the period sweep.
 pub const CHUNK_BYTES: u64 = 8 * 1024;
+
+/// Training-state size of the mixed-state row: large enough that the 5%
+/// of the dense tensor a step dirties spans several chunks, so that the
+/// codec and not chunk rounding sets the persisted share.
+pub const MIXED_STATE_BYTES: u64 = 4 * 1024 * 1024;
+
+/// Staging/codec chunk size of the mixed-state row.
+pub const MIXED_CHUNK_BYTES: u64 = 16 * 1024;
 
 /// Checkpoints per run.
 pub const CHECKPOINTS: u64 = 8;
 
+/// What the training state is made of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Payload {
+    /// Every tensor tiles one block of this many bytes (`0` = RNG-dense
+    /// incompressible state).
+    Tiled(usize),
+    /// An RNG-dense `params` tensor beside period-4096 and period-64
+    /// optimizer tensors (the perf ledger's `saturate_sparse` layout).
+    /// Only dedup can save the dense third, so this is the row that sees
+    /// a clean incompressible chunk being written again.
+    Mixed,
+}
+
+impl std::fmt::Display for Payload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Payload::Tiled(period) => period.fmt(f),
+            Payload::Mixed => f.pad("mixed"),
+        }
+    }
+}
+
+impl Payload {
+    /// Training-state size of this payload's runs.
+    fn state_bytes(self) -> u64 {
+        match self {
+            Payload::Tiled(_) => STATE_BYTES,
+            Payload::Mixed => MIXED_STATE_BYTES,
+        }
+    }
+
+    /// Staging/codec chunk size of this payload's runs.
+    fn chunk_bytes(self) -> u64 {
+        match self {
+            Payload::Tiled(_) => CHUNK_BYTES,
+            Payload::Mixed => MIXED_CHUNK_BYTES,
+        }
+    }
+
+    fn state(self) -> TrainingState {
+        let size = ByteSize::from_bytes(self.state_bytes());
+        match self {
+            Payload::Tiled(0) => TrainingState::synthetic(size, 42),
+            Payload::Tiled(period) => TrainingState::compressible(size, 42, period),
+            Payload::Mixed => {
+                let shares = size.split_even(3);
+                TrainingState::from_tensors(vec![
+                    Tensor::synthetic("params", shares[0], 42),
+                    Tensor::compressible("adam_m", shares[1], 42, 4096),
+                    Tensor::compressible("adam_v", shares[2], 42, 64),
+                ])
+            }
+        }
+    }
+}
+
 /// One sweep row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExtCompressRow {
-    /// Tile period of the state (`0` = incompressible).
-    pub period: usize,
+    /// Composition of the state (`period` column: the tile period, `0` =
+    /// incompressible, or `mixed`).
+    pub payload: Payload,
     /// Fraction of each tensor mutated per step.
     pub sparsity: f64,
     /// Checkpoints committed.
@@ -61,16 +129,11 @@ pub struct ExtCompressRow {
     pub recovered_bit_identical: bool,
 }
 
-/// Runs [`CHECKPOINTS`] checkpoints at one (period, sparsity) point and
+/// Runs [`CHECKPOINTS`] checkpoints at one (payload, sparsity) point and
 /// returns the measured row.
-pub fn measure(period: usize, sparsity: f64) -> ExtCompressRow {
-    let size = ByteSize::from_bytes(STATE_BYTES);
-    let state = if period > 0 {
-        TrainingState::compressible(size, 42, period)
-    } else {
-        TrainingState::synthetic(size, 42)
-    };
-    let gpu = Gpu::new(GpuConfig::fast_for_tests(), state);
+pub fn measure(payload: Payload, sparsity: f64) -> ExtCompressRow {
+    let (state_bytes, chunk_bytes) = (payload.state_bytes(), payload.chunk_bytes());
+    let gpu = Gpu::new(GpuConfig::fast_for_tests(), payload.state());
     gpu.update();
     // Dedup bases stay pinned until their dependents retire, so leave
     // headroom beyond the double-buffer minimum.
@@ -81,10 +144,13 @@ pub fn measure(period: usize, sparsity: f64) -> ExtCompressRow {
     let store =
         Arc::new(CheckpointStore::format(Arc::clone(&device), gpu.state_size(), slots).unwrap());
     // The framed copy stages the whole snapshot, so the pool must cover it.
-    let pool_chunks = (STATE_BYTES / CHUNK_BYTES) as usize;
+    let pool_chunks = state_bytes.div_ceil(chunk_bytes) as usize;
     let pipeline = PersistPipeline::new(store)
         .with_writers(2)
-        .with_staging(HostBufferPool::new(ByteSize::from_bytes(CHUNK_BYTES), pool_chunks))
+        .with_staging(HostBufferPool::new(
+            ByteSize::from_bytes(chunk_bytes),
+            pool_chunks,
+        ))
         .with_codec(true);
     let telemetry = Telemetry::disabled();
     let ctx = PipelineCtx {
@@ -108,7 +174,7 @@ pub fn measure(period: usize, sparsity: f64) -> ExtCompressRow {
             .checkpoint_framed(ctx, &guard, iter, digest.0, policy)
             .unwrap();
         if iter == CHECKPOINTS {
-            final_state = vec![0u8; STATE_BYTES as usize];
+            final_state = vec![0u8; state_bytes as usize];
             guard.copy_range_to_host(0, &mut final_state);
         }
         drop(guard);
@@ -122,15 +188,15 @@ pub fn measure(period: usize, sparsity: f64) -> ExtCompressRow {
                 framed += 1;
                 dedup_chunks += chunks;
             }
-            FramedOutcome::Raw => persisted_bytes += STATE_BYTES,
+            FramedOutcome::Raw => persisted_bytes += state_bytes,
         }
     }
     let recovered = recover(device).expect("committed store recovers");
     let recovered_bit_identical =
         recovered.iteration == CHECKPOINTS && recovered.payload == final_state;
-    let logical_bytes = CHECKPOINTS * STATE_BYTES;
+    let logical_bytes = CHECKPOINTS * state_bytes;
     ExtCompressRow {
-        period,
+        payload,
         sparsity,
         checkpoints: CHECKPOINTS,
         logical_bytes,
@@ -142,14 +208,15 @@ pub fn measure(period: usize, sparsity: f64) -> ExtCompressRow {
     }
 }
 
-/// Runs the full period × sparsity sweep.
+/// Runs the full period × sparsity sweep, then the mixed-state row.
 pub fn run() -> Vec<ExtCompressRow> {
     let mut rows = Vec::new();
     for &period in &PERIODS {
         for &sparsity in &SPARSITIES {
-            rows.push(measure(period, sparsity));
+            rows.push(measure(Payload::Tiled(period), sparsity));
         }
     }
+    rows.push(measure(Payload::Mixed, MIXED_SPARSITY));
     rows
 }
 
@@ -175,7 +242,7 @@ pub fn write_csv<W: std::io::Write>(rows: &[ExtCompressRow], out: W) -> std::io:
     );
     for r in rows {
         w.row(&[
-            &r.period,
+            &r.payload,
             &format_args!("{:.2}", r.sparsity),
             &r.checkpoints,
             &r.logical_bytes,
@@ -195,7 +262,7 @@ mod tests {
 
     #[test]
     fn high_redundancy_sweep_saves_at_least_three_x() {
-        let row = measure(16, 0.05);
+        let row = measure(Payload::Tiled(16), 0.05);
         assert_eq!(row.framed, row.checkpoints, "every checkpoint frames");
         assert!(
             row.bytes_saved_ratio >= 3.0,
@@ -207,7 +274,7 @@ mod tests {
 
     #[test]
     fn dense_incompressible_payloads_fall_back_to_raw() {
-        let row = measure(0, 1.00);
+        let row = measure(Payload::Tiled(0), 1.00);
         assert_eq!(row.framed, 0, "RNG-dense state must never frame");
         assert_eq!(row.persisted_bytes, row.logical_bytes);
         assert!((row.bytes_saved_ratio - 1.0).abs() < 1e-9);
@@ -216,8 +283,8 @@ mod tests {
 
     #[test]
     fn tiled_states_dedup_chunks_at_any_sparsity() {
-        let sparse = measure(64, 0.05);
-        let dense = measure(64, 1.00);
+        let sparse = measure(Payload::Tiled(64), 0.05);
+        let dense = measure(Payload::Tiled(64), 1.00);
         // Period-64 tiles repeat within every snapshot, so chunk dedup
         // engages regardless of the update pattern; sparsity only shifts
         // which chunks hit (the exact counts differ within noise).
@@ -234,8 +301,20 @@ mod tests {
     }
 
     #[test]
+    fn mixed_state_keeps_clean_dense_chunks_as_references() {
+        let row = measure(Payload::Mixed, MIXED_SPARSITY);
+        assert_eq!(row.framed, row.checkpoints, "every checkpoint frames");
+        let ratio = row.persisted_bytes as f64 / row.logical_bytes as f64;
+        assert!(
+            ratio <= 0.08,
+            "a clean RNG-dense chunk must stay a reference: persisted / logical = {ratio:.4}"
+        );
+        assert!(row.recovered_bit_identical);
+    }
+
+    #[test]
     fn csv_has_one_line_per_row_plus_header() {
-        let rows = vec![measure(16, 0.50)];
+        let rows = vec![measure(Payload::Tiled(16), 0.50)];
         let mut buf = Vec::new();
         write_csv(&rows, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();

@@ -805,8 +805,8 @@ mod tests {
     /// Commits a hand-assembled frame over the latest committed (raw)
     /// checkpoint: one `Raw` chunk of `fresh` bytes followed by one
     /// `DedupBase` chunk naming the base's whole payload, pinned through
-    /// a link that names `link_slot`.
-    fn commit_frame_over_base(st: &CheckpointStore, iter: u64, fresh: &[u8], link_slot: u32) {
+    /// a link to that base.
+    fn commit_frame_over_base(st: &CheckpointStore, iter: u64, fresh: &[u8]) {
         use pccheck::{ChunkEncoding, DeltaLink, FrameRecord, FrameTable};
         use pccheck_util::fnv::chunk_digest;
 
@@ -843,7 +843,7 @@ mod tests {
         st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
         let link = DeltaLink {
             base_counter: base.counter,
-            base_slot: link_slot,
+            base_slot: base.slot,
             chain_depth: base.delta.map_or(0, |l| l.chain_depth) + 1,
         };
         assert_eq!(
@@ -863,8 +863,7 @@ mod tests {
     fn linked_frame_audits_clean() {
         let (dev, st) = flight_store_sized(256, 4, 64);
         commit_one(&st, 1, &[7u8; 64]);
-        let base = st.latest_committed().unwrap();
-        commit_frame_over_base(&st, 2, &[1u8; 8], base.slot);
+        commit_frame_over_base(&st, 2, &[1u8; 8]);
         dev.crash_now();
         let report = audit(Arc::clone(&dev)).unwrap();
         assert!(report.is_clean(), "{:?}", report.violations);
@@ -884,9 +883,16 @@ mod tests {
     fn dangling_base_link_is_flagged() {
         let (dev, st) = flight_store_sized(256, 4, 64);
         commit_one(&st, 1, &[9u8; 64]);
-        let base = st.latest_committed().unwrap();
-        // Right counter, wrong slot: the pin protects nothing.
-        commit_frame_over_base(&st, 2, &[2u8; 8], (base.slot + 1) % 4);
+        commit_frame_over_base(&st, 2, &[2u8; 8]);
+        // The store withdraws a frame whose link target it does not pin,
+        // so forge one behind its back: right counter, wrong slot — the
+        // pin protects nothing.
+        let mut head = st.latest_committed().unwrap();
+        let link = head.delta.as_mut().unwrap();
+        link.base_slot = (link.base_slot + 1) % 4;
+        let (off, rec) = (st.slot_meta_offset(head.slot), head.encode());
+        dev.write_at(off, &rec).unwrap();
+        dev.persist(off, rec.len() as u64).unwrap();
         dev.crash_now();
         let report = audit(Arc::clone(&dev)).unwrap();
         assert!(report.violations.iter().any(|v| matches!(
@@ -903,11 +909,10 @@ mod tests {
     fn base_that_never_committed_is_flagged() {
         let (dev, st) = flight_store_sized(256, 4, 64);
         commit_one(&st, 1, &[3u8; 64]);
-        let base = st.latest_committed().unwrap();
         // Fabricate a ring record claiming checkpoint 1 failed: the frame
         // now depends on a base the protocol disowned.
         st.flight().record(K::Failed, 1, 0, 1, 64, 0);
-        commit_frame_over_base(&st, 2, &[5u8; 4], base.slot);
+        commit_frame_over_base(&st, 2, &[5u8; 4]);
         dev.crash_now();
         let report = audit(Arc::clone(&dev)).unwrap();
         assert!(report.violations.iter().any(|v| matches!(
@@ -924,7 +929,7 @@ mod tests {
         let (dev, st) = flight_store_sized(256, 4, 64);
         commit_one(&st, 1, &[11u8; 64]);
         let base = st.latest_committed().unwrap();
-        commit_frame_over_base(&st, 2, &[13u8; 8], base.slot);
+        commit_frame_over_base(&st, 2, &[13u8; 8]);
         // Flip one base byte behind the store's back: the frame's own slot
         // is intact, so only resolving the reference catches it.
         let off = st.slot_payload_offset(base.slot) + 10;
