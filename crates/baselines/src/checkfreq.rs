@@ -10,7 +10,7 @@
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use parking_lot::Mutex;
+use pccheck_util::sync::Mutex;
 
 use pccheck::store::CheckpointStore;
 use pccheck::{CommitOutcome, PccheckError, PersistPipeline, PipelineCtx};

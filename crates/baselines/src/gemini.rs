@@ -16,7 +16,7 @@
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use parking_lot::Mutex;
+use pccheck_util::sync::Mutex;
 
 use pccheck::meta::{CheckMeta, META_RECORD_SIZE};
 use pccheck::PccheckError;

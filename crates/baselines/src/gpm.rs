@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use pccheck_util::sync::Mutex;
 
 use pccheck::store::CheckpointStore;
 use pccheck::{PccheckError, PersistPipeline, PipelineCtx};

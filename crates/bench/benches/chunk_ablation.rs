@@ -8,12 +8,12 @@
 //!   memory + DDIO fastest. The effective-bandwidth model captures the
 //!   ~10% haircut of disabling it.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use pccheck_bench::stats::time;
 use pccheck_gpu::{CopyEngineConfig, CopyPath, GpuKind, ModelZoo};
 use pccheck_sim::{SimConfig, StrategyCfg};
 use pccheck_util::ByteSize;
 
-fn chunk_size_sweep(c: &mut Criterion) {
+fn chunk_size_sweep() {
     let model = ModelZoo::opt_1_3b();
     println!("\n[Ablation] OPT-1.3B @ interval 10: throughput vs chunk count (m/b)");
     for chunks_per_ckpt in [1u64, 4, 20, 100] {
@@ -29,23 +29,22 @@ fn chunk_size_sweep(c: &mut Criterion) {
             report.mean_write_time.as_secs_f64()
         );
     }
-    let mut group = c.benchmark_group("ablation/chunk_size");
-    group.sample_size(10);
     for chunks_per_ckpt in [4u64, 20] {
-        group.bench_function(format!("m_over_{chunks_per_ckpt}"), |b| {
-            b.iter(|| {
+        time(
+            &format!("ablation/chunk_size/m_over_{chunks_per_ckpt}"),
+            10,
+            || {
                 let mut cfg = SimConfig::ssd_a100(&ModelZoo::opt_1_3b(), 10, 200);
                 cfg.chunk_size =
                     ByteSize::from_bytes(cfg.checkpoint_size.as_u64().div_ceil(chunks_per_ckpt));
                 cfg.dram_chunks = (2 * chunks_per_ckpt as usize).max(2);
                 cfg.run()
-            })
-        });
+            },
+        );
     }
-    group.finish();
 }
 
-fn ddio_ablation(c: &mut Criterion) {
+fn ddio_ablation() {
     println!("\n[Ablation] effective PCIe bandwidth: pinned DMA with/without DDIO, kernel copies");
     let base = CopyEngineConfig::for_gpu(GpuKind::A100);
     let mut no_ddio = base.clone();
@@ -61,17 +60,9 @@ fn ddio_ablation(c: &mut Criterion) {
             cfg.effective_bandwidth().as_gb_per_sec()
         );
     }
-    c.bench_function("ablation/effective_bandwidth_model", |b| {
-        b.iter(|| {
-            let cfg = CopyEngineConfig::for_gpu(criterion::black_box(GpuKind::A100));
-            cfg.effective_bandwidth()
-        })
-    });
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = chunk_size_sweep, ddio_ablation
+fn main() {
+    chunk_size_sweep();
+    ddio_ablation();
 }
-criterion_main!(benches);

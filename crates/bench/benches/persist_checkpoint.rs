@@ -2,49 +2,46 @@
 //! write paths (§3.3) and the commit protocol's fixed costs.
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pccheck::CheckpointStore;
+use pccheck_bench::stats::time;
 use pccheck_device::{DeviceConfig, PersistentDevice, PmemDevice, PmemWriteMode, SsdDevice};
 use pccheck_util::ByteSize;
 
-fn pmem_write_paths(c: &mut Criterion) {
+fn pmem_write_paths() {
     let size = ByteSize::from_mb_u64(1);
     let payload = vec![0xA5u8; size.as_usize()];
-    let mut group = c.benchmark_group("device/pmem_write_1mb");
-    group.throughput(Throughput::Bytes(size.as_u64()));
-    group.sample_size(20);
+    println!("[device] PMEM write + sfence of 1 MB");
     for mode in [PmemWriteMode::NtStore, PmemWriteMode::ClwbWriteBack] {
-        let name = format!("{mode:?}");
-        group.bench_function(&name, |b| {
-            let dev = PmemDevice::new(DeviceConfig::fast_for_tests(ByteSize::from_mb_u64(2)), mode);
-            b.iter(|| {
-                dev.write_at(0, &payload).expect("write");
-                dev.sfence().expect("fence");
-            })
+        let dev = PmemDevice::new(DeviceConfig::fast_for_tests(ByteSize::from_mb_u64(2)), mode);
+        let secs = time(&format!("device/pmem_write_1mb/{mode:?}"), 20, || {
+            dev.write_at(0, &payload).expect("write");
+            dev.sfence().expect("fence");
         });
+        println!("    = {:.0} MB/s", size.as_u64() as f64 / 1e6 / secs);
     }
-    group.finish();
 }
 
-fn commit_protocol(c: &mut Criterion) {
-    let mut group = c.benchmark_group("store/commit_protocol");
-    group.sample_size(20);
-    group.bench_function("begin_write_commit_64b", |b| {
-        let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(64), 3);
-        let dev: Arc<dyn PersistentDevice> =
-            Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let store = CheckpointStore::format(dev, ByteSize::from_bytes(64), 3).expect("format");
-        let mut iter = 0u64;
-        b.iter(|| {
+fn commit_protocol() {
+    /// Commits per timed rep: one is too short for the clock.
+    const COMMITS: u64 = 1_000;
+    let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(64), 3);
+    let dev: Arc<dyn PersistentDevice> =
+        Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
+    let store = CheckpointStore::format(dev, ByteSize::from_bytes(64), 3).expect("format");
+    let mut iter = 0u64;
+    println!("[store] begin + write + persist + commit of 64 B, x{COMMITS}");
+    time("store/commit_protocol/begin_write_commit_64b", 20, || {
+        for _ in 0..COMMITS {
             iter += 1;
             let lease = store.begin_checkpoint();
             store.write_payload(&lease, 0, &[1u8; 64]).expect("write");
             store.persist_payload(&lease, 0, 64).expect("persist");
-            store.commit(lease, iter, 64, 0).expect("commit")
-        })
+            store.commit(lease, iter, 64, 0).expect("commit");
+        }
     });
-    group.finish();
 }
 
-criterion_group!(benches, pmem_write_paths, commit_protocol);
-criterion_main!(benches);
+fn main() {
+    pmem_write_paths();
+    commit_protocol();
+}

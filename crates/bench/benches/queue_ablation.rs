@@ -3,96 +3,70 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use parking_lot::Mutex;
 use pccheck::queue::SlotQueue;
+use pccheck_bench::stats::time;
+use pccheck_util::sync::Mutex;
 
 const OPS: usize = 10_000;
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("queue_ablation/recycle_10k");
-    group.sample_size(20);
-
-    group.bench_function("lockfree_slotqueue", |b| {
-        b.iter(|| {
-            let q: SlotQueue = (0..4u32).collect();
-            let mut committed = None;
-            for _ in 0..OPS {
-                let fresh = q.dequeue_blocking();
-                if let Some(old) = committed.replace(fresh) {
-                    q.enqueue(old).expect("bounded population");
-                }
+fn main() {
+    println!("[queue ablation] {OPS} operations per rep");
+    time("recycle_10k/lockfree_slotqueue", 20, || {
+        let q: SlotQueue = (0..4u32).collect();
+        let mut committed = None;
+        for _ in 0..OPS {
+            let fresh = q.dequeue_blocking();
+            if let Some(old) = committed.replace(fresh) {
+                q.enqueue(old).expect("bounded population");
             }
-            committed
-        })
+        }
+        committed
     });
-
-    group.bench_function("mutex_vecdeque", |b| {
-        b.iter(|| {
-            let q = Arc::new(Mutex::new((0..4u32).collect::<VecDeque<_>>()));
-            let mut committed = None;
-            for _ in 0..OPS {
-                let fresh = loop {
-                    if let Some(v) = q.lock().pop_front() {
-                        break v;
-                    }
-                };
-                if let Some(old) = committed.replace(fresh) {
-                    q.lock().push_back(old);
+    time("recycle_10k/mutex_vecdeque", 20, || {
+        let q = Mutex::new((0..4u32).collect::<VecDeque<_>>());
+        let mut committed = None;
+        for _ in 0..OPS {
+            let fresh = loop {
+                if let Some(v) = q.lock().pop_front() {
+                    break v;
                 }
+            };
+            if let Some(old) = committed.replace(fresh) {
+                q.lock().push_back(old);
             }
-            committed
-        })
+        }
+        committed
     });
-    group.finish();
 
     // Contended: 2 threads hammering the same queue.
-    let mut group = c.benchmark_group("queue_ablation/contended_2threads");
-    group.sample_size(10);
-    group.bench_function("lockfree_slotqueue", |b| {
-        b.iter(|| {
-            let q: Arc<SlotQueue> = Arc::new((0..8u32).collect());
-            let handles: Vec<_> = (0..2)
-                .map(|_| {
-                    let q = Arc::clone(&q);
-                    std::thread::spawn(move || {
-                        for _ in 0..OPS / 2 {
-                            let v = q.dequeue_blocking();
-                            q.enqueue_blocking(v);
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("worker");
+    time("contended_2threads/lockfree_slotqueue", 10, || {
+        let q: Arc<SlotQueue> = Arc::new((0..8u32).collect());
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..OPS / 2 {
+                        let v = q.dequeue_blocking();
+                        q.enqueue_blocking(v);
+                    }
+                });
             }
-        })
+        });
     });
-    group.bench_function("mutex_vecdeque", |b| {
-        b.iter(|| {
-            let q = Arc::new(Mutex::new((0..8u32).collect::<VecDeque<_>>()));
-            let handles: Vec<_> = (0..2)
-                .map(|_| {
-                    let q = Arc::clone(&q);
-                    std::thread::spawn(move || {
-                        for _ in 0..OPS / 2 {
-                            let v = loop {
-                                if let Some(v) = q.lock().pop_front() {
-                                    break v;
-                                }
-                            };
-                            q.lock().push_back(v);
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("worker");
+    time("contended_2threads/mutex_vecdeque", 10, || {
+        let q = Mutex::new((0..8u32).collect::<VecDeque<_>>());
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..OPS / 2 {
+                        let v = loop {
+                            if let Some(v) = q.lock().pop_front() {
+                                break v;
+                            }
+                        };
+                        q.lock().push_back(v);
+                    }
+                });
             }
-        })
+        });
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

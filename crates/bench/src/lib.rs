@@ -1,6 +1,7 @@
-//! Criterion benchmark crate: see `benches/`. Each bench target prints
-//! the paper figure/table rows it regenerates, then measures a
-//! representative code path.
+//! Benchmark crate: see `benches/`, every target a plain `fn main`. The
+//! paper's figure and table rows are printed by the `pccheck-harness`
+//! binaries; the micro-benches here time code paths nothing else measures,
+//! through [`stats::time`].
 //!
 //! The [`stats`] module is the shared acceptance scaffolding for the
 //! `bench_prN` gate benches: every gate summarizes interleaved reps with
@@ -48,6 +49,42 @@ pub mod stats {
         }
     }
 
+    /// Times `routine` `reps` times after one warm-up rep, prints `name`,
+    /// the median and its relative IQR, and returns the median in seconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reps` is zero.
+    pub fn time<R>(name: &str, reps: usize, mut routine: impl FnMut() -> R) -> f64 {
+        time_with_setup(name, reps, || (), |()| routine())
+    }
+
+    /// As [`time`], with each rep run on a fresh `setup()` value whose
+    /// construction is not timed.
+    pub fn time_with_setup<S, R>(
+        name: &str,
+        reps: usize,
+        mut setup: impl FnMut() -> S,
+        mut routine: impl FnMut(S) -> R,
+    ) -> f64 {
+        let mut secs = Vec::with_capacity(reps);
+        for rep in 0..=reps {
+            let input = setup();
+            let start = std::time::Instant::now();
+            std::hint::black_box(routine(std::hint::black_box(input)));
+            if rep > 0 {
+                secs.push(start.elapsed().as_secs_f64());
+            }
+        }
+        let med = median(&secs);
+        println!(
+            "  {name:<44} {:>12.3} us  (iqr {:.1}%, {reps} reps)",
+            med * 1e6,
+            rel_iqr(&secs) * 100.0
+        );
+        med
+    }
+
     /// Widens `ceiling` to the worst measured arm noise (and never below
     /// [`NOISE_FLOOR`]): a gate can only resolve overheads as fine as
     /// the host's own jitter.
@@ -84,6 +121,14 @@ pub mod stats {
         fn median_is_order_insensitive() {
             assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
             assert_eq!(median(&[5.0]), 5.0);
+        }
+
+        #[test]
+        fn time_runs_a_warm_up_and_every_rep_on_fresh_input() {
+            let (mut setups, mut runs) = (0, 0);
+            let med = time_with_setup("noop", 5, || setups += 1, |()| runs += 1);
+            assert_eq!((setups, runs), (6, 6), "five reps and one warm-up");
+            assert!(med >= 0.0);
         }
 
         #[test]

@@ -825,7 +825,7 @@ pub fn content_address(chunk: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use pccheck_util::rng::{check, DEFAULT_CASES};
 
     fn sample_table() -> FrameTable {
         FrameTable {
@@ -1329,32 +1329,37 @@ mod tests {
         );
     }
 
-    proptest! {
-        #[test]
-        fn lz_round_trips_arbitrary_bytes(src in proptest::collection::vec(any::<u8>(), 0..2048)) {
+    #[test]
+    fn lz_round_trips_arbitrary_bytes() {
+        check(DEFAULT_CASES, |r| {
+            let len = r.range(0..2048) as usize;
+            let src = r.bytes(len);
             // Bypass the gates: force a compression attempt with no limit,
             // and require exact reconstruction whenever one is produced.
             if let Some(comp) = lz_compress_limit(&src, usize::MAX) {
-                prop_assert_eq!(lz_decompress(&comp, src.len()).unwrap(), src);
+                assert_eq!(lz_decompress(&comp, src.len()).unwrap(), src);
             }
-        }
+        });
+    }
 
-        #[test]
-        fn lz_round_trips_low_entropy_bytes(
-            src in proptest::collection::vec(0u8..4, 64..2048)
-        ) {
-            let comp = compress_gated(&src);
-            if let Some(comp) = comp {
-                prop_assert!(comp.len() < src.len());
-                prop_assert_eq!(lz_decompress(&comp, src.len()).unwrap(), src);
+    #[test]
+    fn lz_round_trips_low_entropy_bytes() {
+        check(DEFAULT_CASES, |r| {
+            let src: Vec<u8> = (0..r.range(64..2048))
+                .map(|_| r.range(0..4) as u8)
+                .collect();
+            if let Some(comp) = compress_gated(&src) {
+                assert!(comp.len() < src.len());
+                assert_eq!(lz_decompress(&comp, src.len()).unwrap(), src);
             }
-        }
+        });
+    }
 
-        #[test]
-        fn frame_round_trips_arbitrary_raw_geometry(
-            lens in proptest::collection::vec(1u64..10_000, 1..40),
-            counter in 1u64..1_000_000,
-        ) {
+    #[test]
+    fn frame_round_trips_arbitrary_raw_geometry() {
+        check(DEFAULT_CASES, |r| {
+            let lens: Vec<u64> = (0..r.range(1..40)).map(|_| r.range(1..10_000)).collect();
+            let counter = r.range(1..1_000_000);
             let mut records = Vec::new();
             let mut phys = 0u64;
             for (i, &len) in lens.iter().enumerate() {
@@ -1374,7 +1379,7 @@ mod tests {
                 full_digest: counter ^ 0xABCD,
                 records,
             };
-            prop_assert_eq!(FrameTable::decode(&t.encode()).unwrap(), t);
-        }
+            assert_eq!(FrameTable::decode(&t.encode()).unwrap(), t);
+        });
     }
 }

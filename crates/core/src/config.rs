@@ -1,8 +1,6 @@
 //! PCcheck configuration (the "Configuration Parameters" column of
 //! Table 2).
 
-use serde::{Deserialize, Serialize};
-
 use pccheck_util::ByteSize;
 
 use crate::error::PccheckError;
@@ -27,7 +25,7 @@ use crate::error::PccheckError;
 ///     .unwrap();
 /// assert_eq!(cfg.max_concurrent, 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PcCheckConfig {
     /// Maximum number of concurrent checkpoints in flight (the paper's `N`).
     pub max_concurrent: usize,
@@ -49,12 +47,10 @@ pub struct PcCheckConfig {
     /// ring reserved on the checkpoint device after the slots. `0`
     /// (the default) disables the flight recorder entirely and reserves
     /// no space, so existing capacity-sized stores are unaffected.
-    #[serde(default)]
     pub flight_records: u32,
     /// Whether checkpoints go through the chunk codec (content-defined
     /// compression + dedup framing). Off by default: legacy stores and
     /// callers see byte-for-byte the pre-codec persist path.
-    #[serde(default)]
     pub codec: bool,
     /// Steer the persist path with a [`PersistController`] every this
     /// many checkpoint requests (`0`, the default, disables adaptation).
@@ -62,7 +58,6 @@ pub struct PcCheckConfig {
     /// controller never sees a snapshot and the knobs stay put.
     ///
     /// [`PersistController`]: crate::tuner::PersistController
-    #[serde(default)]
     pub adaptive_interval: u64,
 }
 

@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use pccheck_util::sync::{Condvar, Mutex};
 
 use crate::error::PccheckError;
 
@@ -141,7 +141,7 @@ impl CoordinatorHub {
             if let Some(msg) = &round.conflict {
                 return Err(PccheckError::CoordinationConflict(msg.clone()));
             }
-            self.cond.wait(&mut round);
+            round = self.cond.wait(round);
         }
         Ok(round.agreed.expect("completed round has an agreed id"))
     }

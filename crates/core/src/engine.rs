@@ -31,7 +31,7 @@
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex};
+use pccheck_util::sync::{Condvar, Mutex};
 
 use pccheck_device::{HostBufferPool, PersistentDevice};
 use pccheck_gpu::{CheckpointOutcome, Checkpointer, Gpu, OwnedWeightsGuard};
@@ -98,7 +98,7 @@ impl InFlight {
     fn acquire(&self, limit: usize) {
         let mut count = self.count.lock();
         while *count >= limit {
-            self.cond.wait(&mut count);
+            count = self.cond.wait(count);
         }
         *count += 1;
     }
@@ -117,7 +117,7 @@ impl InFlight {
     fn wait_zero(&self) {
         let mut count = self.count.lock();
         while *count > 0 {
-            self.cond.wait(&mut count);
+            count = self.cond.wait(count);
         }
     }
 }

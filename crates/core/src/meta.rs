@@ -364,7 +364,7 @@ pub(crate) fn checksum_fold(h: u64, data: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use pccheck_util::rng::{check, DEFAULT_CASES};
 
     fn sample() -> CheckMeta {
         CheckMeta {
@@ -516,48 +516,60 @@ mod tests {
         );
     }
 
-    proptest! {
-        #[test]
-        fn any_slot_state_round_trips(counter in 1u64..(1<<48), tag in 0u8..3) {
-            let s = match tag {
+    #[test]
+    fn any_slot_state_round_trips() {
+        check(DEFAULT_CASES, |r| {
+            let counter = r.range(1..1 << 48);
+            let s = match r.range(0..3) {
                 0 => SlotState::Free,
                 1 => SlotState::Claimed { counter },
                 _ => SlotState::Committed { counter },
             };
-            prop_assert_eq!(SlotState::decode(&s.encode()), Some(s));
-            prop_assert_eq!(SlotState::unpack(s.pack()), s);
-        }
-
-        #[test]
-        fn slot_state_bitflip_is_detected(pos in 0usize..24, bit in 0u8..8) {
-            let mut buf = SlotState::Committed { counter: 42 }.encode();
-            buf[pos] ^= 1 << bit;
-            prop_assert_eq!(SlotState::decode(&buf), None);
-        }
+            assert_eq!(SlotState::decode(&s.encode()), Some(s));
+            assert_eq!(SlotState::unpack(s.pack()), s);
+        });
     }
 
-    proptest! {
-        #[test]
-        fn any_meta_round_trips(counter in 0u64..(1<<48), slot in 0u32..(1<<16),
-                                iteration in any::<u64>(), payload_len in any::<u64>(),
-                                digest in any::<u64>(),
-                                base_counter in 0u64..u64::MAX, base_slot in any::<u32>(),
-                                chain_depth in any::<u32>()) {
-            let delta = (base_counter != 0).then_some(DeltaLink {
-                base_counter, base_slot, chain_depth,
-            });
-            let m = CheckMeta { counter, slot, iteration, payload_len, digest, delta };
-            prop_assert_eq!(CheckMeta::decode(&m.encode()), Some(m));
-            let p = PackedCheckAddr::pack(counter, slot);
-            prop_assert_eq!(p.counter(), counter);
-            prop_assert_eq!(p.slot(), slot);
-        }
+    #[test]
+    fn slot_state_bitflip_is_detected() {
+        check(DEFAULT_CASES, |r| {
+            let mut buf = SlotState::Committed { counter: 42 }.encode();
+            buf[r.range(0..24) as usize] ^= 1 << r.range(0..8);
+            assert_eq!(SlotState::decode(&buf), None);
+        });
+    }
 
-        #[test]
-        fn single_bitflip_is_detected(pos in 0usize..64, bit in 0u8..8) {
+    #[test]
+    fn any_meta_round_trips() {
+        check(DEFAULT_CASES, |r| {
+            let (counter, slot) = (r.range(0..1 << 48), r.range(0..1 << 16) as u32);
+            // With and without a delta link.
+            let delta = r.bool().then(|| DeltaLink {
+                base_counter: r.range(1..u64::MAX),
+                base_slot: r.next_u64() as u32,
+                chain_depth: r.next_u64() as u32,
+            });
+            let m = CheckMeta {
+                counter,
+                slot,
+                iteration: r.next_u64(),
+                payload_len: r.next_u64(),
+                digest: r.next_u64(),
+                delta,
+            };
+            assert_eq!(CheckMeta::decode(&m.encode()), Some(m));
+            let p = PackedCheckAddr::pack(counter, slot);
+            assert_eq!(p.counter(), counter);
+            assert_eq!(p.slot(), slot);
+        });
+    }
+
+    #[test]
+    fn single_bitflip_is_detected() {
+        check(DEFAULT_CASES, |r| {
             let mut buf = sample_delta().encode();
-            buf[pos] ^= 1 << bit;
-            prop_assert_eq!(CheckMeta::decode(&buf), None);
-        }
+            buf[r.range(0..64) as usize] ^= 1 << r.range(0..8);
+            assert_eq!(CheckMeta::decode(&buf), None);
+        });
     }
 }

@@ -23,10 +23,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 
-use crossbeam::channel::bounded;
-use parking_lot::Mutex;
+use pccheck_util::sync::Mutex;
 
 use pccheck_device::{chunk_count, chunk_digest, ChunkDigestTable, HostBuffer, HostBufferPool};
 use pccheck_gpu::SnapshotSource;
@@ -481,19 +481,26 @@ impl PersistPipeline {
         queue: usize,
         feed: impl FnOnce(&mut dyn FnMut(u64, D) -> bool),
     ) -> Result<(), PccheckError> {
-        let (tx, rx) = bounded::<(u64, D)>(queue.max(1));
+        // One producer, many writers: the writers take turns at the one
+        // receiver. A writer holds the turn only while it waits for a
+        // message, never while it writes one. The receiver belongs to the
+        // writers, so if all of them died `send` would fail, not block.
+        let (tx, rx) = sync_channel::<(u64, D)>(queue.max(1));
+        let rx = Arc::new(Mutex::new(rx));
         let first_error: Mutex<Option<PccheckError>> = Mutex::new(None);
         let abort = AtomicBool::new(false);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for w in 0..self.writers() {
-                let rx = rx.clone();
+                let rx = Arc::clone(&rx);
                 let first_error = &first_error;
                 let abort = &abort;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let actor_start = ctx.telemetry.now_nanos();
                     let mut actor_bytes = 0u64;
                     let mut media_nanos = 0u64;
-                    while let Ok((off, data)) = rx.recv() {
+                    loop {
+                        let next = rx.lock().recv();
+                        let Ok((off, data)) = next else { break };
                         if abort.load(Ordering::Acquire) {
                             continue;
                         }
@@ -529,8 +536,7 @@ impl PersistPipeline {
                 true
             });
             drop(tx); // writers drain and exit
-        })
-        .expect("writer thread panicked");
+        });
         first_error.into_inner().map_or(Ok(()), Err)
     }
 
@@ -760,12 +766,12 @@ impl PersistPipeline {
         // dense payloads cheap).
         let p = self.writers();
         let compressed: Mutex<HashMap<usize, Vec<u8>>> = Mutex::new(HashMap::new());
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for w in 0..p {
                 let materialized = &materialized;
                 let staged = &staged;
                 let compressed = &compressed;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for &i in materialized.iter().skip(w).step_by(p) {
                         let (_, n, buf, _) = &staged[i];
                         if let Some(c) = compress_gated(&buf.as_slice()[..*n]) {
@@ -774,8 +780,7 @@ impl PersistPipeline {
                     }
                 });
             }
-        })
-        .expect("codec compression thread panicked");
+        });
         let mut compressed = compressed.into_inner();
 
         // Pack materialized chunks back to back after the table.

@@ -28,7 +28,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use pccheck_util::sync::{Condvar, Mutex};
 
 use crate::store::JobId;
 
@@ -67,8 +67,9 @@ struct JobState {
     /// Largest byte request currently waiting (lets the deficit cap grow
     /// past `2 * weight * quantum` when a single chunk is bigger).
     wanted: u64,
-    /// Top-ups received since this job last got served while waiting —
-    /// the measured starvation exposure checked against the WDRR bound.
+    /// Top-ups since this job was last served that found it waiting with
+    /// a deficit still short of its request — the measured starvation
+    /// exposure checked against the WDRR bound.
     topups_while_waiting: u64,
     served_bytes: u64,
     served_grants: u64,
@@ -205,15 +206,20 @@ impl QosArbiter {
                 s.ring_cursor = (cur + 1) % n;
                 let quantum = self.cfg.quantum;
                 let j = &mut s.jobs[cur];
-                let cap = (2 * j.weight * quantum).max(j.wanted);
-                j.deficit = (j.deficit + j.weight * quantum).min(cap);
-                if j.wanted > 0 {
+                // Only a top-up that finds the waiter still short counts
+                // against its bound. One whose deficit already covers its
+                // request is waiting for the cap or for its thread to run,
+                // and every pass other jobs make meanwhile is the
+                // scheduler's doing, not the ring's.
+                if j.deficit < j.wanted {
                     j.topups_while_waiting += 1;
                 }
+                let cap = (2 * j.weight * quantum).max(j.wanted);
+                j.deficit = (j.deficit + j.weight * quantum).min(cap);
                 continue;
             }
             // Blocked on the outstanding cap: sleep until a release.
-            self.cv.wait(&mut s);
+            s = self.cv.wait(s);
         }
     }
 

@@ -219,6 +219,8 @@ impl std::iter::FromIterator<u32> for SlotQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pccheck_util::rng::{check, DEFAULT_CASES};
+    use pccheck_util::sync::Mutex;
     use std::collections::HashSet;
     use std::sync::Arc;
 
@@ -294,11 +296,11 @@ mod tests {
         // 4 producers push 1000 distinct values each; 4 consumers drain.
         // Every value must come out exactly once.
         let q = Arc::new(SlotQueue::with_capacity(8192));
-        let consumed = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        crossbeam::thread::scope(|s| {
+        let consumed = Arc::new(Mutex::new(Vec::new()));
+        std::thread::scope(|s| {
             for p in 0..4u32 {
                 let q = Arc::clone(&q);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..1000u32 {
                         let v = p * 1000 + i;
                         while q.enqueue(v).is_err() {
@@ -310,7 +312,7 @@ mod tests {
             for _ in 0..4 {
                 let q = Arc::clone(&q);
                 let consumed = Arc::clone(&consumed);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut local = Vec::new();
                     while local.len() < 1000 {
                         if let Some(v) = q.dequeue() {
@@ -322,8 +324,7 @@ mod tests {
                     consumed.lock().extend(local);
                 });
             }
-        })
-        .unwrap();
+        });
         let got = consumed.lock();
         assert_eq!(got.len(), 4000);
         let unique: HashSet<u32> = got.iter().copied().collect();
@@ -370,10 +371,10 @@ mod tests {
         const ROUNDS: usize = 500;
         let q: Arc<SlotQueue> = Arc::new((0..THREADS).collect());
         assert_eq!(q.capacity(), 4, "4 slots on a 4-cell ring: max pressure");
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..THREADS {
                 let q = Arc::clone(&q);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for round in 0..ROUNDS {
                         let v = if round % 3 == 0 {
                             // Non-blocking dequeue, spun by hand.
@@ -400,8 +401,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         // Exactly the original population survives, each slot once.
         let mut drained: Vec<u32> = std::iter::from_fn(|| q.dequeue()).collect();
         drained.sort_unstable();
@@ -410,38 +410,34 @@ mod tests {
         assert!(q.head.load(Ordering::Relaxed) >= THREADS as usize * ROUNDS);
     }
 
-    proptest::proptest! {
-        /// Single-threaded linearization against a VecDeque model: any
-        /// enqueue/dequeue interleaving at any capacity behaves as bounded
-        /// FIFO, including across many sequence-counter wraparounds (ops
-        /// count far exceeds the ring size).
-        #[test]
-        fn any_op_sequence_matches_fifo_model(
-            cap in 1usize..6,
-            ops in proptest::collection::vec(
-                (proptest::bool::ANY, 0u32..1000), 1..300),
-        ) {
-            let q = SlotQueue::with_capacity(cap);
-            let mut model: std::collections::VecDeque<u32> =
-                std::collections::VecDeque::new();
-            for (is_enq, v) in ops {
+    /// Single-threaded linearization against a VecDeque model: any
+    /// enqueue/dequeue interleaving at any capacity behaves as bounded
+    /// FIFO, including across many sequence-counter wraparounds (ops
+    /// count far exceeds the ring size).
+    #[test]
+    fn any_op_sequence_matches_fifo_model() {
+        check(DEFAULT_CASES, |r| {
+            let q = SlotQueue::with_capacity(r.range(1..6) as usize);
+            let mut model = std::collections::VecDeque::new();
+            for _ in 0..r.range(1..300) {
+                let (is_enq, v) = (r.bool(), r.range(0..1000) as u32);
                 if is_enq {
                     let res = q.enqueue(v);
                     if model.len() < q.capacity() {
-                        proptest::prop_assert_eq!(res, Ok(()), "queue not full");
+                        assert_eq!(res, Ok(()), "queue not full");
                         model.push_back(v);
                     } else {
-                        proptest::prop_assert_eq!(res, Err(v), "queue full");
+                        assert_eq!(res, Err(v), "queue full");
                     }
                 } else {
-                    proptest::prop_assert_eq!(q.dequeue(), model.pop_front());
+                    assert_eq!(q.dequeue(), model.pop_front());
                 }
-                proptest::prop_assert_eq!(q.len(), model.len());
+                assert_eq!(q.len(), model.len());
             }
             // Drain and compare the tails.
             let drained: Vec<u32> = std::iter::from_fn(|| q.dequeue()).collect();
             let expected: Vec<u32> = model.into_iter().collect();
-            proptest::prop_assert_eq!(drained, expected);
-        }
+            assert_eq!(drained, expected);
+        });
     }
 }

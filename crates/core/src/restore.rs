@@ -29,11 +29,11 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::channel::bounded;
-use parking_lot::Mutex;
+use pccheck_util::sync::Mutex;
 
 use pccheck_device::{
     fnv1a_fold, ChunkDigestTable, HostBuffer, HostBufferPool, PersistentDevice, FNV_SEED,
@@ -520,7 +520,7 @@ impl RestorePipeline {
         if count > 0 {
             let pool = self.scratch_pool(chunk.min(total));
             let next = AtomicUsize::new(0);
-            let (tx, rx) = bounded::<(usize, usize, HostBuffer)>(pool.total_chunks());
+            let (tx, rx) = sync_channel::<(usize, usize, HostBuffer)>(pool.total_chunks());
             std::thread::scope(|s| {
                 for r in 0..readers {
                     let tx = tx.clone();

@@ -8,13 +8,13 @@
 //!
 //! These run only under `--cfg loom`, with the `loom` dev-dependency
 //! enabled in `crates/core/Cargo.toml` (it is commented out there because
-//! the offline build image does not vendor loom):
+//! it is the one crate the workspace would need a registry for):
 //!
 //! ```sh
 //! RUSTFLAGS="--cfg loom" cargo test -p pccheck --test loom_models --release
 //! ```
 //!
-//! Loom cannot instrument `parking_lot` or `std` atomics, so the models
+//! Loom cannot instrument `std` locks or atomics, so the models
 //! re-state the algorithms verbatim over `loom::sync` types. Keeping them
 //! line-for-line parallel to `engine::InFlight` and `queue::SlotQueue` is
 //! the point: a change to either protocol should be mirrored here and

@@ -19,7 +19,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use parking_lot::Mutex;
 use pccheck::{
     CheckpointStore, PcCheckConfig, PcCheckEngine, PccheckError, PersistPipeline, QosArbiter,
     QosConfig,
@@ -28,6 +27,7 @@ use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice, 
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingState};
 use pccheck_monitor::ForensicReport;
 use pccheck_telemetry::{MetricsRegistry, Telemetry, TelemetryIoObserver};
+use pccheck_util::sync::Mutex;
 use pccheck_util::ByteSize;
 
 use crate::admission::{self, Admission, SystemParams};

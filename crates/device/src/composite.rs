@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use pccheck_util::sync::{Condvar, Mutex, RwLock};
 
 use pccheck_util::{Bandwidth, ByteSize};
 
@@ -51,7 +51,7 @@ impl MemberGate {
     fn enter(&self, limit: u64) {
         let mut depth = self.depth.lock();
         while *depth >= limit {
-            self.freed.wait(&mut depth);
+            depth = self.freed.wait(depth);
         }
         *depth += 1;
     }
@@ -924,10 +924,10 @@ mod tests {
     fn queue_limit_bounds_member_depth() {
         let (array, a, b) = stripe2(64 * 1024, 64);
         let array = Arc::new(array.with_queue_limit(1));
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for w in 0..4u64 {
                 let array = Arc::clone(&array);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..16u64 {
                         let off = (w * 16 + i) * 256;
                         array.write_at(off, &[w as u8; 256]).unwrap();
@@ -935,8 +935,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         // The gate admits one composite-issued op per member at a time,
         // no matter how many writers hit the array concurrently.
         assert!(a.stats().peak_queue_depth() <= 1);
@@ -1138,10 +1137,10 @@ mod tests {
         // other 48 spill — the split depends only on offsets, never timing.
         let (dev, pmem, spill) = tiered(4096, 64 * 1024);
         let dev = Arc::new(dev.with_queue_limit(1));
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for w in 0..4u64 {
                 let dev = Arc::clone(&dev);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..16u64 {
                         let off = (w * 16 + i) * 256;
                         dev.write_at(off, &[w as u8 + 1; 256]).unwrap();
@@ -1149,8 +1148,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
 
         assert_eq!(pmem.stats().bytes_written().as_u64(), 4096);
         assert_eq!(spill.stats().bytes_written().as_u64(), 12 * 1024);

@@ -2,8 +2,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 use pccheck_util::{Bandwidth, ByteSize};
 
 use crate::Result;
@@ -14,7 +12,7 @@ use crate::Result;
 /// §1 measures ~16 GB / 37 s ≈ 0.44 GB/s for `torch.save`-style sequential
 /// writes to the GCP `pd-ssd`; §3.3 measures 4.01 GB/s for non-temporal
 /// stores to Optane and 2.46 GB/s for the `clwb` path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceConfig {
     /// Device capacity.
     pub capacity: ByteSize,
@@ -339,15 +337,5 @@ mod tests {
         assert_eq!(stats.bytes_read().as_u64(), 10);
         assert_eq!(stats.read_ops(), 2);
         assert_eq!(stats.crashes(), 1);
-    }
-
-    #[test]
-    fn config_serde_round_trip() {
-        let cfg = DeviceConfig::optane_nt(ByteSize::from_gb(2.0));
-        // serde support is exercised through a JSON-ish debug round trip via
-        // the Serialize/Deserialize derives; here we just ensure the derives
-        // exist and the type is cloneable/comparable.
-        let clone = cfg.clone();
-        assert_eq!(cfg, clone);
     }
 }

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use pccheck_util::sync::{Condvar, Mutex};
 
 use pccheck_util::ByteSize;
 
@@ -113,7 +113,7 @@ impl HostBufferPool {
     pub fn acquire(&self) -> HostBuffer {
         let mut state = self.shared.state.lock();
         while state.free.is_empty() {
-            self.shared.cond.wait(&mut state);
+            state = self.shared.cond.wait(state);
         }
         let data = state.free.pop().expect("non-empty");
         state.outstanding += 1;
@@ -298,12 +298,12 @@ mod tests {
         let pool = HostBufferPool::new(ByteSize::from_bytes(64), 2);
         let holders = Arc::new(AtomicUsize::new(0));
         let completed = Arc::new(AtomicUsize::new(0));
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for w in 0..6u8 {
                 let pool = pool.clone();
                 let holders = Arc::clone(&holders);
                 let completed = Arc::clone(&completed);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..20 {
                         let mut buf = pool.acquire();
                         let live = holders.fetch_add(1, Ordering::SeqCst) + 1;
@@ -316,8 +316,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(completed.load(Ordering::SeqCst), 6 * 20);
         assert_eq!(pool.available(), 2);
         assert_eq!(pool.peak_outstanding(), 2, "never exceeded the pool size");
@@ -376,11 +375,11 @@ mod tests {
 
         let pool = HostBufferPool::new(ByteSize::from_bytes(64), 1);
         let holders = Arc::new(AtomicUsize::new(0));
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for job in 0..4u8 {
                 let pool = pool.clone();
                 let holders = Arc::clone(&holders);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..50 {
                         let mut buf = pool.acquire();
                         assert_eq!(holders.fetch_add(1, Ordering::SeqCst), 0);
@@ -390,8 +389,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(pool.available(), 1);
         assert_eq!(pool.peak_outstanding(), 1);
     }

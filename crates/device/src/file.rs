@@ -16,7 +16,7 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use pccheck_util::sync::RwLock;
 
 use pccheck_util::{Bandwidth, ByteSize, TokenBucket};
 

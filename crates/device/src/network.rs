@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use pccheck_util::sync::RwLock;
 
 use pccheck_util::{Bandwidth, ByteSize, SimDuration, TokenBucket};
 

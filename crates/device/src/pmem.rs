@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::ThreadId;
 
-use parking_lot::RwLock;
+use pccheck_util::sync::RwLock;
 
 use pccheck_util::{Bandwidth, ByteSize, TokenBucket};
 
@@ -321,16 +321,15 @@ mod tests {
     #[test]
     fn each_thread_fencing_its_own_data_persists_everything() {
         let pmem = Arc::new(fast(4096, PmemWriteMode::NtStore));
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for i in 0..4u64 {
                 let pmem = Arc::clone(&pmem);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     pmem.write_at(i * 512, &[i as u8 + 1; 512]).unwrap();
                     pmem.sfence().unwrap();
                 });
             }
-        })
-        .unwrap();
+        });
         pmem.crash_now();
         for i in 0..4u64 {
             let mut buf = [0u8; 512];

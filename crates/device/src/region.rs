@@ -10,9 +10,7 @@
 //! reordering hazard §2.3 describes ("the order in which data is written to
 //! the cache may differ from the order in which the content reaches PMEM").
 
-use rand::Rng;
-
-use pccheck_util::rng;
+use pccheck_util::rng::Rng;
 use pccheck_util::ByteSize;
 
 use crate::error::DeviceError;
@@ -171,14 +169,14 @@ impl MemRegion {
             CrashPolicy::RandomPartial { seed } => {
                 // Some dirty cache lines made it to the media before the
                 // crash even though no fence covered them.
-                let mut coin = rng::seeded(seed);
+                let mut coin = Rng::seeded(seed);
                 let ranges = self.dirty.clone();
                 for (s, e) in ranges {
                     let mut line = s - (s % CACHE_LINE);
                     while line < e {
                         let lo = line.max(s) as usize;
                         let hi = (line + CACHE_LINE).min(e) as usize;
-                        if coin.gen::<bool>() {
+                        if coin.bool() {
                             let (d, v) = (&mut self.durable, &self.volatile);
                             d[lo..hi].copy_from_slice(&v[lo..hi]);
                         }
@@ -233,7 +231,7 @@ impl MemRegion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use pccheck_util::rng::{check, DEFAULT_CASES};
 
     fn region(cap: u64) -> MemRegion {
         MemRegion::new(ByteSize::from_bytes(cap))
@@ -366,53 +364,52 @@ mod tests {
         assert_eq!(r.dirty_bytes(), ByteSize::ZERO);
     }
 
-    proptest! {
-        /// After persisting arbitrary ranges and crashing with the
-        /// conservative policy, the surviving data equals exactly the
-        /// persisted prefix of writes — never torn within a persisted range.
-        #[test]
-        fn persisted_ranges_survive_any_crash(
-            writes in proptest::collection::vec((0u64..200, proptest::collection::vec(any::<u8>(), 1..32)), 1..20),
-            persist_upto in 0usize..20,
-        ) {
+    /// After persisting arbitrary ranges and crashing with the
+    /// conservative policy, the surviving data equals exactly the
+    /// persisted prefix of writes — never torn within a persisted range.
+    #[test]
+    fn persisted_ranges_survive_any_crash() {
+        check(DEFAULT_CASES, |rng| {
+            let writes: Vec<(usize, Vec<u8>)> = (0..rng.range(1..20))
+                .map(|_| {
+                    let (off, len) = (rng.range(0..200), rng.range(1..32) as usize);
+                    (off.min(256 - len as u64) as usize, rng.bytes(len))
+                })
+                .collect();
+            let persist_upto = rng.range(0..20) as usize;
             let mut r = region(256);
-            let mut shadow = vec![0u8; 256]; // expected durable content
-            for (i, (off, data)) in writes.iter().enumerate() {
-                let off = (*off).min(256 - data.len() as u64);
-                r.write(off, data).unwrap();
-                if i < persist_upto {
-                    r.persist(off, data.len() as u64).unwrap();
-                    shadow[off as usize..off as usize + data.len()].copy_from_slice(data);
-                }
-            }
-            // Persisting a range persists the *current volatile* content, so
-            // rebuild the shadow by replaying: volatile state evolves, and
-            // each persisted range snapshots it. Simplest correct shadow:
+            // Persisting a range persists the *current volatile* content,
+            // so the expected durable image replays the same writes.
             let mut volatile = vec![0u8; 256];
             let mut durable = vec![0u8; 256];
             for (i, (off, data)) in writes.iter().enumerate() {
-                let off = (*off).min(256 - data.len() as u64) as usize;
-                volatile[off..off + data.len()].copy_from_slice(data);
+                let end = off + data.len();
+                r.write(*off as u64, data).unwrap();
+                volatile[*off..end].copy_from_slice(data);
                 if i < persist_upto {
-                    durable[off..off + data.len()].copy_from_slice(&volatile[off..off + data.len()]);
+                    r.persist(*off as u64, data.len() as u64).unwrap();
+                    durable[*off..end].copy_from_slice(&volatile[*off..end]);
                 }
             }
             r.crash(CrashPolicy::DropUnpersisted);
             let mut got = vec![0u8; 256];
             r.read(0, &mut got).unwrap();
-            prop_assert_eq!(got, durable);
-            let _ = shadow;
-        }
+            assert_eq!(got, durable);
+        });
+    }
 
-        /// The adversarial crash only ever leaves bytes that were written at
-        /// some point (old durable or new volatile), never garbage.
-        #[test]
-        fn random_partial_crash_never_invents_bytes(seed in any::<u64>()) {
+    /// The adversarial crash only ever leaves bytes that were written at
+    /// some point (old durable or new volatile), never garbage.
+    #[test]
+    fn random_partial_crash_never_invents_bytes() {
+        check(DEFAULT_CASES, |rng| {
             let mut r = region(256);
             r.write(0, &[0x11; 128]).unwrap();
             r.persist(0, 128).unwrap();
             r.write(64, &[0x22; 128]).unwrap();
-            r.crash(CrashPolicy::RandomPartial { seed });
+            r.crash(CrashPolicy::RandomPartial {
+                seed: rng.next_u64(),
+            });
             let mut got = vec![0u8; 256];
             r.read(0, &mut got).unwrap();
             for (i, b) in got.iter().enumerate() {
@@ -422,8 +419,8 @@ mod tests {
                     128..=191 => &[0x00, 0x22],
                     _ => &[0x00],
                 };
-                prop_assert!(valid.contains(b), "byte {i} = {b:#x} invalid");
+                assert!(valid.contains(b), "byte {i} = {b:#x} invalid");
             }
-        }
+        });
     }
 }

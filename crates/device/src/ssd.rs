@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use pccheck_util::sync::RwLock;
 
 use pccheck_util::{Bandwidth, ByteSize, TokenBucket};
 
@@ -351,16 +351,15 @@ mod tests {
         };
         let ssd = Arc::new(SsdDevice::new(cfg));
         let start = Instant::now();
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for i in 0..2u64 {
                 let ssd = Arc::clone(&ssd);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let payload = vec![i as u8; 2 * 1024 * 1024];
                     ssd.write_at(i * 2 * 1024 * 1024, &payload).unwrap();
                 });
             }
-        })
-        .unwrap();
+        });
         let secs = start.elapsed().as_secs_f64();
         // 4 MB total at 20 MB/s: ~0.2 s regardless of concurrency.
         assert!(secs > 0.1, "contention not enforced: {secs}s");

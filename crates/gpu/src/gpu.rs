@@ -13,8 +13,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
-
+use pccheck_util::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use pccheck_util::ByteSize;
 
 use crate::copy::{CopyEngine, CopyEngineConfig};
@@ -69,7 +68,9 @@ pub struct Gpu {
 #[derive(Debug)]
 struct GpuInner {
     config: GpuConfig,
-    state: Arc<RwLock<TrainingState>>,
+    state: RwLock<TrainingState>,
+    /// Owned read holds out on `state`; see [`OwnedHolds`].
+    holds: OwnedHolds,
     engine: CopyEngine,
     /// Byte ranges (serialized-payload coordinates) mutated since the last
     /// snapshot guard drained them. Updates record here while holding the
@@ -98,7 +99,8 @@ impl Gpu {
         Gpu {
             inner: Arc::new(GpuInner {
                 config,
-                state: Arc::new(RwLock::new(state)),
+                state: RwLock::new(state),
+                holds: OwnedHolds::default(),
                 engine,
                 dirty: Mutex::new(vec![full]),
             }),
@@ -123,6 +125,7 @@ impl Gpu {
     /// Applies one update step (the `U` phase). Blocks while any snapshot
     /// copy holds the weights, reproducing the Figure 6 stall.
     pub fn update(&self) {
+        let _turn = self.inner.holds.write_turn();
         let mut state = self.inner.state.write();
         state.step();
         let size = state.size().as_u64();
@@ -134,6 +137,7 @@ impl Gpu {
     /// [`TrainingState::step_sparse`]), and the mutated ranges are recorded
     /// in the dirty tracker for the next snapshot to report.
     pub fn update_sparse(&self, update_fraction: f64) {
+        let _turn = self.inner.holds.write_turn();
         let mut state = self.inner.state.write();
         let ranges = state.step_sparse(update_fraction);
         self.inner.dirty.lock().extend(ranges);
@@ -162,18 +166,18 @@ impl Gpu {
     /// proceeds with the next iteration's compute phase — exactly PCcheck's
     /// overlap of `C` with `T` (Figure 6).
     pub fn lock_weights_shared_owned(&self) -> OwnedWeightsGuard {
-        let state = RwLock::read_arc(&self.inner.state);
+        self.inner.holds.acquire();
         let dirty = self.drain_dirty();
         OwnedWeightsGuard {
-            state,
             gpu: self.clone(),
             dirty,
         }
     }
 
     /// Drains the dirty tracker into a merged, sorted range set. Called
-    /// under the state read lock so no update can interleave: updates need
-    /// the write lock, and the tracker is only pushed to from there.
+    /// under the state read lock or an owned hold so no update can
+    /// interleave: updates need the write lock and a write turn, and the
+    /// tracker is only pushed to from there.
     ///
     /// Note the drain makes snapshots consume the dirty set: each guard
     /// sees what changed since the previous guard was taken. The persist
@@ -189,6 +193,7 @@ impl Gpu {
     ///
     /// Panics if the payload size does not match the current layout.
     pub fn restore(&self, payload: &[u8], step: u64) {
+        let _turn = self.inner.holds.write_turn();
         let mut state = self.inner.state.write();
         let layout = state.layout();
         *state = TrainingState::restore(&layout, payload, step);
@@ -231,6 +236,42 @@ impl Gpu {
     /// Current update-step counter.
     pub fn step_count(&self) -> u64 {
         self.inner.state.read().step_count()
+    }
+}
+
+/// Owned read holds on the weights, counted rather than guarded: a `std`
+/// read guard cannot leave the thread that took it, and an
+/// [`OwnedWeightsGuard`] must.
+///
+/// An update takes its turn by locking the count at zero and keeping it
+/// locked while it writes, so holds and updates exclude each other. Inside
+/// a hold every access takes `state.read()`, which no update can be
+/// contending for.
+#[derive(Debug, Default)]
+struct OwnedHolds {
+    count: Mutex<usize>,
+    released: Condvar,
+}
+
+impl OwnedHolds {
+    fn acquire(&self) {
+        *self.count.lock() += 1;
+    }
+
+    fn release(&self) {
+        let mut count = self.count.lock();
+        *count -= 1;
+        if *count == 0 {
+            self.released.notify_all();
+        }
+    }
+
+    fn write_turn(&self) -> MutexGuard<'_, usize> {
+        let mut count = self.count.lock();
+        while *count > 0 {
+            count = self.released.wait(count);
+        }
+        count
     }
 }
 
@@ -311,7 +352,7 @@ impl RestoreTarget {
 /// Shared access to the GPU weights for the duration of a snapshot copy.
 #[derive(Debug)]
 pub struct WeightsGuard<'a> {
-    state: parking_lot::RwLockReadGuard<'a, TrainingState>,
+    state: RwLockReadGuard<'a, TrainingState>,
     engine: &'a CopyEngine,
     dirty: Vec<(u64, u64)>,
 }
@@ -357,25 +398,34 @@ impl WeightsGuard<'_> {
 /// GPU→DRAM copy completes to release the `U` phase.
 #[derive(Debug)]
 pub struct OwnedWeightsGuard {
-    state: parking_lot::ArcRwLockReadGuard<parking_lot::RawRwLock, TrainingState>,
     gpu: Gpu,
     dirty: Vec<(u64, u64)>,
 }
 
+impl Drop for OwnedWeightsGuard {
+    fn drop(&mut self) {
+        self.gpu.inner.holds.release();
+    }
+}
+
 impl OwnedWeightsGuard {
+    fn state(&self) -> RwLockReadGuard<'_, TrainingState> {
+        self.gpu.inner.state.read()
+    }
+
     /// Size of the guarded state.
     pub fn size(&self) -> ByteSize {
-        self.state.size()
+        self.state().size()
     }
 
     /// The step counter of the guarded state.
     pub fn step_count(&self) -> u64 {
-        self.state.step_count()
+        self.state().step_count()
     }
 
     /// Digest of the guarded state.
     pub fn digest(&self) -> StateDigest {
-        self.state.digest()
+        self.state().digest()
     }
 
     /// Copies the serialized byte range `[offset, offset+dst.len())` into
@@ -385,7 +435,7 @@ impl OwnedWeightsGuard {
     ///
     /// Panics if the range exceeds the state size.
     pub fn copy_range_to_host(&self, offset: u64, dst: &mut [u8]) {
-        self.state.serialize_range(offset, dst);
+        self.state().serialize_range(offset, dst);
         self.gpu
             .copy_engine()
             .meter(ByteSize::from_bytes(dst.len() as u64));
@@ -530,6 +580,32 @@ mod tests {
         drop(guard);
         handle.join().unwrap();
         assert!(updated.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn owned_guard_holds_off_updates_until_dropped_on_another_thread() {
+        let g = gpu(300, 6);
+        let guard = g.lock_weights_shared_owned();
+        let before = guard.digest();
+        let updated = AtomicBool::new(false);
+        let (starting, started) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                starting.send(()).unwrap();
+                g.update();
+                updated.store(true, Ordering::SeqCst);
+            });
+            // The copier: owns the hold on a thread that did not take it.
+            let updated = &updated;
+            s.spawn(move || {
+                started.recv().unwrap();
+                assert_eq!(guard.digest(), before, "state moved under a hold");
+                assert!(!updated.load(Ordering::SeqCst), "update ran under a hold");
+                drop(guard);
+            });
+        });
+        assert!(updated.load(Ordering::SeqCst));
+        assert_ne!(g.digest(), before);
     }
 
     #[test]

@@ -20,12 +20,10 @@
 //! Absolute values shift curves; the reproduced *shapes* depend on the
 //! ratios `Tw/(N·f·t)` and `m/(f·t·T_S)`, which these figures match.
 
-use serde::{Deserialize, Serialize};
-
 use pccheck_util::{ByteSize, SimDuration};
 
 /// The accelerator a workload runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GpuKind {
     /// NVIDIA A100-40GB on a GCP `a2-highgpu-1g` VM (the SSD testbed).
     A100,
@@ -64,7 +62,7 @@ impl GpuKind {
 }
 
 /// One row of Table 3 plus calibrated timing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelSpec {
     /// Model name as the paper spells it.
     pub name: &'static str,
@@ -281,7 +279,7 @@ impl ModelZoo {
 /// [`TrainingState::step_sparse`](crate::TrainingState::step_sparse), so
 /// the per-step dirty footprint is calibrated exactly like the dense
 /// models' checkpoint sizes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SparseModelSpec {
     /// Workload name (model + sparsity regime).
     pub name: &'static str,

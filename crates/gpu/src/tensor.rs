@@ -346,7 +346,7 @@ impl TrainingState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use pccheck_util::rng::{check, DEFAULT_CASES};
 
     fn small_state(seed: u64) -> TrainingState {
         TrainingState::synthetic(ByteSize::from_bytes(300), seed)
@@ -522,29 +522,33 @@ mod tests {
         }
     }
 
-    proptest! {
-        #[test]
-        fn round_trip_any_size(total in 3u64..2048, seed in any::<u64>(), steps in 0u64..20) {
+    #[test]
+    fn round_trip_any_size() {
+        check(DEFAULT_CASES, |r| {
+            let (total, seed, steps) = (r.range(3..2048), r.next_u64(), r.range(0..20));
             let mut s = TrainingState::synthetic(ByteSize::from_bytes(total), seed);
             for _ in 0..steps {
                 s.step();
             }
             let mut buf = vec![0u8; s.size().as_usize()];
             s.serialize_into(&mut buf);
-            let r = TrainingState::restore(&s.layout(), &buf, s.step_count());
-            prop_assert_eq!(r.digest(), s.digest());
-        }
+            let restored = TrainingState::restore(&s.layout(), &buf, s.step_count());
+            assert_eq!(restored.digest(), s.digest());
+        });
+    }
 
-        #[test]
-        fn serialize_range_is_consistent(total in 10u64..512, off in 0u64..500, len in 1usize..64) {
+    #[test]
+    fn serialize_range_is_consistent() {
+        check(DEFAULT_CASES, |r| {
+            let (total, off, len) = (r.range(10..512), r.range(0..500), r.range(1..64));
             let s = TrainingState::synthetic(ByteSize::from_bytes(total), 1);
             let off = off.min(total - 1);
-            let len = len.min((total - off) as usize);
+            let len = len.min(total - off) as usize;
             let mut full = vec![0u8; total as usize];
             s.serialize_into(&mut full);
             let mut piece = vec![0u8; len];
             s.serialize_range(off, &mut piece);
-            prop_assert_eq!(&piece[..], &full[off as usize..off as usize + len]);
-        }
+            assert_eq!(&piece[..], &full[off as usize..off as usize + len]);
+        });
     }
 }

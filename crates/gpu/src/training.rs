@@ -219,7 +219,7 @@ mod tests {
 
     #[test]
     fn checkpointer_sees_correct_iteration_numbers() {
-        use parking_lot::Mutex;
+        use pccheck_util::sync::Mutex;
 
         #[derive(Default)]
         struct Recorder(Mutex<Vec<u64>>);

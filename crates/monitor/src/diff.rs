@@ -85,8 +85,8 @@ pub fn diff(a: &[u8], b: &[u8], layout: &StateLayout) -> DiffReport {
 mod tests {
     use super::*;
     use pccheck_gpu::TrainingState;
+    use pccheck_util::rng::{check, DEFAULT_CASES};
     use pccheck_util::ByteSize;
-    use proptest::prelude::*;
 
     fn layout_of(state: &TrainingState) -> StateLayout {
         state.layout()
@@ -150,21 +150,20 @@ mod tests {
         diff(&[1, 2], &[1, 2], &StateLayout::new());
     }
 
-    proptest! {
-        #[test]
-        fn changed_bytes_counts_exact_positions(
-            base in proptest::collection::vec(any::<u8>(), 30),
-            flips in proptest::collection::btree_set(0usize..30, 0..10),
-        ) {
+    #[test]
+    fn changed_bytes_counts_exact_positions() {
+        check(DEFAULT_CASES, |r| {
+            let base = r.bytes(30);
+            let flips: std::collections::BTreeSet<usize> = (0..r.range(0..10))
+                .map(|_| r.range(0..30) as usize)
+                .collect();
             let mut other = base.clone();
-            let mut expected = 0u64;
             for &i in &flips {
                 other[i] ^= 0x01; // guaranteed different
-                expected += 1;
             }
             let layout = vec![("t".to_string(), ByteSize::from_bytes(30))];
             let report = diff(&base, &other, &layout);
-            prop_assert_eq!(report.changed_bytes, expected);
-        }
+            assert_eq!(report.changed_bytes, flips.len() as u64);
+        });
     }
 }

@@ -1,7 +1,5 @@
 //! Simulation configuration: hardware profiles and strategy parameters.
 
-use serde::{Deserialize, Serialize};
-
 use pccheck_gpu::{GpuKind, ModelSpec};
 use pccheck_util::{Bandwidth, ByteSize, SimDuration};
 
@@ -39,7 +37,7 @@ pub const GPM_PMEM_EFFICIENCY: f64 = 0.5;
 pub const GEMINI_NETWORK_SHARE: f64 = 0.4;
 
 /// The checkpointing strategy a simulation runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StrategyCfg {
     /// Checkpoints cost nothing (the horizontal line in Figures 8–10).
     Ideal,
@@ -92,7 +90,7 @@ impl StrategyCfg {
 }
 
 /// The storage media a simulation persists to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MediaKind {
     /// GCP `pd-ssd` (or any mmap+msync disk).
     Ssd,
@@ -103,7 +101,7 @@ pub enum MediaKind {
 }
 
 /// Full configuration of one simulated training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Human-readable workload label.
     pub label: String,
@@ -130,12 +128,7 @@ pub struct SimConfig {
     /// Device topology: number of RAID-0 stripe members. 1 = a single
     /// device; N > 1 aggregates N devices of `storage_bandwidth` each
     /// (the concrete counterpart is `pccheck_device::StripedDevice`).
-    #[serde(default = "default_stripe_ways")]
     pub stripe_ways: u32,
-}
-
-fn default_stripe_ways() -> u32 {
-    1
 }
 
 impl SimConfig {
@@ -338,13 +331,6 @@ mod tests {
         assert_eq!(striped.per_writer_cap(), cfg.per_writer_cap());
         // Zero clamps to a single device rather than dividing by zero.
         assert_eq!(cfg.with_stripe_ways(0).stripe_ways, 1);
-    }
-
-    #[test]
-    fn stripe_ways_serde_default_is_single_device() {
-        // Configs serialized before the knob existed deserialize with the
-        // `#[serde(default)]` below; pin the default it resolves to.
-        assert_eq!(super::default_stripe_ways(), 1);
     }
 
     #[test]

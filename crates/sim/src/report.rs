@@ -1,11 +1,9 @@
 //! Simulation results.
 
-use serde::{Deserialize, Serialize};
-
 use pccheck_util::{SimDuration, SimTime};
 
 /// One committed checkpoint in the simulated run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommitRecord {
     /// Virtual time the checkpoint became durable.
     pub time: SimTime,
@@ -14,7 +12,7 @@ pub struct CommitRecord {
 }
 
 /// Results of a simulated training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Strategy name.
     pub strategy: String,

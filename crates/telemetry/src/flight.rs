@@ -27,9 +27,10 @@
 //!   checkpoint failure into a second failure.
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use pccheck_device::PersistentDevice;
+use pccheck_util::sync::Mutex;
 
 /// Serialized size of one flight record: one cache line.
 pub const FLIGHT_RECORD_SIZE: u64 = 64;
@@ -425,7 +426,7 @@ impl FlightRing {
     /// Appends swallowed because the device rejected the write (e.g., it
     /// had already crashed).
     pub fn dropped(&self) -> u64 {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).dropped
+        self.state.lock().dropped
     }
 
     /// Appends one record, assigning the next sequence number. Serialized:
@@ -441,7 +442,7 @@ impl FlightRing {
         bytes: u64,
         aux: u64,
     ) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.state.lock();
         let seq = state.next_seq;
         let rec = FlightRecord {
             seq,
@@ -530,8 +531,8 @@ impl FlightRecorder {
 mod tests {
     use super::*;
     use pccheck_device::{CrashPolicy, DeviceConfig, SsdDevice};
+    use pccheck_util::rng::{check, DEFAULT_CASES};
     use pccheck_util::ByteSize;
-    use proptest::prelude::*;
 
     fn device(cap: u64) -> Arc<dyn PersistentDevice> {
         Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(
@@ -741,7 +742,7 @@ mod tests {
     }
 
     /// Property body (shared by the deterministic grid test and the
-    /// proptest fuzz below): a record round-trips and any single bit flip
+    /// seeded fuzz below): a record round-trips and any single bit flip
     /// in the covered bytes is detected.
     fn check_roundtrip_and_bitflip(rec: FlightRecord, pos: usize, bit: u8) {
         let buf = rec.encode();
@@ -812,31 +813,29 @@ mod tests {
         }
     }
 
-    proptest! {
-        /// Fuzzed version of [`check_roundtrip_and_bitflip`].
-        #[test]
-        fn any_record_round_trips_and_bitflips_detected(
-            seq in any::<u64>(), counter in any::<u64>(), slot in any::<u32>(),
-            iteration in any::<u64>(), bytes in any::<u64>(), aux in any::<u64>(),
-            kind_ix in 0usize..FlightEventKind::ALL.len(),
-            pos in 0usize..56, bit in 0u8..8,
-        ) {
-            check_roundtrip_and_bitflip(
-                FlightRecord {
-                    seq, counter, slot, iteration, bytes, aux,
-                    kind: FlightEventKind::ALL[kind_ix],
-                },
-                pos,
-                bit,
-            );
-        }
+    /// Fuzzed version of [`check_roundtrip_and_bitflip`].
+    #[test]
+    fn any_record_round_trips_and_bitflips_detected() {
+        check(DEFAULT_CASES, |r| {
+            let rec = FlightRecord {
+                seq: r.next_u64(),
+                counter: r.next_u64(),
+                slot: r.next_u64() as u32,
+                iteration: r.next_u64(),
+                bytes: r.next_u64(),
+                aux: r.next_u64(),
+                kind: FlightEventKind::ALL[r.range(0..FlightEventKind::ALL.len() as u64) as usize],
+            };
+            check_roundtrip_and_bitflip(rec, r.range(0..56) as usize, r.range(0..8) as u8);
+        });
+    }
 
-        /// Fuzzed version of [`check_crash_prefix`].
-        #[test]
-        fn crash_mid_append_yields_valid_prefix(
-            total in 1usize..40, persisted in 0usize..40, cap in 2u32..12,
-        ) {
-            check_crash_prefix(total, persisted, cap);
-        }
+    /// Fuzzed version of [`check_crash_prefix`].
+    #[test]
+    fn crash_mid_append_yields_valid_prefix() {
+        check(DEFAULT_CASES, |r| {
+            let (total, persisted, cap) = (r.range(1..40), r.range(0..40), r.range(2..12));
+            check_crash_prefix(total as usize, persisted as usize, cap as u32);
+        });
     }
 }

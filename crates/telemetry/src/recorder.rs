@@ -15,8 +15,10 @@
 //!   threads interleave into a single coherent timeline.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
+
+use pccheck_util::sync::Mutex;
 
 use crate::counters::{CheckpointCounters, CountersSnapshot};
 use crate::event::{Event, EventKind, Phase, SpanId};
@@ -133,10 +135,7 @@ impl MemoryRecorder {
 
     fn push(&self, event: Event) {
         let shard = THREAD_SHARD.with(|s| *s);
-        self.shards[shard]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(event);
+        self.shards[shard].lock().push(event);
     }
 
     /// The shared lifecycle counters (also backs `EngineStats`).
@@ -175,7 +174,7 @@ impl MemoryRecorder {
     pub fn events(&self) -> Vec<Event> {
         let mut all = Vec::new();
         for shard in &self.shards {
-            all.extend_from_slice(&shard.lock().unwrap_or_else(|e| e.into_inner()));
+            all.extend_from_slice(&shard.lock());
         }
         all.sort_by_key(|e| (e.at_nanos, e.span));
         all

@@ -23,8 +23,10 @@ use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
+
+use pccheck_util::sync::Mutex;
 
 use crate::event::Phase;
 use crate::histogram::LatencyHistogram;
@@ -125,7 +127,7 @@ impl MetricsRegistry {
     /// the aggregate. Shared across clones of this registry.
     pub fn register_job(&self, name: impl Into<String>, telemetry: Telemetry) {
         let name = name.into();
-        let mut jobs = self.jobs.lock().unwrap();
+        let mut jobs = self.jobs.lock();
         if let Some(slot) = jobs.iter_mut().find(|(n, _)| *n == name) {
             slot.1 = telemetry;
         } else {
@@ -135,7 +137,7 @@ impl MetricsRegistry {
 
     /// Removes a per-job recorder; returns whether it was registered.
     pub fn deregister_job(&self, name: &str) -> bool {
-        let mut jobs = self.jobs.lock().unwrap();
+        let mut jobs = self.jobs.lock();
         let before = jobs.len();
         jobs.retain(|(n, _)| n != name);
         jobs.len() != before
@@ -143,7 +145,7 @@ impl MetricsRegistry {
 
     /// The per-job handles currently registered, in registration order.
     pub fn jobs(&self) -> Vec<(String, Telemetry)> {
-        self.jobs.lock().unwrap().clone()
+        self.jobs.lock().clone()
     }
 
     /// One consistent per-job rollup: registered jobs whose handles are
@@ -151,7 +153,6 @@ impl MetricsRegistry {
     fn jobs_snapshot(&self) -> Vec<(String, TelemetrySnapshot)> {
         self.jobs
             .lock()
-            .unwrap()
             .iter()
             .filter_map(|(name, t)| t.snapshot().map(|s| (name.clone(), s)))
             .collect()
@@ -341,7 +342,7 @@ impl MetricsRegistry {
                     hist,
                 );
             }
-            for (job, t) in self.jobs.lock().unwrap().iter() {
+            for (job, t) in self.jobs.lock().iter() {
                 let Some(jr) = t.recorder() else { continue };
                 for phase in Phase::ALL {
                     let hist = jr.phase_hist(phase);

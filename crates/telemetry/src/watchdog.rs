@@ -25,8 +25,10 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
+
+use pccheck_util::sync::Mutex;
 
 use crate::event::Phase;
 use crate::export::chrome_trace;
@@ -217,10 +219,7 @@ impl SloWatchdog {
 
     /// Path of the most recently captured bundle, if any.
     pub fn last_bundle(&self) -> Option<PathBuf> {
-        self.last_bundle
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        self.last_bundle.lock().clone()
     }
 
     fn observe(telemetry: &Telemetry) -> Baseline {
@@ -253,7 +252,7 @@ impl SloWatchdog {
         let mut violations = Vec::new();
         let window_start;
         {
-            let mut base = self.baseline.lock().unwrap_or_else(|e| e.into_inner());
+            let mut base = self.baseline.lock();
             window_start = base.at_nanos;
             let window_nanos = now.at_nanos.saturating_sub(base.at_nanos);
             let min_samples = self.config.min_window_samples.max(1);
@@ -378,7 +377,7 @@ impl SloWatchdog {
             }
         }
 
-        *self.last_bundle.lock().unwrap_or_else(|e| e.into_inner()) = Some(dir.clone());
+        *self.last_bundle.lock() = Some(dir.clone());
         Ok(dir)
     }
 

@@ -1,9 +1,7 @@
 //! Preemption traces.
 
-use rand::Rng;
-
-use pccheck_util::{rng, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use pccheck_util::rng::{self, Rng};
+use pccheck_util::{SimDuration, SimTime};
 
 /// Published summary of the André et al. GCP A100 spot trace: 26
 /// preemptions in 3.5 hours.
@@ -24,9 +22,11 @@ pub const DEFAULT_WINDOW: SimDuration = SimDuration::from_secs(16 * 3600);
 /// use pccheck_trace::PreemptionTrace;
 ///
 /// let trace = PreemptionTrace::synthetic_gcp_a100(42);
-/// assert!(trace.len() > 80 && trace.len() < 160); // ~119 expected in 16 h
+/// // 16 h at ~7.43/h is ~119 arrivals; a burst twin follows 20% of them,
+/// // so ~143 events are expected, with a standard deviation of ~14.
+/// assert!(trace.len() > 90 && trace.len() < 200);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PreemptionTrace {
     window: SimDuration,
     events: Vec<SimTime>,
@@ -73,21 +73,21 @@ impl PreemptionTrace {
     pub fn synthetic(seed: u64, window: SimDuration, rate_per_hour: f64, burst_prob: f64) -> Self {
         assert!(rate_per_hour > 0.0, "rate must be positive");
         assert!((0.0..=1.0).contains(&burst_prob), "burst_prob in [0,1]");
-        let mut r = rng::seeded(rng::derive_seed(seed, "preemption-trace"));
+        let mut r = Rng::seeded(rng::derive_seed(seed, "preemption-trace"));
         let mean_gap_secs = 3600.0 / rate_per_hour;
         let mut events = Vec::new();
         let mut t = 0.0f64;
         let horizon = window.as_secs_f64();
         loop {
             // Exponential inter-arrival via inverse CDF.
-            let u: f64 = r.gen_range(1e-12..1.0);
+            let u = r.range_f64(1e-12..1.0);
             t += -mean_gap_secs * u.ln();
             if t >= horizon {
                 break;
             }
             events.push(SimTime::from_secs_f64(t));
-            if r.gen_bool(burst_prob) {
-                let burst_at = t + r.gen_range(1.0..60.0);
+            if r.chance(burst_prob) {
+                let burst_at = t + r.range_f64(1.0..60.0);
                 if burst_at < horizon {
                     events.push(SimTime::from_secs_f64(burst_at));
                     t = burst_at;
@@ -161,6 +161,26 @@ mod tests {
         assert!(
             (100.0..190.0).contains(&mean),
             "mean events {mean} out of band"
+        );
+    }
+
+    #[test]
+    fn burst_free_rate_matches_the_published_rate() {
+        // Without twins the arrivals are the published Poisson process
+        // alone: ~119 per 16 h window, so the mean over 32 seeds has a
+        // standard deviation of ~1.6% and must land within 5%.
+        let seeds = 32;
+        let events: usize = (0..seeds)
+            .map(|s| {
+                PreemptionTrace::synthetic(s, DEFAULT_WINDOW, GCP_A100_PREEMPTIONS_PER_HOUR, 0.0)
+                    .len()
+            })
+            .sum();
+        let per_hour = events as f64 / seeds as f64 / (DEFAULT_WINDOW.as_secs_f64() / 3600.0);
+        let error = (per_hour / GCP_A100_PREEMPTIONS_PER_HOUR - 1.0).abs();
+        assert!(
+            error < 0.05,
+            "burst-free rate {per_hour}/h is off by {error}"
         );
     }
 

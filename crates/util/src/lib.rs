@@ -13,8 +13,9 @@
 //! * [`csv`] — a tiny dependency-free CSV writer for experiment output.
 //! * [`json`] — a tiny dependency-free JSON reader (the workspace emits
 //!   JSON by hand; this is the matching parser for artifacts and tests).
-//! * [`rng`] — deterministic seeded RNG construction so every experiment is
-//!   reproducible bit-for-bit.
+//! * [`rng`] — the deterministic seeded generator, so every experiment is
+//!   reproducible bit-for-bit, and the seeded property-test runner.
+//! * [`sync`] — the workspace's non-poisoning `Mutex`/`RwLock`/`Condvar`.
 //! * [`throttle`] — a token-bucket rate limiter used by the concrete
 //!   (real-thread) storage devices to model limited bandwidth.
 //!
@@ -35,6 +36,7 @@ pub mod fnv;
 pub mod json;
 pub mod rng;
 pub mod stats;
+pub mod sync;
 pub mod throttle;
 pub mod time;
 pub mod units;

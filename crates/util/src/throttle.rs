@@ -8,7 +8,7 @@
 
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use crate::sync::{Condvar, Mutex};
 
 use crate::units::{Bandwidth, ByteSize};
 
@@ -104,7 +104,7 @@ impl TokenBucket {
             let deficit = want - state.available;
             let wait_secs = deficit / self.rate.as_bytes_per_sec();
             let timeout = Duration::from_secs_f64(wait_secs.clamp(1e-6, 0.050));
-            self.cond.wait_for(&mut state, timeout);
+            state = self.cond.wait_timeout(state, timeout);
         }
     }
 

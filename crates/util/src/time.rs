@@ -9,8 +9,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A span of simulated time (nanosecond resolution).
 ///
 /// # Examples
@@ -20,9 +18,7 @@ use serde::{Deserialize, Serialize};
 /// let iter_time = SimDuration::from_millis(60); // VGG16 iteration (§5.2.3)
 /// assert_eq!((iter_time * 100).as_secs_f64(), 6.0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {
@@ -197,9 +193,7 @@ impl fmt::Display for SimDuration {
 /// let t1 = t0 + SimDuration::from_secs(5);
 /// assert_eq!(t1 - t0, SimDuration::from_secs(5));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

@@ -8,8 +8,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimDuration;
 
 /// An exact byte count.
@@ -22,9 +20,7 @@ use crate::time::SimDuration;
 /// assert_eq!(m.as_u64(), 1_181_116_006);
 /// assert_eq!(format!("{m}"), "1.10 GB");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ByteSize(u64);
 
 /// Number of bytes in one binary kilobyte.
@@ -234,7 +230,7 @@ impl fmt::Display for ByteSize {
 /// let t = nt.transfer_time(ByteSize::from_gb(4.0));
 /// assert!((t.as_secs_f64() - 4.0 / 4.01).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Bandwidth(f64);
 
 impl Bandwidth {

@@ -6,14 +6,16 @@
 
 use std::sync::Arc;
 
-use proptest::prelude::*;
-
 use pccheck::{recovery, CheckpointStore, PcCheckConfig, PcCheckEngine, PccheckError};
 use pccheck_device::{CrashPolicy, DeviceConfig, PersistentDevice, SsdDevice};
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingState};
+use pccheck_util::rng::check;
 use pccheck_util::ByteSize;
 
 const STATE: u64 = 4096;
+
+/// Cases per seeded property.
+const CASES: u64 = 24;
 
 fn run_with_crash(
     crash_after_ckpt: usize,
@@ -65,50 +67,52 @@ fn run_with_crash(
     Ok(rec.iteration)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Drained checkpoints always recover exactly; the iteration equals the
-    /// last drained boundary.
-    #[test]
-    fn drained_checkpoints_always_recover(k in 1usize..8, seed in any::<u64>()) {
-        let iter = run_with_crash(k, true, CrashPolicy::DropUnpersisted, seed)
+/// Drained checkpoints always recover exactly; the iteration equals the
+/// last drained boundary.
+#[test]
+fn drained_checkpoints_always_recover() {
+    check(CASES, |r| {
+        let (k, seed) = (r.range(1..8), r.next_u64());
+        let iter = run_with_crash(k as usize, true, CrashPolicy::DropUnpersisted, seed)
             .expect("drained checkpoint must recover");
-        prop_assert_eq!(iter, k as u64);
-    }
+        assert_eq!(iter, k);
+    });
+}
 
-    /// Crashing with checkpoints still in flight recovers to SOME earlier
-    /// committed checkpoint — never a torn one (verification would fail) —
-    /// or reports NoCheckpoint if the crash beat the very first commit.
-    #[test]
-    fn inflight_crash_recovers_to_valid_prefix(k in 1usize..8, seed in any::<u64>()) {
-        match run_with_crash(k, false, CrashPolicy::DropUnpersisted, seed) {
-            Ok(iter) => prop_assert!(iter <= k as u64, "recovered {iter} > issued {k}"),
+/// Crashing with checkpoints still in flight recovers to SOME earlier
+/// committed checkpoint — never a torn one (verification would fail) —
+/// or reports NoCheckpoint if the crash beat the very first commit.
+#[test]
+fn inflight_crash_recovers_to_valid_prefix() {
+    check(CASES, |r| {
+        let (k, seed) = (r.range(1..8), r.next_u64());
+        match run_with_crash(k as usize, false, CrashPolicy::DropUnpersisted, seed) {
+            Ok(iter) => assert!(iter <= k, "recovered {iter} > issued {k}"),
             Err(PccheckError::NoCheckpoint) => {} // crash won the race; fine
-            Err(e) => prop_assert!(false, "unexpected recovery failure: {e}"),
+            Err(e) => panic!("unexpected recovery failure: {e}"),
         }
-    }
+    });
+}
 
-    /// The adversarial policy (unfenced cache lines may survive) must never
-    /// produce a checkpoint that passes verification but holds wrong data:
-    /// verification is part of recovery here, so any Ok result is genuine.
-    #[test]
-    fn adversarial_crashes_never_yield_torn_checkpoints(
-        k in 1usize..6,
-        drain in proptest::bool::ANY,
-        seed in any::<u64>(),
-    ) {
-        match run_with_crash(k, drain, CrashPolicy::RandomPartial { seed }, seed) {
-            Ok(iter) => prop_assert!(iter <= k as u64),
-            Err(PccheckError::NoCheckpoint) => prop_assert!(!drain,
-                "a drained checkpoint must survive even adversarial crashes"),
-            Err(PccheckError::CorruptCheckpoint { .. }) => prop_assert!(
-                false,
-                "recovery must never select a checkpoint that fails verification"
+/// The adversarial policy (unfenced cache lines may survive) must never
+/// produce a checkpoint that passes verification but holds wrong data:
+/// verification is part of recovery here, so any Ok result is genuine.
+#[test]
+fn adversarial_crashes_never_yield_torn_checkpoints() {
+    check(CASES, |r| {
+        let (k, drain, seed) = (r.range(1..6), r.bool(), r.next_u64());
+        match run_with_crash(k as usize, drain, CrashPolicy::RandomPartial { seed }, seed) {
+            Ok(iter) => assert!(iter <= k),
+            Err(PccheckError::NoCheckpoint) => assert!(
+                !drain,
+                "a drained checkpoint must survive even adversarial crashes"
             ),
-            Err(e) => prop_assert!(false, "unexpected error: {e}"),
+            Err(PccheckError::CorruptCheckpoint { .. }) => {
+                panic!("recovery must never select a checkpoint that fails verification")
+            }
+            Err(e) => panic!("unexpected error: {e}"),
         }
-    }
+    });
 }
 
 #[test]

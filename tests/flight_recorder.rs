@@ -5,19 +5,21 @@
 //! afterwards yields only checksum-valid records forming a prefix of what
 //! was appended, never fabricated or half-written events.
 //!
-//! The randomized `proptest!` blocks delegate to the plain check
-//! functions below, which the deterministic grid tests also run, so the
-//! properties are exercised even where the proptest runner is stubbed.
+//! The seeded `prop_*` tests draw their inputs from `pccheck_util::rng`
+//! and delegate to the plain check functions below, which the
+//! deterministic grid tests also run.
 
 use std::sync::Arc;
-
-use proptest::prelude::*;
 
 use pccheck_device::{CrashPolicy, DeviceConfig, PersistentDevice, SsdDevice};
 use pccheck_telemetry::{
     FlightEventKind, FlightRecord, FlightRing, FLIGHT_HEADER_SIZE, FLIGHT_RECORD_SIZE,
 };
+use pccheck_util::rng::check;
 use pccheck_util::ByteSize;
+
+/// Cases per seeded property.
+const CASES: u64 = 64;
 
 fn ring_device(capacity_records: u32, policy: CrashPolicy) -> Arc<SsdDevice> {
     let cap =
@@ -275,45 +277,48 @@ fn partial_wrap_grid_keeps_newest_window() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn prop_fuse_crash_leaves_valid_prefix(
-        total in 1u64..40,
-        survivor_frac in 0u64..100,
-        capacity in 2u32..24,
-    ) {
+#[test]
+fn prop_fuse_crash_leaves_valid_prefix() {
+    check(CASES, |r| {
+        let (total, survivor_frac, capacity) = (r.range(1..40), r.range(0..100), r.range(2..24));
         let survivors = survivor_frac * (total - 1) / 100;
-        check_fuse_crash_leaves_valid_prefix(total, survivors.min(total - 1), capacity);
-    }
+        check_fuse_crash_leaves_valid_prefix(total, survivors.min(total - 1), capacity as u32);
+    });
+}
 
-    #[test]
-    fn prop_adversarial_crash_never_fabricates(
-        appended in 1u64..32,
-        capacity in 2u32..16,
-        seed in 0u64..1_000_000,
-    ) {
-        check_adversarial_crash_never_fabricates(appended, capacity, seed);
-    }
+#[test]
+fn prop_adversarial_crash_never_fabricates() {
+    check(CASES, |r| {
+        let (appended, capacity, seed) = (r.range(1..32), r.range(2..16), r.range(0..1_000_000));
+        check_adversarial_crash_never_fabricates(appended, capacity as u32, seed);
+    });
+}
 
-    #[test]
-    fn prop_partial_wrap_keeps_newest(total in 1u64..64, capacity in 2u32..16) {
-        check_partial_wrap_keeps_newest(total, capacity);
-    }
+#[test]
+fn prop_partial_wrap_keeps_newest() {
+    check(CASES, |r| {
+        let (total, capacity) = (r.range(1..64), r.range(2..16));
+        check_partial_wrap_keeps_newest(total, capacity as u32);
+    });
+}
 
-    #[test]
-    fn prop_exact_capacity_multiple_keeps_one_lap(laps in 1u64..6, capacity in 2u32..16) {
+#[test]
+fn prop_exact_capacity_multiple_keeps_one_lap() {
+    check(CASES, |r| {
+        let (laps, capacity) = (r.range(1..6), r.range(2..16) as u32);
         check_exact_capacity_multiple_wrap(laps, capacity);
         check_lap_boundary_crash_keeps_previous_lap(laps, capacity);
-    }
+    });
+}
 
-    #[test]
-    fn prop_stale_lap_cell_is_rejected(
-        capacity in 2u32..16,
-        cell_pick in 0u32..1000,
-        lap_gap in 1u64..6,
-    ) {
+#[test]
+fn prop_stale_lap_cell_is_rejected() {
+    check(CASES, |r| {
+        let (capacity, cell_pick, lap_gap) = (
+            r.range(2..16) as u32,
+            r.range(0..1000) as u32,
+            r.range(1..6),
+        );
         check_stale_lap_cell_is_rejected(capacity, cell_pick % capacity, lap_gap);
-    }
+    });
 }
