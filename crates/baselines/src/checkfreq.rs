@@ -120,16 +120,15 @@ impl Checkpointer for CheckFreqCheckpointer {
             };
             let copy_start = telemetry.now_nanos();
             let total = guard.size();
-            let digest = guard.digest();
-            let host = pipeline.snapshot_whole(ctx, &guard, copy_start);
+            let (host, digest) = pipeline.snapshot_whole(ctx, &guard, copy_start);
             drop(guard); // snapshot done: weight updates may resume
 
             // Persist phase.
-            let lease = pipeline
-                .persist_whole(ctx, &host, iteration)
+            let (lease, copied) = pipeline
+                .persist_whole(ctx, &host, digest, iteration)
                 .expect("whole-payload persist on healthy device");
             let outcome = pipeline
-                .commit(ctx, lease, iteration, total.as_u64(), digest.0)
+                .commit(ctx, lease, iteration, &copied)
                 .expect("commit I/O on healthy device");
             match outcome {
                 CommitOutcome::Committed => {

@@ -101,7 +101,6 @@ impl Checkpointer for GpmCheckpointer {
         // so training stalls for the duration by construction.
         let guard = gpu.lock_weights_shared();
         let total = guard.size();
-        let digest = guard.digest();
         let ctx = PipelineCtx {
             telemetry: &self.telemetry,
             span,
@@ -111,14 +110,16 @@ impl Checkpointer for GpmCheckpointer {
         // staging; GPU-copy and persist overlap tile-by-tile, so both
         // phases share the same start timestamp.
         let lease = self.pipeline.lease(ctx);
-        self.pipeline
+        let copied = self
+            .pipeline
             .write_through(ctx, &guard, &lease, iteration, stall_start)
             .expect("kernel write-through on healthy device");
         let outcome = self
             .pipeline
-            .commit(ctx, lease, iteration, total.as_u64(), digest.0)
+            .commit(ctx, lease, iteration, &copied)
             .expect("commit I/O on healthy device");
         drop(guard);
+        let digest = copied.state_digest;
         match outcome {
             pccheck::CommitOutcome::Committed => {
                 self.telemetry.committed(span, iteration, total.as_u64());

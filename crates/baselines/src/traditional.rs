@@ -96,18 +96,17 @@ impl Checkpointer for TraditionalCheckpointer {
         // C: copy weights to DRAM — inline, training thread blocked.
         let guard = gpu.lock_weights_shared();
         let total = guard.size();
-        let digest = guard.digest();
-        let host = self.pipeline.snapshot_whole(ctx, &guard, stall_start);
+        let (host, digest) = self.pipeline.snapshot_whole(ctx, &guard, stall_start);
         drop(guard);
         // P: write + sync to storage — still inline, slot leased after the
         // copy (the lease straddles only the persist, as before).
-        let lease = self
+        let (lease, copied) = self
             .pipeline
-            .persist_whole(ctx, &host, iteration)
+            .persist_whole(ctx, &host, digest, iteration)
             .expect("whole-payload persist on healthy device");
         let outcome = self
             .pipeline
-            .commit(ctx, lease, iteration, total.as_u64(), digest.0)
+            .commit(ctx, lease, iteration, &copied)
             .expect("commit I/O on healthy device");
         match outcome {
             pccheck::CommitOutcome::Committed => {

@@ -36,12 +36,12 @@ use std::time::Instant;
 
 use pccheck::store::SlotLease;
 use pccheck::{
-    recover, recovery, CheckpointStore, DeltaPolicy, FramedPlan, JobId, PcCheckConfig,
-    PcCheckEngine, PccheckError, PersistPipeline, PipelineCtx,
+    recover, recovery, CheckpointStore, Copied, DeltaPolicy, JobId, PcCheckConfig, PcCheckEngine,
+    PccheckError, PersistPipeline, PipelineCtx,
 };
 use pccheck_bench::stats::{bench_json_path, effective_ceiling, host_cores, median};
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice, StripedDevice};
-use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, SnapshotSource, StateDigest, TrainingState};
+use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, SnapshotSource, TrainingState};
 use pccheck_harness::ext_compress;
 use pccheck_harness::forensics_run::{
     drive_to_crash_point_scoped, sparse_payload, synthetic_payload, CrashPoint, Scope,
@@ -90,10 +90,6 @@ impl SnapshotSource for HostPayload {
 
     fn step_count(&self) -> u64 {
         self.step
-    }
-
-    fn digest(&self) -> StateDigest {
-        StateDigest::of_payload(&self.data, self.step)
     }
 
     fn copy_range_to_host(&self, offset: u64, dst: &mut [u8]) {
@@ -259,7 +255,7 @@ fn persist_framed(
     job: Option<JobId>,
     iteration: u64,
     payload: &[u8],
-) -> Result<(SlotLease, FramedPlan), PccheckError> {
+) -> Result<(SlotLease, Copied), PccheckError> {
     let telemetry = Telemetry::disabled();
     let ctx = PipelineCtx {
         telemetry: &telemetry,
@@ -270,19 +266,12 @@ fn persist_framed(
         step: iteration,
     };
     let total = src.size();
-    let digest = StateDigest::of_payload(payload, iteration).0;
     let lease = pipeline.lease_for(ctx, job)?;
-    let plan = pipeline
-        .copy_framed(ctx, &src, &lease, total, digest, POLICY)?
+    let copied = pipeline
+        .copy_framed(ctx, &src, &lease, total, POLICY)?
         .expect("tiled payload must frame");
-    pipeline.seal(
-        ctx,
-        &lease,
-        iteration,
-        ByteSize::from_bytes(plan.payload_len),
-        plan.persist_start,
-    )?;
-    Ok((lease, plan))
+    pipeline.seal(ctx, &lease, iteration, &copied)?;
+    Ok((lease, copied))
 }
 
 /// Commits a chunk-framed checkpoint of `payload`; returns its counter.
@@ -292,14 +281,14 @@ fn commit_framed(
     iteration: u64,
     payload: &[u8],
 ) -> Result<u64, PccheckError> {
-    let (lease, plan) = persist_framed(pipeline, job, iteration, payload)?;
+    let (lease, copied) = persist_framed(pipeline, job, iteration, payload)?;
     let counter = lease.counter;
     let telemetry = Telemetry::disabled();
     let ctx = PipelineCtx {
         telemetry: &telemetry,
         span: SpanId::NONE,
     };
-    pipeline.commit_framed(ctx, lease, iteration, &plan)?;
+    pipeline.commit(ctx, lease, iteration, &copied)?;
     Ok(counter)
 }
 

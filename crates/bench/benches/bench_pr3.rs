@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use pccheck::{CheckpointStore, PersistPipeline, PipelineCtx};
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice, StripedDevice};
-use pccheck_gpu::{SnapshotSource, StateDigest};
+use pccheck_gpu::SnapshotSource;
 use pccheck_telemetry::Telemetry;
 use pccheck_util::{Bandwidth, ByteSize};
 
@@ -47,10 +47,6 @@ impl SnapshotSource for HostPayload {
 
     fn step_count(&self) -> u64 {
         self.step
-    }
-
-    fn digest(&self) -> StateDigest {
-        StateDigest::of_payload(&self.data, self.step)
     }
 
     fn copy_range_to_host(&self, offset: u64, dst: &mut [u8]) {
@@ -117,16 +113,15 @@ fn measure(ways: u32) -> WaysResult {
             span,
         };
         let total = src.size();
-        let digest = src.digest();
         let lease = pipeline.lease(ctx);
-        let persist_start = pipeline
+        let copied = pipeline
             .copy_chunks(ctx, &src, &lease, total, false)
             .expect("staged copy on healthy device");
         pipeline
-            .seal(ctx, &lease, iteration, total, persist_start)
+            .seal(ctx, &lease, iteration, &copied)
             .expect("seal on healthy device");
         pipeline
-            .commit(ctx, lease, iteration, total.as_u64(), digest.0)
+            .commit(ctx, lease, iteration, &copied)
             .expect("commit on healthy device");
     };
 

@@ -29,7 +29,7 @@ const READERS: [usize; 3] = [1, 2, 4];
 /// Acceptance floor: 4 readers vs 1 on the 4-way stripe.
 const SPEEDUP_FLOOR: f64 = 2.0;
 
-/// Times one full `recover_instrumented_with` (open, probe, fetch,
+/// Times one full `recover_instrumented_with` (open, scan, fetch,
 /// verify) on the store's device, after an untimed warmup recovery that
 /// drains the members' burst credit.
 fn recover_secs(store: &Arc<pccheck::CheckpointStore>, readers: usize) -> f64 {

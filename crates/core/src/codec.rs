@@ -92,8 +92,9 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::time::Instant;
 
-use pccheck_util::fnv::{chunk_digest, fnv1a, fnv1a_fold, FNV_SEED};
+use pccheck_util::fnv::{chunk_digest, fnv1a, state_digest};
 
 use crate::meta::{checksum, CheckMeta};
 
@@ -107,8 +108,9 @@ pub const FRAME_HEADER: usize = 40;
 /// Encoded size of one [`FrameRecord`].
 pub const FRAME_RECORD_SIZE: usize = 40;
 
-/// Frame format version.
-pub const FRAME_VERSION: u32 = 1;
+/// Frame format version. Version 2 defines `full_digest` as the blocked
+/// state digest of [`pccheck_util::fnv`]; nothing reads version 1.
+pub const FRAME_VERSION: u32 = 2;
 
 /// Shortest match the LZ coder emits.
 pub const MIN_MATCH: usize = 4;
@@ -200,8 +202,8 @@ pub struct FrameTable {
     pub counter: u64,
     /// Total logical payload length the records reconstruct.
     pub logical_len: u64,
-    /// End-to-end digest of the reconstructed logical payload, in the
-    /// same discipline the commit's caller used (state or raw FNV).
+    /// End-to-end state digest of the reconstructed logical payload,
+    /// seeded with the commit's iteration.
     pub full_digest: u64,
     /// Per-chunk records in logical order.
     pub records: Vec<FrameRecord>,
@@ -454,11 +456,13 @@ impl BaseImage {
 /// Returns `(logical payload, full-state digest)`; `None` on any torn
 /// table, missing base, out-of-range record or digest mismatch — callers
 /// fall back to an older candidate, like every other verification
-/// failure.
+/// failure. Either way `verify_nanos` gains the time spent digesting (the
+/// content addresses and the end-to-end fold).
 pub fn decode_frame(
     payload: &[u8],
     meta: &CheckMeta,
     base: &mut dyn FnMut(u64, u32) -> Option<(CheckMeta, Vec<u8>)>,
+    verify_nanos: &mut u64,
 ) -> Option<(Vec<u8>, u64)> {
     let table = bind_frame_table(payload, meta)?;
     let packed = payload.get(usize::try_from(table.encoded_len()).ok()?..)?;
@@ -496,13 +500,18 @@ pub fn decode_frame(
                 }
             },
         }
-        if chunk_digest(out.get(off..end)?) != r.digest {
+        let v0 = Instant::now();
+        let intact = chunk_digest(out.get(off..end)?) == r.digest;
+        *verify_nanos += v0.elapsed().as_nanos() as u64;
+        if !intact {
             return None;
         }
         off = end;
     }
-    payload_digest_matches(&out, meta.iteration, table.full_digest)
-        .then_some((out, table.full_digest))
+    let v0 = Instant::now();
+    let intact = state_digest(meta.iteration, &out) == table.full_digest;
+    *verify_nanos += v0.elapsed().as_nanos() as u64;
+    intact.then_some((out, table.full_digest))
 }
 
 /// Estimates Shannon entropy (bits/byte) from an evenly strided sample of
@@ -809,13 +818,6 @@ impl DedupIndex {
     }
 }
 
-/// Builds the digest every framed restore verifies the reconstructed
-/// payload against: the state discipline (`FNV_SEED ^ iteration` fold)
-/// or the raw checksum — the same dual acceptance the legacy paths use.
-pub fn payload_digest_matches(state: &[u8], iteration: u64, full_digest: u64) -> bool {
-    fnv1a_fold(FNV_SEED ^ iteration, state) == full_digest || fnv1a(state) == full_digest
-}
-
 /// Convenience: the content address of a chunk (re-exported so persist and
 /// restore provably share one digest).
 pub fn content_address(chunk: &[u8]) -> u64 {
@@ -1066,7 +1068,7 @@ mod tests {
             slot: 1,
             iteration: 2,
             payload_len: 128,
-            digest: checksum(&base_payload),
+            digest: state_digest(2, &base_payload),
             delta: None,
         };
 
@@ -1082,7 +1084,7 @@ mod tests {
         let table = FrameTable {
             counter: 9,
             logical_len: logical.len() as u64,
-            full_digest: fnv1a(&logical),
+            full_digest: state_digest(3, &logical),
             records: vec![
                 record(ChunkEncoding::Raw, 0, 0, 64, &raw),
                 record(ChunkEncoding::Lz, 0, 64, lz.len() as u64, &text),
@@ -1107,11 +1109,12 @@ mod tests {
     fn frame_walk_resolves_every_record_kind() {
         let f = frame_fixture();
         let mut base_reads = 0;
-        let got = decode_frame(&f.payload, &f.meta, &mut |counter, slot| {
+        let mut base = |counter, slot| {
             base_reads += 1;
             assert_eq!((counter, slot), (5, 1));
             Some((f.base_meta, f.base_payload.clone()))
-        });
+        };
+        let got = decode_frame(&f.payload, &f.meta, &mut base, &mut 0);
         assert_eq!(got, Some((f.logical.clone(), f.table.full_digest)));
         assert_eq!(base_reads, 1);
         assert!(is_frame(&f.payload));
@@ -1147,7 +1150,7 @@ mod tests {
         let framed_table = FrameTable {
             counter: 5,
             logical_len: framed_logical.len() as u64,
-            full_digest: fnv1a(&framed_logical),
+            full_digest: state_digest(1, &framed_logical),
             records: vec![
                 record(ChunkEncoding::Lz, 0, 0, lz.len() as u64, &text),
                 record(ChunkEncoding::Raw, 0, lz.len() as u64, 64, &noise),
@@ -1165,7 +1168,7 @@ mod tests {
             slot: 2,
             iteration: 1,
             payload_len: 128,
-            digest: checksum(&raw_payload),
+            digest: state_digest(1, &raw_payload),
             delta: None,
         };
         let from_raw = raw_payload[64..128].to_vec();
@@ -1175,7 +1178,7 @@ mod tests {
         let table = FrameTable {
             counter: 9,
             logical_len: logical.len() as u64,
-            full_digest: fnv1a(&logical),
+            full_digest: state_digest(1, &logical),
             records: vec![
                 record(ChunkEncoding::DedupBase, 1, 5, 0, &text),
                 record(ChunkEncoding::DedupBase, 2, 3, 64, &from_raw),
@@ -1187,14 +1190,15 @@ mod tests {
         let meta = commit(9, 0, &payload, payload.len() as u64);
 
         let mut fetched = Vec::new();
-        let got = decode_frame(&payload, &meta, &mut |counter, slot| {
+        let mut base = |counter, slot| {
             fetched.push((counter, slot));
             match (counter, slot) {
                 (5, 1) => Some((framed_meta, framed_payload.clone())),
                 (3, 2) => Some((raw_meta, raw_payload.clone())),
                 _ => None,
             }
-        });
+        };
+        let got = decode_frame(&payload, &meta, &mut base, &mut 0);
         assert_eq!(got, Some((logical, table.full_digest)));
         assert_eq!(fetched, [(5, 1), (3, 2)], "each home is read once");
 
@@ -1209,7 +1213,8 @@ mod tests {
             &mut |counter, _| match counter {
                 5 => Some((framed_meta, framed_payload.clone())),
                 _ => Some((raw_meta, raw_payload.clone())),
-            }
+            },
+            &mut 0,
         )
         .is_none());
     }
@@ -1219,9 +1224,8 @@ mod tests {
         let f = frame_fixture();
         let table_len = f.table.encoded_len() as usize;
         let walk = |payload: &[u8], meta: &CheckMeta| {
-            decode_frame(payload, meta, &mut |_, _| {
-                Some((f.base_meta, f.base_payload.clone()))
-            })
+            let mut base = |_, _| Some((f.base_meta, f.base_payload.clone()));
+            decode_frame(payload, meta, &mut base, &mut 0)
         };
 
         // Re-seals a tampered table so that only the tampered field can
@@ -1236,6 +1240,19 @@ mod tests {
         assert!(
             walk(&f.payload[..table_len - 1], &f.meta).is_none(),
             "truncated table"
+        );
+
+        // The version before FRAME_VERSION, CRC and commit binding redone
+        // so the version alone is what is wrong: rejected, not misread.
+        let mut old_version = f.payload.clone();
+        old_version[12..16].copy_from_slice(&(FRAME_VERSION - 1).to_le_bytes());
+        let crc = fnv1a(&old_version[..table_len - 8]);
+        old_version[table_len - 8..table_len].copy_from_slice(&crc.to_le_bytes());
+        let old_version_meta = meta_for(&old_version[..table_len], old_version.len() as u64);
+        assert!(FrameTable::decode(&old_version).is_none());
+        assert!(
+            walk(&old_version, &old_version_meta).is_none(),
+            "previous frame version"
         );
 
         let mut bad_crc = f.payload.clone();
@@ -1281,7 +1298,7 @@ mod tests {
         );
 
         assert!(
-            decode_frame(&f.payload, &f.meta, &mut |_, _| None).is_none(),
+            decode_frame(&f.payload, &f.meta, &mut |_, _| None, &mut 0).is_none(),
             "dedup base missing"
         );
 
@@ -1291,22 +1308,26 @@ mod tests {
         recycled[100] ^= 0x40;
         let recycled_meta = CheckMeta {
             counter: 12,
-            digest: checksum(&recycled),
+            digest: state_digest(2, &recycled),
             ..f.base_meta
         };
         assert!(
-            decode_frame(&f.payload, &f.meta, &mut |_, _| Some((
-                recycled_meta,
-                recycled.clone()
-            )))
+            decode_frame(
+                &f.payload,
+                &f.meta,
+                &mut |_, _| Some((recycled_meta, recycled.clone())),
+                &mut 0
+            )
             .is_none(),
             "dedup base recycled"
         );
         assert!(
-            decode_frame(&f.payload, &f.meta, &mut |_, _| Some((
-                f.base_meta,
-                f.base_payload[..100].to_vec()
-            )))
+            decode_frame(
+                &f.payload,
+                &f.meta,
+                &mut |_, _| Some((f.base_meta, f.base_payload[..100].to_vec())),
+                &mut 0
+            )
             .is_none(),
             "dedup base shorter than the referenced range"
         );

@@ -34,7 +34,7 @@ use std::thread::JoinHandle;
 use pccheck_util::sync::{Condvar, Mutex};
 
 use pccheck_device::{HostBufferPool, PersistentDevice};
-use pccheck_gpu::{CheckpointOutcome, Checkpointer, Gpu, OwnedWeightsGuard};
+use pccheck_gpu::{CheckpointOutcome, Checkpointer, Gpu, OwnedWeightsGuard, StateDigest};
 use pccheck_telemetry::{CheckpointCounters, CountersSnapshot, FlightEventKind, Phase, Telemetry};
 use pccheck_util::ByteSize;
 
@@ -463,7 +463,8 @@ impl PcCheckEngine {
             .store(decision.codec_enabled, std::sync::atomic::Ordering::Release);
     }
 
-    /// Body of one checkpoint, run on a background worker thread.
+    /// Body of one checkpoint, run on a background worker thread. Returns
+    /// the commit outcome and the state digest the copy loop folded.
     #[allow(clippy::too_many_arguments)]
     fn run_checkpoint(
         pipeline: &PersistPipeline,
@@ -472,10 +473,9 @@ impl PcCheckEngine {
         guard: OwnedWeightsGuard,
         job: Option<JobId>,
         iteration: u64,
-        digest: pccheck_gpu::StateDigest,
         delta_policy: DeltaPolicy,
         use_codec: bool,
-    ) -> Result<CommitOutcome, PccheckError> {
+    ) -> Result<(CommitOutcome, StateDigest), PccheckError> {
         let total = guard.size();
         let lease = pipeline.lease_for(ctx, job)?;
         let (counter, slot) = (lease.counter, lease.slot);
@@ -486,7 +486,6 @@ impl PcCheckEngine {
             guard,
             lease,
             iteration,
-            digest,
             total,
             delta_policy,
             use_codec,
@@ -519,32 +518,24 @@ impl PcCheckEngine {
         guard: OwnedWeightsGuard,
         lease: SlotLease,
         iteration: u64,
-        digest: pccheck_gpu::StateDigest,
         total: ByteSize,
         delta_policy: DeltaPolicy,
         use_codec: bool,
-    ) -> Result<CommitOutcome, PccheckError> {
+    ) -> Result<(CommitOutcome, StateDigest), PccheckError> {
         // Codec path: stage, classify (compress / self-dedup / base-dedup),
         // and pack into a framed payload. `copy_framed` declines — and we
-        // stream raw below — when the pool can't stage the snapshot or the
-        // frame wouldn't shrink it, so this branch never loses to the
-        // legacy path on incompressible data beyond the decline probe.
-        if use_codec && pipeline.codec_enabled() {
-            if let Some(plan) =
-                pipeline.copy_framed(ctx, &guard, &lease, total, digest.0, delta_policy)?
-            {
-                let sealed = ByteSize::from_bytes(plan.payload_len);
-                if pipeline.fence() == FenceMode::PerWriter {
-                    pipeline.seal(ctx, &lease, iteration, sealed, plan.persist_start)?;
-                    drop(guard);
-                } else {
-                    drop(guard);
-                    pipeline.seal(ctx, &lease, iteration, sealed, plan.persist_start)?;
-                }
-                return pipeline.commit_framed(ctx, lease, iteration, &plan);
-            }
-        }
-        let persist_start = pipeline.copy_chunks(ctx, &guard, &lease, total, config.pipelined)?;
+        // stream raw instead — when the pool can't stage the snapshot or
+        // the frame wouldn't shrink it, so this branch never loses to the
+        // raw path on incompressible data beyond the decline probe.
+        let framed = if use_codec && pipeline.codec_enabled() {
+            pipeline.copy_framed(ctx, &guard, &lease, total, delta_policy)?
+        } else {
+            None
+        };
+        let copied = match framed {
+            Some(framed) => framed,
+            None => pipeline.copy_chunks(ctx, &guard, &lease, total, config.pipelined)?,
+        };
         // Ordering: in per-writer-fence mode all persist work finished with
         // the copy scope, so seal (and its Persist phase_done) runs before
         // the guard drop — otherwise the weights handoff and any trainer
@@ -554,13 +545,14 @@ impl PcCheckEngine {
         // the full fence. Either way the weights are released before the
         // commit CAS.
         if pipeline.fence() == FenceMode::PerWriter {
-            pipeline.seal(ctx, &lease, iteration, total, persist_start)?;
+            pipeline.seal(ctx, &lease, iteration, &copied)?;
             drop(guard);
         } else {
             drop(guard);
-            pipeline.seal(ctx, &lease, iteration, total, persist_start)?;
+            pipeline.seal(ctx, &lease, iteration, &copied)?;
         }
-        pipeline.commit(ctx, lease, iteration, total.as_u64(), digest.0)
+        let outcome = pipeline.commit(ctx, lease, iteration, &copied)?;
+        Ok((outcome, copied.state_digest))
     }
 }
 
@@ -600,7 +592,6 @@ impl Checkpointer for PcCheckEngine {
             .codec_active
             .load(std::sync::atomic::Ordering::Acquire);
         let handle = std::thread::spawn(move || {
-            let digest = guard.digest();
             let ctx = PipelineCtx {
                 telemetry: &telemetry,
                 span,
@@ -612,12 +603,11 @@ impl Checkpointer for PcCheckEngine {
                 guard,
                 job,
                 iteration,
-                digest,
                 delta_policy,
                 use_codec,
             );
             match result {
-                Ok(CommitOutcome::Committed) => {
+                Ok((CommitOutcome::Committed, digest)) => {
                     stats.counters.incr_committed(total_bytes);
                     telemetry.committed(span, iteration, total_bytes);
                     let mut l = last.lock();
@@ -625,7 +615,7 @@ impl Checkpointer for PcCheckEngine {
                         *l = Some(CheckpointOutcome { iteration, digest });
                     }
                 }
-                Ok(CommitOutcome::SupersededBy { counter }) => {
+                Ok((CommitOutcome::SupersededBy { counter }, _)) => {
                     stats.counters.incr_superseded();
                     telemetry.superseded(span, counter);
                 }

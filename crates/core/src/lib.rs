@@ -89,7 +89,7 @@ pub use error::PccheckError;
 pub use meta::NamespaceDesc;
 pub use meta::{CheckMeta, DeltaLink, SlotState, SLOT_STATE_SIZE};
 pub use pipeline::{
-    DeltaPolicy, FenceMode, FramedOutcome, FramedPlan, PersistPipeline, PipelineCtx,
+    Copied, DeltaPolicy, FenceMode, FramedOutcome, FramedPlan, PersistPipeline, PipelineCtx,
     KERNEL_COPY_CHUNK,
 };
 pub use qos::{QosArbiter, QosConfig, QosGrant};

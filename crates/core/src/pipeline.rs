@@ -28,9 +28,10 @@ use std::sync::Arc;
 
 use pccheck_util::sync::Mutex;
 
-use pccheck_device::{chunk_count, chunk_digest, ChunkDigestTable, HostBuffer, HostBufferPool};
-use pccheck_gpu::SnapshotSource;
+use pccheck_device::{HostBuffer, HostBufferPool};
+use pccheck_gpu::{SnapshotSource, StateDigest};
 use pccheck_telemetry::{FlightEventKind, Phase, SpanId, Telemetry};
+use pccheck_util::fnv::{chunk_digest, StateFold};
 use pccheck_util::ByteSize;
 
 use crate::codec::{compress_gated, ChunkEncoding, DedupHome, DedupIndex, FrameRecord, FrameTable};
@@ -111,17 +112,6 @@ impl AsRef<[u8]> for StagedChunk {
     }
 }
 
-/// Per-chunk digests collected while a full payload streamed through the
-/// copy paths, parked until [`PersistPipeline::commit`] can bind them to
-/// the commit's digest and write the slot's [`ChunkDigestTable`].
-#[derive(Debug)]
-struct PendingDigests {
-    counter: u64,
-    chunk_len: u64,
-    payload_len: u64,
-    digests: Vec<u64>,
-}
-
 /// The shared chunk-scheduled I/O layer over a [`CheckpointStore`].
 ///
 /// Cloning is cheap: clones share the store and the DRAM staging pool, so
@@ -138,9 +128,6 @@ pub struct PersistPipeline {
     /// Bandwidth arbiter gating writer-pool leases when several jobs
     /// multiplex this pipeline (service mode). `None` = no arbitration.
     qos: Option<Arc<QosArbiter>>,
-    /// Per-slot digests awaiting commit, shared across clones so a
-    /// background committer sees what the copier collected.
-    pending_digests: Arc<Mutex<HashMap<u32, PendingDigests>>>,
     /// Chunk codec + dedup state, shared across clones (the controller
     /// toggles `enabled`; the dedup index survives across checkpoints).
     codec: Arc<CodecState>,
@@ -155,14 +142,28 @@ struct CodecState {
     dedup: Mutex<DedupIndex>,
 }
 
-/// What [`PersistPipeline::copy_framed`] persisted and what
-/// [`PersistPipeline::commit_framed`] must bind to the commit record.
+/// What a copy verb left in the leased slot: the argument of
+/// [`seal`](PersistPipeline::seal) and [`commit`](PersistPipeline::commit).
+#[derive(Debug, Clone)]
+pub struct Copied {
+    /// Persist-phase start timestamp `seal` closes the phase against (the
+    /// whole-buffer and write-through verbs close their own).
+    pub persist_start: u64,
+    /// Physical bytes in the slot (for a frame: table + packed chunks).
+    pub payload_len: u64,
+    /// End-to-end digest of the logical state, folded in the copy loop
+    /// while each chunk was hot: exactly [`pccheck_gpu::Gpu::digest`] of
+    /// the snapshot. A raw commit records it; a frame's table carries it.
+    pub state_digest: StateDigest,
+    /// The frame [`copy_framed`](PersistPipeline::copy_framed) packed;
+    /// `None` for a raw payload.
+    pub frame: Option<FramedPlan>,
+}
+
+/// The frame half of what [`PersistPipeline::copy_framed`] persisted, for
+/// [`PersistPipeline::commit`] to bind to the commit record.
 #[derive(Debug, Clone)]
 pub struct FramedPlan {
-    /// Persist-phase start timestamp for the caller's `seal`.
-    pub persist_start: u64,
-    /// Physical bytes in the slot (frame table + packed chunks).
-    pub payload_len: u64,
     /// Checksum of the serialized frame table (the framed slot's meta
     /// digest: it binds the table, and through it every chunk, to the
     /// commit).
@@ -195,56 +196,8 @@ impl PersistPipeline {
             writers: Arc::new(AtomicUsize::new(1)),
             fence: FenceMode::PerWriter,
             qos: None,
-            pending_digests: Arc::new(Mutex::new(HashMap::new())),
             codec: Arc::new(CodecState::default()),
         }
-    }
-
-    /// Whether a full payload of `total` bytes cut into `chunk`-byte
-    /// chunks fits the store's per-slot digest-table capacity.
-    fn digest_table_fits(&self, total: ByteSize, chunk: ByteSize) -> bool {
-        let cap = self.store.digest_chunks() as usize;
-        cap > 0 && chunk_count(total.as_u64(), chunk.as_u64()) <= cap
-    }
-
-    /// Parks the chunk digests a copy path collected for `lease`'s slot.
-    fn park_digests(&self, lease: &SlotLease, chunk_len: u64, total: ByteSize, digests: Vec<u64>) {
-        self.pending_digests.lock().insert(
-            lease.slot,
-            PendingDigests {
-                counter: lease.counter,
-                chunk_len,
-                payload_len: total.as_u64(),
-                digests,
-            },
-        );
-    }
-
-    /// Writes the slot's per-chunk digest table from digests parked by the
-    /// copy path, binding them to the commit's `digest`. Stale leftovers
-    /// (different counter or payload length — an earlier aborted attempt
-    /// on the same slot) are silently discarded.
-    fn flush_digest_table(
-        &self,
-        lease: &SlotLease,
-        payload_len: u64,
-        digest: u64,
-    ) -> Result<(), PccheckError> {
-        let Some(p) = self.pending_digests.lock().remove(&lease.slot) else {
-            return Ok(());
-        };
-        if p.counter != lease.counter || p.payload_len != payload_len {
-            return Ok(());
-        }
-        let table = ChunkDigestTable {
-            chunk_len: p.chunk_len,
-            payload_len,
-            counter: lease.counter,
-            payload_digest: digest,
-            digests: p.digests,
-        };
-        self.store.write_digest_table(lease.slot, &table)?;
-        Ok(())
     }
 
     /// Sets the number of parallel writer threads (`p` in the paper).
@@ -548,9 +501,9 @@ impl PersistPipeline {
     /// Without it (Figure 6) the producer stages the entire snapshot
     /// before the first write, so the pool must hold the whole snapshot.
     ///
-    /// Returns the persist-phase start timestamp so the caller can close
-    /// the phase after [`seal`](Self::seal): the copy start when
-    /// pipelined (the phases overlap), the end of staging otherwise.
+    /// The returned [`Copied::persist_start`] lets the caller close the
+    /// phase after [`seal`](Self::seal): the copy start when pipelined
+    /// (the phases overlap), the end of staging otherwise.
     ///
     /// # Errors
     ///
@@ -562,24 +515,22 @@ impl PersistPipeline {
         lease: &SlotLease,
         total: ByteSize,
         pipelined: bool,
-    ) -> Result<u64, PccheckError> {
+    ) -> Result<Copied, PccheckError> {
         let pool = self.pool();
         let chunk = pool.chunk_size();
         let copy_start = ctx.telemetry.now_nanos();
+        let mut fold = StateFold::new(src.step_count(), total.as_u64());
         // Producer: GPU→DRAM chunk copies (blocking on the pool when DRAM
-        // is scarce). Per-chunk digests fold in here, where the bytes are
+        // is scarce). The state digest folds in here, where the bytes are
         // already hot in cache. Stops when `sink` refuses a chunk.
-        let produce = |sink: &mut dyn FnMut(u64, StagedChunk) -> bool| {
-            let mut chunk_digests = self.digest_table_fits(total, chunk).then(Vec::new);
+        let mut produce = |sink: &mut dyn FnMut(u64, StagedChunk) -> bool| {
             let mut off = 0u64;
             let mut accepted = true;
             while accepted && off < total.as_u64() {
                 let len = chunk.as_u64().min(total.as_u64() - off) as usize;
                 let mut buf = pool.acquire();
                 src.copy_range_to_host(off, &mut buf.as_mut_slice()[..len]);
-                if let Some(d) = chunk_digests.as_mut() {
-                    d.push(chunk_digest(&buf.as_slice()[..len]));
-                }
+                fold.feed(&buf.as_slice()[..len]);
                 ctx.telemetry
                     .chunk(ctx.span, Phase::GpuCopy, off, len as u64);
                 accepted = sink(off, StagedChunk { buf, len });
@@ -596,29 +547,33 @@ impl PersistPipeline {
                     total.as_u64(),
                     0,
                 );
-                if let Some(digests) = chunk_digests {
-                    self.park_digests(lease, chunk.as_u64(), total, digests);
-                }
             }
         };
-        if pipelined {
+        let persist_start = if pipelined {
             self.write_chunks(ctx, lease, pool.total_chunks(), produce)?;
-            return Ok(copy_start);
-        }
-        let mut staged = Vec::new();
-        produce(&mut |off, chunk| {
-            staged.push((off, chunk));
-            true
-        });
-        let persist_start = ctx.telemetry.now_nanos();
-        self.write_chunks(ctx, lease, staged.len(), |send| {
-            for (off, chunk) in staged {
-                if !send(off, chunk) {
-                    break;
+            copy_start
+        } else {
+            let mut staged = Vec::new();
+            produce(&mut |off, chunk| {
+                staged.push((off, chunk));
+                true
+            });
+            let persist_start = ctx.telemetry.now_nanos();
+            self.write_chunks(ctx, lease, staged.len(), |send| {
+                for (off, chunk) in staged {
+                    if !send(off, chunk) {
+                        break;
+                    }
                 }
-            }
-        })?;
-        Ok(persist_start)
+            })?;
+            persist_start
+        };
+        Ok(Copied {
+            persist_start,
+            payload_len: total.as_u64(),
+            state_digest: StateDigest(fold.finish()),
+            frame: None,
+        })
     }
 
     /// Codec copy: stages the snapshot, content-addresses every chunk,
@@ -639,9 +594,9 @@ impl PersistPipeline {
     /// than the raw one, or it would overflow the slot. The caller then
     /// falls back to a raw copy path; the slot is untouched.
     ///
-    /// `full_digest` is the digest of the complete logical state (what
-    /// [`commit`](Self::commit) would be given on the raw path); restore
-    /// verifies the reconstructed payload against it end to end.
+    /// The state digest folds in the staging loop beside the content
+    /// addresses and lands in the table as `full_digest`; restore verifies
+    /// the reconstructed payload against it end to end.
     ///
     /// # Errors
     ///
@@ -652,9 +607,8 @@ impl PersistPipeline {
         src: &dyn SnapshotSource,
         lease: &SlotLease,
         total: ByteSize,
-        full_digest: u64,
         policy: DeltaPolicy,
-    ) -> Result<Option<FramedPlan>, PccheckError> {
+    ) -> Result<Option<Copied>, PccheckError> {
         // The controller's chain-length signal: how much of the state
         // changed since the previous snapshot.
         let dirty_bytes: u64 = src.dirty_ranges().iter().map(|&(_, len)| len).sum();
@@ -663,7 +617,7 @@ impl PersistPipeline {
 
         let pool = self.pool();
         let chunk = pool.chunk_size();
-        let n_chunks = chunk_count(total.as_u64(), chunk.as_u64());
+        let n_chunks = total.as_u64().div_ceil(chunk.as_u64()) as usize;
         // The codec stages the whole snapshot (dedup needs every chunk's
         // content address before any byte is packed); a pool smaller than
         // the snapshot would deadlock on `acquire`.
@@ -671,9 +625,10 @@ impl PersistPipeline {
             return Ok(None);
         }
 
-        // Stage all chunks, folding each content address while the bytes
-        // are hot in cache.
+        // Stage all chunks, folding each content address and the state
+        // digest while the bytes are hot in cache.
         let copy_start = ctx.telemetry.now_nanos();
+        let mut fold = StateFold::new(src.step_count(), total.as_u64());
         let mut staged: Vec<(u64, usize, HostBuffer, u64)> = Vec::with_capacity(n_chunks);
         let mut off = 0u64;
         while off < total.as_u64() {
@@ -681,6 +636,7 @@ impl PersistPipeline {
             let mut buf = pool.acquire();
             src.copy_range_to_host(off, &mut buf.as_mut_slice()[..n]);
             let digest = chunk_digest(&buf.as_slice()[..n]);
+            fold.feed(&buf.as_slice()[..n]);
             ctx.telemetry.chunk(ctx.span, Phase::GpuCopy, off, n as u64);
             staged.push((off, n, buf, digest));
             off += n as u64;
@@ -829,10 +785,11 @@ impl PersistPipeline {
         })?;
         drop(staged); // chunks return to the pool
 
+        let state_digest = StateDigest(fold.finish());
         let table = FrameTable {
             counter: lease.counter,
             logical_len: total.as_u64(),
-            full_digest,
+            full_digest: state_digest.0,
             records,
         };
         let table_bytes = table.encode();
@@ -878,56 +835,20 @@ impl PersistPipeline {
             }
             logical_off += r.logical_len;
         }
-        Ok(Some(FramedPlan {
+        Ok(Some(Copied {
             persist_start,
             payload_len: physical,
-            payload_digest: crate::meta::checksum(&table_bytes),
-            link,
-            logical_len: total.as_u64(),
-            saved_bytes,
-            dedup_chunks,
-            table,
-            homes,
+            state_digest,
+            frame: Some(FramedPlan {
+                payload_digest: crate::meta::checksum(&table_bytes),
+                link,
+                logical_len: total.as_u64(),
+                saved_bytes,
+                dedup_chunks,
+                table,
+                homes,
+            }),
         }))
-    }
-
-    /// Runs the store's link-aware CAS commit for a framed payload and, on
-    /// success, installs the plan's homes as the job's next dedup
-    /// generation. Pairs with [`copy_framed`](Self::copy_framed).
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors.
-    pub fn commit_framed(
-        &self,
-        ctx: PipelineCtx<'_>,
-        lease: SlotLease,
-        iteration: u64,
-        plan: &FramedPlan,
-    ) -> Result<CommitOutcome, PccheckError> {
-        let commit_start = ctx.telemetry.now_nanos();
-        let job = lease.job();
-        let slot = lease.slot;
-        let counter = lease.counter;
-        // Framed payloads carry per-chunk digests in the frame table;
-        // digests parked by a copy path are stale leftovers.
-        self.pending_digests.lock().remove(&slot);
-        let outcome = self.store.commit_with_delta(
-            lease,
-            iteration,
-            plan.payload_len,
-            plan.payload_digest,
-            plan.link,
-        )?;
-        if outcome == CommitOutcome::Committed {
-            self.codec
-                .dedup
-                .lock()
-                .install(job, counter, plan.homes.iter().copied());
-        }
-        ctx.telemetry
-            .phase_done(ctx.span, Phase::Commit, commit_start);
-        Ok(outcome)
     }
 
     /// One-call codec checkpoint: lease → [`copy_framed`](Self::copy_framed)
@@ -942,56 +863,46 @@ impl PersistPipeline {
         ctx: PipelineCtx<'_>,
         src: &dyn SnapshotSource,
         iteration: u64,
-        full_digest: u64,
         policy: DeltaPolicy,
     ) -> Result<(CommitOutcome, FramedOutcome), PccheckError> {
         let total = src.size();
         let lease = self.lease(ctx);
-        match self.copy_framed(ctx, src, &lease, total, full_digest, policy)? {
-            None => {
-                let persist_start = self.copy_chunks(ctx, src, &lease, total, true)?;
-                self.seal(ctx, &lease, iteration, total, persist_start)?;
-                let out = self.commit(ctx, lease, iteration, total.as_u64(), full_digest)?;
-                Ok((out, FramedOutcome::Raw))
-            }
-            Some(plan) => {
-                self.seal(
-                    ctx,
-                    &lease,
-                    iteration,
-                    ByteSize::from_bytes(plan.payload_len),
-                    plan.persist_start,
-                )?;
-                let out = self.commit_framed(ctx, lease, iteration, &plan)?;
-                Ok((
-                    out,
-                    FramedOutcome::Framed {
-                        payload_len: plan.payload_len,
-                        saved_bytes: plan.saved_bytes,
-                        dedup_chunks: plan.dedup_chunks,
-                    },
-                ))
-            }
-        }
+        let copied = match self.copy_framed(ctx, src, &lease, total, policy)? {
+            Some(framed) => framed,
+            None => self.copy_chunks(ctx, src, &lease, total, true)?,
+        };
+        self.seal(ctx, &lease, iteration, &copied)?;
+        let out = self.commit(ctx, lease, iteration, &copied)?;
+        let kind = match &copied.frame {
+            Some(frame) => FramedOutcome::Framed {
+                payload_len: copied.payload_len,
+                saved_bytes: frame.saved_bytes,
+                dedup_chunks: frame.dedup_chunks,
+            },
+            None => FramedOutcome::Raw,
+        };
+        Ok((out, kind))
     }
 
     /// Whole-buffer snapshot: copies the entire source into one host
-    /// allocation and closes the `GpuCopy` phase that started at
-    /// `phase_start` (the traditional/CheckFreq `C` step).
+    /// allocation, digests it, and closes the `GpuCopy` phase that started
+    /// at `phase_start` (the traditional/CheckFreq `C` step). The digest
+    /// rides with the bytes into [`persist_whole`](Self::persist_whole).
     pub fn snapshot_whole(
         &self,
         ctx: PipelineCtx<'_>,
         src: &dyn SnapshotSource,
         phase_start: u64,
-    ) -> Vec<u8> {
+    ) -> (Vec<u8>, StateDigest) {
         let total = src.size();
         let mut host = vec![0u8; total.as_usize()];
         src.copy_range_to_host(0, &mut host);
+        let state_digest = StateDigest::of_payload(&host, src.step_count());
         ctx.telemetry
             .chunk(ctx.span, Phase::GpuCopy, 0, total.as_u64());
         ctx.telemetry
             .phase_done(ctx.span, Phase::GpuCopy, phase_start);
-        host
+        (host, state_digest)
     }
 
     /// Whole-buffer persist: leases a slot *after* the copy, writes the
@@ -1005,8 +916,9 @@ impl PersistPipeline {
         &self,
         ctx: PipelineCtx<'_>,
         payload: &[u8],
+        state_digest: StateDigest,
         iteration: u64,
-    ) -> Result<SlotLease, PccheckError> {
+    ) -> Result<(SlotLease, Copied), PccheckError> {
         let total = payload.len() as u64;
         let persist_start = ctx.telemetry.now_nanos();
         let lease = self.lease(ctx);
@@ -1023,7 +935,13 @@ impl PersistPipeline {
             total,
             0,
         );
-        Ok(lease)
+        let copied = Copied {
+            persist_start,
+            payload_len: total,
+            state_digest,
+            frame: None,
+        };
+        Ok((lease, copied))
     }
 
     /// Kernel write-through (GPM): copies the snapshot tile by tile
@@ -1041,15 +959,17 @@ impl PersistPipeline {
         lease: &SlotLease,
         iteration: u64,
         phase_start: u64,
-    ) -> Result<(), PccheckError> {
+    ) -> Result<Copied, PccheckError> {
         let total = src.size();
         // A small bounce tile stands in for the kernel's register/shared-
         // memory tile; it never holds the checkpoint (Table 1: DRAM = 0).
         let mut tile = vec![0u8; KERNEL_COPY_CHUNK.min(total.as_usize().max(1))];
+        let mut fold = StateFold::new(src.step_count(), total.as_u64());
         let mut off = 0u64;
         while off < total.as_u64() {
             let n = (tile.len() as u64).min(total.as_u64() - off) as usize;
             src.copy_range_to_host(off, &mut tile[..n]);
+            fold.feed(&tile[..n]);
             ctx.telemetry.chunk(ctx.span, Phase::GpuCopy, off, n as u64);
             self.write_chunk(ctx, lease, off, &tile[..n])?;
             ctx.telemetry.chunk(ctx.span, Phase::Persist, off, n as u64);
@@ -1071,13 +991,18 @@ impl PersistPipeline {
             total.as_u64(),
             0,
         );
-        Ok(())
+        Ok(Copied {
+            persist_start: phase_start,
+            payload_len: total.as_u64(),
+            state_digest: StateDigest(fold.finish()),
+            frame: None,
+        })
     }
 
     /// Makes a chunk-copied payload durable: in [`FenceMode::Deferred`]
     /// issues the one coordinator fence over the whole payload, records the
     /// flight milestone, and closes the `Persist` phase that started at
-    /// `persist_start`.
+    /// `copied.persist_start`.
     ///
     /// # Errors
     ///
@@ -1087,9 +1012,9 @@ impl PersistPipeline {
         ctx: PipelineCtx<'_>,
         lease: &SlotLease,
         iteration: u64,
-        total: ByteSize,
-        persist_start: u64,
+        copied: &Copied,
     ) -> Result<(), PccheckError> {
+        let total = ByteSize::from_bytes(copied.payload_len);
         if self.fence == FenceMode::Deferred {
             // §4.1 SSD path: one msync covering the whole payload. The
             // drain shows up as a `fence` actor leg so the ledger can tell
@@ -1115,15 +1040,19 @@ impl PersistPipeline {
             0,
         );
         ctx.telemetry
-            .phase_done(ctx.span, Phase::Persist, persist_start);
+            .phase_done(ctx.span, Phase::Persist, copied.persist_start);
         Ok(())
     }
 
-    /// Runs the store's lock-free commit — meta publish, durable
-    /// `Committed` state-word write, `fetch_max` head advance — and
-    /// closes the `Commit` phase. Concurrent callers never serialize on
-    /// a lock here; losers of the head race surface as
-    /// [`CommitOutcome::SupersededBy`].
+    /// Runs the store's lock-free, link-aware commit — meta publish,
+    /// durable `Committed` state-word write, `fetch_max` head advance —
+    /// for what a copy verb left in the slot, and closes the `Commit`
+    /// phase. A raw payload's commit record carries the state digest
+    /// itself; a frame's carries the checksum of its table (which binds
+    /// the state digest and every chunk), and a frame that commits
+    /// installs its homes as the job's next dedup generation. Concurrent
+    /// callers never serialize on a lock here; losers of the head race
+    /// surface as [`CommitOutcome::SupersededBy`].
     ///
     /// # Errors
     ///
@@ -1133,18 +1062,26 @@ impl PersistPipeline {
         ctx: PipelineCtx<'_>,
         lease: SlotLease,
         iteration: u64,
-        payload_len: u64,
-        digest: u64,
+        copied: &Copied,
     ) -> Result<CommitOutcome, PccheckError> {
         let commit_start = ctx.telemetry.now_nanos();
-        // The digest table persists before the commit barrier so a reader
-        // that observes the commit also observes the table (or a torn one
-        // it will detect and ignore).
-        self.flush_digest_table(&lease, payload_len, digest)?;
-        let outcome = self.store.commit(lease, iteration, payload_len, digest);
+        let (job, counter) = (lease.job(), lease.counter);
+        let (digest, link) = match &copied.frame {
+            Some(frame) => (frame.payload_digest, frame.link),
+            None => (copied.state_digest.0, None),
+        };
+        let outcome =
+            self.store
+                .commit_with_delta(lease, iteration, copied.payload_len, digest, link)?;
+        if let (CommitOutcome::Committed, Some(frame)) = (outcome, &copied.frame) {
+            self.codec
+                .dedup
+                .lock()
+                .install(job, counter, frame.homes.iter().copied());
+        }
         ctx.telemetry
             .phase_done(ctx.span, Phase::Commit, commit_start);
-        outcome
+        Ok(outcome)
     }
 }
 
@@ -1181,16 +1118,15 @@ mod tests {
             span,
         };
         let guard = g.lock_weights_shared();
-        let digest = guard.digest();
         let start = telemetry.now_nanos();
-        let host = pipeline.snapshot_whole(ctx, &guard, start);
+        let (host, digest) = pipeline.snapshot_whole(ctx, &guard, start);
         drop(guard);
-        let lease = pipeline.persist_whole(ctx, &host, 1).unwrap();
-        let outcome = pipeline.commit(ctx, lease, 1, 300, digest.0).unwrap();
+        let (lease, copied) = pipeline.persist_whole(ctx, &host, digest, 1).unwrap();
+        let outcome = pipeline.commit(ctx, lease, 1, &copied).unwrap();
         assert_eq!(outcome, CommitOutcome::Committed);
         let meta = pipeline.store().latest_committed().unwrap();
         assert_eq!(meta.iteration, 1);
-        assert_eq!(meta.digest, digest.0);
+        assert_eq!(meta.digest, g.digest().0);
         let snap = telemetry.snapshot().unwrap();
         assert_eq!(snap.phase(Phase::GpuCopy).count, 1);
         assert_eq!(snap.phase(Phase::Persist).count, 1);
@@ -1216,17 +1152,14 @@ mod tests {
                 span,
             };
             let guard = g.lock_weights_shared_owned();
-            let digest = guard.digest();
             let total = guard.size();
             let lease = pipeline.lease(ctx);
-            let persist_start = pipeline
+            let copied = pipeline
                 .copy_chunks(ctx, &guard, &lease, total, streamed)
                 .unwrap();
             drop(guard);
-            pipeline.seal(ctx, &lease, 1, total, persist_start).unwrap();
-            let outcome = pipeline
-                .commit(ctx, lease, 1, total.as_u64(), digest.0)
-                .unwrap();
+            pipeline.seal(ctx, &lease, 1, &copied).unwrap();
+            let outcome = pipeline.commit(ctx, lease, 1, &copied).unwrap();
             assert_eq!(outcome, CommitOutcome::Committed, "streamed={streamed}");
             let snap = telemetry.snapshot().unwrap();
             // 900 bytes in 128-byte chunks: 8 chunks through both stages.
@@ -1255,11 +1188,11 @@ mod tests {
             let guard = g.lock_weights_shared_owned();
             let total = guard.size();
             let lease = pipeline.lease(ctx);
-            let persist_start = pipeline
+            let copied = pipeline
                 .copy_chunks(ctx, &guard, &lease, total, streamed)
                 .unwrap();
             drop(guard);
-            pipeline.seal(ctx, &lease, 1, total, persist_start).unwrap();
+            pipeline.seal(ctx, &lease, 1, &copied).unwrap();
 
             let spans: Vec<(String, u64)> = telemetry
                 .events()
@@ -1301,17 +1234,14 @@ mod tests {
             span,
         };
         let guard = g.lock_weights_shared_owned();
-        let digest = guard.digest();
         let total = guard.size();
         let lease = pipeline.lease(ctx);
-        let start = pipeline
+        let copied = pipeline
             .copy_chunks(ctx, &guard, &lease, total, false)
             .unwrap();
         drop(guard);
-        pipeline.seal(ctx, &lease, 1, total, start).unwrap();
-        pipeline
-            .commit(ctx, lease, 1, total.as_u64(), digest.0)
-            .unwrap();
+        pipeline.seal(ctx, &lease, 1, &copied).unwrap();
+        pipeline.commit(ctx, lease, 1, &copied).unwrap();
         let snap = telemetry.snapshot().unwrap();
         // 4 chunk writes but exactly one (deferred) fence.
         assert_eq!(snap.write_stage.count, 4);
@@ -1340,90 +1270,16 @@ mod tests {
             span,
         };
         let guard = g.lock_weights_shared();
-        let digest = guard.digest();
-        let host = pipeline.snapshot_whole(ctx, &guard, 0);
+        let (host, digest) = pipeline.snapshot_whole(ctx, &guard, 0);
         drop(guard);
-        let lease = pipeline.persist_whole(ctx, &host, 1).unwrap();
-        pipeline.commit(ctx, lease, 1, 600, digest.0).unwrap();
+        let (lease, copied) = pipeline.persist_whole(ctx, &host, digest, 1).unwrap();
+        pipeline.commit(ctx, lease, 1, &copied).unwrap();
         // Controller + two members were sampled (values may be zero since
         // sampling happens after each op completes, but the gauge slots
         // exist and the store's own stats saw the traffic).
         let report = pipeline.store().device().stats_report();
         assert_eq!(report.len(), 3);
         assert!(report[0].bytes_persisted >= 600);
-    }
-
-    #[test]
-    fn streamed_copy_records_a_chunk_digest_table() {
-        let g = gpu(8192, 41);
-        g.update();
-        let pool = HostBufferPool::new(ByteSize::from_kb(4), 4);
-        let pipeline = PersistPipeline::new(ssd_store(g.state_size(), 3))
-            .with_writers(2)
-            .with_staging(pool);
-        let telemetry = Telemetry::disabled();
-        let ctx = PipelineCtx {
-            telemetry: &telemetry,
-            span: SpanId::NONE,
-        };
-        let guard = g.lock_weights_shared_owned();
-        let digest = guard.digest();
-        let total = guard.size();
-        let lease = pipeline.lease(ctx);
-        let slot = lease.slot;
-        let start = pipeline
-            .copy_chunks(ctx, &guard, &lease, total, true)
-            .unwrap();
-        drop(guard);
-        pipeline.seal(ctx, &lease, 1, total, start).unwrap();
-        pipeline
-            .commit(ctx, lease, 1, total.as_u64(), digest.0)
-            .unwrap();
-        let store = pipeline.store();
-        let meta = store.latest_committed().unwrap();
-        assert_eq!(meta.slot, slot);
-        let table = store
-            .read_digest_table(&meta)
-            .expect("streamed full checkpoints record a digest table");
-        assert_eq!(table.chunk_len, 4096);
-        assert_eq!(table.digests.len(), 2);
-        assert_eq!(table.payload_digest, meta.digest);
-        let payload = store.read_checkpoint(&meta).unwrap();
-        for i in 0..table.digests.len() {
-            let (off, len) = table.chunk_range(i);
-            assert!(table.verify_chunk(i, &payload[off as usize..(off + len) as usize]));
-        }
-    }
-
-    #[test]
-    fn chunks_finer_than_the_digest_region_skip_the_table() {
-        // 900-byte state → capacity for 1 chunk digest, but the pool chunks
-        // at 128 bytes (8 chunks): the table must be skipped, not mangled.
-        let g = gpu(900, 43);
-        g.update();
-        let pool = HostBufferPool::new(ByteSize::from_bytes(128), 8);
-        let pipeline = PersistPipeline::new(ssd_store(g.state_size(), 3))
-            .with_writers(2)
-            .with_staging(pool);
-        let telemetry = Telemetry::disabled();
-        let ctx = PipelineCtx {
-            telemetry: &telemetry,
-            span: SpanId::NONE,
-        };
-        let guard = g.lock_weights_shared_owned();
-        let digest = guard.digest();
-        let total = guard.size();
-        let lease = pipeline.lease(ctx);
-        let start = pipeline
-            .copy_chunks(ctx, &guard, &lease, total, true)
-            .unwrap();
-        drop(guard);
-        pipeline.seal(ctx, &lease, 1, total, start).unwrap();
-        pipeline
-            .commit(ctx, lease, 1, total.as_u64(), digest.0)
-            .unwrap();
-        let meta = pipeline.store().latest_committed().unwrap();
-        assert!(pipeline.store().read_digest_table(&meta).is_none());
     }
 
     #[test]
@@ -1454,18 +1310,15 @@ mod tests {
             let g = gpu(900, seed);
             g.update();
             let guard = g.lock_weights_shared_owned();
-            let digest = guard.digest();
             let total = guard.size();
             let lease = pipeline.lease_for(ctx, Some(job)).unwrap();
             assert_eq!(lease.job(), Some(job));
-            let start = pipeline
-            .copy_chunks(ctx, &guard, &lease, total, true)
-            .unwrap();
-            drop(guard);
-            pipeline.seal(ctx, &lease, iter, total, start).unwrap();
-            let out = pipeline
-                .commit(ctx, lease, iter, total.as_u64(), digest.0)
+            let copied = pipeline
+                .copy_chunks(ctx, &guard, &lease, total, true)
                 .unwrap();
+            drop(guard);
+            pipeline.seal(ctx, &lease, iter, &copied).unwrap();
+            let out = pipeline.commit(ctx, lease, iter, &copied).unwrap();
             assert_eq!(out, CommitOutcome::Committed);
         }
         // Each job committed into its own namespace...
@@ -1499,13 +1352,12 @@ mod tests {
             span,
         };
         let guard = g.lock_weights_shared();
-        let digest = guard.digest();
         let start = telemetry.now_nanos();
         let lease = pipeline.lease(ctx);
-        pipeline
+        let copied = pipeline
             .write_through(ctx, &guard, &lease, 1, start)
             .unwrap();
-        let outcome = pipeline.commit(ctx, lease, 1, 300, digest.0).unwrap();
+        let outcome = pipeline.commit(ctx, lease, 1, &copied).unwrap();
         drop(guard);
         assert_eq!(outcome, CommitOutcome::Committed);
         let snap = telemetry.snapshot().unwrap();
@@ -1528,9 +1380,6 @@ mod tests {
         }
         fn step_count(&self) -> u64 {
             self.step
-        }
-        fn digest(&self) -> pccheck_gpu::StateDigest {
-            pccheck_gpu::StateDigest::of_payload(&self.data, self.step)
         }
         fn copy_range_to_host(&self, offset: u64, dst: &mut [u8]) {
             let s = offset as usize;
@@ -1655,7 +1504,7 @@ mod tests {
                 "staged" => pipeline.copy_chunks(ctx, &src, &lease, state, false).err(),
                 "overlapped" => pipeline.copy_chunks(ctx, &src, &lease, state, true).err(),
                 _ => pipeline
-                    .copy_framed(ctx, &src, &lease, state, 0, DeltaPolicy::default())
+                    .copy_framed(ctx, &src, &lease, state, DeltaPolicy::default())
                     .err(),
             };
             let (fault_offset, written_at_fault) =
@@ -1699,18 +1548,14 @@ mod tests {
                 data: data.to_vec(),
                 step: iter,
             };
-            let digest = pccheck_gpu::SnapshotSource::digest(&src).0;
             let lease = pipeline.lease_for(ctx, Some(job)).unwrap();
-            let plan = pipeline
-                .copy_framed(ctx, &src, &lease, state, digest, DeltaPolicy::default())
+            let copied = pipeline
+                .copy_framed(ctx, &src, &lease, state, DeltaPolicy::default())
                 .unwrap()
                 .expect("self-redundant payload frames");
-            let sealed = ByteSize::from_bytes(plan.payload_len);
-            pipeline
-                .seal(ctx, &lease, iter, sealed, plan.persist_start)
-                .unwrap();
-            pipeline.commit_framed(ctx, lease, iter, &plan).unwrap();
-            plan
+            pipeline.seal(ctx, &lease, iter, &copied).unwrap();
+            pipeline.commit(ctx, lease, iter, &copied).unwrap();
+            copied.frame.expect("copy_framed returns a frame")
         };
 
         let mut data = vec![0u8; 4096];
@@ -1762,10 +1607,7 @@ mod tests {
                 data: data.clone(),
                 step: iter,
             };
-            let digest = pccheck_gpu::SnapshotSource::digest(&src).0;
-            let (out, kind) = pipeline
-                .checkpoint_framed(ctx, &src, iter, digest, policy)
-                .unwrap();
+            let (out, kind) = pipeline.checkpoint_framed(ctx, &src, iter, policy).unwrap();
             assert_eq!(out, CommitOutcome::Committed);
             assert!(matches!(kind, FramedOutcome::Framed { .. }), "{kind:?}");
             let store = pipeline.store();
@@ -1811,9 +1653,8 @@ mod tests {
         };
         let telemetry = Telemetry::enabled();
         let ctx = test_ctx(&telemetry);
-        let digest = pccheck_gpu::SnapshotSource::digest(&src).0;
         let (commit, outcome) = pipeline
-            .checkpoint_framed(ctx, &src, 1, digest, DeltaPolicy::default())
+            .checkpoint_framed(ctx, &src, 1, DeltaPolicy::default())
             .unwrap();
         assert_eq!(commit, CommitOutcome::Committed);
         let FramedOutcome::Framed {
@@ -1856,9 +1697,8 @@ mod tests {
         };
         let telemetry = Telemetry::disabled();
         let ctx = test_ctx(&telemetry);
-        let digest = pccheck_gpu::SnapshotSource::digest(&src).0;
         let (_, outcome) = pipeline
-            .checkpoint_framed(ctx, &src, 1, digest, DeltaPolicy::default())
+            .checkpoint_framed(ctx, &src, 1, DeltaPolicy::default())
             .unwrap();
         let FramedOutcome::Framed { dedup_chunks, payload_len, .. } = outcome else {
             panic!("repeated chunks must persist framed, got {outcome:?}");
@@ -1882,9 +1722,8 @@ mod tests {
             data: data.clone(),
             step: 1,
         };
-        let d1 = pccheck_gpu::SnapshotSource::digest(&src1).0;
         let (_, o1) = pipeline
-            .checkpoint_framed(ctx, &src1, 1, d1, DeltaPolicy::default())
+            .checkpoint_framed(ctx, &src1, 1, DeltaPolicy::default())
             .unwrap();
         // Incompressible and nothing to dedup against: the first
         // checkpoint streams raw (all-Raw framing would only add a table).
@@ -1897,9 +1736,8 @@ mod tests {
             data: data.clone(),
             step: 2,
         };
-        let d2 = pccheck_gpu::SnapshotSource::digest(&src2).0;
         let (_, o2) = pipeline
-            .checkpoint_framed(ctx, &src2, 2, d2, DeltaPolicy::default())
+            .checkpoint_framed(ctx, &src2, 2, DeltaPolicy::default())
             .unwrap();
         assert_eq!(o2, FramedOutcome::Raw, "no generation installed yet");
 
@@ -1911,9 +1749,8 @@ mod tests {
             data: doubled.clone(),
             step: 3,
         };
-        let d3 = pccheck_gpu::SnapshotSource::digest(&src3).0;
         let (_, o3) = pipeline
-            .checkpoint_framed(ctx, &src3, 3, d3, DeltaPolicy::default())
+            .checkpoint_framed(ctx, &src3, 3, DeltaPolicy::default())
             .unwrap();
         assert!(
             matches!(o3, FramedOutcome::Framed { .. }),
@@ -1927,9 +1764,8 @@ mod tests {
             data: data4.clone(),
             step: 4,
         };
-        let d4 = pccheck_gpu::SnapshotSource::digest(&src4).0;
         let (commit, o4) = pipeline
-            .checkpoint_framed(ctx, &src4, 4, d4, DeltaPolicy::default())
+            .checkpoint_framed(ctx, &src4, 4, DeltaPolicy::default())
             .unwrap();
         assert_eq!(commit, CommitOutcome::Committed);
         let FramedOutcome::Framed { dedup_chunks, payload_len, .. } = o4 else {
@@ -1955,14 +1791,13 @@ mod tests {
         let src = VecSource { data, step: 1 };
         let telemetry = Telemetry::disabled();
         let ctx = test_ctx(&telemetry);
-        let digest = pccheck_gpu::SnapshotSource::digest(&src).0;
         let (commit, outcome) = pipeline
-            .checkpoint_framed(ctx, &src, 1, digest, DeltaPolicy::default())
+            .checkpoint_framed(ctx, &src, 1, DeltaPolicy::default())
             .unwrap();
         assert_eq!(commit, CommitOutcome::Committed);
         assert_eq!(outcome, FramedOutcome::Raw, "dense payloads stream raw");
         let meta = pipeline.store().latest_committed().unwrap();
-        assert_eq!(meta.payload_len, 4096, "raw fallback commits legacy shape");
+        assert_eq!(meta.payload_len, 4096, "raw fallback commits the raw shape");
     }
 
     #[test]
@@ -1974,9 +1809,8 @@ mod tests {
         let src = VecSource { data, step: 1 };
         let telemetry = Telemetry::disabled();
         let ctx = test_ctx(&telemetry);
-        let digest = pccheck_gpu::SnapshotSource::digest(&src).0;
         let (commit, outcome) = pipeline
-            .checkpoint_framed(ctx, &src, 1, digest, DeltaPolicy::default())
+            .checkpoint_framed(ctx, &src, 1, DeltaPolicy::default())
             .unwrap();
         assert_eq!(commit, CommitOutcome::Committed);
         assert_eq!(outcome, FramedOutcome::Raw);
@@ -1995,9 +1829,8 @@ mod tests {
         };
         let telemetry = Telemetry::disabled();
         let ctx = test_ctx(&telemetry);
-        let digest = pccheck_gpu::SnapshotSource::digest(&src).0;
         let (_, o) = pipeline
-            .checkpoint_framed(ctx, &src, 1, digest, DeltaPolicy::default())
+            .checkpoint_framed(ctx, &src, 1, DeltaPolicy::default())
             .unwrap();
         assert!(matches!(o, FramedOutcome::Framed { .. }));
         assert!(pipeline.codec.dedup.lock().generation_counter(None).is_some());

@@ -9,16 +9,14 @@
 //!
 //! * `r` **reader threads** pull payload chunks concurrently, so an N-way
 //!   striped store restores at close to N× a single reader's bandwidth.
-//! * **Verification overlaps I/O.** When the slot carries a per-chunk
-//!   [`ChunkDigestTable`] (written by the persist pipeline's copy paths),
-//!   every chunk verifies independently right after its read completes.
-//!   Legacy slots without a table fall back to a dedicated verifier thread
-//!   that folds the whole-payload digest in payload order while later
-//!   chunks are still in flight — chunk `i` verifies while chunk `i+1`
-//!   reads.
-//! * **Uploads stream.** Verified chunks can land directly in a
-//!   [`RestoreSink`] (e.g. [`pccheck_gpu::RestoreTarget`]) instead of
-//!   materializing the full payload in DRAM first.
+//! * **Verification overlaps I/O.** The state digest is a fold over
+//!   fixed-size block digests ([`pccheck_util::fnv`]), so every reader
+//!   digests the blocks of each chunk right after its read completes, in
+//!   whatever order chunks land; the candidate is accepted on the final
+//!   fold of the block values against the commit's digest.
+//! * **Uploads stream.** Chunks can land directly in a [`RestoreSink`]
+//!   (e.g. [`pccheck_gpu::RestoreTarget`], which stages them until the
+//!   fold passes) instead of materializing the full payload in DRAM first.
 //!
 //! [`recover_instrumented_with`] rebuilds the crate's recovery flow on top
 //! of this pipeline: candidates fall back newest-first on *any* failure
@@ -27,19 +25,16 @@
 //! the one walk in [`crate::codec`], which resolves `DedupBase`
 //! references in one hop) or *raw*.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::sync_channel;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use pccheck_util::sync::Mutex;
 
-use pccheck_device::{
-    fnv1a_fold, ChunkDigestTable, HostBuffer, HostBufferPool, PersistentDevice, FNV_SEED,
-};
+use pccheck_device::{HostBufferPool, PersistentDevice};
 use pccheck_gpu::{Gpu, RestoreTarget};
 use pccheck_telemetry::{FlightEventKind, Phase, Telemetry};
+use pccheck_util::fnv::{block_digests, fold_blocks, DIGEST_BLOCK};
 use pccheck_util::ByteSize;
 
 use crate::codec::{decode_frame, is_frame};
@@ -49,17 +44,16 @@ use crate::pipeline::PipelineCtx;
 use crate::recovery::{RecoveredCheckpoint, RecoveryTrace};
 use crate::store::CheckpointStore;
 
-/// Read granularity for slots without a per-chunk digest table.
-const DEFAULT_READ_CHUNK: u64 = 256 * 1024;
+/// Default read granularity: a whole number of digest blocks, large
+/// enough that a device read's fixed cost is noise beside digesting what
+/// it returned, and the bound on each reader's scratch.
+const DEFAULT_READ_CHUNK: u64 = 1024 * 1024;
 
 /// Knobs for the parallel recovery flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RestoreOptions {
     /// Parallel reader threads (`r`). 1 reproduces the sequential path.
     pub readers: usize,
-    /// How many of the newest candidates have their digest tables probed
-    /// concurrently before the first payload fetch starts.
-    pub probe: usize,
     /// On a multi-tenant (service-mode) store, recover only this job's
     /// namespace: candidates outside its slot range are never considered,
     /// so one tenant's torn checkpoint can never fall back onto another
@@ -71,18 +65,19 @@ impl Default for RestoreOptions {
     fn default() -> Self {
         RestoreOptions {
             readers: 4,
-            probe: 2,
             job: None,
         }
     }
 }
 
-/// Destination for verified restore chunks.
+/// Destination for restore chunks.
 ///
 /// Offsets are payload-relative; each chunk is delivered exactly once, in
-/// arbitrary order, possibly from several threads at once.
+/// arbitrary order, possibly from several threads at once — and *before*
+/// the candidate's digest is known to verify, so a sink must not act on
+/// the bytes until the fetch reports success.
 pub trait RestoreSink: Sync {
-    /// Accepts one verified chunk.
+    /// Accepts one chunk.
     fn put(&self, offset: u64, data: &[u8]);
 }
 
@@ -92,29 +87,23 @@ impl RestoreSink for RestoreTarget {
     }
 }
 
-/// Per-fetch accounting the private fetch paths hand back to the recovery
-/// flow (summed verification / sink compute time, in nanoseconds).
+/// What the fetch loop hands back to the recovery flow.
 #[derive(Debug, Clone, Copy, Default)]
 struct FetchReport {
     ok: bool,
+    /// Digest compute time, summed over the readers, in nanoseconds.
     verify_nanos: u64,
-    upload_nanos: u64,
 }
 
 /// The multi-reader, verification-overlapped read path over a
 /// [`CheckpointStore`].
 ///
-/// Cloning is cheap; clones share the store, the optional DRAM scratch
-/// pool, and the probed digest-table cache.
+/// Cloning is cheap; clones share the store.
 #[derive(Debug, Clone)]
 pub struct RestorePipeline {
     store: Arc<CheckpointStore>,
     readers: usize,
     chunk: ByteSize,
-    pool: Option<HostBufferPool>,
-    /// Digest tables probed ahead of the fetches, keyed `(counter, slot)`.
-    /// A present `None` means "probed, no usable table" — don't re-read.
-    tables: Arc<Mutex<HashMap<(u64, u32), Option<ChunkDigestTable>>>>,
 }
 
 impl RestorePipeline {
@@ -124,8 +113,6 @@ impl RestorePipeline {
             store,
             readers: 1,
             chunk: ByteSize::from_bytes(DEFAULT_READ_CHUNK),
-            pool: None,
-            tables: Arc::new(Mutex::new(HashMap::new())),
         }
     }
 
@@ -135,21 +122,15 @@ impl RestorePipeline {
         self
     }
 
-    /// Sets the read granularity used for slots without a digest table.
+    /// Sets the read granularity, rounded up to a whole number of digest
+    /// blocks so every reader digests the blocks of what it read.
     ///
     /// # Panics
     ///
     /// Panics on a zero chunk.
     pub fn with_read_chunk(mut self, chunk: ByteSize) -> Self {
         assert!(chunk.as_u64() > 0, "read chunk must be non-zero");
-        self.chunk = chunk;
-        self
-    }
-
-    /// Attaches a DRAM scratch pool bounding how many chunks may be in
-    /// flight between the readers and the verifier/sink.
-    pub fn with_staging(mut self, pool: HostBufferPool) -> Self {
-        self.pool = Some(pool);
+        self.chunk = ByteSize::from_bytes(chunk.as_u64().next_multiple_of(DIGEST_BLOCK as u64));
         self
     }
 
@@ -161,39 +142,6 @@ impl RestorePipeline {
     /// The configured reader count.
     pub fn readers(&self) -> usize {
         self.readers
-    }
-
-    /// Concurrently probes the digest tables of the newest `k` candidates
-    /// into the pipeline's cache, so per-candidate fetches don't serialize
-    /// on the table read.
-    pub fn probe(&self, candidates: &[CheckMeta], k: usize) {
-        let k = k.min(candidates.len());
-        match k {
-            0 => {}
-            1 => {
-                let meta = &candidates[0];
-                let table = self.store.read_digest_table(meta);
-                self.tables.lock().insert((meta.counter, meta.slot), table);
-            }
-            _ => {
-                std::thread::scope(|s| {
-                    for meta in &candidates[..k] {
-                        s.spawn(move || {
-                            let table = self.store.read_digest_table(meta);
-                            self.tables.lock().insert((meta.counter, meta.slot), table);
-                        });
-                    }
-                });
-            }
-        }
-    }
-
-    /// The candidate's digest table: probed cache first, device second.
-    fn table_for(&self, meta: &CheckMeta) -> Option<ChunkDigestTable> {
-        if let Some(entry) = self.tables.lock().get(&(meta.counter, meta.slot)) {
-            return entry.clone();
-        }
-        self.store.read_digest_table(meta)
     }
 
     /// Reads and verifies `meta`'s payload with the configured readers.
@@ -208,8 +156,8 @@ impl RestorePipeline {
     }
 
     /// Streams `meta`'s payload into `sink` chunk by chunk as each chunk
-    /// verifies, without materializing the whole payload. Returns whether
-    /// every chunk was read, verified, and delivered.
+    /// is read, without materializing the whole payload. Returns whether
+    /// every chunk was read and delivered and the payload verified.
     pub fn fetch_streaming(
         &self,
         ctx: PipelineCtx<'_>,
@@ -253,227 +201,115 @@ impl RestorePipeline {
         }
     }
 
-    /// DRAM scratch for streaming paths: the attached pool when its chunks
-    /// are large enough, otherwise an ad-hoc pool bounded at ~2 chunks per
-    /// reader.
-    fn scratch_pool(&self, chunk: u64) -> HostBufferPool {
-        match &self.pool {
-            Some(p) if p.chunk_size().as_u64() >= chunk => p.clone(),
-            _ => HostBufferPool::new(ByteSize::from_bytes(chunk), self.readers * 2 + 2),
-        }
-    }
-
+    /// Assembling in place: the output buffer splits into one cell per
+    /// read chunk and each reader reads straight into the cell it claimed.
     fn fetch_into_buffer(
         &self,
         ctx: PipelineCtx<'_>,
         meta: &CheckMeta,
         out: &mut [u8],
     ) -> FetchReport {
-        let read_start = ctx.telemetry.now_nanos();
-        let report = match self.table_for(meta) {
-            Some(table) if !table.digests.is_empty() => {
-                self.fetch_table_buffer(ctx, meta, &table, out)
-            }
-            _ => {
-                let out_cell = Mutex::new(out);
-                self.fetch_legacy(ctx, meta, &|off, data| {
-                    let start = usize::try_from(off).expect("offset fits");
-                    out_cell.lock()[start..start + data.len()].copy_from_slice(data);
-                })
-            }
-        };
-        ctx.telemetry
-            .phase_done(ctx.span, Phase::RestoreRead, read_start);
-        ctx.telemetry
-            .phase_done(ctx.span, Phase::RestoreVerify, read_start);
-        report
+        let chunk = self.chunk.as_usize();
+        let cells: Vec<Mutex<&mut [u8]>> = out.chunks_mut(chunk).map(Mutex::new).collect();
+        self.fetch(ctx, meta, &|off, _, read| {
+            read(&mut cells[off as usize / chunk].lock());
+        })
     }
 
+    /// Streaming: each reader reads into pooled scratch and delivers
+    /// straight to the sink — no ordering, no assembly.
     fn fetch_into_sink(
         &self,
         ctx: PipelineCtx<'_>,
         meta: &CheckMeta,
         sink: &dyn RestoreSink,
     ) -> FetchReport {
+        let chunk = self.chunk.as_u64().min(meta.payload_len).max(1);
+        let pool = HostBufferPool::new(ByteSize::from_bytes(chunk), self.readers);
+        self.fetch(ctx, meta, &|off, len, read| {
+            let mut buf = pool.acquire();
+            let data = &mut buf.as_mut_slice()[..len];
+            if read(data) {
+                sink.put(off, data);
+                ctx.telemetry
+                    .chunk(ctx.span, Phase::RestoreUpload, off, len as u64);
+            }
+        })
+    }
+
+    /// The one fetch loop over a raw payload. Readers claim read chunks
+    /// (each a whole number of digest blocks, but for the payload's tail)
+    /// off a shared counter; for each, `lend(payload offset, len, read)`
+    /// supplies `len` bytes of destination memory and calls `read` on it,
+    /// which fills it from the device, files the digests of its blocks by
+    /// block index, and says whether the read succeeded. The candidate is
+    /// accepted iff every read succeeded and the fold of the block
+    /// digests — seeded with the commit's iteration and length — equals
+    /// the commit's digest: corruption anywhere is caught here, after the
+    /// last block, and a read fault stops the readers at once.
+    ///
+    /// Claims walk the payload as `readers` contiguous runs, round-robin:
+    /// chunks in flight at the same time lie a run apart — on different
+    /// members of a striped store — while each run is still read front to
+    /// back and a slow reader never strands a share of the payload.
+    fn fetch(
+        &self,
+        ctx: PipelineCtx<'_>,
+        meta: &CheckMeta,
+        lend: &(dyn Fn(u64, usize, &mut dyn FnMut(&mut [u8]) -> bool) + Sync),
+    ) -> FetchReport {
         let read_start = ctx.telemetry.now_nanos();
-        let report = match self.table_for(meta) {
-            Some(table) if !table.digests.is_empty() => {
-                self.fetch_table_sink(ctx, meta, &table, sink)
-            }
-            _ => {
-                let upload_nanos = AtomicU64::new(0);
-                let mut report = self.fetch_legacy(ctx, meta, &|off, data| {
-                    let u0 = Instant::now();
-                    sink.put(off, data);
-                    upload_nanos.fetch_add(u0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    ctx.telemetry
-                        .chunk(ctx.span, Phase::RestoreUpload, off, data.len() as u64);
-                });
-                report.upload_nanos = upload_nanos.into_inner();
-                report
-            }
-        };
-        ctx.telemetry
-            .phase_done(ctx.span, Phase::RestoreRead, read_start);
-        ctx.telemetry
-            .phase_done(ctx.span, Phase::RestoreVerify, read_start);
-        report
-    }
-
-    /// Table path, assembling in place: the output buffer splits into one
-    /// contiguous run of chunks per reader, each reader reads straight
-    /// into its run and verifies every chunk against the table the moment
-    /// its read returns.
-    fn fetch_table_buffer(
-        &self,
-        ctx: PipelineCtx<'_>,
-        meta: &CheckMeta,
-        table: &ChunkDigestTable,
-        out: &mut [u8],
-    ) -> FetchReport {
+        let total = meta.payload_len;
         let base = self.store.slot_payload_offset(meta.slot);
-        let count = table.digests.len();
-        let readers = self.readers.min(count).max(1);
-        let per = count.div_ceil(readers);
+        let chunk = self.chunk.as_u64();
+        let count = total.div_ceil(chunk);
+        let readers = count.min(self.readers as u64);
+        let run = count.div_ceil(readers.max(1));
+        let block = DIGEST_BLOCK as u64;
+        let blocks: Vec<AtomicU64> = (0..total.div_ceil(block))
+            .map(|_| AtomicU64::new(0))
+            .collect();
+        let next = AtomicU64::new(0);
         let failed = AtomicBool::new(false);
         let verify_nanos = AtomicU64::new(0);
-
-        // Carve the output into per-reader runs of whole chunks.
-        let mut runs: Vec<(usize, &mut [u8])> = Vec::with_capacity(readers);
-        let mut rest = out;
-        let mut first = 0usize;
-        while first < count {
-            let last = (first + per).min(count);
-            let (start_off, _) = table.chunk_range(first);
-            let end_off = if last == count {
-                table.payload_len
-            } else {
-                table.chunk_range(last).0
-            };
-            let take = usize::try_from(end_off - start_off).expect("run fits");
-            let (head, tail) = rest.split_at_mut(take);
-            runs.push((first, head));
-            rest = tail;
-            first = last;
-        }
-
-        std::thread::scope(|s| {
-            for (r, (first, run)) in runs.into_iter().enumerate() {
-                let failed = &failed;
-                let verify_nanos = &verify_nanos;
-                s.spawn(move || {
-                    let actor_start = ctx.telemetry.now_nanos();
-                    let (run_base, _) = table.chunk_range(first);
-                    let mut done = 0usize;
-                    let mut media_nanos = 0u64;
-                    for i in first.. {
-                        if done >= run.len() || failed.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let (off, len) = table.chunk_range(i);
-                        let n = usize::try_from(len).expect("chunk fits");
-                        let dst = &mut run[done..done + n];
-                        match self.read_chunk(ctx, base + off, off, dst) {
-                            Ok(media) => media_nanos += media,
-                            Err(_) => {
-                                failed.store(true, Ordering::Release);
-                                break;
-                            }
-                        }
-                        let v0 = Instant::now();
-                        let ok = table.verify_chunk(i, dst);
-                        verify_nanos.fetch_add(v0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        if !ok {
-                            failed.store(true, Ordering::Release);
-                            break;
-                        }
-                        done += n;
-                        debug_assert_eq!(off, run_base + (done as u64 - n as u64));
-                    }
-                    if done > 0 && ctx.telemetry.is_enabled() {
-                        ctx.telemetry.actor_span_split(
-                            ctx.span,
-                            &format!("reader-{r}"),
-                            actor_start,
-                            done as u64,
-                            media_nanos,
-                        );
-                    }
-                });
-            }
-        });
-
-        FetchReport {
-            ok: !failed.load(Ordering::Acquire),
-            verify_nanos: verify_nanos.into_inner(),
-            upload_nanos: 0,
-        }
-    }
-
-    /// Table path, streaming: readers claim chunk indices from a shared
-    /// counter, read into pooled scratch, verify inline, and deliver
-    /// straight to the sink — no ordering, no assembly.
-    fn fetch_table_sink(
-        &self,
-        ctx: PipelineCtx<'_>,
-        meta: &CheckMeta,
-        table: &ChunkDigestTable,
-        sink: &dyn RestoreSink,
-    ) -> FetchReport {
-        let base = self.store.slot_payload_offset(meta.slot);
-        let count = table.digests.len();
-        let readers = self.readers.min(count).max(1);
-        let pool = self.scratch_pool(table.chunk_len.min(table.payload_len));
-        let next = AtomicUsize::new(0);
-        let failed = AtomicBool::new(false);
-        let verify_nanos = AtomicU64::new(0);
-        let upload_nanos = AtomicU64::new(0);
 
         std::thread::scope(|s| {
             for r in 0..readers {
-                let next = &next;
-                let failed = &failed;
-                let verify_nanos = &verify_nanos;
-                let upload_nanos = &upload_nanos;
-                let pool = &pool;
+                let (blocks, next, failed, verify_nanos) = (&blocks, &next, &failed, &verify_nanos);
                 s.spawn(move || {
                     let actor_start = ctx.telemetry.now_nanos();
                     let mut actor_bytes = 0u64;
                     let mut media_nanos = 0u64;
-                    loop {
-                        if failed.load(Ordering::Acquire) {
+                    while !failed.load(Ordering::Acquire) {
+                        let claim = next.fetch_add(1, Ordering::Relaxed);
+                        if claim >= run * readers {
                             break;
                         }
-                        // Acquire scratch *before* claiming an index so the
-                        // lowest in-flight chunk always owns a buffer.
-                        let mut buf = pool.acquire();
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= count {
-                            break;
+                        let off = ((claim % readers) * run + claim / readers) * chunk;
+                        if off >= total {
+                            continue; // past the end of the short last run
                         }
-                        let (off, len) = table.chunk_range(i);
-                        let n = usize::try_from(len).expect("chunk fits");
-                        let data = &mut buf.as_mut_slice()[..n];
-                        match self.read_chunk(ctx, base + off, off, data) {
-                            Ok(media) => media_nanos += media,
-                            Err(_) => {
-                                failed.store(true, Ordering::Release);
-                                break;
+                        let len = chunk.min(total - off) as usize;
+                        lend(off, len, &mut |dst| {
+                            match self.read_chunk(ctx, base + off, off, dst) {
+                                Ok(media) => media_nanos += media,
+                                Err(_) => {
+                                    failed.store(true, Ordering::Release);
+                                    return false;
+                                }
                             }
-                        }
-                        let v0 = Instant::now();
-                        let ok = table.verify_chunk(i, data);
-                        verify_nanos.fetch_add(v0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        if !ok {
-                            failed.store(true, Ordering::Release);
-                            break;
-                        }
-                        let u0 = Instant::now();
-                        sink.put(off, data);
-                        upload_nanos.fetch_add(u0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        ctx.telemetry
-                            .chunk(ctx.span, Phase::RestoreUpload, off, len);
-                        actor_bytes += len;
+                            let v0 = Instant::now();
+                            let first = (off / block) as usize;
+                            // Relaxed: the scope's join orders every store
+                            // before the fold below reads the cells.
+                            for (cell, digest) in blocks[first..].iter().zip(block_digests(dst)) {
+                                cell.store(digest, Ordering::Relaxed);
+                            }
+                            verify_nanos
+                                .fetch_add(v0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                            actor_bytes += len as u64;
+                            true
+                        });
                     }
                     if actor_bytes > 0 && ctx.telemetry.is_enabled() {
                         ctx.telemetry.actor_span_split(
@@ -488,117 +324,18 @@ impl RestorePipeline {
             }
         });
 
+        let folded = fold_blocks(
+            meta.iteration,
+            total,
+            blocks.iter().map(|b| b.load(Ordering::Relaxed)),
+        );
+        ctx.telemetry
+            .phase_done(ctx.span, Phase::RestoreRead, read_start);
+        ctx.telemetry
+            .phase_done(ctx.span, Phase::RestoreVerify, read_start);
         FetchReport {
-            ok: !failed.load(Ordering::Acquire),
+            ok: !failed.load(Ordering::Acquire) && folded == meta.digest,
             verify_nanos: verify_nanos.into_inner(),
-            upload_nanos: upload_nanos.into_inner(),
-        }
-    }
-
-    /// Legacy path for slots without a digest table: both whole-payload
-    /// digest disciplines are order-dependent folds, so reads fan out
-    /// across the readers while one verifier folds completed chunks in
-    /// payload order — verification of chunk `i` overlaps the read of
-    /// chunk `i+1`.
-    fn fetch_legacy(
-        &self,
-        ctx: PipelineCtx<'_>,
-        meta: &CheckMeta,
-        deliver: &(dyn Fn(u64, &[u8]) + Sync),
-    ) -> FetchReport {
-        let total = meta.payload_len;
-        let base = self.store.slot_payload_offset(meta.slot);
-        let chunk = self.chunk.as_u64();
-        let count = usize::try_from(total.div_ceil(chunk)).expect("chunk count fits");
-        let readers = self.readers.min(count.max(1));
-        let failed = AtomicBool::new(false);
-        let mut verify_nanos = 0u64;
-        let mut h_state = FNV_SEED ^ meta.iteration;
-        let mut h_raw = FNV_SEED;
-        let mut folded = 0usize;
-
-        if count > 0 {
-            let pool = self.scratch_pool(chunk.min(total));
-            let next = AtomicUsize::new(0);
-            let (tx, rx) = sync_channel::<(usize, usize, HostBuffer)>(pool.total_chunks());
-            std::thread::scope(|s| {
-                for r in 0..readers {
-                    let tx = tx.clone();
-                    let next = &next;
-                    let failed = &failed;
-                    let pool = &pool;
-                    s.spawn(move || {
-                        let actor_start = ctx.telemetry.now_nanos();
-                        let mut actor_bytes = 0u64;
-                        let mut media_nanos = 0u64;
-                        loop {
-                            if failed.load(Ordering::Acquire) {
-                                break;
-                            }
-                            // Acquire before claiming: the lowest unfolded
-                            // chunk always holds a buffer, so the verifier can
-                            // always make progress and return buffers.
-                            let mut buf = pool.acquire();
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= count {
-                                break;
-                            }
-                            let off = i as u64 * chunk;
-                            let n = usize::try_from(chunk.min(total - off)).expect("chunk fits");
-                            match self.read_chunk(
-                                ctx,
-                                base + off,
-                                off,
-                                &mut buf.as_mut_slice()[..n],
-                            ) {
-                                Ok(media) => media_nanos += media,
-                                Err(_) => {
-                                    failed.store(true, Ordering::Release);
-                                    break;
-                                }
-                            }
-                            if tx.send((i, n, buf)).is_err() {
-                                break;
-                            }
-                            actor_bytes += n as u64;
-                        }
-                        if actor_bytes > 0 && ctx.telemetry.is_enabled() {
-                            ctx.telemetry.actor_span_split(
-                                ctx.span,
-                                &format!("reader-{r}"),
-                                actor_start,
-                                actor_bytes,
-                                media_nanos,
-                            );
-                        }
-                    });
-                }
-                drop(tx);
-                // Verifier: fold in payload order, buffering the odd
-                // out-of-order arrival.
-                let mut pending: BTreeMap<usize, (usize, HostBuffer)> = BTreeMap::new();
-                while let Ok((i, n, buf)) = rx.recv() {
-                    pending.insert(i, (n, buf));
-                    while let Some((n, buf)) = pending.remove(&folded) {
-                        let data = &buf.as_slice()[..n];
-                        let v0 = Instant::now();
-                        h_state = fnv1a_fold(h_state, data);
-                        h_raw = fnv1a_fold(h_raw, data);
-                        verify_nanos += v0.elapsed().as_nanos() as u64;
-                        deliver(folded as u64 * chunk, data);
-                        folded += 1;
-                    }
-                }
-            });
-        }
-
-        let ok = !failed.load(Ordering::Acquire)
-            && folded == count
-            && (h_state == meta.digest || h_raw == meta.digest);
-        FetchReport {
-            ok,
-            verify_nanos,
-            upload_nanos: 0,
         }
     }
 
@@ -631,20 +368,23 @@ impl RestorePipeline {
     ///
     /// Returns `(logical payload, full-state digest)`; `None` on any torn
     /// table, failed read, or digest mismatch — the caller falls back to
-    /// an older candidate, like every other verification failure.
+    /// an older candidate, like every other verification failure. Either
+    /// way `verify_nanos` gains the walk's digest compute time.
     pub fn fetch_framed(
         &self,
         ctx: PipelineCtx<'_>,
         meta: &CheckMeta,
         candidates: &[CheckMeta],
+        verify_nanos: &mut u64,
     ) -> Option<(Vec<u8>, u64)> {
         let payload = self.read_slot(ctx, meta)?;
-        decode_frame(&payload, meta, &mut |counter, slot| {
+        let mut base = |counter, slot| {
             let base = candidates
                 .iter()
                 .find(|c| c.counter == counter && c.slot == slot)?;
             Some((*base, self.read_slot(ctx, base)?))
-        })
+        };
+        decode_frame(&payload, meta, &mut base, verify_nanos)
     }
 }
 
@@ -673,7 +413,8 @@ pub fn recover_instrumented_with(
 
 /// Recovers the newest verifiable checkpoint straight into `gpu`'s device
 /// memory: raw checkpoints stream chunk-by-chunk into a
-/// [`RestoreTarget`] as they verify (no full-payload DRAM image), framed
+/// [`RestoreTarget`], which hands them to the GPU only once the payload
+/// verified (a rejected target is dropped, never finished), framed
 /// checkpoints reconstruct in DRAM and upload once.
 ///
 /// # Errors
@@ -720,7 +461,6 @@ fn recover_core(
     }
     candidates.reverse();
     let pipeline = RestorePipeline::new(Arc::clone(&store)).with_readers(options.readers);
-    pipeline.probe(&candidates, options.probe);
 
     let mut trace = RecoveryTrace {
         scan_nanos: t0.elapsed().as_nanos() as u64,
@@ -746,7 +486,7 @@ fn recover_core(
             // commit carries a base link.
             let load_t0 = Instant::now();
             let load_start = telemetry.now_nanos();
-            let out = pipeline.fetch_framed(ctx, meta, &candidates);
+            let out = pipeline.fetch_framed(ctx, meta, &candidates, &mut trace.verify_nanos);
             trace.load_nanos += load_t0.elapsed().as_nanos() as u64;
             telemetry.phase_done(span, Phase::RecoveryLoad, load_start);
             telemetry.phase_done(span, Phase::RecoveryVerify, load_start);
@@ -769,11 +509,9 @@ fn recover_core(
             let (report, payload) = match gpu {
                 Some(gpu) if meta.payload_len == gpu.state_size().as_u64() => {
                     let target = gpu.begin_restore(ByteSize::from_bytes(meta.payload_len));
-                    let mut report = pipeline.fetch_into_sink(ctx, meta, &target);
+                    let report = pipeline.fetch_into_sink(ctx, meta, &target);
                     if report.ok {
-                        let u0 = Instant::now();
                         target.finish(meta.iteration);
-                        report.upload_nanos += u0.elapsed().as_nanos() as u64;
                         telemetry.phase_done(span, Phase::RestoreUpload, load_start);
                     }
                     (report, None)
@@ -838,10 +576,9 @@ fn recover_core(
 mod tests {
     use super::*;
     use pccheck_device::{DeviceConfig, SsdDevice};
-    use pccheck_gpu::{GpuConfig, TrainingState};
+    use pccheck_gpu::{GpuConfig, StateDigest, TrainingState};
     use pccheck_telemetry::SpanId;
 
-    use crate::meta::checksum;
     use crate::pipeline::{DeltaPolicy, PersistPipeline};
 
     fn ctx(telemetry: &Telemetry) -> PipelineCtx<'_> {
@@ -851,14 +588,11 @@ mod tests {
         }
     }
 
-    /// Formats a store over a fresh SSD and commits `n` raw-checksum
-    /// checkpoints of `payload_bytes` each, writing a per-chunk digest
-    /// table (`chunk_len`-grained) when `tabled`.
+    /// Formats a store over a fresh SSD and commits `n` raw checkpoints of
+    /// `payload_bytes` each at the store level.
     fn raw_store(
         n: u64,
         payload_bytes: u64,
-        chunk_len: u64,
-        tabled: bool,
     ) -> (Arc<SsdDevice>, Arc<CheckpointStore>, Vec<Vec<u8>>) {
         let slot = ByteSize::from_bytes(payload_bytes);
         let cap = CheckpointStore::required_capacity(slot, 3) + ByteSize::from_kb(1);
@@ -875,12 +609,7 @@ mod tests {
             let lease = store.begin_checkpoint();
             store.write_payload(&lease, 0, &payload).unwrap();
             store.persist_payload(&lease, 0, payload_bytes).unwrap();
-            let digest = checksum(&payload);
-            if tabled {
-                let slot_id = lease.slot;
-                let table = ChunkDigestTable::build(&payload, chunk_len, lease.counter, digest);
-                assert!(store.write_digest_table(slot_id, &table).unwrap());
-            }
+            let digest = StateDigest::of_payload(&payload, i).0;
             store.commit(lease, i, payload_bytes, digest).unwrap();
             payloads.push(payload);
         }
@@ -888,13 +617,13 @@ mod tests {
     }
 
     /// Drives `iters` full checkpoints of a synthetic GPU state through the
-    /// persist pipeline (which writes per-chunk digest tables), returning
-    /// the device, the store, and the GPU at its final state.
+    /// persist pipeline, returning the device, the store, the GPU at its
+    /// final state, and the GPU's digest at each checkpoint.
     fn gpu_store(
         iters: u64,
         bytes: u64,
         chunk: u64,
-    ) -> (Arc<SsdDevice>, Arc<CheckpointStore>, Gpu) {
+    ) -> (Arc<SsdDevice>, Arc<CheckpointStore>, Gpu, Vec<StateDigest>) {
         use pccheck_device::HostBufferPool;
 
         let state = TrainingState::synthetic(ByteSize::from_bytes(bytes), 7);
@@ -915,56 +644,48 @@ mod tests {
         let telemetry = Telemetry::disabled();
         let ctx = ctx(&telemetry);
         let total = gpu.state_size();
+        let mut digests = Vec::new();
         for iter in 1..=iters {
             gpu.update();
+            digests.push(gpu.digest());
             let guard = gpu.lock_weights_shared_owned();
-            let digest = guard.digest().0;
             let lease = pipeline.lease(ctx);
-            let persist_start = pipeline
+            let copied = pipeline
                 .copy_chunks(ctx, &guard, &lease, total, true)
                 .unwrap();
             drop(guard);
-            pipeline
-                .seal(ctx, &lease, iter, total, persist_start)
-                .unwrap();
-            pipeline
-                .commit(ctx, lease, iter, total.as_u64(), digest)
-                .unwrap();
+            pipeline.seal(ctx, &lease, iter, &copied).unwrap();
+            pipeline.commit(ctx, lease, iter, &copied).unwrap();
         }
-        (ssd, store, gpu)
+        (ssd, store, gpu, digests)
     }
 
     #[test]
-    fn parallel_fetch_matches_sequential_with_digest_table() {
-        // 16 KiB slot → 4-chunk digest capacity; 4 KiB chunks fill it.
-        let (_ssd, store, payloads) = raw_store(2, 16 * 1024, 4096, true);
+    fn parallel_fetch_matches_sequential() {
+        // Four read chunks, so four readers really share the payload.
+        let (_ssd, store, payloads) = raw_store(2, 16 * 1024);
         let meta = store.latest_committed().unwrap();
-        assert!(
-            store.read_digest_table(&meta).is_some(),
-            "digest table is present, so the table path is exercised"
-        );
         let telemetry = Telemetry::disabled();
-        let seq = RestorePipeline::new(Arc::clone(&store))
-            .with_readers(1)
-            .fetch_verified(ctx(&telemetry), &meta)
-            .unwrap();
-        let par = RestorePipeline::new(Arc::clone(&store))
-            .with_readers(4)
-            .fetch_verified(ctx(&telemetry), &meta)
-            .unwrap();
-        assert_eq!(seq, payloads[1]);
-        assert_eq!(par, payloads[1], "parallel read is bit-identical");
+        let fetch = |readers| {
+            RestorePipeline::new(Arc::clone(&store))
+                .with_readers(readers)
+                .with_read_chunk(ByteSize::from_bytes(4096))
+                .fetch_verified(ctx(&telemetry), &meta)
+                .unwrap()
+        };
+        assert_eq!(fetch(1), payloads[1]);
+        assert_eq!(fetch(4), payloads[1], "parallel read is bit-identical");
     }
 
     #[test]
     fn parallel_fetch_emits_reader_actor_spans() {
-        // 4 chunks, 4 readers → one run per reader, 4 KiB each.
-        let (_ssd, store, _payloads) = raw_store(1, 16 * 1024, 4096, true);
+        let (_ssd, store, _payloads) = raw_store(1, 16 * 1024);
         let meta = store.latest_committed().unwrap();
         let telemetry = Telemetry::enabled();
         let span = telemetry.span_requested("restore", 1, meta.payload_len);
         let got = RestorePipeline::new(Arc::clone(&store))
             .with_readers(4)
+            .with_read_chunk(ByteSize::from_bytes(4096))
             .fetch_verified(
                 PipelineCtx {
                     telemetry: &telemetry,
@@ -983,77 +704,92 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(spans.len(), 4, "one actor span per reader run: {spans:?}");
+        // Four chunks off a shared counter: one span per reader that got any.
+        assert!((1..=4).contains(&spans.len()), "{spans:?}");
         assert!(spans.iter().all(|(a, _)| a.starts_with("reader-")));
         let total: u64 = spans.iter().map(|(_, b)| b).sum();
         assert_eq!(total, 16 * 1024, "reader spans account for every byte");
-    }
-
-    #[test]
-    fn legacy_slot_without_table_verifies_via_ordered_fold() {
-        let (_ssd, store, payloads) = raw_store(1, 16 * 1024, 4096, false);
-        let meta = store.latest_committed().unwrap();
-        assert!(store.read_digest_table(&meta).is_none());
-        let telemetry = Telemetry::enabled();
-        let span = telemetry.span_requested("restore", 1, meta.payload_len);
-        let got = RestorePipeline::new(Arc::clone(&store))
-            .with_readers(4)
-            .with_read_chunk(ByteSize::from_bytes(1024))
-            .fetch_verified(
-                PipelineCtx {
-                    telemetry: &telemetry,
-                    span,
-                },
-                &meta,
-            )
-            .unwrap();
-        assert_eq!(got, payloads[0]);
-        // The overlapped fold really ran chunk-wise: every byte was read
-        // through the restore-read stage.
         let snap = telemetry.snapshot().unwrap();
         assert_eq!(snap.restore_chunk_bytes, 16 * 1024);
         assert!(snap.phase(Phase::RestoreRead).count >= 1);
         assert!(snap.phase(Phase::RestoreVerify).count >= 1);
     }
 
+    /// Nothing but the end-to-end fold guards a raw payload: wherever a
+    /// byte flips, at any reader count, the candidate is rejected and
+    /// recovery lands on the older commit — in DRAM and on the GPU alike.
     #[test]
-    fn corrupt_payload_is_rejected_by_the_table_path() {
-        let (ssd, store, _payloads) = raw_store(1, 16 * 1024, 4096, true);
-        let meta = store.latest_committed().unwrap();
-        let off = store.slot_payload_offset(meta.slot) + 9000;
-        ssd.write_at(off, b"!").unwrap();
-        ssd.persist(off, 1).unwrap();
-        let telemetry = Telemetry::disabled();
-        let got = RestorePipeline::new(Arc::clone(&store))
-            .with_readers(4)
-            .fetch_verified(ctx(&telemetry), &meta);
-        assert!(got.is_none(), "per-chunk verification caught the flip");
+    fn corrupt_raw_candidate_falls_back_at_every_reader_count() {
+        // Four default read chunks plus a short last block.
+        const BYTES: u64 = 4 * DEFAULT_READ_CHUNK + 100;
+        let flips: [(&str, u64, &[u8]); 3] = [
+            ("first block", 10, b"!"),
+            ("across a block boundary", DEFAULT_READ_CHUNK - 1, b"!!"),
+            ("short last block", BYTES - 1, b"!"),
+        ];
+        for (place, at, garbage) in flips {
+            let (ssd, store, _gpu, digests) = gpu_store(2, BYTES, 64 * 1024);
+            let newest = store.latest_committed().unwrap();
+            assert_eq!(newest.iteration, 2);
+            let off = store.slot_payload_offset(newest.slot) + at;
+            ssd.write_at(off, garbage).unwrap();
+            ssd.persist(off, garbage.len() as u64).unwrap();
+            drop(store);
+            let device = Arc::clone(&ssd) as Arc<dyn PersistentDevice>;
+            for readers in [1, 2, 4] {
+                let options = RestoreOptions {
+                    readers,
+                    ..RestoreOptions::default()
+                };
+                let telemetry = Telemetry::disabled();
+                let (rec, trace) =
+                    recover_instrumented_with(Arc::clone(&device), &telemetry, options).unwrap();
+                assert_eq!(rec.iteration, 1, "{place}, {readers} readers");
+                assert_eq!(trace.fallbacks, 1, "{place}, {readers} readers");
+                assert_eq!(StateDigest::of_payload(&rec.payload, 1), digests[0]);
+
+                let fresh = Gpu::new(
+                    GpuConfig::fast_for_tests(),
+                    TrainingState::synthetic(ByteSize::from_bytes(BYTES), 999),
+                );
+                let trace =
+                    recover_into_gpu(Arc::clone(&device), &fresh, &telemetry, options).unwrap();
+                assert_eq!(trace.iteration, 1);
+                assert_eq!(fresh.digest(), digests[0], "{place}, {readers} readers");
+            }
+        }
     }
 
     #[test]
-    fn torn_digest_table_degrades_to_whole_payload_verification() {
-        let (ssd, store, payloads) = raw_store(1, 16 * 1024, 4096, true);
-        let meta = store.latest_committed().unwrap();
-        // Tear the table's trailing CRC; the payload itself is intact.
-        let table_off = store.slot_digest_offset(meta.slot).unwrap();
-        let tear = table_off + ChunkDigestTable::encoded_len_for(4) - 1;
-        let mut b = [0u8; 1];
-        ssd.read_durable_at(tear, &mut b).unwrap();
-        b[0] ^= 0xFF;
-        ssd.write_at(tear, &b).unwrap();
-        ssd.persist(tear, 1).unwrap();
-        assert!(store.read_digest_table(&meta).is_none(), "table is torn");
-        let telemetry = Telemetry::disabled();
-        let got = RestorePipeline::new(Arc::clone(&store))
-            .with_readers(4)
-            .fetch_verified(ctx(&telemetry), &meta)
-            .unwrap();
-        assert_eq!(got, payloads[0], "fold path still verifies the payload");
+    fn a_rejected_restore_target_never_reaches_the_gpu() {
+        let (ssd, store, _gpu, _digests) = gpu_store(1, 16 * 1024, 4096);
+        let only = store.latest_committed().unwrap();
+        let off = store.slot_payload_offset(only.slot) + 9000;
+        ssd.write_at(off, b"!").unwrap();
+        ssd.persist(off, 1).unwrap();
+        drop(store);
+        let fresh = Gpu::new(
+            GpuConfig::fast_for_tests(),
+            TrainingState::synthetic(ByteSize::from_bytes(16 * 1024), 999),
+        );
+        let before = fresh.digest();
+        let err = recover_into_gpu(
+            Arc::clone(&ssd) as Arc<dyn PersistentDevice>,
+            &fresh,
+            &Telemetry::disabled(),
+            RestoreOptions::default(),
+        )
+        .unwrap_err();
+        assert!(matches!(
+            err,
+            PccheckError::CorruptCheckpoint { counter: 1 }
+        ));
+        assert_eq!(fresh.digest(), before, "staged chunks were dropped");
     }
 
     #[test]
     fn read_fault_on_newest_falls_back_instead_of_erroring() {
-        let (ssd, store, payloads) = raw_store(2, 16 * 1024, 4096, true);
+        let (ssd, store, payloads) = raw_store(2, 16 * 1024);
         let newest = store.latest_committed().unwrap();
         assert_eq!(newest.iteration, 2);
         // Latent sector error in the middle of the newest payload,
@@ -1079,7 +815,7 @@ mod tests {
         // Newest payload is unreadable media, the older one is corrupt on
         // disk: recovery exhausts both and reports the protocol error, not
         // the raw device error.
-        let (ssd, store, _payloads) = raw_store(2, 16 * 1024, 4096, false);
+        let (ssd, store, _payloads) = raw_store(2, 16 * 1024);
         let metas = store.history().unwrap();
         let newest = metas.last().unwrap();
         let oldest = metas.first().unwrap();
@@ -1102,12 +838,8 @@ mod tests {
 
     #[test]
     fn recover_into_gpu_streams_full_checkpoints() {
-        // 16 KiB state, 4 KiB pipeline chunks → the persist side wrote a
-        // digest table, so restore streams through the table sink path.
-        let (ssd, store, gpu) = gpu_store(2, 16 * 1024, 4096);
+        let (ssd, store, gpu, _digests) = gpu_store(2, 16 * 1024, 4096);
         let want = gpu.digest();
-        let meta = store.latest_committed().unwrap();
-        assert!(store.read_digest_table(&meta).is_some());
         drop(store);
         ssd.crash_now();
         ssd.recover();
@@ -1160,9 +892,8 @@ mod tests {
                 gpu.update_sparse(0.1);
             }
             let guard = gpu.lock_weights_shared_owned();
-            let digest = guard.digest();
             persist
-                .checkpoint_framed(pctx, &guard, iter, digest.0, DeltaPolicy::default())
+                .checkpoint_framed(pctx, &guard, iter, DeltaPolicy::default())
                 .unwrap();
         }
         let head = store.latest_committed().unwrap();
@@ -1186,20 +917,5 @@ mod tests {
         assert_eq!(trace.chain_links, 1);
         assert_eq!(fresh.digest(), want);
         assert_eq!(fresh.step_count(), 2);
-    }
-
-    #[test]
-    fn probe_prefetches_tables_for_the_newest_candidates() {
-        let (ssd, store, _payloads) = raw_store(2, 16 * 1024, 4096, true);
-        let pipeline = RestorePipeline::new(Arc::clone(&store)).with_readers(2);
-        let mut candidates = store.history().unwrap();
-        candidates.reverse();
-        pipeline.probe(&candidates, 2);
-        let reads = ssd.stats().read_ops();
-        // Cached: table_for answers without touching the device.
-        for meta in &candidates {
-            assert!(pipeline.table_for(meta).is_some());
-        }
-        assert_eq!(ssd.stats().read_ops(), reads);
     }
 }

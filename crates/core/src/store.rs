@@ -18,9 +18,6 @@
 //! | flight ring        |  optional crash-safe telemetry ring
 //! | (header + records) |  (`flight_records` > 0)
 //! +--------------------+
-//! | digest tables      |  optional per-slot per-chunk digest tables
-//! | (slots · stride)   |  (`digest_chunks` > 0; advisory, CRC-protected)
-//! +--------------------+
 //! | namespace directory|  optional multi-tenant directory
 //! | (max_ns · 128B)    |  (`max_namespaces` > 0; descriptor + per-job
 //! +--------------------+   CHECK_ADDR record per entry)
@@ -28,13 +25,6 @@
 //! | (slots · 64B)      |  (header flag at bytes 32..36; the lattice
 //! +--------------------+   Free → Claimed{c} → Committed{c})
 //! ```
-//!
-//! The digest region holds one fixed-stride [`ChunkDigestTable`] per slot,
-//! written after the payload persists but bound to a specific commit by
-//! `(counter, payload_digest)` — a stale or torn table is detected and
-//! ignored, dropping recovery back to the legacy whole-payload digests.
-//! Stores formatted before this region existed read `digest_chunks == 0`
-//! from the header and behave exactly as before.
 //!
 //! With `N` allowed concurrent checkpoints the store holds `N+1` slots —
 //! the `(N+1)·m` storage footprint of Table 1 — guaranteeing one fully
@@ -105,7 +95,7 @@ use std::sync::Arc;
 
 use pccheck_util::sync::RwLock;
 
-use pccheck_device::{ChunkDigestTable, PersistentDevice};
+use pccheck_device::PersistentDevice;
 use pccheck_telemetry::{FlightEventKind, FlightRecorder, FlightRing};
 use pccheck_util::ByteSize;
 
@@ -120,7 +110,7 @@ use crate::queue::SlotQueue;
 /// fluid-model job ids so fairness oracles line up).
 pub type JobId = u64;
 
-const STORE_MAGIC: u64 = 0x5043_6368_6543_6B31; // "PCcheCk1"
+const STORE_MAGIC: u64 = 0x5043_6368_6543_6B32; // "PCcheCk2"
 const HEADER_SIZE: u64 = 64;
 const CHECK_ADDR_OFFSET: u64 = HEADER_SIZE;
 const SLOTS_OFFSET: u64 = HEADER_SIZE + META_RECORD_SIZE;
@@ -128,12 +118,6 @@ const SLOTS_OFFSET: u64 = HEADER_SIZE + META_RECORD_SIZE;
 /// Stride of one namespace-directory entry: the 64-byte descriptor
 /// followed by that namespace's own 64-byte CHECK_ADDR record.
 const NS_ENTRY_SIZE: u64 = NS_DESC_SIZE + META_RECORD_SIZE;
-
-/// The finest chunk granularity the per-slot digest region is provisioned
-/// for: a slot of `s` bytes gets room for `ceil(s / 4096)` chunk digests,
-/// a fixed ~0.2% capacity overhead. Pipelines chunking finer than this on
-/// a given payload simply skip the table (legacy verification applies).
-const DIGEST_CHUNK_GRAIN: u64 = 4096;
 
 /// Outcome of a commit attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -251,11 +235,8 @@ pub struct CheckpointStore {
     /// `flight_records = 0`).
     flight: FlightRecorder,
     /// Flight-ring capacity in records (0 = no ring); part of the geometry
-    /// because the digest region starts after the ring.
+    /// because the namespace directory starts after the ring.
     flight_records: u32,
-    /// Per-slot digest-table capacity in chunk digests (0 = the store was
-    /// formatted without a digest region).
-    digest_chunks: u32,
     /// Directory capacity in namespaces (0 = legacy single-tenant store).
     max_namespaces: u32,
     /// Allocated namespaces, in directory order. Appended under the write
@@ -280,19 +261,10 @@ impl CheckpointStore {
         slots: u32,
         flight_records: u32,
     ) -> ByteSize {
-        let slots_end = ByteSize::from_bytes(SLOTS_OFFSET)
-            + (ByteSize::from_bytes(META_RECORD_SIZE) + slot_size) * u64::from(slots);
-        let with_flight = if flight_records == 0 {
-            slots_end
-        } else {
-            slots_end + ByteSize::from_bytes(FlightRing::required_capacity(flight_records))
-        };
-        let digest_chunks = Self::default_digest_chunks(slot_size);
-        with_flight
-            + ByteSize::from_bytes(
-                ChunkDigestTable::encoded_len_for(digest_chunks as usize) * u64::from(slots),
-            )
-            + ByteSize::from_bytes(SLOT_STATE_SIZE * u64::from(slots))
+        ByteSize::from_bytes(
+            Self::ns_dir_base_static(slot_size, slots, flight_records)
+                + SLOT_STATE_SIZE * u64::from(slots),
+        )
     }
 
     /// Bytes of device space a multi-tenant store needs: the legacy layout
@@ -308,26 +280,19 @@ impl CheckpointStore {
     }
 
     /// Device offset where the namespace directory starts for this
-    /// geometry — after the digest region, so every older region keeps its
-    /// offset. `digest_chunks` is the header's value (0 on stores without
-    /// a digest region).
-    fn ns_dir_base_static(
-        slot_size: ByteSize,
-        slots: u32,
-        flight_records: u32,
-        digest_chunks: u32,
-    ) -> u64 {
-        Self::digest_base_static(slot_size, slots, flight_records)
-            + ChunkDigestTable::encoded_len_for(digest_chunks as usize) * u64::from(slots)
+    /// geometry — after the flight ring (or after the slots when there is
+    /// no ring), so both older regions keep their offsets.
+    fn ns_dir_base_static(slot_size: ByteSize, slots: u32, flight_records: u32) -> u64 {
+        Self::flight_base_static(slot_size, slots)
+            + if flight_records == 0 {
+                0
+            } else {
+                FlightRing::required_capacity(flight_records)
+            }
     }
 
     fn ns_dir_base(&self) -> u64 {
-        Self::ns_dir_base_static(
-            self.slot_size,
-            self.num_slots,
-            self.flight_records,
-            self.digest_chunks,
-        )
+        Self::ns_dir_base_static(self.slot_size, self.num_slots, self.flight_records)
     }
 
     /// Device offset where the per-slot commit-state region starts for
@@ -337,10 +302,9 @@ impl CheckpointStore {
         slot_size: ByteSize,
         slots: u32,
         flight_records: u32,
-        digest_chunks: u32,
         max_namespaces: u32,
     ) -> u64 {
-        Self::ns_dir_base_static(slot_size, slots, flight_records, digest_chunks)
+        Self::ns_dir_base_static(slot_size, slots, flight_records)
             + NS_ENTRY_SIZE * u64::from(max_namespaces)
     }
 
@@ -352,31 +316,9 @@ impl CheckpointStore {
                 self.slot_size,
                 self.num_slots,
                 self.flight_records,
-                self.digest_chunks,
                 self.max_namespaces,
             ) + u64::from(slot) * SLOT_STATE_SIZE
         })
-    }
-
-    /// Chunk-digest capacity the default format provisions per slot:
-    /// enough for [`DIGEST_CHUNK_GRAIN`]-byte chunks over a full slot.
-    fn default_digest_chunks(slot_size: ByteSize) -> u32 {
-        slot_size
-            .as_u64()
-            .div_ceil(DIGEST_CHUNK_GRAIN)
-            .min(u64::from(u32::MAX)) as u32
-    }
-
-    /// Device offset where the per-slot digest tables start for this
-    /// geometry — after the flight ring (or after the slots when there is
-    /// no ring), so both older regions keep their offsets.
-    fn digest_base_static(slot_size: ByteSize, slots: u32, flight_records: u32) -> u64 {
-        Self::flight_base_static(slot_size, slots)
-            + if flight_records == 0 {
-                0
-            } else {
-                FlightRing::required_capacity(flight_records)
-            }
     }
 
     /// Device offset where the flight ring starts for this geometry — right
@@ -472,13 +414,12 @@ impl CheckpointStore {
             )));
         }
         // Write the store header.
-        let digest_chunks = Self::default_digest_chunks(slot_size);
         let mut header = [0u8; HEADER_SIZE as usize];
         header[0..8].copy_from_slice(&STORE_MAGIC.to_le_bytes());
         header[8..12].copy_from_slice(&slots.to_le_bytes());
         header[12..20].copy_from_slice(&slot_size.as_u64().to_le_bytes());
         header[20..24].copy_from_slice(&flight_records.to_le_bytes());
-        header[24..28].copy_from_slice(&digest_chunks.to_le_bytes());
+        // Bytes 24..28 are reserved.
         header[28..32].copy_from_slice(&max_namespaces.to_le_bytes());
         // Bytes 32..36: the per-slot commit-state region exists (stores
         // formatted before the lattice carry zeros here — feature off).
@@ -489,19 +430,14 @@ impl CheckpointStore {
         device.persist(0, SLOTS_OFFSET)?;
         if max_namespaces > 0 {
             // Zero the directory: every entry reads as unallocated.
-            let base = Self::ns_dir_base_static(slot_size, slots, flight_records, digest_chunks);
+            let base = Self::ns_dir_base_static(slot_size, slots, flight_records);
             let zeros = vec![0u8; (NS_ENTRY_SIZE * u64::from(max_namespaces)) as usize];
             device.write_at(base, &zeros)?;
             device.persist(base, zeros.len() as u64)?;
         }
         // Every slot starts with a valid durable Free state word.
-        let state_base = Self::slot_state_base_static(
-            slot_size,
-            slots,
-            flight_records,
-            digest_chunks,
-            max_namespaces,
-        );
+        let state_base =
+            Self::slot_state_base_static(slot_size, slots, flight_records, max_namespaces);
         let free_rec = SlotState::Free.encode();
         let mut state_region = vec![0u8; (SLOT_STATE_SIZE * u64::from(slots)) as usize];
         for s in 0..slots as usize {
@@ -541,7 +477,6 @@ impl CheckpointStore {
             state_words: true,
             flight,
             flight_records,
-            digest_chunks,
             max_namespaces,
             namespaces: RwLock::new(Vec::new()),
             next_free_slot: AtomicU32::new(if service { 0 } else { slots }),
@@ -570,10 +505,8 @@ impl CheckpointStore {
         let slot_size =
             ByteSize::from_bytes(u64::from_le_bytes(header[12..20].try_into().expect("len")));
         let flight_records = u32::from_le_bytes(header[20..24].try_into().expect("slice len"));
-        // Stores formatted before the digest region existed carry zeros
-        // here: the feature reads as "off" and nothing else changes.
-        let digest_chunks = u32::from_le_bytes(header[24..28].try_into().expect("slice len"));
-        // Likewise for stores formatted before multi-tenancy existed.
+        // Stores formatted before multi-tenancy existed carry zeros here:
+        // the feature reads as "off" and nothing else changes.
         let max_namespaces = u32::from_le_bytes(header[28..32].try_into().expect("slice len"));
         // ... and for stores formatted before the commit-state lattice.
         let state_words =
@@ -596,8 +529,7 @@ impl CheckpointStore {
         if max_namespaces > 0 {
             // Service mode: rebuild each namespace independently — its own
             // committed checkpoint, pinned chain, and free range.
-            let dir_base =
-                Self::ns_dir_base_static(slot_size, slots, flight_records, digest_chunks);
+            let dir_base = Self::ns_dir_base_static(slot_size, slots, flight_records);
             let mut namespaces: Vec<Arc<Namespace>> = Vec::new();
             let mut max_counter = 0u64;
             let mut next_free_slot = 0u32;
@@ -660,7 +592,6 @@ impl CheckpointStore {
                 state_words,
                 flight,
                 flight_records,
-                digest_chunks,
                 max_namespaces,
                 namespaces: RwLock::new(namespaces),
                 next_free_slot: AtomicU32::new(next_free_slot),
@@ -708,7 +639,6 @@ impl CheckpointStore {
             state_words,
             flight,
             flight_records,
-            digest_chunks,
             max_namespaces: 0,
             namespaces: RwLock::new(Vec::new()),
             next_free_slot: AtomicU32::new(slots),
@@ -907,65 +837,6 @@ impl CheckpointStore {
     /// Device offset of `slot`'s payload.
     pub fn slot_payload_offset(&self, slot: u32) -> u64 {
         self.slot_meta_offset(slot) + META_RECORD_SIZE
-    }
-
-    /// Per-slot digest-table capacity in chunk digests (0 = the store has
-    /// no digest region).
-    pub fn digest_chunks(&self) -> u32 {
-        self.digest_chunks
-    }
-
-    /// Device offset of `slot`'s per-chunk digest table, or `None` when
-    /// the store has no digest region.
-    pub fn slot_digest_offset(&self, slot: u32) -> Option<u64> {
-        if self.digest_chunks == 0 {
-            return None;
-        }
-        let base = Self::digest_base_static(self.slot_size, self.num_slots, self.flight_records);
-        let stride = ChunkDigestTable::encoded_len_for(self.digest_chunks as usize);
-        Some(base + u64::from(slot) * stride)
-    }
-
-    /// Writes and persists `slot`'s per-chunk digest table. Returns
-    /// `Ok(false)` without touching the device when the store has no
-    /// digest region or the table exceeds the per-slot capacity — the
-    /// table is advisory, so skipping it is never an error.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors.
-    pub fn write_digest_table(
-        &self,
-        slot: u32,
-        table: &ChunkDigestTable,
-    ) -> Result<bool, PccheckError> {
-        let Some(off) = self.slot_digest_offset(slot) else {
-            return Ok(false);
-        };
-        if table.digests.len() > self.digest_chunks as usize {
-            return Ok(false);
-        }
-        let bytes = table.encode();
-        self.device.write_at(off, &bytes)?;
-        self.device.persist(off, bytes.len() as u64)?;
-        Ok(true)
-    }
-
-    /// Reads the per-chunk digest table for the committed checkpoint
-    /// `meta`, returning it only if it decodes *and* is bound to exactly
-    /// this commit (matching counter, payload digest, and payload length).
-    /// Any mismatch — including a torn or recycled table — yields `None`,
-    /// which callers treat as "verify the legacy way".
-    pub fn read_digest_table(&self, meta: &CheckMeta) -> Option<ChunkDigestTable> {
-        let off = self.slot_digest_offset(meta.slot)?;
-        let stride = ChunkDigestTable::encoded_len_for(self.digest_chunks as usize);
-        let mut buf = vec![0u8; stride as usize];
-        self.device.read_durable_at(off, &mut buf).ok()?;
-        let table = ChunkDigestTable::decode(&buf).ok()?;
-        (table.counter == meta.counter
-            && table.payload_digest == meta.digest
-            && table.payload_len == meta.payload_len)
-            .then_some(table)
     }
 
     /// The in-memory view of the latest committed checkpoint. On a
@@ -1754,7 +1625,6 @@ impl RawStoreView {
         let slot_size =
             ByteSize::from_bytes(u64::from_le_bytes(header[12..20].try_into().expect("len")));
         let flight_records = u32::from_le_bytes(header[20..24].try_into().expect("slice len"));
-        let digest_chunks = u32::from_le_bytes(header[24..28].try_into().expect("slice len"));
         let max_namespaces = u32::from_le_bytes(header[28..32].try_into().expect("slice len"));
         let state_words = u32::from_le_bytes(header[32..36].try_into().expect("slice len")) != 0;
 
@@ -1780,7 +1650,6 @@ impl RawStoreView {
                 slot_size,
                 slots,
                 flight_records,
-                digest_chunks,
                 max_namespaces,
             );
             let mut state_rec = [0u8; SLOT_STATE_SIZE as usize];
@@ -1793,12 +1662,7 @@ impl RawStoreView {
 
         let mut namespaces = Vec::new();
         if max_namespaces > 0 {
-            let dir_base = CheckpointStore::ns_dir_base_static(
-                slot_size,
-                slots,
-                flight_records,
-                digest_chunks,
-            );
+            let dir_base = CheckpointStore::ns_dir_base_static(slot_size, slots, flight_records);
             let mut desc_buf = [0u8; NS_DESC_SIZE as usize];
             for i in 0..max_namespaces {
                 let entry_off = dir_base + u64::from(i) * NS_ENTRY_SIZE;
@@ -1958,6 +1822,7 @@ impl RawStoreView {
 mod tests {
     use super::*;
     use pccheck_device::{DeviceConfig, SsdDevice};
+    use pccheck_gpu::StateDigest;
 
     fn store(slot_size: u64, slots: u32) -> CheckpointStore {
         let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(slot_size), slots);
@@ -1970,7 +1835,7 @@ mod tests {
         let lease = st.begin_checkpoint();
         st.write_payload(&lease, 0, payload).unwrap();
         st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
-        let digest = crate::meta::checksum(payload);
+        let digest = StateDigest::of_payload(payload, iter).0;
         st.commit(lease, iter, payload.len() as u64, digest)
             .unwrap()
     }
@@ -2255,7 +2120,7 @@ mod tests {
         let lease = st.begin_checkpoint();
         st.write_payload(&lease, 0, payload).unwrap();
         st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
-        let digest = crate::meta::checksum(payload);
+        let digest = StateDigest::of_payload(payload, iter).0;
         st.commit_with_delta(
             lease,
             iter,
@@ -2351,58 +2216,30 @@ mod tests {
     }
 
     #[test]
-    fn digest_table_round_trips_and_binds_to_commit() {
-        let st = store(8192, 3); // cap = ceil(8192/4096) = 2 chunk digests
-        assert_eq!(st.digest_chunks(), 2);
-        let payload: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
-        let digest = crate::meta::checksum(&payload);
-        let lease = st.begin_checkpoint();
-        let slot = lease.slot;
-        st.write_payload(&lease, 0, &payload).unwrap();
-        st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
-        let table = ChunkDigestTable::build(&payload, 4096, lease.counter, digest);
-        assert!(st.write_digest_table(slot, &table).unwrap());
-        st.commit(lease, 1, payload.len() as u64, digest).unwrap();
-        let meta = st.latest_committed().unwrap();
-        let read = st.read_digest_table(&meta).unwrap();
-        assert_eq!(read, table);
-        for i in 0..read.digests.len() {
-            let (off, len) = read.chunk_range(i);
-            assert!(read.verify_chunk(i, &payload[off as usize..(off + len) as usize]));
-        }
-        // A table from a different commit is rejected.
-        let mut stale = meta;
-        stale.counter += 1;
-        assert!(st.read_digest_table(&stale).is_none());
-        // A table bigger than the provisioned capacity is skipped, not
-        // truncated.
-        let fine = ChunkDigestTable::build(&payload, 256, meta.counter, digest);
-        assert!(!st.write_digest_table(slot, &fine).unwrap());
-        assert_eq!(st.read_digest_table(&meta).unwrap(), table);
-    }
-
-    #[test]
-    fn legacy_header_without_digest_region_reads_as_feature_off() {
+    fn an_image_with_the_previous_magic_is_rejected_not_recovered() {
         let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(64), 3);
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         {
             let st =
                 CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 3).unwrap();
-            full_checkpoint(&st, 4, b"legacy");
+            full_checkpoint(&st, 4, b"committed");
         }
-        // Rewrite the header the way a pre-digest-region format would have:
-        // bytes 24..28 zeroed.
-        dev.write_at(24, &[0u8; 4]).unwrap();
-        dev.persist(24, 4).unwrap();
-        let st = CheckpointStore::open(dev).unwrap();
-        assert_eq!(st.digest_chunks(), 0);
-        assert!(st.slot_digest_offset(0).is_none());
-        let meta = st.latest_committed().unwrap();
-        assert_eq!(meta.iteration, 4);
-        assert!(st.read_digest_table(&meta).is_none());
-        let table = ChunkDigestTable::build(b"legacy", 4096, meta.counter, meta.digest);
-        assert!(!st.write_digest_table(meta.slot, &table).unwrap());
+        // "PCcheCk1" images laid a digest region out between the flight
+        // ring and the namespace directory: every later offset differs.
+        dev.write_at(0, &0x5043_6368_6543_6B31u64.to_le_bytes())
+            .unwrap();
+        dev.persist(0, 8).unwrap();
+        for err in [
+            CheckpointStore::open(Arc::clone(&dev)).err(),
+            RawStoreView::load(dev.as_ref()).err(),
+            crate::recovery::recover(dev).err(),
+        ] {
+            assert!(
+                matches!(err, Some(PccheckError::InvalidConfig(_))),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]
@@ -2459,7 +2296,7 @@ mod tests {
         let lease = st.begin_checkpoint_job(job).unwrap();
         st.write_payload(&lease, 0, payload).unwrap();
         st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
-        let digest = crate::meta::checksum(payload);
+        let digest = StateDigest::of_payload(payload, iter).0;
         st.commit(lease, iter, payload.len() as u64, digest)
             .unwrap()
     }
@@ -2671,7 +2508,8 @@ mod tests {
         let (c1_slot, c1) = (lease.slot, lease.counter);
         st.write_payload(&lease, 0, b"one").unwrap();
         st.persist_payload(&lease, 0, 3).unwrap();
-        st.commit(lease, 1, 3, crate::meta::checksum(b"one")).unwrap();
+        st.commit(lease, 1, 3, StateDigest::of_payload(b"one", 1).0)
+            .unwrap();
         let committed = SlotState::Committed { counter: c1 };
         assert_eq!(st.slot_commit_state(c1_slot), committed);
         let view = RawStoreView::load(st.device().as_ref()).unwrap();
@@ -2701,7 +2539,8 @@ mod tests {
             // Two free slots: keep drawing until the displaced one comes up.
             let other = lease3;
             lease3 = st.begin_checkpoint();
-            st.commit(other, 3, 0, crate::meta::checksum(b"")).unwrap();
+            st.commit(other, 3, 0, StateDigest::of_payload(b"", 3).0)
+                .unwrap();
         }
         assert_eq!(lease3.slot, c1_slot, "displaced slot recycles via queue");
         let view = RawStoreView::load(st.device().as_ref()).unwrap();
@@ -2711,7 +2550,8 @@ mod tests {
                 counter: lease3.counter
             }
         );
-        st.commit(lease3, 4, 0, crate::meta::checksum(b"")).unwrap();
+        st.commit(lease3, 4, 0, StateDigest::of_payload(b"", 4).0)
+            .unwrap();
     }
 
     #[test]
@@ -2808,7 +2648,7 @@ mod tests {
             slot: lease.slot,
             iteration: 2,
             payload_len: 3,
-            digest: crate::meta::checksum(b"two"),
+            digest: StateDigest::of_payload(b"two", 2).0,
             delta: None,
         };
         let off = st.slot_meta_offset(lease.slot);

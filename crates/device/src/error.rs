@@ -28,11 +28,6 @@ pub enum DeviceError {
     },
     /// The network peer is unreachable (remote node failed).
     PeerUnavailable,
-    /// A slot's per-chunk digest table failed validation (bad magic,
-    /// inconsistent geometry, or a checksum mismatch from a torn write).
-    /// Recovery treats this as "no table": it falls back to the legacy
-    /// whole-payload digest, never to trusting a torn table.
-    CorruptDigestTable,
     /// A read failed at the media level (an unreadable sector / injected
     /// read fault). Unlike [`Crashed`](Self::Crashed) the device stays up;
     /// only the faulted range is unreadable.
@@ -59,9 +54,6 @@ impl fmt::Display for DeviceError {
                 "requested buffer of {requested} bytes exceeds pool chunk size {chunk}"
             ),
             DeviceError::PeerUnavailable => write!(f, "network peer is unavailable"),
-            DeviceError::CorruptDigestTable => {
-                write!(f, "per-chunk digest table failed validation")
-            }
             DeviceError::ReadFault { offset } => {
                 write!(f, "media read fault at offset {offset}")
             }
@@ -95,9 +87,6 @@ mod tests {
         assert!(DeviceError::ReadFault { offset: 77 }
             .to_string()
             .contains("77"));
-        assert!(DeviceError::CorruptDigestTable
-            .to_string()
-            .contains("digest table"));
     }
 
     #[test]

@@ -44,7 +44,6 @@
 
 pub mod composite;
 pub mod device;
-pub mod digest_table;
 pub mod dram;
 pub mod error;
 pub mod file;
@@ -58,15 +57,11 @@ pub use composite::{StripedDevice, TieredDevice, DEFAULT_MEMBER_QUEUE_DEPTH};
 pub use device::{
     DeviceConfig, DeviceStats, DeviceStatsReport, PersistentDevice, SubmissionTicket,
 };
-pub use digest_table::{chunk_count, ChunkDigestTable, DIGEST_TABLE_HEADER, DIGEST_TABLE_MAGIC};
 pub use dram::{HostBuffer, HostBufferPool};
 pub use error::DeviceError;
 pub use file::FileDevice;
 pub use network::{NetworkConfig, NetworkLink, RemoteMemory};
 pub use observer::{IoObserver, MemberIoOp};
-// Canonical digest implementations live in `pccheck_util::fnv`; re-exported
-// so `pccheck_device::{FNV_SEED, fnv1a, ...}` keeps working downstream.
-pub use pccheck_util::fnv::{chunk_digest, fnv1a, fnv1a_fold, FNV_SEED};
 pub use pmem::{PmemDevice, PmemWriteMode};
 pub use region::{CrashPolicy, MemRegion};
 pub use ssd::SsdDevice;

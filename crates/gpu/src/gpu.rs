@@ -462,9 +462,6 @@ pub trait SnapshotSource: Sync {
     /// The step counter captured by the snapshot.
     fn step_count(&self) -> u64;
 
-    /// Digest of the snapshot (for verification).
-    fn digest(&self) -> StateDigest;
-
     /// Copies the serialized byte range `[offset, offset+dst.len())` into
     /// host memory through the GPU's copy engine (PCIe-throttled).
     fn copy_range_to_host(&self, offset: u64, dst: &mut [u8]);
@@ -486,10 +483,6 @@ impl SnapshotSource for WeightsGuard<'_> {
         WeightsGuard::step_count(self)
     }
 
-    fn digest(&self) -> StateDigest {
-        WeightsGuard::digest(self)
-    }
-
     fn copy_range_to_host(&self, offset: u64, dst: &mut [u8]) {
         WeightsGuard::copy_range_to_host(self, offset, dst)
     }
@@ -506,10 +499,6 @@ impl SnapshotSource for OwnedWeightsGuard {
 
     fn step_count(&self) -> u64 {
         OwnedWeightsGuard::step_count(self)
-    }
-
-    fn digest(&self) -> StateDigest {
-        OwnedWeightsGuard::digest(self)
     }
 
     fn copy_range_to_host(&self, offset: u64, dst: &mut [u8]) {

@@ -9,27 +9,23 @@
 
 use std::fmt;
 
+use pccheck_util::fnv::StateFold;
 use pccheck_util::rng;
 use pccheck_util::ByteSize;
 
-/// A 64-bit digest of the full training state (FNV-1a over all tensor
-/// bytes plus the step counter).
+/// A 64-bit digest of the full training state: the step counter, the
+/// size and all tensor bytes, by the one definition in
+/// [`pccheck_util::fnv`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StateDigest(pub u64);
 
 impl StateDigest {
-    /// Recomputes the digest of a serialized checkpoint payload captured at
-    /// `step`, without needing the tensor layout: [`TrainingState::digest`]
-    /// folds FNV-1a (seeded with `basis ^ step`) over the tensors' bytes in
-    /// order, which is exactly the byte stream
-    /// [`TrainingState::serialize_into`] produces. Recovery paths use this
-    /// to verify a candidate payload against its stored digest when only
-    /// the flat bytes survive the crash.
+    /// The digest of a serialized checkpoint payload captured at `step`,
+    /// without needing the tensor layout: [`TrainingState::digest`]
+    /// streams the tensors' bytes in order through the same fold, which is
+    /// exactly the byte stream [`TrainingState::serialize_into`] produces.
     pub fn of_payload(payload: &[u8], step: u64) -> StateDigest {
-        StateDigest(pccheck_util::fnv::fnv1a_fold(
-            pccheck_util::fnv::FNV_SEED ^ step,
-            payload,
-        ))
+        StateDigest(pccheck_util::fnv::state_digest(step, payload))
     }
 }
 
@@ -123,10 +119,6 @@ impl Tensor {
         for b in &mut self.data[start..] {
             *b = b.wrapping_add(delta).rotate_left(1);
         }
-    }
-
-    fn fnv(&self, h: u64) -> u64 {
-        pccheck_util::fnv::fnv1a_fold(h, &self.data)
     }
 }
 
@@ -268,13 +260,13 @@ impl TrainingState {
         ranges
     }
 
-    /// Digest over the step counter and all tensor bytes.
+    /// Digest over the step counter, the size and all tensor bytes.
     pub fn digest(&self) -> StateDigest {
-        let mut h: u64 = pccheck_util::fnv::FNV_SEED ^ self.step;
+        let mut fold = StateFold::new(self.step, self.size().as_u64());
         for t in &self.tensors {
-            h = t.fnv(h);
+            fold.feed(&t.data);
         }
-        StateDigest(h)
+        StateDigest(fold.finish())
     }
 
     /// Serializes all tensors into `buf` (concatenated in order).
@@ -394,21 +386,58 @@ mod tests {
     }
 
     #[test]
-    fn payload_digest_matches_state_digest() {
-        let mut s = small_state(9);
-        for _ in 0..3 {
-            s.step();
-        }
-        let mut buf = vec![0u8; s.size().as_usize()];
-        s.serialize_into(&mut buf);
-        assert_eq!(StateDigest::of_payload(&buf, s.step_count()), s.digest());
-        // Wrong step or corrupted payload must not verify.
-        assert_ne!(
-            StateDigest::of_payload(&buf, s.step_count() + 1),
-            s.digest()
-        );
-        buf[0] ^= 0xff;
-        assert_ne!(StateDigest::of_payload(&buf, s.step_count()), s.digest());
+    fn of_payload_agrees_with_the_state_digest_in_every_form() {
+        use pccheck_util::fnv::{block_digests, fold_blocks, DIGEST_BLOCK};
+        check(DEFAULT_CASES, |r| {
+            // Empty tensors, and tensors straddling block boundaries.
+            let tensors = (0..r.range(1..6))
+                .map(|i| {
+                    let size = if r.chance(0.2) {
+                        0
+                    } else {
+                        r.range(1..3 * DIGEST_BLOCK as u64)
+                    };
+                    Tensor::synthetic(format!("t{i}"), ByteSize::from_bytes(size), r.next_u64())
+                })
+                .collect();
+            let mut s = TrainingState::from_tensors(tensors);
+            for _ in 0..r.range(0..4) {
+                s.step();
+            }
+            let step = s.step_count();
+            let mut buf = vec![0u8; s.size().as_usize()];
+            s.serialize_into(&mut buf);
+            let want = s.digest();
+            assert_eq!(StateDigest::of_payload(&buf, step), want);
+            // Streaming form, fed in random splits.
+            let mut fold = StateFold::new(step, buf.len() as u64);
+            let mut rest = &buf[..];
+            while !rest.is_empty() {
+                let (feed, tail) = rest.split_at(r.range(0..rest.len() as u64 + 1) as usize);
+                fold.feed(feed);
+                rest = tail;
+            }
+            assert_eq!(fold.finish(), want.0);
+            // Out-of-order form: block values computed back to front.
+            let mut blocks: Vec<u64> = buf
+                .chunks(DIGEST_BLOCK)
+                .rev()
+                .flat_map(block_digests)
+                .collect();
+            blocks.reverse();
+            assert_eq!(fold_blocks(step, buf.len() as u64, blocks), want.0);
+            // A different step, a zero-extended payload and a one-bit flip
+            // anywhere must not verify.
+            assert_ne!(StateDigest::of_payload(&buf, step + 1), want);
+            buf.push(0);
+            assert_ne!(StateDigest::of_payload(&buf, step), want);
+            buf.pop();
+            if !buf.is_empty() {
+                let bit = r.range(0..buf.len() as u64 * 8) as usize;
+                buf[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(StateDigest::of_payload(&buf, step), want);
+            }
+        });
     }
 
     #[test]

@@ -169,9 +169,8 @@ pub fn measure(payload: Payload, sparsity: f64) -> ExtCompressRow {
             gpu.update_sparse(sparsity);
         }
         let guard = gpu.lock_weights_shared_owned();
-        let digest = guard.digest();
         let (_, outcome) = pipeline
-            .checkpoint_framed(ctx, &guard, iter, digest.0, policy)
+            .checkpoint_framed(ctx, &guard, iter, policy)
             .unwrap();
         if iter == CHECKPOINTS {
             final_state = vec![0u8; state_bytes as usize];

@@ -10,18 +10,18 @@
 //! checkpoint across payload size × readers × stripe ways on throttled
 //! simulated SSDs, where reader parallelism (not CPU) is the bottleneck.
 //!
-//! The checkpoint is persisted through [`pccheck::PersistPipeline`], so
-//! the slot carries a per-chunk digest table and the restore verifies
-//! chunks independently as they land — preemption-grade restart latency
-//! is `payload / (min(r, ways) · member_bandwidth)` plus a verification
-//! overhang that overlaps the reads.
+//! The checkpoint is persisted through [`pccheck::PersistPipeline`] and
+//! the restore digests each chunk's blocks independently as it lands —
+//! preemption-grade restart latency is `payload / (min(r, ways) ·
+//! member_bandwidth)` plus a verification overhang that overlaps the
+//! reads.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use pccheck::{CheckpointStore, PersistPipeline, PipelineCtx, RestorePipeline};
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice, StripedDevice};
-use pccheck_gpu::{SnapshotSource, StateDigest};
+use pccheck_gpu::SnapshotSource;
 use pccheck_telemetry::{SpanId, Telemetry};
 use pccheck_util::{Bandwidth, ByteSize, CsvWriter};
 
@@ -38,10 +38,6 @@ impl SnapshotSource for HostPayload {
 
     fn step_count(&self) -> u64 {
         self.step
-    }
-
-    fn digest(&self) -> StateDigest {
-        StateDigest::of_payload(&self.data, self.step)
     }
 
     fn copy_range_to_host(&self, offset: u64, dst: &mut [u8]) {
@@ -68,7 +64,7 @@ pub const MEMBER_MB_PER_SEC: f64 = 200.0;
 /// `r` readers drain `r` members' buckets concurrently.
 pub const STRIPE_UNIT: u64 = 8 * 1024 * 1024;
 
-/// Restore read granularity (and the persist-side digest-table grain).
+/// Restore read granularity (and the persist-side staging chunk).
 pub const READ_CHUNK: u64 = 128 * 1024;
 
 /// Payload sizes swept by [`run`]. The larger size gives every 4-reader
@@ -99,7 +95,7 @@ pub struct ExtRestoreRow {
 }
 
 /// A formatted store on a (possibly striped) throttled device set with one
-/// committed checkpoint of `size` whose slot carries a digest table.
+/// committed checkpoint of `size`.
 /// Public so `bench_pr5` drives the identical geometry.
 pub fn committed_store(size: ByteSize, ways: u32) -> Arc<CheckpointStore> {
     let cap = CheckpointStore::required_capacity(size, 2) + ByteSize::from_kb(64);
@@ -138,15 +134,11 @@ pub fn committed_store(size: ByteSize, ways: u32) -> Arc<CheckpointStore> {
         span: SpanId::NONE,
     };
     let lease = persist.lease(ctx);
-    let persist_start = persist
+    let copied = persist
         .copy_chunks(ctx, &src, &lease, size, true)
         .expect("persist payload");
-    persist
-        .seal(ctx, &lease, 1, size, persist_start)
-        .expect("seal");
-    persist
-        .commit(ctx, lease, 1, size.as_u64(), src.digest().0)
-        .expect("commit");
+    persist.seal(ctx, &lease, 1, &copied).expect("seal");
+    persist.commit(ctx, lease, 1, &copied).expect("commit");
     store
 }
 

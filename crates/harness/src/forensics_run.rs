@@ -30,12 +30,11 @@ use pccheck::{
     recover_instrumented_with, CheckMeta, CheckpointStore, ChunkEncoding, DeltaLink, FrameRecord,
     FrameTable, JobId, PccheckError, RecoveredCheckpoint, RecoveryTrace, RestoreOptions,
 };
-use pccheck_device::{
-    chunk_digest, fnv1a, DeviceConfig, PersistentDevice, SsdDevice, StripedDevice, TieredDevice,
-};
+use pccheck_device::{DeviceConfig, PersistentDevice, SsdDevice, StripedDevice, TieredDevice};
 use pccheck_gpu::StateDigest;
 use pccheck_monitor::ForensicReport;
 use pccheck_telemetry::{FlightEventKind, Telemetry};
+use pccheck_util::fnv::{chunk_digest, fnv1a};
 use pccheck_util::ByteSize;
 
 /// A protocol step at which the crash is injected.
@@ -108,7 +107,7 @@ pub enum DeviceTopology {
         ways: u32,
     },
     /// A [`TieredDevice`]: a hot tier holding the slot region with the
-    /// flight ring and digest tables spilling to a second SSD. The crash
+    /// flight ring and slot state words spilling to a second SSD. The crash
     /// fires the *tier member's* fuse; the composite powers off the whole
     /// device when the member persist fails, exactly like a shared power
     /// domain.
@@ -565,8 +564,8 @@ pub fn run_crash_scenario_with(
         }
         DeviceTopology::Tiered => {
             // The tier covers the header + slot region (where the fatal
-            // payload persist lands); the flight ring and digest tables
-            // spill over the boundary to the second SSD.
+            // payload persist lands); the flight ring and slot state
+            // words spill over the boundary to the second SSD.
             let tier_cap = CheckpointStore::required_capacity(state, cfg.slots);
             let tier = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(tier_cap)));
             let spill = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
@@ -817,7 +816,6 @@ mod tests {
                     cfg,
                     RestoreOptions {
                         readers: 4,
-                        probe: 2,
                         job: None,
                     },
                 )
@@ -835,7 +833,6 @@ mod tests {
                     &Telemetry::disabled(),
                     RestoreOptions {
                         readers: 1,
-                        probe: 1,
                         job: None,
                     },
                 )

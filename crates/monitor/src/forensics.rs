@@ -590,7 +590,6 @@ pub fn audit(device: Arc<dyn PersistentDevice>) -> Result<ForensicReport, Pcchec
             bind_frame_table(&payload, &meta).is_some()
         } else {
             StateDigest::of_payload(&payload, meta.iteration).0 == meta.digest
-                || pccheck_raw_checksum(&payload) == meta.digest
         };
         if let Some(CheckpointVerdict::Committed { payload_valid, .. }) =
             checkpoints.get_mut(&meta.counter)
@@ -707,7 +706,7 @@ fn materialize_frame(
     meta: &CheckMeta,
     payload: &[u8],
 ) -> Option<(Vec<u8>, u64)> {
-    decode_frame(payload, meta, &mut |counter, slot| {
+    let mut base = |counter, slot: u32| {
         let base = view
             .slot_meta
             .get(slot as usize)
@@ -715,7 +714,8 @@ fn materialize_frame(
             .flatten()
             .filter(|m| m.counter == counter)?;
         Some((base, view.read_slot_payload(device, base.slot).ok()?))
-    })
+    };
+    decode_frame(payload, meta, &mut base, &mut 0)
 }
 
 /// Walks the recovery target's base links, pushing a violation for each
@@ -759,12 +759,6 @@ fn audit_base_pins(
     }
 }
 
-/// FNV-1a over raw payload bytes — the same checksum `pccheck::meta` uses
-/// for opaque (non-training-state) payload digests.
-fn pccheck_raw_checksum(data: &[u8]) -> u64 {
-    pccheck_util::fnv::fnv1a(data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -794,7 +788,7 @@ mod tests {
         let lease = st.begin_checkpoint();
         st.write_payload(&lease, 0, payload).unwrap();
         st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
-        let digest = pccheck_raw_checksum(payload);
+        let digest = StateDigest::of_payload(payload, iter).0;
         assert_eq!(
             st.commit(lease, iter, payload.len() as u64, digest)
                 .unwrap(),
@@ -817,7 +811,7 @@ mod tests {
         let table = FrameTable {
             counter: lease.counter,
             logical_len: logical.len() as u64,
-            full_digest: pccheck_raw_checksum(&logical),
+            full_digest: StateDigest::of_payload(&logical, iter).0,
             records: vec![
                 FrameRecord {
                     kind: ChunkEncoding::Raw,
@@ -851,7 +845,7 @@ mod tests {
                 lease,
                 iter,
                 payload.len() as u64,
-                pccheck_raw_checksum(&table_bytes),
+                pccheck_util::fnv::fnv1a(&table_bytes),
                 Some(link),
             )
             .unwrap(),
@@ -1098,7 +1092,7 @@ mod tests {
                 slot: lease.slot,
                 iteration: iter,
                 payload_len: 2,
-                digest: pccheck_raw_checksum(if iter == 1 { b"aa" } else { b"bb" }),
+                digest: StateDigest::of_payload(if iter == 1 { b"aa" } else { b"bb" }, iter).0,
                 delta: None,
             };
             let off = st.slot_meta_offset(lease.slot);
@@ -1213,7 +1207,7 @@ mod tests {
         let lease = st.begin_checkpoint_job(job).unwrap();
         st.write_payload(&lease, 0, payload).unwrap();
         st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
-        let digest = pccheck_raw_checksum(payload);
+        let digest = StateDigest::of_payload(payload, iter).0;
         assert_eq!(
             st.commit(lease, iter, payload.len() as u64, digest)
                 .unwrap(),
@@ -1235,7 +1229,7 @@ mod tests {
         commit_job(&st, 2, 7, b"job2-a");
         st.write_payload(&lease1, 0, b"job1-a").unwrap();
         st.persist_payload(&lease1, 0, 6).unwrap();
-        st.commit(lease1, 3, 6, pccheck_raw_checksum(b"job1-a"))
+        st.commit(lease1, 3, 6, StateDigest::of_payload(b"job1-a", 3).0)
             .unwrap();
         commit_job(&st, 2, 8, b"job2-b");
         commit_job(&st, 1, 4, b"job1-b");

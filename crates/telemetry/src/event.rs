@@ -54,8 +54,8 @@ pub enum Phase {
     RecoveryVerify,
     /// Parallel restore: one reader's device→DRAM chunk fetch leg.
     RestoreRead,
-    /// Parallel restore: per-chunk (or legacy whole-payload) digest
-    /// verification, overlapped with the reads.
+    /// Parallel restore: per-block digesting overlapped with the reads,
+    /// closed by the end-to-end fold.
     RestoreVerify,
     /// Parallel restore: streaming verified chunks into GPU memory.
     RestoreUpload,

@@ -251,7 +251,10 @@ fn cmd_recover(path: &str, readers: usize) -> Result<(), Box<dyn std::error::Err
         ms(trace.load_nanos),
         trace.chain_links
     );
-    println!("  verify {:>9.3} ms", ms(trace.verify_nanos));
+    println!(
+        "  verify {:>9.3} ms  (digest compute inside load, summed over readers)",
+        ms(trace.verify_nanos)
+    );
     println!("  total  {:>9.3} ms", ms(trace.total_nanos));
     // Prove the state is usable: restore and advance one step.
     let gpu = Gpu::new(

@@ -12,7 +12,7 @@ use pccheck::{
     PersistPipeline, PipelineCtx,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
-use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, SnapshotSource, StateDigest, TrainingState};
+use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, SnapshotSource, TrainingState};
 use pccheck_harness::forensics_run::{commit_checkpoint, sparse_payload};
 use pccheck_telemetry::{SpanId, Telemetry};
 use pccheck_util::ByteSize;
@@ -37,10 +37,6 @@ impl SnapshotSource for HostPayload {
 
     fn step_count(&self) -> u64 {
         self.step
-    }
-
-    fn digest(&self) -> StateDigest {
-        StateDigest::of_payload(&self.data, self.step)
     }
 
     fn copy_range_to_host(&self, offset: u64, dst: &mut [u8]) {
@@ -100,9 +96,8 @@ fn replay(states: &[Vec<u8>], codec: bool) -> (Arc<dyn PersistentDevice>, u64, u
                 data: data.clone(),
                 step: iteration,
             };
-            let digest = StateDigest::of_payload(data, iteration).0;
             let (_, outcome) = pipeline
-                .checkpoint_framed(ctx, &src, iteration, digest, POLICY)
+                .checkpoint_framed(ctx, &src, iteration, POLICY)
                 .expect("checkpoint commits");
             match outcome {
                 FramedOutcome::Framed { payload_len, .. } => {

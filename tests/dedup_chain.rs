@@ -64,11 +64,10 @@ fn dedup_chain_restore_is_bit_identical_to_full_checkpoints() {
             gpu.update_sparse(0.10);
         }
         let guard = gpu.lock_weights_shared_owned();
-        let digest = guard.digest();
         let total = guard.size();
 
         let (_, kind) = pipe_a
-            .checkpoint_framed(ctx, &guard, iter, digest.0, policy)
+            .checkpoint_framed(ctx, &guard, iter, policy)
             .expect("framed checkpoint");
         assert!(
             matches!(kind, FramedOutcome::Framed { .. }),
@@ -79,16 +78,12 @@ fn dedup_chain_restore_is_bit_identical_to_full_checkpoints() {
         }
 
         let lease = pipe_b.lease(ctx);
-        let persist_start = pipe_b
+        let copied = pipe_b
             .copy_chunks(ctx, &guard, &lease, total, true)
             .expect("full copy");
         drop(guard);
-        pipe_b
-            .seal(ctx, &lease, iter, total, persist_start)
-            .expect("seal");
-        pipe_b
-            .commit(ctx, lease, iter, total.as_u64(), digest.0)
-            .expect("commit");
+        pipe_b.seal(ctx, &lease, iter, &copied).expect("seal");
+        pipe_b.commit(ctx, lease, iter, &copied).expect("commit");
     }
     assert!(
         linked_commits >= 1,

@@ -194,15 +194,8 @@ fn clean_chunks_keep_one_home_across_eight_commits_on_three_slots() {
             gpu.update_sparse(0.05);
         }
         let guard = gpu.lock_weights_shared_owned();
-        let digest = guard.digest();
         let (out, kind) = pipeline
-            .checkpoint_framed(
-                ctx(&telemetry),
-                &guard,
-                iter,
-                digest.0,
-                DeltaPolicy::default(),
-            )
+            .checkpoint_framed(ctx(&telemetry), &guard, iter, DeltaPolicy::default())
             .expect("framed checkpoint");
         drop(guard);
         assert_eq!(out, CommitOutcome::Committed);
@@ -256,7 +249,7 @@ fn a_frame_whose_base_was_displaced_is_withdrawn_not_committed() {
     gpu.update();
     let guard = gpu.lock_weights_shared_owned();
     let (out, kind) = pipeline
-        .checkpoint_framed(ctx, &guard, 1, guard.digest().0, policy)
+        .checkpoint_framed(ctx, &guard, 1, policy)
         .expect("A");
     drop(guard);
     assert_eq!(out, CommitOutcome::Committed);
@@ -268,36 +261,26 @@ fn a_frame_whose_base_was_displaced_is_withdrawn_not_committed() {
     gpu.update_sparse(0.1);
     let state_c = serialized(&gpu);
     let guard = gpu.lock_weights_shared_owned();
-    let digest_c = guard.digest();
     let lease_c = pipeline.lease(ctx);
-    let persist_c = pipeline
+    let copied_c = pipeline
         .copy_chunks(ctx, &guard, &lease_c, total, true)
         .expect("C copies");
     drop(guard);
-    pipeline
-        .seal(ctx, &lease_c, 2, total, persist_c)
-        .expect("C seals");
+    pipeline.seal(ctx, &lease_c, 2, &copied_c).expect("C seals");
 
     // B plans against head A and references its chunks.
     gpu.update_sparse(0.1);
     let guard = gpu.lock_weights_shared_owned();
     let lease_b = pipeline.lease(ctx);
-    let plan_b = pipeline
-        .copy_framed(ctx, &guard, &lease_b, total, guard.digest().0, policy)
+    let copied_b = pipeline
+        .copy_framed(ctx, &guard, &lease_b, total, policy)
         .expect("B copies")
         .expect("B frames");
     drop(guard);
-    let link = plan_b.link.expect("B references A");
+    let link = copied_b.frame.as_ref().and_then(|f| f.link);
+    let link = link.expect("B references A");
     assert_eq!((link.base_counter, link.base_slot), (a.counter, a.slot));
-    pipeline
-        .seal(
-            ctx,
-            &lease_b,
-            3,
-            ByteSize::from_bytes(plan_b.payload_len),
-            plan_b.persist_start,
-        )
-        .expect("B seals");
+    pipeline.seal(ctx, &lease_b, 3, &copied_b).expect("B seals");
 
     // C commits unlinked: A is displaced and its slot goes back to the
     // free queue, where the next lease may overwrite it.
@@ -305,7 +288,7 @@ fn a_frame_whose_base_was_displaced_is_withdrawn_not_committed() {
     assert!(c_counter < lease_b.counter);
     assert_eq!(
         pipeline
-            .commit(ctx, lease_c, 2, STATE, digest_c.0)
+            .commit(ctx, lease_c, 2, &copied_c)
             .expect("C commits"),
         CommitOutcome::Committed
     );
@@ -313,7 +296,7 @@ fn a_frame_whose_base_was_displaced_is_withdrawn_not_committed() {
 
     // B's link target is no longer pinned by the head it would displace.
     let out = pipeline
-        .commit_framed(ctx, lease_b, 3, &plan_b)
+        .commit(ctx, lease_b, 3, &copied_b)
         .expect("B's commit call succeeds");
     assert_eq!(out, CommitOutcome::SupersededBy { counter: c_counter });
     assert_eq!(store.latest_committed().expect("head").counter, c_counter);
@@ -333,7 +316,7 @@ fn a_frame_whose_base_was_displaced_is_withdrawn_not_committed() {
     gpu.update_sparse(0.1);
     let guard = gpu.lock_weights_shared_owned();
     let (out, _) = pipeline
-        .checkpoint_framed(ctx, &guard, 4, guard.digest().0, policy)
+        .checkpoint_framed(ctx, &guard, 4, policy)
         .expect("D");
     drop(guard);
     assert_eq!(out, CommitOutcome::Committed);
@@ -364,13 +347,7 @@ fn two_homes() -> TwoHomes {
         gpu.update_sparse(fraction);
         let guard = gpu.lock_weights_shared_owned();
         let (out, kind) = pipeline
-            .checkpoint_framed(
-                ctx(&telemetry),
-                &guard,
-                iter,
-                guard.digest().0,
-                DeltaPolicy { max_chain: 2 },
-            )
+            .checkpoint_framed(ctx(&telemetry), &guard, iter, DeltaPolicy { max_chain: 2 })
             .expect("framed checkpoint");
         drop(guard);
         assert_eq!(out, CommitOutcome::Committed);

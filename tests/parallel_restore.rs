@@ -1,6 +1,6 @@
 //! Cross-validation of the parallel restore pipeline: recovering the same
 //! device with four readers and with one reader must produce bit-identical
-//! checkpoints — for plain full checkpoints (digest-table path) and for
+//! checkpoints — for plain full checkpoints (the block-digest fetch) and for
 //! chunk-framed commits chained through dedup bases (the frame walk).
 
 use std::sync::Arc;
@@ -35,7 +35,6 @@ fn pipeline_for(store: &Arc<CheckpointStore>) -> PersistPipeline {
 fn sequential() -> RestoreOptions {
     RestoreOptions {
         readers: 1,
-        probe: 1,
         job: None,
     }
 }
@@ -43,7 +42,6 @@ fn sequential() -> RestoreOptions {
 fn parallel() -> RestoreOptions {
     RestoreOptions {
         readers: 4,
-        probe: 2,
         job: None,
     }
 }
@@ -68,17 +66,14 @@ fn parallel_and_sequential_recovery_agree_on_full_checkpoints() {
             gpu.update();
         }
         let guard = gpu.lock_weights_shared_owned();
-        let digest = guard.digest();
         let total = guard.size();
         let lease = pipe.lease(ctx);
-        let persist_start = pipe
+        let copied = pipe
             .copy_chunks(ctx, &guard, &lease, total, true)
             .expect("full copy");
         drop(guard);
-        pipe.seal(ctx, &lease, iter, total, persist_start)
-            .expect("seal");
-        pipe.commit(ctx, lease, iter, total.as_u64(), digest.0)
-            .expect("commit");
+        pipe.seal(ctx, &lease, iter, &copied).expect("seal");
+        pipe.commit(ctx, lease, iter, &copied).expect("commit");
     }
     drop(pipe);
 
@@ -128,8 +123,7 @@ fn parallel_and_sequential_recovery_agree_on_dedup_chains() {
             gpu.update_sparse(0.10);
         }
         let guard = gpu.lock_weights_shared_owned();
-        let digest = guard.digest();
-        pipe.checkpoint_framed(ctx, &guard, iter, digest.0, policy)
+        pipe.checkpoint_framed(ctx, &guard, iter, policy)
             .expect("framed checkpoint");
     }
     drop(pipe);

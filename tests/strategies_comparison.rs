@@ -4,12 +4,18 @@
 
 use std::sync::Arc;
 
-use pccheck::{recovery, CheckpointStore, PcCheckConfig, PcCheckEngine};
+use pccheck::{
+    recovery, CheckpointStore, Copied, DeltaPolicy, PcCheckConfig, PcCheckEngine, PersistPipeline,
+    PipelineCtx,
+};
 use pccheck_baselines::{
     CheckFreqCheckpointer, GeminiCheckpointer, GpmCheckpointer, TraditionalCheckpointer,
 };
-use pccheck_device::{DeviceConfig, NetworkConfig, NetworkLink, PersistentDevice, SsdDevice};
-use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingLoop, TrainingState};
+use pccheck_device::{
+    DeviceConfig, HostBufferPool, NetworkConfig, NetworkLink, PersistentDevice, SsdDevice,
+};
+use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, StateDigest, TrainingLoop, TrainingState};
+use pccheck_telemetry::{SpanId, Telemetry};
 use pccheck_util::{ByteSize, SimDuration};
 
 const SIZE: u64 = 96 * 1024;
@@ -132,6 +138,204 @@ fn storage_backed_strategies_all_recover_identically() {
         let fresh = fresh_gpu(0);
         rec.restore_into(&fresh);
         assert_eq!(fresh.digest(), reference, "gemini");
+    }
+}
+
+/// A staging chunk that is no multiple of the digest block, so every copy
+/// loop feeds the state digest in splits that straddle blocks.
+const ODD_CHUNK: u64 = 5000;
+
+/// Drives one copy verb over `gpu`'s current state on a fresh store,
+/// commits what it returned, and hands back the digest it folded.
+fn copy_verb(gpu: &Gpu, verb: &str) -> StateDigest {
+    let store = Arc::new(
+        CheckpointStore::format(
+            fresh_ssd(2) as Arc<dyn PersistentDevice>,
+            gpu.state_size(),
+            2,
+        )
+        .expect("format"),
+    );
+    let chunks = (SIZE / ODD_CHUNK + 1) as usize;
+    let pipeline = PersistPipeline::new(Arc::clone(&store))
+        .with_writers(2)
+        .with_staging(HostBufferPool::new(ByteSize::from_bytes(ODD_CHUNK), chunks));
+    let telemetry = Telemetry::disabled();
+    let ctx = PipelineCtx {
+        telemetry: &telemetry,
+        span: SpanId::NONE,
+    };
+    let iteration = gpu.step_count();
+    let guard = gpu.lock_weights_shared_owned();
+    let total = guard.size();
+    let (lease, copied): (_, Copied) = match verb {
+        "snapshot_whole" => {
+            let (host, digest) = pipeline.snapshot_whole(ctx, &guard, 0);
+            pipeline
+                .persist_whole(ctx, &host, digest, iteration)
+                .expect("persist_whole")
+        }
+        "write_through" => {
+            let lease = pipeline.lease(ctx);
+            let copied = pipeline
+                .write_through(ctx, &guard, &lease, iteration, 0)
+                .expect("write_through");
+            (lease, copied)
+        }
+        _ => {
+            // The codec frames the tiled state and declines the dense one.
+            let lease = pipeline.lease(ctx);
+            let framed = pipeline
+                .copy_framed(ctx, &guard, &lease, total, DeltaPolicy::default())
+                .expect("copy_framed");
+            assert_eq!(framed.is_some(), verb == "copy_framed", "{verb}");
+            let copied = match framed {
+                Some(framed) => framed,
+                None => pipeline
+                    .copy_chunks(ctx, &guard, &lease, total, verb != "copy_chunks staged")
+                    .expect("copy_chunks"),
+            };
+            pipeline
+                .seal(ctx, &lease, iteration, &copied)
+                .expect("seal");
+            (lease, copied)
+        }
+    };
+    drop(guard);
+    pipeline
+        .commit(ctx, lease, iteration, &copied)
+        .expect("commit");
+    let meta = store.latest_committed().expect("committed");
+    if copied.frame.is_none() {
+        assert_eq!(
+            meta.digest, copied.state_digest.0,
+            "{verb}: a raw commit records it"
+        );
+    }
+    copied.state_digest
+}
+
+/// Checkpoints `gpu`'s current state through a strategy and hands back
+/// the digest it acknowledged.
+fn acknowledged(gpu: &Gpu, ckpt: &dyn Checkpointer) -> StateDigest {
+    ckpt.checkpoint(gpu, gpu.step_count());
+    ckpt.drain();
+    let outcome = ckpt.last_committed().expect("acknowledged");
+    assert_eq!(outcome.iteration, gpu.step_count(), "{}", ckpt.name());
+    outcome.digest
+}
+
+/// One definition, no second opinion: whatever moved the bytes — any copy
+/// verb, the engine in any mode, any baseline — reports exactly what
+/// `Gpu::digest` computes for the same state.
+#[test]
+fn every_copy_verb_and_every_strategy_acknowledges_the_gpu_digest() {
+    let dense = fresh_gpu(21);
+    let tiled = Gpu::new(
+        GpuConfig::fast_for_tests(),
+        TrainingState::compressible(ByteSize::from_bytes(SIZE), 21, 64),
+    );
+    for gpu in [&dense, &tiled] {
+        gpu.update();
+        gpu.update();
+    }
+    let size = dense.state_size();
+    let engine = |codec: bool, pipelined: bool| {
+        PcCheckEngine::new(
+            PcCheckConfig::builder()
+                .max_concurrent(1)
+                .writer_threads(2)
+                .chunk_size(ByteSize::from_bytes(ODD_CHUNK))
+                .dram_chunks((SIZE / ODD_CHUNK + 1) as usize)
+                .pipelined(pipelined)
+                .codec(codec)
+                .build()
+                .expect("valid"),
+            fresh_ssd(2) as Arc<dyn PersistentDevice>,
+            size,
+        )
+        .expect("engine")
+    };
+    let link = Arc::new(NetworkLink::new(
+        NetworkConfig::fast_for_tests(),
+        GeminiCheckpointer::required_remote_capacity(size),
+    ));
+    // (what moved the bytes, the state it moved, the digest it reported)
+    let table: Vec<(&str, &Gpu, StateDigest)> = vec![
+        (
+            "copy_chunks staged",
+            &dense,
+            copy_verb(&dense, "copy_chunks staged"),
+        ),
+        (
+            "copy_chunks pipelined",
+            &dense,
+            copy_verb(&dense, "copy_chunks pipelined"),
+        ),
+        ("copy_framed", &tiled, copy_verb(&tiled, "copy_framed")),
+        (
+            "copy_framed declined",
+            &dense,
+            copy_verb(&dense, "copy_framed declined"),
+        ),
+        (
+            "snapshot_whole",
+            &dense,
+            copy_verb(&dense, "snapshot_whole"),
+        ),
+        ("write_through", &dense, copy_verb(&dense, "write_through")),
+        (
+            "engine raw staged",
+            &dense,
+            acknowledged(&dense, &engine(false, false)),
+        ),
+        (
+            "engine raw pipelined",
+            &dense,
+            acknowledged(&dense, &engine(false, true)),
+        ),
+        (
+            "engine codec staged",
+            &tiled,
+            acknowledged(&tiled, &engine(true, false)),
+        ),
+        (
+            "engine codec pipelined",
+            &tiled,
+            acknowledged(&tiled, &engine(true, true)),
+        ),
+        (
+            "traditional",
+            &dense,
+            acknowledged(
+                &dense,
+                &TraditionalCheckpointer::new(fresh_ssd(2), size).expect("new"),
+            ),
+        ),
+        (
+            "checkfreq",
+            &dense,
+            acknowledged(
+                &dense,
+                &CheckFreqCheckpointer::new(fresh_ssd(2), size).expect("new"),
+            ),
+        ),
+        (
+            "gpm",
+            &dense,
+            acknowledged(
+                &dense,
+                &GpmCheckpointer::new(fresh_ssd(2), size).expect("new"),
+            ),
+        ),
+        (
+            "gemini",
+            &dense,
+            acknowledged(&dense, &GeminiCheckpointer::new(link, size).expect("new")),
+        ),
+    ];
+    for (mover, gpu, reported) in table {
+        assert_eq!(reported, gpu.digest(), "{mover}");
     }
 }
 
