@@ -32,9 +32,13 @@
 //! stale or torn reference is detected (and the candidate discarded) —
 //! never silently accepted.
 //!
-//! [`decode_frame`] is the one reader of this layout: recovery and the
-//! forensics auditor both materialize a frame through it, each supplying
-//! its own way to fetch a referenced base checkpoint.
+//! `RestorePlan` is the one reader of this layout: it compiles a bound
+//! table into independent jobs — one per record, each naming the one
+//! physical range (of this slot or of a home's) or the earlier job its
+//! bytes come from — which the restore executor ([`crate::restore`]) lands,
+//! verifies and folds on its readers. Recovery and the forensics auditor
+//! both materialize a frame that way, each with its own [`SlotRead`]; a
+//! raw payload is the same plan with one verbatim job per read chunk.
 //!
 //! [`DeltaLink`]: crate::meta::DeltaLink
 //!
@@ -90,11 +94,10 @@
 //! [`chunk_digest`] and the frame its end-to-end digest, so a colliding
 //! reference fails the candidate instead of returning wrong bytes.
 
-use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::time::Instant;
 
-use pccheck_util::fnv::{chunk_digest, fnv1a, state_digest};
+use pccheck_util::fnv::{chunk_digest, fnv1a};
 
 use crate::meta::{checksum, CheckMeta};
 
@@ -364,154 +367,217 @@ pub fn bind_frame_table(payload: &[u8], meta: &CheckMeta) -> Option<FrameTable> 
         .then_some(table)
 }
 
-/// The logical bytes of one materialized (Raw/Lz) record, out of the
-/// packed region it indexes. `None` when the record's physical range lies
-/// outside `packed` or does not decode to exactly `logical_len` bytes.
-fn materialize<'a>(packed: &'a [u8], r: &FrameRecord) -> Option<Cow<'a, [u8]>> {
-    let n = usize::try_from(r.logical_len).ok()?;
-    let end = usize::try_from(r.a.checked_add(r.b)?).ok()?;
-    let src = packed.get(usize::try_from(r.a).ok()?..end)?;
-    match r.kind {
-        ChunkEncoding::Raw => (src.len() == n).then_some(Cow::Borrowed(src)),
-        ChunkEncoding::Lz => lz_decompress(src, n).map(Cow::Owned),
-        ChunkEncoding::DedupSelf | ChunkEncoding::DedupBase => None,
+/// Reads `buf.len()` durable bytes at payload offset `at` of slot `slot`;
+/// `false` on a fault. All a plan, and its executor, ask of a device.
+pub type SlotRead<'a> = dyn Fn(u32, u64, &mut [u8]) -> bool + Sync + 'a;
+
+/// Where one [`Job`]'s bytes come from; `at` is a payload offset of `slot`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum JobSource {
+    /// The job's bytes, verbatim: a raw read chunk, or a `Raw` record of
+    /// the head or of a home.
+    Verbatim { slot: u32, at: u64 },
+    /// An LZ block of `phys_len` bytes.
+    Lz { slot: u32, at: u64, phys_len: u64 },
+    /// The bytes job `of` landed — always a `Verbatim` or `Lz` job of
+    /// equal length: `DedupSelf` records and repeated base content resolve
+    /// to the one job that reads the content.
+    Copy { of: usize },
+}
+
+/// One independent unit of a [`RestorePlan`]: the logical range
+/// `[off, off + len)` and the one source that fills it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Job {
+    pub off: u64,
+    pub len: u64,
+    pub source: JobSource,
+    /// The [`chunk_digest`] the landed bytes must have (a frame record's
+    /// content address); `None` for a raw read chunk, which nothing but
+    /// the end-to-end fold guards.
+    pub digest: Option<u64>,
+}
+
+/// A recovery candidate compiled for the restore executor: jobs that tile
+/// `[0, len)` in logical order, and the state digest — seeded with
+/// `iteration` and `len` — the landed bytes must fold to.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct RestorePlan {
+    pub len: u64,
+    pub iteration: u64,
+    pub digest: u64,
+    pub jobs: Vec<Job>,
+}
+
+impl RestorePlan {
+    /// Compiles the checkpoint committed as `meta`, reading frame tables
+    /// only. A raw payload is one verbatim job per `chunk` bytes. A frame
+    /// is one job per record: `Raw` and `Lz` records read their packed
+    /// range; `DedupSelf` copies the job of the record it names;
+    /// `DedupBase` reads the range its home — found among `commits` by
+    /// `(counter, slot)`, its table read and bound once — materialized the
+    /// content at, each distinct `(digest, len)` once: repeats copy the job
+    /// that read it.
+    ///
+    /// `None` on an unreadable head, a torn table or one bound to another
+    /// commit, a missing home, or a record whose physical range leaves the
+    /// payload that should hold it: the caller falls back, as on any other
+    /// verification failure.
+    pub fn compile(
+        meta: &CheckMeta,
+        commits: &[CheckMeta],
+        read: &SlotRead<'_>,
+        chunk: u64,
+    ) -> Option<RestorePlan> {
+        let Some(table) = read_table(meta, read)? else {
+            let job = |off| Job {
+                off,
+                len: chunk.min(meta.payload_len - off),
+                source: JobSource::Verbatim {
+                    slot: meta.slot,
+                    at: off,
+                },
+                digest: None,
+            };
+            let offsets = (0..meta.payload_len).step_by(chunk as usize);
+            return Some(RestorePlan {
+                len: meta.payload_len,
+                iteration: meta.iteration,
+                digest: meta.digest,
+                jobs: offsets.map(job).collect(),
+            });
+        };
+        let mut homes: HashMap<(u64, u32), Option<Home>> = HashMap::new();
+        // The job that reads each distinct base chunk.
+        let mut resolved: HashMap<(u64, u64), usize> = HashMap::new();
+        let mut jobs = Vec::with_capacity(table.records.len());
+        let mut off = 0u64;
+        for (i, r) in table.records.iter().enumerate() {
+            let source = match r.kind {
+                ChunkEncoding::Raw | ChunkEncoding::Lz => physical(meta, table.encoded_len(), r)?,
+                // `FrameTable::decode` validated `aux` as a backward
+                // materialized reference of equal logical length.
+                ChunkEncoding::DedupSelf => JobSource::Copy { of: r.aux as usize },
+                ChunkEncoding::DedupBase => match resolved.entry((r.digest, r.logical_len)) {
+                    Entry::Occupied(first) => JobSource::Copy { of: *first.get() },
+                    Entry::Vacant(first) => {
+                        first.insert(i);
+                        let home = homes
+                            .entry((r.a, r.aux))
+                            .or_insert_with(|| Home::bind(commits, read, r.a, r.aux));
+                        home.as_ref()?.source(r)?
+                    }
+                },
+            };
+            let (len, digest) = (r.logical_len, Some(r.digest));
+            jobs.push(Job {
+                off,
+                len,
+                source,
+                digest,
+            });
+            off += len; // `decode` summed these without overflow
+        }
+        Some(RestorePlan {
+            len: table.logical_len,
+            iteration: meta.iteration,
+            digest: table.full_digest,
+            jobs,
+        })
     }
 }
 
-/// A dedup base as the walk holds it: the raw slot payload, plus — when
-/// the base is itself framed — its bound frame table and the content
-/// index over that table's materialized records.
-struct BaseImage {
-    payload: Vec<u8>,
-    table: Option<FrameTable>,
-    /// `(digest, logical_len)` → index of the first materialized record
-    /// of `table` holding that content; empty for a raw base.
-    by_content: HashMap<(u64, u64), usize>,
+/// The frame table at the head of `meta`'s slot payload, bound to `meta`
+/// by [`bind_frame_table`], read without the packed region behind it: the
+/// header names the record count, and the table length that implies is
+/// bounded by the commit's `payload_len` before a byte is allocated.
+/// `Some(None)` is a raw payload; `None` an unreadable head, or a table
+/// that is torn, too long for its payload, or another commit's.
+fn read_table(meta: &CheckMeta, read: &SlotRead<'_>) -> Option<Option<FrameTable>> {
+    let mut head = [0u8; FRAME_HEADER];
+    let n = FRAME_HEADER.min(usize::try_from(meta.payload_len).ok()?);
+    if !read(meta.slot, 0, &mut head[..n]) {
+        return None;
+    }
+    if !is_frame(&head[..n]) {
+        return Some(None);
+    }
+    let count = u32::from_le_bytes(head[8..12].try_into().expect("4 bytes")) as usize;
+    let len = FrameTable::encoded_len_for(count);
+    if len > meta.payload_len {
+        return None;
+    }
+    let mut bytes = vec![0u8; usize::try_from(len).ok()?];
+    bytes[..FRAME_HEADER].copy_from_slice(&head);
+    read(meta.slot, FRAME_HEADER as u64, &mut bytes[FRAME_HEADER..])
+        .then(|| bind_frame_table(&bytes, meta).map(Some))?
 }
 
-impl BaseImage {
-    /// Binds a fetched base to its commit record. The content index is
-    /// built here, once per base, so resolving a frame whose every record
-    /// is a reference stays linear in its length.
-    fn bind(meta: &CheckMeta, payload: Vec<u8>) -> Option<BaseImage> {
-        let mut by_content = HashMap::new();
-        let table = if is_frame(&payload) {
-            let table = bind_frame_table(&payload, meta)?;
-            for (i, r) in table.records.iter().enumerate() {
-                if r.kind.is_materialized() {
-                    by_content.entry((r.digest, r.logical_len)).or_insert(i);
-                }
+/// Where the bytes of `r`, a materialized record of the frame committed as
+/// `meta`, lie — its packed region starting at payload offset `packed`.
+/// `None` when the range leaves the payload or a `Raw` record is not
+/// exactly its logical length.
+fn physical(meta: &CheckMeta, packed: u64, r: &FrameRecord) -> Option<JobSource> {
+    let (slot, at, phys_len) = (meta.slot, packed.checked_add(r.a)?, r.b);
+    if at.checked_add(phys_len)? > meta.payload_len {
+        return None;
+    }
+    match r.kind {
+        ChunkEncoding::Raw if phys_len == r.logical_len => Some(JobSource::Verbatim { slot, at }),
+        ChunkEncoding::Lz => Some(JobSource::Lz { slot, at, phys_len }),
+        _ => None,
+    }
+}
+
+/// A dedup home as a plan holds it: its commit record and — when the home
+/// is itself framed — where its packed region starts and which
+/// materialized record holds each `(digest, logical_len)` (the first, for
+/// repeats). None of its packed bytes are read here.
+struct Home {
+    meta: CheckMeta,
+    packed: u64,
+    by_content: Option<HashMap<(u64, u64), FrameRecord>>,
+}
+
+impl Home {
+    /// Finds checkpoint `counter` in `slot` among `commits` and binds its
+    /// table, if it has one, to that record. The content index is built
+    /// once per home, so resolving a frame of references stays linear.
+    fn bind(commits: &[CheckMeta], read: &SlotRead<'_>, counter: u64, slot: u32) -> Option<Home> {
+        let meta = *commits
+            .iter()
+            .find(|c| c.counter == counter && c.slot == slot)?;
+        let table = read_table(&meta, read)?;
+        let packed = table.as_ref().map_or(0, FrameTable::encoded_len);
+        let by_content = table.map(|table| {
+            let mut by_content = HashMap::new();
+            for r in table.records.iter().filter(|r| r.kind.is_materialized()) {
+                by_content.entry((r.digest, r.logical_len)).or_insert(*r);
             }
-            Some(table)
-        } else {
-            None
-        };
-        Some(BaseImage {
-            payload,
-            table,
+            by_content
+        });
+        Some(Home {
+            meta,
+            packed,
             by_content,
         })
     }
 
-    /// The base bytes a [`ChunkEncoding::DedupBase`] record names. A
-    /// framed base answers from the materialized record carrying the same
-    /// content address (a reference always names the chunk's home, the
-    /// frame that materialized it, so one hop always suffices); a raw base
-    /// answers the logical byte range directly.
-    fn chunk(&self, r: &FrameRecord) -> Option<Cow<'_, [u8]>> {
-        match &self.table {
-            Some(table) => {
-                let packed = self
-                    .payload
-                    .get(usize::try_from(table.encoded_len()).ok()?..)?;
-                let rec = table
-                    .records
-                    .get(*self.by_content.get(&(r.digest, r.logical_len))?)?;
-                materialize(packed, rec)
-            }
-            None => {
-                let start = usize::try_from(r.b).ok()?;
-                let end = start.checked_add(usize::try_from(r.logical_len).ok()?)?;
-                self.payload.get(start..end).map(Cow::Borrowed)
-            }
+    /// The range holding the bytes a [`ChunkEncoding::DedupBase`] record
+    /// names. A framed home answers with the materialized record carrying
+    /// the same content address (a reference always names the chunk's
+    /// home, the frame that materialized it, so one hop always suffices);
+    /// a raw home answers the logical byte range directly.
+    fn source(&self, r: &FrameRecord) -> Option<JobSource> {
+        let (meta, key) = (&self.meta, (r.digest, r.logical_len));
+        match &self.by_content {
+            Some(by_content) => physical(meta, self.packed, by_content.get(&key)?),
+            None => (r.b.checked_add(key.1)? <= meta.payload_len).then_some(JobSource::Verbatim {
+                slot: meta.slot,
+                at: r.b,
+            }),
         }
     }
-}
-
-/// The one `PCFRAME1` walk: fully materializes the framed slot payload
-/// `payload` committed as `meta`.
-///
-/// Decodes the table and binds it to `meta`, then resolves every record —
-/// `Raw` copies, `Lz` decompresses, `DedupSelf` copies an earlier chunk of
-/// this frame, `DedupBase` asks `base(counter, slot)` for its home
-/// checkpoint's commit record and raw slot payload (fetched once per
-/// home, not per chunk) and resolves each distinct `(digest, len)` out of
-/// it once — repeats copy the bytes already reconstructed instead of
-/// decompressing the same home chunk again. Every chunk re-verifies its
-/// [`chunk_digest`] content address however it was resolved, so a stale,
-/// recycled or colliding reference fails here and never silently
-/// corrupts; the reconstructed payload then verifies against the frame's
-/// end-to-end digest.
-///
-/// Returns `(logical payload, full-state digest)`; `None` on any torn
-/// table, missing base, out-of-range record or digest mismatch — callers
-/// fall back to an older candidate, like every other verification
-/// failure. Either way `verify_nanos` gains the time spent digesting (the
-/// content addresses and the end-to-end fold).
-pub fn decode_frame(
-    payload: &[u8],
-    meta: &CheckMeta,
-    base: &mut dyn FnMut(u64, u32) -> Option<(CheckMeta, Vec<u8>)>,
-    verify_nanos: &mut u64,
-) -> Option<(Vec<u8>, u64)> {
-    let table = bind_frame_table(payload, meta)?;
-    let packed = payload.get(usize::try_from(table.encoded_len()).ok()?..)?;
-    let mut out = vec![0u8; usize::try_from(table.logical_len).ok()?];
-    let mut bases: HashMap<(u64, u32), Option<BaseImage>> = HashMap::new();
-    // Where each distinct base chunk already sits in `out`.
-    let mut resolved: HashMap<(u64, u64), usize> = HashMap::new();
-    let mut offsets = Vec::with_capacity(table.records.len());
-    let mut off = 0usize;
-    for r in &table.records {
-        offsets.push(off);
-        let n = usize::try_from(r.logical_len).ok()?;
-        let end = off.checked_add(n)?;
-        match r.kind {
-            ChunkEncoding::Raw | ChunkEncoding::Lz => {
-                out.get_mut(off..end)?
-                    .copy_from_slice(&materialize(packed, r)?);
-            }
-            ChunkEncoding::DedupSelf => {
-                // `FrameTable::decode` validated `aux` as a backward
-                // materialized reference of equal logical length.
-                let j = *offsets.get(r.aux as usize)?;
-                out.copy_within(j..j + n, off);
-            }
-            ChunkEncoding::DedupBase => match resolved.get(&(r.digest, r.logical_len)) {
-                Some(&j) => out.copy_within(j..j + n, off),
-                None => {
-                    let image = bases.entry((r.a, r.aux)).or_insert_with(|| {
-                        let (base_meta, payload) = base(r.a, r.aux)?;
-                        BaseImage::bind(&base_meta, payload)
-                    });
-                    out.get_mut(off..end)?
-                        .copy_from_slice(&image.as_ref()?.chunk(r)?);
-                    resolved.insert((r.digest, r.logical_len), off);
-                }
-            },
-        }
-        let v0 = Instant::now();
-        let intact = chunk_digest(out.get(off..end)?) == r.digest;
-        *verify_nanos += v0.elapsed().as_nanos() as u64;
-        if !intact {
-            return None;
-        }
-        off = end;
-    }
-    let v0 = Instant::now();
-    let intact = state_digest(meta.iteration, &out) == table.full_digest;
-    *verify_nanos += v0.elapsed().as_nanos() as u64;
-    intact.then_some((out, table.full_digest))
 }
 
 /// Estimates Shannon entropy (bits/byte) from an evenly strided sample of
@@ -635,68 +701,57 @@ fn emit_literals_only(out: &mut Vec<u8>, literals: &[u8]) {
 /// out-of-window offset, wrong output length) — restore treats that as a
 /// corrupt chunk and fails the candidate.
 pub fn lz_decompress(src: &[u8], logical_len: usize) -> Option<Vec<u8>> {
-    let mut out = Vec::with_capacity(logical_len);
-    let mut i = 0usize;
-    loop {
+    let mut out = vec![0u8; logical_len];
+    lz_decompress_into(src, &mut out).then_some(out)
+}
+
+/// [`lz_decompress`] into memory the caller owns: decodes `src` over `dst`
+/// and says whether it was a well-formed block of exactly `dst.len()`
+/// bytes. On `false`, `dst` holds garbage.
+pub fn lz_decompress_into(src: &[u8], dst: &mut [u8]) -> bool {
+    // One run length: a nibble, extended by 255-continuation bytes.
+    let run = |i: &mut usize, nibble: u8| {
+        let (mut run, mut more) = (usize::from(nibble), nibble == 15);
+        while more {
+            let b = *src.get(*i)?;
+            (*i, run, more) = (*i + 1, run + usize::from(b), b == 255);
+        }
+        Some(run)
+    };
+    let (mut i, mut o) = (0usize, 0usize);
+    let mut decode = || loop {
         let token = *src.get(i)?;
         i += 1;
-        let mut lit = usize::from(token >> 4);
-        if lit == 15 {
-            loop {
-                let b = *src.get(i)?;
-                i += 1;
-                lit += usize::from(b);
-                if b != 255 {
-                    break;
-                }
-            }
-        }
-        if i + lit > src.len() {
-            return None;
-        }
-        out.extend_from_slice(&src[i..i + lit]);
+        let lit = run(&mut i, token >> 4)?;
+        let literals = src.get(i..i.checked_add(lit)?)?;
+        dst.get_mut(o..o + lit)?.copy_from_slice(literals);
         i += lit;
+        o += lit;
         if i == src.len() {
             // Terminal literals-only sequence (match nibble must be 0).
-            if token & 0x0F != 0 {
-                return None;
-            }
-            break;
-        }
-        if i + 2 > src.len() {
-            return None;
+            return (token & 0x0F == 0 && o == dst.len()).then_some(());
         }
         let offset = usize::from(u16::from_le_bytes(
-            src[i..i + 2].try_into().expect("2 bytes"),
+            src.get(i..i + 2)?.try_into().expect("2 bytes"),
         ));
         i += 2;
-        if offset == 0 || offset > out.len() {
+        let mlen = run(&mut i, token & 0x0F)? + MIN_MATCH;
+        if offset == 0 || offset > o || mlen > dst.len() - o {
             return None;
         }
-        let mut mlen = usize::from(token & 0x0F);
-        if mlen == 15 {
-            loop {
-                let b = *src.get(i)?;
-                i += 1;
-                mlen += usize::from(b);
-                if b != 255 {
-                    break;
-                }
-            }
+        // A match may overlap its own output (offset < mlen is the
+        // run-length case): copy what is already there, which doubles with
+        // every pass — `[start, o + done)` is periodic in `offset`, and
+        // `done` stays a multiple of it until the last pass.
+        let (start, mut done) = (o - offset, 0);
+        while done < mlen {
+            let n = (mlen - done).min(offset + done);
+            dst.copy_within(start..start + n, o + done);
+            done += n;
         }
-        mlen += MIN_MATCH;
-        // Overlapping copy: byte-by-byte on purpose (offset < mlen is the
-        // run-length case).
-        let start = out.len() - offset;
-        for k in 0..mlen {
-            let b = out[start + k];
-            out.push(b);
-        }
-        if out.len() > logical_len {
-            return None;
-        }
-    }
-    (out.len() == logical_len).then_some(out)
+        o += mlen;
+    };
+    decode().is_some()
 }
 
 /// A chunk's home: the checkpoint that physically holds its bytes.
@@ -827,6 +882,7 @@ pub fn content_address(chunk: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pccheck_util::fnv::state_digest;
     use pccheck_util::rng::{check, DEFAULT_CASES};
 
     fn sample_table() -> FrameTable {
@@ -1105,18 +1161,48 @@ mod tests {
         }
     }
 
+    /// In-memory slots, `(commit record, payload bytes)` each: every
+    /// record is a commit the frame may name as a home, and a read past a
+    /// slot's bytes (or of a slot not listed) is a read fault.
+    type Slots<'a> = [(CheckMeta, &'a [u8])];
+
+    fn read_slots(slots: &Slots<'_>, slot: u32, at: u64, buf: &mut [u8]) -> bool {
+        let src = slots
+            .iter()
+            .find(|(m, _)| m.slot == slot)
+            .and_then(|(_, bytes)| bytes.get(usize::try_from(at).ok()?..)?.get(..buf.len()));
+        src.map(|src| buf.copy_from_slice(src)).is_some()
+    }
+
+    /// Runs the plan of the frame committed as `meta` through the restore
+    /// executor, at one reader and at four: the verdicts must agree.
+    fn walk_slots(slots: &Slots<'_>, meta: &CheckMeta) -> Option<(Vec<u8>, u64)> {
+        let commits: Vec<CheckMeta> = slots.iter().map(|(m, _)| *m).collect();
+        let read = |slot, at, buf: &mut [u8]| read_slots(slots, slot, at, buf);
+        let [one, four] =
+            [1, 4].map(|readers| crate::restore::decode_frame(meta, &commits, &read, readers));
+        assert_eq!(one, four, "reader count changed the verdict");
+        one
+    }
+
     #[test]
     fn frame_walk_resolves_every_record_kind() {
         let f = frame_fixture();
-        let mut base_reads = 0;
-        let mut base = |counter, slot| {
-            base_reads += 1;
-            assert_eq!((counter, slot), (5, 1));
-            Some((f.base_meta, f.base_payload.clone()))
+        let slots = [(f.meta, &f.payload[..]), (f.base_meta, &f.base_payload[..])];
+        let reads = std::sync::Mutex::new(Vec::new());
+        let read = |slot, at, buf: &mut [u8]| {
+            reads.lock().unwrap().push((slot, at, buf.len()));
+            read_slots(&slots, slot, at, buf)
         };
-        let got = decode_frame(&f.payload, &f.meta, &mut base, &mut 0);
+        let got = crate::restore::decode_frame(&f.meta, &[f.meta, f.base_meta], &read, 1);
         assert_eq!(got, Some((f.logical.clone(), f.table.full_digest)));
-        assert_eq!(base_reads, 1);
+        let base_reads: Vec<_> = reads.into_inner().unwrap();
+        let base_reads: Vec<_> = base_reads.iter().filter(|r| r.0 == 1).collect();
+        assert_eq!(
+            base_reads,
+            [&(1, 0, FRAME_HEADER), &(1, 64, 64)],
+            "a raw home: its head to classify it, then the referenced range"
+        );
         assert!(is_frame(&f.payload));
         assert!(!is_frame(&f.base_payload));
         assert!(!is_frame(&f.payload[..7]));
@@ -1189,44 +1275,56 @@ mod tests {
         let payload = table.encode();
         let meta = commit(9, 0, &payload, payload.len() as u64);
 
-        let mut fetched = Vec::new();
-        let mut base = |counter, slot| {
-            fetched.push((counter, slot));
-            match (counter, slot) {
-                (5, 1) => Some((framed_meta, framed_payload.clone())),
-                (3, 2) => Some((raw_meta, raw_payload.clone())),
-                _ => None,
-            }
+        let slots = [
+            (meta, &payload[..]),
+            (framed_meta, &framed_payload[..]),
+            (raw_meta, &raw_payload[..]),
+        ];
+        let reads = std::sync::Mutex::new(Vec::new());
+        let read = |slot, at, buf: &mut [u8]| {
+            reads.lock().unwrap().push((slot, at, buf.len()));
+            read_slots(&slots, slot, at, buf)
         };
-        let got = decode_frame(&payload, &meta, &mut base, &mut 0);
+        let commits = [meta, framed_meta, raw_meta];
+        let got = crate::restore::decode_frame(&meta, &commits, &read, 1);
         assert_eq!(got, Some((logical, table.full_digest)));
-        assert_eq!(fetched, [(5, 1), (3, 2)], "each home is read once");
+        let packed = framed_table.encoded_len();
+        let rest_of_table = framed_bytes.len() - FRAME_HEADER;
+        assert_eq!(
+            reads.into_inner().unwrap()[2..],
+            [
+                // Planning reads each home's table once, and only that...
+                (1, 0, FRAME_HEADER),
+                (1, FRAME_HEADER as u64, rest_of_table),
+                (2, 0, FRAME_HEADER),
+                // ...and each distinct content is read once, by range.
+                (1, packed, lz.len()),
+                (2, 64, 64),
+                (1, packed + lz.len() as u64, 64),
+            ],
+            "homes are read by range, repeats copy"
+        );
 
         // A reference to content its (framed) home never materialized.
         let mut lying = table.clone();
         lying.records[2].digest ^= 1;
         let lying_payload = lying.encode();
         let lying_meta = commit(9, 0, &lying_payload, lying_payload.len() as u64);
-        assert!(decode_frame(
-            &lying_payload,
-            &lying_meta,
-            &mut |counter, _| match counter {
-                5 => Some((framed_meta, framed_payload.clone())),
-                _ => Some((raw_meta, raw_payload.clone())),
-            },
-            &mut 0,
-        )
-        .is_none());
+        let slots = [
+            (lying_meta, &lying_payload[..]),
+            (framed_meta, &framed_payload[..]),
+            (raw_meta, &raw_payload[..]),
+        ];
+        assert!(walk_slots(&slots, &lying_meta).is_none());
     }
 
     #[test]
     fn frame_walk_rejects_every_hostile_frame() {
         let f = frame_fixture();
         let table_len = f.table.encoded_len() as usize;
-        let walk = |payload: &[u8], meta: &CheckMeta| {
-            let mut base = |_, _| Some((f.base_meta, f.base_payload.clone()));
-            decode_frame(payload, meta, &mut base, &mut 0)
-        };
+        let base = (f.base_meta, &f.base_payload[..]);
+        let walk = |payload: &[u8], meta: &CheckMeta| walk_slots(&[(f.meta, payload), base], meta);
+        assert!(walk(&f.payload, &f.meta).is_some(), "the fixture itself");
 
         // Re-seals a tampered table so that only the tampered field can
         // be what fails the walk.
@@ -1297,13 +1395,13 @@ mod tests {
             "raw record shorter than its logical length"
         );
 
-        assert!(
-            decode_frame(&f.payload, &f.meta, &mut |_, _| None, &mut 0).is_none(),
-            "dedup base missing"
-        );
+        let head = (f.meta, &f.payload[..]);
+        assert!(walk_slots(&[head], &f.meta).is_none(), "dedup base missing");
 
-        // The named slot was recycled: whatever lives there now is not the
-        // referenced content, and the per-chunk content address says so.
+        // The named slot was recycled: its commit record names another
+        // checkpoint now — or, recycled after the scan that found the
+        // record, whatever lives there is not the referenced content and
+        // the per-chunk content address says so.
         let mut recycled = f.base_payload.clone();
         recycled[100] ^= 0x40;
         let recycled_meta = CheckMeta {
@@ -1311,25 +1409,23 @@ mod tests {
             digest: state_digest(2, &recycled),
             ..f.base_meta
         };
+        for stale_or_not in [recycled_meta, f.base_meta] {
+            assert!(
+                walk_slots(&[head, (stale_or_not, &recycled[..])], &f.meta).is_none(),
+                "dedup base recycled"
+            );
+        }
         assert!(
-            decode_frame(
-                &f.payload,
-                &f.meta,
-                &mut |_, _| Some((recycled_meta, recycled.clone())),
-                &mut 0
-            )
-            .is_none(),
-            "dedup base recycled"
-        );
-        assert!(
-            decode_frame(
-                &f.payload,
-                &f.meta,
-                &mut |_, _| Some((f.base_meta, f.base_payload[..100].to_vec())),
-                &mut 0
-            )
-            .is_none(),
+            walk_slots(&[head, (f.base_meta, &f.base_payload[..100])], &f.meta).is_none(),
             "dedup base shorter than the referenced range"
+        );
+        let shrunk = CheckMeta {
+            payload_len: 100,
+            ..f.base_meta
+        };
+        assert!(
+            walk_slots(&[head, (shrunk, &f.base_payload[..])], &f.meta).is_none(),
+            "referenced range past the dedup base's committed length"
         );
 
         for pos in table_len..f.payload.len() {

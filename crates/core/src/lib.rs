@@ -80,8 +80,8 @@ pub mod store;
 pub mod tuner;
 
 pub use codec::{
-    bind_frame_table, compress_gated, decode_frame, is_frame, lz_decompress, ChunkEncoding,
-    DedupIndex, FrameRecord, FrameTable,
+    bind_frame_table, compress_gated, is_frame, lz_decompress, lz_decompress_into, ChunkEncoding,
+    DedupIndex, FrameRecord, FrameTable, SlotRead,
 };
 pub use config::{PcCheckConfig, PcCheckConfigBuilder};
 pub use engine::{EngineStats, PcCheckEngine};
@@ -98,7 +98,7 @@ pub use recovery::{
     Strategy,
 };
 pub use restore::{
-    recover_instrumented_with, recover_into_gpu, RestoreOptions, RestorePipeline, RestoreSink,
+    decode_frame, recover_instrumented_with, recover_into_gpu, RestoreOptions, RestorePipeline,
 };
 pub use store::{CheckpointStore, CommitOutcome, JobId, RawStoreView, SlotOutcome};
 pub use tuner::{

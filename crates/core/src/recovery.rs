@@ -79,19 +79,19 @@ pub struct RecoveryTrace {
 
 /// Loads and verifies the latest committed checkpoint from `device`.
 ///
-/// The persistent iterator of §4.2, rebuilt on the parallel
-/// [`RestorePipeline`](crate::restore::RestorePipeline): candidates are
-/// verified newest-first, payload reads fan out across
-/// [`RestoreOptions::default`]'s readers, and verification overlaps the
-/// reads (every reader digests the blocks it read; the candidate is
-/// accepted on the final fold). A framed (codec) checkpoint is
-/// materialized by the one frame walk in [`crate::codec`], which resolves
-/// its `DedupBase` references out of the pinned base in one hop and
-/// re-verifies every chunk's content address. If the newest committed slot
-/// fails verification — digest mismatch, missing base, *or a device read
-/// fault* — older intact committed slots are tried newest-first: the
-/// paper keeps `N+1` slots precisely so a torn newest checkpoint degrades
-/// to the previous one instead of to data loss.
+/// The persistent iterator of §4.2, rebuilt on the parallel restore
+/// executor ([`crate::restore`]): candidates are verified newest-first,
+/// each one — raw or framed — compiles to a plan of independent jobs that
+/// fan out across [`RestoreOptions::default`]'s readers, and verification
+/// overlaps the reads (every reader digests the blocks it landed; the
+/// candidate is accepted on the final fold). A framed (codec) checkpoint's
+/// `DedupBase` references resolve to ranges of the pinned homes in one hop,
+/// and every chunk's content address is re-verified on the bytes that
+/// land. If the newest committed slot fails verification — digest
+/// mismatch, missing base, *or a device read fault* — older intact
+/// committed slots are tried newest-first: the paper keeps `N+1` slots
+/// precisely so a torn newest checkpoint degrades to the previous one
+/// instead of to data loss.
 ///
 /// # Errors
 ///

@@ -3,27 +3,34 @@
 //!
 //! §4.2 of the paper treats recovery as a mostly-serial tail cost: read the
 //! newest committed payload, verify its digest, load it back to the GPU.
-//! On modern devices that serializes three resources that could overlap —
-//! device read bandwidth (striped members especially), digest computation,
-//! and the DRAM→GPU upload. [`RestorePipeline`] overlaps them:
+//! That serializes resources that could overlap — device read bandwidth
+//! (striped members especially), LZ decoding, digest computation and the
+//! DRAM→GPU upload. Here a recovery candidate of either kind — *raw*, or
+//! *framed* (`PCFRAME1`), told apart by its payload head — compiles to one
+//! plan of independent jobs ([`crate::codec`]), and one executor runs it on
+//! `r` **reader threads**:
 //!
-//! * `r` **reader threads** pull payload chunks concurrently, so an N-way
-//!   striped store restores at close to N× a single reader's bandwidth.
-//! * **Verification overlaps I/O.** The state digest is a fold over
-//!   fixed-size block digests ([`pccheck_util::fnv`]), so every reader
-//!   digests the blocks of each chunk right after its read completes, in
-//!   whatever order chunks land; the candidate is accepted on the final
-//!   fold of the block values against the commit's digest.
-//! * **Uploads stream.** Chunks can land directly in a [`RestoreSink`]
-//!   (e.g. [`pccheck_gpu::RestoreTarget`], which stages them until the
-//!   fold passes) instead of materializing the full payload in DRAM first.
+//! * **Jobs land where they will live.** The destination lends itself as
+//!   disjoint pieces — one `Vec<u8>`, or the tensor-shaped staging of a
+//!   [`pccheck_gpu::RestoreTarget`] — and each job reads (or LZ-decodes, or
+//!   copies an earlier job's bytes) straight into its range of them; only
+//!   a job that straddles two pieces goes through a spill buffer. Sources
+//!   run first, copies second. An N-way striped store restores at close to
+//!   N× a single reader's bandwidth, framed or raw.
+//! * **Homes are read by range.** A frame's `DedupBase` records resolve at
+//!   plan time to the physical ranges their homes materialized the content
+//!   at: a recovery reads what the frame references, never a home's slot.
+//! * **Verification overlaps I/O.** Each reader checks a frame record's
+//!   content address on the bytes it just landed and files the digests of
+//!   the [`pccheck_util::fnv`] blocks the job wholly covers; blocks cut by
+//!   a job boundary are digested from the destination after the join. The
+//!   candidate is accepted on the fold of the block values against the
+//!   commit's state digest, before anything is handed over: a rejected
+//!   `RestoreTarget` is dropped, never finished.
 //!
 //! [`recover_instrumented_with`] rebuilds the crate's recovery flow on top
-//! of this pipeline: candidates fall back newest-first on *any* failure
-//! (digest mismatch **or** device read fault). A candidate is one of two
-//! kinds, told apart by its payload head: *framed* (`PCFRAME1`, decoded by
-//! the one walk in [`crate::codec`], which resolves `DedupBase`
-//! references in one hop) or *raw*.
+//! of this: candidates fall back newest-first on *any* failure (digest
+//! mismatch, torn table, missing home **or** device read fault).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -31,22 +38,22 @@ use std::time::Instant;
 
 use pccheck_util::sync::Mutex;
 
-use pccheck_device::{HostBufferPool, PersistentDevice};
-use pccheck_gpu::{Gpu, RestoreTarget};
-use pccheck_telemetry::{FlightEventKind, Phase, Telemetry};
-use pccheck_util::fnv::{block_digests, fold_blocks, DIGEST_BLOCK};
+use pccheck_device::PersistentDevice;
+use pccheck_gpu::{CopyEngine, Gpu};
+use pccheck_telemetry::{FlightEventKind, Phase, SpanId, Telemetry};
+use pccheck_util::fnv::{chunk_digest, fold_blocks, DIGEST_BLOCK};
 use pccheck_util::ByteSize;
 
-use crate::codec::{decode_frame, is_frame};
+use crate::codec::{lz_decompress_into, Job, JobSource, RestorePlan, SlotRead};
 use crate::error::PccheckError;
 use crate::meta::CheckMeta;
 use crate::pipeline::PipelineCtx;
 use crate::recovery::{RecoveredCheckpoint, RecoveryTrace};
 use crate::store::CheckpointStore;
 
-/// Default read granularity: a whole number of digest blocks, large
-/// enough that a device read's fixed cost is noise beside digesting what
-/// it returned, and the bound on each reader's scratch.
+/// Default read granularity of a raw payload: a whole number of digest
+/// blocks, large enough that a device read's fixed cost is noise beside
+/// digesting what it returned.
 const DEFAULT_READ_CHUNK: u64 = 1024 * 1024;
 
 /// Knobs for the parallel recovery flow.
@@ -70,29 +77,310 @@ impl Default for RestoreOptions {
     }
 }
 
-/// Destination for restore chunks.
-///
-/// Offsets are payload-relative; each chunk is delivered exactly once, in
-/// arbitrary order, possibly from several threads at once — and *before*
-/// the candidate's digest is known to verify, so a sink must not act on
-/// the bytes until the fetch reports success.
-pub trait RestoreSink: Sync {
-    /// Accepts one chunk.
-    fn put(&self, offset: u64, data: &[u8]);
-}
-
-impl RestoreSink for RestoreTarget {
-    fn put(&self, offset: u64, data: &[u8]) {
-        self.write_chunk(offset, data);
-    }
-}
-
-/// What the fetch loop hands back to the recovery flow.
+/// What one plan execution hands back to the recovery flow.
 #[derive(Debug, Clone, Copy, Default)]
 struct FetchReport {
     ok: bool,
     /// Digest compute time, summed over the readers, in nanoseconds.
     verify_nanos: u64,
+    /// The wall-clock share of `verify_nanos`: each fan-out's sum divided
+    /// by the readers that ran it, plus the serial tail after the join.
+    verify_share: u64,
+    /// The wall-clock share of the readers' waits in the copy engine.
+    meter_share: u64,
+}
+
+/// A job's destination: one segment, unless the job straddles pieces.
+type Segments<'a> = Vec<&'a mut [u8]>;
+
+/// Splits `pieces` — disjoint memory whose concatenation is the logical
+/// payload — at every job boundary, in order.
+fn carve<'a>(pieces: Vec<&'a mut [u8]>, jobs: &[Job]) -> Vec<Segments<'a>> {
+    let mut pieces = pieces.into_iter();
+    let mut piece: &mut [u8] = &mut [];
+    let carve_job = |job: &Job| {
+        let mut segs = Vec::with_capacity(1);
+        let mut need = job.len as usize;
+        while need > 0 {
+            if piece.is_empty() {
+                piece = pieces.next().expect("pieces hold the plan");
+                continue;
+            }
+            let n = need.min(piece.len());
+            let (seg, rest) = std::mem::take(&mut piece).split_at_mut(n);
+            segs.push(seg);
+            (piece, need) = (rest, need - n);
+        }
+        segs
+    };
+    jobs.iter().map(carve_job).collect()
+}
+
+/// Copies the logical range `[at, at + out.len())` out of `segs`:
+/// `(logical offset, bytes)` of consecutive segments of the payload.
+fn gather(segs: &[(u64, &[u8])], mut at: u64, mut out: &mut [u8]) {
+    let mut k = segs.partition_point(|(start, seg)| start + seg.len() as u64 <= at);
+    while !out.is_empty() {
+        let (start, seg) = segs[k];
+        let from = (at - start) as usize;
+        let (head, tail) = out.split_at_mut((seg.len() - from).min(out.len()));
+        head.copy_from_slice(&seg[from..from + head.len()]);
+        (at, out, k) = (at + head.len() as u64, tail, k + 1);
+    }
+}
+
+/// A reader's private state across the jobs it lands: scratch for an LZ
+/// job's compressed bytes, and its actor span's bytes and media time.
+#[derive(Default)]
+struct Reader {
+    packed: Vec<u8>,
+    bytes: u64,
+    media_nanos: u64,
+}
+
+/// Runs `work(k, reader)` for every `k < count` on up to `readers` threads;
+/// a `false` stops every reader at once. Returns the readers that ran and
+/// whether all the work succeeded.
+///
+/// Claims walk `0..count` as `readers` contiguous runs, round-robin: jobs
+/// in flight at the same time lie a run apart — on different members of a
+/// striped store — while each run is still read front to back and a slow
+/// reader never strands a share of the payload.
+fn fan_out(
+    ctx: PipelineCtx<'_>,
+    readers: usize,
+    count: usize,
+    work: &(dyn Fn(usize, &mut Reader) -> bool + Sync),
+) -> (u64, bool) {
+    let readers = readers.min(count) as u64;
+    let run = (count as u64).div_ceil(readers.max(1));
+    let (next, failed) = (AtomicU64::new(0), AtomicBool::new(false));
+    std::thread::scope(|s| {
+        for r in 0..readers {
+            let (next, failed) = (&next, &failed);
+            s.spawn(move || {
+                let actor_start = ctx.telemetry.now_nanos();
+                let mut reader = Reader::default();
+                while !failed.load(Ordering::Acquire) {
+                    let claim = next.fetch_add(1, Ordering::Relaxed);
+                    if claim >= run * readers {
+                        break;
+                    }
+                    let k = ((claim % readers) * run + claim / readers) as usize;
+                    // `k >= count` is past the end of the short last run.
+                    if k < count && !work(k, &mut reader) {
+                        failed.store(true, Ordering::Release);
+                    }
+                }
+                if reader.bytes > 0 && ctx.telemetry.is_enabled() {
+                    ctx.telemetry.actor_span_split(
+                        ctx.span,
+                        &format!("reader-{r}"),
+                        actor_start,
+                        reader.bytes,
+                        reader.media_nanos,
+                    );
+                }
+            });
+        }
+    });
+    (readers, !failed.into_inner())
+}
+
+/// The one executor: lands `plan` in `pieces` — disjoint memory whose
+/// concatenation is the logical payload, or it panics — on up to `readers`
+/// threads, source jobs first, copy jobs second, and accepts it iff every
+/// job landed intact and the fold of the block digests — seeded with the
+/// plan's iteration and length — equals the plan's digest: corruption
+/// anywhere is caught here at the latest, before the caller hands a byte
+/// over. `engine` meters every landed job when the pieces are GPU staging.
+fn execute(
+    ctx: PipelineCtx<'_>,
+    plan: &RestorePlan,
+    readers: usize,
+    read: &SlotRead<'_>,
+    pieces: Vec<&mut [u8]>,
+    engine: Option<&CopyEngine>,
+) -> FetchReport {
+    let (telemetry, span) = (ctx.telemetry, ctx.span);
+    let start = telemetry.now_nanos();
+    let lent: u64 = pieces.iter().map(|p| p.len() as u64).sum();
+    assert_eq!(lent, plan.len, "destination pieces must hold the plan");
+    let block = DIGEST_BLOCK as u64;
+    // Block digests by block index; 0 until filed (a block that really
+    // digests to 0 is merely digested again after the join).
+    let blocks = (0..plan.len.div_ceil(block)).map(|_| AtomicU64::new(0));
+    let blocks: Vec<AtomicU64> = blocks.collect();
+    let (verify_nanos, meter_nanos) = (AtomicU64::new(0), AtomicU64::new(0));
+
+    // Lands one job in `segs`: one device read (or LZ decode out of the
+    // reader's scratch, or copy of what an earlier job landed) straight
+    // into a single segment — or, when the job straddles pieces, into a
+    // spill buffer that is then scattered. Either way the record's content
+    // address is checked on, and the digests of the blocks the job wholly
+    // covers filed from, the bytes that land. `false` on a read fault, a
+    // malformed LZ block or a content-address mismatch.
+    let land = |job: &Job, segs: &mut [&mut [u8]], landed: &[Segments], reader: &mut Reader| {
+        let mut read = |slot, at, buf: &mut [u8]| {
+            let start = telemetry.now_nanos();
+            let ok = read(slot, at, buf);
+            reader.media_nanos += telemetry.now_nanos().saturating_sub(start);
+            ok
+        };
+        let mut spill = Vec::new();
+        let in_place = segs.len() == 1;
+        let whole: &mut [u8] = if in_place {
+            segs[0]
+        } else {
+            spill.resize(job.len as usize, 0);
+            &mut spill
+        };
+        let filled = match job.source {
+            JobSource::Verbatim { slot, at } => read(slot, at, whole),
+            JobSource::Lz { slot, at, phys_len } => {
+                reader.packed.resize(phys_len as usize, 0);
+                read(slot, at, &mut reader.packed) && lz_decompress_into(&reader.packed, whole)
+            }
+            JobSource::Copy { of } => {
+                match &landed[of][..] {
+                    [one] => whole.copy_from_slice(one),
+                    straddler => whole.copy_from_slice(&straddler.concat()),
+                }
+                true
+            }
+        };
+
+        let v0 = Instant::now();
+        let intact = filled && job.digest.is_none_or(|want| chunk_digest(whole) == want);
+        if intact {
+            // The blocks that start inside the job and end inside it (or
+            // with the payload). Relaxed: the scope's join orders every
+            // store before the fold reads the cells.
+            let (end, first) = (job.off + job.len, job.off.div_ceil(block));
+            let skip = (first * block - job.off).min(job.len) as usize;
+            let cells = blocks[first as usize..].iter();
+            for (cell, bytes) in cells.zip(whole[skip..].chunks(DIGEST_BLOCK)) {
+                if bytes.len() == DIGEST_BLOCK || end == plan.len {
+                    cell.store(chunk_digest(bytes), Ordering::Relaxed);
+                }
+            }
+        }
+        verify_nanos.fetch_add(v0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        if !intact {
+            return false;
+        }
+
+        if !in_place {
+            let mut rest = &spill[..];
+            for seg in segs {
+                let (head, tail) = rest.split_at(seg.len());
+                seg.copy_from_slice(head);
+                rest = tail;
+            }
+        }
+        if let Some(engine) = engine {
+            let m0 = Instant::now();
+            engine.meter(ByteSize::from_bytes(job.len));
+            meter_nanos.fetch_add(m0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            telemetry.chunk(span, Phase::RestoreUpload, job.off, job.len);
+        }
+        reader.bytes += job.len;
+        true
+    };
+
+    let mut report = FetchReport::default();
+    let mut landed_all = true;
+    let mut dst = carve(pieces, &plan.jobs);
+    let is_copy = |j: &usize| matches!(plan.jobs[*j].source, JobSource::Copy { .. });
+    let (copies, sources): (Vec<_>, Vec<_>) = (0..plan.jobs.len()).partition(is_copy);
+    for order in [sources, copies] {
+        if order.is_empty() || !landed_all {
+            continue;
+        }
+        let lend = |&j: &usize| Mutex::new(std::mem::take(&mut dst[j]));
+        let cells: Vec<_> = order.iter().map(lend).collect();
+        let work = |k: usize, reader: &mut Reader| {
+            land(&plan.jobs[order[k]], &mut cells[k].lock(), &dst, reader)
+        };
+        let ran;
+        (ran, landed_all) = fan_out(ctx, readers, order.len(), &work);
+        for (&j, cell) in order.iter().zip(cells) {
+            dst[j] = cell.into_inner();
+        }
+        let verify = verify_nanos.swap(0, Ordering::Relaxed);
+        report.verify_nanos += verify;
+        report.verify_share += verify / ran;
+        report.meter_share += meter_nanos.swap(0, Ordering::Relaxed) / ran;
+    }
+    telemetry.phase_done(span, Phase::RestoreRead, start);
+
+    let t0 = Instant::now();
+    report.ok = landed_all && {
+        // Digest what no job could — the blocks a job boundary cuts, still
+        // unfiled — from the destination. An aligned geometry has none.
+        let mut at = 0u64;
+        let segs = dst.iter().flatten().map(|seg| {
+            at += seg.len() as u64;
+            (at - seg.len() as u64, &**seg)
+        });
+        let segs: Vec<(u64, &[u8])> = segs.collect();
+        let mut buf = [0u8; DIGEST_BLOCK];
+        let digests = blocks.iter().zip((0..).step_by(DIGEST_BLOCK));
+        let digests = digests.map(|(cell, at)| match cell.load(Ordering::Relaxed) {
+            0 => {
+                let cut = &mut buf[..block.min(plan.len - at) as usize];
+                gather(&segs, at, cut);
+                chunk_digest(cut)
+            }
+            filed => filed,
+        });
+        fold_blocks(plan.iteration, plan.len, digests) == plan.digest
+    };
+    let tail = t0.elapsed().as_nanos() as u64;
+    report.verify_nanos += tail;
+    report.verify_share += tail;
+    let since = telemetry.now_nanos().saturating_sub(report.verify_share);
+    telemetry.phase_done(span, Phase::RestoreVerify, since);
+    report
+}
+
+/// [`execute`] into a fresh `Vec<u8>`: the payload, if it verified.
+fn execute_into_memory(
+    ctx: PipelineCtx<'_>,
+    plan: &RestorePlan,
+    readers: usize,
+    read: &SlotRead<'_>,
+) -> (FetchReport, Option<Vec<u8>>) {
+    let Ok(len) = usize::try_from(plan.len) else {
+        return (FetchReport::default(), None);
+    };
+    let mut out = vec![0u8; len];
+    let report = execute(ctx, plan, readers, read, vec![&mut out[..]], None);
+    (report, report.ok.then_some(out))
+}
+
+/// Materializes the checkpoint committed as `meta` — a frame, or the
+/// all-verbatim plan of a raw payload — on `readers` threads with no store
+/// open: `read` reads slot payloads, `commits` are the commit records a
+/// frame's `DedupBase` records may name as homes. The forensics auditor's
+/// entry to the plan and the executor recovery runs.
+///
+/// Returns `(logical payload, full-state digest)`; `None` on any torn
+/// table, missing home, out-of-range record, failed read or digest
+/// mismatch.
+pub fn decode_frame(
+    meta: &CheckMeta,
+    commits: &[CheckMeta],
+    read: &SlotRead<'_>,
+    readers: usize,
+) -> Option<(Vec<u8>, u64)> {
+    let ctx = PipelineCtx {
+        telemetry: &Telemetry::disabled(),
+        span: SpanId::NONE,
+    };
+    let plan = RestorePlan::compile(meta, commits, read, DEFAULT_READ_CHUNK)?;
+    let (_, payload) = execute_into_memory(ctx, &plan, readers.max(1), read);
+    Some((payload?, plan.digest))
 }
 
 /// The multi-reader, verification-overlapped read path over a
@@ -122,8 +410,9 @@ impl RestorePipeline {
         self
     }
 
-    /// Sets the read granularity, rounded up to a whole number of digest
-    /// blocks so every reader digests the blocks of what it read.
+    /// Sets the read granularity of raw payloads, rounded up to a whole
+    /// number of digest blocks so every reader digests the blocks of what
+    /// it read.
     ///
     /// # Panics
     ///
@@ -134,257 +423,52 @@ impl RestorePipeline {
         self
     }
 
-    /// The underlying store.
-    pub fn store(&self) -> &Arc<CheckpointStore> {
-        &self.store
+    /// Compiles `meta`'s payload, raw or framed, to its plan; `homes` are
+    /// the commit records a frame may reference. Reads frame tables only.
+    fn plan(&self, meta: &CheckMeta, homes: &[CheckMeta]) -> Option<RestorePlan> {
+        let read = |slot, at, buf: &mut [u8]| {
+            let off = self.store.slot_payload_offset(slot) + at;
+            self.store.device().read_durable_at(off, buf).is_ok()
+        };
+        RestorePlan::compile(meta, homes, &read, self.chunk.as_u64())
     }
 
-    /// The configured reader count.
-    pub fn readers(&self) -> usize {
-        self.readers
-    }
-
-    /// Reads and verifies `meta`'s payload with the configured readers.
+    /// Reads, reconstructs and verifies `meta`'s payload, raw or framed,
+    /// with the configured readers; `homes` as for a recovery's candidates.
     ///
     /// Returns `None` on any device read error or digest mismatch — the
     /// caller falls back to an older candidate, exactly like a digest
     /// failure. Never propagates per-candidate read faults as hard errors.
-    pub fn fetch_verified(&self, ctx: PipelineCtx<'_>, meta: &CheckMeta) -> Option<Vec<u8>> {
-        let mut out = vec![0u8; usize::try_from(meta.payload_len).ok()?];
-        let report = self.fetch_into_buffer(ctx, meta, &mut out);
-        report.ok.then_some(out)
-    }
-
-    /// Streams `meta`'s payload into `sink` chunk by chunk as each chunk
-    /// is read, without materializing the whole payload. Returns whether
-    /// every chunk was read and delivered and the payload verified.
-    pub fn fetch_streaming(
+    pub fn fetch_verified(
         &self,
         ctx: PipelineCtx<'_>,
         meta: &CheckMeta,
-        sink: &dyn RestoreSink,
-    ) -> bool {
-        self.fetch_into_sink(ctx, meta, sink).ok
+        homes: &[CheckMeta],
+    ) -> Option<Vec<u8>> {
+        let plan = self.plan(meta, homes)?;
+        let read = |slot, at, buf: &mut [u8]| self.read_slot(ctx, slot, at, buf);
+        execute_into_memory(ctx, &plan, self.readers, &read).1
     }
 
-    /// Per-chunk device read with read-stage telemetry, mirroring the
-    /// persist pipeline's `write_chunk`. Returns the nanoseconds spent in
-    /// the device call (media time, for the reader's queue-wait split).
-    fn read_chunk(
-        &self,
-        ctx: PipelineCtx<'_>,
-        device_off: u64,
-        payload_off: u64,
-        buf: &mut [u8],
-    ) -> Result<u64, PccheckError> {
-        let start = ctx.telemetry.now_nanos();
-        self.store.device().read_durable_at(device_off, buf)?;
-        let mut media = 0;
+    /// One device read of a job's source range with read-stage telemetry,
+    /// mirroring the persist pipeline's `write_chunk`.
+    fn read_slot(&self, ctx: PipelineCtx<'_>, slot: u32, at: u64, buf: &mut [u8]) -> bool {
+        let (device, start) = (self.store.device(), ctx.telemetry.now_nanos());
+        let off = self.store.slot_payload_offset(slot) + at;
+        if device.read_durable_at(off, buf).is_err() {
+            return false;
+        }
         if ctx.telemetry.is_enabled() {
-            media = ctx.telemetry.now_nanos().saturating_sub(start);
+            let media = ctx.telemetry.now_nanos().saturating_sub(start);
             ctx.telemetry.stage_read(media);
-            self.sample_device_queues(ctx);
-        }
-        ctx.telemetry
-            .chunk(ctx.span, Phase::RestoreRead, payload_off, buf.len() as u64);
-        Ok(media)
-    }
-
-    /// Samples the device's submission queues into the per-device gauges
-    /// (controller at index 0, composite members after it).
-    fn sample_device_queues(&self, ctx: PipelineCtx<'_>) {
-        if !ctx.telemetry.is_enabled() {
-            return;
-        }
-        for (i, depth) in self.store.device().queue_depths().iter().enumerate() {
-            ctx.telemetry.gauge_device_queue(i, *depth);
-        }
-    }
-
-    /// Assembling in place: the output buffer splits into one cell per
-    /// read chunk and each reader reads straight into the cell it claimed.
-    fn fetch_into_buffer(
-        &self,
-        ctx: PipelineCtx<'_>,
-        meta: &CheckMeta,
-        out: &mut [u8],
-    ) -> FetchReport {
-        let chunk = self.chunk.as_usize();
-        let cells: Vec<Mutex<&mut [u8]>> = out.chunks_mut(chunk).map(Mutex::new).collect();
-        self.fetch(ctx, meta, &|off, _, read| {
-            read(&mut cells[off as usize / chunk].lock());
-        })
-    }
-
-    /// Streaming: each reader reads into pooled scratch and delivers
-    /// straight to the sink — no ordering, no assembly.
-    fn fetch_into_sink(
-        &self,
-        ctx: PipelineCtx<'_>,
-        meta: &CheckMeta,
-        sink: &dyn RestoreSink,
-    ) -> FetchReport {
-        let chunk = self.chunk.as_u64().min(meta.payload_len).max(1);
-        let pool = HostBufferPool::new(ByteSize::from_bytes(chunk), self.readers);
-        self.fetch(ctx, meta, &|off, len, read| {
-            let mut buf = pool.acquire();
-            let data = &mut buf.as_mut_slice()[..len];
-            if read(data) {
-                sink.put(off, data);
-                ctx.telemetry
-                    .chunk(ctx.span, Phase::RestoreUpload, off, len as u64);
+            // Controller at index 0, composite members after it.
+            for (i, depth) in device.queue_depths().iter().enumerate() {
+                ctx.telemetry.gauge_device_queue(i, *depth);
             }
-        })
-    }
-
-    /// The one fetch loop over a raw payload. Readers claim read chunks
-    /// (each a whole number of digest blocks, but for the payload's tail)
-    /// off a shared counter; for each, `lend(payload offset, len, read)`
-    /// supplies `len` bytes of destination memory and calls `read` on it,
-    /// which fills it from the device, files the digests of its blocks by
-    /// block index, and says whether the read succeeded. The candidate is
-    /// accepted iff every read succeeded and the fold of the block
-    /// digests — seeded with the commit's iteration and length — equals
-    /// the commit's digest: corruption anywhere is caught here, after the
-    /// last block, and a read fault stops the readers at once.
-    ///
-    /// Claims walk the payload as `readers` contiguous runs, round-robin:
-    /// chunks in flight at the same time lie a run apart — on different
-    /// members of a striped store — while each run is still read front to
-    /// back and a slow reader never strands a share of the payload.
-    fn fetch(
-        &self,
-        ctx: PipelineCtx<'_>,
-        meta: &CheckMeta,
-        lend: &(dyn Fn(u64, usize, &mut dyn FnMut(&mut [u8]) -> bool) + Sync),
-    ) -> FetchReport {
-        let read_start = ctx.telemetry.now_nanos();
-        let total = meta.payload_len;
-        let base = self.store.slot_payload_offset(meta.slot);
-        let chunk = self.chunk.as_u64();
-        let count = total.div_ceil(chunk);
-        let readers = count.min(self.readers as u64);
-        let run = count.div_ceil(readers.max(1));
-        let block = DIGEST_BLOCK as u64;
-        let blocks: Vec<AtomicU64> = (0..total.div_ceil(block))
-            .map(|_| AtomicU64::new(0))
-            .collect();
-        let next = AtomicU64::new(0);
-        let failed = AtomicBool::new(false);
-        let verify_nanos = AtomicU64::new(0);
-
-        std::thread::scope(|s| {
-            for r in 0..readers {
-                let (blocks, next, failed, verify_nanos) = (&blocks, &next, &failed, &verify_nanos);
-                s.spawn(move || {
-                    let actor_start = ctx.telemetry.now_nanos();
-                    let mut actor_bytes = 0u64;
-                    let mut media_nanos = 0u64;
-                    while !failed.load(Ordering::Acquire) {
-                        let claim = next.fetch_add(1, Ordering::Relaxed);
-                        if claim >= run * readers {
-                            break;
-                        }
-                        let off = ((claim % readers) * run + claim / readers) * chunk;
-                        if off >= total {
-                            continue; // past the end of the short last run
-                        }
-                        let len = chunk.min(total - off) as usize;
-                        lend(off, len, &mut |dst| {
-                            match self.read_chunk(ctx, base + off, off, dst) {
-                                Ok(media) => media_nanos += media,
-                                Err(_) => {
-                                    failed.store(true, Ordering::Release);
-                                    return false;
-                                }
-                            }
-                            let v0 = Instant::now();
-                            let first = (off / block) as usize;
-                            // Relaxed: the scope's join orders every store
-                            // before the fold below reads the cells.
-                            for (cell, digest) in blocks[first..].iter().zip(block_digests(dst)) {
-                                cell.store(digest, Ordering::Relaxed);
-                            }
-                            verify_nanos
-                                .fetch_add(v0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                            actor_bytes += len as u64;
-                            true
-                        });
-                    }
-                    if actor_bytes > 0 && ctx.telemetry.is_enabled() {
-                        ctx.telemetry.actor_span_split(
-                            ctx.span,
-                            &format!("reader-{r}"),
-                            actor_start,
-                            actor_bytes,
-                            media_nanos,
-                        );
-                    }
-                });
-            }
-        });
-
-        let folded = fold_blocks(
-            meta.iteration,
-            total,
-            blocks.iter().map(|b| b.load(Ordering::Relaxed)),
-        );
-        ctx.telemetry
-            .phase_done(ctx.span, Phase::RestoreRead, read_start);
-        ctx.telemetry
-            .phase_done(ctx.span, Phase::RestoreVerify, read_start);
-        FetchReport {
-            ok: !failed.load(Ordering::Acquire) && folded == meta.digest,
-            verify_nanos: verify_nanos.into_inner(),
         }
-    }
-
-    /// Whether `meta`'s payload begins with a chunk-frame table (the codec
-    /// persist path). Unreadable heads count as not framed — the candidate
-    /// then fails verification on the raw path it is routed to.
-    pub fn is_framed(&self, meta: &CheckMeta) -> bool {
-        let mut head = [0u8; 8];
-        meta.payload_len >= 8
-            && self
-                .store
-                .device()
-                .read_durable_at(self.store.slot_payload_offset(meta.slot), &mut head)
-                .is_ok()
-            && is_frame(&head)
-    }
-
-    /// Reads `meta`'s whole slot payload in one device read.
-    fn read_slot(&self, ctx: PipelineCtx<'_>, meta: &CheckMeta) -> Option<Vec<u8>> {
-        let mut payload = vec![0u8; usize::try_from(meta.payload_len).ok()?];
-        self.read_chunk(ctx, self.store.slot_payload_offset(meta.slot), 0, &mut payload)
-            .ok()?;
-        Some(payload)
-    }
-
-    /// Reads and fully materializes a framed (codec) payload through the
-    /// shared [`decode_frame`] walk, resolving each base-dedup reference
-    /// with one read of the base checkpoint it names (found among
-    /// `candidates`).
-    ///
-    /// Returns `(logical payload, full-state digest)`; `None` on any torn
-    /// table, failed read, or digest mismatch — the caller falls back to
-    /// an older candidate, like every other verification failure. Either
-    /// way `verify_nanos` gains the walk's digest compute time.
-    pub fn fetch_framed(
-        &self,
-        ctx: PipelineCtx<'_>,
-        meta: &CheckMeta,
-        candidates: &[CheckMeta],
-        verify_nanos: &mut u64,
-    ) -> Option<(Vec<u8>, u64)> {
-        let payload = self.read_slot(ctx, meta)?;
-        let mut base = |counter, slot| {
-            let base = candidates
-                .iter()
-                .find(|c| c.counter == counter && c.slot == slot)?;
-            Some((*base, self.read_slot(ctx, base)?))
-        };
-        decode_frame(&payload, meta, &mut base, verify_nanos)
+        ctx.telemetry
+            .chunk(ctx.span, Phase::RestoreRead, at, buf.len() as u64);
+        true
     }
 }
 
@@ -412,10 +496,11 @@ pub fn recover_instrumented_with(
 }
 
 /// Recovers the newest verifiable checkpoint straight into `gpu`'s device
-/// memory: raw checkpoints stream chunk-by-chunk into a
-/// [`RestoreTarget`], which hands them to the GPU only once the payload
-/// verified (a rejected target is dropped, never finished), framed
-/// checkpoints reconstruct in DRAM and upload once.
+/// memory: each candidate, raw or framed, lands job by job in the
+/// tensor-shaped staging of a [`pccheck_gpu::RestoreTarget`], metered
+/// through the GPU's copy engine, and the staged tensors are swapped in as
+/// the live state only once the payload verified (a rejected target is
+/// dropped, never finished).
 ///
 /// # Errors
 ///
@@ -423,7 +508,7 @@ pub fn recover_instrumented_with(
 ///
 /// # Panics
 ///
-/// Panics if the recovered payload does not match `gpu`'s state layout
+/// Panics if a candidate's payload does not match `gpu`'s state layout
 /// (the same contract as [`RecoveredCheckpoint::restore_into`]).
 pub fn recover_into_gpu(
     device: Arc<dyn PersistentDevice>,
@@ -461,6 +546,8 @@ fn recover_core(
     }
     candidates.reverse();
     let pipeline = RestorePipeline::new(Arc::clone(&store)).with_readers(options.readers);
+    let read = |slot, at, buf: &mut [u8]| pipeline.read_slot(ctx, slot, at, buf);
+    let readers = pipeline.readers;
 
     let mut trace = RecoveryTrace {
         scan_nanos: t0.elapsed().as_nanos() as u64,
@@ -477,73 +564,39 @@ fn recover_core(
     for meta in &candidates {
         trace.candidates_scanned += 1;
 
-        // `verified` is `Some((Some(payload) | None-if-streamed, digest))`
-        // on success; any failure — torn payload, bad digest, *or a device
-        // read fault* — rejects only this candidate and falls back.
-        let verified: Option<(Option<Vec<u8>>, u64)> = if pipeline.is_framed(meta) {
-            // Framed (codec) payload: decode, decompress, resolve dedup
-            // references, and verify end to end — whether or not the
-            // commit carries a base link.
-            let load_t0 = Instant::now();
-            let load_start = telemetry.now_nanos();
-            let out = pipeline.fetch_framed(ctx, meta, &candidates, &mut trace.verify_nanos);
-            trace.load_nanos += load_t0.elapsed().as_nanos() as u64;
-            telemetry.phase_done(span, Phase::RecoveryLoad, load_start);
-            telemetry.phase_done(span, Phase::RecoveryVerify, load_start);
-            out.map(|(payload, digest)| {
-                trace.chain_links = meta.delta.map_or(0, |_| 1);
-                let payload = match gpu {
-                    Some(gpu) => {
-                        let upload_start = telemetry.now_nanos();
-                        gpu.restore(&payload, meta.iteration);
-                        telemetry.phase_done(span, Phase::RestoreUpload, upload_start);
-                        None
-                    }
-                    None => Some(payload),
-                };
-                (payload, digest)
-            })
-        } else {
-            let load_t0 = Instant::now();
-            let load_start = telemetry.now_nanos();
-            let (report, payload) = match gpu {
-                Some(gpu) if meta.payload_len == gpu.state_size().as_u64() => {
-                    let target = gpu.begin_restore(ByteSize::from_bytes(meta.payload_len));
-                    let report = pipeline.fetch_into_sink(ctx, meta, &target);
-                    if report.ok {
-                        target.finish(meta.iteration);
-                        telemetry.phase_done(span, Phase::RestoreUpload, load_start);
-                    }
-                    (report, None)
-                }
-                _ => {
-                    let mut out =
-                        vec![0u8; usize::try_from(meta.payload_len).expect("payload fits")];
-                    let report = pipeline.fetch_into_buffer(ctx, meta, &mut out);
-                    let payload = report.ok.then(|| match gpu {
-                        Some(gpu) => {
-                            // Size differs from the GPU layout: restore()
-                            // owns the panic, as restore_into always has.
-                            let upload_start = telemetry.now_nanos();
-                            gpu.restore(&out, meta.iteration);
-                            telemetry.phase_done(span, Phase::RestoreUpload, upload_start);
-                            None
-                        }
-                        None => Some(out),
-                    });
-                    (report, payload.flatten())
-                }
-            };
-            trace.load_nanos += load_t0.elapsed().as_nanos() as u64;
-            trace.verify_nanos += report.verify_nanos;
-            telemetry.phase_done(span, Phase::RecoveryLoad, load_start);
-            telemetry.phase_done(span, Phase::RecoveryVerify, load_start);
-            report.ok.then_some((payload, meta.digest))
+        // Plan the candidate and land it: in the GPU's staging, or in
+        // memory. Any failure — torn table, bad digest, missing home, *or
+        // a device read fault* — rejects only this candidate.
+        let load_t0 = Instant::now();
+        let load_start = telemetry.now_nanos();
+        let plan = pipeline.plan(meta, &candidates);
+        let mut target = None;
+        let (report, payload) = match (&plan, gpu) {
+            (None, _) => (FetchReport::default(), None),
+            (Some(plan), Some(gpu)) => {
+                let staging = target.insert(gpu.begin_restore(ByteSize::from_bytes(plan.len)));
+                let (pieces, engine) = (staging.pieces(), Some(gpu.copy_engine()));
+                (execute(ctx, plan, readers, &read, pieces, engine), None)
+            }
+            (Some(plan), None) => execute_into_memory(ctx, plan, readers, &read),
         };
+        trace.load_nanos += load_t0.elapsed().as_nanos() as u64;
+        trace.verify_nanos += report.verify_nanos;
+        telemetry.phase_done(span, Phase::RecoveryLoad, load_start);
+        let since = telemetry.now_nanos().saturating_sub(report.verify_share);
+        telemetry.phase_done(span, Phase::RecoveryVerify, since);
 
-        let Some((payload, digest)) = verified else {
+        // A rejected candidate's target drops here without ever reaching
+        // the GPU; recovery falls back to the next-newest commit.
+        let Some(plan) = plan.filter(|_| report.ok) else {
             continue;
         };
+        if let Some(target) = target {
+            let upload_start = telemetry.now_nanos().saturating_sub(report.meter_share);
+            target.finish(meta.iteration);
+            telemetry.phase_done(span, Phase::RestoreUpload, upload_start);
+        }
+        trace.chain_links = meta.delta.map_or(0, |_| 1);
         trace.fallbacks = trace.candidates_scanned - 1;
         trace.counter = meta.counter;
         trace.iteration = meta.iteration;
@@ -561,7 +614,7 @@ fn recover_core(
             iteration: meta.iteration,
             counter: meta.counter,
             payload,
-            digest,
+            digest: plan.digest,
         });
         return Ok((trace, recovered));
     }
@@ -575,9 +628,8 @@ fn recover_core(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pccheck_device::{DeviceConfig, SsdDevice};
+    use pccheck_device::{DeviceConfig, HostBufferPool, SsdDevice};
     use pccheck_gpu::{GpuConfig, StateDigest, TrainingState};
-    use pccheck_telemetry::SpanId;
 
     use crate::pipeline::{DeltaPolicy, PersistPipeline};
 
@@ -624,8 +676,6 @@ mod tests {
         bytes: u64,
         chunk: u64,
     ) -> (Arc<SsdDevice>, Arc<CheckpointStore>, Gpu, Vec<StateDigest>) {
-        use pccheck_device::HostBufferPool;
-
         let state = TrainingState::synthetic(ByteSize::from_bytes(bytes), 7);
         let gpu = Gpu::new(GpuConfig::fast_for_tests(), state);
         let cap = CheckpointStore::required_capacity(gpu.state_size(), 4) + ByteSize::from_kb(1);
@@ -670,7 +720,7 @@ mod tests {
             RestorePipeline::new(Arc::clone(&store))
                 .with_readers(readers)
                 .with_read_chunk(ByteSize::from_bytes(4096))
-                .fetch_verified(ctx(&telemetry), &meta)
+                .fetch_verified(ctx(&telemetry), &meta, &[])
                 .unwrap()
         };
         assert_eq!(fetch(1), payloads[1]);
@@ -692,6 +742,7 @@ mod tests {
                     span,
                 },
                 &meta,
+                &[],
             );
         assert!(got.is_some());
         let spans: Vec<(String, u64)> = telemetry
@@ -866,8 +917,6 @@ mod tests {
 
     #[test]
     fn recover_into_gpu_materializes_framed_chains() {
-        use pccheck_device::HostBufferPool;
-
         let state = TrainingState::compressible(ByteSize::from_bytes(2048), 7, 32);
         let gpu = Gpu::new(GpuConfig::fast_for_tests(), state);
         gpu.update();

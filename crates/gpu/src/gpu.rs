@@ -187,44 +187,45 @@ impl Gpu {
         merge_ranges(std::mem::take(&mut *self.inner.dirty.lock()))
     }
 
-    /// Restores the training state from a recovered checkpoint payload.
+    /// Restores the training state from a recovered checkpoint payload:
+    /// one upload through the copy engine, swapped in like any other
+    /// restore.
     ///
     /// # Panics
     ///
     /// Panics if the payload size does not match the current layout.
     pub fn restore(&self, payload: &[u8], step: u64) {
-        let _turn = self.inner.holds.write_turn();
-        let mut state = self.inner.state.write();
-        let layout = state.layout();
-        *state = TrainingState::restore(&layout, payload, step);
-        // The restored state has no committed base on the new timeline.
-        let size = state.size().as_u64();
-        *self.inner.dirty.lock() = vec![(0, size)];
+        let layout = self.inner.state.read().layout();
+        let staged = TrainingState::restore(&layout, payload, step);
+        self.copy_engine().meter(staged.size());
+        let gpu = self.clone();
+        RestoreTarget { gpu, staged }.finish(step);
     }
 
-    /// Begins a streaming restore of `total` serialized bytes.
+    /// Begins a restore of `total` serialized bytes.
     ///
-    /// The returned [`RestoreTarget`] accepts verified payload chunks in
-    /// any order (concurrently, from multiple uploader threads) and swaps
-    /// the assembled state in atomically on
-    /// [`finish`](RestoreTarget::finish). Until then the live state is
-    /// untouched, so a restore that is abandoned midway (chunk verification
-    /// failed, fell back to an older candidate) leaves the GPU exactly as
-    /// it was — just drop the target.
+    /// The returned [`RestoreTarget`] stages the incoming state in
+    /// tensor-shaped buffers, lends them out to be filled in any order
+    /// (concurrently, by several readers) and swaps the filled state in
+    /// atomically on [`finish`](RestoreTarget::finish). Until then the
+    /// live state is untouched, so a restore that is abandoned midway
+    /// (verification failed, fell back to an older candidate) leaves the
+    /// GPU exactly as it was — just drop the target.
     ///
     /// # Panics
     ///
-    /// Panics if `total` does not match the current layout's size (the
-    /// same invariant [`restore`](Self::restore) enforces, surfaced early).
+    /// Panics if `total` does not match the current layout's size.
     pub fn begin_restore(&self, total: ByteSize) -> RestoreTarget {
+        let layout = self.inner.state.read().layout();
+        let staged = TrainingState::zeroed(&layout);
         assert_eq!(
             total,
-            self.state_size(),
+            staged.size(),
             "restore payload size must match the training-state layout"
         );
         RestoreTarget {
             gpu: self.clone(),
-            staging: Mutex::new(vec![0u8; total.as_usize()]),
+            staged,
         }
     }
 
@@ -294,58 +295,42 @@ pub fn merge_ranges(mut ranges: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     out
 }
 
-/// An in-progress streaming restore (see [`Gpu::begin_restore`]).
+/// An in-progress restore (see [`Gpu::begin_restore`]).
 ///
-/// Chunks land in a DRAM staging image; [`finish`](Self::finish) performs
-/// the atomic state swap. Writes are metered through the GPU copy engine so
-/// restore uploads contend for the same PCIe bandwidth as snapshot copies.
+/// The incoming state is staged as the tensors it will become:
+/// [`pieces`](Self::pieces) lends their storage to whoever fills it, and
+/// [`finish`](Self::finish) moves the filled tensors in as the live
+/// state — no byte is copied after it landed. The filler meters what it
+/// lands through the GPU's [`CopyEngine`], so restore uploads contend for
+/// the same PCIe bandwidth as snapshot copies.
 #[derive(Debug)]
 pub struct RestoreTarget {
     gpu: Gpu,
-    staging: Mutex<Vec<u8>>,
+    staged: TrainingState,
 }
 
 impl RestoreTarget {
-    /// Total size of the payload being restored.
-    pub fn total(&self) -> ByteSize {
-        ByteSize::from_bytes(self.staging.lock().len() as u64)
+    /// The staging image as disjoint pieces, one per tensor in serialized
+    /// order (a piece may be empty): serialized byte `o` is byte `o` of
+    /// their concatenation. Disjoint borrows, so any number of threads
+    /// may fill them at once.
+    pub fn pieces(&mut self) -> Vec<&mut [u8]> {
+        self.staged.pieces_mut()
     }
 
-    /// Places one verified chunk at `offset` in the staging image. Safe to
-    /// call from multiple threads; chunks may arrive in any order.
+    /// Completes the restore: the staged tensors become the live training
+    /// state at `step`, swapped in under the weights' write lock.
     ///
-    /// # Panics
-    ///
-    /// Panics if the chunk extends past the payload size.
-    pub fn write_chunk(&self, offset: u64, data: &[u8]) {
-        {
-            let mut staging = self.staging.lock();
-            let start = usize::try_from(offset).expect("chunk offset fits in memory");
-            let end = start
-                .checked_add(data.len())
-                .filter(|&e| e <= staging.len())
-                .expect("restore chunk exceeds payload size");
-            staging[start..end].copy_from_slice(data);
-        }
-        // Meter outside the lock: the PCIe throttle must not serialize
-        // concurrent uploaders any more than the bus itself would.
-        self.gpu
-            .copy_engine()
-            .meter(ByteSize::from_bytes(data.len() as u64));
-    }
-
-    /// Completes the restore: swaps the staged image in as the live
-    /// training state at `step`.
-    ///
-    /// The caller is responsible for having verified every chunk — the
-    /// target itself performs no digest checks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the staged payload does not match the current layout.
-    pub fn finish(self, step: u64) {
-        let staging = self.staging.into_inner();
-        self.gpu.restore(&staging, step);
+    /// The caller is responsible for having filled and verified every
+    /// byte — the target itself performs no digest checks.
+    pub fn finish(mut self, step: u64) {
+        self.staged.step = step;
+        let size = self.staged.size().as_u64();
+        let inner = &self.gpu.inner;
+        let _turn = inner.holds.write_turn();
+        *inner.state.write() = self.staged;
+        // The restored state has no committed base on the new timeline.
+        *inner.dirty.lock() = vec![(0, size)];
     }
 }
 
@@ -725,7 +710,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_restore_matches_direct_restore() {
+    fn staged_restore_matches_direct_restore() {
         let g = gpu(1000, 30);
         for _ in 0..3 {
             g.update();
@@ -740,48 +725,43 @@ mod tests {
         g.update();
         assert_ne!(g.digest(), digest);
 
-        // Stream the payload back out of order, from two threads.
-        let target = Arc::new(g.begin_restore(ByteSize::from_bytes(1000)));
+        // Fill the lent pieces out of order, one thread per tensor.
+        let mut target = g.begin_restore(ByteSize::from_bytes(1000));
         std::thread::scope(|s| {
-            for reader in 0..2usize {
-                let target = Arc::clone(&target);
-                let payload = &payload;
-                s.spawn(move || {
-                    let mut off = reader * 128;
-                    while off < 1000 {
-                        let end = (off + 128).min(1000);
-                        target.write_chunk(off as u64, &payload[off..end]);
-                        off += 256;
-                    }
-                });
+            let mut off = 1000;
+            for piece in target.pieces().into_iter().rev() {
+                off -= piece.len();
+                let src = &payload[off..off + piece.len()];
+                s.spawn(move || piece.copy_from_slice(src));
             }
         });
         // Live state untouched until finish.
         assert_eq!(g.step_count(), 4);
-        Arc::into_inner(target).unwrap().finish(3);
+        target.finish(3);
         assert_eq!(g.digest(), digest);
         assert_eq!(g.step_count(), 3);
         assert_eq!(g.lock_weights_shared().dirty_ranges(), vec![(0, 1000)]);
     }
 
     #[test]
-    fn abandoned_streaming_restore_leaves_state_alone() {
+    fn abandoned_restore_leaves_state_alone() {
         let g = gpu(300, 31);
         g.update();
         let digest = g.digest();
-        let target = g.begin_restore(ByteSize::from_bytes(300));
-        target.write_chunk(0, &[0xAB; 128]);
+        let mut target = g.begin_restore(ByteSize::from_bytes(300));
+        target.pieces()[0].fill(0xAB);
         drop(target); // verification failed elsewhere; abandon
         assert_eq!(g.digest(), digest);
         assert_eq!(g.step_count(), 1);
     }
 
     #[test]
-    #[should_panic(expected = "restore chunk exceeds payload size")]
-    fn oversized_restore_chunk_rejected() {
+    fn restore_is_metered_through_the_copy_engine() {
         let g = gpu(300, 32);
-        let target = g.begin_restore(ByteSize::from_bytes(300));
-        target.write_chunk(200, &[0u8; 128]);
+        let before = g.copy_engine().bytes_copied();
+        g.restore(&[7u8; 300], 9);
+        assert_eq!(g.copy_engine().bytes_copied() - before, 300);
+        assert_eq!(g.step_count(), 9);
     }
 
     #[test]

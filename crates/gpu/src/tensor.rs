@@ -144,7 +144,7 @@ impl Tensor {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainingState {
     tensors: Vec<Tensor>,
-    step: u64,
+    pub(crate) step: u64,
 }
 
 /// The (name, size) layout of a state's tensors, needed to reinterpret a
@@ -310,6 +310,29 @@ impl TrainingState {
             }
             t_start = t_end;
         }
+    }
+
+    /// A zero-filled state of `layout` at step 0: the staging image a
+    /// restore fills through [`pieces_mut`](Self::pieces_mut) and then
+    /// installs whole, so the bytes that landed are the bytes that train.
+    pub fn zeroed(layout: &StateLayout) -> Self {
+        let zeroed = |(name, size): &(String, ByteSize)| Tensor {
+            name: name.clone(),
+            data: vec![0u8; size.as_usize()],
+        };
+        TrainingState {
+            tensors: layout.iter().map(zeroed).collect(),
+            step: 0,
+        }
+    }
+
+    /// The tensors' storage as disjoint pieces, in serialized order — the
+    /// serialized byte at offset `o` is byte `o` of their concatenation.
+    pub fn pieces_mut(&mut self) -> Vec<&mut [u8]> {
+        self.tensors
+            .iter_mut()
+            .map(|t| t.data.as_mut_slice())
+            .collect()
     }
 
     /// Reconstructs a state from a flat payload and the step counter it was

@@ -157,10 +157,12 @@ pub fn measure_store(store: &Arc<CheckpointStore>, readers: usize) -> f64 {
     let pipeline = RestorePipeline::new(Arc::clone(store))
         .with_readers(readers)
         .with_read_chunk(ByteSize::from_bytes(READ_CHUNK));
-    pipeline.fetch_verified(ctx, &meta).expect("warmup restore");
+    pipeline
+        .fetch_verified(ctx, &meta, &[])
+        .expect("warmup restore");
     let t0 = Instant::now();
     let payload = pipeline
-        .fetch_verified(ctx, &meta)
+        .fetch_verified(ctx, &meta, &[])
         .expect("restore verifies");
     let secs = t0.elapsed().as_secs_f64();
     assert_eq!(payload.len() as u64, meta.payload_len);

@@ -39,9 +39,10 @@
 //!    holding that base (superseded bases stay pinned until their
 //!    dependents retire) and every base committed per the ring. And every
 //!    framed recovery target, linked or not, materializes through the
-//!    same `pccheck::decode_frame` walk recovery uses (decompressing LZ
-//!    chunks and resolving self/base dedup references with re-verified
-//!    content addresses) to a state matching its end-to-end digest.
+//!    same plan and executor recovery uses (`pccheck::decode_frame`:
+//!    decompressing LZ chunks and resolving self/base dedup references
+//!    with re-verified content addresses) to a state matching its
+//!    end-to-end digest.
 //!
 //! A report that violates any invariant means either real corruption or a
 //! bug in the checkpointing protocol — `pccheckctl forensics` exits
@@ -52,7 +53,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use pccheck::{
-    bind_frame_table, decode_frame, is_frame, CheckMeta, PccheckError, RawStoreView, SlotOutcome,
+    bind_frame_table, decode_frame, is_frame, CheckMeta, PccheckError, RawStoreView,
+    RestoreOptions, SlotOutcome,
 };
 use pccheck_device::PersistentDevice;
 use pccheck_gpu::StateDigest;
@@ -657,9 +659,7 @@ pub fn audit(device: Arc<dyn PersistentDevice>) -> Result<ForensicReport, Pcchec
     for target in &recovery_targets {
         audit_base_pins(&view, target, &checkpoints, &mut violations);
         let payload = view.read_slot_payload(device.as_ref(), target.slot)?;
-        if is_frame(&payload)
-            && materialize_frame(device.as_ref(), &view, target, &payload).is_none()
-        {
+        if is_frame(&payload) && materialize_frame(device.as_ref(), &view, target).is_none() {
             violations.push(InvariantViolation::TornCommittedSlot {
                 slot: target.slot,
                 counter: target.counter,
@@ -696,26 +696,24 @@ fn bump_phase(
     }
 }
 
-/// Materializes a framed slot exactly the way recovery does — through the
-/// shared `pccheck::decode_frame` walk — resolving each base reference
-/// out of the slot the record names, provided that slot still holds that
-/// checkpoint. `None` on any broken promise.
+/// Materializes a framed slot exactly the way recovery does — its restore
+/// plan, run by the one executor (`pccheck::decode_frame`) — resolving
+/// each base reference by range out of the slot the record names,
+/// provided that slot still holds that checkpoint. `None` on any broken
+/// promise.
 fn materialize_frame(
     device: &dyn PersistentDevice,
     view: &RawStoreView,
     meta: &CheckMeta,
-    payload: &[u8],
 ) -> Option<(Vec<u8>, u64)> {
-    let mut base = |counter, slot: u32| {
-        let base = view
-            .slot_meta
-            .get(slot as usize)
-            .copied()
-            .flatten()
-            .filter(|m| m.counter == counter)?;
-        Some((base, view.read_slot_payload(device, base.slot).ok()?))
+    let commits: Vec<CheckMeta> = view.slot_meta.iter().flatten().copied().collect();
+    let read = |slot, at, buf: &mut [u8]| {
+        device
+            .read_durable_at(view.slot_payload_offset(slot) + at, buf)
+            .is_ok()
     };
-    decode_frame(payload, meta, &mut base, &mut 0)
+    let readers = RestoreOptions::default().readers;
+    decode_frame(meta, &commits, &read, readers)
 }
 
 /// Walks the recovery target's base links, pushing a violation for each

@@ -38,6 +38,9 @@ pub const FLIGHT_RECORD_SIZE: u64 = 64;
 /// Bytes occupied by the ring header cell.
 pub const FLIGHT_HEADER_SIZE: u64 = 64;
 
+/// Cells a ring scan reads per device op (32 KiB).
+const SCAN_READ_CELLS: u32 = 512;
+
 const RECORD_MAGIC: u32 = 0x464C_5431; // "FLT1"
 const RING_MAGIC: u64 = 0x5043_464C_5452_4731; // "PCFLTRG1"
 
@@ -369,25 +372,35 @@ impl FlightRing {
     ) -> Result<RingScan, String> {
         let mut records = Vec::new();
         let mut torn = 0u32;
-        let mut cell = [0u8; FLIGHT_RECORD_SIZE as usize];
-        for i in 0..capacity {
-            let off = base + FLIGHT_HEADER_SIZE + u64::from(i) * FLIGHT_RECORD_SIZE;
+        // Bulk reads, cells decoded from memory: a device op per cell made
+        // every store open pay `capacity` reads before it looked at a slot.
+        // (A read is at most 32 KiB — the daemon's whole 512-record ring —
+        // below every ledger workload's chunk size, so the ledger's armed
+        // bit-rot flip can never land in the ring.)
+        let cell_size = FLIGHT_RECORD_SIZE as usize;
+        let mut region = vec![0u8; SCAN_READ_CELLS.min(capacity) as usize * cell_size];
+        for first in (0..capacity).step_by(SCAN_READ_CELLS as usize) {
+            let cells = SCAN_READ_CELLS.min(capacity - first) as usize;
+            let region = &mut region[..cells * cell_size];
+            let off = base + FLIGHT_HEADER_SIZE + u64::from(first) * FLIGHT_RECORD_SIZE;
             device
-                .read_durable_at(off, &mut cell)
+                .read_durable_at(off, region)
                 .map_err(|e| e.to_string())?;
-            match FlightRecord::decode(&cell) {
-                Some(rec) => {
-                    // Sanity: a record must live in its own cell, or it is
-                    // stale garbage from a mis-based scan.
-                    if rec.seq % u64::from(capacity) == u64::from(i) {
-                        records.push(rec);
-                    } else {
-                        torn += 1;
+            for (i, cell) in (first..).zip(region.chunks_exact(cell_size)) {
+                match FlightRecord::decode(cell) {
+                    Some(rec) => {
+                        // Sanity: a record must live in its own cell, or it
+                        // is stale garbage from a mis-based scan.
+                        if rec.seq % u64::from(capacity) == u64::from(i) {
+                            records.push(rec);
+                        } else {
+                            torn += 1;
+                        }
                     }
-                }
-                None => {
-                    if cell.iter().any(|b| *b != 0) {
-                        torn += 1; // non-empty cell that fails validation
+                    None => {
+                        if cell.iter().any(|b| *b != 0) {
+                            torn += 1; // non-empty cell that fails validation
+                        }
                     }
                 }
             }
@@ -614,6 +627,30 @@ mod tests {
         assert!(scan.wrapped());
         let seqs: Vec<u64> = scan.records.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, [7, 8, 9, 10], "newest capacity-many records");
+    }
+
+    #[test]
+    fn scan_reads_the_region_in_a_few_bulk_reads() {
+        // Two full reads and a short third; a cell torn in the last one.
+        let capacity = 2 * SCAN_READ_CELLS + 76;
+        let dev = device(FlightRing::required_capacity(capacity));
+        let ring = FlightRing::create(Arc::clone(&dev), 0, capacity).unwrap();
+        for i in 0..u64::from(capacity) + 5 {
+            ring.append(FlightEventKind::Commit, i, 0, i, 0, 0);
+        }
+        let torn_cell = u64::from(capacity) - 2;
+        let off = FLIGHT_HEADER_SIZE + torn_cell * FLIGHT_RECORD_SIZE + 20;
+        dev.write_at(off, &[0xFF]).unwrap();
+        dev.persist(off, 1).unwrap();
+        let ops = dev.stats().read_ops();
+        let scan = FlightRing::scan(dev.as_ref(), 0).unwrap();
+        assert_eq!(dev.stats().read_ops() - ops, 1 + 3, "header + three reads");
+        assert_eq!(scan.torn_cells, 1);
+        let seqs: Vec<u64> = scan.records.iter().map(|r| r.seq).collect();
+        let want: Vec<u64> = (5..u64::from(capacity) + 5)
+            .filter(|s| s % u64::from(capacity) != torn_cell)
+            .collect();
+        assert_eq!(seqs, want, "every other cell of the newest lap");
     }
 
     #[test]
