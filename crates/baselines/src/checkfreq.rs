@@ -12,8 +12,8 @@ use std::thread::JoinHandle;
 
 use pccheck_util::sync::Mutex;
 
-use pccheck::store::CheckpointStore;
-use pccheck::{CommitOutcome, PccheckError, PersistPipeline, PipelineCtx};
+use pccheck::store::{CheckpointStore, Namespace, DEFAULT_JOB};
+use pccheck::{CommitOutcome, PccheckError, PersistPipeline, PipelineCtx, StoreGeometry};
 use pccheck_device::PersistentDevice;
 use pccheck_gpu::{CheckpointOutcome, Checkpointer, Gpu};
 use pccheck_telemetry::{Phase, Telemetry};
@@ -49,6 +49,8 @@ use pccheck_util::ByteSize;
 #[derive(Debug)]
 pub struct CheckFreqCheckpointer {
     pipeline: PersistPipeline,
+    /// The two-slot store's one tenant.
+    ns: Arc<Namespace>,
     /// The single in-flight persist, if any. Next checkpoint joins it.
     in_flight: Mutex<Option<JoinHandle<()>>>,
     last: Arc<Mutex<Option<CheckpointOutcome>>>,
@@ -66,8 +68,9 @@ impl CheckFreqCheckpointer {
         device: Arc<dyn PersistentDevice>,
         checkpoint_size: ByteSize,
     ) -> Result<Self, PccheckError> {
-        let store = CheckpointStore::format(device, checkpoint_size, 2)?;
+        let store = CheckpointStore::format(device, StoreGeometry::single(checkpoint_size, 2))?;
         Ok(CheckFreqCheckpointer {
+            ns: store.namespace(DEFAULT_JOB)?,
             pipeline: PersistPipeline::new(Arc::new(store)),
             in_flight: Mutex::new(None),
             last: Arc::new(Mutex::new(None)),
@@ -111,6 +114,7 @@ impl Checkpointer for CheckFreqCheckpointer {
         // owned guard provides: training's T phase proceeds, U waits.
         let guard = gpu.lock_weights_shared_owned();
         let pipeline = self.pipeline.clone();
+        let ns = Arc::clone(&self.ns);
         let last = Arc::clone(&self.last);
         let telemetry = self.telemetry.clone();
         let handle = std::thread::spawn(move || {
@@ -125,7 +129,7 @@ impl Checkpointer for CheckFreqCheckpointer {
 
             // Persist phase.
             let (lease, copied) = pipeline
-                .persist_whole(ctx, &host, digest, iteration)
+                .persist_whole(ctx, &ns, &host, digest, iteration)
                 .expect("whole-payload persist on healthy device");
             let outcome = pipeline
                 .commit(ctx, lease, iteration, &copied)

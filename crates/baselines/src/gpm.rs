@@ -18,8 +18,8 @@ use std::sync::Arc;
 
 use pccheck_util::sync::Mutex;
 
-use pccheck::store::CheckpointStore;
-use pccheck::{PccheckError, PersistPipeline, PipelineCtx};
+use pccheck::store::{CheckpointStore, Namespace, DEFAULT_JOB};
+use pccheck::{PccheckError, PersistPipeline, PipelineCtx, StoreGeometry};
 use pccheck_device::PersistentDevice;
 use pccheck_gpu::{CheckpointOutcome, Checkpointer, Gpu};
 use pccheck_telemetry::Telemetry;
@@ -55,6 +55,8 @@ use pccheck_util::ByteSize;
 #[derive(Debug)]
 pub struct GpmCheckpointer {
     pipeline: PersistPipeline,
+    /// The two-slot store's one tenant.
+    ns: Arc<Namespace>,
     last: Mutex<Option<CheckpointOutcome>>,
     telemetry: Telemetry,
 }
@@ -70,8 +72,9 @@ impl GpmCheckpointer {
         device: Arc<dyn PersistentDevice>,
         checkpoint_size: ByteSize,
     ) -> Result<Self, PccheckError> {
-        let store = CheckpointStore::format(device, checkpoint_size, 2)?;
+        let store = CheckpointStore::format(device, StoreGeometry::single(checkpoint_size, 2))?;
         Ok(GpmCheckpointer {
+            ns: store.namespace(DEFAULT_JOB)?,
             pipeline: PersistPipeline::new(Arc::new(store)),
             last: Mutex::new(None),
             telemetry: Telemetry::disabled(),
@@ -109,7 +112,7 @@ impl Checkpointer for GpmCheckpointer {
         // then kernel write-through: GPU → device directly, no DRAM
         // staging; GPU-copy and persist overlap tile-by-tile, so both
         // phases share the same start timestamp.
-        let lease = self.pipeline.lease(ctx);
+        let lease = self.pipeline.lease(ctx, &self.ns);
         let copied = self
             .pipeline
             .write_through(ctx, &guard, &lease, iteration, stall_start)
@@ -209,6 +212,9 @@ mod tests {
         g.update();
         ckpt.checkpoint(&g, 1);
         ckpt.drain();
-        assert_eq!(ckpt.store().latest_committed().unwrap().iteration, 1);
+        assert_eq!(
+            ckpt.store().latest_committed(&ckpt.ns).unwrap().iteration,
+            1
+        );
     }
 }

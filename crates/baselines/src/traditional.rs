@@ -11,8 +11,8 @@ use std::sync::Arc;
 
 use pccheck_util::sync::Mutex;
 
-use pccheck::store::CheckpointStore;
-use pccheck::{PccheckError, PersistPipeline, PipelineCtx};
+use pccheck::store::{CheckpointStore, Namespace, DEFAULT_JOB};
+use pccheck::{PccheckError, PersistPipeline, PipelineCtx, StoreGeometry};
 use pccheck_device::PersistentDevice;
 use pccheck_gpu::{CheckpointOutcome, Checkpointer, Gpu};
 use pccheck_telemetry::Telemetry;
@@ -47,6 +47,8 @@ use pccheck_util::ByteSize;
 #[derive(Debug)]
 pub struct TraditionalCheckpointer {
     pipeline: PersistPipeline,
+    /// The two-slot store's one tenant.
+    ns: Arc<Namespace>,
     last: Mutex<Option<CheckpointOutcome>>,
     telemetry: Telemetry,
 }
@@ -62,8 +64,9 @@ impl TraditionalCheckpointer {
         device: Arc<dyn PersistentDevice>,
         checkpoint_size: ByteSize,
     ) -> Result<Self, PccheckError> {
-        let store = CheckpointStore::format(device, checkpoint_size, 2)?;
+        let store = CheckpointStore::format(device, StoreGeometry::single(checkpoint_size, 2))?;
         Ok(TraditionalCheckpointer {
+            ns: store.namespace(DEFAULT_JOB)?,
             pipeline: PersistPipeline::new(Arc::new(store)),
             last: Mutex::new(None),
             telemetry: Telemetry::disabled(),
@@ -102,7 +105,7 @@ impl Checkpointer for TraditionalCheckpointer {
         // copy (the lease straddles only the persist, as before).
         let (lease, copied) = self
             .pipeline
-            .persist_whole(ctx, &host, digest, iteration)
+            .persist_whole(ctx, &self.ns, &host, digest, iteration)
             .expect("whole-payload persist on healthy device");
         let outcome = self
             .pipeline
@@ -176,8 +179,11 @@ mod tests {
             ckpt.checkpoint(&gpu, iter);
             assert_eq!(ckpt.last_committed().unwrap().iteration, iter);
         }
-        assert_eq!(ckpt.store().latest_committed().unwrap().iteration, 6);
-        assert_eq!(ckpt.store().free_slot_count(), 1);
+        assert_eq!(
+            ckpt.store().latest_committed(&ckpt.ns).unwrap().iteration,
+            6
+        );
+        assert_eq!(ckpt.store().free_slot_count(&ckpt.ns), 1);
     }
 
     #[test]

@@ -36,15 +36,16 @@ use std::time::Instant;
 
 use pccheck::store::SlotLease;
 use pccheck::{
-    recover, recovery, CheckpointStore, Copied, DeltaPolicy, JobId, PcCheckConfig, PcCheckEngine,
-    PccheckError, PersistPipeline, PipelineCtx,
+    recover, recover_instrumented_with, CheckpointStore, Copied, DeltaPolicy, JobId, PcCheckConfig,
+    PcCheckEngine, PccheckError, PersistPipeline, PipelineCtx, RestoreOptions, StoreGeometry,
+    DEFAULT_JOB,
 };
 use pccheck_bench::stats::{bench_json_path, effective_ceiling, host_cores, median};
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice, StripedDevice};
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, SnapshotSource, TrainingState};
 use pccheck_harness::ext_compress;
 use pccheck_harness::forensics_run::{
-    drive_to_crash_point_scoped, sparse_payload, synthetic_payload, CrashPoint, Scope,
+    drive_to_crash_point, sparse_payload, synthetic_payload, CrashPoint,
 };
 use pccheck_telemetry::{SpanId, Telemetry};
 use pccheck_util::{Bandwidth, ByteSize};
@@ -246,13 +247,13 @@ fn run_family(
 }
 
 /// Persists (but does not commit) a chunk-framed checkpoint of `payload`
-/// through `pipeline` (job-scoped when `job` is set): the frame is
+/// through `pipeline` in `job`'s namespace: the frame is
 /// durable in its slot, its meta record unwritten. Panics if the codec
 /// declines — the crash legs feed tiled payloads precisely so framing
 /// always engages.
 fn persist_framed(
     pipeline: &PersistPipeline,
-    job: Option<JobId>,
+    job: JobId,
     iteration: u64,
     payload: &[u8],
 ) -> Result<(SlotLease, Copied), PccheckError> {
@@ -266,7 +267,7 @@ fn persist_framed(
         step: iteration,
     };
     let total = src.size();
-    let lease = pipeline.lease_for(ctx, job)?;
+    let lease = pipeline.lease(ctx, &pipeline.store().namespace(job)?);
     let copied = pipeline
         .copy_framed(ctx, &src, &lease, total, POLICY)?
         .expect("tiled payload must frame");
@@ -277,7 +278,7 @@ fn persist_framed(
 /// Commits a chunk-framed checkpoint of `payload`; returns its counter.
 fn commit_framed(
     pipeline: &PersistPipeline,
-    job: Option<JobId>,
+    job: JobId,
     iteration: u64,
     payload: &[u8],
 ) -> Result<u64, PccheckError> {
@@ -298,7 +299,7 @@ fn commit_framed(
 /// record. Returns the committed successor's `(counter, payload)`.
 fn drive_dedup_chain(
     pipeline: &PersistPipeline,
-    job: Option<JobId>,
+    job: JobId,
     baseline: &[u8],
 ) -> Result<(u64, Vec<u8>), PccheckError> {
     let full_mid = sparse_payload(
@@ -332,8 +333,11 @@ fn framed_pipeline(store: Arc<CheckpointStore>) -> PersistPipeline {
 /// recovered payload is bit-identical to the logical state.
 fn framed_crash_case(point: CrashPoint, striped: bool) -> Result<bool, PccheckError> {
     let state = ByteSize::from_bytes(CRASH_STATE);
-    let cap = CheckpointStore::required_capacity_with_flight(state, CRASH_SLOTS, CRASH_FLIGHT)
-        + ByteSize::from_kb(4);
+    let geometry = StoreGeometry {
+        flight_records: CRASH_FLIGHT,
+        ..StoreGeometry::single(state, CRASH_SLOTS)
+    };
+    let cap = geometry.required_capacity() + ByteSize::from_kb(4);
     let (device, arm_fuse): (Arc<dyn PersistentDevice>, Box<dyn Fn(u64)>) = if striped {
         let members: Vec<Arc<dyn PersistentDevice>> = (0..2)
             .map(|_| {
@@ -349,23 +353,18 @@ fn framed_crash_case(point: CrashPoint, striped: bool) -> Result<bool, PccheckEr
         let fuse = Arc::clone(&ssd);
         (ssd, Box::new(move |n| fuse.arm_crash_after_persists(n)))
     };
-    let store = Arc::new(CheckpointStore::format_with_flight(
-        Arc::clone(&device),
-        state,
-        CRASH_SLOTS,
-        CRASH_FLIGHT,
-    )?);
+    let store = Arc::new(CheckpointStore::format(Arc::clone(&device), geometry)?);
     let pipeline = framed_pipeline(Arc::clone(&store));
 
     let baseline_payload = tiled_payload(100, CRASH_STATE, 32);
-    let baseline_counter = commit_framed(&pipeline, None, 100, &baseline_payload)?;
+    let baseline_counter = commit_framed(&pipeline, DEFAULT_JOB, 100, &baseline_payload)?;
 
     // Expected post-recovery (counter, logical payload) per crash point.
     let (expected_counter, expected_payload, crash_slot, crash_len);
     match point {
         CrashPoint::AfterCommit => {
             let payload2 = sparse_payload(&baseline_payload, 200, &[(0, CRASH_STATE / 8)]);
-            let counter2 = commit_framed(&pipeline, None, 200, &payload2)?;
+            let counter2 = commit_framed(&pipeline, DEFAULT_JOB, 200, &payload2)?;
             expected_counter = counter2;
             expected_payload = payload2;
             crash_slot = None;
@@ -373,13 +372,13 @@ fn framed_crash_case(point: CrashPoint, striped: bool) -> Result<bool, PccheckEr
         }
         CrashPoint::DedupChain => {
             (expected_counter, expected_payload) =
-                drive_dedup_chain(&pipeline, None, &baseline_payload)?;
+                drive_dedup_chain(&pipeline, DEFAULT_JOB, &baseline_payload)?;
             crash_slot = None;
             crash_len = 0;
         }
         _ => {
             let raw = synthetic_payload(200, CRASH_STATE);
-            let (_, slot) = drive_to_crash_point_scoped(&store, Scope::Global, point, 200, &raw)?;
+            let (_, slot) = drive_to_crash_point(&store, DEFAULT_JOB, point, 200, &raw)?;
             expected_counter = baseline_counter;
             expected_payload = baseline_payload.clone();
             crash_slot = Some(slot);
@@ -403,9 +402,10 @@ fn framed_crash_case(point: CrashPoint, striped: bool) -> Result<bool, PccheckEr
     let recovered = recover(device)?;
     // The dedup-chain cell only proves something if the recovered head
     // really resolves chunks out of a pinned base.
-    let linked = report.expected_recovery.is_some_and(|m| m.is_delta());
+    let predicted = report.expected_recovery(DEFAULT_JOB);
+    let linked = predicted.is_some_and(|m| m.is_delta());
     Ok(report.is_clean()
-        && report.expected_recovery.map(|m| m.counter) == Some(recovered.counter)
+        && predicted.map(|m| m.counter) == Some(recovered.counter)
         && recovered.counter == expected_counter
         && recovered.payload == expected_payload
         && (point != CrashPoint::DedupChain || linked))
@@ -414,51 +414,50 @@ fn framed_crash_case(point: CrashPoint, striped: bool) -> Result<bool, PccheckEr
 /// One two-tenant namespace crash case: both tenants hold chunk-framed
 /// baselines, tenant 2 is driven into `point`, the power fails, and the
 /// global audit plus each namespace's prediction must match what
-/// `recover_job` restores — with tenant 1's framed state bit-identical.
+/// that tenant's recovery restores — with tenant 1's framed state
+/// bit-identical.
 fn namespace_framed_crash_case(point: CrashPoint) -> Result<bool, PccheckError> {
     const SLOTS: u32 = 8;
     const MAX_NS: u32 = 4;
     let state = ByteSize::from_bytes(CRASH_STATE);
-    let cap = CheckpointStore::required_capacity_service(state, SLOTS, CRASH_FLIGHT, MAX_NS)
-        + ByteSize::from_kb(4);
+    let geometry = StoreGeometry {
+        slot_size: state,
+        slots: SLOTS,
+        flight_records: CRASH_FLIGHT,
+        max_namespaces: MAX_NS,
+    };
+    let cap = geometry.required_capacity() + ByteSize::from_kb(4);
     let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
     let device: Arc<dyn PersistentDevice> = ssd.clone();
-    let store = Arc::new(CheckpointStore::format_service(
-        Arc::clone(&device),
-        state,
-        SLOTS,
-        CRASH_FLIGHT,
-        MAX_NS,
-    )?);
+    let store = Arc::new(CheckpointStore::format(Arc::clone(&device), geometry)?);
     store.allocate_namespace(1, 4)?;
     store.allocate_namespace(2, 4)?;
     let pipeline = framed_pipeline(Arc::clone(&store));
 
     let baseline1 = tiled_payload(1, CRASH_STATE, 32);
-    let counter1 = commit_framed(&pipeline, Some(1), 100, &baseline1)?;
+    let counter1 = commit_framed(&pipeline, 1, 100, &baseline1)?;
     let baseline2 = tiled_payload(2, CRASH_STATE, 32);
-    let counter2 = commit_framed(&pipeline, Some(2), 100, &baseline2)?;
+    let counter2 = commit_framed(&pipeline, 2, 100, &baseline2)?;
 
     // Tenant 2's expected post-recovery (counter, payload).
     let (expected2_counter, expected2_payload, crash_slot, crash_len);
     match point {
         CrashPoint::AfterCommit => {
             let payload = sparse_payload(&baseline2, 200, &[(0, CRASH_STATE / 8)]);
-            let counter = commit_framed(&pipeline, Some(2), 200, &payload)?;
+            let counter = commit_framed(&pipeline, 2, 200, &payload)?;
             expected2_counter = counter;
             expected2_payload = payload;
             crash_slot = None;
             crash_len = 0;
         }
         CrashPoint::DedupChain => {
-            (expected2_counter, expected2_payload) =
-                drive_dedup_chain(&pipeline, Some(2), &baseline2)?;
+            (expected2_counter, expected2_payload) = drive_dedup_chain(&pipeline, 2, &baseline2)?;
             crash_slot = None;
             crash_len = 0;
         }
         _ => {
             let raw = synthetic_payload(200, CRASH_STATE);
-            let (_, slot) = drive_to_crash_point_scoped(&store, Scope::Job(2), point, 200, &raw)?;
+            let (_, slot) = drive_to_crash_point(&store, 2, point, 200, &raw)?;
             expected2_counter = counter2;
             expected2_payload = baseline2.clone();
             crash_slot = Some(slot);
@@ -482,8 +481,12 @@ fn namespace_framed_crash_case(point: CrashPoint) -> Result<bool, PccheckError> 
 
     let mut ok = report.is_clean();
     for &(job, ref head) in &report.namespace_recovery {
-        match recovery::recover_job(Arc::clone(&device), job) {
-            Ok(r) => {
+        let options = RestoreOptions {
+            job: Some(job),
+            ..RestoreOptions::default()
+        };
+        match recover_instrumented_with(Arc::clone(&device), &Telemetry::disabled(), options) {
+            Ok((r, _)) => {
                 ok &= head.as_ref().map(|m| m.counter) == Some(r.counter);
                 if job == 1 {
                     // Tenant isolation: tenant 2's crash never moves

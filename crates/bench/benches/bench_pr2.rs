@@ -11,6 +11,7 @@
 
 use std::fmt::Write as _;
 
+use pccheck::RestoreOptions;
 use pccheck_harness::forensics_run::{run_crash_scenario, CrashPoint, ForensicsRunConfig};
 use pccheck_harness::telemetry_run::{run_instrumented, InstrumentedRunConfig, STRATEGIES};
 use pccheck_telemetry::{EventKind, Phase};
@@ -108,7 +109,8 @@ fn main() {
     json.push_str("  \"recovery\": [\n");
     let fcfg = ForensicsRunConfig::default();
     for (i, point) in CrashPoint::ALL.iter().enumerate() {
-        let run = run_crash_scenario(*point, &fcfg).expect("scenario runs");
+        let run =
+            run_crash_scenario(*point, &fcfg, RestoreOptions::default()).expect("scenario runs");
         println!(
             "  {:<28} recovered=#{} (iter {}) total={}ns audit_clean={}",
             run.crash_point.name(),

@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use pccheck::{CheckpointStore, PersistPipeline, PipelineCtx};
+use pccheck::{CheckpointStore, PersistPipeline, PipelineCtx, StoreGeometry, DEFAULT_JOB};
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice, StripedDevice};
 use pccheck_gpu::SnapshotSource;
 use pccheck_telemetry::Telemetry;
@@ -89,8 +89,10 @@ fn measure(ways: u32) -> WaysResult {
     };
 
     let store = Arc::new(
-        CheckpointStore::format(Arc::clone(&device), state, 2).expect("device fits two slots"),
+        CheckpointStore::format(Arc::clone(&device), StoreGeometry::single(state, 2))
+            .expect("device fits two slots"),
     );
+    let ns = store.namespace(DEFAULT_JOB).expect("single-tenant store");
     let chunks = (STATE_BYTES / CHUNK_BYTES) as usize;
     let pipeline = PersistPipeline::new(Arc::clone(&store))
         .with_writers(WRITERS)
@@ -113,7 +115,7 @@ fn measure(ways: u32) -> WaysResult {
             span,
         };
         let total = src.size();
-        let lease = pipeline.lease(ctx);
+        let lease = pipeline.lease(ctx, &ns);
         let copied = pipeline
             .copy_chunks(ctx, &src, &lease, total, false)
             .expect("staged copy on healthy device");

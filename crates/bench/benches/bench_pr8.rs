@@ -29,15 +29,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pccheck::{
-    recovery, CheckpointStore, PcCheckConfig, PcCheckEngine, PccheckError, PersistPipeline,
-    QosArbiter, QosConfig,
+    recover_instrumented_with, CheckpointStore, PcCheckConfig, PcCheckEngine, PccheckError,
+    PersistPipeline, QosArbiter, QosConfig, RestoreOptions, StoreGeometry,
 };
 use pccheck_bench::stats::{bench_json_path, host_cores, median, rel_iqr};
 use pccheck_daemon::{Daemon, DaemonConfig, JobSpec};
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingState};
 use pccheck_sim::FluidResource;
-use pccheck_telemetry::Phase;
+use pccheck_telemetry::{Phase, Telemetry};
 use pccheck_util::{Bandwidth, ByteSize, SimDuration, SimTime};
 
 /// Repetitions per scaling arm.
@@ -231,10 +231,16 @@ struct Tenants {
 
 fn tenants() -> Tenants {
     let size = ByteSize::from_bytes(4096);
-    let cap = CheckpointStore::required_capacity_service(size, 8, 128, 4) + ByteSize::from_kb(4);
+    let geometry = StoreGeometry {
+        slot_size: size,
+        slots: 8,
+        flight_records: 128,
+        max_namespaces: 4,
+    };
+    let cap = geometry.required_capacity() + ByteSize::from_kb(4);
     let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
     let dev: Arc<dyn PersistentDevice> = ssd.clone();
-    let store = Arc::new(CheckpointStore::format_service(dev, size, 8, 128, 4).expect("format"));
+    let store = Arc::new(CheckpointStore::format(dev, geometry).expect("format"));
     store.allocate_namespace(1, 4).expect("ns 1");
     store.allocate_namespace(2, 4).expect("ns 2");
     let qos = Arc::new(QosArbiter::new(QosConfig::default()));
@@ -287,13 +293,13 @@ fn audited_clean(t: &Tenants, issued: [u64; 2]) -> bool {
         return false;
     }
     for job in [1u64, 2] {
-        let predicted = report
-            .namespace_recovery
-            .iter()
-            .find(|(j, _)| *j == job)
-            .and_then(|(_, m)| *m);
-        match recovery::recover_job(t.ssd.clone() as Arc<dyn PersistentDevice>, job) {
-            Ok(rec) => {
+        let predicted = report.expected_recovery(job);
+        let options = RestoreOptions {
+            job: Some(job),
+            ..RestoreOptions::default()
+        };
+        match recover_instrumented_with(t.ssd.clone(), &Telemetry::disabled(), options) {
+            Ok((rec, _)) => {
                 if rec.iteration > issued[(job - 1) as usize]
                     || predicted.map(|m| m.counter) != Some(rec.counter)
                 {

@@ -36,14 +36,18 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
 
-use pccheck::{recovery, CheckpointStore, PccheckError, SlotOutcome};
+use pccheck::{
+    recover_instrumented_with, CheckpointStore, PccheckError, RestoreOptions, SlotOutcome,
+    StoreGeometry, DEFAULT_JOB,
+};
+use pccheck_bench::stats::{bench_json_path, host_cores, median};
 use pccheck_device::{DeviceConfig, PersistentDevice, SsdDevice};
 use pccheck_gpu::StateDigest;
 use pccheck_harness::forensics_run::{
-    commit_checkpoint_scoped, drive_to_crash_point_scoped, run_crash_scenario, synthetic_payload,
-    CrashPoint, ForensicsRunConfig, Scope,
+    commit_checkpoint, drive_to_crash_point, run_crash_scenario, synthetic_payload, CrashPoint,
+    ForensicsRunConfig,
 };
-use pccheck_bench::stats::{bench_json_path, host_cores, median};
+use pccheck_telemetry::Telemetry;
 use pccheck_util::ByteSize;
 
 /// Checkpoint payload: small on purpose, so the commit path dominates.
@@ -82,13 +86,17 @@ fn throughput_rep(n: usize, locked: bool) -> f64 {
     let cap = CheckpointStore::required_capacity(state, slots) + ByteSize::from_kb(4);
     let device: Arc<dyn PersistentDevice> =
         Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-    let store = Arc::new(CheckpointStore::format(device, state, slots).expect("format"));
+    let store = Arc::new(
+        CheckpointStore::format(device, StoreGeometry::single(state, slots)).expect("format"),
+    );
+    let ns = store.namespace(DEFAULT_JOB).expect("single-tenant store");
     let lock = Arc::new(Mutex::new(()));
     let barrier = Arc::new(Barrier::new(n + 1));
 
     let workers: Vec<_> = (0..n)
         .map(|t| {
             let store = Arc::clone(&store);
+            let ns = Arc::clone(&ns);
             let lock = Arc::clone(&lock);
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
@@ -98,9 +106,9 @@ fn throughput_rep(n: usize, locked: bool) -> f64 {
                     let iteration = t as u64 * OPS + op;
                     let lease = if locked {
                         let _g = lock.lock().unwrap();
-                        store.begin_checkpoint()
+                        store.begin_checkpoint(&ns)
                     } else {
-                        store.begin_checkpoint()
+                        store.begin_checkpoint(&ns)
                     };
                     store.write_payload(&lease, 0, &payload).expect("write");
                     store.persist_payload(&lease, 0, PAYLOAD).expect("persist");
@@ -165,8 +173,8 @@ fn lattice_matches_recovery(outcomes: &[SlotOutcome], recovered: &[u64]) -> bool
 /// One flat/striped crash scenario: clean audit, prediction == recovery,
 /// lattice consistent. Returns `Ok(true)` when every check holds.
 fn crash_case(point: CrashPoint, cfg: &ForensicsRunConfig) -> Result<bool, PccheckError> {
-    let run = run_crash_scenario(point, cfg)?;
-    let predicted = run.report.expected_recovery.map(|m| m.counter);
+    let run = run_crash_scenario(point, cfg, RestoreOptions::default())?;
+    let predicted = run.report.expected_recovery(DEFAULT_JOB).map(|m| m.counter);
     Ok(run.report.is_clean()
         && predicted == Some(run.recovered.counter)
         && lattice_matches_recovery(&run.report.slot_outcomes, &[run.recovered.counter]))
@@ -174,7 +182,7 @@ fn crash_case(point: CrashPoint, cfg: &ForensicsRunConfig) -> Result<bool, Pcche
 
 /// One two-tenant crash scenario: tenant 1 commits a baseline, tenant 2
 /// is driven into `point`, the power fails, and both the global audit
-/// and each namespace's prediction must match what `recover_job`
+/// and each namespace's prediction must match what that tenant's recovery
 /// restores — with tenant 1's state intact.
 fn namespace_crash_case(point: CrashPoint) -> Result<bool, PccheckError> {
     const STATE: u64 = 4096;
@@ -182,25 +190,24 @@ fn namespace_crash_case(point: CrashPoint) -> Result<bool, PccheckError> {
     const FLIGHT: u32 = 128;
     const MAX_NS: u32 = 4;
     let state = ByteSize::from_bytes(STATE);
-    let cap = CheckpointStore::required_capacity_service(state, SLOTS, FLIGHT, MAX_NS)
-        + ByteSize::from_kb(4);
+    let geometry = StoreGeometry {
+        slot_size: state,
+        slots: SLOTS,
+        flight_records: FLIGHT,
+        max_namespaces: MAX_NS,
+    };
+    let cap = geometry.required_capacity() + ByteSize::from_kb(4);
     let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
     let device: Arc<dyn PersistentDevice> = ssd.clone();
-    let store = CheckpointStore::format_service(Arc::clone(&device), state, SLOTS, FLIGHT, MAX_NS)?;
+    let store = CheckpointStore::format(Arc::clone(&device), geometry)?;
     store.allocate_namespace(1, 4)?;
     store.allocate_namespace(2, 4)?;
 
-    let baseline1 = commit_checkpoint_scoped(
-        &store,
-        Scope::Job(1),
-        100,
-        &synthetic_payload(100, STATE),
-    )?;
-    commit_checkpoint_scoped(&store, Scope::Job(2), 100, &synthetic_payload(100, STATE))?;
+    let baseline1 = commit_checkpoint(&store, 1, 100, &synthetic_payload(100, STATE))?;
+    commit_checkpoint(&store, 2, 100, &synthetic_payload(100, STATE))?;
 
     let payload = synthetic_payload(200, STATE);
-    let (crashed_counter, slot) =
-        drive_to_crash_point_scoped(&store, Scope::Job(2), point, 200, &payload)?;
+    let (crashed_counter, slot) = drive_to_crash_point(&store, 2, point, 200, &payload)?;
     match point {
         CrashPoint::DuringPersist => {
             ssd.arm_crash_after_persists(0);
@@ -217,8 +224,12 @@ fn namespace_crash_case(point: CrashPoint) -> Result<bool, PccheckError> {
     let mut recovered = Vec::new();
     let mut predictions_hold = true;
     for &(job, ref head) in &report.namespace_recovery {
-        match recovery::recover_job(Arc::clone(&device), job) {
-            Ok(r) => {
+        let options = RestoreOptions {
+            job: Some(job),
+            ..RestoreOptions::default()
+        };
+        match recover_instrumented_with(Arc::clone(&device), &Telemetry::disabled(), options) {
+            Ok((r, _)) => {
                 recovered.push(r.counter);
                 predictions_hold &= head.as_ref().map(|m| m.counter) == Some(r.counter);
                 if job == 1 {

@@ -2,7 +2,7 @@
 //! write paths (§3.3) and the commit protocol's fixed costs.
 use std::sync::Arc;
 
-use pccheck::CheckpointStore;
+use pccheck::{CheckpointStore, StoreGeometry, DEFAULT_JOB};
 use pccheck_bench::stats::time;
 use pccheck_device::{DeviceConfig, PersistentDevice, PmemDevice, PmemWriteMode, SsdDevice};
 use pccheck_util::ByteSize;
@@ -27,13 +27,15 @@ fn commit_protocol() {
     let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(64), 3);
     let dev: Arc<dyn PersistentDevice> =
         Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-    let store = CheckpointStore::format(dev, ByteSize::from_bytes(64), 3).expect("format");
+    let geometry = StoreGeometry::single(ByteSize::from_bytes(64), 3);
+    let store = CheckpointStore::format(dev, geometry).expect("format");
+    let ns = store.namespace(DEFAULT_JOB).expect("single-tenant store");
     let mut iter = 0u64;
     println!("[store] begin + write + persist + commit of 64 B, x{COMMITS}");
     time("store/commit_protocol/begin_write_commit_64b", 20, || {
         for _ in 0..COMMITS {
             iter += 1;
-            let lease = store.begin_checkpoint();
+            let lease = store.begin_checkpoint(&ns);
             store.write_payload(&lease, 0, &[1u8; 64]).expect("write");
             store.persist_payload(&lease, 0, 64).expect("persist");
             store.commit(lease, iter, 64, 0).expect("commit");

@@ -100,6 +100,7 @@ use std::collections::HashMap;
 use pccheck_util::fnv::{chunk_digest, fnv1a};
 
 use crate::meta::{checksum, CheckMeta};
+use crate::store::JobId;
 
 /// Frame table magic: ASCII `PCFRAME1` (little-endian `u64`).
 pub const FRAME_MAGIC: u64 = u64::from_le_bytes(*b"PCFRAME1");
@@ -784,12 +785,11 @@ struct Generation {
 /// One generation per job: installing a new commit's homes evicts the
 /// prior generation wholesale, and a generation answers only while its
 /// installer is the job's head — the lifetime over which that head's link
-/// chain pins every home it names. Jobs are keyed by their id (`u64::MAX`
-/// stands for the single-tenant "no job" namespace) so multi-tenant stores
-/// never dedup across namespaces.
+/// chain pins every home it names. Jobs are keyed by their id, so tenants
+/// of one store never dedup across namespaces.
 #[derive(Debug, Default)]
 pub struct DedupIndex {
-    generations: HashMap<u64, Generation>,
+    generations: HashMap<JobId, Generation>,
     /// Max entries kept per generation; overflow chunks stay materialized.
     cap: usize,
 }
@@ -806,10 +806,6 @@ impl DedupIndex {
         }
     }
 
-    fn job_key(job: Option<u64>) -> u64 {
-        job.unwrap_or(u64::MAX)
-    }
-
     /// Replaces `job`'s generation with the homes of the just-committed
     /// checkpoint `head`: `(digest, home)` for each chunk it materialized
     /// (homed at itself) and each base hit it carried forward. A late
@@ -817,12 +813,11 @@ impl DedupIndex {
     /// dropped.
     pub fn install(
         &mut self,
-        job: Option<u64>,
+        job: JobId,
         head: u64,
         homes: impl IntoIterator<Item = (u64, DedupHome)>,
     ) {
-        let key = Self::job_key(job);
-        if self.generations.get(&key).is_some_and(|g| g.head > head) {
+        if self.generations.get(&job).is_some_and(|g| g.head > head) {
             return;
         }
         let cap = if self.cap == 0 {
@@ -838,7 +833,7 @@ impl DedupIndex {
             by_digest.entry(digest).or_insert(home);
         }
         self.generations.insert(
-            key,
+            job,
             Generation {
                 head,
                 homes: by_digest,
@@ -849,8 +844,8 @@ impl DedupIndex {
     /// Looks up a chunk's home by content address, only answering from
     /// `job`'s generation when checkpoint `head` installed it — any other
     /// generation names homes the current head's chain may not pin.
-    pub fn lookup(&self, job: Option<u64>, head: u64, digest: u64, len: u64) -> Option<DedupHome> {
-        let g = self.generations.get(&Self::job_key(job))?;
+    pub fn lookup(&self, job: JobId, head: u64, digest: u64, len: u64) -> Option<DedupHome> {
+        let g = self.generations.get(&job)?;
         if g.head != head {
             return None;
         }
@@ -858,13 +853,13 @@ impl DedupIndex {
     }
 
     /// The checkpoint counter of `job`'s current generation, if any.
-    pub fn generation_counter(&self, job: Option<u64>) -> Option<u64> {
-        self.generations.get(&Self::job_key(job)).map(|g| g.head)
+    pub fn generation_counter(&self, job: JobId) -> Option<u64> {
+        self.generations.get(&job).map(|g| g.head)
     }
 
     /// Drops `job`'s generation (e.g., its namespace was released).
-    pub fn evict_job(&mut self, job: Option<u64>) {
-        self.generations.remove(&Self::job_key(job));
+    pub fn evict_job(&mut self, job: JobId) {
+        self.generations.remove(&job);
     }
 
     /// Drops every generation.
@@ -1032,48 +1027,48 @@ mod tests {
         let mut idx = DedupIndex::default();
         // Checkpoint 7 materialized one chunk and carried one from 5.
         idx.install(
-            None,
+            0,
             7,
             vec![(111, home(7, 2, 0, 64, 1)), (222, home(5, 0, 64, 64, 0))],
         );
-        assert_eq!(idx.lookup(None, 7, 111, 64), Some(home(7, 2, 0, 64, 1)));
+        assert_eq!(idx.lookup(0, 7, 111, 64), Some(home(7, 2, 0, 64, 1)));
         assert_eq!(
-            idx.lookup(None, 7, 222, 64),
+            idx.lookup(0, 7, 222, 64),
             Some(home(5, 0, 64, 64, 0)),
             "a carried hit keeps its original home"
         );
         // Another head: its chain may not pin these homes.
-        assert!(idx.lookup(None, 6, 111, 64).is_none());
+        assert!(idx.lookup(0, 6, 111, 64).is_none());
         // Length mismatch is a digest collision, not a hit.
-        assert!(idx.lookup(None, 7, 111, 32).is_none());
+        assert!(idx.lookup(0, 7, 111, 32).is_none());
         // Installing the next generation evicts the old one.
-        idx.install(None, 8, vec![(333, home(8, 0, 0, 64, 0))]);
-        assert!(idx.lookup(None, 8, 111, 64).is_none());
-        assert_eq!(idx.lookup(None, 8, 333, 64).unwrap().slot, 0);
-        assert_eq!(idx.generation_counter(None), Some(8));
+        idx.install(0, 8, vec![(333, home(8, 0, 0, 64, 0))]);
+        assert!(idx.lookup(0, 8, 111, 64).is_none());
+        assert_eq!(idx.lookup(0, 8, 333, 64).unwrap().slot, 0);
+        assert_eq!(idx.generation_counter(0), Some(8));
         // A displaced commit installing late does not roll it back.
-        idx.install(None, 7, vec![(111, home(7, 2, 0, 64, 1))]);
-        assert_eq!(idx.generation_counter(None), Some(8));
+        idx.install(0, 7, vec![(111, home(7, 2, 0, 64, 1))]);
+        assert_eq!(idx.generation_counter(0), Some(8));
     }
 
     #[test]
     fn dedup_index_is_per_job() {
         let mut idx = DedupIndex::default();
-        idx.install(Some(1), 5, vec![(42, home(5, 0, 0, 128, 0))]);
-        idx.install(Some(2), 9, vec![(42, home(9, 1, 0, 128, 0))]);
-        assert_eq!(idx.lookup(Some(1), 5, 42, 128).unwrap().counter, 5);
-        assert_eq!(idx.lookup(Some(2), 9, 42, 128).unwrap().counter, 9);
-        assert!(idx.lookup(Some(3), 5, 42, 128).is_none());
-        idx.evict_job(Some(1));
-        assert!(idx.lookup(Some(1), 5, 42, 128).is_none());
-        assert!(idx.lookup(Some(2), 9, 42, 128).is_some());
+        idx.install(1, 5, vec![(42, home(5, 0, 0, 128, 0))]);
+        idx.install(2, 9, vec![(42, home(9, 1, 0, 128, 0))]);
+        assert_eq!(idx.lookup(1, 5, 42, 128).unwrap().counter, 5);
+        assert_eq!(idx.lookup(2, 9, 42, 128).unwrap().counter, 9);
+        assert!(idx.lookup(3, 5, 42, 128).is_none());
+        idx.evict_job(1);
+        assert!(idx.lookup(1, 5, 42, 128).is_none());
+        assert!(idx.lookup(2, 9, 42, 128).is_some());
     }
 
     #[test]
     fn dedup_index_caps_generation_size() {
         let mut idx = DedupIndex::with_capacity(2);
         idx.install(
-            None,
+            0,
             1,
             vec![
                 (1, home(1, 0, 0, 8, 0)),
@@ -1081,9 +1076,9 @@ mod tests {
                 (3, home(1, 0, 16, 8, 0)),
             ],
         );
-        assert!(idx.lookup(None, 1, 1, 8).is_some());
-        assert!(idx.lookup(None, 1, 2, 8).is_some());
-        assert!(idx.lookup(None, 1, 3, 8).is_none());
+        assert!(idx.lookup(0, 1, 1, 8).is_some());
+        assert!(idx.lookup(0, 1, 2, 8).is_some());
+        assert!(idx.lookup(0, 1, 3, 8).is_none());
     }
 
     /// A hand-assembled frame exercising every record kind, its commit

@@ -40,8 +40,9 @@ use pccheck_util::ByteSize;
 
 use crate::config::PcCheckConfig;
 use crate::error::PccheckError;
+use crate::layout::StoreGeometry;
 use crate::pipeline::{DeltaPolicy, FenceMode, PersistPipeline, PipelineCtx};
-use crate::store::{CheckpointStore, CommitOutcome, JobId, SlotLease};
+use crate::store::{CheckpointStore, CommitOutcome, JobId, Namespace, SlotLease, DEFAULT_JOB};
 use crate::tuner::{ControllerConfig, ControllerSignals, PersistController};
 
 /// Cumulative engine statistics.
@@ -131,10 +132,12 @@ pub struct PcCheckEngine {
     pipeline: Arc<PersistPipeline>,
     store: Arc<CheckpointStore>,
     pool: HostBufferPool,
-    /// In service mode, the tenant this facade checkpoints for: leases
-    /// come from this job's namespace and commits move its commit
-    /// pointer. `None` = classic single-tenant engine.
-    job: Option<JobId>,
+    /// The tenant this engine checkpoints for, resolved once: leases come
+    /// from this namespace and commits move its commit pointer.
+    ns: Arc<Namespace>,
+    /// Whether this engine built its pipeline (and so may retune its
+    /// writer count and codec switch) or schedules over a shared one.
+    owns_pipeline: bool,
     in_flight: Arc<InFlight>,
     stats: Arc<EngineStats>,
     telemetry: Telemetry,
@@ -157,7 +160,7 @@ pub struct PcCheckEngine {
 
 impl PcCheckEngine {
     /// Creates an engine over `device` for checkpoints of `checkpoint_size`
-    /// bytes, formatting a fresh store with `N+1` slots.
+    /// bytes, formatting a fresh single-tenant store with `N+1` slots.
     ///
     /// # Errors
     ///
@@ -169,35 +172,27 @@ impl PcCheckEngine {
         checkpoint_size: ByteSize,
     ) -> Result<Self, PccheckError> {
         config.validate()?;
-        let slots = (config.max_concurrent + 1) as u32;
-        let store = CheckpointStore::format_with_flight(
-            device,
-            checkpoint_size,
-            slots,
-            config.flight_records,
-        )?;
+        let geometry = StoreGeometry {
+            flight_records: config.flight_records,
+            ..StoreGeometry::single(checkpoint_size, (config.max_concurrent + 1) as u32)
+        };
+        let store = CheckpointStore::format(device, geometry)?;
         Self::with_store(config, Arc::new(store))
     }
 
-    /// Creates an engine over an existing (e.g., recovered) store.
+    /// Creates an engine for [`DEFAULT_JOB`] over an existing (e.g.,
+    /// recovered) store, with a pipeline of its own.
     ///
     /// # Errors
     ///
     /// Returns [`PccheckError::InvalidConfig`] if the configuration is
-    /// invalid or the store has fewer than `N+1` slots.
+    /// invalid, the store has no default namespace, or that namespace has
+    /// fewer than `N+1` slots.
     pub fn with_store(
         config: PcCheckConfig,
         store: Arc<CheckpointStore>,
     ) -> Result<Self, PccheckError> {
         config.validate()?;
-        if (store.num_slots() as usize) < config.max_concurrent + 1 {
-            return Err(PccheckError::InvalidConfig(format!(
-                "store has {} slots but N={} needs {}",
-                store.num_slots(),
-                config.max_concurrent,
-                config.max_concurrent + 1
-            )));
-        }
         if !config.pipelined && config.dram_bytes() < store.slot_size() {
             // The staged (Figure 6) path holds every chunk of a checkpoint
             // in DRAM before persisting; a smaller pool would deadlock on
@@ -208,39 +203,17 @@ impl PcCheckEngine {
                 store.slot_size()
             )));
         }
-        let pool = HostBufferPool::new(config.chunk_size, config.dram_chunks);
         let fence = if config.single_sync {
             FenceMode::Deferred
         } else {
             FenceMode::PerWriter
         };
-        let pipeline = PersistPipeline::new(Arc::clone(&store))
+        let pipeline = PersistPipeline::new(store)
             .with_writers(config.writer_threads)
             .with_fence(fence)
-            .with_staging(pool.clone())
+            .with_staging(HostBufferPool::new(config.chunk_size, config.dram_chunks))
             .with_codec(config.codec);
-        let last = store.latest_committed().map(|m| CheckpointOutcome {
-            iteration: m.iteration,
-            digest: m.state_digest(),
-        });
-        let controller = Self::build_controller(&config);
-        let codec_active = config.codec;
-        Ok(PcCheckEngine {
-            config,
-            pipeline: Arc::new(pipeline),
-            store,
-            pool,
-            job: None,
-            in_flight: Arc::new(InFlight::default()),
-            stats: Arc::new(EngineStats::default()),
-            telemetry: Telemetry::disabled(),
-            first_error: Arc::new(Mutex::new(None)),
-            last_committed: Arc::new(Mutex::new(last)),
-            workers: Mutex::new(Vec::new()),
-            controller: Mutex::new(controller),
-            delta_policy: Arc::new(Mutex::new(DeltaPolicy::default())),
-            codec_active: Arc::new(std::sync::atomic::AtomicBool::new(codec_active)),
-        })
+        Self::over(config, Arc::new(pipeline), DEFAULT_JOB, true)
     }
 
     /// Builds the adaptive controller when the config asks for one,
@@ -260,51 +233,52 @@ impl PcCheckEngine {
         ))
     }
 
-    /// Creates a per-job facade over a *shared* pipeline (service mode):
-    /// the store, staging pool, writer pool, and QoS arbiter all belong
-    /// to the daemon; this engine only schedules `job`'s checkpoints over
-    /// them. Leases draw from `job`'s namespace and `last_committed`
-    /// starts from that namespace's recovered head.
+    /// Creates a per-job facade over a *shared* pipeline: the store,
+    /// staging pool, writer pool, and QoS arbiter all belong to the
+    /// daemon; this engine only schedules `job`'s checkpoints over them.
+    /// Its controller runs in per-job observe mode — it retunes this
+    /// tenant's codec and delta policy but never writes the shared
+    /// pipeline's writer count or codec switch.
     ///
     /// # Errors
     ///
     /// Returns [`PccheckError::InvalidConfig`] if the configuration is
-    /// invalid, the pipeline has no staging pool, the store is not
-    /// multi-tenant, `job` has no namespace, or the namespace has fewer
-    /// than `N+1` slots.
+    /// invalid, the pipeline has no staging pool, `job` has no namespace,
+    /// or the namespace has fewer than `N+1` slots.
     pub fn with_shared(
         config: PcCheckConfig,
         pipeline: Arc<PersistPipeline>,
         job: JobId,
     ) -> Result<Self, PccheckError> {
         config.validate()?;
+        Self::over(config, pipeline, job, false)
+    }
+
+    /// The one constructor: resolves `job`'s namespace in the pipeline's
+    /// store, so every later lease is infallible, and starts
+    /// `last_committed` from that namespace's recovered head.
+    fn over(
+        config: PcCheckConfig,
+        pipeline: Arc<PersistPipeline>,
+        job: JobId,
+        owns_pipeline: bool,
+    ) -> Result<Self, PccheckError> {
         let store = Arc::clone(pipeline.store());
-        if !store.is_multi_tenant() {
-            return Err(PccheckError::InvalidConfig(
-                "with_shared needs a service-mode (multi-tenant) store".into(),
-            ));
-        }
         let Some(pool) = pipeline.staging_pool().cloned() else {
             return Err(PccheckError::InvalidConfig(
-                "with_shared needs a pipeline with a staging pool attached".into(),
+                "engine needs a pipeline with a staging pool attached".into(),
             ));
         };
-        let ns = store
-            .namespaces()
-            .into_iter()
-            .find(|d| d.job == job)
-            .ok_or_else(|| {
-                PccheckError::InvalidConfig(format!("job {job} has no namespace in this store"))
-            })?;
-        if (ns.slot_count as usize) < config.max_concurrent + 1 {
+        let ns = store.namespace(job)?;
+        if (ns.desc().slot_count as usize) < config.max_concurrent + 1 {
             return Err(PccheckError::InvalidConfig(format!(
                 "job {job}'s namespace has {} slots but N={} needs {}",
-                ns.slot_count,
+                ns.desc().slot_count,
                 config.max_concurrent,
                 config.max_concurrent + 1
             )));
         }
-        let last = store.latest_committed_job(job)?.map(|m| CheckpointOutcome {
+        let last = store.latest_committed(&ns).map(|m| CheckpointOutcome {
             iteration: m.iteration,
             digest: m.state_digest(),
         });
@@ -315,26 +289,28 @@ impl PcCheckEngine {
             pipeline,
             store,
             pool,
-            job: Some(job),
+            ns,
+            owns_pipeline,
             in_flight: Arc::new(InFlight::default()),
             stats: Arc::new(EngineStats::default()),
             telemetry: Telemetry::disabled(),
             first_error: Arc::new(Mutex::new(None)),
             last_committed: Arc::new(Mutex::new(last)),
             workers: Mutex::new(Vec::new()),
-            // Service mode: the controller runs in per-job observe mode —
-            // it retunes this tenant's codec and delta policy but never
-            // writes the shared pipeline's writer count or codec switch
-            // (those belong to the daemon).
             controller: Mutex::new(controller),
             delta_policy: Arc::new(Mutex::new(DeltaPolicy::default())),
             codec_active: Arc::new(std::sync::atomic::AtomicBool::new(codec_active)),
         })
     }
 
-    /// The job this facade checkpoints for (service mode), if any.
-    pub fn job(&self) -> Option<JobId> {
-        self.job
+    /// The job this engine checkpoints for.
+    pub fn job(&self) -> JobId {
+        self.ns.job()
+    }
+
+    /// That job's namespace in the store.
+    pub fn namespace(&self) -> &Arc<Namespace> {
+        &self.ns
     }
 
     /// The engine configuration.
@@ -434,10 +410,10 @@ impl PcCheckEngine {
     /// since the last one. Called on the training thread — the tick is a
     /// snapshot read plus integer arithmetic, far below one iteration.
     ///
-    /// Single-tenant engines own their pipeline, so the decision is
-    /// applied to its writer count and codec switch. Service-mode facades
-    /// share the daemon's pipeline: the tick is pure and the decision
-    /// only moves this job's own knobs (codec use, delta policy).
+    /// An engine that owns its pipeline applies the decision to its
+    /// writer count and codec switch. A facade over a shared pipeline
+    /// leaves those to the daemon: the tick is pure and the decision only
+    /// moves this job's own knobs (codec use, delta policy).
     fn maybe_steer(&self) {
         if self.config.adaptive_interval == 0 {
             return;
@@ -453,7 +429,7 @@ impl PcCheckEngine {
         let Some(controller) = slot.as_mut() else {
             return;
         };
-        let decision = if self.job.is_none() {
+        let decision = if self.owns_pipeline {
             controller.steer(&snapshot, &self.pipeline)
         } else {
             controller.tick(ControllerSignals::from_snapshot(&snapshot))
@@ -471,13 +447,13 @@ impl PcCheckEngine {
         config: &PcCheckConfig,
         ctx: PipelineCtx<'_>,
         guard: OwnedWeightsGuard,
-        job: Option<JobId>,
+        ns: &Arc<Namespace>,
         iteration: u64,
         delta_policy: DeltaPolicy,
         use_codec: bool,
     ) -> Result<(CommitOutcome, StateDigest), PccheckError> {
         let total = guard.size();
-        let lease = pipeline.lease_for(ctx, job)?;
+        let lease = pipeline.lease(ctx, ns);
         let (counter, slot) = (lease.counter, lease.slot);
         let result = Self::run_leased(
             pipeline,
@@ -586,7 +562,7 @@ impl Checkpointer for PcCheckEngine {
         let first_error = Arc::clone(&self.first_error);
         let last = Arc::clone(&self.last_committed);
         let total_bytes = guard.size().as_u64();
-        let job = self.job;
+        let ns = Arc::clone(&self.ns);
         let delta_policy = *self.delta_policy.lock();
         let use_codec = self
             .codec_active
@@ -601,7 +577,7 @@ impl Checkpointer for PcCheckEngine {
                 &config,
                 ctx,
                 guard,
-                job,
+                &ns,
                 iteration,
                 delta_policy,
                 use_codec,
@@ -711,7 +687,7 @@ mod tests {
         let total = engine.stats().committed() + engine.stats().superseded();
         assert_eq!(total, 10);
         // Recovered metadata agrees.
-        let meta = engine.store().latest_committed().unwrap();
+        let meta = engine.store().latest_committed(engine.namespace()).unwrap();
         assert_eq!(meta.iteration, 10);
     }
 
@@ -734,7 +710,7 @@ mod tests {
             engine.checkpoint(&gpu, iter);
             engine.drain();
         }
-        let meta = engine.store().latest_committed().unwrap();
+        let meta = engine.store().latest_committed(engine.namespace()).unwrap();
         let mut payload = vec![0u8; meta.payload_len as usize];
         let store = engine.store();
         store
@@ -770,7 +746,9 @@ mod tests {
         ssd.crash_now();
         ssd.recover();
         let store = CheckpointStore::open(ssd).unwrap();
-        let meta = store.latest_committed().unwrap();
+        let meta = store
+            .latest_committed(&store.namespace(DEFAULT_JOB).unwrap())
+            .unwrap();
         assert_eq!(meta.iteration, 1);
         let mut payload = vec![0u8; meta.payload_len as usize];
         store
@@ -808,7 +786,9 @@ mod tests {
         pmem.crash_now();
         pmem.recover();
         let store = CheckpointStore::open(pmem).unwrap();
-        let meta = store.latest_committed().unwrap();
+        let meta = store
+            .latest_committed(&store.namespace(DEFAULT_JOB).unwrap())
+            .unwrap();
         let mut payload = vec![0u8; meta.payload_len as usize];
         store
             .device()
@@ -849,7 +829,7 @@ mod tests {
         // The commit record may exist (the committer fenced its own meta
         // write), but the payload written by *other* threads was never
         // fenced, so verification must fail.
-        if let Some(meta) = store.latest_committed() {
+        if let Some(meta) = store.latest_committed(&store.namespace(DEFAULT_JOB).unwrap()) {
             let mut payload = vec![0u8; meta.payload_len as usize];
             store
                 .device()
@@ -1049,13 +1029,20 @@ mod tests {
         use crate::qos::{QosArbiter, QosConfig};
 
         let state = ByteSize::from_bytes(600);
-        let cap =
-            CheckpointStore::required_capacity_service(state, 8, 64, 4) + ByteSize::from_kb(1);
+        let geometry = StoreGeometry {
+            slot_size: state,
+            slots: 8,
+            flight_records: 64,
+            max_namespaces: 4,
+        };
+        let cap = geometry.required_capacity() + ByteSize::from_kb(1);
         let device: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let store = Arc::new(CheckpointStore::format_service(device, state, 8, 64, 4).unwrap());
-        store.allocate_namespace(1, 4).unwrap();
-        store.allocate_namespace(2, 4).unwrap();
+        let store = Arc::new(CheckpointStore::format(device, geometry).unwrap());
+        let tenants = [
+            store.allocate_namespace(1, 4).unwrap(),
+            store.allocate_namespace(2, 4).unwrap(),
+        ];
         let qos = Arc::new(QosArbiter::new(QosConfig::default()));
         qos.register_job(1, 1);
         qos.register_job(2, 1);
@@ -1075,7 +1062,7 @@ mod tests {
             .unwrap();
         let e1 = PcCheckEngine::with_shared(config.clone(), Arc::clone(&pipeline), 1).unwrap();
         let e2 = PcCheckEngine::with_shared(config.clone(), Arc::clone(&pipeline), 2).unwrap();
-        assert_eq!(e1.job(), Some(1));
+        assert_eq!(e1.job(), 1);
 
         let g1 = tiny_gpu(600, 21);
         let g2 = tiny_gpu(600, 22);
@@ -1090,11 +1077,8 @@ mod tests {
         assert_eq!(e1.last_committed().unwrap().iteration, 6);
         assert_eq!(e2.last_committed().unwrap().iteration, 106);
         // The store's per-namespace heads agree with the facades.
-        assert_eq!(store.latest_committed_job(1).unwrap().unwrap().iteration, 6);
-        assert_eq!(
-            store.latest_committed_job(2).unwrap().unwrap().iteration,
-            106
-        );
+        assert_eq!(store.latest_committed(&tenants[0]).unwrap().iteration, 6);
+        assert_eq!(store.latest_committed(&tenants[1]).unwrap().iteration, 106);
         // Both jobs' chunk writes were metered by the shared arbiter.
         let shares = qos.shares();
         assert!(shares.iter().find(|s| s.0 == 1).unwrap().1 >= 600);
@@ -1301,7 +1285,9 @@ mod tests {
         let cap = CheckpointStore::required_capacity(gpu.state_size(), 2) + ByteSize::from_kb(1);
         let device: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let store = Arc::new(CheckpointStore::format(device, gpu.state_size(), 2).unwrap());
+        let store = Arc::new(
+            CheckpointStore::format(device, StoreGeometry::single(gpu.state_size(), 2)).unwrap(),
+        );
         let config = PcCheckConfig::builder().max_concurrent(3).build().unwrap();
         assert!(matches!(
             PcCheckEngine::with_store(config, store),

@@ -15,7 +15,8 @@
 //!
 //! * [`queue`] — the bounded lock-free MPMC free-slot queue of Listing 1.
 //! * [`meta`] — checkpoint metadata records and the packed `CHECK_ADDR`.
-//! * [`store`] — the persistent slot layout and the CAS commit protocol.
+//! * [`layout`] — the superblock and every on-device region offset.
+//! * [`store`] — per-job namespaces and the CAS commit protocol.
 //! * [`pipeline`] — [`PersistPipeline`]: the shared chunk-scheduled
 //!   chunk → write → fence → commit I/O layer every storage-backed
 //!   strategy schedules over.
@@ -70,6 +71,7 @@ pub mod distributed;
 pub mod engine;
 pub mod error;
 pub mod footprint;
+pub mod layout;
 pub mod meta;
 pub mod pipeline;
 pub mod qos;
@@ -94,13 +96,15 @@ pub use pipeline::{
 };
 pub use qos::{QosArbiter, QosConfig, QosGrant};
 pub use recovery::{
-    recover, recover_instrumented, recover_job, RecoveredCheckpoint, RecoveryModel, RecoveryTrace,
-    Strategy,
+    recover, recover_instrumented, RecoveredCheckpoint, RecoveryModel, RecoveryTrace, Strategy,
 };
 pub use restore::{
     decode_frame, recover_instrumented_with, recover_into_gpu, RestoreOptions, RestorePipeline,
 };
-pub use store::{CheckpointStore, CommitOutcome, JobId, RawStoreView, SlotOutcome};
+pub use layout::{StoreGeometry, StoreLayout};
+pub use store::{
+    CheckpointStore, CommitOutcome, JobId, Namespace, RawStoreView, SlotOutcome, DEFAULT_JOB,
+};
 pub use tuner::{
     AdaptiveTuner, ControllerAction, ControllerConfig, ControllerDecision, ControllerSignals,
     PersistController, TierHint, Tuner, TunerInputs, TunerRecommendation,

@@ -38,7 +38,7 @@ use crate::codec::{compress_gated, ChunkEncoding, DedupHome, DedupIndex, FrameRe
 use crate::error::PccheckError;
 use crate::meta::DeltaLink;
 use crate::qos::QosArbiter;
-use crate::store::{CheckpointStore, CommitOutcome, JobId, SlotLease};
+use crate::store::{CheckpointStore, CommitOutcome, Namespace, SlotLease};
 
 /// Tile size for the GPU-kernel write-through loop (kernel grids move data
 /// in bounded tiles; GPM's SSD/PMEM adaptation).
@@ -287,41 +287,14 @@ impl PersistPipeline {
             .expect("chunk-scheduled copy paths need a staging pool")
     }
 
-    /// Leases a free slot and refreshes the queue-depth gauges.
-    ///
-    /// Single-tenant stores only; on a multi-tenant (service-mode) store
-    /// use [`lease_for`](Self::lease_for) with the job id.
-    pub fn lease(&self, ctx: PipelineCtx<'_>) -> SlotLease {
-        let lease = self.store.begin_checkpoint();
+    /// Leases a free slot from `ns` and refreshes the queue-depth gauges
+    /// with that namespace's free-slot count.
+    pub fn lease(&self, ctx: PipelineCtx<'_>, ns: &Arc<Namespace>) -> SlotLease {
+        let lease = self.store.begin_checkpoint(ns);
         ctx.telemetry
-            .gauge_queue_depth(self.store.free_slot_count() as u64);
+            .gauge_queue_depth(self.store.free_slot_count(ns) as u64);
         self.sample_device_queues(ctx);
         lease
-    }
-
-    /// Leases a free slot from `job`'s namespace (or the global pool when
-    /// `job` is `None`) and refreshes the queue-depth gauges with that
-    /// job's free-slot count.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `job` names no namespace in the store.
-    pub fn lease_for(
-        &self,
-        ctx: PipelineCtx<'_>,
-        job: Option<JobId>,
-    ) -> Result<SlotLease, PccheckError> {
-        let lease = match job {
-            Some(j) => self.store.begin_checkpoint_job(j)?,
-            None => self.store.begin_checkpoint(),
-        };
-        let free = match job {
-            Some(j) => self.store.free_slot_count_job(j)?,
-            None => self.store.free_slot_count(),
-        };
-        ctx.telemetry.gauge_queue_depth(free as u64);
-        self.sample_device_queues(ctx);
-        Ok(lease)
     }
 
     /// Writes one payload chunk, feeding the write-stage histogram and the
@@ -395,12 +368,11 @@ impl PersistPipeline {
         data: &[u8],
     ) -> Result<u64, PccheckError> {
         // Held across write + fence: the grant is the writer-pool lease
-        // the WDRR arbiter schedules. Legacy (non-namespaced) leases in a
-        // QoS pipeline charge job 0.
+        // the WDRR arbiter schedules.
         let _grant = self
             .qos
             .as_ref()
-            .map(|q| q.acquire(lease.job().unwrap_or(0), data.len() as u64));
+            .map(|q| q.acquire(lease.job(), data.len() as u64));
         let mut media = self.write_chunk(ctx, lease, offset, data)?;
         if self.fence == FenceMode::PerWriter {
             media += self.persist_chunk(ctx, lease, offset, data.len() as u64)?;
@@ -657,10 +629,9 @@ impl PersistPipeline {
         // frame that links to it stays within the depth bound. A chain of
         // depth d pins d + 1 slots and the next checkpoint needs one more,
         // so the lease's slot budget bounds the depth too.
-        let head = self.store.latest_committed_for(lease).map(|h| h.counter);
-        let max_depth = policy
-            .max_chain
-            .min(self.store.slot_budget_for(lease).saturating_sub(2));
+        let ns = lease.namespace();
+        let head = self.store.latest_committed(ns).map(|h| h.counter);
+        let max_depth = policy.max_chain.min(ns.desc().slot_count.saturating_sub(2));
 
         let persist_start = ctx.telemetry.now_nanos();
 
@@ -851,9 +822,9 @@ impl PersistPipeline {
         }))
     }
 
-    /// One-call codec checkpoint: lease → [`copy_framed`](Self::copy_framed)
-    /// → `seal` → commit, falling back to the raw streamed path when the
-    /// codec declines.
+    /// One-call codec checkpoint in `ns`: lease →
+    /// [`copy_framed`](Self::copy_framed) → `seal` → commit, falling back
+    /// to the raw streamed path when the codec declines.
     ///
     /// # Errors
     ///
@@ -861,12 +832,13 @@ impl PersistPipeline {
     pub fn checkpoint_framed(
         &self,
         ctx: PipelineCtx<'_>,
+        ns: &Arc<Namespace>,
         src: &dyn SnapshotSource,
         iteration: u64,
         policy: DeltaPolicy,
     ) -> Result<(CommitOutcome, FramedOutcome), PccheckError> {
         let total = src.size();
-        let lease = self.lease(ctx);
+        let lease = self.lease(ctx, ns);
         let copied = match self.copy_framed(ctx, src, &lease, total, policy)? {
             Some(framed) => framed,
             None => self.copy_chunks(ctx, src, &lease, total, true)?,
@@ -905,9 +877,9 @@ impl PersistPipeline {
         (host, state_digest)
     }
 
-    /// Whole-buffer persist: leases a slot *after* the copy, writes the
-    /// payload in one piece, fences it, and closes the `Persist` phase
-    /// (the traditional/CheckFreq `P` step).
+    /// Whole-buffer persist: leases a slot of `ns` *after* the copy,
+    /// writes the payload in one piece, fences it, and closes the
+    /// `Persist` phase (the traditional/CheckFreq `P` step).
     ///
     /// # Errors
     ///
@@ -915,13 +887,14 @@ impl PersistPipeline {
     pub fn persist_whole(
         &self,
         ctx: PipelineCtx<'_>,
+        ns: &Arc<Namespace>,
         payload: &[u8],
         state_digest: StateDigest,
         iteration: u64,
     ) -> Result<(SlotLease, Copied), PccheckError> {
         let total = payload.len() as u64;
         let persist_start = ctx.telemetry.now_nanos();
-        let lease = self.lease(ctx);
+        let lease = self.lease(ctx, ns);
         self.write_chunk(ctx, &lease, 0, payload)?;
         self.persist_chunk(ctx, &lease, 0, total)?;
         ctx.telemetry.chunk(ctx.span, Phase::Persist, 0, total);
@@ -1092,6 +1065,14 @@ mod tests {
     use pccheck_gpu::{Gpu, GpuConfig, TrainingState};
     use pccheck_telemetry::Telemetry;
 
+    use crate::layout::StoreGeometry;
+    use crate::store::DEFAULT_JOB;
+
+    /// The tenant of the single-tenant store under `pipeline`.
+    fn default_ns(pipeline: &PersistPipeline) -> Arc<Namespace> {
+        pipeline.store().namespace(DEFAULT_JOB).unwrap()
+    }
+
     fn gpu(size: u64, seed: u64) -> Gpu {
         Gpu::new(
             GpuConfig::fast_for_tests(),
@@ -1103,7 +1084,7 @@ mod tests {
         let cap = CheckpointStore::required_capacity(state, slots) + ByteSize::from_kb(1);
         let device: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        Arc::new(CheckpointStore::format(device, state, slots).unwrap())
+        Arc::new(CheckpointStore::format(device, StoreGeometry::single(state, slots)).unwrap())
     }
 
     #[test]
@@ -1121,10 +1102,15 @@ mod tests {
         let start = telemetry.now_nanos();
         let (host, digest) = pipeline.snapshot_whole(ctx, &guard, start);
         drop(guard);
-        let (lease, copied) = pipeline.persist_whole(ctx, &host, digest, 1).unwrap();
+        let (lease, copied) = pipeline
+            .persist_whole(ctx, &default_ns(&pipeline), &host, digest, 1)
+            .unwrap();
         let outcome = pipeline.commit(ctx, lease, 1, &copied).unwrap();
         assert_eq!(outcome, CommitOutcome::Committed);
-        let meta = pipeline.store().latest_committed().unwrap();
+        let meta = pipeline
+            .store()
+            .latest_committed(&default_ns(&pipeline))
+            .unwrap();
         assert_eq!(meta.iteration, 1);
         assert_eq!(meta.digest, g.digest().0);
         let snap = telemetry.snapshot().unwrap();
@@ -1153,7 +1139,7 @@ mod tests {
             };
             let guard = g.lock_weights_shared_owned();
             let total = guard.size();
-            let lease = pipeline.lease(ctx);
+            let lease = pipeline.lease(ctx, &default_ns(&pipeline));
             let copied = pipeline
                 .copy_chunks(ctx, &guard, &lease, total, streamed)
                 .unwrap();
@@ -1187,7 +1173,7 @@ mod tests {
             };
             let guard = g.lock_weights_shared_owned();
             let total = guard.size();
-            let lease = pipeline.lease(ctx);
+            let lease = pipeline.lease(ctx, &default_ns(&pipeline));
             let copied = pipeline
                 .copy_chunks(ctx, &guard, &lease, total, streamed)
                 .unwrap();
@@ -1235,7 +1221,7 @@ mod tests {
         };
         let guard = g.lock_weights_shared_owned();
         let total = guard.size();
-        let lease = pipeline.lease(ctx);
+        let lease = pipeline.lease(ctx, &default_ns(&pipeline));
         let copied = pipeline
             .copy_chunks(ctx, &guard, &lease, total, false)
             .unwrap();
@@ -1261,7 +1247,9 @@ mod tests {
             .collect();
         let striped: Arc<dyn PersistentDevice> =
             Arc::new(StripedDevice::new(members, ByteSize::from_bytes(256)));
-        let store = Arc::new(CheckpointStore::format(striped, g.state_size(), 2).unwrap());
+        let store = Arc::new(
+            CheckpointStore::format(striped, StoreGeometry::single(g.state_size(), 2)).unwrap(),
+        );
         let pipeline = PersistPipeline::new(store);
         let telemetry = Telemetry::enabled();
         let span = telemetry.span_requested("test", 1, 600);
@@ -1272,7 +1260,9 @@ mod tests {
         let guard = g.lock_weights_shared();
         let (host, digest) = pipeline.snapshot_whole(ctx, &guard, 0);
         drop(guard);
-        let (lease, copied) = pipeline.persist_whole(ctx, &host, digest, 1).unwrap();
+        let (lease, copied) = pipeline
+            .persist_whole(ctx, &default_ns(&pipeline), &host, digest, 1)
+            .unwrap();
         pipeline.commit(ctx, lease, 1, &copied).unwrap();
         // Controller + two members were sampled (values may be zero since
         // sampling happens after each op completes, but the gauge slots
@@ -1287,12 +1277,18 @@ mod tests {
         use crate::qos::{QosArbiter, QosConfig};
 
         let state = ByteSize::from_bytes(900);
-        let cap = CheckpointStore::required_capacity_service(state, 8, 0, 4) + ByteSize::from_kb(1);
+        let geometry = StoreGeometry {
+            max_namespaces: 4,
+            ..StoreGeometry::single(state, 8)
+        };
+        let cap = geometry.required_capacity() + ByteSize::from_kb(1);
         let device: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let store = Arc::new(CheckpointStore::format_service(device, state, 8, 0, 4).unwrap());
-        store.allocate_namespace(1, 3).unwrap();
-        store.allocate_namespace(2, 3).unwrap();
+        let store = Arc::new(CheckpointStore::format(device, geometry).unwrap());
+        let tenants = [
+            store.allocate_namespace(1, 3).unwrap(),
+            store.allocate_namespace(2, 3).unwrap(),
+        ];
         let qos = Arc::new(QosArbiter::new(QosConfig::default()));
         qos.register_job(1, 1);
         qos.register_job(2, 1);
@@ -1306,13 +1302,13 @@ mod tests {
             telemetry: &telemetry,
             span: SpanId::NONE,
         };
-        for (job, seed, iter) in [(1u64, 5u64, 10u64), (2, 6, 20)] {
+        for (ns, seed, iter) in [(&tenants[0], 5u64, 10u64), (&tenants[1], 6, 20)] {
             let g = gpu(900, seed);
             g.update();
             let guard = g.lock_weights_shared_owned();
             let total = guard.size();
-            let lease = pipeline.lease_for(ctx, Some(job)).unwrap();
-            assert_eq!(lease.job(), Some(job));
+            let lease = pipeline.lease(ctx, ns);
+            assert_eq!(lease.job(), ns.job());
             let copied = pipeline
                 .copy_chunks(ctx, &guard, &lease, total, true)
                 .unwrap();
@@ -1323,20 +1319,12 @@ mod tests {
         }
         // Each job committed into its own namespace...
         let store = pipeline.store();
-        assert_eq!(
-            store.latest_committed_job(1).unwrap().unwrap().iteration,
-            10
-        );
-        assert_eq!(
-            store.latest_committed_job(2).unwrap().unwrap().iteration,
-            20
-        );
+        assert_eq!(store.latest_committed(&tenants[0]).unwrap().iteration, 10);
+        assert_eq!(store.latest_committed(&tenants[1]).unwrap().iteration, 20);
         // ...and every chunk write was metered by the arbiter.
         let shares = qos.shares();
         assert_eq!(shares.iter().find(|s| s.0 == 1).unwrap().1, 900);
         assert_eq!(shares.iter().find(|s| s.0 == 2).unwrap().1, 900);
-        // An unknown job is rejected at lease time.
-        assert!(pipeline.lease_for(ctx, Some(99)).is_err());
     }
 
     #[test]
@@ -1353,7 +1341,7 @@ mod tests {
         };
         let guard = g.lock_weights_shared();
         let start = telemetry.now_nanos();
-        let lease = pipeline.lease(ctx);
+        let lease = pipeline.lease(ctx, &default_ns(&pipeline));
         let copied = pipeline
             .write_through(ctx, &guard, &lease, 1, start)
             .unwrap();
@@ -1398,7 +1386,9 @@ mod tests {
         let cap = CheckpointStore::required_capacity(state, 4) + ByteSize::from_kb(1);
         let device: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let store = Arc::new(CheckpointStore::format(Arc::clone(&device), state, 4).unwrap());
+        let store = Arc::new(
+            CheckpointStore::format(Arc::clone(&device), StoreGeometry::single(state, 4)).unwrap(),
+        );
         let pipeline = PersistPipeline::new(store)
             .with_writers(2)
             .with_staging(HostBufferPool::new(ByteSize::from_bytes(chunk), pool_chunks))
@@ -1481,8 +1471,11 @@ mod tests {
                 fault: Mutex::new(None),
             });
             let store = Arc::new(
-                CheckpointStore::format(Arc::clone(&device) as Arc<dyn PersistentDevice>, state, 2)
-                    .unwrap(),
+                CheckpointStore::format(
+                    Arc::clone(&device) as Arc<dyn PersistentDevice>,
+                    StoreGeometry::single(state, 2),
+                )
+                .unwrap(),
             );
             let pipeline = PersistPipeline::new(store)
                 .with_writers(WRITERS)
@@ -1498,7 +1491,7 @@ mod tests {
                 data: data.clone(),
                 step: 1,
             };
-            let lease = pipeline.lease(ctx);
+            let lease = pipeline.lease(ctx, &default_ns(&pipeline));
             device.countdown.store(3, Ordering::Release);
             let err = match caller {
                 "staged" => pipeline.copy_chunks(ctx, &src, &lease, state, false).err(),
@@ -1531,24 +1524,30 @@ mod tests {
         // reference job 1's slots even though job 1's generation holds
         // byte-identical content.
         let state = ByteSize::from_bytes(4096);
-        let cap = CheckpointStore::required_capacity_service(state, 8, 0, 4) + ByteSize::from_kb(1);
+        let geometry = StoreGeometry {
+            max_namespaces: 4,
+            ..StoreGeometry::single(state, 8)
+        };
+        let cap = geometry.required_capacity() + ByteSize::from_kb(1);
         let device: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let store = Arc::new(CheckpointStore::format_service(device, state, 8, 0, 4).unwrap());
-        store.allocate_namespace(1, 4).unwrap();
-        store.allocate_namespace(2, 4).unwrap();
+        let store = Arc::new(CheckpointStore::format(device, geometry).unwrap());
+        let tenants = [
+            store.allocate_namespace(1, 4).unwrap(),
+            store.allocate_namespace(2, 4).unwrap(),
+        ];
         let pipeline = PersistPipeline::new(store)
             .with_writers(2)
             .with_staging(HostBufferPool::new(ByteSize::from_bytes(256), 16))
             .with_codec(true);
         let telemetry = Telemetry::disabled();
         let ctx = test_ctx(&telemetry);
-        let commit = |job: u64, iter: u64, data: &[u8]| {
+        let commit = |job: usize, iter: u64, data: &[u8]| {
             let src = VecSource {
                 data: data.to_vec(),
                 step: iter,
             };
-            let lease = pipeline.lease_for(ctx, Some(job)).unwrap();
+            let lease = pipeline.lease(ctx, &tenants[job - 1]);
             let copied = pipeline
                 .copy_framed(ctx, &src, &lease, state, DeltaPolicy::default())
                 .unwrap()
@@ -1566,7 +1565,7 @@ mod tests {
         let mut next = data.clone();
         next[100] ^= 0x5A;
         let second = commit(1, 2, &next);
-        let base = pipeline.store().latest_committed_job(1).unwrap().unwrap();
+        let base = pipeline.store().latest_committed(&tenants[0]).unwrap();
         assert_eq!(
             second.link.expect("near-duplicate references its base").base_counter,
             1
@@ -1576,7 +1575,7 @@ mod tests {
         let foreign = commit(2, 1, &next);
         assert!(!foreign.table.references_base());
         assert!(foreign.link.is_none(), "job 2 has no base in its namespace");
-        let head = pipeline.store().latest_committed_job(2).unwrap().unwrap();
+        let head = pipeline.store().latest_committed(&tenants[1]).unwrap();
         assert!(!head.is_delta());
     }
 
@@ -1607,15 +1606,17 @@ mod tests {
                 data: data.clone(),
                 step: iter,
             };
-            let (out, kind) = pipeline.checkpoint_framed(ctx, &src, iter, policy).unwrap();
+            let (out, kind) = pipeline
+                .checkpoint_framed(ctx, &default_ns(&pipeline), &src, iter, policy)
+                .unwrap();
             assert_eq!(out, CommitOutcome::Committed);
             assert!(matches!(kind, FramedOutcome::Framed { .. }), "{kind:?}");
             let store = pipeline.store();
             assert!(
-                store.free_slot_count() >= 1,
+                store.free_slot_count(&default_ns(&pipeline)) >= 1,
                 "iteration {iter} pinned every slot"
             );
-            let head = store.latest_committed().unwrap();
+            let head = store.latest_committed(&default_ns(&pipeline)).unwrap();
             depths.push(head.delta.map_or(0, |l| l.chain_depth));
             let table = FrameTable::decode(&store.read_checkpoint(&head).unwrap()).unwrap();
             for k in 1..=iter as usize {
@@ -1654,7 +1655,7 @@ mod tests {
         let telemetry = Telemetry::enabled();
         let ctx = test_ctx(&telemetry);
         let (commit, outcome) = pipeline
-            .checkpoint_framed(ctx, &src, 1, DeltaPolicy::default())
+            .checkpoint_framed(ctx, &default_ns(&pipeline), &src, 1, DeltaPolicy::default())
             .unwrap();
         assert_eq!(commit, CommitOutcome::Committed);
         let FramedOutcome::Framed {
@@ -1667,8 +1668,14 @@ mod tests {
         };
         assert!(payload_len < 4096, "physical {payload_len} < logical");
         assert_eq!(saved_bytes, 4096 - payload_len);
-        let meta = pipeline.store().latest_committed().unwrap();
-        assert_eq!(meta.payload_len, payload_len, "commit records physical bytes");
+        let meta = pipeline
+            .store()
+            .latest_committed(&default_ns(&pipeline))
+            .unwrap();
+        assert_eq!(
+            meta.payload_len, payload_len,
+            "commit records physical bytes"
+        );
         let snap = telemetry.snapshot().unwrap();
         assert_eq!(snap.codec_bytes_saved, saved_bytes);
         assert!(snap.compression_ratio_permille < 1000);
@@ -1698,7 +1705,7 @@ mod tests {
         let telemetry = Telemetry::disabled();
         let ctx = test_ctx(&telemetry);
         let (_, outcome) = pipeline
-            .checkpoint_framed(ctx, &src, 1, DeltaPolicy::default())
+            .checkpoint_framed(ctx, &default_ns(&pipeline), &src, 1, DeltaPolicy::default())
             .unwrap();
         let FramedOutcome::Framed { dedup_chunks, payload_len, .. } = outcome else {
             panic!("repeated chunks must persist framed, got {outcome:?}");
@@ -1723,7 +1730,13 @@ mod tests {
             step: 1,
         };
         let (_, o1) = pipeline
-            .checkpoint_framed(ctx, &src1, 1, DeltaPolicy::default())
+            .checkpoint_framed(
+                ctx,
+                &default_ns(&pipeline),
+                &src1,
+                1,
+                DeltaPolicy::default(),
+            )
             .unwrap();
         // Incompressible and nothing to dedup against: the first
         // checkpoint streams raw (all-Raw framing would only add a table).
@@ -1737,7 +1750,13 @@ mod tests {
             step: 2,
         };
         let (_, o2) = pipeline
-            .checkpoint_framed(ctx, &src2, 2, DeltaPolicy::default())
+            .checkpoint_framed(
+                ctx,
+                &default_ns(&pipeline),
+                &src2,
+                2,
+                DeltaPolicy::default(),
+            )
             .unwrap();
         assert_eq!(o2, FramedOutcome::Raw, "no generation installed yet");
 
@@ -1750,7 +1769,13 @@ mod tests {
             step: 3,
         };
         let (_, o3) = pipeline
-            .checkpoint_framed(ctx, &src3, 3, DeltaPolicy::default())
+            .checkpoint_framed(
+                ctx,
+                &default_ns(&pipeline),
+                &src3,
+                3,
+                DeltaPolicy::default(),
+            )
             .unwrap();
         assert!(
             matches!(o3, FramedOutcome::Framed { .. }),
@@ -1765,7 +1790,13 @@ mod tests {
             step: 4,
         };
         let (commit, o4) = pipeline
-            .checkpoint_framed(ctx, &src4, 4, DeltaPolicy::default())
+            .checkpoint_framed(
+                ctx,
+                &default_ns(&pipeline),
+                &src4,
+                4,
+                DeltaPolicy::default(),
+            )
             .unwrap();
         assert_eq!(commit, CommitOutcome::Committed);
         let FramedOutcome::Framed { dedup_chunks, payload_len, .. } = o4 else {
@@ -1773,7 +1804,10 @@ mod tests {
         };
         assert!(dedup_chunks >= 14, "most chunks deduplicate: {dedup_chunks}");
         assert!(payload_len < 1024, "tiny physical payload: {payload_len}");
-        let meta = pipeline.store().latest_committed().unwrap();
+        let meta = pipeline
+            .store()
+            .latest_committed(&default_ns(&pipeline))
+            .unwrap();
         assert!(meta.is_delta(), "base references pin the base via a link");
         assert_eq!(meta.delta.unwrap().base_counter, 3);
 
@@ -1792,11 +1826,14 @@ mod tests {
         let telemetry = Telemetry::disabled();
         let ctx = test_ctx(&telemetry);
         let (commit, outcome) = pipeline
-            .checkpoint_framed(ctx, &src, 1, DeltaPolicy::default())
+            .checkpoint_framed(ctx, &default_ns(&pipeline), &src, 1, DeltaPolicy::default())
             .unwrap();
         assert_eq!(commit, CommitOutcome::Committed);
         assert_eq!(outcome, FramedOutcome::Raw, "dense payloads stream raw");
-        let meta = pipeline.store().latest_committed().unwrap();
+        let meta = pipeline
+            .store()
+            .latest_committed(&default_ns(&pipeline))
+            .unwrap();
         assert_eq!(meta.payload_len, 4096, "raw fallback commits the raw shape");
     }
 
@@ -1810,7 +1847,7 @@ mod tests {
         let telemetry = Telemetry::disabled();
         let ctx = test_ctx(&telemetry);
         let (commit, outcome) = pipeline
-            .checkpoint_framed(ctx, &src, 1, DeltaPolicy::default())
+            .checkpoint_framed(ctx, &default_ns(&pipeline), &src, 1, DeltaPolicy::default())
             .unwrap();
         assert_eq!(commit, CommitOutcome::Committed);
         assert_eq!(outcome, FramedOutcome::Raw);
@@ -1830,16 +1867,31 @@ mod tests {
         let telemetry = Telemetry::disabled();
         let ctx = test_ctx(&telemetry);
         let (_, o) = pipeline
-            .checkpoint_framed(ctx, &src, 1, DeltaPolicy::default())
+            .checkpoint_framed(ctx, &default_ns(&pipeline), &src, 1, DeltaPolicy::default())
             .unwrap();
         assert!(matches!(o, FramedOutcome::Framed { .. }));
-        assert!(pipeline.codec.dedup.lock().generation_counter(None).is_some());
+        assert!(pipeline
+            .codec
+            .dedup
+            .lock()
+            .generation_counter(DEFAULT_JOB)
+            .is_some());
         pipeline.set_codec_enabled(false);
         assert!(
-            pipeline.codec.dedup.lock().generation_counter(None).is_none(),
+            pipeline
+                .codec
+                .dedup
+                .lock()
+                .generation_counter(DEFAULT_JOB)
+                .is_none(),
             "disable drops generations; re-enable starts cold"
         );
         pipeline.set_codec_enabled(true);
-        assert!(pipeline.codec.dedup.lock().generation_counter(None).is_none());
+        assert!(pipeline
+            .codec
+            .dedup
+            .lock()
+            .generation_counter(DEFAULT_JOB)
+            .is_none());
     }
 }

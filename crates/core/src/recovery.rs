@@ -77,7 +77,13 @@ pub struct RecoveryTrace {
     pub iteration: u64,
 }
 
-/// Loads and verifies the latest committed checkpoint from `device`.
+/// Loads and verifies the latest committed checkpoint of the default
+/// tenant from `device` — the tenant of a single-tenant store. Another
+/// tenant of a shared store recovers through
+/// [`crate::restore::recover_instrumented_with`] with
+/// [`RestoreOptions::job`] set, and only its own namespace's slots are
+/// candidates: a torn newest checkpoint falls back within that job's own
+/// history and never onto another tenant's state.
 ///
 /// The persistent iterator of §4.2, rebuilt on the parallel restore
 /// executor ([`crate::restore`]): candidates are verified newest-first,
@@ -98,32 +104,10 @@ pub struct RecoveryTrace {
 /// * [`PccheckError::NoCheckpoint`] if the device holds no committed
 ///   checkpoint.
 /// * [`PccheckError::CorruptCheckpoint`] if **no** slot verifies.
-/// * [`PccheckError::InvalidConfig`] if the device holds no PCcheck store.
+/// * [`PccheckError::InvalidConfig`] if the device holds no PCcheck store,
+///   or a store without a default namespace.
 pub fn recover(device: Arc<dyn PersistentDevice>) -> Result<RecoveredCheckpoint, PccheckError> {
     recover_instrumented(device, &Telemetry::disabled()).map(|(r, _)| r)
-}
-
-/// [`recover`] scoped to one tenant of a multi-tenant (service-mode)
-/// store: only `job`'s namespace slots are candidates, so a torn newest
-/// checkpoint falls back within the job's own history and never onto
-/// another tenant's state.
-///
-/// # Errors
-///
-/// Same as [`recover`], plus [`PccheckError::InvalidConfig`] when the
-/// device does not hold a multi-tenant store.
-/// [`PccheckError::NoCheckpoint`] means *this job* has no committed
-/// checkpoint, even if other namespaces do.
-pub fn recover_job(
-    device: Arc<dyn PersistentDevice>,
-    job: crate::store::JobId,
-) -> Result<RecoveredCheckpoint, PccheckError> {
-    let options = RestoreOptions {
-        job: Some(job),
-        ..RestoreOptions::default()
-    };
-    crate::restore::recover_instrumented_with(device, &Telemetry::disabled(), options)
-        .map(|(r, _)| r)
 }
 
 /// [`recover`] with recovery-path instrumentation: phase spans on
@@ -244,8 +228,26 @@ mod tests {
 
     use crate::config::PcCheckConfig;
     use crate::engine::PcCheckEngine;
-    use crate::store::CheckpointStore;
+    use crate::layout::StoreGeometry;
+    use crate::restore::recover_instrumented_with;
+    use crate::store::{CheckpointStore, JobId, DEFAULT_JOB};
     use pccheck_gpu::Checkpointer;
+
+    fn single(dev: Arc<dyn PersistentDevice>, slot: u64, slots: u32) -> CheckpointStore {
+        let geometry = StoreGeometry::single(ByteSize::from_bytes(slot), slots);
+        CheckpointStore::format(dev, geometry).unwrap()
+    }
+
+    fn recover_as(
+        dev: Arc<dyn PersistentDevice>,
+        job: JobId,
+    ) -> Result<RecoveredCheckpoint, PccheckError> {
+        let options = RestoreOptions {
+            job: Some(job),
+            ..RestoreOptions::default()
+        };
+        recover_instrumented_with(dev, &Telemetry::disabled(), options).map(|(r, _)| r)
+    }
 
     #[test]
     fn end_to_end_checkpoint_recover_resume() {
@@ -297,16 +299,17 @@ mod tests {
         let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(64), 2);
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 2).unwrap();
+        single(Arc::clone(&dev), 64, 2);
         assert_eq!(recover(dev), Err(PccheckError::NoCheckpoint));
     }
 
     /// Commits `n` checkpoints of distinct payloads and returns the store.
     fn committed_store(dev: Arc<dyn PersistentDevice>, n: u64) -> CheckpointStore {
-        let st = CheckpointStore::format(dev, ByteSize::from_bytes(64), 3).unwrap();
+        let st = single(dev, 64, 3);
+        let ns = st.namespace(DEFAULT_JOB).unwrap();
         for i in 1..=n {
             let payload = format!("payload-{i}");
-            let lease = st.begin_checkpoint();
+            let lease = st.begin_checkpoint(&ns);
             st.write_payload(&lease, 0, payload.as_bytes()).unwrap();
             st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
             let digest = StateDigest::of_payload(payload.as_bytes(), i).0;
@@ -324,7 +327,9 @@ mod tests {
         let st = committed_store(Arc::clone(&dev), 2);
         // Corrupt the newest checkpoint's *payload* (its meta record stays
         // valid), as a misdirected write or media error would.
-        let newest = st.latest_committed().unwrap();
+        let newest = st
+            .latest_committed(&st.namespace(DEFAULT_JOB).unwrap())
+            .unwrap();
         assert_eq!(newest.iteration, 2);
         let off = st.slot_payload_offset(newest.slot);
         dev.write_at(off, b"XX").unwrap();
@@ -352,20 +357,25 @@ mod tests {
     }
 
     #[test]
-    fn job_scoped_recovery_never_crosses_namespaces() {
-        // Two tenants in one service store. Job 1 commits iters 1..=2,
+    fn recovery_never_crosses_namespaces() {
+        // Two tenants in one shared store. Job 1 commits iters 1..=2,
         // job 2 commits iter 7 (globally newest). Then job 1's newest
         // payload is torn.
-        let slot = ByteSize::from_bytes(64);
-        let cap = CheckpointStore::required_capacity_service(slot, 6, 0, 4) + ByteSize::from_kb(1);
+        let geometry = StoreGeometry {
+            max_namespaces: 4,
+            ..StoreGeometry::single(ByteSize::from_bytes(64), 6)
+        };
+        let cap = geometry.required_capacity() + ByteSize::from_kb(1);
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let st = CheckpointStore::format_service(Arc::clone(&dev), slot, 6, 0, 4).unwrap();
-        st.allocate_namespace(1, 3).unwrap();
-        st.allocate_namespace(2, 3).unwrap();
-        let commit = |job: u64, iter: u64| {
+        let st = CheckpointStore::format(Arc::clone(&dev), geometry).unwrap();
+        let tenants = [
+            st.allocate_namespace(1, 3).unwrap(),
+            st.allocate_namespace(2, 3).unwrap(),
+        ];
+        let commit = |job: usize, iter: u64| {
             let payload = format!("job{job}-iter{iter}");
-            let lease = st.begin_checkpoint_job(job).unwrap();
+            let lease = st.begin_checkpoint(&tenants[job - 1]);
             st.write_payload(&lease, 0, payload.as_bytes()).unwrap();
             st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
             let digest = StateDigest::of_payload(payload.as_bytes(), iter).0;
@@ -375,7 +385,7 @@ mod tests {
         commit(1, 1);
         commit(1, 2);
         commit(2, 7);
-        let newest_job1 = st.latest_committed_job(1).unwrap().unwrap();
+        let newest_job1 = st.latest_committed(&tenants[0]).unwrap();
         let off = st.slot_payload_offset(newest_job1.slot);
         dev.write_at(off, b"XX").unwrap();
         dev.persist(off, 2).unwrap();
@@ -383,31 +393,39 @@ mod tests {
 
         // Job 1 falls back to its own iter 1 — not to job 2's newer
         // checkpoint, which is a different tenant's state.
-        let rec = recover_job(Arc::clone(&dev), 1).unwrap();
+        let rec = recover_as(Arc::clone(&dev), 1).unwrap();
         assert_eq!(rec.iteration, 1);
         assert_eq!(rec.payload, b"job1-iter1");
         // Job 2 recovers its own head untouched by job 1's corruption.
-        let rec = recover_job(Arc::clone(&dev), 2).unwrap();
+        let rec = recover_as(Arc::clone(&dev), 2).unwrap();
         assert_eq!(rec.iteration, 7);
         assert_eq!(rec.payload, b"job2-iter7");
-        // A job with no namespace has no checkpoint.
-        assert_eq!(
-            recover_job(Arc::clone(&dev), 99),
-            Err(PccheckError::NoCheckpoint)
-        );
-        // Unscoped recovery still picks the globally newest commit.
-        assert_eq!(recover(dev).unwrap().iteration, 7);
+        // Asking for nobody in particular does not hand out whoever
+        // committed last: this store has no default tenant, and the error
+        // says who it does have. The same goes for a job it never had.
+        for asked in [recover(Arc::clone(&dev)), recover_as(dev, 99)] {
+            match asked {
+                Err(PccheckError::InvalidConfig(why)) => {
+                    assert!(why.contains("[1, 2]"), "{why}")
+                }
+                other => panic!("expected the jobs present, got {other:?}"),
+            }
+        }
     }
 
     #[test]
-    fn job_scoped_recovery_rejects_single_tenant_stores() {
+    fn a_single_tenant_store_has_only_the_default_job() {
         let cap =
             CheckpointStore::required_capacity(ByteSize::from_bytes(64), 3) + ByteSize::from_kb(1);
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         committed_store(Arc::clone(&dev), 1);
+        assert_eq!(
+            recover_as(Arc::clone(&dev), DEFAULT_JOB).unwrap().iteration,
+            1
+        );
         assert!(matches!(
-            recover_job(dev, 1),
+            recover_as(dev, 1),
             Err(PccheckError::InvalidConfig(_))
         ));
     }
@@ -419,7 +437,7 @@ mod tests {
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         let st = committed_store(Arc::clone(&dev), 2);
-        for meta in st.history().unwrap() {
+        for meta in st.history(&st.namespace(DEFAULT_JOB).unwrap()).unwrap() {
             let off = st.slot_payload_offset(meta.slot);
             dev.write_at(off, b"XX").unwrap();
             dev.persist(off, 2).unwrap();
@@ -461,11 +479,11 @@ mod tests {
         let store = Arc::new(
             CheckpointStore::format(
                 Arc::clone(&ssd) as Arc<dyn PersistentDevice>,
-                gpu.state_size(),
-                4,
+                StoreGeometry::single(gpu.state_size(), 4),
             )
             .unwrap(),
         );
+        let ns = store.namespace(DEFAULT_JOB).unwrap();
         let pipeline = PersistPipeline::new(Arc::clone(&store))
             .with_writers(2)
             .with_staging(HostBufferPool::new(ByteSize::from_bytes(256), 8))
@@ -481,7 +499,7 @@ mod tests {
             }
             let guard = gpu.lock_weights_shared_owned();
             pipeline
-                .checkpoint_framed(ctx, &guard, iter, DeltaPolicy::default())
+                .checkpoint_framed(ctx, &ns, &guard, iter, DeltaPolicy::default())
                 .unwrap();
         }
         (ssd, store, gpu)
@@ -490,7 +508,9 @@ mod tests {
     #[test]
     fn recovery_resolves_a_framed_dedup_chain() {
         let (ssd, store, gpu) = framed_chain_setup(2);
-        let head = store.latest_committed().unwrap();
+        let head = store
+            .latest_committed(&store.namespace(DEFAULT_JOB).unwrap())
+            .unwrap();
         assert_eq!(head.delta.unwrap().chain_depth, 1);
         let digest_final = gpu.digest();
         drop(store);
@@ -522,7 +542,9 @@ mod tests {
     #[test]
     fn torn_framed_payload_falls_back_to_its_base() {
         let (ssd, store, _gpu) = framed_chain_setup(2);
-        let head = store.latest_committed().unwrap();
+        let head = store
+            .latest_committed(&store.namespace(DEFAULT_JOB).unwrap())
+            .unwrap();
         assert!(head.is_delta());
         // Corrupt the last packed chunk byte of the framed payload; the
         // frame table itself stays intact.

@@ -49,7 +49,7 @@ use crate::error::PccheckError;
 use crate::meta::CheckMeta;
 use crate::pipeline::PipelineCtx;
 use crate::recovery::{RecoveredCheckpoint, RecoveryTrace};
-use crate::store::CheckpointStore;
+use crate::store::{CheckpointStore, JobId, DEFAULT_JOB};
 
 /// Default read granularity of a raw payload: a whole number of digest
 /// blocks, large enough that a device read's fixed cost is noise beside
@@ -61,11 +61,11 @@ const DEFAULT_READ_CHUNK: u64 = 1024 * 1024;
 pub struct RestoreOptions {
     /// Parallel reader threads (`r`). 1 reproduces the sequential path.
     pub readers: usize,
-    /// On a multi-tenant (service-mode) store, recover only this job's
-    /// namespace: candidates outside its slot range are never considered,
-    /// so one tenant's torn checkpoint can never fall back onto another
-    /// tenant's state. `None` recovers the newest checkpoint store-wide.
-    pub job: Option<crate::store::JobId>,
+    /// The tenant to recover; `None` is [`DEFAULT_JOB`], the tenant of a
+    /// single-tenant store. Candidates outside its namespace's slot range
+    /// are never considered, so one tenant's torn checkpoint can never
+    /// fall back onto another tenant's state.
+    pub job: Option<JobId>,
 }
 
 impl Default for RestoreOptions {
@@ -482,7 +482,9 @@ impl RestorePipeline {
 /// * [`PccheckError::CorruptCheckpoint`] if **no** candidate verifies
 ///   (digest mismatches and device read faults both count as a failed
 ///   candidate, not a failed recovery).
-/// * [`PccheckError::InvalidConfig`] if the device holds no PCcheck store.
+/// * [`PccheckError::InvalidConfig`] if the device holds no PCcheck store,
+///   or the store has no namespace for `options.job` (the message names
+///   the jobs it does have).
 pub fn recover_instrumented_with(
     device: Arc<dyn PersistentDevice>,
     telemetry: &Telemetry,
@@ -533,17 +535,10 @@ fn recover_core(
 
     let store = Arc::new(CheckpointStore::open(device)?);
     store.flight().record_run(FlightEventKind::RecoveryStart, 0);
-    // Candidates: every slot holding a complete checkpoint, newest first.
-    // With a job filter, only that namespace's slots are candidates.
-    let mut candidates = store.history()?;
-    if let Some(job) = options.job {
-        if !store.is_multi_tenant() {
-            return Err(PccheckError::InvalidConfig(
-                "job-scoped recovery needs a multi-tenant store".into(),
-            ));
-        }
-        candidates.retain(|m| store.namespace_of_slot(m.slot) == Some(job));
-    }
+    // Candidates: every slot of the tenant's namespace holding a complete
+    // checkpoint, newest first — another tenant's slots are never read.
+    let ns = store.namespace(options.job.unwrap_or(DEFAULT_JOB))?;
+    let mut candidates = store.history(&ns)?;
     candidates.reverse();
     let pipeline = RestorePipeline::new(Arc::clone(&store)).with_readers(options.readers);
     let read = |slot, at, buf: &mut [u8]| pipeline.read_slot(ctx, slot, at, buf);
@@ -631,7 +626,14 @@ mod tests {
     use pccheck_device::{DeviceConfig, HostBufferPool, SsdDevice};
     use pccheck_gpu::{GpuConfig, StateDigest, TrainingState};
 
+    use crate::layout::StoreGeometry;
     use crate::pipeline::{DeltaPolicy, PersistPipeline};
+    use crate::store::Namespace;
+
+    /// The tenant of a single-tenant store.
+    fn ns(store: &CheckpointStore) -> Arc<Namespace> {
+        store.namespace(DEFAULT_JOB).unwrap()
+    }
 
     fn ctx(telemetry: &Telemetry) -> PipelineCtx<'_> {
         PipelineCtx {
@@ -650,15 +652,18 @@ mod tests {
         let cap = CheckpointStore::required_capacity(slot, 3) + ByteSize::from_kb(1);
         let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         let store = Arc::new(
-            CheckpointStore::format(Arc::clone(&ssd) as Arc<dyn PersistentDevice>, slot, 3)
-                .unwrap(),
+            CheckpointStore::format(
+                Arc::clone(&ssd) as Arc<dyn PersistentDevice>,
+                StoreGeometry::single(slot, 3),
+            )
+            .unwrap(),
         );
         let mut payloads = Vec::new();
         for i in 1..=n {
             let payload: Vec<u8> = (0..payload_bytes)
                 .map(|b| (b as u8).wrapping_mul(31).wrapping_add(i as u8))
                 .collect();
-            let lease = store.begin_checkpoint();
+            let lease = store.begin_checkpoint(&ns(&store));
             store.write_payload(&lease, 0, &payload).unwrap();
             store.persist_payload(&lease, 0, payload_bytes).unwrap();
             let digest = StateDigest::of_payload(&payload, i).0;
@@ -683,8 +688,7 @@ mod tests {
         let store = Arc::new(
             CheckpointStore::format(
                 Arc::clone(&ssd) as Arc<dyn PersistentDevice>,
-                gpu.state_size(),
-                4,
+                StoreGeometry::single(gpu.state_size(), 4),
             )
             .unwrap(),
         );
@@ -699,7 +703,7 @@ mod tests {
             gpu.update();
             digests.push(gpu.digest());
             let guard = gpu.lock_weights_shared_owned();
-            let lease = pipeline.lease(ctx);
+            let lease = pipeline.lease(ctx, &ns(pipeline.store()));
             let copied = pipeline
                 .copy_chunks(ctx, &guard, &lease, total, true)
                 .unwrap();
@@ -714,7 +718,7 @@ mod tests {
     fn parallel_fetch_matches_sequential() {
         // Four read chunks, so four readers really share the payload.
         let (_ssd, store, payloads) = raw_store(2, 16 * 1024);
-        let meta = store.latest_committed().unwrap();
+        let meta = store.latest_committed(&ns(&store)).unwrap();
         let telemetry = Telemetry::disabled();
         let fetch = |readers| {
             RestorePipeline::new(Arc::clone(&store))
@@ -730,7 +734,7 @@ mod tests {
     #[test]
     fn parallel_fetch_emits_reader_actor_spans() {
         let (_ssd, store, _payloads) = raw_store(1, 16 * 1024);
-        let meta = store.latest_committed().unwrap();
+        let meta = store.latest_committed(&ns(&store)).unwrap();
         let telemetry = Telemetry::enabled();
         let span = telemetry.span_requested("restore", 1, meta.payload_len);
         let got = RestorePipeline::new(Arc::clone(&store))
@@ -780,7 +784,7 @@ mod tests {
         ];
         for (place, at, garbage) in flips {
             let (ssd, store, _gpu, digests) = gpu_store(2, BYTES, 64 * 1024);
-            let newest = store.latest_committed().unwrap();
+            let newest = store.latest_committed(&ns(&store)).unwrap();
             assert_eq!(newest.iteration, 2);
             let off = store.slot_payload_offset(newest.slot) + at;
             ssd.write_at(off, garbage).unwrap();
@@ -814,7 +818,7 @@ mod tests {
     #[test]
     fn a_rejected_restore_target_never_reaches_the_gpu() {
         let (ssd, store, _gpu, _digests) = gpu_store(1, 16 * 1024, 4096);
-        let only = store.latest_committed().unwrap();
+        let only = store.latest_committed(&ns(&store)).unwrap();
         let off = store.slot_payload_offset(only.slot) + 9000;
         ssd.write_at(off, b"!").unwrap();
         ssd.persist(off, 1).unwrap();
@@ -841,7 +845,7 @@ mod tests {
     #[test]
     fn read_fault_on_newest_falls_back_instead_of_erroring() {
         let (ssd, store, payloads) = raw_store(2, 16 * 1024);
-        let newest = store.latest_committed().unwrap();
+        let newest = store.latest_committed(&ns(&store)).unwrap();
         assert_eq!(newest.iteration, 2);
         // Latent sector error in the middle of the newest payload,
         // "discovered" mid-recovery-scan. Before the parallel pipeline this
@@ -867,7 +871,7 @@ mod tests {
         // disk: recovery exhausts both and reports the protocol error, not
         // the raw device error.
         let (ssd, store, _payloads) = raw_store(2, 16 * 1024);
-        let metas = store.history().unwrap();
+        let metas = store.history(&ns(&store)).unwrap();
         let newest = metas.last().unwrap();
         let oldest = metas.first().unwrap();
         ssd.arm_read_fault_at(store.slot_payload_offset(newest.slot), newest.payload_len);
@@ -925,8 +929,7 @@ mod tests {
         let store = Arc::new(
             CheckpointStore::format(
                 Arc::clone(&ssd) as Arc<dyn PersistentDevice>,
-                gpu.state_size(),
-                4,
+                StoreGeometry::single(gpu.state_size(), 4),
             )
             .unwrap(),
         );
@@ -942,10 +945,10 @@ mod tests {
             }
             let guard = gpu.lock_weights_shared_owned();
             persist
-                .checkpoint_framed(pctx, &guard, iter, DeltaPolicy::default())
+                .checkpoint_framed(pctx, &ns(&store), &guard, iter, DeltaPolicy::default())
                 .unwrap();
         }
-        let head = store.latest_committed().unwrap();
+        let head = store.latest_committed(&ns(&store)).unwrap();
         assert!(head.is_delta(), "clean chunks reference the pinned base");
         let want = gpu.digest();
         drop(store);

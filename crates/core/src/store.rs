@@ -1,42 +1,47 @@
-//! The persistent checkpoint store: device layout and the concurrent
-//! commit protocol of Listing 1.
+//! The persistent checkpoint store: namespaces, the concurrent commit
+//! protocol of Listing 1, and the read-only post-crash view.
 //!
 //! # Device layout
 //!
+//! [`crate::layout`] owns the bytes and the offsets; in region order:
+//!
 //! ```text
-//! +--------------------+  offset 0
-//! | store header (64B) |  magic, slot count, slot size
-//! +--------------------+  offset 64
-//! | CHECK_ADDR record  |  CheckMeta of the latest committed checkpoint
-//! |        (64B)       |  (one cache line: atomically persistable)
-//! +--------------------+  offset 128
-//! | slot 0 meta (64B)  |
-//! | slot 0 payload     |
-//! +--------------------+
-//! | slot 1 meta ...    |
-//! +--------------------+  offset 128 + slots·(64 + slot_size)
-//! | flight ring        |  optional crash-safe telemetry ring
-//! | (header + records) |  (`flight_records` > 0)
-//! +--------------------+
-//! | namespace directory|  optional multi-tenant directory
-//! | (max_ns · 128B)    |  (`max_namespaces` > 0; descriptor + per-job
-//! +--------------------+   CHECK_ADDR record per entry)
-//! | slot state words   |  optional per-slot commit-state records
-//! | (slots · 64B)      |  (header flag at bytes 32..36; the lattice
-//! +--------------------+   Free → Claimed{c} → Committed{c})
+//! superblock | reserved | slots (meta + payload each) | flight ring
+//!            | namespace directory | slot state words
 //! ```
 //!
-//! With `N` allowed concurrent checkpoints the store holds `N+1` slots —
-//! the `(N+1)·m` storage footprint of Table 1 — guaranteeing one fully
-//! persisted checkpoint exists at all times once the first commit lands.
+//! Every region is always present. The flight ring is sized by the
+//! geometry's `flight_records` (0 = an empty region, no recorder); the
+//! directory has `max_namespaces` rows; every slot has a durable state
+//! word.
+//!
+//! # Namespaces
+//!
+//! The slot array is carved into contiguous per-job **namespaces**, one
+//! directory row each. A namespace owns a private free-slot queue and a
+//! private `CHECK_ADDR` (in memory, and on the device in its directory
+//! row), so the full Listing 1 protocol runs independently per tenant:
+//! jobs never race each other's CAS, never lease each other's slots, and
+//! recover independently. The counter stays store-wide, keeping every
+//! checkpoint's counter unique across tenants (forensics and the flight
+//! ring rely on that).
+//!
+//! A single-tenant store is the one-row case:
+//! [`StoreGeometry::single`] yields a one-row directory, which
+//! [`CheckpointStore::format`] allocates to [`DEFAULT_JOB`] over every
+//! slot. With `N` allowed concurrent checkpoints a namespace holds `N+1`
+//! slots — the `(N+1)·m` storage footprint of Table 1 — guaranteeing one
+//! fully persisted checkpoint exists at all times once the first commit
+//! lands. A caller resolves its [`Namespace`] once
+//! ([`CheckpointStore::namespace`]) and leases through that handle.
 //!
 //! # Commit protocol (Listing 1, lock-free)
 //!
-//! 1. read the current `CHECK_ADDR` (`last_check`),
+//! 1. read the namespace's current `CHECK_ADDR` (`last_check`),
 //! 2. `atomic_add` the global counter → `curr_counter`,
-//! 3. dequeue a free slot from the lock-free queue (spinning if none),
-//!    CAS its in-memory state word Free → Claimed{counter}, and publish
-//!    the durable claim word (best-effort),
+//! 3. dequeue a free slot from the namespace's lock-free queue (spinning
+//!    if none), CAS its in-memory state word Free → Claimed{counter}, and
+//!    publish the durable claim word (best-effort),
 //! 4. write + persist the payload (the engine does this with `p` writer
 //!    threads),
 //! 5. write + persist the slot's meta record (`BARRIER(cur_check)`),
@@ -53,44 +58,30 @@
 //!
 //! No step ever holds a mutex — and in particular no mutex is held
 //! across device I/O. The durable `CHECK_ADDR` write is made idempotent
-//! by a `fetch_max` watermark over the last-persisted counter
-//! ([`CommitPointer`]); a racing publisher can at worst re-persist a
-//! *stale* record, which recovery tolerates because the slot scan takes
-//! the max valid counter and a newer commit's slot record is always
-//! durable before its `CHECK_ADDR` publish (see DESIGN §13).
+//! by a `fetch_max` watermark over the last-persisted counter (the
+//! namespace's commit pointer); a racing publisher can at worst
+//! re-persist a *stale* record, which recovery tolerates because the slot
+//! scan takes the max valid counter and a newer commit's slot record is
+//! always durable before its `CHECK_ADDR` publish (see DESIGN §13).
 //!
-//! The invariant maintained: the slot referenced by the durable
-//! `CHECK_ADDR` is never in the free queue, so no concurrent checkpoint
+//! The invariant maintained: the slot referenced by a namespace's durable
+//! `CHECK_ADDR` is never in its free queue, so no concurrent checkpoint
 //! can overwrite the latest committed state.
 //!
 //! # The per-slot commit-state lattice
 //!
-//! Stores formatted by this version additionally carry one durable
-//! [`SlotState`] word per slot (header flag at bytes 32..36). The claim
-//! step publishes Claimed{counter}; the commit winner publishes
+//! Every slot carries one durable [`SlotState`] word. The claim step
+//! publishes Claimed{counter}; the commit winner publishes
 //! Committed{counter}; recycling deliberately leaves the durable word
 //! alone (counters rank claims). After a crash every slot's outcome is
 //! decidable from its state word plus the meta record's CRC —
 //! [`RawStoreView::slot_outcome`] is the decision procedure — which is
-//! what makes the lock-free commit *detectable* in the memento sense.
-//! Legacy stores read the flag as zero and classify from meta CRCs
-//! alone, exactly as before.
-//!
-//! # Multi-tenant namespaces
-//!
-//! A *service-mode* store (formatted via
-//! [`CheckpointStore::format_service`]) additionally carves its slot array
-//! into contiguous per-job **namespaces**. Each namespace owns a private
-//! free-slot queue and a private `CHECK_ADDR` (in memory and on device, in
-//! the directory at the tail of the layout), so the full Listing 1 commit
-//! protocol runs independently per tenant: jobs never race each other's
-//! CAS, never lease each other's slots, and recover independently. The
-//! global counter stays store-wide, keeping every checkpoint's counter
-//! unique across tenants (forensics and the flight ring rely on that).
-//! Legacy stores carry `max_namespaces == 0` in the header and behave
-//! exactly as before.
+//! what makes the lock-free commit *detectable* in the memento sense. A
+//! torn state word decodes to nothing and the slot is classified from its
+//! meta CRC alone.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pccheck_util::sync::RwLock;
@@ -100,24 +91,20 @@ use pccheck_telemetry::{FlightEventKind, FlightRecorder, FlightRing};
 use pccheck_util::ByteSize;
 
 use crate::error::PccheckError;
+use crate::layout::{StoreGeometry, StoreLayout, NS_ENTRY_SIZE};
 use crate::meta::{
-    CheckMeta, DeltaLink, NamespaceDesc, PackedCheckAddr, SlotState, META_RECORD_SIZE,
-    NS_DESC_SIZE, SLOT_STATE_SIZE,
+    CheckMeta, DeltaLink, NamespaceDesc, PackedCheckAddr, SlotState, CHECK_ADDR_NONE,
+    META_RECORD_SIZE, NS_DESC_SIZE, SLOT_STATE_SIZE,
 };
 use crate::queue::SlotQueue;
 
-/// Identifier of a tenant job in a multi-tenant store (matches the sim's
-/// fluid-model job ids so fairness oracles line up).
+/// Identifier of a tenant job (matches the sim's fluid-model job ids so
+/// fairness oracles line up).
 pub type JobId = u64;
 
-const STORE_MAGIC: u64 = 0x5043_6368_6543_6B32; // "PCcheCk2"
-const HEADER_SIZE: u64 = 64;
-const CHECK_ADDR_OFFSET: u64 = HEADER_SIZE;
-const SLOTS_OFFSET: u64 = HEADER_SIZE + META_RECORD_SIZE;
-
-/// Stride of one namespace-directory entry: the 64-byte descriptor
-/// followed by that namespace's own 64-byte CHECK_ADDR record.
-const NS_ENTRY_SIZE: u64 = NS_DESC_SIZE + META_RECORD_SIZE;
+/// The tenant of a [`StoreGeometry::single`] store, and the job QoS
+/// charges its leases to. The daemon numbers its jobs from 1.
+pub const DEFAULT_JOB: JobId = 0;
 
 /// Outcome of a commit attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,8 +123,8 @@ pub enum CommitOutcome {
 /// A checkpoint slot leased from the store for writing.
 ///
 /// Obtained from [`CheckpointStore::begin_checkpoint`]; the holder writes
-/// the payload at [`payload_offset`](SlotLease::payload_offset) and then
-/// calls [`CheckpointStore::commit`].
+/// the payload with [`CheckpointStore::write_payload`] and then calls
+/// [`CheckpointStore::commit`].
 #[derive(Debug)]
 pub struct SlotLease {
     /// The global counter assigned to this checkpoint.
@@ -147,16 +134,20 @@ pub struct SlotLease {
     /// The `CHECK_ADDR` observed before the counter was taken (Listing 1
     /// line 3) — the CAS baseline.
     last_check: PackedCheckAddr,
-    /// The namespace the lease was drawn from (`None` on a legacy
-    /// single-tenant store): commit routes its CAS, durable CHECK_ADDR
-    /// write, and slot recycling through this namespace's private state.
-    ns: Option<Arc<Namespace>>,
+    /// The namespace the lease was drawn from: commit routes its CAS,
+    /// durable CHECK_ADDR write, and slot recycling through its state.
+    ns: Arc<Namespace>,
 }
 
 impl SlotLease {
-    /// The tenant this lease belongs to, or `None` on a legacy store.
-    pub fn job(&self) -> Option<JobId> {
-        self.ns.as_ref().map(|n| n.desc.job)
+    /// The tenant this lease belongs to.
+    pub fn job(&self) -> JobId {
+        self.ns.desc.job
+    }
+
+    /// The namespace this lease was drawn from.
+    pub fn namespace(&self) -> &Arc<Namespace> {
+        &self.ns
     }
 }
 
@@ -176,35 +167,45 @@ struct CommitPointer {
     persisted: AtomicU64,
 }
 
-impl CommitPointer {
-    fn new(addr: PackedCheckAddr, persisted_counter: u64) -> Self {
-        CommitPointer {
-            addr: AtomicU64::new(addr.0),
-            persisted: AtomicU64::new(persisted_counter),
-        }
-    }
-}
-
-/// One tenant's slice of a service-mode store: a contiguous slot range
-/// with its own free queue and commit pointer.
+/// One tenant's slice of the store: a contiguous slot range with its own
+/// free queue and commit pointer. Resolved once with
+/// [`CheckpointStore::namespace`] and valid for that store only.
 #[derive(Debug)]
-pub(crate) struct Namespace {
+pub struct Namespace {
     desc: NamespaceDesc,
     /// This namespace's CHECK_ADDR pointer + durable-publish watermark.
     commit: CommitPointer,
     free_slots: SlotQueue,
-    /// Device offset of this namespace's directory entry (descriptor at
-    /// +0, CHECK_ADDR record at +[`NS_DESC_SIZE`]).
-    dir_offset: u64,
+    /// Device offset of this namespace's durable CHECK_ADDR record.
+    check_rec: u64,
 }
 
 impl Namespace {
-    fn check_rec_offset(&self) -> u64 {
-        self.dir_offset + NS_DESC_SIZE
+    fn new(layout: &StoreLayout, index: u32, desc: NamespaceDesc, head: Option<CheckMeta>) -> Self {
+        let addr = head.map_or(CHECK_ADDR_NONE, |m| {
+            PackedCheckAddr::pack(m.counter, m.slot)
+        });
+        Namespace {
+            desc,
+            commit: CommitPointer {
+                addr: AtomicU64::new(addr.0),
+                persisted: AtomicU64::new(addr.counter()),
+            },
+            free_slots: SlotQueue::with_capacity(desc.slot_count as usize),
+            check_rec: layout.ns_entry(index) + NS_DESC_SIZE,
+        }
     }
 
-    fn slot_range(&self) -> std::ops::Range<u32> {
-        self.desc.slot_start..self.desc.slot_start + self.desc.slot_count
+    /// The tenant this namespace belongs to.
+    pub fn job(&self) -> JobId {
+        self.desc.job
+    }
+
+    /// The namespace's descriptor: its job and slot range (`slot_count`
+    /// is how many slots its checkpoints rotate through; a committed
+    /// chain may pin at most that minus one).
+    pub fn desc(&self) -> NamespaceDesc {
+        self.desc
     }
 }
 
@@ -216,309 +217,212 @@ impl Namespace {
 #[derive(Debug)]
 pub struct CheckpointStore {
     device: Arc<dyn PersistentDevice>,
-    slot_size: ByteSize,
-    num_slots: u32,
+    layout: StoreLayout,
     global_counter: AtomicU64,
-    /// The store-wide CHECK_ADDR pointer + durable-publish watermark.
-    commit: CommitPointer,
-    free_slots: SlotQueue,
     /// In-memory per-slot commit-state words (packed [`SlotState`]), the
     /// volatile half of the lattice. A dequeued slot is CASed
     /// Free → Claimed{counter}; every release path stores Free *before*
     /// enqueueing, so the claim CAS can never lose.
     slot_states: Vec<AtomicU64>,
-    /// Whether the device carries the durable per-slot state region
-    /// (header flag; false on stores formatted before the lattice).
-    state_words: bool,
     /// Persistent flight recorder appending lifecycle milestones to the
     /// ring after the slots (disabled when the store was formatted with
     /// `flight_records = 0`).
     flight: FlightRecorder,
-    /// Flight-ring capacity in records (0 = no ring); part of the geometry
-    /// because the namespace directory starts after the ring.
-    flight_records: u32,
-    /// Directory capacity in namespaces (0 = legacy single-tenant store).
-    max_namespaces: u32,
     /// Allocated namespaces, in directory order. Appended under the write
     /// lock by [`allocate_namespace`](Self::allocate_namespace); the hot
     /// commit path never takes this lock (the lease carries its `Arc`).
     namespaces: RwLock<Vec<Arc<Namespace>>>,
-    /// Next unallocated slot (service mode's bump allocator).
-    next_free_slot: AtomicU32,
+}
+
+/// `slot`'s durable meta record, if the store has that slot and the
+/// record decodes, names its own slot and fits it.
+fn read_slot_meta(
+    device: &dyn PersistentDevice,
+    layout: &StoreLayout,
+    slot: u32,
+) -> Result<Option<CheckMeta>, PccheckError> {
+    if slot >= layout.geometry().slots {
+        return Ok(None); // a base link read off a damaged image
+    }
+    let mut rec = [0u8; META_RECORD_SIZE as usize];
+    device.read_durable_at(layout.slot_meta(slot), &mut rec)?;
+    let slot_size = layout.geometry().slot_size;
+    Ok(CheckMeta::decode(&rec)
+        .filter(|m| m.slot == slot && ByteSize::from_bytes(m.payload_len) <= slot_size))
+}
+
+/// [`read_slot_meta`] for every slot, in order.
+fn read_slot_metas(
+    device: &dyn PersistentDevice,
+    layout: &StoreLayout,
+) -> Result<Vec<Option<CheckMeta>>, PccheckError> {
+    (0..layout.geometry().slots)
+        .map(|s| read_slot_meta(device, layout, s))
+        .collect()
+}
+
+/// The allocated rows of the namespace directory as `(row, descriptor,
+/// check record)`, from one device read. A row that does not decode or
+/// names slots the store does not have reads as unallocated (a crash
+/// mid-allocate leaves no data behind it yet).
+///
+/// One read of `max_namespaces · 128` bytes — 2 KiB at the daemon's
+/// default `max_jobs` — stays far below every ledger workload's chunk
+/// size, so the ledger's bit-rot hook (armed for reads of at least a
+/// chunk) cannot land on it.
+fn read_directory(
+    device: &dyn PersistentDevice,
+    layout: &StoreLayout,
+) -> Result<Vec<(u32, NamespaceDesc, Option<CheckMeta>)>, PccheckError> {
+    let geometry = layout.geometry();
+    let mut dir = vec![0u8; (NS_ENTRY_SIZE * u64::from(geometry.max_namespaces)) as usize];
+    device.read_durable_at(layout.ns_entry(0), &mut dir)?;
+    let rows = dir.chunks_exact(NS_ENTRY_SIZE as usize).zip(0u32..);
+    Ok(rows
+        .filter_map(|(entry, row)| {
+            let (desc, check_rec) = entry.split_at(NS_DESC_SIZE as usize);
+            let desc = NamespaceDesc::decode(desc)?;
+            let end = desc.slot_start.checked_add(desc.slot_count)?;
+            (desc.slot_count > 0 && end <= geometry.slots)
+                .then(|| (row, desc, CheckMeta::decode(check_rec)))
+        })
+        .collect())
+}
+
+/// The checkpoint recovery restores within `range`: the max-counter one
+/// among a `check_rec` its slot record agrees with and the valid slot
+/// records. The slots are scanned too because the durable CHECK_ADDR may
+/// lag a fully persisted checkpoint whose commit raced the crash. A valid
+/// slot record implies its payload persisted first (the engine orders
+/// payload persist before the meta barrier), and a *recycled* slot
+/// mid-overwrite always carries a counter below the durable CHECK_ADDR
+/// (commit persists CHECK_ADDR before freeing the displaced slot), so
+/// taking the max counter is safe.
+fn recovery_target(
+    check_rec: Option<&CheckMeta>,
+    slot_meta: &[Option<CheckMeta>],
+    range: Range<u32>,
+) -> Option<CheckMeta> {
+    let at = |s: u32| slot_meta.get(s as usize).copied().flatten();
+    let trusted = check_rec.filter(|ca| range.contains(&ca.slot) && at(ca.slot) == Some(**ca));
+    range
+        .filter_map(at)
+        .chain(trusted.copied())
+        .max_by_key(|m| m.counter)
+}
+
+/// The checkpoints a checkpoint depends on, as `(slot, counter)`: its
+/// own, plus — when it is linked — every checkpoint on the base chain
+/// down to the unlinked root. Walks the slot records `meta_of` yields,
+/// stopping (leniently) at the first one that is missing or disagrees
+/// with the expected counter, and guards against pointer cycles; the head
+/// is always included.
+fn chain_of(
+    meta_of: impl Fn(u32) -> Option<CheckMeta>,
+    slots: u32,
+    head_slot: u32,
+    head_counter: u64,
+) -> Vec<(u32, u64)> {
+    let mut chain = vec![(head_slot, head_counter)];
+    loop {
+        let (s, c) = *chain.last().expect("chain starts with its head");
+        let Some(link) = meta_of(s).filter(|m| m.counter == c).and_then(|m| m.delta) else {
+            break;
+        };
+        if chain.iter().any(|&(slot, _)| slot == link.base_slot) || chain.len() as u32 >= slots {
+            break;
+        }
+        chain.push((link.base_slot, link.base_counter));
+    }
+    chain
 }
 
 impl CheckpointStore {
-    /// Bytes of device space needed for `slots` slots of `slot_size` each
-    /// (no flight-recorder ring).
+    /// Bytes of device space a [`StoreGeometry::single`] store of `slots`
+    /// slots of `slot_size` each needs (shared stores:
+    /// [`StoreGeometry::required_capacity`]).
     pub fn required_capacity(slot_size: ByteSize, slots: u32) -> ByteSize {
-        Self::required_capacity_with_flight(slot_size, slots, 0)
+        StoreGeometry::single(slot_size, slots).required_capacity()
     }
 
-    /// Bytes of device space needed for `slots` slots of `slot_size` each
-    /// plus a flight-recorder ring of `flight_records` records (0 = none).
-    pub fn required_capacity_with_flight(
-        slot_size: ByteSize,
-        slots: u32,
-        flight_records: u32,
-    ) -> ByteSize {
-        ByteSize::from_bytes(
-            Self::ns_dir_base_static(slot_size, slots, flight_records)
-                + SLOT_STATE_SIZE * u64::from(slots),
-        )
-    }
-
-    /// Bytes of device space a multi-tenant store needs: the legacy layout
-    /// plus a namespace directory of `max_namespaces` 128-byte entries.
-    pub fn required_capacity_service(
-        slot_size: ByteSize,
-        slots: u32,
-        flight_records: u32,
-        max_namespaces: u32,
-    ) -> ByteSize {
-        Self::required_capacity_with_flight(slot_size, slots, flight_records)
-            + ByteSize::from_bytes(NS_ENTRY_SIZE * u64::from(max_namespaces))
-    }
-
-    /// Device offset where the namespace directory starts for this
-    /// geometry — after the flight ring (or after the slots when there is
-    /// no ring), so both older regions keep their offsets.
-    fn ns_dir_base_static(slot_size: ByteSize, slots: u32, flight_records: u32) -> u64 {
-        Self::flight_base_static(slot_size, slots)
-            + if flight_records == 0 {
-                0
-            } else {
-                FlightRing::required_capacity(flight_records)
-            }
-    }
-
-    fn ns_dir_base(&self) -> u64 {
-        Self::ns_dir_base_static(self.slot_size, self.num_slots, self.flight_records)
-    }
-
-    /// Device offset where the per-slot commit-state region starts for
-    /// this geometry — at the very tail, after the namespace directory,
-    /// so every older region keeps its offset.
-    fn slot_state_base_static(
-        slot_size: ByteSize,
-        slots: u32,
-        flight_records: u32,
-        max_namespaces: u32,
-    ) -> u64 {
-        Self::ns_dir_base_static(slot_size, slots, flight_records)
-            + NS_ENTRY_SIZE * u64::from(max_namespaces)
-    }
-
-    /// Device offset of `slot`'s durable commit-state word, or `None`
-    /// when the store was formatted before the lattice existed.
-    pub fn slot_state_offset(&self, slot: u32) -> Option<u64> {
-        self.state_words.then(|| {
-            Self::slot_state_base_static(
-                self.slot_size,
-                self.num_slots,
-                self.flight_records,
-                self.max_namespaces,
-            ) + u64::from(slot) * SLOT_STATE_SIZE
-        })
-    }
-
-    /// Device offset where the flight ring starts for this geometry — right
-    /// after the last slot, so slot offsets are identical with and without
-    /// a ring.
-    fn flight_base_static(slot_size: ByteSize, slots: u32) -> u64 {
-        SLOTS_OFFSET + u64::from(slots) * (META_RECORD_SIZE + slot_size.as_u64())
-    }
-
-    /// Formats a store on `device` with `slots` slots of `slot_size` bytes
-    /// (use `N+1` slots for `N` concurrent checkpoints), without a flight
-    /// recorder.
+    /// Formats a store of `geometry` on `device`: superblock, an empty
+    /// directory, a Free state word per slot and, when
+    /// `geometry.flight_records > 0`, the flight ring. No slot is usable
+    /// until a namespace claims it
+    /// ([`allocate_namespace`](Self::allocate_namespace)); a one-row
+    /// directory has one possible tenant, so `format` allocates it —
+    /// [`DEFAULT_JOB`] over every slot.
     ///
     /// # Errors
     ///
-    /// Returns [`PccheckError::InvalidConfig`] if geometry is invalid or the
-    /// device is too small, or a device error if formatting I/O fails.
+    /// Returns [`PccheckError::InvalidConfig`] if the geometry is invalid
+    /// or the device is too small, or a device error if formatting I/O
+    /// fails.
     pub fn format(
         device: Arc<dyn PersistentDevice>,
-        slot_size: ByteSize,
-        slots: u32,
+        geometry: StoreGeometry,
     ) -> Result<Self, PccheckError> {
-        Self::format_with_flight(device, slot_size, slots, 0)
-    }
-
-    /// Formats a store on `device` with `slots` slots of `slot_size` bytes
-    /// and, when `flight_records > 0`, a persistent flight-recorder ring of
-    /// that many 64-byte records after the slots.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PccheckError::InvalidConfig`] if geometry is invalid or the
-    /// device is too small, or a device error if formatting I/O fails.
-    pub fn format_with_flight(
-        device: Arc<dyn PersistentDevice>,
-        slot_size: ByteSize,
-        slots: u32,
-        flight_records: u32,
-    ) -> Result<Self, PccheckError> {
-        Self::format_inner(device, slot_size, slots, flight_records, 0)
-    }
-
-    /// Formats a *multi-tenant* store: `slots` slots shared by up to
-    /// `max_namespaces` per-job namespaces (allocated later via
-    /// [`allocate_namespace`](Self::allocate_namespace)). No slot is
-    /// usable until a namespace claims it — service-mode stores have no
-    /// store-wide free queue.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PccheckError::InvalidConfig`] if geometry is invalid,
-    /// `max_namespaces == 0`, or the device is too small; propagates
-    /// device errors.
-    pub fn format_service(
-        device: Arc<dyn PersistentDevice>,
-        slot_size: ByteSize,
-        slots: u32,
-        flight_records: u32,
-        max_namespaces: u32,
-    ) -> Result<Self, PccheckError> {
-        if max_namespaces == 0 {
-            return Err(PccheckError::InvalidConfig(
-                "service store needs max_namespaces >= 1 (use format for single-tenant)".into(),
-            ));
-        }
-        Self::format_inner(device, slot_size, slots, flight_records, max_namespaces)
-    }
-
-    fn format_inner(
-        device: Arc<dyn PersistentDevice>,
-        slot_size: ByteSize,
-        slots: u32,
-        flight_records: u32,
-        max_namespaces: u32,
-    ) -> Result<Self, PccheckError> {
-        if slots < 2 {
-            return Err(PccheckError::InvalidConfig(
-                "store needs at least 2 slots (N>=1 concurrent + 1 committed)".into(),
-            ));
-        }
-        if slot_size.is_zero() {
-            return Err(PccheckError::InvalidConfig(
-                "slot size must be nonzero".into(),
-            ));
-        }
-        let needed =
-            Self::required_capacity_service(slot_size, slots, flight_records, max_namespaces);
-        if needed > device.capacity() {
-            return Err(PccheckError::InvalidConfig(format!(
-                "device capacity {} < required {}",
-                device.capacity(),
-                needed
-            )));
-        }
-        // Write the store header.
-        let mut header = [0u8; HEADER_SIZE as usize];
-        header[0..8].copy_from_slice(&STORE_MAGIC.to_le_bytes());
-        header[8..12].copy_from_slice(&slots.to_le_bytes());
-        header[12..20].copy_from_slice(&slot_size.as_u64().to_le_bytes());
-        header[20..24].copy_from_slice(&flight_records.to_le_bytes());
-        // Bytes 24..28 are reserved.
-        header[28..32].copy_from_slice(&max_namespaces.to_le_bytes());
-        // Bytes 32..36: the per-slot commit-state region exists (stores
-        // formatted before the lattice carry zeros here — feature off).
-        header[32..36].copy_from_slice(&1u32.to_le_bytes());
-        device.write_at(0, &header)?;
-        // Zero the CHECK_ADDR record (no committed checkpoint).
-        device.write_at(CHECK_ADDR_OFFSET, &[0u8; META_RECORD_SIZE as usize])?;
-        device.persist(0, SLOTS_OFFSET)?;
-        if max_namespaces > 0 {
-            // Zero the directory: every entry reads as unallocated.
-            let base = Self::ns_dir_base_static(slot_size, slots, flight_records);
-            let zeros = vec![0u8; (NS_ENTRY_SIZE * u64::from(max_namespaces)) as usize];
-            device.write_at(base, &zeros)?;
-            device.persist(base, zeros.len() as u64)?;
-        }
+        let layout = StoreLayout::write(geometry, device.as_ref())?;
+        // Zero the directory: every row reads as unallocated.
+        let dir = vec![0u8; (NS_ENTRY_SIZE * u64::from(geometry.max_namespaces)) as usize];
+        device.write_at(layout.ns_entry(0), &dir)?;
+        device.persist(layout.ns_entry(0), dir.len() as u64)?;
         // Every slot starts with a valid durable Free state word.
-        let state_base =
-            Self::slot_state_base_static(slot_size, slots, flight_records, max_namespaces);
-        let free_rec = SlotState::Free.encode();
-        let mut state_region = vec![0u8; (SLOT_STATE_SIZE * u64::from(slots)) as usize];
-        for s in 0..slots as usize {
-            state_region[s * SLOT_STATE_SIZE as usize..(s + 1) * SLOT_STATE_SIZE as usize]
-                .copy_from_slice(&free_rec);
-        }
-        device.write_at(state_base, &state_region)?;
-        device.persist(state_base, state_region.len() as u64)?;
+        let state_region = SlotState::Free.encode().repeat(geometry.slots as usize);
+        device.write_at(layout.slot_state(0), &state_region)?;
+        device.persist(layout.slot_state(0), state_region.len() as u64)?;
 
-        let flight = if flight_records > 0 {
-            let base = Self::flight_base_static(slot_size, slots);
-            let ring = FlightRing::create(Arc::clone(&device), base, flight_records)
-                .map_err(PccheckError::InvalidConfig)?;
+        let flight = if geometry.flight_records > 0 {
+            let ring = FlightRing::create(
+                Arc::clone(&device),
+                layout.flight(),
+                geometry.flight_records,
+            )
+            .map_err(PccheckError::InvalidConfig)?;
             FlightRecorder::new(Arc::new(ring))
         } else {
             FlightRecorder::disabled()
         };
         flight.record_run(FlightEventKind::RunStart, 0);
 
-        let service = max_namespaces > 0;
-        Ok(CheckpointStore {
+        let store = CheckpointStore {
             device,
-            slot_size,
-            num_slots: slots,
+            layout,
             global_counter: AtomicU64::new(1),
-            commit: CommitPointer::new(crate::meta::CHECK_ADDR_NONE, 0),
-            // Service mode: no store-wide pool — slots belong to
-            // namespaces. The queue stays empty forever.
-            free_slots: if service {
-                SlotQueue::with_capacity(1)
-            } else {
-                (0..slots).collect()
-            },
-            slot_states: (0..slots)
+            slot_states: (0..geometry.slots)
                 .map(|_| AtomicU64::new(SlotState::Free.pack()))
                 .collect(),
-            state_words: true,
             flight,
-            flight_records,
-            max_namespaces,
             namespaces: RwLock::new(Vec::new()),
-            next_free_slot: AtomicU32::new(if service { 0 } else { slots }),
-        })
+        };
+        if geometry.max_namespaces == 1 {
+            store.allocate_namespace(DEFAULT_JOB, geometry.slots)?;
+        }
+        Ok(store)
     }
 
     /// Reopens a store previously formatted on `device` (the recovery
-    /// path). Rebuilds the in-memory state: the committed checkpoint stays
-    /// leased; all other slots go back to the free queue; the global
-    /// counter resumes above the highest counter found.
+    /// path). Rebuilds each namespace independently: its committed
+    /// checkpoint — and, when that one is linked, every slot on its chain
+    /// down to the unlinked root — stays leased (recycling any of them
+    /// would make the committed state unrecoverable); its other slots go
+    /// back to its free queue. The global counter resumes above the
+    /// highest counter found.
     ///
     /// # Errors
     ///
-    /// Returns [`PccheckError::InvalidConfig`] if no valid store header is
+    /// Returns [`PccheckError::InvalidConfig`] if no valid superblock is
     /// found, or a device error if reads fail.
     pub fn open(device: Arc<dyn PersistentDevice>) -> Result<Self, PccheckError> {
-        let mut header = [0u8; HEADER_SIZE as usize];
-        device.read_durable_at(0, &mut header)?;
-        let magic = u64::from_le_bytes(header[0..8].try_into().expect("slice len"));
-        if magic != STORE_MAGIC {
-            return Err(PccheckError::InvalidConfig(
-                "device holds no PCcheck store (bad magic)".into(),
-            ));
-        }
-        let slots = u32::from_le_bytes(header[8..12].try_into().expect("slice len"));
-        let slot_size =
-            ByteSize::from_bytes(u64::from_le_bytes(header[12..20].try_into().expect("len")));
-        let flight_records = u32::from_le_bytes(header[20..24].try_into().expect("slice len"));
-        // Stores formatted before multi-tenancy existed carry zeros here:
-        // the feature reads as "off" and nothing else changes.
-        let max_namespaces = u32::from_le_bytes(header[28..32].try_into().expect("slice len"));
-        // ... and for stores formatted before the commit-state lattice.
-        let state_words =
-            u32::from_le_bytes(header[32..36].try_into().expect("slice len")) != 0;
+        let layout = StoreLayout::read(device.as_ref())?;
+        let geometry = *layout.geometry();
 
         // Reattach the flight ring, resuming sequence numbers past the
         // crash survivors. A torn ring header downgrades to a disabled
         // recorder rather than failing recovery: forensics are
         // best-effort, the checkpoints are not.
-        let flight = if flight_records > 0 {
-            let base = Self::flight_base_static(slot_size, slots);
-            match FlightRing::open(Arc::clone(&device), base) {
+        let flight = if geometry.flight_records > 0 {
+            match FlightRing::open(Arc::clone(&device), layout.flight()) {
                 Ok(ring) => FlightRecorder::new(Arc::new(ring)),
                 Err(_) => FlightRecorder::disabled(),
             }
@@ -526,269 +430,49 @@ impl CheckpointStore {
             FlightRecorder::disabled()
         };
 
-        if max_namespaces > 0 {
-            // Service mode: rebuild each namespace independently — its own
-            // committed checkpoint, pinned chain, and free range.
-            let dir_base = Self::ns_dir_base_static(slot_size, slots, flight_records);
-            let mut namespaces: Vec<Arc<Namespace>> = Vec::new();
-            let mut max_counter = 0u64;
-            let mut next_free_slot = 0u32;
-            let mut pinned_all: Vec<u32> = Vec::new();
-            let mut desc_buf = [0u8; NS_DESC_SIZE as usize];
-            for i in 0..max_namespaces {
-                let dir_offset = dir_base + u64::from(i) * NS_ENTRY_SIZE;
-                device.read_durable_at(dir_offset, &mut desc_buf)?;
-                let Some(desc) = NamespaceDesc::decode(&desc_buf) else {
-                    continue; // unallocated (or torn mid-allocate: no data yet)
-                };
-                if desc.slot_start + desc.slot_count > slots || desc.slot_count == 0 {
-                    continue; // corrupt descriptor: treat as unallocated
-                }
-                let range = desc.slot_start..desc.slot_start + desc.slot_count;
-                let committed = Self::find_committed_range(
-                    device.as_ref(),
-                    slot_size,
-                    range.clone(),
-                    dir_offset + NS_DESC_SIZE,
-                )?;
-                let pinned: Vec<u32> = committed
-                    .as_ref()
-                    .map(|m| {
-                        Self::chain_slots_static(
-                            device.as_ref(),
-                            slots,
-                            slot_size,
-                            m.slot,
-                            m.counter,
-                        )
-                    })
-                    .unwrap_or_default();
-                let free: Vec<u32> = range.clone().filter(|s| !pinned.contains(s)).collect();
-                let ns_counter = committed.as_ref().map_or(0, |m| m.counter);
-                max_counter = max_counter.max(ns_counter);
-                next_free_slot = next_free_slot.max(desc.slot_start + desc.slot_count);
-                let check_addr = committed
-                    .as_ref()
-                    .map(|m| PackedCheckAddr::pack(m.counter, m.slot))
-                    .unwrap_or(crate::meta::CHECK_ADDR_NONE);
-                pinned_all.extend_from_slice(&pinned);
-                namespaces.push(Arc::new(Namespace {
-                    desc,
-                    commit: CommitPointer::new(check_addr, ns_counter),
-                    free_slots: free.into_iter().collect(),
-                    dir_offset,
-                }));
-            }
-            let slot_states =
-                Self::initial_slot_states(device.as_ref(), slots, slot_size, &pinned_all)?;
-            return Ok(CheckpointStore {
-                device,
-                slot_size,
-                num_slots: slots,
-                global_counter: AtomicU64::new(max_counter + 1),
-                commit: CommitPointer::new(crate::meta::CHECK_ADDR_NONE, 0),
-                free_slots: SlotQueue::with_capacity(1),
-                slot_states,
-                state_words,
-                flight,
-                flight_records,
-                max_namespaces,
-                namespaces: RwLock::new(namespaces),
-                next_free_slot: AtomicU32::new(next_free_slot),
-            });
-        }
-
-        // Find the committed checkpoint: trust CHECK_ADDR, fall back to a
-        // slot scan if the record is torn or its payload fails validation.
-        let committed =
-            Self::find_committed_range(device.as_ref(), slot_size, 0..slots, CHECK_ADDR_OFFSET)?;
-
-        // The committed checkpoint's slot stays leased — and if it is a
-        // delta, so does every slot on its chain down to the full root:
-        // recycling any of them would make the committed state
-        // unrecoverable.
-        let pinned: Vec<u32> = committed
-            .as_ref()
-            .map(|m| Self::chain_slots_static(device.as_ref(), slots, slot_size, m.slot, m.counter))
-            .unwrap_or_default();
+        let slot_meta = read_slot_metas(device.as_ref(), &layout)?;
+        // Every slot that goes back to a free queue starts Free
+        // (regardless of its durable word, which is a high-water record
+        // of past claims); every pinned chain slot starts Committed at
+        // its own durable meta counter.
+        let mut slot_states = vec![SlotState::Free; geometry.slots as usize];
+        let mut namespaces = Vec::new();
         let mut max_counter = 0;
-        let mut free: Vec<u32> = Vec::new();
-        for s in 0..slots {
-            if !pinned.contains(&s) {
-                free.push(s);
+        for (row, desc, check_rec) in read_directory(device.as_ref(), &layout)? {
+            let head = recovery_target(check_rec.as_ref(), &slot_meta, desc.slot_range());
+            let ns = Namespace::new(&layout, row, desc, head);
+            let pinned = head.map_or(Vec::new(), |m| {
+                let meta_of = |s: u32| slot_meta.get(s as usize).copied().flatten();
+                chain_of(meta_of, geometry.slots, m.slot, m.counter)
+            });
+            for s in desc.slot_range() {
+                if !pinned.iter().any(|&(slot, _)| slot == s) {
+                    ns.free_slots.enqueue_blocking(s);
+                } else if let Some(m) = slot_meta[s as usize] {
+                    slot_states[s as usize] = SlotState::Committed { counter: m.counter };
+                }
             }
+            max_counter = max_counter.max(head.map_or(0, |m| m.counter));
+            namespaces.push(Arc::new(ns));
         }
-        if let Some(m) = &committed {
-            max_counter = m.counter;
-        }
-
-        let check_addr = committed
-            .as_ref()
-            .map(|m| PackedCheckAddr::pack(m.counter, m.slot))
-            .unwrap_or(crate::meta::CHECK_ADDR_NONE);
-
-        let slot_states = Self::initial_slot_states(device.as_ref(), slots, slot_size, &pinned)?;
         Ok(CheckpointStore {
             device,
-            slot_size,
-            num_slots: slots,
+            layout,
             global_counter: AtomicU64::new(max_counter + 1),
-            commit: CommitPointer::new(check_addr, max_counter),
-            free_slots: free.into_iter().collect(),
-            slot_states,
-            state_words,
+            slot_states: slot_states
+                .into_iter()
+                .map(|s| AtomicU64::new(s.pack()))
+                .collect(),
             flight,
-            flight_records,
-            max_namespaces: 0,
-            namespaces: RwLock::new(Vec::new()),
-            next_free_slot: AtomicU32::new(slots),
+            namespaces: RwLock::new(namespaces),
         })
     }
 
-    /// Finds the committed checkpoint within a slot range: trusts the
-    /// CHECK_ADDR record at `check_rec_offset`, falls back to scanning the
-    /// range's slots if the record is torn or fails validation.
-    fn find_committed_range(
-        device: &dyn PersistentDevice,
-        slot_size: ByteSize,
-        range: std::ops::Range<u32>,
-        check_rec_offset: u64,
-    ) -> Result<Option<CheckMeta>, PccheckError> {
-        let mut rec = [0u8; META_RECORD_SIZE as usize];
-        device.read_durable_at(check_rec_offset, &mut rec)?;
-        let mut best: Option<CheckMeta> = None;
-        if let Some(meta) = CheckMeta::decode(&rec) {
-            if Self::validate_slot(device, &meta, range.clone(), slot_size)? {
-                best = Some(meta);
-            }
-        }
-        // Scan the slots too: the durable CHECK_ADDR may lag a fully
-        // persisted checkpoint whose commit raced the crash. A valid slot
-        // record implies its payload persisted first (the engine orders
-        // payload persist before the meta barrier), and a *recycled* slot
-        // mid-overwrite always carries a counter below the durable
-        // CHECK_ADDR (commit persists CHECK_ADDR before freeing the
-        // displaced slot), so taking the max counter is safe.
-        for s in range.clone() {
-            let off = Self::slot_meta_offset_static(s, slot_size);
-            device.read_durable_at(off, &mut rec)?;
-            if let Some(meta) = CheckMeta::decode(&rec) {
-                if meta.slot == s
-                    && Self::validate_slot(device, &meta, range.clone(), slot_size)?
-                    && best.map_or(true, |b| meta.counter > b.counter)
-                {
-                    best = Some(meta);
-                }
-            }
-        }
-        Ok(best)
-    }
-
-    fn validate_slot(
-        device: &dyn PersistentDevice,
-        meta: &CheckMeta,
-        range: std::ops::Range<u32>,
-        slot_size: ByteSize,
-    ) -> Result<bool, PccheckError> {
-        if !range.contains(&meta.slot) || ByteSize::from_bytes(meta.payload_len) > slot_size {
-            return Ok(false);
-        }
-        // Check the slot's own meta record matches the commit record.
-        let mut rec = [0u8; META_RECORD_SIZE as usize];
-        device.read_durable_at(
-            Self::slot_meta_offset_static(meta.slot, slot_size),
-            &mut rec,
-        )?;
-        Ok(CheckMeta::decode(&rec).as_ref() == Some(meta))
-    }
-
-    fn slot_meta_offset_static(slot: u32, slot_size: ByteSize) -> u64 {
-        SLOTS_OFFSET + u64::from(slot) * (META_RECORD_SIZE + slot_size.as_u64())
-    }
-
-    /// The checkpoints a checkpoint depends on, as `(slot, counter)`: its
-    /// own, plus — when it is linked — every checkpoint on the base chain
-    /// down to the unlinked root. Walks the durable slot records, stopping
-    /// (leniently) at the first record that fails to decode or disagrees
-    /// with the expected (slot, counter), and guards against pointer
-    /// cycles; the head is always included.
-    fn chain_static(
-        device: &dyn PersistentDevice,
-        slots: u32,
-        slot_size: ByteSize,
-        head_slot: u32,
-        head_counter: u64,
-    ) -> Vec<(u32, u64)> {
-        let mut chain = vec![(head_slot, head_counter)];
-        let mut rec = [0u8; META_RECORD_SIZE as usize];
-        loop {
-            let (s, c) = *chain.last().expect("chain starts with its head");
-            if device
-                .read_durable_at(Self::slot_meta_offset_static(s, slot_size), &mut rec)
-                .is_err()
-            {
-                break;
-            }
-            let Some(meta) = CheckMeta::decode(&rec) else {
-                break;
-            };
-            if meta.slot != s || meta.counter != c {
-                break;
-            }
-            let Some(link) = meta.delta else {
-                break;
-            };
-            if chain.iter().any(|&(slot, _)| slot == link.base_slot)
-                || chain.len() as u32 >= slots
-            {
-                break;
-            }
-            chain.push((link.base_slot, link.base_counter));
-        }
-        chain
-    }
-
-    /// The slots of [`chain_static`](Self::chain_static): what a committed
-    /// checkpoint keeps out of the free queue.
-    fn chain_slots_static(
-        device: &dyn PersistentDevice,
-        slots: u32,
-        slot_size: ByteSize,
-        head_slot: u32,
-        head_counter: u64,
-    ) -> Vec<u32> {
-        Self::chain_static(device, slots, slot_size, head_slot, head_counter)
-            .into_iter()
-            .map(|(slot, _)| slot)
-            .collect()
-    }
-
-    /// Rebuilds the in-memory slot-state words on reopen: every slot that
-    /// goes back to a free queue starts Free (regardless of its durable
-    /// word, which is a high-water record of past claims); every pinned
-    /// chain slot starts Committed at its own durable meta counter.
-    fn initial_slot_states(
-        device: &dyn PersistentDevice,
-        slots: u32,
-        slot_size: ByteSize,
-        pinned: &[u32],
-    ) -> Result<Vec<AtomicU64>, PccheckError> {
-        let mut states = Vec::with_capacity(slots as usize);
-        let mut rec = [0u8; META_RECORD_SIZE as usize];
-        for s in 0..slots {
-            let state = if pinned.contains(&s) {
-                device.read_durable_at(Self::slot_meta_offset_static(s, slot_size), &mut rec)?;
-                CheckMeta::decode(&rec)
-                    .filter(|m| m.slot == s)
-                    .map_or(SlotState::Free, |m| SlotState::Committed {
-                        counter: m.counter,
-                    })
-            } else {
-                SlotState::Free
-            };
-            states.push(AtomicU64::new(state.pack()));
-        }
-        Ok(states)
+    /// `slot`'s meta record as the device holds it now.
+    fn slot_meta(&self, slot: u32) -> Option<CheckMeta> {
+        read_slot_meta(self.device.as_ref(), &self.layout, slot)
+            .ok()
+            .flatten()
     }
 
     /// The `(slot, counter)` chain `head` pins; empty when there is no
@@ -797,10 +481,9 @@ impl CheckpointStore {
         if head.is_none() {
             return Vec::new();
         }
-        Self::chain_static(
-            self.device.as_ref(),
-            self.num_slots,
-            self.slot_size,
+        chain_of(
+            |s| self.slot_meta(s),
+            self.num_slots(),
             head.slot(),
             head.counter(),
         )
@@ -819,72 +502,43 @@ impl CheckpointStore {
         &self.flight
     }
 
-    /// Per-slot payload capacity.
-    pub fn slot_size(&self) -> ByteSize {
-        self.slot_size
+    /// The store's on-device layout.
+    pub fn layout(&self) -> &StoreLayout {
+        &self.layout
     }
 
-    /// Number of slots (`N+1`).
+    /// Per-slot payload capacity.
+    pub fn slot_size(&self) -> ByteSize {
+        self.layout.geometry().slot_size
+    }
+
+    /// Number of slots, over all namespaces.
     pub fn num_slots(&self) -> u32 {
-        self.num_slots
+        self.layout.geometry().slots
     }
 
     /// Device offset of `slot`'s meta record.
     pub fn slot_meta_offset(&self, slot: u32) -> u64 {
-        Self::slot_meta_offset_static(slot, self.slot_size)
+        self.layout.slot_meta(slot)
     }
 
     /// Device offset of `slot`'s payload.
     pub fn slot_payload_offset(&self, slot: u32) -> u64 {
-        self.slot_meta_offset(slot) + META_RECORD_SIZE
+        self.layout.slot_payload(slot)
     }
 
-    /// The in-memory view of the latest committed checkpoint. On a
-    /// multi-tenant store this is the newest commit across *all*
-    /// namespaces (diagnostics; per-job code wants
-    /// [`latest_committed_job`](Self::latest_committed_job)).
-    pub fn latest_committed(&self) -> Option<CheckMeta> {
-        if self.max_namespaces > 0 {
-            return self
-                .namespaces
-                .read()
-                .iter()
-                .filter_map(|ns| self.resolve_check_addr(&ns.commit.addr))
-                .max_by_key(|m| m.counter);
+    /// The in-memory view of the latest committed checkpoint in `ns`.
+    /// This is also what dedup planning must use as its base: another
+    /// job's newer commit is not a valid base for this job.
+    pub fn latest_committed(&self, ns: &Namespace) -> Option<CheckMeta> {
+        let packed = PackedCheckAddr(ns.commit.addr.load(Ordering::Acquire));
+        if packed.is_none() {
+            return None;
         }
-        self.resolve_check_addr(&self.commit.addr)
-    }
-
-    /// The latest committed checkpoint in `job`'s namespace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PccheckError::InvalidConfig`] when the store is not
-    /// multi-tenant or `job` has no namespace.
-    pub fn latest_committed_job(&self, job: JobId) -> Result<Option<CheckMeta>, PccheckError> {
-        let ns = self.namespace_for(job)?;
-        Ok(self.resolve_check_addr(&ns.commit.addr))
-    }
-
-    /// The latest committed checkpoint visible to `lease` — the lease's
-    /// namespace on a multi-tenant store, the global pointer otherwise.
-    /// This is what delta planning must use as its base: another job's
-    /// newer commit is not a valid delta base for this job.
-    pub fn latest_committed_for(&self, lease: &SlotLease) -> Option<CheckMeta> {
-        match lease.ns.as_deref() {
-            Some(ns) => self.resolve_check_addr(&ns.commit.addr),
-            None => self.resolve_check_addr(&self.commit.addr),
-        }
-    }
-
-    /// How many slots `lease`'s checkpoints rotate through: its
-    /// namespace's `slot_count` on a multi-tenant store, every slot
-    /// otherwise. A committed chain may pin at most this minus one.
-    pub fn slot_budget_for(&self, lease: &SlotLease) -> u32 {
-        lease
-            .ns
-            .as_deref()
-            .map_or(self.num_slots, |ns| ns.desc.slot_count)
+        // The slot's meta record is authoritative; it was persisted before
+        // CHECK_ADDR swung to it.
+        self.slot_meta(packed.slot())
+            .filter(|m| m.counter == packed.counter())
     }
 
     /// The current in-memory commit-state word of `slot` (diagnostics;
@@ -920,12 +574,11 @@ impl CheckpointStore {
             // Defensive: ownership is ours either way; converge the word.
             self.slot_states[slot as usize].store(claimed.pack(), Ordering::Release);
         }
-        if let Some(off) = self.slot_state_offset(slot) {
-            let _ = self
-                .device
-                .write_at(off, &claimed.encode())
-                .and_then(|()| self.device.persist(off, SLOT_STATE_SIZE));
-        }
+        let off = self.layout.slot_state(slot);
+        let _ = self
+            .device
+            .write_at(off, &claimed.encode())
+            .and_then(|()| self.device.persist(off, SLOT_STATE_SIZE));
     }
 
     /// Publishes the durable Committed word for a commit winner. Failure
@@ -934,10 +587,9 @@ impl CheckpointStore {
     /// a clean commit).
     fn publish_slot_state(&self, slot: u32, state: SlotState) -> Result<(), PccheckError> {
         self.slot_states[slot as usize].store(state.pack(), Ordering::Release);
-        if let Some(off) = self.slot_state_offset(slot) {
-            self.device.write_at(off, &state.encode())?;
-            self.device.persist(off, SLOT_STATE_SIZE)?;
-        }
+        let off = self.layout.slot_state(slot);
+        self.device.write_at(off, &state.encode())?;
+        self.device.persist(off, SLOT_STATE_SIZE)?;
         Ok(())
     }
 
@@ -945,48 +597,27 @@ impl CheckpointStore {
     /// enqueue. Order matters — the next claimant's CAS must find Free.
     /// The durable word is deliberately left alone (history; counters
     /// rank claims across a slot's lives).
-    fn release_slot(&self, free_slots: &SlotQueue, slot: u32) {
+    fn release_slot(&self, ns: &Namespace, slot: u32) {
         self.slot_states[slot as usize].store(SlotState::Free.pack(), Ordering::Release);
         // Spin through transient fulls: a concurrent dequeuer may be
         // mid-recycle on the target cell.
-        free_slots.enqueue_blocking(slot);
+        ns.free_slots.enqueue_blocking(slot);
     }
 
-    fn resolve_check_addr(&self, check_addr: &AtomicU64) -> Option<CheckMeta> {
-        let packed = PackedCheckAddr(check_addr.load(Ordering::Acquire));
-        if packed.is_none() {
-            return None;
-        }
-        // The slot's meta record is authoritative; it was persisted before
-        // CHECK_ADDR swung to it.
-        let mut rec = [0u8; META_RECORD_SIZE as usize];
-        self.device
-            .read_durable_at(self.slot_meta_offset(packed.slot()), &mut rec)
-            .ok()?;
-        CheckMeta::decode(&rec).filter(|m| m.counter == packed.counter())
-    }
-
-    /// Begins a checkpoint: samples `CHECK_ADDR`, takes a counter, and
-    /// dequeues a free slot (Listing 1, lines 3–11). Spins while all slots
-    /// are occupied by in-flight checkpoints.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a multi-tenant (service-mode) store: every checkpoint
-    /// there belongs to a job — use
-    /// [`begin_checkpoint_job`](Self::begin_checkpoint_job).
-    pub fn begin_checkpoint(&self) -> SlotLease {
-        assert!(
-            self.max_namespaces == 0,
-            "begin_checkpoint on a multi-tenant store: use begin_checkpoint_job(job)"
-        );
+    /// Begins a checkpoint in `ns`: samples its `CHECK_ADDR`, takes a
+    /// counter, and dequeues one of its free slots (Listing 1, lines
+    /// 3–11). Spins while all its slots are occupied by in-flight
+    /// checkpoints. Jobs contend only on the global counter, which stays
+    /// globally unique and monotone, so cross-job interleavings remain
+    /// totally ordered in the flight ring.
+    pub fn begin_checkpoint(&self, ns: &Arc<Namespace>) -> SlotLease {
         // Line 3: sample the last committed checkpoint *before* taking the
         // counter — this makes our eventual CAS legal (§4.1).
-        let last_check = PackedCheckAddr(self.commit.addr.load(Ordering::Acquire));
+        let last_check = PackedCheckAddr(ns.commit.addr.load(Ordering::Acquire));
         // Line 5: order ourselves among all checkpoints.
         let counter = self.global_counter.fetch_add(1, Ordering::AcqRel);
         // Lines 8-11: find space, then take the lattice claim step.
-        let slot = self.free_slots.dequeue_blocking();
+        let slot = ns.free_slots.dequeue_blocking();
         self.claim_slot(slot, counter);
         self.flight
             .record(FlightEventKind::Begin, counter, slot, 0, 0, last_check.0);
@@ -994,50 +625,27 @@ impl CheckpointStore {
             counter,
             slot,
             last_check,
-            ns: None,
+            ns: Arc::clone(ns),
         }
-    }
-
-    /// Begins a checkpoint in `job`'s namespace. The commit protocol is
-    /// Listing 1 verbatim, except that `CHECK_ADDR` and the free-slot
-    /// queue are the *namespace's* — jobs contend only on the global
-    /// counter (which stays globally unique and monotone, so cross-job
-    /// interleavings remain totally ordered in the flight ring).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PccheckError::InvalidConfig`] when the store is not
-    /// multi-tenant or `job` has no namespace.
-    pub fn begin_checkpoint_job(&self, job: JobId) -> Result<SlotLease, PccheckError> {
-        let ns = self.namespace_for(job)?;
-        let last_check = PackedCheckAddr(ns.commit.addr.load(Ordering::Acquire));
-        let counter = self.global_counter.fetch_add(1, Ordering::AcqRel);
-        let slot = ns.free_slots.dequeue_blocking();
-        self.claim_slot(slot, counter);
-        self.flight
-            .record(FlightEventKind::Begin, counter, slot, 0, 0, last_check.0);
-        Ok(SlotLease {
-            counter,
-            slot,
-            last_check,
-            ns: Some(ns),
-        })
     }
 
     /// Looks up `job`'s namespace handle.
-    fn namespace_for(&self, job: JobId) -> Result<Arc<Namespace>, PccheckError> {
-        if self.max_namespaces == 0 {
-            return Err(PccheckError::InvalidConfig(
-                "store is not multi-tenant (formatted without namespaces)".into(),
-            ));
-        }
-        self.namespaces
-            .read()
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PccheckError::InvalidConfig`], naming the jobs present,
+    /// when `job` has no namespace in this store.
+    pub fn namespace(&self, job: JobId) -> Result<Arc<Namespace>, PccheckError> {
+        let namespaces = self.namespaces.read();
+        namespaces
             .iter()
             .find(|ns| ns.desc.job == job)
             .cloned()
             .ok_or_else(|| {
-                PccheckError::InvalidConfig(format!("job {job} has no namespace in this store"))
+                let present: Vec<JobId> = namespaces.iter().map(|ns| ns.desc.job).collect();
+                PccheckError::InvalidConfig(format!(
+                    "job {job} has no namespace in this store (jobs present: {present:?})"
+                ))
             })
     }
 
@@ -1049,20 +657,14 @@ impl CheckpointStore {
     ///
     /// # Errors
     ///
-    /// Returns [`PccheckError::InvalidConfig`] when the store is not
-    /// multi-tenant, `slot_count < 2` (N+1 needs at least 1+1),
-    /// `job` already owns a namespace, the directory is full, or the slot
-    /// budget is exhausted; propagates device errors.
+    /// Returns [`PccheckError::InvalidConfig`] when `slot_count < 2` (N+1
+    /// needs at least 1+1), `job` already owns a namespace, the directory
+    /// is full, or the slot budget is exhausted; propagates device errors.
     pub fn allocate_namespace(
         &self,
         job: JobId,
         slot_count: u32,
-    ) -> Result<NamespaceDesc, PccheckError> {
-        if self.max_namespaces == 0 {
-            return Err(PccheckError::InvalidConfig(
-                "store is not multi-tenant (formatted without namespaces)".into(),
-            ));
-        }
+    ) -> Result<Arc<Namespace>, PccheckError> {
         if slot_count < 2 {
             return Err(PccheckError::InvalidConfig(format!(
                 "namespace needs at least 2 slots (N+1 with N >= 1), got {slot_count}"
@@ -1074,44 +676,41 @@ impl CheckpointStore {
                 "job {job} already owns a namespace"
             )));
         }
-        if namespaces.len() as u32 >= self.max_namespaces {
+        let max_namespaces = self.max_namespaces();
+        if namespaces.len() as u32 >= max_namespaces {
             return Err(PccheckError::InvalidConfig(format!(
-                "namespace directory full ({} of {})",
+                "namespace directory full ({} of {max_namespaces})",
                 namespaces.len(),
-                self.max_namespaces
             )));
         }
-        let slot_start = self.next_free_slot.load(Ordering::Acquire);
-        if slot_start + slot_count > self.num_slots {
+        let remaining = Self::unallocated(&namespaces, self.num_slots());
+        if slot_count > remaining {
             return Err(PccheckError::InvalidConfig(format!(
-                "slot budget exhausted: {slot_count} requested, {} of {} remain",
-                self.num_slots - slot_start,
-                self.num_slots
+                "slot budget exhausted: {slot_count} requested, {remaining} of {} remain",
+                self.num_slots()
             )));
         }
         let desc = NamespaceDesc {
             job,
-            slot_start,
+            slot_start: self.num_slots() - remaining,
             slot_count,
         };
-        // Persist descriptor + a zeroed per-namespace CHECK_ADDR record
-        // before exposing the namespace: a crash mid-allocate leaves either
-        // no entry (decode fails on the torn descriptor) or a complete,
-        // empty namespace — never a half-initialized one.
-        let dir_offset = self.ns_dir_base() + namespaces.len() as u64 * NS_ENTRY_SIZE;
+        // Persist descriptor + a zeroed CHECK_ADDR record before exposing
+        // the namespace: a crash mid-allocate leaves either no entry
+        // (decode fails on the torn descriptor) or a complete, empty
+        // namespace — never a half-initialized one.
+        let row = namespaces.len() as u32;
         let mut entry = [0u8; NS_ENTRY_SIZE as usize];
         entry[..NS_DESC_SIZE as usize].copy_from_slice(&desc.encode());
-        self.device.write_at(dir_offset, &entry)?;
-        self.device.persist(dir_offset, NS_ENTRY_SIZE)?;
-        self.next_free_slot
-            .store(slot_start + slot_count, Ordering::Release);
-        namespaces.push(Arc::new(Namespace {
-            desc,
-            commit: CommitPointer::new(crate::meta::CHECK_ADDR_NONE, 0),
-            free_slots: (slot_start..slot_start + slot_count).collect(),
-            dir_offset,
-        }));
-        Ok(desc)
+        self.device.write_at(self.layout.ns_entry(row), &entry)?;
+        self.device
+            .persist(self.layout.ns_entry(row), NS_ENTRY_SIZE)?;
+        let ns = Arc::new(Namespace::new(&self.layout, row, desc, None));
+        for slot in desc.slot_range() {
+            ns.free_slots.enqueue_blocking(slot);
+        }
+        namespaces.push(Arc::clone(&ns));
+        Ok(ns)
     }
 
     /// Writes a payload chunk into the leased slot at `chunk_offset` within
@@ -1127,11 +726,11 @@ impl CheckpointStore {
         chunk_offset: u64,
         data: &[u8],
     ) -> Result<(), PccheckError> {
-        if chunk_offset + data.len() as u64 > self.slot_size.as_u64() {
+        if chunk_offset + data.len() as u64 > self.slot_size().as_u64() {
             return Err(PccheckError::InvalidConfig(format!(
                 "payload write at {chunk_offset}+{} exceeds slot size {}",
                 data.len(),
-                self.slot_size
+                self.slot_size()
             )));
         }
         let base = self.slot_payload_offset(lease.slot);
@@ -1230,12 +829,10 @@ impl CheckpointStore {
             digest,
         );
 
-        // Namespace routing: a job lease CASes its namespace's CHECK_ADDR
-        // and recycles into its namespace's free queue; the protocol itself
-        // is unchanged.
-        let ns = lease.ns.as_deref();
-        let check_addr = ns.map_or(&self.commit.addr, |n| &n.commit.addr);
-        let free_slots = ns.map_or(&self.free_slots, |n| &n.free_slots);
+        // The lease CASes its namespace's CHECK_ADDR and recycles into its
+        // namespace's free queue.
+        let ns = lease.ns.as_ref();
+        let check_addr = &ns.commit.addr;
 
         // Losing the commit: help publish CHECK_ADDR, then recycle our own
         // slot — our data is obsolete. The durable state word stays
@@ -1250,7 +847,7 @@ impl CheckpointStore {
                 payload_len,
                 by.counter(),
             );
-            self.release_slot(free_slots, lease.slot);
+            self.release_slot(ns, lease.slot);
             Ok(CommitOutcome::SupersededBy {
                 counter: by.counter(),
             })
@@ -1306,7 +903,7 @@ impl CheckpointStore {
                     self.publish_check_addr(ns)?;
                     let released = released.expect("the CAS ran only with the link target pinned");
                     for &(slot, _) in &displaced[..released] {
-                        self.release_slot(free_slots, slot);
+                        self.release_slot(ns, slot);
                     }
                     return Ok(CommitOutcome::Committed);
                 }
@@ -1327,12 +924,11 @@ impl CheckpointStore {
         }
     }
 
-    /// Write-back of the shared `CHECK_ADDR` location (the BARRIER on
+    /// Write-back of `ns`'s `CHECK_ADDR` location (the BARRIER on
     /// CHECK_ADDR), lock-free: persists the *current* value of the
     /// pointer, skipping the device round-trip entirely when the
     /// `fetch_max` watermark shows an equal-or-newer record is already
-    /// durable. With a namespace, the pointer, watermark, and record
-    /// offset are all the namespace's own.
+    /// durable.
     ///
     /// Racing publishers may interleave so that an older record lands
     /// *after* a newer one — harmless, because (a) the newer commit's
@@ -1344,11 +940,8 @@ impl CheckpointStore {
     /// the watermark — exactly one witness per counter, though a late
     /// witness may appear after a newer one (the auditor tolerates the
     /// inversion while the checkpoint's window is still open).
-    fn publish_check_addr(&self, ns: Option<&Namespace>) -> Result<(), PccheckError> {
-        let (commit, rec_offset) = match ns {
-            Some(n) => (&n.commit, n.check_rec_offset()),
-            None => (&self.commit, CHECK_ADDR_OFFSET),
-        };
+    fn publish_check_addr(&self, ns: &Namespace) -> Result<(), PccheckError> {
+        let commit = &ns.commit;
         loop {
             let current = PackedCheckAddr(commit.addr.load(Ordering::Acquire));
             if current.counter() <= commit.persisted.load(Ordering::Acquire) {
@@ -1359,9 +952,11 @@ impl CheckpointStore {
             let mut rec = [0u8; META_RECORD_SIZE as usize];
             self.device
                 .read_durable_at(self.slot_meta_offset(current.slot()), &mut rec)?;
-            self.device.write_at(rec_offset, &rec)?;
-            self.device.persist(rec_offset, META_RECORD_SIZE)?;
-            let prev = commit.persisted.fetch_max(current.counter(), Ordering::AcqRel);
+            self.device.write_at(ns.check_rec, &rec)?;
+            self.device.persist(ns.check_rec, META_RECORD_SIZE)?;
+            let prev = commit
+                .persisted
+                .fetch_max(current.counter(), Ordering::AcqRel);
             if prev < current.counter() {
                 let (iteration, payload_len) = CheckMeta::decode(&rec)
                     .map(|m| (m.iteration, m.payload_len))
@@ -1381,40 +976,14 @@ impl CheckpointStore {
         }
     }
 
-    /// Number of slots currently in the free queue (diagnostics). On a
-    /// multi-tenant store, the sum across namespaces (unallocated slots
-    /// are not counted — they belong to no queue yet).
-    pub fn free_slot_count(&self) -> usize {
-        if self.max_namespaces > 0 {
-            return self
-                .namespaces
-                .read()
-                .iter()
-                .map(|ns| ns.free_slots.len())
-                .sum();
-        }
-        self.free_slots.len()
+    /// Number of slots currently in `ns`'s free queue (diagnostics).
+    pub fn free_slot_count(&self, ns: &Namespace) -> usize {
+        ns.free_slots.len()
     }
 
-    /// Number of free slots in `job`'s namespace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PccheckError::InvalidConfig`] when the store is not
-    /// multi-tenant or `job` has no namespace.
-    pub fn free_slot_count_job(&self, job: JobId) -> Result<usize, PccheckError> {
-        Ok(self.namespace_for(job)?.free_slots.len())
-    }
-
-    /// Whether this store was formatted for multi-tenant (service-mode)
-    /// operation.
-    pub fn is_multi_tenant(&self) -> bool {
-        self.max_namespaces > 0
-    }
-
-    /// Namespace directory capacity (0 on a single-tenant store).
+    /// Namespace directory capacity.
     pub fn max_namespaces(&self) -> u32 {
-        self.max_namespaces
+        self.layout.geometry().max_namespaces
     }
 
     /// Snapshot of the allocated namespace descriptors, in allocation
@@ -1423,46 +992,43 @@ impl CheckpointStore {
         self.namespaces.read().iter().map(|ns| ns.desc).collect()
     }
 
-    /// The job whose namespace owns `slot`, or `None` for unallocated
-    /// slots / single-tenant stores.
+    /// The job whose namespace owns `slot`, or `None` for an unallocated
+    /// slot.
     pub fn namespace_of_slot(&self, slot: u32) -> Option<JobId> {
         self.namespaces
             .read()
             .iter()
-            .find(|ns| ns.slot_range().contains(&slot))
+            .find(|ns| ns.desc.slot_range().contains(&slot))
             .map(|ns| ns.desc.job)
     }
 
     /// Slots not yet carved into any namespace (the admission budget
-    /// remaining). Equals `num_slots` minus allocated ranges; 0 on a
-    /// single-tenant store.
+    /// remaining).
     pub fn unallocated_slots(&self) -> u32 {
-        if self.max_namespaces == 0 {
-            return 0;
-        }
-        self.num_slots - self.next_free_slot.load(Ordering::Acquire)
+        Self::unallocated(&self.namespaces.read(), self.num_slots())
     }
 
-    /// Every slot currently holding a *complete* checkpoint (valid durable
-    /// meta record), sorted by counter ascending. Beyond the latest
-    /// committed checkpoint this may include superseded-but-intact older
-    /// ones — PCcheck's N+1 slots double as a short checkpoint history,
-    /// which the monitoring tooling (§2.1 of the paper) exploits.
+    /// Slots past the last allocated range (ranges are handed out in
+    /// order, so that is all of them).
+    fn unallocated(namespaces: &[Arc<Namespace>], slots: u32) -> u32 {
+        let end = namespaces.iter().map(|ns| ns.desc.slot_range().end).max();
+        slots - end.unwrap_or(0)
+    }
+
+    /// Every slot of `ns` currently holding a *complete* checkpoint (valid
+    /// durable meta record), sorted by counter ascending — only that
+    /// namespace's slot records are read. Beyond the latest committed
+    /// checkpoint this may include superseded-but-intact older ones — the
+    /// N+1 slots double as a short checkpoint history, which the
+    /// monitoring tooling (§2.1 of the paper) exploits.
     ///
     /// # Errors
     ///
     /// Propagates device read errors.
-    pub fn history(&self) -> Result<Vec<CheckMeta>, PccheckError> {
+    pub fn history(&self, ns: &Namespace) -> Result<Vec<CheckMeta>, PccheckError> {
         let mut found = Vec::new();
-        let mut rec = [0u8; META_RECORD_SIZE as usize];
-        for slot in 0..self.num_slots {
-            self.device
-                .read_durable_at(self.slot_meta_offset(slot), &mut rec)?;
-            if let Some(meta) = CheckMeta::decode(&rec) {
-                if meta.slot == slot {
-                    found.push(meta);
-                }
-            }
+        for slot in ns.desc.slot_range() {
+            found.extend(read_slot_meta(self.device.as_ref(), &self.layout, slot)?);
         }
         found.sort_by_key(|m| m.counter);
         Ok(found)
@@ -1477,26 +1043,19 @@ impl CheckpointStore {
     /// Returns [`PccheckError::CorruptCheckpoint`] if the slot has been
     /// recycled or torn since `meta` was read; propagates device errors.
     pub fn read_checkpoint(&self, meta: &CheckMeta) -> Result<Vec<u8>, PccheckError> {
-        let mut rec = [0u8; META_RECORD_SIZE as usize];
-        self.device
-            .read_durable_at(self.slot_meta_offset(meta.slot), &mut rec)?;
-        if CheckMeta::decode(&rec).as_ref() != Some(meta) {
-            return Err(PccheckError::CorruptCheckpoint {
+        let check = || match read_slot_meta(self.device.as_ref(), &self.layout, meta.slot)? {
+            Some(m) if m == *meta => Ok(()),
+            _ => Err(PccheckError::CorruptCheckpoint {
                 counter: meta.counter,
-            });
-        }
+            }),
+        };
+        check()?;
         let mut payload = vec![0u8; meta.payload_len as usize];
         self.device
             .read_durable_at(self.slot_payload_offset(meta.slot), &mut payload)?;
         // Re-validate after the read: the payload is only trustworthy if
         // the meta record is unchanged (recycling writes payload first).
-        self.device
-            .read_durable_at(self.slot_meta_offset(meta.slot), &mut rec)?;
-        if CheckMeta::decode(&rec).as_ref() != Some(meta) {
-            return Err(PccheckError::CorruptCheckpoint {
-                counter: meta.counter,
-            });
-        }
+        check()?;
         Ok(payload)
     }
 }
@@ -1507,28 +1066,16 @@ impl CheckpointStore {
 /// post-crash forensic auditor replays the flight ring against.
 #[derive(Debug, Clone)]
 pub struct RawStoreView {
-    /// Number of slots in the store.
-    pub slots: u32,
-    /// Per-slot payload capacity.
-    pub slot_size: ByteSize,
-    /// Flight-ring capacity in records (0 = no ring).
-    pub flight_records: u32,
-    /// Namespace directory capacity (0 = single-tenant store).
-    pub max_namespaces: u32,
-    /// The durable `CHECK_ADDR` record, if it decodes.
-    pub check_addr: Option<CheckMeta>,
+    /// The store's validated layout.
+    pub layout: StoreLayout,
     /// Each slot's durable meta record, if it decodes and names its own
     /// slot (`slot_meta[s]` is `None` for empty/torn/mis-slotted records).
     pub slot_meta: Vec<Option<CheckMeta>>,
-    /// Whether the store carries the durable per-slot state region
-    /// (header flag; `false` on stores formatted before the lattice).
-    pub state_words: bool,
-    /// Each slot's durable commit-state word, if the region exists and
-    /// the record decodes (`None` = torn/absent → the decision procedure
-    /// falls back to the meta CRC alone).
+    /// Each slot's durable commit-state word, if the record decodes
+    /// (`None` = torn → the decision procedure falls back to the meta CRC
+    /// alone).
     pub slot_state: Vec<Option<SlotState>>,
-    /// Allocated namespaces, in directory order (empty on single-tenant
-    /// stores).
+    /// Allocated namespaces, in directory order.
     pub namespaces: Vec<RawNamespace>,
 }
 
@@ -1560,8 +1107,8 @@ pub enum SlotOutcome {
         /// Counter of the committed checkpoint.
         counter: u64,
     },
-    /// A valid meta record with no live claim on the word (Free, torn, or
-    /// pre-lattice store): an intact checkpoint from a past slot life.
+    /// A valid meta record with no live claim on the word (Free or torn):
+    /// an intact checkpoint from a past slot life.
     Historical {
         /// Counter from the slot's meta record.
         counter: u64,
@@ -1600,8 +1147,7 @@ impl std::fmt::Display for SlotOutcome {
 pub struct RawNamespace {
     /// The namespace descriptor (job, slot range).
     pub desc: NamespaceDesc,
-    /// The namespace's durable check record, if it decodes and names a
-    /// slot inside the namespace's own range.
+    /// The namespace's durable check record, if it decodes.
     pub check_addr: Option<CheckMeta>,
 }
 
@@ -1610,86 +1156,24 @@ impl RawStoreView {
     ///
     /// # Errors
     ///
-    /// Returns [`PccheckError::InvalidConfig`] if no valid store header is
+    /// Returns [`PccheckError::InvalidConfig`] if no valid superblock is
     /// found; propagates device read errors.
     pub fn load(device: &dyn PersistentDevice) -> Result<RawStoreView, PccheckError> {
-        let mut header = [0u8; HEADER_SIZE as usize];
-        device.read_durable_at(0, &mut header)?;
-        let magic = u64::from_le_bytes(header[0..8].try_into().expect("slice len"));
-        if magic != STORE_MAGIC {
-            return Err(PccheckError::InvalidConfig(
-                "device holds no PCcheck store (bad magic)".into(),
-            ));
-        }
-        let slots = u32::from_le_bytes(header[8..12].try_into().expect("slice len"));
-        let slot_size =
-            ByteSize::from_bytes(u64::from_le_bytes(header[12..20].try_into().expect("len")));
-        let flight_records = u32::from_le_bytes(header[20..24].try_into().expect("slice len"));
-        let max_namespaces = u32::from_le_bytes(header[28..32].try_into().expect("slice len"));
-        let state_words = u32::from_le_bytes(header[32..36].try_into().expect("slice len")) != 0;
-
-        let mut rec = [0u8; META_RECORD_SIZE as usize];
-        device.read_durable_at(CHECK_ADDR_OFFSET, &mut rec)?;
-        let check_addr = CheckMeta::decode(&rec).filter(|m| m.slot < slots);
-
-        let mut slot_meta = Vec::with_capacity(slots as usize);
-        for s in 0..slots {
-            device.read_durable_at(
-                CheckpointStore::slot_meta_offset_static(s, slot_size),
-                &mut rec,
-            )?;
-            slot_meta.push(
-                CheckMeta::decode(&rec)
-                    .filter(|m| m.slot == s && ByteSize::from_bytes(m.payload_len) <= slot_size),
-            );
-        }
-
-        let mut slot_state = vec![None; slots as usize];
-        if state_words {
-            let state_base = CheckpointStore::slot_state_base_static(
-                slot_size,
-                slots,
-                flight_records,
-                max_namespaces,
-            );
-            let mut state_rec = [0u8; SLOT_STATE_SIZE as usize];
-            for (s, cell) in slot_state.iter_mut().enumerate() {
-                device
-                    .read_durable_at(state_base + s as u64 * SLOT_STATE_SIZE, &mut state_rec)?;
-                *cell = SlotState::decode(&state_rec);
-            }
-        }
-
-        let mut namespaces = Vec::new();
-        if max_namespaces > 0 {
-            let dir_base = CheckpointStore::ns_dir_base_static(slot_size, slots, flight_records);
-            let mut desc_buf = [0u8; NS_DESC_SIZE as usize];
-            for i in 0..max_namespaces {
-                let entry_off = dir_base + u64::from(i) * NS_ENTRY_SIZE;
-                device.read_durable_at(entry_off, &mut desc_buf)?;
-                let Some(desc) = NamespaceDesc::decode(&desc_buf) else {
-                    continue;
-                };
-                if desc.slot_start + desc.slot_count > slots || desc.slot_count == 0 {
-                    continue;
-                }
-                device.read_durable_at(entry_off + NS_DESC_SIZE, &mut rec)?;
-                let range = desc.slot_start..desc.slot_start + desc.slot_count;
-                let check_addr = CheckMeta::decode(&rec).filter(|m| range.contains(&m.slot));
-                namespaces.push(RawNamespace { desc, check_addr });
-            }
-        }
-
+        let layout = StoreLayout::read(device)?;
+        let slots = layout.geometry().slots;
+        let mut states = vec![0u8; (SLOT_STATE_SIZE * u64::from(slots)) as usize];
+        device.read_durable_at(layout.slot_state(0), &mut states)?;
         Ok(RawStoreView {
-            slots,
-            slot_size,
-            flight_records,
-            max_namespaces,
-            check_addr,
-            slot_meta,
-            state_words,
-            slot_state,
-            namespaces,
+            layout,
+            slot_meta: read_slot_metas(device, &layout)?,
+            slot_state: states
+                .chunks_exact(SLOT_STATE_SIZE as usize)
+                .map(SlotState::decode)
+                .collect(),
+            namespaces: read_directory(device, &layout)?
+                .into_iter()
+                .map(|(_, desc, check_addr)| RawNamespace { desc, check_addr })
+                .collect(),
         })
     }
 
@@ -1723,77 +1207,30 @@ impl RawStoreView {
 
     /// [`slot_outcome`](Self::slot_outcome) for every slot, in order.
     pub fn slot_outcomes(&self) -> Vec<SlotOutcome> {
-        (0..self.slots).map(|s| self.slot_outcome(s)).collect()
+        (0..self.layout.geometry().slots)
+            .map(|s| self.slot_outcome(s))
+            .collect()
     }
 
-    /// Device offset of `slot`'s payload.
-    pub fn slot_payload_offset(&self, slot: u32) -> u64 {
-        CheckpointStore::slot_meta_offset_static(slot, self.slot_size) + META_RECORD_SIZE
-    }
-
-    /// Device offset of the flight ring header (meaningful only when
-    /// [`flight_records`](Self::flight_records) > 0).
-    pub fn flight_base(&self) -> u64 {
-        CheckpointStore::flight_base_static(self.slot_size, self.slots)
-    }
-
-    /// The checkpoint recovery would restore, replicating
-    /// `CheckpointStore::open`'s scan over durable bytes: the max-counter
-    /// checkpoint among a slot-consistent `CHECK_ADDR` and the valid slot
-    /// records.
-    pub fn expected_recovery(&self) -> Option<CheckMeta> {
-        if self.max_namespaces > 0 {
-            // Service mode: recovery is per-namespace; the global answer is
-            // the newest across them (diagnostics only).
-            return self
-                .namespaces
-                .iter()
-                .filter_map(|ns| self.expected_recovery_for(ns.desc.job))
-                .max_by_key(|m| m.counter);
-        }
-        Self::best_of(self.check_addr.as_ref(), &self.slot_meta, 0..self.slots)
-    }
-
-    /// The checkpoint recovery would restore for `job`'s namespace — the
-    /// same max-counter scan as [`expected_recovery`](Self::expected_recovery)
-    /// but confined to the namespace's slot range and its own check record.
-    /// `None` when the job has no namespace or nothing committed.
-    pub fn expected_recovery_for(&self, job: u64) -> Option<CheckMeta> {
+    /// The checkpoint recovery would restore for `job`'s namespace: the
+    /// same scan `CheckpointStore::open` runs, over the same durable
+    /// bytes. `None` when the job has no namespace or nothing committed.
+    pub fn expected_recovery(&self, job: JobId) -> Option<CheckMeta> {
         let ns = self.namespaces.iter().find(|ns| ns.desc.job == job)?;
-        let range = ns.desc.slot_start..ns.desc.slot_start + ns.desc.slot_count;
-        Self::best_of(ns.check_addr.as_ref(), &self.slot_meta, range)
+        recovery_target(
+            ns.check_addr.as_ref(),
+            &self.slot_meta,
+            ns.desc.slot_range(),
+        )
     }
 
-    /// The job whose namespace owns `slot`, or `None` for unallocated
-    /// slots / single-tenant stores.
-    pub fn namespace_of_slot(&self, slot: u32) -> Option<u64> {
+    /// The job whose namespace owns `slot`, or `None` for an unallocated
+    /// slot.
+    pub fn namespace_of_slot(&self, slot: u32) -> Option<JobId> {
         self.namespaces
             .iter()
-            .find(|ns| {
-                (ns.desc.slot_start..ns.desc.slot_start + ns.desc.slot_count).contains(&slot)
-            })
+            .find(|ns| ns.desc.slot_range().contains(&slot))
             .map(|ns| ns.desc.job)
-    }
-
-    fn best_of(
-        check_addr: Option<&CheckMeta>,
-        slot_meta: &[Option<CheckMeta>],
-        range: std::ops::Range<u32>,
-    ) -> Option<CheckMeta> {
-        let mut best: Option<CheckMeta> = None;
-        if let Some(ca) = check_addr {
-            if range.contains(&ca.slot) && slot_meta.get(ca.slot as usize) == Some(&Some(*ca)) {
-                best = Some(*ca);
-            }
-        }
-        for s in range {
-            if let Some(meta) = slot_meta.get(s as usize).copied().flatten() {
-                if best.map_or(true, |b| meta.counter > b.counter) {
-                    best = Some(meta);
-                }
-            }
-        }
-        best
     }
 
     /// Reads a slot's durable payload bytes, sized by its meta record.
@@ -1813,26 +1250,52 @@ impl RawStoreView {
             .flatten()
             .ok_or(PccheckError::CorruptCheckpoint { counter: 0 })?;
         let mut payload = vec![0u8; meta.payload_len as usize];
-        device.read_durable_at(self.slot_payload_offset(slot), &mut payload)?;
+        device.read_durable_at(self.layout.slot_payload(slot), &mut payload)?;
         Ok(payload)
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pccheck_device::{DeviceConfig, SsdDevice};
     use pccheck_gpu::StateDigest;
 
+    fn geometry(slot_size: u64, slots: u32, flight_records: u32, max_ns: u32) -> StoreGeometry {
+        StoreGeometry {
+            slot_size: ByteSize::from_bytes(slot_size),
+            slots,
+            flight_records,
+            max_namespaces: max_ns,
+        }
+    }
+
+    /// An exactly-sized device for `geometry`.
+    fn device(geometry: StoreGeometry) -> Arc<dyn PersistentDevice> {
+        let cap = geometry.required_capacity();
+        Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)))
+    }
+
     fn store(slot_size: u64, slots: u32) -> CheckpointStore {
-        let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(slot_size), slots);
-        let dev: Arc<dyn PersistentDevice> =
-            Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        CheckpointStore::format(dev, ByteSize::from_bytes(slot_size), slots).unwrap()
+        let geometry = geometry(slot_size, slots, 0, 1);
+        CheckpointStore::format(device(geometry), geometry).unwrap()
+    }
+
+    /// The tenant of a single-tenant store.
+    fn ns(st: &CheckpointStore) -> Arc<Namespace> {
+        st.namespace(DEFAULT_JOB).unwrap()
     }
 
     fn full_checkpoint(st: &CheckpointStore, iter: u64, payload: &[u8]) -> CommitOutcome {
-        let lease = st.begin_checkpoint();
+        job_checkpoint(st, DEFAULT_JOB, iter, payload)
+    }
+
+    fn job_checkpoint(
+        st: &CheckpointStore,
+        job: JobId,
+        iter: u64,
+        payload: &[u8],
+    ) -> CommitOutcome {
+        let lease = st.begin_checkpoint(&st.namespace(job).unwrap());
         st.write_payload(&lease, 0, payload).unwrap();
         st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
         let digest = StateDigest::of_payload(payload, iter).0;
@@ -1843,10 +1306,15 @@ mod tests {
     #[test]
     fn format_then_no_committed_checkpoint() {
         let st = store(256, 3);
-        assert_eq!(st.latest_committed(), None);
-        assert_eq!(st.free_slot_count(), 3);
+        assert_eq!(st.latest_committed(&ns(&st)), None);
+        assert_eq!(st.free_slot_count(&ns(&st)), 3);
         assert_eq!(st.num_slots(), 3);
         assert_eq!(st.slot_size().as_u64(), 256);
+        // A single-tenant store is the one-row case: the default job owns
+        // every slot and the directory has no room for another.
+        assert_eq!(ns(&st).desc().slot_range(), 0..3);
+        assert_eq!(st.unallocated_slots(), 0);
+        assert!(st.allocate_namespace(1, 2).is_err());
     }
 
     #[test]
@@ -1854,11 +1322,11 @@ mod tests {
         let st = store(256, 3);
         let out = full_checkpoint(&st, 10, b"payload-at-iter-10");
         assert_eq!(out, CommitOutcome::Committed);
-        let meta = st.latest_committed().unwrap();
+        let meta = st.latest_committed(&ns(&st)).unwrap();
         assert_eq!(meta.iteration, 10);
         assert_eq!(meta.payload_len, 18);
         // Committed slot is held out of the queue.
-        assert_eq!(st.free_slot_count(), 2);
+        assert_eq!(st.free_slot_count(&ns(&st)), 2);
     }
 
     #[test]
@@ -1867,16 +1335,16 @@ mod tests {
         for i in 1..=20u64 {
             let out = full_checkpoint(&st, i, format!("it{i}").as_bytes());
             assert_eq!(out, CommitOutcome::Committed);
-            assert_eq!(st.latest_committed().unwrap().iteration, i);
-            assert_eq!(st.free_slot_count(), 1);
+            assert_eq!(st.latest_committed(&ns(&st)).unwrap().iteration, i);
+            assert_eq!(st.free_slot_count(&ns(&st)), 1);
         }
     }
 
     #[test]
     fn out_of_order_commit_is_superseded() {
         let st = store(64, 3);
-        let lease_old = st.begin_checkpoint(); // counter 1
-        let lease_new = st.begin_checkpoint(); // counter 2
+        let lease_old = st.begin_checkpoint(&ns(&st)); // counter 1
+        let lease_new = st.begin_checkpoint(&ns(&st)); // counter 2
         st.write_payload(&lease_new, 0, b"new").unwrap();
         st.persist_payload(&lease_new, 0, 3).unwrap();
         assert_eq!(
@@ -1888,15 +1356,15 @@ mod tests {
         let out = st.commit(lease_old, 1, 3, 0).unwrap();
         assert_eq!(out, CommitOutcome::SupersededBy { counter: 2 });
         // The newer checkpoint remains installed.
-        assert_eq!(st.latest_committed().unwrap().iteration, 2);
+        assert_eq!(st.latest_committed(&ns(&st)).unwrap().iteration, 2);
         // Both non-committed slots are free again.
-        assert_eq!(st.free_slot_count(), 2);
+        assert_eq!(st.free_slot_count(&ns(&st)), 2);
     }
 
     #[test]
     fn oversized_payload_rejected() {
         let st = store(8, 2);
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(&ns(&st));
         assert!(st.write_payload(&lease, 4, &[0u8; 8]).is_err());
         st.write_payload(&lease, 0, &[0u8; 8]).unwrap();
         // Return the lease through a commit to avoid leaking the slot.
@@ -1910,18 +1378,17 @@ mod tests {
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         {
-            let st =
-                CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 3).unwrap();
+            let st = CheckpointStore::format(Arc::clone(&dev), geometry(64, 3, 0, 1)).unwrap();
             full_checkpoint(&st, 7, &payload);
         }
         dev.crash_now();
         dev.recover();
         let st = CheckpointStore::open(Arc::clone(&dev)).unwrap();
-        let meta = st.latest_committed().unwrap();
+        let meta = st.latest_committed(&ns(&st)).unwrap();
         assert_eq!(meta.iteration, 7);
         assert_eq!(meta.payload_len, payload.len() as u64);
         // Counter resumes above the recovered one.
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(&ns(&st));
         assert!(lease.counter > meta.counter);
         assert_ne!(lease.slot, meta.slot, "committed slot is not leased out");
     }
@@ -1942,10 +1409,11 @@ mod tests {
         let dev: Arc<dyn PersistentDevice> = Arc::new(SsdDevice::new(
             DeviceConfig::fast_for_tests(ByteSize::from_kb(4)),
         ));
-        assert!(CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 1).is_err());
-        assert!(CheckpointStore::format(Arc::clone(&dev), ByteSize::ZERO, 2).is_err());
+        assert!(CheckpointStore::format(Arc::clone(&dev), geometry(64, 1, 0, 1)).is_err());
+        assert!(CheckpointStore::format(Arc::clone(&dev), geometry(0, 2, 0, 1)).is_err());
+        assert!(CheckpointStore::format(Arc::clone(&dev), geometry(64, 2, 0, 0)).is_err());
         assert!(
-            CheckpointStore::format(dev, ByteSize::from_gb(1.0), 2).is_err(),
+            CheckpointStore::format(dev, geometry(1 << 30, 2, 0, 1)).is_err(),
             "device too small"
         );
     }
@@ -1955,17 +1423,17 @@ mod tests {
         let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(64), 2);
         let dev_concrete = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         let dev: Arc<dyn PersistentDevice> = dev_concrete.clone();
-        let st = CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 2).unwrap();
+        let st = CheckpointStore::format(Arc::clone(&dev), geometry(64, 2, 0, 1)).unwrap();
         full_checkpoint(&st, 1, b"first");
         // Second checkpoint: payload written + persisted, meta written but
         // CRASH before the meta record persists / CAS runs.
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(&ns(&st));
         st.write_payload(&lease, 0, b"second").unwrap();
         st.persist_payload(&lease, 0, 6).unwrap();
         dev.crash_now();
         dev.recover();
         let st2 = CheckpointStore::open(dev).unwrap();
-        let meta = st2.latest_committed().unwrap();
+        let meta = st2.latest_committed(&ns(&st2)).unwrap();
         assert_eq!(meta.iteration, 1, "first checkpoint survives the crash");
     }
 
@@ -1976,9 +1444,9 @@ mod tests {
         let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(64), 3);
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let st = CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 3).unwrap();
+        let st = CheckpointStore::format(Arc::clone(&dev), geometry(64, 3, 0, 1)).unwrap();
         full_checkpoint(&st, 1, b"one");
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(&ns(&st));
         st.write_payload(&lease, 0, b"two").unwrap();
         st.persist_payload(&lease, 0, 3).unwrap();
         // Persist the slot meta record manually (as commit() would), then
@@ -1997,7 +1465,7 @@ mod tests {
         dev.crash_now();
         dev.recover();
         let st2 = CheckpointStore::open(dev).unwrap();
-        assert_eq!(st2.latest_committed().unwrap().iteration, 2);
+        assert_eq!(st2.latest_committed(&ns(&st2)).unwrap().iteration, 2);
     }
 
     #[test]
@@ -2006,7 +1474,7 @@ mod tests {
         for i in 1..=3u64 {
             full_checkpoint(&st, i, format!("payload-{i}").as_bytes());
         }
-        let hist = st.history().unwrap();
+        let hist = st.history(&ns(&st)).unwrap();
         assert_eq!(hist.len(), 3);
         assert!(hist.windows(2).all(|w| w[0].counter < w[1].counter));
         assert_eq!(hist.last().unwrap().iteration, 3);
@@ -2021,7 +1489,7 @@ mod tests {
     fn read_checkpoint_detects_recycled_slot() {
         let st = store(64, 2); // tight store: slots recycle fast
         full_checkpoint(&st, 1, b"one");
-        let old = st.history().unwrap()[0];
+        let old = st.history(&ns(&st)).unwrap()[0];
         full_checkpoint(&st, 2, b"two");
         full_checkpoint(&st, 3, b"three");
         // Slot of checkpoint 1 has been recycled by now.
@@ -2034,19 +1502,16 @@ mod tests {
     #[test]
     fn flight_ring_witnesses_lifecycle_and_survives_crash() {
         use pccheck_telemetry::FlightEventKind as K;
-        let cap = CheckpointStore::required_capacity_with_flight(ByteSize::from_bytes(64), 3, 32);
+        let cap = geometry(64, 3, 32, 1).required_capacity();
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let st =
-            CheckpointStore::format_with_flight(Arc::clone(&dev), ByteSize::from_bytes(64), 3, 32)
-                .unwrap();
+        let st = CheckpointStore::format(Arc::clone(&dev), geometry(64, 3, 32, 1)).unwrap();
         assert!(st.flight().is_enabled());
         full_checkpoint(&st, 5, b"five");
         full_checkpoint(&st, 6, b"six");
         dev.crash_now();
         // The ring is readable from durable bytes while crashed.
-        let base = CheckpointStore::flight_base_static(ByteSize::from_bytes(64), 3);
-        let scan = FlightRing::scan(dev.as_ref(), base).unwrap();
+        let scan = FlightRing::scan(dev.as_ref(), st.layout().flight()).unwrap();
         let kinds: Vec<K> = scan.records.iter().map(|r| r.kind).collect();
         assert_eq!(
             kinds,
@@ -2077,47 +1542,95 @@ mod tests {
         assert_eq!(scan2.records.len(), scan.records.len() + 3);
     }
 
+    /// `CheckpointStore::open` and `RawStoreView::load` share one scan, so
+    /// after a crash at each of the harness's six crash points — on a
+    /// one-namespace and a three-namespace image — they name the same
+    /// recovery target for every namespace.
     #[test]
-    fn format_without_flight_is_backward_compatible() {
-        let st = store(256, 3);
-        assert!(!st.flight().is_enabled());
-        full_checkpoint(&st, 1, b"x");
-        // Geometry identical to the pre-flight layout.
-        assert_eq!(
-            CheckpointStore::required_capacity_with_flight(ByteSize::from_bytes(256), 3, 0),
-            CheckpointStore::required_capacity(ByteSize::from_bytes(256), 3)
-        );
-    }
-
-    #[test]
-    fn raw_view_matches_store_state_while_crashed() {
-        let cap = CheckpointStore::required_capacity_with_flight(ByteSize::from_bytes(64), 3, 16);
-        let dev: Arc<dyn PersistentDevice> =
-            Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let st =
-            CheckpointStore::format_with_flight(Arc::clone(&dev), ByteSize::from_bytes(64), 3, 16)
-                .unwrap();
-        full_checkpoint(&st, 3, b"abc");
-        let committed = st.latest_committed().unwrap();
-        dev.crash_now();
-        let view = RawStoreView::load(dev.as_ref()).unwrap();
-        assert_eq!(view.slots, 3);
-        assert_eq!(view.slot_size.as_u64(), 64);
-        assert_eq!(view.flight_records, 16);
-        assert_eq!(view.check_addr, Some(committed));
-        assert_eq!(view.expected_recovery(), Some(committed));
-        assert_eq!(
-            view.read_slot_payload(dev.as_ref(), committed.slot)
-                .unwrap(),
-            b"abc"
-        );
-        assert_eq!(view.flight_base(), st.slot_meta_offset(2) + 64 + 64);
+    fn raw_view_and_open_agree_on_every_namespace_after_every_crash_point() {
+        const POINTS: [&str; 6] = [
+            "claim-publish",
+            "during-copy",
+            "during-persist",
+            "between-persist-and-commit",
+            "after-commit",
+            "dedup-chain",
+        ];
+        for jobs in [vec![DEFAULT_JOB], vec![1, 2, 3]] {
+            let cases = jobs
+                .iter()
+                .flat_map(|victim| POINTS.iter().map(move |point| (point, victim)));
+            for (point, victim) in cases {
+                let geometry = geometry(64, 3 * jobs.len() as u32, 16, jobs.len() as u32);
+                let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(
+                    geometry.required_capacity(),
+                )));
+                let dev: Arc<dyn PersistentDevice> = ssd.clone();
+                let st = CheckpointStore::format(Arc::clone(&dev), geometry).unwrap();
+                for &job in jobs.iter().filter(|&&job| job != DEFAULT_JOB) {
+                    st.allocate_namespace(job, 3).unwrap();
+                }
+                for &job in &jobs {
+                    job_checkpoint(&st, job, 10 + job, b"baseline");
+                }
+                let ns = st.namespace(*victim).unwrap();
+                if *point == "dedup-chain" {
+                    let base = st.latest_committed(&ns).unwrap();
+                    let lease = st.begin_checkpoint(&ns);
+                    st.write_payload(&lease, 0, b"frame").unwrap();
+                    st.persist_payload(&lease, 0, 5).unwrap();
+                    let link = DeltaLink {
+                        base_counter: base.counter,
+                        base_slot: base.slot,
+                        chain_depth: 1,
+                    };
+                    st.commit_with_delta(lease, 20, 5, 0, Some(link)).unwrap();
+                }
+                let lease = st.begin_checkpoint(&ns);
+                match *point {
+                    "claim-publish" => {}
+                    "during-copy" => st.write_payload(&lease, 0, b"ha").unwrap(),
+                    "during-persist" => {
+                        st.write_payload(&lease, 0, b"half").unwrap();
+                        ssd.arm_crash_after_persists(0);
+                        assert!(st.persist_payload(&lease, 0, 4).is_err());
+                    }
+                    // Payload durable: stranded before its meta record
+                    // (also dedup-chain's second frame), or committed.
+                    _ => {
+                        st.write_payload(&lease, 0, b"full").unwrap();
+                        st.persist_payload(&lease, 0, 4).unwrap();
+                    }
+                }
+                if *point == "after-commit" {
+                    let digest = StateDigest::of_payload(b"full", 30).0;
+                    st.commit(lease, 30, 4, digest).unwrap();
+                }
+                dev.crash_now();
+                let view = RawStoreView::load(dev.as_ref()).unwrap();
+                assert_eq!(*view.layout.geometry(), geometry);
+                dev.recover();
+                let reopened = CheckpointStore::open(Arc::clone(&dev)).unwrap();
+                for &job in &jobs {
+                    let target = view.expected_recovery(job);
+                    assert!(target.is_some(), "{point}: job {job} keeps a head");
+                    assert_eq!(
+                        reopened.latest_committed(&reopened.namespace(job).unwrap()),
+                        target,
+                        "{point}: job {job} of {jobs:?}"
+                    );
+                }
+            }
+        }
     }
 
     fn delta_checkpoint(st: &CheckpointStore, iter: u64, payload: &[u8]) -> CommitOutcome {
-        let base = st.latest_committed().expect("delta needs a committed base");
+        let ns = ns(st);
+        let base = st
+            .latest_committed(&ns)
+            .expect("delta needs a committed base");
         let depth = base.delta.map_or(0, |l| l.chain_depth);
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(&ns);
         st.write_payload(&lease, 0, payload).unwrap();
         st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
         let digest = StateDigest::of_payload(payload, iter).0;
@@ -2139,26 +1652,26 @@ mod tests {
     fn delta_commit_pins_the_chain_until_a_full_checkpoint() {
         let st = store(64, 4);
         full_checkpoint(&st, 1, b"base");
-        assert_eq!(st.free_slot_count(), 3);
+        assert_eq!(st.free_slot_count(&ns(&st)), 3);
         assert_eq!(delta_checkpoint(&st, 2, b"d1"), CommitOutcome::Committed);
         // Base + delta both pinned.
-        assert_eq!(st.free_slot_count(), 2);
+        assert_eq!(st.free_slot_count(&ns(&st)), 2);
         assert_eq!(delta_checkpoint(&st, 3, b"d2"), CommitOutcome::Committed);
-        assert_eq!(st.free_slot_count(), 1);
-        let head = st.latest_committed().unwrap();
+        assert_eq!(st.free_slot_count(&ns(&st)), 1);
+        let head = st.latest_committed(&ns(&st)).unwrap();
         assert_eq!(head.iteration, 3);
         assert_eq!(head.delta.unwrap().chain_depth, 2);
         // A full checkpoint releases the whole displaced chain.
         full_checkpoint(&st, 4, b"full");
-        assert_eq!(st.free_slot_count(), 3);
-        assert!(!st.latest_committed().unwrap().is_delta());
+        assert_eq!(st.free_slot_count(&ns(&st)), 3);
+        assert!(!st.latest_committed(&ns(&st)).unwrap().is_delta());
     }
 
     #[test]
     fn delta_commit_rejects_reserved_base_counter() {
         let st = store(64, 3);
         full_checkpoint(&st, 1, b"base");
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(&ns(&st));
         st.write_payload(&lease, 0, b"d").unwrap();
         st.persist_payload(&lease, 0, 1).unwrap();
         let err = st.commit_with_delta(
@@ -2181,8 +1694,7 @@ mod tests {
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         {
-            let st =
-                CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 4).unwrap();
+            let st = CheckpointStore::format(Arc::clone(&dev), geometry(64, 4, 0, 1)).unwrap();
             full_checkpoint(&st, 1, b"base");
             delta_checkpoint(&st, 2, b"d1");
             delta_checkpoint(&st, 3, b"d2");
@@ -2190,18 +1702,18 @@ mod tests {
         dev.crash_now();
         dev.recover();
         let st = CheckpointStore::open(dev).unwrap();
-        let head = st.latest_committed().unwrap();
+        let head = st.latest_committed(&ns(&st)).unwrap();
         assert_eq!(head.iteration, 3);
         assert_eq!(head.delta.unwrap().chain_depth, 2);
         // Only the one slot outside the 3-slot chain is free.
-        assert_eq!(st.free_slot_count(), 1);
-        let lease = st.begin_checkpoint();
+        assert_eq!(st.free_slot_count(&ns(&st)), 1);
+        let lease = st.begin_checkpoint(&ns(&st));
         let chain: Vec<u32> = {
             let mut c = vec![head.slot];
             let mut link = head.delta;
             while let Some(l) = link {
                 c.push(l.base_slot);
-                let hist = st.history().unwrap();
+                let hist = st.history(&ns(&st)).unwrap();
                 link = hist
                     .iter()
                     .find(|m| m.counter == l.base_counter)
@@ -2221,13 +1733,12 @@ mod tests {
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         {
-            let st =
-                CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 3).unwrap();
+            let st = CheckpointStore::format(Arc::clone(&dev), geometry(64, 3, 0, 1)).unwrap();
             full_checkpoint(&st, 4, b"committed");
         }
-        // "PCcheCk1" images laid a digest region out between the flight
-        // ring and the namespace directory: every later offset differs.
-        dev.write_at(0, &0x5043_6368_6543_6B31u64.to_le_bytes())
+        // "PCcheCk2" images kept a store-wide CHECK_ADDR at bytes 64..128
+        // and an unchecksummed header with other field offsets.
+        dev.write_at(0, &0x5043_6368_6543_6B32u64.to_le_bytes())
             .unwrap();
         dev.persist(0, 8).unwrap();
         for err in [
@@ -2242,6 +1753,50 @@ mod tests {
         }
     }
 
+    /// `open` and `RawStoreView::load` on a damaged image report; they
+    /// never index or allocate by what a damaged superblock says.
+    #[test]
+    fn a_hostile_superblock_is_rejected_or_read_as_the_original() {
+        let geometry = geometry(64, 3, 16, 1);
+        let dev = device(geometry);
+        {
+            let st = CheckpointStore::format(Arc::clone(&dev), geometry).unwrap();
+            full_checkpoint(&st, 4, b"committed");
+        }
+        let mut pristine = [0u8; 128];
+        dev.read_durable_at(0, &mut pristine).unwrap();
+        let judge = |prefix: &[u8; 128], what: &str| {
+            dev.write_at(0, prefix).unwrap();
+            dev.persist(0, 128).unwrap();
+            let opened = CheckpointStore::open(Arc::clone(&dev)).map(|st| *st.layout().geometry());
+            let loaded = RawStoreView::load(dev.as_ref()).map(|view| *view.layout.geometry());
+            for seen in [opened, loaded] {
+                match seen {
+                    Ok(seen) => assert_eq!(seen, geometry, "{what}"),
+                    Err(e) => assert!(matches!(e, PccheckError::InvalidConfig(_)), "{what}: {e}"),
+                }
+            }
+        };
+        // Every single-bit flip: of the superblock (rejected by its
+        // checksum) and of the reserved bytes after it (ignored).
+        for bit in 0..128 * 8 {
+            let mut flipped = pristine;
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            judge(&flipped, &format!("bit {bit}"));
+        }
+        // Random prefixes, with and without the right magic in place.
+        pccheck_util::rng::check(256, |r| {
+            let mut prefix = [0u8; 128];
+            r.fill(&mut prefix);
+            if r.bool() {
+                prefix[..12].copy_from_slice(&pristine[..12]);
+            }
+            judge(&prefix, &format!("{prefix:?}"));
+        });
+        judge(&pristine, "pristine");
+        assert!(CheckpointStore::open(dev).is_ok());
+    }
+
     #[test]
     fn concurrent_commits_maintain_invariants() {
         let st = Arc::new(store(64, 4)); // N=3
@@ -2252,7 +1807,7 @@ mod tests {
                     for i in 0..50u64 {
                         let iter = t * 1000 + i;
                         let payload = iter.to_le_bytes();
-                        let lease = st.begin_checkpoint();
+                        let lease = st.begin_checkpoint(&ns(&st));
                         st.write_payload(&lease, 0, &payload).unwrap();
                         st.persist_payload(&lease, 0, 8).unwrap();
                         st.commit(lease, iter, 8, 0).unwrap();
@@ -2261,9 +1816,9 @@ mod tests {
             }
         });
         // After the dust settles: one committed checkpoint, 3 free slots.
-        let meta = st.latest_committed().expect("something committed");
+        let meta = st.latest_committed(&ns(&st)).expect("something committed");
         assert!(meta.counter >= 1);
-        assert_eq!(st.free_slot_count(), 3);
+        assert_eq!(st.free_slot_count(&ns(&st)), 3);
         // The committed payload matches what that iteration wrote.
         let mut buf = [0u8; 8];
         st.device()
@@ -2272,42 +1827,27 @@ mod tests {
         assert_eq!(u64::from_le_bytes(buf), meta.iteration);
     }
 
-    // ------------------------------------------------- service mode
+    // ------------------------------------------------- shared stores
 
-    fn service_store(slot_size: u64, slots: u32, max_ns: u32) -> CheckpointStore {
-        let cap = CheckpointStore::required_capacity_service(
-            ByteSize::from_bytes(slot_size),
-            slots,
-            0,
-            max_ns,
-        );
-        let dev: Arc<dyn PersistentDevice> =
-            Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        CheckpointStore::format_service(dev, ByteSize::from_bytes(slot_size), slots, 0, max_ns)
-            .unwrap()
+    fn shared_store(slot_size: u64, slots: u32, max_ns: u32) -> CheckpointStore {
+        let geometry = geometry(slot_size, slots, 0, max_ns);
+        CheckpointStore::format(device(geometry), geometry).unwrap()
     }
 
-    fn job_checkpoint(
-        st: &CheckpointStore,
-        job: JobId,
-        iter: u64,
-        payload: &[u8],
-    ) -> CommitOutcome {
-        let lease = st.begin_checkpoint_job(job).unwrap();
-        st.write_payload(&lease, 0, payload).unwrap();
-        st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
-        let digest = StateDigest::of_payload(payload, iter).0;
-        st.commit(lease, iter, payload.len() as u64, digest)
-            .unwrap()
+    fn head(st: &CheckpointStore, job: JobId) -> CheckMeta {
+        st.latest_committed(&st.namespace(job).unwrap()).unwrap()
+    }
+
+    fn free(st: &CheckpointStore, job: JobId) -> usize {
+        st.free_slot_count(&st.namespace(job).unwrap())
     }
 
     #[test]
-    fn service_format_allocate_and_isolate_jobs() {
-        let st = service_store(128, 8, 4);
-        assert!(st.is_multi_tenant());
+    fn namespaces_allocate_and_isolate_jobs() {
+        let st = shared_store(128, 8, 4);
         assert_eq!(st.unallocated_slots(), 8);
-        let a = st.allocate_namespace(1, 3).unwrap();
-        let b = st.allocate_namespace(2, 3).unwrap();
+        let a = st.allocate_namespace(1, 3).unwrap().desc();
+        let b = st.allocate_namespace(2, 3).unwrap().desc();
         assert_eq!((a.slot_start, a.slot_count), (0, 3));
         assert_eq!((b.slot_start, b.slot_count), (3, 3));
         assert_eq!(st.unallocated_slots(), 2);
@@ -2328,8 +1868,7 @@ mod tests {
             job_checkpoint(&st, 1, 6, b"job1-b"),
             CommitOutcome::Committed
         );
-        let m1 = st.latest_committed_job(1).unwrap().unwrap();
-        let m2 = st.latest_committed_job(2).unwrap().unwrap();
+        let (m1, m2) = (head(&st, 1), head(&st, 2));
         assert_eq!(m1.iteration, 6);
         assert_eq!(m2.iteration, 9);
         assert!(a.slot_range().contains(&m1.slot));
@@ -2337,13 +1876,13 @@ mod tests {
         // Global counters are unique across jobs.
         assert_ne!(m1.counter, m2.counter);
         // Per-job free accounting: one slot pinned per job.
-        assert_eq!(st.free_slot_count_job(1).unwrap(), 2);
-        assert_eq!(st.free_slot_count_job(2).unwrap(), 2);
+        assert_eq!(free(&st, 1), 2);
+        assert_eq!(free(&st, 2), 2);
     }
 
     #[test]
-    fn service_admission_rejections() {
-        let st = service_store(128, 6, 2);
+    fn namespace_admission_rejections() {
+        let st = shared_store(128, 6, 2);
         st.allocate_namespace(7, 4).unwrap();
         // Duplicate job.
         assert!(st.allocate_namespace(7, 2).is_err());
@@ -2355,142 +1894,94 @@ mod tests {
         st.allocate_namespace(8, 2).unwrap();
         // Directory full.
         assert!(st.allocate_namespace(9, 2).is_err());
-        // Unknown job cannot begin.
-        assert!(st.begin_checkpoint_job(99).is_err());
+        // An unknown job has no handle to begin through.
+        assert!(st.namespace(99).is_err());
     }
 
     #[test]
-    #[should_panic(expected = "multi-tenant")]
-    fn service_rejects_legacy_begin() {
-        let st = service_store(128, 4, 2);
-        st.allocate_namespace(1, 2).unwrap();
-        let _ = st.begin_checkpoint();
-    }
-
-    #[test]
-    fn service_reopen_recovers_every_namespace() {
-        let slot_size = 128u64;
-        let cap =
-            CheckpointStore::required_capacity_service(ByteSize::from_bytes(slot_size), 8, 0, 4);
-        let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let dev: Arc<dyn PersistentDevice> = ssd.clone();
-        let st = CheckpointStore::format_service(
-            Arc::clone(&dev),
-            ByteSize::from_bytes(slot_size),
-            8,
-            0,
-            4,
-        )
-        .unwrap();
+    fn reopen_recovers_every_namespace() {
+        let geometry = geometry(128, 8, 0, 4);
+        let dev = device(geometry);
+        let st = CheckpointStore::format(Arc::clone(&dev), geometry).unwrap();
         st.allocate_namespace(1, 3).unwrap();
         st.allocate_namespace(2, 3).unwrap();
         job_checkpoint(&st, 1, 10, b"one-10");
         job_checkpoint(&st, 2, 20, b"two-20");
         job_checkpoint(&st, 1, 11, b"one-11");
-        let c1 = st.latest_committed_job(1).unwrap().unwrap().counter;
+        let c1 = head(&st, 1).counter;
         drop(st);
 
         let st2 = CheckpointStore::open(dev).unwrap();
-        assert!(st2.is_multi_tenant());
         assert_eq!(st2.namespaces().len(), 2);
-        let m1 = st2.latest_committed_job(1).unwrap().unwrap();
-        let m2 = st2.latest_committed_job(2).unwrap().unwrap();
+        let (m1, m2) = (head(&st2, 1), head(&st2, 2));
         assert_eq!(m1.iteration, 11);
         assert_eq!(m2.iteration, 20);
         // Payloads reload intact through the namespaced metadata.
         assert_eq!(st2.read_checkpoint(&m1).unwrap(), b"one-11");
         assert_eq!(st2.read_checkpoint(&m2).unwrap(), b"two-20");
         // The resumed global counter is past every namespace's commits.
-        let lease = st2.begin_checkpoint_job(2).unwrap();
+        let lease = st2.begin_checkpoint(&st2.namespace(2).unwrap());
         assert!(lease.counter > c1);
         assert!(lease.counter > m2.counter);
         // Committed slots stayed pinned; the rest of each range is free.
-        assert_eq!(st2.free_slot_count_job(1).unwrap(), 2);
-        assert_eq!(st2.free_slot_count_job(2).unwrap(), 1); // one leased now
+        assert_eq!(free(&st2, 1), 2);
+        assert_eq!(free(&st2, 2), 1); // one leased now
     }
 
     #[test]
-    fn service_crash_mid_commit_keeps_namespaces_independent() {
-        let slot_size = 128u64;
-        let cap =
-            CheckpointStore::required_capacity_service(ByteSize::from_bytes(slot_size), 6, 0, 2);
-        let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let dev: Arc<dyn PersistentDevice> = ssd.clone();
-        let st = CheckpointStore::format_service(
-            Arc::clone(&dev),
-            ByteSize::from_bytes(slot_size),
-            6,
-            0,
-            2,
-        )
-        .unwrap();
+    fn crash_mid_commit_keeps_namespaces_independent() {
+        let geometry = geometry(128, 6, 0, 2);
+        let dev = device(geometry);
+        let st = CheckpointStore::format(Arc::clone(&dev), geometry).unwrap();
         st.allocate_namespace(1, 3).unwrap();
         st.allocate_namespace(2, 3).unwrap();
         job_checkpoint(&st, 1, 10, b"one-10");
         job_checkpoint(&st, 2, 20, b"two-20");
         // Job 1 writes but crashes before its meta persists: the volatile
         // overlay (unpersisted writes) is torn away.
-        let lease = st.begin_checkpoint_job(1).unwrap();
+        let lease = st.begin_checkpoint(&st.namespace(1).unwrap());
         st.write_payload(&lease, 0, b"one-11-torn").unwrap();
-        ssd.crash_now();
-        ssd.recover();
+        dev.crash_now();
+        dev.recover();
         drop(st);
 
         let st2 = CheckpointStore::open(dev).unwrap();
         // Job 1 recovers its previous commit; job 2 is untouched.
-        assert_eq!(st2.latest_committed_job(1).unwrap().unwrap().iteration, 10);
-        assert_eq!(st2.latest_committed_job(2).unwrap().unwrap().iteration, 20);
+        assert_eq!(head(&st2, 1).iteration, 10);
+        assert_eq!(head(&st2, 2).iteration, 20);
         // The torn slot returned to job 1's free queue.
-        assert_eq!(st2.free_slot_count_job(1).unwrap(), 2);
+        assert_eq!(free(&st2, 1), 2);
     }
 
     #[test]
-    fn service_raw_view_expected_recovery_per_job() {
-        let st = service_store(128, 8, 4);
+    fn raw_view_expected_recovery_per_job() {
+        let st = shared_store(128, 8, 4);
         st.allocate_namespace(5, 4).unwrap();
         st.allocate_namespace(6, 4).unwrap();
         job_checkpoint(&st, 5, 100, b"five");
         job_checkpoint(&st, 6, 200, b"six");
         job_checkpoint(&st, 5, 101, b"five2");
         let view = RawStoreView::load(st.device().as_ref()).unwrap();
-        assert_eq!(view.max_namespaces, 4);
+        assert_eq!(view.layout.geometry().max_namespaces, 4);
         assert_eq!(view.namespaces.len(), 2);
-        assert_eq!(view.expected_recovery_for(5).unwrap().iteration, 101);
-        assert_eq!(view.expected_recovery_for(6).unwrap().iteration, 200);
-        assert!(view.expected_recovery_for(7).is_none());
+        assert_eq!(view.expected_recovery(5).unwrap().iteration, 101);
+        assert_eq!(view.expected_recovery(6).unwrap().iteration, 200);
+        assert!(view.expected_recovery(7).is_none());
         assert_eq!(view.namespace_of_slot(0), Some(5));
         assert_eq!(view.namespace_of_slot(4), Some(6));
-        // The global diagnostic view picks the newest across namespaces.
-        assert_eq!(view.expected_recovery().unwrap().iteration, 101);
     }
 
     #[test]
-    fn legacy_header_reads_as_single_tenant() {
-        let st = store(256, 3);
-        full_checkpoint(&st, 4, b"legacy");
-        let view = RawStoreView::load(st.device().as_ref()).unwrap();
-        assert_eq!(view.max_namespaces, 0);
-        assert!(view.namespaces.is_empty());
-        assert!(!st.is_multi_tenant());
-        assert_eq!(st.unallocated_slots(), 0);
-        assert!(st.allocate_namespace(1, 2).is_err());
-        assert!(st.begin_checkpoint_job(1).is_err());
-        assert!(st.latest_committed_job(1).is_err());
-    }
-
-    #[test]
-    fn state_words_track_the_commit_lattice() {
+    fn durable_state_word_tracks_the_commit_lattice() {
         let st = store(64, 3);
         for s in 0..3 {
             assert_eq!(st.slot_commit_state(s), SlotState::Free);
-            assert!(st.slot_state_offset(s).is_some());
         }
         let view = RawStoreView::load(st.device().as_ref()).unwrap();
-        assert!(view.state_words);
         assert!(view.slot_state.iter().all(|s| *s == Some(SlotState::Free)));
 
         // Claim: Free -> Claimed{counter}, in memory and on the device.
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(&ns(&st));
         let claimed = SlotState::Claimed {
             counter: lease.counter,
         };
@@ -2534,11 +2025,11 @@ mod tests {
 
         // Re-claiming the displaced slot overwrites the durable word; the
         // stale meta no longer matches, so the slot reads as in-flight.
-        let mut lease3 = st.begin_checkpoint();
+        let mut lease3 = st.begin_checkpoint(&ns(&st));
         if lease3.slot != c1_slot {
             // Two free slots: keep drawing until the displaced one comes up.
             let other = lease3;
-            lease3 = st.begin_checkpoint();
+            lease3 = st.begin_checkpoint(&ns(&st));
             st.commit(other, 3, 0, StateDigest::of_payload(b"", 3).0)
                 .unwrap();
         }
@@ -2555,55 +2046,19 @@ mod tests {
     }
 
     #[test]
-    fn legacy_header_without_state_region_reads_as_feature_off() {
-        let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(64), 3);
-        let dev: Arc<dyn PersistentDevice> =
-            Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        {
-            let st =
-                CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 3).unwrap();
-            full_checkpoint(&st, 4, b"legacy");
-        }
-        // Rewrite the header the way a pre-lattice format would have:
-        // bytes 32..36 zeroed.
-        dev.write_at(32, &[0u8; 4]).unwrap();
-        dev.persist(32, 4).unwrap();
-        let st = CheckpointStore::open(Arc::clone(&dev)).unwrap();
-        assert!(st.slot_state_offset(0).is_none());
-        let meta = st.latest_committed().unwrap();
-        assert_eq!(meta.iteration, 4);
-        // Commits still work; the in-memory lattice runs without the
-        // durable mirror.
-        full_checkpoint(&st, 5, b"newer");
-        assert_eq!(st.latest_committed().unwrap().iteration, 5);
-        // The decision procedure degrades to meta-CRC-only verdicts.
-        let view = RawStoreView::load(dev.as_ref()).unwrap();
-        assert!(!view.state_words);
-        assert!(view.slot_state.iter().all(Option::is_none));
-        let outcomes = view.slot_outcomes();
-        assert!(outcomes
-            .iter()
-            .all(|o| matches!(o, SlotOutcome::Empty | SlotOutcome::Historical { .. })));
-        assert!(outcomes
-            .iter()
-            .any(|o| matches!(o, SlotOutcome::Historical { .. })));
-    }
-
-    #[test]
     fn crash_between_claim_and_meta_publish_is_decidable() {
         let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(64), 3);
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         let (committed_slot, committed_ctr, leased_slot, leased_ctr);
         {
-            let st =
-                CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 3).unwrap();
+            let st = CheckpointStore::format(Arc::clone(&dev), geometry(64, 3, 0, 1)).unwrap();
             full_checkpoint(&st, 1, b"one");
-            let prev = st.latest_committed().unwrap();
+            let prev = st.latest_committed(&ns(&st)).unwrap();
             (committed_slot, committed_ctr) = (prev.slot, prev.counter);
             // Claim a slot (state word goes durable) and crash before any
             // meta is written for it.
-            let lease = st.begin_checkpoint();
+            let lease = st.begin_checkpoint(&ns(&st));
             (leased_slot, leased_ctr) = (lease.slot, lease.counter);
             std::mem::forget(lease);
         }
@@ -2625,8 +2080,8 @@ mod tests {
         );
         // Recovery discards the in-flight claim and reopens the slot.
         let st = CheckpointStore::open(dev).unwrap();
-        assert_eq!(st.latest_committed().unwrap().iteration, 1);
-        assert_eq!(st.free_slot_count(), 2);
+        assert_eq!(st.latest_committed(&ns(&st)).unwrap().iteration, 1);
+        assert_eq!(st.free_slot_count(&ns(&st)), 2);
         assert_eq!(st.slot_commit_state(leased_slot), SlotState::Free);
     }
 
@@ -2638,9 +2093,9 @@ mod tests {
         let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(64), 3);
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let st = CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 3).unwrap();
+        let st = CheckpointStore::format(Arc::clone(&dev), geometry(64, 3, 0, 1)).unwrap();
         full_checkpoint(&st, 1, b"one");
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(&ns(&st));
         st.write_payload(&lease, 0, b"two").unwrap();
         st.persist_payload(&lease, 0, 3).unwrap();
         let meta = CheckMeta {
@@ -2665,7 +2120,7 @@ mod tests {
             "meta persisted before the Committed word: adoptable"
         );
         let st2 = CheckpointStore::open(dev).unwrap();
-        assert_eq!(st2.latest_committed().unwrap().iteration, 2);
+        assert_eq!(st2.latest_committed(&ns(&st2)).unwrap().iteration, 2);
     }
 
     #[test]
@@ -2678,7 +2133,7 @@ mod tests {
                     for i in 0..30u64 {
                         let iter = t * 1000 + i;
                         let payload = iter.to_le_bytes();
-                        let lease = st.begin_checkpoint();
+                        let lease = st.begin_checkpoint(&ns(&st));
                         st.write_payload(&lease, 0, &payload).unwrap();
                         st.persist_payload(&lease, 0, 8).unwrap();
                         st.commit(lease, iter, 8, 0).unwrap();
@@ -2696,13 +2151,13 @@ mod tests {
             );
         }
         // The winner is decidably committed, at the head the store reports.
-        let head = st.latest_committed().unwrap();
+        let head = st.latest_committed(&ns(&st)).unwrap();
         assert_eq!(
             view.slot_outcome(head.slot),
             SlotOutcome::Committed {
                 counter: head.counter
             }
         );
-        assert_eq!(st.free_slot_count(), 5);
+        assert_eq!(st.free_slot_count(&ns(&st)), 5);
     }
 }

@@ -1187,7 +1187,11 @@ mod tests {
         let device: Arc<dyn PersistentDevice> = Arc::new(SsdDevice::new(
             DeviceConfig::fast_for_tests(ByteSize::from_kb(64)),
         ));
-        let store = CheckpointStore::format(device, ByteSize::from_kb(4), 3).unwrap();
+        let store = CheckpointStore::format(
+            device,
+            crate::StoreGeometry::single(ByteSize::from_kb(4), 3),
+        )
+        .unwrap();
         let pipeline = crate::pipeline::PersistPipeline::new(Arc::new(store))
             .with_writers(2)
             .with_staging(HostBufferPool::new(ByteSize::from_bytes(256), 16))

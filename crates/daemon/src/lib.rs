@@ -2,7 +2,7 @@
 //!
 //! Everything below PR 8 ran one training job against one private store.
 //! This crate turns the stack into a *service*: one long-running daemon
-//! owns the shared striped device, one service-mode
+//! owns the shared striped device, one
 //! [`CheckpointStore`](pccheck::CheckpointStore) carved into per-job slot
 //! namespaces, one writer pool, one staging pool, and one
 //! [`QosArbiter`](pccheck::QosArbiter) — and every training job gets a

@@ -3,7 +3,7 @@
 //! One [`Daemon`] owns, for its whole lifetime:
 //!
 //! * a `stripe_ways`-wide [`StripedDevice`] of simulated SSDs,
-//! * one service-mode [`CheckpointStore`] over it (per-job namespaces),
+//! * one [`CheckpointStore`] over it (a namespace per job),
 //! * one shared [`PersistPipeline`] (writer pool + staging pool),
 //! * one [`QosArbiter`] scheduling writer-pool bandwidth across jobs,
 //! * one [`MetricsRegistry`] with a `job="<name>"` label per tenant.
@@ -21,7 +21,7 @@ use std::thread::JoinHandle;
 
 use pccheck::{
     CheckpointStore, PcCheckConfig, PcCheckEngine, PccheckError, PersistPipeline, QosArbiter,
-    QosConfig,
+    QosConfig, StoreGeometry,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice, StripedDevice};
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingState};
@@ -224,7 +224,7 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Formats a fresh service-mode store over a `stripe_ways`-wide
+    /// Formats a fresh shared store over a `stripe_ways`-wide
     /// simulated stripe and stands up the shared pipeline, staging pool,
     /// QoS arbiter, and metrics registry.
     ///
@@ -232,12 +232,16 @@ impl Daemon {
     ///
     /// Propagates store formatting errors (e.g., an undersized device).
     pub fn new(config: DaemonConfig) -> Result<Self, PccheckError> {
-        let total_cap = CheckpointStore::required_capacity_service(
-            config.slot_size,
-            config.total_slots,
-            config.flight_records,
-            config.max_jobs,
-        ) + ByteSize::from_kb(64);
+        let geometry = StoreGeometry {
+            slot_size: config.slot_size,
+            slots: config.total_slots,
+            flight_records: config.flight_records,
+            // A one-row directory is the single-tenant layout, whose row
+            // belongs to the default job; this daemon numbers its jobs
+            // from 1, so even a one-job daemon takes two rows.
+            max_namespaces: config.max_jobs.max(2),
+        };
+        let total_cap = geometry.required_capacity() + ByteSize::from_kb(64);
         let ways = config.stripe_ways.max(1);
         let member_cap =
             ByteSize::from_bytes(total_cap.as_u64() / ways as u64) + ByteSize::from_kb(64);
@@ -255,13 +259,7 @@ impl Daemon {
             striped.set_io_observer(Arc::new(TelemetryIoObserver::new(root.clone())));
             striped
         };
-        let store = Arc::new(CheckpointStore::format_service(
-            Arc::clone(&device),
-            config.slot_size,
-            config.total_slots,
-            config.flight_records,
-            config.max_jobs,
-        )?);
+        let store = Arc::new(CheckpointStore::format(Arc::clone(&device), geometry)?);
         let qos = Arc::new(QosArbiter::new(config.qos.clone()));
         let pool = HostBufferPool::new(config.chunk_size, config.dram_chunks);
         let pipeline = Arc::new(

@@ -17,6 +17,7 @@ use std::sync::Arc;
 
 use pccheck::{
     recover, CheckpointStore, DeltaPolicy, FramedOutcome, PersistPipeline, PipelineCtx,
+    StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
 use pccheck_gpu::{Gpu, GpuConfig, Tensor, TrainingState};
@@ -141,8 +142,9 @@ pub fn measure(payload: Payload, sparsity: f64) -> ExtCompressRow {
     let cap = CheckpointStore::required_capacity(gpu.state_size(), slots) + ByteSize::from_kb(4);
     let device: Arc<dyn PersistentDevice> =
         Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-    let store =
-        Arc::new(CheckpointStore::format(Arc::clone(&device), gpu.state_size(), slots).unwrap());
+    let geometry = StoreGeometry::single(gpu.state_size(), slots);
+    let store = Arc::new(CheckpointStore::format(Arc::clone(&device), geometry).unwrap());
+    let ns = store.namespace(DEFAULT_JOB).unwrap();
     // The framed copy stages the whole snapshot, so the pool must cover it.
     let pool_chunks = state_bytes.div_ceil(chunk_bytes) as usize;
     let pipeline = PersistPipeline::new(store)
@@ -170,7 +172,7 @@ pub fn measure(payload: Payload, sparsity: f64) -> ExtCompressRow {
         }
         let guard = gpu.lock_weights_shared_owned();
         let (_, outcome) = pipeline
-            .checkpoint_framed(ctx, &guard, iter, policy)
+            .checkpoint_framed(ctx, &ns, &guard, iter, policy)
             .unwrap();
         if iter == CHECKPOINTS {
             final_state = vec![0u8; state_bytes as usize];

@@ -19,7 +19,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use pccheck::{CheckpointStore, PersistPipeline, PipelineCtx, RestorePipeline};
+use pccheck::{
+    CheckpointStore, PersistPipeline, PipelineCtx, RestorePipeline, StoreGeometry, DEFAULT_JOB,
+};
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice, StripedDevice};
 use pccheck_gpu::SnapshotSource;
 use pccheck_telemetry::{SpanId, Telemetry};
@@ -118,7 +120,10 @@ pub fn committed_store(size: ByteSize, ways: u32) -> Arc<CheckpointStore> {
             ByteSize::from_bytes(STRIPE_UNIT),
         ))
     };
-    let store = Arc::new(CheckpointStore::format(device, size, 2).expect("format store"));
+    let store = Arc::new(
+        CheckpointStore::format(device, StoreGeometry::single(size, 2)).expect("format store"),
+    );
+    let ns = store.namespace(DEFAULT_JOB).expect("single-tenant store");
     let src = HostPayload {
         data: (0..size.as_u64())
             .map(|i| (i as u8).wrapping_mul(31).wrapping_add(7))
@@ -133,7 +138,7 @@ pub fn committed_store(size: ByteSize, ways: u32) -> Arc<CheckpointStore> {
         telemetry: &telemetry,
         span: SpanId::NONE,
     };
-    let lease = persist.lease(ctx);
+    let lease = persist.lease(ctx, &ns);
     let copied = persist
         .copy_chunks(ctx, &src, &lease, size, true)
         .expect("persist payload");
@@ -148,7 +153,8 @@ pub fn committed_store(size: ByteSize, ways: u32) -> Arc<CheckpointStore> {
 /// initial burst allowance (the bench_pr3 idiom), so the timed pass is
 /// media-rate-bound instead of riding banked idle credit.
 pub fn measure_store(store: &Arc<CheckpointStore>, readers: usize) -> f64 {
-    let meta = store.latest_committed().expect("committed checkpoint");
+    let ns = store.namespace(DEFAULT_JOB).expect("single-tenant store");
+    let meta = store.latest_committed(&ns).expect("committed checkpoint");
     let telemetry = Telemetry::disabled();
     let ctx = PipelineCtx {
         telemetry: &telemetry,

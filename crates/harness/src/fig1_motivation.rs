@@ -11,7 +11,9 @@
 
 use std::sync::Arc;
 
-use pccheck::{recover_instrumented, CheckpointStore, RecoveryModel, Strategy};
+use pccheck::{
+    recover_instrumented, CheckpointStore, RecoveryModel, StoreGeometry, Strategy, DEFAULT_JOB,
+};
 use pccheck_device::{DeviceConfig, PersistentDevice, SsdDevice};
 use pccheck_gpu::{ModelZoo, StateDigest};
 use pccheck_sim::StrategyCfg;
@@ -45,11 +47,12 @@ fn measured_protocol_secs() -> f64 {
     let cap = CheckpointStore::required_capacity(state, 3) + ByteSize::from_kb(4);
     let device: Arc<dyn PersistentDevice> =
         Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-    let store =
-        CheckpointStore::format(Arc::clone(&device), state, 3).expect("device sized for the store");
+    let store = CheckpointStore::format(Arc::clone(&device), StoreGeometry::single(state, 3))
+        .expect("device sized for the store");
+    let ns = store.namespace(DEFAULT_JOB).expect("single-tenant store");
     let payload = vec![0x5A; state.as_u64() as usize];
     for iteration in [1u64, 2] {
-        let lease = store.begin_checkpoint();
+        let lease = store.begin_checkpoint(&ns);
         store.write_payload(&lease, 0, &payload).expect("write");
         store
             .persist_payload(&lease, 0, payload.len() as u64)

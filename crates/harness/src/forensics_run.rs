@@ -21,14 +21,18 @@
 //! same flight records the engine does, crashes, audits the frozen
 //! device, then powers it back on and recovers — returning all three
 //! artifacts (report, recovered checkpoint, recovery trace) so tests,
-//! `pccheckctl`, and CI can cross-check them.
+//! `pccheckctl`, and CI can cross-check them. Every driver takes the
+//! tenant it drives, so the same six crash points run on a single-tenant
+//! store (the default job) and on one several jobs share
+//! ([`crash_matrix`]).
 
 use std::sync::Arc;
 
 use pccheck::store::SlotLease;
 use pccheck::{
     recover_instrumented_with, CheckMeta, CheckpointStore, ChunkEncoding, DeltaLink, FrameRecord,
-    FrameTable, JobId, PccheckError, RecoveredCheckpoint, RecoveryTrace, RestoreOptions,
+    FrameTable, JobId, Namespace, PccheckError, RecoveredCheckpoint, RecoveryTrace, RestoreOptions,
+    StoreGeometry, StoreLayout, DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, PersistentDevice, SsdDevice, StripedDevice, TieredDevice};
 use pccheck_gpu::StateDigest;
@@ -119,7 +123,7 @@ pub enum DeviceTopology {
 pub struct ForensicsRunConfig {
     /// Payload size of each checkpoint.
     pub state_bytes: u64,
-    /// Store slots (N + 1).
+    /// Slots (N + 1) of each tenant's namespace.
     pub slots: u32,
     /// Flight-recorder ring capacity in records.
     pub flight_records: u32,
@@ -129,6 +133,11 @@ pub struct ForensicsRunConfig {
     pub crash_iteration: u64,
     /// Device topology backing the store.
     pub topology: DeviceTopology,
+    /// The jobs sharing the store, one namespace of `slots` slots each.
+    /// `[DEFAULT_JOB]` is a [`StoreGeometry::single`] store. Tenant `i`'s
+    /// baseline captures iteration `baseline_iteration + i`, so no two
+    /// tenants ever hold the same bytes.
+    pub tenants: Vec<JobId>,
 }
 
 impl Default for ForensicsRunConfig {
@@ -140,6 +149,7 @@ impl Default for ForensicsRunConfig {
             baseline_iteration: 100,
             crash_iteration: 200,
             topology: DeviceTopology::Single,
+            tenants: vec![DEFAULT_JOB],
         }
     }
 }
@@ -160,6 +170,43 @@ impl ForensicsRunConfig {
             ..Self::default()
         }
     }
+
+    /// The store's geometry: a `single` one for the default job alone, a
+    /// directory row and `slots` slots per tenant otherwise.
+    pub fn geometry(&self) -> StoreGeometry {
+        let tenants = self.tenants.len() as u32;
+        StoreGeometry {
+            slot_size: ByteSize::from_bytes(self.state_bytes),
+            slots: self.slots * tenants,
+            flight_records: self.flight_records,
+            max_namespaces: if self.tenants == [DEFAULT_JOB] {
+                1
+            } else {
+                tenants.max(2)
+            },
+        }
+    }
+}
+
+/// The one table both tenancies' crash tests run: flat, striped and tiered
+/// devices, each as a single-tenant store and as one shared by jobs 1..=3.
+/// A test runs every tenant of a row through [`CrashPoint::ALL`].
+pub fn crash_matrix() -> Vec<ForensicsRunConfig> {
+    let topologies = [
+        ForensicsRunConfig::default(),
+        ForensicsRunConfig::striped(2),
+        ForensicsRunConfig::tiered(),
+    ];
+    let tenancies = [vec![DEFAULT_JOB], vec![1, 2, 3]];
+    topologies
+        .iter()
+        .flat_map(|cfg| {
+            tenancies.iter().map(|tenants| ForensicsRunConfig {
+                tenants: tenants.clone(),
+                ..cfg.clone()
+            })
+        })
+        .collect()
 }
 
 /// Everything one crash scenario produces.
@@ -167,6 +214,9 @@ impl ForensicsRunConfig {
 pub struct ForensicsRun {
     /// Where the crash was injected.
     pub crash_point: CrashPoint,
+    /// The tenant whose checkpoint the crash interrupted, and whom
+    /// recovery ran for.
+    pub job: JobId,
     /// The device, post-recovery (the store image is still on it).
     pub device: Arc<dyn PersistentDevice>,
     /// The forensic audit taken while the device was still crashed.
@@ -176,6 +226,10 @@ pub struct ForensicsRun {
     pub crashed_counter: u64,
     /// What recovery actually restored after power-on.
     pub recovered: RecoveredCheckpoint,
+    /// The bytes a correct recovery restores: the crashed checkpoint's
+    /// after [`CrashPoint::AfterCommit`], the committed frame's state
+    /// after [`CrashPoint::DedupChain`], the tenant's baseline otherwise.
+    pub expected_payload: Vec<u8>,
     /// Measured recovery-path phase latencies.
     pub trace: RecoveryTrace,
 }
@@ -260,50 +314,32 @@ fn build_frame_payload(
     (payload, table_len)
 }
 
-/// Which commit domain a driven checkpoint runs in: the legacy
-/// store-global free queue + `CHECK_ADDR`, or one tenant's namespace on
-/// a service-mode store. Every crash-drive helper below comes in both
-/// flavors so the same six crash points exercise flat *and* multi-tenant
-/// formats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scope {
-    /// Legacy single-tenant store: `begin_checkpoint` /
-    /// `latest_committed`.
-    Global,
-    /// One namespace of a service-mode store: `begin_checkpoint_job` /
-    /// `latest_committed_job`.
-    Job(JobId),
-}
-
-impl Scope {
-    fn begin(self, store: &CheckpointStore) -> Result<SlotLease, PccheckError> {
-        match self {
-            Scope::Global => Ok(store.begin_checkpoint()),
-            Scope::Job(job) => store.begin_checkpoint_job(job),
-        }
-    }
-
-    fn latest(self, store: &CheckpointStore) -> Result<Option<CheckMeta>, PccheckError> {
-        match self {
-            Scope::Global => Ok(store.latest_committed()),
-            Scope::Job(job) => store.latest_committed_job(job),
-        }
-    }
+/// The state the [`CrashPoint::DedupChain`] scenario commits as a frame
+/// over a baseline of `base_iteration`, halfway to `crash_iteration`: a
+/// sparse mutation of the baseline. Returns `(iteration, state)`.
+fn dedup_mid_state(base_iteration: u64, crash_iteration: u64, len: u64) -> (u64, Vec<u8>) {
+    let mid_iteration = base_iteration + crash_iteration.saturating_sub(base_iteration) / 2;
+    let full_mid = sparse_payload(
+        &synthetic_payload(base_iteration, len),
+        mid_iteration,
+        &[(0u64, len / 8), (len / 2, len / 8)],
+    );
+    (mid_iteration, full_mid)
 }
 
 /// Writes and persists a hand-assembled frame of `full` over `base` into
-/// a fresh slot of `scope`, emitting the engine's flight records up to
+/// a fresh slot of `ns`, emitting the engine's flight records up to
 /// `PayloadPersisted`. Returns the still-open lease with the frame's
 /// payload length and table checksum (its commit digest).
 fn persist_frame(
     store: &CheckpointStore,
-    scope: Scope,
+    ns: &Arc<Namespace>,
     iteration: u64,
     full: &[u8],
     base: &CheckMeta,
     reuse: &[bool],
 ) -> Result<(SlotLease, u64, u64), PccheckError> {
-    let lease = scope.begin(store)?;
+    let lease = store.begin_checkpoint(ns);
     let (counter, slot) = (lease.counter, lease.slot);
     let (payload, table_len) = build_frame_payload(full, iteration, counter, base, reuse);
     let len = payload.len() as u64;
@@ -323,34 +359,19 @@ fn persist_frame(
     Ok((lease, len, fnv1a(&payload[..table_len])))
 }
 
-/// Commits one checkpoint through the store, emitting the same flight
-/// records the engine does. Returns the checkpoint's counter.
+/// Commits one checkpoint of `job` through the store, emitting the same
+/// flight records the engine does. Returns the checkpoint's counter.
 ///
 /// # Errors
 ///
-/// Propagates device/store errors.
+/// Propagates device/store errors; `job` must have a namespace.
 pub fn commit_checkpoint(
     store: &CheckpointStore,
+    job: JobId,
     iteration: u64,
     payload: &[u8],
 ) -> Result<u64, PccheckError> {
-    commit_checkpoint_scoped(store, Scope::Global, iteration, payload)
-}
-
-/// [`commit_checkpoint`] in an explicit [`Scope`] — the namespace
-/// variant commits through one tenant's private free queue and
-/// `CHECK_ADDR` on a service-mode store.
-///
-/// # Errors
-///
-/// Propagates device/store errors.
-pub fn commit_checkpoint_scoped(
-    store: &CheckpointStore,
-    scope: Scope,
-    iteration: u64,
-    payload: &[u8],
-) -> Result<u64, PccheckError> {
-    let lease = scope.begin(store)?;
+    let lease = store.begin_checkpoint(&store.namespace(job)?);
     let counter = lease.counter;
     let len = payload.len() as u64;
     store.write_payload(&lease, 0, payload)?;
@@ -371,41 +392,27 @@ pub fn commit_checkpoint_scoped(
     Ok(counter)
 }
 
-/// Drives one checkpoint up to (but not through) `point`, emitting the
-/// engine's flight records along the way. For
-/// [`CrashPoint::AfterCommit`] the checkpoint commits fully; for
-/// [`CrashPoint::DuringPersist`] the payload is written and `CopyDone`
-/// recorded, but the persist is left to the caller (who crashes it).
-/// Returns `(counter, slot)` of the driven checkpoint.
+/// Drives one checkpoint of `job` up to (but not through) `point`,
+/// emitting the engine's flight records along the way; the other tenants'
+/// committed state stays untouched. For [`CrashPoint::AfterCommit`] the
+/// checkpoint commits fully; for [`CrashPoint::DuringPersist`] the
+/// payload is written and `CopyDone` recorded, but the persist is left to
+/// the caller (who crashes it). Returns `(counter, slot)` of the driven
+/// checkpoint.
 ///
 /// # Errors
 ///
-/// Propagates device/store errors.
+/// Propagates device/store errors; `job` must have a namespace.
 pub fn drive_to_crash_point(
     store: &CheckpointStore,
+    job: JobId,
     point: CrashPoint,
     iteration: u64,
     payload: &[u8],
 ) -> Result<(u64, u32), PccheckError> {
-    drive_to_crash_point_scoped(store, Scope::Global, point, iteration, payload)
-}
-
-/// [`drive_to_crash_point`] in an explicit [`Scope`] — the namespace
-/// variant strands one tenant's in-flight checkpoint on a service-mode
-/// store while the other tenants' committed state stays untouched.
-///
-/// # Errors
-///
-/// Same as [`drive_to_crash_point`].
-pub fn drive_to_crash_point_scoped(
-    store: &CheckpointStore,
-    scope: Scope,
-    point: CrashPoint,
-    iteration: u64,
-    payload: &[u8],
-) -> Result<(u64, u32), PccheckError> {
+    let ns = &store.namespace(job)?;
     if point == CrashPoint::AfterCommit {
-        let lease = scope.begin(store)?;
+        let lease = store.begin_checkpoint(ns);
         let slot = lease.slot;
         let counter = lease.counter;
         let len = payload.len() as u64;
@@ -432,18 +439,15 @@ pub fn drive_to_crash_point_scoped(
         // its link pins — then a second frame stranded with its payload
         // durable but no meta record, exactly like a process dying
         // between persist and commit.
-        let base = scope.latest(store)?.ok_or(PccheckError::NoCheckpoint)?;
+        let base = store
+            .latest_committed(ns)
+            .ok_or(PccheckError::NoCheckpoint)?;
         let len = payload.len() as u64;
         let base_payload = synthetic_payload(base.iteration, len);
-        let mid_iteration = base.iteration + iteration.saturating_sub(base.iteration) / 2;
-        let full_mid = sparse_payload(
-            &base_payload,
-            mid_iteration,
-            &[(0u64, len / 8), (len / 2, len / 8)],
-        );
+        let (mid_iteration, full_mid) = dedup_mid_state(base.iteration, iteration, len);
         let from_base = unchanged_chunks(&full_mid, &base_payload);
         let (lease, mid_len, mid_digest) =
-            persist_frame(store, scope, mid_iteration, &full_mid, &base, &from_base)?;
+            persist_frame(store, ns, mid_iteration, &full_mid, &base, &from_base)?;
         store.commit_with_delta(
             lease,
             mid_iteration,
@@ -458,19 +462,21 @@ pub fn drive_to_crash_point_scoped(
 
         // The stranded frame bases on the committed one and may only
         // reference chunks that one materialized (references never chain).
-        let mid = scope.latest(store)?.ok_or(PccheckError::NoCheckpoint)?;
+        let mid = store
+            .latest_committed(ns)
+            .ok_or(PccheckError::NoCheckpoint)?;
         let full_crash = sparse_payload(&full_mid, iteration, &[(len / 4, len / 8)]);
         let from_mid: Vec<bool> = unchanged_chunks(&full_crash, &full_mid)
             .iter()
             .zip(&from_base)
             .map(|(&unchanged, &mid_referenced)| unchanged && !mid_referenced)
             .collect();
-        let (lease, _, _) = persist_frame(store, scope, iteration, &full_crash, &mid, &from_mid)?;
+        let (lease, _, _) = persist_frame(store, ns, iteration, &full_crash, &mid, &from_mid)?;
         let stranded = (lease.counter, lease.slot);
         std::mem::forget(lease);
         return Ok(stranded);
     }
-    let lease = scope.begin(store)?;
+    let lease = store.begin_checkpoint(ns);
     let (counter, slot) = (lease.counter, lease.slot);
     let len = payload.len() as u64;
     match point {
@@ -513,9 +519,12 @@ pub fn drive_to_crash_point_scoped(
     Ok((counter, slot))
 }
 
-/// Runs one full crash scenario on a fresh SSD-backed store: baseline
-/// commit, crash at `point`, forensic audit of the frozen device,
-/// power-on, instrumented recovery.
+/// Runs one full crash scenario on a fresh store of `cfg`'s geometry:
+/// a baseline commit per tenant, a crash at `point` in the namespace of
+/// `options.job` (the default job when `None`), a forensic audit of the
+/// frozen device, power-on, and instrumented recovery of that tenant
+/// under `options` — `readers: 1` reproduces the sequential restore path,
+/// the default runs the parallel one.
 ///
 /// # Errors
 ///
@@ -524,25 +533,18 @@ pub fn drive_to_crash_point_scoped(
 pub fn run_crash_scenario(
     point: CrashPoint,
     cfg: &ForensicsRunConfig,
-) -> Result<ForensicsRun, PccheckError> {
-    run_crash_scenario_with(point, cfg, RestoreOptions::default())
-}
-
-/// [`run_crash_scenario`] with explicit recovery [`RestoreOptions`] —
-/// `readers: 1` reproduces the sequential restore path, the default runs
-/// the parallel one, so tests can assert both recover bit-identically.
-///
-/// # Errors
-///
-/// Same as [`run_crash_scenario`].
-pub fn run_crash_scenario_with(
-    point: CrashPoint,
-    cfg: &ForensicsRunConfig,
     options: RestoreOptions,
 ) -> Result<ForensicsRun, PccheckError> {
-    let state = ByteSize::from_bytes(cfg.state_bytes);
-    let cap = CheckpointStore::required_capacity_with_flight(state, cfg.slots, cfg.flight_records)
-        + ByteSize::from_kb(4);
+    let job = options.job.unwrap_or(DEFAULT_JOB);
+    let Some(index) = cfg.tenants.iter().position(|&tenant| tenant == job) else {
+        return Err(PccheckError::InvalidConfig(format!(
+            "job {job} is not one of the scenario's tenants {:?}",
+            cfg.tenants
+        )));
+    };
+    let baseline_of_job = cfg.baseline_iteration + index as u64;
+    let geometry = cfg.geometry();
+    let cap = geometry.required_capacity() + ByteSize::from_kb(4);
     // `arm_fuse` abstracts over the SSD's persist fuse and the striped
     // controller's — both crash the whole store's power domain.
     let (device, arm_fuse): (Arc<dyn PersistentDevice>, Box<dyn Fn(u64)>) = match cfg.topology {
@@ -563,10 +565,11 @@ pub fn run_crash_scenario_with(
             (array, Box::new(move |n| fuse.arm_crash_after_persists(n)))
         }
         DeviceTopology::Tiered => {
-            // The tier covers the header + slot region (where the fatal
-            // payload persist lands); the flight ring and slot state
-            // words spill over the boundary to the second SSD.
-            let tier_cap = CheckpointStore::required_capacity(state, cfg.slots);
+            // The tier covers the superblock + slot region (where the
+            // fatal payload persist lands); the flight ring, the
+            // directory and the slot state words spill over the boundary
+            // to the second SSD.
+            let tier_cap = ByteSize::from_bytes(StoreLayout::new(geometry)?.flight());
             let tier = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(tier_cap)));
             let spill = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
             let fuse = Arc::clone(&tier);
@@ -577,21 +580,29 @@ pub fn run_crash_scenario_with(
             (tiered, Box::new(move |n| fuse.arm_crash_after_persists(n)))
         }
     };
-    let store = CheckpointStore::format_with_flight(
-        Arc::clone(&device),
-        state,
-        cfg.slots,
-        cfg.flight_records,
-    )?;
-    commit_checkpoint(
-        &store,
-        cfg.baseline_iteration,
-        &synthetic_payload(cfg.baseline_iteration, cfg.state_bytes),
-    )?;
+    let store = CheckpointStore::format(Arc::clone(&device), geometry)?;
+    for (&tenant, iteration) in cfg.tenants.iter().zip(cfg.baseline_iteration..) {
+        if tenant != DEFAULT_JOB {
+            store.allocate_namespace(tenant, cfg.slots)?;
+        }
+        commit_checkpoint(
+            &store,
+            tenant,
+            iteration,
+            &synthetic_payload(iteration, cfg.state_bytes),
+        )?;
+    }
 
     let payload = synthetic_payload(cfg.crash_iteration, cfg.state_bytes);
     let (crashed_counter, slot) =
-        drive_to_crash_point(&store, point, cfg.crash_iteration, &payload)?;
+        drive_to_crash_point(&store, job, point, cfg.crash_iteration, &payload)?;
+    let expected_payload = match point {
+        CrashPoint::AfterCommit => payload.clone(),
+        CrashPoint::DedupChain => {
+            dedup_mid_state(baseline_of_job, cfg.crash_iteration, cfg.state_bytes).1
+        }
+        _ => synthetic_payload(baseline_of_job, cfg.state_bytes),
+    };
     match point {
         CrashPoint::DuringPersist => {
             // The fuse fires inside this msync: the range never persists.
@@ -609,12 +620,41 @@ pub fn run_crash_scenario_with(
         recover_instrumented_with(Arc::clone(&device), &Telemetry::disabled(), options)?;
     Ok(ForensicsRun {
         crash_point: point,
+        job,
         device,
         report,
         crashed_counter,
         recovered,
+        expected_payload,
         trace,
     })
+}
+
+impl ForensicsRun {
+    /// The three-way agreement every crash point owes every tenant: the
+    /// audit of the frozen device is clean, its prediction for the tenant
+    /// is the checkpoint recovery then restored, and that checkpoint's
+    /// payload is bit-exact.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first disagreement.
+    pub fn verify(&self) -> Result<(), String> {
+        if !self.report.is_clean() {
+            return Err(format!("audit not clean:\n{}", self.report.render()));
+        }
+        let predicted = self.report.expected_recovery(self.job).map(|m| m.counter);
+        if predicted != Some(self.recovered.counter) {
+            return Err(format!(
+                "audit predicted counter {predicted:?}, recovery restored {}",
+                self.recovered.counter
+            ));
+        }
+        if self.recovered.payload != self.expected_payload {
+            return Err("recovered payload is not bit-exact".into());
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -623,7 +663,12 @@ mod tests {
     use pccheck_monitor::{CheckpointVerdict, InFlightPhase};
 
     fn scenario(point: CrashPoint) -> ForensicsRun {
-        run_crash_scenario(point, &ForensicsRunConfig::default()).unwrap()
+        run_crash_scenario(
+            point,
+            &ForensicsRunConfig::default(),
+            RestoreOptions::default(),
+        )
+        .unwrap()
     }
 
     fn in_flight_phase(run: &ForensicsRun) -> InFlightPhase {
@@ -643,7 +688,7 @@ mod tests {
         assert_eq!(in_flight_phase(&run), InFlightPhase::Begun);
         assert_eq!(run.recovered.counter, 1, "baseline survives");
         assert_eq!(
-            run.report.expected_recovery.map(|m| m.counter),
+            run.report.expected_recovery(DEFAULT_JOB).map(|m| m.counter),
             Some(run.recovered.counter)
         );
         // The slot's durable state word alone classifies the claim.
@@ -666,7 +711,7 @@ mod tests {
         assert_eq!(in_flight_phase(&run), InFlightPhase::Begun);
         assert_eq!(run.recovered.counter, 1, "baseline survives");
         assert_eq!(
-            run.report.expected_recovery.map(|m| m.counter),
+            run.report.expected_recovery(DEFAULT_JOB).map(|m| m.counter),
             Some(run.recovered.counter),
             "forensic prediction matches what recovery restored"
         );
@@ -679,7 +724,7 @@ mod tests {
         assert_eq!(in_flight_phase(&run), InFlightPhase::Copied);
         assert_eq!(run.recovered.counter, 1);
         assert_eq!(
-            run.report.expected_recovery.map(|m| m.counter),
+            run.report.expected_recovery(DEFAULT_JOB).map(|m| m.counter),
             Some(run.recovered.counter)
         );
     }
@@ -693,7 +738,7 @@ mod tests {
         assert_eq!(run.recovered.counter, 1);
         assert_eq!(run.recovered.iteration, 100);
         assert_eq!(
-            run.report.expected_recovery.map(|m| m.counter),
+            run.report.expected_recovery(DEFAULT_JOB).map(|m| m.counter),
             Some(run.recovered.counter)
         );
     }
@@ -732,11 +777,14 @@ mod tests {
         let expected = sparse_payload(&base, 150, &[(0, 512), (2048, 512)]);
         assert_eq!(run.recovered.payload, expected);
         assert_eq!(
-            run.report.expected_recovery.map(|m| m.counter),
+            run.report.expected_recovery(DEFAULT_JOB).map(|m| m.counter),
             Some(run.recovered.counter),
             "forensic prediction matches the frame walk"
         );
-        assert!(run.report.expected_recovery.is_some_and(|m| m.is_delta()));
+        assert!(run
+            .report
+            .expected_recovery(DEFAULT_JOB)
+            .is_some_and(|m| m.is_delta()));
     }
 
     #[test]
@@ -751,7 +799,12 @@ mod tests {
     #[test]
     fn striped_store_survives_every_crash_point() {
         for point in CrashPoint::ALL {
-            let run = run_crash_scenario(point, &ForensicsRunConfig::striped(2)).unwrap();
+            let run = run_crash_scenario(
+                point,
+                &ForensicsRunConfig::striped(2),
+                RestoreOptions::default(),
+            )
+            .unwrap();
             assert!(run.report.is_clean(), "{point}: {}", run.report.render());
             match point {
                 CrashPoint::AfterCommit => {
@@ -769,7 +822,7 @@ mod tests {
                 }
             }
             assert_eq!(
-                run.report.expected_recovery.map(|m| m.counter),
+                run.report.expected_recovery(DEFAULT_JOB).map(|m| m.counter),
                 Some(run.recovered.counter),
                 "{point}: forensic prediction matches recovery"
             );
@@ -779,7 +832,12 @@ mod tests {
     #[test]
     fn tiered_store_survives_every_crash_point() {
         for point in CrashPoint::ALL {
-            let run = run_crash_scenario(point, &ForensicsRunConfig::tiered()).unwrap();
+            let run = run_crash_scenario(
+                point,
+                &ForensicsRunConfig::tiered(),
+                RestoreOptions::default(),
+            )
+            .unwrap();
             assert!(run.report.is_clean(), "{point}: {}", run.report.render());
             match point {
                 CrashPoint::AfterCommit => {
@@ -795,7 +853,7 @@ mod tests {
                 }
             }
             assert_eq!(
-                run.report.expected_recovery.map(|m| m.counter),
+                run.report.expected_recovery(DEFAULT_JOB).map(|m| m.counter),
                 Some(run.recovered.counter),
                 "{point}: forensic prediction matches recovery"
             );
@@ -811,7 +869,7 @@ mod tests {
         let topologies = [ForensicsRunConfig::striped(2), ForensicsRunConfig::tiered()];
         for cfg in &topologies {
             for point in CrashPoint::ALL {
-                let parallel = run_crash_scenario_with(
+                let parallel = run_crash_scenario(
                     point,
                     cfg,
                     RestoreOptions {

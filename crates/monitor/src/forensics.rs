@@ -9,21 +9,23 @@
 //! the invariants the commit protocol of Listing 1 promises:
 //!
 //! 1. **Commit counters effectively monotone** — the durable `CHECK_ADDR`
-//!    only ever advances (`fetch_max`). On a multi-tenant (service-mode)
-//!    store each namespace has its own `CHECK_ADDR`, so monotonicity is
-//!    judged *per namespace*: jobs draw counters from one global sequence
-//!    but commit independently, so cross-job commit order legitimately
-//!    interleaves. Within a namespace the lock-free publish path can log
+//!    only ever advances (`fetch_max`). Each namespace has its own
+//!    `CHECK_ADDR`, so monotonicity is judged *per namespace*: jobs draw
+//!    counters from one global sequence but commit independently, so
+//!    cross-job commit order legitimately interleaves. Within a namespace
+//!    the lock-free publish path can log
 //!    two racing winners' `Commit` records slightly out of counter order
 //!    (each thread records its own watermark advance after the
 //!    `fetch_max`), so an inversion is only a violation when the stale
 //!    record's checkpoint has no open window in the ring — a closed or
 //!    absent window means the record was fabricated, not raced.
-//! 2. **Bounded concurrency** — never more than `slots − 1` checkpoints
-//!    between `Begin` and a terminal event (one slot always holds the
-//!    latest committed state). Service stores allow `slots` total: each
-//!    namespace independently keeps one slot for its committed state, and
-//!    the bound per job is enforced by its namespace's free queue.
+//! 2. **Bounded concurrency** — per namespace, never more than
+//!    `slot_count − 1` checkpoints between `Begin` and a terminal event
+//!    (one of its slots always holds its latest committed state). A
+//!    `Begin` on a slot also closes any window still open on that slot:
+//!    a commit whose `CHECK_ADDR` publish a newer winner overtook leaves
+//!    no `Commit` record of its own, and its slot being leased again is
+//!    the ring's evidence that it ended.
 //! 3. **Commit preceded by persist** — a `Commit` record requires the
 //!    checkpoint's `MetaPersisted` barrier earlier in the ring.
 //! 4. **Recovery restores the newest commit** — the checkpoint the store
@@ -53,7 +55,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use pccheck::{
-    bind_frame_table, decode_frame, is_frame, CheckMeta, PccheckError, RawStoreView,
+    bind_frame_table, decode_frame, is_frame, CheckMeta, JobId, PccheckError, RawStoreView,
     RestoreOptions, SlotOutcome,
 };
 use pccheck_device::PersistentDevice;
@@ -128,11 +130,12 @@ pub enum InvariantViolation {
         /// The offending later commit.
         next: u64,
     },
-    /// More concurrent in-protocol checkpoints than slots allow.
+    /// More concurrent in-protocol checkpoints in one namespace than its
+    /// slots allow.
     ConcurrencyExceeded {
-        /// Peak concurrent checkpoints observed.
+        /// Peak concurrent checkpoints observed in the namespace.
         observed: usize,
-        /// Allowed maximum (`slots − 1`).
+        /// Allowed maximum (the namespace's `slot_count − 1`).
         limit: usize,
     },
     /// A `Commit` record with no earlier `MetaPersisted` barrier for the
@@ -272,8 +275,6 @@ pub struct ForensicReport {
     pub checkpoints: BTreeMap<u64, CheckpointVerdict>,
     /// Invariant violations (empty = the crash is clean).
     pub violations: Vec<InvariantViolation>,
-    /// The checkpoint recovery would restore from the durable metadata.
-    pub expected_recovery: Option<pccheck::CheckMeta>,
     /// Flight records replayed (seq-ordered survivors).
     pub ring_records: usize,
     /// Ring cells that held data but failed checksum validation (at most
@@ -286,21 +287,26 @@ pub struct ForensicReport {
     pub ring_wrapped: bool,
     /// Peak concurrent in-protocol checkpoints observed in the ring.
     pub peak_concurrency: usize,
-    /// The store's concurrency bound: `slots − 1` single-tenant, `slots`
-    /// on a service store (each namespace pins its own committed slot).
+    /// The store's concurrency bound: `slot_count − 1` summed over its
+    /// namespaces (each pins its own committed slot; the invariant itself
+    /// is judged per namespace).
     pub concurrency_limit: usize,
-    /// Per-namespace expected recovery heads on a service store:
-    /// `(job, head)` for every allocated namespace, in directory order.
-    /// Empty on single-tenant stores.
-    pub namespace_recovery: Vec<(u64, Option<pccheck::CheckMeta>)>,
+    /// The checkpoint recovery would restore for each allocated namespace,
+    /// from the durable metadata: `(job, head)` in directory order.
+    pub namespace_recovery: Vec<(JobId, Option<pccheck::CheckMeta>)>,
     /// Each slot's post-crash classification, decided from its durable
-    /// state word + meta CRC alone (the detectable-recovery lattice; all
-    /// [`SlotOutcome::Empty`] on stores formatted before the state-word
-    /// region existed).
+    /// state word + meta CRC alone (the detectable-recovery lattice).
     pub slot_outcomes: Vec<SlotOutcome>,
 }
 
 impl ForensicReport {
+    /// The checkpoint recovery would restore for `job`; `None` when the
+    /// job has no namespace or nothing committed.
+    pub fn expected_recovery(&self, job: JobId) -> Option<pccheck::CheckMeta> {
+        let (_, head) = self.namespace_recovery.iter().find(|(j, _)| *j == job)?;
+        *head
+    }
+
     /// `true` when no invariant is violated.
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
@@ -327,25 +333,14 @@ impl ForensicReport {
             self.stale_ring_cells,
             if self.ring_wrapped { ", wrapped" } else { "" }
         );
-        match &self.expected_recovery {
-            Some(m) => {
-                let _ = writeln!(
-                    out,
-                    "  expected recovery: counter {} (iteration {}, slot {}, {} B)",
-                    m.counter, m.iteration, m.slot, m.payload_len
-                );
-            }
-            None => {
-                let _ = writeln!(out, "  expected recovery: none (no committed checkpoint)");
-            }
-        }
+        let _ = writeln!(out, "  expected recovery:");
         for (job, head) in &self.namespace_recovery {
             match head {
                 Some(m) => {
                     let _ = writeln!(
                         out,
-                        "    job {job}: counter {} (iteration {}, slot {})",
-                        m.counter, m.iteration, m.slot
+                        "    job {job}: counter {} (iteration {}, slot {}, {} B)",
+                        m.counter, m.iteration, m.slot, m.payload_len
                     );
                 }
                 None => {
@@ -413,25 +408,19 @@ impl ForensicReport {
 /// store; propagates device read errors.
 pub fn audit(device: Arc<dyn PersistentDevice>) -> Result<ForensicReport, PccheckError> {
     let view = RawStoreView::load(device.as_ref())?;
-    let expected_recovery = view.expected_recovery();
-    let service = view.max_namespaces > 0;
-    // Single-tenant: one slot always holds the committed state, so at most
-    // slots−1 checkpoints are in protocol. Service mode: every namespace
-    // pins its own committed slot and sizes its own window, so the
-    // store-wide bound is simply the slot count.
-    let concurrency_limit = if service {
-        view.slots as usize
-    } else {
-        (view.slots as usize).saturating_sub(1)
-    };
-    let namespace_recovery: Vec<(u64, Option<CheckMeta>)> = view
+    let geometry = *view.layout.geometry();
+    let namespace_recovery: Vec<(JobId, Option<CheckMeta>)> = view
         .namespaces
         .iter()
-        .map(|ns| (ns.desc.job, view.expected_recovery_for(ns.desc.job)))
+        .map(|ns| (ns.desc.job, view.expected_recovery(ns.desc.job)))
         .collect();
+    // One slot of a namespace always holds its committed state, so at
+    // most slot_count−1 of its checkpoints are in protocol.
+    let ns_limit = |ns: &pccheck::store::RawNamespace| ns.desc.slot_count as usize - 1;
+    let concurrency_limit = view.namespaces.iter().map(ns_limit).sum();
 
-    let (records, torn, stale, wrapped) = if view.flight_records > 0 {
-        match FlightRing::scan(device.as_ref(), view.flight_base()) {
+    let (records, torn, stale, wrapped) = if geometry.flight_records > 0 {
+        match FlightRing::scan(device.as_ref(), view.layout.flight()) {
             Ok(scan) => {
                 let wrapped = scan.wrapped();
                 (scan.records, scan.torn_cells, scan.stale_cells, wrapped)
@@ -449,20 +438,14 @@ pub fn audit(device: Arc<dyn PersistentDevice>) -> Result<ForensicReport, Pcchec
 
     // --- Replay the ring in sequence order. ---------------------------
     // Track per-counter progress and the set of checkpoints currently
-    // between Begin and a terminal event. Commit-order invariants are
-    // partitioned by namespace on a service store (key = owning job;
-    // `None` = the single-tenant store or a slot outside any namespace).
-    let ns_of = |slot: u32| -> Option<u64> {
-        if service {
-            view.namespace_of_slot(slot)
-        } else {
-            None
-        }
-    };
-    let mut last_commit: BTreeMap<Option<u64>, u64> = BTreeMap::new();
-    let mut newest_ring_commit: BTreeMap<Option<u64>, u64> = BTreeMap::new();
+    // between Begin and a terminal event. The commit-order and
+    // concurrency invariants are partitioned by namespace (key = owning
+    // job; `None` = a slot outside any namespace).
+    let mut last_commit: BTreeMap<Option<JobId>, u64> = BTreeMap::new();
+    let mut newest_ring_commit: BTreeMap<Option<JobId>, u64> = BTreeMap::new();
     let mut active: BTreeMap<u64, (InFlightPhase, u32)> = BTreeMap::new();
     let mut peak = 0usize;
+    let mut peak_of: BTreeMap<Option<JobId>, usize> = BTreeMap::new();
     let mut meta_persisted: Vec<u64> = Vec::new();
 
     for rec in &records {
@@ -471,8 +454,18 @@ pub fn audit(device: Arc<dyn PersistentDevice>) -> Result<ForensicReport, Pcchec
             | FlightEventKind::RecoveryStart
             | FlightEventKind::RecoveryDone => {}
             FlightEventKind::Begin => {
+                // The slot being leased again ends whatever window was
+                // still open on it.
+                active.retain(|_, (_, slot)| *slot != rec.slot);
                 active.insert(rec.counter, (InFlightPhase::Begun, rec.slot));
                 peak = peak.max(active.len());
+                let ns = view.namespace_of_slot(rec.slot);
+                let in_ns = active
+                    .values()
+                    .filter(|(_, s)| view.namespace_of_slot(*s) == ns)
+                    .count();
+                let peak_in_ns = peak_of.entry(ns).or_insert(0);
+                *peak_in_ns = (*peak_in_ns).max(in_ns);
             }
             FlightEventKind::CopyDone => {
                 bump_phase(&mut active, rec, InFlightPhase::Copied);
@@ -485,7 +478,7 @@ pub fn audit(device: Arc<dyn PersistentDevice>) -> Result<ForensicReport, Pcchec
                 meta_persisted.push(rec.counter);
             }
             FlightEventKind::Commit => {
-                let ns = ns_of(rec.slot);
+                let ns = view.namespace_of_slot(rec.slot);
                 if let Some(&prev) = last_commit.get(&ns) {
                     // The lock-free publish path lets two racing winners
                     // log their Commit records out of counter order (each
@@ -548,11 +541,14 @@ pub fn audit(device: Arc<dyn PersistentDevice>) -> Result<ForensicReport, Pcchec
         );
     }
 
-    if peak > concurrency_limit && concurrency_limit > 0 {
-        violations.push(InvariantViolation::ConcurrencyExceeded {
-            observed: peak,
-            limit: concurrency_limit,
-        });
+    for ns in &view.namespaces {
+        let observed = peak_of.get(&Some(ns.desc.job)).copied().unwrap_or(0);
+        if observed > ns_limit(ns) {
+            violations.push(InvariantViolation::ConcurrencyExceeded {
+                observed,
+                limit: ns_limit(ns),
+            });
+        }
     }
 
     // --- Cross-check the ring against the durable metadata. -----------
@@ -564,10 +560,9 @@ pub fn audit(device: Arc<dyn PersistentDevice>) -> Result<ForensicReport, Pcchec
         if newest == 0 {
             continue;
         }
-        let recovered = match ns {
-            Some(job) => view.expected_recovery_for(job).map_or(0, |m| m.counter),
-            None => expected_recovery.map_or(0, |m| m.counter),
-        };
+        let recovered = ns
+            .and_then(|job| view.expected_recovery(job))
+            .map_or(0, |m| m.counter);
         if recovered < newest {
             violations.push(InvariantViolation::RecoveredNotNewest { recovered, newest });
         }
@@ -575,15 +570,12 @@ pub fn audit(device: Arc<dyn PersistentDevice>) -> Result<ForensicReport, Pcchec
 
     // Invariant 5 + payload_valid: verify slot payloads against digests.
     // A framed slot's digest covers the frame table at the payload head.
-    // On a service store every namespace's recovery head is a target —
-    // one tenant's torn head is a violation even when another tenant
-    // holds the globally newest commit.
-    let recovery_targets: Vec<CheckMeta> = if service {
-        namespace_recovery.iter().filter_map(|(_, m)| *m).collect()
-    } else {
-        expected_recovery.into_iter().collect()
-    };
-    for slot in 0..view.slots {
+    // Every namespace's recovery head is a target — one tenant's torn
+    // head is a violation even when another tenant holds the globally
+    // newest commit.
+    let recovery_targets: Vec<CheckMeta> =
+        namespace_recovery.iter().filter_map(|(_, m)| *m).collect();
+    for slot in 0..geometry.slots {
         let Some(meta) = view.slot_meta[slot as usize] else {
             continue;
         };
@@ -597,7 +589,7 @@ pub fn audit(device: Arc<dyn PersistentDevice>) -> Result<ForensicReport, Pcchec
             checkpoints.get_mut(&meta.counter)
         {
             *payload_valid = valid;
-        } else if !checkpoints.contains_key(&meta.counter) && view.flight_records == 0 {
+        } else if !checkpoints.contains_key(&meta.counter) && geometry.flight_records == 0 {
             // Ring-less store: synthesize verdicts from metadata alone.
             checkpoints.insert(
                 meta.counter,
@@ -655,7 +647,7 @@ pub fn audit(device: Arc<dyn PersistentDevice>) -> Result<ForensicReport, Pcchec
     // place and built on committed bases, and every framed target — linked
     // or not — must materialize through the frame walk: invariant 5's
     // table check alone would miss a torn packed region or a vanished
-    // dedup base. Every tenant's head is audited on a service store.
+    // dedup base. Every tenant's head is audited.
     for target in &recovery_targets {
         audit_base_pins(&view, target, &checkpoints, &mut violations);
         let payload = view.read_slot_payload(device.as_ref(), target.slot)?;
@@ -670,7 +662,6 @@ pub fn audit(device: Arc<dyn PersistentDevice>) -> Result<ForensicReport, Pcchec
     Ok(ForensicReport {
         checkpoints,
         violations,
-        expected_recovery,
         ring_records: records.len(),
         torn_ring_cells: torn,
         stale_ring_cells: stale,
@@ -709,7 +700,7 @@ fn materialize_frame(
     let commits: Vec<CheckMeta> = view.slot_meta.iter().flatten().copied().collect();
     let read = |slot, at, buf: &mut [u8]| {
         device
-            .read_durable_at(view.slot_payload_offset(slot) + at, buf)
+            .read_durable_at(view.layout.slot_payload(slot) + at, buf)
             .is_ok()
     };
     let readers = RestoreOptions::default().readers;
@@ -728,7 +719,7 @@ fn audit_base_pins(
 ) {
     let mut head = *target;
     // Cycle guard: a chain is never longer than the store has slots.
-    for _ in 0..view.slots {
+    for _ in 0..view.layout.geometry().slots {
         let Some(link) = head.delta else { return };
         let base = view
             .slot_meta
@@ -760,7 +751,12 @@ fn audit_base_pins(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pccheck::{CheckpointStore, CommitOutcome};
+    use pccheck::{CheckpointStore, CommitOutcome, Namespace, StoreGeometry, DEFAULT_JOB};
+
+    /// The tenant of a single-tenant store.
+    fn ns(st: &CheckpointStore) -> Arc<Namespace> {
+        st.namespace(DEFAULT_JOB).unwrap()
+    }
     use pccheck_device::{DeviceConfig, SsdDevice};
     use pccheck_telemetry::FlightEventKind as K;
     use pccheck_util::ByteSize;
@@ -775,23 +771,19 @@ mod tests {
         ring: u32,
     ) -> (Arc<dyn PersistentDevice>, CheckpointStore) {
         let slot = ByteSize::from_bytes(slot_bytes);
-        let cap = CheckpointStore::required_capacity_with_flight(slot, slots, ring);
-        let dev: Arc<dyn PersistentDevice> =
-            Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let st = CheckpointStore::format_with_flight(Arc::clone(&dev), slot, slots, ring).unwrap();
+        let geometry = StoreGeometry {
+            flight_records: ring,
+            ..StoreGeometry::single(slot, slots)
+        };
+        let dev: Arc<dyn PersistentDevice> = Arc::new(SsdDevice::new(
+            DeviceConfig::fast_for_tests(geometry.required_capacity()),
+        ));
+        let st = CheckpointStore::format(Arc::clone(&dev), geometry).unwrap();
         (dev, st)
     }
 
     fn commit_one(st: &CheckpointStore, iter: u64, payload: &[u8]) {
-        let lease = st.begin_checkpoint();
-        st.write_payload(&lease, 0, payload).unwrap();
-        st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
-        let digest = StateDigest::of_payload(payload, iter).0;
-        assert_eq!(
-            st.commit(lease, iter, payload.len() as u64, digest)
-                .unwrap(),
-            CommitOutcome::Committed
-        );
+        commit_job(st, DEFAULT_JOB, iter, payload);
     }
 
     /// Commits a hand-assembled frame over the latest committed (raw)
@@ -802,10 +794,10 @@ mod tests {
         use pccheck::{ChunkEncoding, DeltaLink, FrameRecord, FrameTable};
         use pccheck_util::fnv::chunk_digest;
 
-        let base = st.latest_committed().unwrap();
+        let base = st.latest_committed(&ns(st)).unwrap();
         let base_bytes = st.read_checkpoint(&base).unwrap();
         let logical = [fresh, &base_bytes[..]].concat();
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(&ns(st));
         let table = FrameTable {
             counter: lease.counter,
             logical_len: logical.len() as u64,
@@ -859,7 +851,7 @@ mod tests {
         dev.crash_now();
         let report = audit(Arc::clone(&dev)).unwrap();
         assert!(report.is_clean(), "{:?}", report.violations);
-        let target = report.expected_recovery.unwrap();
+        let target = report.expected_recovery(DEFAULT_JOB).unwrap();
         assert_eq!(target.iteration, 2);
         assert_eq!(target.delta.unwrap().chain_depth, 1);
         assert!(matches!(
@@ -879,7 +871,7 @@ mod tests {
         // The store withdraws a frame whose link target it does not pin,
         // so forge one behind its back: right counter, wrong slot — the
         // pin protects nothing.
-        let mut head = st.latest_committed().unwrap();
+        let mut head = st.latest_committed(&ns(&st)).unwrap();
         let link = head.delta.as_mut().unwrap();
         link.base_slot = (link.base_slot + 1) % 4;
         let (off, rec) = (st.slot_meta_offset(head.slot), head.encode());
@@ -920,7 +912,7 @@ mod tests {
     fn recycled_dedup_base_is_flagged() {
         let (dev, st) = flight_store_sized(256, 4, 64);
         commit_one(&st, 1, &[11u8; 64]);
-        let base = st.latest_committed().unwrap();
+        let base = st.latest_committed(&ns(&st)).unwrap();
         commit_frame_over_base(&st, 2, &[13u8; 8]);
         // Flip one base byte behind the store's back: the frame's own slot
         // is intact, so only resolving the reference catches it.
@@ -944,7 +936,7 @@ mod tests {
         dev.crash_now();
         let report = audit(Arc::clone(&dev)).unwrap();
         assert!(report.is_clean(), "{:?}", report.violations);
-        assert_eq!(report.expected_recovery.unwrap().iteration, 4);
+        assert_eq!(report.expected_recovery(DEFAULT_JOB).unwrap().iteration, 4);
         assert!(report.in_flight().is_empty());
         assert_eq!(report.checkpoints.len(), 4);
         assert!(matches!(
@@ -963,7 +955,7 @@ mod tests {
         commit_one(&st, 1, b"one");
         // Crash between persist and commit: payload + flight records up to
         // PayloadPersisted, no metadata barrier.
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(&ns(&st));
         st.write_payload(&lease, 0, b"two").unwrap();
         st.persist_payload(&lease, 0, 3).unwrap();
         st.flight()
@@ -983,7 +975,7 @@ mod tests {
             }
         );
         // Recovery still lands on checkpoint 1.
-        assert_eq!(report.expected_recovery.unwrap().iteration, 1);
+        assert_eq!(report.expected_recovery(DEFAULT_JOB).unwrap().iteration, 1);
     }
 
     #[test]
@@ -992,7 +984,7 @@ mod tests {
         commit_one(&st, 1, b"one");
         // Fabricate a protocol bug: a Commit record for a checkpoint that
         // never took the metadata barrier.
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(&ns(&st));
         st.flight()
             .record(K::Commit, lease.counter, lease.slot, 9, 3, 0);
         dev.crash_now();
@@ -1014,7 +1006,7 @@ mod tests {
         let (dev, st) = flight_store(3, 64);
         commit_one(&st, 1, b"one");
         // Corrupt the committed payload behind the store's back.
-        let meta = st.latest_committed().unwrap();
+        let meta = st.latest_committed(&ns(&st)).unwrap();
         let off = st.slot_payload_offset(meta.slot);
         dev.write_at(off, b"WRONG").unwrap();
         dev.persist(off, 5).unwrap();
@@ -1031,7 +1023,11 @@ mod tests {
         let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(64), 3);
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let st = CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 3).unwrap();
+        let st = CheckpointStore::format(
+            Arc::clone(&dev),
+            StoreGeometry::single(ByteSize::from_bytes(64), 3),
+        )
+        .unwrap();
         commit_one(&st, 1, b"one");
         dev.crash_now();
         let report = audit(Arc::clone(&dev)).unwrap();
@@ -1074,8 +1070,8 @@ mod tests {
         // windows are open when the stale record lands, so the auditor
         // must not flag a false CommitNotMonotone.
         let (dev, st) = flight_store(4, 64);
-        let lease_a = st.begin_checkpoint();
-        let lease_b = st.begin_checkpoint();
+        let lease_a = st.begin_checkpoint(&ns(&st));
+        let lease_b = st.begin_checkpoint(&ns(&st));
         for (lease, payload) in [(&lease_a, b"aa"), (&lease_b, b"bb")] {
             st.write_payload(lease, 0, payload).unwrap();
             st.persist_payload(lease, 0, 2).unwrap();
@@ -1124,13 +1120,13 @@ mod tests {
     fn torn_state_word_is_a_lattice_violation() {
         let (dev, st) = flight_store(3, 64);
         commit_one(&st, 1, b"one");
-        let head = st.latest_committed().unwrap();
+        let head = st.latest_committed(&ns(&st)).unwrap();
         // Forge the unreachable lattice point: a Committed state word over
         // a meta record carrying a different counter.
         let forged = pccheck::SlotState::Committed {
             counter: head.counter + 10,
         };
-        let off = st.slot_state_offset(head.slot).unwrap();
+        let off = st.layout().slot_state(head.slot);
         dev.write_at(off, &forged.encode()).unwrap();
         dev.persist(off, pccheck::SLOT_STATE_SIZE).unwrap();
         dev.crash_now();
@@ -1154,9 +1150,13 @@ mod tests {
         let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(64), 3);
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let st = CheckpointStore::format(Arc::clone(&dev), ByteSize::from_bytes(64), 3).unwrap();
+        let st = CheckpointStore::format(
+            Arc::clone(&dev),
+            StoreGeometry::single(ByteSize::from_bytes(64), 3),
+        )
+        .unwrap();
         commit_one(&st, 1, b"one");
-        let lease = st.begin_checkpoint();
+        let lease = st.begin_checkpoint(&ns(&st));
         let (counter, slot) = (lease.counter, lease.slot);
         std::mem::forget(lease);
         dev.crash_now();
@@ -1177,32 +1177,26 @@ mod tests {
         assert!(report.render().contains("slot lattice"));
     }
 
-    fn service_flight_store(
+    fn shared_flight_store(
         slots: u32,
         ring: u32,
         max_ns: u32,
     ) -> (Arc<dyn PersistentDevice>, CheckpointStore) {
-        let cap = CheckpointStore::required_capacity_service(
-            ByteSize::from_bytes(64),
+        let geometry = StoreGeometry {
+            slot_size: ByteSize::from_bytes(64),
             slots,
-            ring,
-            max_ns,
-        ) + ByteSize::from_kb(1);
-        let dev: Arc<dyn PersistentDevice> =
-            Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let st = CheckpointStore::format_service(
-            Arc::clone(&dev),
-            ByteSize::from_bytes(64),
-            slots,
-            ring,
-            max_ns,
-        )
-        .unwrap();
+            flight_records: ring,
+            max_namespaces: max_ns,
+        };
+        let dev: Arc<dyn PersistentDevice> = Arc::new(SsdDevice::new(
+            DeviceConfig::fast_for_tests(geometry.required_capacity()),
+        ));
+        let st = CheckpointStore::format(Arc::clone(&dev), geometry).unwrap();
         (dev, st)
     }
 
     fn commit_job(st: &CheckpointStore, job: u64, iter: u64, payload: &[u8]) {
-        let lease = st.begin_checkpoint_job(job).unwrap();
+        let lease = st.begin_checkpoint(&st.namespace(job).unwrap());
         st.write_payload(&lease, 0, payload).unwrap();
         st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
         let digest = StateDigest::of_payload(payload, iter).0;
@@ -1219,11 +1213,11 @@ mod tests {
         // global order; under the single-tenant monotonicity rule this
         // interleaving would be a false CommitNotMonotone. The namespace-
         // partitioned auditor must accept it.
-        let (dev, st) = service_flight_store(6, 64, 4);
+        let (dev, st) = shared_flight_store(6, 64, 4);
         st.allocate_namespace(1, 3).unwrap();
         st.allocate_namespace(2, 3).unwrap();
         // Lease job 1 first (lower counter), commit it after job 2.
-        let lease1 = st.begin_checkpoint_job(1).unwrap();
+        let lease1 = st.begin_checkpoint(&st.namespace(1).unwrap());
         commit_job(&st, 2, 7, b"job2-a");
         st.write_payload(&lease1, 0, b"job1-a").unwrap();
         st.persist_payload(&lease1, 0, 6).unwrap();
@@ -1234,7 +1228,7 @@ mod tests {
         dev.crash_now();
         let report = audit(Arc::clone(&dev)).unwrap();
         assert!(report.is_clean(), "{:?}", report.violations);
-        assert_eq!(report.concurrency_limit, 6, "service bound is `slots`");
+        assert_eq!(report.concurrency_limit, 4, "slot_count - 1 per namespace");
         let heads: BTreeMap<u64, u64> = report
             .namespace_recovery
             .iter()
@@ -1247,14 +1241,14 @@ mod tests {
 
     #[test]
     fn torn_tenant_head_is_flagged_even_when_not_globally_newest() {
-        let (dev, st) = service_flight_store(6, 64, 4);
+        let (dev, st) = shared_flight_store(6, 64, 4);
         st.allocate_namespace(1, 3).unwrap();
         st.allocate_namespace(2, 3).unwrap();
         commit_job(&st, 1, 1, b"job1-a");
         commit_job(&st, 2, 9, b"job2-a"); // globally newest commit
                                           // Tear job 1's head payload: the global expected recovery is job
                                           // 2's intact head, but job 1's tenant-visible recovery is torn.
-        let head = st.latest_committed_job(1).unwrap().unwrap();
+        let head = st.latest_committed(&st.namespace(1).unwrap()).unwrap();
         let off = st.slot_payload_offset(head.slot);
         dev.write_at(off, b"WRONG").unwrap();
         dev.persist(off, 5).unwrap();
@@ -1267,12 +1261,12 @@ mod tests {
 
     #[test]
     fn tenant_check_addr_behind_ring_commit_is_flagged() {
-        let (dev, st) = service_flight_store(6, 64, 4);
+        let (dev, st) = shared_flight_store(6, 64, 4);
         st.allocate_namespace(1, 3).unwrap();
         commit_job(&st, 1, 1, b"one");
         // Fabricate a ring Commit for a counter job 1's durable pointer
         // never reached: per-namespace invariant 4 must trip.
-        let lease = st.begin_checkpoint_job(1).unwrap();
+        let lease = st.begin_checkpoint(&st.namespace(1).unwrap());
         st.flight()
             .record(K::MetaPersisted, lease.counter, lease.slot, 2, 3, 0);
         st.flight()
@@ -1313,7 +1307,7 @@ mod tests {
         }
         // The audit only proves something if the codec actually framed.
         let view = RawStoreView::load(dev.as_ref()).unwrap();
-        let framed = (0..view.slots)
+        let framed = (0..view.layout.geometry().slots)
             .filter(|&s| view.slot_meta[s as usize].is_some())
             .filter(|&s| {
                 view.read_slot_payload(dev.as_ref(), s)
@@ -1365,7 +1359,7 @@ mod tests {
         // replay catches it.
         let table = bind_frame_table(&payload, &head).unwrap();
         let corrupt_at = table.encoded_len();
-        let slot_off = view.slot_payload_offset(head.slot) + corrupt_at;
+        let slot_off = view.layout.slot_payload(head.slot) + corrupt_at;
         let mut byte = [0u8; 1];
         dev.read_durable_at(slot_off, &mut byte).unwrap();
         byte[0] ^= 0xFF;
@@ -1394,10 +1388,15 @@ mod tests {
     #[test]
     fn striped_store_audits_clean_through_the_durable_view() {
         use pccheck_device::StripedDevice;
-        // A small stripe forces the header, CHECK_ADDR, slot metadata, and
-        // flight ring to interleave across both members, so RawStoreView's
-        // durable reads must reassemble every structure from extents.
-        let cap = CheckpointStore::required_capacity_with_flight(ByteSize::from_bytes(64), 3, 64);
+        // A small stripe forces the superblock, slot metadata, flight ring
+        // and directory to interleave across both members, so
+        // RawStoreView's durable reads must reassemble every structure
+        // from extents.
+        let geometry = StoreGeometry {
+            flight_records: 64,
+            ..StoreGeometry::single(ByteSize::from_bytes(64), 3)
+        };
+        let cap = geometry.required_capacity();
         let members: Vec<Arc<dyn PersistentDevice>> = (0..2)
             .map(|_| {
                 Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)))
@@ -1406,16 +1405,14 @@ mod tests {
             .collect();
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(StripedDevice::new(members, ByteSize::from_bytes(256)));
-        let st =
-            CheckpointStore::format_with_flight(Arc::clone(&dev), ByteSize::from_bytes(64), 3, 64)
-                .unwrap();
+        let st = CheckpointStore::format(Arc::clone(&dev), geometry).unwrap();
         for i in 1..=3 {
             commit_one(&st, i, format!("s{i}").as_bytes());
         }
         dev.crash_now();
         let report = audit(Arc::clone(&dev)).unwrap();
         assert!(report.is_clean(), "{:?}", report.violations);
-        assert_eq!(report.expected_recovery.unwrap().iteration, 3);
+        assert_eq!(report.expected_recovery(DEFAULT_JOB).unwrap().iteration, 3);
         assert_eq!(report.checkpoints.len(), 3);
         assert!(matches!(
             report.checkpoints[&3],

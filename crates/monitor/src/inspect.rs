@@ -2,34 +2,35 @@
 
 use std::sync::Arc;
 
-use pccheck::{CheckMeta, CheckpointStore, PccheckError};
+use pccheck::{CheckMeta, CheckpointStore, Namespace, PccheckError};
 use pccheck_gpu::tensor::StateLayout;
 use pccheck_gpu::TrainingState;
 
-/// Read-only access to a store's checkpoint history.
+/// Read-only access to one tenant's checkpoint history.
 #[derive(Debug, Clone)]
 pub struct CheckpointInspector {
     store: Arc<CheckpointStore>,
+    ns: Arc<Namespace>,
 }
 
 impl CheckpointInspector {
-    /// Creates an inspector over `store`.
-    pub fn new(store: Arc<CheckpointStore>) -> Self {
-        CheckpointInspector { store }
+    /// Creates an inspector over `ns`, a namespace of `store`.
+    pub fn new(store: Arc<CheckpointStore>, ns: Arc<Namespace>) -> Self {
+        CheckpointInspector { store, ns }
     }
 
-    /// All complete checkpoints currently in the store, oldest first.
+    /// All complete checkpoints currently in the namespace, oldest first.
     ///
     /// # Errors
     ///
     /// Propagates device errors.
     pub fn history(&self) -> Result<Vec<CheckMeta>, PccheckError> {
-        self.store.history()
+        self.store.history(&self.ns)
     }
 
     /// The latest committed checkpoint.
     pub fn latest(&self) -> Option<CheckMeta> {
-        self.store.latest_committed()
+        self.store.latest_committed(&self.ns)
     }
 
     /// Loads a checkpoint's raw payload.
@@ -119,7 +120,9 @@ mod tests {
             engine.checkpoint(&gpu, iter);
             engine.drain();
         }
-        (CheckpointInspector::new(Arc::clone(engine.store())), gpu)
+        let inspector =
+            CheckpointInspector::new(Arc::clone(engine.store()), Arc::clone(engine.namespace()));
+        (inspector, gpu)
     }
 
     #[test]

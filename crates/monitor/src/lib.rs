@@ -53,7 +53,8 @@
 //!     engine.checkpoint(&gpu, iter);
 //!     engine.drain();
 //! }
-//! let inspector = CheckpointInspector::new(Arc::clone(engine.store()));
+//! let inspector =
+//!     CheckpointInspector::new(Arc::clone(engine.store()), Arc::clone(engine.namespace()));
 //! let history = inspector.history()?;
 //! assert_eq!(history.last().unwrap().iteration, 3);
 //! # Ok(())

@@ -10,6 +10,7 @@
 //!
 //! Run with: `cargo run --release --example crash_forensics`
 
+use pccheck::{RestoreOptions, DEFAULT_JOB};
 use pccheck_harness::forensics_run::{run_crash_scenario, CrashPoint, ForensicsRunConfig};
 
 fn main() {
@@ -22,7 +23,8 @@ fn main() {
     );
     for point in CrashPoint::ALL {
         println!("\n=== crash injected: {point} ===");
-        let run = run_crash_scenario(point, &cfg).expect("scenario runs");
+        let run =
+            run_crash_scenario(point, &cfg, RestoreOptions::default()).expect("scenario runs");
         print!("{}", run.report.render());
         println!(
             "recovery restored checkpoint #{} (iteration {}) in {:.1} us \
@@ -33,7 +35,7 @@ fn main() {
             run.trace.candidates_scanned,
             run.trace.fallbacks,
         );
-        let predicted = run.report.expected_recovery.map(|m| m.counter);
+        let predicted = run.report.expected_recovery(DEFAULT_JOB).map(|m| m.counter);
         assert_eq!(
             predicted,
             Some(run.recovered.counter),

@@ -33,7 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         gpu.state_size(),
     )?;
 
-    let inspector = CheckpointInspector::new(Arc::clone(engine.store()));
+    let inspector =
+        CheckpointInspector::new(Arc::clone(engine.store()), Arc::clone(engine.namespace()));
     let layout = gpu.with_weights(|s| s.layout());
     let mut detector = UpdateMagnitudeDetector::new(4, 3.0);
 

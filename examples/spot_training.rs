@@ -61,6 +61,7 @@ fn main() {
     let run = run_crash_scenario(
         CrashPoint::BetweenPersistAndCommit,
         &ForensicsRunConfig::default(),
+        pccheck::RestoreOptions::default(),
     )
     .expect("crash scenario");
     println!(

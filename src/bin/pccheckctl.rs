@@ -43,7 +43,7 @@ use std::time::Duration;
 
 use pccheck::{
     recover_instrumented_with, recovery, CheckpointStore, PcCheckConfig, PcCheckEngine,
-    RestoreOptions,
+    RestoreOptions, StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, FileDevice, PersistentDevice, SsdDevice, StripedDevice};
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingState};
@@ -177,28 +177,36 @@ fn open_store(path: &str) -> Result<CheckpointStore, Box<dyn std::error::Error>>
 fn cmd_info(path: &str) -> Result<(), Box<dyn std::error::Error>> {
     let store = open_store(path)?;
     println!(
-        "store: {} slots x {} payload, {} free",
+        "store: {} slots x {} payload",
         store.num_slots(),
-        store.slot_size(),
-        store.free_slot_count()
+        store.slot_size()
     );
-    match store.latest_committed() {
-        Some(m) => println!(
-            "latest committed: counter {} iteration {} ({} bytes)",
-            m.counter, m.iteration, m.payload_len
-        ),
-        None => println!("latest committed: none"),
-    }
-    println!("history:");
-    for meta in store.history()? {
-        let kind = match meta.delta {
-            Some(link) => format!("base->c{} depth {}", link.base_counter, link.chain_depth),
-            None => "full".to_string(),
-        };
+    for desc in store.namespaces() {
+        let ns = store.namespace(desc.job)?;
         println!(
-            "  counter {:>4} iteration {:>6} {:>10} bytes digest {:016x} {}",
-            meta.counter, meta.iteration, meta.payload_len, meta.digest, kind
+            "job {}: slots {:?}, {} free",
+            desc.job,
+            desc.slot_range(),
+            store.free_slot_count(&ns)
         );
+        match store.latest_committed(&ns) {
+            Some(m) => println!(
+                "  latest committed: counter {} iteration {} ({} bytes)",
+                m.counter, m.iteration, m.payload_len
+            ),
+            None => println!("  latest committed: none"),
+        }
+        println!("  history:");
+        for meta in store.history(&ns)? {
+            let kind = match meta.delta {
+                Some(link) => format!("base->c{} depth {}", link.base_counter, link.chain_depth),
+                None => "full".to_string(),
+            };
+            println!(
+                "    counter {:>4} iteration {:>6} {:>10} bytes digest {:016x} {}",
+                meta.counter, meta.iteration, meta.payload_len, meta.digest, kind
+            );
+        }
     }
     // The per-slot commit-state lattice the forensic auditor reasons over:
     // the durable state word (Free/Claimed/Committed + counter) next to
@@ -208,8 +216,7 @@ fn cmd_info(path: &str) -> Result<(), Box<dyn std::error::Error>> {
     for slot in 0..store.num_slots() {
         let word = match view.slot_state.get(slot as usize).copied().flatten() {
             Some(state) => state.to_string(),
-            None if view.state_words => "torn/absent".to_string(),
-            None => "-".to_string(),
+            None => "torn".to_string(),
         };
         println!(
             "  slot {:>3} state {:<14} outcome {}",
@@ -302,20 +309,24 @@ fn cmd_crashdemo(path: &str, point_name: &str) -> Result<(), Box<dyn std::error:
     let point = CrashPoint::from_name(point_name)
         .ok_or_else(|| format!("unknown crash point {point_name:?} (see usage)"))?;
     let state = ByteSize::from_bytes(CRASH_STATE_BYTES);
-    let cap = CheckpointStore::required_capacity_with_flight(state, SLOTS, CRASH_FLIGHT_RECORDS)
-        + ByteSize::from_kb(4);
+    let geometry = StoreGeometry {
+        flight_records: CRASH_FLIGHT_RECORDS,
+        ..StoreGeometry::single(state, SLOTS)
+    };
+    let cap = geometry.required_capacity() + ByteSize::from_kb(4);
     let device: Arc<dyn PersistentDevice> =
         Arc::new(FileDevice::create(path, DeviceConfig::fast_for_tests(cap))?);
-    let store = CheckpointStore::format_with_flight(
-        Arc::clone(&device),
-        state,
-        SLOTS,
-        CRASH_FLIGHT_RECORDS,
+    let store = CheckpointStore::format(Arc::clone(&device), geometry)?;
+    let baseline = commit_checkpoint(
+        &store,
+        DEFAULT_JOB,
+        100,
+        &synthetic_payload(100, CRASH_STATE_BYTES),
     )?;
-    let baseline = commit_checkpoint(&store, 100, &synthetic_payload(100, CRASH_STATE_BYTES))?;
     println!("committed baseline checkpoint #{baseline} (iteration 100)");
     let (counter, slot) = drive_to_crash_point(
         &store,
+        DEFAULT_JOB,
         point,
         200,
         &synthetic_payload(200, CRASH_STATE_BYTES),

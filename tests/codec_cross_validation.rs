@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use pccheck::{
     recover, CheckpointStore, DeltaPolicy, FramedOutcome, PcCheckConfig, PcCheckEngine,
-    PersistPipeline, PipelineCtx,
+    PersistPipeline, PipelineCtx, StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, SnapshotSource, TrainingState};
@@ -68,7 +68,8 @@ fn fresh_store(slots: u32) -> (Arc<dyn PersistentDevice>, Arc<CheckpointStore>) 
     let device: Arc<dyn PersistentDevice> =
         Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
     let store = Arc::new(
-        CheckpointStore::format(Arc::clone(&device), state, slots).expect("format store"),
+        CheckpointStore::format(Arc::clone(&device), StoreGeometry::single(state, slots))
+            .expect("format store"),
     );
     (device, store)
 }
@@ -82,9 +83,14 @@ fn replay(states: &[Vec<u8>], codec: bool) -> (Arc<dyn PersistentDevice>, u64, u
     let mut framed = 0u64;
     let mut physical = 0u64;
     if codec {
-        let pipeline = PersistPipeline::new(store).with_writers(2).with_staging(
-            HostBufferPool::new(ByteSize::from_bytes(CHUNK), (STATE / CHUNK) as usize),
-        );
+        let ns = store.namespace(DEFAULT_JOB).expect("single-tenant store");
+        let pipeline =
+            PersistPipeline::new(store)
+                .with_writers(2)
+                .with_staging(HostBufferPool::new(
+                    ByteSize::from_bytes(CHUNK),
+                    (STATE / CHUNK) as usize,
+                ));
         let telemetry = Telemetry::disabled();
         let ctx = PipelineCtx {
             telemetry: &telemetry,
@@ -97,7 +103,7 @@ fn replay(states: &[Vec<u8>], codec: bool) -> (Arc<dyn PersistentDevice>, u64, u
                 step: iteration,
             };
             let (_, outcome) = pipeline
-                .checkpoint_framed(ctx, &src, iteration, POLICY)
+                .checkpoint_framed(ctx, &ns, &src, iteration, POLICY)
                 .expect("checkpoint commits");
             match outcome {
                 FramedOutcome::Framed { payload_len, .. } => {
@@ -109,7 +115,8 @@ fn replay(states: &[Vec<u8>], codec: bool) -> (Arc<dyn PersistentDevice>, u64, u
         }
     } else {
         for (i, data) in states.iter().enumerate() {
-            commit_checkpoint(&store, i as u64 + 1, data).expect("raw checkpoint commits");
+            commit_checkpoint(&store, DEFAULT_JOB, i as u64 + 1, data)
+                .expect("raw checkpoint commits");
             physical += STATE;
         }
     }

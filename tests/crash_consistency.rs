@@ -6,7 +6,10 @@
 
 use std::sync::Arc;
 
-use pccheck::{recovery, CheckpointStore, PcCheckConfig, PcCheckEngine, PccheckError};
+use pccheck::{
+    recovery, CheckpointStore, PcCheckConfig, PcCheckEngine, PccheckError, RestoreOptions,
+    StoreGeometry, DEFAULT_JOB,
+};
 use pccheck_device::{CrashPolicy, DeviceConfig, PersistentDevice, SsdDevice};
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingState};
 use pccheck_util::rng::check;
@@ -132,7 +135,7 @@ fn repeated_crash_recover_cycles_never_regress() {
     for cycle in 0..5 {
         let dev: Arc<dyn PersistentDevice> = ssd.clone();
         let store = if cycle == 0 {
-            CheckpointStore::format(dev, size, 3).expect("format")
+            CheckpointStore::format(dev, StoreGeometry::single(size, 3)).expect("format")
         } else {
             CheckpointStore::open(dev).expect("reopen")
         };
@@ -166,29 +169,28 @@ fn repeated_crash_recover_cycles_never_regress() {
     assert_eq!(last_recovered, 15);
 }
 
-/// Pinned-crash-point forensics: at every protocol step the auditor's
-/// verdict — taken from the frozen device *before* power-on — must agree
-/// with what recovery then actually restores, and must classify the
-/// interrupted checkpoint by the exact phase the crash caught it in.
+/// Pinned-crash-point forensics, the single-tenant rows of the crash
+/// matrix (`tests/multi_tenant_crash.rs` runs the shared-store rows): at
+/// every protocol step, on a flat, a striped and a tiered device, the
+/// auditor's verdict — taken from the frozen device *before* power-on —
+/// must agree with what recovery then actually restores, bit for bit, and
+/// must classify the interrupted checkpoint by the exact phase the crash
+/// caught it in.
 #[test]
 fn forensic_verdicts_match_actual_recovery_at_every_crash_point() {
-    use pccheck_harness::forensics_run::{run_crash_scenario, CrashPoint, ForensicsRunConfig};
+    use pccheck_harness::forensics_run::{crash_matrix, run_crash_scenario, CrashPoint};
     use pccheck_monitor::{CheckpointVerdict, InFlightPhase};
 
-    let cfg = ForensicsRunConfig::default();
-    for point in CrashPoint::ALL {
-        let run = run_crash_scenario(point, &cfg).expect("scenario runs");
-        assert!(
-            run.report.is_clean(),
-            "{point}: protocol invariants must hold:\n{}",
-            run.report.render()
-        );
-        // The audit's predicted recovery target is what recovery restored.
-        assert_eq!(
-            run.report.expected_recovery.map(|m| m.counter),
-            Some(run.recovered.counter),
-            "{point}: audit and recovery disagree"
-        );
+    let mut rows = crash_matrix();
+    rows.retain(|cfg| cfg.tenants == [DEFAULT_JOB]);
+    for (cfg, point) in rows
+        .iter()
+        .flat_map(|cfg| CrashPoint::ALL.map(|point| (cfg, point)))
+    {
+        let run = run_crash_scenario(point, cfg, RestoreOptions::default()).expect("scenario runs");
+        // Clean audit, prediction == recovery, payload bit-exact.
+        run.verify()
+            .unwrap_or_else(|why| panic!("{point}/{:?}: {why}", cfg.topology));
         let verdict = run
             .report
             .checkpoints
@@ -268,8 +270,7 @@ fn forensic_verdicts_match_actual_recovery_at_every_crash_point() {
                 );
                 assert!(
                     run.report
-                        .expected_recovery
-                        .as_ref()
+                        .expected_recovery(DEFAULT_JOB)
                         .is_some_and(|m| m.is_delta()),
                     "{point}: recovery target must carry a base link"
                 );
@@ -285,7 +286,11 @@ fn forensic_verdicts_match_actual_recovery_at_every_crash_point() {
 #[test]
 fn engine_crash_with_flight_ring_audits_clean() {
     let size = ByteSize::from_bytes(STATE);
-    let cap = CheckpointStore::required_capacity_with_flight(size, 3, 128) + ByteSize::from_kb(4);
+    let geometry = StoreGeometry {
+        flight_records: 128,
+        ..StoreGeometry::single(size, 3)
+    };
+    let cap = geometry.required_capacity() + ByteSize::from_kb(4);
     let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
     let dev: Arc<dyn PersistentDevice> = ssd.clone();
     let gpu = Gpu::new(
@@ -319,11 +324,11 @@ fn engine_crash_with_flight_ring_audits_clean() {
     ssd.recover();
     match recovery::recover(ssd) {
         Ok(rec) => assert_eq!(
-            report.expected_recovery.map(|m| m.iteration),
+            report.expected_recovery(DEFAULT_JOB).map(|m| m.iteration),
             Some(rec.iteration)
         ),
         Err(PccheckError::NoCheckpoint) => {
-            assert!(report.expected_recovery.is_none());
+            assert!(report.expected_recovery(DEFAULT_JOB).is_none());
         }
         Err(e) => panic!("unexpected recovery failure: {e}"),
     }

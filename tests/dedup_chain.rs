@@ -9,6 +9,7 @@ use std::sync::Arc;
 
 use pccheck::{
     recovery, CheckpointStore, DeltaPolicy, FramedOutcome, PersistPipeline, PipelineCtx,
+    StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
 use pccheck_gpu::{Gpu, GpuConfig, TrainingState};
@@ -23,7 +24,8 @@ fn store_on(slots: u32) -> (Arc<SsdDevice>, Arc<CheckpointStore>) {
     let cap = CheckpointStore::required_capacity(size, slots) + ByteSize::from_kb(4);
     let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
     let dev: Arc<dyn PersistentDevice> = ssd.clone();
-    let store = Arc::new(CheckpointStore::format(dev, size, slots).expect("format"));
+    let store =
+        Arc::new(CheckpointStore::format(dev, StoreGeometry::single(size, slots)).expect("format"));
     (ssd, store)
 }
 
@@ -47,6 +49,8 @@ fn dedup_chain_restore_is_bit_identical_to_full_checkpoints() {
     // every iteration.
     let (ssd_a, store_a) = store_on(MAX_CHAIN + 2);
     let (ssd_b, store_b) = store_on(2);
+    let ns_a = store_a.namespace(DEFAULT_JOB).expect("single-tenant store");
+    let ns_b = store_b.namespace(DEFAULT_JOB).expect("single-tenant store");
     let pipe_a = pipeline_for(&store_a);
     let pipe_b = pipeline_for(&store_b);
     let telemetry = Telemetry::disabled();
@@ -67,17 +71,17 @@ fn dedup_chain_restore_is_bit_identical_to_full_checkpoints() {
         let total = guard.size();
 
         let (_, kind) = pipe_a
-            .checkpoint_framed(ctx, &guard, iter, policy)
+            .checkpoint_framed(ctx, &ns_a, &guard, iter, policy)
             .expect("framed checkpoint");
         assert!(
             matches!(kind, FramedOutcome::Framed { .. }),
             "compressible state must persist framed, got {kind:?}"
         );
-        if store_a.latest_committed().expect("head").is_delta() {
+        if store_a.latest_committed(&ns_a).expect("head").is_delta() {
             linked_commits += 1;
         }
 
-        let lease = pipe_b.lease(ctx);
+        let lease = pipe_b.lease(ctx, &ns_b);
         let copied = pipe_b
             .copy_chunks(ctx, &guard, &lease, total, true)
             .expect("full copy");
@@ -89,7 +93,7 @@ fn dedup_chain_restore_is_bit_identical_to_full_checkpoints() {
         linked_commits >= 1,
         "the sparse run must commit at least one frame pinned to a dedup base"
     );
-    let head = store_a.latest_committed().expect("head");
+    let head = store_a.latest_committed(&ns_a).expect("head");
     let link = head.delta.expect("head of store A references its base");
     assert!(link.chain_depth >= 1);
 

@@ -11,8 +11,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pccheck::{
-    recovery, CheckMeta, CheckpointStore, ChunkEncoding, CommitOutcome, DeltaPolicy, FrameTable,
-    FramedOutcome, PcCheckConfig, PcCheckEngine, PccheckError, PersistPipeline, PipelineCtx,
+    recover_instrumented_with, recovery, CheckMeta, CheckpointStore, ChunkEncoding, CommitOutcome,
+    DeltaPolicy, FrameTable, FramedOutcome, Namespace, PcCheckConfig, PcCheckEngine, PccheckError,
+    PersistPipeline, PipelineCtx, RestoreOptions, StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, Tensor, TrainingState};
@@ -45,13 +46,20 @@ fn serialized(gpu: &Gpu) -> Vec<u8> {
 
 fn ssd_store(state: u64, slots: u32, flight: u32) -> (Arc<SsdDevice>, Arc<CheckpointStore>) {
     let size = ByteSize::from_bytes(state);
-    let cap =
-        CheckpointStore::required_capacity_with_flight(size, slots, flight) + ByteSize::from_kb(4);
+    let geometry = StoreGeometry {
+        flight_records: flight,
+        ..StoreGeometry::single(size, slots)
+    };
+    let cap = geometry.required_capacity() + ByteSize::from_kb(4);
     let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
     let dev: Arc<dyn PersistentDevice> = ssd.clone();
-    let store =
-        Arc::new(CheckpointStore::format_with_flight(dev, size, slots, flight).expect("format"));
+    let store = Arc::new(CheckpointStore::format(dev, geometry).expect("format"));
     (ssd, store)
+}
+
+/// The tenant of a single-tenant store.
+fn ns(store: &CheckpointStore) -> Arc<Namespace> {
+    store.namespace(DEFAULT_JOB).expect("single-tenant store")
 }
 
 fn framed_pipeline(store: &Arc<CheckpointStore>, state: u64, chunk: u64) -> PersistPipeline {
@@ -135,7 +143,11 @@ const ENGINE_CHUNK: u64 = 16 * 1024;
 fn moving_dirty_set_never_pins_the_last_slot_of_an_engine_store() {
     // `PcCheckEngine::new` formats N + 1 = 3 slots.
     let size = ByteSize::from_bytes(ENGINE_STATE);
-    let cap = CheckpointStore::required_capacity_with_flight(size, 3, 64) + ByteSize::from_kb(4);
+    let geometry = StoreGeometry {
+        flight_records: 64,
+        ..StoreGeometry::single(size, 3)
+    };
+    let cap = geometry.required_capacity() + ByteSize::from_kb(4);
     let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
     let engine = PcCheckEngine::new(
         engine_config(ENGINE_STATE, ENGINE_CHUNK),
@@ -159,10 +171,16 @@ fn moving_dirty_set_never_pins_the_last_slot_of_a_namespace() {
     // a bound derived from the store would let the chain reach depth 2
     // and pin the whole namespace.
     let size = ByteSize::from_bytes(ENGINE_STATE);
-    let cap = CheckpointStore::required_capacity_service(size, 8, 64, 4) + ByteSize::from_kb(4);
+    let geometry = StoreGeometry {
+        slot_size: size,
+        slots: 8,
+        flight_records: 64,
+        max_namespaces: 4,
+    };
+    let cap = geometry.required_capacity() + ByteSize::from_kb(4);
     let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
     let store = Arc::new(
-        CheckpointStore::format_service(ssd.clone() as Arc<dyn PersistentDevice>, size, 8, 64, 4)
+        CheckpointStore::format(ssd.clone() as Arc<dyn PersistentDevice>, geometry)
             .expect("format"),
     );
     store.allocate_namespace(7, 3).expect("namespace");
@@ -173,7 +191,12 @@ fn moving_dirty_set_never_pins_the_last_slot_of_a_namespace() {
     let live = gpu.clone();
     run_moving_dirty_set(engine, gpu, "3-slot namespace");
 
-    let rec = recovery::recover_job(ssd, 7).expect("recoverable");
+    let options = RestoreOptions {
+        job: Some(7),
+        ..RestoreOptions::default()
+    };
+    let (rec, _) =
+        recover_instrumented_with(ssd, &Telemetry::disabled(), options).expect("recoverable");
     assert_eq!(rec.iteration, 6);
     assert_eq!(rec.payload, serialized(&live));
 }
@@ -195,14 +218,20 @@ fn clean_chunks_keep_one_home_across_eight_commits_on_three_slots() {
         }
         let guard = gpu.lock_weights_shared_owned();
         let (out, kind) = pipeline
-            .checkpoint_framed(ctx(&telemetry), &guard, iter, DeltaPolicy::default())
+            .checkpoint_framed(
+                ctx(&telemetry),
+                &ns(&store),
+                &guard,
+                iter,
+                DeltaPolicy::default(),
+            )
             .expect("framed checkpoint");
         drop(guard);
         assert_eq!(out, CommitOutcome::Committed);
         let FramedOutcome::Framed { payload_len, .. } = kind else {
             panic!("iteration {iter}: the mixed state frames, got {kind:?}");
         };
-        let head = store.latest_committed().expect("head");
+        let head = store.latest_committed(&ns(&store)).expect("head");
         if iter > 1 {
             assert_eq!(
                 head.delta.map(|l| l.chain_depth),
@@ -249,19 +278,19 @@ fn a_frame_whose_base_was_displaced_is_withdrawn_not_committed() {
     gpu.update();
     let guard = gpu.lock_weights_shared_owned();
     let (out, kind) = pipeline
-        .checkpoint_framed(ctx, &guard, 1, policy)
+        .checkpoint_framed(ctx, &ns(&store), &guard, 1, policy)
         .expect("A");
     drop(guard);
     assert_eq!(out, CommitOutcome::Committed);
     assert!(matches!(kind, FramedOutcome::Framed { .. }), "{kind:?}");
-    let a = store.latest_committed().expect("A is head");
+    let a = store.latest_committed(&ns(&store)).expect("A is head");
 
     // C leases first (the older counter) and streams its payload raw, but
     // does not commit yet.
     gpu.update_sparse(0.1);
     let state_c = serialized(&gpu);
     let guard = gpu.lock_weights_shared_owned();
-    let lease_c = pipeline.lease(ctx);
+    let lease_c = pipeline.lease(ctx, &ns(&store));
     let copied_c = pipeline
         .copy_chunks(ctx, &guard, &lease_c, total, true)
         .expect("C copies");
@@ -271,7 +300,7 @@ fn a_frame_whose_base_was_displaced_is_withdrawn_not_committed() {
     // B plans against head A and references its chunks.
     gpu.update_sparse(0.1);
     let guard = gpu.lock_weights_shared_owned();
-    let lease_b = pipeline.lease(ctx);
+    let lease_b = pipeline.lease(ctx, &ns(&store));
     let copied_b = pipeline
         .copy_framed(ctx, &guard, &lease_b, total, policy)
         .expect("B copies")
@@ -292,20 +321,34 @@ fn a_frame_whose_base_was_displaced_is_withdrawn_not_committed() {
             .expect("C commits"),
         CommitOutcome::Committed
     );
-    assert_eq!(store.free_slot_count(), 2, "A's slot was released");
+    assert_eq!(
+        store.free_slot_count(&ns(&store)),
+        2,
+        "A's slot was released"
+    );
 
     // B's link target is no longer pinned by the head it would displace.
     let out = pipeline
         .commit(ctx, lease_b, 3, &copied_b)
         .expect("B's commit call succeeds");
     assert_eq!(out, CommitOutcome::SupersededBy { counter: c_counter });
-    assert_eq!(store.latest_committed().expect("head").counter, c_counter);
-    assert_eq!(store.free_slot_count(), 3, "B's slot was released too");
+    assert_eq!(
+        store.latest_committed(&ns(&store)).expect("head").counter,
+        c_counter
+    );
+    assert_eq!(
+        store.free_slot_count(&ns(&store)),
+        3,
+        "B's slot was released too"
+    );
 
     ssd.crash_now();
     let report = pccheck_monitor::audit(ssd.clone() as Arc<dyn PersistentDevice>).expect("audit");
     assert!(report.is_clean(), "{}", report.render());
-    assert_eq!(report.expected_recovery.map(|m| m.counter), Some(c_counter));
+    assert_eq!(
+        report.expected_recovery(DEFAULT_JOB).map(|m| m.counter),
+        Some(c_counter)
+    );
     ssd.recover();
     let rec = recovery::recover(ssd.clone()).expect("recoverable");
     assert_eq!((rec.counter, rec.iteration), (c_counter, 2));
@@ -316,7 +359,7 @@ fn a_frame_whose_base_was_displaced_is_withdrawn_not_committed() {
     gpu.update_sparse(0.1);
     let guard = gpu.lock_weights_shared_owned();
     let (out, _) = pipeline
-        .checkpoint_framed(ctx, &guard, 4, policy)
+        .checkpoint_framed(ctx, &ns(&store), &guard, 4, policy)
         .expect("D");
     drop(guard);
     assert_eq!(out, CommitOutcome::Committed);
@@ -347,7 +390,13 @@ fn two_homes() -> TwoHomes {
         gpu.update_sparse(fraction);
         let guard = gpu.lock_weights_shared_owned();
         let (out, kind) = pipeline
-            .checkpoint_framed(ctx(&telemetry), &guard, iter, DeltaPolicy { max_chain: 2 })
+            .checkpoint_framed(
+                ctx(&telemetry),
+                &ns(&store),
+                &guard,
+                iter,
+                DeltaPolicy { max_chain: 2 },
+            )
             .expect("framed checkpoint");
         drop(guard);
         assert_eq!(out, CommitOutcome::Committed);
@@ -364,7 +413,7 @@ fn two_homes() -> TwoHomes {
 #[test]
 fn a_frame_naming_two_homes_audits_clean_and_recovers() {
     let t = two_homes();
-    let head = t.store.latest_committed().expect("head");
+    let head = t.store.latest_committed(&ns(&t.store)).expect("head");
     let (_, homes) = head_frame(&t.store, &head);
     assert_eq!(homes.len(), 2, "two distinct homes: {homes:?}");
     let link = head.delta.expect("linked");
@@ -373,13 +422,17 @@ fn a_frame_naming_two_homes_audits_clean_and_recovers() {
         (homes[1].0, homes[1].1, 2),
         "linked to the youngest home"
     );
-    assert_eq!(t.store.free_slot_count(), 1, "head + two homes pinned");
+    assert_eq!(
+        t.store.free_slot_count(&ns(&t.store)),
+        1,
+        "head + two homes pinned"
+    );
 
     t.ssd.crash_now();
     let report = pccheck_monitor::audit(t.ssd.clone() as Arc<dyn PersistentDevice>).expect("audit");
     assert!(report.is_clean(), "{}", report.render());
     assert_eq!(
-        report.expected_recovery.map(|m| m.counter),
+        report.expected_recovery(DEFAULT_JOB).map(|m| m.counter),
         Some(head.counter)
     );
     t.ssd.recover();
@@ -392,12 +445,12 @@ fn a_frame_naming_two_homes_audits_clean_and_recovers() {
 fn a_flipped_byte_in_either_home_makes_recovery_fall_back() {
     for which in 0..2 {
         let t = two_homes();
-        let head = t.store.latest_committed().expect("head");
+        let head = t.store.latest_committed(&ns(&t.store)).expect("head");
         let (table, homes) = head_frame(&t.store, &head);
         let (home_counter, home_slot) = homes[which];
         let home = t
             .store
-            .history()
+            .history(&ns(&t.store))
             .expect("history")
             .into_iter()
             .find(|m| m.counter == home_counter && m.slot == home_slot)

@@ -138,7 +138,10 @@ fn history_is_readable_from_a_cold_open() {
     let device: Arc<dyn PersistentDevice> =
         Arc::new(FileDevice::open(&path, device_config()).expect("open"));
     let store = CheckpointStore::open(device).expect("open store");
-    let history = store.history().expect("history");
+    let ns = store
+        .namespace(pccheck::DEFAULT_JOB)
+        .expect("single-tenant store");
+    let history = store.history(&ns).expect("history");
     assert_eq!(history.len(), 3);
     assert_eq!(history.last().expect("non-empty").iteration, 3);
     std::fs::remove_file(&path).ok();

@@ -1,24 +1,30 @@
 //! Multi-tenant crash consistency: two jobs interleave checkpoints
-//! through one shared service-mode store (shared pipeline, shared QoS
-//! arbiter, shared staging DRAM), and the power cord is pulled at five
-//! different protocol points. After every crash:
+//! through one shared store (shared pipeline, shared QoS arbiter, shared
+//! staging DRAM), and the power cord is pulled at five different
+//! protocol points. After every crash:
 //!
 //! * the forensic audit of the frozen device is invariant-clean,
 //! * each namespace independently recovers a complete, verified
 //!   checkpoint (or honestly reports `NoCheckpoint`),
 //! * one tenant's in-flight work never corrupts — or rolls back — the
 //!   other tenant's committed state,
-//! * the audit's per-namespace recovery prediction matches what
-//!   `recover_job` actually restores.
+//! * the audit's per-namespace recovery prediction matches what that
+//!   tenant's recovery actually restores.
+//!
+//! The last test runs the shared-store rows of the pinned crash matrix
+//! (`tests/crash_consistency.rs` runs the single-tenant rows): the same
+//! six crash points, driven in each tenant's namespace in turn.
 
 use std::sync::Arc;
 
 use pccheck::{
-    recovery, CheckpointStore, PcCheckConfig, PcCheckEngine, PccheckError, PersistPipeline,
-    QosArbiter, QosConfig,
+    recover_instrumented_with, recovery, CheckpointStore, PcCheckConfig, PcCheckEngine,
+    PccheckError, PersistPipeline, QosArbiter, QosConfig, RestoreOptions, StoreGeometry,
+    DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingState};
+use pccheck_telemetry::Telemetry;
 use pccheck_util::ByteSize;
 
 const STATE: u64 = 4096;
@@ -35,12 +41,16 @@ struct Tenants {
 
 fn tenants() -> Tenants {
     let size = ByteSize::from_bytes(STATE);
-    let cap =
-        CheckpointStore::required_capacity_service(size, SLOTS, FLIGHT, 4) + ByteSize::from_kb(4);
+    let geometry = StoreGeometry {
+        slot_size: size,
+        slots: SLOTS,
+        flight_records: FLIGHT,
+        max_namespaces: 4,
+    };
+    let cap = geometry.required_capacity() + ByteSize::from_kb(4);
     let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
     let dev: Arc<dyn PersistentDevice> = ssd.clone();
-    let store =
-        Arc::new(CheckpointStore::format_service(dev, size, SLOTS, FLIGHT, 4).expect("format"));
+    let store = Arc::new(CheckpointStore::format(dev, geometry).expect("format"));
     store.allocate_namespace(1, 4).expect("ns 1");
     store.allocate_namespace(2, 4).expect("ns 2");
     let qos = Arc::new(QosArbiter::new(QosConfig::default()));
@@ -96,13 +106,13 @@ fn check_namespace(t: &Tenants, job: u64, issued_max: u64) -> Option<u64> {
     let report =
         pccheck_monitor::audit(t.ssd.clone() as Arc<dyn PersistentDevice>).expect("audit runs");
     assert!(report.is_clean(), "job {job}: {}", report.render());
-    let predicted = report
-        .namespace_recovery
-        .iter()
-        .find(|(j, _)| *j == job)
-        .and_then(|(_, m)| *m);
-    match recovery::recover_job(t.ssd.clone() as Arc<dyn PersistentDevice>, job) {
-        Ok(rec) => {
+    let predicted = report.expected_recovery(job);
+    let options = RestoreOptions {
+        job: Some(job),
+        ..RestoreOptions::default()
+    };
+    match recover_instrumented_with(t.ssd.clone(), &Telemetry::disabled(), options) {
+        Ok((rec, _)) => {
             assert!(
                 rec.iteration <= issued_max,
                 "job {job} recovered iteration {} > issued {issued_max}",
@@ -233,4 +243,41 @@ fn crash_with_one_tenant_idle_and_one_bursting() {
     let rec1 = check_namespace(&t, 1, 2).expect("idle tenant survives");
     assert_eq!(rec1, idle_final);
     check_namespace(&t, 2, 4);
+}
+
+/// Pinned-crash-point forensics on shared stores: on a flat, a striped
+/// and a tiered device, each of jobs 1..=3 in turn is driven to every
+/// crash point while the other two hold their baselines. The audit of
+/// the frozen device, that tenant's recovery and the bit-exact payload
+/// must agree — and asking for nobody in particular must not hand out a
+/// neighbour's checkpoint.
+#[test]
+fn forensic_verdicts_match_actual_recovery_for_every_tenant_at_every_crash_point() {
+    use pccheck_harness::forensics_run::{crash_matrix, run_crash_scenario, CrashPoint};
+
+    for cfg in crash_matrix() {
+        if cfg.tenants == [DEFAULT_JOB] {
+            continue;
+        }
+        let cases = cfg
+            .tenants
+            .iter()
+            .flat_map(|&job| CrashPoint::ALL.map(|point| (job, point)));
+        for (job, point) in cases {
+            let options = RestoreOptions {
+                job: Some(job),
+                ..RestoreOptions::default()
+            };
+            let run = run_crash_scenario(point, &cfg, options).expect("scenario runs");
+            run.verify()
+                .unwrap_or_else(|why| panic!("job {job} at {point}/{:?}: {why}", cfg.topology));
+            assert!(
+                matches!(
+                    recovery::recover(run.device),
+                    Err(PccheckError::InvalidConfig(_))
+                ),
+                "a shared store has no default tenant to recover"
+            );
+        }
+    }
 }

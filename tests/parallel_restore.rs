@@ -14,8 +14,8 @@ use std::sync::Arc;
 use pccheck::store::SlotLease;
 use pccheck::{
     compress_gated, recover_instrumented_with, recover_into_gpu, recovery, CheckMeta,
-    CheckpointStore, ChunkEncoding, DeltaLink, DeltaPolicy, FrameRecord, FrameTable,
-    PersistPipeline, PipelineCtx, RestoreOptions,
+    CheckpointStore, ChunkEncoding, DeltaLink, DeltaPolicy, FrameRecord, FrameTable, Namespace,
+    PersistPipeline, PipelineCtx, RestoreOptions, StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_device::{
     DeviceConfig, DeviceStats, HostBufferPool, PersistentDevice, Result as DeviceResult, SsdDevice,
@@ -34,8 +34,14 @@ fn store_on(slots: u32) -> (Arc<SsdDevice>, Arc<CheckpointStore>) {
     let cap = CheckpointStore::required_capacity(size, slots) + ByteSize::from_kb(4);
     let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
     let dev: Arc<dyn PersistentDevice> = ssd.clone();
-    let store = Arc::new(CheckpointStore::format(dev, size, slots).expect("format"));
+    let store =
+        Arc::new(CheckpointStore::format(dev, StoreGeometry::single(size, slots)).expect("format"));
     (ssd, store)
+}
+
+/// The tenant of a single-tenant store.
+fn ns(store: &CheckpointStore) -> Arc<Namespace> {
+    store.namespace(DEFAULT_JOB).expect("single-tenant store")
 }
 
 fn pipeline_for(store: &Arc<CheckpointStore>) -> PersistPipeline {
@@ -79,7 +85,7 @@ fn parallel_and_sequential_recovery_agree_on_full_checkpoints() {
         }
         let guard = gpu.lock_weights_shared_owned();
         let total = guard.size();
-        let lease = pipe.lease(ctx);
+        let lease = pipe.lease(ctx, &ns(&store));
         let copied = pipe
             .copy_chunks(ctx, &guard, &lease, total, true)
             .expect("full copy");
@@ -135,7 +141,7 @@ fn parallel_and_sequential_recovery_agree_on_dedup_chains() {
             gpu.update_sparse(0.10);
         }
         let guard = gpu.lock_weights_shared_owned();
-        pipe.checkpoint_framed(ctx, &guard, iter, policy)
+        pipe.checkpoint_framed(ctx, &ns(&store), &guard, iter, policy)
             .expect("framed checkpoint");
     }
     drop(pipe);
@@ -208,7 +214,9 @@ impl Built {
         let cap = CheckpointStore::required_capacity(size, slots) + ByteSize::from_kb(4);
         let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         let dev: Arc<dyn PersistentDevice> = ssd.clone();
-        let store = Arc::new(CheckpointStore::format(dev, size, slots).expect("format"));
+        let store = Arc::new(
+            CheckpointStore::format(dev, StoreGeometry::single(size, slots)).expect("format"),
+        );
         Built {
             ssd,
             store,
@@ -262,7 +270,7 @@ impl Built {
     /// Commits `logical` verbatim; the first raw commit becomes the raw
     /// home later frames may reference by offset.
     fn commit_raw(&mut self, iteration: u64, logical: &[u8]) {
-        let lease = self.store.begin_checkpoint();
+        let lease = self.store.begin_checkpoint(&ns(&self.store));
         let digest = state_digest(iteration, logical);
         self.seal(lease, iteration, logical, logical, digest);
         self.raw_home.get_or_insert(self.commits.len() - 1);
@@ -282,7 +290,7 @@ impl Built {
         shapes: &Shapes,
     ) {
         // The table names its own commit, so the lease comes first.
-        let lease = self.store.begin_checkpoint();
+        let lease = self.store.begin_checkpoint(&ns(&self.store));
         let (counter, slot) = (lease.counter, lease.slot);
         let raw_home = self.raw_home.map(|i| self.commits[i].clone());
 
@@ -761,15 +769,21 @@ fn a_head_naming_one_chunk_in_each_of_two_homes_reads_less_than_one_home() {
 fn job_scoped_recovery_on_a_service_store_issues_under_100_reads() {
     const STATE: u64 = 512 * 1024;
     let size = ByteSize::from_bytes(STATE);
-    let cap = CheckpointStore::required_capacity_service(size, 12, 512, 4) + ByteSize::from_kb(4);
+    let geometry = StoreGeometry {
+        slot_size: size,
+        slots: 12,
+        flight_records: 512,
+        max_namespaces: 4,
+    };
+    let cap = geometry.required_capacity() + ByteSize::from_kb(4);
     let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-    let store = CheckpointStore::format_service(ssd.clone(), size, 12, 512, 4).expect("format");
+    let store = CheckpointStore::format(ssd.clone(), geometry).expect("format");
     let mut payloads = Vec::new();
     for job in 1..=4u64 {
-        store.allocate_namespace(job, 3).expect("namespace");
+        let ns = store.allocate_namespace(job, 3).expect("namespace");
         for iteration in 1..=2u64 {
             let payload = Rng::seeded(10 * job + iteration).bytes(STATE as usize);
-            let lease = store.begin_checkpoint_job(job).expect("lease");
+            let lease = store.begin_checkpoint(&ns);
             store.write_payload(&lease, 0, &payload).unwrap();
             store.persist_payload(&lease, 0, STATE).unwrap();
             let digest = state_digest(iteration, &payload);

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use pccheck::{
     recovery, CheckpointStore, Copied, DeltaPolicy, PcCheckConfig, PcCheckEngine, PersistPipeline,
-    PipelineCtx,
+    PipelineCtx, StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_baselines::{
     CheckFreqCheckpointer, GeminiCheckpointer, GpmCheckpointer, TraditionalCheckpointer,
@@ -151,11 +151,11 @@ fn copy_verb(gpu: &Gpu, verb: &str) -> StateDigest {
     let store = Arc::new(
         CheckpointStore::format(
             fresh_ssd(2) as Arc<dyn PersistentDevice>,
-            gpu.state_size(),
-            2,
+            StoreGeometry::single(gpu.state_size(), 2),
         )
         .expect("format"),
     );
+    let ns = store.namespace(DEFAULT_JOB).expect("single-tenant store");
     let chunks = (SIZE / ODD_CHUNK + 1) as usize;
     let pipeline = PersistPipeline::new(Arc::clone(&store))
         .with_writers(2)
@@ -172,11 +172,11 @@ fn copy_verb(gpu: &Gpu, verb: &str) -> StateDigest {
         "snapshot_whole" => {
             let (host, digest) = pipeline.snapshot_whole(ctx, &guard, 0);
             pipeline
-                .persist_whole(ctx, &host, digest, iteration)
+                .persist_whole(ctx, &ns, &host, digest, iteration)
                 .expect("persist_whole")
         }
         "write_through" => {
-            let lease = pipeline.lease(ctx);
+            let lease = pipeline.lease(ctx, &ns);
             let copied = pipeline
                 .write_through(ctx, &guard, &lease, iteration, 0)
                 .expect("write_through");
@@ -184,7 +184,7 @@ fn copy_verb(gpu: &Gpu, verb: &str) -> StateDigest {
         }
         _ => {
             // The codec frames the tiled state and declines the dense one.
-            let lease = pipeline.lease(ctx);
+            let lease = pipeline.lease(ctx, &ns);
             let framed = pipeline
                 .copy_framed(ctx, &guard, &lease, total, DeltaPolicy::default())
                 .expect("copy_framed");
@@ -205,7 +205,7 @@ fn copy_verb(gpu: &Gpu, verb: &str) -> StateDigest {
     pipeline
         .commit(ctx, lease, iteration, &copied)
         .expect("commit");
-    let meta = store.latest_committed().expect("committed");
+    let meta = store.latest_committed(&ns).expect("committed");
     if copied.frame.is_none() {
         assert_eq!(
             meta.digest, copied.state_digest.0,
