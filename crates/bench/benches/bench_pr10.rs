@@ -268,9 +268,8 @@ fn persist_framed(
     };
     let total = src.size();
     let lease = pipeline.lease(ctx, &pipeline.store().namespace(job)?);
-    let copied = pipeline
-        .copy_framed(ctx, &src, &lease, total, POLICY)?
-        .expect("tiled payload must frame");
+    let copied = pipeline.copy_framed(ctx, &src, &lease, total, POLICY)?;
+    assert!(copied.frame.is_some(), "tiled payload must frame");
     pipeline.seal(ctx, &lease, iteration, &copied)?;
     Ok((lease, copied))
 }

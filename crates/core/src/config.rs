@@ -29,7 +29,9 @@ use crate::error::PccheckError;
 pub struct PcCheckConfig {
     /// Maximum number of concurrent checkpoints in flight (the paper's `N`).
     pub max_concurrent: usize,
-    /// Parallel writer threads per checkpoint (the paper's `p`).
+    /// Parallel writer threads (the paper's `p`): the width of the
+    /// pipeline's resident writer pool, which every checkpoint in flight
+    /// shares, oldest first.
     pub writer_threads: usize,
     /// DRAM buffer (chunk) size (the paper's `b`).
     pub chunk_size: ByteSize,
@@ -131,7 +133,7 @@ impl PcCheckConfigBuilder {
         self
     }
 
-    /// Sets the number of writer threads per checkpoint (`p`).
+    /// Sets the number of writer threads (`p`).
     pub fn writer_threads(mut self, p: usize) -> Self {
         self.config.writer_threads = p;
         self

@@ -7,10 +7,13 @@
 //!    blocks — the only stall PCcheck admits beyond the `U`-phase weight
 //!    lock),
 //! 2. snapshots the GPU state chunk by chunk into pinned DRAM buffers from
-//!    the staging pool, holding the weights shared-lock only for the copy,
-//! 3. hands chunks to `p` writer threads that write them to the device at
-//!    the leased slot's offsets (pipelined mode overlaps 2 and 3;
-//!    non-pipelined mode stages the full checkpoint first),
+//!    the staging pool, holding the weights shared-lock only for the copy:
+//!    the copy verb consumes the guard and drops it when the last chunk is
+//!    staged, so `update()` never waits on a device write,
+//! 3. hands chunks to the pipeline's `p` resident writers, which write them
+//!    to the device at the leased slot's offsets, oldest checkpoint first
+//!    (pipelined mode overlaps 2 and 3; non-pipelined mode stages the full
+//!    checkpoint first),
 //! 4. persists the payload (per-writer fences on PMEM, or one deferred
 //!    `msync` on SSD when `single_sync` is set),
 //! 5. runs the store's lock-free commit protocol — atomic meta publish,
@@ -19,19 +22,24 @@
 //!    mutex is held anywhere on this path, so `N` checkpointers commit
 //!    concurrently without serializing on metadata.
 //!
-//! All of this happens on background threads; the training loop's
-//! `checkpoint()` call returns as soon as the ticket and the weights lock
-//! are handed over, exactly like Figure 6's overlap of `C`/`P` with `T`.
+//! All of this happens on `N` resident coordinator threads (one per
+//! ticket, started with the first checkpoints and joined when the engine
+//! drops); the training loop's `checkpoint()` call returns as soon as the
+//! ticket and the weights lock are handed over, exactly like Figure 6's
+//! overlap of `C`/`P` with `T`. A coordinator copies, fans the writes out
+//! to the pipeline's writer pool and waits for them; it is never itself a
+//! writer, so no writer ever waits on another job.
 //!
 //! The chunk → write → fence → commit mechanics live in the shared
 //! [`PersistPipeline`]; this module is the *scheduling policy* around it:
-//! `N` concurrency tickets, background workers, and the staged-vs-streamed
+//! `N` concurrency tickets, the coordinators, and the staged-vs-streamed
 //! copy choice.
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use pccheck_util::sync::{Condvar, Mutex};
+use pccheck_util::sync::{Condvar, Mutex, MutexGuard};
 
 use pccheck_device::{HostBufferPool, PersistentDevice};
 use pccheck_gpu::{CheckpointOutcome, Checkpointer, Gpu, OwnedWeightsGuard, StateDigest};
@@ -42,6 +50,7 @@ use crate::config::PcCheckConfig;
 use crate::error::PccheckError;
 use crate::layout::StoreGeometry;
 use crate::pipeline::{DeltaPolicy, FenceMode, PersistPipeline, PipelineCtx};
+use crate::pool::{Order, WorkerPool};
 use crate::store::{CheckpointStore, CommitOutcome, JobId, Namespace, SlotLease, DEFAULT_JOB};
 use crate::tuner::{ControllerConfig, ControllerSignals, PersistController};
 
@@ -89,36 +98,87 @@ impl EngineStats {
     }
 }
 
+/// The `N` concurrency tickets, numbered in the order `checkpoint()`
+/// handed them out — which is also the order they lease a slot in, commit
+/// in and retire in.
+///
+/// Leasing in ticket order makes the store's counters follow request
+/// order. Committing in ticket order makes "the older checkpoint commits
+/// first" hold always, not just usually: the writer pool already drains
+/// the older checkpoint's chunks first, so the wait is the older one's
+/// last write and commit, and what it buys is that a newer checkpoint can
+/// never slip its commit in while the older coordinator waits to be
+/// scheduled, superseding a payload that was already paid for. Neither
+/// wait can deadlock: a ticket only ever waits for older ones, and an
+/// older one never needs anything a newer one holds — it took its slot
+/// first, and a newer one waiting for its turn has written everything and
+/// given its staging buffers back.
 #[derive(Debug, Default)]
 struct InFlight {
-    count: Mutex<usize>,
+    tickets: Mutex<Tickets>,
     cond: Condvar,
 }
 
+/// Tickets `..retired` are done, `..leased` hold (or held) a slot,
+/// `..issued` exist.
+#[derive(Debug, Default)]
+struct Tickets {
+    issued: u64,
+    leased: u64,
+    retired: u64,
+}
+
 impl InFlight {
-    fn acquire(&self, limit: usize) {
-        let mut count = self.count.lock();
-        while *count >= limit {
-            count = self.cond.wait(count);
+    /// Blocks while `limit` tickets are out, then issues the next one.
+    fn acquire(&self, limit: usize) -> u64 {
+        let mut t = self.tickets.lock();
+        while t.issued - t.retired >= limit as u64 {
+            t = self.cond.wait(t);
         }
-        *count += 1;
+        t.issued += 1;
+        t.issued - 1
     }
 
-    fn release(&self) {
-        let mut count = self.count.lock();
-        *count -= 1;
-        drop(count);
-        // Both acquirers and `wait_zero` drainers share this condvar. A
-        // `notify_one` could hand the sole wakeup to a drainer (which
-        // re-checks `count == 0` and exits without re-notifying) while an
+    /// Runs `lease` once every older ticket has leased.
+    fn lease_in_turn<T>(&self, ticket: u64, lease: impl FnOnce() -> T) -> T {
+        let mut t = self.tickets.lock();
+        while t.leased < ticket {
+            t = self.cond.wait(t);
+        }
+        drop(t);
+        let leased = lease();
+        self.tickets.lock().leased = ticket + 1;
+        self.cond.notify_all();
+        leased
+    }
+
+    /// Blocks until every older ticket has retired.
+    fn wait_turn(&self, ticket: u64) -> MutexGuard<'_, Tickets> {
+        let mut t = self.tickets.lock();
+        while t.retired < ticket {
+            t = self.cond.wait(t);
+        }
+        t
+    }
+
+    /// Retires `ticket`, in its turn.
+    fn release(&self, ticket: u64) {
+        let mut t = self.wait_turn(ticket);
+        t.retired = ticket + 1;
+        // A ticket that never reached its lease must not hold up the next.
+        t.leased = t.leased.max(ticket + 1);
+        drop(t);
+        // Acquirers, turn-waiters and `wait_zero` drainers share this
+        // condvar. A `notify_one` could hand the sole wakeup to a drainer
+        // (which re-checks and exits without re-notifying) while an
         // acquirer sleeps forever — the classic lost wakeup.
         self.cond.notify_all();
     }
 
     fn wait_zero(&self) {
-        let mut count = self.count.lock();
-        while *count > 0 {
-            count = self.cond.wait(count);
+        let mut t = self.tickets.lock();
+        while t.issued > t.retired {
+            t = self.cond.wait(t);
         }
     }
 }
@@ -143,7 +203,11 @@ pub struct PcCheckEngine {
     telemetry: Telemetry,
     first_error: Arc<Mutex<Option<PccheckError>>>,
     last_committed: Arc<Mutex<Option<CheckpointOutcome>>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    /// The `N` resident threads checkpoints run on, first in, first out.
+    coordinators: WorkerPool,
+    /// What a checkpoint that unwound was carrying, re-raised by
+    /// [`try_drain`](Self::try_drain).
+    panicked: Arc<Mutex<Option<Box<dyn Any + Send>>>>,
     /// The adaptive persist-path controller (present when
     /// `config.adaptive_interval > 0`); steered from the training thread
     /// every `adaptive_interval` requests.
@@ -284,6 +348,7 @@ impl PcCheckEngine {
         });
         let controller = Self::build_controller(&config);
         let codec_active = config.codec;
+        let coordinators = WorkerPool::new("pccheck-ckpt", config.max_concurrent);
         Ok(PcCheckEngine {
             config,
             pipeline,
@@ -296,7 +361,8 @@ impl PcCheckEngine {
             telemetry: Telemetry::disabled(),
             first_error: Arc::new(Mutex::new(None)),
             last_committed: Arc::new(Mutex::new(last)),
-            workers: Mutex::new(Vec::new()),
+            coordinators,
+            panicked: Arc::new(Mutex::new(None)),
             controller: Mutex::new(controller),
             delta_policy: Arc::new(Mutex::new(DeltaPolicy::default())),
             codec_active: Arc::new(std::sync::atomic::AtomicBool::new(codec_active)),
@@ -352,14 +418,16 @@ impl PcCheckEngine {
     /// # Errors
     ///
     /// Returns the first [`PccheckError`] recorded by a background
-    /// checkpoint worker.
+    /// checkpoint.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of a background checkpoint that unwound.
     pub fn try_drain(&self) -> Result<(), PccheckError> {
         self.in_flight.wait_zero();
-        let mut workers = self.workers.lock();
-        for handle in workers.drain(..) {
-            handle.join().expect("checkpoint worker panicked");
+        if let Some(payload) = self.panicked.lock().take() {
+            resume_unwind(payload);
         }
-        drop(workers);
         match self.first_error.lock().take() {
             Some(e) => Err(e),
             None => Ok(()),
@@ -369,19 +437,6 @@ impl PcCheckEngine {
     /// The DRAM staging pool (for footprint inspection).
     pub fn dram_pool(&self) -> &HostBufferPool {
         &self.pool
-    }
-
-    fn reap_finished_workers(&self) {
-        let mut workers = self.workers.lock();
-        let mut still_running = Vec::with_capacity(workers.len());
-        for handle in workers.drain(..) {
-            if handle.is_finished() {
-                handle.join().expect("checkpoint worker panicked");
-            } else {
-                still_running.push(handle);
-            }
-        }
-        *workers = still_running;
     }
 
     /// The shared persist pipeline this engine schedules over.
@@ -439,7 +494,7 @@ impl PcCheckEngine {
             .store(decision.codec_enabled, std::sync::atomic::Ordering::Release);
     }
 
-    /// Body of one checkpoint, run on a background worker thread. Returns
+    /// Body of one checkpoint, run on a coordinator thread. Returns
     /// the commit outcome and the state digest the copy loop folded.
     #[allow(clippy::too_many_arguments)]
     fn run_checkpoint(
@@ -451,9 +506,10 @@ impl PcCheckEngine {
         iteration: u64,
         delta_policy: DeltaPolicy,
         use_codec: bool,
+        (in_flight, ticket): (&InFlight, u64),
     ) -> Result<(CommitOutcome, StateDigest), PccheckError> {
         let total = guard.size();
-        let lease = pipeline.lease(ctx, ns);
+        let lease = in_flight.lease_in_turn(ticket, || pipeline.lease(ctx, ns));
         let (counter, slot) = (lease.counter, lease.slot);
         let result = Self::run_leased(
             pipeline,
@@ -465,6 +521,7 @@ impl PcCheckEngine {
             total,
             delta_policy,
             use_codec,
+            || drop(in_flight.wait_turn(ticket)),
         );
         if result.is_err() {
             // A failed checkpoint leaves its Begin record unterminated on
@@ -497,36 +554,21 @@ impl PcCheckEngine {
         total: ByteSize,
         delta_policy: DeltaPolicy,
         use_codec: bool,
+        turn: impl FnOnce(),
     ) -> Result<(CommitOutcome, StateDigest), PccheckError> {
-        // Codec path: stage, classify (compress / self-dedup / base-dedup),
-        // and pack into a framed payload. `copy_framed` declines — and we
-        // stream raw instead — when the pool can't stage the snapshot or
-        // the frame wouldn't shrink it, so this branch never loses to the
-        // raw path on incompressible data beyond the decline probe.
-        let framed = if use_codec && pipeline.codec_enabled() {
-            pipeline.copy_framed(ctx, &guard, &lease, total, delta_policy)?
+        // Either verb consumes the guard and drops it when the snapshot is
+        // staged in DRAM: the weights are held for the copy, never for the
+        // persist. The codec verb stages, classifies (compress / self-dedup
+        // / base-dedup) and packs a framed payload, and persists what it
+        // staged raw when the frame would not shrink it.
+        let copied = if use_codec && pipeline.codec_enabled() {
+            pipeline.copy_framed(ctx, guard, &lease, total, delta_policy)?
         } else {
-            None
+            pipeline.copy_chunks(ctx, guard, &lease, total, config.pipelined)?
         };
-        let copied = match framed {
-            Some(framed) => framed,
-            None => pipeline.copy_chunks(ctx, &guard, &lease, total, config.pipelined)?,
-        };
-        // Ordering: in per-writer-fence mode all persist work finished with
-        // the copy scope, so seal (and its Persist phase_done) runs before
-        // the guard drop — otherwise the weights handoff and any trainer
-        // step it unblocks land inside the Persist span and skew the
-        // ledger. In deferred mode the guard must drop first: holding the
-        // weights through the whole-payload msync would stall training for
-        // the full fence. Either way the weights are released before the
-        // commit CAS.
-        if pipeline.fence() == FenceMode::PerWriter {
-            pipeline.seal(ctx, &lease, iteration, &copied)?;
-            drop(guard);
-        } else {
-            drop(guard);
-            pipeline.seal(ctx, &lease, iteration, &copied)?;
-        }
+        pipeline.seal(ctx, &lease, iteration, &copied)?;
+        // Durable; commit once every older checkpoint of this engine has.
+        turn();
         let outcome = pipeline.commit(ctx, lease, iteration, &copied)?;
         Ok((outcome, copied.state_digest))
     }
@@ -535,15 +577,14 @@ impl PcCheckEngine {
 impl Checkpointer for PcCheckEngine {
     /// Accepts a checkpoint of the current GPU state. Blocks only while all
     /// `N` concurrency tickets are taken; otherwise the copy/persist/commit
-    /// runs on a background worker.
+    /// runs on one of the `N` resident coordinators.
     fn checkpoint(&self, gpu: &Gpu, iteration: u64) {
-        self.reap_finished_workers();
         self.maybe_steer();
         let stall_start = self.telemetry.now_nanos();
         let span = self
             .telemetry
             .span_requested(self.name(), iteration, gpu.state_size().as_u64());
-        self.in_flight.acquire(self.config.max_concurrent);
+        let ticket = self.in_flight.acquire(self.config.max_concurrent);
         self.stats.counters.incr_requested();
         let guard = gpu.lock_weights_shared_owned();
         // The ticket + weights-lock wait is the only stall this call
@@ -561,29 +602,40 @@ impl Checkpointer for PcCheckEngine {
         let telemetry = self.telemetry.clone();
         let first_error = Arc::clone(&self.first_error);
         let last = Arc::clone(&self.last_committed);
+        let panicked = Arc::clone(&self.panicked);
         let total_bytes = guard.size().as_u64();
         let ns = Arc::clone(&self.ns);
         let delta_policy = *self.delta_policy.lock();
         let use_codec = self
             .codec_active
             .load(std::sync::atomic::Ordering::Acquire);
-        let handle = std::thread::spawn(move || {
+        let order = Order {
+            tenant: ns.job(),
+            counter: 0,
+        };
+        let task = move |_| {
             let ctx = PipelineCtx {
                 telemetry: &telemetry,
                 span,
             };
-            let result = Self::run_checkpoint(
-                &pipeline,
-                &config,
-                ctx,
-                guard,
-                &ns,
-                iteration,
-                delta_policy,
-                use_codec,
-            );
+            // A resident coordinator must outlive a checkpoint that
+            // unwinds (the ticket still has to go back): catch here,
+            // re-raise in `try_drain`.
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                Self::run_checkpoint(
+                    &pipeline,
+                    &config,
+                    ctx,
+                    guard,
+                    &ns,
+                    iteration,
+                    delta_policy,
+                    use_codec,
+                    (&in_flight, ticket),
+                )
+            }));
             match result {
-                Ok((CommitOutcome::Committed, digest)) => {
+                Ok(Ok((CommitOutcome::Committed, digest))) => {
                     stats.counters.incr_committed(total_bytes);
                     telemetry.committed(span, iteration, total_bytes);
                     let mut l = last.lock();
@@ -591,11 +643,11 @@ impl Checkpointer for PcCheckEngine {
                         *l = Some(CheckpointOutcome { iteration, digest });
                     }
                 }
-                Ok((CommitOutcome::SupersededBy { counter }, _)) => {
+                Ok(Ok((CommitOutcome::SupersededBy { counter }, _))) => {
                     stats.counters.incr_superseded();
                     telemetry.superseded(span, counter);
                 }
-                Err(e) => {
+                Ok(Err(e)) => {
                     // Device failed mid-checkpoint (e.g., crash injection).
                     // The previous committed checkpoint remains valid; the
                     // failure stays visible through the `failed` counter,
@@ -607,10 +659,15 @@ impl Checkpointer for PcCheckEngine {
                         *slot = Some(e);
                     }
                 }
+                Err(payload) => {
+                    stats.counters.incr_failed();
+                    telemetry.failed(span, "checkpoint panicked");
+                    panicked.lock().get_or_insert(payload);
+                }
             }
-            in_flight.release();
-        });
-        self.workers.lock().push(handle);
+            in_flight.release(ticket);
+        };
+        self.coordinators.submit(order, Box::new(task));
     }
 
     fn drain(&self) {
@@ -631,6 +688,7 @@ impl Checkpointer for PcCheckEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{must_not_hang, GatedDevice};
     use pccheck_device::{DeviceConfig, PmemDevice, PmemWriteMode, SsdDevice};
     use pccheck_gpu::{GpuConfig, TrainingState};
 
@@ -858,16 +916,186 @@ mod tests {
         assert!(engine.dram_pool().peak_outstanding() <= 8);
     }
 
+    /// 64-byte chunks in one snapshot of `gpu`.
+    fn chunks_of(gpu: &Gpu) -> usize {
+        gpu.state_size().as_u64().div_ceil(64) as usize
+    }
+
+    /// An engine over a [`GatedDevice`] with its payload gate closed, a GPU
+    /// one update in, and a staging pool of exactly two snapshots (in
+    /// 64-byte chunks).
+    fn gated_engine(
+        codec: bool,
+        pipelined: bool,
+        single_sync: bool,
+    ) -> (Arc<GatedDevice>, Arc<PcCheckEngine>, Gpu) {
+        let gpu = if codec {
+            compressible_gpu(512, 31)
+        } else {
+            tiny_gpu(512, 31)
+        };
+        let cap = CheckpointStore::required_capacity(gpu.state_size(), 3) + ByteSize::from_kb(1);
+        let device = GatedDevice::new(cap);
+        let config = PcCheckConfig::builder()
+            .max_concurrent(2)
+            .writer_threads(2)
+            .chunk_size(ByteSize::from_bytes(64))
+            .dram_chunks(2 * chunks_of(&gpu))
+            .pipelined(pipelined)
+            .single_sync(single_sync)
+            .codec(codec)
+            .build()
+            .unwrap();
+        let engine = PcCheckEngine::new(
+            config,
+            Arc::clone(&device) as Arc<dyn PersistentDevice>,
+            gpu.state_size(),
+        )
+        .unwrap();
+        device.gate_payloads(engine.store());
+        gpu.update();
+        (device, Arc::new(engine), gpu)
+    }
+
+    /// The digest of `payload` restored into `gpu`'s layout at `step`.
+    fn restored_digest(gpu: &Gpu, payload: &[u8], step: u64) -> StateDigest {
+        let layout = gpu.with_weights(|s| s.layout());
+        TrainingState::restore(&layout, payload, step).digest()
+    }
+
     #[test]
     fn update_proceeds_while_checkpoint_persists() {
-        let (engine, gpu) = ssd_engine(300, 2, 2, true);
-        gpu.update();
+        // The weights are held for the copy, never for the persist: with
+        // not one payload byte admitted to the device, the next update
+        // returns — in both copy verbs, both raw modes, both fence modes.
+        for (codec, pipelined) in [(false, true), (false, false), (true, true)] {
+            for single_sync in [false, true] {
+                let mode = format!("codec={codec} pipelined={pipelined} single_sync={single_sync}");
+                let (device, engine, gpu) = gated_engine(codec, pipelined, single_sync);
+                let snapshot = gpu.digest();
+                engine.checkpoint(&gpu, 1);
+                let trainer = gpu.clone();
+                must_not_hang(
+                    &format!("update() waited for the persist ({mode})"),
+                    move || trainer.update(),
+                );
+                assert_eq!(gpu.step_count(), 2, "{mode}");
+                assert_eq!(device.payload_bytes(), 0, "{mode}: nothing persisted yet");
+                assert_eq!(engine.stats().snapshot().terminated(), 0, "{mode}");
+                device.open();
+                engine.try_drain().unwrap();
+                let out = engine
+                    .last_committed()
+                    .expect("committed once the gate opened");
+                assert_eq!((out.iteration, out.digest), (1, snapshot), "{mode}");
+                let rec = crate::recovery::recover(device as Arc<dyn PersistentDevice>).unwrap();
+                assert_eq!(restored_digest(&gpu, &rec.payload, 1), snapshot, "{mode}");
+            }
+        }
+    }
+
+    #[test]
+    fn two_checkpoints_in_flight_drain_oldest_first() {
+        let (device, engine, gpu) = gated_engine(false, true, false);
+        let chunks = chunks_of(&gpu);
+        let first = gpu.digest();
         engine.checkpoint(&gpu, 1);
-        // The next update may briefly wait for the snapshot copy but must
-        // not wait for the persist: with a fast device this returns quickly.
-        gpu.update();
-        assert_eq!(gpu.step_count(), 2);
-        engine.drain();
+        // update() returning means checkpoint 1 is staged; likewise 2.
+        let second = must_not_hang("staging two snapshots behind a closed gate", {
+            let (engine, gpu) = (Arc::clone(&engine), gpu.clone());
+            move || {
+                gpu.update();
+                let second = gpu.digest();
+                engine.checkpoint(&gpu, 2);
+                gpu.update();
+                second
+            }
+        });
+        assert_eq!(device.payload_bytes(), 0);
+        assert_eq!(
+            engine.dram_pool().peak_outstanding(),
+            2 * chunks,
+            "both snapshots sit in DRAM at once, not one snapshot's {chunks} chunks"
+        );
+
+        // Admit exactly one snapshot's worth of writes: the pool spends
+        // all of them on the older checkpoint, which commits alone.
+        device.allow(chunks as u64);
+        must_not_hang("the older checkpoint commits on its own", {
+            let (engine, device) = (Arc::clone(&engine), Arc::clone(&device));
+            move || {
+                while engine.stats().committed() < 1 {
+                    std::thread::yield_now();
+                }
+                // Both writers now hold chunks of checkpoint 2.
+                device.wait_until_blocked(2);
+            }
+        });
+        let head = engine.store().latest_committed(engine.namespace()).unwrap();
+        assert_eq!(head.iteration, 1, "the older one committed first");
+        let slot = engine.store().slot_payload_offset(head.slot);
+        let admitted = device.admitted();
+        assert_eq!(admitted.len(), chunks);
+        let slot_size = engine.store().slot_size().as_u64();
+        assert!(
+            admitted
+                .iter()
+                .all(|off| (slot..slot + slot_size).contains(off)),
+            "every admitted write went to checkpoint 1's slot: {admitted:?} vs {slot}"
+        );
+        let rec =
+            crate::recovery::recover(Arc::clone(&device) as Arc<dyn PersistentDevice>).unwrap();
+        assert_eq!(rec.iteration, 1);
+        assert_eq!(restored_digest(&gpu, &rec.payload, 1), first);
+
+        device.open();
+        engine.try_drain().unwrap();
+        assert_eq!(engine.stats().committed(), 2);
+        assert_eq!(engine.stats().superseded(), 0);
+        let rec = crate::recovery::recover(device as Arc<dyn PersistentDevice>).unwrap();
+        assert_eq!(rec.iteration, 2);
+        assert_eq!(restored_digest(&gpu, &rec.payload, 2), second);
+    }
+
+    #[test]
+    fn overlapping_framed_checkpoints_share_a_pool_of_one_and_a_half_snapshots() {
+        // Two framed checkpoints stage at the same moment (no update in
+        // between) on a pool that holds 1.5 snapshots. Each must hold its
+        // whole snapshot before it can release any of it, so taking chunks
+        // one at a time could leave each with half a pool, forever; a
+        // reservation holds nothing while it waits.
+        let gpu = compressible_gpu(2048, 33);
+        let cap = CheckpointStore::required_capacity(gpu.state_size(), 3) + ByteSize::from_kb(1);
+        let device: Arc<dyn PersistentDevice> =
+            Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
+        let config = PcCheckConfig::builder()
+            .max_concurrent(2)
+            .writer_threads(2)
+            .chunk_size(ByteSize::from_bytes(256))
+            .dram_chunks(12)
+            .codec(true)
+            .build()
+            .unwrap();
+        let engine = PcCheckEngine::new(config, Arc::clone(&device), gpu.state_size()).unwrap();
+        must_not_hang(
+            "framed checkpoints deadlocked on the staging pool",
+            move || {
+                for step in 1..=50u64 {
+                    gpu.update();
+                    engine.checkpoint(&gpu, step);
+                    engine.checkpoint(&gpu, step);
+                }
+                engine.try_drain().unwrap();
+                assert_eq!(engine.stats().snapshot().terminated(), 100);
+                assert_eq!(engine.stats().failed(), 0);
+                assert!(engine.dram_pool().peak_outstanding() <= 12);
+                let rec = crate::recovery::recover(device).unwrap();
+                assert_eq!(
+                    restored_digest(&gpu, &rec.payload, rec.iteration),
+                    gpu.digest()
+                );
+            },
+        );
     }
 
     #[test]
@@ -953,35 +1181,68 @@ mod tests {
     #[test]
     fn background_errors_propagate_through_try_drain() {
         let gpu = tiny_gpu(300, 6);
-        let cap = CheckpointStore::required_capacity(gpu.state_size(), 3) + ByteSize::from_kb(1);
-        let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let device: Arc<dyn PersistentDevice> = ssd.clone();
+        let geometry = StoreGeometry {
+            flight_records: 64,
+            ..StoreGeometry::single(gpu.state_size(), 3)
+        };
+        let device = GatedDevice::new(geometry.required_capacity() + ByteSize::from_kb(1));
         let config = PcCheckConfig::builder()
             .max_concurrent(2)
             .writer_threads(2)
             .chunk_size(ByteSize::from_bytes(64))
             .dram_chunks(8)
+            .flight_records(64)
             .build()
             .unwrap();
         let telemetry = Telemetry::enabled();
-        let engine = PcCheckEngine::new(config, device, gpu.state_size())
-            .unwrap()
-            .with_telemetry(telemetry.clone());
+        let engine = PcCheckEngine::new(
+            config,
+            Arc::clone(&device) as Arc<dyn PersistentDevice>,
+            gpu.state_size(),
+        )
+        .unwrap()
+        .with_telemetry(telemetry.clone());
+        device.gate_payloads(engine.store());
+        device.open();
         gpu.update();
-        ssd.crash_now();
+        device.fail_write(2);
         engine.checkpoint(&gpu, 1);
+        // The weights went back although the checkpoint died.
+        let trainer = gpu.clone();
+        must_not_hang("a failed checkpoint kept the weights", move || {
+            trainer.update()
+        });
         let err = engine.try_drain().unwrap_err();
         assert!(matches!(err, PccheckError::Device(_)), "{err}");
         assert_eq!(engine.stats().failed(), 1);
         assert_eq!(engine.stats().snapshot().terminated(), 1);
-        // The failure is also a terminal event in the trace.
+        // The failure is also a terminal event in the trace...
         assert_eq!(telemetry.snapshot().unwrap().counters.failed, 1);
         assert!(telemetry
             .events()
             .iter()
             .any(|e| matches!(e.kind, pccheck_telemetry::EventKind::Failed { .. })));
+        // ...and on the flight ring, closing the checkpoint's Begin.
+        let ring = engine.store().flight().ring().unwrap().read_all().unwrap();
+        let of = |kind| ring.records.iter().filter(|r| r.kind == kind).count();
+        assert_eq!(
+            (of(FlightEventKind::Begin), of(FlightEventKind::Failed)),
+            (1, 1)
+        );
         // The error slot is one-shot: a second drain is clean.
         assert!(engine.try_drain().is_ok());
+        // Its cancelled writes gave their buffers back, and the writer pool
+        // and the coordinators carry the next checkpoint as if nothing
+        // had happened.
+        assert_eq!(engine.dram_pool().available(), 8);
+        engine.checkpoint(&gpu, 2);
+        engine.try_drain().unwrap();
+        assert_eq!(engine.stats().committed(), 1);
+        let out = engine.last_committed().unwrap();
+        assert_eq!((out.iteration, out.digest), (2, gpu.digest()));
+        let rec = crate::recovery::recover(device as Arc<dyn PersistentDevice>).unwrap();
+        assert_eq!(rec.iteration, 2);
+        assert_eq!(restored_digest(&gpu, &rec.payload, 2), gpu.digest());
     }
 
     #[test]
@@ -990,20 +1251,17 @@ mod tests {
         // `acquire` waiters and `wait_zero` drainers. With a drainer and an
         // acquirer both queued, the single wakeup could go to the drainer —
         // which exits without re-notifying — leaving the acquirer asleep
-        // forever. The drill deadlocks under the old code, so it runs on a
-        // watchdog thread and must finish well within the timeout.
-        use std::sync::mpsc;
-
-        let (done_tx, done_rx) = mpsc::channel();
-        std::thread::spawn(move || {
+        // forever. The drill deadlocks under the old code, so it runs under
+        // the hang watchdog.
+        must_not_hang("lost wakeup: an acquirer or drainer never woke", || {
             let gate = Arc::new(InFlight::default());
-            gate.acquire(1); // hold the only ticket so everyone queues
+            let held = gate.acquire(1); // hold the only ticket so everyone queues
             let mut threads = Vec::new();
             for _ in 0..3 {
                 let gate = Arc::clone(&gate);
                 threads.push(std::thread::spawn(move || {
-                    gate.acquire(1);
-                    gate.release();
+                    let ticket = gate.acquire(1);
+                    gate.release(ticket);
                 }));
             }
             let drainer = {
@@ -1012,16 +1270,12 @@ mod tests {
             };
             // Let the acquirers and the drainer all block on the condvar.
             std::thread::sleep(std::time::Duration::from_millis(100));
-            gate.release();
+            gate.release(held);
             for t in threads {
                 t.join().unwrap();
             }
             drainer.join().unwrap();
-            let _ = done_tx.send(());
         });
-        done_rx
-            .recv_timeout(std::time::Duration::from_secs(10))
-            .expect("lost wakeup: an acquirer or drainer never woke");
     }
 
     #[test]

@@ -74,11 +74,14 @@ pub mod footprint;
 pub mod layout;
 pub mod meta;
 pub mod pipeline;
+mod pool;
 pub mod qos;
 pub mod queue;
 pub mod recovery;
 pub mod restore;
 pub mod store;
+#[cfg(test)]
+mod testutil;
 pub mod tuner;
 
 pub use codec::{

@@ -19,14 +19,43 @@
 //! gauges sampled from [`PersistentDevice::queue_depths`] — including
 //! every member of a striped or tiered composite device.
 //!
+//! # Who waits for what
+//!
+//! *The weights are held for the copy, never for the persist.* A chunk
+//! copy verb takes its [`SnapshotSource`] by value and drops it the moment
+//! the last chunk is staged in DRAM; everything after — classify,
+//! compress, write, fence — runs with training already unblocked, so the
+//! writes of up to `N` checkpoints overlap. They all run on one resident
+//! writer pool (`writers()` wide, shared by every clone of the pipeline)
+//! that serves a tenant's oldest checkpoint first (see `pool.rs`), taking
+//! the QoS grant per chunk. Three rules keep that free of deadlock:
+//!
+//! 1. *A pool worker never waits on another job.* Writes and compressions
+//!    are the only pool jobs and neither blocks on the pool; the thread
+//!    that fans a checkpoint out and waits for it (the caller of a copy
+//!    verb — the engine's coordinator) is never a pool worker.
+//! 2. *Whoever must hold a whole snapshot reserves it in one step.*
+//!    `copy_framed` and the staged `copy_chunks` take all their chunks
+//!    with one [`HostBufferPool::acquire_many`], so two of them can never
+//!    each hold half a pool. The streaming `copy_chunks` may hold a
+//!    partial set, because every chunk it holds is already a queued,
+//!    self-contained write that frees its buffer when it runs.
+//! 3. *A failed checkpoint cleans up before it reports.* The first error
+//!    cancels the checkpoint's queued jobs (their buffers go back
+//!    unwritten), the producer stops and releases the weights, and the
+//!    verb returns only once every job it queued has run or been
+//!    cancelled — so no job outlives the lease it writes under, and the
+//!    pool is as usable afterwards as before.
+//!
 //! [`PersistentDevice::queue_depths`]: pccheck_device::PersistentDevice::queue_depths
 
+use std::any::Any;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::sync_channel;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use pccheck_util::sync::Mutex;
+use pccheck_util::sync::{Condvar, Mutex};
 
 use pccheck_device::{HostBuffer, HostBufferPool};
 use pccheck_gpu::{SnapshotSource, StateDigest};
@@ -37,8 +66,9 @@ use pccheck_util::ByteSize;
 use crate::codec::{compress_gated, ChunkEncoding, DedupHome, DedupIndex, FrameRecord, FrameTable};
 use crate::error::PccheckError;
 use crate::meta::DeltaLink;
+use crate::pool::{Order, WorkerPool};
 use crate::qos::QosArbiter;
-use crate::store::{CheckpointStore, CommitOutcome, Namespace, SlotLease};
+use crate::store::{CheckpointStore, CommitOutcome, JobId, Namespace, SlotLease};
 
 /// Tile size for the GPU-kernel write-through loop (kernel grids move data
 /// in bounded tiles; GPM's SSD/PMEM adaptation).
@@ -87,7 +117,7 @@ pub enum FramedOutcome {
         dedup_chunks: u64,
     },
     /// The codec saved nothing (or was inapplicable) and the payload was
-    /// streamed raw.
+    /// persisted raw.
     Raw,
 }
 
@@ -112,22 +142,307 @@ impl AsRef<[u8]> for StagedChunk {
     }
 }
 
+/// The part of a lease a chunk write needs. `Copy`, so a queued job can
+/// own it while the lease itself stays with the coordinator that will
+/// commit it.
+#[derive(Debug, Clone, Copy)]
+struct SlotRef {
+    slot: u32,
+    tenant: JobId,
+    counter: u64,
+}
+
+impl SlotRef {
+    fn of(lease: &SlotLease) -> Self {
+        SlotRef {
+            slot: lease.slot,
+            tenant: lease.job(),
+            counter: lease.counter,
+        }
+    }
+}
+
+/// What moves one chunk onto the device: the store, the fence mode and the
+/// QoS arbiter. Split from the pipeline so a queued job can own a clone —
+/// a job must not hold the pipeline itself, or the last job to finish
+/// could be the one that drops (and then joins) the pool it runs on.
+#[derive(Debug, Clone)]
+struct ChunkIo {
+    store: Arc<CheckpointStore>,
+    fence: FenceMode,
+    /// Bandwidth arbiter gating chunk writes when several jobs multiplex
+    /// this pipeline (service mode). `None` = no arbitration.
+    qos: Option<Arc<QosArbiter>>,
+}
+
+impl ChunkIo {
+    /// Writes one payload chunk, feeding the write-stage histogram and the
+    /// per-device submission-queue gauges. Returns the nanoseconds spent in
+    /// the device call (media time, for the writer's queue-wait split).
+    fn write_chunk(
+        &self,
+        ctx: PipelineCtx<'_>,
+        slot: u32,
+        offset: u64,
+        data: &[u8],
+    ) -> Result<u64, PccheckError> {
+        let start = ctx.telemetry.now_nanos();
+        self.store.write_slot(slot, offset, data)?;
+        let mut media = 0;
+        if ctx.telemetry.is_enabled() {
+            media = ctx.telemetry.now_nanos().saturating_sub(start);
+            ctx.telemetry.stage_write(media);
+            self.sample_device_queues(ctx);
+        }
+        Ok(media)
+    }
+
+    /// Fences one payload range, feeding the persist-stage histogram.
+    /// Returns the nanoseconds spent in the device call (media time).
+    fn persist_chunk(
+        &self,
+        ctx: PipelineCtx<'_>,
+        slot: u32,
+        offset: u64,
+        len: u64,
+    ) -> Result<u64, PccheckError> {
+        let start = ctx.telemetry.now_nanos();
+        self.store.persist_slot(slot, offset, len)?;
+        let mut media = 0;
+        if ctx.telemetry.is_enabled() {
+            media = ctx.telemetry.now_nanos().saturating_sub(start);
+            ctx.telemetry.stage_persist(media);
+        }
+        Ok(media)
+    }
+
+    /// Samples the device's submission queues into the per-device gauges
+    /// and, when a QoS arbiter is attached, feeds the summed depth into
+    /// its backpressure cap. Composite devices report the controller at
+    /// index 0 and each member after it.
+    fn sample_device_queues(&self, ctx: PipelineCtx<'_>) {
+        if self.qos.is_none() && !ctx.telemetry.is_enabled() {
+            return;
+        }
+        let depths = self.store.device().queue_depths();
+        if let Some(q) = &self.qos {
+            q.observe_queue_depth(depths.iter().copied().sum());
+        }
+        if !ctx.telemetry.is_enabled() {
+            return;
+        }
+        for (i, depth) in depths.iter().enumerate() {
+            ctx.telemetry.gauge_device_queue(i, *depth);
+        }
+    }
+
+    /// Writes one chunk and, in [`FenceMode::PerWriter`], fences it; emits
+    /// the per-chunk `Persist` telemetry either way (in deferred mode the
+    /// fence follows in [`PersistPipeline::seal`]).
+    fn write_and_fence_chunk(
+        &self,
+        ctx: PipelineCtx<'_>,
+        at: SlotRef,
+        offset: u64,
+        data: &[u8],
+    ) -> Result<u64, PccheckError> {
+        // Held across write + fence: the grant is the writer-pool lease
+        // the WDRR arbiter schedules.
+        let _grant = self
+            .qos
+            .as_ref()
+            .map(|q| q.acquire(at.tenant, data.len() as u64));
+        let mut media = self.write_chunk(ctx, at.slot, offset, data)?;
+        if self.fence == FenceMode::PerWriter {
+            media += self.persist_chunk(ctx, at.slot, offset, data.len() as u64)?;
+        }
+        ctx.telemetry
+            .chunk(ctx.span, Phase::Persist, offset, data.len() as u64);
+        Ok(media)
+    }
+}
+
+/// Why a [`Batch`] stopped early.
+enum Failure {
+    Error(PccheckError),
+    /// A job unwound (say, the QoS starvation assert): re-raised on the
+    /// thread that waits for the batch.
+    Panic(Box<dyn Any + Send>),
+}
+
+#[derive(Default)]
+struct BatchState {
+    /// Jobs submitted and not yet run or cancelled.
+    pending: usize,
+    failure: Option<Failure>,
+    /// Per pool worker: `(bytes, media nanos)` it moved for this batch.
+    legs: Vec<(u64, u64)>,
+}
+
+/// One checkpoint's fan-out onto the writer pool: the jobs a copy verb
+/// queued, the first failure among them, and what each worker moved. The
+/// verb's thread submits, then [`wait`](Batch::wait)s; the jobs own an
+/// `Arc` of the batch and nothing of the pipeline.
+struct Batch {
+    io: ChunkIo,
+    telemetry: Telemetry,
+    span: SpanId,
+    at: SlotRef,
+    opened_nanos: u64,
+    /// Set by the first failure: queued jobs are cancelled, and the
+    /// producer polls it to stop copying.
+    abort: AtomicBool,
+    state: Mutex<BatchState>,
+    drained: Condvar,
+}
+
+impl Batch {
+    fn open(io: &ChunkIo, ctx: PipelineCtx<'_>, lease: &SlotLease) -> Arc<Batch> {
+        Arc::new(Batch {
+            io: io.clone(),
+            telemetry: ctx.telemetry.clone(),
+            span: ctx.span,
+            at: SlotRef::of(lease),
+            opened_nanos: ctx.telemetry.now_nanos(),
+            abort: AtomicBool::new(false),
+            state: Mutex::new(BatchState::default()),
+            drained: Condvar::new(),
+        })
+    }
+
+    fn ctx(&self) -> PipelineCtx<'_> {
+        PipelineCtx {
+            telemetry: &self.telemetry,
+            span: self.span,
+        }
+    }
+
+    fn aborted(&self) -> bool {
+        self.abort.load(Ordering::Acquire)
+    }
+
+    /// Queues `work` on `workers` at this checkpoint's place in the order.
+    /// It returns the `(bytes, media nanos)` it moved; it is dropped unrun
+    /// if the batch has aborted by the time a worker reaches it.
+    fn submit(
+        self: &Arc<Self>,
+        workers: &WorkerPool,
+        work: impl FnOnce(&Batch) -> Result<(u64, u64), PccheckError> + Send + 'static,
+    ) {
+        self.state.lock().pending += 1;
+        let batch = Arc::clone(self);
+        let order = Order {
+            tenant: self.at.tenant,
+            counter: self.at.counter,
+        };
+        workers.submit(
+            order,
+            Box::new(move |w| {
+                // Whatever `work` owns (a staged buffer, a share of the
+                // snapshot) is released before the job is counted done, so
+                // a drained batch has given all of it back.
+                let outcome = if batch.aborted() {
+                    drop(work);
+                    Ok(Ok((0, 0)))
+                } else {
+                    catch_unwind(AssertUnwindSafe(|| work(&batch)))
+                };
+                batch.complete(w, outcome);
+            }),
+        );
+    }
+
+    /// Queues the write (and, per the fence mode, the fence) of `data` at
+    /// payload offset `offset`, under the tenant's per-chunk QoS grant.
+    fn write<D: AsRef<[u8]> + Send + 'static>(
+        self: &Arc<Self>,
+        workers: &WorkerPool,
+        offset: u64,
+        data: D,
+    ) {
+        self.submit(workers, move |batch| {
+            let bytes = data.as_ref();
+            let media = batch
+                .io
+                .write_and_fence_chunk(batch.ctx(), batch.at, offset, bytes)?;
+            Ok((bytes.len() as u64, media))
+        });
+    }
+
+    fn complete(&self, w: usize, outcome: std::thread::Result<Result<(u64, u64), PccheckError>>) {
+        let mut state = self.state.lock();
+        let failure = match outcome {
+            Ok(Ok((bytes, media))) => {
+                if state.legs.len() <= w {
+                    state.legs.resize(w + 1, (0, 0));
+                }
+                state.legs[w].0 += bytes;
+                state.legs[w].1 += media;
+                None
+            }
+            Ok(Err(e)) => Some(Failure::Error(e)),
+            Err(payload) => Some(Failure::Panic(payload)),
+        };
+        if let Some(failure) = failure {
+            self.abort.store(true, Ordering::Release);
+            state.failure.get_or_insert(failure);
+        }
+        state.pending -= 1;
+        if state.pending == 0 {
+            self.drained.notify_all();
+        }
+    }
+
+    /// Blocks until every job submitted so far has run or been cancelled,
+    /// reports one `writer-{w}` actor span per worker that moved bytes
+    /// (opened when the batch was), and surfaces the first failure.
+    ///
+    /// # Errors
+    ///
+    /// The first error any job returned.
+    fn wait(&self) -> Result<(), PccheckError> {
+        let mut state = self.state.lock();
+        while state.pending > 0 {
+            state = self.drained.wait(state);
+        }
+        let legs = std::mem::take(&mut state.legs);
+        let failure = state.failure.take();
+        drop(state);
+        if self.telemetry.is_enabled() {
+            for (w, &(bytes, media)) in legs.iter().enumerate() {
+                if bytes > 0 {
+                    self.telemetry.actor_span_split(
+                        self.span,
+                        &format!("writer-{w}"),
+                        self.opened_nanos,
+                        bytes,
+                        media,
+                    );
+                }
+            }
+        }
+        match failure {
+            None => Ok(()),
+            Some(Failure::Error(e)) => Err(e),
+            Some(Failure::Panic(payload)) => resume_unwind(payload),
+        }
+    }
+}
+
 /// The shared chunk-scheduled I/O layer over a [`CheckpointStore`].
 ///
-/// Cloning is cheap: clones share the store and the DRAM staging pool, so
-/// a strategy may hand a clone to a background persist thread.
+/// Cloning is cheap: clones share the store, the DRAM staging pool and the
+/// resident writer pool, so a strategy may hand a clone to a background
+/// persist thread. The writer threads are joined when the last clone
+/// drops.
 #[derive(Debug, Clone)]
 pub struct PersistPipeline {
-    store: Arc<CheckpointStore>,
+    io: ChunkIo,
     pool: Option<HostBufferPool>,
-    /// Writer-pool width (`p` in the paper). Atomic and shared across
-    /// clones so the online controller can retune it between checkpoints
-    /// without rebuilding the pipeline.
-    writers: Arc<AtomicUsize>,
-    fence: FenceMode,
-    /// Bandwidth arbiter gating writer-pool leases when several jobs
-    /// multiplex this pipeline (service mode). `None` = no arbitration.
-    qos: Option<Arc<QosArbiter>>,
+    /// The resident writer pool (`p` workers in the paper), shared across
+    /// clones and by every checkpoint in flight. Its width is the knob the
+    /// online controller retunes between checkpoints.
+    workers: Arc<WorkerPool>,
     /// Chunk codec + dedup state, shared across clones (the controller
     /// toggles `enabled`; the dedup index survives across checkpoints).
     codec: Arc<CodecState>,
@@ -191,11 +506,13 @@ impl PersistPipeline {
     /// DRAM staging pool (whole-buffer strategies).
     pub fn new(store: Arc<CheckpointStore>) -> Self {
         PersistPipeline {
-            store,
+            io: ChunkIo {
+                store,
+                fence: FenceMode::PerWriter,
+                qos: None,
+            },
             pool: None,
-            writers: Arc::new(AtomicUsize::new(1)),
-            fence: FenceMode::PerWriter,
-            qos: None,
+            workers: Arc::new(WorkerPool::new("pccheck-writer", 1)),
             codec: Arc::new(CodecState::default()),
         }
     }
@@ -206,15 +523,18 @@ impl PersistPipeline {
         self
     }
 
-    /// Retunes the writer-pool width online; takes effect on the next
-    /// copy call (in-flight checkpoints keep the width they started with).
+    /// Retunes the writer-pool width online, for every clone and every
+    /// checkpoint in flight: queued chunks are never dropped, a shrink
+    /// waits for each retired writer to finish the chunk in its hands
+    /// (so it must not be called from a pool job), a growth starts its
+    /// threads with the next chunk queued.
     pub fn set_writers(&self, writers: usize) {
-        self.writers.store(writers.max(1), Ordering::Release);
+        self.workers.set_width(writers);
     }
 
     /// The current writer-pool width.
     pub fn writers(&self) -> usize {
-        self.writers.load(Ordering::Acquire)
+        self.workers.width()
     }
 
     /// Enables or disables the chunk codec at build time.
@@ -240,7 +560,7 @@ impl PersistPipeline {
 
     /// Sets the fence mode.
     pub fn with_fence(mut self, fence: FenceMode) -> Self {
-        self.fence = fence;
+        self.io.fence = fence;
         self
     }
 
@@ -257,23 +577,23 @@ impl PersistPipeline {
     /// concurrent jobs share the writer pool in weighted-deficit
     /// round-robin order instead of device-queue arrival order.
     pub fn with_qos(mut self, qos: Arc<QosArbiter>) -> Self {
-        self.qos = Some(qos);
+        self.io.qos = Some(qos);
         self
     }
 
     /// The attached QoS arbiter, when one is installed.
     pub fn qos(&self) -> Option<&Arc<QosArbiter>> {
-        self.qos.as_ref()
+        self.io.qos.as_ref()
     }
 
     /// The underlying store.
     pub fn store(&self) -> &Arc<CheckpointStore> {
-        &self.store
+        &self.io.store
     }
 
     /// The fence mode this pipeline issues.
     pub fn fence(&self) -> FenceMode {
-        self.fence
+        self.io.fence
     }
 
     /// The staging pool, when one is attached.
@@ -290,188 +610,101 @@ impl PersistPipeline {
     /// Leases a free slot from `ns` and refreshes the queue-depth gauges
     /// with that namespace's free-slot count.
     pub fn lease(&self, ctx: PipelineCtx<'_>, ns: &Arc<Namespace>) -> SlotLease {
-        let lease = self.store.begin_checkpoint(ns);
+        let lease = self.io.store.begin_checkpoint(ns);
         ctx.telemetry
-            .gauge_queue_depth(self.store.free_slot_count(ns) as u64);
-        self.sample_device_queues(ctx);
+            .gauge_queue_depth(self.io.store.free_slot_count(ns) as u64);
+        self.io.sample_device_queues(ctx);
         lease
     }
 
-    /// Writes one payload chunk, feeding the write-stage histogram and the
-    /// per-device submission-queue gauges. Returns the nanoseconds spent in
-    /// the device call (media time, for the writer's queue-wait split).
-    fn write_chunk(
-        &self,
-        ctx: PipelineCtx<'_>,
-        lease: &SlotLease,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<u64, PccheckError> {
-        let start = ctx.telemetry.now_nanos();
-        self.store.write_payload(lease, offset, data)?;
-        let mut media = 0;
-        if ctx.telemetry.is_enabled() {
-            media = ctx.telemetry.now_nanos().saturating_sub(start);
-            ctx.telemetry.stage_write(media);
-            self.sample_device_queues(ctx);
-        }
-        Ok(media)
-    }
-
-    /// Fences one payload range, feeding the persist-stage histogram.
-    /// Returns the nanoseconds spent in the device call (media time).
-    fn persist_chunk(
-        &self,
-        ctx: PipelineCtx<'_>,
-        lease: &SlotLease,
-        offset: u64,
-        len: u64,
-    ) -> Result<u64, PccheckError> {
-        let start = ctx.telemetry.now_nanos();
-        self.store.persist_payload(lease, offset, len)?;
-        let mut media = 0;
-        if ctx.telemetry.is_enabled() {
-            media = ctx.telemetry.now_nanos().saturating_sub(start);
-            ctx.telemetry.stage_persist(media);
-        }
-        Ok(media)
-    }
-
-    /// Samples the device's submission queues into the per-device gauges
-    /// and, when a QoS arbiter is attached, feeds the summed depth into
-    /// its backpressure cap. Composite devices report the controller at
-    /// index 0 and each member after it.
-    fn sample_device_queues(&self, ctx: PipelineCtx<'_>) {
-        if self.qos.is_none() && !ctx.telemetry.is_enabled() {
-            return;
-        }
-        let depths = self.store.device().queue_depths();
-        if let Some(q) = &self.qos {
-            q.observe_queue_depth(depths.iter().copied().sum());
-        }
-        if !ctx.telemetry.is_enabled() {
-            return;
-        }
-        for (i, depth) in depths.iter().enumerate() {
-            ctx.telemetry.gauge_device_queue(i, *depth);
-        }
-    }
-
-    /// Writes one chunk and, in [`FenceMode::PerWriter`], fences it; emits
-    /// the per-chunk `Persist` telemetry either way (in deferred mode the
-    /// fence follows in [`seal`](Self::seal)).
-    fn write_and_fence_chunk(
-        &self,
-        ctx: PipelineCtx<'_>,
-        lease: &SlotLease,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<u64, PccheckError> {
-        // Held across write + fence: the grant is the writer-pool lease
-        // the WDRR arbiter schedules.
-        let _grant = self
-            .qos
-            .as_ref()
-            .map(|q| q.acquire(lease.job(), data.len() as u64));
-        let mut media = self.write_chunk(ctx, lease, offset, data)?;
-        if self.fence == FenceMode::PerWriter {
-            media += self.persist_chunk(ctx, lease, offset, data.len() as u64)?;
-        }
-        ctx.telemetry
-            .chunk(ctx.span, Phase::Persist, offset, data.len() as u64);
-        Ok(media)
-    }
-
-    /// The one chunk executor: `p` writer threads pull `(slot offset,
-    /// bytes)` jobs off a bounded hand-off queue of depth `queue` and
-    /// write-and-fence each under the lease's QoS grant, while `feed` runs
-    /// on the calling thread and pushes jobs through the `send` callback
-    /// it is handed. A job's bytes are dropped the moment its write
-    /// returns, so pooled staging buffers go back to a producer that is
-    /// still copying later chunks.
-    ///
-    /// The first device error aborts the run: writers stop issuing I/O
-    /// (they keep draining the queue so a producer blocked on a full pool
-    /// never deadlocks) and `send` starts returning `false`, telling the
-    /// producer to stop. Each writer that moved bytes reports one
-    /// `writer-{w}` actor span.
+    /// Stages the whole snapshot in DRAM — its chunks reserved from the
+    /// pool in one step (module docs, rule 2) — folding the state digest
+    /// and handing each chunk to `each` while its bytes are hot in cache.
+    /// Drops `src` (the weights go back to training) as soon as the last
+    /// chunk is staged, then closes the `GpuCopy` phase.
     ///
     /// # Errors
     ///
-    /// The first device error any writer hit.
-    fn write_chunks<D: AsRef<[u8]> + Send>(
+    /// [`PccheckError::InvalidConfig`] when the pool cannot hold the
+    /// snapshot; the source is untouched.
+    fn stage_whole<S: SnapshotSource>(
+        &self,
+        ctx: PipelineCtx<'_>,
+        src: S,
+        lease: &SlotLease,
+        total: ByteSize,
+        mut each: impl FnMut(&[u8]),
+    ) -> Result<(Vec<StagedChunk>, StateDigest), PccheckError> {
+        let pool = self.pool();
+        let chunk = pool.chunk_size().as_u64();
+        let n_chunks = total.as_u64().div_ceil(chunk) as usize;
+        if pool.total_chunks() < n_chunks {
+            return Err(PccheckError::InvalidConfig(format!(
+                "staging a whole {total} snapshot needs {n_chunks} chunks, the pool has {}",
+                pool.total_chunks()
+            )));
+        }
+        let copy_start = ctx.telemetry.now_nanos();
+        let mut fold = StateFold::new(src.step_count(), total.as_u64());
+        let mut staged = Vec::with_capacity(n_chunks);
+        let mut off = 0u64;
+        for mut buf in pool.acquire_many(n_chunks) {
+            let len = chunk.min(total.as_u64() - off) as usize;
+            src.copy_range_to_host(off, &mut buf.as_mut_slice()[..len]);
+            fold.feed(&buf.as_slice()[..len]);
+            each(&buf.as_slice()[..len]);
+            ctx.telemetry
+                .chunk(ctx.span, Phase::GpuCopy, off, len as u64);
+            staged.push(StagedChunk { buf, len });
+            off += len as u64;
+        }
+        drop(src);
+        self.copy_done(ctx, lease, total, copy_start);
+        Ok((staged, StateDigest(fold.finish())))
+    }
+
+    /// Closes the `GpuCopy` phase and records the flight milestone.
+    fn copy_done(&self, ctx: PipelineCtx<'_>, lease: &SlotLease, total: ByteSize, copy_start: u64) {
+        ctx.telemetry
+            .phase_done(ctx.span, Phase::GpuCopy, copy_start);
+        self.io.store.flight().record(
+            FlightEventKind::CopyDone,
+            lease.counter,
+            lease.slot,
+            0,
+            total.as_u64(),
+            0,
+        );
+    }
+
+    /// Persists an already staged snapshot as the raw payload, chunk `i`
+    /// at offset `i × chunk size`; each buffer returns to the pool the
+    /// moment its write returns.
+    fn persist_staged(
         &self,
         ctx: PipelineCtx<'_>,
         lease: &SlotLease,
-        queue: usize,
-        feed: impl FnOnce(&mut dyn FnMut(u64, D) -> bool),
+        staged: impl IntoIterator<Item = StagedChunk>,
     ) -> Result<(), PccheckError> {
-        // One producer, many writers: the writers take turns at the one
-        // receiver. A writer holds the turn only while it waits for a
-        // message, never while it writes one. The receiver belongs to the
-        // writers, so if all of them died `send` would fail, not block.
-        let (tx, rx) = sync_channel::<(u64, D)>(queue.max(1));
-        let rx = Arc::new(Mutex::new(rx));
-        let first_error: Mutex<Option<PccheckError>> = Mutex::new(None);
-        let abort = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            for w in 0..self.writers() {
-                let rx = Arc::clone(&rx);
-                let first_error = &first_error;
-                let abort = &abort;
-                s.spawn(move || {
-                    let actor_start = ctx.telemetry.now_nanos();
-                    let mut actor_bytes = 0u64;
-                    let mut media_nanos = 0u64;
-                    loop {
-                        let next = rx.lock().recv();
-                        let Ok((off, data)) = next else { break };
-                        if abort.load(Ordering::Acquire) {
-                            continue;
-                        }
-                        let bytes = data.as_ref();
-                        match self.write_and_fence_chunk(ctx, lease, off, bytes) {
-                            Ok(media) => {
-                                actor_bytes += bytes.len() as u64;
-                                media_nanos += media;
-                            }
-                            Err(e) => {
-                                abort.store(true, Ordering::Release);
-                                first_error.lock().get_or_insert(e);
-                            }
-                        }
-                    }
-                    if actor_bytes > 0 && ctx.telemetry.is_enabled() {
-                        ctx.telemetry.actor_span_split(
-                            ctx.span,
-                            &format!("writer-{w}"),
-                            actor_start,
-                            actor_bytes,
-                            media_nanos,
-                        );
-                    }
-                });
-            }
-            drop(rx);
-            feed(&mut |off, data| {
-                if abort.load(Ordering::Acquire) {
-                    return false;
-                }
-                tx.send((off, data)).expect("writers outlive the producer");
-                true
-            });
-            drop(tx); // writers drain and exit
-        });
-        first_error.into_inner().map_or(Ok(()), Err)
+        let chunk = self.pool().chunk_size().as_u64();
+        let batch = Batch::open(&self.io, ctx, lease);
+        for (i, piece) in staged.into_iter().enumerate() {
+            batch.write(&self.workers, i as u64 * chunk, piece);
+        }
+        batch.wait()
     }
 
-    /// Chunk-scheduled raw copy: a producer copies the snapshot from the
-    /// GPU into pooled DRAM chunks and `p` writer threads persist them.
-    /// With `pipelined` (Figure 7) the two overlap — writers persist
+    /// Chunk-scheduled raw copy: the calling thread copies the snapshot
+    /// from the GPU into pooled DRAM chunks and the writer pool persists
+    /// them. With `pipelined` (Figure 7) the two overlap — writers persist
     /// already-copied chunks while the producer copies the next, and each
     /// DRAM buffer returns to the pool the moment its chunk is written.
     /// Without it (Figure 6) the producer stages the entire snapshot
     /// before the first write, so the pool must hold the whole snapshot.
+    ///
+    /// `src` is consumed: it is dropped — handing the weights back to
+    /// training — as soon as the last chunk is in DRAM, while this call
+    /// goes on to wait for the writes. Pass `&guard` to keep a guard.
     ///
     /// The returned [`Copied::persist_start`] lets the caller close the
     /// phase after [`seal`](Self::seal): the copy start when pipelined
@@ -479,69 +712,58 @@ impl PersistPipeline {
     ///
     /// # Errors
     ///
-    /// Propagates the first device error any writer hit.
-    pub fn copy_chunks(
+    /// Propagates the first device error any writer hit, after the
+    /// checkpoint's remaining queued writes were cancelled; rejects a
+    /// staged copy whose pool cannot hold the snapshot.
+    pub fn copy_chunks<S: SnapshotSource>(
         &self,
         ctx: PipelineCtx<'_>,
-        src: &dyn SnapshotSource,
+        src: S,
         lease: &SlotLease,
         total: ByteSize,
         pipelined: bool,
     ) -> Result<Copied, PccheckError> {
+        if !pipelined {
+            let (staged, state_digest) = self.stage_whole(ctx, src, lease, total, |_| {})?;
+            let persist_start = ctx.telemetry.now_nanos();
+            self.persist_staged(ctx, lease, staged)?;
+            return Ok(Copied {
+                persist_start,
+                payload_len: total.as_u64(),
+                state_digest,
+                frame: None,
+            });
+        }
         let pool = self.pool();
-        let chunk = pool.chunk_size();
+        let chunk = pool.chunk_size().as_u64();
         let copy_start = ctx.telemetry.now_nanos();
         let mut fold = StateFold::new(src.step_count(), total.as_u64());
+        let batch = Batch::open(&self.io, ctx, lease);
         // Producer: GPU→DRAM chunk copies (blocking on the pool when DRAM
-        // is scarce). The state digest folds in here, where the bytes are
-        // already hot in cache. Stops when `sink` refuses a chunk.
-        let mut produce = |sink: &mut dyn FnMut(u64, StagedChunk) -> bool| {
-            let mut off = 0u64;
-            let mut accepted = true;
-            while accepted && off < total.as_u64() {
-                let len = chunk.as_u64().min(total.as_u64() - off) as usize;
-                let mut buf = pool.acquire();
-                src.copy_range_to_host(off, &mut buf.as_mut_slice()[..len]);
-                fold.feed(&buf.as_slice()[..len]);
-                ctx.telemetry
-                    .chunk(ctx.span, Phase::GpuCopy, off, len as u64);
-                accepted = sink(off, StagedChunk { buf, len });
-                off += len as u64;
-            }
+        // is scarce; a chunk it holds is always a queued write, so the
+        // wait ends). The state digest folds in here, where the bytes are
+        // already hot in cache. Stops at the first writer error.
+        let mut off = 0u64;
+        while off < total.as_u64() && !batch.aborted() {
+            let len = chunk.min(total.as_u64() - off) as usize;
+            let mut buf = pool.acquire();
+            src.copy_range_to_host(off, &mut buf.as_mut_slice()[..len]);
+            fold.feed(&buf.as_slice()[..len]);
+            ctx.telemetry
+                .chunk(ctx.span, Phase::GpuCopy, off, len as u64);
+            batch.write(&self.workers, off, StagedChunk { buf, len });
+            off += len as u64;
+        }
+        drop(src);
+        if off == total.as_u64() {
+            self.copy_done(ctx, lease, total, copy_start);
+        } else {
             ctx.telemetry
                 .phase_done(ctx.span, Phase::GpuCopy, copy_start);
-            if accepted {
-                self.store.flight().record(
-                    FlightEventKind::CopyDone,
-                    lease.counter,
-                    lease.slot,
-                    0,
-                    total.as_u64(),
-                    0,
-                );
-            }
-        };
-        let persist_start = if pipelined {
-            self.write_chunks(ctx, lease, pool.total_chunks(), produce)?;
-            copy_start
-        } else {
-            let mut staged = Vec::new();
-            produce(&mut |off, chunk| {
-                staged.push((off, chunk));
-                true
-            });
-            let persist_start = ctx.telemetry.now_nanos();
-            self.write_chunks(ctx, lease, staged.len(), |send| {
-                for (off, chunk) in staged {
-                    if !send(off, chunk) {
-                        break;
-                    }
-                }
-            })?;
-            persist_start
-        };
+        }
+        batch.wait()?;
         Ok(Copied {
-            persist_start,
+            persist_start: copy_start,
             payload_len: total.as_u64(),
             state_digest: StateDigest(fold.finish()),
             frame: None,
@@ -551,20 +773,27 @@ impl PersistPipeline {
     /// Codec copy: stages the snapshot, content-addresses every chunk,
     /// deduplicates byte-identical chunks (within this frame and against
     /// the homes the job's head installed), entropy-gate-compresses the
-    /// rest, and persists `[frame table][packed chunks]` into the leased
-    /// slot. The table is written *last* so a torn frame is never mistaken
-    /// for a complete one.
+    /// rest on the writer pool, and persists `[frame table][packed
+    /// chunks]` into the leased slot. The table is written *last* so a
+    /// torn frame is never mistaken for a complete one.
+    ///
+    /// `src` is consumed and dropped as soon as the snapshot is staged —
+    /// before classify, compress, pack and write — so training never
+    /// waits for the codec (pass `&guard` to keep a guard).
     ///
     /// A base hit is taken iff `home.depth + 1` fits `policy.max_chain`
     /// and the lease's slot budget minus two; the frame links to the
     /// youngest home it references (see the `codec` module docs, "Dedup
     /// index lifetime").
     ///
-    /// Returns `Ok(None)` — persisting nothing — when the codec path is
-    /// inapplicable or unprofitable: the staging pool cannot hold the
-    /// whole snapshot at once, the physical payload would not be smaller
-    /// than the raw one, or it would overflow the slot. The caller then
-    /// falls back to a raw copy path; the slot is untouched.
+    /// When the frame would not pay — its physical payload is not smaller
+    /// than the raw one, or overflows the slot — the chunks already in
+    /// DRAM are persisted as the raw payload instead: no second GPU copy,
+    /// no second digest fold, [`Copied::frame`] `None`. When the staging
+    /// pool cannot hold the whole snapshot the codec is inapplicable (it
+    /// needs every chunk's content address before any byte is packed) and
+    /// the snapshot streams raw through [`copy_chunks`](Self::copy_chunks)
+    /// — decided before the source is touched.
     ///
     /// The state digest folds in the staging loop beside the content
     /// addresses and lands in the table as `full_digest`; restore verifies
@@ -573,56 +802,32 @@ impl PersistPipeline {
     /// # Errors
     ///
     /// Propagates the first device error any writer hit.
-    pub fn copy_framed(
+    pub fn copy_framed<S: SnapshotSource>(
         &self,
         ctx: PipelineCtx<'_>,
-        src: &dyn SnapshotSource,
+        src: S,
         lease: &SlotLease,
         total: ByteSize,
         policy: DeltaPolicy,
-    ) -> Result<Option<Copied>, PccheckError> {
+    ) -> Result<Copied, PccheckError> {
         // The controller's chain-length signal: how much of the state
         // changed since the previous snapshot.
         let dirty_bytes: u64 = src.dirty_ranges().iter().map(|&(_, len)| len).sum();
         ctx.telemetry
             .gauge_dirty_ratio(dirty_bytes * 1000 / total.as_u64().max(1));
 
-        let pool = self.pool();
-        let chunk = pool.chunk_size();
-        let n_chunks = total.as_u64().div_ceil(chunk.as_u64()) as usize;
-        // The codec stages the whole snapshot (dedup needs every chunk's
-        // content address before any byte is packed); a pool smaller than
-        // the snapshot would deadlock on `acquire`.
-        if n_chunks == 0 || pool.total_chunks() < n_chunks {
-            return Ok(None);
+        let chunk = self.pool().chunk_size().as_u64();
+        let n_chunks = total.as_u64().div_ceil(chunk) as usize;
+        if n_chunks == 0 || self.pool().total_chunks() < n_chunks {
+            return self.copy_chunks(ctx, src, lease, total, true);
         }
 
-        // Stage all chunks, folding each content address and the state
+        // Stage all chunks, folding each content address beside the state
         // digest while the bytes are hot in cache.
-        let copy_start = ctx.telemetry.now_nanos();
-        let mut fold = StateFold::new(src.step_count(), total.as_u64());
-        let mut staged: Vec<(u64, usize, HostBuffer, u64)> = Vec::with_capacity(n_chunks);
-        let mut off = 0u64;
-        while off < total.as_u64() {
-            let n = chunk.as_u64().min(total.as_u64() - off) as usize;
-            let mut buf = pool.acquire();
-            src.copy_range_to_host(off, &mut buf.as_mut_slice()[..n]);
-            let digest = chunk_digest(&buf.as_slice()[..n]);
-            fold.feed(&buf.as_slice()[..n]);
-            ctx.telemetry.chunk(ctx.span, Phase::GpuCopy, off, n as u64);
-            staged.push((off, n, buf, digest));
-            off += n as u64;
-        }
-        ctx.telemetry
-            .phase_done(ctx.span, Phase::GpuCopy, copy_start);
-        self.store.flight().record(
-            FlightEventKind::CopyDone,
-            lease.counter,
-            lease.slot,
-            0,
-            total.as_u64(),
-            0,
-        );
+        let mut digests = Vec::with_capacity(n_chunks);
+        let (staged, state_digest) = self.stage_whole(ctx, src, lease, total, |bytes| {
+            digests.push(chunk_digest(bytes));
+        })?;
 
         // Cross-checkpoint dedup answers from the generation the job's
         // head installed, hit by hit: a home is referenced only while the
@@ -630,7 +835,7 @@ impl PersistPipeline {
         // depth d pins d + 1 slots and the next checkpoint needs one more,
         // so the lease's slot budget bounds the depth too.
         let ns = lease.namespace();
-        let head = self.store.latest_committed(ns).map(|h| h.counter);
+        let head = self.io.store.latest_committed(ns).map(|h| h.counter);
         let max_depth = policy.max_chain.min(ns.desc().slot_count.saturating_sub(2));
 
         let persist_start = ctx.telemetry.now_nanos();
@@ -644,81 +849,86 @@ impl PersistPipeline {
         let mut homes: Vec<(u64, DedupHome)> = Vec::new();
         {
             let dedup = self.codec.dedup.lock();
-            for (i, (_, n, buf, digest)) in staged.iter().enumerate() {
-                if let Some(&j) = self_seen.get(digest) {
-                    let (_, jn, jbuf, _) = &staged[j];
-                    if jn == n && jbuf.as_slice()[..*jn] == buf.as_slice()[..*n] {
+            for (i, (piece, &digest)) in staged.iter().zip(&digests).enumerate() {
+                let n = piece.len as u64;
+                if let Some(&j) = self_seen.get(&digest) {
+                    if staged[j].as_ref() == piece.as_ref() {
                         records.push(FrameRecord {
                             kind: ChunkEncoding::DedupSelf,
                             aux: j as u32,
-                            logical_len: *n as u64,
+                            logical_len: n,
                             a: 0,
                             b: 0,
-                            digest: *digest,
+                            digest,
                         });
                         continue;
                     }
                 }
                 let hit = head
-                    .and_then(|h| dedup.lookup(lease.job(), h, *digest, *n as u64))
+                    .and_then(|h| dedup.lookup(lease.job(), h, digest, n))
                     .filter(|home| home.depth < max_depth);
                 if let Some(home) = hit {
                     records.push(FrameRecord {
                         kind: ChunkEncoding::DedupBase,
                         aux: home.slot,
-                        logical_len: *n as u64,
+                        logical_len: n,
                         a: home.counter,
                         b: home.logical_off,
-                        digest: *digest,
+                        digest,
                     });
-                    homes.push((*digest, home));
+                    homes.push((digest, home));
                     continue;
                 }
-                self_seen.entry(*digest).or_insert(i);
+                self_seen.entry(digest).or_insert(i);
                 materialized.push(i);
                 // Placeholder; phys offset/len assigned after compression.
                 records.push(FrameRecord {
                     kind: ChunkEncoding::Raw,
                     aux: 0,
-                    logical_len: *n as u64,
+                    logical_len: n,
                     a: 0,
                     b: 0,
-                    digest: *digest,
+                    digest,
                 });
             }
         }
 
-        // Compress materialized chunks with the writer pool's parallelism
+        // Compress materialized chunks on the writer pool, one job each
         // (compression is the CPU-bound stage; the entropy gate keeps
-        // dense payloads cheap).
-        let p = self.writers();
-        let compressed: Mutex<HashMap<usize, Vec<u8>>> = Mutex::new(HashMap::new());
-        std::thread::scope(|s| {
-            for w in 0..p {
-                let materialized = &materialized;
-                let staged = &staged;
-                let compressed = &compressed;
-                s.spawn(move || {
-                    for &i in materialized.iter().skip(w).step_by(p) {
-                        let (_, n, buf, _) = &staged[i];
-                        if let Some(c) = compress_gated(&buf.as_slice()[..*n]) {
-                            compressed.lock().insert(i, c);
-                        }
-                    }
-                });
-            }
-        });
-        let mut compressed = compressed.into_inner();
+        // dense payloads cheap). The jobs share the staged snapshot and
+        // have handed it back by the time the batch has drained.
+        let staged = Arc::new(staged);
+        let compressed: Arc<Mutex<HashMap<usize, Vec<u8>>>> = Arc::default();
+        let batch = Batch::open(&self.io, ctx, lease);
+        for &i in &materialized {
+            let (staged, compressed) = (Arc::clone(&staged), Arc::clone(&compressed));
+            batch.submit(&self.workers, move |_| {
+                if let Some(c) = compress_gated(staged[i].as_ref()) {
+                    compressed.lock().insert(i, c);
+                }
+                Ok((0, 0))
+            });
+        }
+        batch.wait()?;
+        let sole = "a drained batch has dropped every job's share";
+        let mut staged: Vec<Option<StagedChunk>> = Arc::try_unwrap(staged)
+            .unwrap_or_else(|_| unreachable!("{sole}"))
+            .into_iter()
+            .map(Some)
+            .collect();
+        let mut compressed = Arc::try_unwrap(compressed)
+            .unwrap_or_else(|_| unreachable!("{sole}"))
+            .into_inner();
 
         // Pack materialized chunks back to back after the table.
         let mut phys = 0u64;
         for &i in &materialized {
-            let n = staged[i].1;
+            let n = records[i].logical_len;
             let (kind, len) = match compressed.get(&i) {
-                Some(c) if c.len() < n => (ChunkEncoding::Lz, c.len() as u64),
+                Some(c) if (c.len() as u64) < n => (ChunkEncoding::Lz, c.len() as u64),
                 _ => {
                     compressed.remove(&i);
-                    (ChunkEncoding::Raw, n as u64)
+                    (ChunkEncoding::Raw, n)
                 }
             };
             records[i].kind = kind;
@@ -729,34 +939,41 @@ impl PersistPipeline {
 
         let table_len = FrameTable::encoded_len_for(records.len());
         let physical = table_len + phys;
-        if physical >= total.as_u64() || physical > self.store.slot_size().as_u64() {
-            // Nothing written yet: the caller streams the payload raw.
-            return Ok(None);
+        if physical >= total.as_u64() || physical > self.io.store.slot_size().as_u64() {
+            // The frame would not pay. The snapshot is already in DRAM and
+            // folded, and the source is gone: it goes out as the raw
+            // payload it is.
+            drop(compressed);
+            self.persist_staged(ctx, lease, staged.into_iter().flatten())?;
+            return Ok(Copied {
+                persist_start,
+                payload_len: total.as_u64(),
+                state_digest,
+                frame: None,
+            });
         }
 
         // Persist the packed chunks through the writer pool — then the
-        // table, last.
-        let jobs = materialized
-            .iter()
-            .filter(|&&i| records[i].kind.is_materialized())
-            .map(|&i| {
-                let data: &[u8] = match compressed.get(&i) {
-                    Some(c) => c,
-                    None => &staged[i].2.as_slice()[..staged[i].1],
-                };
-                debug_assert_eq!(data.len() as u64, records[i].b);
-                (table_len + records[i].a, data)
-            });
-        self.write_chunks(ctx, lease, materialized.len(), |send| {
-            for (dst, data) in jobs {
-                if !send(dst, data) {
-                    break;
+        // table, last. A chunk the frame stores as a reference or as LZ
+        // bytes needs its DRAM no longer.
+        let batch = Batch::open(&self.io, ctx, lease);
+        for &i in &materialized {
+            let dst = table_len + records[i].a;
+            match compressed.remove(&i) {
+                Some(lz) => {
+                    debug_assert_eq!(lz.len() as u64, records[i].b);
+                    batch.write(&self.workers, dst, lz);
+                }
+                None => {
+                    let raw = staged[i].take().expect("a Raw record keeps its chunk");
+                    debug_assert_eq!(raw.len as u64, records[i].b);
+                    batch.write(&self.workers, dst, raw);
                 }
             }
-        })?;
-        drop(staged); // chunks return to the pool
+        }
+        drop(staged);
+        batch.wait()?;
 
-        let state_digest = StateDigest(fold.finish());
         let table = FrameTable {
             counter: lease.counter,
             logical_len: total.as_u64(),
@@ -765,7 +982,8 @@ impl PersistPipeline {
         };
         let table_bytes = table.encode();
         debug_assert_eq!(table_bytes.len() as u64, table_len);
-        self.write_and_fence_chunk(ctx, lease, 0, &table_bytes)?;
+        self.io
+            .write_and_fence_chunk(ctx, SlotRef::of(lease), 0, &table_bytes)?;
 
         let dedup_chunks = table
             .records
@@ -806,7 +1024,7 @@ impl PersistPipeline {
             }
             logical_off += r.logical_len;
         }
-        Ok(Some(Copied {
+        Ok(Copied {
             persist_start,
             payload_len: physical,
             state_digest,
@@ -819,12 +1037,11 @@ impl PersistPipeline {
                 table,
                 homes,
             }),
-        }))
+        })
     }
 
     /// One-call codec checkpoint in `ns`: lease →
-    /// [`copy_framed`](Self::copy_framed) → `seal` → commit, falling back
-    /// to the raw streamed path when the codec declines.
+    /// [`copy_framed`](Self::copy_framed) → `seal` → commit.
     ///
     /// # Errors
     ///
@@ -839,10 +1056,7 @@ impl PersistPipeline {
     ) -> Result<(CommitOutcome, FramedOutcome), PccheckError> {
         let total = src.size();
         let lease = self.lease(ctx, ns);
-        let copied = match self.copy_framed(ctx, src, &lease, total, policy)? {
-            Some(framed) => framed,
-            None => self.copy_chunks(ctx, src, &lease, total, true)?,
-        };
+        let copied = self.copy_framed(ctx, src, &lease, total, policy)?;
         self.seal(ctx, &lease, iteration, &copied)?;
         let out = self.commit(ctx, lease, iteration, &copied)?;
         let kind = match &copied.frame {
@@ -895,12 +1109,12 @@ impl PersistPipeline {
         let total = payload.len() as u64;
         let persist_start = ctx.telemetry.now_nanos();
         let lease = self.lease(ctx, ns);
-        self.write_chunk(ctx, &lease, 0, payload)?;
-        self.persist_chunk(ctx, &lease, 0, total)?;
+        self.io.write_chunk(ctx, lease.slot, 0, payload)?;
+        self.io.persist_chunk(ctx, lease.slot, 0, total)?;
         ctx.telemetry.chunk(ctx.span, Phase::Persist, 0, total);
         ctx.telemetry
             .phase_done(ctx.span, Phase::Persist, persist_start);
-        self.store.flight().record(
+        self.io.store.flight().record(
             FlightEventKind::PayloadPersisted,
             lease.counter,
             lease.slot,
@@ -944,7 +1158,7 @@ impl PersistPipeline {
             src.copy_range_to_host(off, &mut tile[..n]);
             fold.feed(&tile[..n]);
             ctx.telemetry.chunk(ctx.span, Phase::GpuCopy, off, n as u64);
-            self.write_chunk(ctx, lease, off, &tile[..n])?;
+            self.io.write_chunk(ctx, lease.slot, off, &tile[..n])?;
             ctx.telemetry.chunk(ctx.span, Phase::Persist, off, n as u64);
             off += n as u64;
         }
@@ -953,10 +1167,10 @@ impl PersistPipeline {
         // cudaDeviceSynchronize + msync/fence: one persist over the payload
         // issued by this same (training) thread — correct on both SSD and
         // PMEM because the same thread performed every store.
-        self.persist_chunk(ctx, lease, 0, total.as_u64())?;
+        self.io.persist_chunk(ctx, lease.slot, 0, total.as_u64())?;
         ctx.telemetry
             .phase_done(ctx.span, Phase::Persist, phase_start);
-        self.store.flight().record(
+        self.io.store.flight().record(
             FlightEventKind::PayloadPersisted,
             lease.counter,
             lease.slot,
@@ -988,12 +1202,12 @@ impl PersistPipeline {
         copied: &Copied,
     ) -> Result<(), PccheckError> {
         let total = ByteSize::from_bytes(copied.payload_len);
-        if self.fence == FenceMode::Deferred {
+        if self.io.fence == FenceMode::Deferred {
             // §4.1 SSD path: one msync covering the whole payload. The
             // drain shows up as a `fence` actor leg so the ledger can tell
             // "media still flushing" from "device idle" inside Persist.
             let fence_start = ctx.telemetry.now_nanos();
-            let media = self.persist_chunk(ctx, lease, 0, total.as_u64())?;
+            let media = self.io.persist_chunk(ctx, lease.slot, 0, total.as_u64())?;
             if ctx.telemetry.is_enabled() {
                 ctx.telemetry.actor_span_split(
                     ctx.span,
@@ -1004,7 +1218,7 @@ impl PersistPipeline {
                 );
             }
         }
-        self.store.flight().record(
+        self.io.store.flight().record(
             FlightEventKind::PayloadPersisted,
             lease.counter,
             lease.slot,
@@ -1044,7 +1258,8 @@ impl PersistPipeline {
             None => (copied.state_digest.0, None),
         };
         let outcome =
-            self.store
+            self.io
+                .store
                 .commit_with_delta(lease, iteration, copied.payload_len, digest, link)?;
         if let (CommitOutcome::Committed, Some(frame)) = (outcome, &copied.frame) {
             self.codec
@@ -1067,6 +1282,7 @@ mod tests {
 
     use crate::layout::StoreGeometry;
     use crate::store::DEFAULT_JOB;
+    use crate::testutil::GatedDevice;
 
     /// The tenant of the single-tenant store under `pipeline`.
     fn default_ns(pipeline: &PersistPipeline) -> Arc<Namespace> {
@@ -1403,57 +1619,11 @@ mod tests {
         }
     }
 
-    /// An SSD whose `n`-th payload write from arming fails once; every
-    /// other operation passes through, so writes issued *after* the fault
-    /// still land and are counted.
-    #[derive(Debug)]
-    struct FaultyDevice {
-        inner: SsdDevice,
-        /// Writes left until the fault; negative = disarmed or fired.
-        countdown: std::sync::atomic::AtomicI64,
-        /// `(offset of the failed write, bytes written when it failed)`.
-        fault: Mutex<Option<(u64, u64)>>,
-    }
-
-    impl PersistentDevice for FaultyDevice {
-        fn capacity(&self) -> ByteSize {
-            self.inner.capacity()
-        }
-        fn bandwidth(&self) -> pccheck_util::Bandwidth {
-            self.inner.bandwidth()
-        }
-        fn write_at(&self, offset: u64, data: &[u8]) -> pccheck_device::Result<()> {
-            if self.countdown.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let written = self.inner.stats().bytes_written().as_u64();
-                *self.fault.lock() = Some((offset, written));
-                return Err(pccheck_device::DeviceError::ReadFault { offset });
-            }
-            self.inner.write_at(offset, data)
-        }
-        fn persist(&self, offset: u64, len: u64) -> pccheck_device::Result<()> {
-            self.inner.persist(offset, len)
-        }
-        fn read_at(&self, offset: u64, buf: &mut [u8]) -> pccheck_device::Result<()> {
-            self.inner.read_at(offset, buf)
-        }
-        fn read_durable_at(&self, offset: u64, buf: &mut [u8]) -> pccheck_device::Result<()> {
-            self.inner.read_durable_at(offset, buf)
-        }
-        fn crash_now(&self) {
-            self.inner.crash_now();
-        }
-        fn recover(&self) {
-            self.inner.recover();
-        }
-        fn stats(&self) -> &pccheck_device::DeviceStats {
-            self.inner.stats()
-        }
-    }
-
-    /// One behaviour, three callers: whichever copy verb drives the chunk
-    /// executor, the first device error comes back and the writers stop
-    /// issuing I/O (at most the chunks already in other writers' hands
-    /// land after the fault).
+    /// One behaviour, three callers: whichever copy verb drives the writer
+    /// pool, the first device error comes back, the writers stop issuing
+    /// I/O (at most the chunks already in other writers' hands land after
+    /// the fault), every staging buffer is back in the pool when the verb
+    /// returns, and the same pipeline then persists a checkpoint cleanly.
     #[test]
     fn every_copy_path_aborts_after_the_first_writer_error() {
         const TOTAL: u64 = 4096;
@@ -1465,11 +1635,7 @@ mod tests {
         for caller in ["staged", "overlapped", "framed"] {
             let state = ByteSize::from_bytes(TOTAL);
             let cap = CheckpointStore::required_capacity(state, 2) + ByteSize::from_kb(1);
-            let device = Arc::new(FaultyDevice {
-                inner: SsdDevice::new(DeviceConfig::fast_for_tests(cap)),
-                countdown: std::sync::atomic::AtomicI64::new(-1),
-                fault: Mutex::new(None),
-            });
+            let device = GatedDevice::new(cap);
             let store = Arc::new(
                 CheckpointStore::format(
                     Arc::clone(&device) as Arc<dyn PersistentDevice>,
@@ -1477,6 +1643,8 @@ mod tests {
                 )
                 .unwrap(),
             );
+            device.gate_payloads(&store);
+            device.open();
             let pipeline = PersistPipeline::new(store)
                 .with_writers(WRITERS)
                 .with_staging(HostBufferPool::new(ByteSize::from_bytes(CHUNK), 32))
@@ -1491,29 +1659,140 @@ mod tests {
                 data: data.clone(),
                 step: 1,
             };
-            let lease = pipeline.lease(ctx, &default_ns(&pipeline));
-            device.countdown.store(3, Ordering::Release);
-            let err = match caller {
-                "staged" => pipeline.copy_chunks(ctx, &src, &lease, state, false).err(),
-                "overlapped" => pipeline.copy_chunks(ctx, &src, &lease, state, true).err(),
-                _ => pipeline
-                    .copy_framed(ctx, &src, &lease, state, DeltaPolicy::default())
-                    .err(),
+            let copy = |lease: &SlotLease| match caller {
+                "staged" => pipeline.copy_chunks(ctx, &src, lease, state, false),
+                "overlapped" => pipeline.copy_chunks(ctx, &src, lease, state, true),
+                _ => pipeline.copy_framed(ctx, &src, lease, state, DeltaPolicy::default()),
             };
-            let (fault_offset, written_at_fault) =
-                device.fault.lock().expect("the armed write was reached");
+            let lease = pipeline.lease(ctx, &default_ns(&pipeline));
+            device.fail_write(3);
+            let err = copy(&lease).err();
+            let (fault_offset, admitted_before) =
+                device.failed().expect("the armed write was reached");
             match err {
                 Some(PccheckError::Device(pccheck_device::DeviceError::ReadFault { offset })) => {
                     assert_eq!(offset, fault_offset, "{caller}: the first error propagates");
                 }
                 other => panic!("{caller}: expected the injected fault, got {other:?}"),
             }
-            let after = device.inner.stats().bytes_written().as_u64() - written_at_fault;
+            let after = device.payload_bytes() - admitted_before;
             assert!(
                 after <= (WRITERS as u64 - 1) * CHUNK,
                 "{caller}: writers kept issuing I/O after the fault ({after} bytes)"
             );
+            let pool = pipeline.staging_pool().unwrap();
+            assert_eq!(
+                pool.available(),
+                pool.total_chunks(),
+                "{caller}: cancelled writes gave their buffers back"
+            );
+            // The pool outlives the failure: same pipeline, next lease.
+            let lease = pipeline.lease(ctx, &default_ns(&pipeline));
+            let copied = copy(&lease).unwrap_or_else(|e| panic!("{caller}: retry failed: {e}"));
+            pipeline.seal(ctx, &lease, 1, &copied).unwrap();
+            let outcome = pipeline.commit(ctx, lease, 1, &copied).unwrap();
+            assert_eq!(outcome, CommitOutcome::Committed, "{caller}");
+            let rec = crate::recovery::recover(device as Arc<dyn PersistentDevice>).unwrap();
+            assert_eq!(rec.payload, data, "{caller}");
         }
+    }
+
+    /// `set_writers` moves the resident pool's width between checkpoints —
+    /// for every clone — and every queued chunk is still written.
+    #[test]
+    fn set_writers_resizes_the_resident_pool_and_drops_no_chunk() {
+        let g = gpu(900, 53);
+        g.update();
+        let pool = HostBufferPool::new(ByteSize::from_bytes(128), 8);
+        let pipeline = PersistPipeline::new(ssd_store(g.state_size(), 3))
+            .with_writers(2)
+            .with_staging(pool);
+        assert_eq!(pipeline.workers.threads(), 0, "no chunk yet, no thread yet");
+        let clone = pipeline.clone();
+        let telemetry = Telemetry::enabled();
+        let mut checkpoints = 0;
+        for (width, through) in [(2, &pipeline), (4, &clone), (1, &pipeline), (3, &clone)] {
+            clone.set_writers(width);
+            assert_eq!(pipeline.writers(), width, "clones share the pool");
+            checkpoints += 1;
+            let span = telemetry.span_requested("test", checkpoints, 900);
+            let ctx = PipelineCtx {
+                telemetry: &telemetry,
+                span,
+            };
+            let lease = through.lease(ctx, &default_ns(through));
+            let guard = g.lock_weights_shared_owned();
+            let copied = through
+                .copy_chunks(ctx, guard, &lease, g.state_size(), true)
+                .unwrap();
+            through.seal(ctx, &lease, checkpoints, &copied).unwrap();
+            let out = through.commit(ctx, lease, checkpoints, &copied).unwrap();
+            assert_eq!(out, CommitOutcome::Committed);
+            assert_eq!(copied.state_digest, g.digest());
+            assert_eq!(pipeline.workers.threads(), width, "width {width}");
+            let writers: Vec<String> = telemetry
+                .events()
+                .iter()
+                .filter_map(|e| match &e.kind {
+                    pccheck_telemetry::EventKind::ActorSpan { actor, .. } if e.span == span => {
+                        Some(actor.clone())
+                    }
+                    _ => None,
+                })
+                .collect();
+            assert!(!writers.is_empty(), "width {width}: writer spans survive");
+            for actor in &writers {
+                let w: usize = actor.strip_prefix("writer-").unwrap().parse().unwrap();
+                assert!(w < width, "width {width} ran {actor}");
+            }
+        }
+        let snap = telemetry.snapshot().unwrap();
+        assert_eq!(
+            snap.persist_chunk_bytes,
+            checkpoints * 900,
+            "no chunk dropped"
+        );
+    }
+
+    /// The writers belong to the clones collectively: dropping one clone
+    /// leaves them running, dropping the last joins them.
+    #[test]
+    fn dropping_the_last_clone_joins_the_writers() {
+        let g = gpu(900, 59);
+        g.update();
+        let pipeline = PersistPipeline::new(ssd_store(g.state_size(), 3))
+            .with_writers(2)
+            .with_staging(HostBufferPool::new(ByteSize::from_bytes(128), 8));
+        let telemetry = Telemetry::disabled();
+        let ctx = test_ctx(&telemetry);
+        let checkpoint = |through: &PersistPipeline, iter: u64| {
+            let lease = through.lease(ctx, &default_ns(through));
+            let copied = through
+                .copy_chunks(
+                    ctx,
+                    g.lock_weights_shared_owned(),
+                    &lease,
+                    g.state_size(),
+                    true,
+                )
+                .unwrap();
+            through.seal(ctx, &lease, iter, &copied).unwrap();
+            through.commit(ctx, lease, iter, &copied).unwrap()
+        };
+        let clone = pipeline.clone();
+        assert_eq!(checkpoint(&clone, 1), CommitOutcome::Committed);
+        // What the worker threads keep alive, seen from outside.
+        let alive = pipeline.workers.liveness();
+        assert!(alive.strong_count() > 2, "two workers and the pool hold it");
+        drop(clone);
+        assert_eq!(
+            pipeline.workers.threads(),
+            2,
+            "a clone remains: still running"
+        );
+        assert_eq!(checkpoint(&pipeline, 2), CommitOutcome::Committed);
+        drop(pipeline);
+        assert_eq!(alive.strong_count(), 0, "the last clone joined its writers");
     }
 
     #[test]
@@ -1550,11 +1829,10 @@ mod tests {
             let lease = pipeline.lease(ctx, &tenants[job - 1]);
             let copied = pipeline
                 .copy_framed(ctx, &src, &lease, state, DeltaPolicy::default())
-                .unwrap()
-                .expect("self-redundant payload frames");
+                .unwrap();
             pipeline.seal(ctx, &lease, iter, &copied).unwrap();
             pipeline.commit(ctx, lease, iter, &copied).unwrap();
-            copied.frame.expect("copy_framed returns a frame")
+            copied.frame.expect("self-redundant payload frames")
         };
 
         let mut data = vec![0u8; 4096];

@@ -13,9 +13,25 @@
 //! then publishes by bumping the cell sequence; `dequeue` symmetrically
 //! claims cells whose sequence equals head+1. Both are lock-free: a stalled
 //! thread cannot block others from operating on other cells.
+//!
+//! The `*_blocking` forms wait for the other side. A checkpoint waits for
+//! a slot ([`dequeue_blocking`](SlotQueue::dequeue_blocking)) while it
+//! holds the training weights, and what it waits for — an older
+//! checkpoint's commit — needs the CPU the wait would burn; so after a
+//! short bounded spin the waiter parks on a condvar, and the lock-free
+//! `enqueue` pays one fence and one load of the parked-thread count to
+//! wake it. A full queue is only ever transiently full (another thread is
+//! mid-dequeue on the cell), so `enqueue_blocking` yields instead.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicUsize, Ordering};
+
+use pccheck_util::sync::{Condvar, Mutex};
+
+/// Failed attempts a blocking call spins through before it parks: long
+/// enough to ride out another thread mid-operation on the contended cell,
+/// short next to a context switch.
+const SPINS_BEFORE_PARK: usize = 64;
 
 /// A bounded, lock-free, multi-producer multi-consumer queue of `u32`
 /// values (slot indices).
@@ -40,6 +56,12 @@ pub struct SlotQueue {
     tail: AtomicUsize,
     /// Next dequeue position (monotonically increasing).
     head: AtomicUsize,
+    /// Threads parked (or about to park) in `dequeue_blocking`.
+    parked: AtomicUsize,
+    /// What parked threads sleep on; every successful enqueue that finds
+    /// `parked` nonzero notifies under `park_lock`.
+    park_lock: Mutex<()>,
+    wake: Condvar,
 }
 
 #[derive(Debug)]
@@ -79,6 +101,9 @@ impl SlotQueue {
             mask: cap - 1,
             tail: AtomicUsize::new(0),
             head: AtomicUsize::new(0),
+            parked: AtomicUsize::new(0),
+            park_lock: Mutex::new(()),
+            wake: Condvar::new(),
         }
     }
 
@@ -131,6 +156,7 @@ impl SlotQueue {
                             // until it publishes via `seq`.
                             unsafe { *cell.value.get() = value };
                             cell.seq.store(pos + 1, Ordering::Release);
+                            self.wake_parked();
                             return Ok(());
                         }
                         Err(actual) => pos = actual,
@@ -175,7 +201,23 @@ impl SlotQueue {
         }
     }
 
-    /// Enqueues, spinning through transient fulls (see
+    /// Wakes parked dequeuers after a successful enqueue.
+    ///
+    /// Pairs with the fence in [`dequeue_blocking`](Self::dequeue_blocking):
+    /// either this load sees the parker's registration, or the parker's
+    /// re-check, made after it registered, sees the cell this thread just
+    /// published.
+    fn wake_parked(&self) {
+        fence(Ordering::SeqCst);
+        if self.parked.load(Ordering::Relaxed) != 0 {
+            // Taking the lock orders this notify after the parker's
+            // re-check-then-wait, which it makes under the same lock.
+            drop(self.park_lock.lock());
+            self.wake.notify_all();
+        }
+    }
+
+    /// Enqueues, yielding through transient fulls (see
     /// [`enqueue`](Self::enqueue)). Only correct when the true population
     /// is bounded below the capacity, as in the checkpoint slot pool.
     pub fn enqueue_blocking(&self, value: u32) {
@@ -190,16 +232,27 @@ impl SlotQueue {
         }
     }
 
-    /// Dequeues, spinning until a value is available — Listing 1's
-    /// lines 8–11 ("while(true) { data_location = free_space.deq(); ... }").
+    /// Dequeues, waiting until a value is available — Listing 1's
+    /// lines 8–11 ("while(true) { data_location = free_space.deq(); ... }")
+    /// — a bounded spin, then parked until an enqueue.
     pub fn dequeue_blocking(&self) -> u32 {
-        loop {
+        for _ in 0..SPINS_BEFORE_PARK {
             if let Some(v) = self.dequeue() {
                 return v;
             }
             std::hint::spin_loop();
-            std::thread::yield_now();
         }
+        let mut guard = self.park_lock.lock();
+        self.parked.fetch_add(1, Ordering::SeqCst);
+        let v = loop {
+            fence(Ordering::SeqCst);
+            if let Some(v) = self.dequeue() {
+                break v;
+            }
+            guard = self.wake.wait(guard);
+        };
+        self.parked.fetch_sub(1, Ordering::SeqCst);
+        v
     }
 }
 

@@ -726,6 +726,18 @@ impl CheckpointStore {
         chunk_offset: u64,
         data: &[u8],
     ) -> Result<(), PccheckError> {
+        self.write_slot(lease.slot, chunk_offset, data)
+    }
+
+    /// [`write_payload`](Self::write_payload) by slot index, for a queued
+    /// pipeline job: the job outlives no lease (its checkpoint waits for
+    /// it before committing), it just cannot borrow one.
+    pub(crate) fn write_slot(
+        &self,
+        slot: u32,
+        chunk_offset: u64,
+        data: &[u8],
+    ) -> Result<(), PccheckError> {
         if chunk_offset + data.len() as u64 > self.slot_size().as_u64() {
             return Err(PccheckError::InvalidConfig(format!(
                 "payload write at {chunk_offset}+{} exceeds slot size {}",
@@ -733,7 +745,7 @@ impl CheckpointStore {
                 self.slot_size()
             )));
         }
-        let base = self.slot_payload_offset(lease.slot);
+        let base = self.slot_payload_offset(slot);
         self.device.write_at(base + chunk_offset, data)?;
         Ok(())
     }
@@ -750,7 +762,18 @@ impl CheckpointStore {
         chunk_offset: u64,
         len: u64,
     ) -> Result<(), PccheckError> {
-        let base = self.slot_payload_offset(lease.slot);
+        self.persist_slot(lease.slot, chunk_offset, len)
+    }
+
+    /// [`persist_payload`](Self::persist_payload) by slot index (see
+    /// [`write_slot`](Self::write_slot)).
+    pub(crate) fn persist_slot(
+        &self,
+        slot: u32,
+        chunk_offset: u64,
+        len: u64,
+    ) -> Result<(), PccheckError> {
+        let base = self.slot_payload_offset(slot);
         self.device.persist(base + chunk_offset, len)?;
         Ok(())
     }

@@ -124,6 +124,38 @@ impl HostBufferPool {
         }
     }
 
+    /// Blocks until `chunks` buffers are free at once and takes them all in
+    /// one step — for a copier that must hold a *whole* snapshot before it
+    /// can let any of it go. Two such copiers can never each sit on half a
+    /// pool waiting for the other's half: a reservation holds nothing
+    /// while it waits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunks` exceeds the pool: the wait could never end.
+    pub fn acquire_many(&self, chunks: usize) -> Vec<HostBuffer> {
+        assert!(
+            chunks <= self.shared.total_chunks,
+            "reservation of {chunks} chunks exceeds the pool's {}",
+            self.shared.total_chunks
+        );
+        let mut state = self.shared.state.lock();
+        while state.free.len() < chunks {
+            state = self.shared.cond.wait(state);
+        }
+        let at = state.free.len() - chunks;
+        let taken = state.free.split_off(at);
+        state.outstanding += chunks;
+        state.peak_outstanding = state.peak_outstanding.max(state.outstanding);
+        taken
+            .into_iter()
+            .map(|data| HostBuffer {
+                data: Some(data),
+                pool: Arc::clone(&self.shared),
+            })
+            .collect()
+    }
+
     /// Tries to acquire a chunk without blocking.
     pub fn try_acquire(&self) -> Option<HostBuffer> {
         let mut state = self.shared.state.lock();
@@ -190,7 +222,11 @@ impl Drop for HostBuffer {
             state.free.push(data);
             state.outstanding -= 1;
             drop(state);
-            self.pool.cond.notify_one();
+            // Every waiter re-checks: a one-chunk `acquire` and a
+            // many-chunk reservation share this condvar, and a single
+            // wakeup handed to a reservation still short of its count
+            // would strand the one-chunk waiter beside it.
+            self.pool.cond.notify_all();
         }
     }
 }
@@ -247,6 +283,33 @@ mod tests {
             waited >= Duration::from_millis(80),
             "acquirer must have blocked: {waited:?}"
         );
+    }
+
+    #[test]
+    fn reservations_take_their_chunks_in_one_step() {
+        // Two whole-snapshot holders on a pool of 1.5 snapshots: the
+        // second waits holding nothing, so the first can always finish.
+        use std::sync::mpsc;
+
+        let pool = HostBufferPool::new(ByteSize::from_bytes(8), 3);
+        let first = pool.acquire_many(2);
+        assert_eq!(pool.available(), 1);
+        let (tx, rx) = mpsc::channel();
+        let pool2 = pool.clone();
+        let second = std::thread::spawn(move || {
+            let held = pool2.acquire_many(2);
+            tx.send(held.len()).unwrap();
+        });
+        // The waiter took nothing while it waits: a one-chunk acquire
+        // still succeeds.
+        let one = pool.try_acquire().expect("the odd chunk is free");
+        assert!(rx.try_recv().is_err(), "2 chunks are not free yet");
+        drop(one);
+        drop(first);
+        assert_eq!(rx.recv().unwrap(), 2);
+        second.join().unwrap();
+        assert_eq!(pool.available(), 3);
+        assert_eq!(pool.peak_outstanding(), 3);
     }
 
     #[test]

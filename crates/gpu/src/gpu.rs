@@ -379,8 +379,9 @@ impl WeightsGuard<'_> {
 
 /// Owned, `Send` variant of [`WeightsGuard`] for background copier threads.
 ///
-/// Training updates block until the guard drops; drop it as soon as the
-/// GPU→DRAM copy completes to release the `U` phase.
+/// Training updates block until the guard drops, so it is held for the
+/// GPU→DRAM copy and never for the persist: hand it *by value* to a copy
+/// verb, which drops it the moment the last chunk is staged in DRAM.
 #[derive(Debug)]
 pub struct OwnedWeightsGuard {
     gpu: Gpu,
@@ -439,7 +440,12 @@ impl OwnedWeightsGuard {
 /// [`OwnedWeightsGuard`]).
 ///
 /// `Sync` is required so chunk-scheduled copiers may share one source across
-/// scoped worker threads.
+/// worker threads.
+///
+/// A copy verb takes its source by value and drops it when the snapshot is
+/// staged; that drop is what hands the weights back to training. A caller
+/// that wants to keep its guard passes `&guard` — a reference is a source
+/// too, and dropping it releases nothing.
 pub trait SnapshotSource: Sync {
     /// Size of the serialized snapshot.
     fn size(&self) -> ByteSize;
@@ -456,6 +462,24 @@ pub trait SnapshotSource: Sync {
     /// state dirty.
     fn dirty_ranges(&self) -> Vec<(u64, u64)> {
         vec![(0, self.size().as_u64())]
+    }
+}
+
+impl<S: SnapshotSource + ?Sized> SnapshotSource for &S {
+    fn size(&self) -> ByteSize {
+        (**self).size()
+    }
+
+    fn step_count(&self) -> u64 {
+        (**self).step_count()
+    }
+
+    fn copy_range_to_host(&self, offset: u64, dst: &mut [u8]) {
+        (**self).copy_range_to_host(offset, dst)
+    }
+
+    fn dirty_ranges(&self) -> Vec<(u64, u64)> {
+        (**self).dirty_ranges()
     }
 }
 

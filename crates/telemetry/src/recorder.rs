@@ -8,9 +8,10 @@
 //! The recorder is lock-light by construction:
 //!
 //! * counters, gauges and histograms are single atomic adds;
-//! * events append to one of a fixed set of sharded buffers, with each
-//!   thread pinned to a shard, so concurrent checkpoint workers almost
-//!   never contend on the same mutex;
+//! * events append to one of a fixed set of sharded buffers, taken in
+//!   rotation, so concurrent checkpoint workers almost never contend on
+//!   the same mutex and the buffers grow evenly however few threads
+//!   record;
 //! * timestamps come from one shared monotonic epoch so events from all
 //!   threads interleave into a single coherent timeline.
 
@@ -26,20 +27,18 @@ use crate::histogram::{HistogramSummary, LatencyHistogram};
 
 const SHARDS: usize = 8;
 
+/// Events per block of a shard. A shard grows by whole blocks and never
+/// reallocates one, so recording copies no event twice and the buffers'
+/// high-water mark is their live size, not the 1.5× of a doubling `Vec`
+/// caught mid-growth.
+const BLOCK_EVENTS: usize = 4096;
+
 /// How many devices the per-device queue-depth gauges can track. Composite
 /// devices report the controller at index 0 and members after it; indices
 /// beyond this limit are silently dropped. Sized for a 4-way stripe plus
 /// its controller with headroom, so restore fan-out across a wide stripe
 /// stays observable per member.
 pub const MAX_TRACKED_DEVICES: usize = 8;
-
-static NEXT_THREAD_SLOT: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Each thread sticks to one shard for its lifetime; round-robin
-    /// assignment spreads concurrent workers across shards.
-    static THREAD_SHARD: usize = NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-}
 
 /// Monotonic gauge pair: current value plus high-water mark.
 #[derive(Debug, Default)]
@@ -78,7 +77,13 @@ impl Gauge {
 pub struct MemoryRecorder {
     epoch: Instant,
     next_span: AtomicU64,
-    shards: [Mutex<Vec<Event>>; SHARDS],
+    /// Which shard the next event goes to. Rotating per event rather than
+    /// pinning each thread to a shard keeps the eight buffers the same
+    /// size when an always-on daemon records from two resident writers:
+    /// pinned, those two would each double one large buffer where eight
+    /// small ones do — same live bytes, a far higher allocation peak.
+    next_shard: AtomicUsize,
+    shards: [Mutex<Vec<Vec<Event>>>; SHARDS],
     phase_hist: [LatencyHistogram; Phase::ALL.len()],
     stall_hist: LatencyHistogram,
     write_stage_hist: LatencyHistogram,
@@ -109,6 +114,7 @@ impl MemoryRecorder {
         MemoryRecorder {
             epoch: Instant::now(),
             next_span: AtomicU64::new(1),
+            next_shard: AtomicUsize::new(0),
             shards: std::array::from_fn(|_| Mutex::new(Vec::new())),
             phase_hist: std::array::from_fn(|_| LatencyHistogram::new()),
             stall_hist: LatencyHistogram::new(),
@@ -134,8 +140,17 @@ impl MemoryRecorder {
     }
 
     fn push(&self, event: Event) {
-        let shard = THREAD_SHARD.with(|s| *s);
-        self.shards[shard].lock().push(event);
+        // A statistic, publishing nothing: Relaxed.
+        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % SHARDS;
+        let mut blocks = self.shards[shard].lock();
+        match blocks.last_mut() {
+            Some(block) if block.len() < BLOCK_EVENTS => block.push(event),
+            _ => {
+                let mut block = Vec::with_capacity(BLOCK_EVENTS);
+                block.push(event);
+                blocks.push(block);
+            }
+        }
     }
 
     /// The shared lifecycle counters (also backs `EngineStats`).
@@ -174,7 +189,9 @@ impl MemoryRecorder {
     pub fn events(&self) -> Vec<Event> {
         let mut all = Vec::new();
         for shard in &self.shards {
-            all.extend_from_slice(&shard.lock());
+            for block in shard.lock().iter() {
+                all.extend_from_slice(block);
+            }
         }
         all.sort_by_key(|e| (e.at_nanos, e.span));
         all

@@ -303,8 +303,7 @@ fn a_frame_whose_base_was_displaced_is_withdrawn_not_committed() {
     let lease_b = pipeline.lease(ctx, &ns(&store));
     let copied_b = pipeline
         .copy_framed(ctx, &guard, &lease_b, total, policy)
-        .expect("B copies")
-        .expect("B frames");
+        .expect("B copies");
     drop(guard);
     let link = copied_b.frame.as_ref().and_then(|f| f.link);
     let link = link.expect("B references A");

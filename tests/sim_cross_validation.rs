@@ -151,10 +151,12 @@ fn ordering_agrees_between_models() {
     assert!(sim_pc > sim_cf, "sim: {sim_pc} vs {sim_cf}");
 
     // The concrete throughputs cannot be ranked: at interval 1 both
-    // engines are pinned to the device (2 MB per 50 ms) and hold the
-    // weights through the persist, and the 5 ms copy-then-persist
-    // serialization CheckFreq pays per cycle is refunded by the token
-    // bucket's 10 ms burst credit, so their difference is scheduler noise.
+    // engines are pinned to the device (2 MB per 50 ms) — PCcheck hands
+    // the weights back once the snapshot is staged, but with a checkpoint
+    // every iteration its tickets fill and it waits on the device all the
+    // same — and the 5 ms copy-then-persist serialization CheckFreq pays
+    // per cycle is refunded by the token bucket's 10 ms burst credit, so
+    // their difference is scheduler noise.
     // The mechanism the simulator's ranking rests on is visible in event
     // order alone: PCcheck persists a checkpoint's first chunks while it is
     // still copying its last ones, CheckFreq copies everything first. With

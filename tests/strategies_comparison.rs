@@ -183,17 +183,20 @@ fn copy_verb(gpu: &Gpu, verb: &str) -> StateDigest {
             (lease, copied)
         }
         _ => {
-            // The codec frames the tiled state and declines the dense one.
+            // The codec frames the tiled state and declines the dense one
+            // after staging it — the guard is its to release by then, so
+            // the raw payload is what it already holds in DRAM.
             let lease = pipeline.lease(ctx, &ns);
-            let framed = pipeline
-                .copy_framed(ctx, &guard, &lease, total, DeltaPolicy::default())
-                .expect("copy_framed");
-            assert_eq!(framed.is_some(), verb == "copy_framed", "{verb}");
-            let copied = match framed {
-                Some(framed) => framed,
-                None => pipeline
+            let copied = if verb.starts_with("copy_framed") {
+                let copied = pipeline
+                    .copy_framed(ctx, &guard, &lease, total, DeltaPolicy::default())
+                    .expect("copy_framed");
+                assert_eq!(copied.frame.is_some(), verb == "copy_framed", "{verb}");
+                copied
+            } else {
+                pipeline
                     .copy_chunks(ctx, &guard, &lease, total, verb != "copy_chunks staged")
-                    .expect("copy_chunks"),
+                    .expect("copy_chunks")
             };
             pipeline
                 .seal(ctx, &lease, iteration, &copied)

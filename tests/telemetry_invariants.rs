@@ -1,8 +1,8 @@
 //! Event-stream invariants under concurrent checkpointing.
 //!
 //! With `max_concurrent > 1` several checkpoint spans are in flight at
-//! once, recorded from the training thread, the engine's worker threads,
-//! and the per-checkpoint writer threads. Whatever interleaving occurs,
+//! once, recorded from the training thread, the engine's coordinators,
+//! and the pipeline's resident writers. Whatever interleaving occurs,
 //! the merged event stream must satisfy the lifecycle contract: every
 //! `requested` span terminates exactly once, phase timestamps are
 //! monotone, and the aggregate counters agree with the events.
