@@ -1,10 +1,12 @@
 //! Microbenchmarks of the persistence substrate: nt-store vs clwb PMEM
-//! write paths (§3.3) and the commit protocol's fixed costs.
+//! write paths (§3.3), the commit protocol's fixed costs, and the state
+//! digest's block kernel.
 use std::sync::Arc;
 
 use pccheck::{CheckpointStore, StoreGeometry, DEFAULT_JOB};
 use pccheck_bench::stats::time;
 use pccheck_device::{DeviceConfig, PersistentDevice, PmemDevice, PmemWriteMode, SsdDevice};
+use pccheck_util::fnv::{block_digests, chunk_digest, fold_blocks, DIGEST_BLOCK};
 use pccheck_util::ByteSize;
 
 fn pmem_write_paths() {
@@ -43,7 +45,29 @@ fn commit_protocol() {
     });
 }
 
+fn state_digest_fold() {
+    let size = ByteSize::from_mb_u64(32);
+    let mut state = vec![0u8; size.as_usize()];
+    pccheck_util::rng::fill_deterministic(&mut state, 1);
+    println!("[fnv] state digest of 32 MiB: one chain per block vs four blocks at a time");
+    let per_block =
+        |s: &[u8]| fold_blocks(1, s.len() as u64, s.chunks(DIGEST_BLOCK).map(chunk_digest));
+    let lanes = |s: &[u8]| fold_blocks(1, s.len() as u64, block_digests(s));
+    assert_eq!(per_block(&state), lanes(&state));
+    for (name, fold) in [
+        (
+            "fnv/state_digest_32mib/per_block_chunk_digest",
+            &per_block as &dyn Fn(&[u8]) -> u64,
+        ),
+        ("fnv/state_digest_32mib/multi_lane_block_digests", &lanes),
+    ] {
+        let secs = time(name, 20, || fold(&state));
+        println!("    = {:.0} MB/s", size.as_u64() as f64 / 1e6 / secs);
+    }
+}
+
 fn main() {
     pmem_write_paths();
     commit_protocol();
+    state_digest_fold();
 }

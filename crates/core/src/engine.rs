@@ -495,7 +495,7 @@ impl PcCheckEngine {
     }
 
     /// Body of one checkpoint, run on a coordinator thread. Returns
-    /// the commit outcome and the state digest the copy loop folded.
+    /// the commit outcome and the state digest the copy verb folded.
     #[allow(clippy::too_many_arguments)]
     fn run_checkpoint(
         pipeline: &PersistPipeline,
@@ -992,6 +992,49 @@ mod tests {
                 assert_eq!(restored_digest(&gpu, &rec.payload, 1), snapshot, "{mode}");
             }
         }
+    }
+
+    #[test]
+    fn the_fold_waits_in_the_pool_while_training_goes_on() {
+        // The weights are held for the memcpy only. One writer, stuck at
+        // the gate inside the first chunk's write: every later chunk's job
+        // — its share of the state digest included — is still queued when
+        // `update()` returns and rewrites the weights. The digest they
+        // then fold is the snapshot's, because it is folded from the
+        // staged bytes.
+        const BLOCK: u64 = pccheck_util::fnv::DIGEST_BLOCK as u64;
+        let gpu = tiny_gpu(5 * BLOCK + 13, 37);
+        let cap = CheckpointStore::required_capacity(gpu.state_size(), 3) + ByteSize::from_kb(1);
+        let device = GatedDevice::new(cap);
+        let config = PcCheckConfig::builder()
+            .max_concurrent(1)
+            .writer_threads(1)
+            .chunk_size(ByteSize::from_bytes(BLOCK))
+            .dram_chunks(6)
+            .build()
+            .unwrap();
+        let engine = PcCheckEngine::new(
+            config,
+            Arc::clone(&device) as Arc<dyn PersistentDevice>,
+            gpu.state_size(),
+        )
+        .unwrap();
+        device.gate_payloads(engine.store());
+        gpu.update();
+        let snapshot = gpu.digest();
+        engine.checkpoint(&gpu, 1);
+        let trainer = gpu.clone();
+        must_not_hang("update() waited for the fold", move || trainer.update());
+        device.wait_until_blocked(1);
+        assert_eq!(device.payload_bytes(), 0, "the one writer is at the gate");
+        assert_eq!(engine.dram_pool().available(), 0, "six chunks, six jobs");
+        assert_ne!(gpu.digest(), snapshot, "the weights moved on");
+        device.open();
+        engine.try_drain().unwrap();
+        let out = engine.last_committed().expect("committed");
+        assert_eq!((out.iteration, out.digest), (1, snapshot));
+        let rec = crate::recovery::recover(device as Arc<dyn PersistentDevice>).unwrap();
+        assert_eq!(restored_digest(&gpu, &rec.payload, 1), snapshot);
     }
 
     #[test]

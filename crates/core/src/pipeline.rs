@@ -21,19 +21,34 @@
 //!
 //! # Who waits for what
 //!
-//! *The weights are held for the copy, never for the persist.* A chunk
-//! copy verb takes its [`SnapshotSource`] by value and drops it the moment
-//! the last chunk is staged in DRAM; everything after — classify,
-//! compress, write, fence — runs with training already unblocked, so the
-//! writes of up to `N` checkpoints overlap. They all run on one resident
-//! writer pool (`writers()` wide, shared by every clone of the pipeline)
-//! that serves a tenant's oldest checkpoint first (see `pool.rs`), taking
-//! the QoS grant per chunk. Three rules keep that free of deadlock:
+//! *The weights are held for the memcpy — not for the digest, not for the
+//! persist.* A chunk copy verb takes its [`SnapshotSource`] by value and
+//! drops it the moment the last chunk is staged in DRAM, and staging a
+//! chunk is one `copy_range_to_host` into a pooled buffer; everything after
+//! — fold, classify, compress, write, fence — runs with training already
+//! unblocked, so the work of up to `N` checkpoints overlaps. It all runs on
+//! one resident writer pool (`writers()` wide, shared by every clone of the
+//! pipeline) that serves a tenant's oldest checkpoint first (see
+//! `pool.rs`), taking the QoS grant per chunk.
 //!
-//! 1. *A pool worker never waits on another job.* Writes and compressions
-//!    are the only pool jobs and neither blocks on the pool; the thread
-//!    that fans a checkpoint out and waits for it (the caller of a copy
-//!    verb — the engine's coordinator) is never a pool worker.
+//! *The state digest folds out of order, on that pool.* It is a fold over
+//! per-block values ([`pccheck_util::fnv`]), so each chunk's pool job first
+//! files the values of the blocks its chunk wholly covers into the
+//! checkpoint's block table — for a frame it also takes the chunk's content
+//! address in the same pass — and then goes on to what it was queued for.
+//! The coordinator folds the table once its batch has drained. A block cut
+//! by a chunk boundary is whole in no job; the staging producer, which sees
+//! the bytes in order, carries the head of the one open block (at most a
+//! block of bytes) and files it when a later chunk closes it — the restore
+//! executor's cut-block rule (DESIGN §9) from the producer's side: one
+//! rule, nothing to do on an aligned geometry, no branch on geometry.
+//!
+//! Three rules keep that free of deadlock:
+//!
+//! 1. *A pool worker never waits on another job.* Folds, compressions and
+//!    writes are the only pool jobs and none blocks on the pool; the
+//!    thread that fans a checkpoint out and waits for it (the caller of a
+//!    copy verb — the engine's coordinator) is never a pool worker.
 //! 2. *Whoever must hold a whole snapshot reserves it in one step.*
 //!    `copy_framed` and the staged `copy_chunks` take all their chunks
 //!    with one [`HostBufferPool::acquire_many`], so two of them can never
@@ -52,7 +67,7 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pccheck_util::sync::{Condvar, Mutex};
@@ -60,7 +75,9 @@ use pccheck_util::sync::{Condvar, Mutex};
 use pccheck_device::{HostBuffer, HostBufferPool};
 use pccheck_gpu::{SnapshotSource, StateDigest};
 use pccheck_telemetry::{FlightEventKind, Phase, SpanId, Telemetry};
-use pccheck_util::fnv::{chunk_digest, StateFold};
+use pccheck_util::fnv::{
+    block_digests, chunk_digest, fold_blocks, whole_blocks, StateFold, DIGEST_BLOCK,
+};
 use pccheck_util::ByteSize;
 
 use crate::codec::{compress_gated, ChunkEncoding, DedupHome, DedupIndex, FrameRecord, FrameTable};
@@ -131,8 +148,12 @@ pub struct PipelineCtx<'a> {
 }
 
 /// One staged chunk: a pooled DRAM buffer and how much of it is payload.
+/// Clones share the buffer — the coordinator keeps one while pool jobs
+/// digest, compress or write theirs — and the last one dropped hands it
+/// back to the pool.
+#[derive(Clone)]
 struct StagedChunk {
-    buf: HostBuffer,
+    buf: Arc<HostBuffer>,
     len: usize,
 }
 
@@ -140,6 +161,73 @@ impl AsRef<[u8]> for StagedChunk {
     fn as_ref(&self) -> &[u8] {
         &self.buf.as_slice()[..self.len]
     }
+}
+
+/// The state digest of one snapshot, gathered out of order: block values by
+/// block index, filed by whoever had the block's bytes in hand and folded
+/// by the coordinator once the checkpoint's batch has drained (module docs,
+/// "Who waits for what"). Same definition as [`StateFold`] — it is
+/// [`fold_blocks`] over [`block_digests`] — without its order.
+struct BlockValues {
+    step: u64,
+    len: u64,
+    /// Relaxed throughout: every job hands the batch's mutex to
+    /// [`Batch::wait`], which orders the stores before the fold's loads.
+    cells: Vec<AtomicU64>,
+}
+
+impl BlockValues {
+    fn of(src: &impl SnapshotSource, total: ByteSize) -> Arc<Self> {
+        let blocks = total.as_u64().div_ceil(DIGEST_BLOCK as u64);
+        Arc::new(BlockValues {
+            step: src.step_count(),
+            len: total.as_u64(),
+            cells: (0..blocks).map(|_| AtomicU64::new(0)).collect(),
+        })
+    }
+
+    /// A chunk's pool job: files the values of the blocks `chunk`, staged
+    /// from offset `off`, wholly covers.
+    fn file_whole(&self, off: u64, chunk: &[u8]) {
+        let (head, whole) = whole_blocks(off, chunk.len(), self.len);
+        let first = (off + head as u64) / DIGEST_BLOCK as u64;
+        let values = block_digests(&chunk[head..head + whole]);
+        for (cell, value) in self.cells[first as usize..].iter().zip(values) {
+            cell.store(value, Ordering::Relaxed);
+        }
+    }
+
+    /// The producer's share, as `chunk` goes by: the blocks a chunk
+    /// boundary cuts, which no job sees whole. `open` carries the head of
+    /// the one such block that is open between two chunks — never more
+    /// than a block of bytes, and none at all on an aligned geometry.
+    fn file_cut(&self, open: &mut Vec<u8>, off: u64, chunk: &[u8]) {
+        let (head, whole) = whole_blocks(off, chunk.len(), self.len);
+        open.extend_from_slice(&chunk[..head]);
+        if open.len() == DIGEST_BLOCK || (head > 0 && off + head as u64 == self.len) {
+            let cell = &self.cells[(off / DIGEST_BLOCK as u64) as usize];
+            cell.store(chunk_digest(open), Ordering::Relaxed);
+            open.clear();
+        }
+        open.extend_from_slice(&chunk[head + whole..]);
+    }
+
+    /// The digest, once every block has been filed.
+    fn fold(&self) -> StateDigest {
+        let values = self.cells.iter().map(|cell| cell.load(Ordering::Relaxed));
+        StateDigest(fold_blocks(self.step, self.len, values))
+    }
+}
+
+/// How [`PersistPipeline::stage`] takes its DRAM (module docs, rule 2).
+enum Reserve<'a> {
+    /// The whole snapshot in one step, for a caller that keeps every chunk
+    /// until the last is staged.
+    Whole,
+    /// Chunk by chunk, waiting when DRAM is scarce: every chunk held is a
+    /// write queued on this batch, which frees it. Staging stops when the
+    /// batch aborts.
+    Streaming(&'a Batch),
 }
 
 /// The part of a lease a chunk write needs. `Copy`, so a queued job can
@@ -275,7 +363,9 @@ struct BatchState {
     /// Jobs submitted and not yet run or cancelled.
     pending: usize,
     failure: Option<Failure>,
-    /// Per pool worker: `(bytes, media nanos)` it moved for this batch.
+    /// Per pool worker: `(bytes moved, busy nanos)` for this batch — busy
+    /// in a device call or computing on a chunk (fold, content address,
+    /// LZ), so only what is left of a leg is time it spent queued.
     legs: Vec<(u64, u64)>,
 }
 
@@ -322,8 +412,8 @@ impl Batch {
     }
 
     /// Queues `work` on `workers` at this checkpoint's place in the order.
-    /// It returns the `(bytes, media nanos)` it moved; it is dropped unrun
-    /// if the batch has aborted by the time a worker reaches it.
+    /// It returns the `(bytes moved, busy nanos)` of its leg; it is dropped
+    /// unrun if the batch has aborted by the time a worker reaches it.
     fn submit(
         self: &Arc<Self>,
         workers: &WorkerPool,
@@ -352,32 +442,48 @@ impl Batch {
         );
     }
 
+    /// Runs `compute`, timing it for the leg's busy figure (0 with
+    /// telemetry off, like every other timestamp).
+    fn busy<T>(&self, compute: impl FnOnce() -> T) -> (T, u64) {
+        let start = self.telemetry.now_nanos();
+        let out = compute();
+        (out, self.telemetry.now_nanos().saturating_sub(start))
+    }
+
     /// Queues the write (and, per the fence mode, the fence) of `data` at
     /// payload offset `offset`, under the tenant's per-chunk QoS grant.
+    /// With `fold`, `data` is the raw chunk staged from that offset and
+    /// the job first files its block values, while it is the one thing the
+    /// worker has in cache.
     fn write<D: AsRef<[u8]> + Send + 'static>(
         self: &Arc<Self>,
         workers: &WorkerPool,
         offset: u64,
         data: D,
+        fold: Option<&Arc<BlockValues>>,
     ) {
+        let fold = fold.cloned();
         self.submit(workers, move |batch| {
             let bytes = data.as_ref();
+            let folding = fold.map_or(0, |blocks| {
+                batch.busy(|| blocks.file_whole(offset, bytes)).1
+            });
             let media = batch
                 .io
                 .write_and_fence_chunk(batch.ctx(), batch.at, offset, bytes)?;
-            Ok((bytes.len() as u64, media))
+            Ok((bytes.len() as u64, folding + media))
         });
     }
 
     fn complete(&self, w: usize, outcome: std::thread::Result<Result<(u64, u64), PccheckError>>) {
         let mut state = self.state.lock();
         let failure = match outcome {
-            Ok(Ok((bytes, media))) => {
+            Ok(Ok((bytes, busy))) => {
                 if state.legs.len() <= w {
                     state.legs.resize(w + 1, (0, 0));
                 }
                 state.legs[w].0 += bytes;
-                state.legs[w].1 += media;
+                state.legs[w].1 += busy;
                 None
             }
             Ok(Err(e)) => Some(Failure::Error(e)),
@@ -394,8 +500,8 @@ impl Batch {
     }
 
     /// Blocks until every job submitted so far has run or been cancelled,
-    /// reports one `writer-{w}` actor span per worker that moved bytes
-    /// (opened when the batch was), and surfaces the first failure.
+    /// reports one `writer-{w}` actor span per worker that worked for the
+    /// batch (opened when the batch was), and surfaces the first failure.
     ///
     /// # Errors
     ///
@@ -409,14 +515,14 @@ impl Batch {
         let failure = state.failure.take();
         drop(state);
         if self.telemetry.is_enabled() {
-            for (w, &(bytes, media)) in legs.iter().enumerate() {
-                if bytes > 0 {
+            for (w, &(bytes, busy)) in legs.iter().enumerate() {
+                if bytes > 0 || busy > 0 {
                     self.telemetry.actor_span_split(
                         self.span,
                         &format!("writer-{w}"),
                         self.opened_nanos,
                         bytes,
-                        media,
+                        busy,
                     );
                 }
             }
@@ -466,9 +572,10 @@ pub struct Copied {
     pub persist_start: u64,
     /// Physical bytes in the slot (for a frame: table + packed chunks).
     pub payload_len: u64,
-    /// End-to-end digest of the logical state, folded in the copy loop
-    /// while each chunk was hot: exactly [`pccheck_gpu::Gpu::digest`] of
-    /// the snapshot. A raw commit records it; a frame's table carries it.
+    /// End-to-end digest of the logical state, computed from the bytes the
+    /// verb staged (the chunk verbs fold it on the writer pool): exactly
+    /// [`pccheck_gpu::Gpu::digest`] of the snapshot. A raw commit records
+    /// it; a frame's table carries it.
     pub state_digest: StateDigest,
     /// The frame [`copy_framed`](PersistPipeline::copy_framed) packed;
     /// `None` for a raw payload.
@@ -617,50 +724,65 @@ impl PersistPipeline {
         lease
     }
 
-    /// Stages the whole snapshot in DRAM — its chunks reserved from the
-    /// pool in one step (module docs, rule 2) — folding the state digest
-    /// and handing each chunk to `each` while its bytes are hot in cache.
-    /// Drops `src` (the weights go back to training) as soon as the last
-    /// chunk is staged, then closes the `GpuCopy` phase.
+    /// The one staging loop: copies the snapshot GPU→DRAM into pooled
+    /// chunks, taken from the pool as `reserve` says, and hands each chunk
+    /// with its offset to `each`. The producer does nothing else with the
+    /// bytes — folding `blocks` is the chunks' pool jobs' work — except for
+    /// the blocks a chunk boundary cuts, which it files from a carry of at
+    /// most one block. Drops `src` (the weights go back to training) the
+    /// moment the last chunk is staged, then closes the `GpuCopy` phase.
+    /// Returns the phase's start.
     ///
     /// # Errors
     ///
-    /// [`PccheckError::InvalidConfig`] when the pool cannot hold the
-    /// snapshot; the source is untouched.
-    fn stage_whole<S: SnapshotSource>(
+    /// [`PccheckError::InvalidConfig`] when the pool cannot hold a whole
+    /// reservation; the source is untouched.
+    fn stage<S: SnapshotSource>(
         &self,
         ctx: PipelineCtx<'_>,
         src: S,
         lease: &SlotLease,
-        total: ByteSize,
-        mut each: impl FnMut(&[u8]),
-    ) -> Result<(Vec<StagedChunk>, StateDigest), PccheckError> {
+        blocks: &BlockValues,
+        reserve: Reserve<'_>,
+        mut each: impl FnMut(u64, StagedChunk),
+    ) -> Result<u64, PccheckError> {
         let pool = self.pool();
-        let chunk = pool.chunk_size().as_u64();
-        let n_chunks = total.as_u64().div_ceil(chunk) as usize;
-        if pool.total_chunks() < n_chunks {
-            return Err(PccheckError::InvalidConfig(format!(
-                "staging a whole {total} snapshot needs {n_chunks} chunks, the pool has {}",
-                pool.total_chunks()
-            )));
+        let (chunk, total) = (pool.chunk_size().as_u64(), blocks.len);
+        let mut reserved = Vec::new();
+        if let Reserve::Whole = reserve {
+            let n_chunks = total.div_ceil(chunk) as usize;
+            if pool.total_chunks() < n_chunks {
+                return Err(PccheckError::InvalidConfig(format!(
+                    "staging a whole {} snapshot needs {n_chunks} chunks, the pool has {}",
+                    ByteSize::from_bytes(total),
+                    pool.total_chunks()
+                )));
+            }
+            reserved = pool.acquire_many(n_chunks);
         }
+        let stopped = || matches!(reserve, Reserve::Streaming(batch) if batch.aborted());
         let copy_start = ctx.telemetry.now_nanos();
-        let mut fold = StateFold::new(src.step_count(), total.as_u64());
-        let mut staged = Vec::with_capacity(n_chunks);
+        let mut open = Vec::new();
         let mut off = 0u64;
-        for mut buf in pool.acquire_many(n_chunks) {
-            let len = chunk.min(total.as_u64() - off) as usize;
+        while off < total && !stopped() {
+            let len = chunk.min(total - off) as usize;
+            let mut buf = reserved.pop().unwrap_or_else(|| pool.acquire());
             src.copy_range_to_host(off, &mut buf.as_mut_slice()[..len]);
-            fold.feed(&buf.as_slice()[..len]);
-            each(&buf.as_slice()[..len]);
+            blocks.file_cut(&mut open, off, &buf.as_slice()[..len]);
             ctx.telemetry
                 .chunk(ctx.span, Phase::GpuCopy, off, len as u64);
-            staged.push(StagedChunk { buf, len });
+            let buf = Arc::new(buf);
+            each(off, StagedChunk { buf, len });
             off += len as u64;
         }
         drop(src);
-        self.copy_done(ctx, lease, total, copy_start);
-        Ok((staged, StateDigest(fold.finish())))
+        if off == total {
+            self.copy_done(ctx, lease, ByteSize::from_bytes(total), copy_start);
+        } else {
+            ctx.telemetry
+                .phase_done(ctx.span, Phase::GpuCopy, copy_start);
+        }
+        Ok(copy_start)
     }
 
     /// Closes the `GpuCopy` phase and records the flight milestone.
@@ -678,27 +800,30 @@ impl PersistPipeline {
     }
 
     /// Persists an already staged snapshot as the raw payload, chunk `i`
-    /// at offset `i × chunk size`; each buffer returns to the pool the
-    /// moment its write returns.
+    /// at offset `i × chunk size`, each write job filing its chunk's share
+    /// of `fold` first when the snapshot is not folded yet; each buffer
+    /// returns to the pool the moment its write returns.
     fn persist_staged(
         &self,
         ctx: PipelineCtx<'_>,
         lease: &SlotLease,
-        staged: impl IntoIterator<Item = StagedChunk>,
+        staged: Vec<StagedChunk>,
+        fold: Option<&Arc<BlockValues>>,
     ) -> Result<(), PccheckError> {
         let chunk = self.pool().chunk_size().as_u64();
         let batch = Batch::open(&self.io, ctx, lease);
         for (i, piece) in staged.into_iter().enumerate() {
-            batch.write(&self.workers, i as u64 * chunk, piece);
+            batch.write(&self.workers, i as u64 * chunk, piece, fold);
         }
         batch.wait()
     }
 
     /// Chunk-scheduled raw copy: the calling thread copies the snapshot
-    /// from the GPU into pooled DRAM chunks and the writer pool persists
-    /// them. With `pipelined` (Figure 7) the two overlap — writers persist
-    /// already-copied chunks while the producer copies the next, and each
-    /// DRAM buffer returns to the pool the moment its chunk is written.
+    /// from the GPU into pooled DRAM chunks and the writer pool digests
+    /// and persists them. With `pipelined` (Figure 7) the two overlap —
+    /// writers persist already-copied chunks while the producer copies the
+    /// next, and each DRAM buffer returns to the pool the moment its chunk
+    /// is written.
     /// Without it (Figure 6) the producer stages the entire snapshot
     /// before the first write, so the pool must hold the whole snapshot.
     ///
@@ -723,49 +848,32 @@ impl PersistPipeline {
         total: ByteSize,
         pipelined: bool,
     ) -> Result<Copied, PccheckError> {
-        if !pipelined {
-            let (staged, state_digest) = self.stage_whole(ctx, src, lease, total, |_| {})?;
-            let persist_start = ctx.telemetry.now_nanos();
-            self.persist_staged(ctx, lease, staged)?;
-            return Ok(Copied {
-                persist_start,
-                payload_len: total.as_u64(),
-                state_digest,
-                frame: None,
-            });
-        }
-        let pool = self.pool();
-        let chunk = pool.chunk_size().as_u64();
-        let copy_start = ctx.telemetry.now_nanos();
-        let mut fold = StateFold::new(src.step_count(), total.as_u64());
-        let batch = Batch::open(&self.io, ctx, lease);
-        // Producer: GPU→DRAM chunk copies (blocking on the pool when DRAM
-        // is scarce; a chunk it holds is always a queued write, so the
-        // wait ends). The state digest folds in here, where the bytes are
-        // already hot in cache. Stops at the first writer error.
-        let mut off = 0u64;
-        while off < total.as_u64() && !batch.aborted() {
-            let len = chunk.min(total.as_u64() - off) as usize;
-            let mut buf = pool.acquire();
-            src.copy_range_to_host(off, &mut buf.as_mut_slice()[..len]);
-            fold.feed(&buf.as_slice()[..len]);
-            ctx.telemetry
-                .chunk(ctx.span, Phase::GpuCopy, off, len as u64);
-            batch.write(&self.workers, off, StagedChunk { buf, len });
-            off += len as u64;
-        }
-        drop(src);
-        if off == total.as_u64() {
-            self.copy_done(ctx, lease, total, copy_start);
+        let blocks = BlockValues::of(&src, total);
+        let persist_start = if pipelined {
+            let batch = Batch::open(&self.io, ctx, lease);
+            let start = self.stage(
+                ctx,
+                src,
+                lease,
+                &blocks,
+                Reserve::Streaming(&batch),
+                |off, piece| batch.write(&self.workers, off, piece, Some(&blocks)),
+            )?;
+            batch.wait()?;
+            start
         } else {
-            ctx.telemetry
-                .phase_done(ctx.span, Phase::GpuCopy, copy_start);
-        }
-        batch.wait()?;
+            let mut staged = Vec::new();
+            self.stage(ctx, src, lease, &blocks, Reserve::Whole, |_, piece| {
+                staged.push(piece)
+            })?;
+            let start = ctx.telemetry.now_nanos();
+            self.persist_staged(ctx, lease, staged, Some(&blocks))?;
+            start
+        };
         Ok(Copied {
-            persist_start: copy_start,
+            persist_start,
             payload_len: total.as_u64(),
-            state_digest: StateDigest(fold.finish()),
+            state_digest: blocks.fold(),
             frame: None,
         })
     }
@@ -795,9 +903,9 @@ impl PersistPipeline {
     /// the snapshot streams raw through [`copy_chunks`](Self::copy_chunks)
     /// — decided before the source is touched.
     ///
-    /// The state digest folds in the staging loop beside the content
-    /// addresses and lands in the table as `full_digest`; restore verifies
-    /// the reconstructed payload against it end to end.
+    /// The state digest is folded by the same pool jobs that take the
+    /// content addresses and lands in the table as `full_digest`; restore
+    /// verifies the reconstructed payload against it end to end.
     ///
     /// # Errors
     ///
@@ -822,12 +930,32 @@ impl PersistPipeline {
             return self.copy_chunks(ctx, src, lease, total, true);
         }
 
-        // Stage all chunks, folding each content address beside the state
-        // digest while the bytes are hot in cache.
-        let mut digests = Vec::with_capacity(n_chunks);
-        let (staged, state_digest) = self.stage_whole(ctx, src, lease, total, |bytes| {
-            digests.push(chunk_digest(bytes));
+        // Stage all chunks. Each one's pool job files its block values and
+        // its content address in one pass, while the chunk is hot; the
+        // weights are back with training before the first of them is
+        // waited for.
+        let blocks = BlockValues::of(&src, total);
+        let addresses: Arc<Vec<AtomicU64>> =
+            Arc::new((0..n_chunks).map(|_| AtomicU64::new(0)).collect());
+        let mut staged = Vec::with_capacity(n_chunks);
+        let batch = Batch::open(&self.io, ctx, lease);
+        self.stage(ctx, src, lease, &blocks, Reserve::Whole, |off, piece| {
+            let (blocks, addresses) = (Arc::clone(&blocks), Arc::clone(&addresses));
+            let i = staged.len();
+            staged.push(piece.clone());
+            batch.submit(&self.workers, move |batch| {
+                let ((), busy) = batch.busy(|| {
+                    let bytes = piece.as_ref();
+                    blocks.file_whole(off, bytes);
+                    addresses[i].store(chunk_digest(bytes), Ordering::Relaxed);
+                });
+                Ok((0, busy))
+            });
         })?;
+        batch.wait()?;
+        let state_digest = blocks.fold();
+        let digests = addresses.iter().map(|a| a.load(Ordering::Relaxed));
+        let digests: Vec<u64> = digests.collect();
 
         // Cross-checkpoint dedup answers from the generation the job's
         // head installed, hit by hit: a home is referenced only while the
@@ -835,7 +963,6 @@ impl PersistPipeline {
         // depth d pins d + 1 slots and the next checkpoint needs one more,
         // so the lease's slot budget bounds the depth too.
         let ns = lease.namespace();
-        let head = self.io.store.latest_committed(ns).map(|h| h.counter);
         let max_depth = policy.max_chain.min(ns.desc().slot_count.saturating_sub(2));
 
         let persist_start = ctx.telemetry.now_nanos();
@@ -848,7 +975,12 @@ impl PersistPipeline {
         let mut materialized: Vec<usize> = Vec::new();
         let mut homes: Vec<(u64, DedupHome)> = Vec::new();
         {
+            // The head is read under the index's lock, which a framed
+            // commit holds from before its head advance until its
+            // generation is installed: head and generation are one
+            // observation, never a new head beside the old generation.
             let dedup = self.codec.dedup.lock();
+            let head = self.io.store.latest_committed(ns).map(|h| h.counter);
             for (i, (piece, &digest)) in staged.iter().zip(&digests).enumerate() {
                 let n = piece.len as u64;
                 if let Some(&j) = self_seen.get(&digest) {
@@ -895,29 +1027,22 @@ impl PersistPipeline {
 
         // Compress materialized chunks on the writer pool, one job each
         // (compression is the CPU-bound stage; the entropy gate keeps
-        // dense payloads cheap). The jobs share the staged snapshot and
-        // have handed it back by the time the batch has drained.
-        let staged = Arc::new(staged);
+        // dense payloads cheap).
         let compressed: Arc<Mutex<HashMap<usize, Vec<u8>>>> = Arc::default();
         let batch = Batch::open(&self.io, ctx, lease);
         for &i in &materialized {
-            let (staged, compressed) = (Arc::clone(&staged), Arc::clone(&compressed));
-            batch.submit(&self.workers, move |_| {
-                if let Some(c) = compress_gated(staged[i].as_ref()) {
+            let (piece, compressed) = (staged[i].clone(), Arc::clone(&compressed));
+            batch.submit(&self.workers, move |batch| {
+                let (lz, busy) = batch.busy(|| compress_gated(piece.as_ref()));
+                if let Some(c) = lz {
                     compressed.lock().insert(i, c);
                 }
-                Ok((0, 0))
+                Ok((0, busy))
             });
         }
         batch.wait()?;
-        let sole = "a drained batch has dropped every job's share";
-        let mut staged: Vec<Option<StagedChunk>> = Arc::try_unwrap(staged)
-            .unwrap_or_else(|_| unreachable!("{sole}"))
-            .into_iter()
-            .map(Some)
-            .collect();
         let mut compressed = Arc::try_unwrap(compressed)
-            .unwrap_or_else(|_| unreachable!("{sole}"))
+            .unwrap_or_else(|_| unreachable!("a drained batch has dropped every job's share"))
             .into_inner();
 
         // Pack materialized chunks back to back after the table.
@@ -944,7 +1069,7 @@ impl PersistPipeline {
             // folded, and the source is gone: it goes out as the raw
             // payload it is.
             drop(compressed);
-            self.persist_staged(ctx, lease, staged.into_iter().flatten())?;
+            self.persist_staged(ctx, lease, staged, None)?;
             return Ok(Copied {
                 persist_start,
                 payload_len: total.as_u64(),
@@ -962,12 +1087,11 @@ impl PersistPipeline {
             match compressed.remove(&i) {
                 Some(lz) => {
                     debug_assert_eq!(lz.len() as u64, records[i].b);
-                    batch.write(&self.workers, dst, lz);
+                    batch.write(&self.workers, dst, lz, None);
                 }
                 None => {
-                    let raw = staged[i].take().expect("a Raw record keeps its chunk");
-                    debug_assert_eq!(raw.len as u64, records[i].b);
-                    batch.write(&self.workers, dst, raw);
+                    debug_assert_eq!(staged[i].len as u64, records[i].b);
+                    batch.write(&self.workers, dst, staged[i].clone(), None);
                 }
             }
         }
@@ -1237,9 +1361,10 @@ impl PersistPipeline {
     /// phase. A raw payload's commit record carries the state digest
     /// itself; a frame's carries the checksum of its table (which binds
     /// the state digest and every chunk), and a frame that commits
-    /// installs its homes as the job's next dedup generation. Concurrent
-    /// callers never serialize on a lock here; losers of the head race
-    /// surface as [`CommitOutcome::SupersededBy`].
+    /// installs its homes as the job's next dedup generation — under the
+    /// codec index's lock, the one lock on this path, which raw commits
+    /// never take. Concurrent callers otherwise never serialize here;
+    /// losers of the head race surface as [`CommitOutcome::SupersededBy`].
     ///
     /// # Errors
     ///
@@ -1257,16 +1382,22 @@ impl PersistPipeline {
             Some(frame) => (frame.payload_digest, frame.link),
             None => (copied.state_digest.0, None),
         };
+        // A frame's commit and the install of its generation are one step
+        // to the classifier of the next frame (see `copy_framed`): it waits
+        // here rather than meet the new head without its homes and
+        // materialize every chunk.
+        let mut framed = copied
+            .frame
+            .as_ref()
+            .map(|frame| (frame, self.codec.dedup.lock()));
         let outcome =
             self.io
                 .store
                 .commit_with_delta(lease, iteration, copied.payload_len, digest, link)?;
-        if let (CommitOutcome::Committed, Some(frame)) = (outcome, &copied.frame) {
-            self.codec
-                .dedup
-                .lock()
-                .install(job, counter, frame.homes.iter().copied());
+        if let (CommitOutcome::Committed, Some((frame, dedup))) = (outcome, &mut framed) {
+            dedup.install(job, counter, frame.homes.iter().copied());
         }
+        drop(framed);
         ctx.telemetry
             .phase_done(ctx.span, Phase::Commit, commit_start);
         Ok(outcome)
@@ -1624,6 +1755,11 @@ mod tests {
     /// I/O (at most the chunks already in other writers' hands land after
     /// the fault), every staging buffer is back in the pool when the verb
     /// returns, and the same pipeline then persists a checkpoint cleanly.
+    /// The "queued" raw callers take the fault with both writers held at
+    /// the gate and the other thirty chunks' jobs — fold and write — still
+    /// in the queue, all of which the failure must cancel. (A framed
+    /// caller's folds drain before its first write, so it has no such
+    /// case.)
     #[test]
     fn every_copy_path_aborts_after_the_first_writer_error() {
         const TOTAL: u64 = 4096;
@@ -1632,7 +1768,14 @@ mod tests {
         // Compressible and chunk-wise distinct, so the framed caller
         // materializes (and writes) all 32 chunks instead of declining.
         let data: Vec<u8> = (0..TOTAL as u32).map(|i| (i / 48) as u8).collect();
-        for caller in ["staged", "overlapped", "framed"] {
+        for caller in [
+            "staged",
+            "overlapped",
+            "framed",
+            "staged queued",
+            "overlapped queued",
+        ] {
+            let queued = caller.ends_with("queued");
             let state = ByteSize::from_bytes(TOTAL);
             let cap = CheckpointStore::required_capacity(state, 2) + ByteSize::from_kb(1);
             let device = GatedDevice::new(cap);
@@ -1644,11 +1787,14 @@ mod tests {
                 .unwrap(),
             );
             device.gate_payloads(&store);
-            device.open();
+            if !queued {
+                device.open();
+            }
             let pipeline = PersistPipeline::new(store)
                 .with_writers(WRITERS)
                 .with_staging(HostBufferPool::new(ByteSize::from_bytes(CHUNK), 32))
                 .with_codec(true);
+            let pool = pipeline.staging_pool().unwrap();
             let telemetry = Telemetry::enabled();
             let span = telemetry.span_requested("test", 1, TOTAL);
             let ctx = PipelineCtx {
@@ -1660,13 +1806,34 @@ mod tests {
                 step: 1,
             };
             let copy = |lease: &SlotLease| match caller {
-                "staged" => pipeline.copy_chunks(ctx, &src, lease, state, false),
-                "overlapped" => pipeline.copy_chunks(ctx, &src, lease, state, true),
-                _ => pipeline.copy_framed(ctx, &src, lease, state, DeltaPolicy::default()),
+                "framed" => pipeline.copy_framed(ctx, &src, lease, state, DeltaPolicy::default()),
+                _ => {
+                    pipeline.copy_chunks(ctx, &src, lease, state, caller.starts_with("overlapped"))
+                }
             };
             let lease = pipeline.lease(ctx, &default_ns(&pipeline));
-            device.fail_write(3);
-            let err = copy(&lease).err();
+            let err = std::thread::scope(|s| {
+                if queued {
+                    s.spawn(|| {
+                        device.wait_until_blocked(WRITERS);
+                        while pool.available() > 0 {
+                            std::thread::yield_now();
+                        }
+                        device.fail_write(1);
+                        device.allow(1);
+                        // Every queued job is cancelled; only the chunk in
+                        // the other writer's hands, still at the gate, is
+                        // out.
+                        while pool.available() + 1 < pool.total_chunks() {
+                            std::thread::yield_now();
+                        }
+                        device.open();
+                    });
+                } else {
+                    device.fail_write(3);
+                }
+                copy(&lease).err()
+            });
             let (fault_offset, admitted_before) =
                 device.failed().expect("the armed write was reached");
             match err {
@@ -1680,7 +1847,6 @@ mod tests {
                 after <= (WRITERS as u64 - 1) * CHUNK,
                 "{caller}: writers kept issuing I/O after the fault ({after} bytes)"
             );
-            let pool = pipeline.staging_pool().unwrap();
             assert_eq!(
                 pool.available(),
                 pool.total_chunks(),

@@ -41,7 +41,7 @@ use pccheck_util::sync::Mutex;
 use pccheck_device::PersistentDevice;
 use pccheck_gpu::{CopyEngine, Gpu};
 use pccheck_telemetry::{FlightEventKind, Phase, SpanId, Telemetry};
-use pccheck_util::fnv::{chunk_digest, fold_blocks, DIGEST_BLOCK};
+use pccheck_util::fnv::{block_digests, chunk_digest, fold_blocks, whole_blocks, DIGEST_BLOCK};
 use pccheck_util::ByteSize;
 
 use crate::codec::{lz_decompress_into, Job, JobSource, RestorePlan, SlotRead};
@@ -256,13 +256,11 @@ fn execute(
             // The blocks that start inside the job and end inside it (or
             // with the payload). Relaxed: the scope's join orders every
             // store before the fold reads the cells.
-            let (end, first) = (job.off + job.len, job.off.div_ceil(block));
-            let skip = (first * block - job.off).min(job.len) as usize;
-            let cells = blocks[first as usize..].iter();
-            for (cell, bytes) in cells.zip(whole[skip..].chunks(DIGEST_BLOCK)) {
-                if bytes.len() == DIGEST_BLOCK || end == plan.len {
-                    cell.store(chunk_digest(bytes), Ordering::Relaxed);
-                }
+            let (skip, covered) = whole_blocks(job.off, whole.len(), plan.len);
+            let first = (job.off + skip as u64) / block;
+            let values = block_digests(&whole[skip..skip + covered]);
+            for (cell, value) in blocks[first as usize..].iter().zip(values) {
+                cell.store(value, Ordering::Relaxed);
             }
         }
         verify_nanos.fetch_add(v0.elapsed().as_nanos() as u64, Ordering::Relaxed);

@@ -524,10 +524,12 @@ impl Telemetry {
     }
 
     /// Like [`Telemetry::actor_span`], but with the actor's time split:
-    /// `media_nanos` is the portion spent inside device I/O calls; the
-    /// rest of the measured duration is queue wait (waiting for staged
-    /// chunks, buffer-pool pressure, scheduling). `media_nanos` is clamped
-    /// to the measured duration.
+    /// `media_nanos` is the portion it was busy — inside device I/O calls
+    /// and, for a persist writer, computing on the chunk in its hands
+    /// (digest fold, content address, LZ); the rest of the measured
+    /// duration is queue wait (waiting for staged chunks, buffer-pool
+    /// pressure, scheduling). `media_nanos` is clamped to the measured
+    /// duration.
     pub fn actor_span_split(
         &self,
         parent: SpanId,

@@ -18,7 +18,9 @@
 //!   readers, the frame walk, the forensics auditor) computes it through
 //!   these three forms of the one definition, so a digest folded while a
 //!   chunk is hot on the persist path verifies out of order on the
-//!   recovery path.
+//!   recovery path. All three get their block values from
+//!   [`block_digests`], which walks four blocks at a time;
+//!   [`whole_blocks`] says which blocks a piece of the state can hand it.
 
 /// FNV-1a seed, shared with the checkpoint metadata checksum.
 pub const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
@@ -113,11 +115,9 @@ impl StateFold {
             self.h = mix(self.h, chunk_digest(&self.partial));
             self.partial.clear();
         }
-        let mut blocks = data.chunks_exact(DIGEST_BLOCK);
-        for block in &mut blocks {
-            self.h = mix(self.h, chunk_digest(block));
-        }
-        self.partial.extend_from_slice(blocks.remainder());
+        let whole = data.len() / DIGEST_BLOCK * DIGEST_BLOCK;
+        self.h = block_digests(&data[..whole]).fold(self.h, mix);
+        self.partial.extend_from_slice(&data[whole..]);
     }
 
     /// Closes the short last block, if any, and returns the digest.
@@ -140,10 +140,62 @@ pub fn state_digest(step: u64, state: &[u8]) -> u64 {
     fold_blocks(step, state.len() as u64, block_digests(state))
 }
 
+/// Blocks [`block_digests`] digests side by side.
+const LANES: usize = 4;
+
+// A whole block is words only: the lanes never owe a byte-serial tail.
+const _: () = assert!(DIGEST_BLOCK % 8 == 0);
+
 /// Per-block values of `range`, a piece of a serialized state that starts
 /// on a [`DIGEST_BLOCK`] boundary and ends on one or at the state's end.
+///
+/// Each value is the block's [`chunk_digest`]. A block's chain is serial —
+/// every multiply waits for the one before it — but blocks are independent,
+/// so whole groups of four blocks are walked together, one accumulator
+/// each, and the multiplier always has a chain ready. Only the short last
+/// group goes block by block.
 pub fn block_digests(range: &[u8]) -> impl Iterator<Item = u64> + '_ {
-    range.chunks(DIGEST_BLOCK).map(chunk_digest)
+    let groups = range.chunks_exact(LANES * DIGEST_BLOCK);
+    let rest = groups.remainder().chunks(DIGEST_BLOCK).map(chunk_digest);
+    groups.flat_map(group_digests).chain(rest)
+}
+
+/// The [`chunk_digest`]s of the [`LANES`] whole blocks of `group`.
+fn group_digests(group: &[u8]) -> [u64; LANES] {
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8-byte window"));
+    let (a, rest) = group.split_at(DIGEST_BLOCK);
+    let (b, rest) = rest.split_at(DIGEST_BLOCK);
+    let (c, d) = rest.split_at(DIGEST_BLOCK);
+    assert_eq!(d.len(), DIGEST_BLOCK, "a group is {LANES} whole blocks");
+    let mut h = [FNV_SEED ^ DIGEST_BLOCK as u64; LANES];
+    let words = a.chunks_exact(8).zip(b.chunks_exact(8));
+    let words = words.zip(c.chunks_exact(8).zip(d.chunks_exact(8)));
+    for ((a, b), (c, d)) in words {
+        h = [
+            mix(h[0], word(a)),
+            mix(h[1], word(b)),
+            mix(h[2], word(c)),
+            mix(h[3], word(d)),
+        ];
+    }
+    h
+}
+
+/// How the blocks of a `total`-byte state divide the `len`-byte piece at
+/// `off`, as `(head, whole)`: `head` bytes that belong to a block an
+/// earlier piece opened, then `whole` bytes of blocks the piece wholly
+/// covers — what [`block_digests`] takes; the state's short last block
+/// counts as one. The bytes after those open a block a later piece closes.
+/// A piece that starts and ends on block boundaries is all `whole`.
+pub fn whole_blocks(off: u64, len: usize, total: u64) -> (usize, usize) {
+    let block = DIGEST_BLOCK as u64;
+    let head = ((block - off % block) % block).min(len as u64) as usize;
+    let rest = len - head;
+    if off + len as u64 == total {
+        (head, rest)
+    } else {
+        (head, rest - rest % DIGEST_BLOCK)
+    }
 }
 
 /// The state digest, out-of-order form: `blocks` are the
@@ -243,6 +295,88 @@ mod tests {
         let mut blocks: Vec<u64> = block_digests(tail).collect();
         blocks.splice(0..0, block_digests(head));
         assert_eq!(fold_blocks(9, data.len() as u64, blocks), want);
+    }
+
+    /// The definition the lanes must reproduce: one serial chain per block.
+    fn per_block(range: &[u8]) -> Vec<u64> {
+        range.chunks(DIGEST_BLOCK).map(chunk_digest).collect()
+    }
+
+    #[test]
+    fn block_digests_equal_per_block_chunk_digests_at_every_length() {
+        // Every group shape — no whole group, one, one plus every short
+        // last group — at every byte length, from slices that start at
+        // every address modulo the word size.
+        let data = state(5, 5 * DIGEST_BLOCK + 7 + 8);
+        for len in 0..=5 * DIGEST_BLOCK + 7 {
+            let range = &data[len % 8..][..len];
+            let lanes: Vec<u64> = block_digests(range).collect();
+            assert_eq!(lanes, per_block(range), "len {len}");
+        }
+    }
+
+    #[test]
+    fn lanes_and_random_feed_splits_agree_with_the_serial_definition() {
+        crate::rng::check(crate::rng::DEFAULT_CASES, |rng| {
+            let len = rng.range(0..5 * DIGEST_BLOCK as u64 + 8) as usize;
+            let start = rng.range(0..64) as usize;
+            let data = rng.bytes(start + len);
+            let range = &data[start..];
+            let want = per_block(range);
+            assert_eq!(block_digests(range).collect::<Vec<_>>(), want);
+            let step = rng.next_u64();
+            let digest = fold_blocks(step, len as u64, want);
+            assert_eq!(state_digest(step, range), digest);
+            let mut fold = StateFold::new(step, len as u64);
+            let mut rest = range;
+            while !rest.is_empty() {
+                // Mostly a few blocks at a time, sometimes a few bytes.
+                let most = if rng.chance(0.3) {
+                    16
+                } else {
+                    3 * DIGEST_BLOCK
+                };
+                let (feed, tail) =
+                    rest.split_at(rng.range(0..most as u64 + 1).min(rest.len() as u64) as usize);
+                fold.feed(feed);
+                rest = tail;
+            }
+            assert_eq!(fold.finish(), digest);
+        });
+    }
+
+    #[test]
+    fn whole_blocks_tile_the_state_under_random_cuts() {
+        // Filing `whole` by index from every piece, and each cut block from
+        // the `head`s and tails that make it up, files every block once.
+        crate::rng::check(crate::rng::DEFAULT_CASES, |rng| {
+            let len = rng.range(1..3 * DIGEST_BLOCK as u64 + 14) as usize;
+            let data = rng.bytes(len);
+            let total = data.len() as u64;
+            let mut filed = vec![None; data.len().div_ceil(DIGEST_BLOCK)];
+            let (mut off, mut open) = (0usize, Vec::new());
+            while off < data.len() {
+                let most = if rng.bool() { 300 } else { 2 * DIGEST_BLOCK };
+                let len = (rng.range(1..most as u64 + 1) as usize).min(data.len() - off);
+                let piece = &data[off..off + len];
+                let (head, whole) = whole_blocks(off as u64, len, total);
+                open.extend_from_slice(&piece[..head]);
+                if open.len() == DIGEST_BLOCK || (head > 0 && off + head == data.len()) {
+                    assert!(filed[off / DIGEST_BLOCK]
+                        .replace(chunk_digest(&open))
+                        .is_none());
+                    open.clear();
+                }
+                let first = (off + head) / DIGEST_BLOCK;
+                for (i, v) in block_digests(&piece[head..head + whole]).enumerate() {
+                    assert!(filed[first + i].replace(v).is_none());
+                }
+                open.extend_from_slice(&piece[head + whole..]);
+                off += len;
+            }
+            let filed: Vec<u64> = filed.into_iter().map(|v| v.expect("filed")).collect();
+            assert_eq!(filed, per_block(&data));
+        });
     }
 
     #[test]

@@ -145,9 +145,15 @@ fn storage_backed_strategies_all_recover_identically() {
 /// loop feeds the state digest in splits that straddle blocks.
 const ODD_CHUNK: u64 = 5000;
 
-/// Drives one copy verb over `gpu`'s current state on a fresh store,
-/// commits what it returned, and hands back the digest it folded.
+/// [`copy_verb_with`] on [`ODD_CHUNK`]s and a pool that holds the snapshot.
 fn copy_verb(gpu: &Gpu, verb: &str) -> StateDigest {
+    copy_verb_with(gpu, verb, ODD_CHUNK, (SIZE / ODD_CHUNK + 1) as usize)
+}
+
+/// Drives one copy verb over `gpu`'s current state on a fresh store, staging
+/// through `pool_chunks` chunks of `chunk` bytes, commits what it returned,
+/// and hands back the digest it folded.
+fn copy_verb_with(gpu: &Gpu, verb: &str, chunk: u64, pool_chunks: usize) -> StateDigest {
     let store = Arc::new(
         CheckpointStore::format(
             fresh_ssd(2) as Arc<dyn PersistentDevice>,
@@ -156,10 +162,12 @@ fn copy_verb(gpu: &Gpu, verb: &str) -> StateDigest {
         .expect("format"),
     );
     let ns = store.namespace(DEFAULT_JOB).expect("single-tenant store");
-    let chunks = (SIZE / ODD_CHUNK + 1) as usize;
     let pipeline = PersistPipeline::new(Arc::clone(&store))
         .with_writers(2)
-        .with_staging(HostBufferPool::new(ByteSize::from_bytes(ODD_CHUNK), chunks));
+        .with_staging(HostBufferPool::new(
+            ByteSize::from_bytes(chunk),
+            pool_chunks,
+        ));
     let telemetry = Telemetry::disabled();
     let ctx = PipelineCtx {
         telemetry: &telemetry,
@@ -191,7 +199,9 @@ fn copy_verb(gpu: &Gpu, verb: &str) -> StateDigest {
                 let copied = pipeline
                     .copy_framed(ctx, &guard, &lease, total, DeltaPolicy::default())
                     .expect("copy_framed");
-                assert_eq!(copied.frame.is_some(), verb == "copy_framed", "{verb}");
+                if verb != "copy_framed if it pays" {
+                    assert_eq!(copied.frame.is_some(), verb == "copy_framed", "{verb}");
+                }
                 copied
             } else {
                 pipeline
@@ -339,6 +349,44 @@ fn every_copy_verb_and_every_strategy_acknowledges_the_gpu_digest() {
     ];
     for (mover, gpu, reported) in table {
         assert_eq!(reported, gpu.digest(), "{mover}");
+    }
+
+    // Geometry: the block values are filed by whoever holds a block whole —
+    // a chunk's pool job, or the producer for a block a chunk boundary cuts
+    // — so every way chunks can lie across blocks must fold to the same
+    // digest: chunks smaller than, equal to, straddling and far larger than
+    // a block, over states that end inside the first block, on a block
+    // boundary and 13 bytes past one; streamed through two chunks of DRAM
+    // and staged whole; codec off and on.
+    const BLOCK: u64 = pccheck_util::fnv::DIGEST_BLOCK as u64;
+    for len in [1000, 3 * BLOCK, 3 * BLOCK + 13] {
+        let total = ByteSize::from_bytes(len);
+        let dense = Gpu::new(
+            GpuConfig::fast_for_tests(),
+            TrainingState::synthetic(total, 23),
+        );
+        let tiled = Gpu::new(
+            GpuConfig::fast_for_tests(),
+            TrainingState::compressible(total, 23, 64),
+        );
+        dense.update();
+        tiled.update();
+        for chunk in [256, BLOCK, ODD_CHUNK, 1024 * 1024] {
+            let whole = len.div_ceil(chunk) as usize;
+            for (verb, gpu, pool_chunks) in [
+                ("copy_chunks pipelined", &dense, 2),
+                ("copy_chunks pipelined", &dense, whole),
+                ("copy_chunks staged", &dense, whole),
+                ("copy_framed if it pays", &tiled, 2),
+                ("copy_framed if it pays", &tiled, whole),
+            ] {
+                assert_eq!(
+                    copy_verb_with(gpu, verb, chunk, pool_chunks),
+                    gpu.digest(),
+                    "{verb}: {len} bytes in {chunk}-byte chunks, pool of {pool_chunks}"
+                );
+            }
+        }
     }
 }
 
