@@ -64,7 +64,9 @@ impl TraditionalCheckpointer {
         device: Arc<dyn PersistentDevice>,
         checkpoint_size: ByteSize,
     ) -> Result<Self, PccheckError> {
-        let store = CheckpointStore::format(device, StoreGeometry::single(checkpoint_size, 2))?;
+        let record = ByteSize::from_bytes(pccheck::KERNEL_COPY_CHUNK as u64);
+        let slot = pccheck::FrameTable::slot_size_for(checkpoint_size, record);
+        let store = CheckpointStore::format(device, StoreGeometry::single(slot, 2))?;
         Ok(TraditionalCheckpointer {
             ns: store.namespace(DEFAULT_JOB)?,
             pipeline: PersistPipeline::new(Arc::new(store)),

@@ -36,9 +36,9 @@ use std::time::Instant;
 
 use pccheck::store::SlotLease;
 use pccheck::{
-    recover, recover_instrumented_with, CheckpointStore, Copied, DeltaPolicy, JobId, PcCheckConfig,
-    PcCheckEngine, PccheckError, PersistPipeline, PipelineCtx, RestoreOptions, StoreGeometry,
-    DEFAULT_JOB,
+    recover, recover_instrumented_with, CheckpointStore, Copied, CopyMode, DeltaPolicy, FrameTable,
+    JobId, PcCheckConfig, PcCheckEngine, PccheckError, PersistPipeline, PipelineCtx,
+    RestoreOptions, StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_bench::stats::{bench_json_path, effective_ceiling, host_cores, median};
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice, StripedDevice};
@@ -74,6 +74,14 @@ const CRASH_STATE: u64 = 16 * 1024;
 const CRASH_SLOTS: u32 = 4;
 const CRASH_FLIGHT: u32 = 128;
 const CRASH_CHUNK: u64 = 2 * 1024;
+
+/// A crash-leg slot: the state's frame in [`CRASH_CHUNK`] records, which
+/// also holds the all-`Raw` frames of eighths `drive_to_crash_point`
+/// writes.
+fn crash_slot() -> ByteSize {
+    let record = ByteSize::from_bytes(CRASH_CHUNK);
+    FrameTable::slot_size_for(ByteSize::from_bytes(CRASH_STATE), record)
+}
 /// Codec policy for framed commits (the codec decides per-chunk; the
 /// chain cap bounds dedup-base pinning).
 const POLICY: DeltaPolicy = DeltaPolicy { max_chain: 8 };
@@ -268,8 +276,8 @@ fn persist_framed(
     };
     let total = src.size();
     let lease = pipeline.lease(ctx, &pipeline.store().namespace(job)?);
-    let copied = pipeline.copy_framed(ctx, &src, &lease, total, POLICY)?;
-    assert!(copied.frame.is_some(), "tiled payload must frame");
+    let copied = pipeline.copy(ctx, &src, &lease, total, CopyMode::Codec(POLICY))?;
+    assert!(copied.frame.saved_bytes > 0, "tiled payload must pack");
     pipeline.seal(ctx, &lease, iteration, &copied)?;
     Ok((lease, copied))
 }
@@ -331,10 +339,10 @@ fn framed_pipeline(store: Arc<CheckpointStore>) -> PersistPipeline {
 /// the audit is clean, the prediction matches recovery, and the
 /// recovered payload is bit-identical to the logical state.
 fn framed_crash_case(point: CrashPoint, striped: bool) -> Result<bool, PccheckError> {
-    let state = ByteSize::from_bytes(CRASH_STATE);
+    let slot = crash_slot();
     let geometry = StoreGeometry {
         flight_records: CRASH_FLIGHT,
-        ..StoreGeometry::single(state, CRASH_SLOTS)
+        ..StoreGeometry::single(slot, CRASH_SLOTS)
     };
     let cap = geometry.required_capacity() + ByteSize::from_kb(4);
     let (device, arm_fuse): (Arc<dyn PersistentDevice>, Box<dyn Fn(u64)>) = if striped {
@@ -418,9 +426,8 @@ fn framed_crash_case(point: CrashPoint, striped: bool) -> Result<bool, PccheckEr
 fn namespace_framed_crash_case(point: CrashPoint) -> Result<bool, PccheckError> {
     const SLOTS: u32 = 8;
     const MAX_NS: u32 = 4;
-    let state = ByteSize::from_bytes(CRASH_STATE);
     let geometry = StoreGeometry {
-        slot_size: state,
+        slot_size: crash_slot(),
         slots: SLOTS,
         flight_records: CRASH_FLIGHT,
         max_namespaces: MAX_NS,

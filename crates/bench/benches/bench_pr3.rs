@@ -14,7 +14,9 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use pccheck::{CheckpointStore, PersistPipeline, PipelineCtx, StoreGeometry, DEFAULT_JOB};
+use pccheck::{
+    CheckpointStore, CopyMode, FrameTable, PersistPipeline, PipelineCtx, StoreGeometry, DEFAULT_JOB,
+};
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice, StripedDevice};
 use pccheck_gpu::SnapshotSource;
 use pccheck_telemetry::Telemetry;
@@ -74,7 +76,8 @@ struct WaysResult {
 /// measured persist bandwidth and per-member byte distribution.
 fn measure(ways: u32) -> WaysResult {
     let state = ByteSize::from_bytes(STATE_BYTES);
-    let member_cap = CheckpointStore::required_capacity(state, 2) + ByteSize::from_kb(4);
+    let slot = FrameTable::slot_size_for(state, ByteSize::from_bytes(CHUNK_BYTES));
+    let member_cap = CheckpointStore::required_capacity(slot, 2) + ByteSize::from_kb(4);
     let (device, striped): (Arc<dyn PersistentDevice>, Option<Arc<StripedDevice>>) = if ways == 1 {
         (throttled_ssd(member_cap), None)
     } else {
@@ -89,7 +92,7 @@ fn measure(ways: u32) -> WaysResult {
     };
 
     let store = Arc::new(
-        CheckpointStore::format(Arc::clone(&device), StoreGeometry::single(state, 2))
+        CheckpointStore::format(Arc::clone(&device), StoreGeometry::single(slot, 2))
             .expect("device fits two slots"),
     );
     let ns = store.namespace(DEFAULT_JOB).expect("single-tenant store");
@@ -117,7 +120,7 @@ fn measure(ways: u32) -> WaysResult {
         let total = src.size();
         let lease = pipeline.lease(ctx, &ns);
         let copied = pipeline
-            .copy_chunks(ctx, &src, &lease, total, false)
+            .copy(ctx, &src, &lease, total, CopyMode::Staged)
             .expect("staged copy on healthy device");
         pipeline
             .seal(ctx, &lease, iteration, &copied)

@@ -3,14 +3,19 @@
 //!
 //! # Frame layout
 //!
-//! A framed slot's payload is `[frame table][packed physical chunks]`. The
-//! table comes first so recovery can classify a slot from its payload
-//! prefix alone ([`is_frame`]): [`FRAME_MAGIC`] means framed, anything else
-//! is a raw payload. The table header binds the frame to its commit (checkpoint
-//! counter), names the logical (uncompressed) payload length and the
-//! end-to-end digest of the reconstructed state, and is sealed by a folded
-//! FNV-1a CRC over header + records so a torn table write is detected
-//! before any chunk is trusted.
+//! Every checkpoint's payload is a frame, `[frame table][packed physical
+//! chunks]`; there is no other payload format. A checkpoint the codec did
+//! not touch — codec off, a staging pool too small to hold the snapshot, a
+//! frame that would not pay — is the *all-`Raw` frame*
+//! ([`FrameTable::all_raw`]): one `Raw` record per chunk, each packed at its
+//! own logical offset behind the table. The table header binds the frame to
+//! its commit (checkpoint counter, and the commit record's digest is the
+//! checksum of the serialized table), names the logical (uncompressed)
+//! payload length and the end-to-end digest of the reconstructed state, and
+//! is sealed by a folded FNV-1a CRC over header + records so a torn table
+//! write is detected before any chunk is trusted. Only
+//! [`FrameTable::decode`] reads [`FRAME_MAGIC`]: nothing classifies a
+//! payload by its head, so no state's first bytes can make it unrecoverable.
 //!
 //! Each [`FrameRecord`] describes one logical chunk, in logical order:
 //!
@@ -27,18 +32,22 @@
 //!   their slots, so the referenced bytes cannot be recycled while this
 //!   checkpoint is live.
 //!
-//! Every record carries the [`chunk_digest`] content address of its
-//! logical bytes: restore verifies each chunk as it materializes, so a
-//! stale or torn reference is detected (and the candidate discarded) —
-//! never silently accepted.
+//! Every record carries the content address of its logical bytes
+//! ([`content_address`]: a fold of the digests of the record's own
+//! [`DIGEST_BLOCK`]s, the blocks the state digest is made of), so restore
+//! verifies each chunk as it materializes and a stale or torn reference is
+//! detected (and the candidate discarded) — never silently accepted. On a
+//! block-aligned geometry a record's blocks are the state's, and the one
+//! digest pass that files a job's block values also yields its address.
 //!
 //! `RestorePlan` is the one reader of this layout: it compiles a bound
 //! table into independent jobs — one per record, each naming the one
 //! physical range (of this slot or of a home's) or the earlier job its
 //! bytes come from — which the restore executor ([`crate::restore`]) lands,
 //! verifies and folds on its readers. Recovery and the forensics auditor
-//! both materialize a frame that way, each with its own [`SlotRead`]; a
-//! raw payload is the same plan with one verbatim job per read chunk.
+//! both materialize a frame that way, each with its own [`SlotRead`].
+//!
+//! [`DIGEST_BLOCK`]: pccheck_util::fnv::DIGEST_BLOCK
 //!
 //! [`DeltaLink`]: crate::meta::DeltaLink
 //!
@@ -91,13 +100,14 @@
 //! hits are not: the staged bytes of the home are long gone, so a hit
 //! rests on the 64-bit content address (plus equal length) at persist time
 //! and on restore-side verification — every chunk re-checks its
-//! [`chunk_digest`] and the frame its end-to-end digest, so a colliding
+//! [`content_address`] and the frame its end-to-end digest, so a colliding
 //! reference fails the candidate instead of returning wrong bytes.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use pccheck_util::fnv::{chunk_digest, fnv1a};
+use pccheck_util::fnv::{content_address, fnv1a};
+use pccheck_util::ByteSize;
 
 use crate::meta::{checksum, CheckMeta};
 use crate::store::JobId;
@@ -112,9 +122,11 @@ pub const FRAME_HEADER: usize = 40;
 /// Encoded size of one [`FrameRecord`].
 pub const FRAME_RECORD_SIZE: usize = 40;
 
-/// Frame format version. Version 2 defines `full_digest` as the blocked
-/// state digest of [`pccheck_util::fnv`]; nothing reads version 1.
-pub const FRAME_VERSION: u32 = 2;
+/// Frame format version. Version 3 defines a record's `digest` as its
+/// [`content_address`] (a fold of its own block digests) and `full_digest`
+/// as the blocked state digest of [`pccheck_util::fnv`]; no earlier version
+/// is read.
+pub const FRAME_VERSION: u32 = 3;
 
 /// Shortest match the LZ coder emits.
 pub const MIN_MATCH: usize = 4;
@@ -195,7 +207,7 @@ pub struct FrameRecord {
     pub a: u64,
     /// Kind-dependent field (see table above).
     pub b: u64,
-    /// [`chunk_digest`] content address of the logical bytes.
+    /// [`content_address`] of the logical bytes.
     pub digest: u64,
 }
 
@@ -214,9 +226,47 @@ pub struct FrameTable {
 }
 
 impl FrameTable {
+    /// The all-`Raw` frame of checkpoint `counter`: one `Raw` record per
+    /// `(logical_len, content address)`, in logical order, each packed at
+    /// its own logical offset, so the packed region is the state verbatim —
+    /// however it is written, from pool jobs' addresses or [`raw_frame`].
+    pub fn all_raw(
+        counter: u64,
+        full_digest: u64,
+        records: impl IntoIterator<Item = (u64, u64)>,
+    ) -> FrameTable {
+        let mut logical_len = 0u64;
+        let records = records.into_iter().map(|(len, digest)| {
+            logical_len += len;
+            FrameRecord {
+                kind: ChunkEncoding::Raw,
+                aux: 0,
+                logical_len: len,
+                a: logical_len - len,
+                b: len,
+                digest,
+            }
+        });
+        FrameTable {
+            records: records.collect(),
+            counter,
+            logical_len,
+            full_digest,
+        }
+    }
+
     /// Encoded size of a table holding `count` records.
     pub fn encoded_len_for(count: usize) -> u64 {
         (FRAME_HEADER + count * FRAME_RECORD_SIZE + 8) as u64
+    }
+
+    /// The slot size that holds a `state`-byte checkpoint written in
+    /// `record`-byte records: the state plus the table of its all-`Raw`
+    /// frame — the largest payload any writer persists for it, since a
+    /// codec frame is written only when it is smaller.
+    pub fn slot_size_for(state: ByteSize, record: ByteSize) -> ByteSize {
+        let records = state.as_u64().div_ceil(record.as_u64().max(1));
+        state + ByteSize::from_bytes(Self::encoded_len_for(records as usize))
     }
 
     /// Encoded size of this table.
@@ -350,17 +400,22 @@ impl FrameTable {
     }
 }
 
-/// Whether a slot payload (or any prefix of it at least 8 bytes long)
-/// opens with the frame magic. Shorter prefixes are never frames.
-pub fn is_frame(head: &[u8]) -> bool {
-    head.get(..8)
-        .is_some_and(|magic| magic == FRAME_MAGIC.to_le_bytes())
+/// `payload`, a state whose state digest is `full_digest`, as checkpoint
+/// `counter`'s all-`Raw` frame of `record`-byte records, and the digest its
+/// commit records: for whoever holds a whole state in memory.
+pub fn raw_frame(counter: u64, full_digest: u64, payload: &[u8], record: usize) -> (Vec<u8>, u64) {
+    let records = payload.chunks(record.max(1));
+    let records = records.map(|r| (r.len() as u64, content_address(r)));
+    let mut frame = FrameTable::all_raw(counter, full_digest, records).encode();
+    let digest = checksum(&frame);
+    frame.extend_from_slice(payload);
+    (frame, digest)
 }
 
 /// Decodes the frame table at the head of `payload` and binds it to its
-/// commit record: a framed commit's digest is the checksum of the
-/// serialized table, and the table names the commit's counter. `None` on
-/// a torn table or one that belongs to a different commit.
+/// commit record: a commit's digest is the checksum of the serialized
+/// table, and the table names the commit's counter. `None` on a torn
+/// table or one that belongs to a different commit.
 pub fn bind_frame_table(payload: &[u8], meta: &CheckMeta) -> Option<FrameTable> {
     let table = FrameTable::decode(payload)?;
     let table_len = usize::try_from(table.encoded_len()).ok()?;
@@ -375,8 +430,7 @@ pub type SlotRead<'a> = dyn Fn(u32, u64, &mut [u8]) -> bool + Sync + 'a;
 /// Where one [`Job`]'s bytes come from; `at` is a payload offset of `slot`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum JobSource {
-    /// The job's bytes, verbatim: a raw read chunk, or a `Raw` record of
-    /// the head or of a home.
+    /// The job's bytes, verbatim: a `Raw` record of the head or of a home.
     Verbatim { slot: u32, at: u64 },
     /// An LZ block of `phys_len` bytes.
     Lz { slot: u32, at: u64, phys_len: u64 },
@@ -387,16 +441,14 @@ pub(crate) enum JobSource {
 }
 
 /// One independent unit of a [`RestorePlan`]: the logical range
-/// `[off, off + len)` and the one source that fills it.
+/// `[off, off + len)`, the one source that fills it, and the
+/// [`content_address`] the landed bytes must have (its record's).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Job {
     pub off: u64,
     pub len: u64,
     pub source: JobSource,
-    /// The [`chunk_digest`] the landed bytes must have (a frame record's
-    /// content address); `None` for a raw read chunk, which nothing but
-    /// the end-to-end fold guards.
-    pub digest: Option<u64>,
+    pub digest: u64,
 }
 
 /// A recovery candidate compiled for the restore executor: jobs that tile
@@ -412,8 +464,7 @@ pub(crate) struct RestorePlan {
 
 impl RestorePlan {
     /// Compiles the checkpoint committed as `meta`, reading frame tables
-    /// only. A raw payload is one verbatim job per `chunk` bytes. A frame
-    /// is one job per record: `Raw` and `Lz` records read their packed
+    /// only: one job per record. `Raw` and `Lz` records read their packed
     /// range; `DedupSelf` copies the job of the record it names;
     /// `DedupBase` reads the range its home — found among `commits` by
     /// `(counter, slot)`, its table read and bound once — materialized the
@@ -428,26 +479,8 @@ impl RestorePlan {
         meta: &CheckMeta,
         commits: &[CheckMeta],
         read: &SlotRead<'_>,
-        chunk: u64,
     ) -> Option<RestorePlan> {
-        let Some(table) = read_table(meta, read)? else {
-            let job = |off| Job {
-                off,
-                len: chunk.min(meta.payload_len - off),
-                source: JobSource::Verbatim {
-                    slot: meta.slot,
-                    at: off,
-                },
-                digest: None,
-            };
-            let offsets = (0..meta.payload_len).step_by(chunk as usize);
-            return Some(RestorePlan {
-                len: meta.payload_len,
-                iteration: meta.iteration,
-                digest: meta.digest,
-                jobs: offsets.map(job).collect(),
-            });
-        };
+        let table = read_table(meta, read)?;
         let mut homes: HashMap<(u64, u32), Option<Home>> = HashMap::new();
         // The job that reads each distinct base chunk.
         let mut resolved: HashMap<(u64, u64), usize> = HashMap::new();
@@ -470,14 +503,13 @@ impl RestorePlan {
                     }
                 },
             };
-            let (len, digest) = (r.logical_len, Some(r.digest));
             jobs.push(Job {
                 off,
-                len,
+                len: r.logical_len,
                 source,
-                digest,
+                digest: r.digest,
             });
-            off += len; // `decode` summed these without overflow
+            off += r.logical_len; // `decode` summed these without overflow
         }
         Some(RestorePlan {
             len: table.logical_len,
@@ -492,16 +524,15 @@ impl RestorePlan {
 /// by [`bind_frame_table`], read without the packed region behind it: the
 /// header names the record count, and the table length that implies is
 /// bounded by the commit's `payload_len` before a byte is allocated.
-/// `Some(None)` is a raw payload; `None` an unreadable head, or a table
-/// that is torn, too long for its payload, or another commit's.
-fn read_table(meta: &CheckMeta, read: &SlotRead<'_>) -> Option<Option<FrameTable>> {
-    let mut head = [0u8; FRAME_HEADER];
-    let n = FRAME_HEADER.min(usize::try_from(meta.payload_len).ok()?);
-    if !read(meta.slot, 0, &mut head[..n]) {
+/// `None` on an unreadable head, or a table that is torn, too long for its
+/// payload, or another commit's.
+pub(crate) fn read_table(meta: &CheckMeta, read: &SlotRead<'_>) -> Option<FrameTable> {
+    if meta.payload_len < FrameTable::encoded_len_for(0) {
         return None;
     }
-    if !is_frame(&head[..n]) {
-        return Some(None);
+    let mut head = [0u8; FRAME_HEADER];
+    if !read(meta.slot, 0, &mut head) {
+        return None;
     }
     let count = u32::from_le_bytes(head[8..12].try_into().expect("4 bytes")) as usize;
     let len = FrameTable::encoded_len_for(count);
@@ -511,7 +542,7 @@ fn read_table(meta: &CheckMeta, read: &SlotRead<'_>) -> Option<Option<FrameTable
     let mut bytes = vec![0u8; usize::try_from(len).ok()?];
     bytes[..FRAME_HEADER].copy_from_slice(&head);
     read(meta.slot, FRAME_HEADER as u64, &mut bytes[FRAME_HEADER..])
-        .then(|| bind_frame_table(&bytes, meta).map(Some))?
+        .then(|| bind_frame_table(&bytes, meta))?
 }
 
 /// Where the bytes of `r`, a materialized record of the frame committed as
@@ -530,54 +561,43 @@ fn physical(meta: &CheckMeta, packed: u64, r: &FrameRecord) -> Option<JobSource>
     }
 }
 
-/// A dedup home as a plan holds it: its commit record and — when the home
-/// is itself framed — where its packed region starts and which
-/// materialized record holds each `(digest, logical_len)` (the first, for
-/// repeats). None of its packed bytes are read here.
+/// A dedup home as a plan holds it: its commit record, where its packed
+/// region starts and which materialized record holds each `(digest,
+/// logical_len)` (the first, for repeats). None of its packed bytes are
+/// read here.
 struct Home {
     meta: CheckMeta,
     packed: u64,
-    by_content: Option<HashMap<(u64, u64), FrameRecord>>,
+    by_content: HashMap<(u64, u64), FrameRecord>,
 }
 
 impl Home {
     /// Finds checkpoint `counter` in `slot` among `commits` and binds its
-    /// table, if it has one, to that record. The content index is built
-    /// once per home, so resolving a frame of references stays linear.
+    /// table to that record. The content index is built once per home, so
+    /// resolving a frame of references stays linear.
     fn bind(commits: &[CheckMeta], read: &SlotRead<'_>, counter: u64, slot: u32) -> Option<Home> {
         let meta = *commits
             .iter()
             .find(|c| c.counter == counter && c.slot == slot)?;
         let table = read_table(&meta, read)?;
-        let packed = table.as_ref().map_or(0, FrameTable::encoded_len);
-        let by_content = table.map(|table| {
-            let mut by_content = HashMap::new();
-            for r in table.records.iter().filter(|r| r.kind.is_materialized()) {
-                by_content.entry((r.digest, r.logical_len)).or_insert(*r);
-            }
-            by_content
-        });
+        let mut by_content = HashMap::new();
+        for r in table.records.iter().filter(|r| r.kind.is_materialized()) {
+            by_content.entry((r.digest, r.logical_len)).or_insert(*r);
+        }
         Some(Home {
             meta,
-            packed,
+            packed: table.encoded_len(),
             by_content,
         })
     }
 
     /// The range holding the bytes a [`ChunkEncoding::DedupBase`] record
-    /// names. A framed home answers with the materialized record carrying
-    /// the same content address (a reference always names the chunk's
-    /// home, the frame that materialized it, so one hop always suffices);
-    /// a raw home answers the logical byte range directly.
+    /// names: the home's materialized record carrying the same content
+    /// address (a reference always names the chunk's home, the frame that
+    /// materialized it, so one hop always suffices).
     fn source(&self, r: &FrameRecord) -> Option<JobSource> {
-        let (meta, key) = (&self.meta, (r.digest, r.logical_len));
-        match &self.by_content {
-            Some(by_content) => physical(meta, self.packed, by_content.get(&key)?),
-            None => (r.b.checked_add(key.1)? <= meta.payload_len).then_some(JobSource::Verbatim {
-                slot: meta.slot,
-                at: r.b,
-            }),
-        }
+        let held = self.by_content.get(&(r.digest, r.logical_len))?;
+        physical(&self.meta, self.packed, held)
     }
 }
 
@@ -868,12 +888,6 @@ impl DedupIndex {
     }
 }
 
-/// Convenience: the content address of a chunk (re-exported so persist and
-/// restore provably share one digest).
-pub fn content_address(chunk: &[u8]) -> u64 {
-    chunk_digest(chunk)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1082,7 +1096,7 @@ mod tests {
     }
 
     /// A hand-assembled frame exercising every record kind, its commit
-    /// record, the raw base checkpoint it references, and the logical
+    /// record, the all-`Raw` base checkpoint it references, and the logical
     /// payload it must reconstruct.
     struct FrameFixture {
         payload: Vec<u8>,
@@ -1111,15 +1125,17 @@ mod tests {
         pccheck_util::rng::fill_deterministic(&mut raw, 5);
         let text: Vec<u8> = (0..256u32).map(|i| (i % 5) as u8).collect();
         let lz = compress_gated(&text).expect("periodic bytes compress");
-        let mut base_payload = vec![0u8; 128];
-        pccheck_util::rng::fill_deterministic(&mut base_payload, 6);
-        let from_base = base_payload[64..128].to_vec();
+        let mut base_state = vec![0u8; 128];
+        pccheck_util::rng::fill_deterministic(&mut base_state, 6);
+        let from_base = base_state[64..128].to_vec();
+        let (base_payload, base_digest) =
+            raw_frame(5, state_digest(2, &base_state), &base_state, 64);
         let base_meta = CheckMeta {
             counter: 5,
             slot: 1,
             iteration: 2,
-            payload_len: 128,
-            digest: state_digest(2, &base_payload),
+            payload_len: base_payload.len() as u64,
+            digest: base_digest,
             delta: None,
         };
 
@@ -1130,7 +1146,7 @@ mod tests {
             logical_len: bytes.len() as u64,
             a,
             b,
-            digest: chunk_digest(bytes),
+            digest: content_address(bytes),
         };
         let table = FrameTable {
             counter: 9,
@@ -1193,18 +1209,40 @@ mod tests {
         assert_eq!(got, Some((f.logical.clone(), f.table.full_digest)));
         let base_reads: Vec<_> = reads.into_inner().unwrap();
         let base_reads: Vec<_> = base_reads.iter().filter(|r| r.0 == 1).collect();
+        let packed = FrameTable::encoded_len_for(2);
         assert_eq!(
             base_reads,
-            [&(1, 0, FRAME_HEADER), &(1, 64, 64)],
-            "a raw home: its head to classify it, then the referenced range"
+            [
+                &(1, 0, FRAME_HEADER),
+                &(1, FRAME_HEADER as u64, packed as usize - FRAME_HEADER),
+                &(1, packed + 64, 64)
+            ],
+            "an all-Raw home: its table, then the referenced record"
         );
-        assert!(is_frame(&f.payload));
-        assert!(!is_frame(&f.base_payload));
-        assert!(!is_frame(&f.payload[..7]));
+    }
+
+    /// The bug the head-sniffing format had: a state that happens to open
+    /// with the frame magic is still just a state.
+    #[test]
+    fn a_state_that_opens_with_the_frame_magic_walks_like_any_other() {
+        let mut state = b"PCFRAME1".to_vec();
+        state.extend_from_slice(&sample_table().encode());
+        state.resize(300, 0x5A);
+        let (payload, digest) = raw_frame(4, state_digest(7, &state), &state, 128);
+        let meta = CheckMeta {
+            counter: 4,
+            slot: 0,
+            iteration: 7,
+            payload_len: payload.len() as u64,
+            digest,
+            delta: None,
+        };
+        let got = walk_slots(&[(meta, &payload[..])], &meta);
+        assert_eq!(got, Some((state.clone(), state_digest(7, &state))));
     }
 
     #[test]
-    fn frame_walk_resolves_repeats_once_across_a_framed_and_a_raw_home() {
+    fn frame_walk_resolves_repeats_once_across_a_codec_and_an_all_raw_home() {
         let text: Vec<u8> = (0..256u32).map(|i| (i % 5) as u8).collect();
         let lz = compress_gated(&text).expect("periodic bytes compress");
         let mut noise = vec![0u8; 64];
@@ -1215,7 +1253,7 @@ mod tests {
             logical_len: bytes.len() as u64,
             a,
             b,
-            digest: chunk_digest(bytes),
+            digest: content_address(bytes),
         };
         let commit = |counter, slot, table_bytes: &[u8], payload_len| CheckMeta {
             counter,
@@ -1226,7 +1264,7 @@ mod tests {
             delta: None,
         };
 
-        // Home 5 (slot 1) is itself a frame: one Lz chunk, one Raw chunk.
+        // Home 5 (slot 1) is a codec frame: one Lz chunk, one Raw chunk.
         let framed_logical = [&text[..], &noise].concat();
         let framed_table = FrameTable {
             counter: 5,
@@ -1241,18 +1279,15 @@ mod tests {
         let framed_payload = [&framed_bytes[..], &lz, &noise].concat();
         let framed_meta = commit(5, 1, &framed_bytes, framed_payload.len() as u64);
 
-        // Home 3 (slot 2) is a raw payload.
-        let mut raw_payload = vec![0u8; 128];
-        pccheck_util::rng::fill_deterministic(&mut raw_payload, 6);
+        // Home 3 (slot 2) is an all-Raw frame of 64-byte records.
+        let mut raw_state = vec![0u8; 128];
+        pccheck_util::rng::fill_deterministic(&mut raw_state, 6);
+        let (raw_payload, raw_digest) = raw_frame(3, state_digest(1, &raw_state), &raw_state, 64);
         let raw_meta = CheckMeta {
-            counter: 3,
-            slot: 2,
-            iteration: 1,
-            payload_len: 128,
-            digest: state_digest(1, &raw_payload),
-            delta: None,
+            digest: raw_digest,
+            ..commit(3, 2, &[], raw_payload.len() as u64)
         };
-        let from_raw = raw_payload[64..128].to_vec();
+        let from_raw = raw_state[64..128].to_vec();
 
         // Every record of frame 9 is a reference; the Lz chunk twice.
         let logical = [&text[..], &from_raw, &text, &noise].concat();
@@ -1283,7 +1318,7 @@ mod tests {
         let commits = [meta, framed_meta, raw_meta];
         let got = crate::restore::decode_frame(&meta, &commits, &read, 1);
         assert_eq!(got, Some((logical, table.full_digest)));
-        let packed = framed_table.encoded_len();
+        let (packed, raw_packed) = (framed_table.encoded_len(), FrameTable::encoded_len_for(2));
         let rest_of_table = framed_bytes.len() - FRAME_HEADER;
         assert_eq!(
             reads.into_inner().unwrap()[2..],
@@ -1292,9 +1327,10 @@ mod tests {
                 (1, 0, FRAME_HEADER),
                 (1, FRAME_HEADER as u64, rest_of_table),
                 (2, 0, FRAME_HEADER),
+                (2, FRAME_HEADER as u64, raw_packed as usize - FRAME_HEADER),
                 // ...and each distinct content is read once, by range.
                 (1, packed, lz.len()),
-                (2, 64, 64),
+                (2, raw_packed + 64, 64),
                 (1, packed + lz.len() as u64, 64),
             ],
             "homes are read by range, repeats copy"
@@ -1335,10 +1371,13 @@ mod tests {
             "truncated table"
         );
 
-        // The version before FRAME_VERSION, CRC and commit binding redone
-        // so the version alone is what is wrong: rejected, not misread.
+        // Version 2 — the format whose records were addressed by one
+        // `chunk_digest` over their bytes — with CRC and commit binding
+        // redone so the version alone is what is wrong: rejected, not
+        // misread.
+        assert_eq!(FRAME_VERSION, 3);
         let mut old_version = f.payload.clone();
-        old_version[12..16].copy_from_slice(&(FRAME_VERSION - 1).to_le_bytes());
+        old_version[12..16].copy_from_slice(&2u32.to_le_bytes());
         let crc = fnv1a(&old_version[..table_len - 8]);
         old_version[table_len - 8..table_len].copy_from_slice(&crc.to_le_bytes());
         let old_version_meta = meta_for(&old_version[..table_len], old_version.len() as u64);
@@ -1397,11 +1436,11 @@ mod tests {
         // checkpoint now — or, recycled after the scan that found the
         // record, whatever lives there is not the referenced content and
         // the per-chunk content address says so.
+        let base_len = f.base_payload.len();
         let mut recycled = f.base_payload.clone();
-        recycled[100] ^= 0x40;
+        recycled[base_len - 20] ^= 0x40;
         let recycled_meta = CheckMeta {
             counter: 12,
-            digest: state_digest(2, &recycled),
             ..f.base_meta
         };
         for stale_or_not in [recycled_meta, f.base_meta] {
@@ -1411,11 +1450,15 @@ mod tests {
             );
         }
         assert!(
-            walk_slots(&[head, (f.base_meta, &f.base_payload[..100])], &f.meta).is_none(),
+            walk_slots(
+                &[head, (f.base_meta, &f.base_payload[..base_len - 1])],
+                &f.meta
+            )
+            .is_none(),
             "dedup base shorter than the referenced range"
         );
         let shrunk = CheckMeta {
-            payload_len: 100,
+            payload_len: base_len as u64 - 1,
             ..f.base_meta
         };
         assert!(

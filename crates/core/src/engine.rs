@@ -46,10 +46,11 @@ use pccheck_gpu::{CheckpointOutcome, Checkpointer, Gpu, OwnedWeightsGuard, State
 use pccheck_telemetry::{CheckpointCounters, CountersSnapshot, FlightEventKind, Phase, Telemetry};
 use pccheck_util::ByteSize;
 
+use crate::codec::{read_table, FrameTable};
 use crate::config::PcCheckConfig;
 use crate::error::PccheckError;
 use crate::layout::StoreGeometry;
-use crate::pipeline::{DeltaPolicy, FenceMode, PersistPipeline, PipelineCtx};
+use crate::pipeline::{CopyMode, DeltaPolicy, FenceMode, PersistPipeline, PipelineCtx};
 use crate::pool::{Order, WorkerPool};
 use crate::store::{CheckpointStore, CommitOutcome, JobId, Namespace, SlotLease, DEFAULT_JOB};
 use crate::tuner::{ControllerConfig, ControllerSignals, PersistController};
@@ -224,7 +225,8 @@ pub struct PcCheckEngine {
 
 impl PcCheckEngine {
     /// Creates an engine over `device` for checkpoints of `checkpoint_size`
-    /// bytes, formatting a fresh single-tenant store with `N+1` slots.
+    /// bytes, formatting a fresh single-tenant store with `N+1` slots, each
+    /// sized for the checkpoint's frame in `chunk_size` records.
     ///
     /// # Errors
     ///
@@ -236,16 +238,28 @@ impl PcCheckEngine {
         checkpoint_size: ByteSize,
     ) -> Result<Self, PccheckError> {
         config.validate()?;
+        if !config.pipelined && config.dram_bytes() < checkpoint_size {
+            // The staged (Figure 6) path holds every chunk of a checkpoint
+            // in DRAM before persisting it.
+            return Err(PccheckError::InvalidConfig(format!(
+                "non-pipelined mode needs DRAM >= checkpoint size: pool {} < {}",
+                config.dram_bytes(),
+                checkpoint_size
+            )));
+        }
+        let slot = FrameTable::slot_size_for(checkpoint_size, config.chunk_size);
         let geometry = StoreGeometry {
             flight_records: config.flight_records,
-            ..StoreGeometry::single(checkpoint_size, (config.max_concurrent + 1) as u32)
+            ..StoreGeometry::single(slot, (config.max_concurrent + 1) as u32)
         };
         let store = CheckpointStore::format(device, geometry)?;
         Self::with_store(config, Arc::new(store))
     }
 
     /// Creates an engine for [`DEFAULT_JOB`] over an existing (e.g.,
-    /// recovered) store, with a pipeline of its own.
+    /// recovered) store, with a pipeline of its own. A checkpoint whose
+    /// frame in `chunk_size` records does not fit the store's slots fails
+    /// (see [`FrameTable::slot_size_for`]).
     ///
     /// # Errors
     ///
@@ -257,16 +271,6 @@ impl PcCheckEngine {
         store: Arc<CheckpointStore>,
     ) -> Result<Self, PccheckError> {
         config.validate()?;
-        if !config.pipelined && config.dram_bytes() < store.slot_size() {
-            // The staged (Figure 6) path holds every chunk of a checkpoint
-            // in DRAM before persisting; a smaller pool would deadlock on
-            // `HostBufferPool::acquire`.
-            return Err(PccheckError::InvalidConfig(format!(
-                "non-pipelined mode needs DRAM >= checkpoint size: pool {} < {}",
-                config.dram_bytes(),
-                store.slot_size()
-            )));
-        }
         let fence = if config.single_sync {
             FenceMode::Deferred
         } else {
@@ -320,7 +324,8 @@ impl PcCheckEngine {
 
     /// The one constructor: resolves `job`'s namespace in the pipeline's
     /// store, so every later lease is infallible, and starts
-    /// `last_committed` from that namespace's recovered head.
+    /// `last_committed` from that namespace's recovered head — the state
+    /// digest its frame table carries.
     fn over(
         config: PcCheckConfig,
         pipeline: Arc<PersistPipeline>,
@@ -342,9 +347,12 @@ impl PcCheckEngine {
                 config.max_concurrent + 1
             )));
         }
-        let last = store.latest_committed(&ns).map(|m| CheckpointOutcome {
-            iteration: m.iteration,
-            digest: m.state_digest(),
+        let last = store.latest_committed(&ns).and_then(|m| {
+            let table = read_table(&m, &|slot, at, buf| store.read_slot(slot, at, buf))?;
+            Some(CheckpointOutcome {
+                iteration: m.iteration,
+                digest: StateDigest(table.full_digest),
+            })
         });
         let controller = Self::build_controller(&config);
         let codec_active = config.codec;
@@ -556,16 +564,17 @@ impl PcCheckEngine {
         use_codec: bool,
         turn: impl FnOnce(),
     ) -> Result<(CommitOutcome, StateDigest), PccheckError> {
-        // Either verb consumes the guard and drops it when the snapshot is
+        // The copy consumes the guard and drops it when the snapshot is
         // staged in DRAM: the weights are held for the copy, never for the
-        // persist. The codec verb stages, classifies (compress / self-dedup
-        // / base-dedup) and packs a framed payload, and persists what it
-        // staged raw when the frame would not shrink it.
-        let copied = if use_codec && pipeline.codec_enabled() {
-            pipeline.copy_framed(ctx, guard, &lease, total, delta_policy)?
+        // persist.
+        let mode = if use_codec && pipeline.codec_enabled() {
+            CopyMode::Codec(delta_policy)
+        } else if config.pipelined {
+            CopyMode::Streamed
         } else {
-            pipeline.copy_chunks(ctx, guard, &lease, total, config.pipelined)?
+            CopyMode::Staged
         };
+        let copied = pipeline.copy(ctx, guard, &lease, total, mode)?;
         pipeline.seal(ctx, &lease, iteration, &copied)?;
         // Durable; commit once every older checkpoint of this engine has.
         turn();
@@ -699,11 +708,27 @@ mod tests {
         )
     }
 
+    /// A device for `slots` slots that hold `gpu`'s snapshot as a frame of
+    /// `chunk`-byte records, with a little room to spare.
+    fn capacity(gpu: &Gpu, chunk: u64, slots: u32) -> ByteSize {
+        let slot = FrameTable::slot_size_for(gpu.state_size(), ByteSize::from_bytes(chunk));
+        CheckpointStore::required_capacity(slot, slots) + ByteSize::from_kb(1)
+    }
+
+    /// The state behind the table of the all-`Raw` frame committed as
+    /// `meta`, unverified, and the state digest its table carries.
+    fn raw_state(store: &CheckpointStore, meta: &crate::CheckMeta) -> (Vec<u8>, u64) {
+        let payload = store.read_checkpoint(meta).unwrap();
+        let table = crate::codec::bind_frame_table(&payload, meta).unwrap();
+        (
+            payload[table.encoded_len() as usize..].to_vec(),
+            table.full_digest,
+        )
+    }
+
     fn ssd_engine(state: u64, n: usize, p: usize, pipelined: bool) -> (PcCheckEngine, Gpu) {
         let gpu = tiny_gpu(state, 7);
-        let slots = (n + 1) as u32;
-        let cap =
-            CheckpointStore::required_capacity(gpu.state_size(), slots) + ByteSize::from_kb(1);
+        let cap = capacity(&gpu, 64, (n + 1) as u32);
         let device: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         let config = PcCheckConfig::builder()
@@ -769,23 +794,17 @@ mod tests {
             engine.drain();
         }
         let meta = engine.store().latest_committed(engine.namespace()).unwrap();
-        let mut payload = vec![0u8; meta.payload_len as usize];
-        let store = engine.store();
-        store
-            .device()
-            .read_durable_at(store.slot_payload_offset(meta.slot), &mut payload)
-            .unwrap();
+        let (payload, digest) = raw_state(engine.store(), &meta);
         // Reconstruct and compare digests.
-        let layout = gpu.with_weights(|s| s.layout());
-        let restored = TrainingState::restore(&layout, &payload, meta.iteration);
-        assert_eq!(restored.digest().0, meta.digest);
-        assert_eq!(restored.digest(), gpu.digest());
+        let restored = restored_digest(&gpu, &payload, meta.iteration);
+        assert_eq!(restored.0, digest);
+        assert_eq!(restored, gpu.digest());
     }
 
     #[test]
     fn single_sync_mode_is_correct_on_ssd() {
         let gpu = tiny_gpu(300, 3);
-        let cap = CheckpointStore::required_capacity(gpu.state_size(), 3) + ByteSize::from_kb(1);
+        let cap = capacity(&gpu, 64, 3);
         let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         let device: Arc<dyn PersistentDevice> = ssd.clone();
         let config = PcCheckConfig::builder()
@@ -808,14 +827,9 @@ mod tests {
             .latest_committed(&store.namespace(DEFAULT_JOB).unwrap())
             .unwrap();
         assert_eq!(meta.iteration, 1);
-        let mut payload = vec![0u8; meta.payload_len as usize];
-        store
-            .device()
-            .read_durable_at(store.slot_payload_offset(meta.slot), &mut payload)
-            .unwrap();
-        let layout = gpu.with_weights(|s| s.layout());
-        let restored = TrainingState::restore(&layout, &payload, meta.iteration);
-        assert_eq!(restored.digest().0, meta.digest, "payload survived msync");
+        let (payload, digest) = raw_state(&store, &meta);
+        let restored = restored_digest(&gpu, &payload, meta.iteration);
+        assert_eq!(restored.0, digest, "payload survived msync");
     }
 
     #[test]
@@ -823,7 +837,7 @@ mod tests {
         // On PMEM, writer threads fence their own stores (single_sync=false)
         // and the data survives a crash.
         let gpu = tiny_gpu(300, 4);
-        let cap = CheckpointStore::required_capacity(gpu.state_size(), 3) + ByteSize::from_kb(1);
+        let cap = capacity(&gpu, 64, 3);
         let pmem = Arc::new(PmemDevice::new(
             DeviceConfig::fast_for_tests(cap),
             PmemWriteMode::NtStore,
@@ -847,14 +861,8 @@ mod tests {
         let meta = store
             .latest_committed(&store.namespace(DEFAULT_JOB).unwrap())
             .unwrap();
-        let mut payload = vec![0u8; meta.payload_len as usize];
-        store
-            .device()
-            .read_durable_at(store.slot_payload_offset(meta.slot), &mut payload)
-            .unwrap();
-        let layout = gpu.with_weights(|s| s.layout());
-        let restored = TrainingState::restore(&layout, &payload, meta.iteration);
-        assert_eq!(restored.digest().0, meta.digest);
+        let (payload, digest) = raw_state(&store, &meta);
+        assert_eq!(restored_digest(&gpu, &payload, meta.iteration).0, digest);
     }
 
     #[test]
@@ -863,7 +871,7 @@ mod tests {
         // Configuring single_sync on PMEM is a bug our substrate catches:
         // after a crash, the payload does not verify.
         let gpu = tiny_gpu(300, 5);
-        let cap = CheckpointStore::required_capacity(gpu.state_size(), 3) + ByteSize::from_kb(1);
+        let cap = capacity(&gpu, 64, 3);
         let pmem = Arc::new(PmemDevice::new(
             DeviceConfig::fast_for_tests(cap),
             PmemWriteMode::NtStore,
@@ -884,20 +892,14 @@ mod tests {
         pmem.crash_now();
         pmem.recover();
         let store = CheckpointStore::open(pmem).unwrap();
-        // The commit record may exist (the committer fenced its own meta
-        // write), but the payload written by *other* threads was never
-        // fenced, so verification must fail.
+        // The commit record and the frame's table may exist (the
+        // committer fenced its own writes), but the chunks written by
+        // *other* threads were never fenced, so verification must fail.
         if let Some(meta) = store.latest_committed(&store.namespace(DEFAULT_JOB).unwrap()) {
-            let mut payload = vec![0u8; meta.payload_len as usize];
-            store
-                .device()
-                .read_durable_at(store.slot_payload_offset(meta.slot), &mut payload)
-                .unwrap();
-            let layout = gpu.with_weights(|s| s.layout());
-            let restored = TrainingState::restore(&layout, &payload, meta.iteration);
+            let (payload, digest) = raw_state(&store, &meta);
             assert_ne!(
-                restored.digest().0,
-                meta.digest,
+                restored_digest(&gpu, &payload, meta.iteration).0,
+                digest,
                 "unfenced worker stores must not survive the crash"
             );
         }
@@ -934,7 +936,7 @@ mod tests {
         } else {
             tiny_gpu(512, 31)
         };
-        let cap = CheckpointStore::required_capacity(gpu.state_size(), 3) + ByteSize::from_kb(1);
+        let cap = capacity(&gpu, 64, 3);
         let device = GatedDevice::new(cap);
         let config = PcCheckConfig::builder()
             .max_concurrent(2)
@@ -967,7 +969,7 @@ mod tests {
     fn update_proceeds_while_checkpoint_persists() {
         // The weights are held for the copy, never for the persist: with
         // not one payload byte admitted to the device, the next update
-        // returns — in both copy verbs, both raw modes, both fence modes.
+        // returns — in every copy mode, under both fence modes.
         for (codec, pipelined) in [(false, true), (false, false), (true, true)] {
             for single_sync in [false, true] {
                 let mode = format!("codec={codec} pipelined={pipelined} single_sync={single_sync}");
@@ -1004,7 +1006,7 @@ mod tests {
         // staged bytes.
         const BLOCK: u64 = pccheck_util::fnv::DIGEST_BLOCK as u64;
         let gpu = tiny_gpu(5 * BLOCK + 13, 37);
-        let cap = CheckpointStore::required_capacity(gpu.state_size(), 3) + ByteSize::from_kb(1);
+        let cap = capacity(&gpu, BLOCK, 3);
         let device = GatedDevice::new(cap);
         let config = PcCheckConfig::builder()
             .max_concurrent(1)
@@ -1108,7 +1110,7 @@ mod tests {
         // one at a time could leave each with half a pool, forever; a
         // reservation holds nothing while it waits.
         let gpu = compressible_gpu(2048, 33);
-        let cap = CheckpointStore::required_capacity(gpu.state_size(), 3) + ByteSize::from_kb(1);
+        let cap = capacity(&gpu, 256, 3);
         let device: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         let config = PcCheckConfig::builder()
@@ -1144,7 +1146,7 @@ mod tests {
     #[test]
     fn non_pipelined_requires_dram_for_a_full_checkpoint() {
         let gpu = tiny_gpu(4096, 9);
-        let cap = CheckpointStore::required_capacity(gpu.state_size(), 3) + ByteSize::from_kb(1);
+        let cap = capacity(&gpu, 64, 3);
         let device: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         let config = PcCheckConfig::builder()
@@ -1186,7 +1188,8 @@ mod tests {
         assert_eq!(snap.stall.count, 4);
         // Every byte of every checkpoint passed through both phases.
         assert_eq!(snap.gpu_copy_bytes, 4 * 300);
-        assert_eq!(snap.persist_chunk_bytes, 4 * 300);
+        let table = FrameTable::encoded_len_for(300usize.div_ceil(64));
+        assert_eq!(snap.persist_chunk_bytes, 4 * (table + 300));
 
         // Engine stats and the telemetry counters tell the same story.
         let stats = engine.stats().snapshot();
@@ -1226,7 +1229,10 @@ mod tests {
         let gpu = tiny_gpu(300, 6);
         let geometry = StoreGeometry {
             flight_records: 64,
-            ..StoreGeometry::single(gpu.state_size(), 3)
+            ..StoreGeometry::single(
+                FrameTable::slot_size_for(gpu.state_size(), ByteSize::from_bytes(64)),
+                3,
+            )
         };
         let device = GatedDevice::new(geometry.required_capacity() + ByteSize::from_kb(1));
         let config = PcCheckConfig::builder()
@@ -1327,7 +1333,7 @@ mod tests {
 
         let state = ByteSize::from_bytes(600);
         let geometry = StoreGeometry {
-            slot_size: state,
+            slot_size: FrameTable::slot_size_for(state, ByteSize::from_bytes(64)),
             slots: 8,
             flight_records: 64,
             max_namespaces: 4,
@@ -1407,7 +1413,7 @@ mod tests {
     fn codec_engine_commits_framed_and_recovers_bit_identical() {
         // End to end through the engine: compressible weights, codec on.
         let gpu = compressible_gpu(4096, 11);
-        let cap = CheckpointStore::required_capacity(gpu.state_size(), 4) + ByteSize::from_kb(1);
+        let cap = capacity(&gpu, 256, 4);
         let device: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         let config = PcCheckConfig::builder()
@@ -1446,9 +1452,47 @@ mod tests {
     }
 
     #[test]
+    fn an_engine_reopened_over_a_codec_store_resumes_from_its_state_digest() {
+        // The head's commit record carries the checksum of its frame's
+        // table; the state digest is in the table. A reopened engine
+        // reports the latter.
+        let gpu = compressible_gpu(4096, 41);
+        let device: Arc<dyn PersistentDevice> = Arc::new(SsdDevice::new(
+            DeviceConfig::fast_for_tests(capacity(&gpu, 256, 3)),
+        ));
+        let config = PcCheckConfig::builder()
+            .max_concurrent(2)
+            .writer_threads(2)
+            .chunk_size(ByteSize::from_bytes(256))
+            .dram_chunks(16)
+            .codec(true)
+            .build()
+            .unwrap();
+        let engine = PcCheckEngine::new(config.clone(), device, gpu.state_size()).unwrap();
+        gpu.update();
+        engine.checkpoint(&gpu, 1);
+        engine.try_drain().unwrap();
+        let store = Arc::clone(engine.store());
+        drop(engine);
+        let head = store.latest_committed(&store.namespace(DEFAULT_JOB).unwrap());
+        let payload = store.read_checkpoint(&head.unwrap()).unwrap();
+        let table = FrameTable::decode(&payload).unwrap();
+        assert!(
+            table
+                .records
+                .iter()
+                .any(|r| r.kind != crate::ChunkEncoding::Raw),
+            "the codec packed the head"
+        );
+        let reopened = PcCheckEngine::with_store(config, store).unwrap();
+        let out = reopened.last_committed().expect("resumed");
+        assert_eq!((out.iteration, out.digest), (1, gpu.digest()));
+    }
+
+    #[test]
     fn codec_engine_survives_crash_and_recovery() {
         let gpu = compressible_gpu(2048, 12);
-        let cap = CheckpointStore::required_capacity(gpu.state_size(), 4) + ByteSize::from_kb(1);
+        let cap = capacity(&gpu, 256, 4);
         let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         let device: Arc<dyn PersistentDevice> = ssd.clone();
         let config = PcCheckConfig::builder()
@@ -1477,7 +1521,7 @@ mod tests {
     #[test]
     fn adaptive_engine_ticks_its_controller() {
         let gpu = tiny_gpu(1024, 13);
-        let cap = CheckpointStore::required_capacity(gpu.state_size(), 4) + ByteSize::from_kb(1);
+        let cap = capacity(&gpu, 128, 4);
         let device: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         let config = PcCheckConfig::builder()
@@ -1517,7 +1561,7 @@ mod tests {
         // Consume the "never checkpointed, all dirty" set: every snapshot
         // below sees only its sparse step.
         drop(gpu.lock_weights_shared());
-        let cap = CheckpointStore::required_capacity(gpu.state_size(), 4) + ByteSize::from_kb(1);
+        let cap = capacity(&gpu, 256, 4);
         let device: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         let config = PcCheckConfig::builder()
@@ -1553,7 +1597,7 @@ mod tests {
     #[test]
     fn adaptive_engine_without_telemetry_keeps_knobs_put() {
         let gpu = tiny_gpu(512, 14);
-        let cap = CheckpointStore::required_capacity(gpu.state_size(), 4) + ByteSize::from_kb(1);
+        let cap = capacity(&gpu, 128, 4);
         let device: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         let config = PcCheckConfig::builder()

@@ -85,7 +85,7 @@ mod testutil;
 pub mod tuner;
 
 pub use codec::{
-    bind_frame_table, compress_gated, is_frame, lz_decompress, lz_decompress_into, ChunkEncoding,
+    bind_frame_table, compress_gated, lz_decompress, lz_decompress_into, raw_frame, ChunkEncoding,
     DedupIndex, FrameRecord, FrameTable, SlotRead,
 };
 pub use config::{PcCheckConfig, PcCheckConfigBuilder};
@@ -94,7 +94,7 @@ pub use error::PccheckError;
 pub use meta::NamespaceDesc;
 pub use meta::{CheckMeta, DeltaLink, SlotState, SLOT_STATE_SIZE};
 pub use pipeline::{
-    Copied, DeltaPolicy, FenceMode, FramedOutcome, FramedPlan, PersistPipeline, PipelineCtx,
+    Copied, CopyMode, DeltaPolicy, FenceMode, FramedPlan, PersistPipeline, PipelineCtx,
     KERNEL_COPY_CHUNK,
 };
 pub use qos::{QosArbiter, QosConfig, QosGrant};

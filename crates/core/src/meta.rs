@@ -6,8 +6,6 @@
 //! to a fixed 64-byte cell — one cache line — with an internal checksum so
 //! recovery can detect torn or stale records after a crash.
 
-use pccheck_gpu::StateDigest;
-
 /// Serialized size of a metadata record: one cache line.
 pub const META_RECORD_SIZE: u64 = 64;
 
@@ -16,7 +14,7 @@ const META_MAGIC: u32 = 0x5043_4B31; // "PCK1"
 /// Back-pointer from a checkpoint to the youngest earlier checkpoint it
 /// references.
 ///
-/// A framed payload stores a chunk an earlier checkpoint already holds as
+/// A codec frame stores a chunk an earlier checkpoint already holds as
 /// a `DedupBase` reference to that checkpoint (the chunk's home) instead
 /// of bytes. A frame may name several homes; they all lie on one link
 /// chain, so the link names the youngest and the store keeps every slot on
@@ -47,8 +45,8 @@ pub struct CheckMeta {
     pub iteration: u64,
     /// Payload length in bytes.
     pub payload_len: u64,
-    /// Digest of the captured training state (for a framed payload: of
-    /// the serialized frame table at the head of the payload).
+    /// Checksum of the serialized frame table at the head of the payload,
+    /// which carries the state digest and binds every chunk.
     pub digest: u64,
     /// `Some` when the payload references an earlier checkpoint's chunks.
     pub delta: Option<DeltaLink>,
@@ -107,11 +105,6 @@ impl CheckMeta {
     /// Whether the payload references (and so pins) earlier checkpoints.
     pub fn is_delta(&self) -> bool {
         self.delta.is_some()
-    }
-
-    /// The state digest as the GPU crate's type.
-    pub fn state_digest(&self) -> StateDigest {
-        StateDigest(self.digest)
     }
 }
 
@@ -394,7 +387,6 @@ mod tests {
         let m = sample();
         let buf = m.encode();
         assert_eq!(CheckMeta::decode(&buf), Some(m));
-        assert_eq!(m.state_digest(), StateDigest(0xdead_beef_cafe_f00d));
         assert!(!m.is_delta());
     }
 

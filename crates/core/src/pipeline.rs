@@ -19,42 +19,55 @@
 //! gauges sampled from [`PersistentDevice::queue_depths`] — including
 //! every member of a striped or tiered composite device.
 //!
+//! # One payload format
+//!
+//! Whatever writes it, a checkpoint is a frame (see [`crate::codec`]): a
+//! table, written last, in front of the packed chunks. The one chunk copy
+//! verb, [`copy`](PersistPipeline::copy), packs the codec's frame when it is
+//! asked to and the frame pays; otherwise — codec off, a staging pool too
+//! small for the snapshot, a frame no smaller than the state — it writes
+//! every chunk verbatim at its packed offset under an all-`Raw` table. The
+//! whole-buffer verbs write the same all-`Raw` frame, and every commit
+//! binds the checksum of the table it lands on.
+//!
 //! # Who waits for what
 //!
 //! *The weights are held for the memcpy — not for the digest, not for the
-//! persist.* A chunk copy verb takes its [`SnapshotSource`] by value and
-//! drops it the moment the last chunk is staged in DRAM, and staging a
-//! chunk is one `copy_range_to_host` into a pooled buffer; everything after
-//! — fold, classify, compress, write, fence — runs with training already
+//! persist.* The copy verb takes its [`SnapshotSource`] by value and drops
+//! it the moment the last chunk is staged in DRAM, and staging a chunk is
+//! one `copy_range_to_host` into a pooled buffer; everything after —
+//! digest, classify, compress, write, fence — runs with training already
 //! unblocked, so the work of up to `N` checkpoints overlaps. It all runs on
 //! one resident writer pool (`writers()` wide, shared by every clone of the
 //! pipeline) that serves a tenant's oldest checkpoint first (see
 //! `pool.rs`), taking the QoS grant per chunk.
 //!
-//! *The state digest folds out of order, on that pool.* It is a fold over
-//! per-block values ([`pccheck_util::fnv`]), so each chunk's pool job first
-//! files the values of the blocks its chunk wholly covers into the
-//! checkpoint's block table — for a frame it also takes the chunk's content
-//! address in the same pass — and then goes on to what it was queued for.
-//! The coordinator folds the table once its batch has drained. A block cut
-//! by a chunk boundary is whole in no job; the staging producer, which sees
-//! the bytes in order, carries the head of the one open block (at most a
-//! block of bytes) and files it when a later chunk closes it — the restore
-//! executor's cut-block rule (DESIGN §9) from the producer's side: one
-//! rule, nothing to do on an aligned geometry, no branch on geometry.
+//! *The digests are taken out of order, on that pool.* The state digest is
+//! a fold over per-block values ([`pccheck_util::fnv`]) and a record's
+//! content address a fold over the values of its own blocks, so each
+//! chunk's pool job makes one pass over its chunk: it files the values of
+//! the blocks the chunk wholly covers into the checkpoint's block table and
+//! the chunk's address into its address table — on a block-aligned geometry
+//! the same values serve both — and then goes on to what it was queued for.
+//! The coordinator folds the block table once its batch has drained. A
+//! block cut by a chunk boundary is whole in no job; the staging producer,
+//! which sees the bytes in order, carries the head of the one open block (at
+//! most a block of bytes) and files it when a later chunk closes it — the
+//! restore executor's cut-block rule (DESIGN §9) from the producer's side:
+//! one rule, nothing to do on an aligned geometry, no branch on geometry.
 //!
 //! Three rules keep that free of deadlock:
 //!
-//! 1. *A pool worker never waits on another job.* Folds, compressions and
-//!    writes are the only pool jobs and none blocks on the pool; the
-//!    thread that fans a checkpoint out and waits for it (the caller of a
+//! 1. *A pool worker never waits on another job.* Digests, compressions
+//!    and writes are the only pool jobs and none blocks on the pool; the
+//!    thread that fans a checkpoint out and waits for it (the caller of the
 //!    copy verb — the engine's coordinator) is never a pool worker.
-//! 2. *Whoever must hold a whole snapshot reserves it in one step.*
-//!    `copy_framed` and the staged `copy_chunks` take all their chunks
-//!    with one [`HostBufferPool::acquire_many`], so two of them can never
-//!    each hold half a pool. The streaming `copy_chunks` may hold a
-//!    partial set, because every chunk it holds is already a queued,
-//!    self-contained write that frees its buffer when it runs.
+//! 2. *Whoever must hold a whole snapshot reserves it in one step.* The
+//!    staged and codec copies take all their chunks with one
+//!    [`HostBufferPool::acquire_many`], so two of them can never each hold
+//!    half a pool. The streamed copy may hold a partial set, because every
+//!    chunk it holds is already a queued, self-contained write that frees
+//!    its buffer when it runs.
 //! 3. *A failed checkpoint cleans up before it reports.* The first error
 //!    cancels the checkpoint's queued jobs (their buffers go back
 //!    unwritten), the producer stops and releases the weights, and the
@@ -75,20 +88,21 @@ use pccheck_util::sync::{Condvar, Mutex};
 use pccheck_device::{HostBuffer, HostBufferPool};
 use pccheck_gpu::{SnapshotSource, StateDigest};
 use pccheck_telemetry::{FlightEventKind, Phase, SpanId, Telemetry};
-use pccheck_util::fnv::{
-    block_digests, chunk_digest, fold_blocks, whole_blocks, StateFold, DIGEST_BLOCK,
-};
+use pccheck_util::fnv::{chunk_digest, file_blocks, fold_blocks, whole_blocks, DIGEST_BLOCK};
 use pccheck_util::ByteSize;
 
-use crate::codec::{compress_gated, ChunkEncoding, DedupHome, DedupIndex, FrameRecord, FrameTable};
+use crate::codec::{
+    compress_gated, raw_frame, ChunkEncoding, DedupHome, DedupIndex, FrameRecord, FrameTable,
+};
 use crate::error::PccheckError;
-use crate::meta::DeltaLink;
+use crate::meta::{checksum, DeltaLink};
 use crate::pool::{Order, WorkerPool};
 use crate::qos::QosArbiter;
 use crate::store::{CheckpointStore, CommitOutcome, JobId, Namespace, SlotLease};
 
 /// Tile size for the GPU-kernel write-through loop (kernel grids move data
-/// in bounded tiles; GPM's SSD/PMEM adaptation).
+/// in bounded tiles; GPM's SSD/PMEM adaptation), and the record size of
+/// every frame written without a staging pool.
 pub const KERNEL_COPY_CHUNK: usize = 4 * 1024 * 1024;
 
 /// How payload fences are issued.
@@ -106,12 +120,12 @@ pub enum FenceMode {
 /// How far a chain of pinned dedup bases may grow.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeltaPolicy {
-    /// Deepest chain a framed checkpoint may commit at. A chunk whose home
+    /// Deepest chain a codec frame may commit at. A chunk whose home
     /// already sits at this depth is materialized again instead of
     /// referenced, bounding how many slots a chain pins.
-    /// [`copy_framed`](PersistPipeline::copy_framed) clamps it further to
-    /// the lease's slot budget minus two, so a committed chain always
-    /// leaves a slot free.
+    /// [`copy`](PersistPipeline::copy) clamps it further to the lease's
+    /// slot budget minus two, so a committed chain always leaves a slot
+    /// free.
     pub max_chain: u32,
 }
 
@@ -121,21 +135,20 @@ impl Default for DeltaPolicy {
     }
 }
 
-/// Rolled-up outcome of [`PersistPipeline::checkpoint_framed`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FramedOutcome {
-    /// A framed payload (frame table + packed chunks) was persisted.
-    Framed {
-        /// Physical bytes in the slot (table + packed chunks).
-        payload_len: u64,
-        /// Bytes the codec avoided persisting.
-        saved_bytes: u64,
-        /// Chunks stored as dedup references.
-        dedup_chunks: u64,
-    },
-    /// The codec saved nothing (or was inapplicable) and the payload was
-    /// persisted raw.
-    Raw,
+/// How [`PersistPipeline::copy`] stages a snapshot and packs its frame.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CopyMode {
+    /// All-`Raw`, pipelined (Figure 7): writers persist already-copied
+    /// chunks while the producer copies the next, and each DRAM buffer
+    /// returns to the pool the moment its chunk is written.
+    Streamed,
+    /// All-`Raw`, staged (Figure 6): the producer stages the entire
+    /// snapshot before the first write, so the pool must hold it.
+    Staged,
+    /// The chunk codec under a [`DeltaPolicy`]: the snapshot is staged
+    /// whole, then every chunk deduplicated, compressed or kept verbatim.
+    /// A pool too small to stage the snapshot streams it all-`Raw`.
+    Codec(DeltaPolicy),
 }
 
 /// Telemetry context for one checkpoint's trip through the pipeline.
@@ -163,38 +176,42 @@ impl AsRef<[u8]> for StagedChunk {
     }
 }
 
-/// The state digest of one snapshot, gathered out of order: block values by
-/// block index, filed by whoever had the block's bytes in hand and folded
-/// by the coordinator once the checkpoint's batch has drained (module docs,
-/// "Who waits for what"). Same definition as [`StateFold`] — it is
-/// [`fold_blocks`] over [`block_digests`] — without its order.
-struct BlockValues {
+/// The digests of one snapshot, gathered out of order: the state digest's
+/// block values by block index and each chunk's content address by chunk
+/// index, filed by whoever had the bytes in hand and folded by the
+/// coordinator once the checkpoint's batch has drained (module docs, "Who
+/// waits for what"). Same definitions as [`pccheck_util::fnv`]'s in-order
+/// forms, without their order.
+struct Digests {
     step: u64,
     len: u64,
+    /// The staging chunk size: chunk `i` starts at `i × chunk`.
+    chunk: u64,
     /// Relaxed throughout: every job hands the batch's mutex to
     /// [`Batch::wait`], which orders the stores before the fold's loads.
-    cells: Vec<AtomicU64>,
+    blocks: Vec<AtomicU64>,
+    addresses: Vec<AtomicU64>,
 }
 
-impl BlockValues {
-    fn of(src: &impl SnapshotSource, total: ByteSize) -> Arc<Self> {
-        let blocks = total.as_u64().div_ceil(DIGEST_BLOCK as u64);
-        Arc::new(BlockValues {
+impl Digests {
+    fn of(src: &impl SnapshotSource, total: ByteSize, chunk: u64) -> Arc<Self> {
+        let cells = |n: u64| (0..n).map(|_| AtomicU64::new(0)).collect();
+        Arc::new(Digests {
             step: src.step_count(),
             len: total.as_u64(),
-            cells: (0..blocks).map(|_| AtomicU64::new(0)).collect(),
+            chunk,
+            blocks: cells(total.as_u64().div_ceil(DIGEST_BLOCK as u64)),
+            addresses: cells(total.as_u64().div_ceil(chunk)),
         })
     }
 
-    /// A chunk's pool job: files the values of the blocks `chunk`, staged
-    /// from offset `off`, wholly covers.
-    fn file_whole(&self, off: u64, chunk: &[u8]) {
-        let (head, whole) = whole_blocks(off, chunk.len(), self.len);
-        let first = (off + head as u64) / DIGEST_BLOCK as u64;
-        let values = block_digests(&chunk[head..head + whole]);
-        for (cell, value) in self.cells[first as usize..].iter().zip(values) {
-            cell.store(value, Ordering::Relaxed);
-        }
+    /// A chunk's pool job: one pass over `chunk`, staged from offset `off`,
+    /// files the values of the blocks it wholly covers and its content
+    /// address.
+    fn file(&self, off: u64, chunk: &[u8]) {
+        let store = |cell: &AtomicU64, value| cell.store(value, Ordering::Relaxed);
+        let address = file_blocks(off, chunk, self.len, |i, v| store(&self.blocks[i], v));
+        store(&self.addresses[(off / self.chunk) as usize], address);
     }
 
     /// The producer's share, as `chunk` goes by: the blocks a chunk
@@ -205,17 +222,32 @@ impl BlockValues {
         let (head, whole) = whole_blocks(off, chunk.len(), self.len);
         open.extend_from_slice(&chunk[..head]);
         if open.len() == DIGEST_BLOCK || (head > 0 && off + head as u64 == self.len) {
-            let cell = &self.cells[(off / DIGEST_BLOCK as u64) as usize];
+            let cell = &self.blocks[(off / DIGEST_BLOCK as u64) as usize];
             cell.store(chunk_digest(open), Ordering::Relaxed);
             open.clear();
         }
         open.extend_from_slice(&chunk[head + whole..]);
     }
 
-    /// The digest, once every block has been filed.
+    /// The state digest, once every block has been filed.
     fn fold(&self) -> StateDigest {
-        let values = self.cells.iter().map(|cell| cell.load(Ordering::Relaxed));
+        let values = self.blocks.iter().map(|cell| cell.load(Ordering::Relaxed));
         StateDigest(fold_blocks(self.step, self.len, values))
+    }
+
+    /// The chunks' content addresses, once every chunk has been filed.
+    fn addresses(&self) -> Vec<u64> {
+        let addresses = self.addresses.iter();
+        addresses.map(|cell| cell.load(Ordering::Relaxed)).collect()
+    }
+
+    /// The all-`Raw` table of checkpoint `counter`: one record per chunk.
+    fn all_raw(&self, counter: u64) -> FrameTable {
+        let (chunk, len) = (self.chunk, self.len);
+        let lens = (0..len)
+            .step_by(chunk as usize)
+            .map(|off| chunk.min(len - off));
+        FrameTable::all_raw(counter, self.fold().0, lens.zip(self.addresses()))
     }
 }
 
@@ -364,12 +396,12 @@ struct BatchState {
     pending: usize,
     failure: Option<Failure>,
     /// Per pool worker: `(bytes moved, busy nanos)` for this batch — busy
-    /// in a device call or computing on a chunk (fold, content address,
-    /// LZ), so only what is left of a leg is time it spent queued.
+    /// in a device call or computing on a chunk (digests, LZ), so only what
+    /// is left of a leg is time it spent queued.
     legs: Vec<(u64, u64)>,
 }
 
-/// One checkpoint's fan-out onto the writer pool: the jobs a copy verb
+/// One checkpoint's fan-out onto the writer pool: the jobs the copy verb
 /// queued, the first failure among them, and what each worker moved. The
 /// verb's thread submits, then [`wait`](Batch::wait)s; the jobs own an
 /// `Arc` of the batch and nothing of the pipeline.
@@ -451,27 +483,27 @@ impl Batch {
     }
 
     /// Queues the write (and, per the fence mode, the fence) of `data` at
-    /// payload offset `offset`, under the tenant's per-chunk QoS grant.
-    /// With `fold`, `data` is the raw chunk staged from that offset and
-    /// the job first files its block values, while it is the one thing the
+    /// payload offset `at`, under the tenant's per-chunk QoS grant. With
+    /// `digests`, `data` is the chunk staged from logical offset `off` and
+    /// the job first files its digests, while it is the one thing the
     /// worker has in cache.
     fn write<D: AsRef<[u8]> + Send + 'static>(
         self: &Arc<Self>,
         workers: &WorkerPool,
-        offset: u64,
+        at: u64,
         data: D,
-        fold: Option<&Arc<BlockValues>>,
+        digests: Option<(&Arc<Digests>, u64)>,
     ) {
-        let fold = fold.cloned();
+        let digests = digests.map(|(d, off)| (Arc::clone(d), off));
         self.submit(workers, move |batch| {
             let bytes = data.as_ref();
-            let folding = fold.map_or(0, |blocks| {
-                batch.busy(|| blocks.file_whole(offset, bytes)).1
+            let digesting = digests.map_or(0, |(digests, off)| {
+                batch.busy(|| digests.file(off, bytes)).1
             });
             let media = batch
                 .io
-                .write_and_fence_chunk(batch.ctx(), batch.at, offset, bytes)?;
-            Ok((bytes.len() as u64, folding + media))
+                .write_and_fence_chunk(batch.ctx(), batch.at, at, bytes)?;
+            Ok((bytes.len() as u64, digesting + media))
         });
     }
 
@@ -556,7 +588,7 @@ pub struct PersistPipeline {
 
 /// Shared chunk-codec state: the on/off switch the controller flips and
 /// the content-addressed index of chunk homes as of each job's latest
-/// framed commit.
+/// codec commit.
 #[derive(Debug, Default)]
 struct CodecState {
     enabled: AtomicBool,
@@ -570,39 +602,34 @@ pub struct Copied {
     /// Persist-phase start timestamp `seal` closes the phase against (the
     /// whole-buffer and write-through verbs close their own).
     pub persist_start: u64,
-    /// Physical bytes in the slot (for a frame: table + packed chunks).
+    /// Physical bytes in the slot: the frame's table and packed chunks.
     pub payload_len: u64,
     /// End-to-end digest of the logical state, computed from the bytes the
-    /// verb staged (the chunk verbs fold it on the writer pool): exactly
-    /// [`pccheck_gpu::Gpu::digest`] of the snapshot. A raw commit records
-    /// it; a frame's table carries it.
+    /// verb staged (the chunk verb folds it on the writer pool): exactly
+    /// [`pccheck_gpu::Gpu::digest`] of the snapshot. The frame's table
+    /// carries it.
     pub state_digest: StateDigest,
-    /// The frame [`copy_framed`](PersistPipeline::copy_framed) packed;
-    /// `None` for a raw payload.
-    pub frame: Option<FramedPlan>,
+    /// What the commit binds of the frame the verb wrote.
+    pub frame: FramedPlan,
 }
 
-/// The frame half of what [`PersistPipeline::copy_framed`] persisted, for
-/// [`PersistPipeline::commit`] to bind to the commit record.
-#[derive(Debug, Clone)]
+/// The frame half of what a copy verb persisted, for
+/// [`PersistPipeline::commit`] to bind to the commit record. An all-`Raw`
+/// frame links nothing, saved nothing and has no homes to install.
+#[derive(Debug, Clone, Default)]
 pub struct FramedPlan {
-    /// Checksum of the serialized frame table (the framed slot's meta
-    /// digest: it binds the table, and through it every chunk, to the
-    /// commit).
+    /// Checksum of the serialized frame table (the slot's meta digest: it
+    /// binds the table, and through it every chunk, to the commit).
     pub payload_digest: u64,
     /// Back-pointer to the youngest home any chunk references — its chain
     /// pins every other home the frame names. Present iff any chunk
     /// deduplicated against an earlier checkpoint.
     pub link: Option<DeltaLink>,
-    /// Logical (uncompressed) payload length.
-    pub logical_len: u64,
-    /// Bytes the codec avoided persisting (`logical - physical`).
+    /// Bytes the codec avoided persisting (`logical - packed`).
     pub saved_bytes: u64,
     /// Chunks stored as dedup references instead of materialized bytes.
     pub dedup_chunks: u64,
-    /// The frame table as persisted.
-    pub table: FrameTable,
-    /// The next dedup generation, `(digest, home)`: this frame's
+    /// The next dedup generation, `(digest, home)`: a codec frame's
     /// materialized chunks homed at itself plus every base hit it took,
     /// carried forward unchanged. Commit installs it.
     pub homes: Vec<(u64, DedupHome)>,
@@ -671,9 +698,8 @@ impl PersistPipeline {
         self
     }
 
-    /// Attaches the DRAM staging pool used by the chunk-scheduled copy
-    /// paths ([`copy_chunks`](Self::copy_chunks) /
-    /// [`copy_framed`](Self::copy_framed)).
+    /// Attaches the DRAM staging pool the chunk copy verb
+    /// ([`copy`](Self::copy)) stages through.
     pub fn with_staging(mut self, pool: HostBufferPool) -> Self {
         self.pool = Some(pool);
         self
@@ -711,7 +737,7 @@ impl PersistPipeline {
     fn pool(&self) -> &HostBufferPool {
         self.pool
             .as_ref()
-            .expect("chunk-scheduled copy paths need a staging pool")
+            .expect("the chunk copy verb needs a staging pool")
     }
 
     /// Leases a free slot from `ns` and refreshes the queue-depth gauges
@@ -727,7 +753,7 @@ impl PersistPipeline {
     /// The one staging loop: copies the snapshot GPU→DRAM into pooled
     /// chunks, taken from the pool as `reserve` says, and hands each chunk
     /// with its offset to `each`. The producer does nothing else with the
-    /// bytes — folding `blocks` is the chunks' pool jobs' work — except for
+    /// bytes — filing `digests` is the chunks' pool jobs' work — except for
     /// the blocks a chunk boundary cuts, which it files from a carry of at
     /// most one block. Drops `src` (the weights go back to training) the
     /// moment the last chunk is staged, then closes the `GpuCopy` phase.
@@ -742,12 +768,12 @@ impl PersistPipeline {
         ctx: PipelineCtx<'_>,
         src: S,
         lease: &SlotLease,
-        blocks: &BlockValues,
+        digests: &Digests,
         reserve: Reserve<'_>,
         mut each: impl FnMut(u64, StagedChunk),
     ) -> Result<u64, PccheckError> {
         let pool = self.pool();
-        let (chunk, total) = (pool.chunk_size().as_u64(), blocks.len);
+        let (chunk, total) = (digests.chunk, digests.len);
         let mut reserved = Vec::new();
         if let Reserve::Whole = reserve {
             let n_chunks = total.div_ceil(chunk) as usize;
@@ -768,7 +794,7 @@ impl PersistPipeline {
             let len = chunk.min(total - off) as usize;
             let mut buf = reserved.pop().unwrap_or_else(|| pool.acquire());
             src.copy_range_to_host(off, &mut buf.as_mut_slice()[..len]);
-            blocks.file_cut(&mut open, off, &buf.as_slice()[..len]);
+            digests.file_cut(&mut open, off, &buf.as_slice()[..len]);
             ctx.telemetry
                 .chunk(ctx.span, Phase::GpuCopy, off, len as u64);
             let buf = Arc::new(buf);
@@ -776,187 +802,189 @@ impl PersistPipeline {
             off += len as u64;
         }
         drop(src);
+        ctx.telemetry
+            .phase_done(ctx.span, Phase::GpuCopy, copy_start);
         if off == total {
-            self.copy_done(ctx, lease, ByteSize::from_bytes(total), copy_start);
-        } else {
-            ctx.telemetry
-                .phase_done(ctx.span, Phase::GpuCopy, copy_start);
+            let (counter, slot) = (lease.counter, lease.slot);
+            let flight = self.io.store.flight();
+            flight.record(FlightEventKind::CopyDone, counter, slot, 0, total, 0);
         }
         Ok(copy_start)
     }
 
-    /// Closes the `GpuCopy` phase and records the flight milestone.
-    fn copy_done(&self, ctx: PipelineCtx<'_>, lease: &SlotLease, total: ByteSize, copy_start: u64) {
-        ctx.telemetry
-            .phase_done(ctx.span, Phase::GpuCopy, copy_start);
-        self.io.store.flight().record(
-            FlightEventKind::CopyDone,
-            lease.counter,
-            lease.slot,
-            0,
-            total.as_u64(),
-            0,
-        );
-    }
-
-    /// Persists an already staged snapshot as the raw payload, chunk `i`
-    /// at offset `i × chunk size`, each write job filing its chunk's share
-    /// of `fold` first when the snapshot is not folded yet; each buffer
-    /// returns to the pool the moment its write returns.
-    fn persist_staged(
+    /// Writes an already staged snapshot verbatim, chunk `i` at payload
+    /// offset `packed + i × chunk size`, each write job first filing its
+    /// chunk's `digests` when the snapshot has not been digested yet; each
+    /// buffer returns to the pool the moment its write returns.
+    fn write_staged(
         &self,
         ctx: PipelineCtx<'_>,
         lease: &SlotLease,
+        packed: u64,
         staged: Vec<StagedChunk>,
-        fold: Option<&Arc<BlockValues>>,
+        digests: Option<&Arc<Digests>>,
     ) -> Result<(), PccheckError> {
         let chunk = self.pool().chunk_size().as_u64();
         let batch = Batch::open(&self.io, ctx, lease);
         for (i, piece) in staged.into_iter().enumerate() {
-            batch.write(&self.workers, i as u64 * chunk, piece, fold);
+            let off = i as u64 * chunk;
+            batch.write(
+                &self.workers,
+                packed + off,
+                piece,
+                digests.map(|d| (d, off)),
+            );
         }
         batch.wait()
     }
 
-    /// Chunk-scheduled raw copy: the calling thread copies the snapshot
-    /// from the GPU into pooled DRAM chunks and the writer pool digests
-    /// and persists them. With `pipelined` (Figure 7) the two overlap —
-    /// writers persist already-copied chunks while the producer copies the
-    /// next, and each DRAM buffer returns to the pool the moment its chunk
-    /// is written.
-    /// Without it (Figure 6) the producer stages the entire snapshot
-    /// before the first write, so the pool must hold the whole snapshot.
+    /// The chunk copy verb: copies the snapshot GPU→DRAM into pooled
+    /// chunks — the calling thread copies, the writer pool digests and
+    /// persists — and writes it into the leased slot as a frame, its table
+    /// last so a torn frame is never mistaken for a complete one. `mode`
+    /// says how it stages and what it packs ([`CopyMode`]); every chunk the
+    /// codec does not pack is written verbatim at its packed offset under
+    /// an all-`Raw` table.
     ///
     /// `src` is consumed: it is dropped — handing the weights back to
-    /// training — as soon as the last chunk is in DRAM, while this call
-    /// goes on to wait for the writes. Pass `&guard` to keep a guard.
+    /// training — as soon as the last chunk is in DRAM, before the codec
+    /// classifies, compresses or packs anything and while the streamed
+    /// copy's writes are still landing. Pass `&guard` to keep a guard.
+    ///
+    /// The codec deduplicates byte-identical chunks within the frame and
+    /// against the homes the job's head installed, taking a base hit iff
+    /// `home.depth + 1` fits `policy.max_chain` and the lease's slot budget
+    /// minus two; the frame links to the youngest home it references (see
+    /// the `codec` module docs, "Dedup index lifetime"). It compresses the
+    /// rest on the writer pool, and writes the all-`Raw` frame of the
+    /// chunks it already staged — no second GPU copy, no second digest —
+    /// when its packed chunks would not be smaller than the state. It needs
+    /// every chunk's content address before any byte is packed, so a pool
+    /// too small to stage the snapshot streams it all-`Raw` instead,
+    /// decided before the source is touched.
     ///
     /// The returned [`Copied::persist_start`] lets the caller close the
-    /// phase after [`seal`](Self::seal): the copy start when pipelined
-    /// (the phases overlap), the end of staging otherwise.
+    /// phase after [`seal`](Self::seal): the copy start when streamed (the
+    /// phases overlap), the end of staging otherwise.
     ///
     /// # Errors
     ///
-    /// Propagates the first device error any writer hit, after the
-    /// checkpoint's remaining queued writes were cancelled; rejects a
-    /// staged copy whose pool cannot hold the snapshot.
-    pub fn copy_chunks<S: SnapshotSource>(
+    /// [`PccheckError::InvalidConfig`] when a staged copy's pool cannot
+    /// hold the snapshot, or a write falls past a slot too small for the
+    /// snapshot's all-`Raw` frame; otherwise the first device error any
+    /// writer hit — in either case after the checkpoint's remaining queued
+    /// jobs were cancelled.
+    pub fn copy<S: SnapshotSource>(
         &self,
         ctx: PipelineCtx<'_>,
         src: S,
         lease: &SlotLease,
         total: ByteSize,
-        pipelined: bool,
+        mode: CopyMode,
     ) -> Result<Copied, PccheckError> {
-        let blocks = BlockValues::of(&src, total);
-        let persist_start = if pipelined {
-            let batch = Batch::open(&self.io, ctx, lease);
-            let start = self.stage(
-                ctx,
-                src,
-                lease,
-                &blocks,
-                Reserve::Streaming(&batch),
-                |off, piece| batch.write(&self.workers, off, piece, Some(&blocks)),
-            )?;
-            batch.wait()?;
-            start
-        } else {
-            let mut staged = Vec::new();
-            self.stage(ctx, src, lease, &blocks, Reserve::Whole, |_, piece| {
-                staged.push(piece)
-            })?;
-            let start = ctx.telemetry.now_nanos();
-            self.persist_staged(ctx, lease, staged, Some(&blocks))?;
-            start
+        let pool = self.pool();
+        let chunk = pool.chunk_size().as_u64();
+        let n_chunks = total.as_u64().div_ceil(chunk) as usize;
+        let packed = FrameTable::encoded_len_for(n_chunks);
+        if let CopyMode::Codec(_) = mode {
+            // The controller's chain-length signal: how much of the state
+            // changed since the previous snapshot.
+            let dirty: u64 = src.dirty_ranges().iter().map(|&(_, len)| len).sum();
+            ctx.telemetry
+                .gauge_dirty_ratio(dirty * 1000 / total.as_u64().max(1));
+        }
+        let mode = match mode {
+            CopyMode::Codec(_) if n_chunks == 0 || pool.total_chunks() < n_chunks => {
+                CopyMode::Streamed
+            }
+            mode => mode,
         };
+
+        let digests = Digests::of(&src, total, chunk);
+        let (persist_start, codec) = match mode {
+            CopyMode::Streamed => {
+                let batch = Batch::open(&self.io, ctx, lease);
+                let start = self.stage(
+                    ctx,
+                    src,
+                    lease,
+                    &digests,
+                    Reserve::Streaming(&batch),
+                    |off, piece| {
+                        batch.write(&self.workers, packed + off, piece, Some((&digests, off)))
+                    },
+                )?;
+                batch.wait()?;
+                (start, None)
+            }
+            CopyMode::Staged => {
+                let mut staged = Vec::with_capacity(n_chunks);
+                self.stage(ctx, src, lease, &digests, Reserve::Whole, |_, piece| {
+                    staged.push(piece)
+                })?;
+                let start = ctx.telemetry.now_nanos();
+                self.write_staged(ctx, lease, packed, staged, Some(&digests))?;
+                (start, None)
+            }
+            CopyMode::Codec(policy) => {
+                // Each chunk's pool job takes its digests while the chunk
+                // is hot; the weights are back with training before the
+                // first of them is waited for.
+                let mut staged = Vec::with_capacity(n_chunks);
+                let batch = Batch::open(&self.io, ctx, lease);
+                self.stage(ctx, src, lease, &digests, Reserve::Whole, |off, piece| {
+                    staged.push(piece.clone());
+                    let digests = Arc::clone(&digests);
+                    batch.submit(&self.workers, move |batch| {
+                        Ok((0, batch.busy(|| digests.file(off, piece.as_ref())).1))
+                    });
+                })?;
+                batch.wait()?;
+                let start = ctx.telemetry.now_nanos();
+                let codec = self.pack(ctx, lease, &staged, &digests, policy)?;
+                if codec.is_none() {
+                    // The frame would not pay. The snapshot is already in
+                    // DRAM and digested, and the source is gone: it goes
+                    // out as the all-`Raw` frame it is.
+                    self.write_staged(ctx, lease, packed, staged, None)?;
+                }
+                (start, codec)
+            }
+        };
+
+        let all_raw = || (digests.all_raw(lease.counter), FramedPlan::default());
+        let (table, plan) = codec.unwrap_or_else(all_raw);
+        let table_bytes = table.encode();
+        assert_eq!(table_bytes.len() as u64, packed, "the table fills its room");
+        self.io
+            .write_and_fence_chunk(ctx, SlotRef::of(lease), 0, &table_bytes)?;
         Ok(Copied {
             persist_start,
-            payload_len: total.as_u64(),
-            state_digest: blocks.fold(),
-            frame: None,
+            payload_len: table.physical_len(),
+            state_digest: StateDigest(table.full_digest),
+            frame: FramedPlan {
+                payload_digest: checksum(&table_bytes),
+                ..plan
+            },
         })
     }
 
-    /// Codec copy: stages the snapshot, content-addresses every chunk,
-    /// deduplicates byte-identical chunks (within this frame and against
-    /// the homes the job's head installed), entropy-gate-compresses the
-    /// rest on the writer pool, and persists `[frame table][packed
-    /// chunks]` into the leased slot. The table is written *last* so a
-    /// torn frame is never mistaken for a complete one.
-    ///
-    /// `src` is consumed and dropped as soon as the snapshot is staged —
-    /// before classify, compress, pack and write — so training never
-    /// waits for the codec (pass `&guard` to keep a guard).
-    ///
-    /// A base hit is taken iff `home.depth + 1` fits `policy.max_chain`
-    /// and the lease's slot budget minus two; the frame links to the
-    /// youngest home it references (see the `codec` module docs, "Dedup
-    /// index lifetime").
-    ///
-    /// When the frame would not pay — its physical payload is not smaller
-    /// than the raw one, or overflows the slot — the chunks already in
-    /// DRAM are persisted as the raw payload instead: no second GPU copy,
-    /// no second digest fold, [`Copied::frame`] `None`. When the staging
-    /// pool cannot hold the whole snapshot the codec is inapplicable (it
-    /// needs every chunk's content address before any byte is packed) and
-    /// the snapshot streams raw through [`copy_chunks`](Self::copy_chunks)
-    /// — decided before the source is touched.
-    ///
-    /// The state digest is folded by the same pool jobs that take the
-    /// content addresses and lands in the table as `full_digest`; restore
-    /// verifies the reconstructed payload against it end to end.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first device error any writer hit.
-    pub fn copy_framed<S: SnapshotSource>(
+    /// The codec's half of [`copy`](Self::copy), once the snapshot is
+    /// staged and `digests` complete: classifies every chunk — self-dedup
+    /// (byte compare — exact), then base dedup (content address against
+    /// the head's homes), then materialize — compresses the materialized
+    /// ones on the writer pool and, when the packed chunks are smaller than
+    /// the state, writes them behind the table's room and returns the table
+    /// and what the commit binds of it besides its checksum. `None` —
+    /// nothing written — when they are not.
+    fn pack(
         &self,
         ctx: PipelineCtx<'_>,
-        src: S,
         lease: &SlotLease,
-        total: ByteSize,
+        staged: &[StagedChunk],
+        digests: &Digests,
         policy: DeltaPolicy,
-    ) -> Result<Copied, PccheckError> {
-        // The controller's chain-length signal: how much of the state
-        // changed since the previous snapshot.
-        let dirty_bytes: u64 = src.dirty_ranges().iter().map(|&(_, len)| len).sum();
-        ctx.telemetry
-            .gauge_dirty_ratio(dirty_bytes * 1000 / total.as_u64().max(1));
-
-        let chunk = self.pool().chunk_size().as_u64();
-        let n_chunks = total.as_u64().div_ceil(chunk) as usize;
-        if n_chunks == 0 || self.pool().total_chunks() < n_chunks {
-            return self.copy_chunks(ctx, src, lease, total, true);
-        }
-
-        // Stage all chunks. Each one's pool job files its block values and
-        // its content address in one pass, while the chunk is hot; the
-        // weights are back with training before the first of them is
-        // waited for.
-        let blocks = BlockValues::of(&src, total);
-        let addresses: Arc<Vec<AtomicU64>> =
-            Arc::new((0..n_chunks).map(|_| AtomicU64::new(0)).collect());
-        let mut staged = Vec::with_capacity(n_chunks);
-        let batch = Batch::open(&self.io, ctx, lease);
-        self.stage(ctx, src, lease, &blocks, Reserve::Whole, |off, piece| {
-            let (blocks, addresses) = (Arc::clone(&blocks), Arc::clone(&addresses));
-            let i = staged.len();
-            staged.push(piece.clone());
-            batch.submit(&self.workers, move |batch| {
-                let ((), busy) = batch.busy(|| {
-                    let bytes = piece.as_ref();
-                    blocks.file_whole(off, bytes);
-                    addresses[i].store(chunk_digest(bytes), Ordering::Relaxed);
-                });
-                Ok((0, busy))
-            });
-        })?;
-        batch.wait()?;
-        let state_digest = blocks.fold();
-        let digests = addresses.iter().map(|a| a.load(Ordering::Relaxed));
-        let digests: Vec<u64> = digests.collect();
-
+    ) -> Result<Option<(FrameTable, FramedPlan)>, PccheckError> {
         // Cross-checkpoint dedup answers from the generation the job's
         // head installed, hit by hit: a home is referenced only while the
         // frame that links to it stays within the depth bound. A chain of
@@ -965,34 +993,31 @@ impl PersistPipeline {
         let ns = lease.namespace();
         let max_depth = policy.max_chain.min(ns.desc().slot_count.saturating_sub(2));
 
-        let persist_start = ctx.telemetry.now_nanos();
-
-        // Classify every chunk: self-dedup (byte compare — exact), then
-        // base dedup (content address against the head's homes), then
-        // materialize.
         let mut records: Vec<FrameRecord> = Vec::with_capacity(staged.len());
         let mut self_seen: HashMap<u64, usize> = HashMap::new();
         let mut materialized: Vec<usize> = Vec::new();
         let mut homes: Vec<(u64, DedupHome)> = Vec::new();
         {
-            // The head is read under the index's lock, which a framed
+            // The head is read under the index's lock, which a codec
             // commit holds from before its head advance until its
             // generation is installed: head and generation are one
             // observation, never a new head beside the old generation.
             let dedup = self.codec.dedup.lock();
             let head = self.io.store.latest_committed(ns).map(|h| h.counter);
-            for (i, (piece, &digest)) in staged.iter().zip(&digests).enumerate() {
+            let addresses = digests.addresses();
+            for (i, (piece, &digest)) in staged.iter().zip(&addresses).enumerate() {
                 let n = piece.len as u64;
+                let record = |kind, aux, a, b| FrameRecord {
+                    kind,
+                    aux,
+                    logical_len: n,
+                    a,
+                    b,
+                    digest,
+                };
                 if let Some(&j) = self_seen.get(&digest) {
                     if staged[j].as_ref() == piece.as_ref() {
-                        records.push(FrameRecord {
-                            kind: ChunkEncoding::DedupSelf,
-                            aux: j as u32,
-                            logical_len: n,
-                            a: 0,
-                            b: 0,
-                            digest,
-                        });
+                        records.push(record(ChunkEncoding::DedupSelf, j as u32, 0, 0));
                         continue;
                     }
                 }
@@ -1000,28 +1025,15 @@ impl PersistPipeline {
                     .and_then(|h| dedup.lookup(lease.job(), h, digest, n))
                     .filter(|home| home.depth < max_depth);
                 if let Some(home) = hit {
-                    records.push(FrameRecord {
-                        kind: ChunkEncoding::DedupBase,
-                        aux: home.slot,
-                        logical_len: n,
-                        a: home.counter,
-                        b: home.logical_off,
-                        digest,
-                    });
+                    let base = ChunkEncoding::DedupBase;
+                    records.push(record(base, home.slot, home.counter, home.logical_off));
                     homes.push((digest, home));
                     continue;
                 }
                 self_seen.entry(digest).or_insert(i);
                 materialized.push(i);
                 // Placeholder; phys offset/len assigned after compression.
-                records.push(FrameRecord {
-                    kind: ChunkEncoding::Raw,
-                    aux: 0,
-                    logical_len: n,
-                    a: 0,
-                    b: 0,
-                    digest,
-                });
+                records.push(record(ChunkEncoding::Raw, 0, 0, 0));
             }
         }
 
@@ -1061,64 +1073,31 @@ impl PersistPipeline {
             records[i].b = len;
             phys += len;
         }
-
-        let table_len = FrameTable::encoded_len_for(records.len());
-        let physical = table_len + phys;
-        if physical >= total.as_u64() || physical > self.io.store.slot_size().as_u64() {
-            // The frame would not pay. The snapshot is already in DRAM and
-            // folded, and the source is gone: it goes out as the raw
-            // payload it is.
-            drop(compressed);
-            self.persist_staged(ctx, lease, staged, None)?;
-            return Ok(Copied {
-                persist_start,
-                payload_len: total.as_u64(),
-                state_digest,
-                frame: None,
-            });
+        let logical: u64 = staged.iter().map(|piece| piece.len as u64).sum();
+        if phys >= logical {
+            return Ok(None);
         }
 
-        // Persist the packed chunks through the writer pool — then the
-        // table, last. A chunk the frame stores as a reference or as LZ
+        // Persist the packed chunks through the writer pool; the table
+        // follows, last. A chunk the frame stores as a reference or as LZ
         // bytes needs its DRAM no longer.
+        let table_len = FrameTable::encoded_len_for(records.len());
         let batch = Batch::open(&self.io, ctx, lease);
         for &i in &materialized {
             let dst = table_len + records[i].a;
             match compressed.remove(&i) {
-                Some(lz) => {
-                    debug_assert_eq!(lz.len() as u64, records[i].b);
-                    batch.write(&self.workers, dst, lz, None);
-                }
-                None => {
-                    debug_assert_eq!(staged[i].len as u64, records[i].b);
-                    batch.write(&self.workers, dst, staged[i].clone(), None);
-                }
+                Some(lz) => batch.write(&self.workers, dst, lz, None),
+                None => batch.write(&self.workers, dst, staged[i].clone(), None),
             }
         }
-        drop(staged);
         batch.wait()?;
 
-        let table = FrameTable {
-            counter: lease.counter,
-            logical_len: total.as_u64(),
-            full_digest: state_digest.0,
-            records,
-        };
-        let table_bytes = table.encode();
-        debug_assert_eq!(table_bytes.len() as u64, table_len);
-        self.io
-            .write_and_fence_chunk(ctx, SlotRef::of(lease), 0, &table_bytes)?;
-
-        let dedup_chunks = table
-            .records
-            .iter()
-            .filter(|r| !r.kind.is_materialized())
-            .count() as u64;
-        let saved_bytes = total.as_u64() - physical;
+        let dedup_chunks = (records.len() - materialized.len()) as u64;
+        let saved_bytes = logical - phys;
         ctx.telemetry.add_codec_bytes_saved(saved_bytes);
         ctx.telemetry.add_dedup_chunks(dedup_chunks);
         ctx.telemetry
-            .gauge_compression_ratio(physical * 1000 / total.as_u64().max(1));
+            .gauge_compression_ratio((table_len + phys) * 1000 / logical.max(1));
 
         // Link to the youngest home referenced: the older ones lie on its
         // chain, so pinning that chain pins them all.
@@ -1133,7 +1112,7 @@ impl PersistPipeline {
             });
         let depth = link.map_or(0, |l| l.chain_depth);
         let mut logical_off = 0u64;
-        for r in &table.records {
+        for r in &records {
             if r.kind.is_materialized() {
                 homes.push((
                     r.digest,
@@ -1148,24 +1127,25 @@ impl PersistPipeline {
             }
             logical_off += r.logical_len;
         }
-        Ok(Copied {
-            persist_start,
-            payload_len: physical,
-            state_digest,
-            frame: Some(FramedPlan {
-                payload_digest: crate::meta::checksum(&table_bytes),
-                link,
-                logical_len: total.as_u64(),
-                saved_bytes,
-                dedup_chunks,
-                table,
-                homes,
-            }),
-        })
+        let table = FrameTable {
+            counter: lease.counter,
+            logical_len: logical,
+            full_digest: digests.fold().0,
+            records,
+        };
+        let plan = FramedPlan {
+            payload_digest: 0,
+            link,
+            saved_bytes,
+            dedup_chunks,
+            homes,
+        };
+        Ok(Some((table, plan)))
     }
 
     /// One-call codec checkpoint in `ns`: lease →
-    /// [`copy_framed`](Self::copy_framed) → `seal` → commit.
+    /// [`copy`](Self::copy) under `policy` → `seal` → commit. Returns what
+    /// the copy left in the slot besides the commit's outcome.
     ///
     /// # Errors
     ///
@@ -1177,21 +1157,13 @@ impl PersistPipeline {
         src: &dyn SnapshotSource,
         iteration: u64,
         policy: DeltaPolicy,
-    ) -> Result<(CommitOutcome, FramedOutcome), PccheckError> {
+    ) -> Result<(CommitOutcome, Copied), PccheckError> {
         let total = src.size();
         let lease = self.lease(ctx, ns);
-        let copied = self.copy_framed(ctx, src, &lease, total, policy)?;
+        let copied = self.copy(ctx, src, &lease, total, CopyMode::Codec(policy))?;
         self.seal(ctx, &lease, iteration, &copied)?;
         let out = self.commit(ctx, lease, iteration, &copied)?;
-        let kind = match &copied.frame {
-            Some(frame) => FramedOutcome::Framed {
-                payload_len: copied.payload_len,
-                saved_bytes: frame.saved_bytes,
-                dedup_chunks: frame.dedup_chunks,
-            },
-            None => FramedOutcome::Raw,
-        };
-        Ok((out, kind))
+        Ok((out, copied))
     }
 
     /// Whole-buffer snapshot: copies the entire source into one host
@@ -1216,8 +1188,8 @@ impl PersistPipeline {
     }
 
     /// Whole-buffer persist: leases a slot of `ns` *after* the copy,
-    /// writes the payload in one piece, fences it, and closes the
-    /// `Persist` phase (the traditional/CheckFreq `P` step).
+    /// writes the payload's all-`Raw` frame in one piece, fences it, and
+    /// closes the `Persist` phase (the traditional/CheckFreq `P` step).
     ///
     /// # Errors
     ///
@@ -1230,10 +1202,12 @@ impl PersistPipeline {
         state_digest: StateDigest,
         iteration: u64,
     ) -> Result<(SlotLease, Copied), PccheckError> {
-        let total = payload.len() as u64;
         let persist_start = ctx.telemetry.now_nanos();
         let lease = self.lease(ctx, ns);
-        self.io.write_chunk(ctx, lease.slot, 0, payload)?;
+        let (frame, payload_digest) =
+            raw_frame(lease.counter, state_digest.0, payload, KERNEL_COPY_CHUNK);
+        let total = frame.len() as u64;
+        self.io.write_chunk(ctx, lease.slot, 0, &frame)?;
         self.io.persist_chunk(ctx, lease.slot, 0, total)?;
         ctx.telemetry.chunk(ctx.span, Phase::Persist, 0, total);
         ctx.telemetry
@@ -1250,15 +1224,20 @@ impl PersistPipeline {
             persist_start,
             payload_len: total,
             state_digest,
-            frame: None,
+            frame: FramedPlan {
+                payload_digest,
+                ..FramedPlan::default()
+            },
         };
         Ok((lease, copied))
     }
 
     /// Kernel write-through (GPM): copies the snapshot tile by tile
-    /// straight into the leased slot with no DRAM staging, then issues one
-    /// same-thread fence over the payload. `GpuCopy` and `Persist` overlap
-    /// tile-by-tile, so both phases close against the shared `phase_start`.
+    /// straight into the leased slot — each tile one record of an all-`Raw`
+    /// frame, its table written last — with no DRAM staging, then issues
+    /// one same-thread fence over the payload. `GpuCopy` and `Persist`
+    /// overlap tile-by-tile, so both phases close against the shared
+    /// `phase_start`.
     ///
     /// # Errors
     ///
@@ -1271,27 +1250,37 @@ impl PersistPipeline {
         iteration: u64,
         phase_start: u64,
     ) -> Result<Copied, PccheckError> {
-        let total = src.size();
+        let total = src.size().as_u64();
         // A small bounce tile stands in for the kernel's register/shared-
         // memory tile; it never holds the checkpoint (Table 1: DRAM = 0).
-        let mut tile = vec![0u8; KERNEL_COPY_CHUNK.min(total.as_usize().max(1))];
-        let mut fold = StateFold::new(src.step_count(), total.as_u64());
+        let mut tile = vec![0u8; KERNEL_COPY_CHUNK.min(total.max(1) as usize)];
+        let packed = FrameTable::encoded_len_for(total.div_ceil(tile.len() as u64) as usize);
+        // Tiles start on block boundaries, so each one's pass files every
+        // block it covers and yields its record's address.
+        let mut blocks = vec![0u64; total.div_ceil(DIGEST_BLOCK as u64) as usize];
+        let mut records = Vec::new();
         let mut off = 0u64;
-        while off < total.as_u64() {
-            let n = (tile.len() as u64).min(total.as_u64() - off) as usize;
+        while off < total {
+            let n = (tile.len() as u64).min(total - off) as usize;
             src.copy_range_to_host(off, &mut tile[..n]);
-            fold.feed(&tile[..n]);
+            let address = file_blocks(off, &tile[..n], total, |i, v| blocks[i] = v);
+            records.push((n as u64, address));
             ctx.telemetry.chunk(ctx.span, Phase::GpuCopy, off, n as u64);
-            self.io.write_chunk(ctx, lease.slot, off, &tile[..n])?;
+            self.io
+                .write_chunk(ctx, lease.slot, packed + off, &tile[..n])?;
             ctx.telemetry.chunk(ctx.span, Phase::Persist, off, n as u64);
             off += n as u64;
         }
         ctx.telemetry
             .phase_done(ctx.span, Phase::GpuCopy, phase_start);
+        let state_digest = StateDigest(fold_blocks(src.step_count(), total, blocks));
+        let table = FrameTable::all_raw(lease.counter, state_digest.0, records).encode();
+        self.io.write_chunk(ctx, lease.slot, 0, &table)?;
         // cudaDeviceSynchronize + msync/fence: one persist over the payload
         // issued by this same (training) thread — correct on both SSD and
         // PMEM because the same thread performed every store.
-        self.io.persist_chunk(ctx, lease.slot, 0, total.as_u64())?;
+        let payload_len = packed + total;
+        self.io.persist_chunk(ctx, lease.slot, 0, payload_len)?;
         ctx.telemetry
             .phase_done(ctx.span, Phase::Persist, phase_start);
         self.io.store.flight().record(
@@ -1299,14 +1288,17 @@ impl PersistPipeline {
             lease.counter,
             lease.slot,
             iteration,
-            total.as_u64(),
+            payload_len,
             0,
         );
         Ok(Copied {
             persist_start: phase_start,
-            payload_len: total.as_u64(),
-            state_digest: StateDigest(fold.finish()),
-            frame: None,
+            payload_len,
+            state_digest,
+            frame: FramedPlan {
+                payload_digest: checksum(&table),
+                ..FramedPlan::default()
+            },
         })
     }
 
@@ -1358,13 +1350,13 @@ impl PersistPipeline {
     /// Runs the store's lock-free, link-aware commit — meta publish,
     /// durable `Committed` state-word write, `fetch_max` head advance —
     /// for what a copy verb left in the slot, and closes the `Commit`
-    /// phase. A raw payload's commit record carries the state digest
-    /// itself; a frame's carries the checksum of its table (which binds
-    /// the state digest and every chunk), and a frame that commits
-    /// installs its homes as the job's next dedup generation — under the
-    /// codec index's lock, the one lock on this path, which raw commits
-    /// never take. Concurrent callers otherwise never serialize here;
-    /// losers of the head race surface as [`CommitOutcome::SupersededBy`].
+    /// phase. The commit record carries the checksum of the frame's table
+    /// (which binds the state digest and every chunk); a codec frame that
+    /// commits installs its homes as the job's next dedup generation —
+    /// under the codec index's lock, the one lock on this path, which a
+    /// frame with no homes to install never takes. Concurrent callers
+    /// otherwise never serialize here; losers of the head race surface as
+    /// [`CommitOutcome::SupersededBy`].
     ///
     /// # Errors
     ///
@@ -1377,27 +1369,22 @@ impl PersistPipeline {
         copied: &Copied,
     ) -> Result<CommitOutcome, PccheckError> {
         let commit_start = ctx.telemetry.now_nanos();
-        let (job, counter) = (lease.job(), lease.counter);
-        let (digest, link) = match &copied.frame {
-            Some(frame) => (frame.payload_digest, frame.link),
-            None => (copied.state_digest.0, None),
-        };
-        // A frame's commit and the install of its generation are one step
-        // to the classifier of the next frame (see `copy_framed`): it waits
+        let (job, counter, frame) = (lease.job(), lease.counter, &copied.frame);
+        // A codec frame's commit and the install of its generation are one
+        // step to the classifier of the next frame (see `pack`): it waits
         // here rather than meet the new head without its homes and
         // materialize every chunk.
-        let mut framed = copied
-            .frame
-            .as_ref()
-            .map(|frame| (frame, self.codec.dedup.lock()));
-        let outcome =
-            self.io
-                .store
-                .commit_with_delta(lease, iteration, copied.payload_len, digest, link)?;
-        if let (CommitOutcome::Committed, Some((frame, dedup))) = (outcome, &mut framed) {
+        let install = (!frame.homes.is_empty()).then(|| self.codec.dedup.lock());
+        let outcome = self.io.store.commit_with_delta(
+            lease,
+            iteration,
+            copied.payload_len,
+            frame.payload_digest,
+            frame.link,
+        )?;
+        if let (CommitOutcome::Committed, Some(mut dedup)) = (outcome, install) {
             dedup.install(job, counter, frame.homes.iter().copied());
         }
-        drop(framed);
         ctx.telemetry
             .phase_done(ctx.span, Phase::Commit, commit_start);
         Ok(outcome)
@@ -1427,11 +1414,23 @@ mod tests {
         )
     }
 
+    /// A single-tenant store whose slots hold a `state`-byte frame of
+    /// records down to 64 bytes.
     fn ssd_store(state: ByteSize, slots: u32) -> Arc<CheckpointStore> {
-        let cap = CheckpointStore::required_capacity(state, slots) + ByteSize::from_kb(1);
+        let slot = FrameTable::slot_size_for(state, ByteSize::from_bytes(64));
+        let cap = CheckpointStore::required_capacity(slot, slots) + ByteSize::from_kb(1);
         let device: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        Arc::new(CheckpointStore::format(device, StoreGeometry::single(state, slots)).unwrap())
+        Arc::new(CheckpointStore::format(device, StoreGeometry::single(slot, slots)).unwrap())
+    }
+
+    /// The raw copy mode: streamed (pipelined) or staged whole.
+    fn raw(streamed: bool) -> CopyMode {
+        if streamed {
+            CopyMode::Streamed
+        } else {
+            CopyMode::Staged
+        }
     }
 
     #[test]
@@ -1459,7 +1458,10 @@ mod tests {
             .latest_committed(&default_ns(&pipeline))
             .unwrap();
         assert_eq!(meta.iteration, 1);
-        assert_eq!(meta.digest, g.digest().0);
+        assert_eq!(meta.digest, copied.frame.payload_digest);
+        assert_eq!(copied.state_digest, g.digest());
+        let rec = crate::recovery::recover(Arc::clone(pipeline.store().device())).unwrap();
+        assert_eq!(StateDigest::of_payload(&rec.payload, 1), g.digest());
         let snap = telemetry.snapshot().unwrap();
         assert_eq!(snap.phase(Phase::GpuCopy).count, 1);
         assert_eq!(snap.phase(Phase::Persist).count, 1);
@@ -1488,18 +1490,21 @@ mod tests {
             let total = guard.size();
             let lease = pipeline.lease(ctx, &default_ns(&pipeline));
             let copied = pipeline
-                .copy_chunks(ctx, &guard, &lease, total, streamed)
+                .copy(ctx, &guard, &lease, total, raw(streamed))
                 .unwrap();
             drop(guard);
             pipeline.seal(ctx, &lease, 1, &copied).unwrap();
             let outcome = pipeline.commit(ctx, lease, 1, &copied).unwrap();
             assert_eq!(outcome, CommitOutcome::Committed, "streamed={streamed}");
             let snap = telemetry.snapshot().unwrap();
-            // 900 bytes in 128-byte chunks: 8 chunks through both stages.
+            // 900 bytes in 128-byte chunks: 8 chunks through both stages,
+            // then the frame's table.
+            let table = FrameTable::encoded_len_for(8);
+            assert_eq!(copied.payload_len, table + 900);
             assert_eq!(snap.gpu_copy_bytes, 900);
-            assert_eq!(snap.persist_chunk_bytes, 900);
-            assert_eq!(snap.write_stage.count, 8);
-            assert_eq!(snap.persist_stage.count, 8);
+            assert_eq!(snap.persist_chunk_bytes, table + 900);
+            assert_eq!(snap.write_stage.count, 9);
+            assert_eq!(snap.persist_stage.count, 9);
         }
     }
 
@@ -1522,7 +1527,7 @@ mod tests {
             let total = guard.size();
             let lease = pipeline.lease(ctx, &default_ns(&pipeline));
             let copied = pipeline
-                .copy_chunks(ctx, &guard, &lease, total, streamed)
+                .copy(ctx, &guard, &lease, total, raw(streamed))
                 .unwrap();
             drop(guard);
             pipeline.seal(ctx, &lease, 1, &copied).unwrap();
@@ -1570,14 +1575,14 @@ mod tests {
         let total = guard.size();
         let lease = pipeline.lease(ctx, &default_ns(&pipeline));
         let copied = pipeline
-            .copy_chunks(ctx, &guard, &lease, total, false)
+            .copy(ctx, &guard, &lease, total, CopyMode::Staged)
             .unwrap();
         drop(guard);
         pipeline.seal(ctx, &lease, 1, &copied).unwrap();
         pipeline.commit(ctx, lease, 1, &copied).unwrap();
         let snap = telemetry.snapshot().unwrap();
-        // 4 chunk writes but exactly one (deferred) fence.
-        assert_eq!(snap.write_stage.count, 4);
+        // 4 chunk writes and the table, but exactly one (deferred) fence.
+        assert_eq!(snap.write_stage.count, 5);
         assert_eq!(snap.persist_stage.count, 1);
     }
 
@@ -1594,9 +1599,9 @@ mod tests {
             .collect();
         let striped: Arc<dyn PersistentDevice> =
             Arc::new(StripedDevice::new(members, ByteSize::from_bytes(256)));
-        let store = Arc::new(
-            CheckpointStore::format(striped, StoreGeometry::single(g.state_size(), 2)).unwrap(),
-        );
+        let slot = FrameTable::slot_size_for(g.state_size(), ByteSize::from_kb(4));
+        let store =
+            Arc::new(CheckpointStore::format(striped, StoreGeometry::single(slot, 2)).unwrap());
         let pipeline = PersistPipeline::new(store);
         let telemetry = Telemetry::enabled();
         let span = telemetry.span_requested("test", 1, 600);
@@ -1626,7 +1631,10 @@ mod tests {
         let state = ByteSize::from_bytes(900);
         let geometry = StoreGeometry {
             max_namespaces: 4,
-            ..StoreGeometry::single(state, 8)
+            ..StoreGeometry::single(
+                FrameTable::slot_size_for(state, ByteSize::from_bytes(128)),
+                8,
+            )
         };
         let cap = geometry.required_capacity() + ByteSize::from_kb(1);
         let device: Arc<dyn PersistentDevice> =
@@ -1657,7 +1665,7 @@ mod tests {
             let lease = pipeline.lease(ctx, ns);
             assert_eq!(lease.job(), ns.job());
             let copied = pipeline
-                .copy_chunks(ctx, &guard, &lease, total, true)
+                .copy(ctx, &guard, &lease, total, CopyMode::Streamed)
                 .unwrap();
             drop(guard);
             pipeline.seal(ctx, &lease, iter, &copied).unwrap();
@@ -1668,10 +1676,12 @@ mod tests {
         let store = pipeline.store();
         assert_eq!(store.latest_committed(&tenants[0]).unwrap().iteration, 10);
         assert_eq!(store.latest_committed(&tenants[1]).unwrap().iteration, 20);
-        // ...and every chunk write was metered by the arbiter.
+        // ...and every chunk write, the table's too, was metered by the
+        // arbiter.
         let shares = qos.shares();
-        assert_eq!(shares.iter().find(|s| s.0 == 1).unwrap().1, 900);
-        assert_eq!(shares.iter().find(|s| s.0 == 2).unwrap().1, 900);
+        let frame = FrameTable::encoded_len_for(8) + 900;
+        assert_eq!(shares.iter().find(|s| s.0 == 1).unwrap().1, frame);
+        assert_eq!(shares.iter().find(|s| s.0 == 2).unwrap().1, frame);
     }
 
     #[test]
@@ -1730,11 +1740,12 @@ mod tests {
         pool_chunks: usize,
     ) -> (Arc<dyn PersistentDevice>, PersistPipeline) {
         let state = ByteSize::from_bytes(state_bytes);
-        let cap = CheckpointStore::required_capacity(state, 4) + ByteSize::from_kb(1);
+        let slot = FrameTable::slot_size_for(state, ByteSize::from_bytes(chunk));
+        let cap = CheckpointStore::required_capacity(slot, 4) + ByteSize::from_kb(1);
         let device: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         let store = Arc::new(
-            CheckpointStore::format(Arc::clone(&device), StoreGeometry::single(state, 4)).unwrap(),
+            CheckpointStore::format(Arc::clone(&device), StoreGeometry::single(slot, 4)).unwrap(),
         );
         let pipeline = PersistPipeline::new(store)
             .with_writers(2)
@@ -1777,12 +1788,13 @@ mod tests {
         ] {
             let queued = caller.ends_with("queued");
             let state = ByteSize::from_bytes(TOTAL);
-            let cap = CheckpointStore::required_capacity(state, 2) + ByteSize::from_kb(1);
+            let slot = FrameTable::slot_size_for(state, ByteSize::from_bytes(CHUNK));
+            let cap = CheckpointStore::required_capacity(slot, 2) + ByteSize::from_kb(1);
             let device = GatedDevice::new(cap);
             let store = Arc::new(
                 CheckpointStore::format(
                     Arc::clone(&device) as Arc<dyn PersistentDevice>,
-                    StoreGeometry::single(state, 2),
+                    StoreGeometry::single(slot, 2),
                 )
                 .unwrap(),
             );
@@ -1805,12 +1817,11 @@ mod tests {
                 data: data.clone(),
                 step: 1,
             };
-            let copy = |lease: &SlotLease| match caller {
-                "framed" => pipeline.copy_framed(ctx, &src, lease, state, DeltaPolicy::default()),
-                _ => {
-                    pipeline.copy_chunks(ctx, &src, lease, state, caller.starts_with("overlapped"))
-                }
+            let mode = match caller {
+                "framed" => CopyMode::Codec(DeltaPolicy::default()),
+                _ => raw(caller.starts_with("overlapped")),
             };
+            let copy = |lease: &SlotLease| pipeline.copy(ctx, &src, lease, state, mode);
             let lease = pipeline.lease(ctx, &default_ns(&pipeline));
             let err = std::thread::scope(|s| {
                 if queued {
@@ -1889,7 +1900,7 @@ mod tests {
             let lease = through.lease(ctx, &default_ns(through));
             let guard = g.lock_weights_shared_owned();
             let copied = through
-                .copy_chunks(ctx, guard, &lease, g.state_size(), true)
+                .copy(ctx, guard, &lease, g.state_size(), CopyMode::Streamed)
                 .unwrap();
             through.seal(ctx, &lease, checkpoints, &copied).unwrap();
             let out = through.commit(ctx, lease, checkpoints, &copied).unwrap();
@@ -1915,7 +1926,7 @@ mod tests {
         let snap = telemetry.snapshot().unwrap();
         assert_eq!(
             snap.persist_chunk_bytes,
-            checkpoints * 900,
+            checkpoints * (FrameTable::encoded_len_for(8) + 900),
             "no chunk dropped"
         );
     }
@@ -1934,12 +1945,12 @@ mod tests {
         let checkpoint = |through: &PersistPipeline, iter: u64| {
             let lease = through.lease(ctx, &default_ns(through));
             let copied = through
-                .copy_chunks(
+                .copy(
                     ctx,
                     g.lock_weights_shared_owned(),
                     &lease,
                     g.state_size(),
-                    true,
+                    CopyMode::Streamed,
                 )
                 .unwrap();
             through.seal(ctx, &lease, iter, &copied).unwrap();
@@ -1971,7 +1982,10 @@ mod tests {
         let state = ByteSize::from_bytes(4096);
         let geometry = StoreGeometry {
             max_namespaces: 4,
-            ..StoreGeometry::single(state, 8)
+            ..StoreGeometry::single(
+                FrameTable::slot_size_for(state, ByteSize::from_bytes(256)),
+                8,
+            )
         };
         let cap = geometry.required_capacity() + ByteSize::from_kb(1);
         let device: Arc<dyn PersistentDevice> =
@@ -1993,12 +2007,12 @@ mod tests {
                 step: iter,
             };
             let lease = pipeline.lease(ctx, &tenants[job - 1]);
-            let copied = pipeline
-                .copy_framed(ctx, &src, &lease, state, DeltaPolicy::default())
-                .unwrap();
+            let codec = CopyMode::Codec(DeltaPolicy::default());
+            let copied = pipeline.copy(ctx, &src, &lease, state, codec).unwrap();
             pipeline.seal(ctx, &lease, iter, &copied).unwrap();
             pipeline.commit(ctx, lease, iter, &copied).unwrap();
-            copied.frame.expect("self-redundant payload frames")
+            assert!(copied.frame.saved_bytes > 0, "self-redundant payload packs");
+            copied.frame
         };
 
         let mut data = vec![0u8; 4096];
@@ -2017,8 +2031,11 @@ mod tests {
         assert_eq!(base.delta.unwrap().chain_depth, 1);
 
         let foreign = commit(2, 1, &next);
-        assert!(!foreign.table.references_base());
         assert!(foreign.link.is_none(), "job 2 has no base in its namespace");
+        assert!(foreign
+            .homes
+            .iter()
+            .all(|(_, home)| home.counter != 1 && home.counter != 2));
         let head = pipeline.store().latest_committed(&tenants[1]).unwrap();
         assert!(!head.is_delta());
     }
@@ -2050,11 +2067,11 @@ mod tests {
                 data: data.clone(),
                 step: iter,
             };
-            let (out, kind) = pipeline
+            let (out, copied) = pipeline
                 .checkpoint_framed(ctx, &default_ns(&pipeline), &src, iter, policy)
                 .unwrap();
             assert_eq!(out, CommitOutcome::Committed);
-            assert!(matches!(kind, FramedOutcome::Framed { .. }), "{kind:?}");
+            assert!(copied.frame.saved_bytes > 0, "{:?}", copied.frame);
             let store = pipeline.store();
             assert!(
                 store.free_slot_count(&default_ns(&pipeline)) >= 1,
@@ -2098,20 +2115,14 @@ mod tests {
         };
         let telemetry = Telemetry::enabled();
         let ctx = test_ctx(&telemetry);
-        let (commit, outcome) = pipeline
+        let (commit, copied) = pipeline
             .checkpoint_framed(ctx, &default_ns(&pipeline), &src, 1, DeltaPolicy::default())
             .unwrap();
         assert_eq!(commit, CommitOutcome::Committed);
-        let FramedOutcome::Framed {
-            payload_len,
-            saved_bytes,
-            ..
-        } = outcome
-        else {
-            panic!("compressible payload must persist framed, got {outcome:?}");
-        };
+        let (payload_len, saved_bytes) = (copied.payload_len, copied.frame.saved_bytes);
         assert!(payload_len < 4096, "physical {payload_len} < logical");
-        assert_eq!(saved_bytes, 4096 - payload_len);
+        let table = FrameTable::encoded_len_for(16);
+        assert_eq!(saved_bytes, 4096 + table - payload_len);
         let meta = pipeline
             .store()
             .latest_committed(&default_ns(&pipeline))
@@ -2148,12 +2159,10 @@ mod tests {
         };
         let telemetry = Telemetry::disabled();
         let ctx = test_ctx(&telemetry);
-        let (_, outcome) = pipeline
+        let (_, copied) = pipeline
             .checkpoint_framed(ctx, &default_ns(&pipeline), &src, 1, DeltaPolicy::default())
             .unwrap();
-        let FramedOutcome::Framed { dedup_chunks, payload_len, .. } = outcome else {
-            panic!("repeated chunks must persist framed, got {outcome:?}");
-        };
+        let (dedup_chunks, payload_len) = (copied.frame.dedup_chunks, copied.payload_len);
         assert_eq!(dedup_chunks, 14, "2 materialized + 14 self-references");
         // 688-byte table + two 256-byte materialized chunks.
         assert!(payload_len < 4096 / 2, "physical {payload_len} collapsed");
@@ -2183,8 +2192,9 @@ mod tests {
             )
             .unwrap();
         // Incompressible and nothing to dedup against: the first
-        // checkpoint streams raw (all-Raw framing would only add a table).
-        assert_eq!(o1, FramedOutcome::Raw);
+        // checkpoint is the all-Raw frame, and installs no generation.
+        assert_eq!(o1.frame.saved_bytes, 0);
+        assert!(o1.frame.homes.is_empty());
 
         // Second checkpoint: mutate one chunk; with a raw base there is no
         // installed generation, still raw.
@@ -2202,7 +2212,7 @@ mod tests {
                 DeltaPolicy::default(),
             )
             .unwrap();
-        assert_eq!(o2, FramedOutcome::Raw, "no generation installed yet");
+        assert_eq!(o2.frame.saved_bytes, 0, "no generation installed yet");
 
         // Seed a framed generation: make the payload self-redundant once.
         let half: Vec<u8> = data[..2048].to_vec();
@@ -2222,8 +2232,8 @@ mod tests {
             )
             .unwrap();
         assert!(
-            matches!(o3, FramedOutcome::Framed { .. }),
-            "self-redundant payload frames: {o3:?}"
+            o3.frame.saved_bytes > 0,
+            "self-redundant payload packs: {o3:?}"
         );
 
         // Fourth: nearly identical to the third → base dedup kicks in.
@@ -2243,10 +2253,11 @@ mod tests {
             )
             .unwrap();
         assert_eq!(commit, CommitOutcome::Committed);
-        let FramedOutcome::Framed { dedup_chunks, payload_len, .. } = o4 else {
-            panic!("near-duplicate of a framed base must frame, got {o4:?}");
-        };
-        assert!(dedup_chunks >= 14, "most chunks deduplicate: {dedup_chunks}");
+        let (dedup_chunks, payload_len) = (o4.frame.dedup_chunks, o4.payload_len);
+        assert!(
+            dedup_chunks >= 14,
+            "most chunks deduplicate: {dedup_chunks}"
+        );
         assert!(payload_len < 1024, "tiny physical payload: {payload_len}");
         let meta = pipeline
             .store()
@@ -2269,16 +2280,20 @@ mod tests {
         let src = VecSource { data, step: 1 };
         let telemetry = Telemetry::disabled();
         let ctx = test_ctx(&telemetry);
-        let (commit, outcome) = pipeline
+        let (commit, copied) = pipeline
             .checkpoint_framed(ctx, &default_ns(&pipeline), &src, 1, DeltaPolicy::default())
             .unwrap();
         assert_eq!(commit, CommitOutcome::Committed);
-        assert_eq!(outcome, FramedOutcome::Raw, "dense payloads stream raw");
+        assert_eq!(copied.frame.saved_bytes, 0, "dense payloads go out all-Raw");
         let meta = pipeline
             .store()
             .latest_committed(&default_ns(&pipeline))
             .unwrap();
-        assert_eq!(meta.payload_len, 4096, "raw fallback commits the raw shape");
+        let table = FrameTable::encoded_len_for(16);
+        assert_eq!(meta.payload_len, table + 4096, "the all-Raw frame's shape");
+        let payload = pipeline.store().read_checkpoint(&meta).unwrap();
+        let records = FrameTable::decode(&payload).unwrap().records;
+        assert!(records.iter().all(|r| r.kind == ChunkEncoding::Raw));
     }
 
     #[test]
@@ -2290,11 +2305,12 @@ mod tests {
         let src = VecSource { data, step: 1 };
         let telemetry = Telemetry::disabled();
         let ctx = test_ctx(&telemetry);
-        let (commit, outcome) = pipeline
+        let (commit, copied) = pipeline
             .checkpoint_framed(ctx, &default_ns(&pipeline), &src, 1, DeltaPolicy::default())
             .unwrap();
         assert_eq!(commit, CommitOutcome::Committed);
-        assert_eq!(outcome, FramedOutcome::Raw);
+        assert_eq!(copied.frame.saved_bytes, 0, "streamed all-Raw");
+        assert_eq!(copied.payload_len, FrameTable::encoded_len_for(16) + 4096);
     }
 
     #[test]
@@ -2313,7 +2329,7 @@ mod tests {
         let (_, o) = pipeline
             .checkpoint_framed(ctx, &default_ns(&pipeline), &src, 1, DeltaPolicy::default())
             .unwrap();
-        assert!(matches!(o, FramedOutcome::Framed { .. }));
+        assert!(o.frame.saved_bytes > 0);
         assert!(pipeline
             .codec
             .dedup

@@ -24,9 +24,10 @@ pub struct RecoveredCheckpoint {
     pub iteration: u64,
     /// The checkpoint's global counter.
     pub counter: u64,
-    /// The raw payload (serialized training state).
+    /// The serialized training state its frame materialized.
     pub payload: Vec<u8>,
-    /// The digest recorded at commit time.
+    /// The state digest its frame carries, which `payload` verified
+    /// against.
     pub digest: u64,
 }
 
@@ -55,10 +56,10 @@ pub struct RecoveryTrace {
     /// Store open + `CHECK_ADDR`/slot-meta scan time, nanoseconds.
     pub scan_nanos: u64,
     /// Payload fetch time (read, decode, verify) across all candidates
-    /// tried, raw and framed, nanoseconds.
+    /// tried, nanoseconds.
     pub load_nanos: u64,
-    /// Digest compute time across all candidates tried, raw and framed,
-    /// summed over the reader threads, nanoseconds.
+    /// Digest compute time across all candidates tried, summed over the
+    /// reader threads, nanoseconds.
     pub verify_nanos: u64,
     /// Total recovery time, nanoseconds.
     pub total_nanos: u64,
@@ -87,13 +88,12 @@ pub struct RecoveryTrace {
 ///
 /// The persistent iterator of §4.2, rebuilt on the parallel restore
 /// executor ([`crate::restore`]): candidates are verified newest-first,
-/// each one — raw or framed — compiles to a plan of independent jobs that
-/// fan out across [`RestoreOptions::default`]'s readers, and verification
-/// overlaps the reads (every reader digests the blocks it landed; the
-/// candidate is accepted on the final fold). A framed (codec) checkpoint's
-/// `DedupBase` references resolve to ranges of the pinned homes in one hop,
-/// and every chunk's content address is re-verified on the bytes that
-/// land. If the newest committed slot fails verification — digest
+/// each one's frame compiles to a plan of independent jobs that fan out
+/// across [`RestoreOptions::default`]'s readers, and verification overlaps
+/// the reads (every reader digests the blocks it landed; the candidate is
+/// accepted on the final fold). A codec frame's `DedupBase` references
+/// resolve to ranges of the pinned homes in one hop, and every chunk's
+/// content address is re-verified on the bytes that land. If the newest committed slot fails verification — digest
 /// mismatch, missing base, *or a device read fault* — older intact
 /// committed slots are tried newest-first: the paper keeps `N+1` slots
 /// precisely so a torn newest checkpoint degrades to the previous one
@@ -226,16 +226,33 @@ mod tests {
     use pccheck_telemetry::Phase;
     use pccheck_util::ByteSize;
 
+    use crate::codec::{raw_frame, FrameTable};
     use crate::config::PcCheckConfig;
     use crate::engine::PcCheckEngine;
     use crate::layout::StoreGeometry;
     use crate::restore::recover_instrumented_with;
-    use crate::store::{CheckpointStore, JobId, DEFAULT_JOB};
+    use crate::store::{CheckpointStore, JobId, Namespace, DEFAULT_JOB};
     use pccheck_gpu::Checkpointer;
 
-    fn single(dev: Arc<dyn PersistentDevice>, slot: u64, slots: u32) -> CheckpointStore {
-        let geometry = StoreGeometry::single(ByteSize::from_bytes(slot), slots);
-        CheckpointStore::format(dev, geometry).unwrap()
+    /// Slots that hold a `state`-byte checkpoint as one all-Raw record.
+    fn slot_for(state: u64) -> ByteSize {
+        let state = ByteSize::from_bytes(state);
+        FrameTable::slot_size_for(state, state)
+    }
+
+    fn single(dev: Arc<dyn PersistentDevice>, state: u64, slots: u32) -> CheckpointStore {
+        CheckpointStore::format(dev, StoreGeometry::single(slot_for(state), slots)).unwrap()
+    }
+
+    /// Commits `payload` as iteration `iter` of `ns`, below the pipeline:
+    /// its all-Raw frame, written, persisted and committed.
+    fn commit_raw(st: &CheckpointStore, ns: &Arc<Namespace>, iter: u64, payload: &[u8]) {
+        let lease = st.begin_checkpoint(ns);
+        let full_digest = StateDigest::of_payload(payload, iter).0;
+        let (frame, digest) = raw_frame(lease.counter, full_digest, payload, payload.len());
+        st.write_payload(&lease, 0, &frame).unwrap();
+        st.persist_payload(&lease, 0, frame.len() as u64).unwrap();
+        st.commit(lease, iter, frame.len() as u64, digest).unwrap();
     }
 
     fn recover_as(
@@ -296,7 +313,7 @@ mod tests {
 
     #[test]
     fn recover_without_any_commit_errors() {
-        let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(64), 2);
+        let cap = CheckpointStore::required_capacity(slot_for(64), 2);
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         single(Arc::clone(&dev), 64, 2);
@@ -308,12 +325,7 @@ mod tests {
         let st = single(dev, 64, 3);
         let ns = st.namespace(DEFAULT_JOB).unwrap();
         for i in 1..=n {
-            let payload = format!("payload-{i}");
-            let lease = st.begin_checkpoint(&ns);
-            st.write_payload(&lease, 0, payload.as_bytes()).unwrap();
-            st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
-            let digest = StateDigest::of_payload(payload.as_bytes(), i).0;
-            st.commit(lease, i, payload.len() as u64, digest).unwrap();
+            commit_raw(&st, &ns, i, format!("payload-{i}").as_bytes());
         }
         st
     }
@@ -363,7 +375,7 @@ mod tests {
         // payload is torn.
         let geometry = StoreGeometry {
             max_namespaces: 4,
-            ..StoreGeometry::single(ByteSize::from_bytes(64), 6)
+            ..StoreGeometry::single(slot_for(64), 6)
         };
         let cap = geometry.required_capacity() + ByteSize::from_kb(1);
         let dev: Arc<dyn PersistentDevice> =
@@ -375,12 +387,7 @@ mod tests {
         ];
         let commit = |job: usize, iter: u64| {
             let payload = format!("job{job}-iter{iter}");
-            let lease = st.begin_checkpoint(&tenants[job - 1]);
-            st.write_payload(&lease, 0, payload.as_bytes()).unwrap();
-            st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
-            let digest = StateDigest::of_payload(payload.as_bytes(), iter).0;
-            st.commit(lease, iter, payload.len() as u64, digest)
-                .unwrap();
+            commit_raw(&st, &tenants[job - 1], iter, payload.as_bytes());
         };
         commit(1, 1);
         commit(1, 2);
@@ -474,12 +481,13 @@ mod tests {
         let state = TrainingState::compressible(ByteSize::from_bytes(2048), 7, 32);
         let gpu = Gpu::new(GpuConfig::fast_for_tests(), state);
         gpu.update();
-        let cap = CheckpointStore::required_capacity(gpu.state_size(), 4) + ByteSize::from_kb(1);
+        let slot = FrameTable::slot_size_for(gpu.state_size(), ByteSize::from_bytes(256));
+        let cap = CheckpointStore::required_capacity(slot, 4) + ByteSize::from_kb(1);
         let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         let store = Arc::new(
             CheckpointStore::format(
                 Arc::clone(&ssd) as Arc<dyn PersistentDevice>,
-                StoreGeometry::single(gpu.state_size(), 4),
+                StoreGeometry::single(slot, 4),
             )
             .unwrap(),
         );

@@ -5,10 +5,9 @@
 //! newest committed payload, verify its digest, load it back to the GPU.
 //! That serializes resources that could overlap — device read bandwidth
 //! (striped members especially), LZ decoding, digest computation and the
-//! DRAM→GPU upload. Here a recovery candidate of either kind — *raw*, or
-//! *framed* (`PCFRAME1`), told apart by its payload head — compiles to one
-//! plan of independent jobs ([`crate::codec`]), and one executor runs it on
-//! `r` **reader threads**:
+//! DRAM→GPU upload. Here a recovery candidate — a frame, like every
+//! checkpoint ([`crate::codec`]) — compiles to a plan of independent jobs,
+//! one per record, and one executor runs it on `r` **reader threads**:
 //!
 //! * **Jobs land where they will live.** The destination lends itself as
 //!   disjoint pieces — one `Vec<u8>`, or the tensor-shaped staging of a
@@ -16,17 +15,19 @@
 //!   copies an earlier job's bytes) straight into its range of them; only
 //!   a job that straddles two pieces goes through a spill buffer. Sources
 //!   run first, copies second. An N-way striped store restores at close to
-//!   N× a single reader's bandwidth, framed or raw.
+//!   N× a single reader's bandwidth.
 //! * **Homes are read by range.** A frame's `DedupBase` records resolve at
 //!   plan time to the physical ranges their homes materialized the content
 //!   at: a recovery reads what the frame references, never a home's slot.
-//! * **Verification overlaps I/O.** Each reader checks a frame record's
-//!   content address on the bytes it just landed and files the digests of
-//!   the [`pccheck_util::fnv`] blocks the job wholly covers; blocks cut by
-//!   a job boundary are digested from the destination after the join. The
-//!   candidate is accepted on the fold of the block values against the
-//!   commit's state digest, before anything is handed over: a rejected
-//!   `RestoreTarget` is dropped, never finished.
+//! * **Verification overlaps I/O, one digest pass per byte.** Each reader
+//!   makes one pass over the bytes it just landed: it files the digests of
+//!   the [`pccheck_util::fnv`] blocks the job wholly covers and, from the
+//!   same values when the job starts on a block boundary, checks the
+//!   record's content address. Blocks cut by a job boundary are digested
+//!   from the destination after the join. The candidate is accepted on the
+//!   fold of the block values against the frame's state digest, before
+//!   anything is handed over: a rejected `RestoreTarget` is dropped, never
+//!   finished.
 //!
 //! [`recover_instrumented_with`] rebuilds the crate's recovery flow on top
 //! of this: candidates fall back newest-first on *any* failure (digest
@@ -41,7 +42,7 @@ use pccheck_util::sync::Mutex;
 use pccheck_device::PersistentDevice;
 use pccheck_gpu::{CopyEngine, Gpu};
 use pccheck_telemetry::{FlightEventKind, Phase, SpanId, Telemetry};
-use pccheck_util::fnv::{block_digests, chunk_digest, fold_blocks, whole_blocks, DIGEST_BLOCK};
+use pccheck_util::fnv::{chunk_digest, file_blocks, fold_blocks, DIGEST_BLOCK};
 use pccheck_util::ByteSize;
 
 use crate::codec::{lz_decompress_into, Job, JobSource, RestorePlan, SlotRead};
@@ -50,11 +51,6 @@ use crate::meta::CheckMeta;
 use crate::pipeline::PipelineCtx;
 use crate::recovery::{RecoveredCheckpoint, RecoveryTrace};
 use crate::store::{CheckpointStore, JobId, DEFAULT_JOB};
-
-/// Default read granularity of a raw payload: a whole number of digest
-/// blocks, large enough that a device read's fixed cost is noise beside
-/// digesting what it returned.
-const DEFAULT_READ_CHUNK: u64 = 1024 * 1024;
 
 /// Knobs for the parallel recovery flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,10 +212,10 @@ fn execute(
     // Lands one job in `segs`: one device read (or LZ decode out of the
     // reader's scratch, or copy of what an earlier job landed) straight
     // into a single segment — or, when the job straddles pieces, into a
-    // spill buffer that is then scattered. Either way the record's content
-    // address is checked on, and the digests of the blocks the job wholly
-    // covers filed from, the bytes that land. `false` on a read fault, a
-    // malformed LZ block or a content-address mismatch.
+    // spill buffer that is then scattered. Either way one pass over the
+    // bytes that land files the digests of the blocks the job wholly
+    // covers and checks the record's content address. `false` on a read
+    // fault, a malformed LZ block or a content-address mismatch.
     let land = |job: &Job, segs: &mut [&mut [u8]], landed: &[Segments], reader: &mut Reader| {
         let mut read = |slot, at, buf: &mut [u8]| {
             let start = telemetry.now_nanos();
@@ -251,18 +247,11 @@ fn execute(
         };
 
         let v0 = Instant::now();
-        let intact = filled && job.digest.is_none_or(|want| chunk_digest(whole) == want);
-        if intact {
-            // The blocks that start inside the job and end inside it (or
-            // with the payload). Relaxed: the scope's join orders every
-            // store before the fold reads the cells.
-            let (skip, covered) = whole_blocks(job.off, whole.len(), plan.len);
-            let first = (job.off + skip as u64) / block;
-            let values = block_digests(&whole[skip..skip + covered]);
-            for (cell, value) in blocks[first as usize..].iter().zip(values) {
-                cell.store(value, Ordering::Relaxed);
-            }
-        }
+        // Relaxed: the scope's join orders every store before the fold
+        // reads the cells. A job that fails its check fails the plan, so
+        // what it filed is never folded.
+        let file = |i: usize, value| blocks[i].store(value, Ordering::Relaxed);
+        let intact = filled && file_blocks(job.off, whole, plan.len, file) == job.digest;
         verify_nanos.fetch_add(v0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         if !intact {
             return false;
@@ -357,9 +346,8 @@ fn execute_into_memory(
     (report, report.ok.then_some(out))
 }
 
-/// Materializes the checkpoint committed as `meta` — a frame, or the
-/// all-verbatim plan of a raw payload — on `readers` threads with no store
-/// open: `read` reads slot payloads, `commits` are the commit records a
+/// Materializes the frame committed as `meta` on `readers` threads with no
+/// store open: `read` reads slot payloads, `commits` are the commit records a
 /// frame's `DedupBase` records may name as homes. The forensics auditor's
 /// entry to the plan and the executor recovery runs.
 ///
@@ -376,7 +364,7 @@ pub fn decode_frame(
         telemetry: &Telemetry::disabled(),
         span: SpanId::NONE,
     };
-    let plan = RestorePlan::compile(meta, commits, read, DEFAULT_READ_CHUNK)?;
+    let plan = RestorePlan::compile(meta, commits, read)?;
     let (_, payload) = execute_into_memory(ctx, &plan, readers.max(1), read);
     Some((payload?, plan.digest))
 }
@@ -389,17 +377,12 @@ pub fn decode_frame(
 pub struct RestorePipeline {
     store: Arc<CheckpointStore>,
     readers: usize,
-    chunk: ByteSize,
 }
 
 impl RestorePipeline {
-    /// A single-reader pipeline over `store` with the default read chunk.
+    /// A single-reader pipeline over `store`.
     pub fn new(store: Arc<CheckpointStore>) -> Self {
-        RestorePipeline {
-            store,
-            readers: 1,
-            chunk: ByteSize::from_bytes(DEFAULT_READ_CHUNK),
-        }
+        RestorePipeline { store, readers: 1 }
     }
 
     /// Sets the number of parallel reader threads (`r`).
@@ -408,31 +391,16 @@ impl RestorePipeline {
         self
     }
 
-    /// Sets the read granularity of raw payloads, rounded up to a whole
-    /// number of digest blocks so every reader digests the blocks of what
-    /// it read.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero chunk.
-    pub fn with_read_chunk(mut self, chunk: ByteSize) -> Self {
-        assert!(chunk.as_u64() > 0, "read chunk must be non-zero");
-        self.chunk = ByteSize::from_bytes(chunk.as_u64().next_multiple_of(DIGEST_BLOCK as u64));
-        self
-    }
-
-    /// Compiles `meta`'s payload, raw or framed, to its plan; `homes` are
-    /// the commit records a frame may reference. Reads frame tables only.
+    /// Compiles `meta`'s frame to its plan; `homes` are the commit records
+    /// it may reference. Reads frame tables only.
     fn plan(&self, meta: &CheckMeta, homes: &[CheckMeta]) -> Option<RestorePlan> {
-        let read = |slot, at, buf: &mut [u8]| {
-            let off = self.store.slot_payload_offset(slot) + at;
-            self.store.device().read_durable_at(off, buf).is_ok()
-        };
-        RestorePlan::compile(meta, homes, &read, self.chunk.as_u64())
+        RestorePlan::compile(meta, homes, &|slot, at, buf| {
+            self.store.read_slot(slot, at, buf)
+        })
     }
 
-    /// Reads, reconstructs and verifies `meta`'s payload, raw or framed,
-    /// with the configured readers; `homes` as for a recovery's candidates.
+    /// Reads, reconstructs and verifies `meta`'s frame with the configured
+    /// readers; `homes` as for a recovery's candidates.
     ///
     /// Returns `None` on any device read error or digest mismatch — the
     /// caller falls back to an older candidate, exactly like a digest
@@ -451,16 +419,15 @@ impl RestorePipeline {
     /// One device read of a job's source range with read-stage telemetry,
     /// mirroring the persist pipeline's `write_chunk`.
     fn read_slot(&self, ctx: PipelineCtx<'_>, slot: u32, at: u64, buf: &mut [u8]) -> bool {
-        let (device, start) = (self.store.device(), ctx.telemetry.now_nanos());
-        let off = self.store.slot_payload_offset(slot) + at;
-        if device.read_durable_at(off, buf).is_err() {
+        let start = ctx.telemetry.now_nanos();
+        if !self.store.read_slot(slot, at, buf) {
             return false;
         }
         if ctx.telemetry.is_enabled() {
             let media = ctx.telemetry.now_nanos().saturating_sub(start);
             ctx.telemetry.stage_read(media);
             // Controller at index 0, composite members after it.
-            for (i, depth) in device.queue_depths().iter().enumerate() {
+            for (i, depth) in self.store.device().queue_depths().iter().enumerate() {
                 ctx.telemetry.gauge_device_queue(i, *depth);
             }
         }
@@ -496,7 +463,7 @@ pub fn recover_instrumented_with(
 }
 
 /// Recovers the newest verifiable checkpoint straight into `gpu`'s device
-/// memory: each candidate, raw or framed, lands job by job in the
+/// memory: each candidate lands job by job in the
 /// tensor-shaped staging of a [`pccheck_gpu::RestoreTarget`], metered
 /// through the GPU's copy engine, and the staged tensors are swapped in as
 /// the live state only once the payload verified (a rejected target is
@@ -624,8 +591,9 @@ mod tests {
     use pccheck_device::{DeviceConfig, HostBufferPool, SsdDevice};
     use pccheck_gpu::{GpuConfig, StateDigest, TrainingState};
 
+    use crate::codec::{raw_frame, FrameTable};
     use crate::layout::StoreGeometry;
-    use crate::pipeline::{DeltaPolicy, PersistPipeline};
+    use crate::pipeline::{CopyMode, DeltaPolicy, PersistPipeline};
     use crate::store::Namespace;
 
     /// The tenant of a single-tenant store.
@@ -640,13 +608,17 @@ mod tests {
         }
     }
 
-    /// Formats a store over a fresh SSD and commits `n` raw checkpoints of
+    /// Record size of [`raw_store`]'s frames: four of them share 16 KiB.
+    const RECORD: usize = 4096;
+
+    /// Formats a store over a fresh SSD and commits `n` all-Raw frames of
     /// `payload_bytes` each at the store level.
     fn raw_store(
         n: u64,
         payload_bytes: u64,
     ) -> (Arc<SsdDevice>, Arc<CheckpointStore>, Vec<Vec<u8>>) {
-        let slot = ByteSize::from_bytes(payload_bytes);
+        let state = ByteSize::from_bytes(payload_bytes);
+        let slot = FrameTable::slot_size_for(state, ByteSize::from_bytes(RECORD as u64));
         let cap = CheckpointStore::required_capacity(slot, 3) + ByteSize::from_kb(1);
         let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         let store = Arc::new(
@@ -662,10 +634,13 @@ mod tests {
                 .map(|b| (b as u8).wrapping_mul(31).wrapping_add(i as u8))
                 .collect();
             let lease = store.begin_checkpoint(&ns(&store));
-            store.write_payload(&lease, 0, &payload).unwrap();
-            store.persist_payload(&lease, 0, payload_bytes).unwrap();
-            let digest = StateDigest::of_payload(&payload, i).0;
-            store.commit(lease, i, payload_bytes, digest).unwrap();
+            let full_digest = StateDigest::of_payload(&payload, i).0;
+            let (frame, digest) = raw_frame(lease.counter, full_digest, &payload, RECORD);
+            store.write_payload(&lease, 0, &frame).unwrap();
+            store
+                .persist_payload(&lease, 0, frame.len() as u64)
+                .unwrap();
+            store.commit(lease, i, frame.len() as u64, digest).unwrap();
             payloads.push(payload);
         }
         (ssd, store, payloads)
@@ -681,12 +656,13 @@ mod tests {
     ) -> (Arc<SsdDevice>, Arc<CheckpointStore>, Gpu, Vec<StateDigest>) {
         let state = TrainingState::synthetic(ByteSize::from_bytes(bytes), 7);
         let gpu = Gpu::new(GpuConfig::fast_for_tests(), state);
-        let cap = CheckpointStore::required_capacity(gpu.state_size(), 4) + ByteSize::from_kb(1);
+        let slot = FrameTable::slot_size_for(gpu.state_size(), ByteSize::from_bytes(chunk));
+        let cap = CheckpointStore::required_capacity(slot, 4) + ByteSize::from_kb(1);
         let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         let store = Arc::new(
             CheckpointStore::format(
                 Arc::clone(&ssd) as Arc<dyn PersistentDevice>,
-                StoreGeometry::single(gpu.state_size(), 4),
+                StoreGeometry::single(slot, 4),
             )
             .unwrap(),
         );
@@ -703,7 +679,7 @@ mod tests {
             let guard = gpu.lock_weights_shared_owned();
             let lease = pipeline.lease(ctx, &ns(pipeline.store()));
             let copied = pipeline
-                .copy_chunks(ctx, &guard, &lease, total, true)
+                .copy(ctx, &guard, &lease, total, CopyMode::Streamed)
                 .unwrap();
             drop(guard);
             pipeline.seal(ctx, &lease, iter, &copied).unwrap();
@@ -714,14 +690,13 @@ mod tests {
 
     #[test]
     fn parallel_fetch_matches_sequential() {
-        // Four read chunks, so four readers really share the payload.
+        // Four records, so four readers really share the payload.
         let (_ssd, store, payloads) = raw_store(2, 16 * 1024);
         let meta = store.latest_committed(&ns(&store)).unwrap();
         let telemetry = Telemetry::disabled();
         let fetch = |readers| {
             RestorePipeline::new(Arc::clone(&store))
                 .with_readers(readers)
-                .with_read_chunk(ByteSize::from_bytes(4096))
                 .fetch_verified(ctx(&telemetry), &meta, &[])
                 .unwrap()
         };
@@ -737,7 +712,6 @@ mod tests {
         let span = telemetry.span_requested("restore", 1, meta.payload_len);
         let got = RestorePipeline::new(Arc::clone(&store))
             .with_readers(4)
-            .with_read_chunk(ByteSize::from_bytes(4096))
             .fetch_verified(
                 PipelineCtx {
                     telemetry: &telemetry,
@@ -768,23 +742,26 @@ mod tests {
         assert!(snap.phase(Phase::RestoreVerify).count >= 1);
     }
 
-    /// Nothing but the end-to-end fold guards a raw payload: wherever a
-    /// byte flips, at any reader count, the candidate is rejected and
-    /// recovery lands on the older commit — in DRAM and on the GPU alike.
+    /// Wherever a byte of an all-Raw frame's state flips, at any reader
+    /// count, the candidate is rejected and recovery lands on the older
+    /// commit — in DRAM and on the GPU alike.
     #[test]
     fn corrupt_raw_candidate_falls_back_at_every_reader_count() {
-        // Four default read chunks plus a short last block.
-        const BYTES: u64 = 4 * DEFAULT_READ_CHUNK + 100;
+        // Sixty-four records plus a short last block.
+        const MIB: u64 = 1024 * 1024;
+        const CHUNK: u64 = 64 * 1024;
+        const BYTES: u64 = 4 * MIB + 100;
         let flips: [(&str, u64, &[u8]); 3] = [
             ("first block", 10, b"!"),
-            ("across a block boundary", DEFAULT_READ_CHUNK - 1, b"!!"),
+            ("across a block boundary", MIB - 1, b"!!"),
             ("short last block", BYTES - 1, b"!"),
         ];
+        let table = FrameTable::encoded_len_for(BYTES.div_ceil(CHUNK) as usize);
         for (place, at, garbage) in flips {
-            let (ssd, store, _gpu, digests) = gpu_store(2, BYTES, 64 * 1024);
+            let (ssd, store, _gpu, digests) = gpu_store(2, BYTES, CHUNK);
             let newest = store.latest_committed(&ns(&store)).unwrap();
             assert_eq!(newest.iteration, 2);
-            let off = store.slot_payload_offset(newest.slot) + at;
+            let off = store.slot_payload_offset(newest.slot) + table + at;
             ssd.write_at(off, garbage).unwrap();
             ssd.persist(off, garbage.len() as u64).unwrap();
             drop(store);
@@ -922,12 +899,13 @@ mod tests {
         let state = TrainingState::compressible(ByteSize::from_bytes(2048), 7, 32);
         let gpu = Gpu::new(GpuConfig::fast_for_tests(), state);
         gpu.update();
-        let cap = CheckpointStore::required_capacity(gpu.state_size(), 4) + ByteSize::from_kb(1);
+        let slot = FrameTable::slot_size_for(gpu.state_size(), ByteSize::from_bytes(256));
+        let cap = CheckpointStore::required_capacity(slot, 4) + ByteSize::from_kb(1);
         let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
         let store = Arc::new(
             CheckpointStore::format(
                 Arc::clone(&ssd) as Arc<dyn PersistentDevice>,
-                StoreGeometry::single(gpu.state_size(), 4),
+                StoreGeometry::single(slot, 4),
             )
             .unwrap(),
         );

@@ -750,6 +750,13 @@ impl CheckpointStore {
         Ok(())
     }
 
+    /// This store as a [`SlotRead`](crate::codec::SlotRead) of durable bytes.
+    pub(crate) fn read_slot(&self, slot: u32, at: u64, buf: &mut [u8]) -> bool {
+        self.device
+            .read_durable_at(self.slot_payload_offset(slot) + at, buf)
+            .is_ok()
+    }
+
     /// Persists a payload range of the leased slot (msync/fence granularity
     /// chosen by the engine).
     ///
@@ -795,8 +802,8 @@ impl CheckpointStore {
     }
 
     /// Commits a checkpoint whose payload references earlier checkpoints
-    /// (a framed payload with `DedupBase` records; see the pipeline's
-    /// `copy_framed`), all of them on the chain `delta` starts. Identical
+    /// (a codec frame with `DedupBase` records; see the pipeline's
+    /// `copy`), all of them on the chain `delta` starts. Identical
     /// to [`commit`](Self::commit) except that, on success, every slot on
     /// that chain stays pinned out of the free queue — the committed state
     /// is only recoverable with its homes in place. Pinned slots the next

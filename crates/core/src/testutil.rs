@@ -1,7 +1,8 @@
-//! Test-only device: an SSD whose *payload* writes the test controls.
+//! Test-only device: an SSD whose *chunk* writes the test controls.
 //!
-//! Everything a checkpoint does before and after its payload — slot claim,
-//! flight records, fences, meta record, commit — passes straight through,
+//! Everything a checkpoint does before and after its chunks — slot claim,
+//! flight records, the frame's table (written last, at the head of the
+//! slot), fences, meta record, commit — passes straight through,
 //! so a test can hold a checkpoint exactly "staged in DRAM, nothing on the
 //! device yet" and release it one write at a time, or fail one write,
 //! without a wall clock anywhere.
@@ -17,7 +18,8 @@ use crate::store::CheckpointStore;
 
 #[derive(Debug, Default)]
 struct Gate {
-    /// Slot payload areas: a write inside one waits at the gate.
+    /// Slot payload areas past their first byte: a write that starts
+    /// inside one waits at the gate.
     payloads: Vec<Range<u64>>,
     /// Payload writes that have reached the gate; each takes the next
     /// number on arrival and is admitted in that order.
@@ -56,14 +58,15 @@ impl GatedDevice {
         })
     }
 
-    /// Names `store`'s slot payload areas as what the gate governs, and
-    /// closes the gate.
+    /// Names the chunk writes into `store`'s slots — every payload write
+    /// but the table's, at the slot's first byte — as what the gate
+    /// governs, and closes the gate.
     pub fn gate_payloads(&self, store: &CheckpointStore) {
         let mut gate = self.gate.lock();
         gate.payloads = (0..store.num_slots())
             .map(|slot| {
                 let start = store.slot_payload_offset(slot);
-                start..start + store.slot_size().as_u64()
+                start + 1..start + store.slot_size().as_u64()
             })
             .collect();
         gate.allowed = gate.arrived;

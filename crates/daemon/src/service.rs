@@ -20,8 +20,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use pccheck::{
-    CheckpointStore, PcCheckConfig, PcCheckEngine, PccheckError, PersistPipeline, QosArbiter,
-    QosConfig, StoreGeometry,
+    CheckpointStore, FrameTable, PcCheckConfig, PcCheckEngine, PccheckError, PersistPipeline,
+    QosArbiter, QosConfig, StoreGeometry,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice, StripedDevice};
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingState};
@@ -147,7 +147,8 @@ pub enum SubmitOutcome {
 /// Daemon-wide geometry and model parameters.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// Payload capacity of one slot (max tenant checkpoint size).
+    /// The largest tenant checkpoint a slot holds; each slot also has
+    /// room for that state's frame table at `chunk_size` records.
     pub slot_size: ByteSize,
     /// Total slots shared by all namespaces.
     pub total_slots: u32,
@@ -233,7 +234,7 @@ impl Daemon {
     /// Propagates store formatting errors (e.g., an undersized device).
     pub fn new(config: DaemonConfig) -> Result<Self, PccheckError> {
         let geometry = StoreGeometry {
-            slot_size: config.slot_size,
+            slot_size: FrameTable::slot_size_for(config.slot_size, config.chunk_size),
             slots: config.total_slots,
             flight_records: config.flight_records,
             // A one-row directory is the single-tenant layout, whose row
@@ -346,7 +347,7 @@ impl Daemon {
         let (free_slots, free_ns) = self.free_capacity();
         match admission::decide(
             &spec,
-            self.store.slot_size(),
+            self.config.slot_size,
             free_slots,
             free_ns,
             &self.config.system,
@@ -525,7 +526,7 @@ impl Daemon {
             let (free_slots, free_ns) = self.free_capacity();
             match admission::decide(
                 &spec,
-                self.store.slot_size(),
+                self.config.slot_size,
                 free_slots,
                 free_ns,
                 &self.config.system,

@@ -16,8 +16,8 @@
 use std::sync::Arc;
 
 use pccheck::{
-    recover, CheckpointStore, DeltaPolicy, FramedOutcome, PersistPipeline, PipelineCtx,
-    StoreGeometry, DEFAULT_JOB,
+    recover, CheckpointStore, DeltaPolicy, FrameTable, PersistPipeline, PipelineCtx, StoreGeometry,
+    DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
 use pccheck_gpu::{Gpu, GpuConfig, Tensor, TrainingState};
@@ -116,13 +116,13 @@ pub struct ExtCompressRow {
     pub sparsity: f64,
     /// Checkpoints committed.
     pub checkpoints: u64,
-    /// Bytes the raw path would persist (checkpoints × state size).
+    /// Bytes the codec-off path would persist (checkpoints × state size).
     pub logical_bytes: u64,
-    /// Bytes the framed path actually persisted.
+    /// Bytes the codec path actually persisted, frame tables included.
     pub persisted_bytes: u64,
     /// `logical_bytes / persisted_bytes`.
     pub bytes_saved_ratio: f64,
-    /// Checkpoints that persisted a frame (vs raw fallback).
+    /// Checkpoints whose codec frame paid (the rest went out all-`Raw`).
     pub framed: u64,
     /// Chunks stored as dedup references across the run.
     pub dedup_chunks: u64,
@@ -139,10 +139,11 @@ pub fn measure(payload: Payload, sparsity: f64) -> ExtCompressRow {
     // Dedup bases stay pinned until their dependents retire, so leave
     // headroom beyond the double-buffer minimum.
     let slots = 4;
-    let cap = CheckpointStore::required_capacity(gpu.state_size(), slots) + ByteSize::from_kb(4);
+    let slot = FrameTable::slot_size_for(gpu.state_size(), ByteSize::from_bytes(chunk_bytes));
+    let cap = CheckpointStore::required_capacity(slot, slots) + ByteSize::from_kb(4);
     let device: Arc<dyn PersistentDevice> =
         Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-    let geometry = StoreGeometry::single(gpu.state_size(), slots);
+    let geometry = StoreGeometry::single(slot, slots);
     let store = Arc::new(CheckpointStore::format(Arc::clone(&device), geometry).unwrap());
     let ns = store.namespace(DEFAULT_JOB).unwrap();
     // The framed copy stages the whole snapshot, so the pool must cover it.
@@ -171,7 +172,7 @@ pub fn measure(payload: Payload, sparsity: f64) -> ExtCompressRow {
             gpu.update_sparse(sparsity);
         }
         let guard = gpu.lock_weights_shared_owned();
-        let (_, outcome) = pipeline
+        let (_, copied) = pipeline
             .checkpoint_framed(ctx, &ns, &guard, iter, policy)
             .unwrap();
         if iter == CHECKPOINTS {
@@ -179,18 +180,9 @@ pub fn measure(payload: Payload, sparsity: f64) -> ExtCompressRow {
             guard.copy_range_to_host(0, &mut final_state);
         }
         drop(guard);
-        match outcome {
-            FramedOutcome::Framed {
-                payload_len,
-                dedup_chunks: chunks,
-                ..
-            } => {
-                persisted_bytes += payload_len;
-                framed += 1;
-                dedup_chunks += chunks;
-            }
-            FramedOutcome::Raw => persisted_bytes += state_bytes,
-        }
+        persisted_bytes += copied.payload_len;
+        framed += u64::from(copied.frame.saved_bytes > 0);
+        dedup_chunks += copied.frame.dedup_chunks;
     }
     let recovered = recover(device).expect("committed store recovers");
     let recovered_bit_identical =
@@ -276,9 +268,12 @@ mod tests {
     #[test]
     fn dense_incompressible_payloads_fall_back_to_raw() {
         let row = measure(Payload::Tiled(0), 1.00);
-        assert_eq!(row.framed, 0, "RNG-dense state must never frame");
-        assert_eq!(row.persisted_bytes, row.logical_bytes);
-        assert!((row.bytes_saved_ratio - 1.0).abs() < 1e-9);
+        assert_eq!(row.framed, 0, "RNG-dense state must never pack");
+        // Nothing but the all-Raw frames' tables on top of the state.
+        let records = (STATE_BYTES / CHUNK_BYTES) as usize;
+        let tables = row.checkpoints * FrameTable::encoded_len_for(records);
+        assert_eq!(row.persisted_bytes, row.logical_bytes + tables);
+        assert!(row.bytes_saved_ratio < 1.0 && row.bytes_saved_ratio > 0.99);
         assert!(row.recovered_bit_identical);
     }
 

@@ -20,7 +20,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pccheck::{
-    CheckpointStore, PersistPipeline, PipelineCtx, RestorePipeline, StoreGeometry, DEFAULT_JOB,
+    CheckpointStore, CopyMode, FrameTable, PersistPipeline, PipelineCtx, RestorePipeline,
+    StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice, StripedDevice};
 use pccheck_gpu::SnapshotSource;
@@ -66,7 +67,8 @@ pub const MEMBER_MB_PER_SEC: f64 = 200.0;
 /// `r` readers drain `r` members' buckets concurrently.
 pub const STRIPE_UNIT: u64 = 8 * 1024 * 1024;
 
-/// Restore read granularity (and the persist-side staging chunk).
+/// The persist-side staging chunk, and so the committed frame's record
+/// size: the restore's read granularity.
 pub const READ_CHUNK: u64 = 128 * 1024;
 
 /// Payload sizes swept by [`run`]. The larger size gives every 4-reader
@@ -100,7 +102,8 @@ pub struct ExtRestoreRow {
 /// committed checkpoint of `size`.
 /// Public so `bench_pr5` drives the identical geometry.
 pub fn committed_store(size: ByteSize, ways: u32) -> Arc<CheckpointStore> {
-    let cap = CheckpointStore::required_capacity(size, 2) + ByteSize::from_kb(64);
+    let slot = FrameTable::slot_size_for(size, ByteSize::from_bytes(READ_CHUNK));
+    let cap = CheckpointStore::required_capacity(slot, 2) + ByteSize::from_kb(64);
     let throttled = |capacity| DeviceConfig {
         capacity,
         write_bandwidth: Bandwidth::from_mb_per_sec(MEMBER_MB_PER_SEC),
@@ -121,7 +124,7 @@ pub fn committed_store(size: ByteSize, ways: u32) -> Arc<CheckpointStore> {
         ))
     };
     let store = Arc::new(
-        CheckpointStore::format(device, StoreGeometry::single(size, 2)).expect("format store"),
+        CheckpointStore::format(device, StoreGeometry::single(slot, 2)).expect("format store"),
     );
     let ns = store.namespace(DEFAULT_JOB).expect("single-tenant store");
     let src = HostPayload {
@@ -140,7 +143,7 @@ pub fn committed_store(size: ByteSize, ways: u32) -> Arc<CheckpointStore> {
     };
     let lease = persist.lease(ctx, &ns);
     let copied = persist
-        .copy_chunks(ctx, &src, &lease, size, true)
+        .copy(ctx, &src, &lease, size, CopyMode::Streamed)
         .expect("persist payload");
     persist.seal(ctx, &lease, 1, &copied).expect("seal");
     persist.commit(ctx, lease, 1, &copied).expect("commit");
@@ -160,9 +163,7 @@ pub fn measure_store(store: &Arc<CheckpointStore>, readers: usize) -> f64 {
         telemetry: &telemetry,
         span: SpanId::NONE,
     };
-    let pipeline = RestorePipeline::new(Arc::clone(store))
-        .with_readers(readers)
-        .with_read_chunk(ByteSize::from_bytes(READ_CHUNK));
+    let pipeline = RestorePipeline::new(Arc::clone(store)).with_readers(readers);
     pipeline
         .fetch_verified(ctx, &meta, &[])
         .expect("warmup restore");
@@ -171,7 +172,8 @@ pub fn measure_store(store: &Arc<CheckpointStore>, readers: usize) -> f64 {
         .fetch_verified(ctx, &meta, &[])
         .expect("restore verifies");
     let secs = t0.elapsed().as_secs_f64();
-    assert_eq!(payload.len() as u64, meta.payload_len);
+    let table = FrameTable::encoded_len_for(payload.len().div_ceil(READ_CHUNK as usize));
+    assert_eq!(payload.len() as u64 + table, meta.payload_len);
     secs
 }
 

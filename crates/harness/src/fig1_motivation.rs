@@ -12,7 +12,8 @@
 use std::sync::Arc;
 
 use pccheck::{
-    recover_instrumented, CheckpointStore, RecoveryModel, StoreGeometry, Strategy, DEFAULT_JOB,
+    raw_frame, recover_instrumented, CheckpointStore, FrameTable, RecoveryModel, StoreGeometry,
+    Strategy, DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, PersistentDevice, SsdDevice};
 use pccheck_gpu::{ModelZoo, StateDigest};
@@ -44,22 +45,24 @@ pub struct Fig1Row {
 /// verify) on a small concrete store and returns its wall-clock seconds.
 fn measured_protocol_secs() -> f64 {
     let state = ByteSize::from_kb(64);
-    let cap = CheckpointStore::required_capacity(state, 3) + ByteSize::from_kb(4);
+    let slot = FrameTable::slot_size_for(state, state);
+    let cap = CheckpointStore::required_capacity(slot, 3) + ByteSize::from_kb(4);
     let device: Arc<dyn PersistentDevice> =
         Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-    let store = CheckpointStore::format(Arc::clone(&device), StoreGeometry::single(state, 3))
+    let store = CheckpointStore::format(Arc::clone(&device), StoreGeometry::single(slot, 3))
         .expect("device sized for the store");
     let ns = store.namespace(DEFAULT_JOB).expect("single-tenant store");
-    let payload = vec![0x5A; state.as_u64() as usize];
+    let payload = vec![0x5A; state.as_usize()];
     for iteration in [1u64, 2] {
         let lease = store.begin_checkpoint(&ns);
-        store.write_payload(&lease, 0, &payload).expect("write");
+        let full_digest = StateDigest::of_payload(&payload, iteration).0;
+        let (frame, digest) = raw_frame(lease.counter, full_digest, &payload, payload.len());
+        store.write_payload(&lease, 0, &frame).expect("write");
         store
-            .persist_payload(&lease, 0, payload.len() as u64)
+            .persist_payload(&lease, 0, frame.len() as u64)
             .expect("persist");
-        let digest = StateDigest::of_payload(&payload, iteration).0;
         store
-            .commit(lease, iteration, payload.len() as u64, digest)
+            .commit(lease, iteration, frame.len() as u64, digest)
             .expect("commit");
     }
     drop(store);

@@ -30,15 +30,15 @@ use std::sync::Arc;
 
 use pccheck::store::SlotLease;
 use pccheck::{
-    recover_instrumented_with, CheckMeta, CheckpointStore, ChunkEncoding, DeltaLink, FrameRecord,
-    FrameTable, JobId, Namespace, PccheckError, RecoveredCheckpoint, RecoveryTrace, RestoreOptions,
-    StoreGeometry, StoreLayout, DEFAULT_JOB,
+    raw_frame, recover_instrumented_with, CheckMeta, CheckpointStore, ChunkEncoding, DeltaLink,
+    FrameRecord, FrameTable, JobId, Namespace, PccheckError, RecoveredCheckpoint, RecoveryTrace,
+    RestoreOptions, StoreGeometry, StoreLayout, DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, PersistentDevice, SsdDevice, StripedDevice, TieredDevice};
 use pccheck_gpu::StateDigest;
 use pccheck_monitor::ForensicReport;
 use pccheck_telemetry::{FlightEventKind, Telemetry};
-use pccheck_util::fnv::{chunk_digest, fnv1a};
+use pccheck_util::fnv::{content_address, fnv1a};
 use pccheck_util::ByteSize;
 
 /// A protocol step at which the crash is injected.
@@ -121,7 +121,7 @@ pub enum DeviceTopology {
 /// Geometry of a crash scenario.
 #[derive(Debug, Clone)]
 pub struct ForensicsRunConfig {
-    /// Payload size of each checkpoint.
+    /// State size of each checkpoint.
     pub state_bytes: u64,
     /// Slots (N + 1) of each tenant's namespace.
     pub slots: u32,
@@ -172,11 +172,14 @@ impl ForensicsRunConfig {
     }
 
     /// The store's geometry: a `single` one for the default job alone, a
-    /// directory row and `slots` slots per tenant otherwise.
+    /// directory row and `slots` slots per tenant otherwise; every slot
+    /// holds a state's frame.
     pub fn geometry(&self) -> StoreGeometry {
         let tenants = self.tenants.len() as u32;
+        let state = ByteSize::from_bytes(self.state_bytes);
+        let record = ByteSize::from_bytes(self.state_bytes / FRAME_CHUNKS as u64);
         StoreGeometry {
-            slot_size: ByteSize::from_bytes(self.state_bytes),
+            slot_size: FrameTable::slot_size_for(state, record),
             slots: self.slots * tenants,
             flight_records: self.flight_records,
             max_namespaces: if self.tenants == [DEFAULT_JOB] {
@@ -253,7 +256,8 @@ pub fn sparse_payload(base: &[u8], iteration: u64, ranges: &[(u64, u64)]) -> Vec
     full
 }
 
-/// Chunk grid of the hand-assembled frames: the state cut into eighths.
+/// Record grid of every frame a scenario writes: the state cut into
+/// eighths.
 const FRAME_CHUNKS: usize = 8;
 
 /// Which chunks of `full` are byte-identical to the same chunk of `base`.
@@ -265,18 +269,26 @@ fn unchanged_chunks(full: &[u8], base: &[u8]) -> Vec<bool> {
         .collect()
 }
 
-/// Serializes a `PCFRAME1` payload for `full`, laid out the way the
-/// persist pipeline would over base checkpoint `base`: chunk `i` becomes
-/// a `DedupBase` record naming `base` when `reuse[i]` (the base holds
-/// those bytes materialized), a packed `Raw` record otherwise. Returns
-/// `(payload, table length)`.
+/// `state`, captured at `iteration`, as checkpoint `counter`'s all-`Raw`
+/// frame of [`FRAME_CHUNKS`] records — the product's builder, so every
+/// record is a chunk a later frame may reference — and its commit digest.
+fn all_raw_frame(counter: u64, iteration: u64, state: &[u8]) -> (Vec<u8>, u64) {
+    let full_digest = StateDigest::of_payload(state, iteration).0;
+    raw_frame(counter, full_digest, state, state.len() / FRAME_CHUNKS)
+}
+
+/// Serializes a frame for `full`, laid out the way the persist pipeline
+/// would over base checkpoint `base`: chunk `i` becomes a `DedupBase`
+/// record naming `base` when `reuse[i]` (the base holds those bytes
+/// materialized), a packed `Raw` record otherwise. Returns the payload
+/// and its commit digest.
 fn build_frame_payload(
     full: &[u8],
     iteration: u64,
     counter: u64,
     base: &CheckMeta,
     reuse: &[bool],
-) -> (Vec<u8>, usize) {
+) -> (Vec<u8>, u64) {
     let chunk = full.len() / FRAME_CHUNKS;
     let mut packed = Vec::new();
     let records = full
@@ -298,7 +310,7 @@ fn build_frame_payload(
                 logical_len: bytes.len() as u64,
                 a,
                 b,
-                digest: chunk_digest(bytes),
+                digest: content_address(bytes),
             }
         })
         .collect();
@@ -308,10 +320,9 @@ fn build_frame_payload(
         full_digest: StateDigest::of_payload(full, iteration).0,
         records,
     };
-    let mut payload = table.encode();
-    let table_len = payload.len();
-    payload.extend_from_slice(&packed);
-    (payload, table_len)
+    let table = table.encode();
+    let digest = fnv1a(&table);
+    ([table, packed].concat(), digest)
 }
 
 /// The state the [`CrashPoint::DedupChain`] scenario commits as a frame
@@ -327,27 +338,21 @@ fn dedup_mid_state(base_iteration: u64, crash_iteration: u64, len: u64) -> (u64,
     (mid_iteration, full_mid)
 }
 
-/// Writes and persists a hand-assembled frame of `full` over `base` into
-/// a fresh slot of `ns`, emitting the engine's flight records up to
-/// `PayloadPersisted`. Returns the still-open lease with the frame's
-/// payload length and table checksum (its commit digest).
+/// Writes and persists `frame`, checkpoint `iteration`'s payload, into
+/// `lease`'s slot, emitting the engine's flight records up to
+/// `PayloadPersisted`.
 fn persist_frame(
     store: &CheckpointStore,
-    ns: &Arc<Namespace>,
+    lease: &SlotLease,
     iteration: u64,
-    full: &[u8],
-    base: &CheckMeta,
-    reuse: &[bool],
-) -> Result<(SlotLease, u64, u64), PccheckError> {
-    let lease = store.begin_checkpoint(ns);
-    let (counter, slot) = (lease.counter, lease.slot);
-    let (payload, table_len) = build_frame_payload(full, iteration, counter, base, reuse);
-    let len = payload.len() as u64;
-    store.write_payload(&lease, 0, &payload)?;
+    frame: &[u8],
+) -> Result<(), PccheckError> {
+    let (counter, slot, len) = (lease.counter, lease.slot, frame.len() as u64);
+    store.write_payload(lease, 0, frame)?;
     store
         .flight()
         .record(FlightEventKind::CopyDone, counter, slot, 0, len, 0);
-    store.persist_payload(&lease, 0, len)?;
+    store.persist_payload(lease, 0, len)?;
     store.flight().record(
         FlightEventKind::PayloadPersisted,
         counter,
@@ -356,11 +361,12 @@ fn persist_frame(
         len,
         0,
     );
-    Ok((lease, len, fnv1a(&payload[..table_len])))
+    Ok(())
 }
 
-/// Commits one checkpoint of `job` through the store, emitting the same
-/// flight records the engine does. Returns the checkpoint's counter.
+/// Commits one checkpoint of `job` — `payload` as its all-`Raw` frame —
+/// through the store, emitting the same flight records the engine does.
+/// Returns the checkpoint's counter.
 ///
 /// # Errors
 ///
@@ -371,34 +377,32 @@ pub fn commit_checkpoint(
     iteration: u64,
     payload: &[u8],
 ) -> Result<u64, PccheckError> {
-    let lease = store.begin_checkpoint(&store.namespace(job)?);
-    let counter = lease.counter;
-    let len = payload.len() as u64;
-    store.write_payload(&lease, 0, payload)?;
-    store
-        .flight()
-        .record(FlightEventKind::CopyDone, counter, lease.slot, 0, len, 0);
-    store.persist_payload(&lease, 0, len)?;
-    store.flight().record(
-        FlightEventKind::PayloadPersisted,
-        counter,
-        lease.slot,
-        iteration,
-        len,
-        0,
-    );
-    let digest = StateDigest::of_payload(payload, iteration).0;
-    store.commit(lease, iteration, len, digest)?;
-    Ok(counter)
+    let ns = store.namespace(job)?;
+    commit(store, &ns, iteration, payload).map(|(counter, _)| counter)
 }
 
-/// Drives one checkpoint of `job` up to (but not through) `point`,
-/// emitting the engine's flight records along the way; the other tenants'
-/// committed state stays untouched. For [`CrashPoint::AfterCommit`] the
-/// checkpoint commits fully; for [`CrashPoint::DuringPersist`] the
-/// payload is written and `CopyDone` recorded, but the persist is left to
-/// the caller (who crashes it). Returns `(counter, slot)` of the driven
-/// checkpoint.
+/// [`commit_checkpoint`] in `ns`; returns `(counter, slot)`.
+fn commit(
+    store: &CheckpointStore,
+    ns: &Arc<Namespace>,
+    iteration: u64,
+    payload: &[u8],
+) -> Result<(u64, u32), PccheckError> {
+    let lease = store.begin_checkpoint(ns);
+    let (counter, slot) = (lease.counter, lease.slot);
+    let (frame, digest) = all_raw_frame(counter, iteration, payload);
+    persist_frame(store, &lease, iteration, &frame)?;
+    store.commit(lease, iteration, frame.len() as u64, digest)?;
+    Ok((counter, slot))
+}
+
+/// Drives one checkpoint of `job` — `payload` as its all-`Raw` frame — up
+/// to (but not through) `point`, emitting the engine's flight records
+/// along the way; the other tenants' committed state stays untouched. For
+/// [`CrashPoint::AfterCommit`] the checkpoint commits fully; for
+/// [`CrashPoint::DuringPersist`] the frame is written and `CopyDone`
+/// recorded, but the persist is left to the caller (who crashes it).
+/// Returns `(counter, slot)` of the driven checkpoint.
 ///
 /// # Errors
 ///
@@ -412,33 +416,14 @@ pub fn drive_to_crash_point(
 ) -> Result<(u64, u32), PccheckError> {
     let ns = &store.namespace(job)?;
     if point == CrashPoint::AfterCommit {
-        let lease = store.begin_checkpoint(ns);
-        let slot = lease.slot;
-        let counter = lease.counter;
-        let len = payload.len() as u64;
-        store.write_payload(&lease, 0, payload)?;
-        store
-            .flight()
-            .record(FlightEventKind::CopyDone, counter, slot, 0, len, 0);
-        store.persist_payload(&lease, 0, len)?;
-        store.flight().record(
-            FlightEventKind::PayloadPersisted,
-            counter,
-            slot,
-            iteration,
-            len,
-            0,
-        );
-        let digest = StateDigest::of_payload(payload, iteration).0;
-        store.commit(lease, iteration, len, digest)?;
-        return Ok((counter, slot));
+        return commit(store, ns, iteration, payload);
     }
     if point == CrashPoint::DedupChain {
         // A frame committed halfway between the baseline and the crash
-        // iteration — its clean chunks reference the (raw) baseline, which
-        // its link pins — then a second frame stranded with its payload
-        // durable but no meta record, exactly like a process dying
-        // between persist and commit.
+        // iteration — its clean chunks reference the (all-`Raw`) baseline,
+        // which its link pins — then a second frame stranded with its
+        // payload durable but no meta record, exactly like a process
+        // dying between persist and commit.
         let base = store
             .latest_committed(ns)
             .ok_or(PccheckError::NoCheckpoint)?;
@@ -446,13 +431,15 @@ pub fn drive_to_crash_point(
         let base_payload = synthetic_payload(base.iteration, len);
         let (mid_iteration, full_mid) = dedup_mid_state(base.iteration, iteration, len);
         let from_base = unchanged_chunks(&full_mid, &base_payload);
-        let (lease, mid_len, mid_digest) =
-            persist_frame(store, ns, mid_iteration, &full_mid, &base, &from_base)?;
+        let lease = store.begin_checkpoint(ns);
+        let (frame, digest) =
+            build_frame_payload(&full_mid, mid_iteration, lease.counter, &base, &from_base);
+        persist_frame(store, &lease, mid_iteration, &frame)?;
         store.commit_with_delta(
             lease,
             mid_iteration,
-            mid_len,
-            mid_digest,
+            frame.len() as u64,
+            digest,
             Some(DeltaLink {
                 base_counter: base.counter,
                 base_slot: base.slot,
@@ -471,14 +458,17 @@ pub fn drive_to_crash_point(
             .zip(&from_base)
             .map(|(&unchanged, &mid_referenced)| unchanged && !mid_referenced)
             .collect();
-        let (lease, _, _) = persist_frame(store, ns, iteration, &full_crash, &mid, &from_mid)?;
+        let lease = store.begin_checkpoint(ns);
+        let (frame, _) =
+            build_frame_payload(&full_crash, iteration, lease.counter, &mid, &from_mid);
+        persist_frame(store, &lease, iteration, &frame)?;
         let stranded = (lease.counter, lease.slot);
         std::mem::forget(lease);
         return Ok(stranded);
     }
     let lease = store.begin_checkpoint(ns);
     let (counter, slot) = (lease.counter, lease.slot);
-    let len = payload.len() as u64;
+    let (frame, _) = all_raw_frame(counter, iteration, payload);
     match point {
         CrashPoint::ClaimPublish => {
             // Nothing: the claim already published the slot's durable
@@ -486,31 +476,18 @@ pub fn drive_to_crash_point(
             // a single payload or meta byte follows it.
         }
         CrashPoint::DuringCopy => {
-            // Half the payload lands in the page cache; no CopyDone yet.
-            store.write_payload(&lease, 0, &payload[..payload.len() / 2])?;
+            // Half the frame lands in the page cache; no CopyDone yet.
+            store.write_payload(&lease, 0, &frame[..frame.len() / 2])?;
         }
         CrashPoint::DuringPersist => {
-            store.write_payload(&lease, 0, payload)?;
+            store.write_payload(&lease, 0, &frame)?;
+            let len = frame.len() as u64;
             store
                 .flight()
                 .record(FlightEventKind::CopyDone, counter, slot, 0, len, 0);
             // The fatal msync is the caller's move.
         }
-        CrashPoint::BetweenPersistAndCommit => {
-            store.write_payload(&lease, 0, payload)?;
-            store
-                .flight()
-                .record(FlightEventKind::CopyDone, counter, slot, 0, len, 0);
-            store.persist_payload(&lease, 0, len)?;
-            store.flight().record(
-                FlightEventKind::PayloadPersisted,
-                counter,
-                slot,
-                iteration,
-                len,
-                0,
-            );
-        }
+        CrashPoint::BetweenPersistAndCommit => persist_frame(store, &lease, iteration, &frame)?,
         CrashPoint::AfterCommit | CrashPoint::DedupChain => unreachable!("handled above"),
     }
     // The lease is deliberately leaked: the crash strands the in-flight

@@ -33,14 +33,14 @@
 //!    (`CHECK_ADDR` persists *before* the ring's `Commit` record, so the
 //!    ring can never be ahead of the durable pointer).
 //! 5. **Committed slots are intact** — the payload of every slot holding
-//!    a complete checkpoint verifies against its recorded digest (for a
-//!    chunk-framed codec slot: the frame table, bound to the commit's
-//!    counter).
+//!    a complete checkpoint opens with a frame table that binds to its
+//!    commit record (the recorded digest is the table's checksum, and the
+//!    table names the commit's counter).
 //! 6. **Dedup bases stay pinned** — when the recovery target carries a
 //!    base link, every base pointer down the chain lands on a slot still
 //!    holding that base (superseded bases stay pinned until their
 //!    dependents retire) and every base committed per the ring. And every
-//!    framed recovery target, linked or not, materializes through the
+//!    recovery target, linked or not, materializes through the
 //!    same plan and executor recovery uses (`pccheck::decode_frame`:
 //!    decompressing LZ chunks and resolving self/base dedup references
 //!    with re-verified content addresses) to a state matching its
@@ -55,11 +55,10 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use pccheck::{
-    bind_frame_table, decode_frame, is_frame, CheckMeta, JobId, PccheckError, RawStoreView,
-    RestoreOptions, SlotOutcome,
+    bind_frame_table, decode_frame, CheckMeta, JobId, PccheckError, RawStoreView, RestoreOptions,
+    SlotOutcome,
 };
 use pccheck_device::PersistentDevice;
-use pccheck_gpu::StateDigest;
 use pccheck_telemetry::{FlightEventKind, FlightRecord, FlightRing};
 
 /// How far an in-flight (never terminated) checkpoint got before the
@@ -153,9 +152,8 @@ pub enum InvariantViolation {
         /// Newest committed counter per the ring.
         newest: u64,
     },
-    /// The expected recovery target's payload fails digest verification
-    /// (for a framed target: the frame walk cannot reconstruct a state
-    /// matching the recorded full digest).
+    /// The expected recovery target's frame does not materialize to a
+    /// state matching the full digest its table records.
     TornCommittedSlot {
         /// Slot of the torn checkpoint.
         slot: u32,
@@ -568,9 +566,8 @@ pub fn audit(device: Arc<dyn PersistentDevice>) -> Result<ForensicReport, Pcchec
         }
     }
 
-    // Invariant 5 + payload_valid: verify slot payloads against digests.
-    // A framed slot's digest covers the frame table at the payload head.
-    // Every namespace's recovery head is a target — one tenant's torn
+    // Invariant 5 + payload_valid: every slot's frame table must bind to
+    // its commit record. Every namespace's recovery head is a target — one tenant's torn
     // head is a violation even when another tenant holds the globally
     // newest commit.
     let recovery_targets: Vec<CheckMeta> =
@@ -580,11 +577,7 @@ pub fn audit(device: Arc<dyn PersistentDevice>) -> Result<ForensicReport, Pcchec
             continue;
         };
         let payload = view.read_slot_payload(device.as_ref(), slot)?;
-        let valid = if is_frame(&payload) {
-            bind_frame_table(&payload, &meta).is_some()
-        } else {
-            StateDigest::of_payload(&payload, meta.iteration).0 == meta.digest
-        };
+        let valid = bind_frame_table(&payload, &meta).is_some();
         if let Some(CheckpointVerdict::Committed { payload_valid, .. }) =
             checkpoints.get_mut(&meta.counter)
         {
@@ -644,14 +637,13 @@ pub fn audit(device: Arc<dyn PersistentDevice>) -> Result<ForensicReport, Pcchec
     }
 
     // Invariant 6: a linked recovery target's base chain must be pinned in
-    // place and built on committed bases, and every framed target — linked
-    // or not — must materialize through the frame walk: invariant 5's
-    // table check alone would miss a torn packed region or a vanished
-    // dedup base. Every tenant's head is audited.
+    // place and built on committed bases, and every target — linked or
+    // not — must materialize through the frame walk: invariant 5's table
+    // check alone would miss a torn packed region or a vanished dedup
+    // base. Every tenant's head is audited.
     for target in &recovery_targets {
         audit_base_pins(&view, target, &checkpoints, &mut violations);
-        let payload = view.read_slot_payload(device.as_ref(), target.slot)?;
-        if is_frame(&payload) && materialize_frame(device.as_ref(), &view, target).is_none() {
+        if materialize_frame(device.as_ref(), &view, target).is_none() {
             violations.push(InvariantViolation::TornCommittedSlot {
                 slot: target.slot,
                 counter: target.counter,
@@ -687,7 +679,7 @@ fn bump_phase(
     }
 }
 
-/// Materializes a framed slot exactly the way recovery does — its restore
+/// Materializes a slot's frame exactly the way recovery does — its restore
 /// plan, run by the one executor (`pccheck::decode_frame`) — resolving
 /// each base reference by range out of the slot the record names,
 /// provided that slot still holds that checkpoint. `None` on any broken
@@ -751,7 +743,11 @@ fn audit_base_pins(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pccheck::{CheckpointStore, CommitOutcome, Namespace, StoreGeometry, DEFAULT_JOB};
+    use pccheck::{
+        raw_frame, CheckpointStore, ChunkEncoding, CommitOutcome, FrameTable, Namespace,
+        StoreGeometry, DEFAULT_JOB,
+    };
+    use pccheck_gpu::StateDigest;
 
     /// The tenant of a single-tenant store.
     fn ns(st: &CheckpointStore) -> Arc<Namespace> {
@@ -761,19 +757,14 @@ mod tests {
     use pccheck_telemetry::FlightEventKind as K;
     use pccheck_util::ByteSize;
 
-    fn flight_store(slots: u32, ring: u32) -> (Arc<dyn PersistentDevice>, CheckpointStore) {
-        flight_store_sized(64, slots, ring)
-    }
+    /// Slot size of the test stores: room for the frame of a few dozen
+    /// bytes of state.
+    const SLOT: ByteSize = ByteSize::from_bytes(256);
 
-    fn flight_store_sized(
-        slot_bytes: u64,
-        slots: u32,
-        ring: u32,
-    ) -> (Arc<dyn PersistentDevice>, CheckpointStore) {
-        let slot = ByteSize::from_bytes(slot_bytes);
+    fn flight_store(slots: u32, ring: u32) -> (Arc<dyn PersistentDevice>, CheckpointStore) {
         let geometry = StoreGeometry {
             flight_records: ring,
-            ..StoreGeometry::single(slot, slots)
+            ..StoreGeometry::single(SLOT, slots)
         };
         let dev: Arc<dyn PersistentDevice> = Arc::new(SsdDevice::new(
             DeviceConfig::fast_for_tests(geometry.required_capacity()),
@@ -786,17 +777,19 @@ mod tests {
         commit_job(st, DEFAULT_JOB, iter, payload);
     }
 
-    /// Commits a hand-assembled frame over the latest committed (raw)
-    /// checkpoint: one `Raw` chunk of `fresh` bytes followed by one
-    /// `DedupBase` chunk naming the base's whole payload, pinned through
-    /// a link to that base.
+    /// Commits a hand-assembled frame over the latest committed
+    /// (all-`Raw`, one-record) checkpoint: one `Raw` chunk of `fresh` bytes
+    /// followed by one `DedupBase` chunk naming the base's whole state,
+    /// pinned through a link to that base.
     fn commit_frame_over_base(st: &CheckpointStore, iter: u64, fresh: &[u8]) {
-        use pccheck::{ChunkEncoding, DeltaLink, FrameRecord, FrameTable};
-        use pccheck_util::fnv::chunk_digest;
+        use pccheck::{DeltaLink, FrameRecord};
+        use pccheck_util::fnv::content_address;
 
         let base = st.latest_committed(&ns(st)).unwrap();
-        let base_bytes = st.read_checkpoint(&base).unwrap();
-        let logical = [fresh, &base_bytes[..]].concat();
+        let base_payload = st.read_checkpoint(&base).unwrap();
+        let base_table = bind_frame_table(&base_payload, &base).unwrap();
+        let base_bytes = &base_payload[base_table.encoded_len() as usize..];
+        let logical = [fresh, base_bytes].concat();
         let lease = st.begin_checkpoint(&ns(st));
         let table = FrameTable {
             counter: lease.counter,
@@ -809,7 +802,7 @@ mod tests {
                     logical_len: fresh.len() as u64,
                     a: 0,
                     b: fresh.len() as u64,
-                    digest: chunk_digest(fresh),
+                    digest: content_address(fresh),
                 },
                 FrameRecord {
                     kind: ChunkEncoding::DedupBase,
@@ -817,7 +810,7 @@ mod tests {
                     logical_len: base_bytes.len() as u64,
                     a: base.counter,
                     b: 0,
-                    digest: chunk_digest(&base_bytes),
+                    digest: content_address(base_bytes),
                 },
             ],
         };
@@ -845,7 +838,7 @@ mod tests {
 
     #[test]
     fn linked_frame_audits_clean() {
-        let (dev, st) = flight_store_sized(256, 4, 64);
+        let (dev, st) = flight_store(4, 64);
         commit_one(&st, 1, &[7u8; 64]);
         commit_frame_over_base(&st, 2, &[1u8; 8]);
         dev.crash_now();
@@ -865,7 +858,7 @@ mod tests {
 
     #[test]
     fn dangling_base_link_is_flagged() {
-        let (dev, st) = flight_store_sized(256, 4, 64);
+        let (dev, st) = flight_store(4, 64);
         commit_one(&st, 1, &[9u8; 64]);
         commit_frame_over_base(&st, 2, &[2u8; 8]);
         // The store withdraws a frame whose link target it does not pin,
@@ -891,7 +884,7 @@ mod tests {
 
     #[test]
     fn base_that_never_committed_is_flagged() {
-        let (dev, st) = flight_store_sized(256, 4, 64);
+        let (dev, st) = flight_store(4, 64);
         commit_one(&st, 1, &[3u8; 64]);
         // Fabricate a ring record claiming checkpoint 1 failed: the frame
         // now depends on a base the protocol disowned.
@@ -910,13 +903,14 @@ mod tests {
 
     #[test]
     fn recycled_dedup_base_is_flagged() {
-        let (dev, st) = flight_store_sized(256, 4, 64);
+        let (dev, st) = flight_store(4, 64);
         commit_one(&st, 1, &[11u8; 64]);
         let base = st.latest_committed(&ns(&st)).unwrap();
         commit_frame_over_base(&st, 2, &[13u8; 8]);
-        // Flip one base byte behind the store's back: the frame's own slot
-        // is intact, so only resolving the reference catches it.
-        let off = st.slot_payload_offset(base.slot) + 10;
+        // Flip one byte of the base's state behind the store's back: the
+        // frame's own slot is intact, so only resolving the reference
+        // catches it.
+        let off = st.slot_payload_offset(base.slot) + FrameTable::encoded_len_for(1) + 10;
         dev.write_at(off, &[0xEE]).unwrap();
         dev.persist(off, 1).unwrap();
         dev.crash_now();
@@ -1020,14 +1014,10 @@ mod tests {
 
     #[test]
     fn ringless_store_still_audits_metadata() {
-        let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(64), 3);
+        let cap = CheckpointStore::required_capacity(SLOT, 3);
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let st = CheckpointStore::format(
-            Arc::clone(&dev),
-            StoreGeometry::single(ByteSize::from_bytes(64), 3),
-        )
-        .unwrap();
+        let st = CheckpointStore::format(Arc::clone(&dev), StoreGeometry::single(SLOT, 3)).unwrap();
         commit_one(&st, 1, b"one");
         dev.crash_now();
         let report = audit(Arc::clone(&dev)).unwrap();
@@ -1072,21 +1062,20 @@ mod tests {
         let (dev, st) = flight_store(4, 64);
         let lease_a = st.begin_checkpoint(&ns(&st));
         let lease_b = st.begin_checkpoint(&ns(&st));
-        for (lease, payload) in [(&lease_a, b"aa"), (&lease_b, b"bb")] {
-            st.write_payload(lease, 0, payload).unwrap();
-            st.persist_payload(lease, 0, 2).unwrap();
-        }
         let (ca, sa) = (lease_a.counter, lease_a.slot);
         let (cb, sb) = (lease_b.counter, lease_b.slot);
-        // Replay what the device would hold: both metas persisted, then
-        // the Commit records land newer-first.
-        for (lease, iter) in [(lease_a, 1u64), (lease_b, 2u64)] {
+        // Replay what the device would hold: both frames and metas
+        // persisted, then the Commit records land newer-first.
+        for (lease, iter, state) in [(lease_a, 1u64, b"aa"), (lease_b, 2u64, b"bb")] {
+            let (frame, digest) = frame_of(lease.counter, iter, state);
+            st.write_payload(&lease, 0, &frame).unwrap();
+            st.persist_payload(&lease, 0, frame.len() as u64).unwrap();
             let meta = pccheck::CheckMeta {
                 counter: lease.counter,
                 slot: lease.slot,
                 iteration: iter,
-                payload_len: 2,
-                digest: StateDigest::of_payload(if iter == 1 { b"aa" } else { b"bb" }, iter).0,
+                payload_len: frame.len() as u64,
+                digest,
                 delta: None,
             };
             let off = st.slot_meta_offset(lease.slot);
@@ -1147,14 +1136,10 @@ mod tests {
     fn claimed_slot_on_ringless_store_is_synthesized_in_flight() {
         // No flight ring: the state word alone must make the in-flight
         // claim decidable (the detectable half of the protocol).
-        let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(64), 3);
+        let cap = CheckpointStore::required_capacity(SLOT, 3);
         let dev: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let st = CheckpointStore::format(
-            Arc::clone(&dev),
-            StoreGeometry::single(ByteSize::from_bytes(64), 3),
-        )
-        .unwrap();
+        let st = CheckpointStore::format(Arc::clone(&dev), StoreGeometry::single(SLOT, 3)).unwrap();
         commit_one(&st, 1, b"one");
         let lease = st.begin_checkpoint(&ns(&st));
         let (counter, slot) = (lease.counter, lease.slot);
@@ -1183,7 +1168,7 @@ mod tests {
         max_ns: u32,
     ) -> (Arc<dyn PersistentDevice>, CheckpointStore) {
         let geometry = StoreGeometry {
-            slot_size: ByteSize::from_bytes(64),
+            slot_size: SLOT,
             slots,
             flight_records: ring,
             max_namespaces: max_ns,
@@ -1195,14 +1180,20 @@ mod tests {
         (dev, st)
     }
 
-    fn commit_job(st: &CheckpointStore, job: u64, iter: u64, payload: &[u8]) {
+    /// `state`, captured at `iter`, as checkpoint `counter`'s one-record
+    /// all-`Raw` frame, and the digest its commit records.
+    fn frame_of(counter: u64, iter: u64, state: &[u8]) -> (Vec<u8>, u64) {
+        let full_digest = StateDigest::of_payload(state, iter).0;
+        raw_frame(counter, full_digest, state, state.len())
+    }
+
+    fn commit_job(st: &CheckpointStore, job: u64, iter: u64, state: &[u8]) {
         let lease = st.begin_checkpoint(&st.namespace(job).unwrap());
-        st.write_payload(&lease, 0, payload).unwrap();
-        st.persist_payload(&lease, 0, payload.len() as u64).unwrap();
-        let digest = StateDigest::of_payload(payload, iter).0;
+        let (frame, digest) = frame_of(lease.counter, iter, state);
+        st.write_payload(&lease, 0, &frame).unwrap();
+        st.persist_payload(&lease, 0, frame.len() as u64).unwrap();
         assert_eq!(
-            st.commit(lease, iter, payload.len() as u64, digest)
-                .unwrap(),
+            st.commit(lease, iter, frame.len() as u64, digest).unwrap(),
             CommitOutcome::Committed
         );
     }
@@ -1219,10 +1210,10 @@ mod tests {
         // Lease job 1 first (lower counter), commit it after job 2.
         let lease1 = st.begin_checkpoint(&st.namespace(1).unwrap());
         commit_job(&st, 2, 7, b"job2-a");
-        st.write_payload(&lease1, 0, b"job1-a").unwrap();
-        st.persist_payload(&lease1, 0, 6).unwrap();
-        st.commit(lease1, 3, 6, StateDigest::of_payload(b"job1-a", 3).0)
-            .unwrap();
+        let (frame, digest) = frame_of(lease1.counter, 3, b"job1-a");
+        st.write_payload(&lease1, 0, &frame).unwrap();
+        st.persist_payload(&lease1, 0, frame.len() as u64).unwrap();
+        st.commit(lease1, 3, frame.len() as u64, digest).unwrap();
         commit_job(&st, 2, 8, b"job2-b");
         commit_job(&st, 1, 4, b"job1-b");
         dev.crash_now();
@@ -1305,16 +1296,14 @@ mod tests {
             engine.checkpoint(&gpu, iter);
             engine.drain();
         }
-        // The audit only proves something if the codec actually framed.
+        // The audit only proves something if the codec actually packed.
         let view = RawStoreView::load(dev.as_ref()).unwrap();
-        let framed = (0..view.layout.geometry().slots)
-            .filter(|&s| view.slot_meta[s as usize].is_some())
-            .filter(|&s| {
-                view.read_slot_payload(dev.as_ref(), s)
-                    .is_ok_and(|p| is_frame(&p))
-            })
-            .count();
-        assert!(framed > 0, "no slot framed — codec never engaged");
+        let packed = view.slot_meta.iter().flatten().filter(|meta| {
+            let payload = view.read_slot_payload(dev.as_ref(), meta.slot).unwrap();
+            let table = bind_frame_table(&payload, meta).unwrap();
+            table.records.iter().any(|r| r.kind != ChunkEncoding::Raw)
+        });
+        assert!(packed.count() > 0, "no codec frame — codec never engaged");
         let report = audit(Arc::clone(&dev)).unwrap();
         assert!(report.is_clean(), "{:?}", report.violations);
     }
@@ -1353,7 +1342,6 @@ mod tests {
             .copied()
             .unwrap();
         let payload = view.read_slot_payload(dev.as_ref(), head.slot).unwrap();
-        assert!(is_frame(&payload), "newest slot should be framed");
         // Corrupt one byte of the packed chunk region (past the table, so
         // the shallow table check still passes): only the deep frame
         // replay catches it.
@@ -1377,6 +1365,52 @@ mod tests {
         );
     }
 
+    /// A codec-off checkpoint whose state happens to open with the frame
+    /// magic is just a state: it recovers bit-exact onto a GPU and audits
+    /// clean. (While payloads were told apart by their first eight bytes,
+    /// its table failed to bind and the candidate was rejected.)
+    #[test]
+    fn a_state_that_opens_with_the_frame_magic_recovers_and_audits_clean() {
+        use pccheck::{recover_into_gpu, PcCheckConfig, PcCheckEngine};
+        use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingState};
+        use pccheck_telemetry::Telemetry;
+        let state = ByteSize::from_kb(4);
+        let gpu = Gpu::new(
+            GpuConfig::fast_for_tests(),
+            TrainingState::synthetic(state, 17),
+        );
+        let mut bytes = vec![0u8; state.as_usize()];
+        gpu.with_weights(|s| s.serialize_into(&mut bytes));
+        bytes[..8].copy_from_slice(b"PCFRAME1");
+        gpu.restore(&bytes, 1);
+        let dev: Arc<dyn PersistentDevice> = Arc::new(SsdDevice::new(
+            DeviceConfig::fast_for_tests(ByteSize::from_mb_u64(1)),
+        ));
+        let config = PcCheckConfig::builder()
+            .chunk_size(ByteSize::from_bytes(1024))
+            .flight_records(64)
+            .build()
+            .unwrap();
+        let engine = PcCheckEngine::new(config, Arc::clone(&dev), state).unwrap();
+        engine.checkpoint(&gpu, 1);
+        engine.try_drain().unwrap();
+        drop(engine);
+        dev.crash_now();
+        dev.recover();
+
+        let fresh = Gpu::new(
+            GpuConfig::fast_for_tests(),
+            TrainingState::synthetic(state, 99),
+        );
+        let options = RestoreOptions::default();
+        let trace = recover_into_gpu(Arc::clone(&dev), &fresh, &Telemetry::disabled(), options)
+            .expect("the state is recoverable");
+        assert_eq!(trace.iteration, 1);
+        assert_eq!(fresh.digest(), gpu.digest(), "bit-exact");
+        let report = audit(dev).unwrap();
+        assert!(report.is_clean(), "{:?}", report.violations);
+    }
+
     #[test]
     fn audit_rejects_unformatted_device() {
         let dev: Arc<dyn PersistentDevice> = Arc::new(SsdDevice::new(
@@ -1394,7 +1428,7 @@ mod tests {
         // from extents.
         let geometry = StoreGeometry {
             flight_records: 64,
-            ..StoreGeometry::single(ByteSize::from_bytes(64), 3)
+            ..StoreGeometry::single(SLOT, 3)
         };
         let cap = geometry.required_capacity();
         let members: Vec<Arc<dyn PersistentDevice>> = (0..2)

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use pccheck::{CheckMeta, CheckpointStore, Namespace, PccheckError};
+use pccheck::{decode_frame, CheckMeta, CheckpointStore, Namespace, PccheckError};
 use pccheck_gpu::tensor::StateLayout;
 use pccheck_gpu::TrainingState;
 
@@ -33,36 +33,41 @@ impl CheckpointInspector {
         self.store.latest_committed(&self.ns)
     }
 
-    /// Loads a checkpoint's raw payload.
+    /// Loads a checkpoint's serialized state: its frame materialized and
+    /// verified the way recovery does it, dedup references resolved
+    /// against the rest of the history.
     ///
     /// # Errors
     ///
-    /// Returns [`PccheckError::CorruptCheckpoint`] if the slot was recycled
-    /// since `meta` was listed.
+    /// Returns [`PccheckError::CorruptCheckpoint`] if the frame does not
+    /// verify — a slot recycled since `meta` was listed, say; propagates
+    /// device errors from the history listing.
     pub fn load_payload(&self, meta: &CheckMeta) -> Result<Vec<u8>, PccheckError> {
-        self.store.read_checkpoint(meta)
+        let homes = self.history()?;
+        let read = |slot, at, buf: &mut [u8]| {
+            let off = self.store.slot_payload_offset(slot) + at;
+            self.store.device().read_durable_at(off, buf).is_ok()
+        };
+        decode_frame(meta, &homes, &read, 1)
+            .map(|(state, _)| state)
+            .ok_or(PccheckError::CorruptCheckpoint {
+                counter: meta.counter,
+            })
     }
 
-    /// Loads and reconstructs a checkpoint as a [`TrainingState`],
-    /// verifying the payload against the recorded digest.
+    /// Loads and reconstructs a checkpoint as a verified
+    /// [`TrainingState`].
     ///
     /// # Errors
     ///
-    /// Returns [`PccheckError::CorruptCheckpoint`] on digest mismatch or a
-    /// recycled slot.
+    /// As for [`load_payload`](Self::load_payload).
     pub fn load_state(
         &self,
         meta: &CheckMeta,
         layout: &StateLayout,
     ) -> Result<TrainingState, PccheckError> {
         let payload = self.load_payload(meta)?;
-        let state = TrainingState::restore(layout, &payload, meta.iteration);
-        if state.digest().0 != meta.digest {
-            return Err(PccheckError::CorruptCheckpoint {
-                counter: meta.counter,
-            });
-        }
-        Ok(state)
+        Ok(TrainingState::restore(layout, &payload, meta.iteration))
     }
 
     /// Loads the most recent `n` checkpoints (newest last), skipping any

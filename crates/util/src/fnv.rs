@@ -8,8 +8,8 @@
 //!   payload: at a few hundred MB/s it would cost more than the device
 //!   write it protects.
 //! - [`chunk_digest`]: word-folding FNV-style mix, ~8× faster than the
-//!   byte-serial form. The persist-path codec's content address, and the
-//!   block primitive of the state digest.
+//!   byte-serial form. The block primitive of the state digest and of a
+//!   frame record's content address.
 //! - [`StateFold`] / [`state_digest`] / [`fold_blocks`]: the end-to-end
 //!   digest of a serialized training state — a fold, seeded with the step
 //!   and the length, over the [`chunk_digest`]s of its
@@ -21,6 +21,10 @@
 //!   recovery path. All three get their block values from
 //!   [`block_digests`], which walks four blocks at a time;
 //!   [`whole_blocks`] says which blocks a piece of the state can hand it.
+//! - [`record_digest`] / [`content_address`]: a frame record's content
+//!   address, a fold of the same block values over the record's own bytes.
+//!   [`file_blocks`] takes both digests of a piece in one pass, which is
+//!   every pass on a block-aligned geometry.
 
 /// FNV-1a seed, shared with the checkpoint metadata checksum.
 pub const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
@@ -49,7 +53,7 @@ pub fn fnv1a(data: &[u8]) -> u64 {
 /// the persist and the restore path — byte-serial FNV-1a (~hundreds of
 /// MB/s) would make either CPU-bound on small hosts. This variant is ~8×
 /// faster and only ever compared against digests produced by the same
-/// function (chunk-frame content addresses, state-digest blocks), so it
+/// function (state-digest and record-address blocks), so it
 /// needs no compatibility with the byte-serial form. The length is mixed
 /// into the seed so a chunk and its zero-padded extension digest
 /// differently.
@@ -203,6 +207,42 @@ pub fn whole_blocks(off: u64, len: usize, total: u64) -> (usize, usize) {
 /// `step`, computed independently in any order and handed over by index.
 pub fn fold_blocks(step: u64, len: u64, blocks: impl IntoIterator<Item = u64>) -> u64 {
     [step, len].into_iter().chain(blocks).fold(FNV_SEED, mix)
+}
+
+/// A frame record's content address: a fold, seeded with the record's
+/// length, of the [`block_digests`] of its own bytes — blocks counted from
+/// the record's first byte, the last one short.
+pub fn record_digest(len: u64, blocks: impl IntoIterator<Item = u64>) -> u64 {
+    [len].into_iter().chain(blocks).fold(FNV_SEED, mix)
+}
+
+/// [`record_digest`] of `record`'s bytes.
+pub fn content_address(record: &[u8]) -> u64 {
+    record_digest(record.len() as u64, block_digests(record))
+}
+
+/// One digest pass over `piece`, the bytes at `off` of a `total`-byte
+/// state, for both of its uses: hands `file` the value of every block of
+/// the state the piece wholly covers, by index ([`whole_blocks`]), and
+/// returns the piece's [`content_address`]. A piece that starts on a block
+/// boundary has the state's blocks for its own, so only its short tail, if
+/// any, is digested apart; any other piece is digested again from its own
+/// first byte.
+pub fn file_blocks(off: u64, piece: &[u8], total: u64, mut file: impl FnMut(usize, u64)) -> u64 {
+    let (head, whole) = whole_blocks(off, piece.len(), total);
+    let first = ((off + head as u64) / DIGEST_BLOCK as u64) as usize;
+    let filed = block_digests(&piece[head..head + whole])
+        .enumerate()
+        .map(|(i, value)| {
+            file(first + i, value);
+            value
+        });
+    if head > 0 {
+        filed.for_each(drop);
+        return content_address(piece);
+    }
+    let tail = Some(&piece[whole..]).filter(|tail| !tail.is_empty());
+    record_digest(piece.len() as u64, filed.chain(tail.map(chunk_digest)))
 }
 
 #[cfg(test)]
@@ -376,6 +416,72 @@ mod tests {
             }
             let filed: Vec<u64> = filed.into_iter().map(|v| v.expect("filed")).collect();
             assert_eq!(filed, per_block(&data));
+        });
+    }
+
+    #[test]
+    fn record_address_golden_vectors() {
+        // A record's content address is a format — version 3 frames carry
+        // it — so it must verify after any rebuild: an empty record, one
+        // under a block, whole blocks, whole blocks and a short last one.
+        // Wherever the record sits in a state, on a block boundary or
+        // off one, the one pass over it yields the same address.
+        const B: usize = DIGEST_BLOCK;
+        let golden: [(usize, u64); 5] = [
+            (0, 0xaf72_e84c_8601_b7df),
+            (1, 0xc585_8000_0464_54f7),
+            (B - 1, 0xa430_3ea1_5ed6_ee0f),
+            (2 * B, 0x4c3b_a88f_4593_654c),
+            (2 * B + 13, 0x70b6_0c9d_0558_abbc),
+        ];
+        for (len, want) in golden {
+            let record = state(11, len);
+            let got = content_address(&record);
+            assert_eq!(got, want, "len {len}: {got:#018x}");
+            for off in [0, B, 13] {
+                let total = (off + len + 7) as u64;
+                let address = file_blocks(off as u64, &record, total, |_, _| {});
+                assert_eq!(address, want, "len {len} at {off}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_record_address_is_the_fold_of_the_blocks_its_pass_files() {
+        // Records cut a state on block boundaries mostly, anywhere
+        // sometimes. Each record's pass files the state's blocks it wholly
+        // covers and returns its address; a record that starts on a block
+        // boundary has those blocks for its own, so its address is their
+        // fold with its short tail digested apart — what the persist jobs
+        // and the restore readers rely on to digest each byte once.
+        crate::rng::check(crate::rng::DEFAULT_CASES, |rng| {
+            const B: u64 = DIGEST_BLOCK as u64;
+            let total = rng.range(1..4 * B + 100);
+            let data = rng.bytes(total as usize);
+            let mut off = 0u64;
+            while off < total {
+                let len = if rng.chance(0.7) {
+                    B * rng.range(1..3)
+                } else {
+                    rng.range(1..2 * B)
+                };
+                let piece = &data[off as usize..(off + len).min(total) as usize];
+                let mut filed = Vec::new();
+                let address = file_blocks(off, piece, total, |i, v| filed.push((i, v)));
+                assert_eq!(address, content_address(piece), "record at {off}");
+                for &(i, value) in &filed {
+                    let block = &data[i * DIGEST_BLOCK..((i + 1) * DIGEST_BLOCK).min(data.len())];
+                    assert_eq!(value, chunk_digest(block), "block {i}");
+                }
+                if off.is_multiple_of(B) {
+                    let whole = filed.len() * DIGEST_BLOCK;
+                    let tail = &piece[whole.min(piece.len())..];
+                    let tail = (!tail.is_empty()).then(|| chunk_digest(tail));
+                    let values = filed.iter().map(|&(_, v)| v).chain(tail);
+                    assert_eq!(record_digest(piece.len() as u64, values), address);
+                }
+                off += piece.len() as u64;
+            }
         });
     }
 

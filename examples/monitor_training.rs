@@ -44,11 +44,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         gpu.update();
         // Simulate a silent corruption event at iteration 30: a rogue
         // restore from a stale checkpoint (e.g., flaky hardware reloading
-        // old weights).
+        // old weights) — the weights go back, the step count does not.
         if iter == 30 {
             let stale = inspector.latest().expect("history exists");
             let payload = inspector.load_payload(&stale)?;
-            gpu.restore(&payload, stale.iteration);
+            gpu.restore(&payload, iter);
             println!("!! injected fault at iteration {iter}: state silently reverted");
         }
         if iter % 2 == 0 {

@@ -43,12 +43,12 @@ use std::time::Duration;
 
 use pccheck::{
     recover_instrumented_with, recovery, CheckpointStore, PcCheckConfig, PcCheckEngine,
-    RestoreOptions, StoreGeometry, DEFAULT_JOB,
+    RestoreOptions, DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, FileDevice, PersistentDevice, SsdDevice, StripedDevice};
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingState};
 use pccheck_harness::forensics_run::{
-    commit_checkpoint, drive_to_crash_point, synthetic_payload, CrashPoint,
+    commit_checkpoint, drive_to_crash_point, synthetic_payload, CrashPoint, ForensicsRunConfig,
 };
 use pccheck_harness::profile_run::{self, ProfileRunConfig};
 use pccheck_harness::telemetry_run::{run_instrumented, InstrumentedRunConfig, STRATEGIES};
@@ -308,11 +308,13 @@ fn cmd_telemetry(out_dir: &str, strategy: &str) -> Result<(), Box<dyn std::error
 fn cmd_crashdemo(path: &str, point_name: &str) -> Result<(), Box<dyn std::error::Error>> {
     let point = CrashPoint::from_name(point_name)
         .ok_or_else(|| format!("unknown crash point {point_name:?} (see usage)"))?;
-    let state = ByteSize::from_bytes(CRASH_STATE_BYTES);
-    let geometry = StoreGeometry {
+    let geometry = ForensicsRunConfig {
+        state_bytes: CRASH_STATE_BYTES,
+        slots: SLOTS,
         flight_records: CRASH_FLIGHT_RECORDS,
-        ..StoreGeometry::single(state, SLOTS)
-    };
+        ..ForensicsRunConfig::default()
+    }
+    .geometry();
     let cap = geometry.required_capacity() + ByteSize::from_kb(4);
     let device: Arc<dyn PersistentDevice> =
         Arc::new(FileDevice::create(path, DeviceConfig::fast_for_tests(cap))?);

@@ -1,6 +1,6 @@
-//! Cross-validation of the chunk-codec persist path against the raw
-//! path: a compressed + deduped store must recover **bit-identical** to
-//! an uncompressed store driven through the same update sequence. The
+//! Cross-validation of the chunk-codec persist path against the codec-off
+//! one: a compressed + deduped store must recover **bit-identical** to
+//! an all-`Raw` store driven through the same update sequence. The
 //! codec changes the physical byte layout only — never the logical
 //! state — so every arm pair here ends in an exact payload comparison
 //! after cold recovery.
@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use pccheck::{
-    recover, CheckpointStore, DeltaPolicy, FramedOutcome, PcCheckConfig, PcCheckEngine,
+    recover, CheckpointStore, DeltaPolicy, FrameTable, PcCheckConfig, PcCheckEngine,
     PersistPipeline, PipelineCtx, StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
@@ -63,27 +63,27 @@ fn logical_states() -> Vec<Vec<u8>> {
 }
 
 fn fresh_store(slots: u32) -> (Arc<dyn PersistentDevice>, Arc<CheckpointStore>) {
-    let state = ByteSize::from_bytes(STATE);
-    let cap = CheckpointStore::required_capacity(state, slots) + ByteSize::from_kb(4);
+    let slot = FrameTable::slot_size_for(ByteSize::from_bytes(STATE), ByteSize::from_bytes(CHUNK));
+    let cap = CheckpointStore::required_capacity(slot, slots) + ByteSize::from_kb(4);
     let device: Arc<dyn PersistentDevice> =
         Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
     let store = Arc::new(
-        CheckpointStore::format(Arc::clone(&device), StoreGeometry::single(state, slots))
+        CheckpointStore::format(Arc::clone(&device), StoreGeometry::single(slot, slots))
             .expect("format store"),
     );
     (device, store)
 }
 
-/// Replays `states` through one arm; the codec arm frames every commit
-/// through the pipeline, the raw arm commits the full payloads through
-/// the store. Returns (device, framed checkpoints, physical payload
-/// bytes persisted).
+/// Replays `states` through one arm; the codec arm packs every commit
+/// through the pipeline, the raw arm commits all-`Raw` frames through the
+/// store. Returns (device, packed checkpoints, physical payload bytes
+/// persisted).
 fn replay(states: &[Vec<u8>], codec: bool) -> (Arc<dyn PersistentDevice>, u64, u64) {
     let (device, store) = fresh_store(4);
+    let ns = store.namespace(DEFAULT_JOB).expect("single-tenant store");
     let mut framed = 0u64;
     let mut physical = 0u64;
     if codec {
-        let ns = store.namespace(DEFAULT_JOB).expect("single-tenant store");
         let pipeline =
             PersistPipeline::new(store)
                 .with_writers(2)
@@ -102,22 +102,17 @@ fn replay(states: &[Vec<u8>], codec: bool) -> (Arc<dyn PersistentDevice>, u64, u
                 data: data.clone(),
                 step: iteration,
             };
-            let (_, outcome) = pipeline
+            let (_, copied) = pipeline
                 .checkpoint_framed(ctx, &ns, &src, iteration, POLICY)
                 .expect("checkpoint commits");
-            match outcome {
-                FramedOutcome::Framed { payload_len, .. } => {
-                    framed += 1;
-                    physical += payload_len;
-                }
-                FramedOutcome::Raw => physical += STATE,
-            }
+            framed += u64::from(copied.frame.saved_bytes > 0);
+            physical += copied.payload_len;
         }
     } else {
         for (i, data) in states.iter().enumerate() {
             commit_checkpoint(&store, DEFAULT_JOB, i as u64 + 1, data)
                 .expect("raw checkpoint commits");
-            physical += STATE;
+            physical += store.latest_committed(&ns).expect("head").payload_len;
         }
     }
     (device, framed, physical)
@@ -132,8 +127,8 @@ fn framed_store_recovers_bit_identical_to_raw_store() {
     let (framed_dev, framed, framed_physical) = replay(&states, true);
     let (raw_dev, raw_framed, raw_physical) = replay(&states, false);
 
-    assert_eq!(framed, CHECKPOINTS, "codec arm must frame every commit");
-    assert_eq!(raw_framed, 0, "raw arm must never frame");
+    assert_eq!(framed, CHECKPOINTS, "codec arm must pack every commit");
+    assert_eq!(raw_framed, 0, "raw arm must never pack");
     assert!(
         framed_physical < raw_physical,
         "codec must persist fewer physical bytes ({framed_physical} vs {raw_physical})"

@@ -7,8 +7,8 @@
 use std::sync::Arc;
 
 use pccheck::{
-    recovery, CheckpointStore, PcCheckConfig, PcCheckEngine, PccheckError, RestoreOptions,
-    StoreGeometry, DEFAULT_JOB,
+    recovery, CheckpointStore, FrameTable, PcCheckConfig, PcCheckEngine, PccheckError,
+    RestoreOptions, StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_device::{CrashPolicy, DeviceConfig, PersistentDevice, SsdDevice};
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingState};
@@ -123,7 +123,8 @@ fn repeated_crash_recover_cycles_never_regress() {
     // Alternate training/checkpointing with crashes; the recovered
     // iteration must be monotonically non-decreasing across cycles.
     let size = ByteSize::from_bytes(STATE);
-    let cap = CheckpointStore::required_capacity(size, 3) + ByteSize::from_kb(4);
+    let slot = FrameTable::slot_size_for(size, ByteSize::from_bytes(512));
+    let cap = CheckpointStore::required_capacity(slot, 3) + ByteSize::from_kb(4);
     let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
     let gpu = Gpu::new(
         GpuConfig::fast_for_tests(),
@@ -135,7 +136,7 @@ fn repeated_crash_recover_cycles_never_regress() {
     for cycle in 0..5 {
         let dev: Arc<dyn PersistentDevice> = ssd.clone();
         let store = if cycle == 0 {
-            CheckpointStore::format(dev, StoreGeometry::single(size, 3)).expect("format")
+            CheckpointStore::format(dev, StoreGeometry::single(slot, 3)).expect("format")
         } else {
             CheckpointStore::open(dev).expect("reopen")
         };

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use pccheck::{
-    recovery, CheckpointStore, DeltaPolicy, FramedOutcome, PersistPipeline, PipelineCtx,
+    recovery, CheckpointStore, CopyMode, DeltaPolicy, FrameTable, PersistPipeline, PipelineCtx,
     StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
@@ -18,9 +18,11 @@ use pccheck_util::ByteSize;
 
 const STATE: u64 = 8 * 1024;
 const MAX_CHAIN: u32 = 3;
+/// Staging chunk, and so record size.
+const CHUNK: u64 = 512;
 
 fn store_on(slots: u32) -> (Arc<SsdDevice>, Arc<CheckpointStore>) {
-    let size = ByteSize::from_bytes(STATE);
+    let size = FrameTable::slot_size_for(ByteSize::from_bytes(STATE), ByteSize::from_bytes(CHUNK));
     let cap = CheckpointStore::required_capacity(size, slots) + ByteSize::from_kb(4);
     let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
     let dev: Arc<dyn PersistentDevice> = ssd.clone();
@@ -32,7 +34,7 @@ fn store_on(slots: u32) -> (Arc<SsdDevice>, Arc<CheckpointStore>) {
 fn pipeline_for(store: &Arc<CheckpointStore>) -> PersistPipeline {
     PersistPipeline::new(Arc::clone(store))
         .with_writers(2)
-        .with_staging(HostBufferPool::new(ByteSize::from_bytes(512), 16))
+        .with_staging(HostBufferPool::new(ByteSize::from_bytes(CHUNK), 16))
         .with_codec(true)
 }
 
@@ -70,12 +72,12 @@ fn dedup_chain_restore_is_bit_identical_to_full_checkpoints() {
         let guard = gpu.lock_weights_shared_owned();
         let total = guard.size();
 
-        let (_, kind) = pipe_a
+        let (_, copied) = pipe_a
             .checkpoint_framed(ctx, &ns_a, &guard, iter, policy)
             .expect("framed checkpoint");
         assert!(
-            matches!(kind, FramedOutcome::Framed { .. }),
-            "compressible state must persist framed, got {kind:?}"
+            copied.frame.saved_bytes > 0,
+            "compressible state must pack, got {copied:?}"
         );
         if store_a.latest_committed(&ns_a).expect("head").is_delta() {
             linked_commits += 1;
@@ -83,7 +85,7 @@ fn dedup_chain_restore_is_bit_identical_to_full_checkpoints() {
 
         let lease = pipe_b.lease(ctx, &ns_b);
         let copied = pipe_b
-            .copy_chunks(ctx, &guard, &lease, total, true)
+            .copy(ctx, &guard, &lease, total, CopyMode::Streamed)
             .expect("full copy");
         drop(guard);
         pipe_b.seal(ctx, &lease, iter, &copied).expect("seal");

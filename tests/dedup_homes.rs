@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use pccheck::{
     recover_instrumented_with, recovery, CheckMeta, CheckpointStore, ChunkEncoding, CommitOutcome,
-    DeltaPolicy, FrameTable, FramedOutcome, Namespace, PcCheckConfig, PcCheckEngine, PccheckError,
+    CopyMode, DeltaPolicy, FrameTable, Namespace, PcCheckConfig, PcCheckEngine, PccheckError,
     PersistPipeline, PipelineCtx, RestoreOptions, StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
@@ -44,11 +44,21 @@ fn serialized(gpu: &Gpu) -> Vec<u8> {
     })
 }
 
-fn ssd_store(state: u64, slots: u32, flight: u32) -> (Arc<SsdDevice>, Arc<CheckpointStore>) {
-    let size = ByteSize::from_bytes(state);
+/// Slots that hold a `state`-byte checkpoint's frame of `chunk`-byte
+/// records.
+fn slot_for(state: u64, chunk: u64) -> ByteSize {
+    FrameTable::slot_size_for(ByteSize::from_bytes(state), ByteSize::from_bytes(chunk))
+}
+
+fn ssd_store(
+    state: u64,
+    chunk: u64,
+    slots: u32,
+    flight: u32,
+) -> (Arc<SsdDevice>, Arc<CheckpointStore>) {
     let geometry = StoreGeometry {
         flight_records: flight,
-        ..StoreGeometry::single(size, slots)
+        ..StoreGeometry::single(slot_for(state, chunk), slots)
     };
     let cap = geometry.required_capacity() + ByteSize::from_kb(4);
     let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
@@ -145,7 +155,7 @@ fn moving_dirty_set_never_pins_the_last_slot_of_an_engine_store() {
     let size = ByteSize::from_bytes(ENGINE_STATE);
     let geometry = StoreGeometry {
         flight_records: 64,
-        ..StoreGeometry::single(size, 3)
+        ..StoreGeometry::single(slot_for(ENGINE_STATE, ENGINE_CHUNK), 3)
     };
     let cap = geometry.required_capacity() + ByteSize::from_kb(4);
     let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
@@ -170,9 +180,8 @@ fn moving_dirty_set_never_pins_the_last_slot_of_a_namespace() {
     // The budget is the namespace's three slots, not the store's eight:
     // a bound derived from the store would let the chain reach depth 2
     // and pin the whole namespace.
-    let size = ByteSize::from_bytes(ENGINE_STATE);
     let geometry = StoreGeometry {
-        slot_size: size,
+        slot_size: slot_for(ENGINE_STATE, ENGINE_CHUNK),
         slots: 8,
         flight_records: 64,
         max_namespaces: 4,
@@ -205,7 +214,7 @@ fn moving_dirty_set_never_pins_the_last_slot_of_a_namespace() {
 fn clean_chunks_keep_one_home_across_eight_commits_on_three_slots() {
     const STATE: u64 = 4 * 1024 * 1024;
     const CHUNK: u64 = 64 * 1024;
-    let (ssd, store) = ssd_store(STATE, 3, 0);
+    let (ssd, store) = ssd_store(STATE, CHUNK, 3, 0);
     let pipeline = framed_pipeline(&store, STATE, CHUNK);
     let telemetry = Telemetry::disabled();
     let gpu = mixed_gpu(STATE, 1);
@@ -217,7 +226,7 @@ fn clean_chunks_keep_one_home_across_eight_commits_on_three_slots() {
             gpu.update_sparse(0.05);
         }
         let guard = gpu.lock_weights_shared_owned();
-        let (out, kind) = pipeline
+        let (out, copied) = pipeline
             .checkpoint_framed(
                 ctx(&telemetry),
                 &ns(&store),
@@ -228,9 +237,8 @@ fn clean_chunks_keep_one_home_across_eight_commits_on_three_slots() {
             .expect("framed checkpoint");
         drop(guard);
         assert_eq!(out, CommitOutcome::Committed);
-        let FramedOutcome::Framed { payload_len, .. } = kind else {
-            panic!("iteration {iter}: the mixed state frames, got {kind:?}");
-        };
+        let (payload_len, saved) = (copied.payload_len, copied.frame.saved_bytes);
+        assert!(saved > 0, "iteration {iter}: the mixed state packs");
         let head = store.latest_committed(&ns(&store)).expect("head");
         if iter > 1 {
             assert_eq!(
@@ -266,7 +274,7 @@ fn clean_chunks_keep_one_home_across_eight_commits_on_three_slots() {
 fn a_frame_whose_base_was_displaced_is_withdrawn_not_committed() {
     const STATE: u64 = 64 * 1024;
     const CHUNK: u64 = 4096;
-    let (ssd, store) = ssd_store(STATE, 4, 64);
+    let (ssd, store) = ssd_store(STATE, CHUNK, 4, 64);
     let pipeline = framed_pipeline(&store, STATE, CHUNK);
     let telemetry = Telemetry::disabled();
     let ctx = ctx(&telemetry);
@@ -277,22 +285,22 @@ fn a_frame_whose_base_was_displaced_is_withdrawn_not_committed() {
     // A: a framed, unlinked head whose generation B will plan against.
     gpu.update();
     let guard = gpu.lock_weights_shared_owned();
-    let (out, kind) = pipeline
+    let (out, copied_a) = pipeline
         .checkpoint_framed(ctx, &ns(&store), &guard, 1, policy)
         .expect("A");
     drop(guard);
     assert_eq!(out, CommitOutcome::Committed);
-    assert!(matches!(kind, FramedOutcome::Framed { .. }), "{kind:?}");
+    assert!(copied_a.frame.saved_bytes > 0, "{copied_a:?}");
     let a = store.latest_committed(&ns(&store)).expect("A is head");
 
-    // C leases first (the older counter) and streams its payload raw, but
-    // does not commit yet.
+    // C leases first (the older counter) and streams its all-Raw frame,
+    // but does not commit yet.
     gpu.update_sparse(0.1);
     let state_c = serialized(&gpu);
     let guard = gpu.lock_weights_shared_owned();
     let lease_c = pipeline.lease(ctx, &ns(&store));
     let copied_c = pipeline
-        .copy_chunks(ctx, &guard, &lease_c, total, true)
+        .copy(ctx, &guard, &lease_c, total, CopyMode::Streamed)
         .expect("C copies");
     drop(guard);
     pipeline.seal(ctx, &lease_c, 2, &copied_c).expect("C seals");
@@ -302,11 +310,10 @@ fn a_frame_whose_base_was_displaced_is_withdrawn_not_committed() {
     let guard = gpu.lock_weights_shared_owned();
     let lease_b = pipeline.lease(ctx, &ns(&store));
     let copied_b = pipeline
-        .copy_framed(ctx, &guard, &lease_b, total, policy)
+        .copy(ctx, &guard, &lease_b, total, CopyMode::Codec(policy))
         .expect("B copies");
     drop(guard);
-    let link = copied_b.frame.as_ref().and_then(|f| f.link);
-    let link = link.expect("B references A");
+    let link = copied_b.frame.link.expect("B references A");
     assert_eq!((link.base_counter, link.base_slot), (a.counter, a.slot));
     pipeline.seal(ctx, &lease_b, 3, &copied_b).expect("B seals");
 
@@ -380,7 +387,7 @@ struct TwoHomes {
 fn two_homes() -> TwoHomes {
     const STATE: u64 = 256 * 1024;
     const CHUNK: u64 = 4096;
-    let (ssd, store) = ssd_store(STATE, 4, 64);
+    let (ssd, store) = ssd_store(STATE, CHUNK, 4, 64);
     let pipeline = framed_pipeline(&store, STATE, CHUNK);
     let telemetry = Telemetry::disabled();
     let gpu = mixed_gpu(STATE, 9);
@@ -388,7 +395,7 @@ fn two_homes() -> TwoHomes {
     for (iter, fraction) in [(1u64, 1.0), (2, 0.5), (3, 0.05)] {
         gpu.update_sparse(fraction);
         let guard = gpu.lock_weights_shared_owned();
-        let (out, kind) = pipeline
+        let (out, copied) = pipeline
             .checkpoint_framed(
                 ctx(&telemetry),
                 &ns(&store),
@@ -399,7 +406,7 @@ fn two_homes() -> TwoHomes {
             .expect("framed checkpoint");
         drop(guard);
         assert_eq!(out, CommitOutcome::Committed);
-        assert!(matches!(kind, FramedOutcome::Framed { .. }), "{kind:?}");
+        assert!(copied.frame.saved_bytes > 0, "{copied:?}");
         states.push(serialized(&gpu));
     }
     TwoHomes {

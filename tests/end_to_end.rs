@@ -150,11 +150,13 @@ fn engine_reopen_continues_counter_sequence() {
     ssd.crash_now();
     ssd.recover();
     let store = Arc::new(CheckpointStore::open(ssd.clone()).expect("opens"));
+    // The slots hold the frame of the first engine's 64 KiB records; a
+    // reopening engine writes no finer ones.
     let engine = PcCheckEngine::with_store(
         PcCheckConfig::builder()
             .max_concurrent(2)
             .writer_threads(2)
-            .chunk_size(ByteSize::from_kb(8))
+            .chunk_size(ByteSize::from_kb(64))
             .dram_chunks(8)
             .build()
             .expect("valid"),

@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use pccheck::{
-    recover_instrumented_with, recovery, CheckpointStore, PcCheckConfig, PcCheckEngine,
+    recover_instrumented_with, recovery, CheckpointStore, FrameTable, PcCheckConfig, PcCheckEngine,
     PccheckError, PersistPipeline, QosArbiter, QosConfig, RestoreOptions, StoreGeometry,
     DEFAULT_JOB,
 };
@@ -28,6 +28,7 @@ use pccheck_telemetry::Telemetry;
 use pccheck_util::ByteSize;
 
 const STATE: u64 = 4096;
+const CHUNK: u64 = 512;
 const SLOTS: u32 = 8;
 const FLIGHT: u32 = 128;
 
@@ -40,9 +41,9 @@ struct Tenants {
 }
 
 fn tenants() -> Tenants {
-    let size = ByteSize::from_bytes(STATE);
+    let (size, chunk) = (ByteSize::from_bytes(STATE), ByteSize::from_bytes(CHUNK));
     let geometry = StoreGeometry {
-        slot_size: size,
+        slot_size: FrameTable::slot_size_for(size, chunk),
         slots: SLOTS,
         flight_records: FLIGHT,
         max_namespaces: 4,
@@ -59,13 +60,13 @@ fn tenants() -> Tenants {
     let pipeline = Arc::new(
         PersistPipeline::new(Arc::clone(&store))
             .with_writers(2)
-            .with_staging(HostBufferPool::new(ByteSize::from_bytes(512), 6))
+            .with_staging(HostBufferPool::new(chunk, 6))
             .with_qos(qos),
     );
     let config = PcCheckConfig::builder()
         .max_concurrent(2)
         .writer_threads(2)
-        .chunk_size(ByteSize::from_bytes(512))
+        .chunk_size(chunk)
         .dram_chunks(6)
         .build()
         .expect("valid config");

@@ -13,24 +13,27 @@ use std::sync::Arc;
 
 use pccheck::store::SlotLease;
 use pccheck::{
-    compress_gated, recover_instrumented_with, recover_into_gpu, recovery, CheckMeta,
-    CheckpointStore, ChunkEncoding, DeltaLink, DeltaPolicy, FrameRecord, FrameTable, Namespace,
-    PersistPipeline, PipelineCtx, RestoreOptions, StoreGeometry, DEFAULT_JOB,
+    compress_gated, raw_frame, recover_instrumented_with, recover_into_gpu, recovery, CheckMeta,
+    CheckpointStore, ChunkEncoding, CopyMode, DeltaLink, DeltaPolicy, FrameRecord, FrameTable,
+    Namespace, PersistPipeline, PipelineCtx, RestoreOptions, StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_device::{
     DeviceConfig, DeviceStats, HostBufferPool, PersistentDevice, Result as DeviceResult, SsdDevice,
 };
 use pccheck_gpu::{Gpu, GpuConfig, StateDigest, Tensor, TrainingState};
 use pccheck_telemetry::{SpanId, Telemetry};
-use pccheck_util::fnv::{chunk_digest, fnv1a, state_digest};
+use pccheck_util::fnv::{chunk_digest, content_address, fnv1a, state_digest};
 use pccheck_util::rng::{self, Rng};
 use pccheck_util::{Bandwidth, ByteSize};
 
 const STATE: u64 = 8 * 1024;
 const MAX_CHAIN: u32 = 3;
 
+/// Staging chunk of [`pipeline_for`], and so the record size of its frames.
+const CHUNK: u64 = 512;
+
 fn store_on(slots: u32) -> (Arc<SsdDevice>, Arc<CheckpointStore>) {
-    let size = ByteSize::from_bytes(STATE);
+    let size = FrameTable::slot_size_for(ByteSize::from_bytes(STATE), ByteSize::from_bytes(CHUNK));
     let cap = CheckpointStore::required_capacity(size, slots) + ByteSize::from_kb(4);
     let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
     let dev: Arc<dyn PersistentDevice> = ssd.clone();
@@ -47,7 +50,7 @@ fn ns(store: &CheckpointStore) -> Arc<Namespace> {
 fn pipeline_for(store: &Arc<CheckpointStore>) -> PersistPipeline {
     PersistPipeline::new(Arc::clone(store))
         .with_writers(2)
-        .with_staging(HostBufferPool::new(ByteSize::from_bytes(512), 16))
+        .with_staging(HostBufferPool::new(ByteSize::from_bytes(CHUNK), 16))
 }
 
 fn sequential() -> RestoreOptions {
@@ -87,7 +90,7 @@ fn parallel_and_sequential_recovery_agree_on_full_checkpoints() {
         let total = guard.size();
         let lease = pipe.lease(ctx, &ns(&store));
         let copied = pipe
-            .copy_chunks(ctx, &guard, &lease, total, true)
+            .copy(ctx, &guard, &lease, total, CopyMode::Streamed)
             .expect("full copy");
         drop(guard);
         pipe.seal(ctx, &lease, iter, &copied).expect("seal");
@@ -184,12 +187,12 @@ type FramedHomes = HashMap<(u64, u64), (u64, u32, u64)>;
 #[derive(Default)]
 struct Shapes {
     two_homes: Cell<u32>,
-    raw_and_framed_home: Cell<u32>,
+    all_raw_and_codec_home: Cell<u32>,
     self_ref_to_lz: Cell<u32>,
     straddles_a_tensor: Cell<u32>,
     empty_tensor: Cell<u32>,
     under_one_block: Cell<u32>,
-    raw_head: Cell<u32>,
+    all_raw_head: Cell<u32>,
 }
 
 fn bump(cell: &Cell<u32>) {
@@ -203,7 +206,8 @@ struct Built {
     /// `(commit record, logical payload)` in commit order; the last is
     /// the head.
     commits: Vec<(CheckMeta, Vec<u8>)>,
-    /// Index of the first raw commit: the raw home frames may name.
+    /// Index of the first all-`Raw` commit: the all-`Raw` home frames may
+    /// name.
     raw_home: Option<usize>,
     homes: FramedHomes,
 }
@@ -267,18 +271,20 @@ impl Built {
         self.commits.push((meta, logical.to_vec()));
     }
 
-    /// Commits `logical` verbatim; the first raw commit becomes the raw
-    /// home later frames may reference by offset.
-    fn commit_raw(&mut self, iteration: u64, logical: &[u8]) {
+    /// Commits `logical` as the all-`Raw` frame of `chunk`-byte records
+    /// the product builds; the first such commit becomes the all-`Raw`
+    /// home later frames on the same record grid may reference.
+    fn commit_raw(&mut self, iteration: u64, logical: &[u8], chunk: usize) {
         let lease = self.store.begin_checkpoint(&ns(&self.store));
-        let digest = state_digest(iteration, logical);
-        self.seal(lease, iteration, logical, logical, digest);
+        let full_digest = state_digest(iteration, logical);
+        let (frame, digest) = raw_frame(lease.counter, full_digest, logical, chunk);
+        self.seal(lease, iteration, logical, &frame, digest);
         self.raw_home.get_or_insert(self.commits.len() - 1);
     }
 
     /// Commits `logical` as a frame of `chunk`-byte records: a chunk some
-    /// earlier frame materialized, or that the raw home holds at the same
-    /// offset, becomes a `DedupBase` reference (unless `r` says
+    /// earlier frame materialized, or that the all-`Raw` home holds at the
+    /// same offset, becomes a `DedupBase` reference (unless `r` says
     /// otherwise); a repeat within the frame a `DedupSelf`; everything
     /// else is LZ-compressed when it gains and stored raw when not.
     fn commit_framed(
@@ -301,7 +307,7 @@ impl Built {
         let mut homes_named = Vec::new();
         for (k, bytes) in logical.chunks(chunk).enumerate() {
             let off = k * chunk;
-            let key = (chunk_digest(bytes), bytes.len() as u64);
+            let key = (content_address(bytes), bytes.len() as u64);
             let record = |kind, aux, a, b| FrameRecord {
                 kind,
                 aux,
@@ -351,7 +357,7 @@ impl Built {
         if homes_named.len() >= 2 {
             bump(&shapes.two_homes);
             if homes_named.iter().any(|h| h.1) && homes_named.iter().any(|h| !h.1) {
-                bump(&shapes.raw_and_framed_home);
+                bump(&shapes.all_raw_and_codec_home);
             }
         }
 
@@ -388,8 +394,9 @@ fn mutate(r: &mut Rng, payload: &mut [u8]) {
 
 /// A random geometry: a tensor layout (empty tensors, a state under one
 /// digest block), a chunk size that need not divide anything, and four
-/// commits — a raw one, two frames, and a head of either kind — each a
-/// mutation of the one before, so later frames reference earlier ones.
+/// commits — an all-`Raw` one, two codec frames, and a head of either
+/// kind — each a mutation of the one before, so later frames reference
+/// earlier ones.
 fn random_store(r: &mut Rng, shapes: &Shapes) -> (Built, Vec<u64>) {
     let tiny = r.chance(0.15);
     let mut sizes: Vec<u64> = (0..r.range(1..6))
@@ -435,15 +442,15 @@ fn random_store(r: &mut Rng, shapes: &Shapes) -> (Built, Vec<u64>) {
 
     // A frame of 256-byte records is a sixth table; leave room.
     let mut built = Built::new(2 * total + 4096, 6);
-    built.commit_raw(1, &payload);
+    built.commit_raw(1, &payload, chunk);
     for iteration in 2..=3 {
         mutate(r, &mut payload);
         built.commit_framed(r, iteration, &payload, chunk, shapes);
     }
     mutate(r, &mut payload);
     if r.chance(0.25) {
-        bump(&shapes.raw_head);
-        built.commit_raw(4, &payload);
+        bump(&shapes.all_raw_head);
+        built.commit_raw(4, &payload, chunk);
     } else {
         built.commit_framed(r, 4, &payload, chunk, shapes);
     }
@@ -503,10 +510,11 @@ fn recover_every_way(built: &Built, sizes: &[u64]) -> (u64, u64) {
 /// What the serial frame walk this executor retired recovered for the
 /// stores of a few generator seeds, pinned from the commit before it:
 /// `(seed, (chunk_digest(payload), full digest))`. Seeds 14, 19 and 25
-/// are framed heads naming the raw home and both framed ones, with `Lz`
-/// and `DedupSelf` records among the rest (19 and 25 over five tensors,
-/// one of 19's empty); 17 is a raw head; 42 is under one digest block,
-/// its records straddling its tensors.
+/// are codec heads naming the all-`Raw` home and both codec ones, with
+/// `Lz` and `DedupSelf` records among the rest (19 and 25 over five
+/// tensors, one of 19's empty); 17 is an all-`Raw` head; 42 is under one
+/// digest block, its records straddling its tensors. The record format
+/// changed under them (version 3); the states they recover did not.
 const GOLDEN: [(u64, (u64, u64)); 5] = [
     (14, (0x5c91_68ed_adc9_cbab, 0x81d8_de51_2929_2371)),
     (17, (0x9ca4_76d5_f924_d8cc, 0x9d29_6718_18b2_c929)),
@@ -525,12 +533,15 @@ fn every_reader_count_recovers_random_geometries_bit_identically() {
     // The generator reached what it is here to reach.
     for (what, seen) in [
         ("a frame naming two homes", &shapes.two_homes),
-        ("a raw home and a framed home", &shapes.raw_and_framed_home),
+        (
+            "an all-Raw home and a codec home",
+            &shapes.all_raw_and_codec_home,
+        ),
         ("a DedupSelf of an Lz record", &shapes.self_ref_to_lz),
         ("a record straddling tensors", &shapes.straddles_a_tensor),
         ("an empty tensor", &shapes.empty_tensor),
         ("a payload under one block", &shapes.under_one_block),
-        ("a raw head", &shapes.raw_head),
+        ("an all-Raw head", &shapes.all_raw_head),
     ] {
         assert!(seen.get() >= 3, "only {} cases had {what}", seen.get());
     }
@@ -548,8 +559,9 @@ fn every_reader_count_recovers_random_geometries_bit_identically() {
 
 const LAYOUT: [u64; 4] = [3000, 0, 5000, 4100];
 
-/// Three commits of a [`LAYOUT`] state in 1000-byte chunks: a raw one, a
-/// frame, and a head — framed, naming both as homes, or raw.
+/// Three commits of a [`LAYOUT`] state in 1000-byte records: an all-`Raw`
+/// one, a codec frame, and a head — a codec frame naming both as homes,
+/// or all-`Raw`.
 fn chained_store(framed_head: bool) -> Built {
     let shapes = Shapes::default();
     let mut r = Rng::seeded(5);
@@ -563,37 +575,38 @@ fn chained_store(framed_head: bool) -> Built {
     let mut payload = vec![0u8; total as usize];
     TrainingState::from_tensors(tensors).serialize_into(&mut payload);
     let mut built = Built::new(2 * total, 4);
-    built.commit_raw(1, &payload);
+    built.commit_raw(1, &payload, 1000);
     payload[2500..4500].iter_mut().for_each(|b| *b ^= 0x5A);
     built.commit_framed(&mut r, 2, &payload, 1000, &shapes);
     payload[9000..9700].iter_mut().for_each(|b| *b ^= 0x3C);
     if framed_head {
         built.commit_framed(&mut r, 3, &payload, 1000, &shapes);
-        assert_eq!(shapes.raw_and_framed_home.get(), 1, "head names both");
+        assert_eq!(shapes.all_raw_and_codec_home.get(), 1, "head names both");
     } else {
-        built.commit_raw(3, &payload);
+        built.commit_raw(3, &payload, 1000);
     }
     built
 }
 
-/// A device range recovery of `built`'s head must read: for a framed
-/// head, the physical range in the framed home (commit 2) that the
-/// first head record naming that home resolves to; for a raw head, a
-/// range of its own payload.
+/// A device range recovery of `built`'s head must read: for a codec
+/// head, the physical range in the codec home (commit 2) that the first
+/// head record naming that home resolves to; for an all-`Raw` head, a
+/// range of its own state.
 fn a_range_the_head_needs(built: &Built) -> (u64, u64) {
     let (head, _) = built.head();
     let payload = built.store.read_checkpoint(head).expect("head payload");
-    let Some(head_table) = FrameTable::decode(&payload) else {
-        return (built.store.slot_payload_offset(head.slot) + 7000, 64);
-    };
+    let head_table = FrameTable::decode(&payload).expect("head table");
     let home = built.commits[1].0;
-    let home_table = FrameTable::decode(&built.store.read_checkpoint(&home).expect("home"))
-        .expect("commit 2 is framed");
     let named = head_table
         .records
         .iter()
-        .find(|r| r.kind == ChunkEncoding::DedupBase && r.a == home.counter)
-        .expect("the head names the framed home");
+        .find(|r| r.kind == ChunkEncoding::DedupBase && r.a == home.counter);
+    let Some(named) = named else {
+        let packed = built.store.slot_payload_offset(head.slot) + head_table.encoded_len();
+        return (packed + 7000, 64);
+    };
+    let home_table = FrameTable::decode(&built.store.read_checkpoint(&home).expect("home"))
+        .expect("commit 2's table");
     let held = home_table
         .records
         .iter()
@@ -684,8 +697,8 @@ fn a_fault_in_the_head_or_in_a_home_rejects_the_head_and_falls_back() {
         overwrite(&built.ssd, count_field, &u32::MAX.to_le_bytes());
         built.device()
     };
-    // A fault in the framed home fails that home as a candidate too, so
-    // the framed head falls back to commit 1; the raw head's own fault
+    // A fault in the codec home fails that home as a candidate too, so
+    // the codec head falls back to commit 1; the all-Raw head's own fault
     // leaves commit 2 intact.
     let cases: [(&str, bool, Fault, u64); 6] = [
         ("byte flipped in a home range", true, flipped_byte, 1),
@@ -702,8 +715,8 @@ fn a_fault_in_the_head_or_in_a_home_rejects_the_head_and_falls_back() {
             table_longer_than_its_payload,
             1,
         ),
-        ("byte flipped in a raw head", false, flipped_byte, 2),
-        ("read fault on a raw head", false, read_fault, 2),
+        ("byte flipped in an all-Raw head", false, flipped_byte, 2),
+        ("read fault on an all-Raw head", false, read_fault, 2),
     ];
     let telemetry = Telemetry::disabled();
     for (what, framed_head, fault, survivor) in cases {
@@ -768,9 +781,10 @@ fn a_head_naming_one_chunk_in_each_of_two_homes_reads_less_than_one_home() {
 #[test]
 fn job_scoped_recovery_on_a_service_store_issues_under_100_reads() {
     const STATE: u64 = 512 * 1024;
-    let size = ByteSize::from_bytes(STATE);
+    const RECORD: usize = 64 * 1024;
+    let state = ByteSize::from_bytes(STATE);
     let geometry = StoreGeometry {
-        slot_size: size,
+        slot_size: FrameTable::slot_size_for(state, ByteSize::from_bytes(RECORD as u64)),
         slots: 12,
         flight_records: 512,
         max_namespaces: 4,
@@ -784,10 +798,12 @@ fn job_scoped_recovery_on_a_service_store_issues_under_100_reads() {
         for iteration in 1..=2u64 {
             let payload = Rng::seeded(10 * job + iteration).bytes(STATE as usize);
             let lease = store.begin_checkpoint(&ns);
-            store.write_payload(&lease, 0, &payload).unwrap();
-            store.persist_payload(&lease, 0, STATE).unwrap();
-            let digest = state_digest(iteration, &payload);
-            store.commit(lease, iteration, STATE, digest).unwrap();
+            let full_digest = state_digest(iteration, &payload);
+            let (frame, digest) = raw_frame(lease.counter, full_digest, &payload, RECORD);
+            let len = frame.len() as u64;
+            store.write_payload(&lease, 0, &frame).unwrap();
+            store.persist_payload(&lease, 0, len).unwrap();
+            store.commit(lease, iteration, len, digest).unwrap();
             payloads.push(payload);
         }
     }

@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use pccheck::{
-    recovery, CheckpointStore, Copied, DeltaPolicy, PcCheckConfig, PcCheckEngine, PersistPipeline,
-    PipelineCtx, StoreGeometry, DEFAULT_JOB,
+    bind_frame_table, recovery, CheckpointStore, Copied, CopyMode, DeltaPolicy, FrameTable,
+    PcCheckConfig, PcCheckEngine, PersistPipeline, PipelineCtx, StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_baselines::{
     CheckFreqCheckpointer, GeminiCheckpointer, GpmCheckpointer, TraditionalCheckpointer,
@@ -154,10 +154,11 @@ fn copy_verb(gpu: &Gpu, verb: &str) -> StateDigest {
 /// through `pool_chunks` chunks of `chunk` bytes, commits what it returned,
 /// and hands back the digest it folded.
 fn copy_verb_with(gpu: &Gpu, verb: &str, chunk: u64, pool_chunks: usize) -> StateDigest {
+    let slot = FrameTable::slot_size_for(gpu.state_size(), ByteSize::from_bytes(chunk));
     let store = Arc::new(
         CheckpointStore::format(
             fresh_ssd(2) as Arc<dyn PersistentDevice>,
-            StoreGeometry::single(gpu.state_size(), 2),
+            StoreGeometry::single(slot, 2),
         )
         .expect("format"),
     );
@@ -191,23 +192,22 @@ fn copy_verb_with(gpu: &Gpu, verb: &str, chunk: u64, pool_chunks: usize) -> Stat
             (lease, copied)
         }
         _ => {
-            // The codec frames the tiled state and declines the dense one
+            // The codec packs the tiled state and declines the dense one
             // after staging it — the guard is its to release by then, so
-            // the raw payload is what it already holds in DRAM.
+            // the all-Raw frame is of what it already holds in DRAM.
             let lease = pipeline.lease(ctx, &ns);
-            let copied = if verb.starts_with("copy_framed") {
-                let copied = pipeline
-                    .copy_framed(ctx, &guard, &lease, total, DeltaPolicy::default())
-                    .expect("copy_framed");
-                if verb != "copy_framed if it pays" {
-                    assert_eq!(copied.frame.is_some(), verb == "copy_framed", "{verb}");
-                }
-                copied
-            } else {
-                pipeline
-                    .copy_chunks(ctx, &guard, &lease, total, verb != "copy_chunks staged")
-                    .expect("copy_chunks")
+            let mode = match verb {
+                "copy staged" => CopyMode::Staged,
+                "copy streamed" => CopyMode::Streamed,
+                _ => CopyMode::Codec(DeltaPolicy::default()),
             };
+            let copied = pipeline
+                .copy(ctx, &guard, &lease, total, mode)
+                .expect("copy");
+            if matches!(mode, CopyMode::Codec(_)) && verb != "copy codec if it pays" {
+                let packed = copied.frame.saved_bytes > 0;
+                assert_eq!(packed, verb == "copy codec", "{verb}");
+            }
             pipeline
                 .seal(ctx, &lease, iteration, &copied)
                 .expect("seal");
@@ -218,13 +218,12 @@ fn copy_verb_with(gpu: &Gpu, verb: &str, chunk: u64, pool_chunks: usize) -> Stat
     pipeline
         .commit(ctx, lease, iteration, &copied)
         .expect("commit");
+    // Every commit binds the checksum of a table that carries the digest.
     let meta = store.latest_committed(&ns).expect("committed");
-    if copied.frame.is_none() {
-        assert_eq!(
-            meta.digest, copied.state_digest.0,
-            "{verb}: a raw commit records it"
-        );
-    }
+    assert_eq!(meta.digest, copied.frame.payload_digest, "{verb}");
+    let payload = store.read_checkpoint(&meta).expect("head payload");
+    let table = bind_frame_table(&payload, &meta).expect("the table binds");
+    assert_eq!(table.full_digest, copied.state_digest.0, "{verb}");
     copied.state_digest
 }
 
@@ -275,21 +274,13 @@ fn every_copy_verb_and_every_strategy_acknowledges_the_gpu_digest() {
     ));
     // (what moved the bytes, the state it moved, the digest it reported)
     let table: Vec<(&str, &Gpu, StateDigest)> = vec![
+        ("copy staged", &dense, copy_verb(&dense, "copy staged")),
+        ("copy streamed", &dense, copy_verb(&dense, "copy streamed")),
+        ("copy codec", &tiled, copy_verb(&tiled, "copy codec")),
         (
-            "copy_chunks staged",
+            "copy codec declined",
             &dense,
-            copy_verb(&dense, "copy_chunks staged"),
-        ),
-        (
-            "copy_chunks pipelined",
-            &dense,
-            copy_verb(&dense, "copy_chunks pipelined"),
-        ),
-        ("copy_framed", &tiled, copy_verb(&tiled, "copy_framed")),
-        (
-            "copy_framed declined",
-            &dense,
-            copy_verb(&dense, "copy_framed declined"),
+            copy_verb(&dense, "copy codec declined"),
         ),
         (
             "snapshot_whole",
@@ -374,11 +365,11 @@ fn every_copy_verb_and_every_strategy_acknowledges_the_gpu_digest() {
         for chunk in [256, BLOCK, ODD_CHUNK, 1024 * 1024] {
             let whole = len.div_ceil(chunk) as usize;
             for (verb, gpu, pool_chunks) in [
-                ("copy_chunks pipelined", &dense, 2),
-                ("copy_chunks pipelined", &dense, whole),
-                ("copy_chunks staged", &dense, whole),
-                ("copy_framed if it pays", &tiled, 2),
-                ("copy_framed if it pays", &tiled, whole),
+                ("copy streamed", &dense, 2),
+                ("copy streamed", &dense, whole),
+                ("copy staged", &dense, whole),
+                ("copy codec if it pays", &tiled, 2),
+                ("copy codec if it pays", &tiled, whole),
             ] {
                 assert_eq!(
                     copy_verb_with(gpu, verb, chunk, pool_chunks),
