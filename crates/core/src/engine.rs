@@ -1295,6 +1295,68 @@ mod tests {
     }
 
     #[test]
+    fn failed_checkpoints_give_their_slots_back() {
+        // N=2 on three slots, one of them pinned by a commit: two failed
+        // checkpoints that kept their slots would leave none, and every
+        // later `begin_checkpoint` would wait forever.
+        let gpu = tiny_gpu(300, 6);
+        let geometry = StoreGeometry {
+            flight_records: 64,
+            ..StoreGeometry::single(
+                FrameTable::slot_size_for(gpu.state_size(), ByteSize::from_bytes(64)),
+                3,
+            )
+        };
+        let device = GatedDevice::new(geometry.required_capacity() + ByteSize::from_kb(1));
+        let config = PcCheckConfig::builder()
+            .max_concurrent(2)
+            .writer_threads(2)
+            .chunk_size(ByteSize::from_bytes(64))
+            .dram_chunks(8)
+            .flight_records(64)
+            .build()
+            .unwrap();
+        let engine = PcCheckEngine::new(
+            config,
+            Arc::clone(&device) as Arc<dyn PersistentDevice>,
+            gpu.state_size(),
+        )
+        .unwrap();
+        device.gate_payloads(engine.store());
+        device.open();
+        gpu.update();
+        engine.checkpoint(&gpu, 1);
+        engine.try_drain().unwrap();
+        for iteration in 2..4 {
+            gpu.update();
+            device.fail_write(2);
+            engine.checkpoint(&gpu, iteration);
+            let err = engine.try_drain().unwrap_err();
+            assert!(matches!(err, PccheckError::Device(_)), "{err}");
+        }
+        assert_eq!(engine.stats().failed(), 2);
+        let (engine, gpu) = must_not_hang("a failed checkpoint kept its slot", move || {
+            gpu.update();
+            engine.checkpoint(&gpu, 4);
+            engine.try_drain().unwrap();
+            (engine, gpu)
+        });
+        assert_eq!(engine.stats().committed(), 2);
+        let out = engine.last_committed().unwrap();
+        assert_eq!((out.iteration, out.digest), (4, gpu.digest()));
+        // The failures stay on the flight ring.
+        let ring = engine.store().flight().ring().unwrap().read_all().unwrap();
+        let failed = ring
+            .records
+            .iter()
+            .filter(|r| r.kind == FlightEventKind::Failed);
+        assert_eq!(failed.count(), 2);
+        let rec = crate::recovery::recover(device as Arc<dyn PersistentDevice>).unwrap();
+        assert_eq!(rec.iteration, 4);
+        assert_eq!(restored_digest(&gpu, &rec.payload, 4), gpu.digest());
+    }
+
+    #[test]
     fn release_wakes_drainers_and_queued_acquirers() {
         // Regression: `release` used `notify_one` on the condvar shared by
         // `acquire` waiters and `wait_zero` drainers. With a drainer and an

@@ -124,7 +124,8 @@ pub enum CommitOutcome {
 ///
 /// Obtained from [`CheckpointStore::begin_checkpoint`]; the holder writes
 /// the payload with [`CheckpointStore::write_payload`] and then calls
-/// [`CheckpointStore::commit`].
+/// [`CheckpointStore::commit`]. A lease dropped without a commit — its
+/// checkpoint failed — gives its slot back to the free queue.
 #[derive(Debug)]
 pub struct SlotLease {
     /// The global counter assigned to this checkpoint.
@@ -137,6 +138,29 @@ pub struct SlotLease {
     /// The namespace the lease was drawn from: commit routes its CAS,
     /// durable CHECK_ADDR write, and slot recycling through its state.
     ns: Arc<Namespace>,
+    /// The store's in-memory slot-state words, for the release on drop.
+    states: Arc<[AtomicU64]>,
+}
+
+impl Drop for SlotLease {
+    /// Releases the slot if it is still `Claimed` by this lease's counter:
+    /// a commit that succeeded left it `Committed`, and one that lost or
+    /// was withdrawn already released it (it may be claimed again since).
+    /// The durable word keeps the claim, as on every release path.
+    fn drop(&mut self) {
+        let claimed = SlotState::Claimed {
+            counter: self.counter,
+        };
+        let ours = self.states[self.slot as usize].compare_exchange(
+            claimed.pack(),
+            SlotState::Free.pack(),
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        );
+        if ours.is_ok() {
+            self.ns.free_slots.enqueue_blocking(self.slot);
+        }
+    }
 }
 
 impl SlotLease {
@@ -222,8 +246,9 @@ pub struct CheckpointStore {
     /// In-memory per-slot commit-state words (packed [`SlotState`]), the
     /// volatile half of the lattice. A dequeued slot is CASed
     /// Free → Claimed{counter}; every release path stores Free *before*
-    /// enqueueing, so the claim CAS can never lose.
-    slot_states: Vec<AtomicU64>,
+    /// enqueueing, so the claim CAS can never lose. Shared with every
+    /// lease, whose drop releases a slot its checkpoint never committed.
+    slot_states: Arc<[AtomicU64]>,
     /// Persistent flight recorder appending lifecycle milestones to the
     /// ring after the slots (disabled when the store was formatted with
     /// `flight_records = 0`).
@@ -626,6 +651,7 @@ impl CheckpointStore {
             slot,
             last_check,
             ns: Arc::clone(ns),
+            states: Arc::clone(&self.slot_states),
         }
     }
 

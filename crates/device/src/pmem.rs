@@ -132,7 +132,11 @@ impl PmemDevice {
 
     /// Persistence fence for the calling thread: all of its earlier stores
     /// become durable. Matches `sfence` after nt-stores, or
-    /// `clwb`-per-line + `sfence` for the write-back path.
+    /// `clwb`-per-line + `sfence` for the write-back path. Each pending
+    /// store range persists through [`MemRegion::persist`], which hands each
+    /// page the range leaves clean to the media instead of copying it, so
+    /// the fence holds the state lock for page moves (and the odd edge-page
+    /// copy), not for a memcpy of every fenced byte.
     ///
     /// # Errors
     ///

@@ -3,12 +3,27 @@
 //!
 //! All simulated devices are built on [`MemRegion`]. Writes modify the
 //! *volatile* view (page cache for SSD, CPU caches / write-combining buffers
-//! for PMEM). Only [`MemRegion::persist`] copies a range into the *durable*
-//! view. A crash replaces the volatile view with the durable one — except
-//! under the adversarial [`CrashPolicy::RandomPartial`], where unpersisted
-//! cache lines may or may not have reached the media, modeling the
-//! reordering hazard §2.3 describes ("the order in which data is written to
-//! the cache may differ from the order in which the content reaches PMEM").
+//! for PMEM). Only [`MemRegion::persist`] makes a range part of the
+//! *durable* view. A crash replaces the volatile view with the durable one —
+//! except under the adversarial [`CrashPolicy::RandomPartial`], where
+//! unpersisted cache lines may or may not have reached the media, modeling
+//! the reordering hazard §2.3 describes ("the order in which data is written
+//! to the cache may differ from the order in which the content reaches
+//! PMEM").
+//!
+//! The two views share one page table of [`PAGE_SIZE`] pages, the
+//! granularity at which `msync` writes back. A page's media copy is
+//! allocated when the page is first persisted (an absent one reads as
+//! zeros); a page's shadow — its page-cache copy — exists while some byte of
+//! the page is dirty. Persisting a page whose dirty bytes the range covers
+//! makes its shadow the media copy by moving a pointer, so a fence costs the
+//! host no second copy of the data; only a page that keeps dirty bytes
+//! outside the range has the range copied. Pages leave the views through a
+//! spare list that every new page is drawn from first, so a region written
+//! and persisted over the same ranges allocates nothing in steady state.
+
+use std::fmt;
+use std::ops::Range;
 
 use pccheck_util::rng::Rng;
 use pccheck_util::ByteSize;
@@ -19,6 +34,10 @@ use crate::Result;
 /// Granularity at which the adversarial crash policy decides survival,
 /// matching a CPU cache line.
 pub const CACHE_LINE: u64 = 64;
+
+/// Granularity at which a region holds memory and moves persisted bytes,
+/// matching an OS page (`msync`'s unit).
+pub const PAGE_SIZE: u64 = 4096;
 
 /// What happens to unpersisted bytes when the device crashes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,6 +52,68 @@ pub enum CrashPolicy {
         /// Seed for the survival coin flips.
         seed: u64,
     },
+}
+
+type Page = Box<[u8]>;
+
+/// Every page a region has allocated that no view holds right now.
+#[derive(Debug, Clone, Default)]
+struct PagePool {
+    spare: Vec<Page>,
+    /// Pages allocated over the region's life (none is ever freed).
+    held: usize,
+}
+
+impl PagePool {
+    /// A page with unspecified contents.
+    fn take(&mut self) -> Page {
+        self.spare.pop().unwrap_or_else(|| {
+            self.held += 1;
+            vec![0; PAGE_SIZE as usize].into_boxed_slice()
+        })
+    }
+
+    /// A page holding `src`'s bytes, or zeros without one.
+    fn copy_of(&mut self, src: Option<&Page>) -> Page {
+        let mut page = self.take();
+        match src {
+            Some(src) => page.copy_from_slice(src),
+            None => page.fill(0),
+        }
+        page
+    }
+
+    fn give(&mut self, page: Page) {
+        self.spare.push(page);
+    }
+}
+
+/// The pages `[start, end)` touches, each as `(page, the range within
+/// it, the range's offset from start)`.
+fn spans(start: u64, end: u64) -> impl Iterator<Item = (usize, Range<usize>, usize)> {
+    let mut at = start;
+    std::iter::from_fn(move || {
+        (at < end).then(|| {
+            let page = at / PAGE_SIZE;
+            let base = page * PAGE_SIZE;
+            let hi = (end - base).min(PAGE_SIZE);
+            let span = (
+                page as usize,
+                (at - base) as usize..hi as usize,
+                (at - start) as usize,
+            );
+            at = base + hi;
+            span
+        })
+    })
+}
+
+/// Copies `span` of `page` into `dst`; an absent page reads as zeros.
+fn copy_out(dst: &mut [u8], page: Option<&Page>, span: Range<usize>) {
+    match page {
+        Some(page) => dst.copy_from_slice(&page[span]),
+        None => dst.fill(0),
+    }
 }
 
 /// A byte region with separate volatile and durable views.
@@ -55,33 +136,57 @@ pub enum CrashPolicy {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct MemRegion {
-    volatile: Vec<u8>,
-    durable: Vec<u8>,
+    capacity: u64,
+    /// Per page, its media copy: allocated when first persisted.
+    durable: Vec<Option<Page>>,
+    /// Per page, its page-cache copy: present exactly while some byte of
+    /// the page is dirty. Outside the dirty bytes it equals the media copy.
+    shadow: Vec<Option<Page>>,
+    pool: PagePool,
     /// Dirty byte ranges not yet persisted, kept coalesced and sorted.
     dirty: Vec<(u64, u64)>, // (start, end) half-open
 }
 
+impl fmt::Debug for MemRegion {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MemRegion")
+            .field("capacity", &self.capacity)
+            .field("pages", &self.pages())
+            .field("spare", &self.pool.spare.len())
+            .field("dirty", &self.dirty)
+            .finish()
+    }
+}
+
 impl MemRegion {
-    /// Creates a zero-filled region of the given capacity.
+    /// Creates a zero-filled region of the given capacity. It holds no
+    /// page until one is written.
     pub fn new(capacity: ByteSize) -> Self {
-        let n = capacity.as_usize();
+        let pages = capacity.as_u64().div_ceil(PAGE_SIZE) as usize;
         MemRegion {
-            volatile: vec![0; n],
-            durable: vec![0; n],
+            capacity: capacity.as_u64(),
+            durable: vec![None; pages],
+            shadow: vec![None; pages],
+            pool: PagePool::default(),
             dirty: Vec::new(),
         }
     }
 
     /// Region capacity in bytes.
     pub fn capacity(&self) -> ByteSize {
-        ByteSize::from_bytes(self.volatile.len() as u64)
+        ByteSize::from_bytes(self.capacity)
+    }
+
+    /// Pages of memory the region holds, in either view or spare.
+    pub(crate) fn pages(&self) -> usize {
+        self.pool.held
     }
 
     fn check_bounds(&self, offset: u64, len: u64) -> Result<()> {
-        let cap = self.volatile.len() as u64;
-        if offset.checked_add(len).map_or(true, |end| end > cap) {
+        let cap = self.capacity;
+        if offset.checked_add(len).is_none_or(|end| end > cap) {
             return Err(DeviceError::OutOfBounds {
                 offset,
                 len,
@@ -98,10 +203,21 @@ impl MemRegion {
     /// Returns [`DeviceError::OutOfBounds`] if the write exceeds capacity.
     pub fn write(&mut self, offset: u64, data: &[u8]) -> Result<()> {
         self.check_bounds(offset, data.len() as u64)?;
-        let start = offset as usize;
-        self.volatile[start..start + data.len()].copy_from_slice(data);
+        let end = offset + data.len() as u64;
+        for (p, span, at) in spans(offset, end) {
+            // All of the page that lies inside the region.
+            let whole = span.len() as u64 == (self.capacity - p as u64 * PAGE_SIZE).min(PAGE_SIZE);
+            let shadow = match &mut self.shadow[p] {
+                Some(shadow) => shadow,
+                // A page the write leaves partly untouched starts from
+                // its media copy; a wholly overwritten one needs no fill.
+                empty if whole => empty.insert(self.pool.take()),
+                empty => empty.insert(self.pool.copy_of(self.durable[p].as_ref())),
+            };
+            shadow[span.clone()].copy_from_slice(&data[at..at + span.len()]);
+        }
         if !data.is_empty() {
-            self.mark_dirty(offset, offset + data.len() as u64);
+            self.mark_dirty(offset, end);
         }
         Ok(())
     }
@@ -113,8 +229,10 @@ impl MemRegion {
     /// Returns [`DeviceError::OutOfBounds`] if the read exceeds capacity.
     pub fn read(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
         self.check_bounds(offset, buf.len() as u64)?;
-        let start = offset as usize;
-        buf.copy_from_slice(&self.volatile[start..start + buf.len()]);
+        for (p, span, at) in spans(offset, offset + buf.len() as u64) {
+            let page = self.shadow[p].as_ref().or(self.durable[p].as_ref());
+            copy_out(&mut buf[at..at + span.len()], page, span);
+        }
         Ok(())
     }
 
@@ -125,29 +243,60 @@ impl MemRegion {
     /// Returns [`DeviceError::OutOfBounds`] if the read exceeds capacity.
     pub fn read_durable(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
         self.check_bounds(offset, buf.len() as u64)?;
-        let start = offset as usize;
-        buf.copy_from_slice(&self.durable[start..start + buf.len()]);
+        for (p, span, at) in spans(offset, offset + buf.len() as u64) {
+            copy_out(
+                &mut buf[at..at + span.len()],
+                self.durable[p].as_ref(),
+                span,
+            );
+        }
         Ok(())
     }
 
-    /// Persists `[offset, offset+len)`: copies it from the volatile to the
-    /// durable view and clears its dirty tracking.
+    /// Persists `[offset, offset+len)` and clears its dirty tracking. A
+    /// page left with no dirty byte has its shadow become its media copy
+    /// (the old one goes spare); a page that keeps dirty bytes outside the
+    /// range has the range copied into its media copy.
     ///
     /// # Errors
     ///
     /// Returns [`DeviceError::OutOfBounds`] if the range exceeds capacity.
     pub fn persist(&mut self, offset: u64, len: u64) -> Result<()> {
         self.check_bounds(offset, len)?;
-        let (s, e) = (offset as usize, (offset + len) as usize);
-        self.durable[s..e].copy_from_slice(&self.volatile[s..e]);
         self.clear_dirty(offset, offset + len);
+        for (p, span, _) in spans(offset, offset + len) {
+            if self.is_dirty(p as u64 * PAGE_SIZE, PAGE_SIZE) {
+                self.copy_to_media(p, span);
+            } else {
+                self.install(p);
+            }
+        }
         Ok(())
     }
 
     /// Persists everything (e.g., `msync` over the whole mapping).
     pub fn persist_all(&mut self) {
-        self.durable.copy_from_slice(&self.volatile);
-        self.dirty.clear();
+        for (s, e) in std::mem::take(&mut self.dirty) {
+            for (p, _, _) in spans(s, e) {
+                self.install(p);
+            }
+        }
+    }
+
+    /// Makes page `p`'s shadow, if it has one, its media copy.
+    fn install(&mut self, p: usize) {
+        if let Some(shadow) = self.shadow[p].take() {
+            if let Some(old) = self.durable[p].replace(shadow) {
+                self.pool.give(old);
+            }
+        }
+    }
+
+    /// Copies `span` of dirty page `p`'s shadow into its media copy.
+    fn copy_to_media(&mut self, p: usize, span: Range<usize>) {
+        let shadow = self.shadow[p].as_ref().expect("a dirty page has a shadow");
+        let media = self.durable[p].get_or_insert_with(|| self.pool.copy_of(None));
+        media[span.clone()].copy_from_slice(&shadow[span]);
     }
 
     /// Total number of dirty (unpersisted) bytes.
@@ -158,35 +307,43 @@ impl MemRegion {
     /// Returns `true` if any byte in `[offset, offset+len)` is dirty.
     pub fn is_dirty(&self, offset: u64, len: u64) -> bool {
         let (qs, qe) = (offset, offset + len);
-        self.dirty.iter().any(|&(s, e)| s < qe && qs < e)
+        // Sorted and disjoint, so the ends are sorted too.
+        let first = self.dirty.partition_point(|&(_, e)| e <= qs);
+        self.dirty.get(first).is_some_and(|&(s, _)| s < qe)
     }
 
     /// Simulates a crash: the volatile view is reconstructed from the
-    /// durable one according to `policy`.
+    /// durable one according to `policy`. Costs the dirty bytes, not the
+    /// capacity: every shadow goes spare.
     pub fn crash(&mut self, policy: CrashPolicy) {
+        let dirty = std::mem::take(&mut self.dirty);
         match policy {
             CrashPolicy::DropUnpersisted => {}
             CrashPolicy::RandomPartial { seed } => {
                 // Some dirty cache lines made it to the media before the
                 // crash even though no fence covered them.
                 let mut coin = Rng::seeded(seed);
-                let ranges = self.dirty.clone();
-                for (s, e) in ranges {
+                for &(s, e) in &dirty {
                     let mut line = s - (s % CACHE_LINE);
                     while line < e {
-                        let lo = line.max(s) as usize;
-                        let hi = (line + CACHE_LINE).min(e) as usize;
                         if coin.bool() {
-                            let (d, v) = (&mut self.durable, &self.volatile);
-                            d[lo..hi].copy_from_slice(&v[lo..hi]);
+                            // One span: a line never straddles a page.
+                            for (p, span, _) in spans(line.max(s), (line + CACHE_LINE).min(e)) {
+                                self.copy_to_media(p, span);
+                            }
                         }
                         line += CACHE_LINE;
                     }
                 }
             }
         }
-        self.volatile.copy_from_slice(&self.durable);
-        self.dirty.clear();
+        for (s, e) in dirty {
+            for (p, _, _) in spans(s, e) {
+                if let Some(shadow) = self.shadow[p].take() {
+                    self.pool.give(shadow);
+                }
+            }
+        }
     }
 
     fn mark_dirty(&mut self, start: u64, end: u64) {
@@ -235,6 +392,251 @@ mod tests {
 
     fn region(cap: u64) -> MemRegion {
         MemRegion::new(ByteSize::from_bytes(cap))
+    }
+
+    /// The reference model: two flat full-capacity images, the durable
+    /// one updated by copying every persisted byte.
+    struct Flat {
+        volatile: Vec<u8>,
+        durable: Vec<u8>,
+        dirty: Vec<(u64, u64)>,
+    }
+
+    impl Flat {
+        fn new(cap: u64) -> Self {
+            Flat {
+                volatile: vec![0; cap as usize],
+                durable: vec![0; cap as usize],
+                dirty: Vec::new(),
+            }
+        }
+
+        fn write(&mut self, offset: u64, data: &[u8]) {
+            let s = offset as usize;
+            self.volatile[s..s + data.len()].copy_from_slice(data);
+            if !data.is_empty() {
+                let end = offset + data.len() as u64;
+                let idx = self.dirty.partition_point(|&(s, _)| s < offset);
+                self.dirty.insert(idx, (offset, end));
+                let mut merged: Vec<(u64, u64)> = Vec::new();
+                for &(s, e) in &self.dirty {
+                    match merged.last_mut() {
+                        Some(last) if s <= last.1 => last.1 = last.1.max(e),
+                        _ => merged.push((s, e)),
+                    }
+                }
+                self.dirty = merged;
+            }
+        }
+
+        fn persist(&mut self, offset: u64, len: u64) {
+            let (s, e) = (offset as usize, (offset + len) as usize);
+            self.durable[s..e].copy_from_slice(&self.volatile[s..e]);
+            let end = offset + len;
+            let mut next = Vec::new();
+            for &(s, e) in &self.dirty {
+                if e <= offset || s >= end {
+                    next.push((s, e));
+                } else {
+                    if s < offset {
+                        next.push((s, offset));
+                    }
+                    if e > end {
+                        next.push((end, e));
+                    }
+                }
+            }
+            self.dirty = next;
+        }
+
+        fn persist_all(&mut self) {
+            self.durable.copy_from_slice(&self.volatile);
+            self.dirty.clear();
+        }
+
+        fn crash(&mut self, policy: CrashPolicy) {
+            if let CrashPolicy::RandomPartial { seed } = policy {
+                let mut coin = Rng::seeded(seed);
+                for &(s, e) in &self.dirty {
+                    let mut line = s - (s % CACHE_LINE);
+                    while line < e {
+                        let lo = line.max(s) as usize;
+                        let hi = (line + CACHE_LINE).min(e) as usize;
+                        if coin.bool() {
+                            self.durable[lo..hi].copy_from_slice(&self.volatile[lo..hi]);
+                        }
+                        line += CACHE_LINE;
+                    }
+                }
+            }
+            self.volatile.copy_from_slice(&self.durable);
+            self.dirty.clear();
+        }
+
+        fn dirty_bytes(&self) -> u64 {
+            self.dirty.iter().map(|(s, e)| e - s).sum()
+        }
+    }
+
+    fn assert_matches(r: &MemRegion, model: &Flat, step: &str) {
+        let mut got = vec![0u8; model.volatile.len()];
+        r.read(0, &mut got).unwrap();
+        assert!(got == model.volatile, "volatile view diverged after {step}");
+        r.read_durable(0, &mut got).unwrap();
+        assert!(got == model.durable, "durable view diverged after {step}");
+        assert_eq!(
+            r.dirty_bytes().as_u64(),
+            model.dirty_bytes(),
+            "after {step}"
+        );
+    }
+
+    /// Random operation sequences leave both views byte-identical to the
+    /// flat model, under both crash policies, on capacities that are and
+    /// are not a whole number of pages.
+    #[test]
+    fn page_table_matches_the_flat_model() {
+        check(DEFAULT_CASES, |rng| {
+            let cap = match rng.range(0..3) {
+                0 => 3 * PAGE_SIZE,
+                1 => 2 * PAGE_SIZE + 1 + rng.range(0..PAGE_SIZE - 1),
+                _ => rng.range(1..PAGE_SIZE),
+            };
+            let mut r = region(cap);
+            let mut model = Flat::new(cap);
+            // A range inside the region, often straddling a page boundary,
+            // sometimes empty.
+            let range = |rng: &mut Rng| {
+                let off = if rng.bool() {
+                    let boundary = rng.range(0..cap.div_ceil(PAGE_SIZE) + 1) * PAGE_SIZE;
+                    boundary.saturating_sub(rng.range(0..200)).min(cap)
+                } else {
+                    rng.range(0..cap + 1)
+                };
+                let len = match rng.range(0..8) {
+                    0 => 0,
+                    _ => rng.range(0..(cap - off).min(2 * PAGE_SIZE + 300) + 1),
+                };
+                (off, len)
+            };
+            for _ in 0..rng.range(1..40) {
+                let step = match rng.range(0..12) {
+                    0..=4 => {
+                        let (off, len) = range(rng);
+                        let data = rng.bytes(len as usize);
+                        r.write(off, &data).unwrap();
+                        model.write(off, &data);
+                        format!("write({off}, {len})")
+                    }
+                    5..=7 => {
+                        let (off, len) = range(rng);
+                        r.persist(off, len).unwrap();
+                        model.persist(off, len);
+                        format!("persist({off}, {len})")
+                    }
+                    8 => {
+                        r.persist_all();
+                        model.persist_all();
+                        "persist_all".to_string()
+                    }
+                    9 => {
+                        r.crash(CrashPolicy::DropUnpersisted);
+                        model.crash(CrashPolicy::DropUnpersisted);
+                        "crash(DropUnpersisted)".to_string()
+                    }
+                    _ => {
+                        let policy = CrashPolicy::RandomPartial {
+                            seed: rng.next_u64(),
+                        };
+                        r.crash(policy);
+                        model.crash(policy);
+                        format!("crash({policy:?})")
+                    }
+                };
+                assert_matches(&r, &model, &step);
+                // A sub-range read, and the dirty query, over another range.
+                let (off, len) = range(rng);
+                let at = off as usize..(off + len) as usize;
+                let mut got = vec![0u8; len as usize];
+                r.read(off, &mut got).unwrap();
+                assert_eq!(got, model.volatile[at.clone()], "read({off}, {len})");
+                r.read_durable(off, &mut got).unwrap();
+                assert_eq!(got, model.durable[at], "read_durable({off}, {len})");
+                let dirty = model.dirty.iter().any(|&(s, e)| s < off + len && off < e);
+                assert_eq!(r.is_dirty(off, len), dirty, "is_dirty({off}, {len})");
+            }
+        });
+    }
+
+    /// A shadow that went spare in a crash still holds the crashed write's
+    /// bytes; a partial write that draws it must start from the media copy
+    /// (or zeros), never from those bytes.
+    #[test]
+    fn recycled_shadow_never_leaks_stale_bytes() {
+        let page = PAGE_SIZE as usize;
+        let mut r = region(2 * PAGE_SIZE);
+        r.write(0, &vec![0x11; page]).unwrap();
+        r.persist(0, PAGE_SIZE).unwrap();
+        r.write(0, &vec![0xEE; page]).unwrap();
+        r.crash(CrashPolicy::DropUnpersisted);
+        r.write(10, &[0x22; 4]).unwrap();
+        let mut got = vec![0u8; page];
+        r.read(0, &mut got).unwrap();
+        let mut want = vec![0x11; page];
+        want[10..14].fill(0x22);
+        assert_eq!(got, want, "partial write over a media page");
+
+        r.write(0, &vec![0xEE; page]).unwrap();
+        r.crash(CrashPolicy::DropUnpersisted);
+        r.write(PAGE_SIZE + 5, &[0x33; 3]).unwrap();
+        r.read(PAGE_SIZE, &mut got).unwrap();
+        let mut want = vec![0; page];
+        want[5..8].fill(0x33);
+        assert_eq!(got, want, "partial write over a never-persisted page");
+        r.persist(PAGE_SIZE, PAGE_SIZE).unwrap();
+        r.read_durable(PAGE_SIZE, &mut got).unwrap();
+        assert_eq!(got, want);
+    }
+
+    /// Memory follows what was written, not the capacity, and a
+    /// checkpoint-shaped loop over one slot range recycles its pages.
+    #[test]
+    fn page_residency_is_bounded() {
+        let mib = 1 << 20;
+        let mut r = region(8 * mib);
+        assert_eq!(r.pages(), 0, "a never-written region holds no pages");
+        let mut buf = [0u8; 64];
+        r.read(5 * mib, &mut buf).unwrap();
+        r.persist(0, 8 * mib).unwrap();
+        r.crash(CrashPolicy::RandomPartial { seed: 1 });
+        assert_eq!(
+            r.pages(),
+            0,
+            "reads, empty persists and crashes allocate nothing"
+        );
+
+        let base = 3 * PAGE_SIZE + 100;
+        let mut held = Vec::new();
+        for cycle in 0..50u8 {
+            let data = vec![cycle; mib as usize];
+            for c in 0..4 {
+                r.write(base + c * mib, &data).unwrap();
+            }
+            for c in 0..4 {
+                r.persist(base + c * mib, mib).unwrap();
+            }
+            held.push(r.pages());
+        }
+        // The first cycle allocates the media copies; the first overwrite
+        // a shadow per page, whose displaced media copies then feed every
+        // later cycle.
+        let span = (4 * mib).div_ceil(PAGE_SIZE) as usize + 1;
+        assert!(held[0] <= span + 4, "{held:?}");
+        assert!(held[1..].iter().all(|&n| n == held[1]), "{held:?}");
+        assert!(held[1] <= 2 * span + 4, "{held:?}");
+        let mut back = vec![0u8; mib as usize];
+        r.read_durable(base + 3 * mib, &mut back).unwrap();
+        assert!(back.iter().all(|&b| b == 49));
     }
 
     #[test]
@@ -362,6 +764,7 @@ mod tests {
         let mut r = region(8);
         r.write(8, &[]).unwrap(); // at capacity boundary, zero len: fine
         assert_eq!(r.dirty_bytes(), ByteSize::ZERO);
+        assert_eq!(r.pages(), 0);
     }
 
     /// After persisting arbitrary ranges and crashing with the

@@ -170,6 +170,10 @@ impl PersistentDevice for SsdDevice {
         Ok(())
     }
 
+    /// The `msync` of `[offset, offset+len)`. Under the state lock it moves
+    /// pages, not bytes: a page the range leaves with no dirty byte becomes
+    /// the media's page, and only a page still dirty outside the range has
+    /// the range copied ([`MemRegion::persist`]).
     fn persist(&self, offset: u64, len: u64) -> Result<()> {
         let _ticket = self.submit();
         let mut state = self.state.write();
