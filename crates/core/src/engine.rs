@@ -9,7 +9,10 @@
 //! 2. snapshots the GPU state chunk by chunk into pinned DRAM buffers from
 //!    the staging pool, holding the weights shared-lock only for the copy:
 //!    the copy verb consumes the guard and drops it when the last chunk is
-//!    staged, so `update()` never waits on a device write,
+//!    staged, so `update()` never waits on a device write (a copy that
+//!    stages the whole snapshot copies only the chunks dirtied since the
+//!    last one and leases its slot after the guard is gone, so `update()`
+//!    never waits for a slot either),
 //! 3. hands chunks to the pipeline's `p` resident writers, which write them
 //!    to the device at the leased slot's offsets, oldest checkpoint first
 //!    (pipelined mode overlaps 2 and 3; non-pipelined mode stages the full
@@ -36,13 +39,16 @@
 //! copy choice.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use pccheck_util::sync::{Condvar, Mutex, MutexGuard};
 
 use pccheck_device::{HostBufferPool, PersistentDevice};
-use pccheck_gpu::{CheckpointOutcome, Checkpointer, Gpu, OwnedWeightsGuard, StateDigest};
+use pccheck_gpu::{
+    CheckpointOutcome, Checkpointer, Gpu, OwnedWeightsGuard, SnapshotSource, StateDigest, Version,
+};
 use pccheck_telemetry::{CheckpointCounters, CountersSnapshot, FlightEventKind, Phase, Telemetry};
 use pccheck_util::ByteSize;
 
@@ -50,9 +56,11 @@ use crate::codec::{read_table, FrameTable};
 use crate::config::PcCheckConfig;
 use crate::error::PccheckError;
 use crate::layout::StoreGeometry;
-use crate::pipeline::{CopyMode, DeltaPolicy, FenceMode, PersistPipeline, PipelineCtx};
+use crate::pipeline::{
+    CopyMode, DeferredLease, DeltaPolicy, FenceMode, PersistPipeline, PipelineCtx,
+};
 use crate::pool::{Order, WorkerPool};
-use crate::store::{CheckpointStore, CommitOutcome, JobId, Namespace, SlotLease, DEFAULT_JOB};
+use crate::store::{CheckpointStore, CommitOutcome, JobId, Namespace, DEFAULT_JOB};
 use crate::tuner::{ControllerConfig, ControllerSignals, PersistController};
 
 /// Cumulative engine statistics.
@@ -100,20 +108,23 @@ impl EngineStats {
 }
 
 /// The `N` concurrency tickets, numbered in the order `checkpoint()`
-/// handed them out — which is also the order they lease a slot in, commit
-/// in and retire in.
+/// handed them out — which is also the order they stage in, lease a slot
+/// in, commit in and retire in.
 ///
-/// Leasing in ticket order makes the store's counters follow request
-/// order. Committing in ticket order makes "the older checkpoint commits
-/// first" hold always, not just usually: the writer pool already drains
-/// the older checkpoint's chunks first, so the wait is the older one's
-/// last write and commit, and what it buys is that a newer checkpoint can
-/// never slip its commit in while the older coordinator waits to be
-/// scheduled, superseding a payload that was already paid for. Neither
-/// wait can deadlock: a ticket only ever waits for older ones, and an
-/// older one never needs anything a newer one holds — it took its slot
-/// first, and a newer one waiting for its turn has written everything and
-/// given its staging buffers back.
+/// Staging in ticket order means a newer checkpoint never holds staging
+/// DRAM while it waits for the lease of an older one that is still waiting
+/// for DRAM (a whole-snapshot copy leases after it has staged). Leasing in
+/// ticket order makes the store's counters follow request order.
+/// Committing in ticket order makes "the older checkpoint commits first"
+/// hold always, not just usually: the writer pool already drains the older
+/// checkpoint's chunks first, so the wait is the older one's last write and
+/// commit, and what it buys is that a newer checkpoint can never slip its
+/// commit in while the older coordinator waits to be scheduled, superseding
+/// a payload that was already paid for. No wait can deadlock: a ticket only
+/// ever waits for older ones, and an older one never needs anything a newer
+/// one holds — it staged first, it took its slot first, and a newer one
+/// waiting for its turn to commit has written everything and given its
+/// staging buffers back.
 #[derive(Debug, Default)]
 struct InFlight {
     tickets: Mutex<Tickets>,
@@ -121,10 +132,11 @@ struct InFlight {
 }
 
 /// Tickets `..retired` are done, `..leased` hold (or held) a slot,
-/// `..issued` exist.
+/// `..staged` handed their weights back, `..issued` exist.
 #[derive(Debug, Default)]
 struct Tickets {
     issued: u64,
+    staged: u64,
     leased: u64,
     retired: u64,
 }
@@ -138,6 +150,22 @@ impl InFlight {
         }
         t.issued += 1;
         t.issued - 1
+    }
+
+    /// Blocks until every older ticket has staged its snapshot.
+    fn stage_in_turn(&self, ticket: u64) {
+        let mut t = self.tickets.lock();
+        while t.staged < ticket {
+            t = self.cond.wait(t);
+        }
+    }
+
+    /// Marks `ticket` staged: the next one's turn to stage.
+    fn staged(&self, ticket: u64) {
+        let mut t = self.tickets.lock();
+        t.staged = t.staged.max(ticket + 1);
+        drop(t);
+        self.cond.notify_all();
     }
 
     /// Runs `lease` once every older ticket has leased.
@@ -167,6 +195,7 @@ impl InFlight {
         let mut t = self.wait_turn(ticket);
         t.retired = ticket + 1;
         // A ticket that never reached its lease must not hold up the next.
+        t.staged = t.staged.max(ticket + 1);
         t.leased = t.leased.max(ticket + 1);
         drop(t);
         // Acquirers, turn-waiters and `wait_zero` drainers share this
@@ -181,6 +210,42 @@ impl InFlight {
         while t.issued > t.retired {
             t = self.cond.wait(t);
         }
+    }
+}
+
+/// A ticket's weights, as its copy's source: the copy drops them when the
+/// snapshot is staged, which is the next ticket's turn to stage.
+struct InTurn<'a> {
+    guard: OwnedWeightsGuard,
+    in_flight: &'a InFlight,
+    ticket: u64,
+}
+
+impl Drop for InTurn<'_> {
+    fn drop(&mut self) {
+        self.in_flight.staged(self.ticket);
+    }
+}
+
+impl SnapshotSource for InTurn<'_> {
+    fn size(&self) -> ByteSize {
+        self.guard.size()
+    }
+
+    fn step_count(&self) -> u64 {
+        self.guard.step_count()
+    }
+
+    fn copy_range_to_host(&self, offset: u64, dst: &mut [u8]) {
+        self.guard.copy_range_to_host(offset, dst)
+    }
+
+    fn version(&self) -> Option<Version> {
+        self.guard.version()
+    }
+
+    fn dirty_since(&self, seq: u64) -> Option<Vec<(u64, u64)>> {
+        self.guard.dirty_since(seq)
     }
 }
 
@@ -517,21 +582,31 @@ impl PcCheckEngine {
         (in_flight, ticket): (&InFlight, u64),
     ) -> Result<(CommitOutcome, StateDigest), PccheckError> {
         let total = guard.size();
-        let lease = in_flight.lease_in_turn(ticket, || pipeline.lease(ctx, ns));
-        let (counter, slot) = (lease.counter, lease.slot);
+        in_flight.stage_in_turn(ticket);
+        let src = InTurn {
+            guard,
+            in_flight,
+            ticket,
+        };
+        let leased = Cell::new(None);
+        let slot = DeferredLease::new(ns.job(), || {
+            let lease = in_flight.lease_in_turn(ticket, || pipeline.lease(ctx, ns));
+            leased.set(Some((lease.counter, lease.slot)));
+            lease
+        });
         let result = Self::run_leased(
             pipeline,
             config,
             ctx,
-            guard,
-            lease,
+            src,
+            slot,
             iteration,
             total,
             delta_policy,
             use_codec,
             || drop(in_flight.wait_turn(ticket)),
         );
-        if result.is_err() {
+        if let (Err(_), Some((counter, slot))) = (&result, leased.get()) {
             // A failed checkpoint leaves its Begin record unterminated on
             // the flight ring without this — record the failure so the
             // forensic auditor can tell "died mid-flight at the crash"
@@ -548,16 +623,17 @@ impl PcCheckEngine {
         result
     }
 
-    /// The leased portion of [`run_checkpoint`](Self::run_checkpoint):
-    /// copy, persist, and commit — all through the shared pipeline; the
-    /// staged-vs-streamed choice is this engine's scheduling policy.
+    /// The body of [`run_checkpoint`](Self::run_checkpoint): copy, persist,
+    /// and commit — all through the shared pipeline, which leases the slot
+    /// when the copy first needs it; the staged-vs-streamed choice is this
+    /// engine's scheduling policy.
     #[allow(clippy::too_many_arguments)]
     fn run_leased(
         pipeline: &PersistPipeline,
         config: &PcCheckConfig,
         ctx: PipelineCtx<'_>,
-        guard: OwnedWeightsGuard,
-        lease: SlotLease,
+        src: InTurn<'_>,
+        mut slot: DeferredLease<'_>,
         iteration: u64,
         total: ByteSize,
         delta_policy: DeltaPolicy,
@@ -566,7 +642,7 @@ impl PcCheckEngine {
     ) -> Result<(CommitOutcome, StateDigest), PccheckError> {
         // The copy consumes the guard and drops it when the snapshot is
         // staged in DRAM: the weights are held for the copy, never for the
-        // persist.
+        // persist, and — unless streamed — not for the lease either.
         let mode = if use_codec && pipeline.codec_enabled() {
             CopyMode::Codec(delta_policy)
         } else if config.pipelined {
@@ -574,7 +650,8 @@ impl PcCheckEngine {
         } else {
             CopyMode::Staged
         };
-        let copied = pipeline.copy(ctx, guard, &lease, total, mode)?;
+        let copied = pipeline.copy(ctx, src, &mut slot, total, mode)?;
+        let lease = slot.into_lease().expect("a copy that returned has leased");
         pipeline.seal(ctx, &lease, iteration, &copied)?;
         // Durable; commit once every older checkpoint of this engine has.
         turn();
@@ -1620,9 +1697,6 @@ mod tests {
             GpuConfig::fast_for_tests(),
             TrainingState::compressible(ByteSize::from_bytes(4096), 15, 32),
         );
-        // Consume the "never checkpointed, all dirty" set: every snapshot
-        // below sees only its sparse step.
-        drop(gpu.lock_weights_shared());
         let cap = capacity(&gpu, 256, 4);
         let device: Arc<dyn PersistentDevice> =
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
@@ -1696,5 +1770,282 @@ mod tests {
             PcCheckEngine::with_store(config, store),
             Err(PccheckError::InvalidConfig(_))
         ));
+    }
+
+    /// A codec engine (N=2, three slots, 64-byte chunks, a staging pool of
+    /// two snapshots) over an open [`GatedDevice`], for a compressible GPU.
+    fn codec_engine(gpu: &Gpu) -> (Arc<GatedDevice>, Arc<PcCheckEngine>) {
+        let device = GatedDevice::new(capacity(gpu, 64, 3));
+        let config = PcCheckConfig::builder()
+            .max_concurrent(2)
+            .writer_threads(2)
+            .chunk_size(ByteSize::from_bytes(64))
+            .dram_chunks(2 * chunks_of(gpu))
+            .codec(true)
+            .build()
+            .unwrap();
+        let engine = PcCheckEngine::new(
+            config,
+            Arc::clone(&device) as Arc<dyn PersistentDevice>,
+            gpu.state_size(),
+        )
+        .unwrap();
+        (device, Arc::new(engine))
+    }
+
+    /// Recovers `device`'s default job and checks it holds `gpu`'s state,
+    /// checkpointed as its step count (recovery verifies a state digest
+    /// folded with the iteration it was committed as).
+    fn recovers(device: &Arc<GatedDevice>, gpu: &Gpu) {
+        let device = Arc::clone(device) as Arc<dyn PersistentDevice>;
+        let rec = crate::recovery::recover(device).unwrap();
+        assert_eq!(rec.iteration, gpu.step_count());
+        let restored = restored_digest(gpu, &rec.payload, rec.iteration);
+        assert_eq!(restored, gpu.digest(), "checkpoint {}", rec.iteration);
+    }
+
+    #[test]
+    fn the_lease_waits_for_a_write_not_for_the_weights() {
+        // Three slots, two of them pinned by a depth-1 chain (a root and a
+        // head referencing it); checkpoint 3 takes the third and its writes
+        // wait at the gate, so checkpoint 4 has no slot until 3 commits. A
+        // codec copy stages the whole snapshot and leases after it has
+        // handed the weights back: the next update returns after one copy
+        // with the gate still shut. A streamed copy writes chunk 0 before it
+        // has staged the rest, so it still leases first, weights in hand,
+        // and the update waits for checkpoint 3's writes.
+        for codec in [true, false] {
+            let gpu = compressible_gpu(512, 43);
+            let (device, engine) = codec_engine(&gpu);
+            for iteration in 1..=2 {
+                gpu.update_sparse(0.05);
+                engine.checkpoint(&gpu, iteration);
+                engine.try_drain().unwrap();
+            }
+            let (store, ns) = (engine.store(), engine.namespace());
+            let head = store.latest_committed(ns).unwrap();
+            assert_eq!(head.delta.map(|link| link.chain_depth), Some(1));
+            assert_eq!(store.free_slot_count(ns), 1, "a root and a head pinned");
+            if !codec {
+                engine.pipeline().set_codec_enabled(false);
+            }
+            device.gate_payloads(store);
+            gpu.update_sparse(0.05);
+            engine.checkpoint(&gpu, 3);
+            gpu.update_sparse(0.05);
+            let fourth = gpu.digest();
+            engine.checkpoint(&gpu, 4);
+            let updated = std::thread::spawn({
+                let (gpu, device) = (gpu.clone(), Arc::clone(&device));
+                move || {
+                    gpu.update_sparse(0.05);
+                    device.payload_bytes()
+                }
+            });
+            let admitted = if codec {
+                must_not_hang("update() waited for a slot", move || {
+                    updated.join().unwrap()
+                })
+            } else {
+                device.open();
+                must_not_hang("the streamed copy never leased", move || {
+                    updated.join().unwrap()
+                })
+            };
+            assert_eq!(admitted == 0, codec, "codec={codec}: {admitted} bytes");
+            if codec {
+                let terminated = engine.stats().snapshot().terminated();
+                assert_eq!(terminated, 2, "checkpoint 3 is held at the gate");
+            }
+            device.open();
+            let (engine, device) = must_not_hang("the gated checkpoints never drained", {
+                let (engine, device) = (Arc::clone(&engine), Arc::clone(&device));
+                move || {
+                    engine.try_drain().unwrap();
+                    (engine, device)
+                }
+            });
+            let stats = engine.stats();
+            assert_eq!((stats.committed(), stats.superseded()), (4, 0), "in order");
+            assert_eq!(engine.last_committed().unwrap().digest, fourth);
+            let rec = crate::recovery::recover(device as Arc<dyn PersistentDevice>).unwrap();
+            assert_eq!(rec.iteration, 4);
+            assert_eq!(restored_digest(&gpu, &rec.payload, 4), fourth);
+        }
+    }
+
+    #[test]
+    fn a_foreign_guard_between_sparse_steps_changes_neither_the_gauge_nor_the_carry() {
+        // Every weights guard used to drain the GPU's dirty set, so a guard
+        // taken by anyone else (a baseline, a probe, a test) between two
+        // sparse steps hid the first step from the next checkpoint.
+        let run = |foreign: bool| {
+            let gpu = compressible_gpu(4096, 17);
+            let (device, engine) = codec_engine(&gpu);
+            let telemetry = Telemetry::enabled();
+            let engine = Arc::try_unwrap(engine)
+                .unwrap()
+                .with_telemetry(telemetry.clone());
+            gpu.update_sparse(0.05);
+            engine.checkpoint(&gpu, 1);
+            engine.try_drain().unwrap();
+            gpu.update_sparse(0.3);
+            if foreign {
+                drop(gpu.lock_weights_shared());
+            }
+            gpu.update_sparse(0.05);
+            let before = telemetry.snapshot().unwrap().gpu_copy_bytes;
+            engine.checkpoint(&gpu, gpu.step_count());
+            engine.try_drain().unwrap();
+            assert_eq!(engine.last_committed().unwrap().digest, gpu.digest());
+            recovers(&device, &gpu);
+            let snap = telemetry.snapshot().unwrap();
+            (snap.dirty_ratio_permille, snap.gpu_copy_bytes - before)
+        };
+        let alone = run(false);
+        assert_eq!(run(true), alone);
+        let (permille, copied) = alone;
+        assert_eq!(permille, 300, "both steps: the trailing 30% of each tensor");
+        assert!(copied < 4096 * 4 / 10, "clean chunks are carried: {copied}");
+    }
+
+    #[test]
+    fn two_codec_jobs_on_one_and_a_half_snapshots_never_wait_on_a_mirror() {
+        // Each job keeps its last snapshot as a mirror, and one mirror is
+        // two thirds of the pool: the other job's whole copy must evict it
+        // rather than wait for it, however the two interleave.
+        let slot = FrameTable::slot_size_for(ByteSize::from_bytes(2048), ByteSize::from_bytes(256));
+        let geometry = StoreGeometry {
+            max_namespaces: 4,
+            ..StoreGeometry::single(slot, 6)
+        };
+        let device: Arc<dyn PersistentDevice> = Arc::new(SsdDevice::new(
+            DeviceConfig::fast_for_tests(geometry.required_capacity() + ByteSize::from_kb(1)),
+        ));
+        let store = Arc::new(CheckpointStore::format(Arc::clone(&device), geometry).unwrap());
+        for job in [1, 2] {
+            store.allocate_namespace(job, 3).unwrap();
+        }
+        let pipeline = Arc::new(
+            PersistPipeline::new(store)
+                .with_writers(2)
+                .with_staging(HostBufferPool::new(ByteSize::from_bytes(256), 12))
+                .with_codec(true),
+        );
+        let config = PcCheckConfig::builder()
+            .max_concurrent(2)
+            .writer_threads(2)
+            .chunk_size(ByteSize::from_bytes(256))
+            .dram_chunks(12)
+            .codec(true)
+            .build()
+            .unwrap();
+        let jobs: Vec<(Arc<PcCheckEngine>, Gpu)> = [1, 2]
+            .into_iter()
+            .map(|job| {
+                let engine = PcCheckEngine::with_shared(config.clone(), Arc::clone(&pipeline), job);
+                (Arc::new(engine.unwrap()), compressible_gpu(2048, 50 + job))
+            })
+            .collect();
+        for turn in 0..20 {
+            let (engine, gpu) = &jobs[turn % 2];
+            let (engine, gpu) = (Arc::clone(engine), gpu.clone());
+            must_not_hang(&format!("checkpoint {turn}"), move || {
+                gpu.update_sparse(0.05);
+                engine.checkpoint(&gpu, gpu.step_count());
+            });
+        }
+        for (engine, gpu) in &jobs {
+            let drained = Arc::clone(engine);
+            must_not_hang("drain", move || drained.try_drain().unwrap());
+            let out = engine.last_committed().unwrap();
+            assert_eq!(out.digest, gpu.digest(), "job {}", engine.job());
+            let options = crate::RestoreOptions {
+                readers: 2,
+                job: Some(engine.job()),
+            };
+            let telemetry = Telemetry::disabled();
+            let (rec, _) =
+                crate::recover_instrumented_with(Arc::clone(&device), &telemetry, options).unwrap();
+            assert_eq!(rec.iteration, out.iteration);
+            let restored = restored_digest(gpu, &rec.payload, gpu.step_count());
+            assert_eq!(restored, gpu.digest(), "job {}", engine.job());
+        }
+    }
+
+    /// The carry over random histories: dense and sparse steps, guards
+    /// taken by others, restores, a second GPU of the same layout through
+    /// the same engine, the codec switched off and on, failed writes.
+    /// After every drain the engine acknowledges the GPU's state and
+    /// recovery returns it bit-exact.
+    #[test]
+    fn prop_carried_checkpoints_commit_the_gpu_state() {
+        pccheck_util::rng::check(64, |rng| {
+            let seed = rng.next_u64();
+            must_not_hang(&format!("carry case {seed}"), move || carry_case(seed));
+        });
+    }
+
+    fn carry_case(seed: u64) {
+        let mut rng = pccheck_util::rng::Rng::seeded(seed);
+        let gpus = [compressible_gpu(512, seed), compressible_gpu(512, !seed)];
+        let (device, engine) = codec_engine(&gpus[0]);
+        let mut on = 0;
+        for _ in 0..16 {
+            let codec_off = match rng.range(0..8) {
+                0 => {
+                    gpus[on].update();
+                    false
+                }
+                1 | 2 => {
+                    gpus[on].update_sparse(rng.range_f64(0.01..0.5));
+                    false
+                }
+                3 => {
+                    gpus[on].update_sparse(rng.range_f64(0.01..0.5));
+                    drop(gpus[on].lock_weights_shared());
+                    gpus[on].update_sparse(rng.range_f64(0.01..0.5));
+                    false
+                }
+                4 => {
+                    let from = Arc::clone(&device) as Arc<dyn PersistentDevice>;
+                    if let Ok(rec) = crate::recovery::recover(from) {
+                        gpus[on].restore(&rec.payload, rec.iteration);
+                    }
+                    false
+                }
+                5 => {
+                    on = 1 - on;
+                    false
+                }
+                6 => true,
+                _ => {
+                    device.fail_write(rng.range(1..3));
+                    false
+                }
+            };
+            if codec_off {
+                engine.pipeline().set_codec_enabled(false);
+            }
+            // Checkpoints are named by step count, and the engine
+            // acknowledges only newer ones: a GPU that was switched to or
+            // restored trains until it is ahead.
+            let gpu = &gpus[on];
+            let last = engine.last_committed().map_or(0, |out| out.iteration);
+            while gpu.step_count() <= last {
+                gpu.update_sparse(0.05);
+            }
+            for _ in 0..rng.range(1..3) {
+                engine.checkpoint(gpu, gpu.step_count());
+            }
+            while engine.try_drain().is_err() {
+                engine.checkpoint(gpu, gpu.step_count());
+            }
+            engine.pipeline().set_codec_enabled(true);
+            let out = engine.last_committed().unwrap();
+            let acknowledged = (out.iteration, out.digest);
+            assert_eq!(acknowledged, (gpu.step_count(), gpu.digest()));
+            recovers(&device, gpu);
+        }
     }
 }

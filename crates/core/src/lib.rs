@@ -94,8 +94,8 @@ pub use error::PccheckError;
 pub use meta::NamespaceDesc;
 pub use meta::{CheckMeta, DeltaLink, SlotState, SLOT_STATE_SIZE};
 pub use pipeline::{
-    Copied, CopyMode, DeltaPolicy, FenceMode, FramedPlan, PersistPipeline, PipelineCtx,
-    KERNEL_COPY_CHUNK,
+    Copied, CopyMode, DeferredLease, DeltaPolicy, FenceMode, FramedPlan, LeaseSlot,
+    PersistPipeline, PipelineCtx, KERNEL_COPY_CHUNK,
 };
 pub use qos::{QosArbiter, QosConfig, QosGrant};
 pub use recovery::{

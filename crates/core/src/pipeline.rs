@@ -32,15 +32,37 @@
 //!
 //! # Who waits for what
 //!
-//! *The weights are held for the memcpy — not for the digest, not for the
-//! persist.* The copy verb takes its [`SnapshotSource`] by value and drops
-//! it the moment the last chunk is staged in DRAM, and staging a chunk is
-//! one `copy_range_to_host` into a pooled buffer; everything after —
-//! digest, classify, compress, write, fence — runs with training already
-//! unblocked, so the work of up to `N` checkpoints overlaps. It all runs on
-//! one resident writer pool (`writers()` wide, shared by every clone of the
-//! pipeline) that serves a tenant's oldest checkpoint first (see
-//! `pool.rs`), taking the QoS grant per chunk.
+//! *The weights are held for the memcpy of the chunks that changed — not
+//! for the digest, not for the lease, not for the persist.* The copy verb
+//! takes its [`SnapshotSource`] by value and drops it the moment the last
+//! chunk is staged in DRAM, and staging a chunk is one `copy_range_to_host`
+//! into a pooled buffer; everything after — digest, classify, compress,
+//! write, fence — runs with training already unblocked, so the work of up
+//! to `N` checkpoints overlaps. It all runs on one resident writer pool
+//! (`writers()` wide, shared by every clone of the pipeline) that serves a
+//! tenant's oldest checkpoint first (see `pool.rs`), taking the QoS grant
+//! per chunk.
+//!
+//! *The slot is leased when the first write needs it* ([`LeaseSlot`]): a
+//! streamed copy writes chunk 0 before it has staged the rest, so it leases
+//! first; a copy that stages the whole snapshot leases once the source is
+//! dropped, so a trainer never waits out an older checkpoint's commit for
+//! a slot. Jobs queued before the lease (the digests of the chunks being
+//! staged) queue behind every leased checkpoint of their tenant.
+//!
+//! *A whole-snapshot copy stages only what changed.* Per job, the pipeline
+//! keeps the last snapshot it staged whole as a host mirror: its pooled
+//! chunks, its [`Digests`] and the source [`Version`] it was taken at. The
+//! next whole copy of the same source asks the source what changed since
+//! that version ([`SnapshotSource::dirty_since`]) and shares the mirror's
+//! chunk for every chunk no dirty range touches — no memcpy, no digest, its
+//! block values read from the mirror's digests once those are settled,
+//! after the weights are back. It copies and digests the rest. The mirror
+//! is speculation, so it is validated: each such copy compares one carried
+//! chunk, rotating through the snapshot, with the GPU's bytes while it
+//! still holds them, and on a mismatch copies the whole snapshot, drops the
+//! mirror and raises an `anomaly` event. The bytes that reach the frame are
+//! the ones a full copy would have staged, so nothing downstream changes.
 //!
 //! *The digests are taken out of order, on that pool.* The state digest is
 //! a fold over per-block values ([`pccheck_util::fnv`]) and a record's
@@ -62,12 +84,19 @@
 //!    and writes are the only pool jobs and none blocks on the pool; the
 //!    thread that fans a checkpoint out and waits for it (the caller of the
 //!    copy verb — the engine's coordinator) is never a pool worker.
-//! 2. *Whoever must hold a whole snapshot reserves it in one step.* The
-//!    staged and codec copies take all their chunks with one
-//!    [`HostBufferPool::acquire_many`], so two of them can never each hold
-//!    half a pool. The streamed copy may hold a partial set, because every
-//!    chunk it holds is already a queued, self-contained write that frees
-//!    its buffer when it runs.
+//! 2. *A reservation that waits holds nothing, and nothing idle holds what
+//!    it waits for.* The staged and codec copies give back the mirror
+//!    chunks they will not carry, then take all the chunks they copy in one
+//!    step. One that would have to wait gives up its carry too and copies
+//!    the whole snapshot, evicts every idle mirror (one no staging has
+//!    checked out), and, while it waits, no new mirror is kept: the chunks
+//!    still held then belong to checkpoints in flight, which free them. The
+//!    streamed copy may hold a partial set, because every chunk it holds is
+//!    already a queued, self-contained write that frees its buffer when it
+//!    runs; when it must wait for one more it evicts too. Whole copies of
+//!    one engine stage in ticket order (`engine.rs`), so a newer one never
+//!    sits on its chunks waiting for the lease of an older one still
+//!    waiting for chunks.
 //! 3. *A failed checkpoint cleans up before it reports.* The first error
 //!    cancels the checkpoint's queued jobs (their buffers go back
 //!    unwritten), the producer stops and releases the weights, and the
@@ -76,6 +105,7 @@
 //!    pool is as usable afterwards as before.
 //!
 //! [`PersistentDevice::queue_depths`]: pccheck_device::PersistentDevice::queue_depths
+//! [`Version`]: pccheck_gpu::Version
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -86,7 +116,7 @@ use std::sync::Arc;
 use pccheck_util::sync::{Condvar, Mutex};
 
 use pccheck_device::{HostBuffer, HostBufferPool};
-use pccheck_gpu::{SnapshotSource, StateDigest};
+use pccheck_gpu::{SnapshotSource, StateDigest, Version};
 use pccheck_telemetry::{FlightEventKind, Phase, SpanId, Telemetry};
 use pccheck_util::fnv::{chunk_digest, file_blocks, fold_blocks, whole_blocks, DIGEST_BLOCK};
 use pccheck_util::ByteSize;
@@ -162,8 +192,8 @@ pub struct PipelineCtx<'a> {
 
 /// One staged chunk: a pooled DRAM buffer and how much of it is payload.
 /// Clones share the buffer — the coordinator keeps one while pool jobs
-/// digest, compress or write theirs — and the last one dropped hands it
-/// back to the pool.
+/// digest, compress or write theirs, a mirror keeps one for the next
+/// snapshot to carry — and the last one dropped hands it back to the pool.
 #[derive(Clone)]
 struct StagedChunk {
     buf: Arc<HostBuffer>,
@@ -188,9 +218,15 @@ struct Digests {
     /// The staging chunk size: chunk `i` starts at `i × chunk`.
     chunk: u64,
     /// Relaxed throughout: every job hands the batch's mutex to
-    /// [`Batch::wait`], which orders the stores before the fold's loads.
+    /// [`Batch::wait`], which orders the stores before the fold's loads,
+    /// and the owner settles under `settled`'s mutex, which orders them
+    /// before a later snapshot carries them.
     blocks: Vec<AtomicU64>,
     addresses: Vec<AtomicU64>,
+    /// `None` while some value may still be on its way; then whether every
+    /// value was filed. The first verdict stands.
+    settled: Mutex<Option<bool>>,
+    settle: Condvar,
 }
 
 impl Digests {
@@ -202,7 +238,49 @@ impl Digests {
             chunk,
             blocks: cells(total.as_u64().div_ceil(DIGEST_BLOCK as u64)),
             addresses: cells(total.as_u64().div_ceil(chunk)),
+            settled: Mutex::new(None),
+            settle: Condvar::new(),
         })
+    }
+
+    /// Records the verdict; `true` when this call was the first.
+    fn settle(&self, filed: bool) -> bool {
+        let mut settled = self.settled.lock();
+        let first = settled.is_none();
+        if first {
+            *settled = Some(filed);
+            self.settle.notify_all();
+        }
+        first
+    }
+
+    /// Waits for the verdict: whether every value was filed.
+    fn settled(&self) -> bool {
+        let mut settled = self.settled.lock();
+        loop {
+            match *settled {
+                Some(filed) => return filed,
+                None => settled = self.settle.wait(settled),
+            }
+        }
+    }
+
+    /// Files chunk `i`'s values from `from`, a settled snapshot of the same
+    /// geometry whose chunk `i` held the same bytes: the blocks the chunk
+    /// wholly covers and its content address (the blocks a chunk boundary
+    /// cuts are the producer's, [`file_cut`](Self::file_cut)).
+    fn carry(&self, from: &Digests, i: usize) {
+        let off = i as u64 * self.chunk;
+        let len = self.chunk.min(self.len - off) as usize;
+        let (head, whole) = whole_blocks(off, len, self.len);
+        let first = ((off + head as u64) / DIGEST_BLOCK as u64) as usize;
+        let copy = |cell: &AtomicU64, from: &AtomicU64| {
+            cell.store(from.load(Ordering::Relaxed), Ordering::Relaxed)
+        };
+        for b in first..first + whole.div_ceil(DIGEST_BLOCK) {
+            copy(&self.blocks[b], &from.blocks[b]);
+        }
+        copy(&self.addresses[i], &from.addresses[i]);
     }
 
     /// A chunk's pool job: one pass over `chunk`, staged from offset `off`,
@@ -251,15 +329,158 @@ impl Digests {
     }
 }
 
-/// How [`PersistPipeline::stage`] takes its DRAM (module docs, rule 2).
+/// How [`PersistPipeline::stage`] takes its DRAM (module docs, rule 2) and
+/// what it queues for each chunk it copies.
+#[derive(Clone, Copy)]
 enum Reserve<'a> {
-    /// The whole snapshot in one step, for a caller that keeps every chunk
-    /// until the last is staged.
-    Whole,
-    /// Chunk by chunk, waiting when DRAM is scarce: every chunk held is a
-    /// write queued on this batch, which frees it. Staging stops when the
-    /// batch aborts.
-    Streaming(&'a Batch),
+    /// The whole snapshot in one step, carrying what the job's mirror
+    /// still holds: each copied chunk's digest job goes on the batch, and
+    /// the staged snapshot becomes the job's mirror.
+    Whole(&'a Arc<Batch>),
+    /// Chunk by chunk, waiting when DRAM is scarce: each chunk is written
+    /// at `packed` plus its offset by a job on the batch, which frees it.
+    /// Staging stops when the batch aborts.
+    Streaming { batch: &'a Arc<Batch>, packed: u64 },
+}
+
+/// What [`PersistPipeline::stage`] staged.
+struct Staging {
+    /// When the `GpuCopy` phase started.
+    start: u64,
+    /// A whole reservation's chunks in order, carried ones included.
+    chunks: Vec<StagedChunk>,
+    /// The chunks carried from the mirror, and its digests to read their
+    /// values from.
+    carried: Option<(Arc<Digests>, Vec<usize>)>,
+    /// Bytes changed since the mirror was staged: the whole state when
+    /// there was none to carry from.
+    dirty: u64,
+}
+
+/// What a whole copy takes from its job's mirror.
+struct Carry {
+    /// By chunk index: the mirror's chunk, where it still holds the
+    /// source's bytes.
+    chunks: Vec<Option<StagedChunk>>,
+    /// The mirror's digests, to file the carried chunks' values from.
+    from: Option<Arc<Digests>>,
+    /// Bytes changed since the mirror was staged: the whole state when
+    /// nothing is known.
+    dirty: u64,
+    /// Where the next mirror's validation sample starts.
+    cursor: usize,
+}
+
+impl Carry {
+    fn nothing(n_chunks: usize, dirty: u64) -> Self {
+        Carry {
+            chunks: vec![None; n_chunks],
+            from: None,
+            dirty,
+            cursor: 0,
+        }
+    }
+}
+
+/// A job's last whole-staged snapshot (module docs, "Who waits for what").
+struct Mirror {
+    version: Version,
+    chunks: Vec<StagedChunk>,
+    digests: Arc<Digests>,
+    /// Where the next validation sample starts looking for a carried chunk.
+    cursor: usize,
+}
+
+/// The mirrors of every job, and the reservations waiting for DRAM: while
+/// any waits, no mirror is kept (module docs, rule 2).
+#[derive(Default)]
+struct Mirrors {
+    by_job: HashMap<JobId, Mirror>,
+    waiting: usize,
+}
+
+impl std::fmt::Debug for Mirrors {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Mirrors")
+            .field("jobs", &self.by_job.keys().collect::<Vec<_>>())
+            .field("waiting", &self.waiting)
+            .finish()
+    }
+}
+
+/// Until its copy has filed every value, a whole copy's digests are
+/// unsettled; leaving before that — a job of theirs unwound — settles them
+/// incomplete and drops the mirror that shares them, so no later snapshot
+/// carries values that were never filed.
+struct Unfiled<'a> {
+    mirrors: &'a Mutex<Mirrors>,
+    digests: &'a Arc<Digests>,
+}
+
+impl Drop for Unfiled<'_> {
+    fn drop(&mut self) {
+        if self.digests.settle(false) {
+            let mut mirrors = self.mirrors.lock();
+            (mirrors.by_job).retain(|_, m| !Arc::ptr_eq(&m.digests, self.digests));
+        }
+    }
+}
+
+/// Where [`PersistPipeline::copy`] gets the slot it writes into: a lease
+/// the caller already holds (`&SlotLease`), or a [`DeferredLease`] the copy
+/// takes when its first write needs a slot.
+pub trait LeaseSlot {
+    /// The tenant whose slot it is.
+    fn job(&self) -> JobId;
+
+    /// The lease, taken now if it has not been yet.
+    fn leased(&mut self) -> &SlotLease;
+}
+
+impl LeaseSlot for &SlotLease {
+    fn job(&self) -> JobId {
+        SlotLease::job(self)
+    }
+
+    fn leased(&mut self) -> &SlotLease {
+        self
+    }
+}
+
+/// A slot leased by a closure the first time [`PersistPipeline::copy`]
+/// needs one — for a caller whose leases must follow an order of its own
+/// (the engine's tickets) without making the trainer wait for it.
+pub struct DeferredLease<'a> {
+    job: JobId,
+    take: Option<Box<dyn FnOnce() -> SlotLease + 'a>>,
+    lease: Option<SlotLease>,
+}
+
+impl<'a> DeferredLease<'a> {
+    /// A slot of `job`'s, leased by `take`.
+    pub fn new(job: JobId, take: impl FnOnce() -> SlotLease + 'a) -> Self {
+        DeferredLease {
+            job,
+            take: Some(Box::new(take)),
+            lease: None,
+        }
+    }
+
+    /// The lease, once taken: after a copy that returned `Ok`, always.
+    pub fn into_lease(self) -> Option<SlotLease> {
+        self.lease
+    }
+}
+
+impl LeaseSlot for &mut DeferredLease<'_> {
+    fn job(&self) -> JobId {
+        self.job
+    }
+
+    fn leased(&mut self) -> &SlotLease {
+        let take = &mut self.take;
+        (self.lease).get_or_insert_with(|| take.take().expect("taken at most once")())
+    }
 }
 
 /// The part of a lease a chunk write needs. `Copy`, so a queued job can
@@ -409,7 +630,11 @@ struct Batch {
     io: ChunkIo,
     telemetry: Telemetry,
     span: SpanId,
-    at: SlotRef,
+    /// Where the jobs queue: at the checkpoint's counter once it is leased,
+    /// behind every leased checkpoint of the tenant before.
+    order: Order,
+    /// The slot writes go to; `None` for a batch that writes nothing.
+    at: Option<SlotRef>,
     opened_nanos: u64,
     /// Set by the first failure: queued jobs are cancelled, and the
     /// producer polls it to stop copying.
@@ -420,11 +645,28 @@ struct Batch {
 
 impl Batch {
     fn open(io: &ChunkIo, ctx: PipelineCtx<'_>, lease: &SlotLease) -> Arc<Batch> {
+        let at = SlotRef::of(lease);
+        Self::queued(io, ctx, at.tenant, at.counter, Some(at))
+    }
+
+    /// A batch of `job`'s jobs that need no slot, queued before its lease.
+    fn unleased(io: &ChunkIo, ctx: PipelineCtx<'_>, job: JobId) -> Arc<Batch> {
+        Self::queued(io, ctx, job, u64::MAX, None)
+    }
+
+    fn queued(
+        io: &ChunkIo,
+        ctx: PipelineCtx<'_>,
+        tenant: JobId,
+        counter: u64,
+        at: Option<SlotRef>,
+    ) -> Arc<Batch> {
         Arc::new(Batch {
             io: io.clone(),
             telemetry: ctx.telemetry.clone(),
             span: ctx.span,
-            at: SlotRef::of(lease),
+            order: Order { tenant, counter },
+            at,
             opened_nanos: ctx.telemetry.now_nanos(),
             abort: AtomicBool::new(false),
             state: Mutex::new(BatchState::default()),
@@ -453,12 +695,8 @@ impl Batch {
     ) {
         self.state.lock().pending += 1;
         let batch = Arc::clone(self);
-        let order = Order {
-            tenant: self.at.tenant,
-            counter: self.at.counter,
-        };
         workers.submit(
-            order,
+            self.order,
             Box::new(move |w| {
                 // Whatever `work` owns (a staged buffer, a share of the
                 // snapshot) is released before the job is counted done, so
@@ -495,6 +733,7 @@ impl Batch {
         digests: Option<(&Arc<Digests>, u64)>,
     ) {
         let digests = digests.map(|(d, off)| (Arc::clone(d), off));
+        let slot = self.at.expect("writes go to a leased slot");
         self.submit(workers, move |batch| {
             let bytes = data.as_ref();
             let digesting = digests.map_or(0, |(digests, off)| {
@@ -502,8 +741,23 @@ impl Batch {
             });
             let media = batch
                 .io
-                .write_and_fence_chunk(batch.ctx(), batch.at, at, bytes)?;
+                .write_and_fence_chunk(batch.ctx(), slot, at, bytes)?;
             Ok((bytes.len() as u64, digesting + media))
+        });
+    }
+
+    /// Queues the filing of `piece`'s digests, staged from logical offset
+    /// `off`.
+    fn file(
+        self: &Arc<Self>,
+        workers: &WorkerPool,
+        digests: &Arc<Digests>,
+        off: u64,
+        piece: StagedChunk,
+    ) {
+        let digests = Arc::clone(digests);
+        self.submit(workers, move |batch| {
+            Ok((0, batch.busy(|| digests.file(off, piece.as_ref())).1))
         });
     }
 
@@ -584,6 +838,8 @@ pub struct PersistPipeline {
     /// Chunk codec + dedup state, shared across clones (the controller
     /// toggles `enabled`; the dedup index survives across checkpoints).
     codec: Arc<CodecState>,
+    /// Each job's last whole-staged snapshot, shared across clones.
+    mirrors: Arc<Mutex<Mirrors>>,
 }
 
 /// Shared chunk-codec state: the on/off switch the controller flips and
@@ -648,6 +904,7 @@ impl PersistPipeline {
             pool: None,
             workers: Arc::new(WorkerPool::new("pccheck-writer", 1)),
             codec: Arc::new(CodecState::default()),
+            mirrors: Arc::default(),
         }
     }
 
@@ -678,12 +935,14 @@ impl PersistPipeline {
     }
 
     /// Flips the chunk codec online (the controller's switch). Disabling
-    /// also drops the dedup index: re-enabling starts from a cold index
-    /// rather than trusting generations whose age is unknown.
+    /// also drops the dedup index — re-enabling starts from a cold index
+    /// rather than trusting generations whose age is unknown — and every
+    /// job's mirror, giving their DRAM back to the streamed copies.
     pub fn set_codec_enabled(&self, enabled: bool) {
         let was = self.codec.enabled.swap(enabled, Ordering::AcqRel);
         if was && !enabled {
             self.codec.dedup.lock().clear();
+            self.mirrors.lock().by_job.clear();
         }
     }
 
@@ -750,14 +1009,92 @@ impl PersistPipeline {
         lease
     }
 
+    /// Takes `n` chunks in one step (module docs, rule 2): at once when
+    /// they are free; otherwise it evicts every idle mirror and, until it is
+    /// served, keeps any new one from being published.
+    fn reserve(&self, n: usize) -> Vec<HostBuffer> {
+        let pool = self.pool();
+        if let Some(buffers) = pool.try_acquire_many(n) {
+            return buffers;
+        }
+        {
+            let mut mirrors = self.mirrors.lock();
+            mirrors.waiting += 1;
+            mirrors.by_job.clear();
+        }
+        let buffers = pool.acquire_many(n);
+        self.mirrors.lock().waiting -= 1;
+        buffers
+    }
+
+    /// Checks `job`'s mirror out and keeps, by chunk index, the chunks of
+    /// it `src` may carry: those no range dirtied since the mirror was
+    /// staged touches. One of them — the first at or after the mirror's
+    /// cursor — is compared with the GPU's bytes first; on a mismatch the
+    /// tracker missed a write, and nothing is carried. A mirror of another
+    /// source or geometry, or older than the source's log reaches, carries
+    /// nothing either. The rest of the mirror is dropped.
+    fn plan_carry(
+        &self,
+        ctx: PipelineCtx<'_>,
+        src: &impl SnapshotSource,
+        job: JobId,
+        digests: &Digests,
+    ) -> Carry {
+        let (chunk, total) = (digests.chunk, digests.len);
+        let n = total.div_ceil(chunk) as usize;
+        let nothing = Carry::nothing(n, total);
+        let (Some(version), Some(mirror)) =
+            (src.version(), self.mirrors.lock().by_job.remove(&job))
+        else {
+            return nothing;
+        };
+        let same = mirror.version.source == version.source
+            && (mirror.digests.len, mirror.digests.chunk) == (total, chunk);
+        let Some(ranges) = same.then(|| src.dirty_since(mirror.version.seq)).flatten() else {
+            return nothing;
+        };
+        let mut chunks: Vec<Option<StagedChunk>> = mirror.chunks.into_iter().map(Some).collect();
+        for &(off, len) in ranges.iter().filter(|&&(off, len)| len > 0 && off < total) {
+            let last = (off + len - 1).min(total - 1) / chunk;
+            chunks[(off / chunk) as usize..=last as usize].fill(None);
+        }
+        let dirty = ranges.iter().map(|&(_, len)| len).sum::<u64>().min(total);
+        let sample = (0..n)
+            .map(|k| (mirror.cursor + k) % n)
+            .find(|&i| chunks[i].is_some());
+        if let Some(i) = sample {
+            let carried = chunks[i].as_ref().expect("a carried chunk").as_ref();
+            let mut gpu = vec![0u8; carried.len()];
+            src.copy_range_to_host(i as u64 * chunk, &mut gpu);
+            // One memcmp while the weights are held; the byte count that
+            // sizes the anomaly is taken only on a mismatch.
+            if gpu != carried {
+                let differ = gpu.iter().zip(carried).filter(|(a, b)| a != b).count();
+                let share = differ as f64 / carried.len() as f64;
+                ctx.telemetry
+                    .anomaly(src.step_count(), share, 0.0, f64::INFINITY);
+                return Carry::nothing(n, dirty);
+            }
+        }
+        Carry {
+            chunks,
+            from: Some(mirror.digests),
+            dirty,
+            cursor: sample.map_or(0, |i| (i + 1) % n),
+        }
+    }
+
     /// The one staging loop: copies the snapshot GPU→DRAM into pooled
-    /// chunks, taken from the pool as `reserve` says, and hands each chunk
-    /// with its offset to `each`. The producer does nothing else with the
-    /// bytes — filing `digests` is the chunks' pool jobs' work — except for
-    /// the blocks a chunk boundary cuts, which it files from a carry of at
-    /// most one block. Drops `src` (the weights go back to training) the
-    /// moment the last chunk is staged, then closes the `GpuCopy` phase.
-    /// Returns the phase's start.
+    /// chunks, taken from the pool as `reserve` says, and queues each copied
+    /// chunk's job on the reservation's batch. The producer does nothing
+    /// else with the bytes — filing `digests` is the chunks' pool jobs'
+    /// work — except for the blocks a chunk boundary cuts, which it files
+    /// from a carry of at most one block. A whole reservation copies only
+    /// what its job's mirror cannot carry ([`plan_carry`](Self::plan_carry))
+    /// and publishes what it staged as the job's next mirror. Drops `src`
+    /// (the weights go back to training) the moment the last chunk is
+    /// staged, then closes the `GpuCopy` phase.
     ///
     /// # Errors
     ///
@@ -767,16 +1104,16 @@ impl PersistPipeline {
         &self,
         ctx: PipelineCtx<'_>,
         src: S,
-        lease: &SlotLease,
-        digests: &Digests,
+        job: JobId,
+        digests: &Arc<Digests>,
         reserve: Reserve<'_>,
-        mut each: impl FnMut(u64, StagedChunk),
-    ) -> Result<u64, PccheckError> {
-        let pool = self.pool();
+    ) -> Result<Staging, PccheckError> {
         let (chunk, total) = (digests.chunk, digests.len);
+        let n_chunks = total.div_ceil(chunk) as usize;
+        let mut carry = Carry::nothing(n_chunks, total);
         let mut reserved = Vec::new();
-        if let Reserve::Whole = reserve {
-            let n_chunks = total.div_ceil(chunk) as usize;
+        if let Reserve::Whole(_) = reserve {
+            let pool = self.pool();
             if pool.total_chunks() < n_chunks {
                 return Err(PccheckError::InvalidConfig(format!(
                     "staging a whole {} snapshot needs {n_chunks} chunks, the pool has {}",
@@ -784,72 +1121,136 @@ impl PersistPipeline {
                     pool.total_chunks()
                 )));
             }
-            reserved = pool.acquire_many(n_chunks);
+            carry = self.plan_carry(ctx, &src, job, digests);
+            let copies = carry.chunks.iter().filter(|c| c.is_none()).count();
+            reserved = match pool.try_acquire_many(copies) {
+                Some(buffers) => buffers,
+                None => {
+                    // Waiting holds nothing: the carry goes back too.
+                    carry = Carry::nothing(n_chunks, carry.dirty);
+                    self.reserve(n_chunks)
+                }
+            };
         }
-        let stopped = || matches!(reserve, Reserve::Streaming(batch) if batch.aborted());
+        let stopped = || matches!(reserve, Reserve::Streaming { batch, .. } if batch.aborted());
         let copy_start = ctx.telemetry.now_nanos();
         let mut open = Vec::new();
-        let mut off = 0u64;
-        while off < total && !stopped() {
-            let len = chunk.min(total - off) as usize;
-            let mut buf = reserved.pop().unwrap_or_else(|| pool.acquire());
-            src.copy_range_to_host(off, &mut buf.as_mut_slice()[..len]);
-            digests.file_cut(&mut open, off, &buf.as_slice()[..len]);
-            ctx.telemetry
-                .chunk(ctx.span, Phase::GpuCopy, off, len as u64);
-            let buf = Arc::new(buf);
-            each(off, StagedChunk { buf, len });
-            off += len as u64;
+        let (mut chunks, mut carried) = (Vec::new(), Vec::new());
+        for (i, mirrored) in carry.chunks.into_iter().enumerate() {
+            if stopped() {
+                break;
+            }
+            let off = i as u64 * chunk;
+            let (piece, copied) = match mirrored {
+                Some(piece) => (piece, false),
+                None => {
+                    let len = chunk.min(total - off) as usize;
+                    let mut buf = match reserved.pop() {
+                        Some(buf) => buf,
+                        None => self.reserve(1).remove(0),
+                    };
+                    src.copy_range_to_host(off, &mut buf.as_mut_slice()[..len]);
+                    ctx.telemetry
+                        .chunk(ctx.span, Phase::GpuCopy, off, len as u64);
+                    let buf = Arc::new(buf);
+                    (StagedChunk { buf, len }, true)
+                }
+            };
+            digests.file_cut(&mut open, off, piece.as_ref());
+            match reserve {
+                Reserve::Whole(batch) => {
+                    if copied {
+                        batch.file(&self.workers, digests, off, piece.clone());
+                    } else {
+                        carried.push(i);
+                    }
+                    chunks.push(piece);
+                }
+                Reserve::Streaming { batch, packed } => {
+                    batch.write(&self.workers, packed + off, piece, Some((digests, off)))
+                }
+            }
+        }
+        if let (Reserve::Whole(_), Some(version)) = (reserve, src.version()) {
+            let mirror = Mirror {
+                version,
+                chunks: chunks.clone(),
+                digests: Arc::clone(digests),
+                cursor: carry.cursor,
+            };
+            let mut mirrors = self.mirrors.lock();
+            if mirrors.waiting == 0 {
+                mirrors.by_job.insert(job, mirror);
+            }
         }
         drop(src);
         ctx.telemetry
             .phase_done(ctx.span, Phase::GpuCopy, copy_start);
-        if off == total {
-            let (counter, slot) = (lease.counter, lease.slot);
-            let flight = self.io.store.flight();
-            flight.record(FlightEventKind::CopyDone, counter, slot, 0, total, 0);
+        Ok(Staging {
+            start: copy_start,
+            chunks,
+            carried: carry
+                .from
+                .filter(|_| !carried.is_empty())
+                .map(|from| (from, carried)),
+            dirty: carry.dirty,
+        })
+    }
+
+    /// Files the values of the chunks `staging` carried: read from the
+    /// mirror's digests once those are settled, or — some job of the
+    /// mirror's never ran — taken afresh by jobs on `batch`.
+    fn file_carried(&self, batch: &Arc<Batch>, digests: &Arc<Digests>, staging: &Staging) {
+        let Some((from, carried)) = &staging.carried else {
+            return;
+        };
+        let settled = from.settled();
+        for &i in carried {
+            if settled {
+                digests.carry(from, i);
+            } else {
+                let (off, piece) = (i as u64 * digests.chunk, staging.chunks[i].clone());
+                batch.file(&self.workers, digests, off, piece);
+            }
         }
-        Ok(copy_start)
     }
 
     /// Writes an already staged snapshot verbatim, chunk `i` at payload
-    /// offset `packed + i × chunk size`, each write job first filing its
-    /// chunk's `digests` when the snapshot has not been digested yet; each
-    /// buffer returns to the pool the moment its write returns.
+    /// offset `packed + i × chunk size`; each buffer returns to the pool the
+    /// moment its write returns, unless a mirror still shares it.
     fn write_staged(
         &self,
         ctx: PipelineCtx<'_>,
         lease: &SlotLease,
         packed: u64,
         staged: Vec<StagedChunk>,
-        digests: Option<&Arc<Digests>>,
     ) -> Result<(), PccheckError> {
         let chunk = self.pool().chunk_size().as_u64();
         let batch = Batch::open(&self.io, ctx, lease);
         for (i, piece) in staged.into_iter().enumerate() {
-            let off = i as u64 * chunk;
-            batch.write(
-                &self.workers,
-                packed + off,
-                piece,
-                digests.map(|d| (d, off)),
-            );
+            batch.write(&self.workers, packed + i as u64 * chunk, piece, None);
         }
         batch.wait()
     }
 
     /// The chunk copy verb: copies the snapshot GPU→DRAM into pooled
     /// chunks — the calling thread copies, the writer pool digests and
-    /// persists — and writes it into the leased slot as a frame, its table
-    /// last so a torn frame is never mistaken for a complete one. `mode`
-    /// says how it stages and what it packs ([`CopyMode`]); every chunk the
-    /// codec does not pack is written verbatim at its packed offset under
-    /// an all-`Raw` table.
+    /// persists — and writes it into its slot as a frame, its table last so
+    /// a torn frame is never mistaken for a complete one. `mode` says how
+    /// it stages and what it packs ([`CopyMode`]); every chunk the codec
+    /// does not pack is written verbatim at its packed offset under an
+    /// all-`Raw` table.
     ///
     /// `src` is consumed: it is dropped — handing the weights back to
     /// training — as soon as the last chunk is in DRAM, before the codec
     /// classifies, compresses or packs anything and while the streamed
     /// copy's writes are still landing. Pass `&guard` to keep a guard.
+    ///
+    /// `slot` is leased when the first write needs it: before staging when
+    /// streamed, after `src` is dropped otherwise (module docs, "Who waits
+    /// for what"). A staged or codec copy stages the whole snapshot through
+    /// its job's host mirror, copying only the chunks the source dirtied
+    /// since the mirror was staged.
     ///
     /// The codec deduplicates byte-identical chunks within the frame and
     /// against the homes the job's head installed, taking a base hit iff
@@ -878,7 +1279,7 @@ impl PersistPipeline {
         &self,
         ctx: PipelineCtx<'_>,
         src: S,
-        lease: &SlotLease,
+        mut slot: impl LeaseSlot,
         total: ByteSize,
         mode: CopyMode,
     ) -> Result<Copied, PccheckError> {
@@ -886,69 +1287,64 @@ impl PersistPipeline {
         let chunk = pool.chunk_size().as_u64();
         let n_chunks = total.as_u64().div_ceil(chunk) as usize;
         let packed = FrameTable::encoded_len_for(n_chunks);
-        if let CopyMode::Codec(_) = mode {
-            // The controller's chain-length signal: how much of the state
-            // changed since the previous snapshot.
-            let dirty: u64 = src.dirty_ranges().iter().map(|&(_, len)| len).sum();
-            ctx.telemetry
-                .gauge_dirty_ratio(dirty * 1000 / total.as_u64().max(1));
-        }
         let mode = match mode {
             CopyMode::Codec(_) if n_chunks == 0 || pool.total_chunks() < n_chunks => {
                 CopyMode::Streamed
             }
             mode => mode,
         };
-
+        let job = slot.job();
         let digests = Digests::of(&src, total, chunk);
-        let (persist_start, codec) = match mode {
+        let copy_done = |lease: &SlotLease| {
+            let (counter, slot, len) = (lease.counter, lease.slot, total.as_u64());
+            let flight = self.io.store.flight();
+            flight.record(FlightEventKind::CopyDone, counter, slot, 0, len, 0);
+        };
+        let (lease, persist_start, codec) = match mode {
             CopyMode::Streamed => {
+                let lease = slot.leased();
                 let batch = Batch::open(&self.io, ctx, lease);
-                let start = self.stage(
-                    ctx,
-                    src,
-                    lease,
-                    &digests,
-                    Reserve::Streaming(&batch),
-                    |off, piece| {
-                        batch.write(&self.workers, packed + off, piece, Some((&digests, off)))
-                    },
-                )?;
+                let reserve = Reserve::Streaming {
+                    batch: &batch,
+                    packed,
+                };
+                let staging = self.stage(ctx, src, job, &digests, reserve)?;
                 batch.wait()?;
-                (start, None)
+                copy_done(lease);
+                (lease, staging.start, None)
             }
-            CopyMode::Staged => {
-                let mut staged = Vec::with_capacity(n_chunks);
-                self.stage(ctx, src, lease, &digests, Reserve::Whole, |_, piece| {
-                    staged.push(piece)
-                })?;
+            CopyMode::Staged | CopyMode::Codec(_) => {
+                // The copied chunks' digest jobs queue before the lease; the
+                // carried chunks' values follow once the lease is taken.
+                let filing = Batch::unleased(&self.io, ctx, job);
+                let staging = self.stage(ctx, src, job, &digests, Reserve::Whole(&filing))?;
+                let _unfiled = Unfiled {
+                    mirrors: &self.mirrors,
+                    digests: &digests,
+                };
                 let start = ctx.telemetry.now_nanos();
-                self.write_staged(ctx, lease, packed, staged, Some(&digests))?;
-                (start, None)
-            }
-            CopyMode::Codec(policy) => {
-                // Each chunk's pool job takes its digests while the chunk
-                // is hot; the weights are back with training before the
-                // first of them is waited for.
-                let mut staged = Vec::with_capacity(n_chunks);
-                let batch = Batch::open(&self.io, ctx, lease);
-                self.stage(ctx, src, lease, &digests, Reserve::Whole, |off, piece| {
-                    staged.push(piece.clone());
-                    let digests = Arc::clone(&digests);
-                    batch.submit(&self.workers, move |batch| {
-                        Ok((0, batch.busy(|| digests.file(off, piece.as_ref())).1))
-                    });
-                })?;
-                batch.wait()?;
-                let start = ctx.telemetry.now_nanos();
-                let codec = self.pack(ctx, lease, &staged, &digests, policy)?;
+                let lease = slot.leased();
+                copy_done(lease);
+                self.file_carried(&filing, &digests, &staging);
+                filing.wait()?;
+                digests.settle(true);
+                let codec = match mode {
+                    CopyMode::Codec(policy) => {
+                        // The controller's chain-length signal: how much of
+                        // the state changed since the job's last snapshot.
+                        let permille = staging.dirty * 1000 / total.as_u64().max(1);
+                        ctx.telemetry.gauge_dirty_ratio(permille);
+                        self.pack(ctx, lease, &staging.chunks, &digests, policy)?
+                    }
+                    _ => None,
+                };
                 if codec.is_none() {
-                    // The frame would not pay. The snapshot is already in
-                    // DRAM and digested, and the source is gone: it goes
-                    // out as the all-`Raw` frame it is.
-                    self.write_staged(ctx, lease, packed, staged, None)?;
+                    // Staged, or a frame that would not pay: the snapshot is
+                    // in DRAM and digested, and the source is gone, so it
+                    // goes out as the all-`Raw` frame it is.
+                    self.write_staged(ctx, lease, packed, staging.chunks)?;
                 }
-                (start, codec)
+                (lease, start, codec)
             }
         };
 
@@ -1143,9 +1539,10 @@ impl PersistPipeline {
         Ok(Some((table, plan)))
     }
 
-    /// One-call codec checkpoint in `ns`: lease →
-    /// [`copy`](Self::copy) under `policy` → `seal` → commit. Returns what
-    /// the copy left in the slot besides the commit's outcome.
+    /// One-call codec checkpoint in `ns`: [`copy`](Self::copy) under
+    /// `policy`, leasing a slot of `ns` when its first write needs one →
+    /// `seal` → commit. Returns what the copy left in the slot besides the
+    /// commit's outcome.
     ///
     /// # Errors
     ///
@@ -1159,8 +1556,9 @@ impl PersistPipeline {
         policy: DeltaPolicy,
     ) -> Result<(CommitOutcome, Copied), PccheckError> {
         let total = src.size();
-        let lease = self.lease(ctx, ns);
-        let copied = self.copy(ctx, src, &lease, total, CopyMode::Codec(policy))?;
+        let mut slot = DeferredLease::new(ns.job(), || self.lease(ctx, ns));
+        let copied = self.copy(ctx, src, &mut slot, total, CopyMode::Codec(policy))?;
+        let lease = slot.into_lease().expect("a copy that returned has leased");
         self.seal(ctx, &lease, iteration, &copied)?;
         let out = self.commit(ctx, lease, iteration, &copied)?;
         Ok((out, copied))
@@ -2311,6 +2709,142 @@ mod tests {
         assert_eq!(commit, CommitOutcome::Committed);
         assert_eq!(copied.frame.saved_bytes, 0, "streamed all-Raw");
         assert_eq!(copied.payload_len, FrameTable::encoded_len_for(16) + 4096);
+    }
+
+    /// A three-tensor compressible GPU: a sparse step dirties the tail of
+    /// each tensor, three chunks of a 4 KiB state in 256-byte chunks.
+    fn sparse_gpu(seed: u64) -> Gpu {
+        let state = TrainingState::compressible(ByteSize::from_bytes(4096), seed, 32);
+        Gpu::new(GpuConfig::fast_for_tests(), state)
+    }
+
+    /// Leases, copies `src` under `mode`, seals and commits it.
+    fn commit_copy(
+        pipeline: &PersistPipeline,
+        ctx: PipelineCtx<'_>,
+        src: impl SnapshotSource,
+        mode: CopyMode,
+    ) -> Copied {
+        let (total, iteration) = (src.size(), src.step_count());
+        let lease = pipeline.lease(ctx, &default_ns(pipeline));
+        let copied = pipeline.copy(ctx, src, &lease, total, mode).unwrap();
+        pipeline.seal(ctx, &lease, iteration, &copied).unwrap();
+        let out = pipeline.commit(ctx, lease, iteration, &copied).unwrap();
+        assert_eq!(out, CommitOutcome::Committed);
+        copied
+    }
+
+    /// The head frame's bytes.
+    fn head_frame(pipeline: &PersistPipeline) -> Vec<u8> {
+        let store = pipeline.store();
+        let head = store.latest_committed(&default_ns(pipeline)).unwrap();
+        store.read_checkpoint(&head).unwrap()
+    }
+
+    #[test]
+    fn a_whole_copy_carries_clean_chunks_and_lands_the_frame_a_full_copy_would() {
+        // One pipeline copies GPU guards and carries every chunk its mirror
+        // still holds; the other copies the same bytes from a source with
+        // no history, all of them. The frames on the two devices are the
+        // same bytes, and the first copies only the dirtied chunks.
+        for mode in [CopyMode::Staged, CopyMode::Codec(DeltaPolicy::default())] {
+            let ((_, carrying), (_, full)) = (framed_rig(4096, 256, 32), framed_rig(4096, 256, 32));
+            let gpu = sparse_gpu(61);
+            let telemetry = Telemetry::enabled();
+            for step in 1..=6u64 {
+                let span = telemetry.span_requested("test", step, 4096);
+                let ctx = PipelineCtx {
+                    telemetry: &telemetry,
+                    span,
+                };
+                gpu.update_sparse(0.05);
+                let guard = gpu.lock_weights_shared_owned();
+                let mut data = vec![0u8; 4096];
+                guard.copy_range_to_host(0, &mut data);
+                let staged = || telemetry.snapshot().unwrap().gpu_copy_bytes;
+                let before = staged();
+                let copied = commit_copy(&carrying, ctx, guard, mode);
+                let staged = staged() - before;
+                let dirty = if step == 1 { 4096 } else { 3 * 256 };
+                assert_eq!(staged, dirty, "{mode:?} step {step}");
+                assert_eq!(copied.state_digest, gpu.digest());
+                commit_copy(&full, ctx, VecSource { data, step }, mode);
+                let frames = (head_frame(&carrying), head_frame(&full));
+                assert_eq!(frames.0, frames.1, "{mode:?} step {step}");
+            }
+        }
+    }
+
+    /// A dirty tracker that loses every write to `lost` (a test-only
+    /// mutant of the GPU's dirty log).
+    struct LosesWrites<S> {
+        src: S,
+        lost: std::ops::Range<u64>,
+    }
+
+    impl<S: SnapshotSource> SnapshotSource for LosesWrites<S> {
+        fn size(&self) -> ByteSize {
+            self.src.size()
+        }
+        fn step_count(&self) -> u64 {
+            self.src.step_count()
+        }
+        fn copy_range_to_host(&self, offset: u64, dst: &mut [u8]) {
+            self.src.copy_range_to_host(offset, dst)
+        }
+        fn version(&self) -> Option<Version> {
+            self.src.version()
+        }
+        fn dirty_since(&self, seq: u64) -> Option<Vec<(u64, u64)>> {
+            let lost = &self.lost;
+            let kept = |&(off, len): &(u64, u64)| off + len <= lost.start || off >= lost.end;
+            let ranges = self.src.dirty_since(seq)?;
+            Some(ranges.into_iter().filter(kept).collect())
+        }
+    }
+
+    #[test]
+    fn the_rotating_sample_catches_a_tracker_that_loses_a_range() {
+        // Every sparse step dirties chunks 5, 10 and 15 of sixteen; the
+        // tracker never reports chunk 10's range, so the mirror's stale
+        // copy of it is carried. One carried chunk per checkpoint is
+        // compared with the GPU, rotating: within sixteen checkpoints the
+        // sample reaches chunk 10, and that checkpoint copies every chunk,
+        // raises an anomaly and commits the GPU's bytes.
+        let (device, pipeline) = framed_rig(4096, 256, 32);
+        let gpu = sparse_gpu(67);
+        let telemetry = Telemetry::enabled();
+        let ctx = test_ctx(&telemetry);
+        let anomalies = || {
+            let events = telemetry.events();
+            let anomaly = |e: &&pccheck_telemetry::Event| {
+                matches!(e.kind, pccheck_telemetry::EventKind::Anomaly { .. })
+            };
+            events.iter().filter(anomaly).count()
+        };
+        let mut caught = None;
+        for step in 1..=17u64 {
+            gpu.update_sparse(0.05);
+            let src = LosesWrites {
+                src: gpu.lock_weights_shared_owned(),
+                lost: 10 * 256..11 * 256,
+            };
+            let mode = CopyMode::Codec(DeltaPolicy::default());
+            let copied = commit_copy(&pipeline, ctx, src, mode);
+            let exact = copied.state_digest == gpu.digest();
+            assert_eq!(exact, step == 1 || anomalies() == 1, "step {step}");
+            if step > 1 && exact {
+                caught = Some(step);
+                break;
+            }
+        }
+        let caught = caught.expect("the sample never reached the lost chunk");
+        assert!(caught <= 1 + 16, "caught at {caught}");
+        let rec = crate::recovery::recover(device).unwrap();
+        assert_eq!(rec.iteration, caught);
+        let layout = gpu.with_weights(|s| s.layout());
+        let restored = TrainingState::restore(&layout, &rec.payload, caught).digest();
+        assert_eq!(restored, gpu.digest(), "the catching checkpoint is exact");
     }
 
     #[test]

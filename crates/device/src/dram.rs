@@ -143,6 +143,17 @@ impl HostBufferPool {
         while state.free.len() < chunks {
             state = self.shared.cond.wait(state);
         }
+        self.take(&mut state, chunks)
+    }
+
+    /// Takes `chunks` buffers in one step if that many are free right now,
+    /// and none otherwise.
+    pub fn try_acquire_many(&self, chunks: usize) -> Option<Vec<HostBuffer>> {
+        let mut state = self.shared.state.lock();
+        (state.free.len() >= chunks).then(|| self.take(&mut state, chunks))
+    }
+
+    fn take(&self, state: &mut PoolState, chunks: usize) -> Vec<HostBuffer> {
         let at = state.free.len() - chunks;
         let taken = state.free.split_off(at);
         state.outstanding += chunks;
@@ -304,7 +315,9 @@ mod tests {
         // still succeeds.
         let one = pool.try_acquire().expect("the odd chunk is free");
         assert!(rx.try_recv().is_err(), "2 chunks are not free yet");
+        assert!(pool.try_acquire_many(1).is_none(), "none left to try for");
         drop(one);
+        assert_eq!(pool.try_acquire_many(1).map(|taken| taken.len()), Some(1));
         drop(first);
         assert_eq!(rx.recv().unwrap(), 2);
         second.join().unwrap();

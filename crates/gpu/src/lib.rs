@@ -46,7 +46,8 @@ pub mod training;
 pub use checkpoint::{CheckpointOutcome, Checkpointer, NullCheckpointer};
 pub use copy::{CopyEngine, CopyEngineConfig, CopyPath};
 pub use gpu::{
-    merge_ranges, Gpu, GpuConfig, OwnedWeightsGuard, RestoreTarget, SnapshotSource, WeightsGuard,
+    merge_ranges, Gpu, GpuConfig, OwnedWeightsGuard, RestoreTarget, SnapshotSource, Version,
+    WeightsGuard, DIRTY_LOG_LEN,
 };
 pub use models::{GpuKind, ModelSpec, ModelZoo, SparseModelSpec};
 pub use tensor::{StateDigest, Tensor, TrainingState};
