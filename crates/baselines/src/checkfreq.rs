@@ -126,7 +126,7 @@ impl Checkpointer for CheckFreqCheckpointer {
             };
             let copy_start = telemetry.now_nanos();
             let total = guard.size();
-            let (host, digest) = pipeline.snapshot_whole(ctx, &guard, copy_start);
+            let (host, digest) = pipeline.snapshot_whole(ctx, &guard, iteration, copy_start);
             drop(guard); // snapshot done: weight updates may resume
 
             // Persist phase.

@@ -188,14 +188,14 @@ impl Checkpointer for GeminiCheckpointer {
         let handle = std::thread::spawn(move || {
             let copy_start = telemetry.now_nanos();
             let total = guard.size();
-            let step = guard.step_count();
             // Snapshot first (fast GPU-side copy), releasing the weights
             // before the slow network transfer — Gemini's pipeline keeps
             // training running while the state ships to the peer.
             let mut snapshot = vec![0u8; total.as_usize()];
             guard.copy_range_to_host(0, &mut snapshot);
             drop(guard);
-            let digest = StateDigest::of_payload(&snapshot, step);
+            // Folded at the iteration the commit records, as restore sets it.
+            let digest = StateDigest::of_payload(&snapshot, iteration);
             telemetry.chunk(span, Phase::GpuCopy, 0, total.as_u64());
             telemetry.phase_done(span, Phase::GpuCopy, copy_start);
             // Ship over the network in GPU-buffer-sized pieces (§3.2's

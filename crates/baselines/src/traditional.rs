@@ -101,7 +101,9 @@ impl Checkpointer for TraditionalCheckpointer {
         // C: copy weights to DRAM — inline, training thread blocked.
         let guard = gpu.lock_weights_shared();
         let total = guard.size();
-        let (host, digest) = self.pipeline.snapshot_whole(ctx, &guard, stall_start);
+        let (host, digest) = self
+            .pipeline
+            .snapshot_whole(ctx, &guard, iteration, stall_start);
         drop(guard);
         // P: write + sync to storage — still inline, slot leased after the
         // copy (the lease straddles only the persist, as before).

@@ -276,7 +276,7 @@ fn persist_framed(
     };
     let total = src.size();
     let lease = pipeline.lease(ctx, &pipeline.store().namespace(job)?);
-    let copied = pipeline.copy(ctx, &src, &lease, total, CopyMode::Codec(POLICY))?;
+    let copied = pipeline.copy(ctx, &src, &lease, iteration, total, CopyMode::Codec(POLICY))?;
     assert!(copied.frame.saved_bytes > 0, "tiled payload must pack");
     pipeline.seal(ctx, &lease, iteration, &copied)?;
     Ok((lease, copied))

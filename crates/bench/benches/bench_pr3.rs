@@ -120,7 +120,7 @@ fn measure(ways: u32) -> WaysResult {
         let total = src.size();
         let lease = pipeline.lease(ctx, &ns);
         let copied = pipeline
-            .copy(ctx, &src, &lease, total, CopyMode::Staged)
+            .copy(ctx, &src, &lease, iteration, total, CopyMode::Staged)
             .expect("staged copy on healthy device");
         pipeline
             .seal(ctx, &lease, iteration, &copied)

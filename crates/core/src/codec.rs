@@ -58,8 +58,18 @@
 //! token's high nibble is the literal count and the low nibble the match
 //! length minus [`MIN_MATCH`], both extended by 255-continuation bytes
 //! when they saturate at 15. The final sequence is literals-only. Matches
-//! reference a 64 KiB window. The compressor is greedy over a 4-byte
-//! hash table — built for persist-path throughput, not ratio.
+//! reference a 64 KiB window.
+//!
+//! The encoder is built for persist-path throughput, not ratio. It is
+//! greedy over a hash table of 4-byte words: a position whose word equals
+//! the word at the position last filed under the same hash, within the
+//! window, starts a match, and the match extends forward eight bytes at a
+//! time (the first differing byte falls out of the XOR of two words), byte
+//! by byte only over the input's last `< 8`. The bytes it emits are the
+//! ones a byte-at-a-time extension emits — same sequences, same cut-off at
+//! the same `limit` — so changing how fast it runs never changes what
+//! reaches the media; a test-only byte-wise oracle and pinned stream
+//! digests hold it to that.
 //!
 //! # Entropy gate
 //!
@@ -669,11 +679,7 @@ fn lz_compress_limit(src: &[u8], limit: usize) -> Option<Vec<u8>> {
             continue;
         }
         let c = cand - 1;
-        // Extend the match forward.
-        let mut mlen = MIN_MATCH;
-        while i + mlen < src.len() && src[c + mlen] == src[i + mlen] {
-            mlen += 1;
-        }
+        let mlen = MIN_MATCH + common_prefix(&src[c + MIN_MATCH..], &src[i + MIN_MATCH..]);
         emit_sequence(&mut out, &src[lit_start..i], (i - c) as u16, mlen);
         if out.len() >= limit {
             return None;
@@ -683,6 +689,29 @@ fn lz_compress_limit(src: &[u8], limit: usize) -> Option<Vec<u8>> {
     }
     emit_literals_only(&mut out, &src[lit_start..]);
     (out.len() < limit).then_some(out)
+}
+
+/// How many leading bytes `a` and `b` share, up to the shorter one: a
+/// match's extension, compared eight bytes at a time — the first differing
+/// word's lowest set bit names the first differing byte — and byte by byte
+/// over the last `< 8`.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[..n], &b[..n]);
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("an 8-byte chunk"));
+    let mut k = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let diff = word(x) ^ word(y);
+        if diff != 0 {
+            return k + (diff.trailing_zeros() / 8) as usize;
+        }
+        k += 8;
+    }
+    k + a[k..]
+        .iter()
+        .zip(&b[k..])
+        .take_while(|(x, y)| x == y)
+        .count()
 }
 
 fn write_run(out: &mut Vec<u8>, mut run: usize) {
@@ -1508,6 +1537,191 @@ mod tests {
                 assert_eq!(lz_decompress(&comp, src.len()).unwrap(), src);
             }
         });
+    }
+
+    /// A reference encoder that extends each match one byte per step, with
+    /// the same hash, candidate check, window and cut-off: the oracle the
+    /// word-wise encoder must equal byte for byte.
+    fn lz_compress_bytewise(src: &[u8], limit: usize) -> Option<Vec<u8>> {
+        const HASH_BITS: u32 = 13;
+        let mut table = [0usize; 1 << HASH_BITS];
+        let hash = |w: u32| -> usize { (w.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize };
+        let word_at = |i: usize| -> u32 { u32::from_le_bytes(src[i..i + 4].try_into().unwrap()) };
+        let mut out = Vec::new();
+        let (mut lit_start, mut i) = (0usize, 0usize);
+        while i < src.len().saturating_sub(MIN_MATCH) {
+            let w = word_at(i);
+            let h = hash(w);
+            let cand = table[h];
+            table[h] = i + 1;
+            if cand == 0 || i - (cand - 1) > MAX_OFFSET || word_at(cand - 1) != w {
+                i += 1;
+                continue;
+            }
+            let c = cand - 1;
+            let mut mlen = MIN_MATCH;
+            while i + mlen < src.len() && src[c + mlen] == src[i + mlen] {
+                mlen += 1;
+            }
+            emit_sequence(&mut out, &src[lit_start..i], (i - c) as u16, mlen);
+            if out.len() >= limit {
+                return None;
+            }
+            i += mlen;
+            lit_start = i;
+        }
+        emit_literals_only(&mut out, &src[lit_start..]);
+        (out.len() < limit).then_some(out)
+    }
+
+    /// `period` pseudo-random bytes from `seed`, tiled to `len`.
+    fn tiled(period: usize, len: usize, seed: u64) -> Vec<u8> {
+        let mut tile = vec![0u8; period];
+        pccheck_util::rng::fill_deterministic(&mut tile, seed);
+        tile.iter().copied().cycle().take(len).collect()
+    }
+
+    /// A sparse update's dirty chunk: `tile` tiled across `len`, with the
+    /// bytes from `start` on re-stepped the way an optimizer step maps
+    /// them (position-independent, so the suffix stays tiled).
+    fn restepped(tile: usize, len: usize, start: usize, step: u8, seed: u64) -> Vec<u8> {
+        let mut src = tiled(tile, len, seed);
+        let delta = step.wrapping_mul(2).wrapping_add(1);
+        for b in &mut src[start.min(len)..] {
+            *b = b.wrapping_add(delta).rotate_left(1);
+        }
+        src
+    }
+
+    /// Both encoders agree on `src` at every limit that matters: none, the
+    /// stream's exact length and one past it (the `None` boundary), and
+    /// `extra`.
+    fn assert_encoders_agree(src: &[u8], extra: usize) {
+        let full = lz_compress_bytewise(src, usize::MAX).expect("no limit");
+        for limit in [usize::MAX, full.len(), full.len() + 1, extra] {
+            assert_eq!(
+                lz_compress_limit(src, limit),
+                lz_compress_bytewise(src, limit),
+                "len {} limit {limit}",
+                src.len()
+            );
+        }
+        assert_eq!(lz_decompress(&full, src.len()).as_deref(), Some(src));
+    }
+
+    #[test]
+    fn prop_word_wise_encoder_emits_the_bytewise_stream() {
+        check(DEFAULT_CASES, |r| {
+            let src = match r.range(0..6) {
+                0 => {
+                    let len = r.range(0..4096) as usize;
+                    r.bytes(len)
+                }
+                1 => {
+                    let period = match r.range(0..4) {
+                        0 => 64,
+                        1 => 4096,
+                        _ => r.range(1..4097) as usize,
+                    };
+                    let len = r.range(0..3 * period as u64 + 64) as usize;
+                    tiled(period, len, r.next_u64())
+                }
+                2 => {
+                    let tile = [64, 4096][r.range(0..2) as usize];
+                    let len = r.range(1..16_384) as usize;
+                    let start = r.range(0..len as u64) as usize;
+                    restepped(tile, len, start, r.range(1..256) as u8, r.next_u64())
+                }
+                3 => {
+                    // A match ending `d` bytes before the end of the input:
+                    // the repeat stops at a byte that breaks it.
+                    let len = r.range(8..200) as usize;
+                    let head = r.bytes(len);
+                    let repeat = r.range(4..len as u64) as usize;
+                    let mut src = head.clone();
+                    src.extend_from_slice(&head[..repeat]);
+                    let d = r.range(0..17) as usize;
+                    if d > 0 {
+                        src.push(head[repeat] ^ 0xFF);
+                        src.extend(r.bytes(d - 1));
+                    }
+                    src
+                }
+                4 => {
+                    // A candidate exactly at the window's edge (or one past
+                    // it): zeros in between are one long match, so nothing
+                    // displaces the first word from the hash table.
+                    let gap = MAX_OFFSET + r.range(0..2) as usize;
+                    let word = r.bytes(8);
+                    let mut src = word.clone();
+                    src.resize(gap, 0);
+                    src.extend_from_slice(&word);
+                    let tail = r.range(0..16) as usize;
+                    src.extend(r.bytes(tail));
+                    src
+                }
+                _ => {
+                    // Fewer than 8 bytes past a match, or no room for one.
+                    let (n, fill, tail) = (r.range(0..24), r.range(0..3), r.range(0..8));
+                    let mut src = vec![fill as u8; n as usize];
+                    src.extend(r.bytes(tail as usize));
+                    src
+                }
+            };
+            let extra = r.range(0..src.len() as u64 + 2) as usize;
+            assert_encoders_agree(&src, extra);
+        });
+    }
+
+    #[test]
+    fn the_window_edge_is_a_match_and_one_past_it_is_not() {
+        let stream = |gap: usize| {
+            let word = *b"\x11\x22\x33\x44\x55\x66\x77\x88";
+            let mut src = word.to_vec();
+            src.resize(gap, 0);
+            src.extend_from_slice(&word);
+            assert_encoders_agree(&src, 0);
+            lz_compress_limit(&src, usize::MAX).unwrap()
+        };
+        // Within the window the repeated word is one 8-byte match, the
+        // 2-byte offset of 65 535 just before the terminal token; past it,
+        // literals.
+        let edge = stream(MAX_OFFSET);
+        let offset = u16::try_from(MAX_OFFSET).unwrap().to_le_bytes();
+        assert_eq!(&edge[edge.len() - 3..edge.len() - 1], &offset);
+        assert!(stream(MAX_OFFSET + 1).len() > edge.len());
+    }
+
+    /// The LZ stream's bytes for three inputs, pinned: a change that alters
+    /// what reaches the media (and with it `write_amp`) fails here by name.
+    #[test]
+    fn lz_streams_are_pinned() {
+        const LEN: usize = 256 * 1024;
+        let golden = [
+            (
+                "64-byte tile",
+                tiled(64, LEN, 0xc0),
+                (1097, 0xe852_1fef_eaad_6568),
+            ),
+            (
+                "4096-byte tile",
+                tiled(4096, LEN, 0xc1),
+                (5129, 0x5ec2_4285_a416_e69a),
+            ),
+            (
+                "re-stepped suffix",
+                restepped(64, LEN, LEN / 2 + 7, 3, 0xc2),
+                (1165, 0x54f9_96bd_82e5_a8db),
+            ),
+        ];
+        for (name, src, want) in golden {
+            let stream = lz_compress_limit(&src, usize::MAX).unwrap();
+            assert_eq!(
+                (stream.len(), fnv1a(&stream)),
+                want,
+                "{name}: the encoder's output moved"
+            );
+        }
     }
 
     #[test]

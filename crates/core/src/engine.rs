@@ -650,7 +650,7 @@ impl PcCheckEngine {
         } else {
             CopyMode::Staged
         };
-        let copied = pipeline.copy(ctx, src, &mut slot, total, mode)?;
+        let copied = pipeline.copy(ctx, src, &mut slot, iteration, total, mode)?;
         let lease = slot.into_lease().expect("a copy that returned has leased");
         pipeline.seal(ctx, &lease, iteration, &copied)?;
         // Durable; commit once every older checkpoint of this engine has.
@@ -1626,6 +1626,45 @@ mod tests {
         let reopened = PcCheckEngine::with_store(config, store).unwrap();
         let out = reopened.last_committed().expect("resumed");
         assert_eq!((out.iteration, out.digest), (1, gpu.digest()));
+    }
+
+    #[test]
+    fn a_checkpoint_whose_iteration_is_not_the_step_count_recovers() {
+        // One update (step 1), acknowledged as iteration 100: the frame's
+        // state digest is folded with the iteration its commit records,
+        // which is what restore verifies — streamed, staged and codec.
+        for (pipelined, codec) in [(true, false), (false, false), (true, true)] {
+            let gpu = compressible_gpu(4096, 61);
+            let cap = capacity(&gpu, 256, 3);
+            let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
+            let config = PcCheckConfig::builder()
+                .max_concurrent(2)
+                .writer_threads(2)
+                .chunk_size(ByteSize::from_bytes(256))
+                .dram_chunks(16)
+                .pipelined(pipelined)
+                .codec(codec)
+                .build()
+                .unwrap();
+            let device: Arc<dyn PersistentDevice> = ssd.clone();
+            let engine = PcCheckEngine::new(config, device, gpu.state_size()).unwrap();
+            gpu.update();
+            engine.checkpoint(&gpu, 100);
+            engine.try_drain().unwrap();
+            let acked = engine.last_committed().unwrap();
+            ssd.crash_now();
+            ssd.recover();
+            let rec = crate::recovery::recover(ssd).unwrap();
+            let fresh = compressible_gpu(4096, 0);
+            rec.restore_into(&fresh);
+            let case = format!("pipelined={pipelined} codec={codec}");
+            assert_eq!(
+                (rec.iteration, fresh.digest()),
+                (100, acked.digest),
+                "{case}"
+            );
+            assert_eq!(acked.iteration, 100, "{case}");
+        }
     }
 
     #[test]

@@ -109,6 +109,6 @@ pub use store::{
     CheckpointStore, CommitOutcome, JobId, Namespace, RawStoreView, SlotOutcome, DEFAULT_JOB,
 };
 pub use tuner::{
-    AdaptiveTuner, ControllerAction, ControllerConfig, ControllerDecision, ControllerSignals,
-    PersistController, TierHint, Tuner, TunerInputs, TunerRecommendation,
+    ControllerAction, ControllerConfig, ControllerDecision, ControllerSignals, PersistController,
+    TierHint, Tuner, TunerInputs, TunerRecommendation,
 };

@@ -213,7 +213,9 @@ impl AsRef<[u8]> for StagedChunk {
 /// waits for what"). Same definitions as [`pccheck_util::fnv`]'s in-order
 /// forms, without their order.
 struct Digests {
-    step: u64,
+    /// The iteration the checkpoint's commit records, which the state
+    /// digest folds in.
+    iteration: u64,
     len: u64,
     /// The staging chunk size: chunk `i` starts at `i × chunk`.
     chunk: u64,
@@ -230,10 +232,10 @@ struct Digests {
 }
 
 impl Digests {
-    fn of(src: &impl SnapshotSource, total: ByteSize, chunk: u64) -> Arc<Self> {
+    fn of(iteration: u64, total: ByteSize, chunk: u64) -> Arc<Self> {
         let cells = |n: u64| (0..n).map(|_| AtomicU64::new(0)).collect();
         Arc::new(Digests {
-            step: src.step_count(),
+            iteration,
             len: total.as_u64(),
             chunk,
             blocks: cells(total.as_u64().div_ceil(DIGEST_BLOCK as u64)),
@@ -310,7 +312,7 @@ impl Digests {
     /// The state digest, once every block has been filed.
     fn fold(&self) -> StateDigest {
         let values = self.blocks.iter().map(|cell| cell.load(Ordering::Relaxed));
-        StateDigest(fold_blocks(self.step, self.len, values))
+        StateDigest(fold_blocks(self.iteration, self.len, values))
     }
 
     /// The chunks' content addresses, once every chunk has been filed.
@@ -1073,7 +1075,7 @@ impl PersistPipeline {
                 let differ = gpu.iter().zip(carried).filter(|(a, b)| a != b).count();
                 let share = differ as f64 / carried.len() as f64;
                 ctx.telemetry
-                    .anomaly(src.step_count(), share, 0.0, f64::INFINITY);
+                    .anomaly(digests.iteration, share, 0.0, f64::INFINITY);
                 return Carry::nothing(n, dirty);
             }
         }
@@ -1246,6 +1248,12 @@ impl PersistPipeline {
     /// classifies, compresses or packs anything and while the streamed
     /// copy's writes are still landing. Pass `&guard` to keep a guard.
     ///
+    /// `iteration` is the one the commit will record: the state digest the
+    /// frame carries is folded with it, not with the source's step count.
+    /// Restore verifies against the committed iteration and sets the GPU's
+    /// step to it, so the frame verifies and the restored GPU's digest is
+    /// the one this copy returns. Every verb follows that rule.
+    ///
     /// `slot` is leased when the first write needs it: before staging when
     /// streamed, after `src` is dropped otherwise (module docs, "Who waits
     /// for what"). A staged or codec copy stages the whole snapshot through
@@ -1280,6 +1288,7 @@ impl PersistPipeline {
         ctx: PipelineCtx<'_>,
         src: S,
         mut slot: impl LeaseSlot,
+        iteration: u64,
         total: ByteSize,
         mode: CopyMode,
     ) -> Result<Copied, PccheckError> {
@@ -1294,7 +1303,7 @@ impl PersistPipeline {
             mode => mode,
         };
         let job = slot.job();
-        let digests = Digests::of(&src, total, chunk);
+        let digests = Digests::of(iteration, total, chunk);
         let copy_done = |lease: &SlotLease| {
             let (counter, slot, len) = (lease.counter, lease.slot, total.as_u64());
             let flight = self.io.store.flight();
@@ -1557,7 +1566,14 @@ impl PersistPipeline {
     ) -> Result<(CommitOutcome, Copied), PccheckError> {
         let total = src.size();
         let mut slot = DeferredLease::new(ns.job(), || self.lease(ctx, ns));
-        let copied = self.copy(ctx, src, &mut slot, total, CopyMode::Codec(policy))?;
+        let copied = self.copy(
+            ctx,
+            src,
+            &mut slot,
+            iteration,
+            total,
+            CopyMode::Codec(policy),
+        )?;
         let lease = slot.into_lease().expect("a copy that returned has leased");
         self.seal(ctx, &lease, iteration, &copied)?;
         let out = self.commit(ctx, lease, iteration, &copied)?;
@@ -1565,19 +1581,22 @@ impl PersistPipeline {
     }
 
     /// Whole-buffer snapshot: copies the entire source into one host
-    /// allocation, digests it, and closes the `GpuCopy` phase that started
-    /// at `phase_start` (the traditional/CheckFreq `C` step). The digest
-    /// rides with the bytes into [`persist_whole`](Self::persist_whole).
+    /// allocation, digests it at `iteration` (the one the commit records,
+    /// as for [`copy`](Self::copy)), and closes the `GpuCopy` phase that
+    /// started at `phase_start` (the traditional/CheckFreq `C` step). The
+    /// digest rides with the bytes into
+    /// [`persist_whole`](Self::persist_whole).
     pub fn snapshot_whole(
         &self,
         ctx: PipelineCtx<'_>,
         src: &dyn SnapshotSource,
+        iteration: u64,
         phase_start: u64,
     ) -> (Vec<u8>, StateDigest) {
         let total = src.size();
         let mut host = vec![0u8; total.as_usize()];
         src.copy_range_to_host(0, &mut host);
-        let state_digest = StateDigest::of_payload(&host, src.step_count());
+        let state_digest = StateDigest::of_payload(&host, iteration);
         ctx.telemetry
             .chunk(ctx.span, Phase::GpuCopy, 0, total.as_u64());
         ctx.telemetry
@@ -1635,7 +1654,8 @@ impl PersistPipeline {
     /// frame, its table written last — with no DRAM staging, then issues
     /// one same-thread fence over the payload. `GpuCopy` and `Persist`
     /// overlap tile-by-tile, so both phases close against the shared
-    /// `phase_start`.
+    /// `phase_start`. The state digest is folded at `iteration`, as for
+    /// [`copy`](Self::copy).
     ///
     /// # Errors
     ///
@@ -1671,7 +1691,7 @@ impl PersistPipeline {
         }
         ctx.telemetry
             .phase_done(ctx.span, Phase::GpuCopy, phase_start);
-        let state_digest = StateDigest(fold_blocks(src.step_count(), total, blocks));
+        let state_digest = StateDigest(fold_blocks(iteration, total, blocks));
         let table = FrameTable::all_raw(lease.counter, state_digest.0, records).encode();
         self.io.write_chunk(ctx, lease.slot, 0, &table)?;
         // cudaDeviceSynchronize + msync/fence: one persist over the payload
@@ -1844,7 +1864,7 @@ mod tests {
         };
         let guard = g.lock_weights_shared();
         let start = telemetry.now_nanos();
-        let (host, digest) = pipeline.snapshot_whole(ctx, &guard, start);
+        let (host, digest) = pipeline.snapshot_whole(ctx, &guard, 1, start);
         drop(guard);
         let (lease, copied) = pipeline
             .persist_whole(ctx, &default_ns(&pipeline), &host, digest, 1)
@@ -1888,7 +1908,7 @@ mod tests {
             let total = guard.size();
             let lease = pipeline.lease(ctx, &default_ns(&pipeline));
             let copied = pipeline
-                .copy(ctx, &guard, &lease, total, raw(streamed))
+                .copy(ctx, &guard, &lease, 1, total, raw(streamed))
                 .unwrap();
             drop(guard);
             pipeline.seal(ctx, &lease, 1, &copied).unwrap();
@@ -1925,7 +1945,7 @@ mod tests {
             let total = guard.size();
             let lease = pipeline.lease(ctx, &default_ns(&pipeline));
             let copied = pipeline
-                .copy(ctx, &guard, &lease, total, raw(streamed))
+                .copy(ctx, &guard, &lease, 1, total, raw(streamed))
                 .unwrap();
             drop(guard);
             pipeline.seal(ctx, &lease, 1, &copied).unwrap();
@@ -1973,7 +1993,7 @@ mod tests {
         let total = guard.size();
         let lease = pipeline.lease(ctx, &default_ns(&pipeline));
         let copied = pipeline
-            .copy(ctx, &guard, &lease, total, CopyMode::Staged)
+            .copy(ctx, &guard, &lease, 1, total, CopyMode::Staged)
             .unwrap();
         drop(guard);
         pipeline.seal(ctx, &lease, 1, &copied).unwrap();
@@ -2008,7 +2028,7 @@ mod tests {
             span,
         };
         let guard = g.lock_weights_shared();
-        let (host, digest) = pipeline.snapshot_whole(ctx, &guard, 0);
+        let (host, digest) = pipeline.snapshot_whole(ctx, &guard, 1, 0);
         drop(guard);
         let (lease, copied) = pipeline
             .persist_whole(ctx, &default_ns(&pipeline), &host, digest, 1)
@@ -2063,7 +2083,7 @@ mod tests {
             let lease = pipeline.lease(ctx, ns);
             assert_eq!(lease.job(), ns.job());
             let copied = pipeline
-                .copy(ctx, &guard, &lease, total, CopyMode::Streamed)
+                .copy(ctx, &guard, &lease, iter, total, CopyMode::Streamed)
                 .unwrap();
             drop(guard);
             pipeline.seal(ctx, &lease, iter, &copied).unwrap();
@@ -2219,7 +2239,7 @@ mod tests {
                 "framed" => CopyMode::Codec(DeltaPolicy::default()),
                 _ => raw(caller.starts_with("overlapped")),
             };
-            let copy = |lease: &SlotLease| pipeline.copy(ctx, &src, lease, state, mode);
+            let copy = |lease: &SlotLease| pipeline.copy(ctx, &src, lease, 1, state, mode);
             let lease = pipeline.lease(ctx, &default_ns(&pipeline));
             let err = std::thread::scope(|s| {
                 if queued {
@@ -2277,7 +2297,6 @@ mod tests {
     #[test]
     fn set_writers_resizes_the_resident_pool_and_drops_no_chunk() {
         let g = gpu(900, 53);
-        g.update();
         let pool = HostBufferPool::new(ByteSize::from_bytes(128), 8);
         let pipeline = PersistPipeline::new(ssd_store(g.state_size(), 3))
             .with_writers(2)
@@ -2289,6 +2308,7 @@ mod tests {
         for (width, through) in [(2, &pipeline), (4, &clone), (1, &pipeline), (3, &clone)] {
             clone.set_writers(width);
             assert_eq!(pipeline.writers(), width, "clones share the pool");
+            g.update();
             checkpoints += 1;
             let span = telemetry.span_requested("test", checkpoints, 900);
             let ctx = PipelineCtx {
@@ -2298,7 +2318,14 @@ mod tests {
             let lease = through.lease(ctx, &default_ns(through));
             let guard = g.lock_weights_shared_owned();
             let copied = through
-                .copy(ctx, guard, &lease, g.state_size(), CopyMode::Streamed)
+                .copy(
+                    ctx,
+                    guard,
+                    &lease,
+                    checkpoints,
+                    g.state_size(),
+                    CopyMode::Streamed,
+                )
                 .unwrap();
             through.seal(ctx, &lease, checkpoints, &copied).unwrap();
             let out = through.commit(ctx, lease, checkpoints, &copied).unwrap();
@@ -2347,6 +2374,7 @@ mod tests {
                     ctx,
                     g.lock_weights_shared_owned(),
                     &lease,
+                    iter,
                     g.state_size(),
                     CopyMode::Streamed,
                 )
@@ -2406,7 +2434,9 @@ mod tests {
             };
             let lease = pipeline.lease(ctx, &tenants[job - 1]);
             let codec = CopyMode::Codec(DeltaPolicy::default());
-            let copied = pipeline.copy(ctx, &src, &lease, state, codec).unwrap();
+            let copied = pipeline
+                .copy(ctx, &src, &lease, iter, state, codec)
+                .unwrap();
             pipeline.seal(ctx, &lease, iter, &copied).unwrap();
             pipeline.commit(ctx, lease, iter, &copied).unwrap();
             assert!(copied.frame.saved_bytes > 0, "self-redundant payload packs");
@@ -2727,7 +2757,9 @@ mod tests {
     ) -> Copied {
         let (total, iteration) = (src.size(), src.step_count());
         let lease = pipeline.lease(ctx, &default_ns(pipeline));
-        let copied = pipeline.copy(ctx, src, &lease, total, mode).unwrap();
+        let copied = pipeline
+            .copy(ctx, src, &lease, iteration, total, mode)
+            .unwrap();
         pipeline.seal(ctx, &lease, iteration, &copied).unwrap();
         let out = pipeline.commit(ctx, lease, iteration, &copied).unwrap();
         assert_eq!(out, CommitOutcome::Committed);

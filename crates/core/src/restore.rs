@@ -679,7 +679,7 @@ mod tests {
             let guard = gpu.lock_weights_shared_owned();
             let lease = pipeline.lease(ctx, &ns(pipeline.store()));
             let copied = pipeline
-                .copy(ctx, &guard, &lease, total, CopyMode::Streamed)
+                .copy(ctx, &guard, &lease, iter, total, CopyMode::Streamed)
                 .unwrap();
             drop(guard);
             pipeline.seal(ctx, &lease, iter, &copied).unwrap();

@@ -17,11 +17,10 @@
 //! `Tw(N)` — the per-checkpoint write time under `N`-way contention — and
 //! picks the `N` minimizing `Tw(N)/N`, subject to `N ≤ S/m − 1`.
 //!
-//! Beyond the static tool, this module hosts two online controllers:
-//! [`AdaptiveTuner`] re-solves equation (3) for the checkpoint interval as
-//! `t` and `Tw` drift, and [`PersistController`] closes the loop over the
-//! *persist path itself* — writer count, chunk codec, delta policy, chunk
-//! sizing, and tier placement — from live telemetry snapshots.
+//! Beyond the static tool, this module hosts the online controller,
+//! [`PersistController`], which closes the loop over the *persist path
+//! itself* — writer count, chunk codec, delta policy, chunk sizing, and
+//! tier placement — from live telemetry snapshots.
 
 use pccheck_telemetry::TelemetrySnapshot;
 use pccheck_util::{Bandwidth, ByteSize, SimDuration};
@@ -199,135 +198,6 @@ impl Tuner {
         let with = self.modeled_runtime(iterations, interval, n, write_time);
         let without = self.inputs.iter_time * iterations;
         with.as_secs_f64() / without.as_secs_f64()
-    }
-}
-
-/// Online re-tuning of the checkpoint interval (§3.4's proposed extension:
-/// "monitor training throughput and traffic between GPU, CPU, and storage,
-/// and adapt (3) accordingly").
-///
-/// The optimal `f*` from equation (3) depends on the iteration time `t`
-/// and the contended write time `Tw`, both of which drift during training
-/// — vision workloads become input-bound, LLM training offloads
-/// activations over the same PCIe/storage paths. [`AdaptiveTuner`] keeps
-/// sliding windows of both measurements and recomputes `f*` whenever the
-/// estimate moves materially.
-///
-/// # Examples
-///
-/// ```
-/// use pccheck::tuner::AdaptiveTuner;
-/// use pccheck_util::SimDuration;
-///
-/// let mut tuner = AdaptiveTuner::new(2, 1.05, 10, SimDuration::from_secs(2), 4);
-/// assert_eq!(tuner.interval(), 10);
-/// // The disk got busier: write times doubled. The interval stretches.
-/// for _ in 0..8 {
-///     tuner.record_iteration(SimDuration::from_secs(2));
-///     tuner.record_write_time(SimDuration::from_secs(168));
-/// }
-/// assert!(tuner.interval() > 10);
-/// ```
-#[derive(Debug, Clone)]
-pub struct AdaptiveTuner {
-    n: usize,
-    max_slowdown: f64,
-    interval: u64,
-    window: usize,
-    iter_times: std::collections::VecDeque<f64>,
-    write_times: std::collections::VecDeque<f64>,
-    retunes: u64,
-}
-
-impl AdaptiveTuner {
-    /// Hysteresis: re-tune only when the recomputed interval differs from
-    /// the current one by more than this fraction.
-    const RETUNE_THRESHOLD: f64 = 0.25;
-
-    /// Creates an adaptive tuner starting from `initial_interval`, with a
-    /// sliding window of `window` measurements per signal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`, `q < 1`, `initial_interval == 0`, the seed
-    /// iteration time is zero, or `window == 0`.
-    pub fn new(
-        n: usize,
-        max_slowdown: f64,
-        initial_interval: u64,
-        seed_iter_time: SimDuration,
-        window: usize,
-    ) -> Self {
-        assert!(n > 0, "N must be positive");
-        assert!(max_slowdown >= 1.0, "q must be >= 1");
-        assert!(initial_interval > 0, "interval must be positive");
-        assert!(!seed_iter_time.is_zero(), "iteration time must be nonzero");
-        assert!(window > 0, "window must be positive");
-        let mut iter_times = std::collections::VecDeque::with_capacity(window);
-        iter_times.push_back(seed_iter_time.as_secs_f64());
-        AdaptiveTuner {
-            n,
-            max_slowdown,
-            interval: initial_interval,
-            window,
-            iter_times,
-            write_times: std::collections::VecDeque::with_capacity(window),
-            retunes: 0,
-        }
-    }
-
-    /// The interval currently in force.
-    pub fn interval(&self) -> u64 {
-        self.interval
-    }
-
-    /// Number of times the interval has been adjusted.
-    pub fn retunes(&self) -> u64 {
-        self.retunes
-    }
-
-    /// Records a measured iteration time.
-    pub fn record_iteration(&mut self, t: SimDuration) {
-        Self::push(&mut self.iter_times, t.as_secs_f64(), self.window);
-        self.maybe_retune();
-    }
-
-    /// Records a measured end-to-end checkpoint write time (`Tw`).
-    pub fn record_write_time(&mut self, tw: SimDuration) {
-        Self::push(&mut self.write_times, tw.as_secs_f64(), self.window);
-        self.maybe_retune();
-    }
-
-    fn push(q: &mut std::collections::VecDeque<f64>, v: f64, cap: usize) {
-        if q.len() == cap {
-            q.pop_front();
-        }
-        q.push_back(v);
-    }
-
-    fn mean(q: &std::collections::VecDeque<f64>) -> Option<f64> {
-        if q.is_empty() {
-            None
-        } else {
-            Some(q.iter().sum::<f64>() / q.len() as f64)
-        }
-    }
-
-    fn maybe_retune(&mut self) {
-        let (Some(t), Some(tw)) = (Self::mean(&self.iter_times), Self::mean(&self.write_times))
-        else {
-            return;
-        };
-        if t <= 0.0 {
-            return;
-        }
-        // Equation (3) with the current estimates.
-        let target = ((tw / (self.n as f64 * self.max_slowdown * t)).ceil() as u64).max(1);
-        let drift = (target as f64 - self.interval as f64).abs() / self.interval as f64;
-        if drift > Self::RETUNE_THRESHOLD {
-            self.interval = target;
-            self.retunes += 1;
-        }
     }
 }
 
@@ -512,8 +382,8 @@ pub struct ControllerDecision {
 /// writer count, codec enablement, delta policy, and (advisorily) chunk
 /// size and tier placement from live [`TelemetrySnapshot`] deltas.
 ///
-/// Where [`AdaptiveTuner`] answers *when* to checkpoint (equation (3)),
-/// this controller answers *how*: each interval it differences the
+/// Where [`Tuner`] answers *when* to checkpoint (equation (3)), this
+/// controller answers *how*: each interval it differences the
 /// cumulative telemetry counters, extracts per-interval means, and nudges
 /// one step per knob at most — see [`ControllerConfig`] for the
 /// hysteresis argument. All decisions are deterministic functions of the
@@ -912,54 +782,6 @@ mod tests {
         let mut i = opt13b_inputs();
         i.iter_time = SimDuration::ZERO;
         assert!(Tuner::new(i).is_err());
-    }
-
-    #[test]
-    fn adaptive_tuner_tracks_slowing_storage() {
-        // Start at the static recommendation for OPT-1.3B (Tw ≈ 75 s at
-        // N=2 → f* ≈ 18); then the disk degrades 3x: f* should triple.
-        let mut t = AdaptiveTuner::new(2, 1.05, 18, SimDuration::from_secs(2), 5);
-        for _ in 0..5 {
-            t.record_iteration(SimDuration::from_secs(2));
-            t.record_write_time(SimDuration::from_secs(75));
-        }
-        assert_eq!(t.interval(), 18, "stable inputs keep the interval");
-        for _ in 0..5 {
-            t.record_write_time(SimDuration::from_secs(225));
-        }
-        assert!((40..=60).contains(&t.interval()), "got {}", t.interval()); // hysteresis may settle just below 54
-        assert!(t.retunes() >= 1);
-    }
-
-    #[test]
-    fn adaptive_tuner_tightens_when_iterations_slow() {
-        // Slower iterations absorb more write time per interval: f* drops.
-        let mut t = AdaptiveTuner::new(2, 1.05, 18, SimDuration::from_secs(2), 4);
-        for _ in 0..4 {
-            t.record_write_time(SimDuration::from_secs(75));
-        }
-        for _ in 0..4 {
-            t.record_iteration(SimDuration::from_secs(8)); // 4x slower
-        }
-        assert!(t.interval() < 10, "got {}", t.interval());
-    }
-
-    #[test]
-    fn adaptive_tuner_has_hysteresis() {
-        // Small drift (< 25%) never flaps the interval.
-        let mut t = AdaptiveTuner::new(2, 1.05, 18, SimDuration::from_secs(2), 4);
-        for i in 0..20u64 {
-            t.record_iteration(SimDuration::from_millis(2000 + (i % 3) * 50));
-            t.record_write_time(SimDuration::from_secs(75));
-        }
-        assert_eq!(t.retunes(), 0, "jitter must not retune");
-        assert_eq!(t.interval(), 18);
-    }
-
-    #[test]
-    #[should_panic(expected = "window must be positive")]
-    fn adaptive_tuner_rejects_zero_window() {
-        AdaptiveTuner::new(1, 1.05, 10, SimDuration::from_secs(1), 0);
     }
 
     /// Signals for an interval of `checkpoints` checkpoints at a mean

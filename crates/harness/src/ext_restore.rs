@@ -143,7 +143,7 @@ pub fn committed_store(size: ByteSize, ways: u32) -> Arc<CheckpointStore> {
     };
     let lease = persist.lease(ctx, &ns);
     let copied = persist
-        .copy(ctx, &src, &lease, size, CopyMode::Streamed)
+        .copy(ctx, &src, &lease, 1, size, CopyMode::Streamed)
         .expect("persist payload");
     persist.seal(ctx, &lease, 1, &copied).expect("seal");
     persist.commit(ctx, lease, 1, &copied).expect("commit");

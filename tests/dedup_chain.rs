@@ -85,7 +85,7 @@ fn dedup_chain_restore_is_bit_identical_to_full_checkpoints() {
 
         let lease = pipe_b.lease(ctx, &ns_b);
         let copied = pipe_b
-            .copy(ctx, &guard, &lease, total, CopyMode::Streamed)
+            .copy(ctx, &guard, &lease, iter, total, CopyMode::Streamed)
             .expect("full copy");
         drop(guard);
         pipe_b.seal(ctx, &lease, iter, &copied).expect("seal");

@@ -300,7 +300,7 @@ fn a_frame_whose_base_was_displaced_is_withdrawn_not_committed() {
     let guard = gpu.lock_weights_shared_owned();
     let lease_c = pipeline.lease(ctx, &ns(&store));
     let copied_c = pipeline
-        .copy(ctx, &guard, &lease_c, total, CopyMode::Streamed)
+        .copy(ctx, &guard, &lease_c, 2, total, CopyMode::Streamed)
         .expect("C copies");
     drop(guard);
     pipeline.seal(ctx, &lease_c, 2, &copied_c).expect("C seals");
@@ -310,7 +310,7 @@ fn a_frame_whose_base_was_displaced_is_withdrawn_not_committed() {
     let guard = gpu.lock_weights_shared_owned();
     let lease_b = pipeline.lease(ctx, &ns(&store));
     let copied_b = pipeline
-        .copy(ctx, &guard, &lease_b, total, CopyMode::Codec(policy))
+        .copy(ctx, &guard, &lease_b, 3, total, CopyMode::Codec(policy))
         .expect("B copies");
     drop(guard);
     let link = copied_b.frame.link.expect("B references A");

@@ -90,7 +90,7 @@ fn parallel_and_sequential_recovery_agree_on_full_checkpoints() {
         let total = guard.size();
         let lease = pipe.lease(ctx, &ns(&store));
         let copied = pipe
-            .copy(ctx, &guard, &lease, total, CopyMode::Streamed)
+            .copy(ctx, &guard, &lease, iter, total, CopyMode::Streamed)
             .expect("full copy");
         drop(guard);
         pipe.seal(ctx, &lease, iter, &copied).expect("seal");

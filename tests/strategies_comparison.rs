@@ -141,6 +141,50 @@ fn storage_backed_strategies_all_recover_identically() {
     }
 }
 
+#[test]
+fn every_baseline_recovers_a_checkpoint_acknowledged_at_another_iteration() {
+    // One update (step 1), acknowledged as iteration 100: each baseline's
+    // verb folds the state digest with the iteration its commit records,
+    // so recovery verifies the checkpoint and the restored GPU's digest is
+    // the acknowledged one.
+    let gpu = fresh_gpu(17);
+    gpu.update();
+    let size = gpu.state_size();
+    let restored = |name: &str, ckpt: &dyn Checkpointer, rec: pccheck::RecoveredCheckpoint| {
+        let acked = ckpt.last_committed().expect("acknowledged");
+        let fresh = fresh_gpu(0);
+        rec.restore_into(&fresh);
+        assert_eq!(
+            (rec.iteration, fresh.digest()),
+            (100, acked.digest),
+            "{name}"
+        );
+    };
+    for name in ["traditional", "checkfreq", "gpm"] {
+        let ssd = fresh_ssd(2);
+        let ckpt: Box<dyn Checkpointer> = match name {
+            "traditional" => Box::new(TraditionalCheckpointer::new(ssd.clone(), size).unwrap()),
+            "checkfreq" => Box::new(CheckFreqCheckpointer::new(ssd.clone(), size).unwrap()),
+            _ => Box::new(GpmCheckpointer::new(ssd.clone(), size).unwrap()),
+        };
+        ckpt.checkpoint(&gpu, 100);
+        ckpt.drain();
+        ssd.crash_now();
+        ssd.recover();
+        let rec = recovery::recover(ssd).unwrap_or_else(|e| panic!("{name}: {e}"));
+        restored(name, ckpt.as_ref(), rec);
+    }
+    let link = Arc::new(NetworkLink::new(
+        NetworkConfig::fast_for_tests(),
+        GeminiCheckpointer::required_remote_capacity(size),
+    ));
+    let gemini = GeminiCheckpointer::new(Arc::clone(&link), size).expect("constructs");
+    gemini.checkpoint(&gpu, 100);
+    gemini.drain();
+    let rec = GeminiCheckpointer::recover_from_remote(&link, size).expect("remote");
+    restored("gemini", &gemini, rec);
+}
+
 /// A staging chunk that is no multiple of the digest block, so every copy
 /// loop feeds the state digest in splits that straddle blocks.
 const ODD_CHUNK: u64 = 5000;
@@ -179,7 +223,7 @@ fn copy_verb_with(gpu: &Gpu, verb: &str, chunk: u64, pool_chunks: usize) -> Stat
     let total = guard.size();
     let (lease, copied): (_, Copied) = match verb {
         "snapshot_whole" => {
-            let (host, digest) = pipeline.snapshot_whole(ctx, &guard, 0);
+            let (host, digest) = pipeline.snapshot_whole(ctx, &guard, iteration, 0);
             pipeline
                 .persist_whole(ctx, &ns, &host, digest, iteration)
                 .expect("persist_whole")
@@ -202,7 +246,7 @@ fn copy_verb_with(gpu: &Gpu, verb: &str, chunk: u64, pool_chunks: usize) -> Stat
                 _ => CopyMode::Codec(DeltaPolicy::default()),
             };
             let copied = pipeline
-                .copy(ctx, &guard, &lease, total, mode)
+                .copy(ctx, &guard, &lease, iteration, total, mode)
                 .expect("copy");
             if matches!(mode, CopyMode::Codec(_)) && verb != "copy codec if it pays" {
                 let packed = copied.frame.saved_bytes > 0;
