@@ -739,7 +739,7 @@ impl Checkpointer for PcCheckEngine {
                     // failure stays visible through the `failed` counter,
                     // the telemetry `fail` event, and `try_drain`.
                     stats.counters.incr_failed();
-                    telemetry.failed(span, &e.to_string());
+                    telemetry.failed(span, &e);
                     let mut slot = first_error.lock();
                     if slot.is_none() {
                         *slot = Some(e);

@@ -802,17 +802,15 @@ impl Batch {
         let legs = std::mem::take(&mut state.legs);
         let failure = state.failure.take();
         drop(state);
-        if self.telemetry.is_enabled() {
-            for (w, &(bytes, busy)) in legs.iter().enumerate() {
-                if bytes > 0 || busy > 0 {
-                    self.telemetry.actor_span_split(
-                        self.span,
-                        &format!("writer-{w}"),
-                        self.opened_nanos,
-                        bytes,
-                        busy,
-                    );
-                }
+        for (w, &(bytes, busy)) in legs.iter().enumerate() {
+            if bytes > 0 || busy > 0 {
+                self.telemetry.actor_span_split(
+                    self.span,
+                    format_args!("writer-{w}"),
+                    self.opened_nanos,
+                    bytes,
+                    busy,
+                );
             }
         }
         match failure {
@@ -1742,15 +1740,8 @@ impl PersistPipeline {
             // "media still flushing" from "device idle" inside Persist.
             let fence_start = ctx.telemetry.now_nanos();
             let media = self.io.persist_chunk(ctx, lease.slot, 0, total.as_u64())?;
-            if ctx.telemetry.is_enabled() {
-                ctx.telemetry.actor_span_split(
-                    ctx.span,
-                    "fence",
-                    fence_start,
-                    total.as_u64(),
-                    media,
-                );
-            }
+            ctx.telemetry
+                .actor_span_split(ctx.span, "fence", fence_start, total.as_u64(), media);
         }
         self.io.store.flight().record(
             FlightEventKind::PayloadPersisted,

@@ -168,10 +168,10 @@ fn fan_out(
                         failed.store(true, Ordering::Release);
                     }
                 }
-                if reader.bytes > 0 && ctx.telemetry.is_enabled() {
+                if reader.bytes > 0 {
                     ctx.telemetry.actor_span_split(
                         ctx.span,
-                        &format!("reader-{r}"),
+                        format_args!("reader-{r}"),
                         actor_start,
                         reader.bytes,
                         reader.media_nanos,

@@ -6,7 +6,10 @@
 //! * one [`CheckpointStore`] over it (a namespace per job),
 //! * one shared [`PersistPipeline`] (writer pool + staging pool),
 //! * one [`QosArbiter`] scheduling writer-pool bandwidth across jobs,
-//! * one [`MetricsRegistry`] with a `job="<name>"` label per tenant.
+//! * one [`MetricsRegistry`] with a `job="<name>"` label per tenant, over
+//!   metrics-only recorders ([`Telemetry::metrics`]): histograms,
+//!   counters and gauges, no event timeline, so the service's memory does
+//!   not grow with its uptime.
 //!
 //! Jobs arrive via [`Daemon::submit`], pass [`admission`](crate::admission),
 //! get a namespace plus a [`PcCheckEngine`] facade, and train on a
@@ -26,7 +29,7 @@ use pccheck::{
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice, StripedDevice};
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingState};
 use pccheck_monitor::ForensicReport;
-use pccheck_telemetry::{MetricsRegistry, Telemetry, TelemetryIoObserver};
+use pccheck_telemetry::{MetricsRegistry, Telemetry};
 use pccheck_util::sync::Mutex;
 use pccheck_util::ByteSize;
 
@@ -246,7 +249,6 @@ impl Daemon {
         let ways = config.stripe_ways.max(1);
         let member_cap =
             ByteSize::from_bytes(total_cap.as_u64() / ways as u64) + ByteSize::from_kb(64);
-        let root = Telemetry::enabled();
         let device: Arc<dyn PersistentDevice> = if ways == 1 {
             Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(total_cap)))
         } else {
@@ -256,9 +258,7 @@ impl Daemon {
                         as Arc<dyn PersistentDevice>
                 })
                 .collect();
-            let striped = Arc::new(StripedDevice::new(members, ByteSize::from_kb(16)));
-            striped.set_io_observer(Arc::new(TelemetryIoObserver::new(root.clone())));
-            striped
+            Arc::new(StripedDevice::new(members, ByteSize::from_kb(16)))
         };
         let store = Arc::new(CheckpointStore::format(Arc::clone(&device), geometry)?);
         let qos = Arc::new(QosArbiter::new(config.qos.clone()));
@@ -270,7 +270,9 @@ impl Daemon {
                 .with_codec(config.codec)
                 .with_qos(Arc::clone(&qos)),
         );
-        let registry = MetricsRegistry::new(root);
+        // A service never ends, so its recorders keep metrics only: an
+        // event timeline would grow with uptime and nothing here reads it.
+        let registry = MetricsRegistry::new(Telemetry::metrics());
         Ok(Daemon {
             config,
             device,
@@ -388,7 +390,7 @@ impl Daemon {
         };
         self.store.allocate_namespace(id, slots)?;
         self.qos.register_job(id, spec.weight.max(1));
-        let telemetry = Telemetry::enabled();
+        let telemetry = Telemetry::metrics();
         self.registry.register_job(&spec.name, telemetry.clone());
         let engine = Arc::new(
             PcCheckEngine::with_shared(
@@ -660,6 +662,39 @@ mod tests {
         let text = daemon.registry().prometheus_text();
         for i in 0..4 {
             assert!(text.contains(&format!("{{job=\"job-{i}\"}}")));
+        }
+        let report = daemon.shutdown().unwrap();
+        assert!(report.is_clean(), "{:?}", report.violations);
+    }
+
+    #[test]
+    fn service_telemetry_keeps_metrics_and_no_event_timeline() {
+        use pccheck_telemetry::{validate_prometheus_text, Phase};
+        let daemon = Daemon::new(DaemonConfig::sim_default()).unwrap();
+        for name in ["leak-a", "leak-b"] {
+            daemon.submit(JobSpec::sim(name)).unwrap();
+        }
+        daemon.join_all().unwrap();
+        // Every event the recorders kept would stay for the service's
+        // whole uptime: none may be kept.
+        assert!(daemon.registry().telemetry().events().is_empty());
+        let text = daemon.registry().prometheus_text();
+        validate_prometheus_text(&text).unwrap();
+        for row in daemon.jobs() {
+            let telemetry = daemon.job_telemetry(&row.name).unwrap();
+            assert!(
+                telemetry.events().is_empty(),
+                "job {} kept events",
+                row.name
+            );
+            let snap = telemetry.snapshot().expect("metrics recorded");
+            assert!(row.committed >= 1, "job {} never committed", row.name);
+            assert_eq!(snap.counters.committed, row.committed);
+            assert!(snap.phase(Phase::Commit).count >= row.committed);
+            assert!(text.contains(&format!(
+                "pccheck_phase_latency_nanos_count{{phase=\"commit\",job=\"{}\"}}",
+                row.name
+            )));
         }
         let report = daemon.shutdown().unwrap();
         assert!(report.is_clean(), "{:?}", report.violations);

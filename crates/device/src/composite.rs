@@ -131,6 +131,9 @@ pub struct StripedDevice {
     armed_persists: Mutex<i64>,
     /// Optional per-member I/O observer (telemetry actor lanes).
     observer: RwLock<Option<Arc<dyn IoObserver>>>,
+    /// `stripe-{i}` per member: the observer's and the stats report's
+    /// names, built once rather than per leg.
+    labels: Vec<String>,
 }
 
 impl StripedDevice {
@@ -155,6 +158,7 @@ impl StripedDevice {
             "every member must hold at least one {stripe}-byte stripe"
         );
         let gates = members.iter().map(|_| MemberGate::default()).collect();
+        let labels = (0..members.len()).map(|i| format!("stripe-{i}")).collect();
         StripedDevice {
             gates,
             stripe,
@@ -164,6 +168,7 @@ impl StripedDevice {
             crashed: AtomicBool::new(false),
             armed_persists: Mutex::new(-1),
             observer: RwLock::new(None),
+            labels,
             members,
         }
     }
@@ -208,10 +213,25 @@ impl StripedDevice {
         *self.observer.write() = Some(observer);
     }
 
-    fn observe(&self, member: usize, op: MemberIoOp, bytes: u64, dur_nanos: u64) {
-        if let Some(obs) = self.observer.read().as_ref() {
-            obs.member_io(&format!("stripe-{member}"), op, bytes, dur_nanos);
-        }
+    /// Runs `io` on `ext`'s member through that member's submission gate
+    /// and reports the leg to the observer when it succeeds.
+    fn member_io(
+        &self,
+        ext: &Extent,
+        op: MemberIoOp,
+        io: impl FnOnce(&dyn PersistentDevice) -> Result<()>,
+    ) -> Result<()> {
+        self.gates[ext.member].run(self.queue_limit, || {
+            let begin = Instant::now();
+            let result = io(self.members[ext.member].as_ref());
+            if result.is_ok() {
+                if let Some(obs) = self.observer.read().as_ref() {
+                    let dur_nanos = begin.elapsed().as_nanos() as u64;
+                    obs.member_io(&self.labels[ext.member], op, ext.len, dur_nanos);
+                }
+            }
+            result
+        })
     }
 
     /// Returns `true` while the array is powered off.
@@ -291,18 +311,8 @@ impl PersistentDevice for StripedDevice {
         self.check_alive()?;
         for ext in self.extents(offset, data.len() as u64) {
             let chunk = &data[ext.buf_offset..ext.buf_offset + ext.len as usize];
-            self.gates[ext.member].run(self.queue_limit, || {
-                let begin = Instant::now();
-                let result = self.members[ext.member].write_at(ext.member_offset, chunk);
-                if result.is_ok() {
-                    self.observe(
-                        ext.member,
-                        MemberIoOp::Write,
-                        ext.len,
-                        begin.elapsed().as_nanos() as u64,
-                    );
-                }
-                result
+            self.member_io(&ext, MemberIoOp::Write, |m| {
+                m.write_at(ext.member_offset, chunk)
             })?;
         }
         self.stats.record_write(data.len() as u64);
@@ -325,18 +335,8 @@ impl PersistentDevice for StripedDevice {
             }
         }
         for ext in self.extents(offset, len) {
-            let result = self.gates[ext.member].run(self.queue_limit, || {
-                let begin = Instant::now();
-                let result = self.members[ext.member].persist(ext.member_offset, ext.len);
-                if result.is_ok() {
-                    self.observe(
-                        ext.member,
-                        MemberIoOp::Persist,
-                        ext.len,
-                        begin.elapsed().as_nanos() as u64,
-                    );
-                }
-                result
+            let result = self.member_io(&ext, MemberIoOp::Persist, |m| {
+                m.persist(ext.member_offset, ext.len)
             });
             if let Err(e) = result {
                 // A member died mid-fan-out (e.g. its own fuse fired):
@@ -361,76 +361,17 @@ impl PersistentDevice for StripedDevice {
 
     fn read_durable_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
         self.check_bounds(offset, buf.len() as u64)?;
-        let len = buf.len() as u64;
-        let extents = self.extents(offset, len);
-        // Carve the destination into disjoint per-extent slices (extents
-        // are contiguous and in ascending buffer order) and group them by
-        // member. A range resident on one member — every sub-stripe meta
-        // read — stays on the caller's thread; a multi-member range gets
-        // one reader thread per member, so an N-way stripe serves a large
-        // restore read at ~N× a single member's bandwidth.
-        let mut per_member: Vec<Vec<(u64, &mut [u8])>> =
-            (0..self.members.len()).map(|_| Vec::new()).collect();
-        let mut rest = buf;
-        for ext in &extents {
-            let (chunk, tail) = rest.split_at_mut(ext.len as usize);
-            per_member[ext.member].push((ext.member_offset, chunk));
-            rest = tail;
-        }
-        let touched = per_member.iter().filter(|w| !w.is_empty()).count();
-        if touched <= 1 {
-            for (member, work) in per_member.into_iter().enumerate() {
-                for (off, chunk) in work {
-                    self.gates[member].run(self.queue_limit, || {
-                        let begin = Instant::now();
-                        let chunk_len = chunk.len() as u64;
-                        let result = self.members[member].read_durable_at(off, chunk);
-                        if result.is_ok() {
-                            self.observe(
-                                member,
-                                MemberIoOp::Read,
-                                chunk_len,
-                                begin.elapsed().as_nanos() as u64,
-                            );
-                        }
-                        result
-                    })?;
-                }
-            }
-        } else {
-            std::thread::scope(|s| {
-                let mut handles = Vec::new();
-                for (member, work) in per_member.into_iter().enumerate() {
-                    if work.is_empty() {
-                        continue;
-                    }
-                    handles.push(s.spawn(move || {
-                        for (off, chunk) in work {
-                            self.gates[member].run(self.queue_limit, || {
-                                let begin = Instant::now();
-                                let chunk_len = chunk.len() as u64;
-                                let result = self.members[member].read_durable_at(off, chunk);
-                                if result.is_ok() {
-                                    self.observe(
-                                        member,
-                                        MemberIoOp::Read,
-                                        chunk_len,
-                                        begin.elapsed().as_nanos() as u64,
-                                    );
-                                }
-                                result
-                            })?;
-                        }
-                        Ok(())
-                    }));
-                }
-                for h in handles {
-                    h.join().expect("stripe reader thread panicked")?;
-                }
-                Ok::<(), DeviceError>(())
+        // One pass in logical order on the caller's thread. Consecutive
+        // stripes sit on different members, so each member's token bucket
+        // refills while the others are read, and a read spanning N members
+        // still draws on all N members' bandwidth.
+        for ext in self.extents(offset, buf.len() as u64) {
+            let chunk = &mut buf[ext.buf_offset..ext.buf_offset + ext.len as usize];
+            self.member_io(&ext, MemberIoOp::Read, |m| {
+                m.read_durable_at(ext.member_offset, chunk)
             })?;
         }
-        self.stats.record_read(len);
+        self.stats.record_read(buf.len() as u64);
         Ok(())
     }
 
@@ -457,15 +398,19 @@ impl PersistentDevice for StripedDevice {
 
     fn stats_report(&self) -> Vec<DeviceStatsReport> {
         let mut out = vec![DeviceStatsReport::from_stats("device", &self.stats)];
-        for (i, member) in self.members.iter().enumerate() {
+        for (label, member) in self.labels.iter().zip(&self.members) {
             out.push(DeviceStatsReport::from_stats(
-                format!("stripe-{i}"),
+                label.as_str(),
                 member.stats(),
             ));
         }
         out
     }
 }
+
+/// [`TieredDevice`]'s member names, hot tier first: the observer's and the
+/// stats report's labels.
+const TIER_LABELS: [&str; 2] = ["tier", "spill"];
 
 /// A hot tier (typically PMEM) backed by a spill device (typically SSD).
 ///
@@ -532,8 +477,7 @@ impl TieredDevice {
 
     fn observe(&self, member: usize, op: MemberIoOp, bytes: u64, dur_nanos: u64) {
         if let Some(obs) = self.observer.read().as_ref() {
-            let label = if member == 0 { "tier" } else { "spill" };
-            obs.member_io(label, op, bytes, dur_nanos);
+            obs.member_io(TIER_LABELS[member], op, bytes, dur_nanos);
         }
     }
 
@@ -800,8 +744,8 @@ impl PersistentDevice for TieredDevice {
     fn stats_report(&self) -> Vec<DeviceStatsReport> {
         vec![
             DeviceStatsReport::from_stats("device", &self.stats),
-            DeviceStatsReport::from_stats("tier", self.tier.stats()),
-            DeviceStatsReport::from_stats("spill", self.spill.stats()),
+            DeviceStatsReport::from_stats(TIER_LABELS[0], self.tier.stats()),
+            DeviceStatsReport::from_stats(TIER_LABELS[1], self.spill.stats()),
         ]
     }
 }
@@ -1101,6 +1045,36 @@ mod tests {
             .map(|c| c.2)
             .sum();
         assert_eq!(read_bytes, 128, "fan-out read reports every member leg");
+    }
+
+    #[test]
+    fn striped_durable_read_walks_members_in_logical_order() {
+        let (array, _, _) = stripe2(4096, 64);
+        let data: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
+        array.write_at(40, &data).unwrap();
+        array.persist(40, 1000).unwrap();
+        let obs = Arc::new(CountingObserver::default());
+        array.set_io_observer(obs.clone());
+        let mut buf = vec![0u8; 1000];
+        array.read_durable_at(40, &mut buf).unwrap();
+        assert_eq!(buf, data);
+
+        // [40, 1040) covers stripes 0..=16: a 24-byte head, fifteen whole
+        // stripes and a 16-byte tail, alternating members from member 0.
+        let calls = obs.calls.lock();
+        let legs: Vec<(String, u64)> = calls.iter().map(|c| (c.0.clone(), c.2)).collect();
+        let expected: Vec<(String, u64)> = (0..17u64)
+            .map(|s| {
+                let len = match s {
+                    0 => 24,
+                    16 => 16,
+                    _ => 64,
+                };
+                (format!("stripe-{}", s % 2), len)
+            })
+            .collect();
+        assert_eq!(legs, expected);
+        assert!(calls.iter().all(|c| c.1 == MemberIoOp::Read));
     }
 
     #[test]

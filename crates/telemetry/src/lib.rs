@@ -19,8 +19,14 @@
 //! * [`Telemetry`] is a cheap cloneable handle. [`Telemetry::disabled`]
 //!   (also `Default`) turns every hook into a branch on `None` — zero
 //!   allocation, no atomics — so instrumented hot paths cost nothing when
-//!   telemetry is off. [`Telemetry::enabled`] shares one
-//!   [`MemoryRecorder`] among all clones.
+//!   telemetry is off. An enabled handle shares one [`MemoryRecorder`]
+//!   among all clones, at one of two levels. A run keeps its timeline; a
+//!   service keeps its metrics. [`Telemetry::enabled`] records every
+//!   metric and the event stream that accounting, ledgers and traces
+//!   replay once a finite run ends. [`Telemetry::metrics`] records the
+//!   same histograms, counters and gauges and no events, so a service
+//!   that never ends (the `pccheckd` daemon) holds a fixed amount of
+//!   memory however long it runs.
 //! * The recorder is *lock-light*: counters/histograms/gauges are single
 //!   atomic operations; events append to per-thread-sharded buffers.
 //! * The crate is nearly dependency-free; exporters emit JSON by hand. The

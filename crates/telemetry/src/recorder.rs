@@ -2,8 +2,14 @@
 //!
 //! [`Telemetry`] is what every instrumented component holds. It is either
 //! *disabled* — every call is a branch on a `None` and compiles to nearly
-//! nothing, so the Fig. 8 hot paths are unchanged — or *enabled*, in which
-//! case it shares one [`MemoryRecorder`] with every other clone.
+//! nothing, so the Fig. 8 hot paths are unchanged — or enabled, in which
+//! case it shares one [`MemoryRecorder`] with every other clone. An
+//! enabled recorder comes at one of two levels: [`Telemetry::enabled`]
+//! keeps every histogram, counter and gauge *and* the event timeline a
+//! finite run replays afterwards (accounting, ledgers, traces);
+//! [`Telemetry::metrics`] keeps the same metrics and no timeline, so a
+//! service that never ends holds a fixed amount of memory however long it
+//! runs. A run keeps its timeline; a service keeps its metrics.
 //!
 //! The recorder is lock-light by construction:
 //!
@@ -15,6 +21,7 @@
 //! * timestamps come from one shared monotonic epoch so events from all
 //!   threads interleave into a single coherent timeline.
 
+use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -72,14 +79,18 @@ impl Gauge {
     }
 }
 
-/// In-memory recorder shared by all [`Telemetry`] clones of one run.
+/// In-memory recorder shared by all [`Telemetry`] clones of one run or
+/// one service.
 #[derive(Debug)]
 pub struct MemoryRecorder {
     epoch: Instant,
+    /// Whether events are kept. Without a timeline, every event-building
+    /// call returns before it formats or allocates anything.
+    timeline: bool,
     next_span: AtomicU64,
     /// Which shard the next event goes to. Rotating per event rather than
     /// pinning each thread to a shard keeps the eight buffers the same
-    /// size when an always-on daemon records from two resident writers:
+    /// size when two resident writers do most of the recording:
     /// pinned, those two would each double one large buffer where eight
     /// small ones do — same live bytes, a far higher allocation peak.
     next_shard: AtomicUsize,
@@ -109,10 +120,16 @@ impl Default for MemoryRecorder {
 }
 
 impl MemoryRecorder {
-    /// Creates an empty recorder whose clock starts now.
+    /// Creates an empty recorder, timeline included, whose clock starts
+    /// now.
     pub fn new() -> Self {
+        Self::with_timeline(true)
+    }
+
+    fn with_timeline(timeline: bool) -> Self {
         MemoryRecorder {
             epoch: Instant::now(),
+            timeline,
             next_span: AtomicU64::new(1),
             next_shard: AtomicUsize::new(0),
             shards: std::array::from_fn(|_| Mutex::new(Vec::new())),
@@ -139,7 +156,13 @@ impl MemoryRecorder {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    fn push(&self, event: Event) {
+    /// Appends the event `build` makes. A recorder without a timeline
+    /// never calls `build`.
+    fn push(&self, build: impl FnOnce() -> Event) {
+        if !self.timeline {
+            return;
+        }
+        let event = build();
         // A statistic, publishing nothing: Relaxed.
         let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % SHARDS;
         let mut blocks = self.shards[shard].lock();
@@ -311,10 +334,22 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// A handle that records into a fresh shared [`MemoryRecorder`].
+    /// A handle that records into a fresh shared [`MemoryRecorder`]:
+    /// metrics and the event timeline. For finite runs that read their
+    /// timeline back ([`Telemetry::events`]).
     pub fn enabled() -> Self {
         Telemetry {
             inner: Some(Arc::new(MemoryRecorder::new())),
+        }
+    }
+
+    /// A handle that keeps every histogram, counter and gauge
+    /// [`Telemetry::enabled`] keeps, and no event timeline: its
+    /// [`Telemetry::events`] stays empty and its memory stays flat however
+    /// long it records. For services read through snapshots only.
+    pub fn metrics() -> Self {
+        Telemetry {
+            inner: Some(Arc::new(MemoryRecorder::with_timeline(false))),
         }
     }
 
@@ -351,7 +386,7 @@ impl Telemetry {
         let span = SpanId(r.next_span.fetch_add(1, Ordering::Relaxed));
         r.counters.incr_requested();
         r.in_flight.incr();
-        r.push(Event {
+        r.push(|| Event {
             span,
             at_nanos: r.now_nanos(),
             kind: EventKind::Requested {
@@ -367,7 +402,7 @@ impl Telemetry {
     pub fn span_queued(&self, span: SpanId) {
         if let Some(r) = &self.inner {
             if span.is_some() {
-                r.push(Event {
+                r.push(|| Event {
                     span,
                     at_nanos: r.now_nanos(),
                     kind: EventKind::Queued,
@@ -386,7 +421,7 @@ impl Telemetry {
         let now = r.now_nanos();
         let dur = now.saturating_sub(start_nanos);
         r.phase_hist[phase.index()].record(dur);
-        r.push(Event {
+        r.push(|| Event {
             span,
             at_nanos: now,
             kind: EventKind::PhaseDone {
@@ -416,7 +451,7 @@ impl Telemetry {
             }
             _ => {}
         }
-        r.push(Event {
+        r.push(|| Event {
             span,
             at_nanos: r.now_nanos(),
             kind: EventKind::Chunk { phase, offset, len },
@@ -428,7 +463,7 @@ impl Telemetry {
     pub fn stall(&self, span: SpanId, nanos: u64) {
         let Some(r) = &self.inner else { return };
         r.stall_hist.record(nanos);
-        r.push(Event {
+        r.push(|| Event {
             span,
             at_nanos: r.now_nanos(),
             kind: EventKind::Stall { nanos },
@@ -443,7 +478,7 @@ impl Telemetry {
         }
         r.counters.incr_committed(bytes);
         r.in_flight.decr();
-        r.push(Event {
+        r.push(|| Event {
             span,
             at_nanos: r.now_nanos(),
             kind: EventKind::Committed { iteration, bytes },
@@ -458,7 +493,7 @@ impl Telemetry {
         }
         r.counters.incr_superseded();
         r.in_flight.decr();
-        r.push(Event {
+        r.push(|| Event {
             span,
             at_nanos: r.now_nanos(),
             kind: EventKind::Superseded { by_counter },
@@ -466,14 +501,14 @@ impl Telemetry {
     }
 
     /// Terminal: `span` failed with `error`.
-    pub fn failed(&self, span: SpanId, error: &str) {
+    pub fn failed(&self, span: SpanId, error: impl fmt::Display) {
         let Some(r) = &self.inner else { return };
         if !span.is_some() {
             return;
         }
         r.counters.incr_failed();
         r.in_flight.decr();
-        r.push(Event {
+        r.push(|| Event {
             span,
             at_nanos: r.now_nanos(),
             kind: EventKind::Failed {
@@ -485,7 +520,7 @@ impl Telemetry {
     /// Merges a monitoring anomaly into the timeline (run-level event).
     pub fn anomaly(&self, iteration: u64, magnitude: f64, expected: f64, ratio: f64) {
         let Some(r) = &self.inner else { return };
-        r.push(Event {
+        r.push(|| Event {
             span: SpanId::NONE,
             at_nanos: r.now_nanos(),
             kind: EventKind::Anomaly {
@@ -504,23 +539,16 @@ impl Telemetry {
     /// measured to now. Unlike phase events this also records against
     /// [`SpanId::NONE`] parents, because device-member actors outlive any
     /// single checkpoint span.
-    pub fn actor_span(&self, parent: SpanId, actor: &str, start_nanos: u64, bytes: u64) {
-        let Some(r) = &self.inner else { return };
-        let now = r.now_nanos();
-        let dur = now.saturating_sub(start_nanos);
-        r.push(Event {
-            span: parent,
-            at_nanos: now,
-            kind: EventKind::ActorSpan {
-                actor: actor.to_string(),
-                start_nanos,
-                dur_nanos: dur,
-                // No split reported: attribute everything to media so the
-                // queue-wait estimate stays conservative.
-                media_nanos: dur,
-                bytes,
-            },
-        });
+    pub fn actor_span(
+        &self,
+        parent: SpanId,
+        actor: impl fmt::Display,
+        start_nanos: u64,
+        bytes: u64,
+    ) {
+        // No split reported: attribute everything to media so the
+        // queue-wait estimate stays conservative.
+        self.actor_span_split(parent, actor, start_nanos, bytes, u64::MAX);
     }
 
     /// Like [`Telemetry::actor_span`], but with the actor's time split:
@@ -533,24 +561,26 @@ impl Telemetry {
     pub fn actor_span_split(
         &self,
         parent: SpanId,
-        actor: &str,
+        actor: impl fmt::Display,
         start_nanos: u64,
         bytes: u64,
         media_nanos: u64,
     ) {
         let Some(r) = &self.inner else { return };
-        let now = r.now_nanos();
-        let dur = now.saturating_sub(start_nanos);
-        r.push(Event {
-            span: parent,
-            at_nanos: now,
-            kind: EventKind::ActorSpan {
-                actor: actor.to_string(),
-                start_nanos,
-                dur_nanos: dur,
-                media_nanos: media_nanos.min(dur),
-                bytes,
-            },
+        r.push(|| {
+            let now = r.now_nanos();
+            let dur = now.saturating_sub(start_nanos);
+            Event {
+                span: parent,
+                at_nanos: now,
+                kind: EventKind::ActorSpan {
+                    actor: actor.to_string(),
+                    start_nanos,
+                    dur_nanos: dur,
+                    media_nanos: media_nanos.min(dur),
+                    bytes,
+                },
+            }
         });
     }
 
@@ -558,7 +588,7 @@ impl Telemetry {
     /// goodput/rollback accounting).
     pub fn iteration_end(&self, iteration: u64) {
         let Some(r) = &self.inner else { return };
-        r.push(Event {
+        r.push(|| Event {
             span: SpanId::NONE,
             at_nanos: r.now_nanos(),
             kind: EventKind::IterationEnd { iteration },
@@ -678,18 +708,20 @@ impl pccheck_device::IoObserver for TelemetryIoObserver {
         let Some(r) = &self.telemetry.inner else {
             return;
         };
-        let now = r.now_nanos();
-        r.push(Event {
-            span: SpanId::NONE,
-            at_nanos: now,
-            kind: EventKind::ActorSpan {
-                actor: member.to_string(),
-                start_nanos: now.saturating_sub(dur_nanos),
-                dur_nanos,
-                // A member-device leg is pure media time by definition.
-                media_nanos: dur_nanos,
-                bytes,
-            },
+        r.push(|| {
+            let now = r.now_nanos();
+            Event {
+                span: SpanId::NONE,
+                at_nanos: now,
+                kind: EventKind::ActorSpan {
+                    actor: member.to_string(),
+                    start_nanos: now.saturating_sub(dur_nanos),
+                    dur_nanos,
+                    // A member-device leg is pure media time by definition.
+                    media_nanos: dur_nanos,
+                    bytes,
+                },
+            }
         });
     }
 }
@@ -763,6 +795,64 @@ mod tests {
         assert_eq!(snap.phase(Phase::Persist).count, 1);
         assert_eq!(snap.stall.count, 1);
         assert_eq!(snap.stall.sum_nanos, 300);
+    }
+
+    #[test]
+    fn metrics_handle_keeps_every_metric_and_no_timeline() {
+        use pccheck_device::IoObserver as _;
+        let drive = |t: &Telemetry| {
+            let span = t.span_requested("pccheck", 3, 4096);
+            t.span_queued(span);
+            t.chunk(span, Phase::GpuCopy, 0, 4096);
+            t.chunk(span, Phase::Persist, 0, 4096);
+            t.chunk(span, Phase::RestoreRead, 0, 512);
+            // A start in the future clamps to a zero duration, so both
+            // handles feed the phase histograms the same sample.
+            for phase in [Phase::TicketWait, Phase::GpuCopy, Phase::Commit] {
+                t.phase_done(span, phase, u64::MAX);
+            }
+            t.stall(span, 700);
+            t.actor_span(span, "writer-0", 0, 4096);
+            t.actor_span_split(span, format_args!("reader-{}", 1), 0, 512, 10);
+            TelemetryIoObserver::new(t.clone()).member_io(
+                "stripe-0",
+                pccheck_device::MemberIoOp::Write,
+                4096,
+                50,
+            );
+            t.committed(span, 3, 4096);
+            let lost = t.span_requested("pccheck", 4, 4096);
+            t.superseded(lost, 5);
+            let failed = t.span_requested("pccheck", 6, 4096);
+            t.failed(failed, format_args!("device error {}", 7));
+            t.anomaly(6, 2.0, 1.0, 2.0);
+            t.iteration_end(6);
+            t.gauge_queue_depth(2);
+            t.gauge_device_queue(1, 4);
+            t.gauge_dirty_ratio(125);
+            t.gauge_compression_ratio(400);
+            t.add_codec_bytes_saved(2048);
+            t.add_dedup_chunks(3);
+            t.stage_write(100);
+            t.stage_persist(200);
+            t.stage_read(300);
+        };
+        let metrics = Telemetry::metrics();
+        let traced = Telemetry::enabled();
+        drive(&metrics);
+        drive(&traced);
+
+        // Only the clock differs between the two recorders.
+        let rollup = |t: &Telemetry| TelemetrySnapshot {
+            window_nanos: 0,
+            ..t.snapshot().expect("enabled")
+        };
+        assert_eq!(rollup(&metrics), rollup(&traced));
+        assert_eq!(rollup(&metrics).counters.committed, 1);
+        assert_eq!(rollup(&metrics).phase(Phase::Commit).count, 1);
+        assert!(metrics.is_enabled());
+        assert!(metrics.events().is_empty());
+        assert!(!traced.events().is_empty());
     }
 
     #[test]
