@@ -12,12 +12,14 @@ use std::thread::JoinHandle;
 
 use pccheck_util::sync::Mutex;
 
-use pccheck::store::{CheckpointStore, Namespace, DEFAULT_JOB};
-use pccheck::{CommitOutcome, PccheckError, PersistPipeline, PipelineCtx, StoreGeometry};
+use pccheck::store::CheckpointStore;
+use pccheck::{CopyMode, PccheckError, PipelineCtx};
 use pccheck_device::PersistentDevice;
 use pccheck_gpu::{CheckpointOutcome, Checkpointer, Gpu};
 use pccheck_telemetry::{Phase, Telemetry};
 use pccheck_util::ByteSize;
+
+use crate::TwoSlots;
 
 /// The one-checkpoint-at-a-time asynchronous baseline.
 ///
@@ -48,9 +50,7 @@ use pccheck_util::ByteSize;
 /// ```
 #[derive(Debug)]
 pub struct CheckFreqCheckpointer {
-    pipeline: PersistPipeline,
-    /// The two-slot store's one tenant.
-    ns: Arc<Namespace>,
+    storage: TwoSlots,
     /// The single in-flight persist, if any. Next checkpoint joins it.
     in_flight: Mutex<Option<JoinHandle<()>>>,
     last: Arc<Mutex<Option<CheckpointOutcome>>>,
@@ -58,7 +58,8 @@ pub struct CheckFreqCheckpointer {
 }
 
 impl CheckFreqCheckpointer {
-    /// Creates the checkpointer with a two-slot store on `device`.
+    /// Creates the checkpointer with a two-slot store on `device`; its
+    /// staging pool holds one snapshot.
     ///
     /// # Errors
     ///
@@ -68,12 +69,8 @@ impl CheckFreqCheckpointer {
         device: Arc<dyn PersistentDevice>,
         checkpoint_size: ByteSize,
     ) -> Result<Self, PccheckError> {
-        let record = ByteSize::from_bytes(pccheck::KERNEL_COPY_CHUNK as u64);
-        let slot = pccheck::FrameTable::slot_size_for(checkpoint_size, record);
-        let store = CheckpointStore::format(device, StoreGeometry::single(slot, 2))?;
         Ok(CheckFreqCheckpointer {
-            ns: store.namespace(DEFAULT_JOB)?,
-            pipeline: PersistPipeline::new(Arc::new(store)),
+            storage: TwoSlots::format(device, checkpoint_size, CopyMode::Staged)?,
             in_flight: Mutex::new(None),
             last: Arc::new(Mutex::new(None)),
             telemetry: Telemetry::disabled(),
@@ -89,7 +86,7 @@ impl CheckFreqCheckpointer {
 
     /// The underlying store.
     pub fn store(&self) -> &Arc<CheckpointStore> {
-        self.pipeline.store()
+        self.storage.pipeline.store()
     }
 }
 
@@ -111,43 +108,19 @@ impl Checkpointer for CheckFreqCheckpointer {
             .stall(span, self.telemetry.now_nanos().saturating_sub(stall_start));
         self.telemetry.span_queued(span);
 
-        // Snapshot phase: copy the weights to DRAM. CheckFreq performs this
-        // asynchronously with the *next iteration's compute*, which our
-        // owned guard provides: training's T phase proceeds, U waits.
+        // Snapshot, then persist, on the one background thread: CheckFreq
+        // overlaps both with the *next iteration's compute*, which the
+        // owned guard provides — training's T phase proceeds, U waits until
+        // the copy has staged the snapshot and hands the guard back.
         let guard = gpu.lock_weights_shared_owned();
-        let pipeline = self.pipeline.clone();
-        let ns = Arc::clone(&self.ns);
-        let last = Arc::clone(&self.last);
+        let (storage, last) = (self.storage.clone(), Arc::clone(&self.last));
         let telemetry = self.telemetry.clone();
         let handle = std::thread::spawn(move || {
             let ctx = PipelineCtx {
                 telemetry: &telemetry,
                 span,
             };
-            let copy_start = telemetry.now_nanos();
-            let total = guard.size();
-            let (host, digest) = pipeline.snapshot_whole(ctx, &guard, iteration, copy_start);
-            drop(guard); // snapshot done: weight updates may resume
-
-            // Persist phase.
-            let (lease, copied) = pipeline
-                .persist_whole(ctx, &ns, &host, digest, iteration)
-                .expect("whole-payload persist on healthy device");
-            let outcome = pipeline
-                .commit(ctx, lease, iteration, &copied)
-                .expect("commit I/O on healthy device");
-            match outcome {
-                CommitOutcome::Committed => {
-                    telemetry.committed(span, iteration, total.as_u64());
-                    let mut l = last.lock();
-                    if l.map_or(true, |o| o.iteration < iteration) {
-                        *l = Some(CheckpointOutcome { iteration, digest });
-                    }
-                }
-                CommitOutcome::SupersededBy { counter } => {
-                    telemetry.superseded(span, counter);
-                }
-            }
+            storage.checkpoint(ctx, guard, iteration, &last);
         });
         *slot = Some(handle);
     }
@@ -227,26 +200,18 @@ mod tests {
 
     #[test]
     fn next_checkpoint_stalls_behind_previous_persist() {
-        // Slow device: ~1 MB checkpoint at 10 MB/s → ~0.1 s persist. The
-        // second checkpoint() call must block roughly that long.
+        // Slow device: a ~1 MB persist at 10 MB/s takes ~0.1 s. Order, not
+        // time: checkpoint(2) returns only once persist #1 has committed,
+        // where a strategy that did not wait would find nothing committed.
         let (ckpt, gpu, _ssd) = setup(1_000_000, Some(10.0));
         gpu.update();
-        let t0 = std::time::Instant::now();
         ckpt.checkpoint(&gpu, 1); // returns fast (snapshot only)
-        let first_call = t0.elapsed();
         gpu.update();
-        let t1 = std::time::Instant::now();
         ckpt.checkpoint(&gpu, 2); // must wait for persist #1
-        let second_call = t1.elapsed();
+        let committed = ckpt.last_committed().map(|o| o.iteration);
+        assert_eq!(committed, Some(1), "checkpoint(2) did not wait");
         ckpt.drain();
-        assert!(
-            second_call > first_call,
-            "second call ({second_call:?}) should stall behind persist #1 ({first_call:?})"
-        );
-        assert!(
-            second_call.as_secs_f64() > 0.05,
-            "stall too short: {second_call:?}"
-        );
+        assert_eq!(ckpt.last_committed().unwrap().iteration, 2);
     }
 
     #[test]

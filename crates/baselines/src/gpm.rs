@@ -5,25 +5,33 @@
 //! checkpoint data with GPU *kernels* instead of DMA copy engines. Two
 //! consequences the experiments depend on:
 //!
-//! * no DRAM staging (Table 1: `DRAM = 0`) — the bytes go GPU → device,
+//! * no DRAM staging (Table 1: `DRAM = 0`) — the bytes go GPU → device;
+//!   here each tile passes through one [`KERNEL_COPY_CHUNK`] bounce
+//!   chunk, which stands in for the kernel's register/shared-memory tile,
 //! * training stalls for the whole checkpoint, since the copy kernels
-//!   occupy the SMs and the subsequent sync + `msync`/fence runs before
-//!   training resumes (§2.2: "it stalls training while persisting state").
+//!   occupy the SMs and every tile is fenced before training resumes
+//!   (§2.2: "it stalls training while persisting state").
 //!
 //! The SSD adaptation (the one the paper evaluates alongside PMEM) keeps
 //! kernel copies into an mmapped, `cudaHostRegister`ed file and persists
-//! with `cudaDeviceSynchronize` + `msync`.
+//! with `cudaDeviceSynchronize` + `msync`. Here the writer that stores a
+//! tile fences it, as PMEM's per-thread fences require, and the training
+//! thread writes and fences the frame's table last.
+//!
+//! [`KERNEL_COPY_CHUNK`]: crate::KERNEL_COPY_CHUNK
 
 use std::sync::Arc;
 
 use pccheck_util::sync::Mutex;
 
-use pccheck::store::{CheckpointStore, Namespace, DEFAULT_JOB};
-use pccheck::{PccheckError, PersistPipeline, PipelineCtx, StoreGeometry};
+use pccheck::store::CheckpointStore;
+use pccheck::{CopyMode, PccheckError, PipelineCtx};
 use pccheck_device::PersistentDevice;
 use pccheck_gpu::{CheckpointOutcome, Checkpointer, Gpu};
 use pccheck_telemetry::Telemetry;
 use pccheck_util::ByteSize;
+
+use crate::TwoSlots;
 
 /// The stall-and-persist baseline.
 ///
@@ -54,15 +62,14 @@ use pccheck_util::ByteSize;
 /// ```
 #[derive(Debug)]
 pub struct GpmCheckpointer {
-    pipeline: PersistPipeline,
-    /// The two-slot store's one tenant.
-    ns: Arc<Namespace>,
+    storage: TwoSlots,
     last: Mutex<Option<CheckpointOutcome>>,
     telemetry: Telemetry,
 }
 
 impl GpmCheckpointer {
-    /// Creates the checkpointer with a two-slot store on `device`.
+    /// Creates the checkpointer with a two-slot store on `device`; its
+    /// staging pool is one tile.
     ///
     /// # Errors
     ///
@@ -72,12 +79,8 @@ impl GpmCheckpointer {
         device: Arc<dyn PersistentDevice>,
         checkpoint_size: ByteSize,
     ) -> Result<Self, PccheckError> {
-        let record = ByteSize::from_bytes(pccheck::KERNEL_COPY_CHUNK as u64);
-        let slot = pccheck::FrameTable::slot_size_for(checkpoint_size, record);
-        let store = CheckpointStore::format(device, StoreGeometry::single(slot, 2))?;
         Ok(GpmCheckpointer {
-            ns: store.namespace(DEFAULT_JOB)?,
-            pipeline: PersistPipeline::new(Arc::new(store)),
+            storage: TwoSlots::format(device, checkpoint_size, CopyMode::Streamed)?,
             last: Mutex::new(None),
             telemetry: Telemetry::disabled(),
         })
@@ -92,7 +95,7 @@ impl GpmCheckpointer {
 
     /// The underlying store.
     pub fn store(&self) -> &Arc<CheckpointStore> {
-        self.pipeline.store()
+        self.storage.pipeline.store()
     }
 }
 
@@ -102,38 +105,19 @@ impl Checkpointer for GpmCheckpointer {
         let span = self
             .telemetry
             .span_requested(self.name(), iteration, gpu.state_size().as_u64());
-        // Inline on the training thread: the copy kernels occupy the GPU,
-        // so training stalls for the duration by construction.
-        let guard = gpu.lock_weights_shared();
-        let total = guard.size();
         let ctx = PipelineCtx {
             telemetry: &self.telemetry,
             span,
         };
-        // Lease *before* the copy (the kernels target the mapped slot),
-        // then kernel write-through: GPU → device directly, no DRAM
-        // staging; GPU-copy and persist overlap tile-by-tile, so both
-        // phases share the same start timestamp.
-        let lease = self.pipeline.lease(ctx, &self.ns);
-        let copied = self
-            .pipeline
-            .write_through(ctx, &guard, &lease, iteration, stall_start)
-            .expect("kernel write-through on healthy device");
-        let outcome = self
-            .pipeline
-            .commit(ctx, lease, iteration, &copied)
-            .expect("commit I/O on healthy device");
+        // Inline on the training thread, with the guard held through the
+        // commit: the copy kernels occupy the GPU, so training stalls for
+        // the duration by construction. Streamed, the copy leases the slot
+        // the kernels target before the first tile, and each tile goes
+        // GPU → the one bounce chunk → device, written and fenced by a
+        // writer before the chunk takes the next tile.
+        let guard = gpu.lock_weights_shared();
+        self.storage.checkpoint(ctx, &guard, iteration, &self.last);
         drop(guard);
-        let digest = copied.state_digest;
-        match outcome {
-            pccheck::CommitOutcome::Committed => {
-                self.telemetry.committed(span, iteration, total.as_u64());
-                *self.last.lock() = Some(CheckpointOutcome { iteration, digest });
-            }
-            pccheck::CommitOutcome::SupersededBy { counter } => {
-                self.telemetry.superseded(span, counter);
-            }
-        }
         // Whole call ran on the training thread with the SMs occupied.
         self.telemetry
             .stall(span, self.telemetry.now_nanos().saturating_sub(stall_start));
@@ -215,7 +199,10 @@ mod tests {
         ckpt.checkpoint(&g, 1);
         ckpt.drain();
         assert_eq!(
-            ckpt.store().latest_committed(&ckpt.ns).unwrap().iteration,
+            ckpt.store()
+                .latest_committed(&ckpt.storage.ns)
+                .unwrap()
+                .iteration,
             1
         );
     }

@@ -11,12 +11,14 @@ use std::sync::Arc;
 
 use pccheck_util::sync::Mutex;
 
-use pccheck::store::{CheckpointStore, Namespace, DEFAULT_JOB};
-use pccheck::{PccheckError, PersistPipeline, PipelineCtx, StoreGeometry};
+use pccheck::store::CheckpointStore;
+use pccheck::{CopyMode, PccheckError, PipelineCtx};
 use pccheck_device::PersistentDevice;
 use pccheck_gpu::{CheckpointOutcome, Checkpointer, Gpu};
 use pccheck_telemetry::Telemetry;
 use pccheck_util::ByteSize;
+
+use crate::TwoSlots;
 
 /// The fully synchronous baseline.
 ///
@@ -46,15 +48,14 @@ use pccheck_util::ByteSize;
 /// ```
 #[derive(Debug)]
 pub struct TraditionalCheckpointer {
-    pipeline: PersistPipeline,
-    /// The two-slot store's one tenant.
-    ns: Arc<Namespace>,
+    storage: TwoSlots,
     last: Mutex<Option<CheckpointOutcome>>,
     telemetry: Telemetry,
 }
 
 impl TraditionalCheckpointer {
-    /// Creates the checkpointer, formatting a two-slot store on `device`.
+    /// Creates the checkpointer, formatting a two-slot store on `device`;
+    /// its staging pool holds one snapshot.
     ///
     /// # Errors
     ///
@@ -64,12 +65,8 @@ impl TraditionalCheckpointer {
         device: Arc<dyn PersistentDevice>,
         checkpoint_size: ByteSize,
     ) -> Result<Self, PccheckError> {
-        let record = ByteSize::from_bytes(pccheck::KERNEL_COPY_CHUNK as u64);
-        let slot = pccheck::FrameTable::slot_size_for(checkpoint_size, record);
-        let store = CheckpointStore::format(device, StoreGeometry::single(slot, 2))?;
         Ok(TraditionalCheckpointer {
-            ns: store.namespace(DEFAULT_JOB)?,
-            pipeline: PersistPipeline::new(Arc::new(store)),
+            storage: TwoSlots::format(device, checkpoint_size, CopyMode::Staged)?,
             last: Mutex::new(None),
             telemetry: Telemetry::disabled(),
         })
@@ -84,7 +81,7 @@ impl TraditionalCheckpointer {
 
     /// The underlying store (for recovery in tests/benches).
     pub fn store(&self) -> &Arc<CheckpointStore> {
-        self.pipeline.store()
+        self.storage.pipeline.store()
     }
 }
 
@@ -98,32 +95,11 @@ impl Checkpointer for TraditionalCheckpointer {
             telemetry: &self.telemetry,
             span,
         };
-        // C: copy weights to DRAM — inline, training thread blocked.
-        let guard = gpu.lock_weights_shared();
-        let total = guard.size();
-        let (host, digest) = self
-            .pipeline
-            .snapshot_whole(ctx, &guard, iteration, stall_start);
-        drop(guard);
-        // P: write + sync to storage — still inline, slot leased after the
-        // copy (the lease straddles only the persist, as before).
-        let (lease, copied) = self
-            .pipeline
-            .persist_whole(ctx, &self.ns, &host, digest, iteration)
-            .expect("whole-payload persist on healthy device");
-        let outcome = self
-            .pipeline
-            .commit(ctx, lease, iteration, &copied)
-            .expect("commit I/O on healthy device");
-        match outcome {
-            pccheck::CommitOutcome::Committed => {
-                self.telemetry.committed(span, iteration, total.as_u64());
-                *self.last.lock() = Some(CheckpointOutcome { iteration, digest });
-            }
-            pccheck::CommitOutcome::SupersededBy { counter } => {
-                self.telemetry.superseded(span, counter);
-            }
-        }
+        // C then P, inline on the training thread: the copy stages the
+        // whole snapshot in DRAM and hands the weights back, then leases a
+        // slot, writes and fences it, and commits.
+        let guard = gpu.lock_weights_shared_owned();
+        self.storage.checkpoint(ctx, guard, iteration, &self.last);
         // The entire call ran inline: all of it is training-thread stall.
         self.telemetry
             .stall(span, self.telemetry.now_nanos().saturating_sub(stall_start));
@@ -184,10 +160,13 @@ mod tests {
             assert_eq!(ckpt.last_committed().unwrap().iteration, iter);
         }
         assert_eq!(
-            ckpt.store().latest_committed(&ckpt.ns).unwrap().iteration,
+            ckpt.store()
+                .latest_committed(&ckpt.storage.ns)
+                .unwrap()
+                .iteration,
             6
         );
-        assert_eq!(ckpt.store().free_slot_count(&ckpt.ns), 1);
+        assert_eq!(ckpt.store().free_slot_count(&ckpt.storage.ns), 1);
     }
 
     #[test]

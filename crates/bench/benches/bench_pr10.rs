@@ -323,14 +323,16 @@ fn drive_dedup_chain(
 
 fn framed_pipeline(store: Arc<CheckpointStore>) -> PersistPipeline {
     let pool_chunks = (CRASH_STATE / CRASH_CHUNK) as usize;
-    PersistPipeline::new(store)
-        .with_writers(2)
-        .with_staging(HostBufferPool::new(
-            ByteSize::from_bytes(CRASH_CHUNK),
-            pool_chunks,
-        ))
-        .with_codec(true)
+    PersistPipeline::new(
+        store,
+        HostBufferPool::new(ByteSize::from_bytes(CRASH_CHUNK), pool_chunks),
+    )
+    .with_writers(2)
+    .with_codec(true)
 }
+
+/// A device and the fuse that crashes its power domain after `n` persists.
+type FusedDevice = (Arc<dyn PersistentDevice>, Box<dyn Fn(u64)>);
 
 /// One flat/striped crash case over a codec-framed store. The committed
 /// baseline (and, for after-commit, the crash checkpoint itself) is
@@ -345,7 +347,7 @@ fn framed_crash_case(point: CrashPoint, striped: bool) -> Result<bool, PccheckEr
         ..StoreGeometry::single(slot, CRASH_SLOTS)
     };
     let cap = geometry.required_capacity() + ByteSize::from_kb(4);
-    let (device, arm_fuse): (Arc<dyn PersistentDevice>, Box<dyn Fn(u64)>) = if striped {
+    let (device, arm_fuse): FusedDevice = if striped {
         let members: Vec<Arc<dyn PersistentDevice>> = (0..2)
             .map(|_| {
                 Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)))

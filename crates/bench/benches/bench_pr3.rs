@@ -97,12 +97,11 @@ fn measure(ways: u32) -> WaysResult {
     );
     let ns = store.namespace(DEFAULT_JOB).expect("single-tenant store");
     let chunks = (STATE_BYTES / CHUNK_BYTES) as usize;
-    let pipeline = PersistPipeline::new(Arc::clone(&store))
-        .with_writers(WRITERS)
-        .with_staging(HostBufferPool::new(
-            ByteSize::from_bytes(CHUNK_BYTES),
-            chunks,
-        ));
+    let pipeline = PersistPipeline::new(
+        Arc::clone(&store),
+        HostBufferPool::new(ByteSize::from_bytes(CHUNK_BYTES), chunks),
+    )
+    .with_writers(WRITERS);
 
     let telemetry = Telemetry::disabled();
     let run_pass = |iteration: u64| {

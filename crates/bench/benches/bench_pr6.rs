@@ -88,7 +88,7 @@ fn run_once(live: bool) -> (f64, u64) {
         let scraper = std::thread::spawn(move || {
             let mut scrapes = 0u64;
             while !stop.load(Ordering::Acquire) {
-                let path = if scrapes % 2 == 0 {
+                let path = if scrapes.is_multiple_of(2) {
                     "/metrics"
                 } else {
                     "/metrics.json"

@@ -247,10 +247,12 @@ fn tenants() -> Tenants {
     qos.register_job(1, 1);
     qos.register_job(2, 2);
     let pipeline = Arc::new(
-        PersistPipeline::new(Arc::clone(&store))
-            .with_writers(2)
-            .with_staging(HostBufferPool::new(ByteSize::from_bytes(512), 6))
-            .with_qos(qos),
+        PersistPipeline::new(
+            Arc::clone(&store),
+            HostBufferPool::new(ByteSize::from_bytes(512), 6),
+        )
+        .with_writers(2)
+        .with_qos(qos),
     );
     let config = PcCheckConfig::builder()
         .max_concurrent(2)

@@ -257,7 +257,6 @@ pub struct PcCheckEngine {
     config: PcCheckConfig,
     pipeline: Arc<PersistPipeline>,
     store: Arc<CheckpointStore>,
-    pool: HostBufferPool,
     /// The tenant this engine checkpoints for, resolved once: leases come
     /// from this namespace and commits move its commit pointer.
     ns: Arc<Namespace>,
@@ -341,11 +340,13 @@ impl PcCheckEngine {
         } else {
             FenceMode::PerWriter
         };
-        let pipeline = PersistPipeline::new(store)
-            .with_writers(config.writer_threads)
-            .with_fence(fence)
-            .with_staging(HostBufferPool::new(config.chunk_size, config.dram_chunks))
-            .with_codec(config.codec);
+        let pipeline = PersistPipeline::new(
+            store,
+            HostBufferPool::new(config.chunk_size, config.dram_chunks),
+        )
+        .with_writers(config.writer_threads)
+        .with_fence(fence)
+        .with_codec(config.codec);
         Self::over(config, Arc::new(pipeline), DEFAULT_JOB, true)
     }
 
@@ -376,8 +377,8 @@ impl PcCheckEngine {
     /// # Errors
     ///
     /// Returns [`PccheckError::InvalidConfig`] if the configuration is
-    /// invalid, the pipeline has no staging pool, `job` has no namespace,
-    /// or the namespace has fewer than `N+1` slots.
+    /// invalid, `job` has no namespace, or the namespace has fewer than
+    /// `N+1` slots.
     pub fn with_shared(
         config: PcCheckConfig,
         pipeline: Arc<PersistPipeline>,
@@ -398,11 +399,6 @@ impl PcCheckEngine {
         owns_pipeline: bool,
     ) -> Result<Self, PccheckError> {
         let store = Arc::clone(pipeline.store());
-        let Some(pool) = pipeline.staging_pool().cloned() else {
-            return Err(PccheckError::InvalidConfig(
-                "engine needs a pipeline with a staging pool attached".into(),
-            ));
-        };
         let ns = store.namespace(job)?;
         if (ns.desc().slot_count as usize) < config.max_concurrent + 1 {
             return Err(PccheckError::InvalidConfig(format!(
@@ -426,7 +422,6 @@ impl PcCheckEngine {
             config,
             pipeline,
             store,
-            pool,
             ns,
             owns_pipeline,
             in_flight: Arc::new(InFlight::default()),
@@ -509,7 +504,7 @@ impl PcCheckEngine {
 
     /// The DRAM staging pool (for footprint inspection).
     pub fn dram_pool(&self) -> &HostBufferPool {
-        &self.pool
+        self.pipeline.staging_pool()
     }
 
     /// The shared persist pipeline this engine schedules over.
@@ -547,7 +542,7 @@ impl PcCheckEngine {
             return;
         }
         let requested = self.stats.counters.requested();
-        if requested == 0 || requested % self.config.adaptive_interval != 0 {
+        if requested == 0 || !requested.is_multiple_of(self.config.adaptive_interval) {
             return;
         }
         let Some(snapshot) = self.telemetry.snapshot() else {
@@ -725,7 +720,7 @@ impl Checkpointer for PcCheckEngine {
                     stats.counters.incr_committed(total_bytes);
                     telemetry.committed(span, iteration, total_bytes);
                     let mut l = last.lock();
-                    if l.map_or(true, |o| o.iteration < iteration) {
+                    if l.is_none_or(|o| o.iteration < iteration) {
                         *l = Some(CheckpointOutcome { iteration, digest });
                     }
                 }
@@ -1490,9 +1485,8 @@ mod tests {
         qos.register_job(2, 1);
         let pool = HostBufferPool::new(ByteSize::from_bytes(64), 16);
         let pipeline = Arc::new(
-            PersistPipeline::new(Arc::clone(&store))
+            PersistPipeline::new(Arc::clone(&store), pool)
                 .with_writers(2)
-                .with_staging(pool)
                 .with_qos(Arc::clone(&qos)),
         );
         let config = PcCheckConfig::builder()
@@ -1966,9 +1960,8 @@ mod tests {
             store.allocate_namespace(job, 3).unwrap();
         }
         let pipeline = Arc::new(
-            PersistPipeline::new(store)
+            PersistPipeline::new(store, HostBufferPool::new(ByteSize::from_bytes(256), 12))
                 .with_writers(2)
-                .with_staging(HostBufferPool::new(ByteSize::from_bytes(256), 12))
                 .with_codec(true),
         );
         let config = PcCheckConfig::builder()

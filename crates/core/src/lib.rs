@@ -95,7 +95,7 @@ pub use meta::NamespaceDesc;
 pub use meta::{CheckMeta, DeltaLink, SlotState, SLOT_STATE_SIZE};
 pub use pipeline::{
     Copied, CopyMode, DeferredLease, DeltaPolicy, FenceMode, FramedPlan, LeaseSlot,
-    PersistPipeline, PipelineCtx, KERNEL_COPY_CHUNK,
+    PersistPipeline, PipelineCtx,
 };
 pub use qos::{QosArbiter, QosConfig, QosGrant};
 pub use recovery::{

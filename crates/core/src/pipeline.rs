@@ -13,8 +13,14 @@
 //! deferred into one `msync` (SSD).
 //!
 //! [`PersistPipeline`] owns the mechanism so the strategies reduce to
-//! policy. It also owns the pipeline's telemetry: per-chunk write/persist
-//! stage latencies ([`Telemetry::stage_write`] /
+//! policy. A strategy drives four verbs — [`lease`](PersistPipeline::lease)
+//! a slot, [`copy`](PersistPipeline::copy) the snapshot into it,
+//! [`seal`](PersistPipeline::seal) it durable,
+//! [`commit`](PersistPipeline::commit) it — or the last three in one call,
+//! [`checkpoint_framed`](PersistPipeline::checkpoint_framed), and differs
+//! from the others only in its [`CopyMode`], its staging pool and the
+//! thread that calls it. It also owns the pipeline's telemetry: per-chunk
+//! write/persist stage latencies ([`Telemetry::stage_write`] /
 //! [`Telemetry::stage_persist`]) and the per-device submission-queue
 //! gauges sampled from [`PersistentDevice::queue_depths`] — including
 //! every member of a striped or tiered composite device.
@@ -22,13 +28,12 @@
 //! # One payload format
 //!
 //! Whatever writes it, a checkpoint is a frame (see [`crate::codec`]): a
-//! table, written last, in front of the packed chunks. The one chunk copy
-//! verb, [`copy`](PersistPipeline::copy), packs the codec's frame when it is
+//! table, written last, in front of the packed chunks. The one copy verb,
+//! [`copy`](PersistPipeline::copy), packs the codec's frame when it is
 //! asked to and the frame pays; otherwise — codec off, a staging pool too
 //! small for the snapshot, a frame no smaller than the state — it writes
-//! every chunk verbatim at its packed offset under an all-`Raw` table. The
-//! whole-buffer verbs write the same all-`Raw` frame, and every commit
-//! binds the checksum of the table it lands on.
+//! every chunk verbatim at its packed offset under an all-`Raw` table. Every
+//! commit binds the checksum of the table it lands on.
 //!
 //! # Who waits for what
 //!
@@ -83,7 +88,8 @@
 //! 1. *A pool worker never waits on another job.* Digests, compressions
 //!    and writes are the only pool jobs and none blocks on the pool; the
 //!    thread that fans a checkpoint out and waits for it (the caller of the
-//!    copy verb — the engine's coordinator) is never a pool worker.
+//!    copy verb — the engine's coordinator, a baseline's training or
+//!    background thread) is never a pool worker.
 //! 2. *A reservation that waits holds nothing, and nothing idle holds what
 //!    it waits for.* The staged and codec copies give back the mirror
 //!    chunks they will not carry, then take all the chunks they copy in one
@@ -121,19 +127,12 @@ use pccheck_telemetry::{FlightEventKind, Phase, SpanId, Telemetry};
 use pccheck_util::fnv::{chunk_digest, file_blocks, fold_blocks, whole_blocks, DIGEST_BLOCK};
 use pccheck_util::ByteSize;
 
-use crate::codec::{
-    compress_gated, raw_frame, ChunkEncoding, DedupHome, DedupIndex, FrameRecord, FrameTable,
-};
+use crate::codec::{compress_gated, ChunkEncoding, DedupHome, DedupIndex, FrameRecord, FrameTable};
 use crate::error::PccheckError;
 use crate::meta::{checksum, DeltaLink};
 use crate::pool::{Order, WorkerPool};
 use crate::qos::QosArbiter;
 use crate::store::{CheckpointStore, CommitOutcome, JobId, Namespace, SlotLease};
-
-/// Tile size for the GPU-kernel write-through loop (kernel grids move data
-/// in bounded tiles; GPM's SSD/PMEM adaptation), and the record size of
-/// every frame written without a staging pool.
-pub const KERNEL_COPY_CHUNK: usize = 4 * 1024 * 1024;
 
 /// How payload fences are issued.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -830,7 +829,8 @@ impl Batch {
 #[derive(Debug, Clone)]
 pub struct PersistPipeline {
     io: ChunkIo,
-    pool: Option<HostBufferPool>,
+    /// The DRAM staging pool every copy stages through.
+    pool: HostBufferPool,
     /// The resident writer pool (`p` workers in the paper), shared across
     /// clones and by every checkpoint in flight. Its width is the knob the
     /// online controller retunes between checkpoints.
@@ -851,25 +851,25 @@ struct CodecState {
     dedup: Mutex<DedupIndex>,
 }
 
-/// What a copy verb left in the leased slot: the argument of
-/// [`seal`](PersistPipeline::seal) and [`commit`](PersistPipeline::commit).
+/// What [`copy`](PersistPipeline::copy) left in the leased slot: the
+/// argument of [`seal`](PersistPipeline::seal) and
+/// [`commit`](PersistPipeline::commit).
 #[derive(Debug, Clone)]
 pub struct Copied {
-    /// Persist-phase start timestamp `seal` closes the phase against (the
-    /// whole-buffer and write-through verbs close their own).
+    /// Persist-phase start timestamp `seal` closes the phase against: the
+    /// copy's start when streamed, the end of staging otherwise.
     pub persist_start: u64,
     /// Physical bytes in the slot: the frame's table and packed chunks.
     pub payload_len: u64,
-    /// End-to-end digest of the logical state, computed from the bytes the
-    /// verb staged (the chunk verb folds it on the writer pool): exactly
-    /// [`pccheck_gpu::Gpu::digest`] of the snapshot. The frame's table
-    /// carries it.
+    /// End-to-end digest of the logical state, folded on the writer pool
+    /// from the bytes the copy staged: exactly [`pccheck_gpu::Gpu::digest`]
+    /// of the snapshot. The frame's table carries it.
     pub state_digest: StateDigest,
-    /// What the commit binds of the frame the verb wrote.
+    /// What the commit binds of the frame the copy wrote.
     pub frame: FramedPlan,
 }
 
-/// The frame half of what a copy verb persisted, for
+/// The frame half of what a copy persisted, for
 /// [`PersistPipeline::commit`] to bind to the commit record. An all-`Raw`
 /// frame links nothing, saved nothing and has no homes to install.
 #[derive(Debug, Clone, Default)]
@@ -892,16 +892,17 @@ pub struct FramedPlan {
 }
 
 impl PersistPipeline {
-    /// A single-writer, per-writer-fence pipeline over `store` with no
-    /// DRAM staging pool (whole-buffer strategies).
-    pub fn new(store: Arc<CheckpointStore>) -> Self {
+    /// A single-writer, per-writer-fence pipeline over `store` that stages
+    /// every copy through `pool`: the whole snapshot unless streamed, so
+    /// size it by the [`CopyMode`]s it will serve.
+    pub fn new(store: Arc<CheckpointStore>, pool: HostBufferPool) -> Self {
         PersistPipeline {
             io: ChunkIo {
                 store,
                 fence: FenceMode::PerWriter,
                 qos: None,
             },
-            pool: None,
+            pool,
             workers: Arc::new(WorkerPool::new("pccheck-writer", 1)),
             codec: Arc::new(CodecState::default()),
             mirrors: Arc::default(),
@@ -957,13 +958,6 @@ impl PersistPipeline {
         self
     }
 
-    /// Attaches the DRAM staging pool the chunk copy verb
-    /// ([`copy`](Self::copy)) stages through.
-    pub fn with_staging(mut self, pool: HostBufferPool) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
     /// Attaches the bandwidth QoS arbiter: every chunk write first
     /// acquires a byte-metered grant on behalf of the lease's job, so
     /// concurrent jobs share the writer pool in weighted-deficit
@@ -988,15 +982,9 @@ impl PersistPipeline {
         self.io.fence
     }
 
-    /// The staging pool, when one is attached.
-    pub fn staging_pool(&self) -> Option<&HostBufferPool> {
-        self.pool.as_ref()
-    }
-
-    fn pool(&self) -> &HostBufferPool {
-        self.pool
-            .as_ref()
-            .expect("the chunk copy verb needs a staging pool")
+    /// The DRAM staging pool.
+    pub fn staging_pool(&self) -> &HostBufferPool {
+        &self.pool
     }
 
     /// Leases a free slot from `ns` and refreshes the queue-depth gauges
@@ -1013,7 +1001,7 @@ impl PersistPipeline {
     /// they are free; otherwise it evicts every idle mirror and, until it is
     /// served, keeps any new one from being published.
     fn reserve(&self, n: usize) -> Vec<HostBuffer> {
-        let pool = self.pool();
+        let pool = &self.pool;
         if let Some(buffers) = pool.try_acquire_many(n) {
             return buffers;
         }
@@ -1113,7 +1101,7 @@ impl PersistPipeline {
         let mut carry = Carry::nothing(n_chunks, total);
         let mut reserved = Vec::new();
         if let Reserve::Whole(_) = reserve {
-            let pool = self.pool();
+            let pool = &self.pool;
             if pool.total_chunks() < n_chunks {
                 return Err(PccheckError::InvalidConfig(format!(
                     "staging a whole {} snapshot needs {n_chunks} chunks, the pool has {}",
@@ -1225,7 +1213,7 @@ impl PersistPipeline {
         packed: u64,
         staged: Vec<StagedChunk>,
     ) -> Result<(), PccheckError> {
-        let chunk = self.pool().chunk_size().as_u64();
+        let chunk = self.pool.chunk_size().as_u64();
         let batch = Batch::open(&self.io, ctx, lease);
         for (i, piece) in staged.into_iter().enumerate() {
             batch.write(&self.workers, packed + i as u64 * chunk, piece, None);
@@ -1233,7 +1221,7 @@ impl PersistPipeline {
         batch.wait()
     }
 
-    /// The chunk copy verb: copies the snapshot GPU→DRAM into pooled
+    /// The one copy verb: copies the snapshot GPU→DRAM into pooled
     /// chunks — the calling thread copies, the writer pool digests and
     /// persists — and writes it into its slot as a frame, its table last so
     /// a torn frame is never mistaken for a complete one. `mode` says how
@@ -1250,7 +1238,7 @@ impl PersistPipeline {
     /// frame carries is folded with it, not with the source's step count.
     /// Restore verifies against the committed iteration and sets the GPU's
     /// step to it, so the frame verifies and the restored GPU's digest is
-    /// the one this copy returns. Every verb follows that rule.
+    /// the one this copy returns.
     ///
     /// `slot` is leased when the first write needs it: before staging when
     /// streamed, after `src` is dropped otherwise (module docs, "Who waits
@@ -1290,7 +1278,7 @@ impl PersistPipeline {
         total: ByteSize,
         mode: CopyMode,
     ) -> Result<Copied, PccheckError> {
-        let pool = self.pool();
+        let pool = &self.pool;
         let chunk = pool.chunk_size().as_u64();
         let n_chunks = total.as_u64().div_ceil(chunk) as usize;
         let packed = FrameTable::encoded_len_for(n_chunks);
@@ -1546,176 +1534,32 @@ impl PersistPipeline {
         Ok(Some((table, plan)))
     }
 
-    /// One-call codec checkpoint in `ns`: [`copy`](Self::copy) under
-    /// `policy`, leasing a slot of `ns` when its first write needs one →
-    /// `seal` → commit. Returns what the copy left in the slot besides the
-    /// commit's outcome.
+    /// One-call checkpoint in `ns`: [`copy`](Self::copy) under `mode`,
+    /// leasing a slot of `ns` when its first write needs one → `seal` →
+    /// commit. `src` is the copy's, so passing a guard by value hands the
+    /// weights back once the snapshot is staged; pass `&guard` to keep
+    /// it. Returns what the copy left in the slot besides the commit's
+    /// outcome.
     ///
     /// # Errors
     ///
-    /// Propagates device errors.
-    pub fn checkpoint_framed(
+    /// Those of [`copy`](Self::copy), then device errors of the seal and
+    /// commit; a failed checkpoint's lease gives its slot back.
+    pub fn checkpoint_framed<S: SnapshotSource>(
         &self,
         ctx: PipelineCtx<'_>,
         ns: &Arc<Namespace>,
-        src: &dyn SnapshotSource,
+        src: S,
         iteration: u64,
-        policy: DeltaPolicy,
+        mode: CopyMode,
     ) -> Result<(CommitOutcome, Copied), PccheckError> {
         let total = src.size();
         let mut slot = DeferredLease::new(ns.job(), || self.lease(ctx, ns));
-        let copied = self.copy(
-            ctx,
-            src,
-            &mut slot,
-            iteration,
-            total,
-            CopyMode::Codec(policy),
-        )?;
+        let copied = self.copy(ctx, src, &mut slot, iteration, total, mode)?;
         let lease = slot.into_lease().expect("a copy that returned has leased");
         self.seal(ctx, &lease, iteration, &copied)?;
         let out = self.commit(ctx, lease, iteration, &copied)?;
         Ok((out, copied))
-    }
-
-    /// Whole-buffer snapshot: copies the entire source into one host
-    /// allocation, digests it at `iteration` (the one the commit records,
-    /// as for [`copy`](Self::copy)), and closes the `GpuCopy` phase that
-    /// started at `phase_start` (the traditional/CheckFreq `C` step). The
-    /// digest rides with the bytes into
-    /// [`persist_whole`](Self::persist_whole).
-    pub fn snapshot_whole(
-        &self,
-        ctx: PipelineCtx<'_>,
-        src: &dyn SnapshotSource,
-        iteration: u64,
-        phase_start: u64,
-    ) -> (Vec<u8>, StateDigest) {
-        let total = src.size();
-        let mut host = vec![0u8; total.as_usize()];
-        src.copy_range_to_host(0, &mut host);
-        let state_digest = StateDigest::of_payload(&host, iteration);
-        ctx.telemetry
-            .chunk(ctx.span, Phase::GpuCopy, 0, total.as_u64());
-        ctx.telemetry
-            .phase_done(ctx.span, Phase::GpuCopy, phase_start);
-        (host, state_digest)
-    }
-
-    /// Whole-buffer persist: leases a slot of `ns` *after* the copy,
-    /// writes the payload's all-`Raw` frame in one piece, fences it, and
-    /// closes the `Persist` phase (the traditional/CheckFreq `P` step).
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors.
-    pub fn persist_whole(
-        &self,
-        ctx: PipelineCtx<'_>,
-        ns: &Arc<Namespace>,
-        payload: &[u8],
-        state_digest: StateDigest,
-        iteration: u64,
-    ) -> Result<(SlotLease, Copied), PccheckError> {
-        let persist_start = ctx.telemetry.now_nanos();
-        let lease = self.lease(ctx, ns);
-        let (frame, payload_digest) =
-            raw_frame(lease.counter, state_digest.0, payload, KERNEL_COPY_CHUNK);
-        let total = frame.len() as u64;
-        self.io.write_chunk(ctx, lease.slot, 0, &frame)?;
-        self.io.persist_chunk(ctx, lease.slot, 0, total)?;
-        ctx.telemetry.chunk(ctx.span, Phase::Persist, 0, total);
-        ctx.telemetry
-            .phase_done(ctx.span, Phase::Persist, persist_start);
-        self.io.store.flight().record(
-            FlightEventKind::PayloadPersisted,
-            lease.counter,
-            lease.slot,
-            iteration,
-            total,
-            0,
-        );
-        let copied = Copied {
-            persist_start,
-            payload_len: total,
-            state_digest,
-            frame: FramedPlan {
-                payload_digest,
-                ..FramedPlan::default()
-            },
-        };
-        Ok((lease, copied))
-    }
-
-    /// Kernel write-through (GPM): copies the snapshot tile by tile
-    /// straight into the leased slot — each tile one record of an all-`Raw`
-    /// frame, its table written last — with no DRAM staging, then issues
-    /// one same-thread fence over the payload. `GpuCopy` and `Persist`
-    /// overlap tile-by-tile, so both phases close against the shared
-    /// `phase_start`. The state digest is folded at `iteration`, as for
-    /// [`copy`](Self::copy).
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors.
-    pub fn write_through(
-        &self,
-        ctx: PipelineCtx<'_>,
-        src: &dyn SnapshotSource,
-        lease: &SlotLease,
-        iteration: u64,
-        phase_start: u64,
-    ) -> Result<Copied, PccheckError> {
-        let total = src.size().as_u64();
-        // A small bounce tile stands in for the kernel's register/shared-
-        // memory tile; it never holds the checkpoint (Table 1: DRAM = 0).
-        let mut tile = vec![0u8; KERNEL_COPY_CHUNK.min(total.max(1) as usize)];
-        let packed = FrameTable::encoded_len_for(total.div_ceil(tile.len() as u64) as usize);
-        // Tiles start on block boundaries, so each one's pass files every
-        // block it covers and yields its record's address.
-        let mut blocks = vec![0u64; total.div_ceil(DIGEST_BLOCK as u64) as usize];
-        let mut records = Vec::new();
-        let mut off = 0u64;
-        while off < total {
-            let n = (tile.len() as u64).min(total - off) as usize;
-            src.copy_range_to_host(off, &mut tile[..n]);
-            let address = file_blocks(off, &tile[..n], total, |i, v| blocks[i] = v);
-            records.push((n as u64, address));
-            ctx.telemetry.chunk(ctx.span, Phase::GpuCopy, off, n as u64);
-            self.io
-                .write_chunk(ctx, lease.slot, packed + off, &tile[..n])?;
-            ctx.telemetry.chunk(ctx.span, Phase::Persist, off, n as u64);
-            off += n as u64;
-        }
-        ctx.telemetry
-            .phase_done(ctx.span, Phase::GpuCopy, phase_start);
-        let state_digest = StateDigest(fold_blocks(iteration, total, blocks));
-        let table = FrameTable::all_raw(lease.counter, state_digest.0, records).encode();
-        self.io.write_chunk(ctx, lease.slot, 0, &table)?;
-        // cudaDeviceSynchronize + msync/fence: one persist over the payload
-        // issued by this same (training) thread — correct on both SSD and
-        // PMEM because the same thread performed every store.
-        let payload_len = packed + total;
-        self.io.persist_chunk(ctx, lease.slot, 0, payload_len)?;
-        ctx.telemetry
-            .phase_done(ctx.span, Phase::Persist, phase_start);
-        self.io.store.flight().record(
-            FlightEventKind::PayloadPersisted,
-            lease.counter,
-            lease.slot,
-            iteration,
-            payload_len,
-            0,
-        );
-        Ok(Copied {
-            persist_start: phase_start,
-            payload_len,
-            state_digest,
-            frame: FramedPlan {
-                payload_digest: checksum(&table),
-                ..FramedPlan::default()
-            },
-        })
     }
 
     /// Makes a chunk-copied payload durable: in [`FenceMode::Deferred`]
@@ -1758,7 +1602,7 @@ impl PersistPipeline {
 
     /// Runs the store's lock-free, link-aware commit — meta publish,
     /// durable `Committed` state-word write, `fetch_max` head advance —
-    /// for what a copy verb left in the slot, and closes the `Commit`
+    /// for what [`copy`](Self::copy) left in the slot, and closes the `Commit`
     /// phase. The commit record carries the checksum of the frame's table
     /// (which binds the state digest and every chunk); a codec frame that
     /// commits installs its homes as the job's next dedup generation —
@@ -1843,52 +1687,12 @@ mod tests {
     }
 
     #[test]
-    fn whole_buffer_path_commits_a_recoverable_checkpoint() {
-        let g = gpu(300, 11);
-        g.update();
-        let pipeline = PersistPipeline::new(ssd_store(g.state_size(), 2));
-        let telemetry = Telemetry::enabled();
-        let span = telemetry.span_requested("test", 1, 300);
-        let ctx = PipelineCtx {
-            telemetry: &telemetry,
-            span,
-        };
-        let guard = g.lock_weights_shared();
-        let start = telemetry.now_nanos();
-        let (host, digest) = pipeline.snapshot_whole(ctx, &guard, 1, start);
-        drop(guard);
-        let (lease, copied) = pipeline
-            .persist_whole(ctx, &default_ns(&pipeline), &host, digest, 1)
-            .unwrap();
-        let outcome = pipeline.commit(ctx, lease, 1, &copied).unwrap();
-        assert_eq!(outcome, CommitOutcome::Committed);
-        let meta = pipeline
-            .store()
-            .latest_committed(&default_ns(&pipeline))
-            .unwrap();
-        assert_eq!(meta.iteration, 1);
-        assert_eq!(meta.digest, copied.frame.payload_digest);
-        assert_eq!(copied.state_digest, g.digest());
-        let rec = crate::recovery::recover(Arc::clone(pipeline.store().device())).unwrap();
-        assert_eq!(StateDigest::of_payload(&rec.payload, 1), g.digest());
-        let snap = telemetry.snapshot().unwrap();
-        assert_eq!(snap.phase(Phase::GpuCopy).count, 1);
-        assert_eq!(snap.phase(Phase::Persist).count, 1);
-        assert_eq!(snap.phase(Phase::Commit).count, 1);
-        // The pipeline fed the per-stage histograms and the device gauge.
-        assert_eq!(snap.write_stage.count, 1);
-        assert_eq!(snap.persist_stage.count, 1);
-    }
-
-    #[test]
     fn staged_and_streamed_paths_agree() {
         for streamed in [false, true] {
             let g = gpu(900, 13);
             g.update();
             let pool = HostBufferPool::new(ByteSize::from_bytes(128), 8);
-            let pipeline = PersistPipeline::new(ssd_store(g.state_size(), 3))
-                .with_writers(2)
-                .with_staging(pool);
+            let pipeline = PersistPipeline::new(ssd_store(g.state_size(), 3), pool).with_writers(2);
             let telemetry = Telemetry::enabled();
             let span = telemetry.span_requested("test", 1, 900);
             let ctx = PipelineCtx {
@@ -1923,9 +1727,7 @@ mod tests {
             let g = gpu(900, 47);
             g.update();
             let pool = HostBufferPool::new(ByteSize::from_bytes(128), 8);
-            let pipeline = PersistPipeline::new(ssd_store(g.state_size(), 3))
-                .with_writers(2)
-                .with_staging(pool);
+            let pipeline = PersistPipeline::new(ssd_store(g.state_size(), 3), pool).with_writers(2);
             let telemetry = Telemetry::enabled();
             let span = telemetry.span_requested("test", 1, 900);
             let ctx = PipelineCtx {
@@ -1970,10 +1772,9 @@ mod tests {
         let g = gpu(512, 17);
         g.update();
         let pool = HostBufferPool::new(ByteSize::from_bytes(128), 4);
-        let pipeline = PersistPipeline::new(ssd_store(g.state_size(), 2))
+        let pipeline = PersistPipeline::new(ssd_store(g.state_size(), 2), pool)
             .with_writers(2)
-            .with_fence(FenceMode::Deferred)
-            .with_staging(pool);
+            .with_fence(FenceMode::Deferred);
         let telemetry = Telemetry::enabled();
         let span = telemetry.span_requested("test", 1, 512);
         let ctx = PipelineCtx {
@@ -2011,20 +1812,18 @@ mod tests {
         let slot = FrameTable::slot_size_for(g.state_size(), ByteSize::from_kb(4));
         let store =
             Arc::new(CheckpointStore::format(striped, StoreGeometry::single(slot, 2)).unwrap());
-        let pipeline = PersistPipeline::new(store);
+        let pipeline = PersistPipeline::new(store, HostBufferPool::new(ByteSize::from_kb(4), 1));
         let telemetry = Telemetry::enabled();
         let span = telemetry.span_requested("test", 1, 600);
         let ctx = PipelineCtx {
             telemetry: &telemetry,
             span,
         };
-        let guard = g.lock_weights_shared();
-        let (host, digest) = pipeline.snapshot_whole(ctx, &guard, 1, 0);
-        drop(guard);
-        let (lease, copied) = pipeline
-            .persist_whole(ctx, &default_ns(&pipeline), &host, digest, 1)
+        let guard = g.lock_weights_shared_owned();
+        let ns = default_ns(&pipeline);
+        pipeline
+            .checkpoint_framed(ctx, &ns, guard, 1, CopyMode::Staged)
             .unwrap();
-        pipeline.commit(ctx, lease, 1, &copied).unwrap();
         // Controller + two members were sampled (values may be zero since
         // sampling happens after each op completes, but the gauge slots
         // exist and the store's own stats saw the traffic).
@@ -2057,9 +1856,8 @@ mod tests {
         qos.register_job(1, 1);
         qos.register_job(2, 1);
         let pool = HostBufferPool::new(ByteSize::from_bytes(128), 8);
-        let pipeline = PersistPipeline::new(store)
+        let pipeline = PersistPipeline::new(store, pool)
             .with_writers(2)
-            .with_staging(pool)
             .with_qos(Arc::clone(&qos));
         let telemetry = Telemetry::disabled();
         let ctx = PipelineCtx {
@@ -2093,32 +1891,27 @@ mod tests {
         assert_eq!(shares.iter().find(|s| s.0 == 2).unwrap().1, frame);
     }
 
+    /// GPM's shape: a streamed copy through a pool of one chunk writes a
+    /// snapshot many times that chunk, holding no more DRAM than it.
     #[test]
-    fn write_through_needs_no_staging_pool() {
-        let g = gpu(300, 23);
+    fn a_one_chunk_pool_streams_a_snapshot_larger_than_itself() {
+        let g = gpu(900, 23);
         g.update();
-        let pipeline = PersistPipeline::new(ssd_store(g.state_size(), 2));
-        assert!(pipeline.staging_pool().is_none());
-        let telemetry = Telemetry::enabled();
-        let span = telemetry.span_requested("test", 1, 300);
-        let ctx = PipelineCtx {
-            telemetry: &telemetry,
-            span,
-        };
+        let pool = HostBufferPool::new(ByteSize::from_bytes(128), 1);
+        let pipeline = PersistPipeline::new(ssd_store(g.state_size(), 2), pool);
+        let telemetry = Telemetry::disabled();
         let guard = g.lock_weights_shared();
-        let start = telemetry.now_nanos();
-        let lease = pipeline.lease(ctx, &default_ns(&pipeline));
-        let copied = pipeline
-            .write_through(ctx, &guard, &lease, 1, start)
+        let ns = default_ns(&pipeline);
+        let (out, copied) = pipeline
+            .checkpoint_framed(test_ctx(&telemetry), &ns, &guard, 1, CopyMode::Streamed)
             .unwrap();
-        let outcome = pipeline.commit(ctx, lease, 1, &copied).unwrap();
         drop(guard);
-        assert_eq!(outcome, CommitOutcome::Committed);
-        let snap = telemetry.snapshot().unwrap();
-        // One tile (300 bytes < 4 MiB), one same-thread fence.
-        assert_eq!(snap.gpu_copy_bytes, 300);
-        assert_eq!(snap.persist_chunk_bytes, 300);
-        assert_eq!(snap.persist_stage.count, 1);
+        assert_eq!(out, CommitOutcome::Committed);
+        assert_eq!(copied.state_digest, g.digest());
+        assert_eq!(copied.payload_len, FrameTable::encoded_len_for(8) + 900);
+        assert_eq!(pipeline.staging_pool().peak_outstanding(), 1);
+        let rec = crate::recovery::recover(Arc::clone(pipeline.store().device())).unwrap();
+        assert_eq!(StateDigest::of_payload(&rec.payload, 1), g.digest());
     }
 
     /// In-memory snapshot source with controllable content, for codec
@@ -2156,10 +1949,12 @@ mod tests {
         let store = Arc::new(
             CheckpointStore::format(Arc::clone(&device), StoreGeometry::single(slot, 4)).unwrap(),
         );
-        let pipeline = PersistPipeline::new(store)
-            .with_writers(2)
-            .with_staging(HostBufferPool::new(ByteSize::from_bytes(chunk), pool_chunks))
-            .with_codec(true);
+        let pipeline = PersistPipeline::new(
+            store,
+            HostBufferPool::new(ByteSize::from_bytes(chunk), pool_chunks),
+        )
+        .with_writers(2)
+        .with_codec(true);
         (device, pipeline)
     }
 
@@ -2211,11 +2006,11 @@ mod tests {
             if !queued {
                 device.open();
             }
-            let pipeline = PersistPipeline::new(store)
-                .with_writers(WRITERS)
-                .with_staging(HostBufferPool::new(ByteSize::from_bytes(CHUNK), 32))
-                .with_codec(true);
-            let pool = pipeline.staging_pool().unwrap();
+            let pipeline =
+                PersistPipeline::new(store, HostBufferPool::new(ByteSize::from_bytes(CHUNK), 32))
+                    .with_writers(WRITERS)
+                    .with_codec(true);
+            let pool = pipeline.staging_pool();
             let telemetry = Telemetry::enabled();
             let span = telemetry.span_requested("test", 1, TOTAL);
             let ctx = PipelineCtx {
@@ -2289,9 +2084,7 @@ mod tests {
     fn set_writers_resizes_the_resident_pool_and_drops_no_chunk() {
         let g = gpu(900, 53);
         let pool = HostBufferPool::new(ByteSize::from_bytes(128), 8);
-        let pipeline = PersistPipeline::new(ssd_store(g.state_size(), 3))
-            .with_writers(2)
-            .with_staging(pool);
+        let pipeline = PersistPipeline::new(ssd_store(g.state_size(), 3), pool).with_writers(2);
         assert_eq!(pipeline.workers.threads(), 0, "no chunk yet, no thread yet");
         let clone = pipeline.clone();
         let telemetry = Telemetry::enabled();
@@ -2353,9 +2146,11 @@ mod tests {
     fn dropping_the_last_clone_joins_the_writers() {
         let g = gpu(900, 59);
         g.update();
-        let pipeline = PersistPipeline::new(ssd_store(g.state_size(), 3))
-            .with_writers(2)
-            .with_staging(HostBufferPool::new(ByteSize::from_bytes(128), 8));
+        let pipeline = PersistPipeline::new(
+            ssd_store(g.state_size(), 3),
+            HostBufferPool::new(ByteSize::from_bytes(128), 8),
+        )
+        .with_writers(2);
         let telemetry = Telemetry::disabled();
         let ctx = test_ctx(&telemetry);
         let checkpoint = |through: &PersistPipeline, iter: u64| {
@@ -2412,10 +2207,10 @@ mod tests {
             store.allocate_namespace(1, 4).unwrap(),
             store.allocate_namespace(2, 4).unwrap(),
         ];
-        let pipeline = PersistPipeline::new(store)
-            .with_writers(2)
-            .with_staging(HostBufferPool::new(ByteSize::from_bytes(256), 16))
-            .with_codec(true);
+        let pipeline =
+            PersistPipeline::new(store, HostBufferPool::new(ByteSize::from_bytes(256), 16))
+                .with_writers(2)
+                .with_codec(true);
         let telemetry = Telemetry::disabled();
         let ctx = test_ctx(&telemetry);
         let commit = |job: usize, iter: u64, data: &[u8]| {
@@ -2487,7 +2282,13 @@ mod tests {
                 step: iter,
             };
             let (out, copied) = pipeline
-                .checkpoint_framed(ctx, &default_ns(&pipeline), &src, iter, policy)
+                .checkpoint_framed(
+                    ctx,
+                    &default_ns(&pipeline),
+                    &src,
+                    iter,
+                    CopyMode::Codec(policy),
+                )
                 .unwrap();
             assert_eq!(out, CommitOutcome::Committed);
             assert!(copied.frame.saved_bytes > 0, "{:?}", copied.frame);
@@ -2535,7 +2336,13 @@ mod tests {
         let telemetry = Telemetry::enabled();
         let ctx = test_ctx(&telemetry);
         let (commit, copied) = pipeline
-            .checkpoint_framed(ctx, &default_ns(&pipeline), &src, 1, DeltaPolicy::default())
+            .checkpoint_framed(
+                ctx,
+                &default_ns(&pipeline),
+                &src,
+                1,
+                CopyMode::Codec(DeltaPolicy::default()),
+            )
             .unwrap();
         assert_eq!(commit, CommitOutcome::Committed);
         let (payload_len, saved_bytes) = (copied.payload_len, copied.frame.saved_bytes);
@@ -2579,7 +2386,13 @@ mod tests {
         let telemetry = Telemetry::disabled();
         let ctx = test_ctx(&telemetry);
         let (_, copied) = pipeline
-            .checkpoint_framed(ctx, &default_ns(&pipeline), &src, 1, DeltaPolicy::default())
+            .checkpoint_framed(
+                ctx,
+                &default_ns(&pipeline),
+                &src,
+                1,
+                CopyMode::Codec(DeltaPolicy::default()),
+            )
             .unwrap();
         let (dedup_chunks, payload_len) = (copied.frame.dedup_chunks, copied.payload_len);
         assert_eq!(dedup_chunks, 14, "2 materialized + 14 self-references");
@@ -2607,7 +2420,7 @@ mod tests {
                 &default_ns(&pipeline),
                 &src1,
                 1,
-                DeltaPolicy::default(),
+                CopyMode::Codec(DeltaPolicy::default()),
             )
             .unwrap();
         // Incompressible and nothing to dedup against: the first
@@ -2628,7 +2441,7 @@ mod tests {
                 &default_ns(&pipeline),
                 &src2,
                 2,
-                DeltaPolicy::default(),
+                CopyMode::Codec(DeltaPolicy::default()),
             )
             .unwrap();
         assert_eq!(o2.frame.saved_bytes, 0, "no generation installed yet");
@@ -2647,7 +2460,7 @@ mod tests {
                 &default_ns(&pipeline),
                 &src3,
                 3,
-                DeltaPolicy::default(),
+                CopyMode::Codec(DeltaPolicy::default()),
             )
             .unwrap();
         assert!(
@@ -2668,7 +2481,7 @@ mod tests {
                 &default_ns(&pipeline),
                 &src4,
                 4,
-                DeltaPolicy::default(),
+                CopyMode::Codec(DeltaPolicy::default()),
             )
             .unwrap();
         assert_eq!(commit, CommitOutcome::Committed);
@@ -2700,7 +2513,13 @@ mod tests {
         let telemetry = Telemetry::disabled();
         let ctx = test_ctx(&telemetry);
         let (commit, copied) = pipeline
-            .checkpoint_framed(ctx, &default_ns(&pipeline), &src, 1, DeltaPolicy::default())
+            .checkpoint_framed(
+                ctx,
+                &default_ns(&pipeline),
+                &src,
+                1,
+                CopyMode::Codec(DeltaPolicy::default()),
+            )
             .unwrap();
         assert_eq!(commit, CommitOutcome::Committed);
         assert_eq!(copied.frame.saved_bytes, 0, "dense payloads go out all-Raw");
@@ -2725,7 +2544,13 @@ mod tests {
         let telemetry = Telemetry::disabled();
         let ctx = test_ctx(&telemetry);
         let (commit, copied) = pipeline
-            .checkpoint_framed(ctx, &default_ns(&pipeline), &src, 1, DeltaPolicy::default())
+            .checkpoint_framed(
+                ctx,
+                &default_ns(&pipeline),
+                &src,
+                1,
+                CopyMode::Codec(DeltaPolicy::default()),
+            )
             .unwrap();
         assert_eq!(commit, CommitOutcome::Committed);
         assert_eq!(copied.frame.saved_bytes, 0, "streamed all-Raw");
@@ -2884,7 +2709,13 @@ mod tests {
         let telemetry = Telemetry::disabled();
         let ctx = test_ctx(&telemetry);
         let (_, o) = pipeline
-            .checkpoint_framed(ctx, &default_ns(&pipeline), &src, 1, DeltaPolicy::default())
+            .checkpoint_framed(
+                ctx,
+                &default_ns(&pipeline),
+                &src,
+                1,
+                CopyMode::Codec(DeltaPolicy::default()),
+            )
             .unwrap();
         assert!(o.frame.saved_bytes > 0);
         assert!(pipeline

@@ -475,7 +475,7 @@ mod tests {
     /// chunks reference the base) and returns the device, the store, and
     /// the GPU at its final state.
     fn framed_chain_setup(iters: u64) -> (Arc<SsdDevice>, Arc<CheckpointStore>, Gpu) {
-        use crate::pipeline::{DeltaPolicy, PersistPipeline, PipelineCtx};
+        use crate::pipeline::{CopyMode, DeltaPolicy, PersistPipeline, PipelineCtx};
         use pccheck_device::HostBufferPool;
 
         let state = TrainingState::compressible(ByteSize::from_bytes(2048), 7, 32);
@@ -492,10 +492,12 @@ mod tests {
             .unwrap(),
         );
         let ns = store.namespace(DEFAULT_JOB).unwrap();
-        let pipeline = PersistPipeline::new(Arc::clone(&store))
-            .with_writers(2)
-            .with_staging(HostBufferPool::new(ByteSize::from_bytes(256), 8))
-            .with_codec(true);
+        let pipeline = PersistPipeline::new(
+            Arc::clone(&store),
+            HostBufferPool::new(ByteSize::from_bytes(256), 8),
+        )
+        .with_writers(2)
+        .with_codec(true);
         let telemetry = Telemetry::disabled();
         let ctx = PipelineCtx {
             telemetry: &telemetry,
@@ -507,7 +509,13 @@ mod tests {
             }
             let guard = gpu.lock_weights_shared_owned();
             pipeline
-                .checkpoint_framed(ctx, &ns, &guard, iter, DeltaPolicy::default())
+                .checkpoint_framed(
+                    ctx,
+                    &ns,
+                    &guard,
+                    iter,
+                    CopyMode::Codec(DeltaPolicy::default()),
+                )
                 .unwrap();
         }
         (ssd, store, gpu)

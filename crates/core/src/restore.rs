@@ -666,9 +666,11 @@ mod tests {
             )
             .unwrap(),
         );
-        let pipeline = PersistPipeline::new(Arc::clone(&store))
-            .with_writers(2)
-            .with_staging(HostBufferPool::new(ByteSize::from_bytes(chunk), 4));
+        let pipeline = PersistPipeline::new(
+            Arc::clone(&store),
+            HostBufferPool::new(ByteSize::from_bytes(chunk), 4),
+        )
+        .with_writers(2);
         let telemetry = Telemetry::disabled();
         let ctx = ctx(&telemetry);
         let total = gpu.state_size();
@@ -909,10 +911,12 @@ mod tests {
             )
             .unwrap(),
         );
-        let persist = PersistPipeline::new(Arc::clone(&store))
-            .with_writers(2)
-            .with_staging(HostBufferPool::new(ByteSize::from_bytes(256), 8))
-            .with_codec(true);
+        let persist = PersistPipeline::new(
+            Arc::clone(&store),
+            HostBufferPool::new(ByteSize::from_bytes(256), 8),
+        )
+        .with_writers(2)
+        .with_codec(true);
         let telemetry = Telemetry::disabled();
         let pctx = ctx(&telemetry);
         for iter in 1..=2u64 {
@@ -921,7 +925,13 @@ mod tests {
             }
             let guard = gpu.lock_weights_shared_owned();
             persist
-                .checkpoint_framed(pctx, &ns(&store), &guard, iter, DeltaPolicy::default())
+                .checkpoint_framed(
+                    pctx,
+                    &ns(&store),
+                    &guard,
+                    iter,
+                    CopyMode::Codec(DeltaPolicy::default()),
+                )
                 .unwrap();
         }
         let head = store.latest_committed(&ns(&store)).unwrap();

@@ -524,11 +524,7 @@ impl PersistController {
         self.codec_cooldown = self.codec_cooldown.saturating_sub(1);
         self.delta_cooldown = self.delta_cooldown.saturating_sub(1);
 
-        let stall_mean = if checkpoints > 0 {
-            stall_sum / checkpoints
-        } else {
-            0
-        };
+        let stall_mean = stall_sum.checked_div(checkpoints).unwrap_or(0);
         let saturated = signals.device_queue_depth >= self.cfg.device_queue_saturated;
 
         // --- Writer count: more writers shorten Tw only while the device
@@ -1014,10 +1010,12 @@ mod tests {
             crate::StoreGeometry::single(ByteSize::from_kb(4), 3),
         )
         .unwrap();
-        let pipeline = crate::pipeline::PersistPipeline::new(Arc::new(store))
-            .with_writers(2)
-            .with_staging(HostBufferPool::new(ByteSize::from_bytes(256), 16))
-            .with_codec(true);
+        let pipeline = crate::pipeline::PersistPipeline::new(
+            Arc::new(store),
+            HostBufferPool::new(ByteSize::from_bytes(256), 16),
+        )
+        .with_writers(2)
+        .with_codec(true);
         let telemetry = pccheck_telemetry::Telemetry::enabled();
         let mut c = PersistController::new(ControllerConfig::default(), 2, true);
         let d = c.steer(&telemetry.snapshot().unwrap(), &pipeline);

@@ -264,9 +264,8 @@ impl Daemon {
         let qos = Arc::new(QosArbiter::new(config.qos.clone()));
         let pool = HostBufferPool::new(config.chunk_size, config.dram_chunks);
         let pipeline = Arc::new(
-            PersistPipeline::new(Arc::clone(&store))
+            PersistPipeline::new(Arc::clone(&store), pool)
                 .with_writers(config.writer_threads)
-                .with_staging(pool)
                 .with_codec(config.codec)
                 .with_qos(Arc::clone(&qos)),
         );
@@ -715,7 +714,7 @@ mod tests {
             daemon.submit(JobSpec::sim(&format!("racer-{i}"))).unwrap();
         }
         daemon.join_all().unwrap();
-        let pool = daemon.pipeline.staging_pool().expect("daemon stages");
+        let pool = daemon.pipeline.staging_pool();
         assert!(
             pool.peak_outstanding() <= 2,
             "pool over-granted: {} chunks live at peak",

@@ -249,7 +249,7 @@ impl StripedDevice {
 
     fn check_bounds(&self, offset: u64, len: u64) -> Result<()> {
         let capacity = self.capacity().as_u64();
-        if offset.checked_add(len).map_or(true, |end| end > capacity) {
+        if offset.checked_add(len).is_none_or(|end| end > capacity) {
             return Err(DeviceError::OutOfBounds {
                 offset,
                 len,
@@ -496,7 +496,7 @@ impl TieredDevice {
 
     fn check_bounds(&self, offset: u64, len: u64) -> Result<()> {
         let capacity = self.capacity().as_u64();
-        if offset.checked_add(len).map_or(true, |end| end > capacity) {
+        if offset.checked_add(len).is_none_or(|end| end > capacity) {
             return Err(DeviceError::OutOfBounds {
                 offset,
                 len,

@@ -128,7 +128,7 @@ impl FileDevice {
     fn check_bounds(&self, offset: u64, len: u64) -> Result<()> {
         if offset
             .checked_add(len)
-            .map_or(true, |end| end > self.config.capacity.as_u64())
+            .is_none_or(|end| end > self.config.capacity.as_u64())
         {
             return Err(DeviceError::OutOfBounds {
                 offset,

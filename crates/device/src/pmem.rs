@@ -216,7 +216,7 @@ impl PersistentDevice for PmemDevice {
             let state = self.state.read();
             if offset
                 .checked_add(len)
-                .map_or(true, |end| end > state.region.capacity().as_u64())
+                .is_none_or(|end| end > state.region.capacity().as_u64())
             {
                 return Err(DeviceError::OutOfBounds {
                     offset,

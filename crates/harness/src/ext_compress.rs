@@ -16,8 +16,8 @@
 use std::sync::Arc;
 
 use pccheck::{
-    recover, CheckpointStore, DeltaPolicy, FrameTable, PersistPipeline, PipelineCtx, StoreGeometry,
-    DEFAULT_JOB,
+    recover, CheckpointStore, CopyMode, DeltaPolicy, FrameTable, PersistPipeline, PipelineCtx,
+    StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
 use pccheck_gpu::{Gpu, GpuConfig, Tensor, TrainingState};
@@ -148,13 +148,12 @@ pub fn measure(payload: Payload, sparsity: f64) -> ExtCompressRow {
     let ns = store.namespace(DEFAULT_JOB).unwrap();
     // The framed copy stages the whole snapshot, so the pool must cover it.
     let pool_chunks = state_bytes.div_ceil(chunk_bytes) as usize;
-    let pipeline = PersistPipeline::new(store)
-        .with_writers(2)
-        .with_staging(HostBufferPool::new(
-            ByteSize::from_bytes(chunk_bytes),
-            pool_chunks,
-        ))
-        .with_codec(true);
+    let pipeline = PersistPipeline::new(
+        store,
+        HostBufferPool::new(ByteSize::from_bytes(chunk_bytes), pool_chunks),
+    )
+    .with_writers(2)
+    .with_codec(true);
     let telemetry = Telemetry::disabled();
     let ctx = PipelineCtx {
         telemetry: &telemetry,
@@ -173,7 +172,7 @@ pub fn measure(payload: Payload, sparsity: f64) -> ExtCompressRow {
         }
         let guard = gpu.lock_weights_shared_owned();
         let (_, copied) = pipeline
-            .checkpoint_framed(ctx, &ns, &guard, iter, policy)
+            .checkpoint_framed(ctx, &ns, &guard, iter, CopyMode::Codec(policy))
             .unwrap();
         if iter == CHECKPOINTS {
             final_state = vec![0u8; state_bytes as usize];

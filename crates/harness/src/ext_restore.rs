@@ -133,9 +133,11 @@ pub fn committed_store(size: ByteSize, ways: u32) -> Arc<CheckpointStore> {
             .collect(),
         step: 1,
     };
-    let persist = PersistPipeline::new(Arc::clone(&store))
-        .with_writers(4)
-        .with_staging(HostBufferPool::new(ByteSize::from_bytes(READ_CHUNK), 8));
+    let persist = PersistPipeline::new(
+        Arc::clone(&store),
+        HostBufferPool::new(ByteSize::from_bytes(READ_CHUNK), 8),
+    )
+    .with_writers(4);
     let telemetry = Telemetry::disabled();
     let ctx = PipelineCtx {
         telemetry: &telemetry,

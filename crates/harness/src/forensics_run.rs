@@ -496,6 +496,9 @@ pub fn drive_to_crash_point(
     Ok((counter, slot))
 }
 
+/// A device and the fuse that crashes its power domain after `n` persists.
+type FusedDevice = (Arc<dyn PersistentDevice>, Box<dyn Fn(u64)>);
+
 /// Runs one full crash scenario on a fresh store of `cfg`'s geometry:
 /// a baseline commit per tenant, a crash at `point` in the namespace of
 /// `options.job` (the default job when `None`), a forensic audit of the
@@ -524,7 +527,7 @@ pub fn run_crash_scenario(
     let cap = geometry.required_capacity() + ByteSize::from_kb(4);
     // `arm_fuse` abstracts over the SSD's persist fuse and the striped
     // controller's — both crash the whole store's power domain.
-    let (device, arm_fuse): (Arc<dyn PersistentDevice>, Box<dyn Fn(u64)>) = match cfg.topology {
+    let (device, arm_fuse): FusedDevice = match cfg.topology {
         DeviceTopology::Single => {
             let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
             let fuse = Arc::clone(&ssd);

@@ -84,12 +84,15 @@ fn ssd_for(state: ByteSize, slots: u32) -> Arc<dyn PersistentDevice> {
 
 /// A built checkpointer, plus the underlying device when its store
 /// speaks the PCcheck recovery format (used by the optional restore leg).
+type Built = (Box<dyn Checkpointer>, Option<Arc<dyn PersistentDevice>>);
+
+/// Builds the checkpointer `strategy` names, recording to `telemetry`.
 fn build_checkpointer(
     strategy: &str,
     cfg: &InstrumentedRunConfig,
     gpu: &Gpu,
     telemetry: &Telemetry,
-) -> Result<(Box<dyn Checkpointer>, Option<Arc<dyn PersistentDevice>>), PccheckError> {
+) -> Result<Built, PccheckError> {
     let state = gpu.state_size();
     match strategy {
         "pccheck" => {

@@ -276,7 +276,7 @@ impl World {
         self.leave_stall();
         self.iter_done += 1;
         self.iteration_times.push(self.now);
-        let at_boundary = self.iter_done % self.cfg.interval == 0
+        let at_boundary = self.iter_done.is_multiple_of(self.cfg.interval)
             && !matches!(self.cfg.strategy, StrategyCfg::Ideal);
         if self.iter_done >= self.cfg.iterations {
             // Training time ends at the last update; the final boundary's

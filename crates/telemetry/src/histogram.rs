@@ -64,11 +64,7 @@ pub struct HistogramSummary {
 impl HistogramSummary {
     /// Arithmetic mean in nanoseconds (0 when empty).
     pub fn mean_nanos(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.sum_nanos / self.count
-        }
+        self.sum_nanos.checked_div(self.count).unwrap_or(0)
     }
 }
 
@@ -265,9 +261,9 @@ mod tests {
         let p95 = h.quantile(0.95);
         let p99 = h.quantile(0.99);
         // True values: 50us, 95us, 99us. Log2 buckets guarantee < 2x error.
-        assert!(p50 >= 25_000 && p50 <= 100_000, "p50 = {p50}");
-        assert!(p95 >= 47_500 && p95 <= 190_000, "p95 = {p95}");
-        assert!(p99 >= 49_500 && p99 <= 198_000, "p99 = {p99}");
+        assert!((25_000..=100_000).contains(&p50), "p50 = {p50}");
+        assert!((47_500..=190_000).contains(&p95), "p95 = {p95}");
+        assert!((49_500..=198_000).contains(&p99), "p99 = {p99}");
         // Ordering and clamping hold.
         assert!(p50 <= p95 && p95 <= p99);
         assert!(p99 <= h.max_nanos());
@@ -326,7 +322,7 @@ mod tests {
         }
         h.record(40_000);
         let p95 = h.quantile(0.95);
-        assert!(p95 >= 600 && p95 <= 1023, "p95 = {p95}");
+        assert!((600..=1023).contains(&p95), "p95 = {p95}");
         // The outlier itself is still reported exactly at the extreme rank.
         assert_eq!(h.quantile(0.99), 40_000);
         assert_eq!(h.quantile(1.0), 40_000);

@@ -148,7 +148,7 @@ pub fn state_digest(step: u64, state: &[u8]) -> u64 {
 const LANES: usize = 4;
 
 // A whole block is words only: the lanes never owe a byte-serial tail.
-const _: () = assert!(DIGEST_BLOCK % 8 == 0);
+const _: () = assert!(DIGEST_BLOCK.is_multiple_of(8));
 
 /// Per-block values of `range`, a piece of a serialized state that starts
 /// on a [`DIGEST_BLOCK`] boundary and ends on one or at the state's end.

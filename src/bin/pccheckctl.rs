@@ -365,7 +365,7 @@ fn cmd_device(path: &str, ways: u32) -> Result<(), Box<dyn std::error::Error>> {
         let mut members: Vec<Arc<dyn PersistentDevice>> = Vec::new();
         for i in 0..ways {
             members.push(Arc::new(FileDevice::create(
-                &format!("{path}.m{i}"),
+                format!("{path}.m{i}"),
                 device_config(),
             )?));
         }

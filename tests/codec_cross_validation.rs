@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use pccheck::{
-    recover, CheckpointStore, DeltaPolicy, FrameTable, PcCheckConfig, PcCheckEngine,
+    recover, CheckpointStore, CopyMode, DeltaPolicy, FrameTable, PcCheckConfig, PcCheckEngine,
     PersistPipeline, PipelineCtx, StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
@@ -84,13 +84,11 @@ fn replay(states: &[Vec<u8>], codec: bool) -> (Arc<dyn PersistentDevice>, u64, u
     let mut framed = 0u64;
     let mut physical = 0u64;
     if codec {
-        let pipeline =
-            PersistPipeline::new(store)
-                .with_writers(2)
-                .with_staging(HostBufferPool::new(
-                    ByteSize::from_bytes(CHUNK),
-                    (STATE / CHUNK) as usize,
-                ));
+        let pipeline = PersistPipeline::new(
+            store,
+            HostBufferPool::new(ByteSize::from_bytes(CHUNK), (STATE / CHUNK) as usize),
+        )
+        .with_writers(2);
         let telemetry = Telemetry::disabled();
         let ctx = PipelineCtx {
             telemetry: &telemetry,
@@ -103,7 +101,7 @@ fn replay(states: &[Vec<u8>], codec: bool) -> (Arc<dyn PersistentDevice>, u64, u
                 step: iteration,
             };
             let (_, copied) = pipeline
-                .checkpoint_framed(ctx, &ns, &src, iteration, POLICY)
+                .checkpoint_framed(ctx, &ns, &src, iteration, CopyMode::Codec(POLICY))
                 .expect("checkpoint commits");
             framed += u64::from(copied.frame.saved_bytes > 0);
             physical += copied.payload_len;

@@ -32,10 +32,12 @@ fn store_on(slots: u32) -> (Arc<SsdDevice>, Arc<CheckpointStore>) {
 }
 
 fn pipeline_for(store: &Arc<CheckpointStore>) -> PersistPipeline {
-    PersistPipeline::new(Arc::clone(store))
-        .with_writers(2)
-        .with_staging(HostBufferPool::new(ByteSize::from_bytes(CHUNK), 16))
-        .with_codec(true)
+    PersistPipeline::new(
+        Arc::clone(store),
+        HostBufferPool::new(ByteSize::from_bytes(CHUNK), 16),
+    )
+    .with_writers(2)
+    .with_codec(true)
 }
 
 #[test]
@@ -73,7 +75,7 @@ fn dedup_chain_restore_is_bit_identical_to_full_checkpoints() {
         let total = guard.size();
 
         let (_, copied) = pipe_a
-            .checkpoint_framed(ctx, &ns_a, &guard, iter, policy)
+            .checkpoint_framed(ctx, &ns_a, &guard, iter, CopyMode::Codec(policy))
             .expect("framed checkpoint");
         assert!(
             copied.frame.saved_bytes > 0,

@@ -73,13 +73,15 @@ fn ns(store: &CheckpointStore) -> Arc<Namespace> {
 }
 
 fn framed_pipeline(store: &Arc<CheckpointStore>, state: u64, chunk: u64) -> PersistPipeline {
-    PersistPipeline::new(Arc::clone(store))
-        .with_writers(2)
-        .with_staging(HostBufferPool::new(
+    PersistPipeline::new(
+        Arc::clone(store),
+        HostBufferPool::new(
             ByteSize::from_bytes(chunk),
             (2 * state).div_ceil(chunk) as usize,
-        ))
-        .with_codec(true)
+        ),
+    )
+    .with_writers(2)
+    .with_codec(true)
 }
 
 fn ctx(telemetry: &Telemetry) -> PipelineCtx<'_> {
@@ -232,7 +234,7 @@ fn clean_chunks_keep_one_home_across_eight_commits_on_three_slots() {
                 &ns(&store),
                 &guard,
                 iter,
-                DeltaPolicy::default(),
+                CopyMode::Codec(DeltaPolicy::default()),
             )
             .expect("framed checkpoint");
         drop(guard);
@@ -286,7 +288,7 @@ fn a_frame_whose_base_was_displaced_is_withdrawn_not_committed() {
     gpu.update();
     let guard = gpu.lock_weights_shared_owned();
     let (out, copied_a) = pipeline
-        .checkpoint_framed(ctx, &ns(&store), &guard, 1, policy)
+        .checkpoint_framed(ctx, &ns(&store), &guard, 1, CopyMode::Codec(policy))
         .expect("A");
     drop(guard);
     assert_eq!(out, CommitOutcome::Committed);
@@ -365,7 +367,7 @@ fn a_frame_whose_base_was_displaced_is_withdrawn_not_committed() {
     gpu.update_sparse(0.1);
     let guard = gpu.lock_weights_shared_owned();
     let (out, _) = pipeline
-        .checkpoint_framed(ctx, &ns(&store), &guard, 4, policy)
+        .checkpoint_framed(ctx, &ns(&store), &guard, 4, CopyMode::Codec(policy))
         .expect("D");
     drop(guard);
     assert_eq!(out, CommitOutcome::Committed);
@@ -401,7 +403,7 @@ fn two_homes() -> TwoHomes {
                 &ns(&store),
                 &guard,
                 iter,
-                DeltaPolicy { max_chain: 2 },
+                CopyMode::Codec(DeltaPolicy { max_chain: 2 }),
             )
             .expect("framed checkpoint");
         drop(guard);

@@ -58,9 +58,8 @@ fn tenants() -> Tenants {
     qos.register_job(1, 1);
     qos.register_job(2, 2);
     let pipeline = Arc::new(
-        PersistPipeline::new(Arc::clone(&store))
+        PersistPipeline::new(Arc::clone(&store), HostBufferPool::new(chunk, 6))
             .with_writers(2)
-            .with_staging(HostBufferPool::new(chunk, 6))
             .with_qos(qos),
     );
     let config = PcCheckConfig::builder()

@@ -48,9 +48,11 @@ fn ns(store: &CheckpointStore) -> Arc<Namespace> {
 }
 
 fn pipeline_for(store: &Arc<CheckpointStore>) -> PersistPipeline {
-    PersistPipeline::new(Arc::clone(store))
-        .with_writers(2)
-        .with_staging(HostBufferPool::new(ByteSize::from_bytes(CHUNK), 16))
+    PersistPipeline::new(
+        Arc::clone(store),
+        HostBufferPool::new(ByteSize::from_bytes(CHUNK), 16),
+    )
+    .with_writers(2)
 }
 
 fn sequential() -> RestoreOptions {
@@ -144,7 +146,7 @@ fn parallel_and_sequential_recovery_agree_on_dedup_chains() {
             gpu.update_sparse(0.10);
         }
         let guard = gpu.lock_weights_shared_owned();
-        pipe.checkpoint_framed(ctx, &ns(&store), &guard, iter, policy)
+        pipe.checkpoint_framed(ctx, &ns(&store), &guard, iter, CopyMode::Codec(policy))
             .expect("framed checkpoint");
     }
     drop(pipe);

@@ -5,14 +5,15 @@
 use std::sync::Arc;
 
 use pccheck::{
-    bind_frame_table, recovery, CheckpointStore, Copied, CopyMode, DeltaPolicy, FrameTable,
-    PcCheckConfig, PcCheckEngine, PersistPipeline, PipelineCtx, StoreGeometry, DEFAULT_JOB,
+    bind_frame_table, recovery, CheckpointStore, CopyMode, DeltaPolicy, FrameTable, PcCheckConfig,
+    PcCheckEngine, PersistPipeline, PipelineCtx, StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_baselines::{
     CheckFreqCheckpointer, GeminiCheckpointer, GpmCheckpointer, TraditionalCheckpointer,
 };
 use pccheck_device::{
-    DeviceConfig, HostBufferPool, NetworkConfig, NetworkLink, PersistentDevice, SsdDevice,
+    DeviceConfig, HostBufferPool, NetworkConfig, NetworkLink, PersistentDevice, PmemDevice,
+    PmemWriteMode, SsdDevice,
 };
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, StateDigest, TrainingLoop, TrainingState};
 use pccheck_telemetry::{SpanId, Telemetry};
@@ -31,6 +32,40 @@ fn fresh_ssd(slots: u32) -> Arc<SsdDevice> {
     let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(SIZE), slots)
         + ByteSize::from_kb(4);
     Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)))
+}
+
+fn fresh_pmem(slots: u32) -> Arc<PmemDevice> {
+    let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(SIZE), slots)
+        + ByteSize::from_kb(4);
+    let config = DeviceConfig::fast_for_tests(cap);
+    Arc::new(PmemDevice::new(config, PmemWriteMode::NtStore))
+}
+
+/// The storage baseline called `name`, over `device`, recording to
+/// `telemetry`.
+fn storage_baseline(
+    name: &str,
+    device: Arc<dyn PersistentDevice>,
+    size: ByteSize,
+    telemetry: Telemetry,
+) -> Box<dyn Checkpointer> {
+    match name {
+        "traditional" => Box::new(
+            TraditionalCheckpointer::new(device, size)
+                .expect("constructs")
+                .with_telemetry(telemetry),
+        ),
+        "checkfreq" => Box::new(
+            CheckFreqCheckpointer::new(device, size)
+                .expect("constructs")
+                .with_telemetry(telemetry),
+        ),
+        _ => Box::new(
+            GpmCheckpointer::new(device, size)
+                .expect("constructs")
+                .with_telemetry(telemetry),
+        ),
+    }
 }
 
 fn run_training(gpu: &Gpu, ckpt: &dyn Checkpointer) {
@@ -144,9 +179,11 @@ fn storage_backed_strategies_all_recover_identically() {
 #[test]
 fn every_baseline_recovers_a_checkpoint_acknowledged_at_another_iteration() {
     // One update (step 1), acknowledged as iteration 100: each baseline's
-    // verb folds the state digest with the iteration its commit records,
+    // copy folds the state digest with the iteration its commit records,
     // so recovery verifies the checkpoint and the restored GPU's digest is
-    // the acknowledged one.
+    // the acknowledged one. On PMEM a fence makes durable only the calling
+    // thread's stores, so a crash right after the acknowledgement also
+    // checks that whoever wrote each piece of the frame fenced it.
     let gpu = fresh_gpu(17);
     gpu.update();
     let size = gpu.state_size();
@@ -161,18 +198,18 @@ fn every_baseline_recovers_a_checkpoint_acknowledged_at_another_iteration() {
         );
     };
     for name in ["traditional", "checkfreq", "gpm"] {
-        let ssd = fresh_ssd(2);
-        let ckpt: Box<dyn Checkpointer> = match name {
-            "traditional" => Box::new(TraditionalCheckpointer::new(ssd.clone(), size).unwrap()),
-            "checkfreq" => Box::new(CheckFreqCheckpointer::new(ssd.clone(), size).unwrap()),
-            _ => Box::new(GpmCheckpointer::new(ssd.clone(), size).unwrap()),
-        };
-        ckpt.checkpoint(&gpu, 100);
-        ckpt.drain();
-        ssd.crash_now();
-        ssd.recover();
-        let rec = recovery::recover(ssd).unwrap_or_else(|e| panic!("{name}: {e}"));
-        restored(name, ckpt.as_ref(), rec);
+        let media: [(&str, Arc<dyn PersistentDevice>); 2] =
+            [("ssd", fresh_ssd(2)), ("pmem", fresh_pmem(2))];
+        for (medium, device) in media {
+            let ckpt = storage_baseline(name, Arc::clone(&device), size, Telemetry::disabled());
+            let name = format!("{name} on {medium}");
+            ckpt.checkpoint(&gpu, 100);
+            ckpt.drain();
+            device.crash_now();
+            device.recover();
+            let rec = recovery::recover(device).unwrap_or_else(|e| panic!("{name}: {e}"));
+            restored(&name, ckpt.as_ref(), rec);
+        }
     }
     let link = Arc::new(NetworkLink::new(
         NetworkConfig::fast_for_tests(),
@@ -185,6 +222,47 @@ fn every_baseline_recovers_a_checkpoint_acknowledged_at_another_iteration() {
     restored("gemini", &gemini, rec);
 }
 
+/// A device error fails one checkpoint, not the baseline: checkpoint 1
+/// commits, the device crashes, checkpoint 2 fails (a `failed` event, no
+/// panic, the acknowledgement still at 1), and once the device is back
+/// checkpoint 3 commits — the failed one's slot is free again — and is what
+/// recovery finds.
+#[test]
+fn every_baseline_reports_a_failed_checkpoint_and_checkpoints_again() {
+    for name in ["traditional", "checkfreq", "gpm"] {
+        let gpu = fresh_gpu(19);
+        let ssd = fresh_ssd(2);
+        let telemetry = Telemetry::enabled();
+        let ckpt = storage_baseline(name, ssd.clone(), gpu.state_size(), telemetry.clone());
+        let step = |iteration: u64| {
+            gpu.update();
+            ckpt.checkpoint(&gpu, iteration);
+            ckpt.drain();
+        };
+        step(1);
+        ssd.crash_now();
+        step(2);
+        let counters = telemetry.snapshot().expect("enabled").counters;
+        assert_eq!((counters.committed, counters.failed), (1, 1), "{name}");
+        let acked = || ckpt.last_committed().expect("acknowledged");
+        assert_eq!(acked().iteration, 1, "{name}");
+        ssd.recover();
+        step(3);
+        assert_eq!(
+            (acked().iteration, acked().digest),
+            (3, gpu.digest()),
+            "{name}"
+        );
+        ssd.crash_now();
+        ssd.recover();
+        let rec = recovery::recover(ssd).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(rec.iteration, 3, "{name}");
+        let fresh = fresh_gpu(0);
+        rec.restore_into(&fresh);
+        assert_eq!(fresh.digest(), gpu.digest(), "{name}");
+    }
+}
+
 /// A staging chunk that is no multiple of the digest block, so every copy
 /// loop feeds the state digest in splits that straddle blocks.
 const ODD_CHUNK: u64 = 5000;
@@ -194,9 +272,9 @@ fn copy_verb(gpu: &Gpu, verb: &str) -> StateDigest {
     copy_verb_with(gpu, verb, ODD_CHUNK, (SIZE / ODD_CHUNK + 1) as usize)
 }
 
-/// Drives one copy verb over `gpu`'s current state on a fresh store, staging
-/// through `pool_chunks` chunks of `chunk` bytes, commits what it returned,
-/// and hands back the digest it folded.
+/// Drives the copy verb in one mode over `gpu`'s current state on a fresh
+/// store, staging through `pool_chunks` chunks of `chunk` bytes, commits
+/// what it returned, and hands back the digest it folded.
 fn copy_verb_with(gpu: &Gpu, verb: &str, chunk: u64, pool_chunks: usize) -> StateDigest {
     let slot = FrameTable::slot_size_for(gpu.state_size(), ByteSize::from_bytes(chunk));
     let store = Arc::new(
@@ -207,12 +285,11 @@ fn copy_verb_with(gpu: &Gpu, verb: &str, chunk: u64, pool_chunks: usize) -> Stat
         .expect("format"),
     );
     let ns = store.namespace(DEFAULT_JOB).expect("single-tenant store");
-    let pipeline = PersistPipeline::new(Arc::clone(&store))
-        .with_writers(2)
-        .with_staging(HostBufferPool::new(
-            ByteSize::from_bytes(chunk),
-            pool_chunks,
-        ));
+    let pipeline = PersistPipeline::new(
+        Arc::clone(&store),
+        HostBufferPool::new(ByteSize::from_bytes(chunk), pool_chunks),
+    )
+    .with_writers(2);
     let telemetry = Telemetry::disabled();
     let ctx = PipelineCtx {
         telemetry: &telemetry,
@@ -221,43 +298,25 @@ fn copy_verb_with(gpu: &Gpu, verb: &str, chunk: u64, pool_chunks: usize) -> Stat
     let iteration = gpu.step_count();
     let guard = gpu.lock_weights_shared_owned();
     let total = guard.size();
-    let (lease, copied): (_, Copied) = match verb {
-        "snapshot_whole" => {
-            let (host, digest) = pipeline.snapshot_whole(ctx, &guard, iteration, 0);
-            pipeline
-                .persist_whole(ctx, &ns, &host, digest, iteration)
-                .expect("persist_whole")
-        }
-        "write_through" => {
-            let lease = pipeline.lease(ctx, &ns);
-            let copied = pipeline
-                .write_through(ctx, &guard, &lease, iteration, 0)
-                .expect("write_through");
-            (lease, copied)
-        }
-        _ => {
-            // The codec packs the tiled state and declines the dense one
-            // after staging it — the guard is its to release by then, so
-            // the all-Raw frame is of what it already holds in DRAM.
-            let lease = pipeline.lease(ctx, &ns);
-            let mode = match verb {
-                "copy staged" => CopyMode::Staged,
-                "copy streamed" => CopyMode::Streamed,
-                _ => CopyMode::Codec(DeltaPolicy::default()),
-            };
-            let copied = pipeline
-                .copy(ctx, &guard, &lease, iteration, total, mode)
-                .expect("copy");
-            if matches!(mode, CopyMode::Codec(_)) && verb != "copy codec if it pays" {
-                let packed = copied.frame.saved_bytes > 0;
-                assert_eq!(packed, verb == "copy codec", "{verb}");
-            }
-            pipeline
-                .seal(ctx, &lease, iteration, &copied)
-                .expect("seal");
-            (lease, copied)
-        }
+    // The codec packs the tiled state and declines the dense one after
+    // staging it — the guard is its to release by then, so the all-Raw
+    // frame is of what it already holds in DRAM.
+    let lease = pipeline.lease(ctx, &ns);
+    let mode = match verb {
+        "copy staged" => CopyMode::Staged,
+        "copy streamed" => CopyMode::Streamed,
+        _ => CopyMode::Codec(DeltaPolicy::default()),
     };
+    let copied = pipeline
+        .copy(ctx, &guard, &lease, iteration, total, mode)
+        .expect("copy");
+    if matches!(mode, CopyMode::Codec(_)) && verb != "copy codec if it pays" {
+        let packed = copied.frame.saved_bytes > 0;
+        assert_eq!(packed, verb == "copy codec", "{verb}");
+    }
+    pipeline
+        .seal(ctx, &lease, iteration, &copied)
+        .expect("seal");
     drop(guard);
     pipeline
         .commit(ctx, lease, iteration, &copied)
@@ -281,9 +340,9 @@ fn acknowledged(gpu: &Gpu, ckpt: &dyn Checkpointer) -> StateDigest {
     outcome.digest
 }
 
-/// One definition, no second opinion: whatever moved the bytes — any copy
-/// verb, the engine in any mode, any baseline — reports exactly what
-/// `Gpu::digest` computes for the same state.
+/// One definition, no second opinion: whatever moved the bytes — the copy
+/// verb in any mode, the engine in any mode, any baseline — reports exactly
+/// what `Gpu::digest` computes for the same state.
 #[test]
 fn every_copy_verb_and_every_strategy_acknowledges_the_gpu_digest() {
     let dense = fresh_gpu(21);
@@ -326,12 +385,6 @@ fn every_copy_verb_and_every_strategy_acknowledges_the_gpu_digest() {
             &dense,
             copy_verb(&dense, "copy codec declined"),
         ),
-        (
-            "snapshot_whole",
-            &dense,
-            copy_verb(&dense, "snapshot_whole"),
-        ),
-        ("write_through", &dense, copy_verb(&dense, "write_through")),
         (
             "engine raw staged",
             &dense,
