@@ -521,6 +521,12 @@ impl RestorePlan {
             });
             off += r.logical_len; // `decode` summed these without overflow
         }
+        // A GPU's restore staging holds an older state's bytes, not zeros:
+        // a byte no job lands would train as that state's.
+        assert!(
+            tiles(&jobs, table.logical_len),
+            "a restore plan's jobs must tile its payload exactly once"
+        );
         Some(RestorePlan {
             len: table.logical_len,
             iteration: meta.iteration,
@@ -528,6 +534,15 @@ impl RestorePlan {
             jobs,
         })
     }
+}
+
+/// Whether `jobs` tile `[0, len)` exactly once, in order: each starts where
+/// the one before it ended, and the last ends at `len`.
+fn tiles(jobs: &[Job], len: u64) -> bool {
+    let end = jobs.iter().try_fold(0u64, |end, job| {
+        (job.off == end).then(|| end.checked_add(job.len)).flatten()
+    });
+    end == Some(len)
 }
 
 /// The frame table at the head of `meta`'s slot payload, bound to `meta`
@@ -1750,5 +1765,27 @@ mod tests {
             };
             assert_eq!(FrameTable::decode(&t.encode()).unwrap(), t);
         });
+    }
+
+    #[test]
+    fn tiling_admits_exact_covers_only() {
+        let job = |off, len| Job {
+            off,
+            len,
+            source: JobSource::Copy { of: 0 },
+            digest: 0,
+        };
+        let cases: [(&[Job], u64, bool); 7] = [
+            (&[job(0, 4), job(4, 0), job(4, 6)], 10, true),
+            (&[], 0, true),
+            (&[job(0, 4), job(5, 5)], 10, false), // a gap
+            (&[job(0, 4), job(3, 7)], 10, false), // an overlap
+            (&[job(0, 4), job(4, 5)], 10, false), // ends short
+            (&[job(0, 4), job(4, 7)], 10, false), // runs past
+            (&[job(0, 4), job(4, u64::MAX)], 3, false),
+        ];
+        for (jobs, len, want) in cases {
+            assert_eq!(tiles(jobs, len), want, "{jobs:?} over {len}");
+        }
     }
 }

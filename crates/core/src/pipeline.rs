@@ -57,7 +57,7 @@
 //!
 //! *A whole-snapshot copy stages only what changed.* Per job, the pipeline
 //! keeps the last snapshot it staged whole as a host mirror: its pooled
-//! chunks, its [`Digests`] and the source [`Version`] it was taken at. The
+//! chunks, its block digests and the source [`Version`] it was taken at. The
 //! next whole copy of the same source asks the source what changed since
 //! that version ([`SnapshotSource::dirty_since`]) and shares the mirror's
 //! chunk for every chunk no dirty range touches — no memcpy, no digest, its

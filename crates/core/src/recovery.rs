@@ -3,7 +3,7 @@
 //!
 //! The recovery path itself is instrumented ([`recover_instrumented`]):
 //! the store-open/slot-scan, payload-load, and digest-verify steps each
-//! land as [`Phase`] spans on the telemetry timeline and as a
+//! land as [`Phase`](pccheck_telemetry::Phase) spans on the telemetry timeline and as a
 //! [`RecoveryTrace`] of measured nanoseconds, so recovery time is a
 //! measured first-class figure rather than only a model.
 
@@ -49,8 +49,8 @@ impl RecoveredCheckpoint {
 /// ran in.
 ///
 /// Produced by [`recover_instrumented`]; the scan and load windows are
-/// also recorded as [`Phase::RecoveryScan`] / [`Phase::RecoveryLoad`] /
-/// [`Phase::RecoveryVerify`] spans when telemetry is enabled.
+/// also recorded as `RecoveryScan` / `RecoveryLoad` / `RecoveryVerify`
+/// [`Phase`](pccheck_telemetry::Phase) spans when telemetry is enabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecoveryTrace {
     /// Store open + `CHECK_ADDR`/slot-meta scan time, nanoseconds.

@@ -11,7 +11,7 @@
 //!   counters and gauges, no event timeline, so the service's memory does
 //!   not grow with its uptime.
 //!
-//! Jobs arrive via [`Daemon::submit`], pass [`admission`](crate::admission),
+//! Jobs arrive via [`Daemon::submit`], pass [`admission`],
 //! get a namespace plus a [`PcCheckEngine`] facade, and train on a
 //! background worker until their iteration budget runs out or
 //! [`Daemon::drain`] stops them. Drained state stays recoverable: the

@@ -265,8 +265,8 @@ pub trait PersistentDevice: std::fmt::Debug + Send + Sync {
     /// while crashed — it is exactly the recovery path.
     fn read_durable_at(&self, offset: u64, buf: &mut [u8]) -> Result<()>;
 
-    /// Injects a crash with the device's configured [`CrashPolicy`]
-    /// (see [`crate::CrashPolicy`]); subsequent I/O fails until
+    /// Injects a crash with the device's configured
+    /// [`CrashPolicy`](crate::CrashPolicy); subsequent I/O fails until
     /// [`recover`](Self::recover).
     fn crash_now(&self);
 

@@ -73,9 +73,8 @@ impl FileDevice {
     ///
     /// # Errors
     ///
-    /// Returns [`DeviceError::Io`]-equivalent wrapped errors on filesystem
-    /// failures (reported as `OutOfBounds` is never used here; I/O errors
-    /// panic-free propagate via `std::io::Error` conversion below).
+    /// Returns the [`std::io::Error`] of a failed filesystem call (creating,
+    /// truncating or sizing the file).
     pub fn create<P: AsRef<Path>>(path: P, config: DeviceConfig) -> std::io::Result<Self> {
         let file = OpenOptions::new()
             .read(true)

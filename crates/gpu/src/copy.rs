@@ -158,8 +158,8 @@ impl CopyEngine {
     }
 
     /// Total bytes metered through this engine (all concurrent copies).
-    /// Dividing by the run window and [`effective_bandwidth`]
-    /// (`CopyEngineConfig::effective_bandwidth`) gives the PCIe
+    /// Dividing by the run window and
+    /// [`effective_bandwidth`](CopyEngineConfig::effective_bandwidth) gives the PCIe
     /// utilization gauge telemetry reports.
     pub fn bytes_copied(&self) -> u64 {
         self.copied.load(Ordering::Relaxed)

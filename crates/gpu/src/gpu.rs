@@ -142,6 +142,10 @@ struct GpuInner {
     /// This GPU's [`Version::source`].
     source: u64,
     dirty: Mutex<DirtyLog>,
+    /// The state the last restore displaced, or the staging of one that
+    /// was abandoned: the next restore's staging (see
+    /// [`Gpu::begin_restore`]).
+    spare: Mutex<Option<TrainingState>>,
 }
 
 impl GpuInner {
@@ -179,6 +183,7 @@ impl Gpu {
                 engine,
                 source: SOURCES.fetch_add(1, Ordering::Relaxed),
                 dirty: Mutex::new(DirtyLog::default()),
+                spare: Mutex::new(None),
             }),
         }
     }
@@ -244,18 +249,24 @@ impl Gpu {
     }
 
     /// Restores the training state from a recovered checkpoint payload:
-    /// one upload through the copy engine, swapped in like any other
-    /// restore.
+    /// one upload through the copy engine into the same staging
+    /// [`begin_restore`](Self::begin_restore) lends, swapped in like any
+    /// other restore.
     ///
     /// # Panics
     ///
     /// Panics if the payload size does not match the current layout.
     pub fn restore(&self, payload: &[u8], step: u64) {
-        let layout = self.inner.state.read().layout();
-        let staged = TrainingState::restore(&layout, payload, step);
-        self.copy_engine().meter(staged.size());
-        let gpu = self.clone();
-        RestoreTarget { gpu, staged }.finish(step);
+        let total = ByteSize::from_bytes(payload.len() as u64);
+        let mut target = self.begin_restore(total);
+        let mut rest = payload;
+        for piece in target.pieces() {
+            let (bytes, tail) = rest.split_at(piece.len());
+            piece.copy_from_slice(bytes);
+            rest = tail;
+        }
+        self.copy_engine().meter(total);
+        target.finish(step);
     }
 
     /// Begins a restore of `total` serialized bytes.
@@ -268,20 +279,31 @@ impl Gpu {
     /// (verification failed, fell back to an older candidate) leaves the
     /// GPU exactly as it was — just drop the target.
     ///
+    /// The staging is the state the GPU's last restore displaced (or the
+    /// staging of one abandoned since), when its layout is the live one:
+    /// only a GPU's first restore allocates and zero-fills a state. The
+    /// staged bytes are therefore *not* zero — they are an older state's —
+    /// and the filler must land every byte before finishing; recovery's
+    /// plans tile the payload exactly once, and its digest fold reads every
+    /// block of the destination.
+    ///
     /// # Panics
     ///
     /// Panics if `total` does not match the current layout's size.
     pub fn begin_restore(&self, total: ByteSize) -> RestoreTarget {
         let layout = self.inner.state.read().layout();
-        let staged = TrainingState::zeroed(&layout);
         assert_eq!(
             total,
-            staged.size(),
+            layout.iter().map(|(_, size)| *size).sum::<ByteSize>(),
             "restore payload size must match the training-state layout"
         );
+        let spare = self.inner.spare.lock().take();
+        let staged = spare
+            .filter(|spare| spare.layout() == layout)
+            .unwrap_or_else(|| TrainingState::zeroed(&layout));
         RestoreTarget {
             gpu: self.clone(),
-            staged,
+            staged: Some(staged),
         }
     }
 
@@ -359,34 +381,50 @@ pub fn merge_ranges(mut ranges: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
 /// state — no byte is copied after it landed. The filler meters what it
 /// lands through the GPU's [`CopyEngine`], so restore uploads contend for
 /// the same PCIe bandwidth as snapshot copies.
+///
+/// Dropping the target hands tensors back to the GPU as its next restore's
+/// staging: the state `finish` displaced, or the unfinished staging of a
+/// rejected candidate.
 #[derive(Debug)]
 pub struct RestoreTarget {
     gpu: Gpu,
-    staged: TrainingState,
+    /// The staging; after `finish`, the state it displaced. Taken only by
+    /// `drop`.
+    staged: Option<TrainingState>,
 }
 
 impl RestoreTarget {
     /// The staging image as disjoint pieces, one per tensor in serialized
     /// order (a piece may be empty): serialized byte `o` is byte `o` of
     /// their concatenation. Disjoint borrows, so any number of threads
-    /// may fill them at once.
+    /// may fill them at once. Their bytes start out as an older state's,
+    /// not zero.
     pub fn pieces(&mut self) -> Vec<&mut [u8]> {
-        self.staged.pieces_mut()
+        let staged = self.staged.as_mut().expect("staged until dropped");
+        staged.pieces_mut()
     }
 
     /// Completes the restore: the staged tensors become the live training
-    /// state at `step`, swapped in under the weights' write lock.
+    /// state at `step`, swapped in under the weights' write lock, and the
+    /// state they displace becomes the GPU's next restore staging.
     ///
     /// The caller is responsible for having filled and verified every
     /// byte — the target itself performs no digest checks.
     pub fn finish(mut self, step: u64) {
-        self.staged.step = step;
         let inner = &self.gpu.inner;
+        let staged = self.staged.as_mut().expect("staged until dropped");
+        staged.step = step;
         let _turn = inner.holds.write_turn();
         let mut state = inner.state.write();
-        *state = self.staged;
+        std::mem::swap(&mut *state, staged);
         // Every byte may have changed: no earlier snapshot carries over.
         inner.dirty.lock().forget();
+    }
+}
+
+impl Drop for RestoreTarget {
+    fn drop(&mut self) {
+        *self.gpu.inner.spare.lock() = self.staged.take();
     }
 }
 
@@ -587,7 +625,6 @@ impl SnapshotSource for OwnedWeightsGuard {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::time::Duration;
 
     fn gpu(size: u64, seed: u64) -> Gpu {
         Gpu::new(
@@ -625,23 +662,22 @@ mod tests {
     fn update_blocks_while_snapshot_guard_held() {
         let g = gpu(300, 3);
         let guard = g.lock_weights_shared();
-        let updated = Arc::new(AtomicBool::new(false));
-        let handle = {
-            let g = g.clone();
-            let updated = Arc::clone(&updated);
-            std::thread::spawn(move || {
+        let released = AtomicBool::new(false);
+        let (starting, started) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                starting.send(()).unwrap();
                 g.update();
-                updated.store(true, Ordering::SeqCst);
-            })
-        };
-        std::thread::sleep(Duration::from_millis(100));
-        assert!(
-            !updated.load(Ordering::SeqCst),
-            "update must stall behind the snapshot copy (Figure 6)"
-        );
-        drop(guard);
-        handle.join().unwrap();
-        assert!(updated.load(Ordering::SeqCst));
+                assert!(
+                    released.load(Ordering::SeqCst),
+                    "update must stall behind the snapshot copy (Figure 6)"
+                );
+            });
+            started.recv().unwrap();
+            released.store(true, Ordering::SeqCst);
+            drop(guard);
+        });
+        assert_eq!(g.step_count(), 1);
     }
 
     #[test]
@@ -896,6 +932,83 @@ mod tests {
         drop(target); // verification failed elsewhere; abandon
         assert_eq!(g.digest(), digest);
         assert_eq!(g.step_count(), 1);
+    }
+
+    /// The serialized bytes of `g`'s live state.
+    fn payload_of(g: &Gpu) -> Vec<u8> {
+        let guard = g.lock_weights_shared();
+        let mut buf = vec![0u8; guard.size().as_usize()];
+        guard.copy_range_to_host(0, &mut buf);
+        buf
+    }
+
+    fn fill(target: &mut RestoreTarget, payload: &[u8]) {
+        let mut rest = payload;
+        for piece in target.pieces() {
+            let (bytes, tail) = rest.split_at(piece.len());
+            piece.copy_from_slice(bytes);
+            rest = tail;
+        }
+    }
+
+    fn buffers(pieces: Vec<&mut [u8]>) -> Vec<*const u8> {
+        pieces.iter().map(|p| p.as_ptr()).collect()
+    }
+
+    #[test]
+    fn a_restore_lands_in_the_state_the_last_one_displaced() {
+        let g = gpu(1000, 34);
+        g.update();
+        let (payload, digest) = (payload_of(&g), g.digest());
+        let live = g.with_weights(|s| {
+            let data = s.tensors().iter().map(|t| t.data().as_ptr());
+            data.collect::<Vec<_>>()
+        });
+        let mut first = g.begin_restore(ByteSize::from_bytes(1000));
+        let staged = buffers(first.pieces());
+        fill(&mut first, &payload);
+        first.finish(1);
+
+        // The displaced tensors are the next staging, bytes and all.
+        let mut next = g.begin_restore(ByteSize::from_bytes(1000));
+        assert_eq!(buffers(next.pieces()), live, "the displaced tensors");
+        next.pieces().into_iter().for_each(|p| p.fill(0xAB));
+        drop(next); // rejected: its staging goes back unfinished
+
+        let mut again = g.begin_restore(ByteSize::from_bytes(1000));
+        assert_eq!(buffers(again.pieces()), live, "the abandoned staging");
+        assert!(again.pieces().iter().all(|p| p.iter().all(|&b| b == 0xAB)));
+        // Filled correctly, the stale bytes are gone and the state verifies.
+        g.update();
+        fill(&mut again, &payload);
+        again.finish(1);
+        assert_eq!(g.digest(), digest);
+        let now = g.with_weights(|s| s.tensors()[0].data().as_ptr());
+        assert_eq!(now, live[0], "the reused staging is the live state");
+
+        // `restore` lands in the same staging: the tensors the first
+        // restore staged, which the second one displaced.
+        g.update();
+        g.restore(&payload, 1);
+        assert_eq!(g.digest(), digest);
+        let now = g.with_weights(|s| s.tensors()[0].data().as_ptr());
+        assert_eq!(now, staged[0]);
+    }
+
+    #[test]
+    fn a_restore_of_another_layout_stages_afresh() {
+        let g = gpu(300, 35);
+        let payload = payload_of(&g);
+        g.restore(&payload, 2);
+        // A spare whose layout is not the live one is never lent.
+        let other = TrainingState::synthetic(ByteSize::from_bytes(300), 36);
+        *g.inner.spare.lock() = Some(TrainingState::from_tensors(vec![
+            other.tensors()[0].clone(),
+            other.tensors()[2].clone(),
+            other.tensors()[1].clone(),
+        ]));
+        let mut target = g.begin_restore(ByteSize::from_bytes(300));
+        assert!(target.pieces().iter().all(|p| p.iter().all(|&b| b == 0)));
     }
 
     #[test]

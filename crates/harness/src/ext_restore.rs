@@ -100,8 +100,7 @@ pub struct ExtRestoreRow {
 
 /// A formatted store on a (possibly striped) throttled device set with one
 /// committed checkpoint of `size`.
-/// Public so `bench_pr5` drives the identical geometry.
-pub fn committed_store(size: ByteSize, ways: u32) -> Arc<CheckpointStore> {
+fn committed_store(size: ByteSize, ways: u32) -> Arc<CheckpointStore> {
     let slot = FrameTable::slot_size_for(size, ByteSize::from_bytes(READ_CHUNK));
     let cap = CheckpointStore::required_capacity(slot, 2) + ByteSize::from_kb(64);
     let throttled = |capacity| DeviceConfig {
@@ -157,7 +156,7 @@ pub fn committed_store(size: ByteSize, ways: u32) -> Arc<CheckpointStore> {
 /// An untimed warmup fetch first drains the members' token buckets'
 /// initial burst allowance (the bench_pr3 idiom), so the timed pass is
 /// media-rate-bound instead of riding banked idle credit.
-pub fn measure_store(store: &Arc<CheckpointStore>, readers: usize) -> f64 {
+fn measure_store(store: &Arc<CheckpointStore>, readers: usize) -> f64 {
     let ns = store.namespace(DEFAULT_JOB).expect("single-tenant store");
     let meta = store.latest_committed(&ns).expect("committed checkpoint");
     let telemetry = Telemetry::disabled();
@@ -256,7 +255,7 @@ mod tests {
         let rows = smoke_rows();
         assert!((speedup_of(rows, 4, 1) - 1.0).abs() < 1e-9);
         let four = speedup_of(rows, 4, 4);
-        // Same floor bench_pr5 asserts: ≥2× at 4 readers on a 4-way stripe.
+        // The acceptance floor: ≥2× at 4 readers on a 4-way stripe.
         assert!(four >= 2.0, "4-way/4-reader speedup {four} < 2.0");
         let two = speedup_of(rows, 4, 2);
         assert!(two >= 1.5, "4-way/2-reader speedup {two} < 1.5");

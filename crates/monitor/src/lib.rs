@@ -11,7 +11,7 @@
 //! * [`CheckpointInspector`] — enumerate the store's checkpoint history
 //!   (PCcheck's `N+1` slots double as a short history), load payloads, and
 //!   reconstruct training states.
-//! * [`diff`] — byte/tensor-level deltas between checkpoints: how much of
+//! * [`diff`](mod@diff) — byte/tensor-level deltas between checkpoints: how much of
 //!   the state changed between two captured iterations.
 //! * [`detector`] — an update-magnitude anomaly detector: flags checkpoint
 //!   intervals whose per-iteration change rate deviates from the trailing

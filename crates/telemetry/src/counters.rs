@@ -3,8 +3,8 @@
 //! The engine's original `EngineStats` exposed three independent `Relaxed`
 //! loads; a caller summing them mid-flight could observe a committed
 //! checkpoint whose request was not yet counted. [`CheckpointCounters`]
-//! keeps the one-atomic-add hot path but adds [`snapshot`]
-//! (`CheckpointCounters::snapshot`): a double-read stabilization loop that
+//! keeps the one-atomic-add hot path but adds
+//! [`snapshot`](CheckpointCounters::snapshot): a double-read stabilization loop that
 //! returns one mutually consistent view of all five counters.
 
 use std::sync::atomic::{AtomicU64, Ordering};

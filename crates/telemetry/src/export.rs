@@ -290,8 +290,8 @@ const ACTOR_TID_BASE: u64 = 900_000;
 ///
 /// Checkpoint spans render one track per span id; hierarchical
 /// [`EventKind::ActorSpan`] children (writers, restore readers, device
-/// members) render on named per-actor lanes starting at
-/// [`ACTOR_TID_BASE`], each carrying its parent span id in `args`.
+/// members) render on named per-actor lanes starting at thread id
+/// 900000, each carrying its parent span id in `args`.
 pub fn chrome_trace(events: &[Event]) -> String {
     chrome_trace_with(events, &[])
 }

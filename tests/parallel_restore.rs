@@ -554,6 +554,137 @@ fn every_reader_count_recovers_random_geometries_bit_identically() {
     }
 }
 
+/// A device whose media rotted one byte: every durable read covering
+/// device offset `at` returns it flipped.
+#[derive(Debug)]
+struct BitRot {
+    inner: Arc<SsdDevice>,
+    at: u64,
+}
+
+impl PersistentDevice for BitRot {
+    fn capacity(&self) -> ByteSize {
+        self.inner.capacity()
+    }
+    fn bandwidth(&self) -> Bandwidth {
+        self.inner.bandwidth()
+    }
+    fn write_at(&self, offset: u64, data: &[u8]) -> DeviceResult<()> {
+        self.inner.write_at(offset, data)
+    }
+    fn persist(&self, offset: u64, len: u64) -> DeviceResult<()> {
+        self.inner.persist(offset, len)
+    }
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> DeviceResult<()> {
+        self.inner.read_at(offset, buf)
+    }
+    fn read_durable_at(&self, offset: u64, buf: &mut [u8]) -> DeviceResult<()> {
+        self.inner.read_durable_at(offset, buf)?;
+        if let Some(b) = self
+            .at
+            .checked_sub(offset)
+            .and_then(|i| buf.get_mut(i as usize))
+        {
+            *b ^= 0x10;
+        }
+        Ok(())
+    }
+    fn crash_now(&self) {
+        self.inner.crash_now();
+    }
+    fn recover(&self) {
+        self.inner.recover();
+    }
+    fn stats(&self) -> &DeviceStats {
+        self.inner.stats()
+    }
+}
+
+/// `built`'s device with one byte of a record the head itself holds
+/// rotted, so the head's plan compiles and its jobs run but the head is
+/// rejected and recovery falls back to commit 3, which no byte of the
+/// head's packed region belongs to. `None` when the head holds no record
+/// of its own (every one a reference).
+fn head_rotted(built: &Built) -> Option<Arc<dyn PersistentDevice>> {
+    let (head, _) = built.head();
+    let payload = built.store.read_checkpoint(head).expect("head payload");
+    let table = FrameTable::decode(&payload).expect("head table");
+    let held = table.records.iter().find(|r| r.kind.is_materialized())?;
+    let packed = built.store.slot_payload_offset(head.slot) + table.encoded_len();
+    Some(Arc::new(BitRot {
+        inner: built.ssd.clone(),
+        at: packed + held.a + held.b / 2,
+    }))
+}
+
+/// The serialized bytes of `gpu`'s live state.
+fn live_bytes(gpu: &Gpu) -> Vec<u8> {
+    gpu.with_weights(|s| {
+        let mut buf = vec![0u8; s.size().as_usize()];
+        s.serialize_into(&mut buf);
+        buf
+    })
+}
+
+#[test]
+fn recoveries_into_one_gpu_land_every_commit_bit_exactly() {
+    let shapes = Shapes::default();
+    let (fallbacks, restores) = (Cell::new(0u32), Cell::new(0u32));
+    let telemetry = Telemetry::disabled();
+    rng::check(48, |r| {
+        let (built, sizes) = random_store(r, &shapes);
+        let rotted = head_rotted(&built);
+        // One GPU for every recovery: from the second restore on, each
+        // lands in the state the one before displaced (or in a rejected
+        // candidate's staging), never in zeros.
+        let gpu = fresh_gpu(&sizes);
+        for _ in 0..r.range(4..8) {
+            if r.chance(0.5) {
+                gpu.update();
+            }
+            let options = RestoreOptions {
+                readers: [1, 2, 4][r.range(0..3) as usize],
+                job: None,
+            };
+            let want = match (r.range(0..3), &rotted) {
+                (0, _) => {
+                    bump(&restores);
+                    let k = r.range(0..4) as usize;
+                    let (meta, logical) = &built.commits[k];
+                    gpu.restore(logical, meta.iteration);
+                    k
+                }
+                (1, Some(rotted)) => {
+                    bump(&fallbacks);
+                    let trace = recover_into_gpu(Arc::clone(rotted), &gpu, &telemetry, options)
+                        .expect("falls back");
+                    assert_eq!(trace.fallbacks, 1, "{options:?}");
+                    2
+                }
+                _ => {
+                    let trace = recover_into_gpu(built.device(), &gpu, &telemetry, options)
+                        .expect("recovers");
+                    assert_eq!(trace.fallbacks, 0, "{options:?}");
+                    3
+                }
+            };
+            let (meta, logical) = &built.commits[want];
+            assert_eq!(gpu.step_count(), meta.iteration, "{options:?}");
+            assert!(
+                live_bytes(&gpu) == *logical,
+                "{options:?}: the GPU differs from commit {}",
+                meta.counter
+            );
+            assert_eq!(
+                gpu.digest(),
+                StateDigest(state_digest(meta.iteration, logical))
+            );
+        }
+    });
+    assert!(fallbacks.get() >= 10, "only {} fallbacks", fallbacks.get());
+    assert!(restores.get() >= 10, "only {} restores", restores.get());
+}
+
 // ---------------------------------------------------------------------
 // Rejection: whatever is wrong, in the head or in a home it names, the
 // head is rejected whole and recovery lands on an older commit.
