@@ -1,21 +1,11 @@
 //! Benchmark crate: see `benches/`, every target a plain `fn main`. The
 //! paper's figure and table rows are printed by the `pccheck-harness`
 //! binaries; the micro-benches here time code paths nothing else measures,
-//! through [`stats::time`].
-//!
-//! The [`stats`] module is the shared acceptance scaffolding for the
-//! `bench_prN` gate benches: every gate summarizes interleaved reps with
-//! a median, widens its ceiling to the measured run-to-run noise, and
-//! only enforces wall-clock comparisons when the host has enough cores
-//! for the widest arm. Keeping those rules in one place means every PR
-//! gate applies the same noise discipline.
+//! through [`stats::time`]. They print and gate nothing: performance is
+//! judged by the perf ledger (`crates/ledger`).
 
-/// Acceptance statistics shared by the `bench_prN` gate benches.
+/// Timing helpers shared by the micro-benches.
 pub mod stats {
-    /// Measured overheads with magnitude under this fraction are
-    /// scheduler noise, not signal.
-    pub const NOISE_FLOOR: f64 = 0.01;
-
     /// Median of a sample (the run summary statistic — robust to the odd
     /// slow rep, unlike best-of-reps, which systematically
     /// under-reports).
@@ -31,7 +21,7 @@ pub mod stats {
 
     /// Relative inter-quartile range: (q3 - q1) / median. The run-to-run
     /// noise of one arm, as a fraction of its typical value — the finest
-    /// overhead this host can actually resolve.
+    /// difference this host can actually resolve.
     ///
     /// # Panics
     ///
@@ -85,34 +75,6 @@ pub mod stats {
         med
     }
 
-    /// Widens `ceiling` to the worst measured arm noise (and never below
-    /// [`NOISE_FLOOR`]): a gate can only resolve overheads as fine as
-    /// the host's own jitter.
-    pub fn effective_ceiling(ceiling: f64, arms: &[&[f64]]) -> f64 {
-        arms.iter()
-            .map(|arm| rel_iqr(arm))
-            .fold(ceiling.max(NOISE_FLOOR), f64::max)
-    }
-
-    /// Cores available to this process (1 when undeterminable). Gates
-    /// compare against the widest thread arm: threads time-sharing one
-    /// core measure the scheduler, not the protocol.
-    pub fn host_cores() -> usize {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    }
-
-    /// Repository-root path for a `BENCH_prN.json` artifact (resolved
-    /// from `CARGO_MANIFEST_DIR` when cargo sets it, the working
-    /// directory otherwise).
-    pub fn bench_json_path(file: &str) -> String {
-        let root = std::env::var("CARGO_MANIFEST_DIR")
-            .map(|d| format!("{d}/../.."))
-            .unwrap_or_else(|_| ".".into());
-        format!("{root}/{file}")
-    }
-
     #[cfg(test)]
     mod tests {
         use super::*;
@@ -137,21 +99,6 @@ pub mod stats {
             let tight = rel_iqr(&[10.0, 10.1, 9.9, 10.0, 10.05]);
             let loose = rel_iqr(&[10.0, 14.0, 6.0, 10.0, 12.0]);
             assert!(loose > tight);
-        }
-
-        #[test]
-        fn effective_ceiling_never_narrows() {
-            assert_eq!(effective_ceiling(0.02, &[&[1.0, 1.0, 1.0]]), 0.02);
-            let noisy = [10.0, 14.0, 6.0, 10.0, 12.0];
-            assert!(effective_ceiling(0.02, &[&noisy]) > 0.02);
-            // Floor applies even when the ceiling asks for finer.
-            assert_eq!(effective_ceiling(0.001, &[&[1.0, 1.0, 1.0]]), NOISE_FLOOR);
-        }
-
-        #[test]
-        fn bench_json_path_lands_at_repo_root() {
-            let p = bench_json_path("BENCH_test.json");
-            assert!(p.ends_with("BENCH_test.json"));
         }
     }
 }

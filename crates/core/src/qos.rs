@@ -304,6 +304,8 @@ impl Drop for QosGrant {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
     use super::*;
 
     fn arbiter(cap: usize) -> Arc<QosArbiter> {
@@ -378,8 +380,8 @@ mod tests {
     fn weights_bias_deficit_growth() {
         // Weight 3 accumulates deficit 3x faster, so serving the same
         // chunk size requires fewer passes. Verify weighted registration
-        // plumbs through (behavioral fairness ratios are bench_pr8's
-        // job, with real concurrency and a fluid-model oracle).
+        // plumbs through (the byte shares weights yield under backlog are
+        // `backlogged_jobs_share_bytes_by_weight`'s to check).
         let arb = arbiter(1);
         arb.register_job(7, 3);
         arb.register_job(8, 1);
@@ -401,23 +403,89 @@ mod tests {
         assert_eq!(arb.effective_cap(), 8);
     }
 
+    /// The request `job` is waiting on inside `acquire`, 0 when none.
+    fn wanted(arb: &QosArbiter, job: JobId) -> u64 {
+        let s = arb.state.lock();
+        s.jobs.iter().find(|j| j.job == job).map_or(0, |j| j.wanted)
+    }
+
     #[test]
     fn cap_blocks_until_release() {
         let arb = arbiter(1);
         arb.register_job(1, 1);
         arb.register_job(2, 1);
         let g = arb.acquire(1, 512);
-        let arb2 = Arc::clone(&arb);
-        let waiter = std::thread::spawn(move || {
-            let g2 = arb2.acquire(2, 512);
-            drop(g2);
+        let released = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                let g2 = arb.acquire(2, 512);
+                assert!(released.load(Ordering::SeqCst), "waiter served past cap 1");
+                drop(g2);
+            });
+            // The waiter records its request under the lock it gives up
+            // only in the condvar wait: once it is seen, the waiter is
+            // blocked on the cap.
+            while wanted(&arb, 2) == 0 {
+                std::thread::yield_now();
+            }
+            released.store(true, Ordering::SeqCst);
+            drop(g);
+            waiter.join().unwrap();
         });
-        // Give the waiter a moment to block on the cap, then release.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert!(!waiter.is_finished(), "waiter should block on cap 1");
-        drop(g);
-        waiter.join().unwrap();
         assert!(arb.peak_outstanding() <= 1);
+    }
+
+    #[test]
+    fn backlogged_jobs_share_bytes_by_weight() {
+        // Four always-backlogged jobs, weights 1/1/2/4, cap 1: every job
+        // has a chunk waiting at every grant. `acquire` serves whichever
+        // waiter takes the lock once the cap frees, topping up its deficit
+        // if short, so with threads the split would follow the scheduler.
+        // The test plays the waiters in a fixed order instead: the next
+        // grant goes to the first job in ring order whose banked deficit
+        // covers its chunk, and when none does, to the next job in turn,
+        // whose top-ups credit every job weight x quantum per ring pass.
+        // The arbiter's accounting alone then decides the split.
+        const CHUNK: u64 = 1024; // one quantum
+        const JOBS: [(JobId, u64); 4] = [(1, 1), (2, 1), (3, 2), (4, 4)];
+        let arb = arbiter(1);
+        for (job, weight) in JOBS {
+            arb.register_job(job, weight);
+        }
+        let banked = |k: usize| arb.state.lock().jobs[k].deficit;
+        let mut turn = 0;
+        let mut grant = || {
+            let k = (turn..turn + JOBS.len())
+                .map(|k| k % JOBS.len())
+                .find(|&k| banked(k) >= CHUNK)
+                .unwrap_or(turn % JOBS.len());
+            drop(arb.acquire(JOBS[k].0, CHUNK));
+            turn = k + 1;
+        };
+        let served = |arb: &QosArbiter| arb.shares().iter().map(|&(_, b)| b).collect::<Vec<_>>();
+        // The window opens once every job has been served (each waited its
+        // turn) and closes on total served bytes, a cut that does not
+        // condition on how they were split.
+        while served(&arb).contains(&0) {
+            grant();
+        }
+        arb.reset_shares();
+        while served(&arb).iter().sum::<u64>() < 256 * CHUNK {
+            grant();
+        }
+
+        let shares = served(&arb);
+        let total: u64 = shares.iter().sum();
+        let weights: u64 = JOBS.iter().map(|&(_, w)| w).sum();
+        for (&bytes, &(job, weight)) in shares.iter().zip(&JOBS) {
+            let (share, fair) = (bytes as f64 / total as f64, weight as f64 / weights as f64);
+            assert!(
+                (share - fair).abs() <= 0.15 * fair,
+                "job {job}: share {share:.3} against weight share {fair:.3} ({shares:?})"
+            );
+        }
+        let (a, b) = (shares[0].max(shares[1]), shares[0].min(shares[1]));
+        assert!(a as f64 <= 1.3 * b as f64, "equal weights, max/min {a}/{b}");
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! * [`StripedDevice`] interleaves fixed-size stripes across `N` members
 //!   (RAID-0). Chunked checkpoint writes fan out over the members' token
 //!   buckets, so aggregate write/persist bandwidth scales with `N` — the
-//!   `ext_striping` experiment and `bench_pr3` measure exactly this.
+//!   `ext_striping` experiment measures exactly this, and `ext_restore`
+//!   the same fan-out on the read side.
 //! * [`TieredDevice`] places the first `tier.capacity()` bytes on a hot
 //!   tier (typically PMEM) and spills the rest to a backing device
 //!   (typically SSD). Store headers, `CHECK_ADDR`, and hot slots get

@@ -8,7 +8,7 @@
 //! [`PersistPipeline::checkpoint_framed`] path. Each row reports the
 //! physical bytes the framed path persisted against the logical bytes the
 //! raw path would have written — the persist-bytes reduction
-//! `BENCH_pr10.json` asserts on the high-redundancy sweep — plus how many
+//! `high_redundancy_sweep_saves_at_least_three_x` asserts — plus how many
 //! checkpoints actually framed and how many chunks resolved as dedup
 //! references. Every run finishes with a cold recovery and checks the
 //! reconstructed payload bit-for-bit against the final device-side state.

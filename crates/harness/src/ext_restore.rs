@@ -24,30 +24,10 @@ use pccheck::{
     StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice, StripedDevice};
-use pccheck_gpu::SnapshotSource;
 use pccheck_telemetry::{SpanId, Telemetry};
 use pccheck_util::{Bandwidth, ByteSize, CsvWriter};
 
-/// A host-resident payload standing in for GPU weights.
-struct HostPayload {
-    data: Vec<u8>,
-    step: u64,
-}
-
-impl SnapshotSource for HostPayload {
-    fn size(&self) -> ByteSize {
-        ByteSize::from_bytes(self.data.len() as u64)
-    }
-
-    fn step_count(&self) -> u64 {
-        self.step
-    }
-
-    fn copy_range_to_host(&self, offset: u64, dst: &mut [u8]) {
-        let o = offset as usize;
-        dst.copy_from_slice(&self.data[o..o + dst.len()]);
-    }
-}
+use crate::HostPayload;
 
 /// Reader counts swept.
 pub const READERS: [usize; 3] = [1, 2, 4];
@@ -154,7 +134,7 @@ fn committed_store(size: ByteSize, ways: u32) -> Arc<CheckpointStore> {
 /// Times one verified fetch of the committed checkpoint with `readers`.
 ///
 /// An untimed warmup fetch first drains the members' token buckets'
-/// initial burst allowance (the bench_pr3 idiom), so the timed pass is
+/// initial burst allowance, so the timed pass is
 /// media-rate-bound instead of riding banked idle credit.
 fn measure_store(store: &Arc<CheckpointStore>, readers: usize) -> f64 {
     let ns = store.namespace(DEFAULT_JOB).expect("single-tenant store");

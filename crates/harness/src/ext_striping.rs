@@ -110,7 +110,6 @@ mod tests {
             let two = speedup_of(&rows, gb, 2);
             let four = speedup_of(&rows, gb, 4);
             assert!((speedup_of(&rows, gb, 1) - 1.0).abs() < 1e-9);
-            // Same floor the concrete bench_pr3 asserts for StripedDevice.
             assert!(two >= 1.8, "{gb} GB: 2-way speedup {two} < 1.8");
             assert!(four > two, "{gb} GB: 4-way {four} <= 2-way {two}");
             assert!(four >= 3.0, "{gb} GB: 4-way speedup {four} < 3.0");

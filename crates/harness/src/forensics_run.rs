@@ -21,25 +21,31 @@
 //! same flight records the engine does, crashes, audits the frozen
 //! device, then powers it back on and recovers — returning all three
 //! artifacts (report, recovered checkpoint, recovery trace) so tests,
-//! `pccheckctl`, and CI can cross-check them. Every driver takes the
-//! tenant it drives, so the same six crash points run on a single-tenant
-//! store (the default job) and on one several jobs share
-//! ([`crash_matrix`]).
+//! `pccheckctl`, and CI can cross-check them, and [`ForensicsRun::verify`]
+//! is the one checker they share. Every driver takes the tenant it
+//! drives, so the same six crash points run on a single-tenant store (the
+//! default job) and on one several jobs share, over all-`Raw` and over
+//! codec-packed baselines ([`crash_matrix`]).
 
 use std::sync::Arc;
 
 use pccheck::store::SlotLease;
 use pccheck::{
-    raw_frame, recover_instrumented_with, CheckMeta, CheckpointStore, ChunkEncoding, DeltaLink,
-    FrameRecord, FrameTable, JobId, Namespace, PccheckError, RecoveredCheckpoint, RecoveryTrace,
-    RestoreOptions, StoreGeometry, StoreLayout, DEFAULT_JOB,
+    raw_frame, recover_instrumented_with, CheckMeta, CheckpointStore, ChunkEncoding, CopyMode,
+    DeltaLink, DeltaPolicy, FrameRecord, FrameTable, JobId, Namespace, PccheckError,
+    PersistPipeline, PipelineCtx, RecoveredCheckpoint, RecoveryTrace, RestoreOptions, SlotOutcome,
+    StoreGeometry, StoreLayout, DEFAULT_JOB,
 };
-use pccheck_device::{DeviceConfig, PersistentDevice, SsdDevice, StripedDevice, TieredDevice};
+use pccheck_device::{
+    DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice, StripedDevice, TieredDevice,
+};
 use pccheck_gpu::StateDigest;
 use pccheck_monitor::ForensicReport;
-use pccheck_telemetry::{FlightEventKind, Telemetry};
+use pccheck_telemetry::{FlightEventKind, SpanId, Telemetry};
 use pccheck_util::fnv::{content_address, fnv1a};
 use pccheck_util::ByteSize;
+
+use crate::HostPayload;
 
 /// A protocol step at which the crash is injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,6 +124,31 @@ pub enum DeviceTopology {
     Tiered,
 }
 
+/// How a scenario frames the checkpoints it commits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Baselines {
+    /// Every checkpoint is the all-`Raw` frame of a [`synthetic_payload`],
+    /// written through the store's own calls.
+    Raw,
+    /// Each tenant's baseline is a state of 32-byte tiles committed through
+    /// a [`PersistPipeline`] under [`CopyMode::Codec`]: compressed records
+    /// and `DedupSelf` copies, which only codec-packed frames carry. The
+    /// [`CrashPoint::AfterCommit`] and [`CrashPoint::DedupChain`]
+    /// checkpoints go through the codec too, taking `DedupBase` hits on
+    /// the baseline; at the other points an all-`Raw` frame is interrupted.
+    Codec,
+}
+
+impl Baselines {
+    /// The state a tenant's baseline captures at `iteration`.
+    fn state(self, iteration: u64, len: u64) -> Vec<u8> {
+        match self {
+            Baselines::Raw => synthetic_payload(iteration, len),
+            Baselines::Codec => tiled_payload(iteration, len),
+        }
+    }
+}
+
 /// Geometry of a crash scenario.
 #[derive(Debug, Clone)]
 pub struct ForensicsRunConfig {
@@ -138,6 +169,9 @@ pub struct ForensicsRunConfig {
     /// baseline captures iteration `baseline_iteration + i`, so no two
     /// tenants ever hold the same bytes.
     pub tenants: Vec<JobId>,
+    /// How the tenants' baselines, and the checkpoint driven past them,
+    /// are framed.
+    pub baselines: Baselines,
 }
 
 impl Default for ForensicsRunConfig {
@@ -150,6 +184,7 @@ impl Default for ForensicsRunConfig {
             crash_iteration: 200,
             topology: DeviceTopology::Single,
             tenants: vec![DEFAULT_JOB],
+            baselines: Baselines::Raw,
         }
     }
 }
@@ -192,8 +227,9 @@ impl ForensicsRunConfig {
 }
 
 /// The one table both tenancies' crash tests run: flat, striped and tiered
-/// devices, each as a single-tenant store and as one shared by jobs 1..=3.
-/// A test runs every tenant of a row through [`CrashPoint::ALL`].
+/// devices, each as a single-tenant store and as one shared by jobs 1..=3,
+/// each over all-`Raw` and over codec-packed baselines. A test runs every
+/// tenant of a row through [`CrashPoint::ALL`].
 pub fn crash_matrix() -> Vec<ForensicsRunConfig> {
     let topologies = [
         ForensicsRunConfig::default(),
@@ -201,15 +237,19 @@ pub fn crash_matrix() -> Vec<ForensicsRunConfig> {
         ForensicsRunConfig::tiered(),
     ];
     let tenancies = [vec![DEFAULT_JOB], vec![1, 2, 3]];
-    topologies
-        .iter()
-        .flat_map(|cfg| {
-            tenancies.iter().map(|tenants| ForensicsRunConfig {
-                tenants: tenants.clone(),
-                ..cfg.clone()
-            })
-        })
-        .collect()
+    let mut rows = Vec::new();
+    for cfg in &topologies {
+        for tenants in &tenancies {
+            for baselines in [Baselines::Raw, Baselines::Codec] {
+                rows.push(ForensicsRunConfig {
+                    tenants: tenants.clone(),
+                    baselines,
+                    ..cfg.clone()
+                });
+            }
+        }
+    }
+    rows
 }
 
 /// Everything one crash scenario produces.
@@ -235,6 +275,10 @@ pub struct ForensicsRun {
     pub expected_payload: Vec<u8>,
     /// Measured recovery-path phase latencies.
     pub trace: RecoveryTrace,
+    /// Every tenant's baseline state, `(job, state)` in
+    /// [`ForensicsRunConfig::tenants`] order: what each bystander must
+    /// still recover.
+    pub baselines: Vec<(JobId, Vec<u8>)>,
 }
 
 /// Deterministic per-iteration payload bytes.
@@ -259,6 +303,23 @@ pub fn sparse_payload(base: &[u8], iteration: u64, ranges: &[(u64, u64)]) -> Vec
 /// Record grid of every frame a scenario writes: the state cut into
 /// eighths.
 const FRAME_CHUNKS: usize = 8;
+
+/// A [`Baselines::Codec`] state seeded by `seed`: 32-byte tiles, so every
+/// chunk compresses, shifted by 128 in every odd eighth — so each chunk
+/// from the third on is a `DedupSelf` copy of chunk 0 or of chunk 1, and a
+/// restore that copies from the wrong job lands the wrong bytes.
+fn tiled_payload(seed: u64, len: u64) -> Vec<u8> {
+    let chunk = (len / FRAME_CHUNKS as u64).max(1);
+    (0..len)
+        .map(|i| {
+            let shift = ((i / chunk) % 2) as u8 * 128;
+            (seed as u8)
+                .wrapping_mul(31)
+                .wrapping_add(i as u8 % 32)
+                .wrapping_add(shift)
+        })
+        .collect()
+}
 
 /// Which chunks of `full` are byte-identical to the same chunk of `base`.
 fn unchanged_chunks(full: &[u8], base: &[u8]) -> Vec<bool> {
@@ -326,16 +387,21 @@ fn build_frame_payload(
 }
 
 /// The state the [`CrashPoint::DedupChain`] scenario commits as a frame
-/// over a baseline of `base_iteration`, halfway to `crash_iteration`: a
-/// sparse mutation of the baseline. Returns `(iteration, state)`.
-fn dedup_mid_state(base_iteration: u64, crash_iteration: u64, len: u64) -> (u64, Vec<u8>) {
+/// over baseline `base`, captured at `base_iteration`, halfway to
+/// `crash_iteration`: a sparse mutation of the baseline. Returns
+/// `(iteration, state)`.
+fn dedup_mid_state(base: &[u8], base_iteration: u64, crash_iteration: u64) -> (u64, Vec<u8>) {
+    let len = base.len() as u64;
     let mid_iteration = base_iteration + crash_iteration.saturating_sub(base_iteration) / 2;
-    let full_mid = sparse_payload(
-        &synthetic_payload(base_iteration, len),
-        mid_iteration,
-        &[(0u64, len / 8), (len / 2, len / 8)],
-    );
+    let full_mid = sparse_payload(base, mid_iteration, &[(0u64, len / 8), (len / 2, len / 8)]);
     (mid_iteration, full_mid)
+}
+
+/// The state the [`CrashPoint::DedupChain`] scenario strands over the
+/// committed frame's state `mid`: a sparse mutation of it.
+fn dedup_stranded_state(mid: &[u8], crash_iteration: u64) -> Vec<u8> {
+    let len = mid.len() as u64;
+    sparse_payload(mid, crash_iteration, &[(len / 4, len / 8)])
 }
 
 /// Writes and persists `frame`, checkpoint `iteration`'s payload, into
@@ -429,7 +495,7 @@ pub fn drive_to_crash_point(
             .ok_or(PccheckError::NoCheckpoint)?;
         let len = payload.len() as u64;
         let base_payload = synthetic_payload(base.iteration, len);
-        let (mid_iteration, full_mid) = dedup_mid_state(base.iteration, iteration, len);
+        let (mid_iteration, full_mid) = dedup_mid_state(&base_payload, base.iteration, iteration);
         let from_base = unchanged_chunks(&full_mid, &base_payload);
         let lease = store.begin_checkpoint(ns);
         let (frame, digest) =
@@ -452,7 +518,7 @@ pub fn drive_to_crash_point(
         let mid = store
             .latest_committed(ns)
             .ok_or(PccheckError::NoCheckpoint)?;
-        let full_crash = sparse_payload(&full_mid, iteration, &[(len / 4, len / 8)]);
+        let full_crash = dedup_stranded_state(&full_mid, iteration);
         let from_mid: Vec<bool> = unchanged_chunks(&full_crash, &full_mid)
             .iter()
             .zip(&from_base)
@@ -496,8 +562,118 @@ pub fn drive_to_crash_point(
     Ok((counter, slot))
 }
 
+/// A codec row's pipeline: its staging pool holds the whole state in
+/// [`FRAME_CHUNKS`] chunks, so the codec packs every copy.
+fn codec_pipeline(store: &Arc<CheckpointStore>, state_bytes: u64) -> PersistPipeline {
+    let chunk = ByteSize::from_bytes(state_bytes / FRAME_CHUNKS as u64);
+    PersistPipeline::new(Arc::clone(store), HostBufferPool::new(chunk, FRAME_CHUNKS))
+        .with_writers(2)
+        .with_codec(true)
+}
+
+/// Copies `state`, captured at `iteration`, into a fresh slot of `job`'s
+/// through `pipeline` under the codec and seals it; then commits it when
+/// `commit`, or strands it — payload durable, no meta record — like a
+/// process dying between persist and commit. Returns `(counter, slot)`.
+///
+/// # Errors
+///
+/// [`PccheckError::InvalidConfig`] when the codec saved nothing: a frame
+/// that went out all-`Raw` tests nothing the raw rows do not. Propagates
+/// device/store errors.
+fn persist_packed(
+    pipeline: &PersistPipeline,
+    job: JobId,
+    iteration: u64,
+    state: &[u8],
+    commit: bool,
+) -> Result<(u64, u32), PccheckError> {
+    let telemetry = Telemetry::disabled();
+    let ctx = PipelineCtx {
+        telemetry: &telemetry,
+        span: SpanId::NONE,
+    };
+    let src = HostPayload {
+        data: state.to_vec(),
+        step: iteration,
+    };
+    let total = ByteSize::from_bytes(state.len() as u64);
+    let lease = pipeline.lease(ctx, &pipeline.store().namespace(job)?);
+    let (counter, slot) = (lease.counter, lease.slot);
+    let mode = CopyMode::Codec(DeltaPolicy::default());
+    let copied = pipeline.copy(ctx, &src, &lease, iteration, total, mode)?;
+    if copied.frame.saved_bytes == 0 {
+        return Err(PccheckError::InvalidConfig(format!(
+            "checkpoint {counter}'s codec frame saved nothing"
+        )));
+    }
+    pipeline.seal(ctx, &lease, iteration, &copied)?;
+    if commit {
+        pipeline.commit(ctx, lease, iteration, &copied)?;
+    } else {
+        std::mem::forget(lease);
+    }
+    Ok((counter, slot))
+}
+
+/// [`drive_to_crash_point`] for the two points a codec row checkpoints
+/// through the codec: [`CrashPoint::AfterCommit`] commits a sparse
+/// mutation of `baseline`; [`CrashPoint::DedupChain`] commits one halfway
+/// to `iteration` — its clean chunks `DedupBase` hits on the baseline —
+/// and strands a second frame over it. Returns the driven checkpoint's
+/// `(counter, slot)` and the state a correct recovery restores.
+fn drive_packed(
+    pipeline: &PersistPipeline,
+    job: JobId,
+    point: CrashPoint,
+    baseline_iteration: u64,
+    baseline: &[u8],
+    iteration: u64,
+) -> Result<((u64, u32), Vec<u8>), PccheckError> {
+    if point == CrashPoint::AfterCommit {
+        let len = baseline.len() as u64;
+        let state = sparse_payload(baseline, iteration, &[(0, len / 8)]);
+        return Ok((
+            persist_packed(pipeline, job, iteration, &state, true)?,
+            state,
+        ));
+    }
+    let (mid_iteration, mid) = dedup_mid_state(baseline, baseline_iteration, iteration);
+    persist_packed(pipeline, job, mid_iteration, &mid, true)?;
+    let stranded = dedup_stranded_state(&mid, iteration);
+    Ok((
+        persist_packed(pipeline, job, iteration, &stranded, false)?,
+        mid,
+    ))
+}
+
 /// A device and the fuse that crashes its power domain after `n` persists.
 type FusedDevice = (Arc<dyn PersistentDevice>, Box<dyn Fn(u64)>);
+
+/// Arms `arm_fuse` to let `after` persists through, then persists
+/// `[offset, offset + len)` of `device`: with `after == 0` the fuse fires
+/// inside this persist and the range never becomes durable.
+///
+/// # Errors
+///
+/// [`PccheckError::InvalidConfig`] when the persist succeeds: the fuse did
+/// not fire, the device is still live, and an audit of it would check
+/// nothing.
+fn persist_into_fuse(
+    device: &dyn PersistentDevice,
+    arm_fuse: &dyn Fn(u64),
+    after: u64,
+    offset: u64,
+    len: u64,
+) -> Result<(), PccheckError> {
+    arm_fuse(after);
+    match device.persist(offset, len) {
+        Ok(()) => Err(PccheckError::InvalidConfig(format!(
+            "a fuse armed to let {after} persists through did not fire"
+        ))),
+        Err(_) => Ok(()),
+    }
+}
 
 /// Runs one full crash scenario on a fresh store of `cfg`'s geometry:
 /// a baseline commit per tenant, a crash at `point` in the namespace of
@@ -508,8 +684,9 @@ type FusedDevice = (Arc<dyn PersistentDevice>, Box<dyn Fn(u64)>);
 ///
 /// # Errors
 ///
-/// Propagates device/store/recovery errors; the injected crash itself is
-/// expected and absorbed.
+/// Propagates device/store/recovery errors, and reports a
+/// [`CrashPoint::DuringPersist`] fuse that did not fire; the injected
+/// crash itself is expected and absorbed.
 pub fn run_crash_scenario(
     point: CrashPoint,
     cfg: &ForensicsRunConfig,
@@ -522,12 +699,87 @@ pub fn run_crash_scenario(
             cfg.tenants
         )));
     };
-    let baseline_of_job = cfg.baseline_iteration + index as u64;
     let geometry = cfg.geometry();
+    let (device, arm_fuse) = fused_device(cfg.topology, geometry)?;
+    let store = Arc::new(CheckpointStore::format(Arc::clone(&device), geometry)?);
+    let pipeline =
+        (cfg.baselines == Baselines::Codec).then(|| codec_pipeline(&store, cfg.state_bytes));
+    let mut baselines = Vec::with_capacity(cfg.tenants.len());
+    for (&tenant, iteration) in cfg.tenants.iter().zip(cfg.baseline_iteration..) {
+        if tenant != DEFAULT_JOB {
+            store.allocate_namespace(tenant, cfg.slots)?;
+        }
+        let state = cfg.baselines.state(iteration, cfg.state_bytes);
+        match &pipeline {
+            Some(pipeline) => persist_packed(pipeline, tenant, iteration, &state, true)?,
+            None => commit(&store, &store.namespace(tenant)?, iteration, &state)?,
+        };
+        baselines.push((tenant, state));
+    }
+
+    let (baseline_iteration, baseline) =
+        (cfg.baseline_iteration + index as u64, &baselines[index].1);
+    let payload = synthetic_payload(cfg.crash_iteration, cfg.state_bytes);
+    let ((crashed_counter, slot), expected_payload) = match (&pipeline, point) {
+        (Some(pipeline), CrashPoint::AfterCommit | CrashPoint::DedupChain) => drive_packed(
+            pipeline,
+            job,
+            point,
+            baseline_iteration,
+            baseline,
+            cfg.crash_iteration,
+        )?,
+        _ => {
+            let driven = drive_to_crash_point(&store, job, point, cfg.crash_iteration, &payload)?;
+            let expected = match point {
+                CrashPoint::AfterCommit => payload.clone(),
+                CrashPoint::DedupChain => {
+                    dedup_mid_state(baseline, baseline_iteration, cfg.crash_iteration).1
+                }
+                _ => baseline.clone(),
+            };
+            (driven, expected)
+        }
+    };
+    match point {
+        CrashPoint::DuringPersist => persist_into_fuse(
+            device.as_ref(),
+            &*arm_fuse,
+            0,
+            store.slot_payload_offset(slot),
+            payload.len() as u64,
+        )?,
+        _ => device.crash_now(),
+    }
+    drop(pipeline);
+    drop(store);
+
+    let report = pccheck_monitor::audit(Arc::clone(&device))?;
+    device.recover();
+    let (recovered, trace) =
+        recover_instrumented_with(Arc::clone(&device), &Telemetry::disabled(), options)?;
+    Ok(ForensicsRun {
+        crash_point: point,
+        job,
+        device,
+        report,
+        crashed_counter,
+        recovered,
+        expected_payload,
+        trace,
+        baselines,
+    })
+}
+
+/// A fresh device of `topology` with room for `geometry`, and its fuse.
+fn fused_device(
+    topology: DeviceTopology,
+    geometry: StoreGeometry,
+) -> Result<FusedDevice, PccheckError> {
     let cap = geometry.required_capacity() + ByteSize::from_kb(4);
     // `arm_fuse` abstracts over the SSD's persist fuse and the striped
     // controller's — both crash the whole store's power domain.
-    let (device, arm_fuse): FusedDevice = match cfg.topology {
+    Ok(match topology {
         DeviceTopology::Single => {
             let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
             let fuse = Arc::clone(&ssd);
@@ -559,62 +811,18 @@ pub fn run_crash_scenario(
             ));
             (tiered, Box::new(move |n| fuse.arm_crash_after_persists(n)))
         }
-    };
-    let store = CheckpointStore::format(Arc::clone(&device), geometry)?;
-    for (&tenant, iteration) in cfg.tenants.iter().zip(cfg.baseline_iteration..) {
-        if tenant != DEFAULT_JOB {
-            store.allocate_namespace(tenant, cfg.slots)?;
-        }
-        commit_checkpoint(
-            &store,
-            tenant,
-            iteration,
-            &synthetic_payload(iteration, cfg.state_bytes),
-        )?;
-    }
-
-    let payload = synthetic_payload(cfg.crash_iteration, cfg.state_bytes);
-    let (crashed_counter, slot) =
-        drive_to_crash_point(&store, job, point, cfg.crash_iteration, &payload)?;
-    let expected_payload = match point {
-        CrashPoint::AfterCommit => payload.clone(),
-        CrashPoint::DedupChain => {
-            dedup_mid_state(baseline_of_job, cfg.crash_iteration, cfg.state_bytes).1
-        }
-        _ => synthetic_payload(baseline_of_job, cfg.state_bytes),
-    };
-    match point {
-        CrashPoint::DuringPersist => {
-            // The fuse fires inside this msync: the range never persists.
-            arm_fuse(0);
-            let err = device.persist(store.slot_payload_offset(slot), payload.len() as u64);
-            debug_assert!(err.is_err(), "armed persist must crash");
-        }
-        _ => device.crash_now(),
-    }
-    drop(store);
-
-    let report = pccheck_monitor::audit(Arc::clone(&device))?;
-    device.recover();
-    let (recovered, trace) =
-        recover_instrumented_with(Arc::clone(&device), &Telemetry::disabled(), options)?;
-    Ok(ForensicsRun {
-        crash_point: point,
-        job,
-        device,
-        report,
-        crashed_counter,
-        recovered,
-        expected_payload,
-        trace,
     })
 }
 
 impl ForensicsRun {
-    /// The three-way agreement every crash point owes every tenant: the
-    /// audit of the frozen device is clean, its prediction for the tenant
-    /// is the checkpoint recovery then restored, and that checkpoint's
-    /// payload is bit-exact.
+    /// The agreement every crash point owes every tenant: the audit of
+    /// the frozen device is clean; every bystander tenant recovers its own
+    /// baseline bit-exactly; the slots' state-word lattice agrees with
+    /// what the tenants recovered (no slot decides `Torn`, no `InFlight`
+    /// counter is recovered, the newest `Committed` slot is one of the
+    /// recovered heads); the audit's prediction for the driven tenant is
+    /// the checkpoint recovery restored, and that checkpoint's payload is
+    /// bit-exact.
     ///
     /// # Errors
     ///
@@ -622,6 +830,47 @@ impl ForensicsRun {
     pub fn verify(&self) -> Result<(), String> {
         if !self.report.is_clean() {
             return Err(format!("audit not clean:\n{}", self.report.render()));
+        }
+        let mut heads = vec![self.recovered.counter];
+        for (job, baseline) in self.baselines.iter().filter(|(job, _)| *job != self.job) {
+            let options = RestoreOptions {
+                job: Some(*job),
+                ..RestoreOptions::default()
+            };
+            let telemetry = Telemetry::disabled();
+            let (bystander, _) =
+                recover_instrumented_with(Arc::clone(&self.device), &telemetry, options)
+                    .map_err(|e| format!("bystander job {job} did not recover: {e}"))?;
+            if bystander.payload != *baseline {
+                return Err(format!(
+                    "bystander job {job} recovered checkpoint {}, not its baseline",
+                    bystander.counter
+                ));
+            }
+            heads.push(bystander.counter);
+        }
+        let mut newest_committed = None;
+        for (slot, &outcome) in self.report.slot_outcomes.iter().enumerate() {
+            match outcome {
+                SlotOutcome::Torn { .. } => {
+                    return Err(format!("slot {slot} decides {outcome}"));
+                }
+                SlotOutcome::InFlight { counter } if heads.contains(&counter) => {
+                    return Err(format!(
+                        "recovery restored checkpoint {counter}, in flight in slot {slot}"
+                    ));
+                }
+                SlotOutcome::Committed { counter } => {
+                    newest_committed = newest_committed.max(Some(counter));
+                }
+                _ => {}
+            }
+        }
+        if let Some(counter) = newest_committed.filter(|c| !heads.contains(c)) {
+            return Err(format!(
+                "the newest committed slot holds checkpoint {counter}, the tenants \
+                 recovered {heads:?}"
+            ));
         }
         let predicted = self.report.expected_recovery(self.job).map(|m| m.counter);
         if predicted != Some(self.recovered.counter) {
@@ -884,6 +1133,27 @@ mod tests {
                 assert_eq!(parallel.recovered.iteration, sequential.iteration);
                 assert_eq!(parallel.trace.chain_links, seq_trace.chain_links);
             }
+        }
+    }
+
+    #[test]
+    fn a_fuse_that_does_not_fire_is_reported() {
+        let geometry = ForensicsRunConfig::default().geometry();
+        for topology in [
+            DeviceTopology::Single,
+            DeviceTopology::Striped { ways: 2 },
+            DeviceTopology::Tiered,
+        ] {
+            let (device, arm_fuse) = fused_device(topology, geometry).unwrap();
+            let fire = |after| persist_into_fuse(device.as_ref(), &*arm_fuse, after, 0, 512);
+            assert!(
+                fire(1).is_err(),
+                "{topology:?}: a fuse armed one persist too late goes unreported"
+            );
+            assert!(
+                fire(0).is_ok(),
+                "{topology:?}: the armed persist did not crash"
+            );
         }
     }
 

@@ -32,6 +32,27 @@ pub const PAPER_INTERVALS: [u64; 5] = [1, 10, 25, 50, 100];
 /// Default output directory for CSVs.
 pub const RESULTS_DIR: &str = "results";
 
+/// A host-resident payload standing in for GPU weights.
+pub(crate) struct HostPayload {
+    pub data: Vec<u8>,
+    pub step: u64,
+}
+
+impl pccheck_gpu::SnapshotSource for HostPayload {
+    fn size(&self) -> pccheck_util::ByteSize {
+        pccheck_util::ByteSize::from_bytes(self.data.len() as u64)
+    }
+
+    fn step_count(&self) -> u64 {
+        self.step
+    }
+
+    fn copy_range_to_host(&self, offset: u64, dst: &mut [u8]) {
+        let o = offset as usize;
+        dst.copy_from_slice(&self.data[o..o + dst.len()]);
+    }
+}
+
 /// Ensures the results directory exists and returns the path for `name`.
 ///
 /// # Panics

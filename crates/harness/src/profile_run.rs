@@ -1,7 +1,7 @@
 //! Profiled concrete runs: one canonical checkpoint workload, one
 //! archived [`RunProfile`] per run name.
 //!
-//! Every `ext_*` / `bench_pr*` invocation drops a profile of the same
+//! Every `ext_*` invocation drops a profile of the same
 //! canonical workload into `results/profiles/<run>.profile.json`, so
 //! consecutive runs on the same machine are directly diffable with
 //! [`diff_profiles`](pccheck_telemetry::diff_profiles) (absolute mode) and

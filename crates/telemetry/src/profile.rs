@@ -389,7 +389,7 @@ pub struct ActorProfile {
 /// One run's profile summary: the archived, diffable artifact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunProfile {
-    /// Run name (archive key, e.g. `ext_restore` or `bench_pr7`).
+    /// Run name (archive key, e.g. `ext_restore` or `ci_gate`).
     pub run: String,
     /// Strategy of the profiled spans (first seen).
     pub strategy: String,

@@ -172,11 +172,12 @@ fn repeated_crash_recover_cycles_never_regress() {
 
 /// Pinned-crash-point forensics, the single-tenant rows of the crash
 /// matrix (`tests/multi_tenant_crash.rs` runs the shared-store rows): at
-/// every protocol step, on a flat, a striped and a tiered device, the
-/// auditor's verdict — taken from the frozen device *before* power-on —
-/// must agree with what recovery then actually restores, bit for bit, and
-/// must classify the interrupted checkpoint by the exact phase the crash
-/// caught it in.
+/// every protocol step, on a flat, a striped and a tiered device, over an
+/// all-`Raw` and a codec-packed baseline, the auditor's verdict — taken
+/// from the frozen device *before* power-on — must agree with the slots'
+/// state-word lattice and with what recovery then actually restores, bit
+/// for bit, and must classify the interrupted checkpoint by the exact
+/// phase the crash caught it in.
 #[test]
 fn forensic_verdicts_match_actual_recovery_at_every_crash_point() {
     use pccheck_harness::forensics_run::{crash_matrix, run_crash_scenario, CrashPoint};
@@ -189,9 +190,10 @@ fn forensic_verdicts_match_actual_recovery_at_every_crash_point() {
         .flat_map(|cfg| CrashPoint::ALL.map(|point| (cfg, point)))
     {
         let run = run_crash_scenario(point, cfg, RestoreOptions::default()).expect("scenario runs");
-        // Clean audit, prediction == recovery, payload bit-exact.
+        // Clean audit, lattice == recovery, prediction == recovery,
+        // payload bit-exact.
         run.verify()
-            .unwrap_or_else(|why| panic!("{point}/{:?}: {why}", cfg.topology));
+            .unwrap_or_else(|why| panic!("{point}/{:?}/{:?}: {why}", cfg.topology, cfg.baselines));
         let verdict = run
             .report
             .checkpoints

@@ -13,7 +13,8 @@
 //!
 //! The last test runs the shared-store rows of the pinned crash matrix
 //! (`tests/crash_consistency.rs` runs the single-tenant rows): the same
-//! six crash points, driven in each tenant's namespace in turn.
+//! six crash points, driven in each tenant's namespace in turn while the
+//! bystanders must recover their own baselines bit-exactly.
 
 use std::sync::Arc;
 
@@ -246,11 +247,12 @@ fn crash_with_one_tenant_idle_and_one_bursting() {
 }
 
 /// Pinned-crash-point forensics on shared stores: on a flat, a striped
-/// and a tiered device, each of jobs 1..=3 in turn is driven to every
-/// crash point while the other two hold their baselines. The audit of
-/// the frozen device, that tenant's recovery and the bit-exact payload
-/// must agree — and asking for nobody in particular must not hand out a
-/// neighbour's checkpoint.
+/// and a tiered device, over all-`Raw` and codec-packed baselines, each of
+/// jobs 1..=3 in turn is driven to every crash point while the other two
+/// hold their baselines. The audit of the frozen device, the state-word
+/// lattice, that tenant's recovery and the bit-exact payload must agree,
+/// the bystanders must recover their baselines bit-exactly — and asking
+/// for nobody in particular must not hand out a neighbour's checkpoint.
 #[test]
 fn forensic_verdicts_match_actual_recovery_for_every_tenant_at_every_crash_point() {
     use pccheck_harness::forensics_run::{crash_matrix, run_crash_scenario, CrashPoint};
@@ -269,8 +271,12 @@ fn forensic_verdicts_match_actual_recovery_for_every_tenant_at_every_crash_point
                 ..RestoreOptions::default()
             };
             let run = run_crash_scenario(point, &cfg, options).expect("scenario runs");
-            run.verify()
-                .unwrap_or_else(|why| panic!("job {job} at {point}/{:?}: {why}", cfg.topology));
+            run.verify().unwrap_or_else(|why| {
+                panic!(
+                    "job {job} at {point}/{:?}/{:?}: {why}",
+                    cfg.topology, cfg.baselines
+                )
+            });
             assert!(
                 matches!(
                     recovery::recover(run.device),
