@@ -54,13 +54,6 @@ pub struct PcCheckConfig {
     /// compression + dedup framing). Off by default: legacy stores and
     /// callers see byte-for-byte the pre-codec persist path.
     pub codec: bool,
-    /// Steer the persist path with a [`PersistController`] every this
-    /// many checkpoint requests (`0`, the default, disables adaptation).
-    /// Requires telemetry to be attached; with telemetry disabled the
-    /// controller never sees a snapshot and the knobs stay put.
-    ///
-    /// [`PersistController`]: crate::tuner::PersistController
-    pub adaptive_interval: u64,
 }
 
 impl PcCheckConfig {
@@ -115,7 +108,6 @@ impl Default for PcCheckConfig {
             single_sync: false,
             flight_records: 0,
             codec: false,
-            adaptive_interval: 0,
         }
     }
 }
@@ -176,13 +168,6 @@ impl PcCheckConfigBuilder {
         self
     }
 
-    /// Steers the persist path adaptively every `requests` checkpoints
-    /// (`0` disables the controller).
-    pub fn adaptive_interval(mut self, requests: u64) -> Self {
-        self.config.adaptive_interval = requests;
-        self
-    }
-
     /// Validates and returns the configuration.
     ///
     /// # Errors
@@ -220,7 +205,6 @@ mod tests {
             .single_sync(true)
             .flight_records(256)
             .codec(true)
-            .adaptive_interval(16)
             .build()
             .unwrap();
         assert_eq!(cfg.max_concurrent, 4);
@@ -231,7 +215,6 @@ mod tests {
         assert!(cfg.single_sync);
         assert_eq!(cfg.flight_records, 256);
         assert!(cfg.codec);
-        assert_eq!(cfg.adaptive_interval, 16);
         assert_eq!(cfg.dram_bytes(), ByteSize::from_mb_u64(1000));
     }
 

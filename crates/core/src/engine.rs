@@ -61,7 +61,6 @@ use crate::pipeline::{
 };
 use crate::pool::{Order, WorkerPool};
 use crate::store::{CheckpointStore, CommitOutcome, JobId, Namespace, DEFAULT_JOB};
-use crate::tuner::{ControllerConfig, ControllerSignals, PersistController};
 
 /// Cumulative engine statistics.
 ///
@@ -260,9 +259,6 @@ pub struct PcCheckEngine {
     /// The tenant this engine checkpoints for, resolved once: leases come
     /// from this namespace and commits move its commit pointer.
     ns: Arc<Namespace>,
-    /// Whether this engine built its pipeline (and so may retune its
-    /// writer count and codec switch) or schedules over a shared one.
-    owns_pipeline: bool,
     in_flight: Arc<InFlight>,
     stats: Arc<EngineStats>,
     telemetry: Telemetry,
@@ -273,18 +269,6 @@ pub struct PcCheckEngine {
     /// What a checkpoint that unwound was carrying, re-raised by
     /// [`try_drain`](Self::try_drain).
     panicked: Arc<Mutex<Option<Box<dyn Any + Send>>>>,
-    /// The adaptive persist-path controller (present when
-    /// `config.adaptive_interval > 0`); steered from the training thread
-    /// every `adaptive_interval` requests.
-    controller: Mutex<Option<PersistController>>,
-    /// Delta policy the framed path persists under — the controller's
-    /// latest decision, or the default when no controller runs.
-    delta_policy: Arc<Mutex<DeltaPolicy>>,
-    /// Whether THIS engine's checkpoints use the codec. Distinct from the
-    /// pipeline's global switch so service-mode tenants sharing one
-    /// pipeline opt in (and re-tune) independently: a checkpoint frames
-    /// only when both this flag and the pipeline's switch are on.
-    codec_active: Arc<std::sync::atomic::AtomicBool>,
 }
 
 impl PcCheckEngine {
@@ -347,32 +331,14 @@ impl PcCheckEngine {
         .with_writers(config.writer_threads)
         .with_fence(fence)
         .with_codec(config.codec);
-        Self::over(config, Arc::new(pipeline), DEFAULT_JOB, true)
-    }
-
-    /// Builds the adaptive controller when the config asks for one,
-    /// seeded from the configured writer count and codec state.
-    fn build_controller(config: &PcCheckConfig) -> Option<PersistController> {
-        if config.adaptive_interval == 0 {
-            return None;
-        }
-        let mut cc = ControllerConfig::default();
-        // The controller may not lower p below 1 nor raise it past the
-        // larger of its default ceiling and the configured start.
-        cc.max_writers = cc.max_writers.max(config.writer_threads);
-        Some(PersistController::new(
-            cc,
-            config.writer_threads.max(1),
-            config.codec,
-        ))
+        Self::over(config, Arc::new(pipeline), DEFAULT_JOB)
     }
 
     /// Creates a per-job facade over a *shared* pipeline: the store,
     /// staging pool, writer pool, and QoS arbiter all belong to the
     /// daemon; this engine only schedules `job`'s checkpoints over them.
-    /// Its controller runs in per-job observe mode — it retunes this
-    /// tenant's codec and delta policy but never writes the shared
-    /// pipeline's writer count or codec switch.
+    /// `config.codec` opts this tenant's checkpoints into the codec when
+    /// the shared pipeline has it on.
     ///
     /// # Errors
     ///
@@ -385,7 +351,7 @@ impl PcCheckEngine {
         job: JobId,
     ) -> Result<Self, PccheckError> {
         config.validate()?;
-        Self::over(config, pipeline, job, false)
+        Self::over(config, pipeline, job)
     }
 
     /// The one constructor: resolves `job`'s namespace in the pipeline's
@@ -396,7 +362,6 @@ impl PcCheckEngine {
         config: PcCheckConfig,
         pipeline: Arc<PersistPipeline>,
         job: JobId,
-        owns_pipeline: bool,
     ) -> Result<Self, PccheckError> {
         let store = Arc::clone(pipeline.store());
         let ns = store.namespace(job)?;
@@ -415,15 +380,12 @@ impl PcCheckEngine {
                 digest: StateDigest(table.full_digest),
             })
         });
-        let controller = Self::build_controller(&config);
-        let codec_active = config.codec;
         let coordinators = WorkerPool::new("pccheck-ckpt", config.max_concurrent);
         Ok(PcCheckEngine {
             config,
             pipeline,
             store,
             ns,
-            owns_pipeline,
             in_flight: Arc::new(InFlight::default()),
             stats: Arc::new(EngineStats::default()),
             telemetry: Telemetry::disabled(),
@@ -431,9 +393,6 @@ impl PcCheckEngine {
             last_committed: Arc::new(Mutex::new(last)),
             coordinators,
             panicked: Arc::new(Mutex::new(None)),
-            controller: Mutex::new(controller),
-            delta_policy: Arc::new(Mutex::new(DeltaPolicy::default())),
-            codec_active: Arc::new(std::sync::atomic::AtomicBool::new(codec_active)),
         })
     }
 
@@ -512,59 +471,8 @@ impl PcCheckEngine {
         &self.pipeline
     }
 
-    /// A snapshot of the adaptive controller's state, when one runs.
-    pub fn controller_state(&self) -> Option<PersistController> {
-        self.controller.lock().clone()
-    }
-
-    /// The delta policy the framed path currently persists under.
-    pub fn delta_policy(&self) -> DeltaPolicy {
-        *self.delta_policy.lock()
-    }
-
-    /// Whether this engine's checkpoints currently use the chunk codec
-    /// (the config flag, possibly overridden by the controller).
-    pub fn codec_active(&self) -> bool {
-        self.codec_active.load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    /// Runs one controller interval if the config asks for adaptation,
-    /// telemetry is live, and `adaptive_interval` requests have elapsed
-    /// since the last one. Called on the training thread — the tick is a
-    /// snapshot read plus integer arithmetic, far below one iteration.
-    ///
-    /// An engine that owns its pipeline applies the decision to its
-    /// writer count and codec switch. A facade over a shared pipeline
-    /// leaves those to the daemon: the tick is pure and the decision only
-    /// moves this job's own knobs (codec use, delta policy).
-    fn maybe_steer(&self) {
-        if self.config.adaptive_interval == 0 {
-            return;
-        }
-        let requested = self.stats.counters.requested();
-        if requested == 0 || !requested.is_multiple_of(self.config.adaptive_interval) {
-            return;
-        }
-        let Some(snapshot) = self.telemetry.snapshot() else {
-            return;
-        };
-        let mut slot = self.controller.lock();
-        let Some(controller) = slot.as_mut() else {
-            return;
-        };
-        let decision = if self.owns_pipeline {
-            controller.steer(&snapshot, &self.pipeline)
-        } else {
-            controller.tick(ControllerSignals::from_snapshot(&snapshot))
-        };
-        *self.delta_policy.lock() = decision.delta_policy;
-        self.codec_active
-            .store(decision.codec_enabled, std::sync::atomic::Ordering::Release);
-    }
-
     /// Body of one checkpoint, run on a coordinator thread. Returns
     /// the commit outcome and the state digest the copy verb folded.
-    #[allow(clippy::too_many_arguments)]
     fn run_checkpoint(
         pipeline: &PersistPipeline,
         config: &PcCheckConfig,
@@ -572,8 +480,6 @@ impl PcCheckEngine {
         guard: OwnedWeightsGuard,
         ns: &Arc<Namespace>,
         iteration: u64,
-        delta_policy: DeltaPolicy,
-        use_codec: bool,
         (in_flight, ticket): (&InFlight, u64),
     ) -> Result<(CommitOutcome, StateDigest), PccheckError> {
         let total = guard.size();
@@ -589,18 +495,9 @@ impl PcCheckEngine {
             leased.set(Some((lease.counter, lease.slot)));
             lease
         });
-        let result = Self::run_leased(
-            pipeline,
-            config,
-            ctx,
-            src,
-            slot,
-            iteration,
-            total,
-            delta_policy,
-            use_codec,
-            || drop(in_flight.wait_turn(ticket)),
-        );
+        let result = Self::run_leased(pipeline, config, ctx, src, slot, iteration, total, || {
+            drop(in_flight.wait_turn(ticket))
+        });
         if let (Err(_), Some((counter, slot))) = (&result, leased.get()) {
             // A failed checkpoint leaves its Begin record unterminated on
             // the flight ring without this — record the failure so the
@@ -631,15 +528,13 @@ impl PcCheckEngine {
         mut slot: DeferredLease<'_>,
         iteration: u64,
         total: ByteSize,
-        delta_policy: DeltaPolicy,
-        use_codec: bool,
         turn: impl FnOnce(),
     ) -> Result<(CommitOutcome, StateDigest), PccheckError> {
         // The copy consumes the guard and drops it when the snapshot is
         // staged in DRAM: the weights are held for the copy, never for the
         // persist, and — unless streamed — not for the lease either.
-        let mode = if use_codec && pipeline.codec_enabled() {
-            CopyMode::Codec(delta_policy)
+        let mode = if config.codec && pipeline.codec_enabled() {
+            CopyMode::Codec(DeltaPolicy::default())
         } else if config.pipelined {
             CopyMode::Streamed
         } else {
@@ -660,7 +555,6 @@ impl Checkpointer for PcCheckEngine {
     /// `N` concurrency tickets are taken; otherwise the copy/persist/commit
     /// runs on one of the `N` resident coordinators.
     fn checkpoint(&self, gpu: &Gpu, iteration: u64) {
-        self.maybe_steer();
         let stall_start = self.telemetry.now_nanos();
         let span = self
             .telemetry
@@ -686,10 +580,6 @@ impl Checkpointer for PcCheckEngine {
         let panicked = Arc::clone(&self.panicked);
         let total_bytes = guard.size().as_u64();
         let ns = Arc::clone(&self.ns);
-        let delta_policy = *self.delta_policy.lock();
-        let use_codec = self
-            .codec_active
-            .load(std::sync::atomic::Ordering::Acquire);
         let order = Order {
             tenant: ns.job(),
             counter: 0,
@@ -710,8 +600,6 @@ impl Checkpointer for PcCheckEngine {
                     guard,
                     &ns,
                     iteration,
-                    delta_policy,
-                    use_codec,
                     (&in_flight, ticket),
                 )
             }));
@@ -1691,41 +1579,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_engine_ticks_its_controller() {
-        let gpu = tiny_gpu(1024, 13);
-        let cap = capacity(&gpu, 128, 4);
-        let device: Arc<dyn PersistentDevice> =
-            Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let config = PcCheckConfig::builder()
-            .max_concurrent(2)
-            .writer_threads(2)
-            .chunk_size(ByteSize::from_bytes(128))
-            .dram_chunks(16)
-            .codec(true)
-            .adaptive_interval(2)
-            .build()
-            .unwrap();
-        let engine = PcCheckEngine::new(config, device, gpu.state_size())
-            .unwrap()
-            .with_telemetry(Telemetry::enabled());
-        assert_eq!(engine.controller_state().unwrap().ticks(), 0);
-        for iter in 1..=8 {
-            gpu.update();
-            engine.checkpoint(&gpu, iter);
-            engine.drain();
-        }
-        let ctrl = engine.controller_state().unwrap();
-        // Steered on requests 2, 4, 6, 8 (the tick *before* those requests
-        // ran, so at least 3 intervals landed).
-        assert!(ctrl.ticks() >= 3, "got {} ticks", ctrl.ticks());
-        // The controller's settings are what the pipeline runs.
-        assert_eq!(engine.pipeline().writers(), ctrl.writers());
-        assert_eq!(engine.pipeline().codec_enabled(), ctrl.codec_enabled());
-        assert_eq!(engine.last_committed().unwrap().iteration, 8);
-    }
-
-    #[test]
-    fn sparse_updates_reach_the_controller_and_lengthen_the_chain() {
+    fn sparse_updates_report_their_dirty_ratio() {
         let gpu = Gpu::new(
             GpuConfig::fast_for_tests(),
             TrainingState::compressible(ByteSize::from_bytes(4096), 15, 32),
@@ -1739,7 +1593,6 @@ mod tests {
             .chunk_size(ByteSize::from_bytes(256))
             .dram_chunks(16)
             .codec(true)
-            .adaptive_interval(1)
             .build()
             .unwrap();
         let telemetry = Telemetry::enabled();
@@ -1756,37 +1609,6 @@ mod tests {
             ratio > 0 && ratio < 150,
             "the framed path reports the snapshot's dirty ratio, got {ratio}"
         );
-        assert!(
-            engine.delta_policy().max_chain > crate::pipeline::DeltaPolicy::default().max_chain,
-            "sparse updates lengthen the chain: {:?}",
-            engine.delta_policy()
-        );
-    }
-
-    #[test]
-    fn adaptive_engine_without_telemetry_keeps_knobs_put() {
-        let gpu = tiny_gpu(512, 14);
-        let cap = capacity(&gpu, 128, 4);
-        let device: Arc<dyn PersistentDevice> =
-            Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-        let config = PcCheckConfig::builder()
-            .max_concurrent(2)
-            .writer_threads(3)
-            .chunk_size(ByteSize::from_bytes(128))
-            .dram_chunks(16)
-            .adaptive_interval(1)
-            .build()
-            .unwrap();
-        let engine = PcCheckEngine::new(config, device, gpu.state_size()).unwrap();
-        for iter in 1..=4 {
-            gpu.update();
-            engine.checkpoint(&gpu, iter);
-        }
-        engine.drain();
-        // No telemetry snapshots → no controller intervals → config knobs.
-        assert_eq!(engine.controller_state().unwrap().ticks(), 0);
-        assert_eq!(engine.pipeline().writers(), 3);
-        assert_eq!(engine.delta_policy(), crate::pipeline::DeltaPolicy::default());
     }
 
     #[test]

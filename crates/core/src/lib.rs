@@ -108,7 +108,4 @@ pub use layout::{StoreGeometry, StoreLayout};
 pub use store::{
     CheckpointStore, CommitOutcome, JobId, Namespace, RawStoreView, SlotOutcome, DEFAULT_JOB,
 };
-pub use tuner::{
-    ControllerAction, ControllerConfig, ControllerDecision, ControllerSignals, PersistController,
-    TierHint, Tuner, TunerInputs, TunerRecommendation,
-};
+pub use tuner::{Tuner, TunerInputs, TunerRecommendation};

@@ -832,19 +832,18 @@ pub struct PersistPipeline {
     /// The DRAM staging pool every copy stages through.
     pool: HostBufferPool,
     /// The resident writer pool (`p` workers in the paper), shared across
-    /// clones and by every checkpoint in flight. Its width is the knob the
-    /// online controller retunes between checkpoints.
+    /// clones and by every checkpoint in flight. Its width is fixed at
+    /// build.
     workers: Arc<WorkerPool>,
-    /// Chunk codec + dedup state, shared across clones (the controller
-    /// toggles `enabled`; the dedup index survives across checkpoints).
+    /// Chunk codec + dedup state, shared across clones (the dedup index
+    /// survives across checkpoints).
     codec: Arc<CodecState>,
     /// Each job's last whole-staged snapshot, shared across clones.
     mirrors: Arc<Mutex<Mirrors>>,
 }
 
-/// Shared chunk-codec state: the on/off switch the controller flips and
-/// the content-addressed index of chunk homes as of each job's latest
-/// codec commit.
+/// Shared chunk-codec state: the on/off switch and the content-addressed
+/// index of chunk homes as of each job's latest codec commit.
 #[derive(Debug, Default)]
 struct CodecState {
     enabled: AtomicBool,
@@ -910,21 +909,13 @@ impl PersistPipeline {
     }
 
     /// Sets the number of parallel writer threads (`p` in the paper).
-    pub fn with_writers(self, writers: usize) -> Self {
-        self.set_writers(writers);
+    /// Call it while building, before any clone shares the pool.
+    pub fn with_writers(mut self, writers: usize) -> Self {
+        self.workers = Arc::new(WorkerPool::new("pccheck-writer", writers));
         self
     }
 
-    /// Retunes the writer-pool width online, for every clone and every
-    /// checkpoint in flight: queued chunks are never dropped, a shrink
-    /// waits for each retired writer to finish the chunk in its hands
-    /// (so it must not be called from a pool job), a growth starts its
-    /// threads with the next chunk queued.
-    pub fn set_writers(&self, writers: usize) {
-        self.workers.set_width(writers);
-    }
-
-    /// The current writer-pool width.
+    /// The writer-pool width.
     pub fn writers(&self) -> usize {
         self.workers.width()
     }
@@ -935,11 +926,12 @@ impl PersistPipeline {
         self
     }
 
-    /// Flips the chunk codec online (the controller's switch). Disabling
-    /// also drops the dedup index — re-enabling starts from a cold index
-    /// rather than trusting generations whose age is unknown — and every
-    /// job's mirror, giving their DRAM back to the streamed copies.
-    pub fn set_codec_enabled(&self, enabled: bool) {
+    /// Flips the chunk codec. Disabling also drops the dedup index —
+    /// re-enabling starts from a cold index rather than trusting
+    /// generations whose age is unknown, as a restart with the codec back
+    /// on would — and every job's mirror, giving their DRAM back to the
+    /// streamed copies.
+    pub(crate) fn set_codec_enabled(&self, enabled: bool) {
         let was = self.codec.enabled.swap(enabled, Ordering::AcqRel);
         if was && !enabled {
             self.codec.dedup.lock().clear();
@@ -1325,8 +1317,8 @@ impl PersistPipeline {
                 digests.settle(true);
                 let codec = match mode {
                     CopyMode::Codec(policy) => {
-                        // The controller's chain-length signal: how much of
-                        // the state changed since the job's last snapshot.
+                        // The dirty-ratio gauge: how much of the state
+                        // changed since the job's last snapshot.
                         let permille = staging.dirty * 1000 / total.as_u64().max(1);
                         ctx.telemetry.gauge_dirty_ratio(permille);
                         self.pack(ctx, lease, &staging.chunks, &digests, policy)?
@@ -2078,66 +2070,68 @@ mod tests {
         }
     }
 
-    /// `set_writers` moves the resident pool's width between checkpoints —
-    /// for every clone — and every queued chunk is still written.
+    /// A pipeline built `p` writers wide runs its chunks on `p` resident
+    /// writers, which its clones share, and every chunk is written.
     #[test]
-    fn set_writers_resizes_the_resident_pool_and_drops_no_chunk() {
-        let g = gpu(900, 53);
-        let pool = HostBufferPool::new(ByteSize::from_bytes(128), 8);
-        let pipeline = PersistPipeline::new(ssd_store(g.state_size(), 3), pool).with_writers(2);
-        assert_eq!(pipeline.workers.threads(), 0, "no chunk yet, no thread yet");
-        let clone = pipeline.clone();
-        let telemetry = Telemetry::enabled();
-        let mut checkpoints = 0;
-        for (width, through) in [(2, &pipeline), (4, &clone), (1, &pipeline), (3, &clone)] {
-            clone.set_writers(width);
-            assert_eq!(pipeline.writers(), width, "clones share the pool");
-            g.update();
-            checkpoints += 1;
-            let span = telemetry.span_requested("test", checkpoints, 900);
-            let ctx = PipelineCtx {
-                telemetry: &telemetry,
-                span,
-            };
-            let lease = through.lease(ctx, &default_ns(through));
-            let guard = g.lock_weights_shared_owned();
-            let copied = through
-                .copy(
-                    ctx,
-                    guard,
-                    &lease,
-                    checkpoints,
-                    g.state_size(),
-                    CopyMode::Streamed,
-                )
-                .unwrap();
-            through.seal(ctx, &lease, checkpoints, &copied).unwrap();
-            let out = through.commit(ctx, lease, checkpoints, &copied).unwrap();
-            assert_eq!(out, CommitOutcome::Committed);
-            assert_eq!(copied.state_digest, g.digest());
-            assert_eq!(pipeline.workers.threads(), width, "width {width}");
-            let writers: Vec<String> = telemetry
-                .events()
-                .iter()
-                .filter_map(|e| match &e.kind {
-                    pccheck_telemetry::EventKind::ActorSpan { actor, .. } if e.span == span => {
-                        Some(actor.clone())
-                    }
-                    _ => None,
-                })
-                .collect();
-            assert!(!writers.is_empty(), "width {width}: writer spans survive");
-            for actor in &writers {
-                let w: usize = actor.strip_prefix("writer-").unwrap().parse().unwrap();
-                assert!(w < width, "width {width} ran {actor}");
+    fn pipelines_built_at_each_width_run_that_many_writers_and_drop_no_chunk() {
+        for width in 1..=4 {
+            let g = gpu(900, 53);
+            let pool = HostBufferPool::new(ByteSize::from_bytes(128), 8);
+            let pipeline =
+                PersistPipeline::new(ssd_store(g.state_size(), 3), pool).with_writers(width);
+            assert_eq!(pipeline.workers.threads(), 0, "no chunk yet, no thread yet");
+            let clone = pipeline.clone();
+            assert_eq!(clone.writers(), width, "clones share the pool");
+            let telemetry = Telemetry::enabled();
+            let mut checkpoints = 0;
+            for through in [&pipeline, &clone, &pipeline] {
+                g.update();
+                checkpoints += 1;
+                let span = telemetry.span_requested("test", checkpoints, 900);
+                let ctx = PipelineCtx {
+                    telemetry: &telemetry,
+                    span,
+                };
+                let lease = through.lease(ctx, &default_ns(through));
+                let guard = g.lock_weights_shared_owned();
+                let copied = through
+                    .copy(
+                        ctx,
+                        guard,
+                        &lease,
+                        checkpoints,
+                        g.state_size(),
+                        CopyMode::Streamed,
+                    )
+                    .unwrap();
+                through.seal(ctx, &lease, checkpoints, &copied).unwrap();
+                let out = through.commit(ctx, lease, checkpoints, &copied).unwrap();
+                assert_eq!(out, CommitOutcome::Committed);
+                assert_eq!(copied.state_digest, g.digest());
+                assert_eq!(pipeline.workers.threads(), width, "width {width}");
+                let writers: Vec<String> = telemetry
+                    .events()
+                    .iter()
+                    .filter_map(|e| match &e.kind {
+                        pccheck_telemetry::EventKind::ActorSpan { actor, .. } if e.span == span => {
+                            Some(actor.clone())
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                assert!(!writers.is_empty(), "width {width}: writer spans survive");
+                for actor in &writers {
+                    let w: usize = actor.strip_prefix("writer-").unwrap().parse().unwrap();
+                    assert!(w < width, "width {width} ran {actor}");
+                }
             }
+            let snap = telemetry.snapshot().unwrap();
+            assert_eq!(
+                snap.persist_chunk_bytes,
+                checkpoints * (FrameTable::encoded_len_for(8) + 900),
+                "width {width}: no chunk dropped"
+            );
         }
-        let snap = telemetry.snapshot().unwrap();
-        assert_eq!(
-            snap.persist_chunk_bytes,
-            checkpoints * (FrameTable::encoded_len_for(8) + 900),
-            "no chunk dropped"
-        );
     }
 
     /// The writers belong to the clones collectively: dropping one clone

@@ -24,10 +24,9 @@
 //! This module is the only place the persist path creates a thread.
 //! Workers are spawned on the first [`submit`](WorkerPool::submit) that
 //! finds fewer than `width` of them, so a pool nobody submits to costs
-//! nothing; [`set_width`](WorkerPool::set_width) retires the
-//! highest-numbered workers (each finishes the job in its hands) and joins
-//! them; dropping the pool lets the workers drain the queue, then joins
-//! them all. Neither may be called from one of the pool's own jobs.
+//! nothing. The width is fixed when the pool is built. Dropping the pool
+//! lets the workers drain the queue, then joins them all, so it must not
+//! happen in one of the pool's own jobs.
 //!
 //! A job must not unwind: the two users (`pipeline::Batch`, the engine's
 //! checkpoint task) run their work under `catch_unwind` and re-raise on the
@@ -57,8 +56,6 @@ struct State {
     /// Whose turn it is: one entry per queued job, in submission order.
     turns: VecDeque<JobId>,
     queue: VecDeque<(Order, Job)>,
-    /// How many workers should exist; workers `width..` retire.
-    width: usize,
     /// `handles[w]` is worker `w`.
     handles: Vec<JoinHandle<()>>,
     shutdown: bool,
@@ -82,6 +79,8 @@ impl State {
 
 struct Shared {
     name: &'static str,
+    /// How many workers the pool runs.
+    width: usize,
     state: Mutex<State>,
     work: Condvar,
 }
@@ -90,12 +89,6 @@ impl Shared {
     fn run(&self, w: usize) {
         let mut state = self.state.lock();
         loop {
-            if w >= state.width {
-                // Retired by `set_width`. The wakeup that got us here may
-                // have been meant for a job: pass it on.
-                self.work.notify_one();
-                return;
-            }
             if let Some(job) = state.pop() {
                 drop(state);
                 job(w);
@@ -110,7 +103,7 @@ impl Shared {
     }
 }
 
-/// A fixed-name, resizable set of resident workers over one ordered queue.
+/// A fixed-name, fixed-width set of resident workers over one ordered queue.
 pub(crate) struct WorkerPool {
     shared: Arc<Shared>,
 }
@@ -120,7 +113,7 @@ impl std::fmt::Debug for WorkerPool {
         let state = self.shared.state.lock();
         f.debug_struct("WorkerPool")
             .field("name", &self.shared.name)
-            .field("width", &state.width)
+            .field("width", &self.shared.width)
             .field("threads", &state.handles.len())
             .field("queued", &state.queue.len())
             .finish()
@@ -134,10 +127,10 @@ impl WorkerPool {
         WorkerPool {
             shared: Arc::new(Shared {
                 name,
+                width: width.max(1),
                 state: Mutex::new(State {
                     turns: VecDeque::new(),
                     queue: VecDeque::new(),
-                    width: width.max(1),
                     handles: Vec::new(),
                     shutdown: false,
                 }),
@@ -148,7 +141,7 @@ impl WorkerPool {
 
     /// The number of workers the pool runs jobs on.
     pub fn width(&self) -> usize {
-        self.shared.state.lock().width
+        self.shared.width
     }
 
     /// Worker threads alive right now (at most `width`; fewer until enough
@@ -166,32 +159,12 @@ impl WorkerPool {
         Arc::downgrade(&self.shared)
     }
 
-    /// Resizes the pool. Growing takes effect at the next `submit`;
-    /// shrinking waits for each retired worker to finish the job it holds.
-    /// Queued jobs are never dropped: the remaining workers serve them.
-    pub fn set_width(&self, width: usize) {
-        let width = width.max(1);
-        let retired = {
-            let mut state = self.shared.state.lock();
-            state.width = width;
-            let keep = state.handles.len().min(width);
-            state.handles.split_off(keep)
-        };
-        if retired.is_empty() {
-            return;
-        }
-        self.shared.work.notify_all();
-        for handle in retired {
-            handle.join().expect("a pool worker never unwinds");
-        }
-    }
-
     /// Queues `job` at `order` and makes sure `width` workers exist.
     pub fn submit(&self, order: Order, job: Job) {
         let mut state = self.shared.state.lock();
         state.turns.push_back(order.tenant);
         state.queue.push_back((order, job));
-        while state.handles.len() < state.width {
+        while state.handles.len() < self.shared.width {
             let w = state.handles.len();
             let shared = Arc::clone(&self.shared);
             let handle = std::thread::Builder::new()
@@ -301,14 +274,7 @@ mod tests {
             (0..jobs).map(|_| rx.recv().unwrap()).max().unwrap()
         };
         assert!(seen(&pool, 32) < 3);
-        assert_eq!(pool.threads(), 3);
-        pool.set_width(1);
-        assert_eq!((pool.width(), pool.threads()), (1, 1));
-        assert_eq!(seen(&pool, 32), 0, "only worker 0 is left");
-        pool.set_width(2);
-        assert_eq!(pool.threads(), 1, "growth waits for a job");
-        assert!(seen(&pool, 32) < 2);
-        assert_eq!(pool.threads(), 2);
+        assert_eq!((pool.width(), pool.threads()), (3, 3));
         // Dropping the pool runs what is queued, then joins: the job's
         // side effect is visible as soon as `drop` returns.
         let release = plug(&pool);

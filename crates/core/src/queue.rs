@@ -407,9 +407,14 @@ mod tests {
         let q = Arc::new(SlotQueue::with_capacity(2));
         let q2 = Arc::clone(&q);
         let handle = std::thread::spawn(move || q2.dequeue_blocking());
-        std::thread::sleep(std::time::Duration::from_millis(50));
+        // Enqueue only once the dequeuer has registered as parked, so the
+        // value always reaches it through the parked-wake path.
+        while q.parked.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
         q.enqueue(42).unwrap();
         assert_eq!(handle.join().unwrap(), 42);
+        assert_eq!(q.parked.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -16,17 +16,10 @@
 //! `N*` is found empirically: the tool measures (or accepts a model of)
 //! `Tw(N)` — the per-checkpoint write time under `N`-way contention — and
 //! picks the `N` minimizing `Tw(N)/N`, subject to `N ≤ S/m − 1`.
-//!
-//! Beyond the static tool, this module hosts the online controller,
-//! [`PersistController`], which closes the loop over the *persist path
-//! itself* — writer count, chunk codec, delta policy, chunk sizing, and
-//! tier placement — from live telemetry snapshots.
 
-use pccheck_telemetry::TelemetrySnapshot;
 use pccheck_util::{Bandwidth, ByteSize, SimDuration};
 
 use crate::error::PccheckError;
-use crate::pipeline::{DeltaPolicy, PersistPipeline};
 
 /// Inputs to the tuner: the "System/Model Parameters" and "User
 /// Constraints" columns of Table 2.
@@ -201,479 +194,6 @@ impl Tuner {
     }
 }
 
-/// Knob bounds and hysteresis thresholds for [`PersistController`].
-///
-/// Every decision is *evidence-gated* (a signal must point the same way
-/// for [`evidence`](ControllerConfig::evidence) consecutive intervals),
-/// *step-bounded* (writer count moves by ±1, chain bounds by ±1), and
-/// *cooled down* ([`cooldown`](ControllerConfig::cooldown) intervals must
-/// pass before the same knob moves again). The three gates together bound
-/// the controller's worst-case oscillation: a knob can flip at most once
-/// per `evidence + cooldown` intervals, and each flip moves one step, so
-/// a decision that turns out wrong is undone at the same bounded rate it
-/// was made.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ControllerConfig {
-    /// Lower bound on the writer-thread count.
-    pub min_writers: usize,
-    /// Upper bound on the writer-thread count.
-    pub max_writers: usize,
-    /// Consecutive intervals a signal must persist before the controller
-    /// acts on it.
-    pub evidence: u32,
-    /// Intervals a knob rests after moving before it may move again.
-    pub cooldown: u32,
-    /// Mean per-checkpoint training stall (nanoseconds) above which the
-    /// persist path is too slow: scale writers up (if the device queue
-    /// has headroom) or spill tiers (if it does not).
-    pub stall_hi_nanos: u64,
-    /// Mean stall below which the persist path has slack: scale writers
-    /// down to return cores to training.
-    pub stall_lo_nanos: u64,
-    /// Device submission-queue depth at or above which the device — not
-    /// writer parallelism — is the bottleneck.
-    pub device_queue_saturated: u64,
-    /// Physical/logical ratio (permille) at or above which the codec is
-    /// not earning its CPU: candidates for disabling. 1000 = stored at
-    /// full size.
-    pub codec_off_permille: u64,
-    /// Ratio below which a probe interval confirms the codec should stay
-    /// enabled. Kept strictly below `codec_off_permille` so the two
-    /// thresholds form a hysteresis band.
-    pub codec_on_permille: u64,
-    /// Intervals to wait with the codec off before probing it again
-    /// (payload compressibility changes across training phases).
-    pub codec_probe_interval: u32,
-    /// Dirty-ratio (permille) below which sparse updates justify longer
-    /// dedup-base chains.
-    pub delta_dirty_lo_permille: u64,
-    /// Dirty-ratio above which chains shorten (dense updates leave few
-    /// clean chunks to reference, and long chains pin more slots).
-    pub delta_dirty_hi_permille: u64,
-    /// Bounds on [`DeltaPolicy::max_chain`].
-    pub min_chain: u32,
-    /// See [`min_chain`](ControllerConfig::min_chain).
-    pub max_chain: u32,
-}
-
-impl Default for ControllerConfig {
-    fn default() -> Self {
-        ControllerConfig {
-            min_writers: 1,
-            max_writers: 8,
-            evidence: 2,
-            cooldown: 2,
-            stall_hi_nanos: 2_000_000,
-            stall_lo_nanos: 200_000,
-            device_queue_saturated: 16,
-            codec_off_permille: 980,
-            codec_on_permille: 900,
-            codec_probe_interval: 8,
-            delta_dirty_lo_permille: 150,
-            delta_dirty_hi_permille: 600,
-            min_chain: 1,
-            max_chain: 15,
-        }
-    }
-}
-
-/// One interval's worth of persist-path signals, distilled from a
-/// [`TelemetrySnapshot`]. Counter fields are *cumulative* — the
-/// controller differences consecutive snapshots itself, so callers just
-/// pass whatever the registry currently reads.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ControllerSignals {
-    /// Cumulative training-stall nanoseconds (one sample per checkpoint).
-    pub stall_sum_nanos: u64,
-    /// Cumulative stall sample count (= checkpoints requested).
-    pub stall_count: u64,
-    /// Cumulative per-chunk device-write nanoseconds.
-    pub write_sum_nanos: u64,
-    /// Cumulative chunk-write count.
-    pub write_count: u64,
-    /// Current device submission-queue depth (max across tracked devices).
-    pub device_queue_depth: u64,
-    /// Current free-slot queue depth.
-    pub queue_depth: u64,
-    /// Cumulative bytes moved by the DRAM→device persist phase.
-    pub persist_chunk_bytes: u64,
-    /// Cumulative bytes the chunk codec avoided persisting.
-    pub codec_bytes_saved: u64,
-    /// Cumulative chunks persisted as dedup references.
-    pub dedup_chunks: u64,
-    /// Last framed commit's physical/logical ratio, permille (0 = no
-    /// framed commit observed yet).
-    pub compression_ratio_permille: u64,
-    /// Last framed snapshot's dirty ratio, permille (0 = none observed).
-    pub dirty_ratio_permille: u64,
-}
-
-impl ControllerSignals {
-    /// Distills controller inputs from a full telemetry snapshot.
-    pub fn from_snapshot(s: &TelemetrySnapshot) -> Self {
-        ControllerSignals {
-            stall_sum_nanos: s.stall.sum_nanos,
-            stall_count: s.stall.count,
-            write_sum_nanos: s.write_stage.sum_nanos,
-            write_count: s.write_stage.count,
-            device_queue_depth: s.device_queue_depth.iter().copied().max().unwrap_or(0),
-            queue_depth: s.queue_depth,
-            persist_chunk_bytes: s.persist_chunk_bytes,
-            codec_bytes_saved: s.codec_bytes_saved,
-            dedup_chunks: s.dedup_chunks,
-            compression_ratio_permille: s.compression_ratio_permille,
-            dirty_ratio_permille: s.dirty_ratio_permille,
-        }
-    }
-}
-
-/// Where checkpoint payloads should land.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TierHint {
-    /// Keep payloads on the fast tier (the default).
-    Fast,
-    /// The fast tier is saturated even at the writer ceiling: spill new
-    /// checkpoints to the capacity tier.
-    Capacity,
-}
-
-/// A knob movement the controller made on one tick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ControllerAction {
-    /// Writer count raised to the contained value.
-    WritersUp(usize),
-    /// Writer count lowered to the contained value.
-    WritersDown(usize),
-    /// Chunk codec disabled (not earning its CPU).
-    CodecOff,
-    /// Chunk codec re-enabled for a probe window.
-    CodecProbe,
-    /// Delta chain bound raised to the contained value.
-    ChainLengthen(u32),
-    /// Delta chain bound lowered to the contained value.
-    ChainShorten(u32),
-    /// Tier hint flipped to [`TierHint::Capacity`].
-    TierSpill,
-    /// Tier hint restored to [`TierHint::Fast`].
-    TierRestore,
-}
-
-/// The settings in force after a [`PersistController::tick`], plus the
-/// actions that tick took.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ControllerDecision {
-    /// Writer threads the pipeline should run.
-    pub writers: usize,
-    /// Whether the chunk codec should be enabled.
-    pub codec_enabled: bool,
-    /// Delta policy in force.
-    pub delta_policy: DeltaPolicy,
-    /// Advisory chunk size for the *next* engine restart (staging pools
-    /// cannot be resized live): `Some` when the interval was IOPS-bound
-    /// by many small chunks on a saturated device.
-    pub chunk_size_hint: Option<ByteSize>,
-    /// Advisory tier placement.
-    pub tier_hint: TierHint,
-    /// Knobs this tick moved (empty = steady state).
-    pub actions: Vec<ControllerAction>,
-}
-
-/// The adaptive persist-path controller: a feedback loop that retunes
-/// writer count, codec enablement, delta policy, and (advisorily) chunk
-/// size and tier placement from live [`TelemetrySnapshot`] deltas.
-///
-/// Where [`Tuner`] answers *when* to checkpoint (equation (3)), this
-/// controller answers *how*: each interval it differences the
-/// cumulative telemetry counters, extracts per-interval means, and nudges
-/// one step per knob at most — see [`ControllerConfig`] for the
-/// hysteresis argument. All decisions are deterministic functions of the
-/// observed signal sequence, so a run can be replayed from its telemetry
-/// log.
-///
-/// Call [`tick`](Self::tick) with distilled signals (pure, for tests and
-/// simulation) or [`steer`](Self::steer) with a snapshot and a pipeline
-/// to also apply the writer/codec settings.
-#[derive(Debug, Clone)]
-pub struct PersistController {
-    cfg: ControllerConfig,
-    writers: usize,
-    codec: bool,
-    delta: DeltaPolicy,
-    tier: TierHint,
-    last: Option<ControllerSignals>,
-    up_evidence: u32,
-    down_evidence: u32,
-    codec_off_evidence: u32,
-    spill_evidence: u32,
-    writer_cooldown: u32,
-    codec_cooldown: u32,
-    delta_cooldown: u32,
-    probe_countdown: u32,
-    ticks: u64,
-    actions_taken: u64,
-}
-
-impl PersistController {
-    /// Chunks-per-interval above which (on a saturated device) the
-    /// controller recommends a larger chunk size.
-    const IOPS_BOUND_CHUNKS: u64 = 64;
-
-    /// Creates a controller starting from `writers` threads and the given
-    /// codec state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the config bounds are inverted or `writers` lies outside
-    /// them.
-    pub fn new(cfg: ControllerConfig, writers: usize, codec: bool) -> Self {
-        assert!(
-            cfg.min_writers >= 1 && cfg.min_writers <= cfg.max_writers,
-            "writer bounds must satisfy 1 <= min <= max"
-        );
-        assert!(
-            (cfg.min_writers..=cfg.max_writers).contains(&writers),
-            "initial writers {writers} outside [{}, {}]",
-            cfg.min_writers,
-            cfg.max_writers
-        );
-        assert!(
-            cfg.min_chain >= 1 && cfg.min_chain <= cfg.max_chain,
-            "chain bounds must satisfy 1 <= min <= max"
-        );
-        assert!(
-            cfg.codec_on_permille < cfg.codec_off_permille,
-            "codec thresholds must form a hysteresis band"
-        );
-        let delta = DeltaPolicy {
-            max_chain: DeltaPolicy::default()
-                .max_chain
-                .clamp(cfg.min_chain, cfg.max_chain),
-        };
-        PersistController {
-            cfg,
-            writers,
-            codec,
-            delta,
-            tier: TierHint::Fast,
-            last: None,
-            up_evidence: 0,
-            down_evidence: 0,
-            codec_off_evidence: 0,
-            spill_evidence: 0,
-            writer_cooldown: 0,
-            codec_cooldown: 0,
-            delta_cooldown: 0,
-            probe_countdown: 0,
-            ticks: 0,
-            actions_taken: 0,
-        }
-    }
-
-    /// The writer count currently in force.
-    pub fn writers(&self) -> usize {
-        self.writers
-    }
-
-    /// Whether the codec is currently enabled.
-    pub fn codec_enabled(&self) -> bool {
-        self.codec
-    }
-
-    /// The delta policy currently in force.
-    pub fn delta_policy(&self) -> DeltaPolicy {
-        self.delta
-    }
-
-    /// The tier hint currently in force.
-    pub fn tier_hint(&self) -> TierHint {
-        self.tier
-    }
-
-    /// Intervals observed so far.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-
-    /// Total knob movements across all ticks.
-    pub fn actions_taken(&self) -> u64 {
-        self.actions_taken
-    }
-
-    /// Observes one interval's signals and returns the settings now in
-    /// force. The first tick only baselines the cumulative counters.
-    pub fn tick(&mut self, signals: ControllerSignals) -> ControllerDecision {
-        self.ticks += 1;
-        let mut actions = Vec::new();
-        let Some(last) = self.last.replace(signals) else {
-            return self.decision(actions, None);
-        };
-
-        // Per-interval deltas of the cumulative counters. `saturating_sub`
-        // tolerates a recorder reset mid-run (the interval reads as empty).
-        let stall_sum = signals.stall_sum_nanos.saturating_sub(last.stall_sum_nanos);
-        let checkpoints = signals.stall_count.saturating_sub(last.stall_count);
-        let chunks = signals.write_count.saturating_sub(last.write_count);
-        let chunk_bytes = signals
-            .persist_chunk_bytes
-            .saturating_sub(last.persist_chunk_bytes);
-        let saved = signals
-            .codec_bytes_saved
-            .saturating_sub(last.codec_bytes_saved);
-
-        self.writer_cooldown = self.writer_cooldown.saturating_sub(1);
-        self.codec_cooldown = self.codec_cooldown.saturating_sub(1);
-        self.delta_cooldown = self.delta_cooldown.saturating_sub(1);
-
-        let stall_mean = stall_sum.checked_div(checkpoints).unwrap_or(0);
-        let saturated = signals.device_queue_depth >= self.cfg.device_queue_saturated;
-
-        // --- Writer count: more writers shorten Tw only while the device
-        // queue has headroom; past saturation they just contend.
-        if checkpoints > 0 {
-            if stall_mean > self.cfg.stall_hi_nanos && !saturated {
-                self.up_evidence += 1;
-                self.down_evidence = 0;
-            } else if stall_mean < self.cfg.stall_lo_nanos {
-                self.down_evidence += 1;
-                self.up_evidence = 0;
-            } else {
-                self.up_evidence = 0;
-                self.down_evidence = 0;
-            }
-            if self.writer_cooldown == 0 {
-                if self.up_evidence >= self.cfg.evidence && self.writers < self.cfg.max_writers {
-                    self.writers += 1;
-                    self.up_evidence = 0;
-                    self.writer_cooldown = self.cfg.cooldown;
-                    actions.push(ControllerAction::WritersUp(self.writers));
-                } else if self.down_evidence >= self.cfg.evidence
-                    && self.writers > self.cfg.min_writers
-                {
-                    self.writers -= 1;
-                    self.down_evidence = 0;
-                    self.writer_cooldown = self.cfg.cooldown;
-                    actions.push(ControllerAction::WritersDown(self.writers));
-                }
-            }
-        }
-
-        // --- Codec: disable when framed commits stopped paying (ratio at
-        // or above the off threshold, or checkpoints flowed with zero
-        // savings); probe periodically while off. The on/off thresholds
-        // form a band, so a ratio wandering between them never flaps.
-        if self.codec {
-            let ratio = signals.compression_ratio_permille;
-            let earning = saved > 0 && (ratio == 0 || ratio < self.cfg.codec_off_permille);
-            if checkpoints > 0 && !earning {
-                self.codec_off_evidence += 1;
-            } else if saved > 0 && (ratio == 0 || ratio < self.cfg.codec_on_permille) {
-                self.codec_off_evidence = 0;
-            }
-            if self.codec_cooldown == 0 && self.codec_off_evidence >= self.cfg.evidence {
-                self.codec = false;
-                self.codec_off_evidence = 0;
-                self.codec_cooldown = self.cfg.cooldown;
-                self.probe_countdown = self.cfg.codec_probe_interval;
-                actions.push(ControllerAction::CodecOff);
-            }
-        } else if self.probe_countdown > 0 {
-            self.probe_countdown -= 1;
-            if self.probe_countdown == 0 {
-                // Probe: one evidence window with the codec back on. If it
-                // still fails to earn its keep the off-evidence path above
-                // disables it again (and schedules the next probe).
-                self.codec = true;
-                self.codec_off_evidence = 0;
-                self.codec_cooldown = 0;
-                actions.push(ControllerAction::CodecProbe);
-            }
-        }
-
-        // --- Chain policy: sparse updates amortize the chain's pinned
-        // slots over more saved bytes, dense updates don't.
-        if self.delta_cooldown == 0 && signals.dirty_ratio_permille > 0 && checkpoints > 0 {
-            if signals.dirty_ratio_permille < self.cfg.delta_dirty_lo_permille
-                && self.delta.max_chain < self.cfg.max_chain
-            {
-                self.delta.max_chain += 1;
-                self.delta_cooldown = self.cfg.cooldown;
-                actions.push(ControllerAction::ChainLengthen(self.delta.max_chain));
-            } else if signals.dirty_ratio_permille > self.cfg.delta_dirty_hi_permille
-                && self.delta.max_chain > self.cfg.min_chain
-            {
-                self.delta.max_chain -= 1;
-                self.delta_cooldown = self.cfg.cooldown;
-                actions.push(ControllerAction::ChainShorten(self.delta.max_chain));
-            }
-        }
-
-        // --- Tier placement: stalls at the writer ceiling with a
-        // saturated device mean the fast tier itself is the bottleneck.
-        if checkpoints > 0 {
-            if stall_mean > self.cfg.stall_hi_nanos
-                && saturated
-                && self.writers >= self.cfg.max_writers
-            {
-                self.spill_evidence += 1;
-            } else {
-                self.spill_evidence = 0;
-                if self.tier == TierHint::Capacity
-                    && signals.device_queue_depth < self.cfg.device_queue_saturated / 2
-                {
-                    self.tier = TierHint::Fast;
-                    actions.push(ControllerAction::TierRestore);
-                }
-            }
-            if self.tier == TierHint::Fast && self.spill_evidence >= self.cfg.evidence {
-                self.tier = TierHint::Capacity;
-                self.spill_evidence = 0;
-                actions.push(ControllerAction::TierSpill);
-            }
-        }
-
-        // --- Chunk-size hint: many tiny chunks on a saturated device are
-        // IOPS-bound; doubling the chunk amortizes per-I/O overhead.
-        let chunk_hint = if saturated && chunks > Self::IOPS_BOUND_CHUNKS && chunk_bytes > 0 {
-            Some(ByteSize::from_bytes((chunk_bytes / chunks).max(1) * 2))
-        } else {
-            None
-        };
-
-        self.actions_taken += actions.len() as u64;
-        self.decision(actions, chunk_hint)
-    }
-
-    /// Distills `snapshot`, runs [`tick`](Self::tick), and applies the
-    /// writer count and codec enablement to `pipeline`. The delta policy
-    /// and hints are returned for the caller to thread into its next
-    /// checkpoint calls.
-    pub fn steer(
-        &mut self,
-        snapshot: &TelemetrySnapshot,
-        pipeline: &PersistPipeline,
-    ) -> ControllerDecision {
-        let decision = self.tick(ControllerSignals::from_snapshot(snapshot));
-        pipeline.set_writers(decision.writers);
-        pipeline.set_codec_enabled(decision.codec_enabled);
-        decision
-    }
-
-    fn decision(
-        &self,
-        actions: Vec<ControllerAction>,
-        chunk_size_hint: Option<ByteSize>,
-    ) -> ControllerDecision {
-        ControllerDecision {
-            writers: self.writers,
-            codec_enabled: self.codec,
-            delta_policy: self.delta,
-            chunk_size_hint,
-            tier_hint: self.tier,
-            actions,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -778,262 +298,6 @@ mod tests {
         let mut i = opt13b_inputs();
         i.iter_time = SimDuration::ZERO;
         assert!(Tuner::new(i).is_err());
-    }
-
-    /// Signals for an interval of `checkpoints` checkpoints at a mean
-    /// stall of `stall_nanos` each, with the cumulative counters advanced
-    /// from `prev`.
-    fn advance(
-        prev: &ControllerSignals,
-        checkpoints: u64,
-        stall_nanos: u64,
-        queue: u64,
-    ) -> ControllerSignals {
-        ControllerSignals {
-            stall_sum_nanos: prev.stall_sum_nanos + checkpoints * stall_nanos,
-            stall_count: prev.stall_count + checkpoints,
-            write_sum_nanos: prev.write_sum_nanos + checkpoints * 1000,
-            write_count: prev.write_count + checkpoints * 4,
-            device_queue_depth: queue,
-            queue_depth: 1,
-            persist_chunk_bytes: prev.persist_chunk_bytes + checkpoints * 4096,
-            codec_bytes_saved: prev.codec_bytes_saved,
-            dedup_chunks: prev.dedup_chunks,
-            compression_ratio_permille: prev.compression_ratio_permille,
-            dirty_ratio_permille: prev.dirty_ratio_permille,
-        }
-    }
-
-    #[test]
-    fn controller_scales_writers_up_under_stall_with_queue_headroom() {
-        let mut c = PersistController::new(ControllerConfig::default(), 2, false);
-        let mut s = ControllerSignals::default();
-        c.tick(s); // baseline
-        let mut ups = 0;
-        for _ in 0..12 {
-            s = advance(&s, 4, 10_000_000, 2); // 10 ms stalls, shallow queue
-            for a in c.tick(s).actions {
-                if matches!(a, ControllerAction::WritersUp(_)) {
-                    ups += 1;
-                }
-            }
-        }
-        assert!(c.writers() > 2, "sustained stall must add writers");
-        assert!(ups >= 2);
-        // Step-bounded: 12 intervals with evidence=2, cooldown=2 allow at
-        // most one move per 2 intervals.
-        assert!(c.writers() <= 2 + 6, "writers {} moved too fast", c.writers());
-        assert!(c.writers() <= 8, "bounded by max_writers");
-    }
-
-    #[test]
-    fn controller_does_not_add_writers_into_a_saturated_device() {
-        let mut c = PersistController::new(ControllerConfig::default(), 2, false);
-        let mut s = ControllerSignals::default();
-        c.tick(s);
-        for _ in 0..10 {
-            s = advance(&s, 4, 10_000_000, 32); // stalled AND saturated
-            c.tick(s);
-        }
-        assert_eq!(c.writers(), 2, "queue saturation means writers won't help");
-    }
-
-    #[test]
-    fn controller_returns_cores_when_stall_is_negligible() {
-        let mut c = PersistController::new(ControllerConfig::default(), 4, false);
-        let mut s = ControllerSignals::default();
-        c.tick(s);
-        for _ in 0..12 {
-            s = advance(&s, 4, 10_000, 1); // 10 µs stalls
-            c.tick(s);
-        }
-        assert!(c.writers() < 4, "idle persist path must shed writers");
-        assert!(c.writers() >= 1, "bounded by min_writers");
-    }
-
-    #[test]
-    fn controller_jitter_does_not_flap_writers() {
-        // Stalls alternating either side of the band's interior never
-        // accumulate the consecutive evidence an action needs.
-        let mut c = PersistController::new(ControllerConfig::default(), 3, false);
-        let mut s = ControllerSignals::default();
-        c.tick(s);
-        for i in 0..20 {
-            let stall = if i % 2 == 0 { 3_000_000 } else { 500_000 };
-            s = advance(&s, 4, stall, 1);
-            c.tick(s);
-        }
-        assert_eq!(c.writers(), 3, "jitter must not move the knob");
-        assert_eq!(c.actions_taken(), 0);
-    }
-
-    #[test]
-    fn controller_disables_unearning_codec_and_probes_later() {
-        let cfg = ControllerConfig {
-            codec_probe_interval: 3,
-            ..ControllerConfig::default()
-        };
-        let mut c = PersistController::new(cfg, 2, true);
-        let mut s = ControllerSignals {
-            compression_ratio_permille: 995, // storing at ~full size
-            ..ControllerSignals::default()
-        };
-        c.tick(s);
-        let mut off_at = None;
-        for i in 0..3 {
-            s = advance(&s, 4, 500_000, 1);
-            let d = c.tick(s);
-            if d.actions.contains(&ControllerAction::CodecOff) {
-                off_at = Some(i);
-            }
-        }
-        assert!(off_at.is_some(), "incompressible payloads must disable codec");
-        assert!(!c.codec_enabled());
-        // After the probe interval it re-arms for one evidence window; the
-        // payloads are still incompressible, so the probe fails and the
-        // codec goes back off (scheduling the next probe).
-        let mut probed = 0;
-        let mut re_off = 0;
-        for _ in 0..16 {
-            s = advance(&s, 4, 500_000, 1);
-            for a in c.tick(s).actions {
-                match a {
-                    ControllerAction::CodecProbe => {
-                        probed += 1;
-                        assert!(c.codec_enabled(), "probe re-enables the codec");
-                    }
-                    ControllerAction::CodecOff => re_off += 1,
-                    _ => {}
-                }
-            }
-        }
-        assert!(probed >= 2, "codec must keep probing after backoffs, got {probed}");
-        assert!(re_off >= 2, "failed probes must disable again, got {re_off}");
-    }
-
-    #[test]
-    fn controller_keeps_earning_codec_enabled() {
-        let mut c = PersistController::new(ControllerConfig::default(), 2, true);
-        let mut s = ControllerSignals {
-            compression_ratio_permille: 400, // 2.5x reduction
-            ..ControllerSignals::default()
-        };
-        c.tick(s);
-        for _ in 0..10 {
-            s = advance(&s, 4, 500_000, 1);
-            s.codec_bytes_saved += 4 * 2400; // framed commits keep saving
-            c.tick(s);
-        }
-        assert!(c.codec_enabled(), "an earning codec must stay on");
-    }
-
-    #[test]
-    fn controller_adapts_delta_chain_to_dirty_ratio() {
-        let mut c = PersistController::new(ControllerConfig::default(), 2, false);
-        let base = c.delta_policy().max_chain;
-        let mut s = ControllerSignals {
-            dirty_ratio_permille: 50, // very sparse updates
-            ..ControllerSignals::default()
-        };
-        c.tick(s);
-        for _ in 0..8 {
-            s = advance(&s, 4, 500_000, 1);
-            c.tick(s);
-        }
-        assert!(c.delta_policy().max_chain > base, "sparse updates lengthen chains");
-        // Now the workload densifies: chains shorten again.
-        s.dirty_ratio_permille = 900;
-        for _ in 0..20 {
-            s = advance(&s, 4, 500_000, 1);
-            c.tick(s);
-        }
-        assert!(
-            c.delta_policy().max_chain < ControllerConfig::default().max_chain,
-            "dense updates shorten chains"
-        );
-        assert!(c.delta_policy().max_chain >= 1);
-    }
-
-    #[test]
-    fn controller_spills_tier_only_at_the_writer_ceiling() {
-        let cfg = ControllerConfig {
-            max_writers: 2,
-            ..ControllerConfig::default()
-        };
-        let mut c = PersistController::new(cfg, 2, false);
-        let mut s = ControllerSignals::default();
-        c.tick(s);
-        assert_eq!(c.tier_hint(), TierHint::Fast);
-        for _ in 0..4 {
-            s = advance(&s, 4, 10_000_000, 32); // stalled, saturated, at max p
-            c.tick(s);
-        }
-        assert_eq!(c.tier_hint(), TierHint::Capacity, "must spill");
-        // Pressure clears: the hint returns to the fast tier.
-        for _ in 0..4 {
-            s = advance(&s, 4, 100_000, 2);
-            c.tick(s);
-        }
-        assert_eq!(c.tier_hint(), TierHint::Fast);
-    }
-
-    #[test]
-    fn controller_recommends_larger_chunks_when_iops_bound() {
-        let mut c = PersistController::new(ControllerConfig::default(), 2, false);
-        let mut s = ControllerSignals::default();
-        c.tick(s);
-        // 256 chunks of 64 B in one interval on a saturated device.
-        s.write_count += 256;
-        s.write_sum_nanos += 256_000;
-        s.persist_chunk_bytes += 256 * 64;
-        s.stall_count += 4;
-        s.stall_sum_nanos += 4 * 500_000;
-        s.device_queue_depth = 32;
-        let d = c.tick(s);
-        assert_eq!(d.chunk_size_hint, Some(ByteSize::from_bytes(128)));
-        // A quiet device yields no hint.
-        s = advance(&s, 4, 500_000, 1);
-        assert_eq!(c.tick(s).chunk_size_hint, None);
-    }
-
-    #[test]
-    fn controller_steers_a_real_pipeline() {
-        use crate::store::CheckpointStore;
-        use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
-        use std::sync::Arc;
-
-        let device: Arc<dyn PersistentDevice> = Arc::new(SsdDevice::new(
-            DeviceConfig::fast_for_tests(ByteSize::from_kb(64)),
-        ));
-        let store = CheckpointStore::format(
-            device,
-            crate::StoreGeometry::single(ByteSize::from_kb(4), 3),
-        )
-        .unwrap();
-        let pipeline = crate::pipeline::PersistPipeline::new(
-            Arc::new(store),
-            HostBufferPool::new(ByteSize::from_bytes(256), 16),
-        )
-        .with_writers(2)
-        .with_codec(true);
-        let telemetry = pccheck_telemetry::Telemetry::enabled();
-        let mut c = PersistController::new(ControllerConfig::default(), 2, true);
-        let d = c.steer(&telemetry.snapshot().unwrap(), &pipeline);
-        assert_eq!(pipeline.writers(), d.writers);
-        assert_eq!(pipeline.codec_enabled(), d.codec_enabled);
-        assert_eq!(d.writers, 2);
-        assert!(d.codec_enabled);
-    }
-
-    #[test]
-    #[should_panic(expected = "hysteresis band")]
-    fn controller_rejects_inverted_codec_thresholds() {
-        let cfg = ControllerConfig {
-            codec_on_permille: 990,
-            codec_off_permille: 980,
-            ..ControllerConfig::default()
-        };
-        PersistController::new(cfg, 2, false);
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //!
 //! * `/jobs` — one status object per job (running, drained, queued).
 //! * `/submit?name=<n>[&state_kb=..][&n=..][&weight=..][&budget_kb=..]`
-//!   `[&iters=..][&interval=..][&pacing_us=..][&codec=1][&adaptive=..]`
-//!   `[&period=..]` — submit a sim-backed job (`codec=1` requests the
-//!   chunk codec, `adaptive=N` re-tunes every N checkpoints, `period=P`
-//!   trains on a P-byte-tiled compressible state).
+//!   `[&iters=..][&interval=..][&pacing_us=..][&codec=1][&period=..]` —
+//!   submit a sim-backed job (`codec=1` requests the chunk codec,
+//!   `period=P` trains on a P-byte-tiled compressible state). Any other
+//!   key is a 400 that names it.
 //! * `/drain?name=<n>` — stop and drain a job (or unqueue it).
 //! * `/shutdown` — ask the daemon's serve loop to exit.
 
@@ -48,6 +48,7 @@ fn status_json(s: &JobStatus) -> String {
 
 /// Splits `path?query` and decodes the query into key/value pairs (no
 /// percent-decoding — job names are restricted to URL-safe characters).
+/// A key without `=` has the empty value.
 fn parse_query(target: &str) -> (&str, Vec<(&str, &str)>) {
     match target.split_once('?') {
         None => (target, Vec::new()),
@@ -55,13 +56,31 @@ fn parse_query(target: &str) -> (&str, Vec<(&str, &str)>) {
             path,
             query
                 .split('&')
-                .filter_map(|kv| kv.split_once('='))
+                .filter(|kv| !kv.is_empty())
+                .map(|kv| kv.split_once('=').unwrap_or((kv, "")))
                 .collect(),
         ),
     }
 }
 
+/// The keys `/submit` reads; the module docs list what each means.
+const SUBMIT_KEYS: [&str; 10] = [
+    "name",
+    "state_kb",
+    "n",
+    "weight",
+    "budget_kb",
+    "iters",
+    "interval",
+    "pacing_us",
+    "codec",
+    "period",
+];
+
 fn spec_from_query(params: &[(&str, &str)]) -> Result<JobSpec, String> {
+    if let Some((key, _)) = params.iter().find(|(k, _)| !SUBMIT_KEYS.contains(k)) {
+        return Err(format!("unknown param `{key}`"));
+    }
     let get = |key: &str| params.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
     let name = get("name").ok_or("missing required param `name`")?;
     if name.is_empty()
@@ -87,7 +106,6 @@ fn spec_from_query(params: &[(&str, &str)]) -> Result<JobSpec, String> {
     spec.interval = parse_u64("interval", spec.interval)?;
     spec.pacing = std::time::Duration::from_micros(parse_u64("pacing_us", 0)?);
     spec.codec = parse_u64("codec", 0)? != 0;
-    spec.adaptive_interval = parse_u64("adaptive", 0)?;
     spec.compress_period = parse_u64("period", 0)? as usize;
     Ok(spec)
 }
@@ -271,6 +289,8 @@ mod tests {
         // Errors come back as HTTP 400 (http_get surfaces the status).
         assert!(http_get(addr, "/drain?name=ghost").is_err());
         assert!(http_get(addr, "/submit?name=bad%20name").is_err());
+        assert!(http_get(addr, "/submit?name=web-b&codc=1").is_err());
+        assert!(http_get(addr, "/submit?name=web-b&codc").is_err());
         assert!(http_get(addr, "/nope").is_err());
         server.shutdown();
     }
@@ -286,7 +306,6 @@ mod tests {
             ("iters", "9"),
             ("interval", "3"),
             ("codec", "1"),
-            ("adaptive", "8"),
             ("period", "64"),
         ];
         let spec = spec_from_query(&params).unwrap();
@@ -297,9 +316,14 @@ mod tests {
         assert_eq!(spec.iterations, 9);
         assert_eq!(spec.interval, 3);
         assert!(spec.codec);
-        assert_eq!(spec.adaptive_interval, 8);
         assert_eq!(spec.compress_period, 64);
         assert!(!spec_from_query(&[("name", "a")]).unwrap().codec);
+        // A key outside the documented set is an error that names it, not
+        // a silent default: a key the daemon does not read, and a typo.
+        let err = spec_from_query(&[("name", "a"), ("adaptive", "4")]).unwrap_err();
+        assert!(err.contains("`adaptive`"), "{err}");
+        let err = spec_from_query(&[("name", "a"), ("codc", "1")]).unwrap_err();
+        assert!(err.contains("`codc`"), "{err}");
         assert!(spec_from_query(&[("name", "bad name")]).is_err());
         assert!(spec_from_query(&[("state_kb", "1")]).is_err());
         assert!(spec_from_query(&[("name", "a"), ("n", "x")]).is_err());

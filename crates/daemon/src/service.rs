@@ -61,9 +61,6 @@ pub struct JobSpec {
     /// dedup framing). Granted only if the operator's
     /// [`SystemParams::allow_codec`] also permits it.
     pub codec: bool,
-    /// Per-job controller cadence: re-tune this tenant's persist path
-    /// every this many checkpoint requests (`0` disables adaptation).
-    pub adaptive_interval: u64,
     /// When nonzero, the sim worker trains on a *compressible* state
     /// built from tiled `compress_period`-byte blocks instead of the
     /// default incompressible RNG fill — the knob that makes the codec
@@ -85,7 +82,6 @@ impl JobSpec {
             iterations: 20,
             pacing: std::time::Duration::ZERO,
             codec: false,
-            adaptive_interval: 0,
             compress_period: 0,
         }
     }
@@ -399,7 +395,6 @@ impl Daemon {
                     .chunk_size(self.config.chunk_size)
                     .dram_chunks(self.config.dram_chunks)
                     .codec(codec)
-                    .adaptive_interval(spec.adaptive_interval)
                     .build()?,
                 Arc::clone(&self.pipeline),
                 id,
@@ -777,7 +772,6 @@ mod tests {
         let packed = JobSpec {
             codec: true,
             compress_period: 32,
-            adaptive_interval: 4,
             ..JobSpec::sim("packed")
         };
         let raw = JobSpec::sim("raw");

@@ -3,8 +3,8 @@
 //!
 //! PRs 1–5 made the recorder rich but *post-hoc*: the numbers were only
 //! reachable by draining the run and rendering a summary. The registry
-//! closes that gap for the ROADMAP's live consumers (adaptive tuning, the
-//! multi-tenant daemon, peer-health watchdogs): [`MetricsRegistry`]
+//! closes that gap for live consumers (the multi-tenant daemon,
+//! peer-health watchdogs, `pccheckctl serve`): [`MetricsRegistry`]
 //! snapshots the shared recorder on demand into a stable schema and
 //! renders it as Prometheus text exposition ([`prometheus_text`]) or a
 //! single JSON object ([`json`]); [`MetricsServer`] serves both over a
