@@ -95,10 +95,10 @@
 //! every home in it.
 //!
 //! The persist path bounds each hit, not each checkpoint: a hit is taken
-//! iff `home.depth + 1` fits both `DeltaPolicy::max_chain` and the lease's
-//! slot budget minus two (a chain of depth `d` pins `d + 1` slots, and one
-//! slot must stay free for the next checkpoint to land in), and the frame
-//! links to the *youngest* home it references with `chain_depth =
+//! iff `home.depth + 1` fits both the planner's chain cap (7) and the
+//! lease's slot budget minus two (a chain of depth `d` pins `d + 1` slots,
+//! and one slot must stay free for the next checkpoint to land in), and the
+//! frame links to the *youngest* home it references with `chain_depth =
 //! home.depth + 1`. Every home a generation holds lies on its installer's
 //! link chain, which is linear, so the older homes of a frame lie on the
 //! youngest one's chain and the store's chain pinning covers them all;

@@ -56,9 +56,7 @@ use crate::codec::{read_table, FrameTable};
 use crate::config::PcCheckConfig;
 use crate::error::PccheckError;
 use crate::layout::StoreGeometry;
-use crate::pipeline::{
-    CopyMode, DeferredLease, DeltaPolicy, FenceMode, PersistPipeline, PipelineCtx,
-};
+use crate::pipeline::{CopyMode, DeferredLease, FenceMode, PersistPipeline, PipelineCtx};
 use crate::pool::{Order, WorkerPool};
 use crate::store::{CheckpointStore, CommitOutcome, JobId, Namespace, DEFAULT_JOB};
 
@@ -534,7 +532,7 @@ impl PcCheckEngine {
         // staged in DRAM: the weights are held for the copy, never for the
         // persist, and — unless streamed — not for the lease either.
         let mode = if config.codec && pipeline.codec_enabled() {
-            CopyMode::Codec(DeltaPolicy::default())
+            CopyMode::Codec
         } else if config.pipelined {
             CopyMode::Streamed
         } else {
@@ -1576,6 +1574,44 @@ mod tests {
         let layout = gpu.with_weights(|s| s.layout());
         let restored = TrainingState::restore(&layout, &recovered.payload, recovered.iteration);
         assert_eq!(restored.digest(), gpu.digest(), "framed payload survived crash");
+    }
+
+    #[test]
+    fn a_staging_pool_holds_only_what_its_checkpoints_had_in_flight() {
+        // `dram_chunks` is a cap, not a reservation: a sparse codec engine
+        // and a dense streamed one each end with their high-water of
+        // chunks resident, short of the budget.
+        let sparse = compressible_gpu(4096, 21);
+        let dense = tiny_gpu(4096, 22);
+        for (gpu, codec) in [(sparse, true), (dense, false)] {
+            let cap = capacity(&gpu, 256, 3);
+            let device: Arc<dyn PersistentDevice> =
+                Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
+            let config = PcCheckConfig::builder()
+                .max_concurrent(2)
+                .writer_threads(2)
+                .chunk_size(ByteSize::from_bytes(256))
+                .dram_chunks(64)
+                .codec(codec)
+                .pipelined(true)
+                .build()
+                .unwrap();
+            let engine = PcCheckEngine::new(config, device, gpu.state_size()).unwrap();
+            for iter in 1..=8 {
+                if codec {
+                    gpu.update_sparse(0.05);
+                } else {
+                    gpu.update();
+                }
+                engine.checkpoint(&gpu, iter);
+            }
+            engine.drain();
+            assert_eq!(engine.stats().failed(), 0);
+            let pool = engine.dram_pool();
+            let resident = pool.resident_chunks();
+            assert_eq!(resident, pool.peak_outstanding(), "codec {codec}");
+            assert!(resident > 0 && resident < 64, "codec {codec}: {resident}");
+        }
     }
 
     #[test]

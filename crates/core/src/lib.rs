@@ -94,8 +94,7 @@ pub use error::PccheckError;
 pub use meta::NamespaceDesc;
 pub use meta::{CheckMeta, DeltaLink, SlotState, SLOT_STATE_SIZE};
 pub use pipeline::{
-    Copied, CopyMode, DeferredLease, DeltaPolicy, FenceMode, FramedPlan, LeaseSlot,
-    PersistPipeline, PipelineCtx,
+    Copied, CopyMode, DeferredLease, FenceMode, FramedPlan, LeaseSlot, PersistPipeline, PipelineCtx,
 };
 pub use qos::{QosArbiter, QosConfig, QosGrant};
 pub use recovery::{

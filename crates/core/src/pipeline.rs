@@ -146,24 +146,6 @@ pub enum FenceMode {
     Deferred,
 }
 
-/// How far a chain of pinned dedup bases may grow.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DeltaPolicy {
-    /// Deepest chain a codec frame may commit at. A chunk whose home
-    /// already sits at this depth is materialized again instead of
-    /// referenced, bounding how many slots a chain pins.
-    /// [`copy`](PersistPipeline::copy) clamps it further to the lease's
-    /// slot budget minus two, so a committed chain always leaves a slot
-    /// free.
-    pub max_chain: u32,
-}
-
-impl Default for DeltaPolicy {
-    fn default() -> Self {
-        DeltaPolicy { max_chain: 7 }
-    }
-}
-
 /// How [`PersistPipeline::copy`] stages a snapshot and packs its frame.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CopyMode {
@@ -174,10 +156,10 @@ pub enum CopyMode {
     /// All-`Raw`, staged (Figure 6): the producer stages the entire
     /// snapshot before the first write, so the pool must hold it.
     Staged,
-    /// The chunk codec under a [`DeltaPolicy`]: the snapshot is staged
-    /// whole, then every chunk deduplicated, compressed or kept verbatim.
-    /// A pool too small to stage the snapshot streams it all-`Raw`.
-    Codec(DeltaPolicy),
+    /// The chunk codec: the snapshot is staged whole, then every chunk
+    /// deduplicated, compressed or kept verbatim. A pool too small to stage
+    /// the snapshot streams it all-`Raw`.
+    Codec,
 }
 
 /// Telemetry context for one checkpoint's trip through the pipeline.
@@ -1240,7 +1222,7 @@ impl PersistPipeline {
     ///
     /// The codec deduplicates byte-identical chunks within the frame and
     /// against the homes the job's head installed, taking a base hit iff
-    /// `home.depth + 1` fits `policy.max_chain` and the lease's slot budget
+    /// `home.depth + 1` fits the chain cap (7) and the lease's slot budget
     /// minus two; the frame links to the youngest home it references (see
     /// the `codec` module docs, "Dedup index lifetime"). It compresses the
     /// rest on the writer pool, and writes the all-`Raw` frame of the
@@ -1275,7 +1257,7 @@ impl PersistPipeline {
         let n_chunks = total.as_u64().div_ceil(chunk) as usize;
         let packed = FrameTable::encoded_len_for(n_chunks);
         let mode = match mode {
-            CopyMode::Codec(_) if n_chunks == 0 || pool.total_chunks() < n_chunks => {
+            CopyMode::Codec if n_chunks == 0 || pool.total_chunks() < n_chunks => {
                 CopyMode::Streamed
             }
             mode => mode,
@@ -1300,7 +1282,7 @@ impl PersistPipeline {
                 copy_done(lease);
                 (lease, staging.start, None)
             }
-            CopyMode::Staged | CopyMode::Codec(_) => {
+            CopyMode::Staged | CopyMode::Codec => {
                 // The copied chunks' digest jobs queue before the lease; the
                 // carried chunks' values follow once the lease is taken.
                 let filing = Batch::unleased(&self.io, ctx, job);
@@ -1316,12 +1298,12 @@ impl PersistPipeline {
                 filing.wait()?;
                 digests.settle(true);
                 let codec = match mode {
-                    CopyMode::Codec(policy) => {
+                    CopyMode::Codec => {
                         // The dirty-ratio gauge: how much of the state
                         // changed since the job's last snapshot.
                         let permille = staging.dirty * 1000 / total.as_u64().max(1);
                         ctx.telemetry.gauge_dirty_ratio(permille);
-                        self.pack(ctx, lease, &staging.chunks, &digests, policy)?
+                        self.pack(ctx, lease, &staging.chunks, &digests)?
                     }
                     _ => None,
                 };
@@ -1366,15 +1348,17 @@ impl PersistPipeline {
         lease: &SlotLease,
         staged: &[StagedChunk],
         digests: &Digests,
-        policy: DeltaPolicy,
     ) -> Result<Option<(FrameTable, FramedPlan)>, PccheckError> {
         // Cross-checkpoint dedup answers from the generation the job's
         // head installed, hit by hit: a home is referenced only while the
-        // frame that links to it stays within the depth bound. A chain of
-        // depth d pins d + 1 slots and the next checkpoint needs one more,
-        // so the lease's slot budget bounds the depth too.
+        // frame that links to it stays within the depth bound, and a chunk
+        // homed at the bound is materialized again. A chain of depth d pins
+        // d + 1 slots and the next checkpoint needs one more, so the lease's
+        // slot budget bounds the depth too: a committed chain always leaves
+        // a slot free.
+        const MAX_CHAIN: u32 = 7;
         let ns = lease.namespace();
-        let max_depth = policy.max_chain.min(ns.desc().slot_count.saturating_sub(2));
+        let max_depth = MAX_CHAIN.min(ns.desc().slot_count.saturating_sub(2));
 
         let mut records: Vec<FrameRecord> = Vec::with_capacity(staged.len());
         let mut self_seen: HashMap<u64, usize> = HashMap::new();
@@ -2014,7 +1998,7 @@ mod tests {
                 step: 1,
             };
             let mode = match caller {
-                "framed" => CopyMode::Codec(DeltaPolicy::default()),
+                "framed" => CopyMode::Codec,
                 _ => raw(caller.starts_with("overlapped")),
             };
             let copy = |lease: &SlotLease| pipeline.copy(ctx, &src, lease, 1, state, mode);
@@ -2213,7 +2197,7 @@ mod tests {
                 step: iter,
             };
             let lease = pipeline.lease(ctx, &tenants[job - 1]);
-            let codec = CopyMode::Codec(DeltaPolicy::default());
+            let codec = CopyMode::Codec;
             let copied = pipeline
                 .copy(ctx, &src, &lease, iter, state, codec)
                 .unwrap();
@@ -2252,15 +2236,14 @@ mod tests {
     fn chain_depth_cap_rematerializes_chunks_homed_at_the_cap() {
         // Four copies of a 1 KiB block (so every checkpoint frames, linked
         // or not); iteration k dirties chunk k and leaves it alone after.
-        // With `max_chain` 2 a chunk dirtied at iteration 3 or later is
-        // homed at depth 2: no frame may reference it, so it is written
-        // again each time, while the chunks homed at depths 0 and 1 stay
-        // references to the same two homes. Four slots carry it: the chain
-        // pins three and one stays free.
+        // Four slots bound the depth at 2, so a chunk dirtied at iteration
+        // 3 or later is homed at depth 2: no frame may reference it, so it
+        // is written again each time, while the chunks homed at depths 0
+        // and 1 stay references to the same two homes. The chain pins three
+        // slots and one stays free.
         let (device, pipeline) = framed_rig(4096, 256, 16);
         let telemetry = Telemetry::disabled();
         let ctx = test_ctx(&telemetry);
-        let policy = DeltaPolicy { max_chain: 2 };
         let mut data = vec![0u8; 4096];
         pccheck_util::rng::fill_deterministic(&mut data[..1024], 37);
         for copy in 1..4 {
@@ -2276,13 +2259,7 @@ mod tests {
                 step: iter,
             };
             let (out, copied) = pipeline
-                .checkpoint_framed(
-                    ctx,
-                    &default_ns(&pipeline),
-                    &src,
-                    iter,
-                    CopyMode::Codec(policy),
-                )
+                .checkpoint_framed(ctx, &default_ns(&pipeline), &src, iter, CopyMode::Codec)
                 .unwrap();
             assert_eq!(out, CommitOutcome::Committed);
             assert!(copied.frame.saved_bytes > 0, "{:?}", copied.frame);
@@ -2330,13 +2307,7 @@ mod tests {
         let telemetry = Telemetry::enabled();
         let ctx = test_ctx(&telemetry);
         let (commit, copied) = pipeline
-            .checkpoint_framed(
-                ctx,
-                &default_ns(&pipeline),
-                &src,
-                1,
-                CopyMode::Codec(DeltaPolicy::default()),
-            )
+            .checkpoint_framed(ctx, &default_ns(&pipeline), &src, 1, CopyMode::Codec)
             .unwrap();
         assert_eq!(commit, CommitOutcome::Committed);
         let (payload_len, saved_bytes) = (copied.payload_len, copied.frame.saved_bytes);
@@ -2380,13 +2351,7 @@ mod tests {
         let telemetry = Telemetry::disabled();
         let ctx = test_ctx(&telemetry);
         let (_, copied) = pipeline
-            .checkpoint_framed(
-                ctx,
-                &default_ns(&pipeline),
-                &src,
-                1,
-                CopyMode::Codec(DeltaPolicy::default()),
-            )
+            .checkpoint_framed(ctx, &default_ns(&pipeline), &src, 1, CopyMode::Codec)
             .unwrap();
         let (dedup_chunks, payload_len) = (copied.frame.dedup_chunks, copied.payload_len);
         assert_eq!(dedup_chunks, 14, "2 materialized + 14 self-references");
@@ -2409,13 +2374,7 @@ mod tests {
             step: 1,
         };
         let (_, o1) = pipeline
-            .checkpoint_framed(
-                ctx,
-                &default_ns(&pipeline),
-                &src1,
-                1,
-                CopyMode::Codec(DeltaPolicy::default()),
-            )
+            .checkpoint_framed(ctx, &default_ns(&pipeline), &src1, 1, CopyMode::Codec)
             .unwrap();
         // Incompressible and nothing to dedup against: the first
         // checkpoint is the all-Raw frame, and installs no generation.
@@ -2430,13 +2389,7 @@ mod tests {
             step: 2,
         };
         let (_, o2) = pipeline
-            .checkpoint_framed(
-                ctx,
-                &default_ns(&pipeline),
-                &src2,
-                2,
-                CopyMode::Codec(DeltaPolicy::default()),
-            )
+            .checkpoint_framed(ctx, &default_ns(&pipeline), &src2, 2, CopyMode::Codec)
             .unwrap();
         assert_eq!(o2.frame.saved_bytes, 0, "no generation installed yet");
 
@@ -2449,13 +2402,7 @@ mod tests {
             step: 3,
         };
         let (_, o3) = pipeline
-            .checkpoint_framed(
-                ctx,
-                &default_ns(&pipeline),
-                &src3,
-                3,
-                CopyMode::Codec(DeltaPolicy::default()),
-            )
+            .checkpoint_framed(ctx, &default_ns(&pipeline), &src3, 3, CopyMode::Codec)
             .unwrap();
         assert!(
             o3.frame.saved_bytes > 0,
@@ -2470,13 +2417,7 @@ mod tests {
             step: 4,
         };
         let (commit, o4) = pipeline
-            .checkpoint_framed(
-                ctx,
-                &default_ns(&pipeline),
-                &src4,
-                4,
-                CopyMode::Codec(DeltaPolicy::default()),
-            )
+            .checkpoint_framed(ctx, &default_ns(&pipeline), &src4, 4, CopyMode::Codec)
             .unwrap();
         assert_eq!(commit, CommitOutcome::Committed);
         let (dedup_chunks, payload_len) = (o4.frame.dedup_chunks, o4.payload_len);
@@ -2507,13 +2448,7 @@ mod tests {
         let telemetry = Telemetry::disabled();
         let ctx = test_ctx(&telemetry);
         let (commit, copied) = pipeline
-            .checkpoint_framed(
-                ctx,
-                &default_ns(&pipeline),
-                &src,
-                1,
-                CopyMode::Codec(DeltaPolicy::default()),
-            )
+            .checkpoint_framed(ctx, &default_ns(&pipeline), &src, 1, CopyMode::Codec)
             .unwrap();
         assert_eq!(commit, CommitOutcome::Committed);
         assert_eq!(copied.frame.saved_bytes, 0, "dense payloads go out all-Raw");
@@ -2538,13 +2473,7 @@ mod tests {
         let telemetry = Telemetry::disabled();
         let ctx = test_ctx(&telemetry);
         let (commit, copied) = pipeline
-            .checkpoint_framed(
-                ctx,
-                &default_ns(&pipeline),
-                &src,
-                1,
-                CopyMode::Codec(DeltaPolicy::default()),
-            )
+            .checkpoint_framed(ctx, &default_ns(&pipeline), &src, 1, CopyMode::Codec)
             .unwrap();
         assert_eq!(commit, CommitOutcome::Committed);
         assert_eq!(copied.frame.saved_bytes, 0, "streamed all-Raw");
@@ -2589,7 +2518,7 @@ mod tests {
         // still holds; the other copies the same bytes from a source with
         // no history, all of them. The frames on the two devices are the
         // same bytes, and the first copies only the dirtied chunks.
-        for mode in [CopyMode::Staged, CopyMode::Codec(DeltaPolicy::default())] {
+        for mode in [CopyMode::Staged, CopyMode::Codec] {
             let ((_, carrying), (_, full)) = (framed_rig(4096, 256, 32), framed_rig(4096, 256, 32));
             let gpu = sparse_gpu(61);
             let telemetry = Telemetry::enabled();
@@ -2671,7 +2600,7 @@ mod tests {
                 src: gpu.lock_weights_shared_owned(),
                 lost: 10 * 256..11 * 256,
             };
-            let mode = CopyMode::Codec(DeltaPolicy::default());
+            let mode = CopyMode::Codec;
             let copied = commit_copy(&pipeline, ctx, src, mode);
             let exact = copied.state_digest == gpu.digest();
             assert_eq!(exact, step == 1 || anomalies() == 1, "step {step}");
@@ -2703,13 +2632,7 @@ mod tests {
         let telemetry = Telemetry::disabled();
         let ctx = test_ctx(&telemetry);
         let (_, o) = pipeline
-            .checkpoint_framed(
-                ctx,
-                &default_ns(&pipeline),
-                &src,
-                1,
-                CopyMode::Codec(DeltaPolicy::default()),
-            )
+            .checkpoint_framed(ctx, &default_ns(&pipeline), &src, 1, CopyMode::Codec)
             .unwrap();
         assert!(o.frame.saved_bytes > 0);
         assert!(pipeline

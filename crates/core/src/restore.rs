@@ -593,7 +593,7 @@ mod tests {
 
     use crate::codec::{raw_frame, FrameTable};
     use crate::layout::StoreGeometry;
-    use crate::pipeline::{CopyMode, DeltaPolicy, PersistPipeline};
+    use crate::pipeline::{CopyMode, PersistPipeline};
     use crate::store::Namespace;
 
     /// The tenant of a single-tenant store.
@@ -925,13 +925,7 @@ mod tests {
             }
             let guard = gpu.lock_weights_shared_owned();
             persist
-                .checkpoint_framed(
-                    pctx,
-                    &ns(&store),
-                    &guard,
-                    iter,
-                    CopyMode::Codec(DeltaPolicy::default()),
-                )
+                .checkpoint_framed(pctx, &ns(&store), &guard, iter, CopyMode::Codec)
                 .unwrap();
         }
         let head = store.latest_committed(&ns(&store)).unwrap();

@@ -716,6 +716,11 @@ mod tests {
             pool.peak_outstanding()
         );
         assert_eq!(pool.available(), 2, "staging chunks leaked");
+        assert_eq!(
+            pool.resident_chunks(),
+            pool.peak_outstanding(),
+            "the shared pool holds its high-water, not its budget"
+        );
         for row in daemon.jobs() {
             assert!(row.committed >= 1, "job {} starved", row.name);
         }

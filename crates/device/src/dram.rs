@@ -1,9 +1,11 @@
 //! Pinned host (DRAM) buffer pool.
 //!
 //! PCcheck stages GPU→storage transfers through pinned DRAM buffers managed
-//! in fixed-size chunks (§3.1/§3.2). The pool is the throughput–memory
-//! tradeoff knob: when every chunk is occupied (copied from GPU but not yet
-//! persisted), the next checkpoint's copy must wait for a chunk to free up.
+//! in fixed-size chunks (§3.1/§3.2). The chunk count is a cap: the pool
+//! starts empty and keeps what checkouts made it allocate, so its resident
+//! DRAM is the high-water of chunks out at once. At the cap, with every
+//! chunk occupied (copied from GPU but not yet persisted), the next
+//! checkpoint's copy waits for one to free.
 //!
 //! [`HostBufferPool`] provides blocking `acquire` / RAII release with a peak
 //! usage counter, so experiments can verify Table 1's DRAM footprint (m to
@@ -11,18 +13,19 @@
 
 use std::sync::Arc;
 
-use pccheck_util::sync::{Condvar, Mutex};
+use pccheck_util::sync::{Condvar, Mutex, MutexGuard};
 
 use pccheck_util::ByteSize;
-
-use crate::error::DeviceError;
-use crate::Result;
 
 #[derive(Debug)]
 struct PoolState {
     free: Vec<Box<[u8]>>,
+    /// Chunks allocated, or reserved to be allocated outside the lock.
+    resident: usize,
     outstanding: usize,
     peak_outstanding: usize,
+    /// Acquirers blocked on the condvar: a release wakes them only if any.
+    waiting: usize,
 }
 
 #[derive(Debug)]
@@ -33,7 +36,14 @@ struct PoolShared {
     cond: Condvar,
 }
 
-/// A pool of equally sized pinned DRAM chunks.
+impl PoolShared {
+    /// Free chunks plus the budget not yet allocated.
+    fn available(&self, state: &PoolState) -> usize {
+        state.free.len() + self.total_chunks - state.resident
+    }
+}
+
+/// A pool of at most `chunks` equally sized pinned DRAM chunks.
 ///
 /// # Examples
 ///
@@ -47,6 +57,7 @@ struct PoolShared {
 /// assert_eq!(pool.available(), 0);
 /// drop(a);
 /// assert_eq!(pool.available(), 1);
+/// assert_eq!(pool.resident_chunks(), 2);
 /// # drop(b);
 /// ```
 #[derive(Debug, Clone)]
@@ -55,7 +66,8 @@ pub struct HostBufferPool {
 }
 
 impl HostBufferPool {
-    /// Creates a pool of `chunks` buffers, each `chunk_size` bytes.
+    /// Creates an empty pool that grows to at most `chunks` buffers, each
+    /// `chunk_size` bytes.
     ///
     /// # Panics
     ///
@@ -63,17 +75,16 @@ impl HostBufferPool {
     pub fn new(chunk_size: ByteSize, chunks: usize) -> Self {
         assert!(chunks > 0, "pool needs at least one chunk");
         assert!(!chunk_size.is_zero(), "chunk size must be nonzero");
-        let free = (0..chunks)
-            .map(|_| vec![0u8; chunk_size.as_usize()].into_boxed_slice())
-            .collect();
         HostBufferPool {
             shared: Arc::new(PoolShared {
                 chunk_size,
                 total_chunks: chunks,
                 state: Mutex::new(PoolState {
-                    free,
+                    free: Vec::new(),
+                    resident: 0,
                     outstanding: 0,
                     peak_outstanding: 0,
+                    waiting: 0,
                 }),
                 cond: Condvar::new(),
             }),
@@ -85,19 +96,20 @@ impl HostBufferPool {
         self.shared.chunk_size
     }
 
-    /// Total number of chunks in the pool.
+    /// The pool's budget: the most chunks it ever holds.
     pub fn total_chunks(&self) -> usize {
         self.shared.total_chunks
     }
 
-    /// Total DRAM this pool represents.
-    pub fn total_bytes(&self) -> ByteSize {
-        self.shared.chunk_size * self.shared.total_chunks as u64
+    /// Chunks to be had without waiting: free ones plus unallocated budget.
+    pub fn available(&self) -> usize {
+        self.shared.available(&self.shared.state.lock())
     }
 
-    /// Chunks currently free.
-    pub fn available(&self) -> usize {
-        self.shared.state.lock().free.len()
+    /// Chunks the pool has allocated — its resident DRAM in chunks. It
+    /// never shrinks, and it equals [`peak_outstanding`](Self::peak_outstanding).
+    pub fn resident_chunks(&self) -> usize {
+        self.shared.state.lock().resident
     }
 
     /// High-water mark of simultaneously outstanding chunks — used to verify
@@ -106,28 +118,22 @@ impl HostBufferPool {
         self.shared.state.lock().peak_outstanding
     }
 
-    /// Blocks until a chunk is free and returns it.
+    /// Blocks until a chunk is free, or the budget has room for one, and
+    /// returns it.
     ///
     /// This is exactly the stall §3.2 describes: "when all CPU memory chunks
     /// are occupied, upcoming checkpoints need to wait for free chunks".
     pub fn acquire(&self) -> HostBuffer {
-        let mut state = self.shared.state.lock();
-        while state.free.is_empty() {
-            state = self.shared.cond.wait(state);
-        }
-        let data = state.free.pop().expect("non-empty");
-        state.outstanding += 1;
-        state.peak_outstanding = state.peak_outstanding.max(state.outstanding);
-        HostBuffer {
-            data: Some(data),
-            pool: Arc::clone(&self.shared),
-        }
+        let mut state = self.wait_for(1);
+        let data = state.free.pop();
+        Self::check_out(state, usize::from(data.is_none()), 1);
+        self.buffer(data)
     }
 
-    /// Blocks until `chunks` buffers are free at once and takes them all in
-    /// one step — for a copier that must hold a *whole* snapshot before it
-    /// can let any of it go. Two such copiers can never each sit on half a
-    /// pool waiting for the other's half: a reservation holds nothing
+    /// Blocks until `chunks` buffers can be had at once and takes them all
+    /// in one step — for a copier that must hold a *whole* snapshot before
+    /// it can let any of it go. Two such copiers can never each sit on half
+    /// a pool waiting for the other's half: a reservation holds nothing
     /// while it waits.
     ///
     /// # Panics
@@ -139,60 +145,57 @@ impl HostBufferPool {
             "reservation of {chunks} chunks exceeds the pool's {}",
             self.shared.total_chunks
         );
+        self.take(self.wait_for(chunks), chunks)
+    }
+
+    /// Takes `chunks` buffers in one step if that many can be had right
+    /// now, and none otherwise.
+    pub fn try_acquire_many(&self, chunks: usize) -> Option<Vec<HostBuffer>> {
+        let state = self.shared.state.lock();
+        let fits = self.shared.available(&state) >= chunks;
+        fits.then(|| self.take(state, chunks))
+    }
+
+    /// The pool's lock, once `chunks` can be had.
+    fn wait_for(&self, chunks: usize) -> MutexGuard<'_, PoolState> {
         let mut state = self.shared.state.lock();
-        while state.free.len() < chunks {
+        state.waiting += 1;
+        while self.shared.available(&state) < chunks {
             state = self.shared.cond.wait(state);
         }
-        self.take(&mut state, chunks)
+        state.waiting -= 1;
+        state
     }
 
-    /// Takes `chunks` buffers in one step if that many are free right now,
-    /// and none otherwise.
-    pub fn try_acquire_many(&self, chunks: usize) -> Option<Vec<HostBuffer>> {
-        let mut state = self.shared.state.lock();
-        (state.free.len() >= chunks).then(|| self.take(&mut state, chunks))
-    }
-
-    fn take(&self, state: &mut PoolState, chunks: usize) -> Vec<HostBuffer> {
-        let at = state.free.len() - chunks;
+    /// Takes what is free and allocates the shortfall once the lock is
+    /// released, so a growing reservation never holds up a release.
+    fn take(&self, mut state: MutexGuard<'_, PoolState>, chunks: usize) -> Vec<HostBuffer> {
+        let at = state.free.len().saturating_sub(chunks);
         let taken = state.free.split_off(at);
-        state.outstanding += chunks;
-        state.peak_outstanding = state.peak_outstanding.max(state.outstanding);
+        let grow = chunks - taken.len();
+        Self::check_out(state, grow, chunks);
+        let grown = (0..grow).map(|_| None);
         taken
             .into_iter()
-            .map(|data| HostBuffer {
-                data: Some(data),
-                pool: Arc::clone(&self.shared),
-            })
+            .map(Some)
+            .chain(grown)
+            .map(|data| self.buffer(data))
             .collect()
     }
 
-    /// Tries to acquire a chunk without blocking.
-    pub fn try_acquire(&self) -> Option<HostBuffer> {
-        let mut state = self.shared.state.lock();
-        let data = state.free.pop()?;
-        state.outstanding += 1;
+    fn check_out(mut state: MutexGuard<'_, PoolState>, grow: usize, chunks: usize) {
+        state.resident += grow;
+        state.outstanding += chunks;
         state.peak_outstanding = state.peak_outstanding.max(state.outstanding);
-        Some(HostBuffer {
-            data: Some(data),
-            pool: Arc::clone(&self.shared),
-        })
     }
 
-    /// Validates that `len` bytes fit into one chunk.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::BufferTooLarge`] if `len` exceeds the chunk
-    /// size.
-    pub fn check_fits(&self, len: ByteSize) -> Result<()> {
-        if len > self.shared.chunk_size {
-            return Err(DeviceError::BufferTooLarge {
-                requested: len.as_u64(),
-                chunk: self.shared.chunk_size.as_u64(),
-            });
+    /// Wraps a checked-out chunk, allocating it if the pool grew for it.
+    fn buffer(&self, data: Option<Box<[u8]>>) -> HostBuffer {
+        let chunk = self.shared.chunk_size.as_usize();
+        HostBuffer {
+            data: Some(data.unwrap_or_else(|| vec![0u8; chunk].into_boxed_slice())),
+            pool: Arc::clone(&self.shared),
         }
-        Ok(())
     }
 }
 
@@ -232,12 +235,14 @@ impl Drop for HostBuffer {
             let mut state = self.pool.state.lock();
             state.free.push(data);
             state.outstanding -= 1;
-            drop(state);
-            // Every waiter re-checks: a one-chunk `acquire` and a
-            // many-chunk reservation share this condvar, and a single
-            // wakeup handed to a reservation still short of its count
-            // would strand the one-chunk waiter beside it.
-            self.pool.cond.notify_all();
+            if state.waiting > 0 {
+                drop(state);
+                // Every waiter re-checks: a one-chunk `acquire` and a
+                // many-chunk reservation share this condvar, and a single
+                // wakeup handed to a reservation still short of its count
+                // would strand the one-chunk waiter beside it.
+                self.pool.cond.notify_all();
+            }
         }
     }
 }
@@ -245,15 +250,21 @@ impl Drop for HostBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::{Duration, Instant};
+
+    /// Spins until exactly `n` acquirers are parked on the pool's condvar.
+    fn until_waiting(pool: &HostBufferPool, n: usize) {
+        while pool.shared.state.lock().waiting != n {
+            std::thread::yield_now();
+        }
+    }
 
     #[test]
     fn pool_geometry() {
         let pool = HostBufferPool::new(ByteSize::from_kb(4), 3);
         assert_eq!(pool.chunk_size(), ByteSize::from_kb(4));
         assert_eq!(pool.total_chunks(), 3);
-        assert_eq!(pool.total_bytes(), ByteSize::from_kb(12));
         assert_eq!(pool.available(), 3);
+        assert_eq!(pool.resident_chunks(), 0, "a pool starts empty");
     }
 
     #[test]
@@ -269,31 +280,100 @@ mod tests {
     }
 
     #[test]
+    fn a_pool_allocates_only_what_is_out_at_once() {
+        let pool = HostBufferPool::new(ByteSize::from_bytes(8), 64);
+        for _ in 0..100 {
+            let held: Vec<_> = (0..3).map(|_| pool.acquire()).collect();
+            assert_eq!(pool.resident_chunks(), 3);
+            drop(held);
+        }
+        assert_eq!(pool.resident_chunks(), 3, "released chunks are kept");
+        assert_eq!(pool.peak_outstanding(), 3);
+        assert_eq!(pool.available(), 64);
+    }
+
+    #[test]
+    fn acquire_many_allocates_only_its_shortfall() {
+        let pool = HostBufferPool::new(ByteSize::from_bytes(8), 8);
+        drop(pool.acquire_many(3));
+        assert_eq!(pool.resident_chunks(), 3);
+        let held = pool.acquire_many(5);
+        assert_eq!(held.len(), 5);
+        assert_eq!(pool.resident_chunks(), 5, "three reused, two allocated");
+        drop(held);
+        assert_eq!(pool.try_acquire_many(4).map(|taken| taken.len()), Some(4));
+        assert_eq!(pool.resident_chunks(), 5, "four free chunks cover four");
+        assert_eq!(pool.available(), 8);
+    }
+
+    #[test]
+    fn the_budget_still_blocks_at_its_cap() {
+        use std::sync::mpsc;
+
+        let pool = HostBufferPool::new(ByteSize::from_bytes(8), 2);
+        let held = pool.acquire_many(2);
+        let (tx, rx) = mpsc::channel();
+        let pool2 = pool.clone();
+        let waiter = std::thread::spawn(move || {
+            let buf = pool2.acquire();
+            tx.send(()).unwrap();
+            drop(buf);
+        });
+        until_waiting(&pool, 1);
+        assert!(pool.try_acquire_many(1).is_none(), "the cap is reached");
+        assert!(rx.try_recv().is_err(), "the waiter is still parked");
+        assert_eq!(pool.resident_chunks(), 2);
+        drop(held);
+        rx.recv().unwrap();
+        waiter.join().unwrap();
+        assert_eq!(
+            pool.resident_chunks(),
+            2,
+            "the waiter took a released chunk"
+        );
+        assert_eq!(pool.peak_outstanding(), 2);
+    }
+
+    #[test]
+    fn available_counts_unallocated_chunks() {
+        let pool = HostBufferPool::new(ByteSize::from_bytes(8), 5);
+        assert_eq!((pool.available(), pool.resident_chunks()), (5, 0));
+        let a = pool.acquire();
+        assert_eq!((pool.available(), pool.resident_chunks()), (4, 1));
+        drop(a);
+        assert_eq!((pool.available(), pool.resident_chunks()), (5, 1));
+    }
+
+    #[test]
     fn try_acquire_returns_none_when_exhausted() {
         let pool = HostBufferPool::new(ByteSize::from_bytes(8), 1);
-        let held = pool.try_acquire().unwrap();
-        assert!(pool.try_acquire().is_none());
+        let held = pool.try_acquire_many(1).unwrap();
+        assert!(pool.try_acquire_many(1).is_none());
         drop(held);
-        assert!(pool.try_acquire().is_some());
+        assert!(pool.try_acquire_many(1).is_some());
     }
 
     #[test]
     fn acquire_blocks_until_chunk_freed() {
+        use std::sync::mpsc;
+
         let pool = HostBufferPool::new(ByteSize::from_bytes(8), 1);
         let held = pool.acquire();
+        let (tx, rx) = mpsc::channel();
         let pool2 = pool.clone();
-        let start = Instant::now();
         let handle = std::thread::spawn(move || {
             let _b = pool2.acquire();
-            start.elapsed()
+            tx.send(()).unwrap();
         });
-        std::thread::sleep(Duration::from_millis(100));
-        drop(held);
-        let waited = handle.join().unwrap();
+        until_waiting(&pool, 1);
         assert!(
-            waited >= Duration::from_millis(80),
-            "acquirer must have blocked: {waited:?}"
+            rx.try_recv().is_err(),
+            "acquirer must block while the chunk is held"
         );
+        drop(held);
+        rx.recv().unwrap();
+        handle.join().unwrap();
+        assert_eq!(pool.available(), 1);
     }
 
     #[test]
@@ -311,9 +391,10 @@ mod tests {
             let held = pool2.acquire_many(2);
             tx.send(held.len()).unwrap();
         });
-        // The waiter took nothing while it waits: a one-chunk acquire
+        until_waiting(&pool, 1);
+        // The waiter took nothing while it waits: a one-chunk checkout
         // still succeeds.
-        let one = pool.try_acquire().expect("the odd chunk is free");
+        let one = pool.try_acquire_many(1).expect("the odd chunk is free");
         assert!(rx.try_recv().is_err(), "2 chunks are not free yet");
         assert!(pool.try_acquire_many(1).is_none(), "none left to try for");
         drop(one);
@@ -323,6 +404,7 @@ mod tests {
         second.join().unwrap();
         assert_eq!(pool.available(), 3);
         assert_eq!(pool.peak_outstanding(), 3);
+        assert_eq!(pool.resident_chunks(), 3);
     }
 
     #[test]
@@ -337,16 +419,7 @@ mod tests {
         drop((a, c, d));
         assert_eq!(pool.peak_outstanding(), 3, "peak is sticky");
         assert_eq!(pool.available(), 4);
-    }
-
-    #[test]
-    fn check_fits_validates_against_chunk_size() {
-        let pool = HostBufferPool::new(ByteSize::from_bytes(100), 1);
-        assert!(pool.check_fits(ByteSize::from_bytes(100)).is_ok());
-        assert!(matches!(
-            pool.check_fits(ByteSize::from_bytes(101)),
-            Err(DeviceError::BufferTooLarge { .. })
-        ));
+        assert_eq!(pool.resident_chunks(), 3);
     }
 
     #[test]
@@ -400,44 +473,31 @@ mod tests {
 
     #[test]
     fn trickled_releases_wake_every_blocked_waiter() {
-        // The lost-wakeup shape: k waiters blocked on an exhausted pool,
-        // then k one-at-a-time releases. Each drop notifies exactly one
-        // waiter; if any notification were consumed without a handoff
-        // (or fired before the waiter queued), some waiter would sleep
-        // forever and the join below would hang the test.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::{Arc, Barrier};
-
+        // The lost-wakeup shape: k waiters parked on an exhausted pool,
+        // then k one-at-a-time releases. The waiters keep what they get,
+        // so each release can be taken by exactly one of them; if any
+        // notification were consumed without a handoff (or fired before
+        // the waiter queued), the count of parked waiters would stop
+        // falling and the test would hang.
         let pool = HostBufferPool::new(ByteSize::from_bytes(32), 4);
         let held: Vec<_> = (0..4).map(|_| pool.acquire()).collect();
-        let blocked = Arc::new(Barrier::new(5));
-        let woken = Arc::new(AtomicUsize::new(0));
         let waiters: Vec<_> = (0..4)
             .map(|_| {
                 let pool = pool.clone();
-                let blocked = Arc::clone(&blocked);
-                let woken = Arc::clone(&woken);
-                std::thread::spawn(move || {
-                    blocked.wait();
-                    let buf = pool.acquire();
-                    woken.fetch_add(1, Ordering::SeqCst);
-                    drop(buf);
-                })
+                std::thread::spawn(move || pool.acquire())
             })
             .collect();
-        blocked.wait();
-        // Give the waiters a beat to actually park on the condvar, then
-        // trickle the buffers back one by one.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        for buf in held {
+        until_waiting(&pool, 4);
+        for (released, buf) in held.into_iter().enumerate() {
             drop(buf);
-            std::thread::sleep(std::time::Duration::from_millis(5));
+            until_waiting(&pool, 3 - released);
         }
-        for w in waiters {
-            w.join().unwrap();
-        }
-        assert_eq!(woken.load(Ordering::SeqCst), 4);
+        let woken: Vec<_> = waiters.into_iter().map(|w| w.join().unwrap()).collect();
+        assert_eq!(woken.len(), 4);
+        assert_eq!(pool.available(), 0);
+        drop(woken);
         assert_eq!(pool.available(), 4);
+        assert_eq!(pool.resident_chunks(), 4);
     }
 
     #[test]

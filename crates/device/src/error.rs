@@ -19,13 +19,6 @@ pub enum DeviceError {
     /// The device is in the crashed state; I/O is rejected until
     /// [`recover`](crate::PersistentDevice::recover) is called.
     Crashed,
-    /// A buffer pool was asked for a buffer larger than its chunk size.
-    BufferTooLarge {
-        /// Requested byte count.
-        requested: u64,
-        /// Pool chunk size.
-        chunk: u64,
-    },
     /// The network peer is unreachable (remote node failed).
     PeerUnavailable,
     /// A read failed at the media level (an unreadable sector / injected
@@ -49,10 +42,6 @@ impl fmt::Display for DeviceError {
                 "access of {len} bytes at offset {offset} exceeds device capacity {capacity}"
             ),
             DeviceError::Crashed => write!(f, "device is crashed; recover() it first"),
-            DeviceError::BufferTooLarge { requested, chunk } => write!(
-                f,
-                "requested buffer of {requested} bytes exceeds pool chunk size {chunk}"
-            ),
             DeviceError::PeerUnavailable => write!(f, "network peer is unavailable"),
             DeviceError::ReadFault { offset } => {
                 write!(f, "media read fault at offset {offset}")
@@ -78,12 +67,6 @@ mod tests {
         assert!(msg.contains("10") && msg.contains("20") && msg.contains("16"));
         assert!(DeviceError::Crashed.to_string().contains("crashed"));
         assert!(DeviceError::PeerUnavailable.to_string().contains("peer"));
-        assert!(DeviceError::BufferTooLarge {
-            requested: 5,
-            chunk: 4
-        }
-        .to_string()
-        .contains("chunk"));
         assert!(DeviceError::ReadFault { offset: 77 }
             .to_string()
             .contains("77"));

@@ -16,8 +16,8 @@
 use std::sync::Arc;
 
 use pccheck::{
-    recover, CheckpointStore, CopyMode, DeltaPolicy, FrameTable, PersistPipeline, PipelineCtx,
-    StoreGeometry, DEFAULT_JOB,
+    recover, CheckpointStore, CopyMode, FrameTable, PersistPipeline, PipelineCtx, StoreGeometry,
+    DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
 use pccheck_gpu::{Gpu, GpuConfig, Tensor, TrainingState};
@@ -159,9 +159,6 @@ pub fn measure(payload: Payload, sparsity: f64) -> ExtCompressRow {
         telemetry: &telemetry,
         span: SpanId::NONE,
     };
-    // The codec decides per-chunk; the chain cap only bounds how long a
-    // dedup base stays pinned.
-    let policy = DeltaPolicy { max_chain: 8 };
     let mut persisted_bytes = 0u64;
     let mut framed = 0u64;
     let mut dedup_chunks = 0u64;
@@ -172,7 +169,7 @@ pub fn measure(payload: Payload, sparsity: f64) -> ExtCompressRow {
         }
         let guard = gpu.lock_weights_shared_owned();
         let (_, copied) = pipeline
-            .checkpoint_framed(ctx, &ns, &guard, iter, CopyMode::Codec(policy))
+            .checkpoint_framed(ctx, &ns, &guard, iter, CopyMode::Codec)
             .unwrap();
         if iter == CHECKPOINTS {
             final_state = vec![0u8; state_bytes as usize];

@@ -32,9 +32,9 @@ use std::sync::Arc;
 use pccheck::store::SlotLease;
 use pccheck::{
     raw_frame, recover_instrumented_with, CheckMeta, CheckpointStore, ChunkEncoding, CopyMode,
-    DeltaLink, DeltaPolicy, FrameRecord, FrameTable, JobId, Namespace, PccheckError,
-    PersistPipeline, PipelineCtx, RecoveredCheckpoint, RecoveryTrace, RestoreOptions, SlotOutcome,
-    StoreGeometry, StoreLayout, DEFAULT_JOB,
+    DeltaLink, FrameRecord, FrameTable, JobId, Namespace, PccheckError, PersistPipeline,
+    PipelineCtx, RecoveredCheckpoint, RecoveryTrace, RestoreOptions, SlotOutcome, StoreGeometry,
+    StoreLayout, DEFAULT_JOB,
 };
 use pccheck_device::{
     DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice, StripedDevice, TieredDevice,
@@ -600,7 +600,7 @@ fn persist_packed(
     let total = ByteSize::from_bytes(state.len() as u64);
     let lease = pipeline.lease(ctx, &pipeline.store().namespace(job)?);
     let (counter, slot) = (lease.counter, lease.slot);
-    let mode = CopyMode::Codec(DeltaPolicy::default());
+    let mode = CopyMode::Codec;
     let copied = pipeline.copy(ctx, &src, &lease, iteration, total, mode)?;
     if copied.frame.saved_bytes == 0 {
         return Err(PccheckError::InvalidConfig(format!(

@@ -8,8 +8,8 @@
 use std::sync::Arc;
 
 use pccheck::{
-    recover, CheckpointStore, CopyMode, DeltaPolicy, FrameTable, PcCheckConfig, PcCheckEngine,
-    PersistPipeline, PipelineCtx, StoreGeometry, DEFAULT_JOB,
+    recover, CheckpointStore, CopyMode, FrameTable, PcCheckConfig, PcCheckEngine, PersistPipeline,
+    PipelineCtx, StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, SnapshotSource, TrainingState};
@@ -20,9 +20,6 @@ use pccheck_util::ByteSize;
 const STATE: u64 = 64 * 1024;
 const CHUNK: u64 = 4 * 1024;
 const CHECKPOINTS: u64 = 6;
-
-/// The codec decides per chunk; the chain cap bounds base pinning.
-const POLICY: DeltaPolicy = DeltaPolicy { max_chain: 8 };
 
 /// A host-resident payload standing in for GPU weights.
 struct HostPayload {
@@ -101,7 +98,7 @@ fn replay(states: &[Vec<u8>], codec: bool) -> (Arc<dyn PersistentDevice>, u64, u
                 step: iteration,
             };
             let (_, copied) = pipeline
-                .checkpoint_framed(ctx, &ns, &src, iteration, CopyMode::Codec(POLICY))
+                .checkpoint_framed(ctx, &ns, &src, iteration, CopyMode::Codec)
                 .expect("checkpoint commits");
             framed += u64::from(copied.frame.saved_bytes > 0);
             physical += copied.payload_len;

@@ -8,8 +8,8 @@
 use std::sync::Arc;
 
 use pccheck::{
-    recovery, CheckpointStore, CopyMode, DeltaPolicy, FrameTable, PersistPipeline, PipelineCtx,
-    StoreGeometry, DEFAULT_JOB,
+    recovery, CheckpointStore, CopyMode, FrameTable, PersistPipeline, PipelineCtx, StoreGeometry,
+    DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
 use pccheck_gpu::{Gpu, GpuConfig, TrainingState};
@@ -17,6 +17,7 @@ use pccheck_telemetry::{SpanId, Telemetry};
 use pccheck_util::ByteSize;
 
 const STATE: u64 = 8 * 1024;
+/// Deepest dedup chain a store of `MAX_CHAIN + 2` slots lets a frame reach.
 const MAX_CHAIN: u32 = 3;
 /// Staging chunk, and so record size.
 const CHUNK: u64 = 512;
@@ -62,9 +63,6 @@ fn dedup_chain_restore_is_bit_identical_to_full_checkpoints() {
         telemetry: &telemetry,
         span: SpanId::NONE,
     };
-    let policy = DeltaPolicy {
-        max_chain: MAX_CHAIN,
-    };
 
     let mut linked_commits = 0;
     for iter in 1..=4u64 {
@@ -75,7 +73,7 @@ fn dedup_chain_restore_is_bit_identical_to_full_checkpoints() {
         let total = guard.size();
 
         let (_, copied) = pipe_a
-            .checkpoint_framed(ctx, &ns_a, &guard, iter, CopyMode::Codec(policy))
+            .checkpoint_framed(ctx, &ns_a, &guard, iter, CopyMode::Codec)
             .expect("framed checkpoint");
         assert!(
             copied.frame.saved_bytes > 0,

@@ -12,8 +12,8 @@ use std::time::Duration;
 
 use pccheck::{
     recover_instrumented_with, recovery, CheckMeta, CheckpointStore, ChunkEncoding, CommitOutcome,
-    CopyMode, DeltaPolicy, FrameTable, Namespace, PcCheckConfig, PcCheckEngine, PccheckError,
-    PersistPipeline, PipelineCtx, RestoreOptions, StoreGeometry, DEFAULT_JOB,
+    CopyMode, FrameTable, Namespace, PcCheckConfig, PcCheckEngine, PccheckError, PersistPipeline,
+    PipelineCtx, RestoreOptions, StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, Tensor, TrainingState};
@@ -229,13 +229,7 @@ fn clean_chunks_keep_one_home_across_eight_commits_on_three_slots() {
         }
         let guard = gpu.lock_weights_shared_owned();
         let (out, copied) = pipeline
-            .checkpoint_framed(
-                ctx(&telemetry),
-                &ns(&store),
-                &guard,
-                iter,
-                CopyMode::Codec(DeltaPolicy::default()),
-            )
+            .checkpoint_framed(ctx(&telemetry), &ns(&store), &guard, iter, CopyMode::Codec)
             .expect("framed checkpoint");
         drop(guard);
         assert_eq!(out, CommitOutcome::Committed);
@@ -280,7 +274,6 @@ fn a_frame_whose_base_was_displaced_is_withdrawn_not_committed() {
     let pipeline = framed_pipeline(&store, STATE, CHUNK);
     let telemetry = Telemetry::disabled();
     let ctx = ctx(&telemetry);
-    let policy = DeltaPolicy::default();
     let total = ByteSize::from_bytes(STATE);
     let gpu = mixed_gpu(STATE, 3);
 
@@ -288,7 +281,7 @@ fn a_frame_whose_base_was_displaced_is_withdrawn_not_committed() {
     gpu.update();
     let guard = gpu.lock_weights_shared_owned();
     let (out, copied_a) = pipeline
-        .checkpoint_framed(ctx, &ns(&store), &guard, 1, CopyMode::Codec(policy))
+        .checkpoint_framed(ctx, &ns(&store), &guard, 1, CopyMode::Codec)
         .expect("A");
     drop(guard);
     assert_eq!(out, CommitOutcome::Committed);
@@ -312,7 +305,7 @@ fn a_frame_whose_base_was_displaced_is_withdrawn_not_committed() {
     let guard = gpu.lock_weights_shared_owned();
     let lease_b = pipeline.lease(ctx, &ns(&store));
     let copied_b = pipeline
-        .copy(ctx, &guard, &lease_b, 3, total, CopyMode::Codec(policy))
+        .copy(ctx, &guard, &lease_b, 3, total, CopyMode::Codec)
         .expect("B copies");
     drop(guard);
     let link = copied_b.frame.link.expect("B references A");
@@ -367,7 +360,7 @@ fn a_frame_whose_base_was_displaced_is_withdrawn_not_committed() {
     gpu.update_sparse(0.1);
     let guard = gpu.lock_weights_shared_owned();
     let (out, _) = pipeline
-        .checkpoint_framed(ctx, &ns(&store), &guard, 4, CopyMode::Codec(policy))
+        .checkpoint_framed(ctx, &ns(&store), &guard, 4, CopyMode::Codec)
         .expect("D");
     drop(guard);
     assert_eq!(out, CommitOutcome::Committed);
@@ -398,13 +391,7 @@ fn two_homes() -> TwoHomes {
         gpu.update_sparse(fraction);
         let guard = gpu.lock_weights_shared_owned();
         let (out, copied) = pipeline
-            .checkpoint_framed(
-                ctx(&telemetry),
-                &ns(&store),
-                &guard,
-                iter,
-                CopyMode::Codec(DeltaPolicy { max_chain: 2 }),
-            )
+            .checkpoint_framed(ctx(&telemetry), &ns(&store), &guard, iter, CopyMode::Codec)
             .expect("framed checkpoint");
         drop(guard);
         assert_eq!(out, CommitOutcome::Committed);

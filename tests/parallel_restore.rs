@@ -14,8 +14,8 @@ use std::sync::Arc;
 use pccheck::store::SlotLease;
 use pccheck::{
     compress_gated, raw_frame, recover_instrumented_with, recover_into_gpu, recovery, CheckMeta,
-    CheckpointStore, ChunkEncoding, CopyMode, DeltaLink, DeltaPolicy, FrameRecord, FrameTable,
-    Namespace, PersistPipeline, PipelineCtx, RestoreOptions, StoreGeometry, DEFAULT_JOB,
+    CheckpointStore, ChunkEncoding, CopyMode, DeltaLink, FrameRecord, FrameTable, Namespace,
+    PersistPipeline, PipelineCtx, RestoreOptions, StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_device::{
     DeviceConfig, DeviceStats, HostBufferPool, PersistentDevice, Result as DeviceResult, SsdDevice,
@@ -27,6 +27,7 @@ use pccheck_util::rng::{self, Rng};
 use pccheck_util::{Bandwidth, ByteSize};
 
 const STATE: u64 = 8 * 1024;
+/// Deepest dedup chain a store of `MAX_CHAIN + 2` slots lets a frame reach.
 const MAX_CHAIN: u32 = 3;
 
 /// Staging chunk of [`pipeline_for`], and so the record size of its frames.
@@ -137,16 +138,13 @@ fn parallel_and_sequential_recovery_agree_on_dedup_chains() {
         telemetry: &telemetry,
         span: SpanId::NONE,
     };
-    let policy = DeltaPolicy {
-        max_chain: MAX_CHAIN,
-    };
 
     for iter in 1..=4u64 {
         if iter > 1 {
             gpu.update_sparse(0.10);
         }
         let guard = gpu.lock_weights_shared_owned();
-        pipe.checkpoint_framed(ctx, &ns(&store), &guard, iter, CopyMode::Codec(policy))
+        pipe.checkpoint_framed(ctx, &ns(&store), &guard, iter, CopyMode::Codec)
             .expect("framed checkpoint");
     }
     drop(pipe);

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use pccheck::{
-    bind_frame_table, recovery, CheckpointStore, CopyMode, DeltaPolicy, FrameTable, PcCheckConfig,
+    bind_frame_table, recovery, CheckpointStore, CopyMode, FrameTable, PcCheckConfig,
     PcCheckEngine, PersistPipeline, PipelineCtx, StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_baselines::{
@@ -305,12 +305,12 @@ fn copy_verb_with(gpu: &Gpu, verb: &str, chunk: u64, pool_chunks: usize) -> Stat
     let mode = match verb {
         "copy staged" => CopyMode::Staged,
         "copy streamed" => CopyMode::Streamed,
-        _ => CopyMode::Codec(DeltaPolicy::default()),
+        _ => CopyMode::Codec,
     };
     let copied = pipeline
         .copy(ctx, &guard, &lease, iteration, total, mode)
         .expect("copy");
-    if matches!(mode, CopyMode::Codec(_)) && verb != "copy codec if it pays" {
+    if mode == CopyMode::Codec && verb != "copy codec if it pays" {
         let packed = copied.frame.saved_bytes > 0;
         assert_eq!(packed, verb == "copy codec", "{verb}");
     }
