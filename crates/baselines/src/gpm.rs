@@ -6,7 +6,7 @@
 //! consequences the experiments depend on:
 //!
 //! * no DRAM staging (Table 1: `DRAM = 0`) — the bytes go GPU → device;
-//!   here each tile passes through one [`KERNEL_COPY_CHUNK`] bounce
+//!   here each tile passes through one `KERNEL_COPY_CHUNK` bounce
 //!   chunk, which stands in for the kernel's register/shared-memory tile,
 //! * training stalls for the whole checkpoint, since the copy kernels
 //!   occupy the SMs and every tile is fenced before training resumes
@@ -17,8 +17,6 @@
 //! with `cudaDeviceSynchronize` + `msync`. Here the writer that stores a
 //! tile fences it, as PMEM's per-thread fences require, and the training
 //! thread writes and fences the frame's table last.
-//!
-//! [`KERNEL_COPY_CHUNK`]: crate::KERNEL_COPY_CHUNK
 
 use std::sync::Arc;
 

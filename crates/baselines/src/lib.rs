@@ -49,7 +49,7 @@ pub use traditional::TraditionalCheckpointer;
 /// tiles), and the record size of every storage baseline's frame:
 /// Traditional and CheckFreq stage the snapshot in chunks of it, GPM
 /// bounces each tile through one.
-pub const KERNEL_COPY_CHUNK: usize = 4 * 1024 * 1024;
+pub(crate) const KERNEL_COPY_CHUNK: usize = 4 * 1024 * 1024;
 
 /// A storage baseline's persist path: a pipeline over a two-slot store, the
 /// store's one tenant, and the mode it copies in. Clones share the first two.

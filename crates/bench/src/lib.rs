@@ -26,7 +26,7 @@ pub mod stats {
     /// # Panics
     ///
     /// Panics on an empty sample or NaN entries.
-    pub fn rel_iqr(v: &[f64]) -> f64 {
+    pub(crate) fn rel_iqr(v: &[f64]) -> f64 {
         let mut sorted = v.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let n = sorted.len();

@@ -7,14 +7,14 @@
 //! chunks]`; there is no other payload format. A checkpoint the codec did
 //! not touch — codec off, a staging pool too small to hold the snapshot, a
 //! frame that would not pay — is the *all-`Raw` frame*
-//! ([`FrameTable::all_raw`]): one `Raw` record per chunk, each packed at its
+//! (`FrameTable::all_raw`): one `Raw` record per chunk, each packed at its
 //! own logical offset behind the table. The table header binds the frame to
 //! its commit (checkpoint counter, and the commit record's digest is the
 //! checksum of the serialized table), names the logical (uncompressed)
 //! payload length and the end-to-end digest of the reconstructed state, and
 //! is sealed by a folded FNV-1a CRC over header + records so a torn table
 //! write is detected before any chunk is trusted. Only
-//! [`FrameTable::decode`] reads [`FRAME_MAGIC`]: nothing classifies a
+//! [`FrameTable::decode`] reads `FRAME_MAGIC`: nothing classifies a
 //! payload by its head, so no state's first bytes can make it unrecoverable.
 //!
 //! Each [`FrameRecord`] describes one logical chunk, in logical order:
@@ -45,7 +45,7 @@
 //! physical range (of this slot or of a home's) or the earlier job its
 //! bytes come from — which the restore executor ([`crate::restore`]) lands,
 //! verifies and folds on its readers. Recovery and the forensics auditor
-//! both materialize a frame that way, each with its own [`SlotRead`].
+//! both materialize a frame that way, each with its own `SlotRead`.
 //!
 //! [`DIGEST_BLOCK`]: pccheck_util::fnv::DIGEST_BLOCK
 //!
@@ -56,7 +56,7 @@
 //! A dependency-free LZ77 byte stream in the LZ4 style: each sequence is
 //! `token | literal-run | literals | offset(2B LE) | match-run`, where the
 //! token's high nibble is the literal count and the low nibble the match
-//! length minus [`MIN_MATCH`], both extended by 255-continuation bytes
+//! length minus `MIN_MATCH`, both extended by 255-continuation bytes
 //! when they saturate at 15. The final sequence is literals-only. Matches
 //! reference a 64 KiB window.
 //!
@@ -76,13 +76,13 @@
 //! Compressing dense fp16/fp32 noise wastes CPU for zero gain, so
 //! [`compress_gated`] first estimates Shannon entropy over a sampled 4 KiB
 //! byte histogram and skips the compressor entirely above
-//! [`ENTROPY_SKIP_BITS`] bits/byte. A compressed chunk is kept only when
+//! `ENTROPY_SKIP_BITS` bits/byte. A compressed chunk is kept only when
 //! it actually saves ≥ 1/16 of the logical bytes; otherwise the chunk
 //! stays raw and restore never pays a decompress.
 //!
 //! # Dedup index lifetime
 //!
-//! The [`DedupIndex`] holds one *generation* per job: a map from content
+//! The `DedupIndex` holds one *generation* per job: a map from content
 //! address to the chunk's **home** ([`DedupHome`]) — the checkpoint that
 //! physically holds the bytes, with that checkpoint's chain depth. A
 //! committed frame installs the next generation wholesale: its own
@@ -123,23 +123,23 @@ use crate::meta::{checksum, CheckMeta};
 use crate::store::JobId;
 
 /// Frame table magic: ASCII `PCFRAME1` (little-endian `u64`).
-pub const FRAME_MAGIC: u64 = u64::from_le_bytes(*b"PCFRAME1");
+pub(crate) const FRAME_MAGIC: u64 = u64::from_le_bytes(*b"PCFRAME1");
 
 /// Encoded frame header size: magic, count, version, counter,
 /// `logical_len`, `full_digest`.
-pub const FRAME_HEADER: usize = 40;
+pub(crate) const FRAME_HEADER: usize = 40;
 
 /// Encoded size of one [`FrameRecord`].
-pub const FRAME_RECORD_SIZE: usize = 40;
+pub(crate) const FRAME_RECORD_SIZE: usize = 40;
 
 /// Frame format version. Version 3 defines a record's `digest` as its
 /// [`content_address`] (a fold of its own block digests) and `full_digest`
 /// as the blocked state digest of [`pccheck_util::fnv`]; no earlier version
 /// is read.
-pub const FRAME_VERSION: u32 = 3;
+pub(crate) const FRAME_VERSION: u32 = 3;
 
 /// Shortest match the LZ coder emits.
-pub const MIN_MATCH: usize = 4;
+pub(crate) const MIN_MATCH: usize = 4;
 
 /// LZ match window (2-byte offsets).
 const MAX_OFFSET: usize = 65_535;
@@ -147,7 +147,7 @@ const MAX_OFFSET: usize = 65_535;
 /// Sampled-entropy threshold (bits/byte) above which compression is
 /// skipped outright: dense random bytes sit at ~8.0, text and sparse
 /// tensors well below 7.
-pub const ENTROPY_SKIP_BITS: f64 = 7.2;
+pub(crate) const ENTROPY_SKIP_BITS: f64 = 7.2;
 
 /// A kept compressed chunk must save at least `logical/16` bytes.
 const MIN_GAIN_SHIFT: u32 = 4;
@@ -240,7 +240,7 @@ impl FrameTable {
     /// `(logical_len, content address)`, in logical order, each packed at
     /// its own logical offset, so the packed region is the state verbatim —
     /// however it is written, from pool jobs' addresses or [`raw_frame`].
-    pub fn all_raw(
+    pub(crate) fn all_raw(
         counter: u64,
         full_digest: u64,
         records: impl IntoIterator<Item = (u64, u64)>,
@@ -285,7 +285,7 @@ impl FrameTable {
     }
 
     /// Bytes of packed physical chunk data the records reference.
-    pub fn packed_len(&self) -> u64 {
+    pub(crate) fn packed_len(&self) -> u64 {
         self.records
             .iter()
             .filter(|r| r.kind.is_materialized())
@@ -295,26 +295,8 @@ impl FrameTable {
     }
 
     /// Total slot payload footprint: table + packed region.
-    pub fn physical_len(&self) -> u64 {
+    pub(crate) fn physical_len(&self) -> u64 {
         self.encoded_len() + self.packed_len()
-    }
-
-    /// Sum of the logical lengths of deduplicated (non-materialized)
-    /// chunks — the bytes dedup saved.
-    pub fn dedup_bytes(&self) -> u64 {
-        self.records
-            .iter()
-            .filter(|r| !r.kind.is_materialized())
-            .map(|r| r.logical_len)
-            .sum()
-    }
-
-    /// Whether any record references an earlier checkpoint (the commit
-    /// must then carry a `DeltaLink` whose chain pins every home named).
-    pub fn references_base(&self) -> bool {
-        self.records
-            .iter()
-            .any(|r| r.kind == ChunkEncoding::DedupBase)
     }
 
     /// Serializes the table: header, records, trailing FNV-1a CRC.
@@ -435,7 +417,7 @@ pub fn bind_frame_table(payload: &[u8], meta: &CheckMeta) -> Option<FrameTable> 
 
 /// Reads `buf.len()` durable bytes at payload offset `at` of slot `slot`;
 /// `false` on a fault. All a plan, and its executor, ask of a device.
-pub type SlotRead<'a> = dyn Fn(u32, u64, &mut [u8]) -> bool + Sync + 'a;
+pub(crate) type SlotRead<'a> = dyn Fn(u32, u64, &mut [u8]) -> bool + Sync + 'a;
 
 /// Where one [`Job`]'s bytes come from; `at` is a payload offset of `slot`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -485,7 +467,7 @@ impl RestorePlan {
     /// commit, a missing home, or a record whose physical range leaves the
     /// payload that should hold it: the caller falls back, as on any other
     /// verification failure.
-    pub fn compile(
+    pub(crate) fn compile(
         meta: &CheckMeta,
         commits: &[CheckMeta],
         read: &SlotRead<'_>,
@@ -628,7 +610,7 @@ impl Home {
 
 /// Estimates Shannon entropy (bits/byte) from an evenly strided sample of
 /// at most 4 KiB.
-pub fn entropy_estimate(data: &[u8]) -> f64 {
+pub(crate) fn entropy_estimate(data: &[u8]) -> f64 {
     if data.is_empty() {
         return 0.0;
     }
@@ -655,7 +637,7 @@ pub fn entropy_estimate(data: &[u8]) -> f64 {
 /// Compresses `src`, or `None` when the result would not be worth keeping.
 ///
 /// `None` means "store raw": the sampled entropy exceeded
-/// [`ENTROPY_SKIP_BITS`], the input was shorter than a match, or the
+/// `ENTROPY_SKIP_BITS`, the input was shorter than a match, or the
 /// compressed form failed the minimum-gain bar (≥ 1/16 smaller).
 pub fn compress_gated(src: &[u8]) -> Option<Vec<u8>> {
     if src.len() < MIN_MATCH * 2 || entropy_estimate(src) > ENTROPY_SKIP_BITS {
@@ -773,7 +755,7 @@ pub fn lz_decompress(src: &[u8], logical_len: usize) -> Option<Vec<u8>> {
 /// [`lz_decompress`] into memory the caller owns: decodes `src` over `dst`
 /// and says whether it was a well-formed block of exactly `dst.len()`
 /// bytes. On `false`, `dst` holds garbage.
-pub fn lz_decompress_into(src: &[u8], dst: &mut [u8]) -> bool {
+pub(crate) fn lz_decompress_into(src: &[u8], dst: &mut [u8]) -> bool {
     // One run length: a nibble, extended by 255-continuation bytes.
     let run = |i: &mut usize, nibble: u8| {
         let (mut run, mut more) = (usize::from(nibble), nibble == 15);
@@ -852,30 +834,20 @@ struct Generation {
 /// chain pins every home it names. Jobs are keyed by their id, so tenants
 /// of one store never dedup across namespaces.
 #[derive(Debug, Default)]
-pub struct DedupIndex {
+pub(crate) struct DedupIndex {
     generations: HashMap<JobId, Generation>,
-    /// Max entries kept per generation; overflow chunks stay materialized.
-    cap: usize,
 }
 
-/// Default per-generation entry cap.
-pub const DEDUP_DEFAULT_CAP: usize = 8192;
+/// Max entries kept per generation; overflow chunks stay materialized.
+const DEDUP_GENERATION_CAP: usize = 8192;
 
 impl DedupIndex {
-    /// An index bounded to `cap` entries per job generation.
-    pub fn with_capacity(cap: usize) -> DedupIndex {
-        DedupIndex {
-            generations: HashMap::new(),
-            cap,
-        }
-    }
-
     /// Replaces `job`'s generation with the homes of the just-committed
     /// checkpoint `head`: `(digest, home)` for each chunk it materialized
     /// (homed at itself) and each base hit it carried forward. A late
     /// install from a commit an already-installed newer one displaced is
     /// dropped.
-    pub fn install(
+    pub(crate) fn install(
         &mut self,
         job: JobId,
         head: u64,
@@ -884,14 +856,9 @@ impl DedupIndex {
         if self.generations.get(&job).is_some_and(|g| g.head > head) {
             return;
         }
-        let cap = if self.cap == 0 {
-            DEDUP_DEFAULT_CAP
-        } else {
-            self.cap
-        };
         let mut by_digest = HashMap::new();
         for (digest, home) in homes {
-            if by_digest.len() >= cap {
+            if by_digest.len() >= DEDUP_GENERATION_CAP {
                 break;
             }
             by_digest.entry(digest).or_insert(home);
@@ -908,7 +875,7 @@ impl DedupIndex {
     /// Looks up a chunk's home by content address, only answering from
     /// `job`'s generation when checkpoint `head` installed it — any other
     /// generation names homes the current head's chain may not pin.
-    pub fn lookup(&self, job: JobId, head: u64, digest: u64, len: u64) -> Option<DedupHome> {
+    pub(crate) fn lookup(&self, job: JobId, head: u64, digest: u64, len: u64) -> Option<DedupHome> {
         let g = self.generations.get(&job)?;
         if g.head != head {
             return None;
@@ -917,17 +884,13 @@ impl DedupIndex {
     }
 
     /// The checkpoint counter of `job`'s current generation, if any.
-    pub fn generation_counter(&self, job: JobId) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn generation_counter(&self, job: JobId) -> Option<u64> {
         self.generations.get(&job).map(|g| g.head)
     }
 
-    /// Drops `job`'s generation (e.g., its namespace was released).
-    pub fn evict_job(&mut self, job: JobId) {
-        self.generations.remove(&job);
-    }
-
     /// Drops every generation.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.generations.clear();
     }
 }
@@ -980,8 +943,6 @@ mod tests {
         assert_eq!(FrameTable::decode(&buf).unwrap(), t);
         assert_eq!(t.packed_len(), 140);
         assert_eq!(t.physical_len(), t.encoded_len() + 140);
-        assert_eq!(t.dedup_bytes(), 100);
-        assert!(!t.references_base());
     }
 
     #[test]
@@ -1117,26 +1078,16 @@ mod tests {
         assert_eq!(idx.lookup(1, 5, 42, 128).unwrap().counter, 5);
         assert_eq!(idx.lookup(2, 9, 42, 128).unwrap().counter, 9);
         assert!(idx.lookup(3, 5, 42, 128).is_none());
-        idx.evict_job(1);
-        assert!(idx.lookup(1, 5, 42, 128).is_none());
-        assert!(idx.lookup(2, 9, 42, 128).is_some());
     }
 
     #[test]
     fn dedup_index_caps_generation_size() {
-        let mut idx = DedupIndex::with_capacity(2);
-        idx.install(
-            0,
-            1,
-            vec![
-                (1, home(1, 0, 0, 8, 0)),
-                (2, home(1, 0, 8, 8, 0)),
-                (3, home(1, 0, 16, 8, 0)),
-            ],
-        );
-        assert!(idx.lookup(0, 1, 1, 8).is_some());
-        assert!(idx.lookup(0, 1, 2, 8).is_some());
-        assert!(idx.lookup(0, 1, 3, 8).is_none());
+        let mut idx = DedupIndex::default();
+        let n = DEDUP_GENERATION_CAP as u64;
+        idx.install(0, 1, (0..=n).map(|d| (d, home(1, 0, d * 8, 8, 0))));
+        assert!(idx.lookup(0, 1, 0, 8).is_some());
+        assert!(idx.lookup(0, 1, n - 1, 8).is_some());
+        assert!(idx.lookup(0, 1, n, 8).is_none());
     }
 
     /// A hand-assembled frame exercising every record kind, its commit

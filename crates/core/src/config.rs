@@ -44,7 +44,7 @@ pub struct PcCheckConfig {
     /// SSD optimization from §4.1: writers only write; the coordinating
     /// thread issues one `msync` covering the whole checkpoint. Must be
     /// `false` on PMEM, where fences are per-thread.
-    pub single_sync: bool,
+    pub(crate) single_sync: bool,
     /// Capacity (in 64-byte records) of the persistent flight-recorder
     /// ring reserved on the checkpoint device after the slots. `0`
     /// (the default) disables the flight recorder entirely and reserves
@@ -63,7 +63,7 @@ impl PcCheckConfig {
     }
 
     /// Total DRAM the staging pool occupies (the paper's `M`).
-    pub fn dram_bytes(&self) -> ByteSize {
+    pub(crate) fn dram_bytes(&self) -> ByteSize {
         self.chunk_size * self.dram_chunks as u64
     }
 
@@ -150,6 +150,7 @@ impl PcCheckConfigBuilder {
     }
 
     /// Enables the single-`msync` SSD optimization.
+    // api: sets `PcCheckConfig::single_sync`, which DESIGN §7's table names.
     pub fn single_sync(mut self, on: bool) -> Self {
         self.config.single_sync = on;
         self

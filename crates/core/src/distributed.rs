@@ -13,8 +13,6 @@
 //! this rendezvous for in-process "nodes" (threads), which is how the
 //! distributed experiments are simulated.
 
-use std::sync::Arc;
-
 use pccheck_util::sync::{Condvar, Mutex};
 
 use crate::error::PccheckError;
@@ -76,14 +74,10 @@ impl CoordinatorHub {
         }
     }
 
-    /// Number of participating ranks.
-    pub fn ranks(&self) -> usize {
-        self.ranks
-    }
-
     /// The last globally consistent checkpoint id (each node's
     /// `peer_check`).
-    pub fn peer_check(&self) -> Option<u64> {
+    #[cfg(test)]
+    fn peer_check(&self) -> Option<u64> {
         self.round.lock().agreed
     }
 
@@ -147,12 +141,10 @@ impl CoordinatorHub {
     }
 }
 
-/// Convenience: a shareable hub handle.
-pub type SharedHub = Arc<CoordinatorHub>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn single_rank_agrees_immediately() {

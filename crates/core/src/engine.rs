@@ -404,11 +404,6 @@ impl PcCheckEngine {
         &self.ns
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> &PcCheckConfig {
-        &self.config
-    }
-
     /// The underlying store.
     pub fn store(&self) -> &Arc<CheckpointStore> {
         &self.store
@@ -457,11 +452,6 @@ impl PcCheckEngine {
             Some(e) => Err(e),
             None => Ok(()),
         }
-    }
-
-    /// The DRAM staging pool (for footprint inspection).
-    pub fn dram_pool(&self) -> &HostBufferPool {
-        self.pipeline.staging_pool()
     }
 
     /// The shared persist pipeline this engine schedules over.
@@ -873,7 +863,7 @@ mod tests {
         engine.drain();
         assert_eq!(engine.stats().requested(), 6);
         // DRAM pool never exceeded its chunk budget.
-        assert!(engine.dram_pool().peak_outstanding() <= 8);
+        assert!(engine.pipeline().staging_pool().peak_outstanding() <= 8);
     }
 
     /// 64-byte chunks in one snapshot of `gpu`.
@@ -987,7 +977,11 @@ mod tests {
         must_not_hang("update() waited for the fold", move || trainer.update());
         device.wait_until_blocked(1);
         assert_eq!(device.payload_bytes(), 0, "the one writer is at the gate");
-        assert_eq!(engine.dram_pool().available(), 0, "six chunks, six jobs");
+        assert_eq!(
+            engine.pipeline().staging_pool().available(),
+            0,
+            "six chunks, six jobs"
+        );
         assert_ne!(gpu.digest(), snapshot, "the weights moved on");
         device.open();
         engine.try_drain().unwrap();
@@ -1016,7 +1010,7 @@ mod tests {
         });
         assert_eq!(device.payload_bytes(), 0);
         assert_eq!(
-            engine.dram_pool().peak_outstanding(),
+            engine.pipeline().staging_pool().peak_outstanding(),
             2 * chunks,
             "both snapshots sit in DRAM at once, not one snapshot's {chunks} chunks"
         );
@@ -1091,7 +1085,7 @@ mod tests {
                 engine.try_drain().unwrap();
                 assert_eq!(engine.stats().snapshot().terminated(), 100);
                 assert_eq!(engine.stats().failed(), 0);
-                assert!(engine.dram_pool().peak_outstanding() <= 12);
+                assert!(engine.pipeline().staging_pool().peak_outstanding() <= 12);
                 let rec = crate::recovery::recover(device).unwrap();
                 assert_eq!(
                     restored_digest(&gpu, &rec.payload, rec.iteration),
@@ -1241,7 +1235,7 @@ mod tests {
         // Its cancelled writes gave their buffers back, and the writer pool
         // and the coordinators carry the next checkpoint as if nothing
         // had happened.
-        assert_eq!(engine.dram_pool().available(), 8);
+        assert_eq!(engine.pipeline().staging_pool().available(), 8);
         engine.checkpoint(&gpu, 2);
         engine.try_drain().unwrap();
         assert_eq!(engine.stats().committed(), 1);
@@ -1607,7 +1601,7 @@ mod tests {
             }
             engine.drain();
             assert_eq!(engine.stats().failed(), 0);
-            let pool = engine.dram_pool();
+            let pool = engine.pipeline().staging_pool();
             let resident = pool.resident_chunks();
             assert_eq!(resident, pool.peak_outstanding(), "codec {codec}");
             assert!(resident > 0 && resident < 64, "codec {codec}: {resident}");

@@ -14,7 +14,7 @@
 use pccheck_util::ByteSize;
 
 /// Gemini's staging buffer on the GPU (§3.2: 32 MB).
-pub const GEMINI_GPU_BUFFER: ByteSize = ByteSize::from_mb_u64(32);
+pub(crate) const GEMINI_GPU_BUFFER: ByteSize = ByteSize::from_mb_u64(32);
 
 /// Footprint of one algorithm for checkpoint size `m`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

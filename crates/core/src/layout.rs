@@ -42,13 +42,13 @@ const STORE_MAGIC: u64 = 0x5043_6368_6543_6B33; // "PCcheCk3"
 const LAYOUT_VERSION: u32 = 1;
 
 /// Serialized size of the superblock.
-pub const SUPERBLOCK_SIZE: u64 = 64;
+pub(crate) const SUPERBLOCK_SIZE: u64 = 64;
 /// Where slot 0's meta record starts: after the superblock and 64 reserved
 /// bytes, which keeps every payload at `192 + s·(64 + slot_size)`.
 const SLOTS_OFFSET: u64 = 128;
 /// Stride of one namespace-directory entry: the 64-byte descriptor
 /// followed by that namespace's own 64-byte CHECK_ADDR record.
-pub const NS_ENTRY_SIZE: u64 = NS_DESC_SIZE + META_RECORD_SIZE;
+pub(crate) const NS_ENTRY_SIZE: u64 = NS_DESC_SIZE + META_RECORD_SIZE;
 
 /// What `format` is told and the superblock records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,7 +261,7 @@ impl StoreLayout {
 
     /// Device offset of directory entry `index`: the descriptor, with the
     /// namespace's CHECK_ADDR record [`NS_DESC_SIZE`] bytes after it.
-    pub fn ns_entry(&self, index: u32) -> u64 {
+    pub(crate) fn ns_entry(&self, index: u32) -> u64 {
         self.ns_dir + u64::from(index) * NS_ENTRY_SIZE
     }
 

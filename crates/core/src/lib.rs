@@ -85,18 +85,15 @@ mod testutil;
 pub mod tuner;
 
 pub use codec::{
-    bind_frame_table, compress_gated, lz_decompress, lz_decompress_into, raw_frame, ChunkEncoding,
-    DedupIndex, FrameRecord, FrameTable, SlotRead,
+    bind_frame_table, compress_gated, lz_decompress, raw_frame, ChunkEncoding, FrameRecord,
+    FrameTable,
 };
-pub use config::{PcCheckConfig, PcCheckConfigBuilder};
+pub use config::PcCheckConfig;
 pub use engine::{EngineStats, PcCheckEngine};
 pub use error::PccheckError;
-pub use meta::NamespaceDesc;
 pub use meta::{CheckMeta, DeltaLink, SlotState, SLOT_STATE_SIZE};
-pub use pipeline::{
-    Copied, CopyMode, DeferredLease, FenceMode, FramedPlan, LeaseSlot, PersistPipeline, PipelineCtx,
-};
-pub use qos::{QosArbiter, QosConfig, QosGrant};
+pub use pipeline::{Copied, CopyMode, PersistPipeline, PipelineCtx};
+pub use qos::{QosArbiter, QosConfig};
 pub use recovery::{
     recover, recover_instrumented, RecoveredCheckpoint, RecoveryModel, RecoveryTrace, Strategy,
 };
@@ -107,4 +104,4 @@ pub use layout::{StoreGeometry, StoreLayout};
 pub use store::{
     CheckpointStore, CommitOutcome, JobId, Namespace, RawStoreView, SlotOutcome, DEFAULT_JOB,
 };
-pub use tuner::{Tuner, TunerInputs, TunerRecommendation};
+pub use tuner::{Tuner, TunerInputs};

@@ -109,7 +109,7 @@ impl CheckMeta {
 }
 
 /// Serialized size of a namespace descriptor: one cache line.
-pub const NS_DESC_SIZE: u64 = 64;
+pub(crate) const NS_DESC_SIZE: u64 = 64;
 
 const NS_MAGIC: u32 = 0x5043_4E53; // "PCNS"
 
@@ -125,7 +125,7 @@ pub struct NamespaceDesc {
     /// The tenant this namespace belongs to.
     pub job: u64,
     /// First slot of the contiguous range.
-    pub slot_start: u32,
+    pub(crate) slot_start: u32,
     /// Number of slots in the range (`N+1` for `N` concurrent checkpoints).
     pub slot_count: u32,
 }
@@ -232,7 +232,7 @@ impl SlotState {
 
     /// Packs into the in-memory `AtomicU64` word: counter in the high 62
     /// bits, tag in the low 2. The counter is capped at 48 bits by
-    /// [`PackedCheckAddr::pack`] long before this limit matters.
+    /// `PackedCheckAddr::pack` long before this limit matters.
     pub fn pack(self) -> u64 {
         let (tag, counter) = match self {
             SlotState::Free => (STATE_TAG_FREE, 0),
@@ -244,7 +244,8 @@ impl SlotState {
     }
 
     /// Unpacks an in-memory word produced by [`SlotState::pack`].
-    pub fn unpack(word: u64) -> SlotState {
+    #[cfg(test)]
+    pub(crate) fn unpack(word: u64) -> SlotState {
         let counter = word >> 2;
         match (word & 0b11) as u32 {
             STATE_TAG_CLAIMED => SlotState::Claimed { counter },
@@ -309,11 +310,11 @@ impl std::fmt::Display for SlotState {
 /// Counter occupies the high 48 bits, slot the low 16. The packing keeps
 /// the total order: comparing packed words compares counters first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct PackedCheckAddr(pub u64);
+pub(crate) struct PackedCheckAddr(pub u64);
 
 /// Sentinel for "no checkpoint committed yet" (counter 0 is never issued —
 /// the global counter starts at 1).
-pub const CHECK_ADDR_NONE: PackedCheckAddr = PackedCheckAddr(0);
+pub(crate) const CHECK_ADDR_NONE: PackedCheckAddr = PackedCheckAddr(0);
 
 impl PackedCheckAddr {
     /// Packs a counter and slot.
@@ -321,24 +322,24 @@ impl PackedCheckAddr {
     /// # Panics
     ///
     /// Panics if the counter exceeds 48 bits or the slot exceeds 16 bits.
-    pub fn pack(counter: u64, slot: u32) -> Self {
+    pub(crate) fn pack(counter: u64, slot: u32) -> Self {
         assert!(counter < (1 << 48), "checkpoint counter overflow");
         assert!(slot < (1 << 16), "slot index overflow");
         PackedCheckAddr((counter << 16) | u64::from(slot))
     }
 
     /// The checkpoint counter.
-    pub fn counter(self) -> u64 {
+    pub(crate) fn counter(self) -> u64 {
         self.0 >> 16
     }
 
     /// The slot index.
-    pub fn slot(self) -> u32 {
+    pub(crate) fn slot(self) -> u32 {
         (self.0 & 0xFFFF) as u32
     }
 
     /// Whether this is the "no checkpoint yet" sentinel.
-    pub fn is_none(self) -> bool {
+    pub(crate) fn is_none(self) -> bool {
         self.0 == 0
     }
 }

@@ -410,7 +410,7 @@ impl Drop for Unfiled<'_> {
 }
 
 /// Where [`PersistPipeline::copy`] gets the slot it writes into: a lease
-/// the caller already holds (`&SlotLease`), or a [`DeferredLease`] the copy
+/// the caller already holds (`&SlotLease`), or a `DeferredLease` the copy
 /// takes when its first write needs a slot.
 pub trait LeaseSlot {
     /// The tenant whose slot it is.
@@ -433,7 +433,7 @@ impl LeaseSlot for &SlotLease {
 /// A slot leased by a closure the first time [`PersistPipeline::copy`]
 /// needs one — for a caller whose leases must follow an order of its own
 /// (the engine's tickets) without making the trainer wait for it.
-pub struct DeferredLease<'a> {
+pub(crate) struct DeferredLease<'a> {
     job: JobId,
     take: Option<Box<dyn FnOnce() -> SlotLease + 'a>>,
     lease: Option<SlotLease>,
@@ -441,7 +441,7 @@ pub struct DeferredLease<'a> {
 
 impl<'a> DeferredLease<'a> {
     /// A slot of `job`'s, leased by `take`.
-    pub fn new(job: JobId, take: impl FnOnce() -> SlotLease + 'a) -> Self {
+    pub(crate) fn new(job: JobId, take: impl FnOnce() -> SlotLease + 'a) -> Self {
         DeferredLease {
             job,
             take: Some(Box::new(take)),
@@ -450,7 +450,7 @@ impl<'a> DeferredLease<'a> {
     }
 
     /// The lease, once taken: after a copy that returned `Ok`, always.
-    pub fn into_lease(self) -> Option<SlotLease> {
+    pub(crate) fn into_lease(self) -> Option<SlotLease> {
         self.lease
     }
 }
@@ -897,11 +897,6 @@ impl PersistPipeline {
         self
     }
 
-    /// The writer-pool width.
-    pub fn writers(&self) -> usize {
-        self.workers.width()
-    }
-
     /// Enables or disables the chunk codec at build time.
     pub fn with_codec(self, enabled: bool) -> Self {
         self.set_codec_enabled(enabled);
@@ -922,12 +917,12 @@ impl PersistPipeline {
     }
 
     /// Whether the chunk codec is currently enabled.
-    pub fn codec_enabled(&self) -> bool {
+    pub(crate) fn codec_enabled(&self) -> bool {
         self.codec.enabled.load(Ordering::Acquire)
     }
 
     /// Sets the fence mode.
-    pub fn with_fence(mut self, fence: FenceMode) -> Self {
+    pub(crate) fn with_fence(mut self, fence: FenceMode) -> Self {
         self.io.fence = fence;
         self
     }
@@ -941,19 +936,9 @@ impl PersistPipeline {
         self
     }
 
-    /// The attached QoS arbiter, when one is installed.
-    pub fn qos(&self) -> Option<&Arc<QosArbiter>> {
-        self.io.qos.as_ref()
-    }
-
     /// The underlying store.
     pub fn store(&self) -> &Arc<CheckpointStore> {
         &self.io.store
-    }
-
-    /// The fence mode this pipeline issues.
-    pub fn fence(&self) -> FenceMode {
-        self.io.fence
     }
 
     /// The DRAM staging pool.
@@ -2065,7 +2050,7 @@ mod tests {
                 PersistPipeline::new(ssd_store(g.state_size(), 3), pool).with_writers(width);
             assert_eq!(pipeline.workers.threads(), 0, "no chunk yet, no thread yet");
             let clone = pipeline.clone();
-            assert_eq!(clone.writers(), width, "clones share the pool");
+            assert_eq!(clone.workers.width(), width, "clones share the pool");
             let telemetry = Telemetry::enabled();
             let mut checkpoints = 0;
             for through in [&pipeline, &clone, &pipeline] {

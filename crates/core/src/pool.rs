@@ -123,7 +123,7 @@ impl std::fmt::Debug for WorkerPool {
 impl WorkerPool {
     /// A pool of up to `width` workers named `{name}-{w}`. No thread
     /// exists until the first job is submitted.
-    pub fn new(name: &'static str, width: usize) -> Self {
+    pub(crate) fn new(name: &'static str, width: usize) -> Self {
         WorkerPool {
             shared: Arc::new(Shared {
                 name,
@@ -140,14 +140,15 @@ impl WorkerPool {
     }
 
     /// The number of workers the pool runs jobs on.
-    pub fn width(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn width(&self) -> usize {
         self.shared.width
     }
 
     /// Worker threads alive right now (at most `width`; fewer until enough
     /// jobs have been submitted to start them).
     #[cfg(test)]
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.shared.state.lock().handles.len()
     }
 
@@ -155,12 +156,12 @@ impl WorkerPool {
     /// zero strong references once the pool is dropped and its threads
     /// have been joined.
     #[cfg(test)]
-    pub fn liveness(&self) -> std::sync::Weak<impl Sized> {
+    pub(crate) fn liveness(&self) -> std::sync::Weak<impl Sized> {
         Arc::downgrade(&self.shared)
     }
 
     /// Queues `job` at `order` and makes sure `width` workers exist.
-    pub fn submit(&self, order: Order, job: Job) {
+    pub(crate) fn submit(&self, order: Order, job: Job) {
         let mut state = self.shared.state.lock();
         state.turns.push_back(order.tenant);
         state.queue.push_back((order, job));

@@ -35,7 +35,7 @@ use crate::store::JobId;
 /// Default deficit quantum: the byte credit one ring pass grants a
 /// weight-1 job. Half a typical pipeline chunk keeps alternation fine
 /// enough that two equal jobs interleave chunk-by-chunk.
-pub const DEFAULT_QUANTUM: u64 = 256 * 1024;
+pub(crate) const DEFAULT_QUANTUM: u64 = 256 * 1024;
 
 /// Tuning knobs for [`QosArbiter`].
 #[derive(Debug, Clone)]
@@ -43,10 +43,10 @@ pub struct QosConfig {
     /// Byte credit per ring pass per unit of weight.
     pub quantum: u64,
     /// Maximum concurrently outstanding grants across all jobs.
-    pub max_outstanding: usize,
+    pub(crate) max_outstanding: usize,
     /// Device queue depth above which the outstanding cap halves
     /// (backpressure from the shared device's gauges).
-    pub queue_depth_high: u64,
+    pub(crate) queue_depth_high: u64,
 }
 
 impl Default for QosConfig {
@@ -232,7 +232,7 @@ impl QosArbiter {
     /// Feeds the shared device's sampled queue depth into the cap: above
     /// the high-water mark, halve the outstanding cap so queued jobs
     /// stop piling latency onto the device; at or below it, restore.
-    pub fn observe_queue_depth(&self, depth: u64) {
+    pub(crate) fn observe_queue_depth(&self, depth: u64) {
         let mut s = self.state.lock();
         let full = self.cfg.max_outstanding.max(1);
         let new_cap = if depth > self.cfg.queue_depth_high {
@@ -257,22 +257,14 @@ impl QosArbiter {
             .collect()
     }
 
-    /// Zeroes every job's served-bytes account (windowed share
-    /// measurements).
-    pub fn reset_shares(&self) {
-        for j in self.state.lock().jobs.iter_mut() {
-            j.served_bytes = 0;
-            j.served_grants = 0;
-        }
-    }
-
     /// Highest number of simultaneously outstanding grants observed.
     pub fn peak_outstanding(&self) -> usize {
         self.state.lock().peak_outstanding
     }
 
     /// The currently effective outstanding-grant cap.
-    pub fn effective_cap(&self) -> usize {
+    #[cfg(test)]
+    fn effective_cap(&self) -> usize {
         self.state.lock().effective_cap
     }
 }
@@ -284,16 +276,6 @@ pub struct QosGrant {
     arb: Arc<QosArbiter>,
     job: JobId,
     bytes: u64,
-}
-
-impl QosGrant {
-    pub fn job(&self) -> JobId {
-        self.job
-    }
-
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
 }
 
 impl Drop for QosGrant {
@@ -469,12 +451,19 @@ mod tests {
         while served(&arb).contains(&0) {
             grant();
         }
-        arb.reset_shares();
-        while served(&arb).iter().sum::<u64>() < 256 * CHUNK {
+        let opened = served(&arb);
+        let window = |arb: &QosArbiter| {
+            let now = served(arb);
+            now.iter()
+                .zip(&opened)
+                .map(|(n, o)| n - o)
+                .collect::<Vec<_>>()
+        };
+        while window(&arb).iter().sum::<u64>() < 256 * CHUNK {
             grant();
         }
 
-        let shares = served(&arb);
+        let shares = window(&arb);
         let total: u64 = shares.iter().sum();
         let weights: u64 = JOBS.iter().map(|&(_, w)| w).sum();
         for (&bytes, &(job, weight)) in shares.iter().zip(&JOBS) {
@@ -486,13 +475,5 @@ mod tests {
         }
         let (a, b) = (shares[0].max(shares[1]), shares[0].min(shares[1]));
         assert!(a as f64 <= 1.3 * b as f64, "equal weights, max/min {a}/{b}");
-    }
-
-    #[test]
-    fn shares_reset_for_windowed_measurement() {
-        let arb = arbiter(4);
-        drop(arb.acquire(1, 4096));
-        arb.reset_shares();
-        assert_eq!(arb.shares(), vec![(1, 0)]);
     }
 }

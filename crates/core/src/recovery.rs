@@ -201,21 +201,6 @@ impl RecoveryModel {
             Strategy::Gpm => self.load_time + ft,
         }
     }
-
-    /// Expected (average) recovery time: uniform failure arrival within the
-    /// worst-case window means half the lost work on average, plus the full
-    /// load time.
-    pub fn average(&self, strategy: Strategy) -> SimDuration {
-        let worst = self.worst_case(strategy);
-        let lost = worst - self.load_time;
-        self.load_time + lost / 2
-    }
-
-    /// Upper bound on iterations to re-execute after a failure.
-    pub fn lost_iterations(&self, strategy: Strategy) -> f64 {
-        let worst = self.worst_case(strategy);
-        (worst - self.load_time).as_secs_f64() / self.iter_time.as_secs_f64()
-    }
 }
 
 #[cfg(test)]
@@ -612,16 +597,9 @@ mod tests {
             write_time: SimDuration::from_secs(5),
             load_time: SimDuration::ZERO,
         };
-        let lost = m.lost_iterations(Strategy::PcCheck { n: 4 });
+        // With a zero load time and 1 s iterations, seconds are iterations.
+        let lost = m.worst_case(Strategy::PcCheck { n: 4 }).as_secs_f64();
         assert!((lost - 105.0).abs() < 1e-9, "f + Tw/t = 100 + 5");
-    }
-
-    #[test]
-    fn average_is_half_of_lost_work_plus_load() {
-        let m = model();
-        let avg = m.average(Strategy::CheckFreq);
-        // (50 - 10)/2 + 10 = 30.
-        assert_eq!(avg, SimDuration::from_secs(30));
     }
 
     #[test]

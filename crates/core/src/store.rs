@@ -569,7 +569,8 @@ impl CheckpointStore {
     /// The current in-memory commit-state word of `slot` (diagnostics;
     /// the durable word may lag — it records high-water claims, not the
     /// recycle step).
-    pub fn slot_commit_state(&self, slot: u32) -> SlotState {
+    #[cfg(test)]
+    fn slot_commit_state(&self, slot: u32) -> SlotState {
         SlotState::unpack(self.slot_states[slot as usize].load(Ordering::Acquire))
     }
 
@@ -1060,7 +1061,8 @@ impl CheckpointStore {
 
     /// Slots not yet carved into any namespace (the admission budget
     /// remaining).
-    pub fn unallocated_slots(&self) -> u32 {
+    #[cfg(test)]
+    fn unallocated_slots(&self) -> u32 {
         Self::unallocated(&self.namespaces.read(), self.num_slots())
     }
 
@@ -1204,7 +1206,7 @@ pub struct RawNamespace {
     /// The namespace descriptor (job, slot range).
     pub desc: NamespaceDesc,
     /// The namespace's durable check record, if it decodes.
-    pub check_addr: Option<CheckMeta>,
+    pub(crate) check_addr: Option<CheckMeta>,
 }
 
 impl RawStoreView {

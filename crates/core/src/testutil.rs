@@ -47,7 +47,7 @@ pub(crate) struct GatedDevice {
 }
 
 impl GatedDevice {
-    pub fn new(capacity: ByteSize) -> Arc<Self> {
+    pub(crate) fn new(capacity: ByteSize) -> Arc<Self> {
         Arc::new(GatedDevice {
             inner: SsdDevice::new(DeviceConfig::fast_for_tests(capacity)),
             gate: Mutex::new(Gate {
@@ -61,7 +61,7 @@ impl GatedDevice {
     /// Names the chunk writes into `store`'s slots — every payload write
     /// but the table's, at the slot's first byte — as what the gate
     /// governs, and closes the gate.
-    pub fn gate_payloads(&self, store: &CheckpointStore) {
+    pub(crate) fn gate_payloads(&self, store: &CheckpointStore) {
         let mut gate = self.gate.lock();
         gate.payloads = (0..store.num_slots())
             .map(|slot| {
@@ -74,29 +74,29 @@ impl GatedDevice {
 
     /// Admits the next `writes` payload writes to reach the gate (those
     /// already waiting first, in the order they arrived).
-    pub fn allow(&self, writes: u64) {
+    pub(crate) fn allow(&self, writes: u64) {
         let mut gate = self.gate.lock();
         gate.allowed = gate.allowed.saturating_add(writes);
         self.changed.notify_all();
     }
 
     /// Admits every payload write from now on.
-    pub fn open(&self) {
+    pub(crate) fn open(&self) {
         self.allow(u64::MAX);
     }
 
     /// Makes the `nth` payload write admitted from now fail, once.
-    pub fn fail_write(&self, nth: u64) {
+    pub(crate) fn fail_write(&self, nth: u64) {
         self.gate.lock().fail_in = nth;
     }
 
     /// The failed write: its offset and the payload bytes admitted before it.
-    pub fn failed(&self) -> Option<(u64, u64)> {
+    pub(crate) fn failed(&self) -> Option<(u64, u64)> {
         self.gate.lock().failed
     }
 
     /// Blocks until `writes` payload writes are stuck at the gate.
-    pub fn wait_until_blocked(&self, writes: usize) {
+    pub(crate) fn wait_until_blocked(&self, writes: usize) {
         let mut gate = self.gate.lock();
         while gate.waiting < writes {
             gate = self.changed.wait(gate);
@@ -104,12 +104,12 @@ impl GatedDevice {
     }
 
     /// Payload bytes admitted so far.
-    pub fn payload_bytes(&self) -> u64 {
+    pub(crate) fn payload_bytes(&self) -> u64 {
         self.gate.lock().admitted_bytes
     }
 
     /// Offsets of the payload writes admitted so far, in order.
-    pub fn admitted(&self) -> Vec<u64> {
+    pub(crate) fn admitted(&self) -> Vec<u64> {
         self.gate.lock().admitted.clone()
     }
 }

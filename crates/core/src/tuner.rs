@@ -46,7 +46,7 @@ pub struct TunerRecommendation {
     pub concurrent: usize,
     /// Minimum checkpoint interval `f*` (iterations).
     pub interval: u64,
-    /// The modeled per-checkpoint write time at `N*`.
+    /// The per-checkpoint write time `Tw(N*)`.
     pub write_time: SimDuration,
 }
 
@@ -88,35 +88,10 @@ impl Tuner {
         Ok(Tuner { inputs })
     }
 
-    /// The inputs.
-    pub fn inputs(&self) -> &TunerInputs {
-        &self.inputs
-    }
-
     /// Maximum `N` the storage budget allows: `N ≤ S/m − 1`.
     pub fn max_concurrent(&self) -> usize {
         let slots = self.inputs.storage_budget.as_u64() / self.inputs.checkpoint_size.as_u64();
         (slots.saturating_sub(1)) as usize
-    }
-
-    /// Models the end-to-end write time of one checkpoint when `n`
-    /// checkpoints contend: the GPU→DRAM copy at full PCIe bandwidth plus
-    /// the DRAM→storage phase at `T_S / n` (processor sharing). This is the
-    /// analytic stand-in for the tool's empirical profiling round; the
-    /// concrete engine's measured times can be substituted via
-    /// [`recommend_with`](Self::recommend_with).
-    pub fn modeled_write_time(&self, n: usize) -> SimDuration {
-        let m = self.inputs.checkpoint_size;
-        let copy = self.inputs.pcie_bandwidth.transfer_time(m);
-        let persist = self.inputs.storage_bandwidth.shared_by(n).transfer_time(m);
-        // Pipelining overlaps copy and persist; the slower phase dominates,
-        // plus one chunk's worth of lead-in which we fold into the max.
-        copy.max(persist)
-    }
-
-    /// Recommends `N*` and `f*` using the analytic `Tw(N)` model.
-    pub fn recommend(&self) -> TunerRecommendation {
-        self.recommend_with(|n| self.modeled_write_time(n))
     }
 
     /// Recommends `N*` and `f*` given a measured `Tw(N)` (the empirical
@@ -155,42 +130,13 @@ impl Tuner {
     /// regardless of `N`. (The paper's equation (2) presumes Tw was
     /// measured at the final steady state; making the floor explicit keeps
     /// the recommendation safe even with a noisy Tw estimate.)
-    pub fn min_interval(&self, n: usize, write_time: SimDuration) -> u64 {
+    pub(crate) fn min_interval(&self, n: usize, write_time: SimDuration) -> u64 {
         let q = self.inputs.max_slowdown;
         let t = self.inputs.iter_time.as_secs_f64();
         let f = write_time.as_secs_f64() / (n as f64 * q * t);
         let sustain = self.inputs.checkpoint_size.as_u64() as f64
             / (t * self.inputs.storage_bandwidth.as_bytes_per_sec() * q);
         (f.max(sustain).ceil() as u64).max(1)
-    }
-
-    /// The runtime model: `runtime_2` for `A` iterations with interval `f`
-    /// and `N` concurrent checkpoints (the pre-simplification formula).
-    pub fn modeled_runtime(
-        &self,
-        iterations: u64,
-        interval: u64,
-        n: usize,
-        write_time: SimDuration,
-    ) -> SimDuration {
-        let t = self.inputs.iter_time;
-        let ft = t * interval;
-        let nft = ft * n as u64;
-        let rounds = (iterations as f64 / (interval as f64 * n as f64) - 1.0).max(0.0);
-        ft + write_time.max(nft).mul_f64(rounds) + write_time
-    }
-
-    /// Overhead of the modeled runtime vs no checkpointing.
-    pub fn modeled_overhead(
-        &self,
-        iterations: u64,
-        interval: u64,
-        n: usize,
-        write_time: SimDuration,
-    ) -> f64 {
-        let with = self.modeled_runtime(iterations, interval, n, write_time);
-        let without = self.inputs.iter_time * iterations;
-        with.as_secs_f64() / without.as_secs_f64()
     }
 }
 
@@ -210,6 +156,14 @@ mod tests {
         }
     }
 
+    /// `Tw(N)` when `N` checkpoints share the storage bandwidth equally.
+    fn shared_write_time(inputs: &TunerInputs, n: usize) -> SimDuration {
+        inputs
+            .storage_bandwidth
+            .shared_by(n)
+            .transfer_time(inputs.checkpoint_size)
+    }
+
     #[test]
     fn max_concurrent_respects_storage_budget() {
         let t = Tuner::new(opt13b_inputs()).unwrap();
@@ -218,40 +172,12 @@ mod tests {
     }
 
     #[test]
-    fn write_time_grows_with_contention() {
-        let t = Tuner::new(opt13b_inputs()).unwrap();
-        let tw1 = t.modeled_write_time(1);
-        let tw4 = t.modeled_write_time(4);
-        assert!(tw4 > tw1, "shared storage bandwidth lengthens Tw");
-        // Single checkpoint: 16.2 GB at 0.4324 GB/s ≈ 37.5 s.
-        assert!((tw1.as_secs_f64() - 37.46).abs() < 0.5);
-    }
-
-    #[test]
     fn equation_3_interval() {
         let t = Tuner::new(opt13b_inputs()).unwrap();
         // f* = ceil(Tw / (N q t)); N=2, Tw(2) ≈ 75 s, q=1.05, t=2:
         // 75 / (2*1.05*2) ≈ 17.8 → 18.
-        let tw2 = t.modeled_write_time(2);
-        let f = t.min_interval(2, tw2);
+        let f = t.min_interval(2, shared_write_time(&opt13b_inputs(), 2));
         assert!((17..=19).contains(&f), "f*={f}");
-    }
-
-    #[test]
-    fn recommendation_is_consistent() {
-        let t = Tuner::new(opt13b_inputs()).unwrap();
-        let rec = t.recommend();
-        assert!(rec.concurrent >= 1 && rec.concurrent <= t.max_concurrent());
-        assert!(rec.interval >= 1);
-        // At the recommended configuration, the modeled overhead over a
-        // long run stays within ~q (the dropped f·t term allows slack).
-        let over = t.modeled_overhead(100_000, rec.interval, rec.concurrent, rec.write_time);
-        assert!(
-            over <= 1.05 + 0.01,
-            "overhead {over} exceeds budget at f*={}, N*={}",
-            rec.interval,
-            rec.concurrent
-        );
     }
 
     #[test]
@@ -270,18 +196,10 @@ mod tests {
     fn tighter_budget_means_larger_interval() {
         let mut inputs = opt13b_inputs();
         inputs.max_slowdown = 1.01;
-        let strict = Tuner::new(inputs).unwrap().recommend();
-        let loose = Tuner::new(opt13b_inputs()).unwrap().recommend();
+        let tw = |n| shared_write_time(&opt13b_inputs(), n);
+        let strict = Tuner::new(inputs).unwrap().recommend_with(tw);
+        let loose = Tuner::new(opt13b_inputs()).unwrap().recommend_with(tw);
         assert!(strict.interval >= loose.interval);
-    }
-
-    #[test]
-    fn runtime_model_reduces_to_ideal_without_stalls() {
-        let t = Tuner::new(opt13b_inputs()).unwrap();
-        // Tiny write time: runtime ≈ A·t plus edge terms.
-        let rt = t.modeled_runtime(1000, 10, 2, SimDuration::from_millis(1));
-        let ideal = (SimDuration::from_secs(2) * 1000).as_secs_f64();
-        assert!(rt.as_secs_f64() <= ideal * 1.01 + 25.0);
     }
 
     #[test]
@@ -312,11 +230,11 @@ mod tests {
             storage_budget: ByteSize::from_gb(50.0),
             max_slowdown: 1.05,
         };
-        let t = Tuner::new(inputs).unwrap();
+        let t = Tuner::new(inputs.clone()).unwrap();
         // Measured-style Tw: linear sharing plus 15% per-extra-checkpoint
         // interference → diminishing returns beyond a few.
         let rec = t.recommend_with(|n| {
-            let base = t.modeled_write_time(n).as_secs_f64();
+            let base = shared_write_time(&inputs, n).as_secs_f64();
             SimDuration::from_secs_f64(base * (1.0 + 0.15 * (n as f64 - 1.0)))
         });
         assert!(

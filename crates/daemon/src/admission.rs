@@ -29,7 +29,7 @@ pub struct SystemParams {
     /// Whether tenants may opt into the chunk codec at all. Operators
     /// turn this off fleet-wide (e.g., CPU-starved hosts) and every
     /// admission downgrades the request to a raw persist path.
-    pub allow_codec: bool,
+    pub(crate) allow_codec: bool,
 }
 
 impl Default for SystemParams {
@@ -109,7 +109,16 @@ pub fn decide(
         ));
     }
     let concurrent = spec.max_concurrent.min(cap);
-    let slots = concurrent as u32 + 1;
+    // Slot indices are `u32`: a concurrency whose `N + 1` slots do not fit
+    // one can never run, whatever the store frees.
+    let Some(slots) = u32::try_from(concurrent)
+        .ok()
+        .and_then(|n| n.checked_add(1))
+    else {
+        return Admission::Rejected(format!(
+            "{concurrent} concurrent checkpoints need more slots than a store can hold"
+        ));
+    };
     if free_namespaces == 0 {
         return Admission::Queued(format!(
             "namespace directory full; job needs 1 entry and {slots} slots"
@@ -201,6 +210,28 @@ mod tests {
                 codec: false
             }
         );
+    }
+
+    #[test]
+    fn a_concurrency_whose_slots_overflow_u32_is_rejected() {
+        // A budget of 2^40 KiB holds 2^40 one-KiB checkpoints, so the
+        // §3.4 bound does not clamp N = 2^32, and N + 1 slots overflow.
+        let d = decide(
+            &spec(1, 1 << 32, 1 << 40),
+            ByteSize::from_kb(64),
+            32,
+            4,
+            &SystemParams::default(),
+        );
+        assert!(matches!(d, Admission::Rejected(_)), "{d:?}");
+        let d = decide(
+            &spec(1, u32::MAX as usize, 1 << 40),
+            ByteSize::from_kb(64),
+            32,
+            4,
+            &SystemParams::default(),
+        );
+        assert!(matches!(d, Admission::Rejected(_)), "{d:?}");
     }
 
     #[test]

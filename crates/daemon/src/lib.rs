@@ -28,6 +28,5 @@ pub mod admission;
 pub mod control;
 pub mod service;
 
-pub use admission::{Admission, SystemParams};
 pub use control::ControlServer;
-pub use service::{Daemon, DaemonConfig, JobSpec, JobState, JobStatus, SubmitOutcome};
+pub use service::{Daemon, DaemonConfig, JobSpec, JobState, SubmitOutcome};

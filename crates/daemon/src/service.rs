@@ -59,7 +59,7 @@ pub struct JobSpec {
     pub pacing: std::time::Duration,
     /// Whether this tenant asks for the chunk codec (compression +
     /// dedup framing). Granted only if the operator's
-    /// [`SystemParams::allow_codec`] also permits it.
+    /// `SystemParams::allow_codec` also permits it.
     pub codec: bool,
     /// When nonzero, the sim worker trains on a *compressible* state
     /// built from tiled `compress_period`-byte blocks instead of the
@@ -281,11 +281,11 @@ impl Daemon {
     }
 
     /// Asks the serve loop to exit (the control endpoint's `/shutdown`).
-    pub fn request_quit(&self) {
+    pub(crate) fn request_quit(&self) {
         self.quit.store(true, Ordering::Release);
     }
 
-    /// Whether [`request_quit`](Self::request_quit) has been called.
+    /// Whether `request_quit` has been called.
     pub fn quit_requested(&self) -> bool {
         self.quit.load(Ordering::Acquire)
     }

@@ -38,7 +38,7 @@ use crate::observer::{IoObserver, MemberIoOp};
 use crate::Result;
 
 /// Default per-member submission-queue bound for composites.
-pub const DEFAULT_MEMBER_QUEUE_DEPTH: u64 = 16;
+pub(crate) const DEFAULT_MEMBER_QUEUE_DEPTH: u64 = 16;
 
 /// A bounded submission gate: at most `limit` in-flight operations per
 /// member; excess submitters block until a slot frees.
@@ -179,20 +179,11 @@ impl StripedDevice {
     /// # Panics
     ///
     /// Panics if `limit` is zero.
-    pub fn with_queue_limit(mut self, limit: u64) -> Self {
+    #[cfg(test)]
+    fn with_queue_limit(mut self, limit: u64) -> Self {
         assert!(limit > 0, "queue limit must be positive");
         self.queue_limit = limit;
         self
-    }
-
-    /// Number of member devices.
-    pub fn ways(&self) -> usize {
-        self.members.len()
-    }
-
-    /// The stripe size.
-    pub fn stripe_size(&self) -> ByteSize {
-        ByteSize::from_bytes(self.stripe)
     }
 
     /// Arms a controller-level crash fuse: the next `n` persists succeed
@@ -200,11 +191,6 @@ impl StripedDevice {
     /// becomes durable on any member. The fuse disarms itself after firing.
     pub fn arm_crash_after_persists(&self, n: u64) {
         *self.armed_persists.lock() = n as i64;
-    }
-
-    /// Disarms a previously armed persist-crash fuse.
-    pub fn disarm_crash(&self) {
-        *self.armed_persists.lock() = -1;
     }
 
     /// Registers an [`IoObserver`] that receives one callback per
@@ -287,7 +273,6 @@ impl StripedDevice {
             for member in &self.members {
                 member.crash_now();
             }
-            self.stats.record_crash();
         }
     }
 }
@@ -458,15 +443,11 @@ impl TieredDevice {
     /// # Panics
     ///
     /// Panics if `limit` is zero.
-    pub fn with_queue_limit(mut self, limit: u64) -> Self {
+    #[cfg(test)]
+    fn with_queue_limit(mut self, limit: u64) -> Self {
         assert!(limit > 0, "queue limit must be positive");
         self.queue_limit = limit;
         self
-    }
-
-    /// Bytes served by the hot tier (the spill boundary).
-    pub fn tier_capacity(&self) -> ByteSize {
-        ByteSize::from_bytes(self.tier_cap)
     }
 
     /// Registers an [`IoObserver`] that receives one callback per
@@ -538,7 +519,6 @@ impl TieredDevice {
         if !self.crashed.swap(true, Ordering::Relaxed) {
             self.tier.crash_now();
             self.spill.crash_now();
-            self.stats.record_crash();
         }
     }
 }
@@ -784,8 +764,6 @@ mod tests {
         assert_eq!(array.capacity().as_u64(), 2 * 15 * 64);
         let one = ssd(1000).bandwidth().as_bytes_per_sec();
         assert!((array.bandwidth().as_bytes_per_sec() - 2.0 * one).abs() < 1.0);
-        assert_eq!(array.ways(), 2);
-        assert_eq!(array.stripe_size().as_u64(), 64);
     }
 
     #[test]
@@ -957,10 +935,12 @@ mod tests {
     }
 
     fn tiered(tier_cap: u64, spill_cap: u64) -> (TieredDevice, Arc<PmemDevice>, Arc<SsdDevice>) {
-        let pmem = Arc::new(PmemDevice::optane(
-            ByteSize::from_bytes(tier_cap),
-            PmemWriteMode::NtStore,
-        ));
+        let optane = DeviceConfig {
+            capacity: ByteSize::from_bytes(tier_cap),
+            write_bandwidth: Bandwidth::from_gb_per_sec(4.01),
+            throttled: true,
+        };
+        let pmem = Arc::new(PmemDevice::new(optane, PmemWriteMode::NtStore));
         let spill = ssd(spill_cap);
         let dev = TieredDevice::new(
             pmem.clone() as Arc<dyn PersistentDevice>,
@@ -973,7 +953,6 @@ mod tests {
     fn tiered_splits_at_the_boundary() {
         let (dev, pmem, spill) = tiered(256, 4096);
         assert_eq!(dev.capacity().as_u64(), 256 + 4096);
-        assert_eq!(dev.tier_capacity().as_u64(), 256);
         let data: Vec<u8> = (0..200u32).map(|i| i as u8).collect();
         dev.write_at(200, &data).unwrap(); // 56 bytes tier, 144 spill
         dev.persist(200, 200).unwrap();
@@ -1101,7 +1080,6 @@ mod tests {
         assert!(calls
             .iter()
             .any(|c| c.0 == "spill" && c.1 == MemberIoOp::Read));
-        assert_eq!(MemberIoOp::Read.name(), "read");
     }
 
     #[test]

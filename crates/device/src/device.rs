@@ -24,36 +24,6 @@ pub struct DeviceConfig {
 }
 
 impl DeviceConfig {
-    /// GCP `pd-ssd` profile used throughout the paper's SSD experiments:
-    /// the raw device write rate. (§1's 16 GB / 37 s measurement is the
-    /// *single-threaded* torch.save path, roughly a third of what parallel
-    /// writers achieve — the gap PCcheck's `p` writer threads exploit.)
-    pub fn gcp_pd_ssd(capacity: ByteSize) -> Self {
-        DeviceConfig {
-            capacity,
-            write_bandwidth: Bandwidth::from_gb_per_sec(1.5),
-            throttled: true,
-        }
-    }
-
-    /// Intel Optane AppDirect profile, non-temporal-store path (§3.3).
-    pub fn optane_nt(capacity: ByteSize) -> Self {
-        DeviceConfig {
-            capacity,
-            write_bandwidth: Bandwidth::from_gb_per_sec(4.01),
-            throttled: true,
-        }
-    }
-
-    /// Intel Optane AppDirect profile, `clwb` write-back path (§3.3).
-    pub fn optane_clwb(capacity: ByteSize) -> Self {
-        DeviceConfig {
-            capacity,
-            write_bandwidth: Bandwidth::from_gb_per_sec(2.46),
-            throttled: true,
-        }
-    }
-
     /// An unthrottled profile for logic tests: infinite-speed media.
     pub fn fast_for_tests(capacity: ByteSize) -> Self {
         DeviceConfig {
@@ -79,7 +49,6 @@ pub struct DeviceStats {
     persist_ops: AtomicU64,
     bytes_read: AtomicU64,
     read_ops: AtomicU64,
-    crashes: AtomicU64,
     queue_depth: AtomicU64,
     peak_queue_depth: AtomicU64,
 }
@@ -99,14 +68,9 @@ impl DeviceStats {
         self.persist_ops.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_crash(&self) {
-        self.crashes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn submit_begin(&self) -> u64 {
+    pub(crate) fn submit_begin(&self) {
         let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
         self.peak_queue_depth.fetch_max(depth, Ordering::Relaxed);
-        depth
     }
 
     pub(crate) fn submit_end(&self) {
@@ -136,11 +100,6 @@ impl DeviceStats {
     /// Number of durable read operations served.
     pub fn read_ops(&self) -> u64 {
         self.read_ops.load(Ordering::Relaxed)
-    }
-
-    /// Number of injected crashes.
-    pub fn crashes(&self) -> u64 {
-        self.crashes.load(Ordering::Relaxed)
     }
 
     /// Submissions currently in flight on the device's queue.
@@ -173,7 +132,7 @@ pub struct DeviceStatsReport {
 
 impl DeviceStatsReport {
     /// Snapshots `stats` under `name`.
-    pub fn from_stats(name: impl Into<String>, stats: &DeviceStats) -> Self {
+    pub(crate) fn from_stats(name: impl Into<String>, stats: &DeviceStats) -> Self {
         DeviceStatsReport {
             name: name.into(),
             bytes_written: stats.bytes_written().as_u64(),
@@ -194,19 +153,13 @@ impl DeviceStatsReport {
 #[derive(Debug)]
 pub struct SubmissionTicket<'a> {
     stats: &'a DeviceStats,
-    depth: u64,
 }
 
 impl<'a> SubmissionTicket<'a> {
     /// Enters the submission queue tracked by `stats`.
     pub fn enter(stats: &'a DeviceStats) -> Self {
-        let depth = stats.submit_begin();
-        SubmissionTicket { stats, depth }
-    }
-
-    /// Queue depth observed when this submission entered (including it).
-    pub fn depth(&self) -> u64 {
-        self.depth
+        stats.submit_begin();
+        SubmissionTicket { stats }
     }
 }
 
@@ -303,21 +256,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn profiles_match_paper_numbers() {
-        let cap = ByteSize::from_gb(1.0);
-        let ssd = DeviceConfig::gcp_pd_ssd(cap);
-        assert!((ssd.write_bandwidth.as_gb_per_sec() - 1.5).abs() < 1e-9);
-        let nt = DeviceConfig::optane_nt(cap);
-        assert!((nt.write_bandwidth.as_gb_per_sec() - 4.01).abs() < 1e-9);
-        let clwb = DeviceConfig::optane_clwb(cap);
-        assert!((clwb.write_bandwidth.as_gb_per_sec() - 2.46).abs() < 1e-9);
-        // §3.3's finding: nt-stores beat clwb.
-        assert!(nt.write_bandwidth > clwb.write_bandwidth);
-    }
-
-    #[test]
     fn with_bandwidth_overrides() {
-        let cfg = DeviceConfig::gcp_pd_ssd(ByteSize::from_mb_u64(1))
+        let cfg = DeviceConfig::fast_for_tests(ByteSize::from_mb_u64(1))
             .with_bandwidth(Bandwidth::from_gb_per_sec(2.0));
         assert!((cfg.write_bandwidth.as_gb_per_sec() - 2.0).abs() < 1e-12);
     }
@@ -330,12 +270,10 @@ mod tests {
         stats.record_persist(15);
         stats.record_read(7);
         stats.record_read(3);
-        stats.record_crash();
         assert_eq!(stats.bytes_written().as_u64(), 15);
         assert_eq!(stats.bytes_persisted().as_u64(), 15);
         assert_eq!(stats.persist_ops(), 1);
         assert_eq!(stats.bytes_read().as_u64(), 10);
         assert_eq!(stats.read_ops(), 2);
-        assert_eq!(stats.crashes(), 1);
     }
 }

@@ -217,16 +217,6 @@ impl HostBuffer {
     pub fn as_mut_slice(&mut self) -> &mut [u8] {
         self.data.as_deref_mut().expect("present until drop")
     }
-
-    /// Chunk capacity in bytes.
-    pub fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    /// Always false — chunks are never zero-sized.
-    pub fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
-    }
 }
 
 impl Drop for HostBuffer {
@@ -272,8 +262,7 @@ mod tests {
         let pool = HostBufferPool::new(ByteSize::from_bytes(16), 2);
         let mut a = pool.acquire();
         a.as_mut_slice()[0] = 42;
-        assert_eq!(a.len(), 16);
-        assert!(!a.is_empty());
+        assert_eq!(a.as_slice().len(), 16);
         assert_eq!(pool.available(), 1);
         drop(a);
         assert_eq!(pool.available(), 2);

@@ -13,7 +13,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use pccheck_util::sync::RwLock;
@@ -61,7 +61,6 @@ struct FileState {
 pub struct FileDevice {
     config: DeviceConfig,
     file: File,
-    path: PathBuf,
     state: RwLock<FileState>,
     bucket: Arc<TokenBucket>,
     stats: DeviceStats,
@@ -83,7 +82,7 @@ impl FileDevice {
             .truncate(true)
             .open(&path)?;
         file.set_len(config.capacity.as_u64())?;
-        Ok(Self::from_file(file, path.as_ref().to_path_buf(), config))
+        Ok(Self::from_file(file, config))
     }
 
     /// Opens an existing backing file (the recovery path after a restart).
@@ -101,14 +100,13 @@ impl FileDevice {
                 format!("file holds {len} bytes < capacity {}", config.capacity),
             ));
         }
-        Ok(Self::from_file(file, path.as_ref().to_path_buf(), config))
+        Ok(Self::from_file(file, config))
     }
 
-    fn from_file(file: File, path: PathBuf, config: DeviceConfig) -> Self {
+    fn from_file(file: File, config: DeviceConfig) -> Self {
         let bucket = Arc::new(TokenBucket::new(config.write_bandwidth));
         FileDevice {
             file,
-            path,
             state: RwLock::new(FileState {
                 overlay: Vec::new(),
                 crashed: false,
@@ -117,11 +115,6 @@ impl FileDevice {
             stats: DeviceStats::default(),
             config,
         }
-    }
-
-    /// The backing file's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     fn check_bounds(&self, offset: u64, len: u64) -> Result<()> {
@@ -233,7 +226,6 @@ impl PersistentDevice for FileDevice {
         if !state.crashed {
             state.crashed = true;
             state.overlay.clear(); // the page cache is gone
-            self.stats.record_crash();
         }
     }
 
@@ -251,6 +243,7 @@ impl PersistentDevice for FileDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("pccheck-filedev-{name}"));
@@ -310,7 +303,6 @@ mod tests {
         let mut buf = [0u8; 12];
         dev.read_at(0, &mut buf).expect("read");
         assert_eq!(&buf, b"generation-1");
-        assert_eq!(dev.path(), path.as_path());
         std::fs::remove_dir_all(&dir).ok();
     }
 

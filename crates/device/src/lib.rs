@@ -53,17 +53,15 @@ pub mod pmem;
 pub mod region;
 pub mod ssd;
 
-pub use composite::{StripedDevice, TieredDevice, DEFAULT_MEMBER_QUEUE_DEPTH};
-pub use device::{
-    DeviceConfig, DeviceStats, DeviceStatsReport, PersistentDevice, SubmissionTicket,
-};
+pub use composite::{StripedDevice, TieredDevice};
+pub use device::{DeviceConfig, DeviceStats, PersistentDevice};
 pub use dram::{HostBuffer, HostBufferPool};
 pub use error::DeviceError;
 pub use file::FileDevice;
-pub use network::{NetworkConfig, NetworkLink, RemoteMemory};
+pub use network::{NetworkConfig, NetworkLink};
 pub use observer::{IoObserver, MemberIoOp};
 pub use pmem::{PmemDevice, PmemWriteMode};
-pub use region::{CrashPolicy, MemRegion};
+pub use region::CrashPolicy;
 pub use ssd::SsdDevice;
 
 /// Convenience alias for fallible device operations.

@@ -28,17 +28,6 @@ pub enum MemberIoOp {
     Read,
 }
 
-impl MemberIoOp {
-    /// Stable lowercase label for exporters.
-    pub fn name(self) -> &'static str {
-        match self {
-            MemberIoOp::Write => "write",
-            MemberIoOp::Persist => "persist",
-            MemberIoOp::Read => "read",
-        }
-    }
-}
-
 /// Receives one callback per member-level I/O on a composite device.
 ///
 /// `member` is the composite's stable label for the member (`"stripe-0"`,

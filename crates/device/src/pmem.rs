@@ -37,16 +37,6 @@ pub enum PmemWriteMode {
     ClwbWriteBack,
 }
 
-impl PmemWriteMode {
-    /// The paper-measured bandwidth for this write path.
-    pub fn bandwidth(self) -> Bandwidth {
-        match self {
-            PmemWriteMode::NtStore => Bandwidth::from_gb_per_sec(4.01),
-            PmemWriteMode::ClwbWriteBack => Bandwidth::from_gb_per_sec(2.46),
-        }
-    }
-}
-
 #[derive(Debug)]
 struct PmemState {
     region: MemRegion,
@@ -110,30 +100,15 @@ impl PmemDevice {
         }
     }
 
-    /// Creates an Optane-profiled device for the given mode, with capacity.
-    pub fn optane(capacity: ByteSize, mode: PmemWriteMode) -> Self {
-        let config = DeviceConfig {
-            capacity,
-            write_bandwidth: mode.bandwidth(),
-            throttled: true,
-        };
-        Self::new(config, mode)
-    }
-
     /// The configured write path.
     pub fn mode(&self) -> PmemWriteMode {
         self.mode
     }
 
-    /// Returns `true` if the device is currently crashed.
-    pub fn is_crashed(&self) -> bool {
-        self.state.read().crashed
-    }
-
     /// Persistence fence for the calling thread: all of its earlier stores
     /// become durable. Matches `sfence` after nt-stores, or
     /// `clwb`-per-line + `sfence` for the write-back path. Each pending
-    /// store range persists through [`MemRegion::persist`], which hands each
+    /// store range persists through `MemRegion::persist`, which hands each
     /// page the range leaves clean to the media instead of copying it, so
     /// the fence holds the state lock for page moves (and the odd edge-page
     /// copy), not for a memcpy of every fenced byte.
@@ -160,7 +135,8 @@ impl PmemDevice {
     }
 
     /// Number of bytes stored by the calling thread but not yet fenced.
-    pub fn unfenced_bytes(&self) -> ByteSize {
+    #[cfg(test)]
+    fn unfenced_bytes(&self) -> ByteSize {
         let tid = std::thread::current().id();
         let state = self.state.read();
         ByteSize::from_bytes(
@@ -247,7 +223,6 @@ impl PersistentDevice for PmemDevice {
             state.pending.clear();
             let policy = self.crash_policy;
             state.region.crash(policy);
-            self.stats.record_crash();
         }
     }
 
@@ -271,14 +246,6 @@ mod tests {
             DeviceConfig::fast_for_tests(ByteSize::from_bytes(cap)),
             mode,
         )
-    }
-
-    #[test]
-    fn nt_store_is_faster_than_clwb() {
-        assert!(PmemWriteMode::NtStore.bandwidth() > PmemWriteMode::ClwbWriteBack.bandwidth());
-        let nt = PmemDevice::optane(ByteSize::from_kb(4), PmemWriteMode::NtStore);
-        assert!((nt.bandwidth().as_gb_per_sec() - 4.01).abs() < 1e-9);
-        assert_eq!(nt.mode(), PmemWriteMode::NtStore);
     }
 
     #[test]
@@ -366,7 +333,6 @@ mod tests {
         let pmem = fast(1024, PmemWriteMode::NtStore);
         pmem.write_at(0, &[9; 8]).unwrap();
         pmem.crash_now();
-        assert!(pmem.is_crashed());
         assert_eq!(pmem.write_at(0, &[1]), Err(DeviceError::Crashed));
         assert_eq!(pmem.sfence(), Err(DeviceError::Crashed));
         let mut buf = [0u8; 1];

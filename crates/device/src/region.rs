@@ -1,9 +1,9 @@
 //! The core persistence model: a byte region with a volatile and a durable
 //! view.
 //!
-//! All simulated devices are built on [`MemRegion`]. Writes modify the
+//! All simulated devices are built on `MemRegion`. Writes modify the
 //! *volatile* view (page cache for SSD, CPU caches / write-combining buffers
-//! for PMEM). Only [`MemRegion::persist`] makes a range part of the
+//! for PMEM). Only `MemRegion::persist` makes a range part of the
 //! *durable* view. A crash replaces the volatile view with the durable one —
 //! except under the adversarial [`CrashPolicy::RandomPartial`], where
 //! unpersisted cache lines may or may not have reached the media, modeling
@@ -11,7 +11,7 @@
 //! to the cache may differ from the order in which the content reaches
 //! PMEM").
 //!
-//! The two views share one page table of [`PAGE_SIZE`] pages, the
+//! The two views share one page table of `PAGE_SIZE` pages, the
 //! granularity at which `msync` writes back. A page's media copy is
 //! allocated when the page is first persisted (an absent one reads as
 //! zeros); a page's shadow — its page-cache copy — exists while some byte of
@@ -33,11 +33,11 @@ use crate::Result;
 
 /// Granularity at which the adversarial crash policy decides survival,
 /// matching a CPU cache line.
-pub const CACHE_LINE: u64 = 64;
+pub(crate) const CACHE_LINE: u64 = 64;
 
 /// Granularity at which a region holds memory and moves persisted bytes,
 /// matching an OS page (`msync`'s unit).
-pub const PAGE_SIZE: u64 = 4096;
+pub(crate) const PAGE_SIZE: u64 = 4096;
 
 /// What happens to unpersisted bytes when the device crashes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,25 +119,8 @@ fn copy_out(dst: &mut [u8], page: Option<&Page>, span: Range<usize>) {
 /// A byte region with separate volatile and durable views.
 ///
 /// Not thread-safe by itself; devices wrap it in their own locking.
-///
-/// # Examples
-///
-/// ```
-/// use pccheck_device::{CrashPolicy, MemRegion};
-/// use pccheck_util::ByteSize;
-///
-/// # fn main() -> Result<(), pccheck_device::DeviceError> {
-/// let mut r = MemRegion::new(ByteSize::from_kb(4));
-/// r.write(0, b"hello")?;
-/// r.crash(CrashPolicy::DropUnpersisted);
-/// let mut buf = [0u8; 5];
-/// r.read(0, &mut buf)?;
-/// assert_eq!(&buf, b"\0\0\0\0\0"); // write was never persisted
-/// # Ok(())
-/// # }
-/// ```
 #[derive(Clone)]
-pub struct MemRegion {
+pub(crate) struct MemRegion {
     capacity: u64,
     /// Per page, its media copy: allocated when first persisted.
     durable: Vec<Option<Page>>,
@@ -163,7 +146,7 @@ impl fmt::Debug for MemRegion {
 impl MemRegion {
     /// Creates a zero-filled region of the given capacity. It holds no
     /// page until one is written.
-    pub fn new(capacity: ByteSize) -> Self {
+    pub(crate) fn new(capacity: ByteSize) -> Self {
         let pages = capacity.as_u64().div_ceil(PAGE_SIZE) as usize;
         MemRegion {
             capacity: capacity.as_u64(),
@@ -175,7 +158,7 @@ impl MemRegion {
     }
 
     /// Region capacity in bytes.
-    pub fn capacity(&self) -> ByteSize {
+    pub(crate) fn capacity(&self) -> ByteSize {
         ByteSize::from_bytes(self.capacity)
     }
 
@@ -201,7 +184,7 @@ impl MemRegion {
     /// # Errors
     ///
     /// Returns [`DeviceError::OutOfBounds`] if the write exceeds capacity.
-    pub fn write(&mut self, offset: u64, data: &[u8]) -> Result<()> {
+    pub(crate) fn write(&mut self, offset: u64, data: &[u8]) -> Result<()> {
         self.check_bounds(offset, data.len() as u64)?;
         let end = offset + data.len() as u64;
         for (p, span, at) in spans(offset, end) {
@@ -227,7 +210,7 @@ impl MemRegion {
     /// # Errors
     ///
     /// Returns [`DeviceError::OutOfBounds`] if the read exceeds capacity.
-    pub fn read(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+    pub(crate) fn read(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
         self.check_bounds(offset, buf.len() as u64)?;
         for (p, span, at) in spans(offset, offset + buf.len() as u64) {
             let page = self.shadow[p].as_ref().or(self.durable[p].as_ref());
@@ -241,7 +224,7 @@ impl MemRegion {
     /// # Errors
     ///
     /// Returns [`DeviceError::OutOfBounds`] if the read exceeds capacity.
-    pub fn read_durable(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+    pub(crate) fn read_durable(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
         self.check_bounds(offset, buf.len() as u64)?;
         for (p, span, at) in spans(offset, offset + buf.len() as u64) {
             copy_out(
@@ -261,7 +244,7 @@ impl MemRegion {
     /// # Errors
     ///
     /// Returns [`DeviceError::OutOfBounds`] if the range exceeds capacity.
-    pub fn persist(&mut self, offset: u64, len: u64) -> Result<()> {
+    pub(crate) fn persist(&mut self, offset: u64, len: u64) -> Result<()> {
         self.check_bounds(offset, len)?;
         self.clear_dirty(offset, offset + len);
         for (p, span, _) in spans(offset, offset + len) {
@@ -272,15 +255,6 @@ impl MemRegion {
             }
         }
         Ok(())
-    }
-
-    /// Persists everything (e.g., `msync` over the whole mapping).
-    pub fn persist_all(&mut self) {
-        for (s, e) in std::mem::take(&mut self.dirty) {
-            for (p, _, _) in spans(s, e) {
-                self.install(p);
-            }
-        }
     }
 
     /// Makes page `p`'s shadow, if it has one, its media copy.
@@ -300,12 +274,13 @@ impl MemRegion {
     }
 
     /// Total number of dirty (unpersisted) bytes.
-    pub fn dirty_bytes(&self) -> ByteSize {
+    #[cfg(test)]
+    fn dirty_bytes(&self) -> ByteSize {
         ByteSize::from_bytes(self.dirty.iter().map(|(s, e)| e - s).sum())
     }
 
     /// Returns `true` if any byte in `[offset, offset+len)` is dirty.
-    pub fn is_dirty(&self, offset: u64, len: u64) -> bool {
+    pub(crate) fn is_dirty(&self, offset: u64, len: u64) -> bool {
         let (qs, qe) = (offset, offset + len);
         // Sorted and disjoint, so the ends are sorted too.
         let first = self.dirty.partition_point(|&(_, e)| e <= qs);
@@ -315,7 +290,7 @@ impl MemRegion {
     /// Simulates a crash: the volatile view is reconstructed from the
     /// durable one according to `policy`. Costs the dirty bytes, not the
     /// capacity: every shadow goes spare.
-    pub fn crash(&mut self, policy: CrashPolicy) {
+    pub(crate) fn crash(&mut self, policy: CrashPolicy) {
         let dirty = std::mem::take(&mut self.dirty);
         match policy {
             CrashPolicy::DropUnpersisted => {}
@@ -449,11 +424,6 @@ mod tests {
             self.dirty = next;
         }
 
-        fn persist_all(&mut self) {
-            self.durable.copy_from_slice(&self.volatile);
-            self.dirty.clear();
-        }
-
         fn crash(&mut self, policy: CrashPolicy) {
             if let CrashPolicy::RandomPartial { seed } = policy {
                 let mut coin = Rng::seeded(seed);
@@ -535,9 +505,9 @@ mod tests {
                         format!("persist({off}, {len})")
                     }
                     8 => {
-                        r.persist_all();
-                        model.persist_all();
-                        "persist_all".to_string()
+                        r.persist(0, cap).unwrap();
+                        model.persist(0, cap);
+                        format!("persist(0, {cap})")
                     }
                     9 => {
                         r.crash(CrashPolicy::DropUnpersisted);
@@ -746,17 +716,6 @@ mod tests {
         assert!(!r.is_dirty(40, 20));
         assert!(r.is_dirty(60, 40));
         assert_eq!(r.dirty_bytes().as_u64(), 80);
-    }
-
-    #[test]
-    fn persist_all_clears_everything() {
-        let mut r = region(256);
-        r.write(3, &[7; 200]).unwrap();
-        r.persist_all();
-        assert_eq!(r.dirty_bytes(), ByteSize::ZERO);
-        let mut buf = [0u8; 1];
-        r.read_durable(100, &mut buf).unwrap();
-        assert_eq!(buf[0], 7);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub enum CopyPath {
 
 impl CopyPath {
     /// Bandwidth multiplier relative to the pinned DMA path.
-    pub fn bandwidth_factor(self) -> f64 {
+    pub(crate) fn bandwidth_factor(self) -> f64 {
         match self {
             CopyPath::DmaPinned => 1.0,
             CopyPath::DmaPageable => 0.5,
@@ -40,12 +40,6 @@ impl CopyPath {
             // transfers but pay kernel-launch overheads on chunks.
             CopyPath::Kernel => 0.9,
         }
-    }
-
-    /// Whether this path occupies the GPU's execution engines, stalling
-    /// training kernels while a copy is in flight.
-    pub fn blocks_compute(self) -> bool {
-        matches!(self, CopyPath::Kernel)
     }
 }
 
@@ -105,12 +99,11 @@ impl CopyEngineConfig {
 ///
 /// ```
 /// use pccheck_gpu::{CopyEngine, CopyEngineConfig};
+/// use pccheck_util::ByteSize;
 ///
 /// let engine = CopyEngine::new(CopyEngineConfig::fast_for_tests());
-/// let src = vec![7u8; 1024];
-/// let mut dst = vec![0u8; 1024];
-/// engine.copy_to_host(&src, &mut dst);
-/// assert_eq!(src, dst);
+/// engine.meter(ByteSize::from_kb(1));
+/// assert_eq!(engine.bytes_copied(), 1024);
 /// ```
 #[derive(Debug)]
 pub struct CopyEngine {
@@ -130,23 +123,6 @@ impl CopyEngine {
         }
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> &CopyEngineConfig {
-        &self.config
-    }
-
-    /// Copies `src` into `dst`, blocking to respect PCIe bandwidth when
-    /// throttled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` is shorter than `src`.
-    pub fn copy_to_host(&self, src: &[u8], dst: &mut [u8]) {
-        assert!(dst.len() >= src.len(), "destination too small");
-        self.meter(ByteSize::from_bytes(src.len() as u64));
-        dst[..src.len()].copy_from_slice(src);
-    }
-
     /// Consumes `size` of PCIe bandwidth without moving bytes. Used when
     /// the payload is materialized elsewhere (e.g., serialized straight out
     /// of tensor storage) but the transfer must still be metered.
@@ -164,17 +140,6 @@ impl CopyEngine {
     pub fn bytes_copied(&self) -> u64 {
         self.copied.load(Ordering::Relaxed)
     }
-
-    /// Analytical transfer time for `size` bytes (used by the DES and
-    /// tuner).
-    pub fn transfer_time(&self, size: ByteSize) -> pccheck_util::SimDuration {
-        self.config.effective_bandwidth().transfer_time(size)
-    }
-
-    /// Whether in-flight copies stall training kernels (GPM's path).
-    pub fn blocks_compute(&self) -> bool {
-        self.config.path.blocks_compute()
-    }
 }
 
 #[cfg(test)]
@@ -183,38 +148,10 @@ mod tests {
     use std::time::Instant;
 
     #[test]
-    fn copy_moves_bytes() {
-        let e = CopyEngine::new(CopyEngineConfig::fast_for_tests());
-        let src: Vec<u8> = (0..=255).collect();
-        let mut dst = vec![0u8; 256];
-        e.copy_to_host(&src, &mut dst);
-        assert_eq!(src, dst);
-    }
-
-    #[test]
-    fn copy_into_larger_destination_is_fine() {
-        let e = CopyEngine::new(CopyEngineConfig::fast_for_tests());
-        let mut dst = vec![9u8; 8];
-        e.copy_to_host(&[1, 2], &mut dst);
-        assert_eq!(&dst[..2], &[1, 2]);
-        assert_eq!(dst[2], 9);
-    }
-
-    #[test]
-    #[should_panic(expected = "destination too small")]
-    fn copy_into_smaller_destination_panics() {
-        let e = CopyEngine::new(CopyEngineConfig::fast_for_tests());
-        let mut dst = vec![0u8; 1];
-        e.copy_to_host(&[1, 2], &mut dst);
-    }
-
-    #[test]
     fn metered_bytes_accumulate() {
         let e = CopyEngine::new(CopyEngineConfig::fast_for_tests());
         assert_eq!(e.bytes_copied(), 0);
-        let src = vec![0u8; 100];
-        let mut dst = vec![0u8; 100];
-        e.copy_to_host(&src, &mut dst);
+        e.meter(ByteSize::from_bytes(100));
         e.meter(ByteSize::from_bytes(28));
         assert_eq!(e.bytes_copied(), 128);
     }
@@ -242,15 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn only_kernel_path_blocks_compute() {
-        assert!(!CopyPath::DmaPinned.blocks_compute());
-        assert!(!CopyPath::DmaPageable.blocks_compute());
-        assert!(CopyPath::Kernel.blocks_compute());
-        let e = CopyEngine::new(CopyEngineConfig::fast_for_tests().with_path(CopyPath::Kernel));
-        assert!(e.blocks_compute());
-    }
-
-    #[test]
     fn throttled_copy_takes_time() {
         let cfg = CopyEngineConfig {
             pcie_bandwidth: Bandwidth::from_mb_per_sec(20.0),
@@ -259,24 +187,9 @@ mod tests {
             throttled: true,
         };
         let e = CopyEngine::new(cfg);
-        let src = vec![1u8; 2 * 1024 * 1024];
-        let mut dst = vec![0u8; 2 * 1024 * 1024];
         let start = Instant::now();
-        e.copy_to_host(&src, &mut dst);
+        e.meter(ByteSize::from_mb_u64(2));
         let secs = start.elapsed().as_secs_f64();
         assert!(secs > 0.05, "2MB at 20MB/s should take ~0.1s: {secs}");
-    }
-
-    #[test]
-    fn transfer_time_analytical_model() {
-        let cfg = CopyEngineConfig {
-            pcie_bandwidth: Bandwidth::from_gb_per_sec(12.0),
-            path: CopyPath::DmaPinned,
-            ddio: true,
-            throttled: false,
-        };
-        let e = CopyEngine::new(cfg);
-        let t = e.transfer_time(ByteSize::from_gb(12.0));
-        assert!((t.as_secs_f64() - 1.0).abs() < 1e-9);
     }
 }

@@ -13,7 +13,7 @@
 //!
 //! Every mutation also appends to a bounded *dirty log*: the state's
 //! [`Version`] advances by one and the byte ranges the mutation touched are
-//! remembered for the last [`DIRTY_LOG_LEN`] mutations. A guard reads the
+//! remembered for the last `DIRTY_LOG_LEN` mutations. A guard reads the
 //! log without consuming it ([`SnapshotSource::dirty_since`]), so a copier
 //! that kept an earlier snapshot knows which of its bytes are still
 //! current, however many other guards were taken in between.
@@ -50,7 +50,7 @@ impl GpuConfig {
 
 /// How many mutations the dirty log remembers: a snapshot can say what
 /// changed since any version at most this many mutations old.
-pub const DIRTY_LOG_LEN: usize = 64;
+pub(crate) const DIRTY_LOG_LEN: usize = 64;
 
 /// Where a snapshot sits in its GPU's history.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,7 +134,6 @@ pub struct Gpu {
 
 #[derive(Debug)]
 struct GpuInner {
-    config: GpuConfig,
     state: RwLock<TrainingState>,
     /// Owned read holds out on `state`; see [`OwnedHolds`].
     holds: OwnedHolds,
@@ -174,10 +173,9 @@ impl Gpu {
             state.size(),
             config.memory
         );
-        let engine = CopyEngine::new(config.copy.clone());
+        let engine = CopyEngine::new(config.copy);
         Gpu {
             inner: Arc::new(GpuInner {
-                config,
                 state: RwLock::new(state),
                 holds: OwnedHolds::default(),
                 engine,
@@ -186,11 +184,6 @@ impl Gpu {
                 spare: Mutex::new(None),
             }),
         }
-    }
-
-    /// The GPU configuration.
-    pub fn config(&self) -> &GpuConfig {
-        &self.inner.config
     }
 
     /// The copy engine (shared by concurrent checkpoint copies).
@@ -215,7 +208,7 @@ impl Gpu {
 
     /// Applies one *sparse* update step: only the trailing
     /// `update_fraction` of each tensor mutates (see
-    /// [`TrainingState::step_sparse`]), and the mutated ranges go into the
+    /// `TrainingState::step_sparse`), and the mutated ranges go into the
     /// dirty log.
     pub fn update_sparse(&self, update_fraction: f64) {
         let _turn = self.inner.holds.write_turn();
@@ -357,7 +350,7 @@ impl OwnedHolds {
 /// Merges a set of `(offset, len)` byte ranges: sorts by offset and
 /// coalesces overlapping or adjacent ranges into a minimal sorted set.
 /// Zero-length ranges are dropped.
-pub fn merge_ranges(mut ranges: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+pub(crate) fn merge_ranges(mut ranges: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     ranges.retain(|&(_, len)| len > 0);
     ranges.sort_unstable();
     let mut out: Vec<(u64, u64)> = Vec::with_capacity(ranges.len());

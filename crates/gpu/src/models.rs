@@ -37,7 +37,7 @@ pub enum GpuKind {
 impl GpuKind {
     /// Compute speed multiplier relative to the A100 baseline: iteration
     /// times are divided by this factor.
-    pub fn compute_factor(self) -> f64 {
+    pub(crate) fn compute_factor(self) -> f64 {
         match self {
             GpuKind::A100 => 1.0,
             // The RTX runs BERT visibly slower (§5.2.4); ~2x is consistent
@@ -80,7 +80,7 @@ pub struct ModelSpec {
     /// single-GPU workloads; 2 for OPT-2.7B; 6 for BLOOM-7B).
     pub nodes: u32,
     /// Calibrated per-iteration time on an A100 (forward+backward+update).
-    pub iter_time_a100: SimDuration,
+    pub(crate) iter_time_a100: SimDuration,
 }
 
 impl ModelSpec {
@@ -135,7 +135,7 @@ impl ModelZoo {
     }
 
     /// Transformer-XL on WikiText: 192 M params, 2.7 GB checkpoint.
-    pub fn transformer_xl() -> ModelSpec {
+    pub(crate) fn transformer_xl() -> ModelSpec {
         ModelSpec {
             name: "TransformerXL",
             dataset: "WikiText",
@@ -177,7 +177,7 @@ impl ModelZoo {
     }
 
     /// OPT-2.7B on WikiText: 45 GB checkpoint over 2 pipeline nodes.
-    pub fn opt_2_7b() -> ModelSpec {
+    pub(crate) fn opt_2_7b() -> ModelSpec {
         ModelSpec {
             name: "OPT-2.7B",
             dataset: "WikiText",
@@ -234,67 +234,6 @@ impl ModelZoo {
         Self::all()
             .into_iter()
             .find(|m| m.name.eq_ignore_ascii_case(name))
-    }
-
-    /// Sparse-update workload family: each entry is a Table-3 model whose
-    /// synthetic step mutates only `update_fraction` of the state, spanning
-    /// sparsities of 1/10/50/100%.
-    pub fn sparse_family() -> Vec<SparseModelSpec> {
-        vec![
-            SparseModelSpec {
-                name: "BERT-frozen-backbone",
-                base: Self::bert(),
-                update_fraction: 0.01,
-            },
-            SparseModelSpec {
-                name: "OPT-1.3B-LoRA",
-                base: Self::opt_1_3b(),
-                update_fraction: 0.10,
-            },
-            SparseModelSpec {
-                name: "TransformerXL-embeddings",
-                base: Self::transformer_xl(),
-                update_fraction: 0.50,
-            },
-            SparseModelSpec {
-                name: "VGG16-dense",
-                base: Self::vgg16(),
-                update_fraction: 1.0,
-            },
-        ]
-    }
-
-    /// Looks a sparse workload up by (case-insensitive) name.
-    pub fn sparse_by_name(name: &str) -> Option<SparseModelSpec> {
-        Self::sparse_family()
-            .into_iter()
-            .find(|m| m.name.eq_ignore_ascii_case(name))
-    }
-}
-
-/// A sparse-update variant of a catalog model: fine-tuning regimes where
-/// each optimizer step touches only a fraction of the checkpointed state
-/// (frozen backbone layers, LoRA adapters, hot embedding rows). The
-/// `update_fraction` knob feeds
-/// [`TrainingState::step_sparse`](crate::TrainingState::step_sparse), so
-/// the per-step dirty footprint is calibrated exactly like the dense
-/// models' checkpoint sizes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SparseModelSpec {
-    /// Workload name (model + sparsity regime).
-    pub name: &'static str,
-    /// The dense model this workload fine-tunes.
-    pub base: ModelSpec,
-    /// Fraction of each tensor's bytes one step mutates, in `(0, 1]`.
-    pub update_fraction: f64,
-}
-
-impl SparseModelSpec {
-    /// Bytes one optimizer step dirties (per node).
-    pub fn dirty_bytes_per_step(&self) -> ByteSize {
-        ByteSize::from_bytes(
-            (self.base.shard_size().as_u64() as f64 * self.update_fraction).ceil() as u64,
-        )
     }
 }
 
@@ -382,21 +321,6 @@ mod tests {
         assert_eq!(models.len(), 6);
         assert_eq!(models[0].name, "VGG16");
         assert_eq!(models[5].name, "BLOOM-7B");
-    }
-
-    #[test]
-    fn sparse_family_spans_the_sparsity_sweep() {
-        let family = ModelZoo::sparse_family();
-        let fractions: Vec<f64> = family.iter().map(|m| m.update_fraction).collect();
-        assert_eq!(fractions, vec![0.01, 0.10, 0.50, 1.0]);
-        for m in &family {
-            assert!(m.update_fraction > 0.0 && m.update_fraction <= 1.0);
-            assert!(m.dirty_bytes_per_step() <= m.base.shard_size());
-        }
-        // The 10% LoRA workload dirties ~1.62 GB of OPT-1.3B per step.
-        let lora = ModelZoo::sparse_by_name("opt-1.3b-lora").unwrap();
-        assert!((lora.dirty_bytes_per_step().as_gb() - 1.62).abs() < 0.01);
-        assert!(ModelZoo::sparse_by_name("GPT-5-lora").is_none());
     }
 
     #[test]

@@ -114,7 +114,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if `start` exceeds the tensor size.
-    pub fn step_suffix(&mut self, step: u64, start: usize) {
+    pub(crate) fn step_suffix(&mut self, step: u64, start: usize) {
         let delta = (step as u8).wrapping_mul(2).wrapping_add(1); // odd => bijective
         for b in &mut self.data[start..] {
             *b = b.wrapping_add(delta).rotate_left(1);
@@ -241,7 +241,7 @@ impl TrainingState {
     /// `update_fraction` is clamped to `[0, 1]`; at `1.0` this is
     /// byte-for-byte identical to [`step`](Self::step). The step counter
     /// advances regardless, so digests still distinguish iterations.
-    pub fn step_sparse(&mut self, update_fraction: f64) -> Vec<(u64, u64)> {
+    pub(crate) fn step_sparse(&mut self, update_fraction: f64) -> Vec<(u64, u64)> {
         let f = update_fraction.clamp(0.0, 1.0);
         self.step += 1;
         let step = self.step;
@@ -294,7 +294,7 @@ impl TrainingState {
     /// # Panics
     ///
     /// Panics if the range exceeds the state size.
-    pub fn serialize_range(&self, offset: u64, out: &mut [u8]) {
+    pub(crate) fn serialize_range(&self, offset: u64, out: &mut [u8]) {
         let end = offset + out.len() as u64;
         assert!(end <= self.size().as_u64(), "range exceeds state size");
         let mut t_start = 0u64;
@@ -313,7 +313,7 @@ impl TrainingState {
     }
 
     /// A zero-filled state of `layout` at step 0: the staging image a
-    /// restore fills through [`pieces_mut`](Self::pieces_mut) and then
+    /// restore fills through `pieces_mut` and then
     /// installs whole, so the bytes that landed are the bytes that train.
     pub fn zeroed(layout: &StateLayout) -> Self {
         let zeroed = |(name, size): &(String, ByteSize)| Tensor {
@@ -328,7 +328,7 @@ impl TrainingState {
 
     /// The tensors' storage as disjoint pieces, in serialized order — the
     /// serialized byte at offset `o` is byte `o` of their concatenation.
-    pub fn pieces_mut(&mut self) -> Vec<&mut [u8]> {
+    pub(crate) fn pieces_mut(&mut self) -> Vec<&mut [u8]> {
         self.tensors
             .iter_mut()
             .map(|t| t.data.as_mut_slice())

@@ -41,14 +41,6 @@ pub struct TrainingReport {
     pub checkpoints_requested: u64,
 }
 
-impl TrainingReport {
-    /// Slowdown of this run relative to a baseline (≥ 1 when checkpointing
-    /// costs anything).
-    pub fn slowdown_vs(&self, baseline: &TrainingReport) -> f64 {
-        baseline.throughput / self.throughput
-    }
-}
-
 impl TrainingLoop {
     /// Creates a loop over `gpu` with the given modeled compute time.
     pub fn new(gpu: Gpu, iter_compute: SimDuration) -> Self {
@@ -77,11 +69,6 @@ impl TrainingLoop {
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
-    }
-
-    /// The GPU being trained.
-    pub fn gpu(&self) -> &Gpu {
-        &self.gpu
     }
 
     /// Runs `iterations` iterations, invoking `ckpt` at boundaries, and
@@ -171,24 +158,6 @@ mod tests {
             report.throughput
         );
         assert!(report.elapsed.as_secs_f64() >= 0.099);
-    }
-
-    #[test]
-    fn slowdown_is_ratio_of_throughputs() {
-        let fast = TrainingReport {
-            iterations: 10,
-            elapsed: SimDuration::from_secs(1),
-            throughput: 10.0,
-            checkpoints_requested: 0,
-        };
-        let slow = TrainingReport {
-            iterations: 10,
-            elapsed: SimDuration::from_secs(2),
-            throughput: 5.0,
-            checkpoints_requested: 0,
-        };
-        assert_eq!(slow.slowdown_vs(&fast), 2.0);
-        assert_eq!(fast.slowdown_vs(&fast), 1.0);
     }
 
     #[test]

@@ -25,27 +25,27 @@ use pccheck_telemetry::{SpanId, Telemetry};
 use pccheck_util::{ByteSize, CsvWriter};
 
 /// Tile periods swept (`0` = RNG-dense incompressible state).
-pub const PERIODS: [usize; 3] = [0, 16, 64];
+pub(crate) const PERIODS: [usize; 3] = [0, 16, 64];
 
 /// Update sparsities swept (fraction of each tensor mutated per step).
-pub const SPARSITIES: [f64; 3] = [0.05, 0.50, 1.00];
+pub(crate) const SPARSITIES: [f64; 3] = [0.05, 0.50, 1.00];
 
 /// Update sparsity of the mixed-state row.
-pub const MIXED_SPARSITY: f64 = 0.05;
+pub(crate) const MIXED_SPARSITY: f64 = 0.05;
 
 /// Training-state size per run of the period sweep.
 pub const STATE_BYTES: u64 = 256 * 1024;
 
 /// Staging/codec chunk size of the period sweep.
-pub const CHUNK_BYTES: u64 = 8 * 1024;
+pub(crate) const CHUNK_BYTES: u64 = 8 * 1024;
 
 /// Training-state size of the mixed-state row: large enough that the 5%
 /// of the dense tensor a step dirties spans several chunks, so that the
 /// codec and not chunk rounding sets the persisted share.
-pub const MIXED_STATE_BYTES: u64 = 4 * 1024 * 1024;
+pub(crate) const MIXED_STATE_BYTES: u64 = 4 * 1024 * 1024;
 
 /// Staging/codec chunk size of the mixed-state row.
-pub const MIXED_CHUNK_BYTES: u64 = 16 * 1024;
+pub(crate) const MIXED_CHUNK_BYTES: u64 = 16 * 1024;
 
 /// Checkpoints per run.
 pub const CHECKPOINTS: u64 = 8;

@@ -16,7 +16,7 @@ use pccheck_util::{Bandwidth, CsvWriter, SimDuration};
 use crate::sweep::{load_time, run_point};
 
 /// Burst probabilities swept.
-pub const BURST_PROBS: [f64; 5] = [0.0, 0.2, 0.4, 0.6, 0.8];
+pub(crate) const BURST_PROBS: [f64; 5] = [0.0, 0.2, 0.4, 0.6, 0.8];
 
 /// One row: goodput of both schemes at one bulk-preemption rate.
 #[derive(Debug, Clone, PartialEq)]

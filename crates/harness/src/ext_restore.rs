@@ -33,11 +33,11 @@ use crate::HostPayload;
 pub const READERS: [usize; 3] = [1, 2, 4];
 
 /// Stripe widths swept (1 = a single SSD, no striping).
-pub const WAYS: [u32; 2] = [1, 4];
+pub(crate) const WAYS: [u32; 2] = [1, 4];
 
 /// Per-member media bandwidth. Modest on purpose: restore must be
 /// device-bound so the sweep measures read fan-out, not memcpy speed.
-pub const MEMBER_MB_PER_SEC: f64 = 200.0;
+pub(crate) const MEMBER_MB_PER_SEC: f64 = 200.0;
 
 /// Stripe unit. Must comfortably exceed each member's token-bucket burst
 /// bank (~10 ms ≈ 2 MB at 200 MB/s): with small units a *single*
@@ -45,22 +45,16 @@ pub const MEMBER_MB_PER_SEC: f64 = 200.0;
 /// and already restores at aggregate bandwidth, hiding reader fan-out.
 /// With 8 MiB units a lone reader pays real throttle time per unit while
 /// `r` readers drain `r` members' buckets concurrently.
-pub const STRIPE_UNIT: u64 = 8 * 1024 * 1024;
+pub(crate) const STRIPE_UNIT: u64 = 8 * 1024 * 1024;
 
 /// The persist-side staging chunk, and so the committed frame's record
 /// size: the restore's read granularity.
-pub const READ_CHUNK: u64 = 128 * 1024;
+pub(crate) const READ_CHUNK: u64 = 128 * 1024;
 
 /// Payload sizes swept by [`run`]. The larger size gives every 4-reader
 /// run a whole stripe unit, so reader `k` maps to member `k`.
 pub fn sizes() -> Vec<ByteSize> {
     vec![ByteSize::from_mb_u64(16), ByteSize::from_mb_u64(32)]
-}
-
-/// A single-size smoke geometry for CI: one stripe unit per reader at
-/// the widest point, finishing in a couple hundred milliseconds.
-pub fn smoke_sizes() -> Vec<ByteSize> {
-    vec![ByteSize::from_mb_u64(32)]
 }
 
 /// One sweep row.
@@ -159,7 +153,7 @@ fn measure_store(store: &Arc<CheckpointStore>, readers: usize) -> f64 {
 }
 
 /// Runs the sweep over `sizes` × [`WAYS`] × [`READERS`].
-pub fn run_with(sizes: &[ByteSize]) -> Vec<ExtRestoreRow> {
+pub(crate) fn run_with(sizes: &[ByteSize]) -> Vec<ExtRestoreRow> {
     let mut rows = Vec::new();
     for &size in sizes {
         for &ways in &WAYS {
@@ -215,6 +209,12 @@ pub fn write_csv<W: std::io::Write>(rows: &[ExtRestoreRow], out: W) -> std::io::
 mod tests {
     use super::*;
     use std::sync::OnceLock;
+
+    /// A single-size smoke geometry for CI: one stripe unit per reader at
+    /// the widest point, finishing in a couple hundred milliseconds.
+    fn smoke_sizes() -> Vec<ByteSize> {
+        vec![ByteSize::from_mb_u64(32)]
+    }
 
     /// One shared smoke sweep: the geometry is device-throttled, so the
     /// run costs real wall-clock time — both tests read the same rows.

@@ -13,7 +13,7 @@ use pccheck_sim::{SimConfig, StrategyCfg};
 use pccheck_util::{ByteSize, CsvWriter};
 
 /// Stripe widths swept.
-pub const WAYS: [u32; 3] = [1, 2, 4];
+pub(crate) const WAYS: [u32; 3] = [1, 2, 4];
 
 /// Writer threads per checkpoint — enough that `p` per-writer caps exceed
 /// the 4-way aggregate bandwidth, so the device array is the bottleneck.

@@ -11,7 +11,7 @@ use pccheck_util::{ByteSize, CsvWriter};
 
 /// The checkpoint sizes swept (Table 3 sizes: VGG16, TransformerXL, BERT,
 /// OPT-1.3B).
-pub fn paper_sizes() -> Vec<ByteSize> {
+pub(crate) fn paper_sizes() -> Vec<ByteSize> {
     vec![
         ByteSize::from_gb(1.1),
         ByteSize::from_gb(2.7),

@@ -9,7 +9,7 @@ use crate::sweep::iterations_for;
 use crate::PAPER_INTERVALS;
 
 /// The concurrency levels the paper sweeps.
-pub const N_VALUES: [usize; 3] = [1, 2, 4];
+pub(crate) const N_VALUES: [usize; 3] = [1, 2, 4];
 
 /// One Figure 12 row.
 #[derive(Debug, Clone, PartialEq)]

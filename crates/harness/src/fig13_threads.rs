@@ -11,9 +11,9 @@ use crate::sweep::iterations_for;
 /// Fixed checkpoint interval (the paper uses 10).
 pub const INTERVAL: u64 = 10;
 /// Concurrency levels swept.
-pub const N_VALUES: [usize; 3] = [1, 2, 3];
+pub(crate) const N_VALUES: [usize; 3] = [1, 2, 3];
 /// Writer-thread counts swept.
-pub const P_VALUES: [usize; 3] = [1, 2, 3];
+pub(crate) const P_VALUES: [usize; 3] = [1, 2, 3];
 
 /// One Figure 13 row.
 #[derive(Debug, Clone, PartialEq)]

@@ -12,9 +12,9 @@ use crate::sweep::iterations_for;
 /// Fixed checkpoint interval (the paper uses 15).
 pub const INTERVAL: u64 = 15;
 /// DRAM budgets as multiples of the checkpoint size `m`.
-pub const DRAM_FACTORS: [f64; 3] = [1.0, 1.5, 2.0];
+pub(crate) const DRAM_FACTORS: [f64; 3] = [1.0, 1.5, 2.0];
 /// Pipelined variants: chunks per checkpoint (the paper's `p_2`, `p_4`).
-pub const PIPELINE_CHUNKS: [u64; 2] = [2, 4];
+pub(crate) const PIPELINE_CHUNKS: [u64; 2] = [2, 4];
 
 /// One Figure 14 row.
 #[derive(Debug, Clone, PartialEq)]

@@ -38,7 +38,7 @@ pub struct Fig1Row {
     pub recovery_secs: f64,
     /// Measured recovery-protocol time (seconds): scan + load + verify on
     /// a concrete store, from [`recover_instrumented`]'s trace.
-    pub recovery_protocol_measured_secs: f64,
+    pub(crate) recovery_protocol_measured_secs: f64,
 }
 
 /// Measures the recovery protocol (slot scan, payload load, digest

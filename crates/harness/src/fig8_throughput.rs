@@ -12,7 +12,7 @@ use crate::PAPER_INTERVALS;
 
 /// The strategies compared for a given model (Gemini only in distributed
 /// setups, matching §5.1).
-pub fn strategies_for(model: &ModelSpec) -> Vec<StrategyCfg> {
+pub(crate) fn strategies_for(model: &ModelSpec) -> Vec<StrategyCfg> {
     let mut s = vec![
         StrategyCfg::CheckFreq,
         StrategyCfg::Gpm,
@@ -31,12 +31,6 @@ pub fn run() -> Vec<SweepRow> {
         rows.extend(sweep_ssd(&model, &strategies_for(&model), &PAPER_INTERVALS));
     }
     rows
-}
-
-/// Runs one model's panel (used by the artifact-style "focus on 8b" flow).
-pub fn run_model(name: &str) -> Vec<SweepRow> {
-    let model = ModelZoo::by_name(name).expect("known model");
-    sweep_ssd(&model, &strategies_for(&model), &PAPER_INTERVALS)
 }
 
 /// Writes the rows as CSV.
@@ -67,6 +61,13 @@ pub fn write_csv<W: std::io::Write>(rows: &[SweepRow], out: W) -> std::io::Resul
         ])?;
     }
     w.flush()
+}
+
+/// Runs one model's panel.
+#[cfg(test)]
+pub(crate) fn run_model(name: &str) -> Vec<SweepRow> {
+    let model = ModelZoo::by_name(name).expect("known model");
+    sweep_ssd(&model, &strategies_for(&model), &PAPER_INTERVALS)
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ pub fn run(seed: u64) -> Vec<GoodputRow> {
 }
 
 /// Runs one model's panel.
-pub fn run_model(model: &ModelSpec, trace: &PreemptionTrace) -> Vec<GoodputRow> {
+pub(crate) fn run_model(model: &ModelSpec, trace: &PreemptionTrace) -> Vec<GoodputRow> {
     goodput_sweep(model, &strategies_for(model), &PAPER_INTERVALS, trace)
 }
 
@@ -54,26 +54,26 @@ pub fn write_csv<W: std::io::Write>(rows: &[GoodputRow], out: W) -> std::io::Res
     w.flush()
 }
 
-/// The maximum per-interval goodput ratio of PCcheck over `baseline`
-/// across a model's rows (the paper's "up to 2.86× higher goodput").
-pub fn max_ratio_vs(rows: &[GoodputRow], baseline: &str) -> f64 {
-    let mut best: f64 = 0.0;
-    for r in rows.iter().filter(|r| r.strategy.starts_with("pccheck")) {
-        if let Some(b) = rows
-            .iter()
-            .find(|b| b.strategy.starts_with(baseline) && b.interval == r.interval)
-        {
-            if b.goodput > 0.0 {
-                best = best.max(r.goodput / b.goodput);
-            }
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The maximum per-interval goodput ratio of PCcheck over `baseline`
+    /// across a model's rows (the paper's "up to 2.86× higher goodput").
+    fn max_ratio_vs(rows: &[GoodputRow], baseline: &str) -> f64 {
+        let mut best: f64 = 0.0;
+        for r in rows.iter().filter(|r| r.strategy.starts_with("pccheck")) {
+            if let Some(b) = rows
+                .iter()
+                .find(|b| b.strategy.starts_with(baseline) && b.interval == r.interval)
+            {
+                if b.goodput > 0.0 {
+                    best = best.max(r.goodput / b.goodput);
+                }
+            }
+        }
+        best
+    }
 
     #[test]
     fn opt13b_goodput_shapes_hold() {

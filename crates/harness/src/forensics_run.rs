@@ -255,8 +255,6 @@ pub fn crash_matrix() -> Vec<ForensicsRunConfig> {
 /// Everything one crash scenario produces.
 #[derive(Debug)]
 pub struct ForensicsRun {
-    /// Where the crash was injected.
-    pub crash_point: CrashPoint,
     /// The tenant whose checkpoint the crash interrupted, and whom
     /// recovery ran for.
     pub job: JobId,
@@ -272,7 +270,7 @@ pub struct ForensicsRun {
     /// The bytes a correct recovery restores: the crashed checkpoint's
     /// after [`CrashPoint::AfterCommit`], the committed frame's state
     /// after [`CrashPoint::DedupChain`], the tenant's baseline otherwise.
-    pub expected_payload: Vec<u8>,
+    pub(crate) expected_payload: Vec<u8>,
     /// Measured recovery-path phase latencies.
     pub trace: RecoveryTrace,
     /// Every tenant's baseline state, `(job, state)` in
@@ -759,7 +757,6 @@ pub fn run_crash_scenario(
     let (recovered, trace) =
         recover_instrumented_with(Arc::clone(&device), &Telemetry::disabled(), options)?;
     Ok(ForensicsRun {
-        crash_point: point,
         job,
         device,
         report,

@@ -27,10 +27,10 @@ pub mod tables;
 pub mod telemetry_run;
 
 /// The checkpoint intervals the paper sweeps in most figures.
-pub const PAPER_INTERVALS: [u64; 5] = [1, 10, 25, 50, 100];
+pub(crate) const PAPER_INTERVALS: [u64; 5] = [1, 10, 25, 50, 100];
 
 /// Default output directory for CSVs.
-pub const RESULTS_DIR: &str = "results";
+pub(crate) const RESULTS_DIR: &str = "results";
 
 /// A host-resident payload standing in for GPU weights.
 pub(crate) struct HostPayload {

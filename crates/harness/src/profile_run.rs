@@ -14,9 +14,9 @@ use std::sync::Arc;
 
 use pccheck::{recover_instrumented, CheckpointStore, PcCheckConfig, PcCheckEngine, PccheckError};
 use pccheck_device::{DeviceConfig, PersistentDevice, SsdDevice, StripedDevice};
-use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingLoop, TrainingReport, TrainingState};
+use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingLoop, TrainingState};
 use pccheck_telemetry::{
-    build_ledgers, CommitLedger, ProfileArchive, RunProfile, Telemetry, TelemetryIoObserver,
+    build_ledgers, ProfileArchive, RunProfile, Telemetry, TelemetryIoObserver,
 };
 use pccheck_util::{Bandwidth, ByteSize, SimDuration};
 
@@ -82,16 +82,12 @@ impl ProfileRunConfig {
 pub struct ProfiledRun {
     /// The archived summary.
     pub profile: RunProfile,
-    /// Per-commit causal ledgers behind the summary.
-    pub ledgers: Vec<CommitLedger>,
-    /// Wall-clock training report.
-    pub report: TrainingReport,
     /// The live handle, for exporting raw events or annotated traces.
     pub telemetry: Telemetry,
 }
 
 /// The on-disk profile archive every harness binary shares.
-pub fn profiles_dir() -> PathBuf {
+pub(crate) fn profiles_dir() -> PathBuf {
     PathBuf::from(crate::RESULTS_DIR).join("profiles")
 }
 
@@ -152,19 +148,13 @@ pub fn run_profiled(run: &str, cfg: &ProfileRunConfig) -> Result<ProfiledRun, Pc
     let lp = TrainingLoop::new(gpu, SimDuration::ZERO)
         .with_interval(cfg.interval)
         .with_telemetry(telemetry.clone());
-    let report = lp.run(cfg.iterations, &engine);
+    lp.run(cfg.iterations, &engine);
     engine.drain();
     if cfg.restore_leg {
         recover_instrumented(device, &telemetry)?;
     }
-    let ledgers = build_ledgers(&telemetry.events());
-    let profile = RunProfile::from_ledgers(run, &ledgers);
-    Ok(ProfiledRun {
-        profile,
-        ledgers,
-        report,
-        telemetry,
-    })
+    let profile = RunProfile::from_ledgers(run, &build_ledgers(&telemetry.events()));
+    Ok(ProfiledRun { profile, telemetry })
 }
 
 /// Harness hook: runs the canonical workload and archives its profile
@@ -192,8 +182,9 @@ mod tests {
         assert!(run.profile.commits >= 1, "{:?}", run.profile);
         assert!(run.profile.critical_nanos_median > 0);
         // Writer legs and stripe-member legs both landed in the ledgers.
+        let ledgers = build_ledgers(&run.telemetry.events());
         let has = |kind: NodeKind| {
-            run.ledgers
+            ledgers
                 .iter()
                 .any(|l| l.nodes.iter().any(|n| n.kind == kind))
         };

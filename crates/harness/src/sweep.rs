@@ -20,18 +20,13 @@ pub struct SweepRow {
     /// Slowdown relative to the no-checkpoint run (≥ 1).
     pub slowdown: f64,
     /// Mean end-to-end checkpoint write time `Tw` (seconds).
-    pub write_time_secs: f64,
+    pub(crate) write_time_secs: f64,
 }
 
 /// Iterations to simulate for a given interval: enough checkpoint cycles
 /// for steady state, bounded to keep sweeps fast.
-pub fn iterations_for(interval: u64) -> u64 {
+pub(crate) fn iterations_for(interval: u64) -> u64 {
     (interval * 20).clamp(200, 3000)
-}
-
-/// Runs the no-checkpoint baseline for a config template.
-pub fn ideal_report(template: &SimConfig) -> SimReport {
-    template.clone().with_strategy(StrategyCfg::Ideal).run()
 }
 
 /// Runs one strategy at one interval on the SSD/A100 testbed.
@@ -43,7 +38,7 @@ pub fn run_point(model: &ModelSpec, strategy: StrategyCfg, interval: u64) -> Sim
 
 /// Sweeps `strategies × intervals` for `model`, with slowdowns relative to
 /// the ideal run at the same interval count.
-pub fn sweep_ssd(
+pub(crate) fn sweep_ssd(
     model: &ModelSpec,
     strategies: &[StrategyCfg],
     intervals: &[u64],
@@ -94,7 +89,7 @@ pub fn load_time(model: &ModelSpec) -> SimDuration {
 
 /// Replays the spot trace for `strategies × intervals` on `model`,
 /// including the ideal upper bound.
-pub fn goodput_sweep(
+pub(crate) fn goodput_sweep(
     model: &ModelSpec,
     strategies: &[StrategyCfg],
     intervals: &[u64],

@@ -10,10 +10,7 @@
 
 use std::sync::Arc;
 
-use pccheck::{
-    recover_instrumented, CheckpointStore, PcCheckConfig, PcCheckEngine, PccheckError,
-    RecoveryTrace,
-};
+use pccheck::{recover_instrumented, CheckpointStore, PcCheckConfig, PcCheckEngine, PccheckError};
 use pccheck_baselines::{
     CheckFreqCheckpointer, GeminiCheckpointer, GpmCheckpointer, TraditionalCheckpointer,
 };
@@ -70,9 +67,6 @@ pub struct InstrumentedRun {
     pub snapshot: TelemetrySnapshot,
     /// Stall/goodput accounting derived from the event stream.
     pub accounting: RunAccounting,
-    /// Measured recovery trace, when the run included a restore leg
-    /// ([`InstrumentedRunConfig::restore_leg`]).
-    pub recovery: Option<RecoveryTrace>,
     /// The live handle, for exporting the raw events afterwards.
     pub telemetry: Telemetry,
 }
@@ -165,13 +159,9 @@ pub fn run_instrumented(
         .with_interval(cfg.interval)
         .with_telemetry(telemetry.clone());
     let report = lp.run(cfg.iterations, ckpt.as_ref());
-    let recovery = match (cfg.restore_leg, device) {
-        (true, Some(device)) => {
-            let (_recovered, trace) = recover_instrumented(device, &telemetry)?;
-            Some(trace)
-        }
-        _ => None,
-    };
+    if let (true, Some(device)) = (cfg.restore_leg, device) {
+        recover_instrumented(device, &telemetry)?;
+    }
     let accounting = RunAccounting::from_events(&telemetry.events());
     let snapshot = telemetry
         .snapshot()
@@ -181,7 +171,6 @@ pub fn run_instrumented(
         report,
         snapshot,
         accounting,
-        recovery,
         telemetry,
     })
 }
@@ -223,24 +212,20 @@ mod tests {
     }
 
     #[test]
-    fn restore_leg_appends_recovery_trace() {
+    fn restore_leg_appends_a_recovery_span() {
         let cfg = InstrumentedRunConfig {
             restore_leg: true,
             ..InstrumentedRunConfig::default()
         };
         let run = run_instrumented("pccheck", &cfg).unwrap();
-        let trace = run.recovery.expect("restore leg ran");
-        // The run checkpoints at iterations 5/10/15/20; recovery lands on
-        // the newest committed one.
-        assert_eq!(trace.iteration, 20);
-        assert!(trace.total_nanos > 0);
-        // The recovery span rides the same timeline: one extra requested
-        // span beyond the training run's four.
+        // The run checkpoints at iterations 5/10/15/20; the recovery span
+        // rides the same timeline: one extra requested span beyond the
+        // training run's four.
         assert_eq!(run.snapshot.counters.requested, 5);
         // Baselines have no PCcheck store to recover from; the flag is a
         // quiet no-op there.
         let run = run_instrumented("traditional", &cfg).unwrap();
-        assert!(run.recovery.is_none());
+        assert_eq!(run.snapshot.counters.requested, 4);
     }
 
     #[test]

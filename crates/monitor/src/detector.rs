@@ -13,8 +13,6 @@
 //! checkpoints — normalizes by the iteration gap, and flags deviations
 //! beyond a configurable multiple of the trailing window's spread.
 
-use pccheck_telemetry::Telemetry;
-
 /// One flagged observation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnomalyReport {
@@ -26,15 +24,6 @@ pub struct AnomalyReport {
     pub expected: f64,
     /// `magnitude / expected` (∞-safe: 0 expected reports the raw value).
     pub ratio: f64,
-}
-
-impl AnomalyReport {
-    /// Records this report as an `anomaly` event on the run's telemetry
-    /// timeline, so flags line up with checkpoint spans and iteration
-    /// markers in the exported trace.
-    pub fn record_into(&self, telemetry: &Telemetry) {
-        telemetry.anomaly(self.iteration, self.magnitude, self.expected, self.ratio);
-    }
 }
 
 /// Sliding-window update-magnitude detector.
@@ -139,30 +128,6 @@ impl UpdateMagnitudeDetector {
         }
         report
     }
-
-    /// [`observe`](Self::observe), but any resulting report is also
-    /// recorded as an `anomaly` event into `telemetry`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if iterations do not strictly increase.
-    pub fn observe_traced(
-        &mut self,
-        iteration: u64,
-        changed_fraction: f64,
-        telemetry: &Telemetry,
-    ) -> Option<AnomalyReport> {
-        let report = self.observe(iteration, changed_fraction);
-        if let Some(r) = &report {
-            r.record_into(telemetry);
-        }
-        report
-    }
-
-    /// Number of in-band observations accumulated.
-    pub fn observations(&self) -> usize {
-        self.history.len()
-    }
 }
 
 #[cfg(test)]
@@ -175,7 +140,7 @@ mod tests {
         for i in 1..=20u64 {
             assert!(det.observe(i * 5, 0.4).is_none(), "iteration {i}");
         }
-        assert_eq!(det.observations(), 19); // first observation only warms up
+        assert_eq!(det.history.len(), 19); // first observation only warms up
     }
 
     #[test]
@@ -223,37 +188,6 @@ mod tests {
         // continues without flags and a repeat spike still triggers.
         assert!(det.observe(70, 0.3).is_none());
         assert!(det.observe(80, 1.0).is_some(), "repeat spike still flagged");
-    }
-
-    #[test]
-    fn traced_observation_lands_in_event_stream() {
-        use pccheck_telemetry::EventKind;
-
-        let telemetry = Telemetry::enabled();
-        let mut det = UpdateMagnitudeDetector::new(4, 3.0);
-        for i in 1..=6u64 {
-            assert!(det.observe_traced(i * 10, 0.5, &telemetry).is_none());
-        }
-        let report = det
-            .observe_traced(70, 1.9, &telemetry)
-            .expect("spike flagged");
-        let events = telemetry.events();
-        let anomalies: Vec<_> = events
-            .iter()
-            .filter_map(|e| match e.kind {
-                EventKind::Anomaly {
-                    iteration,
-                    magnitude,
-                    ratio,
-                    ..
-                } => Some((iteration, magnitude, ratio)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(anomalies.len(), 1);
-        assert_eq!(anomalies[0].0, 70);
-        assert!((anomalies[0].1 - report.magnitude).abs() < 1e-12);
-        assert!(anomalies[0].2 > 3.0);
     }
 
     #[test]

@@ -277,14 +277,14 @@ pub struct ForensicReport {
     pub ring_records: usize,
     /// Ring cells that held data but failed checksum validation (at most
     /// the torn tail under normal operation).
-    pub torn_ring_cells: u32,
+    pub(crate) torn_ring_cells: u32,
     /// Valid cells from an older lap that the scan rejected (a resurrected
     /// stale record would otherwise forge history).
-    pub stale_ring_cells: u32,
+    pub(crate) stale_ring_cells: u32,
     /// Whether the ring wrapped (history is a suffix of the run).
-    pub ring_wrapped: bool,
+    pub(crate) ring_wrapped: bool,
     /// Peak concurrent in-protocol checkpoints observed in the ring.
-    pub peak_concurrency: usize,
+    pub(crate) peak_concurrency: usize,
     /// The store's concurrency bound: `slot_count − 1` summed over its
     /// namespaces (each pins its own committed slot; the invariant itself
     /// is judged per namespace).

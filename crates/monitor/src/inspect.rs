@@ -3,8 +3,6 @@
 use std::sync::Arc;
 
 use pccheck::{decode_frame, CheckMeta, CheckpointStore, Namespace, PccheckError};
-use pccheck_gpu::tensor::StateLayout;
-use pccheck_gpu::TrainingState;
 
 /// Read-only access to one tenant's checkpoint history.
 #[derive(Debug, Clone)]
@@ -54,41 +52,6 @@ impl CheckpointInspector {
                 counter: meta.counter,
             })
     }
-
-    /// Loads and reconstructs a checkpoint as a verified
-    /// [`TrainingState`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`load_payload`](Self::load_payload).
-    pub fn load_state(
-        &self,
-        meta: &CheckMeta,
-        layout: &StateLayout,
-    ) -> Result<TrainingState, PccheckError> {
-        let payload = self.load_payload(meta)?;
-        Ok(TrainingState::restore(layout, &payload, meta.iteration))
-    }
-
-    /// Loads the most recent `n` checkpoints (newest last), skipping any
-    /// whose slot was recycled between listing and reading.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors from the history listing.
-    pub fn recent_payloads(&self, n: usize) -> Result<Vec<(CheckMeta, Vec<u8>)>, PccheckError> {
-        let history = self.history()?;
-        let mut out = Vec::new();
-        for meta in history.into_iter().rev().take(n) {
-            match self.load_payload(&meta) {
-                Ok(payload) => out.push((meta, payload)),
-                Err(PccheckError::CorruptCheckpoint { .. }) => continue, // recycled
-                Err(e) => return Err(e),
-            }
-        }
-        out.reverse();
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -96,7 +59,7 @@ mod tests {
     use super::*;
     use pccheck::{PcCheckConfig, PcCheckEngine};
     use pccheck_device::{DeviceConfig, PersistentDevice, SsdDevice};
-    use pccheck_gpu::{Checkpointer, Gpu, GpuConfig};
+    use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingState};
     use pccheck_util::ByteSize;
 
     fn training_run(n_slots: u32, checkpoints: u64) -> (CheckpointInspector, Gpu) {
@@ -139,22 +102,14 @@ mod tests {
     }
 
     #[test]
-    fn load_state_verifies_digest() {
+    fn load_payload_restores_the_gpu_state() {
         let (inspector, gpu) = training_run(4, 3);
         let layout = gpu.with_weights(|s| s.layout());
         let latest = inspector.latest().unwrap();
-        let state = inspector.load_state(&latest, &layout).unwrap();
+        let payload = inspector.load_payload(&latest).unwrap();
+        let state = TrainingState::restore(&layout, &payload, latest.iteration);
         assert_eq!(state.digest(), gpu.digest());
         assert_eq!(state.step_count(), 3);
-    }
-
-    #[test]
-    fn recent_payloads_returns_newest_last() {
-        let (inspector, _gpu) = training_run(4, 3);
-        let recent = inspector.recent_payloads(2).unwrap();
-        assert_eq!(recent.len(), 2);
-        assert_eq!(recent[0].0.iteration, 2);
-        assert_eq!(recent[1].0.iteration, 3);
     }
 
     #[test]

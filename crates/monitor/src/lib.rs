@@ -67,12 +67,12 @@ pub mod forensics;
 pub mod inspect;
 pub mod watchdog;
 
-pub use detector::{AnomalyReport, UpdateMagnitudeDetector};
-pub use diff::{diff, DiffReport};
-pub use forensics::{audit, CheckpointVerdict, ForensicReport, InFlightPhase, InvariantViolation};
+pub use detector::UpdateMagnitudeDetector;
+pub use diff::diff;
+pub use forensics::{audit, CheckpointVerdict, ForensicReport, InFlightPhase};
 pub use inspect::CheckpointInspector;
 pub use watchdog::armed_watchdog;
 
 // Re-export the watchdog family so monitor users can configure and drive
 // an armed watchdog without a separate telemetry import.
-pub use pccheck_telemetry::{SloConfig, SloRule, SloViolation, SloWatchdog, WatchdogHandle};
+pub use pccheck_telemetry::{SloConfig, SloRule, SloViolation, SloWatchdog};

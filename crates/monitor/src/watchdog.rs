@@ -25,8 +25,8 @@ use crate::forensics::audit;
 /// Build an [`SloWatchdog`] whose black-box bundles include a rendered
 /// forensic audit of `device`'s store as `flight.txt`.
 ///
-/// The returned watchdog is ready to [`spawn`](SloWatchdog::spawn) or to
-/// drive synchronously via [`check_now`](SloWatchdog::check_now). If the
+/// The returned watchdog is driven through
+/// [`check_now`](SloWatchdog::check_now). If the
 /// audit itself fails (e.g. the device has no store header yet), the
 /// bundle simply omits `flight.txt` rather than failing the capture.
 pub fn armed_watchdog(

@@ -11,30 +11,30 @@ use crate::world::World;
 /// measurement via [`SINGLE_WRITER_FRACTION`], and (b) BLOOM-7B's 18 GB
 /// shards sustain interval-10 checkpointing with N=2 concurrent
 /// checkpoints at <2% overhead, as Figure 8f reports.
-pub const SSD_RAW_GBPS: f64 = 1.5;
+pub(crate) const SSD_RAW_GBPS: f64 = 1.5;
 
 /// Fraction of device bandwidth one writer thread can sustain by itself:
 /// 0.4324/1.5, anchoring the single-writer rate to §1's measured
 /// 16 GB / 37 s. mmap-write syscall and serialization overheads keep a
 /// single writer far from saturating the media; §5.4.2 shows 2–4 writers
 /// are needed.
-pub const SINGLE_WRITER_FRACTION: f64 = (16.0 / 37.0) / SSD_RAW_GBPS;
+pub(crate) const SINGLE_WRITER_FRACTION: f64 = (16.0 / 37.0) / SSD_RAW_GBPS;
 
 /// GPM's effective SSD efficiency: UVM kernel copies into an mmapped file
 /// are very slow. Calibrated from §5.2.1's anchor — GPM at 1.9× slowdown
 /// for OPT-1.3B at interval 50 implies ~0.18 GB/s effective (16.2 GB
 /// stalling ~90 s per 100 s of compute).
-pub const GPM_SSD_EFFICIENCY: f64 = 0.12;
+pub(crate) const GPM_SSD_EFFICIENCY: f64 = 0.12;
 
 /// GPM on PMEM: much closer to native (it was designed for this media;
 /// Figure 10 shows it competitive at low frequencies).
-pub const GPM_PMEM_EFFICIENCY: f64 = 0.5;
+pub(crate) const GPM_PMEM_EFFICIENCY: f64 = 0.5;
 
 /// Fraction of the NIC available to Gemini's checkpoint transfers: the
 /// checkpoint traffic interleaves with activation/gradient exchange
 /// (§2.2), so only part of the measured 15 Gbps serves checkpoints.
 /// Calibrated from §5.2.1's 1.65× slowdown for BLOOM-7B at interval 10.
-pub const GEMINI_NETWORK_SHARE: f64 = 0.4;
+pub(crate) const GEMINI_NETWORK_SHARE: f64 = 0.4;
 
 /// The checkpointing strategy a simulation runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -176,16 +176,6 @@ impl SimConfig {
         cfg
     }
 
-    /// Gemini's network media on the same workload: the 15 Gbps NIC,
-    /// discounted by the share training traffic leaves for checkpoints.
-    pub fn gemini_network(model: &ModelSpec, interval: u64, iterations: u64) -> Self {
-        let mut cfg = Self::ssd_a100(model, interval, iterations);
-        cfg.storage_bandwidth = Bandwidth::from_gbit_per_sec(15.0).scaled(GEMINI_NETWORK_SHARE);
-        cfg.media = MediaKind::Network;
-        cfg.strategy = StrategyCfg::Gemini;
-        cfg
-    }
-
     /// Replaces the strategy (Gemini automatically switches the media to
     /// the network profile).
     pub fn with_strategy(mut self, strategy: StrategyCfg) -> Self {
@@ -213,14 +203,14 @@ impl SimConfig {
     /// Aggregate media bandwidth across all stripe members.
     /// `storage_bandwidth` stays per-member so hardware profiles keep
     /// their calibrated single-device numbers.
-    pub fn effective_storage_bandwidth(&self) -> Bandwidth {
+    pub(crate) fn effective_storage_bandwidth(&self) -> Bandwidth {
         self.storage_bandwidth
             .scaled(self.stripe_ways.max(1) as f64)
     }
 
     /// The per-writer-thread bandwidth cap for this media (none for the
     /// network: one TCP stream saturates the NIC).
-    pub fn per_writer_cap(&self) -> Option<Bandwidth> {
+    pub(crate) fn per_writer_cap(&self) -> Option<Bandwidth> {
         match self.media {
             MediaKind::Ssd | MediaKind::Pmem => {
                 Some(self.storage_bandwidth.scaled(SINGLE_WRITER_FRACTION))
@@ -230,7 +220,7 @@ impl SimConfig {
     }
 
     /// GPM's effective copy efficiency on this media.
-    pub fn gpm_efficiency(&self) -> f64 {
+    pub(crate) fn gpm_efficiency(&self) -> f64 {
         match self.media {
             MediaKind::Ssd => GPM_SSD_EFFICIENCY,
             MediaKind::Pmem => GPM_PMEM_EFFICIENCY,

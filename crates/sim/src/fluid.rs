@@ -4,7 +4,7 @@
 //! once; to first order each active transfer receives an equal share of
 //! the bandwidth. That is the mechanism behind the paper's saturation
 //! observations (§5.4.1: more than ~4 concurrent checkpoints just split
-//! the same SSD bandwidth). [`FluidResource`] implements this model with an
+//! the same SSD bandwidth). `FluidResource` implements this model with an
 //! optional *per-job rate cap* expressing that a single writer thread
 //! cannot saturate the device by itself — the reason PCcheck uses `p`
 //! parallel writers per checkpoint (§5.4.2).
@@ -21,22 +21,8 @@ struct FluidJob {
 }
 
 /// A bandwidth resource shared equally among in-flight jobs.
-///
-/// # Examples
-///
-/// ```
-/// use pccheck_sim::FluidResource;
-/// use pccheck_util::{Bandwidth, ByteSize, SimTime, SimDuration};
-///
-/// let mut r = FluidResource::new(Bandwidth::from_bytes_per_sec(100.0), None);
-/// r.add_job(1, ByteSize::from_bytes(100), SimTime::ZERO);
-/// r.add_job(2, ByteSize::from_bytes(100), SimTime::ZERO);
-/// // Two jobs share 100 B/s → 50 B/s each → both complete at t=2s.
-/// let t = r.next_completion(SimTime::ZERO).unwrap();
-/// assert_eq!(t, SimTime::ZERO + SimDuration::from_secs(2));
-/// ```
 #[derive(Debug, Clone)]
-pub struct FluidResource {
+pub(crate) struct FluidResource {
     rate: f64,
     per_job_cap: Option<f64>,
     jobs: Vec<FluidJob>,
@@ -46,7 +32,7 @@ pub struct FluidResource {
 impl FluidResource {
     /// Creates a resource with aggregate bandwidth `rate` and an optional
     /// per-job cap (a single job can never exceed the cap even when alone).
-    pub fn new(rate: Bandwidth, per_job_cap: Option<Bandwidth>) -> Self {
+    pub(crate) fn new(rate: Bandwidth, per_job_cap: Option<Bandwidth>) -> Self {
         FluidResource {
             rate: rate.as_bytes_per_sec(),
             per_job_cap: per_job_cap.map(Bandwidth::as_bytes_per_sec),
@@ -55,13 +41,8 @@ impl FluidResource {
         }
     }
 
-    /// Number of in-flight jobs.
-    pub fn active_jobs(&self) -> usize {
-        self.jobs.len()
-    }
-
     /// Bytes/sec each in-flight job currently receives.
-    pub fn rate_per_job(&self) -> f64 {
+    pub(crate) fn rate_per_job(&self) -> f64 {
         if self.jobs.is_empty() {
             return 0.0;
         }
@@ -78,7 +59,7 @@ impl FluidResource {
     /// # Panics
     ///
     /// Panics if `id` is already in flight.
-    pub fn add_job(&mut self, id: JobId, size: pccheck_util::ByteSize, now: SimTime) {
+    pub(crate) fn add_job(&mut self, id: JobId, size: pccheck_util::ByteSize, now: SimTime) {
         self.advance_to(now);
         assert!(
             self.jobs.iter().all(|j| j.id != id),
@@ -91,7 +72,7 @@ impl FluidResource {
     }
 
     /// Advances all jobs to time `now`.
-    pub fn advance_to(&mut self, now: SimTime) {
+    pub(crate) fn advance_to(&mut self, now: SimTime) {
         let dt = now.saturating_since(self.last_update).as_secs_f64();
         if dt > 0.0 {
             let r = self.rate_per_job();
@@ -113,7 +94,7 @@ impl FluidResource {
     /// The earliest time any in-flight job completes, assuming the job set
     /// does not change before then. Guaranteed to be strictly after `now`
     /// unless a job is already reapable at `now`.
-    pub fn next_completion(&self, now: SimTime) -> Option<SimTime> {
+    pub(crate) fn next_completion(&self, now: SimTime) -> Option<SimTime> {
         if self.jobs.is_empty() {
             return None;
         }
@@ -137,7 +118,7 @@ impl FluidResource {
     }
 
     /// Removes and returns the ids of jobs that have finished by `now`.
-    pub fn take_completed(&mut self, now: SimTime) -> Vec<JobId> {
+    pub(crate) fn take_completed(&mut self, now: SimTime) -> Vec<JobId> {
         self.advance_to(now);
         let eps = self.epsilon_bytes();
         let mut done = Vec::new();
@@ -169,7 +150,6 @@ mod tests {
         let t = r.next_completion(SimTime::ZERO).unwrap();
         assert_eq!(t, SimTime::from_secs_f64(2.0));
         assert_eq!(r.take_completed(t), vec![1]);
-        assert_eq!(r.active_jobs(), 0);
         assert!(r.next_completion(t).is_none());
     }
 

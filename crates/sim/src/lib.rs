@@ -40,6 +40,4 @@ pub mod report;
 pub mod world;
 
 pub use config::{MediaKind, SimConfig, StrategyCfg};
-pub use fluid::FluidResource;
 pub use report::SimReport;
-pub use world::World;

@@ -42,31 +42,6 @@ impl SimReport {
     pub fn slowdown_vs(&self, baseline: &SimReport) -> f64 {
         baseline.throughput / self.throughput
     }
-
-    /// The latest iteration committed no later than `t` (what a failure at
-    /// `t` can recover to).
-    pub fn latest_commit_at(&self, t: SimTime) -> Option<CommitRecord> {
-        self.commits
-            .iter()
-            .filter(|c| c.time <= t)
-            .max_by_key(|c| c.iteration)
-            .copied()
-    }
-
-    /// The number of iterations finished no later than `t`.
-    pub fn iterations_done_at(&self, t: SimTime) -> u64 {
-        self.iteration_times.partition_point(|&it| it <= t) as u64
-    }
-
-    /// Mean interval (iterations) between consecutive commits.
-    pub fn mean_commit_interval(&self) -> f64 {
-        if self.commits.len() < 2 {
-            return self.iterations as f64;
-        }
-        let first = self.commits.first().expect("len>=2").iteration;
-        let last = self.commits.last().expect("len>=2").iteration;
-        (last - first) as f64 / (self.commits.len() - 1) as f64
-    }
 }
 
 #[cfg(test)]
@@ -102,37 +77,10 @@ mod tests {
     }
 
     #[test]
-    fn latest_commit_at_respects_time() {
-        let r = report();
-        assert_eq!(r.latest_commit_at(SimTime::from_secs_f64(1.0)), None);
-        assert_eq!(
-            r.latest_commit_at(SimTime::from_secs_f64(2.0))
-                .unwrap()
-                .iteration,
-            1
-        );
-        assert_eq!(
-            r.latest_commit_at(SimTime::from_secs_f64(10.0))
-                .unwrap()
-                .iteration,
-            3
-        );
-    }
-
-    #[test]
-    fn iterations_done_counts_completed() {
-        let r = report();
-        assert_eq!(r.iterations_done_at(SimTime::from_secs_f64(0.5)), 0);
-        assert_eq!(r.iterations_done_at(SimTime::from_secs_f64(2.0)), 2);
-        assert_eq!(r.iterations_done_at(SimTime::from_secs_f64(99.0)), 4);
-    }
-
-    #[test]
-    fn slowdown_and_commit_interval() {
+    fn slowdown_is_relative_throughput() {
         let base = report();
         let mut slow = report();
         slow.throughput = 0.5;
         assert_eq!(slow.slowdown_vs(&base), 2.0);
-        assert_eq!(base.mean_commit_interval(), 2.0);
     }
 }

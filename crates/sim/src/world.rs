@@ -1,7 +1,7 @@
 //! The simulation world: training actor + checkpoint state machines over
 //! fluid resources.
 //!
-//! One [`World`] simulates one node training one model with one
+//! One `World` simulates one node training one model with one
 //! checkpointing strategy. Two fluid resources exist: the PCIe link
 //! (GPU→DRAM snapshot copies) and the persistence media (storage device or,
 //! for Gemini, the network). Training alternates compute (`T`) and update
@@ -80,7 +80,7 @@ impl Ckpt {
 
 /// The simulator.
 #[derive(Debug)]
-pub struct World {
+pub(crate) struct World {
     cfg: SimConfig,
     now: SimTime,
     pcie: FluidResource,
@@ -120,7 +120,7 @@ impl World {
     /// Panics if a non-pipelined PCcheck configuration's DRAM pool cannot
     /// stage a whole checkpoint (the concrete engine would deadlock the
     /// same way; the config is invalid).
-    pub fn new(cfg: SimConfig) -> Self {
+    pub(crate) fn new(cfg: SimConfig) -> Self {
         if let StrategyCfg::PcCheck {
             pipelined: false, ..
         } = cfg.strategy
@@ -162,7 +162,7 @@ impl World {
     }
 
     /// Runs the simulation to completion and returns the report.
-    pub fn run(mut self) -> SimReport {
+    pub(crate) fn run(mut self) -> SimReport {
         self.start_compute();
         loop {
             let mut t_next = SimTime::MAX;

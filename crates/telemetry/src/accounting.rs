@@ -18,11 +18,11 @@ use crate::event::{Event, EventKind};
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RunAccounting {
     /// Run window: timestamp of the last event, nanoseconds.
-    pub window_nanos: u64,
+    pub(crate) window_nanos: u64,
     /// Training iterations completed (`IterationEnd` events).
     pub iterations: u64,
     /// Total training-thread stall, nanoseconds (`Stall` events).
-    pub stall_nanos: u64,
+    pub(crate) stall_nanos: u64,
     /// Committed checkpoints.
     pub committed: u64,
     /// Superseded checkpoints.
@@ -31,7 +31,7 @@ pub struct RunAccounting {
     pub failed: u64,
     /// Mean iterations lost if a failure struck at a uniformly random
     /// iteration boundary (the empirical rollback depth).
-    pub avg_rollback_depth: f64,
+    pub(crate) avg_rollback_depth: f64,
 }
 
 /// A goodput estimate under a failure scenario.
@@ -46,7 +46,7 @@ pub struct GoodputEstimate {
     /// Mean iterations recomputed per rollback.
     pub avg_lost_iterations: f64,
     /// Total recovery time (loads + recomputation), seconds.
-    pub total_recovery_secs: f64,
+    pub(crate) total_recovery_secs: f64,
 }
 
 impl RunAccounting {

@@ -300,7 +300,7 @@ pub fn chrome_trace(events: &[Event]) -> String {
 /// rendered as JSON objects, no trailing comma). The profiler uses this to
 /// annotate critical-path edges on their own lane without the exporter
 /// knowing about ledgers.
-pub fn chrome_trace_with(events: &[Event], extra_entries: &[String]) -> String {
+pub(crate) fn chrome_trace_with(events: &[Event], extra_entries: &[String]) -> String {
     let mut entries: Vec<String> = Vec::with_capacity(events.len() + extra_entries.len() + 1);
     entries.push(
         "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\
@@ -464,9 +464,9 @@ mod tests {
         let t = Telemetry::enabled();
         let span = t.span_requested("pccheck", 1, 4096);
         let s = t.now_nanos();
-        t.actor_span(span, "writer-0", s, 2048);
-        t.actor_span(span, "writer-1", s, 2048);
-        t.actor_span(SpanId::NONE, "stripe-0", s, 1024);
+        t.actor_span_split(span, "writer-0", s, 2048, u64::MAX);
+        t.actor_span_split(span, "writer-1", s, 2048, u64::MAX);
+        t.actor_span_split(SpanId::NONE, "stripe-0", s, 1024, u64::MAX);
         t.phase_done(span, Phase::Persist, s);
         t.committed(span, 1, 4096);
 

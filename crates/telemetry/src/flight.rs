@@ -1,6 +1,6 @@
 //! The persistent flight recorder: a fixed-size, crash-safe event ring.
 //!
-//! The in-memory recorder ([`crate::MemoryRecorder`]) vanishes at exactly
+//! The in-memory recorder ([`crate::recorder::MemoryRecorder`]) vanishes at exactly
 //! the moment the paper cares about — when a preemption kills the trainer.
 //! The flight recorder closes that gap: checkpoint-lifecycle milestones
 //! are appended as 64-byte checksummed records (the same one-cache-line
@@ -97,7 +97,7 @@ impl FlightEventKind {
     ];
 
     /// Decodes a stored discriminant.
-    pub fn from_u8(v: u8) -> Option<FlightEventKind> {
+    pub(crate) fn from_u8(v: u8) -> Option<FlightEventKind> {
         FlightEventKind::ALL.into_iter().find(|k| *k as u8 == v)
     }
 
@@ -219,7 +219,6 @@ impl fmt::Display for FlightRecord {
 #[derive(Debug, Default)]
 struct RingState {
     next_seq: u64,
-    dropped: u64,
 }
 
 /// What a durable scan of the ring found.
@@ -332,7 +331,6 @@ impl FlightRing {
             capacity,
             state: Mutex::new(RingState {
                 next_seq: scan.max_seq().map_or(0, |s| s + 1),
-                dropped: 0,
             }),
         })
     }
@@ -426,26 +424,10 @@ impl FlightRing {
         })
     }
 
-    /// Ring capacity in records.
-    pub fn capacity(&self) -> u32 {
-        self.capacity
-    }
-
-    /// Device offset of the ring header.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
-    /// Appends swallowed because the device rejected the write (e.g., it
-    /// had already crashed).
-    pub fn dropped(&self) -> u64 {
-        self.state.lock().dropped
-    }
-
     /// Appends one record, assigning the next sequence number. Serialized:
     /// at most the tail cell can be torn by a crash. Device errors are
-    /// swallowed (counted in [`dropped`](Self::dropped)) — the recorder
-    /// must never fail the operation it is witnessing.
+    /// swallowed — the recorder must never fail the operation it is
+    /// witnessing.
     pub fn append(
         &self,
         kind: FlightEventKind,
@@ -475,8 +457,6 @@ impl FlightRing {
             .is_ok();
         if ok {
             state.next_seq += 1;
-        } else {
-            state.dropped += 1;
         }
     }
 
@@ -733,7 +713,6 @@ mod tests {
         ring.append(FlightEventKind::Begin, 1, 0, 0, 0, 0);
         dev.crash_now();
         ring.append(FlightEventKind::Commit, 1, 0, 0, 0, 0);
-        assert_eq!(ring.dropped(), 1);
         dev.recover();
         let scan = ring.read_all().unwrap();
         assert_eq!(scan.records.len(), 1);

@@ -12,23 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const BUCKETS: usize = 64;
 
 /// A lock-free histogram of nanosecond latencies.
-///
-/// # Examples
-///
-/// ```
-/// use pccheck_telemetry::LatencyHistogram;
-///
-/// let h = LatencyHistogram::new();
-/// for ns in [100u64, 200, 300, 400, 1_000_000] {
-///     h.record(ns);
-/// }
-/// assert_eq!(h.count(), 5);
-/// assert_eq!(h.max_nanos(), 1_000_000);
-/// let p50 = h.quantile(0.5);
-/// assert!(p50 >= 128 && p50 < 512, "p50 within a bucket of 200-300: {p50}");
-/// ```
 #[derive(Debug)]
-pub struct LatencyHistogram {
+pub(crate) struct LatencyHistogram {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
@@ -48,22 +33,22 @@ pub struct HistogramSummary {
     /// Number of recorded samples.
     pub count: u64,
     /// Sum of all samples, nanoseconds.
-    pub sum_nanos: u64,
+    pub(crate) sum_nanos: u64,
     /// Exact minimum sample (0 when empty).
-    pub min_nanos: u64,
+    pub(crate) min_nanos: u64,
     /// Exact maximum sample (0 when empty).
-    pub max_nanos: u64,
+    pub(crate) max_nanos: u64,
     /// Estimated median.
     pub p50_nanos: u64,
     /// Estimated 95th percentile.
     pub p95_nanos: u64,
     /// Estimated 99th percentile.
-    pub p99_nanos: u64,
+    pub(crate) p99_nanos: u64,
 }
 
 impl HistogramSummary {
     /// Arithmetic mean in nanoseconds (0 when empty).
-    pub fn mean_nanos(&self) -> u64 {
+    pub(crate) fn mean_nanos(&self) -> u64 {
         self.sum_nanos.checked_div(self.count).unwrap_or(0)
     }
 }
@@ -75,7 +60,7 @@ fn bucket_of(nanos: u64) -> usize {
 
 impl LatencyHistogram {
     /// Creates an empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LatencyHistogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
@@ -86,7 +71,7 @@ impl LatencyHistogram {
     }
 
     /// Records one sample of `nanos`.
-    pub fn record(&self, nanos: u64) {
+    pub(crate) fn record(&self, nanos: u64) {
         self.buckets[bucket_of(nanos)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(nanos, Ordering::Relaxed);
@@ -95,17 +80,17 @@ impl LatencyHistogram {
     }
 
     /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
     /// Sum of all samples in nanoseconds.
-    pub fn sum_nanos(&self) -> u64 {
+    pub(crate) fn sum_nanos(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
 
     /// Exact smallest sample (0 when empty).
-    pub fn min_nanos(&self) -> u64 {
+    pub(crate) fn min_nanos(&self) -> u64 {
         let m = self.min.load(Ordering::Relaxed);
         if m == u64::MAX {
             0
@@ -115,7 +100,7 @@ impl LatencyHistogram {
     }
 
     /// Exact largest sample (0 when empty).
-    pub fn max_nanos(&self) -> u64 {
+    pub(crate) fn max_nanos(&self) -> u64 {
         self.max.load(Ordering::Relaxed)
     }
 
@@ -126,7 +111,7 @@ impl LatencyHistogram {
     /// # Panics
     ///
     /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         assert!((0.0..=1.0).contains(&q), "quantile {q} out of range");
         let total = self.count();
         if total == 0 {
@@ -178,7 +163,7 @@ impl LatencyHistogram {
     /// metrics registry exposes it as Prometheus `le` buckets, and the SLO
     /// watchdog diffs successive snapshots of it to compute quantiles over
     /// a rolling window.
-    pub fn bucket_counts(&self) -> [u64; BUCKETS] {
+    pub(crate) fn bucket_counts(&self) -> [u64; BUCKETS] {
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
 
@@ -188,7 +173,7 @@ impl LatencyHistogram {
     /// # Panics
     ///
     /// Panics if `i >= 64`.
-    pub const fn bucket_bound(i: usize) -> u64 {
+    pub(crate) const fn bucket_bound(i: usize) -> u64 {
         assert!(i < BUCKETS);
         if i + 1 >= 64 {
             u64::MAX
@@ -198,7 +183,7 @@ impl LatencyHistogram {
     }
 
     /// A point-in-time summary (count, min/max, p50/p95/p99).
-    pub fn summary(&self) -> HistogramSummary {
+    pub(crate) fn summary(&self) -> HistogramSummary {
         HistogramSummary {
             count: self.count(),
             sum_nanos: self.sum_nanos(),

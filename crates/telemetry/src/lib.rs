@@ -19,9 +19,10 @@
 //! * [`Telemetry`] is a cheap cloneable handle. [`Telemetry::disabled`]
 //!   (also `Default`) turns every hook into a branch on `None` — zero
 //!   allocation, no atomics — so instrumented hot paths cost nothing when
-//!   telemetry is off. An enabled handle shares one [`MemoryRecorder`]
-//!   among all clones, at one of two levels. A run keeps its timeline; a
-//!   service keeps its metrics. [`Telemetry::enabled`] records every
+//!   telemetry is off. An enabled handle shares one
+//!   [`MemoryRecorder`](recorder::MemoryRecorder) among all clones, at one
+//!   of two levels. A run keeps its timeline; a service keeps its
+//!   metrics. [`Telemetry::enabled`] records every
 //!   metric and the event stream that accounting, ledgers and traces
 //!   replay once a finite run ends. [`Telemetry::metrics`] records the
 //!   same histograms, counters and gauges and no events, so a service
@@ -44,17 +45,18 @@
 //! * [`event`] — [`SpanId`], [`Phase`], [`EventKind`], [`Event`].
 //! * [`flight`] — [`FlightRing`], [`FlightRecorder`], [`FlightRecord`]:
 //!   the persistent crash-safe event ring.
-//! * [`recorder`] — [`MemoryRecorder`], [`Telemetry`],
-//!   [`TelemetrySnapshot`].
-//! * [`histogram`] — [`LatencyHistogram`] (64 log2 buckets, lock-free).
+//! * [`recorder`] — [`MemoryRecorder`](recorder::MemoryRecorder),
+//!   [`Telemetry`], [`TelemetrySnapshot`].
+//! * [`histogram`] — lock-free 64-bucket log2 latency histograms and their
+//!   [`HistogramSummary`](histogram::HistogramSummary).
 //! * [`counters`] — [`CheckpointCounters`] with a consistent
 //!   [`snapshot`](CheckpointCounters::snapshot).
 //! * [`accounting`] — [`RunAccounting`]: stall fraction, slowdown,
 //!   rollback depth, goodput.
 //! * [`export`] — [`render_summary`], [`json_lines`], [`chrome_trace`]
 //!   (Perfetto-loadable).
-//! * [`profile`] — [`CommitLedger`], [`RunProfile`], [`ProfileArchive`],
-//!   [`diff_profiles`]: per-commit critical-path ledgers and cross-run
+//! * [`profile`] — [`CommitLedger`](profile::CommitLedger), [`RunProfile`],
+//!   [`ProfileArchive`], [`diff_profiles`]: per-commit critical-path ledgers and cross-run
 //!   regression analytics.
 //! * [`registry`] — [`MetricsRegistry`], [`MetricsServer`]: live
 //!   Prometheus/JSON exposition over the shared recorder.
@@ -92,26 +94,21 @@ pub mod recorder;
 pub mod registry;
 pub mod watchdog;
 
-pub use accounting::{GoodputEstimate, RunAccounting};
+pub use accounting::RunAccounting;
 pub use counters::{CheckpointCounters, CountersSnapshot};
 pub use event::{Event, EventKind, Phase, SpanId};
-pub use export::{chrome_trace, chrome_trace_with, json_lines, render_summary};
+pub use export::{chrome_trace, json_lines, render_summary};
 pub use flight::{
-    FlightEventKind, FlightRecord, FlightRecorder, FlightRing, RingScan, FLIGHT_HEADER_SIZE,
+    FlightEventKind, FlightRecord, FlightRecorder, FlightRing, FLIGHT_HEADER_SIZE,
     FLIGHT_RECORD_SIZE,
 };
-pub use histogram::{HistogramSummary, LatencyHistogram};
 pub use profile::{
-    build_ledgers, chrome_trace_annotated, critical_trace_entries, diff_profiles, render_diff,
-    render_profile, ActorProfile, CommitLedger, DiffMode, DiffThresholds, LedgerNode, NodeKind,
-    PhaseDiff, PhaseProfile, ProfileArchive, ProfileDiff, RunProfile, PROFILE_SCHEMA,
+    build_ledgers, chrome_trace_annotated, diff_profiles, render_diff, render_profile, DiffMode,
+    DiffThresholds, NodeKind, ProfileArchive, RunProfile,
 };
-pub use recorder::{
-    MemoryRecorder, Telemetry, TelemetryIoObserver, TelemetrySnapshot, MAX_TRACKED_DEVICES,
-};
+pub use recorder::{Telemetry, TelemetryIoObserver, TelemetrySnapshot};
 pub use registry::{
-    http_get, validate_prometheus_text, MetricsRegistry, MetricsServer, METRICS_SCHEMA,
+    http_get, validate_prometheus_text, HttpListener, HttpResponse, HttpRoute, MetricsRegistry,
+    MetricsServer,
 };
-pub use watchdog::{
-    SloConfig, SloRule, SloViolation, SloWatchdog, WatchdogHandle, BLACKBOX_SCHEMA,
-};
+pub use watchdog::{SloConfig, SloRule, SloViolation, SloWatchdog, BLACKBOX_SCHEMA};

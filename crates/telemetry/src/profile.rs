@@ -15,7 +15,7 @@
 //! per-phase medians and critical-path shares, per-actor media/queue-wait
 //! splits, writer imbalance, and persist coverage (how much of the Persist
 //! window the writers actually kept the device busy). Profiles serialize
-//! as schema-tagged JSON ([`PROFILE_SCHEMA`]) so they can be archived in
+//! as schema-tagged JSON (`PROFILE_SCHEMA`) so they can be archived in
 //! [`ProfileArchive`] and compared across runs by [`diff_profiles`] — a
 //! noise-aware differ with a minimum-effect floor (absolute mode, same
 //! machine) and a scale-invariant critical-share mode (CI gates against a
@@ -31,7 +31,7 @@ use crate::event::{Event, EventKind, Phase, SpanId};
 use crate::export::{escape_json, human_bytes, human_nanos, json_f64, micros};
 
 /// Schema tag carried by every emitted profile document.
-pub const PROFILE_SCHEMA: &str = "pccheck.profile.v1";
+pub(crate) const PROFILE_SCHEMA: &str = "pccheck.profile.v1";
 
 /// What kind of ledger node an interval is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,26 +89,26 @@ pub struct CommitLedger {
     /// (no terminal event recorded).
     pub outcome: String,
     /// Span open (Requested) timestamp.
-    pub open_nanos: u64,
+    pub(crate) open_nanos: u64,
     /// Span close (terminal event) timestamp; equals the latest event
     /// timestamp for still-open spans.
-    pub close_nanos: u64,
+    pub(crate) close_nanos: u64,
     /// Training-thread blocked time attributed to this span.
-    pub stall_nanos: u64,
+    pub(crate) stall_nanos: u64,
     /// All timed nodes, in event order.
     pub nodes: Vec<LedgerNode>,
     /// Indices into `nodes` of the critical path, in chronological order.
-    pub critical_path: Vec<usize>,
+    pub(crate) critical_path: Vec<usize>,
     /// Sum of critical-path node durations.
-    pub critical_nanos: u64,
+    pub(crate) critical_nanos: u64,
     /// Wall time not covered by the critical path (overlap slack — work
     /// hidden by pipelining plus scheduling gaps between phases).
-    pub gap_nanos: u64,
+    pub(crate) gap_nanos: u64,
 }
 
 impl CommitLedger {
     /// Span wall time (open to terminal).
-    pub fn wall_nanos(&self) -> u64 {
+    pub(crate) fn wall_nanos(&self) -> u64 {
         self.close_nanos.saturating_sub(self.open_nanos)
     }
 
@@ -118,7 +118,7 @@ impl CommitLedger {
     /// not as writer legs) — `None` when the ledger has no Persist phase
     /// or no such legs. Low coverage means the device sat idle inside the
     /// Persist window (queue starvation), not that the media was slow.
-    pub fn persist_coverage(&self) -> Option<f64> {
+    pub(crate) fn persist_coverage(&self) -> Option<f64> {
         let persist = self
             .nodes
             .iter()
@@ -155,7 +155,7 @@ impl CommitLedger {
 
     /// Max writer-leg duration over the mean — 1.0 means perfectly
     /// balanced writers; `None` without at least two writer legs.
-    pub fn writer_imbalance(&self) -> Option<f64> {
+    pub(crate) fn writer_imbalance(&self) -> Option<f64> {
         let durs: Vec<u64> = self
             .nodes
             .iter()
@@ -355,13 +355,13 @@ pub struct PhaseProfile {
     /// Number of ledger nodes of this phase.
     pub count: u64,
     /// Median node duration.
-    pub median_nanos: u64,
+    pub(crate) median_nanos: u64,
     /// 95th-percentile node duration.
     pub p95_nanos: u64,
     /// Sum of node durations.
     pub total_nanos: u64,
     /// Sum of durations of nodes on their span's critical path.
-    pub critical_nanos: u64,
+    pub(crate) critical_nanos: u64,
     /// `critical_nanos` over the run's total critical time — how much of
     /// the run's commit-bounding time this phase is responsible for.
     pub critical_share: f64,
@@ -379,11 +379,11 @@ pub struct ActorProfile {
     /// Device I/O time within the legs.
     pub media_nanos: u64,
     /// Queue-wait time (`total - media`).
-    pub queue_nanos: u64,
+    pub(crate) queue_nanos: u64,
     /// Bytes moved.
     pub bytes: u64,
     /// Longest single leg.
-    pub max_leg_nanos: u64,
+    pub(crate) max_leg_nanos: u64,
 }
 
 /// One run's profile summary: the archived, diffable artifact.
@@ -398,13 +398,13 @@ pub struct RunProfile {
     /// All ledgers (including superseded/failed/open).
     pub spans: u64,
     /// Median committed-span wall time.
-    pub wall_nanos_median: u64,
+    pub(crate) wall_nanos_median: u64,
     /// Median committed-span critical-path time.
     pub critical_nanos_median: u64,
     /// Median committed-span overlap slack.
-    pub gap_nanos_median: u64,
+    pub(crate) gap_nanos_median: u64,
     /// Median committed-span training-thread stall.
-    pub stall_nanos_median: u64,
+    pub(crate) stall_nanos_median: u64,
     /// Median persist coverage over committed spans that report it.
     pub persist_coverage_median: Option<f64>,
     /// Median writer imbalance over committed spans that report it.
@@ -562,7 +562,7 @@ impl RunProfile {
             .unwrap_or(0.0)
     }
 
-    /// Serializes as schema-tagged [`PROFILE_SCHEMA`] JSON.
+    /// Serializes as schema-tagged `PROFILE_SCHEMA` JSON.
     pub fn to_json(&self) -> String {
         let opt = |v: Option<f64>| v.map(json_f64).unwrap_or_else(|| "null".to_string());
         let phases: Vec<String> = self
@@ -620,7 +620,7 @@ impl RunProfile {
         )
     }
 
-    /// Parses a [`PROFILE_SCHEMA`] document (rejects other schemas).
+    /// Parses a `PROFILE_SCHEMA` document (rejects other schemas).
     pub fn from_json(text: &str) -> Result<RunProfile, String> {
         let v = JsonValue::parse(text).map_err(|e| e.to_string())?;
         let schema = v.get("schema").and_then(|s| s.as_str()).unwrap_or("");
@@ -770,7 +770,7 @@ pub fn render_profile(p: &RunProfile) -> String {
 /// critical node on a dedicated `critical-path` lane, carrying the parent
 /// span and phase in `args`. Feed to
 /// [`chrome_trace_with`](crate::export::chrome_trace_with).
-pub fn critical_trace_entries(ledgers: &[CommitLedger]) -> Vec<String> {
+pub(crate) fn critical_trace_entries(ledgers: &[CommitLedger]) -> Vec<String> {
     /// One below the actor-lane base, so the lane sorts right above them.
     const CRITICAL_TID: u64 = 899_999;
     let mut entries = vec![format!(
@@ -822,7 +822,7 @@ impl ProfileArchive {
     }
 
     /// Path a run's profile lives at.
-    pub fn path_for(&self, run: &str) -> PathBuf {
+    pub(crate) fn path_for(&self, run: &str) -> PathBuf {
         self.dir.join(format!("{run}.profile.json"))
     }
 
@@ -846,24 +846,6 @@ impl ProfileArchive {
             fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
         RunProfile::from_json(&text)
     }
-
-    /// Run names with stored profiles, sorted.
-    pub fn list(&self) -> Vec<String> {
-        let mut runs: Vec<String> = fs::read_dir(&self.dir)
-            .map(|rd| {
-                rd.filter_map(|e| e.ok())
-                    .filter_map(|e| {
-                        e.file_name()
-                            .to_str()?
-                            .strip_suffix(".profile.json")
-                            .map(str::to_string)
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        runs.sort();
-        runs
-    }
 }
 
 /// Which statistic [`diff_profiles`] compares.
@@ -882,11 +864,11 @@ pub enum DiffMode {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiffThresholds {
     /// Minimum relative growth (0.20 = +20%) before a phase can flag.
-    pub min_ratio: f64,
+    pub(crate) min_ratio: f64,
     /// Minimum absolute growth in nanoseconds (absolute mode).
-    pub min_effect_nanos: u64,
+    pub(crate) min_effect_nanos: u64,
     /// Minimum absolute critical-share growth (shares mode).
-    pub min_share_delta: f64,
+    pub(crate) min_share_delta: f64,
 }
 
 impl Default for DiffThresholds {
@@ -905,13 +887,13 @@ pub struct PhaseDiff {
     /// Phase name.
     pub phase: String,
     /// Baseline median nanoseconds.
-    pub base_nanos: u64,
+    pub(crate) base_nanos: u64,
     /// Candidate median nanoseconds.
-    pub cand_nanos: u64,
+    pub(crate) cand_nanos: u64,
     /// Baseline critical share.
-    pub base_share: f64,
+    pub(crate) base_share: f64,
     /// Candidate critical share.
-    pub cand_share: f64,
+    pub(crate) cand_share: f64,
     /// Whether this phase flags as a regression under the chosen mode.
     pub regressed: bool,
 }
@@ -920,9 +902,9 @@ pub struct PhaseDiff {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileDiff {
     /// Baseline run name.
-    pub base_run: String,
+    pub(crate) base_run: String,
     /// Candidate run name.
-    pub cand_run: String,
+    pub(crate) cand_run: String,
     /// Statistic compared.
     pub mode: DiffMode,
     /// Per-phase comparisons (union of both runs' phases).
@@ -1230,7 +1212,6 @@ mod tests {
         let path = archive.store(&p).unwrap();
         assert!(path.ends_with("unit_run.profile.json"));
         assert_eq!(archive.load("unit_run").unwrap(), p);
-        assert_eq!(archive.list(), ["unit_run"]);
         // No .tmp left behind.
         let leftovers: Vec<_> = fs::read_dir(&dir)
             .unwrap()

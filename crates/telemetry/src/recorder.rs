@@ -45,7 +45,7 @@ const BLOCK_EVENTS: usize = 4096;
 /// beyond this limit are silently dropped. Sized for a 4-way stripe plus
 /// its controller with headroom, so restore fan-out across a wide stripe
 /// stays observable per member.
-pub const MAX_TRACKED_DEVICES: usize = 8;
+pub(crate) const MAX_TRACKED_DEVICES: usize = 8;
 
 /// Monotonic gauge pair: current value plus high-water mark.
 #[derive(Debug, Default)]
@@ -176,35 +176,30 @@ impl MemoryRecorder {
         }
     }
 
-    /// The shared lifecycle counters (also backs `EngineStats`).
-    pub fn counters(&self) -> &CheckpointCounters {
-        &self.counters
-    }
-
     /// The latency histogram behind `phase`'s summary, for exposition
     /// layers (the metrics registry, the SLO watchdog) that need raw
     /// bucket counts rather than a [`HistogramSummary`].
-    pub fn phase_hist(&self, phase: Phase) -> &LatencyHistogram {
+    pub(crate) fn phase_hist(&self, phase: Phase) -> &LatencyHistogram {
         &self.phase_hist[phase.index()]
     }
 
     /// The training-thread stall histogram (raw buckets).
-    pub fn stall_hist(&self) -> &LatencyHistogram {
+    pub(crate) fn stall_hist(&self) -> &LatencyHistogram {
         &self.stall_hist
     }
 
     /// The per-chunk device-write-stage histogram (raw buckets).
-    pub fn write_stage_hist(&self) -> &LatencyHistogram {
+    pub(crate) fn write_stage_hist(&self) -> &LatencyHistogram {
         &self.write_stage_hist
     }
 
     /// The per-chunk device-persist-stage histogram (raw buckets).
-    pub fn persist_stage_hist(&self) -> &LatencyHistogram {
+    pub(crate) fn persist_stage_hist(&self) -> &LatencyHistogram {
         &self.persist_stage_hist
     }
 
     /// The per-chunk device-read-stage histogram (raw buckets).
-    pub fn read_stage_hist(&self) -> &LatencyHistogram {
+    pub(crate) fn read_stage_hist(&self) -> &LatencyHistogram {
         &self.read_stage_hist
     }
 
@@ -263,11 +258,11 @@ pub struct TelemetrySnapshot {
     pub persist_stage: HistogramSummary,
     /// Per-chunk device-read latency (the `read_durable_at` leg of the
     /// restore pipeline).
-    pub read_stage: HistogramSummary,
+    pub(crate) read_stage: HistogramSummary,
     /// Last observed submission-queue depth per tracked device.
     pub device_queue_depth: [u64; MAX_TRACKED_DEVICES],
     /// High-water mark of the submission-queue depth per tracked device.
-    pub device_queue_peak: [u64; MAX_TRACKED_DEVICES],
+    pub(crate) device_queue_peak: [u64; MAX_TRACKED_DEVICES],
     /// Checkpoints currently between request and terminal event.
     pub in_flight: u64,
     /// High-water mark of concurrent in-flight checkpoints.
@@ -286,7 +281,7 @@ pub struct TelemetrySnapshot {
     /// in permille (dirty bytes / full state bytes × 1000).
     pub dirty_ratio_permille: u64,
     /// High-water mark of the dirty-ratio gauge.
-    pub dirty_ratio_permille_peak: u64,
+    pub(crate) dirty_ratio_permille_peak: u64,
     /// Total payload bytes the chunk codec (compression + dedup) avoided
     /// persisting versus raw payloads of the same checkpoints.
     pub codec_bytes_saved: u64,
@@ -297,23 +292,13 @@ pub struct TelemetrySnapshot {
     /// (1000 = stored at full size, lower = smaller).
     pub compression_ratio_permille: u64,
     /// Nanoseconds since the recorder's epoch.
-    pub window_nanos: u64,
+    pub(crate) window_nanos: u64,
 }
 
 impl TelemetrySnapshot {
     /// The latency summary for `phase`.
     pub fn phase(&self, phase: Phase) -> &HistogramSummary {
         &self.phases[phase.index()]
-    }
-
-    /// Fraction of `bandwidth_bytes_per_sec` the persist path sustained
-    /// over the whole window (the device-bandwidth utilization gauge).
-    pub fn device_utilization(&self, bandwidth_bytes_per_sec: f64) -> f64 {
-        let secs = self.window_nanos as f64 / 1e9;
-        if secs <= 0.0 || bandwidth_bytes_per_sec <= 0.0 {
-            return 0.0;
-        }
-        (self.persist_chunk_bytes as f64 / secs) / bandwidth_bytes_per_sec
     }
 
     /// Fraction of the window the training thread spent stalled in
@@ -538,26 +523,13 @@ impl Telemetry {
     /// [`Telemetry::now_nanos`] when the actor began; the duration is
     /// measured to now. Unlike phase events this also records against
     /// [`SpanId::NONE`] parents, because device-member actors outlive any
-    /// single checkpoint span.
-    pub fn actor_span(
-        &self,
-        parent: SpanId,
-        actor: impl fmt::Display,
-        start_nanos: u64,
-        bytes: u64,
-    ) {
-        // No split reported: attribute everything to media so the
-        // queue-wait estimate stays conservative.
-        self.actor_span_split(parent, actor, start_nanos, bytes, u64::MAX);
-    }
-
-    /// Like [`Telemetry::actor_span`], but with the actor's time split:
-    /// `media_nanos` is the portion it was busy — inside device I/O calls
-    /// and, for a persist writer, computing on the chunk in its hands
-    /// (digest fold, content address, LZ); the rest of the measured
-    /// duration is queue wait (waiting for staged chunks, buffer-pool
-    /// pressure, scheduling). `media_nanos` is clamped to the measured
-    /// duration.
+    /// single checkpoint span. The actor's time is split: `media_nanos` is
+    /// the portion it was busy — inside device I/O calls and, for a
+    /// persist writer, computing on the chunk in its hands (digest fold,
+    /// content address, LZ); the rest of the measured duration is queue
+    /// wait (waiting for staged chunks, buffer-pool pressure, scheduling).
+    /// `media_nanos` is clamped to the measured duration, so `u64::MAX`
+    /// attributes everything to media.
     pub fn actor_span_split(
         &self,
         parent: SpanId,
@@ -603,7 +575,7 @@ impl Telemetry {
     }
 
     /// Updates the submission-queue-depth gauge for tracked device `index`.
-    /// Indices at or beyond [`MAX_TRACKED_DEVICES`] are ignored.
+    /// Indices at or beyond `MAX_TRACKED_DEVICES` are ignored.
     pub fn gauge_device_queue(&self, index: usize, depth: u64) {
         if let Some(r) = &self.inner {
             if index < MAX_TRACKED_DEVICES {
@@ -812,7 +784,7 @@ mod tests {
                 t.phase_done(span, phase, u64::MAX);
             }
             t.stall(span, 700);
-            t.actor_span(span, "writer-0", 0, 4096);
+            t.actor_span_split(span, "writer-0", 0, 4096, u64::MAX);
             t.actor_span_split(span, format_args!("reader-{}", 1), 0, 512, 10);
             TelemetryIoObserver::new(t.clone()).member_io(
                 "stripe-0",

@@ -14,14 +14,14 @@
 //!
 //! Metric names are part of the schema: `pccheck_` prefix, `_total`
 //! suffix on monotonic counters, nanosecond histograms with power-of-two
-//! `le` bounds matching [`LatencyHistogram`]'s buckets.
+//! `le` bounds matching `LatencyHistogram`'s buckets.
 //!
 //! [`prometheus_text`]: MetricsRegistry::prometheus_text
 //! [`json`]: MetricsRegistry::json
 
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -34,7 +34,7 @@ use crate::recorder::{Telemetry, TelemetrySnapshot};
 
 /// Schema identifier stamped into the JSON exposition so downstream
 /// scrapers can detect format changes.
-pub const METRICS_SCHEMA: &str = "pccheck.metrics.v1";
+pub(crate) const METRICS_SCHEMA: &str = "pccheck.metrics.v1";
 
 /// On-demand exposition over a shared [`Telemetry`] recorder.
 ///
@@ -133,19 +133,6 @@ impl MetricsRegistry {
         } else {
             jobs.push((name, telemetry));
         }
-    }
-
-    /// Removes a per-job recorder; returns whether it was registered.
-    pub fn deregister_job(&self, name: &str) -> bool {
-        let mut jobs = self.jobs.lock();
-        let before = jobs.len();
-        jobs.retain(|(n, _)| n != name);
-        jobs.len() != before
-    }
-
-    /// The per-job handles currently registered, in registration order.
-    pub fn jobs(&self) -> Vec<(String, Telemetry)> {
-        self.jobs.lock().clone()
     }
 
     /// One consistent per-job rollup: registered jobs whose handles are
@@ -394,7 +381,7 @@ impl MetricsRegistry {
     }
 
     /// The whole snapshot as one JSON object with a stable
-    /// [`METRICS_SCHEMA`] tag (hand-rolled, like every exporter in this
+    /// `METRICS_SCHEMA` tag (hand-rolled, like every exporter in this
     /// crate).
     pub fn json(&self) -> String {
         let Some(snap) = self.telemetry.snapshot() else {
@@ -599,101 +586,149 @@ impl MetricsRegistry {
     }
 }
 
-/// A minimal metrics HTTP endpoint over [`std::net::TcpListener`].
-///
-/// Routes: `GET /metrics` (Prometheus text), `GET /metrics.json` (the
-/// registry's JSON document); everything else is 404. One accept loop on
-/// a background thread, one request per connection — deliberately tiny,
-/// for scrapes and `curl`, not for load.
+/// Longest request head (request line and headers) an [`HttpListener`]
+/// reads; a longer one is answered 431 and the connection closed. It also
+/// bounds what the listener reads after answering.
+const MAX_REQUEST_HEAD: u64 = 8 * 1024;
+
+/// One answer from an [`HttpRoute`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HttpResponse {
+    /// Status code and reason, e.g. `"200 OK"`.
+    pub status: &'static str,
+    /// The `Content-Type` header value.
+    pub content_type: &'static str,
+    /// The response body.
+    pub body: String,
+}
+
+/// What an [`HttpListener`] serves: the answer to one `GET` of `target`
+/// (the request's path and query).
+pub trait HttpRoute {
+    /// Answers `GET target`.
+    fn get(&self, target: &str) -> HttpResponse;
+}
+
+impl<R: HttpRoute + ?Sized> HttpRoute for Arc<R> {
+    fn get(&self, target: &str) -> HttpResponse {
+        (**self).get(target)
+    }
+}
+
+/// Reads one request head from `reader` and renders the response to it:
+/// `route`'s answer to a `GET`, 405 for another method, 400 for a request
+/// line that does not parse, 431 for a head over [`MAX_REQUEST_HEAD`].
+/// `None` when the peer sent nothing.
+fn respond(reader: &mut impl BufRead, route: &impl HttpRoute) -> Option<String> {
+    let mut head = reader.take(MAX_REQUEST_HEAD);
+    let mut request_line = Vec::new();
+    // A read error (the 500 ms timeout) ends the head like EOF does.
+    let _ = head.read_until(b'\n', &mut request_line);
+    if request_line.is_empty() {
+        return None;
+    }
+    // Drain headers so well-behaved clients see a clean close.
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        match head.read_until(b'\n', &mut line) {
+            Ok(n) if n > 0 && line != b"\r\n" && line != b"\n" => {}
+            _ => break,
+        }
+    }
+    let response = if head.limit() == 0 {
+        HttpResponse {
+            status: "431 Request Header Fields Too Large",
+            content_type: "text/plain",
+            body: format!("request head over {MAX_REQUEST_HEAD} bytes\n"),
+        }
+    } else {
+        let request_line = String::from_utf8_lossy(&request_line);
+        let mut parts = request_line.split_whitespace();
+        match (parts.next(), parts.next()) {
+            (Some("GET"), Some(target)) => route.get(target),
+            (Some(_), Some(_)) => HttpResponse {
+                status: "405 Method Not Allowed",
+                content_type: "text/plain",
+                body: "GET only\n".into(),
+            },
+            _ => HttpResponse {
+                status: "400 Bad Request",
+                content_type: "text/plain",
+                body: "malformed request line\n".into(),
+            },
+        }
+    };
+    Some(format!(
+        "HTTP/1.1 {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n\
+         Connection: close\r\n\r\n{}",
+        response.status,
+        response.content_type,
+        response.body.len(),
+        response.body
+    ))
+}
+
+fn serve_one(stream: TcpStream, route: &impl HttpRoute) {
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+    let mut reader = BufReader::new(stream);
+    let response = respond(&mut reader, route);
+    let mut stream = reader.into_inner();
+    if let Some(response) = response {
+        let _ = stream.write_all(response.as_bytes());
+        let _ = stream.flush();
+    }
+    // Half-close and wait (bounded by the read timeout and the head
+    // limit) for the client's EOF so the *client* closes first and
+    // TIME_WAIT lands on its side. Otherwise a daemon restart can hit
+    // EADDRINUSE: the kernel refuses to rebind a listening port while a
+    // server-side TIME_WAIT socket from the previous incarnation still
+    // holds it.
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = std::io::copy(&mut stream.take(MAX_REQUEST_HEAD), &mut std::io::sink());
+}
+
+/// A minimal HTTP endpoint over [`std::net::TcpListener`]: one blocking
+/// accept loop on a background thread, one request per connection,
+/// answered by an [`HttpRoute`] — deliberately tiny, for scrapes, `curl`
+/// and `pccheckctl`, not for load. Joined on drop, so a restarted service
+/// can rebind its port.
 #[derive(Debug)]
-pub struct MetricsServer {
+pub struct HttpListener {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
-fn http_response(status: &str, content_type: &str, body: &str) -> String {
-    format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-}
+/// The metrics endpoint: an [`HttpListener`] over a [`MetricsRegistry`].
+pub type MetricsServer = HttpListener;
 
-fn serve_one(stream: TcpStream, registry: &MetricsRegistry) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() {
-        return;
-    }
-    // Drain headers so well-behaved clients see a clean close.
-    loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) if line == "\r\n" || line == "\n" => break,
-            Ok(_) => {}
-            Err(_) => break,
-        }
-    }
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    let response = if method != "GET" {
-        http_response("405 Method Not Allowed", "text/plain", "GET only\n")
-    } else {
-        match path {
-            "/metrics" => http_response(
-                "200 OK",
-                "text/plain; version=0.0.4",
-                &registry.prometheus_text(),
-            ),
-            "/metrics.json" => http_response("200 OK", "application/json", &registry.json()),
-            _ => http_response("404 Not Found", "text/plain", "try /metrics\n"),
-        }
-    };
-    let mut stream = reader.into_inner();
-    let _ = stream.write_all(response.as_bytes());
-    let _ = stream.flush();
-    // Half-close and wait (bounded by the read timeout) for the client's
-    // EOF so the *client* closes first and TIME_WAIT lands on its side.
-    // Otherwise a daemon restart can hit EADDRINUSE: the kernel refuses
-    // to rebind a listening port while a server-side TIME_WAIT socket
-    // from the previous incarnation still holds it.
-    let _ = stream.shutdown(Shutdown::Write);
-    let mut sink = [0u8; 256];
-    while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
-}
-
-impl MetricsServer {
+impl HttpListener {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts the accept loop on a background thread.
+    /// serves `route` on a background thread.
     ///
     /// # Errors
     ///
     /// Returns the bind/listen error as a string.
-    pub fn bind(addr: &str, registry: MetricsRegistry) -> Result<Self, String> {
+    pub fn bind(addr: &str, route: impl HttpRoute + Send + 'static) -> Result<Self, String> {
         let listener = TcpListener::bind(addr).map_err(|e| e.to_string())?;
         let local = listener.local_addr().map_err(|e| e.to_string())?;
-        listener.set_nonblocking(true).map_err(|e| e.to_string())?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         let handle = std::thread::spawn(move || {
-            while !stop_flag.load(Ordering::Acquire) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let _ = stream.set_nonblocking(false);
-                        serve_one(stream, &registry);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
+            for stream in listener.incoming() {
+                match stream {
+                    Ok(stream) => serve_one(stream, &route),
                     Err(_) => break,
+                }
+                // `shutdown` raises the flag, then connects once to wake
+                // the accept above.
+                if stop_flag.load(Ordering::Acquire) {
+                    break;
                 }
             }
         });
-        Ok(MetricsServer {
+        Ok(HttpListener {
             addr: local,
             stop,
             handle: Some(handle),
@@ -705,22 +740,48 @@ impl MetricsServer {
         self.addr
     }
 
-    /// Stops the accept loop and joins the thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
+    /// Stops the accept loop and joins the thread, as dropping does.
+    pub fn shutdown(self) {
+        drop(self);
     }
+}
 
-    fn stop_and_join(&mut self) {
+impl Drop for HttpListener {
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // Fails only if the loop already ended; it then joins at once.
+        drop(TcpStream::connect(wake));
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
         }
     }
 }
 
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
+/// `GET /metrics` (Prometheus text) and `GET /metrics.json` (the
+/// registry's JSON document); everything else is 404.
+impl HttpRoute for MetricsRegistry {
+    fn get(&self, target: &str) -> HttpResponse {
+        let (status, content_type, body) = match target {
+            "/metrics" => (
+                "200 OK",
+                "text/plain; version=0.0.4",
+                self.prometheus_text(),
+            ),
+            "/metrics.json" => ("200 OK", "application/json", self.json()),
+            _ => ("404 Not Found", "text/plain", "try /metrics\n".into()),
+        };
+        HttpResponse {
+            status,
+            content_type,
+            body,
+        }
     }
 }
 
@@ -900,7 +961,7 @@ mod tests {
         t.add_dedup_chunks(3);
         t.gauge_compression_ratio(750);
         t.committed(span, 1, 4096);
-        t.actor_span(span, "writer-0", s, 4096);
+        t.actor_span_split(span, "writer-0", s, 4096, u64::MAX);
         MetricsRegistry::new(t)
     }
 
@@ -1050,9 +1111,6 @@ mod tests {
         assert!(view.contains("alpha"));
         assert!(view.contains("beta"));
         assert!(view.contains("share"));
-        assert!(reg.deregister_job("beta"));
-        assert!(!reg.deregister_job("beta"));
-        assert!(!reg.console_view().contains("beta"));
     }
 
     #[test]
@@ -1060,7 +1118,11 @@ mod tests {
         let reg = active_registry();
         let clone = reg.clone();
         reg.register_job("late", Telemetry::enabled());
-        assert_eq!(clone.jobs().len(), 1, "job list is shared across clones");
+        assert_eq!(
+            clone.jobs.lock().len(),
+            1,
+            "job list is shared across clones"
+        );
         assert!(clone.prometheus_text().contains("{job=\"late\"}"));
     }
 

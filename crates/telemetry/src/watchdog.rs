@@ -17,16 +17,14 @@
 //!    offending window, and (when wired) a flight-ring dump — into a
 //!    numbered `blackbox-N/` directory under the configured results dir.
 //!
-//! Checks run synchronously via [`SloWatchdog::check_now`] (what the
-//! tests and `pccheckctl watchdog` drive) or periodically on a background
-//! thread via [`SloWatchdog::spawn`].
+//! Checks run synchronously via [`SloWatchdog::check_now`], which the tests
+//! and `pccheckctl watchdog` drive.
 
 use std::fmt;
 use std::fs;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use pccheck_util::sync::Mutex;
 
@@ -126,7 +124,7 @@ struct Baseline {
 /// Provider of a flight-ring dump for the black-box bundle (wired by the
 /// monitor layer from the store's persistent ring; `None` entries mean
 /// the ring was unreadable at capture time).
-pub type FlightDumpFn = Arc<dyn Fn() -> Option<String> + Send + Sync>;
+pub(crate) type FlightDumpFn = Arc<dyn Fn() -> Option<String> + Send + Sync>;
 
 /// Rolling-window SLO evaluator with black-box capture.
 pub struct SloWatchdog {
@@ -200,16 +198,6 @@ impl SloWatchdog {
     ) -> Self {
         self.flight_dump = Some(Arc::new(dump));
         self
-    }
-
-    /// The configured thresholds.
-    pub fn config(&self) -> &SloConfig {
-        &self.config
-    }
-
-    /// The results directory bundles are captured into.
-    pub fn out_dir(&self) -> &Path {
-        &self.out_dir
     }
 
     /// How many black-box bundles this watchdog has captured.
@@ -380,59 +368,6 @@ impl SloWatchdog {
         *self.last_bundle.lock() = Some(dir.clone());
         Ok(dir)
     }
-
-    /// Runs [`check_now`](Self::check_now) every `interval` on a
-    /// background thread until the returned handle is stopped or dropped.
-    pub fn spawn(self: Arc<Self>, interval: Duration) -> WatchdogHandle {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            while !stop_flag.load(Ordering::Acquire) {
-                // Sleep in short slices so stop() returns promptly.
-                let mut remaining = interval;
-                while !remaining.is_zero() && !stop_flag.load(Ordering::Acquire) {
-                    let slice = remaining.min(Duration::from_millis(20));
-                    std::thread::sleep(slice);
-                    remaining = remaining.saturating_sub(slice);
-                }
-                if stop_flag.load(Ordering::Acquire) {
-                    break;
-                }
-                self.check_now();
-            }
-        });
-        WatchdogHandle {
-            stop,
-            handle: Some(handle),
-        }
-    }
-}
-
-/// Stop/join handle for a background watchdog thread; stops on drop.
-#[derive(Debug)]
-pub struct WatchdogHandle {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl WatchdogHandle {
-    /// Stops the loop and joins the thread.
-    pub fn stop(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for WatchdogHandle {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
 }
 
 #[cfg(test)]
@@ -499,7 +434,7 @@ mod tests {
 
         // A span whose stall dominates the window.
         let span = t.span_requested("pccheck", 1, 64);
-        std::thread::sleep(Duration::from_millis(2));
+        std::thread::sleep(std::time::Duration::from_millis(2));
         let stall = t.now_nanos(); // ~the whole window so far
         t.stall(span, stall);
         t.committed(span, 1, 64);

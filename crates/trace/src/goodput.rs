@@ -12,12 +12,12 @@
 //! * recovery additionally pays the checkpoint load time `l`.
 
 use pccheck_sim::SimReport;
-use pccheck_util::{SimDuration, SimTime};
+use pccheck_util::SimDuration;
 
 use crate::preemption::PreemptionTrace;
 
 /// Bulk preemptions within this gap cause a single rollback.
-pub const BULK_COALESCE_GAP: SimDuration = SimDuration::from_secs(60);
+pub(crate) const BULK_COALESCE_GAP: SimDuration = SimDuration::from_secs(60);
 
 /// Goodput replay configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,16 +119,12 @@ impl GoodputReplay {
     }
 }
 
-/// Convenience: the latest durable iteration at time `t` in a report.
-pub fn committed_iteration_at(report: &SimReport, t: SimTime) -> u64 {
-    report.latest_commit_at(t).map(|c| c.iteration).unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pccheck_gpu::ModelZoo;
     use pccheck_sim::{SimConfig, StrategyCfg};
+    use pccheck_util::SimTime;
 
     fn trace() -> PreemptionTrace {
         PreemptionTrace::synthetic_gcp_a100(1)

@@ -42,7 +42,7 @@ impl JitReplay {
     pub const GCP_GRACE: SimDuration = SimDuration::from_secs(30);
 
     /// Whether one emergency save fits the grace window.
-    pub fn save_fits(&self) -> bool {
+    pub(crate) fn save_fits(&self) -> bool {
         self.save_bandwidth.transfer_time(self.shard_size) <= self.grace
     }
 

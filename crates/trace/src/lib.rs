@@ -17,6 +17,6 @@ pub mod goodput;
 pub mod jit;
 pub mod preemption;
 
-pub use goodput::{GoodputReplay, GoodputResult};
+pub use goodput::GoodputReplay;
 pub use jit::JitReplay;
 pub use preemption::PreemptionTrace;

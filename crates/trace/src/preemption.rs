@@ -8,7 +8,7 @@ use pccheck_util::{SimDuration, SimTime};
 pub const GCP_A100_PREEMPTIONS_PER_HOUR: f64 = 26.0 / 3.5;
 
 /// The default experiment window (§1/Figure 2: a 16-hour trace).
-pub const DEFAULT_WINDOW: SimDuration = SimDuration::from_secs(16 * 3600);
+pub(crate) const DEFAULT_WINDOW: SimDuration = SimDuration::from_secs(16 * 3600);
 
 /// A sequence of preemption/failure events over a time window.
 ///
@@ -132,7 +132,7 @@ impl PreemptionTrace {
     /// it. Bulky revocations are the failure mode that defeats
     /// replication-based schemes (just-in-time checkpointing assumes a
     /// surviving replica; §2.2 notes bulk VM preemptions break that).
-    pub fn coalesced_with_bulk_flag(&self, gap: SimDuration) -> Vec<(SimTime, bool)> {
+    pub(crate) fn coalesced_with_bulk_flag(&self, gap: SimDuration) -> Vec<(SimTime, bool)> {
         let mut out: Vec<(SimTime, bool)> = Vec::new();
         for &e in &self.events {
             match out.last_mut() {

@@ -5,9 +5,7 @@
 //! Fields containing commas, quotes or newlines are quoted per RFC 4180.
 
 use std::fmt::Display;
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
+use std::io::{self, Write};
 
 /// Writes rows of an experiment result table as CSV.
 ///
@@ -28,18 +26,6 @@ pub struct CsvWriter<W: Write> {
     columns: usize,
     header_written: bool,
     header: String,
-}
-
-impl CsvWriter<BufWriter<File>> {
-    /// Creates a CSV file at `path` with the given header.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from creating the file.
-    pub fn create<P: AsRef<Path>>(path: P, header: &[&str]) -> io::Result<Self> {
-        let file = File::create(path)?;
-        Ok(CsvWriter::new(BufWriter::new(file), header))
-    }
 }
 
 impl<W: Write> CsvWriter<W> {
@@ -84,20 +70,6 @@ impl<W: Write> CsvWriter<W> {
             .collect::<Vec<_>>()
             .join(",");
         writeln!(self.inner, "{line}")
-    }
-
-    /// Writes a row of raw string fields.
-    ///
-    /// # Errors
-    ///
-    /// Returns any underlying I/O error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number of fields differs from the header width.
-    pub fn row_strs(&mut self, fields: &[&str]) -> io::Result<()> {
-        let dyns: Vec<&dyn Display> = fields.iter().map(|f| f as &dyn Display).collect();
-        self.row(&dyns)
     }
 
     /// Flushes buffered output.
@@ -154,7 +126,7 @@ mod tests {
     #[test]
     fn quotes_fields_with_commas_and_quotes() {
         let out = render(|w| {
-            w.row_strs(&["hello, world", "say \"hi\""]).unwrap();
+            w.row(&[&"hello, world", &"say \"hi\""]).unwrap();
         });
         assert_eq!(out, "a,b\n\"hello, world\",\"say \"\"hi\"\"\"\n");
     }
@@ -165,20 +137,5 @@ mod tests {
         render(|w| {
             w.row(&[&1]).unwrap();
         });
-    }
-
-    #[test]
-    fn create_writes_file() {
-        let dir = std::env::temp_dir().join("pccheck-util-csv-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("out.csv");
-        {
-            let mut w = CsvWriter::create(&path, &["x"]).unwrap();
-            w.row(&[&42]).unwrap();
-            w.flush().unwrap();
-        }
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, "x\n42\n");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -21,18 +21,18 @@
 //!   recovery path. All three get their block values from
 //!   [`block_digests`], which walks four blocks at a time;
 //!   [`whole_blocks`] says which blocks a piece of the state can hand it.
-//! - [`record_digest`] / [`content_address`]: a frame record's content
+//! - `record_digest` / [`content_address`]: a frame record's content
 //!   address, a fold of the same block values over the record's own bytes.
 //!   [`file_blocks`] takes both digests of a piece in one pass, which is
 //!   every pass on a block-aligned geometry.
 
 /// FNV-1a seed, shared with the checkpoint metadata checksum.
-pub const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a prime.
-pub const FNV_PRIME: u64 = 0x1000_0000_01b3;
+pub(crate) const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
-/// Folds `data` into a running FNV-1a state (start from [`FNV_SEED`]).
+/// Folds `data` into a running FNV-1a state (start from `FNV_SEED`).
 pub fn fnv1a_fold(mut h: u64, data: &[u8]) -> u64 {
     for b in data {
         h ^= u64::from(*b);
@@ -212,11 +212,11 @@ pub fn fold_blocks(step: u64, len: u64, blocks: impl IntoIterator<Item = u64>) -
 /// A frame record's content address: a fold, seeded with the record's
 /// length, of the [`block_digests`] of its own bytes — blocks counted from
 /// the record's first byte, the last one short.
-pub fn record_digest(len: u64, blocks: impl IntoIterator<Item = u64>) -> u64 {
+pub(crate) fn record_digest(len: u64, blocks: impl IntoIterator<Item = u64>) -> u64 {
     [len].into_iter().chain(blocks).fold(FNV_SEED, mix)
 }
 
-/// [`record_digest`] of `record`'s bytes.
+/// `record_digest` of `record`'s bytes.
 pub fn content_address(record: &[u8]) -> u64 {
     record_digest(record.len() as u64, block_digests(record))
 }

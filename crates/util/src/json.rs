@@ -139,11 +139,6 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    /// Whether this is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, JsonValue::Null)
-    }
 }
 
 struct Parser<'a> {
@@ -410,7 +405,7 @@ mod tests {
         assert_eq!(a.len(), 3);
         assert_eq!(a[0].as_u64(), Some(1));
         assert_eq!(a[2].get("b").and_then(|b| b.as_str()), Some("c"));
-        assert!(v.get("d").unwrap().get("e").unwrap().is_null());
+        assert_eq!(v.get("d").unwrap().get("e"), Some(&JsonValue::Null));
         assert!(v.get("missing").is_none());
         assert_eq!(v.as_object().unwrap().len(), 2);
     }

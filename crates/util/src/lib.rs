@@ -42,8 +42,8 @@ pub mod time;
 pub mod units;
 
 pub use csv::CsvWriter;
-pub use fnv::{chunk_digest, fnv1a, fnv1a_fold, FNV_PRIME, FNV_SEED};
-pub use json::{JsonError, JsonValue};
+pub use fnv::{chunk_digest, fnv1a, fnv1a_fold};
+pub use json::JsonValue;
 pub use stats::Summary;
 pub use throttle::TokenBucket;
 pub use time::{SimDuration, SimTime};

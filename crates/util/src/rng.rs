@@ -49,7 +49,7 @@ impl Rng {
     }
 
     /// Uniform in `[0, 1)`, from the top 53 bits of one word.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 

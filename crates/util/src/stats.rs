@@ -65,7 +65,7 @@ impl Summary {
     }
 
     /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
+    pub(crate) fn stddev(&self) -> f64 {
         self.stddev
     }
 
@@ -127,29 +127,6 @@ impl fmt::Display for Summary {
     }
 }
 
-/// Computes the geometric mean of strictly positive samples.
-///
-/// Useful when averaging slowdown ratios across models.
-///
-/// # Panics
-///
-/// Panics if `samples` is empty or any sample is not strictly positive.
-///
-/// # Examples
-///
-/// ```
-/// use pccheck_util::stats::geometric_mean;
-/// assert!((geometric_mean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-/// ```
-pub fn geometric_mean(samples: &[f64]) -> f64 {
-    assert!(!samples.is_empty(), "cannot average zero samples");
-    assert!(
-        samples.iter().all(|s| s.is_finite() && *s > 0.0),
-        "geometric mean requires positive samples"
-    );
-    (samples.iter().map(|s| s.ln()).sum::<f64>() / samples.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,12 +168,6 @@ mod tests {
     #[should_panic(expected = "samples must be finite")]
     fn nan_samples_rejected() {
         Summary::from_samples(&[1.0, f64::NAN]);
-    }
-
-    #[test]
-    fn geometric_mean_of_ratios() {
-        assert!((geometric_mean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-        assert!((geometric_mean(&[1.0]) - 1.0).abs() < 1e-12);
     }
 
     #[test]

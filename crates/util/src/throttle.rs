@@ -55,7 +55,7 @@ impl TokenBucket {
     /// # Panics
     ///
     /// Panics if `window_secs` is not strictly positive and finite.
-    pub fn with_burst_window(rate: Bandwidth, window_secs: f64) -> Self {
+    pub(crate) fn with_burst_window(rate: Bandwidth, window_secs: f64) -> Self {
         assert!(
             window_secs.is_finite() && window_secs > 0.0,
             "invalid burst window {window_secs}"
@@ -70,11 +70,6 @@ impl TokenBucket {
             }),
             cond: Condvar::new(),
         }
-    }
-
-    /// The configured refill rate.
-    pub fn rate(&self) -> Bandwidth {
-        self.rate
     }
 
     /// Blocks until `size` bytes of tokens have been consumed.
@@ -167,12 +162,6 @@ mod tests {
     fn zero_byte_acquire_is_noop() {
         let bucket = TokenBucket::new(Bandwidth::from_mb_per_sec(1.0));
         bucket.acquire(ByteSize::ZERO);
-    }
-
-    #[test]
-    fn rate_accessor_round_trips() {
-        let bucket = TokenBucket::new(Bandwidth::from_mb_per_sec(5.0));
-        assert!((bucket.rate().as_gb_per_sec() - 5.0 / 1024.0).abs() < 1e-9);
     }
 
     #[test]

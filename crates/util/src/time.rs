@@ -24,17 +24,10 @@ pub struct SimDuration(u64);
 impl SimDuration {
     /// Zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// Largest representable duration.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Creates a duration from whole nanoseconds.
     pub const fn from_nanos(ns: u64) -> Self {
         SimDuration(ns)
-    }
-
-    /// Creates a duration from whole microseconds.
-    pub const fn from_micros(us: u64) -> Self {
-        SimDuration(us * 1_000)
     }
 
     /// Creates a duration from whole milliseconds.
@@ -70,33 +63,13 @@ impl SimDuration {
     }
 
     /// Returns the duration in fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
+    pub(crate) fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
     /// Returns `true` if this duration is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Saturating subtraction.
-    pub const fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Checked addition.
-    pub fn checked_add(self, rhs: SimDuration) -> Option<SimDuration> {
-        self.0.checked_add(rhs.0).map(SimDuration)
-    }
-
-    /// The minimum of two durations.
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.min(other.0))
-    }
-
-    /// The maximum of two durations.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(other.0))
     }
 
     /// Multiplies by a non-negative float factor, rounding to nanoseconds.
@@ -202,11 +175,6 @@ impl SimTime {
     /// The largest representable instant (used as "never").
     pub const MAX: SimTime = SimTime(u64::MAX);
 
-    /// Creates an instant `ns` nanoseconds after the epoch.
-    pub const fn from_nanos(ns: u64) -> Self {
-        SimTime(ns)
-    }
-
     /// Creates an instant from fractional seconds after the epoch.
     ///
     /// # Panics
@@ -214,11 +182,6 @@ impl SimTime {
     /// Panics if `secs` is negative, NaN, or too large.
     pub fn from_secs_f64(secs: f64) -> Self {
         SimTime(SimDuration::from_secs_f64(secs).as_nanos())
-    }
-
-    /// Nanoseconds since the epoch.
-    pub const fn as_nanos(self) -> u64 {
-        self.0
     }
 
     /// Seconds since the epoch.
@@ -270,11 +233,18 @@ impl fmt::Display for SimTime {
 mod tests {
     use super::*;
 
+    /// The instant `ns` nanoseconds after the epoch.
+    fn at(ns: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_nanos(ns)
+    }
+
     #[test]
     fn duration_constructors_agree() {
         assert_eq!(SimDuration::from_secs(1), SimDuration::from_millis(1000));
-        assert_eq!(SimDuration::from_millis(1), SimDuration::from_micros(1000));
-        assert_eq!(SimDuration::from_micros(1), SimDuration::from_nanos(1000));
+        assert_eq!(
+            SimDuration::from_millis(1),
+            SimDuration::from_nanos(1_000_000)
+        );
         assert_eq!(
             SimDuration::from_secs_f64(1.5),
             SimDuration::from_millis(1500)
@@ -289,7 +259,6 @@ mod tests {
         assert_eq!(a - b, SimDuration::from_secs(2));
         assert_eq!(a * 2, SimDuration::from_secs(6));
         assert_eq!(a / 3, SimDuration::from_secs(1));
-        assert_eq!(b.saturating_sub(a), SimDuration::ZERO);
         assert_eq!(a.mul_f64(0.5), SimDuration::from_millis(1500));
         let total: SimDuration = vec![a, b].into_iter().sum();
         assert_eq!(total, SimDuration::from_secs(4));
@@ -297,9 +266,9 @@ mod tests {
 
     #[test]
     fn instant_duration_algebra() {
-        let t0 = SimTime::from_nanos(100);
+        let t0 = at(100);
         let t1 = t0 + SimDuration::from_nanos(50);
-        assert_eq!(t1.as_nanos(), 150);
+        assert_eq!(t1 - SimTime::ZERO, SimDuration::from_nanos(150));
         assert_eq!(t1 - t0, SimDuration::from_nanos(50));
         assert_eq!(t1 - SimDuration::from_nanos(150), SimTime::ZERO);
         assert_eq!(t0.saturating_since(t1), SimDuration::ZERO);
@@ -308,7 +277,7 @@ mod tests {
     #[test]
     fn display_formats_pick_unit() {
         assert_eq!(format!("{}", SimDuration::from_nanos(5)), "5 ns");
-        assert_eq!(format!("{}", SimDuration::from_micros(5)), "5.000 us");
+        assert_eq!(format!("{}", SimDuration::from_nanos(5_000)), "5.000 us");
         assert_eq!(format!("{}", SimDuration::from_millis(5)), "5.000 ms");
         assert_eq!(format!("{}", SimDuration::from_secs(5)), "5.000 s");
         assert_eq!(format!("{}", SimTime::from_secs_f64(1.0)), "t+1.000000s");
@@ -322,19 +291,8 @@ mod tests {
 
     #[test]
     fn ordering_is_total() {
-        let mut v = vec![
-            SimTime::from_nanos(5),
-            SimTime::ZERO,
-            SimTime::from_nanos(3),
-        ];
+        let mut v = vec![at(5), SimTime::ZERO, at(3)];
         v.sort();
-        assert_eq!(
-            v,
-            vec![
-                SimTime::ZERO,
-                SimTime::from_nanos(3),
-                SimTime::from_nanos(5)
-            ]
-        );
+        assert_eq!(v, vec![SimTime::ZERO, at(3), at(5)]);
     }
 }

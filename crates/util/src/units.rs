@@ -49,16 +49,6 @@ impl ByteSize {
         ByteSize(mb * MIB)
     }
 
-    /// Creates a size from (possibly fractional) binary megabytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mb` is negative or not finite.
-    pub fn from_mb(mb: f64) -> Self {
-        assert!(mb.is_finite() && mb >= 0.0, "invalid megabyte count {mb}");
-        ByteSize((mb * MIB as f64).round() as u64)
-    }
-
     /// Creates a size from (possibly fractional) binary gigabytes.
     ///
     /// # Panics
@@ -99,26 +89,6 @@ impl ByteSize {
         self.0 == 0
     }
 
-    /// Saturating subtraction.
-    pub const fn saturating_sub(self, rhs: ByteSize) -> ByteSize {
-        ByteSize(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Checked multiplication by an integer factor.
-    pub fn checked_mul(self, factor: u64) -> Option<ByteSize> {
-        self.0.checked_mul(factor).map(ByteSize)
-    }
-
-    /// The minimum of two sizes.
-    pub fn min(self, other: ByteSize) -> ByteSize {
-        ByteSize(self.0.min(other.0))
-    }
-
-    /// The maximum of two sizes.
-    pub fn max(self, other: ByteSize) -> ByteSize {
-        ByteSize(self.0.max(other.0))
-    }
-
     /// Splits this size into `n` shards whose sizes differ by at most one
     /// byte and sum exactly to `self`.
     ///
@@ -144,17 +114,6 @@ impl ByteSize {
         (0..n)
             .map(|i| ByteSize(base + u64::from(i < rem)))
             .collect()
-    }
-
-    /// Number of chunks of size `chunk` needed to cover this size (ceiling
-    /// division).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is zero.
-    pub fn chunks_of(self, chunk: ByteSize) -> u64 {
-        assert!(!chunk.is_zero(), "chunk size must be nonzero");
-        self.0.div_ceil(chunk.0)
     }
 }
 
@@ -283,11 +242,6 @@ impl Bandwidth {
         SimDuration::from_secs_f64(size.as_u64() as f64 / self.0)
     }
 
-    /// Bytes transferred in `dur` at this rate (floor).
-    pub fn bytes_in(self, dur: SimDuration) -> ByteSize {
-        ByteSize::from_bytes((self.0 * dur.as_secs_f64()).floor() as u64)
-    }
-
     /// This bandwidth divided evenly among `n` concurrent streams
     /// (processor-sharing model).
     ///
@@ -343,7 +297,6 @@ mod tests {
         assert_eq!((a - b).as_u64(), 60);
         assert_eq!((a * 3).as_u64(), 300);
         assert_eq!((a / 3).as_u64(), 33);
-        assert_eq!(b.saturating_sub(a), ByteSize::ZERO);
         let total: ByteSize = vec![a, b, b].into_iter().sum();
         assert_eq!(total.as_u64(), 180);
     }
@@ -363,22 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn chunks_of_is_ceiling_division() {
-        let m = ByteSize::from_bytes(1000);
-        assert_eq!(m.chunks_of(ByteSize::from_bytes(100)), 10);
-        assert_eq!(m.chunks_of(ByteSize::from_bytes(999)), 2);
-        assert_eq!(m.chunks_of(ByteSize::from_bytes(1000)), 1);
-        assert_eq!(m.chunks_of(ByteSize::from_bytes(1001)), 1);
-        assert_eq!(ByteSize::ZERO.chunks_of(ByteSize::from_bytes(10)), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk size must be nonzero")]
-    fn chunks_of_zero_chunk_panics() {
-        ByteSize::from_bytes(10).chunks_of(ByteSize::ZERO);
-    }
-
-    #[test]
     fn bandwidth_transfer_time_matches_paper_example() {
         // §1: a 16 GB OPT-1.3B checkpoint takes ~37 s on the pd-ssd.
         let ssd = Bandwidth::from_gb_per_sec(16.0 / 37.0);
@@ -391,13 +328,6 @@ mod tests {
         let bw = Bandwidth::from_gb_per_sec(4.0);
         assert!((bw.shared_by(4).as_gb_per_sec() - 1.0).abs() < 1e-12);
         assert!((bw.scaled(0.5).as_gb_per_sec() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bandwidth_bytes_in_duration() {
-        let bw = Bandwidth::from_bytes_per_sec(1000.0);
-        let b = bw.bytes_in(SimDuration::from_millis(1500));
-        assert_eq!(b.as_u64(), 1500);
     }
 
     #[test]
