@@ -115,6 +115,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use pccheck_util::fnv::{content_address, fnv1a};
 use pccheck_util::ByteSize;
@@ -817,12 +818,26 @@ pub struct DedupHome {
     pub depth: u32,
 }
 
+/// One job's homes as of one framed commit. Immutable once installed: a
+/// copy that observes it keeps it for its whole frame, whatever is
+/// installed after.
 #[derive(Debug, Default)]
-struct Generation {
+pub(crate) struct Generation {
     /// Counter of the commit that installed this generation; its link
     /// chain pins every home below.
     head: u64,
     homes: HashMap<u64, DedupHome>, // digest -> home
+}
+
+impl Generation {
+    /// The home of the chunk with content address `digest`, if it has the
+    /// same length — a length mismatch is a digest collision, not a hit.
+    pub(crate) fn home(&self, digest: u64, len: u64) -> Option<DedupHome> {
+        self.homes
+            .get(&digest)
+            .copied()
+            .filter(|home| home.len == len)
+    }
 }
 
 /// Content-addressed index from each chunk of a job's latest framed commit
@@ -835,7 +850,7 @@ struct Generation {
 /// of one store never dedup across namespaces.
 #[derive(Debug, Default)]
 pub(crate) struct DedupIndex {
-    generations: HashMap<JobId, Generation>,
+    generations: HashMap<JobId, Arc<Generation>>,
 }
 
 /// Max entries kept per generation; overflow chunks stay materialized.
@@ -863,24 +878,25 @@ impl DedupIndex {
             }
             by_digest.entry(digest).or_insert(home);
         }
-        self.generations.insert(
-            job,
-            Generation {
-                head,
-                homes: by_digest,
-            },
-        );
+        let generation = Generation {
+            head,
+            homes: by_digest,
+        };
+        self.generations.insert(job, Arc::new(generation));
     }
 
-    /// Looks up a chunk's home by content address, only answering from
-    /// `job`'s generation when checkpoint `head` installed it — any other
-    /// generation names homes the current head's chain may not pin.
-    pub(crate) fn lookup(&self, job: JobId, head: u64, digest: u64, len: u64) -> Option<DedupHome> {
+    /// `job`'s generation, only when checkpoint `head` installed it — any
+    /// other generation names homes the current head's chain may not pin.
+    pub(crate) fn observe(&self, job: JobId, head: u64) -> Option<Arc<Generation>> {
         let g = self.generations.get(&job)?;
-        if g.head != head {
-            return None;
-        }
-        g.homes.get(&digest).copied().filter(|home| home.len == len)
+        (g.head == head).then(|| Arc::clone(g))
+    }
+
+    /// Looks up a chunk's home by content address in the generation
+    /// checkpoint `head` installed.
+    #[cfg(test)]
+    pub(crate) fn lookup(&self, job: JobId, head: u64, digest: u64, len: u64) -> Option<DedupHome> {
+        self.observe(job, head)?.home(digest, len)
     }
 
     /// The checkpoint counter of `job`'s current generation, if any.

@@ -9,10 +9,11 @@
 //! 2. snapshots the GPU state chunk by chunk into pinned DRAM buffers from
 //!    the staging pool, holding the weights shared-lock only for the copy:
 //!    the copy verb consumes the guard and drops it when the last chunk is
-//!    staged, so `update()` never waits on a device write (a copy that
-//!    stages the whole snapshot copies only the chunks dirtied since the
-//!    last one and leases its slot after the guard is gone, so `update()`
-//!    never waits for a slot either),
+//!    staged, so `update()` never waits on a device write (a codec copy
+//!    copies only the chunks its last snapshot and its head's dedup homes
+//!    cannot serve, and leases its slot after the guard is gone unless one
+//!    is free at once, so `update()` waits for a slot only when DRAM runs
+//!    out),
 //! 3. hands chunks to the pipeline's `p` resident writers, which write them
 //!    to the device at the leased slot's offsets, oldest checkpoint first
 //!    (pipelined mode overlaps 2 and 3; non-pipelined mode stages the full
@@ -110,8 +111,8 @@ impl EngineStats {
 ///
 /// Staging in ticket order means a newer checkpoint never holds staging
 /// DRAM while it waits for the lease of an older one that is still waiting
-/// for DRAM (a whole-snapshot copy leases after it has staged). Leasing in
-/// ticket order makes the store's counters follow request order.
+/// for DRAM (a staged copy leases after it has staged, a codec copy may).
+/// Leasing in ticket order makes the store's counters follow request order.
 /// Committing in ticket order makes "the older checkpoint commits first"
 /// hold always, not just usually: the writer pool already drains the older
 /// checkpoint's chunks first, so the wait is the older one's last write and
@@ -165,17 +166,27 @@ impl InFlight {
         self.cond.notify_all();
     }
 
-    /// Runs `lease` once every older ticket has leased.
-    fn lease_in_turn<T>(&self, ticket: u64, lease: impl FnOnce() -> T) -> T {
+    /// Runs `lease` once every older ticket has leased: waiting for them
+    /// when `wait` is set, `None` at once when it is not and they have not.
+    /// A `lease` that returns `None` leaves the turn where it was.
+    fn lease_in_turn<T>(
+        &self,
+        ticket: u64,
+        wait: bool,
+        lease: impl FnOnce() -> Option<T>,
+    ) -> Option<T> {
         let mut t = self.tickets.lock();
         while t.leased < ticket {
+            if !wait {
+                return None;
+            }
             t = self.cond.wait(t);
         }
         drop(t);
-        let leased = lease();
+        let leased = lease()?;
         self.tickets.lock().leased = ticket + 1;
         self.cond.notify_all();
-        leased
+        Some(leased)
     }
 
     /// Blocks until every older ticket has retired.
@@ -478,10 +489,11 @@ impl PcCheckEngine {
             ticket,
         };
         let leased = Cell::new(None);
-        let slot = DeferredLease::new(ns.job(), || {
-            let lease = in_flight.lease_in_turn(ticket, || pipeline.lease(ctx, ns));
+        let slot = DeferredLease::new(ns, |wait| {
+            let lease =
+                in_flight.lease_in_turn(ticket, wait, || pipeline.try_lease(ctx, ns, wait))?;
             leased.set(Some((lease.counter, lease.slot)));
-            lease
+            Some(lease)
         });
         let result = Self::run_leased(pipeline, config, ctx, src, slot, iteration, total, || {
             drop(in_flight.wait_turn(ticket))
@@ -520,7 +532,8 @@ impl PcCheckEngine {
     ) -> Result<(CommitOutcome, StateDigest), PccheckError> {
         // The copy consumes the guard and drops it when the snapshot is
         // staged in DRAM: the weights are held for the copy, never for the
-        // persist, and — unless streamed — not for the lease either.
+        // persist, and — unless streamed, or a codec copy out of DRAM —
+        // not for the lease either.
         let mode = if config.codec && pipeline.codec_enabled() {
             CopyMode::Codec
         } else if config.pipelined {
@@ -1057,10 +1070,9 @@ mod tests {
     #[test]
     fn overlapping_framed_checkpoints_share_a_pool_of_one_and_a_half_snapshots() {
         // Two framed checkpoints stage at the same moment (no update in
-        // between) on a pool that holds 1.5 snapshots. Each must hold its
-        // whole snapshot before it can release any of it, so taking chunks
-        // one at a time could leave each with half a pool, forever; a
-        // reservation holds nothing while it waits.
+        // between) on a pool that holds 1.5 snapshots. A copy that runs out
+        // of DRAM takes its slot first, so every chunk it holds drains to
+        // the device and neither can sit on half a pool forever.
         let gpu = compressible_gpu(2048, 33);
         let cap = capacity(&gpu, 256, 3);
         let device: Arc<dyn PersistentDevice> =
@@ -1574,10 +1586,16 @@ mod tests {
     fn a_staging_pool_holds_only_what_its_checkpoints_had_in_flight() {
         // `dram_chunks` is a cap, not a reservation: a sparse codec engine
         // and a dense streamed one each end with their high-water of
-        // chunks resident, short of the budget.
-        let sparse = compressible_gpu(4096, 21);
-        let dense = tiny_gpu(4096, 22);
-        for (gpu, codec) in [(sparse, true), (dense, false)] {
+        // chunks resident, short of a 64-chunk budget. A codec frame streams
+        // and copies only what its head cannot serve, so a sparse codec
+        // engine also packs its frames through half a snapshot of DRAM (8
+        // of 16 chunks).
+        let legs = [
+            (compressible_gpu(4096, 21), true, 64),
+            (compressible_gpu(4096, 21), true, 8),
+            (tiny_gpu(4096, 22), false, 64),
+        ];
+        for (gpu, codec, budget) in legs {
             let cap = capacity(&gpu, 256, 3);
             let device: Arc<dyn PersistentDevice> =
                 Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
@@ -1585,12 +1603,15 @@ mod tests {
                 .max_concurrent(2)
                 .writer_threads(2)
                 .chunk_size(ByteSize::from_bytes(256))
-                .dram_chunks(64)
+                .dram_chunks(budget)
                 .codec(codec)
                 .pipelined(true)
                 .build()
                 .unwrap();
-            let engine = PcCheckEngine::new(config, device, gpu.state_size()).unwrap();
+            let telemetry = Telemetry::enabled();
+            let engine = PcCheckEngine::new(config, Arc::clone(&device), gpu.state_size())
+                .unwrap()
+                .with_telemetry(telemetry.clone());
             for iter in 1..=8 {
                 if codec {
                     gpu.update_sparse(0.05);
@@ -1604,8 +1625,60 @@ mod tests {
             let pool = engine.pipeline().staging_pool();
             let resident = pool.resident_chunks();
             assert_eq!(resident, pool.peak_outstanding(), "codec {codec}");
-            assert!(resident > 0 && resident < 64, "codec {codec}: {resident}");
+            let leg = format!("codec {codec}, budget {budget}");
+            assert!(resident > 0 && resident < 64, "{leg}: {resident}");
+            assert!(resident <= budget, "{leg}: {resident}");
+            let saved = telemetry.snapshot().unwrap().codec_bytes_saved;
+            assert_eq!(saved > 0, codec, "{leg}: {saved} bytes saved");
+            let rec = crate::recovery::recover(device).unwrap();
+            assert_eq!(
+                restored_digest(&gpu, &rec.payload, rec.iteration),
+                gpu.digest()
+            );
         }
+    }
+
+    #[test]
+    fn a_codec_engine_over_a_one_chunk_pool_commits_packed_sparse_frames() {
+        // One staging chunk for a sixteen-chunk state: every copy waits for
+        // DRAM, so it leases first and each chunk is written before the
+        // next is staged; the frames still deduplicate and compress.
+        let gpu = compressible_gpu(4096, 23);
+        let cap = capacity(&gpu, 256, 3);
+        let device: Arc<dyn PersistentDevice> =
+            Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
+        let config = PcCheckConfig::builder()
+            .max_concurrent(2)
+            .writer_threads(2)
+            .chunk_size(ByteSize::from_bytes(256))
+            .dram_chunks(1)
+            .codec(true)
+            .build()
+            .unwrap();
+        let telemetry = Telemetry::enabled();
+        let engine = PcCheckEngine::new(config, Arc::clone(&device), gpu.state_size())
+            .unwrap()
+            .with_telemetry(telemetry.clone());
+        let engine = Arc::new(engine);
+        for iter in 1..=6 {
+            gpu.update_sparse(0.05);
+            let (engine, gpu) = (Arc::clone(&engine), gpu.clone());
+            must_not_hang(&format!("checkpoint {iter}"), move || {
+                engine.checkpoint(&gpu, iter);
+                engine.try_drain().unwrap();
+            });
+        }
+        let stats = engine.stats();
+        assert_eq!((stats.committed(), stats.superseded()), (6, 0));
+        let snap = telemetry.snapshot().unwrap();
+        assert!(
+            snap.codec_bytes_saved > 0 && snap.dedup_chunks > 0,
+            "{snap:?}"
+        );
+        assert_eq!(engine.pipeline().staging_pool().resident_chunks(), 1);
+        let rec = crate::recovery::recover(device).unwrap();
+        assert_eq!(rec.iteration, 6);
+        assert_eq!(restored_digest(&gpu, &rec.payload, 6), gpu.digest());
     }
 
     #[test]
@@ -1660,12 +1733,17 @@ mod tests {
     /// A codec engine (N=2, three slots, 64-byte chunks, a staging pool of
     /// two snapshots) over an open [`GatedDevice`], for a compressible GPU.
     fn codec_engine(gpu: &Gpu) -> (Arc<GatedDevice>, Arc<PcCheckEngine>) {
-        let device = GatedDevice::new(capacity(gpu, 64, 3));
+        codec_engine_in(gpu, 64)
+    }
+
+    /// [`codec_engine`] in `chunk`-byte chunks.
+    fn codec_engine_in(gpu: &Gpu, chunk: u64) -> (Arc<GatedDevice>, Arc<PcCheckEngine>) {
+        let device = GatedDevice::new(capacity(gpu, chunk, 3));
         let config = PcCheckConfig::builder()
             .max_concurrent(2)
             .writer_threads(2)
-            .chunk_size(ByteSize::from_bytes(64))
-            .dram_chunks(2 * chunks_of(gpu))
+            .chunk_size(ByteSize::from_bytes(chunk))
+            .dram_chunks(2 * gpu.state_size().as_u64().div_ceil(chunk) as usize)
             .codec(true)
             .build()
             .unwrap();
@@ -1694,11 +1772,12 @@ mod tests {
         // Three slots, two of them pinned by a depth-1 chain (a root and a
         // head referencing it); checkpoint 3 takes the third and its writes
         // wait at the gate, so checkpoint 4 has no slot until 3 commits. A
-        // codec copy stages the whole snapshot and leases after it has
-        // handed the weights back: the next update returns after one copy
-        // with the gate still shut. A streamed copy writes chunk 0 before it
-        // has staged the rest, so it still leases first, weights in hand,
-        // and the update waits for checkpoint 3's writes.
+        // codec copy that cannot lease without waiting keeps its chunks in
+        // DRAM and leases after it has handed the weights back: the next
+        // update returns after one copy with the gate still shut. A
+        // streamed copy writes chunk 0 before it has staged the rest, so it
+        // still leases first, weights in hand, and the update waits for
+        // checkpoint 3's writes.
         for codec in [true, false] {
             let gpu = compressible_gpu(512, 43);
             let (device, engine) = codec_engine(&gpu);
@@ -1763,10 +1842,12 @@ mod tests {
     fn a_foreign_guard_between_sparse_steps_changes_neither_the_gauge_nor_the_carry() {
         // Every weights guard used to drain the GPU's dirty set, so a guard
         // taken by anyone else (a baseline, a probe, a test) between two
-        // sparse steps hid the first step from the next checkpoint.
+        // sparse steps hid the first step from the next checkpoint. Chunks
+        // of one digest block each, so the clean ones can be served.
+        const STATE: u64 = 1 << 20;
         let run = |foreign: bool| {
-            let gpu = compressible_gpu(4096, 17);
-            let (device, engine) = codec_engine(&gpu);
+            let gpu = compressible_gpu(STATE, 17);
+            let (device, engine) = codec_engine_in(&gpu, 4096);
             let telemetry = Telemetry::enabled();
             let engine = Arc::try_unwrap(engine)
                 .unwrap()
@@ -1791,14 +1872,15 @@ mod tests {
         assert_eq!(run(true), alone);
         let (permille, copied) = alone;
         assert_eq!(permille, 300, "both steps: the trailing 30% of each tensor");
-        assert!(copied < 4096 * 4 / 10, "clean chunks are carried: {copied}");
+        assert!(copied < STATE * 4 / 10, "clean chunks are served: {copied}");
     }
 
     #[test]
-    fn two_codec_jobs_on_one_and_a_half_snapshots_never_wait_on_a_mirror() {
-        // Each job keeps its last snapshot as a mirror, and one mirror is
-        // two thirds of the pool: the other job's whole copy must evict it
-        // rather than wait for it, however the two interleave.
+    fn two_codec_jobs_stream_through_a_pool_smaller_than_a_snapshot() {
+        // Two jobs' codec frames share six staging chunks, less than one
+        // eight-chunk snapshot: a copy that runs out of DRAM leases first,
+        // so the chunks it holds drain to the device, however the two
+        // interleave.
         let slot = FrameTable::slot_size_for(ByteSize::from_bytes(2048), ByteSize::from_bytes(256));
         let geometry = StoreGeometry {
             max_namespaces: 4,
@@ -1812,7 +1894,7 @@ mod tests {
             store.allocate_namespace(job, 3).unwrap();
         }
         let pipeline = Arc::new(
-            PersistPipeline::new(store, HostBufferPool::new(ByteSize::from_bytes(256), 12))
+            PersistPipeline::new(store, HostBufferPool::new(ByteSize::from_bytes(256), 6))
                 .with_writers(2)
                 .with_codec(true),
         );
@@ -1820,7 +1902,7 @@ mod tests {
             .max_concurrent(2)
             .writer_threads(2)
             .chunk_size(ByteSize::from_bytes(256))
-            .dram_chunks(12)
+            .dram_chunks(6)
             .codec(true)
             .build()
             .unwrap();
@@ -1857,23 +1939,90 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_frame_planned_against_a_displaced_head_is_withdrawn() {
+        // N=2, codec on, three slots. Checkpoint 1 (GPU a) is an unlinked
+        // head with homes. Checkpoint 2 (GPU b, other bytes) is held at the
+        // gate; checkpoint 3 (GPU a again) observes head 1 while it copies,
+        // so its clean chunks reference checkpoint 1's homes. When the gate
+        // opens, 2 commits unlinked and releases 1's slot; 3 must then be
+        // withdrawn — `SupersededBy` 2, its meta scrubbed — not committed
+        // over references that dangle. Recovery returns an acknowledged
+        // commit at every step.
+        let (a, b) = (compressible_gpu(512, 71), compressible_gpu(512, 72));
+        let (device, engine) = codec_engine(&a);
+        a.update_sparse(0.05);
+        engine.checkpoint(&a, a.step_count());
+        engine.try_drain().unwrap();
+        recovers(&device, &a);
+
+        device.gate_payloads(engine.store());
+        for _ in 0..2 {
+            b.update();
+        }
+        engine.checkpoint(&b, b.step_count());
+        for _ in 0..2 {
+            a.update_sparse(0.05);
+        }
+        engine.checkpoint(&a, a.step_count());
+        let trainer = a.clone();
+        // Returns once checkpoint 3 has copied and handed the weights back.
+        must_not_hang("update() waited for the gate", move || {
+            trainer.update_sparse(0.05)
+        });
+        assert_eq!(device.payload_bytes(), 0, "nothing written yet");
+        device.open();
+        let engine = must_not_hang("the gated checkpoints never drained", {
+            let engine = Arc::clone(&engine);
+            move || {
+                engine.try_drain().unwrap();
+                engine
+            }
+        });
+        let stats = engine.stats();
+        assert_eq!((stats.committed(), stats.superseded()), (2, 1));
+        assert_eq!(engine.last_committed().unwrap().digest, b.digest());
+        recovers(&device, &b);
+        let (store, ns) = (engine.store(), engine.namespace());
+        let iterations: Vec<u64> = store
+            .history(ns)
+            .unwrap()
+            .iter()
+            .map(|m| m.iteration)
+            .collect();
+        assert!(
+            !iterations.contains(&3),
+            "the withdrawn frame's meta stands: {iterations:?}"
+        );
+
+        a.update_sparse(0.05);
+        engine.checkpoint(&a, a.step_count());
+        engine.try_drain().unwrap();
+        recovers(&device, &a);
+    }
+
     /// The carry over random histories: dense and sparse steps, guards
     /// taken by others, restores, a second GPU of the same layout through
     /// the same engine, the codec switched off and on, failed writes.
     /// After every drain the engine acknowledges the GPU's state and
-    /// recovery returns it bit-exact.
+    /// recovery returns it bit-exact. Each history runs twice: in chunks
+    /// smaller than a digest block, which are always copied, and in chunks
+    /// of one block, which the carry serves when they are clean.
     #[test]
     fn prop_carried_checkpoints_commit_the_gpu_state() {
         pccheck_util::rng::check(64, |rng| {
             let seed = rng.next_u64();
-            must_not_hang(&format!("carry case {seed}"), move || carry_case(seed));
+            must_not_hang(&format!("carry case {seed}"), move || {
+                carry_case(seed, 512, 64);
+                carry_case(seed, 64 << 10, 4096);
+            });
         });
     }
 
-    fn carry_case(seed: u64) {
+    fn carry_case(seed: u64, size: u64, chunk: u64) {
         let mut rng = pccheck_util::rng::Rng::seeded(seed);
-        let gpus = [compressible_gpu(512, seed), compressible_gpu(512, !seed)];
-        let (device, engine) = codec_engine(&gpus[0]);
+        let gpus = [compressible_gpu(size, seed), compressible_gpu(size, !seed)];
+        let (device, engine) = codec_engine_in(&gpus[0], chunk);
         let mut on = 0;
         for _ in 0..16 {
             let codec_off = match rng.range(0..8) {

@@ -29,16 +29,16 @@
 //!
 //! Whatever writes it, a checkpoint is a frame (see [`crate::codec`]): a
 //! table, written last, in front of the packed chunks. The one copy verb,
-//! [`copy`](PersistPipeline::copy), packs the codec's frame when it is
-//! asked to and the frame pays; otherwise — codec off, a staging pool too
-//! small for the snapshot, a frame no smaller than the state — it writes
-//! every chunk verbatim at its packed offset under an all-`Raw` table. Every
-//! commit binds the checksum of the table it lands on.
+//! [`copy`](PersistPipeline::copy), packs the codec's frame when asked to;
+//! a frame that packs nothing — codec off, or no chunk deduplicated or
+//! compressed — is every chunk verbatim at its packed offset under an
+//! all-`Raw` table. Every commit binds the checksum of the table it lands
+//! on.
 //!
 //! # Who waits for what
 //!
-//! *The weights are held for the memcpy of the chunks that changed — not
-//! for the digest, not for the lease, not for the persist.* The copy verb
+//! *The weights are held for the memcpy of the chunks a copy needs — not
+//! for the digest, not for the persist, not for a slot.* The copy verb
 //! takes its [`SnapshotSource`] by value and drops it the moment the last
 //! chunk is staged in DRAM, and staging a chunk is one `copy_range_to_host`
 //! into a pooled buffer; everything after — digest, classify, compress,
@@ -50,59 +50,59 @@
 //!
 //! *The slot is leased when the first write needs it* ([`LeaseSlot`]): a
 //! streamed copy writes chunk 0 before it has staged the rest, so it leases
-//! first; a copy that stages the whole snapshot leases once the source is
-//! dropped, so a trainer never waits out an older checkpoint's commit for
-//! a slot. Jobs queued before the lease (the digests of the chunks being
-//! staged) queue behind every leased checkpoint of their tenant.
+//! first; a staged copy leases once the source is dropped; a codec copy
+//! leases at once if a slot is free, and otherwise once the source is
+//! dropped — its chunks ready to be written wait in DRAM meanwhile — or
+//! before it waits for DRAM (rule 2). Jobs queued before the lease queue
+//! behind every leased checkpoint of their tenant, and move to the
+//! checkpoint's counter once it has one.
 //!
-//! *A whole-snapshot copy stages only what changed.* Per job, the pipeline
-//! keeps the last snapshot it staged whole as a host mirror: its pooled
-//! chunks, its block digests and the source [`Version`] it was taken at. The
-//! next whole copy of the same source asks the source what changed since
-//! that version ([`SnapshotSource::dirty_since`]) and shares the mirror's
-//! chunk for every chunk no dirty range touches — no memcpy, no digest, its
-//! block values read from the mirror's digests once those are settled,
-//! after the weights are back. It copies and digests the rest. The mirror
-//! is speculation, so it is validated: each such copy compares one carried
-//! chunk, rotating through the snapshot, with the GPU's bytes while it
-//! still holds them, and on a mismatch copies the whole snapshot, drops the
-//! mirror and raises an `anomaly` event. The bytes that reach the frame are
-//! the ones a full copy would have staged, so nothing downstream changes.
+//! *A codec copy plans from the last snapshot, not from a copy of it.* Per
+//! job the pipeline keeps the last codec snapshot's digests and source
+//! [`Version`] (a `Carry`, no bytes). The next codec copy asks the source
+//! what changed since ([`SnapshotSource::dirty_since`]) and observes the
+//! dedup generation of the job's head once, under the codec index's lock
+//! with the weights held. It *serves* each clean chunk of whole digest
+//! blocks whose carried address that observation has a home for below the
+//! depth bound — its record is that `DedupBase`, its values the carried
+//! ones — and copies the rest, plus one chunk it could have served,
+//! rotating: that chunk's digest job checks its address against the
+//! carried one, and a mismatch (the tracker missed a write) raises an
+//! `anomaly` event and retires every carry planned before it.
+//!
+//! *A codec frame streams*: producer → digest job → one in-order classifier
+//! (self-dedup, byte-exact against the first occurrence's bytes, held or
+//! read back from the slot; base dedup; materialize) → compress → write,
+//! each buffer freed when its write returns. Packed offsets follow logical
+//! order and the table is written last, so the frame depends on neither
+//! the pool's size nor the order the jobs ran in.
 //!
 //! *The digests are taken out of order, on that pool.* The state digest is
 //! a fold over per-block values ([`pccheck_util::fnv`]) and a record's
 //! content address a fold over the values of its own blocks, so each
 //! chunk's pool job makes one pass over its chunk: it files the values of
 //! the blocks the chunk wholly covers into the checkpoint's block table and
-//! the chunk's address into its address table — on a block-aligned geometry
-//! the same values serve both — and then goes on to what it was queued for.
-//! The coordinator folds the block table once its batch has drained. A
-//! block cut by a chunk boundary is whole in no job; the staging producer,
-//! which sees the bytes in order, carries the head of the one open block (at
-//! most a block of bytes) and files it when a later chunk closes it — the
-//! restore executor's cut-block rule (DESIGN §9) from the producer's side:
-//! one rule, nothing to do on an aligned geometry, no branch on geometry.
+//! the chunk's address into its address table, and then goes on to what it
+//! was queued for. The coordinator folds the block table once its batch has
+//! drained. A block cut by a chunk boundary is whole in no job; the staging
+//! producer, which sees the bytes in order, carries the head of the one
+//! open block (at most a block of bytes) and files it when a later chunk
+//! closes it — the restore executor's cut-block rule (DESIGN §9) from the
+//! producer's side.
 //!
 //! Three rules keep that free of deadlock:
 //!
-//! 1. *A pool worker never waits on another job.* Digests, compressions
-//!    and writes are the only pool jobs and none blocks on the pool; the
-//!    thread that fans a checkpoint out and waits for it (the caller of the
-//!    copy verb — the engine's coordinator, a baseline's training or
-//!    background thread) is never a pool worker.
-//! 2. *A reservation that waits holds nothing, and nothing idle holds what
-//!    it waits for.* The staged and codec copies give back the mirror
-//!    chunks they will not carry, then take all the chunks they copy in one
-//!    step. One that would have to wait gives up its carry too and copies
-//!    the whole snapshot, evicts every idle mirror (one no staging has
-//!    checked out), and, while it waits, no new mirror is kept: the chunks
-//!    still held then belong to checkpoints in flight, which free them. The
-//!    streamed copy may hold a partial set, because every chunk it holds is
-//!    already a queued, self-contained write that frees its buffer when it
-//!    runs; when it must wait for one more it evicts too. Whole copies of
-//!    one engine stage in ticket order (`engine.rs`), so a newer one never
-//!    sits on its chunks waiting for the lease of an older one still
-//!    waiting for chunks.
+//! 1. *A pool worker never waits on another job.* Digests, classification,
+//!    compressions and writes are the only pool jobs and none blocks on the
+//!    pool; the thread that fans a checkpoint out and waits for it (the
+//!    caller of the copy verb) is never a pool worker.
+//! 2. *A copy that waits for DRAM holds nothing idle.* A staged copy takes
+//!    all its chunks in one step. A streamed copy holds only queued writes,
+//!    each of which frees its buffer when it runs. A codec copy takes its
+//!    lease before it waits, so every chunk it holds is on its way to the
+//!    device. Copies of one engine stage in ticket order (`engine.rs`), so
+//!    a newer one never sits on its chunks waiting for the lease of an
+//!    older one still waiting for chunks.
 //! 3. *A failed checkpoint cleans up before it reports.* The first error
 //!    cancels the checkpoint's queued jobs (their buffers go back
 //!    unwritten), the producer stops and releases the weights, and the
@@ -117,7 +117,7 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use pccheck_util::sync::{Condvar, Mutex};
 
@@ -127,7 +127,10 @@ use pccheck_telemetry::{FlightEventKind, Phase, SpanId, Telemetry};
 use pccheck_util::fnv::{chunk_digest, file_blocks, fold_blocks, whole_blocks, DIGEST_BLOCK};
 use pccheck_util::ByteSize;
 
-use crate::codec::{compress_gated, ChunkEncoding, DedupHome, DedupIndex, FrameRecord, FrameTable};
+use crate::codec::{
+    compress_gated, lz_decompress, ChunkEncoding, DedupHome, DedupIndex, FrameRecord, FrameTable,
+    Generation,
+};
 use crate::error::PccheckError;
 use crate::meta::{checksum, DeltaLink};
 use crate::pool::{Order, WorkerPool};
@@ -156,9 +159,11 @@ pub enum CopyMode {
     /// All-`Raw`, staged (Figure 6): the producer stages the entire
     /// snapshot before the first write, so the pool must hold it.
     Staged,
-    /// The chunk codec: the snapshot is staged whole, then every chunk
-    /// deduplicated, compressed or kept verbatim. A pool too small to stage
-    /// the snapshot streams it all-`Raw`.
+    /// The chunk codec, streamed: the copy plans from its job's last
+    /// snapshot, copies only the chunks the head's dedup generation cannot
+    /// serve, and deduplicates, compresses or keeps verbatim each chunk it
+    /// copied, writing it — and freeing its buffer — once its packed offset
+    /// is known. Any pool size serves it.
     Codec,
 }
 
@@ -172,10 +177,8 @@ pub struct PipelineCtx<'a> {
 }
 
 /// One staged chunk: a pooled DRAM buffer and how much of it is payload.
-/// Clones share the buffer — the coordinator keeps one while pool jobs
-/// digest, compress or write theirs, a mirror keeps one for the next
-/// snapshot to carry — and the last one dropped hands it back to the pool.
-#[derive(Clone)]
+/// Dropped, it hands the buffer back to the pool; a codec frame keeps a
+/// `Weak` of it to compare a later duplicate against.
 struct StagedChunk {
     buf: Arc<HostBuffer>,
     len: usize,
@@ -189,10 +192,10 @@ impl AsRef<[u8]> for StagedChunk {
 
 /// The digests of one snapshot, gathered out of order: the state digest's
 /// block values by block index and each chunk's content address by chunk
-/// index, filed by whoever had the bytes in hand and folded by the
-/// coordinator once the checkpoint's batch has drained (module docs, "Who
-/// waits for what"). Same definitions as [`pccheck_util::fnv`]'s in-order
-/// forms, without their order.
+/// index, filed by whoever had the bytes in hand — or carried from the last
+/// snapshot — and folded by the coordinator once the checkpoint's batch has
+/// drained (module docs, "Who waits for what"). Same definitions as
+/// [`pccheck_util::fnv`]'s in-order forms, without their order.
 struct Digests {
     /// The iteration the checkpoint's commit records, which the state
     /// digest folds in.
@@ -200,61 +203,68 @@ struct Digests {
     len: u64,
     /// The staging chunk size: chunk `i` starts at `i × chunk`.
     chunk: u64,
-    /// Relaxed throughout: every job hands the batch's mutex to
-    /// [`Batch::wait`], which orders the stores before the fold's loads,
-    /// and the owner settles under `settled`'s mutex, which orders them
-    /// before a later snapshot carries them.
+    /// Relaxed: every job hands the batch's mutex to [`Batch::wait`], which
+    /// orders the stores before the fold's loads, and a later snapshot
+    /// reads a chunk's values only after `filed` says they are in.
     blocks: Vec<AtomicU64>,
     addresses: Vec<AtomicU64>,
-    /// `None` while some value may still be on its way; then whether every
-    /// value was filed. The first verdict stands.
-    settled: Mutex<Option<bool>>,
-    settle: Condvar,
+    /// By chunk: its address and the blocks it wholly covers are filed
+    /// (release, after them).
+    filed: Vec<AtomicBool>,
+}
+
+impl std::fmt::Debug for Digests {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Digests")
+            .field("iteration", &self.iteration)
+            .field("len", &self.len)
+            .field("chunk", &self.chunk)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Digests {
     fn of(iteration: u64, total: ByteSize, chunk: u64) -> Arc<Self> {
         let cells = |n: u64| (0..n).map(|_| AtomicU64::new(0)).collect();
+        let n_chunks = total.as_u64().div_ceil(chunk);
         Arc::new(Digests {
             iteration,
             len: total.as_u64(),
             chunk,
             blocks: cells(total.as_u64().div_ceil(DIGEST_BLOCK as u64)),
-            addresses: cells(total.as_u64().div_ceil(chunk)),
-            settled: Mutex::new(None),
-            settle: Condvar::new(),
+            addresses: cells(n_chunks),
+            filed: (0..n_chunks).map(|_| AtomicBool::new(false)).collect(),
         })
     }
 
-    /// Records the verdict; `true` when this call was the first.
-    fn settle(&self, filed: bool) -> bool {
-        let mut settled = self.settled.lock();
-        let first = settled.is_none();
-        if first {
-            *settled = Some(filed);
-            self.settle.notify_all();
-        }
-        first
+    fn n_chunks(&self) -> usize {
+        self.addresses.len()
     }
 
-    /// Waits for the verdict: whether every value was filed.
-    fn settled(&self) -> bool {
-        let mut settled = self.settled.lock();
-        loop {
-            match *settled {
-                Some(filed) => return filed,
-                None => settled = self.settle.wait(settled),
-            }
-        }
-    }
-
-    /// Files chunk `i`'s values from `from`, a settled snapshot of the same
-    /// geometry whose chunk `i` held the same bytes: the blocks the chunk
-    /// wholly covers and its content address (the blocks a chunk boundary
-    /// cuts are the producer's, [`file_cut`](Self::file_cut)).
-    fn carry(&self, from: &Digests, i: usize) {
+    /// Chunk `i`'s offset and length.
+    fn extent(&self, i: usize) -> (u64, usize) {
         let off = i as u64 * self.chunk;
-        let len = self.chunk.min(self.len - off) as usize;
+        (off, self.chunk.min(self.len - off) as usize)
+    }
+
+    /// Whether chunk `i` is a run of whole digest blocks: one that shares
+    /// no block with another chunk.
+    fn uncut(&self, i: usize) -> bool {
+        let (off, len) = self.extent(i);
+        whole_blocks(off, len, self.len) == (0, len)
+    }
+
+    /// Chunk `i`'s content address, once filed.
+    fn address(&self, i: usize) -> Option<u64> {
+        let filed = self.filed[i].load(Ordering::Acquire);
+        filed.then(|| self.addresses[i].load(Ordering::Relaxed))
+    }
+
+    /// Files chunk `i`'s values from `from`, a snapshot of the same
+    /// geometry that has filed them and whose chunk `i` held the same
+    /// bytes: the blocks the chunk wholly covers and its content address.
+    fn carry(&self, from: &Digests, i: usize) {
+        let (off, len) = self.extent(i);
         let (head, whole) = whole_blocks(off, len, self.len);
         let first = ((off + head as u64) / DIGEST_BLOCK as u64) as usize;
         let copy = |cell: &AtomicU64, from: &AtomicU64| {
@@ -264,15 +274,19 @@ impl Digests {
             copy(&self.blocks[b], &from.blocks[b]);
         }
         copy(&self.addresses[i], &from.addresses[i]);
+        self.filed[i].store(true, Ordering::Release);
     }
 
     /// A chunk's pool job: one pass over `chunk`, staged from offset `off`,
     /// files the values of the blocks it wholly covers and its content
-    /// address.
-    fn file(&self, off: u64, chunk: &[u8]) {
+    /// address, which it returns.
+    fn file(&self, off: u64, chunk: &[u8]) -> u64 {
         let store = |cell: &AtomicU64, value| cell.store(value, Ordering::Relaxed);
         let address = file_blocks(off, chunk, self.len, |i, v| store(&self.blocks[i], v));
-        store(&self.addresses[(off / self.chunk) as usize], address);
+        let i = (off / self.chunk) as usize;
+        store(&self.addresses[i], address);
+        self.filed[i].store(true, Ordering::Release);
+        address
     }
 
     /// The producer's share, as `chunk` goes by: the blocks a chunk
@@ -296,116 +310,77 @@ impl Digests {
         StateDigest(fold_blocks(self.iteration, self.len, values))
     }
 
-    /// The chunks' content addresses, once every chunk has been filed.
-    fn addresses(&self) -> Vec<u64> {
-        let addresses = self.addresses.iter();
-        addresses.map(|cell| cell.load(Ordering::Relaxed)).collect()
-    }
-
     /// The all-`Raw` table of checkpoint `counter`: one record per chunk.
     fn all_raw(&self, counter: u64) -> FrameTable {
-        let (chunk, len) = (self.chunk, self.len);
-        let lens = (0..len)
-            .step_by(chunk as usize)
-            .map(|off| chunk.min(len - off));
-        FrameTable::all_raw(counter, self.fold().0, lens.zip(self.addresses()))
+        let records = (0..self.n_chunks()).map(|i| {
+            let address = self.addresses[i].load(Ordering::Relaxed);
+            (self.extent(i).1 as u64, address)
+        });
+        FrameTable::all_raw(counter, self.fold().0, records)
     }
 }
 
-/// How [`PersistPipeline::stage`] takes its DRAM (module docs, rule 2) and
-/// what it queues for each chunk it copies.
-#[derive(Clone, Copy)]
-enum Reserve<'a> {
-    /// The whole snapshot in one step, carrying what the job's mirror
-    /// still holds: each copied chunk's digest job goes on the batch, and
-    /// the staged snapshot becomes the job's mirror.
-    Whole(&'a Arc<Batch>),
-    /// Chunk by chunk, waiting when DRAM is scarce: each chunk is written
-    /// at `packed` plus its offset by a job on the batch, which frees it.
-    /// Staging stops when the batch aborts.
-    Streaming { batch: &'a Arc<Batch>, packed: u64 },
+/// The producer's copy of chunk `i` of `src` into `buf`: the one GPU→DRAM
+/// memcpy, then the blocks a chunk boundary cuts.
+fn stage_chunk(
+    ctx: PipelineCtx<'_>,
+    src: &impl SnapshotSource,
+    digests: &Digests,
+    open: &mut Vec<u8>,
+    i: usize,
+    mut buf: HostBuffer,
+) -> StagedChunk {
+    let (off, len) = digests.extent(i);
+    src.copy_range_to_host(off, &mut buf.as_mut_slice()[..len]);
+    ctx.telemetry
+        .chunk(ctx.span, Phase::GpuCopy, off, len as u64);
+    let piece = StagedChunk {
+        buf: Arc::new(buf),
+        len,
+    };
+    digests.file_cut(open, off, piece.as_ref());
+    piece
 }
 
-/// What [`PersistPipeline::stage`] staged.
-struct Staging {
-    /// When the `GpuCopy` phase started.
-    start: u64,
-    /// A whole reservation's chunks in order, carried ones included.
-    chunks: Vec<StagedChunk>,
-    /// The chunks carried from the mirror, and its digests to read their
-    /// values from.
-    carried: Option<(Arc<Digests>, Vec<usize>)>,
-    /// Bytes changed since the mirror was staged: the whole state when
-    /// there was none to carry from.
-    dirty: u64,
-}
-
-/// What a whole copy takes from its job's mirror.
+/// The last snapshot a job's codec copy planned from (module docs, "A codec
+/// copy plans from the last snapshot").
+#[derive(Debug)]
 struct Carry {
-    /// By chunk index: the mirror's chunk, where it still holds the
-    /// source's bytes.
-    chunks: Vec<Option<StagedChunk>>,
-    /// The mirror's digests, to file the carried chunks' values from.
-    from: Option<Arc<Digests>>,
-    /// Bytes changed since the mirror was staged: the whole state when
-    /// nothing is known.
-    dirty: u64,
-    /// Where the next mirror's validation sample starts.
-    cursor: usize,
-}
-
-impl Carry {
-    fn nothing(n_chunks: usize, dirty: u64) -> Self {
-        Carry {
-            chunks: vec![None; n_chunks],
-            from: None,
-            dirty,
-            cursor: 0,
-        }
-    }
-}
-
-/// A job's last whole-staged snapshot (module docs, "Who waits for what").
-struct Mirror {
     version: Version,
-    chunks: Vec<StagedChunk>,
     digests: Arc<Digests>,
-    /// Where the next validation sample starts looking for a carried chunk.
+    /// Where the next validation sample starts looking for a served chunk.
     cursor: usize,
+    /// [`CodecState::mismatches`] when it was planned: a sample that fails
+    /// after that retires it.
+    mismatches: u64,
 }
 
-/// The mirrors of every job, and the reservations waiting for DRAM: while
-/// any waits, no mirror is kept (module docs, rule 2).
-#[derive(Default)]
-struct Mirrors {
-    by_job: HashMap<JobId, Mirror>,
-    waiting: usize,
+/// What a codec copy decided while it held the weights.
+struct Plan {
+    /// The carry the served chunks take their values from.
+    from: Option<Arc<Digests>>,
+    /// By chunk: whether the observation serves it; if not, it is copied.
+    served: Vec<bool>,
+    /// The chunk copied to validate the carry, and its carried address.
+    sample: Option<(usize, u64)>,
+    /// Bytes changed since the carried snapshot: the whole state when
+    /// there was none to plan from.
+    dirty: u64,
 }
 
-impl std::fmt::Debug for Mirrors {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Mirrors")
-            .field("jobs", &self.by_job.keys().collect::<Vec<_>>())
-            .field("waiting", &self.waiting)
-            .finish()
-    }
+/// What one look at the codec index saw: the generation the job's head
+/// installed, if any, and how deep a home may sit to be referenced.
+struct Observation {
+    generation: Option<Arc<Generation>>,
+    max_depth: u32,
 }
 
-/// Until its copy has filed every value, a whole copy's digests are
-/// unsettled; leaving before that — a job of theirs unwound — settles them
-/// incomplete and drops the mirror that shares them, so no later snapshot
-/// carries values that were never filed.
-struct Unfiled<'a> {
-    mirrors: &'a Mutex<Mirrors>,
-    digests: &'a Arc<Digests>,
-}
-
-impl Drop for Unfiled<'_> {
-    fn drop(&mut self) {
-        if self.digests.settle(false) {
-            let mut mirrors = self.mirrors.lock();
-            (mirrors.by_job).retain(|_, m| !Arc::ptr_eq(&m.digests, self.digests));
-        }
+impl Observation {
+    /// The home a `len`-byte chunk with content address `digest` may
+    /// reference.
+    fn serves(&self, digest: u64, len: u64) -> Option<DedupHome> {
+        let home = self.generation.as_ref()?.home(digest, len)?;
+        (home.depth < self.max_depth).then_some(home)
     }
 }
 
@@ -413,20 +388,26 @@ impl Drop for Unfiled<'_> {
 /// the caller already holds (`&SlotLease`), or a `DeferredLease` the copy
 /// takes when its first write needs a slot.
 pub trait LeaseSlot {
-    /// The tenant whose slot it is.
-    fn job(&self) -> JobId;
+    /// The namespace the slot comes from.
+    fn namespace(&self) -> &Arc<Namespace>;
 
-    /// The lease, taken now if it has not been yet.
-    fn leased(&mut self) -> &SlotLease;
+    /// The lease, taken now if it has not been yet: waiting for a slot if
+    /// `wait` is set, `None` when it is not and no slot is free.
+    fn lease(&mut self, wait: bool) -> Option<&SlotLease>;
+
+    /// The lease, waiting for a slot if need be.
+    fn leased(&mut self) -> &SlotLease {
+        self.lease(true).expect("a lease that may wait is taken")
+    }
 }
 
 impl LeaseSlot for &SlotLease {
-    fn job(&self) -> JobId {
-        SlotLease::job(self)
+    fn namespace(&self) -> &Arc<Namespace> {
+        SlotLease::namespace(self)
     }
 
-    fn leased(&mut self) -> &SlotLease {
-        self
+    fn lease(&mut self, _: bool) -> Option<&SlotLease> {
+        Some(self)
     }
 }
 
@@ -434,17 +415,21 @@ impl LeaseSlot for &SlotLease {
 /// needs one — for a caller whose leases must follow an order of its own
 /// (the engine's tickets) without making the trainer wait for it.
 pub(crate) struct DeferredLease<'a> {
-    job: JobId,
-    take: Option<Box<dyn FnOnce() -> SlotLease + 'a>>,
+    ns: Arc<Namespace>,
+    /// Called with whether it may wait; `None` only when it may not.
+    take: Box<dyn FnMut(bool) -> Option<SlotLease> + 'a>,
     lease: Option<SlotLease>,
 }
 
 impl<'a> DeferredLease<'a> {
-    /// A slot of `job`'s, leased by `take`.
-    pub(crate) fn new(job: JobId, take: impl FnOnce() -> SlotLease + 'a) -> Self {
+    /// A slot of `ns`'s, leased by `take(wait)` ([`LeaseSlot::lease`]).
+    pub(crate) fn new(
+        ns: &Arc<Namespace>,
+        take: impl FnMut(bool) -> Option<SlotLease> + 'a,
+    ) -> Self {
         DeferredLease {
-            job,
-            take: Some(Box::new(take)),
+            ns: Arc::clone(ns),
+            take: Box::new(take),
             lease: None,
         }
     }
@@ -456,13 +441,15 @@ impl<'a> DeferredLease<'a> {
 }
 
 impl LeaseSlot for &mut DeferredLease<'_> {
-    fn job(&self) -> JobId {
-        self.job
+    fn namespace(&self) -> &Arc<Namespace> {
+        &self.ns
     }
 
-    fn leased(&mut self) -> &SlotLease {
-        let take = &mut self.take;
-        (self.lease).get_or_insert_with(|| take.take().expect("taken at most once")())
+    fn lease(&mut self, wait: bool) -> Option<&SlotLease> {
+        if self.lease.is_none() {
+            self.lease = (self.take)(wait);
+        }
+        self.lease.as_ref()
     }
 }
 
@@ -473,7 +460,6 @@ impl LeaseSlot for &mut DeferredLease<'_> {
 struct SlotRef {
     slot: u32,
     tenant: JobId,
-    counter: u64,
 }
 
 impl SlotRef {
@@ -481,7 +467,6 @@ impl SlotRef {
         SlotRef {
             slot: lease.slot,
             tenant: lease.job(),
-            counter: lease.counter,
         }
     }
 }
@@ -614,10 +599,9 @@ struct Batch {
     telemetry: Telemetry,
     span: SpanId,
     /// Where the jobs queue: at the checkpoint's counter once it is leased,
-    /// behind every leased checkpoint of the tenant before.
-    order: Order,
-    /// The slot writes go to; `None` for a batch that writes nothing.
-    at: Option<SlotRef>,
+    /// at an unleased place behind every leased checkpoint of the tenant
+    /// before ([`Batch::leased`] moves them).
+    order: Mutex<Order>,
     opened_nanos: u64,
     /// Set by the first failure: queued jobs are cancelled, and the
     /// producer polls it to stop copying.
@@ -627,29 +611,25 @@ struct Batch {
 }
 
 impl Batch {
-    fn open(io: &ChunkIo, ctx: PipelineCtx<'_>, lease: &SlotLease) -> Arc<Batch> {
-        let at = SlotRef::of(lease);
-        Self::queued(io, ctx, at.tenant, at.counter, Some(at))
-    }
-
-    /// A batch of `job`'s jobs that need no slot, queued before its lease.
-    fn unleased(io: &ChunkIo, ctx: PipelineCtx<'_>, job: JobId) -> Arc<Batch> {
-        Self::queued(io, ctx, job, u64::MAX, None)
-    }
-
-    fn queued(
+    /// A batch of `job`'s jobs, queued at the checkpoint's counter once it
+    /// holds `lease`, behind every leased checkpoint of the tenant before.
+    fn open(
         io: &ChunkIo,
         ctx: PipelineCtx<'_>,
-        tenant: JobId,
-        counter: u64,
-        at: Option<SlotRef>,
+        job: JobId,
+        lease: Option<&SlotLease>,
     ) -> Arc<Batch> {
         Arc::new(Batch {
             io: io.clone(),
             telemetry: ctx.telemetry.clone(),
             span: ctx.span,
-            order: Order { tenant, counter },
-            at,
+            order: Mutex::new(match lease {
+                Some(lease) => Order {
+                    tenant: job,
+                    counter: lease.counter,
+                },
+                None => Order::unleased(job),
+            }),
             opened_nanos: ctx.telemetry.now_nanos(),
             abort: AtomicBool::new(false),
             state: Mutex::new(BatchState::default()),
@@ -678,8 +658,9 @@ impl Batch {
     ) {
         self.state.lock().pending += 1;
         let batch = Arc::clone(self);
+        let order = *self.order.lock();
         workers.submit(
-            self.order,
+            order,
             Box::new(move |w| {
                 // Whatever `work` owns (a staged buffer, a share of the
                 // snapshot) is released before the job is counted done, so
@@ -695,6 +676,14 @@ impl Batch {
         );
     }
 
+    /// Moves the batch to `counter`, its checkpoint's, once it is leased:
+    /// the jobs it has queued and every one it queues from now on.
+    fn leased(&self, workers: &WorkerPool, counter: u64) {
+        let mut order = self.order.lock();
+        workers.reorder(*order, counter);
+        order.counter = counter;
+    }
+
     /// Runs `compute`, timing it for the leg's busy figure (0 with
     /// telemetry off, like every other timestamp).
     fn busy<T>(&self, compute: impl FnOnce() -> T) -> (T, u64) {
@@ -704,19 +693,19 @@ impl Batch {
     }
 
     /// Queues the write (and, per the fence mode, the fence) of `data` at
-    /// payload offset `at`, under the tenant's per-chunk QoS grant. With
-    /// `digests`, `data` is the chunk staged from logical offset `off` and
-    /// the job first files its digests, while it is the one thing the
-    /// worker has in cache.
+    /// payload offset `at` of `slot`, under the tenant's per-chunk QoS
+    /// grant. With `digests`, `data` is the chunk staged from logical offset
+    /// `off` and the job first files its digests, while it is the one thing
+    /// the worker has in cache.
     fn write<D: AsRef<[u8]> + Send + 'static>(
         self: &Arc<Self>,
         workers: &WorkerPool,
+        slot: SlotRef,
         at: u64,
         data: D,
         digests: Option<(&Arc<Digests>, u64)>,
     ) {
         let digests = digests.map(|(d, off)| (Arc::clone(d), off));
-        let slot = self.at.expect("writes go to a leased slot");
         self.submit(workers, move |batch| {
             let bytes = data.as_ref();
             let digesting = digests.map_or(0, |(digests, off)| {
@@ -726,21 +715,6 @@ impl Batch {
                 .io
                 .write_and_fence_chunk(batch.ctx(), slot, at, bytes)?;
             Ok((bytes.len() as u64, digesting + media))
-        });
-    }
-
-    /// Queues the filing of `piece`'s digests, staged from logical offset
-    /// `off`.
-    fn file(
-        self: &Arc<Self>,
-        workers: &WorkerPool,
-        digests: &Arc<Digests>,
-        off: u64,
-        piece: StagedChunk,
-    ) {
-        let digests = Arc::clone(digests);
-        self.submit(workers, move |batch| {
-            Ok((0, batch.busy(|| digests.file(off, piece.as_ref())).1))
         });
     }
 
@@ -802,6 +776,332 @@ impl Batch {
     }
 }
 
+/// A codec copy's frame on its way through the writer pool (module docs, "A
+/// codec frame streams"): chunks arrive in any order — copied ones from
+/// their digest jobs, served ones from the producer — one classifier takes
+/// them in logical order, and each materialized chunk is placed at its
+/// packed offset, in logical order, once it is compressed, then written.
+struct Frame {
+    /// Filed by the chunks' digest jobs, or carried for the served ones.
+    digests: Arc<Digests>,
+    observed: Observation,
+    /// By chunk: whether it is served rather than copied.
+    served: Vec<bool>,
+    /// Where the packed chunks start: the table's room.
+    table_len: u64,
+    state: Mutex<FrameState>,
+}
+
+/// A materialized chunk, compressed: its LZ bytes when they are smaller,
+/// and its staged bytes either way — held until its write returns, so that
+/// while they are alive the chunk is not yet on the device.
+struct Packed {
+    staged: StagedChunk,
+    lz: Option<Vec<u8>>,
+}
+
+impl AsRef<[u8]> for Packed {
+    fn as_ref(&self) -> &[u8] {
+        match &self.lz {
+            Some(lz) => lz,
+            None => self.staged.as_ref(),
+        }
+    }
+}
+
+/// The classifier's and the placer's progress through one frame.
+#[derive(Default)]
+struct FrameState {
+    /// Copied chunks by index, from their digest job until classified.
+    arrived: HashMap<usize, StagedChunk>,
+    /// The records of the chunks classified so far, in logical order; a
+    /// materialized one's encoding and packed extent are settled when it
+    /// is placed.
+    records: Vec<FrameRecord>,
+    /// The first materialized chunk of each content address, and its
+    /// staged bytes while a job still holds them.
+    firsts: HashMap<u64, (usize, Weak<HostBuffer>)>,
+    /// The base hits taken, in logical order.
+    homes: Vec<(u64, DedupHome)>,
+    /// Materialized chunks compressed and not yet placed.
+    packed: HashMap<usize, Packed>,
+    /// Chunks `..placed` are placed.
+    placed: usize,
+    /// Packed bytes placed so far.
+    phys: u64,
+    /// The slot, once leased: nothing is placed before.
+    at: Option<SlotRef>,
+}
+
+/// Placed chunks to write: their slot, payload offset and bytes.
+type Placed = Vec<(SlotRef, u64, Packed)>;
+
+impl Frame {
+    fn new(
+        digests: &Arc<Digests>,
+        observed: Observation,
+        served: Vec<bool>,
+        at: Option<SlotRef>,
+    ) -> Arc<Frame> {
+        Arc::new(Frame {
+            digests: Arc::clone(digests),
+            observed,
+            served,
+            table_len: FrameTable::encoded_len_for(digests.n_chunks()),
+            state: Mutex::new(FrameState {
+                arrived: HashMap::with_capacity(digests.n_chunks()),
+                at,
+                ..FrameState::default()
+            }),
+        })
+    }
+
+    /// Hands the frame its slot: `batch` moves to the lease's counter, and
+    /// the chunks compressed while there was none are placed and queued on
+    /// it.
+    fn lease(&self, batch: &Arc<Batch>, workers: &WorkerPool, lease: &SlotLease) {
+        batch.leased(workers, lease.counter);
+        let placed = {
+            let mut s = self.state.lock();
+            s.at = Some(SlotRef::of(lease));
+            self.place(&mut s)
+        };
+        for (at, dst, packed) in placed {
+            batch.write(workers, at, dst, packed, None);
+        }
+    }
+
+    /// A job's share of the frame, after `arrival` (copied chunk `i`, its
+    /// digests filed) or none: classifies every chunk it completes the
+    /// logical order up to, compresses those it materialized, and writes
+    /// what that lets it place. Returns the job's `(bytes written, busy
+    /// nanos)`.
+    fn advance(
+        &self,
+        batch: &Batch,
+        arrival: Option<(usize, StagedChunk)>,
+    ) -> Result<(u64, u64), PccheckError> {
+        let (fresh, placed) = {
+            let mut s = self.state.lock();
+            if let Some((i, piece)) = arrival {
+                s.arrived.insert(i, piece);
+            }
+            let fresh = self.classify(&mut s, batch)?;
+            (fresh, self.place(&mut s))
+        };
+        let (mut bytes, mut busy) = Self::write(batch, placed)?;
+        for (i, staged) in fresh {
+            if batch.aborted() {
+                break;
+            }
+            let (lz, compressing) = batch.busy(|| compress_gated(staged.as_ref()));
+            let placed = {
+                let mut s = self.state.lock();
+                s.packed.insert(i, Packed { staged, lz });
+                self.place(&mut s)
+            };
+            let (written, media) = Self::write(batch, placed)?;
+            bytes += written;
+            busy += compressing + media;
+        }
+        Ok((bytes, busy))
+    }
+
+    /// Classifies the chunks that are served or have arrived, in logical
+    /// order from the first unclassified one: self-dedup (byte-exact), then
+    /// base dedup against the observation, then materialize. Returns the
+    /// chunks it materialized, for the caller to compress.
+    fn classify(
+        &self,
+        s: &mut FrameState,
+        batch: &Batch,
+    ) -> Result<Vec<(usize, StagedChunk)>, PccheckError> {
+        let mut fresh = Vec::new();
+        while let Some(&served) = self.served.get(s.records.len()) {
+            let i = s.records.len();
+            let piece = match s.arrived.remove(&i) {
+                None if !served => break,
+                piece => piece,
+            };
+            let len = self.digests.extent(i).1;
+            let digest = self.digests.address(i).expect("filed before classified");
+            let record = |kind, aux, a, b| FrameRecord {
+                kind,
+                aux,
+                logical_len: len as u64,
+                a,
+                b,
+                digest,
+            };
+            // A served chunk is no self-dedup: an earlier chunk of its address
+            // and length would have been served too.
+            let first = piece.as_ref().and(s.firsts.get(&digest).cloned());
+            let classified = match (first, piece) {
+                (Some((j, held)), Some(piece))
+                    if self.same_bytes(s, batch, j, &held, &piece)? =>
+                {
+                    record(ChunkEncoding::DedupSelf, j as u32, 0, 0)
+                }
+                (_, piece) => match self.observed.serves(digest, len as u64) {
+                    Some(home) => {
+                        s.homes.push((digest, home));
+                        let (slot, counter) = (home.slot, home.counter);
+                        record(ChunkEncoding::DedupBase, slot, counter, home.logical_off)
+                    }
+                    None => {
+                        let piece = piece.expect("a served chunk has a home");
+                        let held = Arc::downgrade(&piece.buf);
+                        s.firsts.entry(digest).or_insert((i, held));
+                        fresh.push((i, piece));
+                        // Placeholder; the encoding and packed extent are
+                        // settled when it is placed.
+                        record(ChunkEncoding::Raw, 0, 0, 0)
+                    }
+                },
+            };
+            s.records.push(classified);
+        }
+        Ok(fresh)
+    }
+
+    /// Whether materialized chunk `j`, the first of `piece`'s address, holds
+    /// `piece`'s bytes: compared with its staged bytes while a job holds
+    /// them, read back from the slot once it is written (its staged bytes
+    /// go back to the pool when its write returns). A chunk dropped
+    /// unwritten — its batch failed — compares unequal.
+    fn same_bytes(
+        &self,
+        s: &FrameState,
+        batch: &Batch,
+        j: usize,
+        held: &Weak<HostBuffer>,
+        piece: &StagedChunk,
+    ) -> Result<bool, PccheckError> {
+        let record = &s.records[j];
+        if record.logical_len != piece.len as u64 {
+            return Ok(false);
+        }
+        if let Some(buf) = held.upgrade() {
+            return Ok(&buf.as_slice()[..piece.len] == piece.as_ref());
+        }
+        let Some(at) = s.at.filter(|_| j < s.placed) else {
+            return Ok(false);
+        };
+        let mut packed = vec![0u8; record.b as usize];
+        (batch.io.store).read_written(at.slot, self.table_len + record.a, &mut packed)?;
+        let bytes = match record.kind {
+            ChunkEncoding::Lz => lz_decompress(&packed, piece.len),
+            _ => Some(packed),
+        };
+        Ok(bytes.as_deref() == Some(piece.as_ref()))
+    }
+
+    /// Once the slot is leased, places every chunk whose turn has come, in
+    /// logical order: a reference as soon as it is classified, a
+    /// materialized chunk once it is compressed, at the packed offset the
+    /// chunks before it leave. Returns the placed chunks to write.
+    fn place(&self, s: &mut FrameState) -> Placed {
+        let mut placed = Vec::new();
+        let Some(at) = s.at else {
+            return placed;
+        };
+        while s.placed < s.records.len() {
+            let i = s.placed;
+            let record = &mut s.records[i];
+            if record.kind.is_materialized() {
+                let Some(mut packed) = s.packed.remove(&i) else {
+                    break;
+                };
+                let n = record.logical_len;
+                match packed.lz.as_ref().map(|lz| lz.len() as u64) {
+                    Some(len) if len < n => (record.kind, record.b) = (ChunkEncoding::Lz, len),
+                    _ => (packed.lz, record.b) = (None, n),
+                }
+                record.a = s.phys;
+                s.phys += record.b;
+                placed.push((at, self.table_len + record.a, packed));
+            }
+            s.placed += 1;
+        }
+        placed
+    }
+
+    /// Writes placed chunks on this job, up to the batch's first failure;
+    /// each buffer goes back as its write returns.
+    fn write(batch: &Batch, placed: Placed) -> Result<(u64, u64), PccheckError> {
+        let mut moved = (0, 0);
+        for (at, dst, packed) in placed {
+            if batch.aborted() {
+                break;
+            }
+            let data = packed.as_ref();
+            let media = batch.io.write_and_fence_chunk(batch.ctx(), at, dst, data)?;
+            moved = (moved.0 + data.len() as u64, moved.1 + media);
+        }
+        Ok(moved)
+    }
+
+    /// The frame's table and what its commit binds besides its checksum,
+    /// once every chunk is placed. A frame that packed nothing is the
+    /// all-`Raw` frame, and installs no homes.
+    fn finish(&self, ctx: PipelineCtx<'_>, lease: &SlotLease) -> (FrameTable, FramedPlan) {
+        let mut s = self.state.lock();
+        let records = std::mem::take(&mut s.records);
+        let n = self.digests.n_chunks();
+        assert_eq!((records.len(), s.placed), (n, n), "every chunk is placed");
+        let (logical, phys) = (self.digests.len, s.phys);
+        let table = FrameTable {
+            counter: lease.counter,
+            logical_len: logical,
+            full_digest: self.digests.fold().0,
+            records,
+        };
+        if phys >= logical {
+            return (table, FramedPlan::default());
+        }
+        let materialized = table.records.iter().filter(|r| r.kind.is_materialized());
+        let dedup_chunks = (table.records.len() - materialized.count()) as u64;
+        let saved_bytes = logical - phys;
+        ctx.telemetry.add_codec_bytes_saved(saved_bytes);
+        ctx.telemetry.add_dedup_chunks(dedup_chunks);
+        ctx.telemetry
+            .gauge_compression_ratio((self.table_len + phys) * 1000 / logical.max(1));
+
+        // Link to the youngest home referenced: the older ones lie on its
+        // chain, so pinning that chain pins them all.
+        let mut homes = std::mem::take(&mut s.homes);
+        let link = homes
+            .iter()
+            .map(|(_, home)| home)
+            .max_by_key(|home| home.counter)
+            .map(|home| DeltaLink {
+                base_counter: home.counter,
+                base_slot: home.slot,
+                chain_depth: home.depth + 1,
+            });
+        let depth = link.map_or(0, |l| l.chain_depth);
+        let materialized = table.records.iter().enumerate();
+        for (i, r) in materialized.filter(|(_, r)| r.kind.is_materialized()) {
+            let home = DedupHome {
+                counter: lease.counter,
+                slot: lease.slot,
+                logical_off: self.digests.extent(i).0,
+                len: r.logical_len,
+                depth,
+            };
+            homes.push((r.digest, home));
+        }
+        let plan = FramedPlan {
+            payload_digest: 0,
+            link,
+            saved_bytes,
+            dedup_chunks,
+            homes,
+        };
+        (table, plan)
+    }
+}
+
 /// The shared chunk-scheduled I/O layer over a [`CheckpointStore`].
 ///
 /// Cloning is cheap: clones share the store, the DRAM staging pool and the
@@ -820,8 +1120,8 @@ pub struct PersistPipeline {
     /// Chunk codec + dedup state, shared across clones (the dedup index
     /// survives across checkpoints).
     codec: Arc<CodecState>,
-    /// Each job's last whole-staged snapshot, shared across clones.
-    mirrors: Arc<Mutex<Mirrors>>,
+    /// Each job's last codec snapshot's digests, shared across clones.
+    carries: Arc<Mutex<HashMap<JobId, Carry>>>,
 }
 
 /// Shared chunk-codec state: the on/off switch and the content-addressed
@@ -830,6 +1130,8 @@ pub struct PersistPipeline {
 struct CodecState {
     enabled: AtomicBool,
     dedup: Mutex<DedupIndex>,
+    /// Validation samples that failed so far.
+    mismatches: AtomicU64,
 }
 
 /// What [`copy`](PersistPipeline::copy) left in the leased slot: the
@@ -843,8 +1145,9 @@ pub struct Copied {
     /// Physical bytes in the slot: the frame's table and packed chunks.
     pub payload_len: u64,
     /// End-to-end digest of the logical state, folded on the writer pool
-    /// from the bytes the copy staged: exactly [`pccheck_gpu::Gpu::digest`]
-    /// of the snapshot. The frame's table carries it.
+    /// from the bytes the copy staged and the values it carried: exactly
+    /// [`pccheck_gpu::Gpu::digest`] of the snapshot. The frame's table
+    /// carries it.
     pub state_digest: StateDigest,
     /// What the commit binds of the frame the copy wrote.
     pub frame: FramedPlan,
@@ -874,8 +1177,8 @@ pub struct FramedPlan {
 
 impl PersistPipeline {
     /// A single-writer, per-writer-fence pipeline over `store` that stages
-    /// every copy through `pool`: the whole snapshot unless streamed, so
-    /// size it by the [`CopyMode`]s it will serve.
+    /// every copy through `pool`: a staged copy needs it to hold the whole
+    /// snapshot, a streamed or codec copy a chunk.
     pub fn new(store: Arc<CheckpointStore>, pool: HostBufferPool) -> Self {
         PersistPipeline {
             io: ChunkIo {
@@ -886,7 +1189,7 @@ impl PersistPipeline {
             pool,
             workers: Arc::new(WorkerPool::new("pccheck-writer", 1)),
             codec: Arc::new(CodecState::default()),
-            mirrors: Arc::default(),
+            carries: Arc::default(),
         }
     }
 
@@ -906,13 +1209,11 @@ impl PersistPipeline {
     /// Flips the chunk codec. Disabling also drops the dedup index —
     /// re-enabling starts from a cold index rather than trusting
     /// generations whose age is unknown, as a restart with the codec back
-    /// on would — and every job's mirror, giving their DRAM back to the
-    /// streamed copies.
+    /// on would.
     pub(crate) fn set_codec_enabled(&self, enabled: bool) {
         let was = self.codec.enabled.swap(enabled, Ordering::AcqRel);
         if was && !enabled {
             self.codec.dedup.lock().clear();
-            self.mirrors.lock().by_job.clear();
         }
     }
 
@@ -949,249 +1250,126 @@ impl PersistPipeline {
     /// Leases a free slot from `ns` and refreshes the queue-depth gauges
     /// with that namespace's free-slot count.
     pub fn lease(&self, ctx: PipelineCtx<'_>, ns: &Arc<Namespace>) -> SlotLease {
-        let lease = self.io.store.begin_checkpoint(ns);
+        let lease = self.try_lease(ctx, ns, true);
+        lease.expect("a lease that may wait is taken")
+    }
+
+    /// [`lease`](Self::lease) when `wait` is set; otherwise a slot of `ns`
+    /// only if one is free now, and `None` — no counter taken — if not.
+    pub(crate) fn try_lease(
+        &self,
+        ctx: PipelineCtx<'_>,
+        ns: &Arc<Namespace>,
+        wait: bool,
+    ) -> Option<SlotLease> {
+        let lease = match wait {
+            true => self.io.store.begin_checkpoint(ns),
+            false => self.io.store.try_begin_checkpoint(ns)?,
+        };
         ctx.telemetry
             .gauge_queue_depth(self.io.store.free_slot_count(ns) as u64);
         self.io.sample_device_queues(ctx);
-        lease
+        Some(lease)
     }
 
-    /// Takes `n` chunks in one step (module docs, rule 2): at once when
-    /// they are free; otherwise it evicts every idle mirror and, until it is
-    /// served, keeps any new one from being published.
-    fn reserve(&self, n: usize) -> Vec<HostBuffer> {
-        let pool = &self.pool;
-        if let Some(buffers) = pool.try_acquire_many(n) {
-            return buffers;
-        }
-        {
-            let mut mirrors = self.mirrors.lock();
-            mirrors.waiting += 1;
-            mirrors.by_job.clear();
-        }
-        let buffers = pool.acquire_many(n);
-        self.mirrors.lock().waiting -= 1;
-        buffers
-    }
-
-    /// Checks `job`'s mirror out and keeps, by chunk index, the chunks of
-    /// it `src` may carry: those no range dirtied since the mirror was
-    /// staged touches. One of them — the first at or after the mirror's
-    /// cursor — is compared with the GPU's bytes first; on a mismatch the
-    /// tracker missed a write, and nothing is carried. A mirror of another
-    /// source or geometry, or older than the source's log reaches, carries
-    /// nothing either. The rest of the mirror is dropped.
-    fn plan_carry(
+    /// A codec copy's plan, made while it holds the weights (module docs, "A
+    /// codec copy plans from the last snapshot"): observes the generation of
+    /// `ns`'s head, takes the job's carry and leaves `digests` as the next
+    /// one, and names the chunks the observation serves but one — the
+    /// first at or after the carry's cursor, which is copied to be checked
+    /// against its carried address (`stream_frame`). A carry of another
+    /// source or geometry, older than the source's log reaches, or planned
+    /// before a sample failed serves nothing, nor does a chunk that shares a
+    /// digest block with another (the block's value needs both chunks'
+    /// bytes).
+    fn plan(
         &self,
-        ctx: PipelineCtx<'_>,
         src: &impl SnapshotSource,
-        job: JobId,
-        digests: &Digests,
-    ) -> Carry {
-        let (chunk, total) = (digests.chunk, digests.len);
-        let n = total.div_ceil(chunk) as usize;
-        let nothing = Carry::nothing(n, total);
-        let (Some(version), Some(mirror)) =
-            (src.version(), self.mirrors.lock().by_job.remove(&job))
-        else {
-            return nothing;
-        };
-        let same = mirror.version.source == version.source
-            && (mirror.digests.len, mirror.digests.chunk) == (total, chunk);
-        let Some(ranges) = same.then(|| src.dirty_since(mirror.version.seq)).flatten() else {
-            return nothing;
-        };
-        let mut chunks: Vec<Option<StagedChunk>> = mirror.chunks.into_iter().map(Some).collect();
-        for &(off, len) in ranges.iter().filter(|&&(off, len)| len > 0 && off < total) {
-            let last = (off + len - 1).min(total - 1) / chunk;
-            chunks[(off / chunk) as usize..=last as usize].fill(None);
-        }
-        let dirty = ranges.iter().map(|&(_, len)| len).sum::<u64>().min(total);
-        let sample = (0..n)
-            .map(|k| (mirror.cursor + k) % n)
-            .find(|&i| chunks[i].is_some());
-        if let Some(i) = sample {
-            let carried = chunks[i].as_ref().expect("a carried chunk").as_ref();
-            let mut gpu = vec![0u8; carried.len()];
-            src.copy_range_to_host(i as u64 * chunk, &mut gpu);
-            // One memcmp while the weights are held; the byte count that
-            // sizes the anomaly is taken only on a mismatch.
-            if gpu != carried {
-                let differ = gpu.iter().zip(carried).filter(|(a, b)| a != b).count();
-                let share = differ as f64 / carried.len() as f64;
-                ctx.telemetry
-                    .anomaly(digests.iteration, share, 0.0, f64::INFINITY);
-                return Carry::nothing(n, dirty);
-            }
-        }
-        Carry {
-            chunks,
-            from: Some(mirror.digests),
-            dirty,
-            cursor: sample.map_or(0, |i| (i + 1) % n),
-        }
-    }
-
-    /// The one staging loop: copies the snapshot GPU→DRAM into pooled
-    /// chunks, taken from the pool as `reserve` says, and queues each copied
-    /// chunk's job on the reservation's batch. The producer does nothing
-    /// else with the bytes — filing `digests` is the chunks' pool jobs'
-    /// work — except for the blocks a chunk boundary cuts, which it files
-    /// from a carry of at most one block. A whole reservation copies only
-    /// what its job's mirror cannot carry ([`plan_carry`](Self::plan_carry))
-    /// and publishes what it staged as the job's next mirror. Drops `src`
-    /// (the weights go back to training) the moment the last chunk is
-    /// staged, then closes the `GpuCopy` phase.
-    ///
-    /// # Errors
-    ///
-    /// [`PccheckError::InvalidConfig`] when the pool cannot hold a whole
-    /// reservation; the source is untouched.
-    fn stage<S: SnapshotSource>(
-        &self,
-        ctx: PipelineCtx<'_>,
-        src: S,
-        job: JobId,
+        ns: &Namespace,
         digests: &Arc<Digests>,
-        reserve: Reserve<'_>,
-    ) -> Result<Staging, PccheckError> {
-        let (chunk, total) = (digests.chunk, digests.len);
-        let n_chunks = total.div_ceil(chunk) as usize;
-        let mut carry = Carry::nothing(n_chunks, total);
-        let mut reserved = Vec::new();
-        if let Reserve::Whole(_) = reserve {
-            let pool = &self.pool;
-            if pool.total_chunks() < n_chunks {
-                return Err(PccheckError::InvalidConfig(format!(
-                    "staging a whole {} snapshot needs {n_chunks} chunks, the pool has {}",
-                    ByteSize::from_bytes(total),
-                    pool.total_chunks()
-                )));
+    ) -> (Observation, Plan) {
+        // A chain of depth d pins d + 1 slots and the next checkpoint needs
+        // one more, so the lease's slot budget bounds the depth a hit may
+        // add: a committed chain always leaves a slot free.
+        const MAX_CHAIN: u32 = 7;
+        let job = ns.job();
+        let observed = {
+            // The head is read under the index's lock, which a codec commit
+            // holds from before its head advance until its generation is
+            // installed: head and generation are one observation, never a
+            // new head beside the old generation.
+            let dedup = self.codec.dedup.lock();
+            let head = self.io.store.head_counter(ns);
+            Observation {
+                generation: head.and_then(|head| dedup.observe(job, head)),
+                max_depth: MAX_CHAIN.min(ns.desc().slot_count.saturating_sub(2)),
             }
-            carry = self.plan_carry(ctx, &src, job, digests);
-            let copies = carry.chunks.iter().filter(|c| c.is_none()).count();
-            reserved = match pool.try_acquire_many(copies) {
-                Some(buffers) => buffers,
-                None => {
-                    // Waiting holds nothing: the carry goes back too.
-                    carry = Carry::nothing(n_chunks, carry.dirty);
-                    self.reserve(n_chunks)
-                }
-            };
-        }
-        let stopped = || matches!(reserve, Reserve::Streaming { batch, .. } if batch.aborted());
-        let copy_start = ctx.telemetry.now_nanos();
-        let mut open = Vec::new();
-        let (mut chunks, mut carried) = (Vec::new(), Vec::new());
-        for (i, mirrored) in carry.chunks.into_iter().enumerate() {
-            if stopped() {
-                break;
-            }
-            let off = i as u64 * chunk;
-            let (piece, copied) = match mirrored {
-                Some(piece) => (piece, false),
-                None => {
-                    let len = chunk.min(total - off) as usize;
-                    let mut buf = match reserved.pop() {
-                        Some(buf) => buf,
-                        None => self.reserve(1).remove(0),
-                    };
-                    src.copy_range_to_host(off, &mut buf.as_mut_slice()[..len]);
-                    ctx.telemetry
-                        .chunk(ctx.span, Phase::GpuCopy, off, len as u64);
-                    let buf = Arc::new(buf);
-                    (StagedChunk { buf, len }, true)
-                }
-            };
-            digests.file_cut(&mut open, off, piece.as_ref());
-            match reserve {
-                Reserve::Whole(batch) => {
-                    if copied {
-                        batch.file(&self.workers, digests, off, piece.clone());
-                    } else {
-                        carried.push(i);
-                    }
-                    chunks.push(piece);
-                }
-                Reserve::Streaming { batch, packed } => {
-                    batch.write(&self.workers, packed + off, piece, Some((digests, off)))
-                }
-            }
-        }
-        if let (Reserve::Whole(_), Some(version)) = (reserve, src.version()) {
-            let mirror = Mirror {
-                version,
-                chunks: chunks.clone(),
-                digests: Arc::clone(digests),
-                cursor: carry.cursor,
-            };
-            let mut mirrors = self.mirrors.lock();
-            if mirrors.waiting == 0 {
-                mirrors.by_job.insert(job, mirror);
-            }
-        }
-        drop(src);
-        ctx.telemetry
-            .phase_done(ctx.span, Phase::GpuCopy, copy_start);
-        Ok(Staging {
-            start: copy_start,
-            chunks,
-            carried: carry
-                .from
-                .filter(|_| !carried.is_empty())
-                .map(|from| (from, carried)),
-            dirty: carry.dirty,
-        })
-    }
-
-    /// Files the values of the chunks `staging` carried: read from the
-    /// mirror's digests once those are settled, or — some job of the
-    /// mirror's never ran — taken afresh by jobs on `batch`.
-    fn file_carried(&self, batch: &Arc<Batch>, digests: &Arc<Digests>, staging: &Staging) {
-        let Some((from, carried)) = &staging.carried else {
-            return;
         };
-        let settled = from.settled();
-        for &i in carried {
-            if settled {
-                digests.carry(from, i);
-            } else {
-                let (off, piece) = (i as u64 * digests.chunk, staging.chunks[i].clone());
-                batch.file(&self.workers, digests, off, piece);
+        let (chunk, total, n) = (digests.chunk, digests.len, digests.n_chunks());
+        let mut plan = Plan {
+            from: None,
+            served: vec![false; n],
+            sample: None,
+            dirty: total,
+        };
+        let Some(version) = src.version() else {
+            return (observed, plan);
+        };
+        let mut cursor = 0;
+        let mismatches = self.codec.mismatches.load(Ordering::Acquire);
+        let last = self.carries.lock().remove(&job).filter(|last| {
+            let retired = last.mismatches != mismatches;
+            let same = last.version.source == version.source;
+            !retired && same && (last.digests.len, last.digests.chunk) == (total, chunk)
+        });
+        let ranges = last
+            .as_ref()
+            .and_then(|last| src.dirty_since(last.version.seq));
+        if let (Some(last), Some(ranges)) = (last, ranges) {
+            let mut clean = vec![true; n];
+            for &(off, len) in ranges.iter().filter(|&&(off, len)| len > 0 && off < total) {
+                let end = (off + len - 1).min(total - 1) / chunk;
+                clean[(off / chunk) as usize..=end as usize].fill(false);
             }
+            plan.dirty = ranges.iter().map(|&(_, len)| len).sum::<u64>().min(total);
+            for (i, served) in plan.served.iter_mut().enumerate() {
+                let carried = (last.digests.address(i)).filter(|_| clean[i] && digests.uncut(i));
+                let len = digests.extent(i).1 as u64;
+                *served = carried.is_some_and(|d| observed.serves(d, len).is_some());
+            }
+            let sample = (0..n)
+                .map(|k| (last.cursor + k) % n)
+                .find(|&i| plan.served[i]);
+            if let Some(i) = sample {
+                plan.served[i] = false;
+                plan.sample = Some((i, last.digests.address(i).expect("served, so filed")));
+                cursor = (i + 1) % n;
+            }
+            plan.from = Some(last.digests);
         }
-    }
-
-    /// Writes an already staged snapshot verbatim, chunk `i` at payload
-    /// offset `packed + i × chunk size`; each buffer returns to the pool the
-    /// moment its write returns, unless a mirror still shares it.
-    fn write_staged(
-        &self,
-        ctx: PipelineCtx<'_>,
-        lease: &SlotLease,
-        packed: u64,
-        staged: Vec<StagedChunk>,
-    ) -> Result<(), PccheckError> {
-        let chunk = self.pool.chunk_size().as_u64();
-        let batch = Batch::open(&self.io, ctx, lease);
-        for (i, piece) in staged.into_iter().enumerate() {
-            batch.write(&self.workers, packed + i as u64 * chunk, piece, None);
-        }
-        batch.wait()
+        let digests = Arc::clone(digests);
+        (self.carries.lock()).insert(
+            job,
+            Carry {
+                version,
+                digests,
+                cursor,
+                mismatches,
+            },
+        );
+        (observed, plan)
     }
 
     /// The one copy verb: copies the snapshot GPU→DRAM into pooled
     /// chunks — the calling thread copies, the writer pool digests and
     /// persists — and writes it into its slot as a frame, its table last so
     /// a torn frame is never mistaken for a complete one. `mode` says how
-    /// it stages and what it packs ([`CopyMode`]); every chunk the codec
-    /// does not pack is written verbatim at its packed offset under an
-    /// all-`Raw` table.
+    /// it stages and what it packs ([`CopyMode`]).
     ///
     /// `src` is consumed: it is dropped — handing the weights back to
-    /// training — as soon as the last chunk is in DRAM, before the codec
-    /// classifies, compresses or packs anything and while the streamed
-    /// copy's writes are still landing. Pass `&guard` to keep a guard.
+    /// training — as soon as the last chunk is in DRAM, while digests,
+    /// classification, compression and writes may still be under way. Pass
+    /// `&guard` to keep a guard.
     ///
     /// `iteration` is the one the commit will record: the state digest the
     /// frame carries is folded with it, not with the source's step count.
@@ -1199,23 +1377,16 @@ impl PersistPipeline {
     /// step to it, so the frame verifies and the restored GPU's digest is
     /// the one this copy returns.
     ///
-    /// `slot` is leased when the first write needs it: before staging when
-    /// streamed, after `src` is dropped otherwise (module docs, "Who waits
-    /// for what"). A staged or codec copy stages the whole snapshot through
-    /// its job's host mirror, copying only the chunks the source dirtied
-    /// since the mirror was staged.
+    /// `slot` is leased when the first write needs it (module docs, "Who
+    /// waits for what").
     ///
-    /// The codec deduplicates byte-identical chunks within the frame and
-    /// against the homes the job's head installed, taking a base hit iff
-    /// `home.depth + 1` fits the chain cap (7) and the lease's slot budget
-    /// minus two; the frame links to the youngest home it references (see
-    /// the `codec` module docs, "Dedup index lifetime"). It compresses the
-    /// rest on the writer pool, and writes the all-`Raw` frame of the
-    /// chunks it already staged — no second GPU copy, no second digest —
-    /// when its packed chunks would not be smaller than the state. It needs
-    /// every chunk's content address before any byte is packed, so a pool
-    /// too small to stage the snapshot streams it all-`Raw` instead,
-    /// decided before the source is touched.
+    /// The codec classifies every chunk in logical order: self-dedup (a byte
+    /// compare — exact), then base dedup, taking a hit iff `home.depth + 1`
+    /// fits the chain cap (7) and the lease's slot budget minus two; the
+    /// frame links to the youngest home it references (`codec` module docs,
+    /// "Dedup index lifetime"). A frame whose observed head is displaced, and
+    /// its homes released, before it commits is withdrawn by
+    /// [`CheckpointStore::commit_with_delta`].
     ///
     /// The returned [`Copied::persist_start`] lets the caller close the
     /// phase after [`seal`](Self::seal): the copy start when streamed (the
@@ -1241,64 +1412,83 @@ impl PersistPipeline {
         let chunk = pool.chunk_size().as_u64();
         let n_chunks = total.as_u64().div_ceil(chunk) as usize;
         let packed = FrameTable::encoded_len_for(n_chunks);
-        let mode = match mode {
-            CopyMode::Codec if n_chunks == 0 || pool.total_chunks() < n_chunks => {
-                CopyMode::Streamed
-            }
-            mode => mode,
-        };
-        let job = slot.job();
+        let job = slot.namespace().job();
         let digests = Digests::of(iteration, total, chunk);
         let copy_done = |lease: &SlotLease| {
             let (counter, slot, len) = (lease.counter, lease.slot, total.as_u64());
             let flight = self.io.store.flight();
             flight.record(FlightEventKind::CopyDone, counter, slot, 0, len, 0);
         };
+        // Queues chunk `i`'s digest and its write at its all-`Raw` offset.
+        let write = |batch: &Arc<Batch>, lease: &SlotLease, i: usize, piece: StagedChunk| {
+            let off = i as u64 * chunk;
+            let digests = Some((&digests, off));
+            batch.write(
+                &self.workers,
+                SlotRef::of(lease),
+                packed + off,
+                piece,
+                digests,
+            );
+        };
+        let mut open = Vec::new();
         let (lease, persist_start, codec) = match mode {
             CopyMode::Streamed => {
                 let lease = slot.leased();
-                let batch = Batch::open(&self.io, ctx, lease);
-                let reserve = Reserve::Streaming {
-                    batch: &batch,
-                    packed,
-                };
-                let staging = self.stage(ctx, src, job, &digests, reserve)?;
+                let batch = Batch::open(&self.io, ctx, job, Some(lease));
+                let start = ctx.telemetry.now_nanos();
+                for i in (0..n_chunks).take_while(|_| !batch.aborted()) {
+                    let piece = stage_chunk(ctx, &src, &digests, &mut open, i, pool.acquire());
+                    write(&batch, lease, i, piece);
+                }
+                drop(src);
+                ctx.telemetry.phase_done(ctx.span, Phase::GpuCopy, start);
                 batch.wait()?;
                 copy_done(lease);
-                (lease, staging.start, None)
+                (lease, start, None)
             }
-            CopyMode::Staged | CopyMode::Codec => {
-                // The copied chunks' digest jobs queue before the lease; the
-                // carried chunks' values follow once the lease is taken.
-                let filing = Batch::unleased(&self.io, ctx, job);
-                let staging = self.stage(ctx, src, job, &digests, Reserve::Whole(&filing))?;
-                let _unfiled = Unfiled {
-                    mirrors: &self.mirrors,
-                    digests: &digests,
-                };
+            CopyMode::Staged => {
+                if pool.total_chunks() < n_chunks {
+                    return Err(PccheckError::InvalidConfig(format!(
+                        "staging a whole {total} snapshot needs {n_chunks} chunks, the pool has {}",
+                        pool.total_chunks()
+                    )));
+                }
+                // All at once (rule 2): a reservation that waits holds
+                // nothing.
+                let buffers = pool.acquire_many(n_chunks);
+                let start = ctx.telemetry.now_nanos();
+                let staged: Vec<StagedChunk> = (buffers.into_iter().enumerate())
+                    .map(|(i, buf)| stage_chunk(ctx, &src, &digests, &mut open, i, buf))
+                    .collect();
+                drop(src);
+                ctx.telemetry.phase_done(ctx.span, Phase::GpuCopy, start);
                 let start = ctx.telemetry.now_nanos();
                 let lease = slot.leased();
                 copy_done(lease);
-                self.file_carried(&filing, &digests, &staging);
-                filing.wait()?;
-                digests.settle(true);
-                let codec = match mode {
-                    CopyMode::Codec => {
-                        // The dirty-ratio gauge: how much of the state
-                        // changed since the job's last snapshot.
-                        let permille = staging.dirty * 1000 / total.as_u64().max(1);
-                        ctx.telemetry.gauge_dirty_ratio(permille);
-                        self.pack(ctx, lease, &staging.chunks, &digests)?
-                    }
-                    _ => None,
-                };
-                if codec.is_none() {
-                    // Staged, or a frame that would not pay: the snapshot is
-                    // in DRAM and digested, and the source is gone, so it
-                    // goes out as the all-`Raw` frame it is.
-                    self.write_staged(ctx, lease, packed, staging.chunks)?;
+                let batch = Batch::open(&self.io, ctx, job, Some(lease));
+                for (i, piece) in staged.into_iter().enumerate() {
+                    write(&batch, lease, i, piece);
                 }
-                (lease, start, codec)
+                batch.wait()?;
+                (lease, start, None)
+            }
+            CopyMode::Codec => {
+                let (start, frame, batch) = self.stream_frame(ctx, src, &mut slot, &digests);
+                if batch.aborted() {
+                    // Failed before it needed a slot: it takes none.
+                    batch.wait()?;
+                }
+                let lease = slot.leased();
+                if frame.state.lock().at.is_none() {
+                    frame.lease(&batch, &self.workers, lease);
+                }
+                copy_done(lease);
+                batch.wait()?;
+                // Served chunks after the last copied one are classified
+                // here; they write nothing.
+                frame.advance(&batch, None)?;
+                (lease, start, Some(frame.finish(ctx, lease)))
             }
         };
 
@@ -1319,180 +1509,78 @@ impl PersistPipeline {
         })
     }
 
-    /// The codec's half of [`copy`](Self::copy), once the snapshot is
-    /// staged and `digests` complete: classifies every chunk — self-dedup
-    /// (byte compare — exact), then base dedup (content address against
-    /// the head's homes), then materialize — compresses the materialized
-    /// ones on the writer pool and, when the packed chunks are smaller than
-    /// the state, writes them behind the table's room and returns the table
-    /// and what the commit binds of it besides its checksum. `None` —
-    /// nothing written — when they are not.
-    fn pack(
+    /// The codec's producer (module docs, "A codec frame streams"): plans,
+    /// files each served chunk's carried values, then copies the sample and,
+    /// in order, every chunk not served into pooled buffers whose digest
+    /// jobs feed the frame (the sample's also checks it against its carried
+    /// address). Leases at once if a slot can be had without waiting, and
+    /// before it waits for DRAM otherwise. Drops `src`, closes the `GpuCopy` phase and returns when
+    /// it started; the frame may still be classifying, compressing and
+    /// writing on the writer pool.
+    fn stream_frame(
         &self,
         ctx: PipelineCtx<'_>,
-        lease: &SlotLease,
-        staged: &[StagedChunk],
-        digests: &Digests,
-    ) -> Result<Option<(FrameTable, FramedPlan)>, PccheckError> {
-        // Cross-checkpoint dedup answers from the generation the job's
-        // head installed, hit by hit: a home is referenced only while the
-        // frame that links to it stays within the depth bound, and a chunk
-        // homed at the bound is materialized again. A chain of depth d pins
-        // d + 1 slots and the next checkpoint needs one more, so the lease's
-        // slot budget bounds the depth too: a committed chain always leaves
-        // a slot free.
-        const MAX_CHAIN: u32 = 7;
-        let ns = lease.namespace();
-        let max_depth = MAX_CHAIN.min(ns.desc().slot_count.saturating_sub(2));
-
-        let mut records: Vec<FrameRecord> = Vec::with_capacity(staged.len());
-        let mut self_seen: HashMap<u64, usize> = HashMap::new();
-        let mut materialized: Vec<usize> = Vec::new();
-        let mut homes: Vec<(u64, DedupHome)> = Vec::new();
-        {
-            // The head is read under the index's lock, which a codec
-            // commit holds from before its head advance until its
-            // generation is installed: head and generation are one
-            // observation, never a new head beside the old generation.
-            let dedup = self.codec.dedup.lock();
-            let head = self.io.store.latest_committed(ns).map(|h| h.counter);
-            let addresses = digests.addresses();
-            for (i, (piece, &digest)) in staged.iter().zip(&addresses).enumerate() {
-                let n = piece.len as u64;
-                let record = |kind, aux, a, b| FrameRecord {
-                    kind,
-                    aux,
-                    logical_len: n,
-                    a,
-                    b,
-                    digest,
-                };
-                if let Some(&j) = self_seen.get(&digest) {
-                    if staged[j].as_ref() == piece.as_ref() {
-                        records.push(record(ChunkEncoding::DedupSelf, j as u32, 0, 0));
-                        continue;
+        src: impl SnapshotSource,
+        slot: &mut impl LeaseSlot,
+        digests: &Arc<Digests>,
+    ) -> (u64, Arc<Frame>, Arc<Batch>) {
+        let ns = Arc::clone(slot.namespace());
+        let (observed, plan) = self.plan(&src, &ns, digests);
+        // The dirty-ratio gauge: how much of the state changed since the
+        // job's last snapshot.
+        let permille = plan.dirty * 1000 / digests.len.max(1);
+        ctx.telemetry.gauge_dirty_ratio(permille);
+        let lease = slot.lease(false);
+        let batch = Batch::open(&self.io, ctx, ns.job(), lease);
+        let mut leased = lease.is_some();
+        // A served chunk takes its values from the carry.
+        for i in (0..digests.n_chunks()).filter(|&i| plan.served[i]) {
+            digests.carry(plan.from.as_ref().expect("served from a carry"), i);
+        }
+        let frame = Frame::new(digests, observed, plan.served, lease.map(SlotRef::of));
+        let mut open = Vec::new();
+        let mut copy = |i: usize| {
+            let off = digests.extent(i).0;
+            let buf = match self.pool.try_acquire_many(1) {
+                Some(mut one) => one.remove(0),
+                None => {
+                    // Rule 2: every chunk this copy holds must be on its way
+                    // to the device before it waits for another.
+                    if !std::mem::replace(&mut leased, true) {
+                        frame.lease(&batch, &self.workers, slot.leased());
                     }
-                }
-                let hit = head
-                    .and_then(|h| dedup.lookup(lease.job(), h, digest, n))
-                    .filter(|home| home.depth < max_depth);
-                if let Some(home) = hit {
-                    let base = ChunkEncoding::DedupBase;
-                    records.push(record(base, home.slot, home.counter, home.logical_off));
-                    homes.push((digest, home));
-                    continue;
-                }
-                self_seen.entry(digest).or_insert(i);
-                materialized.push(i);
-                // Placeholder; phys offset/len assigned after compression.
-                records.push(record(ChunkEncoding::Raw, 0, 0, 0));
-            }
-        }
-
-        // Compress materialized chunks on the writer pool, one job each
-        // (compression is the CPU-bound stage; the entropy gate keeps
-        // dense payloads cheap).
-        let compressed: Arc<Mutex<HashMap<usize, Vec<u8>>>> = Arc::default();
-        let batch = Batch::open(&self.io, ctx, lease);
-        for &i in &materialized {
-            let (piece, compressed) = (staged[i].clone(), Arc::clone(&compressed));
-            batch.submit(&self.workers, move |batch| {
-                let (lz, busy) = batch.busy(|| compress_gated(piece.as_ref()));
-                if let Some(c) = lz {
-                    compressed.lock().insert(i, c);
-                }
-                Ok((0, busy))
-            });
-        }
-        batch.wait()?;
-        let mut compressed = Arc::try_unwrap(compressed)
-            .unwrap_or_else(|_| unreachable!("a drained batch has dropped every job's share"))
-            .into_inner();
-
-        // Pack materialized chunks back to back after the table.
-        let mut phys = 0u64;
-        for &i in &materialized {
-            let n = records[i].logical_len;
-            let (kind, len) = match compressed.get(&i) {
-                Some(c) if (c.len() as u64) < n => (ChunkEncoding::Lz, c.len() as u64),
-                _ => {
-                    compressed.remove(&i);
-                    (ChunkEncoding::Raw, n)
+                    self.pool.acquire()
                 }
             };
-            records[i].kind = kind;
-            records[i].a = phys;
-            records[i].b = len;
-            phys += len;
-        }
-        let logical: u64 = staged.iter().map(|piece| piece.len as u64).sum();
-        if phys >= logical {
-            return Ok(None);
-        }
-
-        // Persist the packed chunks through the writer pool; the table
-        // follows, last. A chunk the frame stores as a reference or as LZ
-        // bytes needs its DRAM no longer.
-        let table_len = FrameTable::encoded_len_for(records.len());
-        let batch = Batch::open(&self.io, ctx, lease);
-        for &i in &materialized {
-            let dst = table_len + records[i].a;
-            match compressed.remove(&i) {
-                Some(lz) => batch.write(&self.workers, dst, lz, None),
-                None => batch.write(&self.workers, dst, staged[i].clone(), None),
-            }
-        }
-        batch.wait()?;
-
-        let dedup_chunks = (records.len() - materialized.len()) as u64;
-        let saved_bytes = logical - phys;
-        ctx.telemetry.add_codec_bytes_saved(saved_bytes);
-        ctx.telemetry.add_dedup_chunks(dedup_chunks);
-        ctx.telemetry
-            .gauge_compression_ratio((table_len + phys) * 1000 / logical.max(1));
-
-        // Link to the youngest home referenced: the older ones lie on its
-        // chain, so pinning that chain pins them all.
-        let link = homes
-            .iter()
-            .map(|(_, home)| home)
-            .max_by_key(|home| home.counter)
-            .map(|home| DeltaLink {
-                base_counter: home.counter,
-                base_slot: home.slot,
-                chain_depth: home.depth + 1,
+            let piece = stage_chunk(ctx, &src, digests, &mut open, i, buf);
+            let (frame, codec) = (Arc::clone(&frame), Arc::clone(&self.codec));
+            let carried = plan.sample.filter(|s| s.0 == i).map(|s| s.1);
+            batch.submit(&self.workers, move |batch| {
+                let (address, digesting) = batch.busy(|| frame.digests.file(off, piece.as_ref()));
+                if carried.is_some_and(|carried| carried != address) {
+                    // The source's tracker missed a write: this chunk is the
+                    // GPU's, and no carry planned before now serves again.
+                    codec.mismatches.fetch_add(1, Ordering::AcqRel);
+                    let iteration = frame.digests.iteration;
+                    (batch.telemetry).anomaly(iteration, 1.0, 0.0, f64::INFINITY);
+                }
+                let (bytes, busy) = frame.advance(batch, Some((i, piece)))?;
+                Ok((bytes, digesting + busy))
             });
-        let depth = link.map_or(0, |l| l.chain_depth);
-        let mut logical_off = 0u64;
-        for r in &records {
-            if r.kind.is_materialized() {
-                homes.push((
-                    r.digest,
-                    DedupHome {
-                        counter: lease.counter,
-                        slot: lease.slot,
-                        logical_off,
-                        len: r.logical_len,
-                        depth,
-                    },
-                ));
-            }
-            logical_off += r.logical_len;
+        };
+        // The sample is copied first and, like the plan, outside the
+        // `GpuCopy` phase: it checks the carry (its bytes land in the frame
+        // all the same).
+        let sample = plan.sample.map(|(i, _)| i);
+        sample.into_iter().for_each(&mut copy);
+        let start = ctx.telemetry.now_nanos();
+        let copied = (0..digests.n_chunks()).filter(|&i| !frame.served[i] && Some(i) != sample);
+        for i in copied.take_while(|_| !batch.aborted()) {
+            copy(i);
         }
-        let table = FrameTable {
-            counter: lease.counter,
-            logical_len: logical,
-            full_digest: digests.fold().0,
-            records,
-        };
-        let plan = FramedPlan {
-            payload_digest: 0,
-            link,
-            saved_bytes,
-            dedup_chunks,
-            homes,
-        };
-        Ok(Some((table, plan)))
+        drop(src);
+        ctx.telemetry.phase_done(ctx.span, Phase::GpuCopy, start);
+        (ctx.telemetry.now_nanos(), frame, batch)
     }
 
     /// One-call checkpoint in `ns`: [`copy`](Self::copy) under `mode`,
@@ -1515,7 +1603,7 @@ impl PersistPipeline {
         mode: CopyMode,
     ) -> Result<(CommitOutcome, Copied), PccheckError> {
         let total = src.size();
-        let mut slot = DeferredLease::new(ns.job(), || self.lease(ctx, ns));
+        let mut slot = DeferredLease::new(ns, |wait| self.try_lease(ctx, ns, wait));
         let copied = self.copy(ctx, src, &mut slot, iteration, total, mode)?;
         let lease = slot.into_lease().expect("a copy that returned has leased");
         self.seal(ctx, &lease, iteration, &copied)?;
@@ -2449,26 +2537,136 @@ mod tests {
     }
 
     #[test]
-    fn framed_declines_when_pool_cannot_stage_the_snapshot() {
-        // 16 chunks needed, pool holds 4: the codec must decline rather
-        // than deadlock on the staging pool.
-        let (_device, pipeline) = framed_rig(4096, 256, 4);
-        let data: Vec<u8> = (0..4096u32).map(|i| (i / 192) as u8).collect();
-        let src = VecSource { data, step: 1 };
-        let telemetry = Telemetry::disabled();
-        let ctx = test_ctx(&telemetry);
-        let (commit, copied) = pipeline
-            .checkpoint_framed(ctx, &default_ns(&pipeline), &src, 1, CopyMode::Codec)
-            .unwrap();
-        assert_eq!(commit, CommitOutcome::Committed);
-        assert_eq!(copied.frame.saved_bytes, 0, "streamed all-Raw");
-        assert_eq!(copied.payload_len, FrameTable::encoded_len_for(16) + 4096);
+    fn a_frame_streams_through_a_pool_smaller_than_the_snapshot() {
+        // Sixteen chunks: a random one and a compressible one repeated, and
+        // distinct compressible ones. Through one staging chunk every chunk
+        // is written before the next is staged, so each repeat is compared
+        // with its first occurrence read back from the slot (decompressed
+        // when it was packed as LZ); through four, some are still in DRAM.
+        // Every pool lands the frame the whole-snapshot pool lands.
+        let mut random = vec![0u8; 256];
+        pccheck_util::rng::fill_deterministic(&mut random, 5);
+        let tiled: Vec<u8> = (0..256u32).map(|i| (i / 32) as u8).collect();
+        let mut data = Vec::new();
+        for i in 0..16u8 {
+            match i % 4 {
+                0 => data.extend_from_slice(&random),
+                1 => data.extend_from_slice(&tiled),
+                _ => data.extend((0..256u32).map(|b| (b / 16) as u8 ^ i)),
+            }
+        }
+        let frame_through = |pool_chunks: usize| {
+            let (device, pipeline) = framed_rig(4096, 256, pool_chunks);
+            let src = VecSource {
+                data: data.clone(),
+                step: 1,
+            };
+            let telemetry = Telemetry::disabled();
+            let ctx = test_ctx(&telemetry);
+            let (commit, copied) = pipeline
+                .checkpoint_framed(ctx, &default_ns(&pipeline), &src, 1, CopyMode::Codec)
+                .unwrap();
+            assert_eq!(commit, CommitOutcome::Committed);
+            assert_eq!(copied.frame.dedup_chunks, 6, "pool {pool_chunks}");
+            assert!(copied.frame.saved_bytes > 4096 / 2, "pool {pool_chunks}");
+            let peak = pipeline.staging_pool().peak_outstanding();
+            assert!(peak <= pool_chunks, "pool {pool_chunks}: {peak}");
+            let rec = crate::recovery::recover(device).unwrap();
+            assert_eq!(rec.payload, data, "pool {pool_chunks}");
+            head_frame(&pipeline)
+        };
+        let whole = frame_through(16);
+        for pool_chunks in [1, 4] {
+            assert_eq!(frame_through(pool_chunks), whole, "pool {pool_chunks}");
+        }
+    }
+
+    #[test]
+    fn a_frame_leased_late_is_written_before_a_newer_checkpoints_chunks() {
+        // One writer, held busy. Frame A queues its chunks' jobs while it has
+        // no slot and leases once its source is dropped; checkpoint B leases
+        // at once, after A. A is the older checkpoint, so once the writer is
+        // free every chunk of A's is written before any of B's.
+        let (_device, pipeline) = framed_rig(4096, 256, 32);
+        let pipeline = pipeline.with_writers(1);
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let busy = Box::new(move |_| {
+            started_tx.send(()).unwrap();
+            let _ = held.recv();
+        });
+        let order = Order {
+            tenant: DEFAULT_JOB,
+            counter: 0,
+        };
+        pipeline.workers.submit(order, busy);
+        started.recv().unwrap();
+        let ns = default_ns(&pipeline);
+        let telemetry = Telemetry::enabled();
+        let (total, spans) = (ByteSize::from_bytes(4096), [1, 2]);
+        let spans = spans.map(|step| telemetry.span_requested("test", step, 4096));
+        let source = |step| {
+            let mut data = vec![0u8; 4096];
+            pccheck_util::rng::fill_deterministic(&mut data, step);
+            VecSource { data, step }
+        };
+        let queued = |what: &str, done: &dyn Fn(&[Order]) -> bool| {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+            while !done(&pipeline.workers.queued()) {
+                assert!(std::time::Instant::now() < deadline, "never queued: {what}");
+                std::thread::yield_now();
+            }
+        };
+        let counters = std::thread::scope(|s| {
+            // Dropped on the way out, a failed assertion included.
+            let _release = release;
+            let a = s.spawn(|| {
+                let ctx = PipelineCtx {
+                    telemetry: &telemetry,
+                    span: spans[0],
+                };
+                let take = |wait: bool| wait.then(|| pipeline.lease(ctx, &ns));
+                let mut slot = DeferredLease::new(&ns, take);
+                let src = source(1);
+                (pipeline.copy(ctx, src, &mut slot, 1, total, CopyMode::Codec)).unwrap();
+                slot.into_lease().unwrap().counter
+            });
+            let leased = |q: &[Order]| q.len() == 16 && q.iter().all(|o| o.counter < 1 << 63);
+            queued("A's sixteen chunk jobs, at its counter", &leased);
+            let b = s.spawn(|| {
+                let ctx = PipelineCtx {
+                    telemetry: &telemetry,
+                    span: spans[1],
+                };
+                let lease = pipeline.lease(ctx, &ns);
+                let src = source(2);
+                (pipeline.copy(ctx, src, &lease, 2, total, CopyMode::Streamed)).unwrap();
+                lease.counter
+            });
+            queued("B's sixteen writes", &|q| q.len() == 32);
+            drop(_release);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(counters.0 < counters.1, "{counters:?}");
+        // The chunks' writes, in the order they ran (tables sit at 0).
+        let written: Vec<SpanId> = (telemetry.events().iter())
+            .filter_map(|e| match e.kind {
+                pccheck_telemetry::EventKind::Chunk {
+                    phase: Phase::Persist,
+                    offset,
+                    ..
+                } if offset > 0 => Some(e.span),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(written.len(), 32);
+        assert!(written[..16].iter().all(|&s| s == spans[0]), "{written:?}");
     }
 
     /// A three-tensor compressible GPU: a sparse step dirties the tail of
-    /// each tensor, three chunks of a 4 KiB state in 256-byte chunks.
-    fn sparse_gpu(seed: u64) -> Gpu {
-        let state = TrainingState::compressible(ByteSize::from_bytes(4096), seed, 32);
+    /// each tensor, three chunks of a 64 KiB state in 4 KiB chunks.
+    fn sparse_gpu(size: u64, seed: u64) -> Gpu {
+        let state = TrainingState::compressible(ByteSize::from_bytes(size), seed, 32);
         Gpu::new(GpuConfig::fast_for_tests(), state)
     }
 
@@ -2498,36 +2696,38 @@ mod tests {
     }
 
     #[test]
-    fn a_whole_copy_carries_clean_chunks_and_lands_the_frame_a_full_copy_would() {
-        // One pipeline copies GPU guards and carries every chunk its mirror
-        // still holds; the other copies the same bytes from a source with
-        // no history, all of them. The frames on the two devices are the
-        // same bytes, and the first copies only the dirtied chunks.
-        for mode in [CopyMode::Staged, CopyMode::Codec] {
-            let ((_, carrying), (_, full)) = (framed_rig(4096, 256, 32), framed_rig(4096, 256, 32));
-            let gpu = sparse_gpu(61);
-            let telemetry = Telemetry::enabled();
-            for step in 1..=6u64 {
-                let span = telemetry.span_requested("test", step, 4096);
-                let ctx = PipelineCtx {
-                    telemetry: &telemetry,
-                    span,
-                };
-                gpu.update_sparse(0.05);
-                let guard = gpu.lock_weights_shared_owned();
-                let mut data = vec![0u8; 4096];
-                guard.copy_range_to_host(0, &mut data);
-                let staged = || telemetry.snapshot().unwrap().gpu_copy_bytes;
-                let before = staged();
-                let copied = commit_copy(&carrying, ctx, guard, mode);
-                let staged = staged() - before;
-                let dirty = if step == 1 { 4096 } else { 3 * 256 };
-                assert_eq!(staged, dirty, "{mode:?} step {step}");
-                assert_eq!(copied.state_digest, gpu.digest());
-                commit_copy(&full, ctx, VecSource { data, step }, mode);
-                let frames = (head_frame(&carrying), head_frame(&full));
-                assert_eq!(frames.0, frames.1, "{mode:?} step {step}");
-            }
+    fn a_codec_copy_serves_clean_chunks_and_lands_the_frame_a_full_copy_would() {
+        // One pipeline copies GPU guards and serves every clean chunk the
+        // head's generation has a home for; the other copies the same bytes
+        // from a source with no history, all of them. The frames on the two
+        // devices are the same bytes, and the first copies only the three
+        // dirtied chunks and the one it samples (chunks of whole digest
+        // blocks: 4 KiB of a 64 KiB state).
+        const STATE: u64 = 64 * 1024;
+        let rig = || framed_rig(STATE, 4096, 32);
+        let ((_, carrying), (_, full)) = (rig(), rig());
+        let gpu = sparse_gpu(STATE, 61);
+        let telemetry = Telemetry::enabled();
+        for step in 1..=6u64 {
+            let span = telemetry.span_requested("test", step, STATE);
+            let ctx = PipelineCtx {
+                telemetry: &telemetry,
+                span,
+            };
+            gpu.update_sparse(0.05);
+            let guard = gpu.lock_weights_shared_owned();
+            let mut data = vec![0u8; STATE as usize];
+            guard.copy_range_to_host(0, &mut data);
+            let staged = || telemetry.snapshot().unwrap().gpu_copy_bytes;
+            let before = staged();
+            let copied = commit_copy(&carrying, ctx, guard, CopyMode::Codec);
+            let staged = staged() - before;
+            let dirty = if step == 1 { STATE } else { (3 + 1) * 4096 };
+            assert_eq!(staged, dirty, "step {step}");
+            assert_eq!(copied.state_digest, gpu.digest());
+            commit_copy(&full, ctx, VecSource { data, step }, CopyMode::Codec);
+            let frames = (head_frame(&carrying), head_frame(&full));
+            assert_eq!(frames.0, frames.1, "step {step}");
         }
     }
 
@@ -2562,13 +2762,15 @@ mod tests {
     #[test]
     fn the_rotating_sample_catches_a_tracker_that_loses_a_range() {
         // Every sparse step dirties chunks 5, 10 and 15 of sixteen; the
-        // tracker never reports chunk 10's range, so the mirror's stale
-        // copy of it is carried. One carried chunk per checkpoint is
-        // compared with the GPU, rotating: within sixteen checkpoints the
-        // sample reaches chunk 10, and that checkpoint copies every chunk,
-        // raises an anomaly and commits the GPU's bytes.
-        let (device, pipeline) = framed_rig(4096, 256, 32);
-        let gpu = sparse_gpu(67);
+        // tracker never reports chunk 10's range, so its stale content
+        // address is carried and served (chunks of whole digest blocks: 4
+        // KiB of a 64 KiB state). One served chunk per checkpoint is
+        // copied and checked, rotating: within sixteen checkpoints the
+        // sample reaches chunk 10, and that checkpoint copies it, raises an
+        // anomaly and commits the GPU's bytes.
+        let (state, chunk) = (64 * 1024, 4096);
+        let (device, pipeline) = framed_rig(state, chunk, 32);
+        let gpu = sparse_gpu(state, 67);
         let telemetry = Telemetry::enabled();
         let ctx = test_ctx(&telemetry);
         let anomalies = || {
@@ -2583,7 +2785,7 @@ mod tests {
             gpu.update_sparse(0.05);
             let src = LosesWrites {
                 src: gpu.lock_weights_shared_owned(),
-                lost: 10 * 256..11 * 256,
+                lost: 10 * chunk..11 * chunk,
             };
             let mode = CopyMode::Codec;
             let copied = commit_copy(&pipeline, ctx, src, mode);
@@ -2595,7 +2797,7 @@ mod tests {
             }
         }
         let caught = caught.expect("the sample never reached the lost chunk");
-        assert!(caught <= 1 + 16, "caught at {caught}");
+        assert!((3..=1 + 16).contains(&caught), "caught at {caught}");
         let rec = crate::recovery::recover(device).unwrap();
         assert_eq!(rec.iteration, caught);
         let layout = gpu.with_weights(|s| s.layout());

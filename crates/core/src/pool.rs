@@ -17,7 +17,10 @@
 //! tenant's checkpoints therefore reach the device oldest first — the
 //! older one commits first and is never superseded by its successor —
 //! while tenants take turns in arrival order. Jobs that all carry the same
-//! `Order` are served first in, first out.
+//! `Order` are served first in, first out. A checkpoint that queues jobs
+//! before it has a counter queues them at an [`Order::unleased`] one,
+//! behind every counter a checkpoint can have, and moves them to its own
+//! with [`WorkerPool::reorder`] once it has it.
 //!
 //! # Threads
 //!
@@ -33,6 +36,7 @@
 //! thread that waits for the result.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -47,6 +51,17 @@ pub(crate) struct Order {
     pub tenant: JobId,
     /// The checkpoint the job belongs to (the store's global counter).
     pub counter: u64,
+}
+
+impl Order {
+    /// A place for `tenant`'s jobs of a checkpoint that has no counter yet:
+    /// behind every checkpoint that has one, and behind every such place
+    /// handed out before.
+    pub(crate) fn unleased(tenant: JobId) -> Order {
+        static NEXT: AtomicU64 = AtomicU64::new(1 << 63);
+        let counter = NEXT.fetch_add(1, Ordering::Relaxed);
+        Order { tenant, counter }
+    }
 }
 
 /// A unit of work; the argument is the index of the worker running it.
@@ -160,6 +175,13 @@ impl WorkerPool {
         Arc::downgrade(&self.shared)
     }
 
+    /// The orders of the jobs queued right now, in queue order.
+    #[cfg(test)]
+    pub(crate) fn queued(&self) -> Vec<Order> {
+        let state = self.shared.state.lock();
+        state.queue.iter().map(|(order, _)| *order).collect()
+    }
+
     /// Queues `job` at `order` and makes sure `width` workers exist.
     pub(crate) fn submit(&self, order: Order, job: Job) {
         let mut state = self.shared.state.lock();
@@ -176,6 +198,17 @@ impl WorkerPool {
         }
         drop(state);
         self.shared.work.notify_one();
+    }
+}
+
+impl WorkerPool {
+    /// Moves every job queued at `from` to its tenant's checkpoint
+    /// `counter`, each keeping its place in the queue.
+    pub(crate) fn reorder(&self, from: Order, counter: u64) {
+        let mut state = self.shared.state.lock();
+        for (order, _) in state.queue.iter_mut().filter(|(order, _)| *order == from) {
+            order.counter = counter;
+        }
     }
 }
 
@@ -246,6 +279,29 @@ mod tests {
         // counter 7; turn 2 is tenant 2's; the rest are tenant 1's, oldest
         // counter first, submission order within a counter.
         assert_eq!(served, ["1/7a", "2/5", "1/7b", "1/9a", "1/9b"]);
+    }
+
+    #[test]
+    fn a_checkpoint_leased_late_moves_its_queued_jobs_ahead_of_a_newer_one() {
+        let pool = WorkerPool::new("test", 1);
+        let release = plug(&pool);
+        let (tx, rx) = mpsc::channel();
+        let submit = |order: Order, tag: &'static str| {
+            let tx = tx.clone();
+            pool.submit(order, Box::new(move |_| tx.send(tag).unwrap()));
+        };
+        // Two checkpoints of tenant 1 queue before they have counters; the
+        // first is then leased at 8, after a newer one leased at once at 9.
+        let (late, later) = (Order::unleased(1), Order::unleased(1));
+        assert!(late.counter < later.counter && late.counter > u64::MAX / 2);
+        submit(later, "later");
+        submit(late, "8a");
+        submit(order(1, 9), "9");
+        pool.reorder(late, 8);
+        submit(order(1, 8), "8b");
+        drop(release);
+        let served: Vec<_> = (0..4).map(|_| rx.recv().unwrap()).collect();
+        assert_eq!(served, ["8a", "8b", "9", "later"]);
     }
 
     #[test]

@@ -566,6 +566,14 @@ impl CheckpointStore {
             .filter(|m| m.counter == packed.counter())
     }
 
+    /// The counter of `ns`'s latest committed checkpoint, from memory: the
+    /// one [`latest_committed`](Self::latest_committed) reads the meta of
+    /// from the device.
+    pub(crate) fn head_counter(&self, ns: &Namespace) -> Option<u64> {
+        let packed = PackedCheckAddr(ns.commit.addr.load(Ordering::Acquire));
+        (!packed.is_none()).then(|| packed.counter())
+    }
+
     /// The current in-memory commit-state word of `slot` (diagnostics;
     /// the durable word may lag — it records high-water claims, not the
     /// recycle step).
@@ -644,6 +652,28 @@ impl CheckpointStore {
         let counter = self.global_counter.fetch_add(1, Ordering::AcqRel);
         // Lines 8-11: find space, then take the lattice claim step.
         let slot = ns.free_slots.dequeue_blocking();
+        self.claim_lease(ns, last_check, counter, slot)
+    }
+
+    /// [`begin_checkpoint`](Self::begin_checkpoint) if one of `ns`'s slots
+    /// is free now, and nothing — no counter taken — if not. The slot is
+    /// taken first, then the commit sampled and the counter taken, in that
+    /// order.
+    pub(crate) fn try_begin_checkpoint(&self, ns: &Arc<Namespace>) -> Option<SlotLease> {
+        let slot = ns.free_slots.dequeue()?;
+        let last_check = PackedCheckAddr(ns.commit.addr.load(Ordering::Acquire));
+        let counter = self.global_counter.fetch_add(1, Ordering::AcqRel);
+        Some(self.claim_lease(ns, last_check, counter, slot))
+    }
+
+    /// The claim step and the lease of checkpoint `counter` in `slot`.
+    fn claim_lease(
+        &self,
+        ns: &Arc<Namespace>,
+        last_check: PackedCheckAddr,
+        counter: u64,
+        slot: u32,
+    ) -> SlotLease {
         self.claim_slot(slot, counter);
         self.flight
             .record(FlightEventKind::Begin, counter, slot, 0, 0, last_check.0);
@@ -774,6 +804,22 @@ impl CheckpointStore {
         }
         let base = self.slot_payload_offset(slot);
         self.device.write_at(base + chunk_offset, data)?;
+        Ok(())
+    }
+
+    /// Reads back bytes a pipeline job wrote into `slot`, durable or not.
+    ///
+    /// # Errors
+    ///
+    /// Propagates device errors.
+    pub(crate) fn read_written(
+        &self,
+        slot: u32,
+        at: u64,
+        buf: &mut [u8],
+    ) -> Result<(), PccheckError> {
+        self.device
+            .read_at(self.slot_payload_offset(slot) + at, buf)?;
         Ok(())
     }
 

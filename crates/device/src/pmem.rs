@@ -160,6 +160,11 @@ impl PersistentDevice for PmemDevice {
 
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
         let _ticket = self.submit();
+        // Before the bucket: a write that cannot land takes no bandwidth
+        // from the writes after `recover()`.
+        if self.state.read().crashed {
+            return Err(DeviceError::Crashed);
+        }
         if self.config.throttled {
             self.bucket.acquire(ByteSize::from_bytes(data.len() as u64));
         }
@@ -246,6 +251,29 @@ mod tests {
             DeviceConfig::fast_for_tests(ByteSize::from_bytes(cap)),
             mode,
         )
+    }
+
+    #[test]
+    fn a_crashed_throttled_device_fails_a_write_without_charging_it() {
+        // 1 MiB at 1 KB/s would sleep for ~17 minutes in the bucket before
+        // finding the device crashed; a guard thread reports a hang.
+        let cfg = DeviceConfig {
+            capacity: ByteSize::from_mb_u64(2),
+            write_bandwidth: Bandwidth::from_bytes_per_sec(1000.0),
+            throttled: true,
+        };
+        let pmem = Arc::new(PmemDevice::new(cfg, PmemWriteMode::NtStore));
+        pmem.crash_now();
+        let (done, result) = std::sync::mpsc::channel();
+        let writer = Arc::clone(&pmem);
+        std::thread::spawn(move || {
+            let _ = done.send(writer.write_at(0, &vec![7u8; 1 << 20]));
+        });
+        let outcome = result.recv_timeout(std::time::Duration::from_secs(120));
+        assert!(
+            matches!(outcome, Ok(Err(DeviceError::Crashed))),
+            "{outcome:?}"
+        );
     }
 
     #[test]

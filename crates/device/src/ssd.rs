@@ -142,6 +142,9 @@ impl PersistentDevice for SsdDevice {
 
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
         let _ticket = self.submit();
+        // Before the bucket: a write that cannot land takes no bandwidth
+        // from the writes after `recover()`.
+        Self::check_alive(self.is_crashed())?;
         if self.config.throttled {
             // Block outside the lock so other writers and readers proceed
             // while we wait for bandwidth tokens.
@@ -315,6 +318,29 @@ mod tests {
         let secs = start.elapsed().as_secs_f64();
         assert!(secs > 0.1, "4MB at 20MB/s must take ~0.2s, took {secs}s");
         assert!(secs < 1.0, "took far too long: {secs}s");
+    }
+
+    #[test]
+    fn a_crashed_throttled_device_fails_a_write_without_charging_it() {
+        // 1 MiB at 1 KB/s would sleep for ~17 minutes in the bucket before
+        // finding the device crashed; a guard thread reports a hang.
+        let cfg = DeviceConfig {
+            capacity: ByteSize::from_mb_u64(2),
+            write_bandwidth: Bandwidth::from_bytes_per_sec(1000.0),
+            throttled: true,
+        };
+        let ssd = Arc::new(SsdDevice::new(cfg));
+        ssd.crash_now();
+        let (done, result) = std::sync::mpsc::channel();
+        let writer = Arc::clone(&ssd);
+        std::thread::spawn(move || {
+            let _ = done.send(writer.write_at(0, &vec![7u8; 1 << 20]));
+        });
+        let outcome = result.recv_timeout(std::time::Duration::from_secs(120));
+        assert!(
+            matches!(outcome, Ok(Err(DeviceError::Crashed))),
+            "{outcome:?}"
+        );
     }
 
     #[test]

@@ -50,6 +50,9 @@ pub(crate) const MIXED_CHUNK_BYTES: u64 = 16 * 1024;
 /// Checkpoints per run.
 pub const CHECKPOINTS: u64 = 8;
 
+/// Staging chunks of every run, far fewer than either state's chunks.
+pub(crate) const POOL_CHUNKS: usize = 4;
+
 /// What the training state is made of.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Payload {
@@ -146,11 +149,10 @@ pub fn measure(payload: Payload, sparsity: f64) -> ExtCompressRow {
     let geometry = StoreGeometry::single(slot, slots);
     let store = Arc::new(CheckpointStore::format(Arc::clone(&device), geometry).unwrap());
     let ns = store.namespace(DEFAULT_JOB).unwrap();
-    // The framed copy stages the whole snapshot, so the pool must cover it.
-    let pool_chunks = state_bytes.div_ceil(chunk_bytes) as usize;
+    // The framed copy streams: a few staging chunks serve any state.
     let pipeline = PersistPipeline::new(
         store,
-        HostBufferPool::new(ByteSize::from_bytes(chunk_bytes), pool_chunks),
+        HostBufferPool::new(ByteSize::from_bytes(chunk_bytes), POOL_CHUNKS),
     )
     .with_writers(2)
     .with_codec(true);
@@ -302,6 +304,21 @@ mod tests {
             "a clean RNG-dense chunk must stay a reference: persisted / logical = {ratio:.4}"
         );
         assert!(row.recovered_bit_identical);
+    }
+
+    /// The sweep is deterministic, so its checked-in results are its
+    /// output byte for byte: a change to what the codec writes shows up
+    /// here before it shows up in a regenerated file.
+    #[test]
+    fn the_checked_in_results_are_the_sweep_byte_for_byte() {
+        let pinned = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/ext_compress.csv"
+        );
+        let pinned = std::fs::read_to_string(pinned).unwrap();
+        let mut ran = Vec::new();
+        write_csv(&run(), &mut ran).unwrap();
+        assert_eq!(String::from_utf8(ran).unwrap(), pinned);
     }
 
     #[test]
