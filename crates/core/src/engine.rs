@@ -658,9 +658,10 @@ impl Checkpointer for PcCheckEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{must_not_hang, GatedDevice};
+    use crate::testutil::GatedDevice;
     use pccheck_device::{DeviceConfig, PmemDevice, PmemWriteMode, SsdDevice};
     use pccheck_gpu::{GpuConfig, TrainingState};
+    use pccheck_util::sync::must_not_hang;
 
     fn tiny_gpu(size: u64, seed: u64) -> Gpu {
         Gpu::new(

@@ -1647,7 +1647,7 @@ mod tests {
     }
 
     /// `CheckpointStore::open` and `RawStoreView::load` share one scan, so
-    /// after a crash at each of the harness's six crash points — on a
+    /// after a crash at each of six protocol steps — on a
     /// one-namespace and a three-namespace image — they name the same
     /// recovery target for every namespace.
     #[test]

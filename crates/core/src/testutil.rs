@@ -164,28 +164,3 @@ impl PersistentDevice for GatedDevice {
         self.inner.stats()
     }
 }
-
-/// Runs `body` on its own thread and fails the test, instead of hanging
-/// it, if `body` never returns — the shape a regression of "the trainer
-/// waits for the copy, never for the persist" takes. The clock only ever
-/// decides that a run has hung; no passing run reads it.
-pub(crate) fn must_not_hang<T: Send + 'static>(
-    what: &str,
-    body: impl FnOnce() -> T + Send + 'static,
-) -> T {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let handle = std::thread::spawn(move || {
-        let _ = tx.send(body());
-    });
-    match rx.recv_timeout(std::time::Duration::from_secs(60)) {
-        Ok(out) => {
-            handle.join().expect("body returned");
-            out
-        }
-        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-            // `body` panicked: re-raise its message.
-            std::panic::resume_unwind(handle.join().expect_err("sender dropped unsent"))
-        }
-        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("hung: {what}"),
-    }
-}

@@ -72,6 +72,42 @@ impl MemberGate {
     }
 }
 
+/// A controller-level persist-crash fuse, mirroring
+/// [`SsdDevice::arm_crash_after_persists`](crate::SsdDevice::arm_crash_after_persists)
+/// for a whole composite: `-1` disarmed; `n >= 0` means `n` more persists
+/// succeed, whichever members they land on, and the next one powers the
+/// whole device off before its range lands anywhere.
+#[derive(Debug)]
+struct PersistFuse(Mutex<i64>);
+
+impl Default for PersistFuse {
+    fn default() -> Self {
+        PersistFuse(Mutex::new(-1))
+    }
+}
+
+impl PersistFuse {
+    fn arm(&self, n: u64) {
+        *self.0.lock() = n as i64;
+    }
+
+    /// Counts one persist: `true` when the fuse fires on it (and disarms).
+    fn fires(&self) -> bool {
+        let mut fuse = self.0.lock();
+        match *fuse {
+            0 => {
+                *fuse = -1;
+                true
+            }
+            n if n > 0 => {
+                *fuse -= 1;
+                false
+            }
+            _ => false,
+        }
+    }
+}
+
 /// One contiguous piece of a logical range on a single member device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Extent {
@@ -125,11 +161,7 @@ pub struct StripedDevice {
     queue_limit: u64,
     stats: DeviceStats,
     crashed: AtomicBool,
-    /// Controller-level persist-crash fuse, mirroring
-    /// [`SsdDevice::arm_crash_after_persists`](crate::SsdDevice::arm_crash_after_persists):
-    /// `-1` disarmed; `n >= 0` means `n` more persists succeed and the next
-    /// one powers the whole array off before its range lands anywhere.
-    armed_persists: Mutex<i64>,
+    fuse: PersistFuse,
     /// Optional per-member I/O observer (telemetry actor lanes).
     observer: RwLock<Option<Arc<dyn IoObserver>>>,
     /// `stripe-{i}` per member: the observer's and the stats report's
@@ -167,7 +199,7 @@ impl StripedDevice {
             queue_limit: DEFAULT_MEMBER_QUEUE_DEPTH,
             stats: DeviceStats::default(),
             crashed: AtomicBool::new(false),
-            armed_persists: Mutex::new(-1),
+            fuse: PersistFuse::default(),
             observer: RwLock::new(None),
             labels,
             members,
@@ -190,7 +222,7 @@ impl StripedDevice {
     /// and the one after powers off the whole array before its range
     /// becomes durable on any member. The fuse disarms itself after firing.
     pub fn arm_crash_after_persists(&self, n: u64) {
-        *self.armed_persists.lock() = n as i64;
+        self.fuse.arm(n);
     }
 
     /// Registers an [`IoObserver`] that receives one callback per
@@ -309,16 +341,9 @@ impl PersistentDevice for StripedDevice {
         let _ticket = self.submit();
         self.check_bounds(offset, len)?;
         self.check_alive()?;
-        {
-            let mut fuse = self.armed_persists.lock();
-            if *fuse == 0 {
-                *fuse = -1;
-                drop(fuse);
-                self.power_off();
-                return Err(DeviceError::Crashed);
-            } else if *fuse > 0 {
-                *fuse -= 1;
-            }
+        if self.fuse.fires() {
+            self.power_off();
+            return Err(DeviceError::Crashed);
         }
         for ext in self.extents(offset, len) {
             let result = self.member_io(&ext, MemberIoOp::Persist, |m| {
@@ -418,6 +443,7 @@ pub struct TieredDevice {
     queue_limit: u64,
     stats: DeviceStats,
     crashed: AtomicBool,
+    fuse: PersistFuse,
     /// Optional per-member I/O observer (telemetry actor lanes).
     observer: RwLock<Option<Arc<dyn IoObserver>>>,
 }
@@ -434,6 +460,7 @@ impl TieredDevice {
             queue_limit: DEFAULT_MEMBER_QUEUE_DEPTH,
             stats: DeviceStats::default(),
             crashed: AtomicBool::new(false),
+            fuse: PersistFuse::default(),
             observer: RwLock::new(None),
         }
     }
@@ -448,6 +475,14 @@ impl TieredDevice {
         assert!(limit > 0, "queue limit must be positive");
         self.queue_limit = limit;
         self
+    }
+
+    /// Arms a controller-level crash fuse: the next `n` persists succeed,
+    /// on either member, and the one after powers off both members before
+    /// its range becomes durable on either. The fuse disarms itself after
+    /// firing.
+    pub fn arm_crash_after_persists(&self, n: u64) {
+        self.fuse.arm(n);
     }
 
     /// Registers an [`IoObserver`] that receives one callback per
@@ -569,6 +604,10 @@ impl PersistentDevice for TieredDevice {
         let _ticket = self.submit();
         self.check_bounds(offset, len)?;
         self.check_alive()?;
+        if self.fuse.fires() {
+            self.power_off();
+            return Err(DeviceError::Crashed);
+        }
         let (tier_part, spill_part) = self.split(offset, len);
         if let Some((off, _, part_len)) = tier_part {
             if let Err(e) = self.gates[0].run(self.queue_limit, || {
@@ -977,6 +1016,26 @@ mod tests {
         let mut again = [0u8; 200];
         dev.read_at(200, &mut again).unwrap();
         assert!(again.iter().all(|&x| x == 0x5A));
+    }
+
+    #[test]
+    fn tiered_controller_fuse_counts_persists_on_either_member() {
+        let (dev, _, _) = tiered(256, 4096);
+        dev.write_at(0, &[0x11; 64]).unwrap();
+        dev.write_at(1000, &[0x22; 64]).unwrap();
+        dev.arm_crash_after_persists(1);
+        dev.persist(1000, 64).unwrap(); // a spill persist counts
+        assert_eq!(dev.persist(0, 64), Err(DeviceError::Crashed));
+        assert!(dev.is_crashed());
+        let mut buf = [0u8; 64];
+        dev.read_durable_at(1000, &mut buf).unwrap();
+        assert!(buf.iter().all(|&x| x == 0x22), "earlier persist survives");
+        dev.read_durable_at(0, &mut buf).unwrap();
+        assert!(buf.iter().all(|&x| x == 0), "fatal persist never landed");
+        // Fuse disarmed itself.
+        dev.recover();
+        dev.write_at(0, &[0x11; 64]).unwrap();
+        dev.persist(0, 64).unwrap();
     }
 
     #[test]

@@ -93,9 +93,8 @@ impl SsdDevice {
     /// Arms a deterministic crash fuse: the next `n` calls to
     /// [`PersistentDevice::persist`] succeed, and the call after that
     /// crashes the device mid-`msync` — before the range becomes durable.
-    /// The fuse disarms itself after firing. This pins crash points to
-    /// exact protocol steps (during persist, between persist and commit)
-    /// for forensic and crash-consistency tests.
+    /// The fuse disarms itself after firing. Sweeping `n` crashes a run on
+    /// every persist it makes, as the forensic crash sweep does.
     pub fn arm_crash_after_persists(&self, n: u64) {
         self.armed_persists.store(n as i64, Ordering::Relaxed);
     }

@@ -1,109 +1,41 @@
 //! Crash-injected runs for the post-crash forensic auditor.
 //!
-//! The crash-consistency property tests crash the device at *random*
-//! points; this module instead pins the crash to an exact step of the
-//! commit protocol (Listing 1) so the forensic verdicts in
-//! [`pccheck_monitor::forensics`] can be asserted deterministically:
+//! One driver takes each tenant's checkpoints through the product's own
+//! [`PersistPipeline`] (lease → copy → seal → commit, one writer): every
+//! tenant's baseline, then two sparse mutations of the driven tenant's. A
+//! codec row copies under [`CopyMode::Codec`], so its first mutation
+//! commits as a frame linked to the baseline; a `Raw` row copies under
+//! [`CopyMode::Streamed`]. The device's persist fuse crashes the run's
+//! power domain on its `k`-th persist ([`run_to_crash`]); under
+//! [`CrashPolicy::DropUnpersisted`] every durable image the run can leave
+//! is one of these persist prefixes, so sweeping `k` from 0 until the fuse
+//! no longer fires tries every crash instant of the run, and
+//! [`CrashPolicy::RandomPartial`] at the same `k` also tears the unsynced
+//! cache lines in flight.
 //!
-//! * between the slot claim and any subsequent write (only the durable
-//!   per-slot state word witnesses the checkpoint),
-//! * during the GPU→storage copy (payload half-written, nothing durable),
-//! * during the payload `msync` (the [`SsdDevice`] persist fuse fires
-//!   mid-call, so the range never becomes durable),
-//! * between payload persist and commit (payload durable, never published),
-//! * after commit (the checkpoint is the recovery target),
-//! * mid dedup chain (a chunk-framed checkpoint whose clean chunks are
-//!   `DedupBase` references into the baseline committed on top of it, a
-//!   second frame stranded before its meta record — recovery must resolve
-//!   the committed frame through its pinned base).
-//!
-//! Each scenario drives the [`CheckpointStore`] directly, emitting the
-//! same flight records the engine does, crashes, audits the frozen
-//! device, then powers it back on and recovers — returning all three
-//! artifacts (report, recovered checkpoint, recovery trace) so tests,
-//! `pccheckctl`, and CI can cross-check them, and [`ForensicsRun::verify`]
-//! is the one checker they share. Every driver takes the tenant it
-//! drives, so the same six crash points run on a single-tenant store (the
-//! default job) and on one several jobs share, over all-`Raw` and over
-//! codec-packed baselines ([`crash_matrix`]).
+//! Each run audits the frozen device with [`pccheck_monitor::forensics`],
+//! powers it on and recovers the driven tenant; [`ForensicsRun::verify`]
+//! is the one checker tests, `pccheckctl` and CI share, over the stores of
+//! [`crash_matrix`].
 
 use std::sync::Arc;
 
-use pccheck::store::SlotLease;
 use pccheck::{
-    raw_frame, recover_instrumented_with, CheckMeta, CheckpointStore, ChunkEncoding, CopyMode,
-    DeltaLink, FrameRecord, FrameTable, JobId, Namespace, PccheckError, PersistPipeline,
-    PipelineCtx, RecoveredCheckpoint, RecoveryTrace, RestoreOptions, SlotOutcome, StoreGeometry,
-    StoreLayout, DEFAULT_JOB,
+    raw_frame, recover_instrumented_with, CheckpointStore, CommitOutcome, CopyMode, FrameTable,
+    JobId, PccheckError, PersistPipeline, PipelineCtx, RawStoreView, RecoveredCheckpoint,
+    RecoveryTrace, RestoreOptions, SlotOutcome, StoreGeometry, StoreLayout, DEFAULT_JOB,
 };
 use pccheck_device::{
-    DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice, StripedDevice, TieredDevice,
+    CrashPolicy, DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice, StripedDevice,
+    TieredDevice,
 };
 use pccheck_gpu::StateDigest;
 use pccheck_monitor::ForensicReport;
-use pccheck_telemetry::{FlightEventKind, SpanId, Telemetry};
-use pccheck_util::fnv::{content_address, fnv1a};
-use pccheck_util::ByteSize;
+use pccheck_telemetry::{SpanId, Telemetry};
+use pccheck_util::sync::must_not_hang;
+use pccheck_util::{fnv1a, ByteSize};
 
 use crate::HostPayload;
-
-/// A protocol step at which the crash is injected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrashPoint {
-    /// Between the slot claim and any payload/meta write: the slot's
-    /// durable state word says `Claimed{counter}` but no other trace of
-    /// the checkpoint exists — the state-word lattice alone must decide
-    /// the slot as in-flight (detectable recovery, DESIGN §13).
-    ClaimPublish,
-    /// Mid GPU→storage copy: the payload is half-written and unpersisted.
-    DuringCopy,
-    /// During the payload `msync`: the persist call itself crashes.
-    DuringPersist,
-    /// After the payload persisted but before the commit publishes it.
-    BetweenPersistAndCommit,
-    /// After the commit completed; the checkpoint must be recovered.
-    AfterCommit,
-    /// Mid dedup chain: one frame committed whose clean chunks reference
-    /// the baseline, a second frame's payload durable but its meta record
-    /// never written — recovery must resolve the committed frame through
-    /// its pinned base.
-    DedupChain,
-}
-
-impl CrashPoint {
-    /// Every crash point, in protocol order.
-    pub const ALL: [CrashPoint; 6] = [
-        CrashPoint::ClaimPublish,
-        CrashPoint::DuringCopy,
-        CrashPoint::DuringPersist,
-        CrashPoint::BetweenPersistAndCommit,
-        CrashPoint::AfterCommit,
-        CrashPoint::DedupChain,
-    ];
-
-    /// Stable name (accepted by [`CrashPoint::from_name`] and pccheckctl).
-    pub fn name(&self) -> &'static str {
-        match self {
-            CrashPoint::ClaimPublish => "claim-publish",
-            CrashPoint::DuringCopy => "during-copy",
-            CrashPoint::DuringPersist => "during-persist",
-            CrashPoint::BetweenPersistAndCommit => "between-persist-and-commit",
-            CrashPoint::AfterCommit => "after-commit",
-            CrashPoint::DedupChain => "dedup-chain",
-        }
-    }
-
-    /// Parses a [`CrashPoint::name`].
-    pub fn from_name(name: &str) -> Option<CrashPoint> {
-        CrashPoint::ALL.iter().copied().find(|p| p.name() == name)
-    }
-}
-
-impl std::fmt::Display for CrashPoint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Device topology a crash scenario runs against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,24 +50,20 @@ pub enum DeviceTopology {
     },
     /// A [`TieredDevice`]: a hot tier holding the slot region with the
     /// flight ring and slot state words spilling to a second SSD. The crash
-    /// fires the *tier member's* fuse; the composite powers off the whole
-    /// device when the member persist fails, exactly like a shared power
-    /// domain.
+    /// fires the *controller* fuse, which counts persists on either
+    /// member and powers both off, like a shared power domain.
     Tiered,
 }
 
 /// How a scenario frames the checkpoints it commits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Baselines {
-    /// Every checkpoint is the all-`Raw` frame of a [`synthetic_payload`],
-    /// written through the store's own calls.
+    /// Every checkpoint is a byte ramp seeded by its iteration, copied
+    /// under [`CopyMode::Streamed`]: an all-`Raw` frame.
     Raw,
-    /// Each tenant's baseline is a state of 32-byte tiles committed through
-    /// a [`PersistPipeline`] under [`CopyMode::Codec`]: compressed records
-    /// and `DedupSelf` copies, which only codec-packed frames carry. The
-    /// [`CrashPoint::AfterCommit`] and [`CrashPoint::DedupChain`]
-    /// checkpoints go through the codec too, taking `DedupBase` hits on
-    /// the baseline; at the other points an all-`Raw` frame is interrupted.
+    /// Every checkpoint is a state of 32-byte tiles copied under
+    /// [`CopyMode::Codec`]: compressed records and `DedupSelf` copies, and
+    /// `DedupBase` hits on the tenant's previous commit.
     Codec,
 }
 
@@ -143,8 +71,18 @@ impl Baselines {
     /// The state a tenant's baseline captures at `iteration`.
     fn state(self, iteration: u64, len: u64) -> Vec<u8> {
         match self {
-            Baselines::Raw => synthetic_payload(iteration, len),
+            Baselines::Raw => (0..len)
+                .map(|i| (iteration as u8).wrapping_mul(31).wrapping_add(i as u8))
+                .collect(),
             Baselines::Codec => tiled_payload(iteration, len),
+        }
+    }
+
+    /// The copy mode every checkpoint of the scenario goes through.
+    fn mode(self) -> CopyMode {
+        match self {
+            Baselines::Raw => CopyMode::Streamed,
+            Baselines::Codec => CopyMode::Codec,
         }
     }
 }
@@ -158,9 +96,11 @@ pub struct ForensicsRunConfig {
     pub slots: u32,
     /// Flight-recorder ring capacity in records.
     pub flight_records: u32,
-    /// Iteration captured by the committed baseline checkpoint.
+    /// Iteration captured by the first tenant's baseline checkpoint.
     pub baseline_iteration: u64,
-    /// Iteration captured by the checkpoint the crash interrupts.
+    /// Iteration captured by the driven tenant's last checkpoint; its
+    /// first sparse mutation captures the iteration halfway from its
+    /// baseline's.
     pub crash_iteration: u64,
     /// Device topology backing the store.
     pub topology: DeviceTopology,
@@ -169,8 +109,7 @@ pub struct ForensicsRunConfig {
     /// baseline captures iteration `baseline_iteration + i`, so no two
     /// tenants ever hold the same bytes.
     pub tenants: Vec<JobId>,
-    /// How the tenants' baselines, and the checkpoint driven past them,
-    /// are framed.
+    /// How every checkpoint of the scenario is copied and framed.
     pub baselines: Baselines,
 }
 
@@ -190,22 +129,6 @@ impl Default for ForensicsRunConfig {
 }
 
 impl ForensicsRunConfig {
-    /// The default geometry on a `ways`-wide stripe set.
-    pub fn striped(ways: u32) -> Self {
-        ForensicsRunConfig {
-            topology: DeviceTopology::Striped { ways },
-            ..Self::default()
-        }
-    }
-
-    /// The default geometry on a hot-tier + spill device pair.
-    pub fn tiered() -> Self {
-        ForensicsRunConfig {
-            topology: DeviceTopology::Tiered,
-            ..Self::default()
-        }
-    }
-
     /// The store's geometry: a `single` one for the default job alone, a
     /// directory row and `slots` slots per tenant otherwise; every slot
     /// holds a state's frame.
@@ -224,27 +147,61 @@ impl ForensicsRunConfig {
             },
         }
     }
+
+    /// The scenario's pipeline over `store`: one writer, and a staging
+    /// pool of [`FRAME_CHUNKS`] chunks that holds the whole state, so
+    /// every frame has the same record grid.
+    fn pipeline(&self, store: &Arc<CheckpointStore>) -> PersistPipeline {
+        let chunk = ByteSize::from_bytes(self.state_bytes / FRAME_CHUNKS as u64);
+        PersistPipeline::new(Arc::clone(store), HostBufferPool::new(chunk, FRAME_CHUNKS))
+            .with_codec(self.baselines == Baselines::Codec)
+    }
+
+    /// Every checkpoint the driver takes when it drives `job`, in order:
+    /// each tenant's baseline, then two sparse mutations of `job`'s.
+    fn checkpoints(&self, job: JobId) -> Vec<Driven> {
+        let len = self.state_bytes;
+        let driven = |job, iteration, state| Driven {
+            job,
+            iteration,
+            state,
+            acked: false,
+        };
+        let mut out: Vec<Driven> = (self.tenants.iter().zip(self.baseline_iteration..))
+            .map(|(&tenant, iteration)| {
+                driven(tenant, iteration, self.baselines.state(iteration, len))
+            })
+            .collect();
+        let base = out.iter().find(|c| c.job == job).expect("job is a tenant");
+        let mid = base.iteration + self.crash_iteration.saturating_sub(base.iteration) / 2;
+        let first = sparse_payload(&base.state, mid, &[(0, len / 8), (len / 2, len / 8)]);
+        let second = sparse_payload(&first, self.crash_iteration, &[(len / 4, len / 8)]);
+        out.push(driven(job, mid, first));
+        out.push(driven(job, self.crash_iteration, second));
+        out
+    }
 }
 
 /// The one table both tenancies' crash tests run: flat, striped and tiered
 /// devices, each as a single-tenant store and as one shared by jobs 1..=3,
-/// each over all-`Raw` and over codec-packed baselines. A test runs every
-/// tenant of a row through [`CrashPoint::ALL`].
+/// each over all-`Raw` and over codec-packed checkpoints. A test drives
+/// every tenant of a row through every `k` of [`run_to_crash`].
 pub fn crash_matrix() -> Vec<ForensicsRunConfig> {
     let topologies = [
-        ForensicsRunConfig::default(),
-        ForensicsRunConfig::striped(2),
-        ForensicsRunConfig::tiered(),
+        DeviceTopology::Single,
+        DeviceTopology::Striped { ways: 2 },
+        DeviceTopology::Tiered,
     ];
-    let tenancies = [vec![DEFAULT_JOB], vec![1, 2, 3]];
     let mut rows = Vec::new();
-    for cfg in &topologies {
-        for tenants in &tenancies {
+    for topology in topologies {
+        for tenants in [vec![DEFAULT_JOB], vec![1, 2, 3]] {
             for baselines in [Baselines::Raw, Baselines::Codec] {
+                let tenants = tenants.clone();
                 rows.push(ForensicsRunConfig {
-                    tenants: tenants.clone(),
+                    topology,
+                    tenants,
                     baselines,
-                    ..cfg.clone()
+                    ..ForensicsRunConfig::default()
                 });
             }
         }
@@ -252,38 +209,33 @@ pub fn crash_matrix() -> Vec<ForensicsRunConfig> {
     rows
 }
 
+/// One checkpoint the driver takes.
+#[derive(Debug)]
+struct Driven {
+    job: JobId,
+    iteration: u64,
+    state: Vec<u8>,
+    /// Whether its commit was acknowledged (`Committed`) before the crash.
+    acked: bool,
+}
+
 /// Everything one crash scenario produces.
 #[derive(Debug)]
 pub struct ForensicsRun {
-    /// The tenant whose checkpoint the crash interrupted, and whom
-    /// recovery ran for.
+    /// The tenant whose mutations the driver took, and whom recovery ran
+    /// for.
     pub job: JobId,
     /// The device, post-recovery (the store image is still on it).
     pub device: Arc<dyn PersistentDevice>,
     /// The forensic audit taken while the device was still crashed.
     pub report: ForensicReport,
-    /// The counter of the checkpoint the crash interrupted (or, for
-    /// [`CrashPoint::AfterCommit`], completed).
-    pub crashed_counter: u64,
-    /// What recovery actually restored after power-on.
-    pub recovered: RecoveredCheckpoint,
-    /// The bytes a correct recovery restores: the crashed checkpoint's
-    /// after [`CrashPoint::AfterCommit`], the committed frame's state
-    /// after [`CrashPoint::DedupChain`], the tenant's baseline otherwise.
-    pub(crate) expected_payload: Vec<u8>,
-    /// Measured recovery-path phase latencies.
-    pub trace: RecoveryTrace,
-    /// Every tenant's baseline state, `(job, state)` in
-    /// [`ForensicsRunConfig::tenants`] order: what each bystander must
-    /// still recover.
-    pub baselines: Vec<(JobId, Vec<u8>)>,
-}
-
-/// Deterministic per-iteration payload bytes.
-pub fn synthetic_payload(iteration: u64, len: u64) -> Vec<u8> {
-    (0..len)
-        .map(|i| (iteration as u8).wrapping_mul(31).wrapping_add(i as u8))
-        .collect()
+    /// The counters of `job`'s checkpoints, in the order they were leased.
+    pub counters: Vec<u64>,
+    /// What recovery restored for `job` after power-on, and its measured
+    /// phase latencies; `None` when no checkpoint of `job` survived.
+    pub recovered: Option<(RecoveredCheckpoint, RecoveryTrace)>,
+    config: ForensicsRunConfig,
+    checkpoints: Vec<Driven>,
 }
 
 /// `base` with each `(offset, len)` range overwritten by deterministic
@@ -319,118 +271,10 @@ fn tiled_payload(seed: u64, len: u64) -> Vec<u8> {
         .collect()
 }
 
-/// Which chunks of `full` are byte-identical to the same chunk of `base`.
-fn unchanged_chunks(full: &[u8], base: &[u8]) -> Vec<bool> {
-    let chunk = full.len() / FRAME_CHUNKS;
-    full.chunks(chunk)
-        .zip(base.chunks(chunk))
-        .map(|(a, b)| a == b)
-        .collect()
-}
-
-/// `state`, captured at `iteration`, as checkpoint `counter`'s all-`Raw`
-/// frame of [`FRAME_CHUNKS`] records — the product's builder, so every
-/// record is a chunk a later frame may reference — and its commit digest.
-fn all_raw_frame(counter: u64, iteration: u64, state: &[u8]) -> (Vec<u8>, u64) {
-    let full_digest = StateDigest::of_payload(state, iteration).0;
-    raw_frame(counter, full_digest, state, state.len() / FRAME_CHUNKS)
-}
-
-/// Serializes a frame for `full`, laid out the way the persist pipeline
-/// would over base checkpoint `base`: chunk `i` becomes a `DedupBase`
-/// record naming `base` when `reuse[i]` (the base holds those bytes
-/// materialized), a packed `Raw` record otherwise. Returns the payload
-/// and its commit digest.
-fn build_frame_payload(
-    full: &[u8],
-    iteration: u64,
-    counter: u64,
-    base: &CheckMeta,
-    reuse: &[bool],
-) -> (Vec<u8>, u64) {
-    let chunk = full.len() / FRAME_CHUNKS;
-    let mut packed = Vec::new();
-    let records = full
-        .chunks(chunk)
-        .zip(reuse)
-        .enumerate()
-        .map(|(i, (bytes, &reuse))| {
-            let (kind, aux, a, b) = if reuse {
-                let logical_off = (i * chunk) as u64;
-                (ChunkEncoding::DedupBase, base.slot, base.counter, logical_off)
-            } else {
-                let phys_off = packed.len() as u64;
-                packed.extend_from_slice(bytes);
-                (ChunkEncoding::Raw, 0, phys_off, bytes.len() as u64)
-            };
-            FrameRecord {
-                kind,
-                aux,
-                logical_len: bytes.len() as u64,
-                a,
-                b,
-                digest: content_address(bytes),
-            }
-        })
-        .collect();
-    let table = FrameTable {
-        counter,
-        logical_len: full.len() as u64,
-        full_digest: StateDigest::of_payload(full, iteration).0,
-        records,
-    };
-    let table = table.encode();
-    let digest = fnv1a(&table);
-    ([table, packed].concat(), digest)
-}
-
-/// The state the [`CrashPoint::DedupChain`] scenario commits as a frame
-/// over baseline `base`, captured at `base_iteration`, halfway to
-/// `crash_iteration`: a sparse mutation of the baseline. Returns
-/// `(iteration, state)`.
-fn dedup_mid_state(base: &[u8], base_iteration: u64, crash_iteration: u64) -> (u64, Vec<u8>) {
-    let len = base.len() as u64;
-    let mid_iteration = base_iteration + crash_iteration.saturating_sub(base_iteration) / 2;
-    let full_mid = sparse_payload(base, mid_iteration, &[(0u64, len / 8), (len / 2, len / 8)]);
-    (mid_iteration, full_mid)
-}
-
-/// The state the [`CrashPoint::DedupChain`] scenario strands over the
-/// committed frame's state `mid`: a sparse mutation of it.
-fn dedup_stranded_state(mid: &[u8], crash_iteration: u64) -> Vec<u8> {
-    let len = mid.len() as u64;
-    sparse_payload(mid, crash_iteration, &[(len / 4, len / 8)])
-}
-
-/// Writes and persists `frame`, checkpoint `iteration`'s payload, into
-/// `lease`'s slot, emitting the engine's flight records up to
-/// `PayloadPersisted`.
-fn persist_frame(
-    store: &CheckpointStore,
-    lease: &SlotLease,
-    iteration: u64,
-    frame: &[u8],
-) -> Result<(), PccheckError> {
-    let (counter, slot, len) = (lease.counter, lease.slot, frame.len() as u64);
-    store.write_payload(lease, 0, frame)?;
-    store
-        .flight()
-        .record(FlightEventKind::CopyDone, counter, slot, 0, len, 0);
-    store.persist_payload(lease, 0, len)?;
-    store.flight().record(
-        FlightEventKind::PayloadPersisted,
-        counter,
-        slot,
-        iteration,
-        len,
-        0,
-    );
-    Ok(())
-}
-
-/// Commits one checkpoint of `job` — `payload` as its all-`Raw` frame —
-/// through the store, emitting the same flight records the engine does.
-/// Returns the checkpoint's counter.
+/// Commits one checkpoint of `job` — `payload` as its all-`Raw` frame of
+/// eight records — through the store's own calls, with no pipeline and no
+/// flight records: a reference writer for tests that compare the codec
+/// against raw frames. Returns the checkpoint's counter.
 ///
 /// # Errors
 ///
@@ -441,385 +285,248 @@ pub fn commit_checkpoint(
     iteration: u64,
     payload: &[u8],
 ) -> Result<u64, PccheckError> {
-    let ns = store.namespace(job)?;
-    commit(store, &ns, iteration, payload).map(|(counter, _)| counter)
-}
-
-/// [`commit_checkpoint`] in `ns`; returns `(counter, slot)`.
-fn commit(
-    store: &CheckpointStore,
-    ns: &Arc<Namespace>,
-    iteration: u64,
-    payload: &[u8],
-) -> Result<(u64, u32), PccheckError> {
-    let lease = store.begin_checkpoint(ns);
-    let (counter, slot) = (lease.counter, lease.slot);
-    let (frame, digest) = all_raw_frame(counter, iteration, payload);
-    persist_frame(store, &lease, iteration, &frame)?;
+    let lease = store.begin_checkpoint(&store.namespace(job)?);
+    let counter = lease.counter;
+    let full_digest = StateDigest::of_payload(payload, iteration).0;
+    let (frame, digest) = raw_frame(counter, full_digest, payload, payload.len() / FRAME_CHUNKS);
+    store.write_payload(&lease, 0, &frame)?;
+    store.persist_payload(&lease, 0, frame.len() as u64)?;
     store.commit(lease, iteration, frame.len() as u64, digest)?;
-    Ok((counter, slot))
+    Ok(counter)
 }
 
-/// Drives one checkpoint of `job` — `payload` as its all-`Raw` frame — up
-/// to (but not through) `point`, emitting the engine's flight records
-/// along the way; the other tenants' committed state stays untouched. For
-/// [`CrashPoint::AfterCommit`] the checkpoint commits fully; for
-/// [`CrashPoint::DuringPersist`] the frame is written and `CopyDone`
-/// recorded, but the persist is left to the caller (who crashes it).
-/// Returns `(counter, slot)` of the driven checkpoint.
-///
-/// # Errors
-///
-/// Propagates device/store errors; `job` must have a namespace.
-pub fn drive_to_crash_point(
-    store: &CheckpointStore,
-    job: JobId,
-    point: CrashPoint,
-    iteration: u64,
-    payload: &[u8],
-) -> Result<(u64, u32), PccheckError> {
-    let ns = &store.namespace(job)?;
-    if point == CrashPoint::AfterCommit {
-        return commit(store, ns, iteration, payload);
-    }
-    if point == CrashPoint::DedupChain {
-        // A frame committed halfway between the baseline and the crash
-        // iteration — its clean chunks reference the (all-`Raw`) baseline,
-        // which its link pins — then a second frame stranded with its
-        // payload durable but no meta record, exactly like a process
-        // dying between persist and commit.
-        let base = store
-            .latest_committed(ns)
-            .ok_or(PccheckError::NoCheckpoint)?;
-        let len = payload.len() as u64;
-        let base_payload = synthetic_payload(base.iteration, len);
-        let (mid_iteration, full_mid) = dedup_mid_state(&base_payload, base.iteration, iteration);
-        let from_base = unchanged_chunks(&full_mid, &base_payload);
-        let lease = store.begin_checkpoint(ns);
-        let (frame, digest) =
-            build_frame_payload(&full_mid, mid_iteration, lease.counter, &base, &from_base);
-        persist_frame(store, &lease, mid_iteration, &frame)?;
-        store.commit_with_delta(
-            lease,
-            mid_iteration,
-            frame.len() as u64,
-            digest,
-            Some(DeltaLink {
-                base_counter: base.counter,
-                base_slot: base.slot,
-                chain_depth: base.delta.map_or(0, |l| l.chain_depth) + 1,
-            }),
-        )?;
-
-        // The stranded frame bases on the committed one and may only
-        // reference chunks that one materialized (references never chain).
-        let mid = store
-            .latest_committed(ns)
-            .ok_or(PccheckError::NoCheckpoint)?;
-        let full_crash = dedup_stranded_state(&full_mid, iteration);
-        let from_mid: Vec<bool> = unchanged_chunks(&full_crash, &full_mid)
-            .iter()
-            .zip(&from_base)
-            .map(|(&unchanged, &mid_referenced)| unchanged && !mid_referenced)
-            .collect();
-        let lease = store.begin_checkpoint(ns);
-        let (frame, _) =
-            build_frame_payload(&full_crash, iteration, lease.counter, &mid, &from_mid);
-        persist_frame(store, &lease, iteration, &frame)?;
-        let stranded = (lease.counter, lease.slot);
-        std::mem::forget(lease);
-        return Ok(stranded);
-    }
-    let lease = store.begin_checkpoint(ns);
-    let (counter, slot) = (lease.counter, lease.slot);
-    let (frame, _) = all_raw_frame(counter, iteration, payload);
-    match point {
-        CrashPoint::ClaimPublish => {
-            // Nothing: the claim already published the slot's durable
-            // state word inside `begin_checkpoint`; the crash lands before
-            // a single payload or meta byte follows it.
-        }
-        CrashPoint::DuringCopy => {
-            // Half the frame lands in the page cache; no CopyDone yet.
-            store.write_payload(&lease, 0, &frame[..frame.len() / 2])?;
-        }
-        CrashPoint::DuringPersist => {
-            store.write_payload(&lease, 0, &frame)?;
-            let len = frame.len() as u64;
-            store
-                .flight()
-                .record(FlightEventKind::CopyDone, counter, slot, 0, len, 0);
-            // The fatal msync is the caller's move.
-        }
-        CrashPoint::BetweenPersistAndCommit => persist_frame(store, &lease, iteration, &frame)?,
-        CrashPoint::AfterCommit | CrashPoint::DedupChain => unreachable!("handled above"),
-    }
-    // The lease is deliberately leaked: the crash strands the in-flight
-    // slot, exactly like a process dying mid-checkpoint.
-    std::mem::forget(lease);
-    Ok((counter, slot))
-}
-
-/// A codec row's pipeline: its staging pool holds the whole state in
-/// [`FRAME_CHUNKS`] chunks, so the codec packs every copy.
-fn codec_pipeline(store: &Arc<CheckpointStore>, state_bytes: u64) -> PersistPipeline {
-    let chunk = ByteSize::from_bytes(state_bytes / FRAME_CHUNKS as u64);
-    PersistPipeline::new(Arc::clone(store), HostBufferPool::new(chunk, FRAME_CHUNKS))
-        .with_writers(2)
-        .with_codec(true)
-}
-
-/// Copies `state`, captured at `iteration`, into a fresh slot of `job`'s
-/// through `pipeline` under the codec and seals it; then commits it when
-/// `commit`, or strands it — payload durable, no meta record — like a
-/// process dying between persist and commit. Returns `(counter, slot)`.
-///
-/// # Errors
-///
-/// [`PccheckError::InvalidConfig`] when the codec saved nothing: a frame
-/// that went out all-`Raw` tests nothing the raw rows do not. Propagates
-/// device/store errors.
-fn persist_packed(
+/// Takes one checkpoint of `job` through `pipeline` — lease, copy under
+/// `mode`, seal, commit — of `state` captured at `step` and acknowledged
+/// at `iteration`. `leased` sees the counter before the copy starts.
+/// Returns whether the commit was acknowledged as the tenant's newest.
+fn checkpoint(
     pipeline: &PersistPipeline,
+    mode: CopyMode,
     job: JobId,
-    iteration: u64,
+    (iteration, step): (u64, u64),
     state: &[u8],
-    commit: bool,
-) -> Result<(u64, u32), PccheckError> {
+    leased: impl FnOnce(u64),
+) -> Result<bool, PccheckError> {
     let telemetry = Telemetry::disabled();
     let ctx = PipelineCtx {
         telemetry: &telemetry,
         span: SpanId::NONE,
     };
+    let lease = pipeline.lease(ctx, &pipeline.store().namespace(job)?);
+    leased(lease.counter);
     let src = HostPayload {
         data: state.to_vec(),
-        step: iteration,
+        step,
     };
     let total = ByteSize::from_bytes(state.len() as u64);
-    let lease = pipeline.lease(ctx, &pipeline.store().namespace(job)?);
-    let (counter, slot) = (lease.counter, lease.slot);
-    let mode = CopyMode::Codec;
     let copied = pipeline.copy(ctx, &src, &lease, iteration, total, mode)?;
-    if copied.frame.saved_bytes == 0 {
-        return Err(PccheckError::InvalidConfig(format!(
-            "checkpoint {counter}'s codec frame saved nothing"
-        )));
-    }
     pipeline.seal(ctx, &lease, iteration, &copied)?;
-    if commit {
-        pipeline.commit(ctx, lease, iteration, &copied)?;
-    } else {
-        std::mem::forget(lease);
-    }
-    Ok((counter, slot))
+    Ok(pipeline.commit(ctx, lease, iteration, &copied)? == CommitOutcome::Committed)
 }
 
-/// [`drive_to_crash_point`] for the two points a codec row checkpoints
-/// through the codec: [`CrashPoint::AfterCommit`] commits a sparse
-/// mutation of `baseline`; [`CrashPoint::DedupChain`] commits one halfway
-/// to `iteration` — its clean chunks `DedupBase` hits on the baseline —
-/// and strands a second frame over it. Returns the driven checkpoint's
-/// `(counter, slot)` and the state a correct recovery restores.
-fn drive_packed(
-    pipeline: &PersistPipeline,
+/// What recovery restored for one tenant, and how.
+type Recovered = Option<(RecoveredCheckpoint, RecoveryTrace)>;
+
+/// Recovers `job`'s newest checkpoint from `device` on `readers` readers;
+/// `None` when it has none.
+fn recover_job(
+    device: &Arc<dyn PersistentDevice>,
     job: JobId,
-    point: CrashPoint,
-    baseline_iteration: u64,
-    baseline: &[u8],
-    iteration: u64,
-) -> Result<((u64, u32), Vec<u8>), PccheckError> {
-    if point == CrashPoint::AfterCommit {
-        let len = baseline.len() as u64;
-        let state = sparse_payload(baseline, iteration, &[(0, len / 8)]);
-        return Ok((
-            persist_packed(pipeline, job, iteration, &state, true)?,
-            state,
-        ));
-    }
-    let (mid_iteration, mid) = dedup_mid_state(baseline, baseline_iteration, iteration);
-    persist_packed(pipeline, job, mid_iteration, &mid, true)?;
-    let stranded = dedup_stranded_state(&mid, iteration);
-    Ok((
-        persist_packed(pipeline, job, iteration, &stranded, false)?,
-        mid,
-    ))
-}
-
-/// A device and the fuse that crashes its power domain after `n` persists.
-type FusedDevice = (Arc<dyn PersistentDevice>, Box<dyn Fn(u64)>);
-
-/// Arms `arm_fuse` to let `after` persists through, then persists
-/// `[offset, offset + len)` of `device`: with `after == 0` the fuse fires
-/// inside this persist and the range never becomes durable.
-///
-/// # Errors
-///
-/// [`PccheckError::InvalidConfig`] when the persist succeeds: the fuse did
-/// not fire, the device is still live, and an audit of it would check
-/// nothing.
-fn persist_into_fuse(
-    device: &dyn PersistentDevice,
-    arm_fuse: &dyn Fn(u64),
-    after: u64,
-    offset: u64,
-    len: u64,
-) -> Result<(), PccheckError> {
-    arm_fuse(after);
-    match device.persist(offset, len) {
-        Ok(()) => Err(PccheckError::InvalidConfig(format!(
-            "a fuse armed to let {after} persists through did not fire"
-        ))),
-        Err(_) => Ok(()),
+    readers: usize,
+) -> Result<Recovered, PccheckError> {
+    let options = RestoreOptions {
+        job: Some(job),
+        readers,
+    };
+    match recover_instrumented_with(Arc::clone(device), &Telemetry::disabled(), options) {
+        Ok(recovered) => Ok(Some(recovered)),
+        Err(PccheckError::NoCheckpoint) => Ok(None),
+        Err(e) => Err(e),
     }
 }
 
-/// Runs one full crash scenario on a fresh store of `cfg`'s geometry:
-/// a baseline commit per tenant, a crash at `point` in the namespace of
-/// `options.job` (the default job when `None`), a forensic audit of the
-/// frozen device, power-on, and instrumented recovery of that tenant
-/// under `options` — `readers: 1` reproduces the sequential restore path,
-/// the default runs the parallel one.
-///
-/// # Errors
-///
-/// Propagates device/store/recovery errors, and reports a
-/// [`CrashPoint::DuringPersist`] fuse that did not fire; the injected
-/// crash itself is expected and absorbed.
-pub fn run_crash_scenario(
-    point: CrashPoint,
+/// The powered-off device, the counters `job` leased, every checkpoint.
+type Crashed = (Arc<dyn PersistentDevice>, Vec<u64>, Vec<Driven>);
+
+/// [`run_to_crash`] up to the crash: the powered-off device, before any
+/// audit or recovery touches it.
+fn crash(
     cfg: &ForensicsRunConfig,
-    options: RestoreOptions,
-) -> Result<ForensicsRun, PccheckError> {
-    let job = options.job.unwrap_or(DEFAULT_JOB);
-    let Some(index) = cfg.tenants.iter().position(|&tenant| tenant == job) else {
+    job: JobId,
+    k: u64,
+    policy: CrashPolicy,
+) -> Result<Option<Crashed>, PccheckError> {
+    if !cfg.tenants.contains(&job) {
         return Err(PccheckError::InvalidConfig(format!(
             "job {job} is not one of the scenario's tenants {:?}",
             cfg.tenants
         )));
-    };
-    let geometry = cfg.geometry();
-    let (device, arm_fuse) = fused_device(cfg.topology, geometry)?;
-    let store = Arc::new(CheckpointStore::format(Arc::clone(&device), geometry)?);
-    let pipeline =
-        (cfg.baselines == Baselines::Codec).then(|| codec_pipeline(&store, cfg.state_bytes));
-    let mut baselines = Vec::with_capacity(cfg.tenants.len());
-    for (&tenant, iteration) in cfg.tenants.iter().zip(cfg.baseline_iteration..) {
-        if tenant != DEFAULT_JOB {
-            store.allocate_namespace(tenant, cfg.slots)?;
-        }
-        let state = cfg.baselines.state(iteration, cfg.state_bytes);
-        match &pipeline {
-            Some(pipeline) => persist_packed(pipeline, tenant, iteration, &state, true)?,
-            None => commit(&store, &store.namespace(tenant)?, iteration, &state)?,
-        };
-        baselines.push((tenant, state));
     }
-
-    let (baseline_iteration, baseline) =
-        (cfg.baseline_iteration + index as u64, &baselines[index].1);
-    let payload = synthetic_payload(cfg.crash_iteration, cfg.state_bytes);
-    let ((crashed_counter, slot), expected_payload) = match (&pipeline, point) {
-        (Some(pipeline), CrashPoint::AfterCommit | CrashPoint::DedupChain) => drive_packed(
-            pipeline,
-            job,
-            point,
-            baseline_iteration,
-            baseline,
-            cfg.crash_iteration,
-        )?,
-        _ => {
-            let driven = drive_to_crash_point(&store, job, point, cfg.crash_iteration, &payload)?;
-            let expected = match point {
-                CrashPoint::AfterCommit => payload.clone(),
-                CrashPoint::DedupChain => {
-                    dedup_mid_state(baseline, baseline_iteration, cfg.crash_iteration).1
-                }
-                _ => baseline.clone(),
-            };
-            (driven, expected)
+    let geometry = cfg.geometry();
+    let (device, arm, fired) = fused_device(cfg.topology, geometry, policy)?;
+    let store = Arc::new(CheckpointStore::format(Arc::clone(&device), geometry)?);
+    for &tenant in cfg.tenants.iter().filter(|&&t| t != DEFAULT_JOB) {
+        store.allocate_namespace(tenant, cfg.slots)?;
+    }
+    let pipeline = cfg.pipeline(&store);
+    let mut checkpoints = cfg.checkpoints(job);
+    let mut counters = Vec::new();
+    arm(k);
+    for c in &mut checkpoints {
+        let leased = |counter| {
+            if c.job == job {
+                counters.push(counter);
+            }
+        };
+        let at = (c.iteration, c.iteration);
+        match checkpoint(&pipeline, cfg.baselines.mode(), c.job, at, &c.state, leased) {
+            Ok(acked) => c.acked = acked,
+            // Only the crash may stop the run.
+            Err(_) if fired() => break,
+            Err(e) => return Err(e),
         }
-    };
-    match point {
-        CrashPoint::DuringPersist => persist_into_fuse(
-            device.as_ref(),
-            &*arm_fuse,
-            0,
-            store.slot_payload_offset(slot),
-            payload.len() as u64,
-        )?,
-        _ => device.crash_now(),
     }
     drop(pipeline);
     drop(store);
+    // A flight-ring append swallows its device error, so only the device
+    // knows whether the fuse fired; a run it outlasts acknowledged all.
+    match checkpoints.iter().find(|c| !c.acked) {
+        _ if fired() => Ok(Some((device, counters, checkpoints))),
+        None => Ok(None),
+        Some(c) => Err(PccheckError::InvalidConfig(format!(
+            "no crash, yet job {}'s commit of iteration {} was not acknowledged",
+            c.job, c.iteration
+        ))),
+    }
+}
 
+/// Runs the scenario of `cfg` driving `job` on a fresh store whose power
+/// domain crashes on its `k`-th persist (0-based) after the store is
+/// formatted and every tenant's namespace allocated, its members crashing
+/// under `policy`; audits the frozen device, powers it on and recovers
+/// `job` with the product's default restore options. `None` when the run
+/// made no more than `k` persists, so the fuse never fired — the end of a
+/// sweep over `k`.
+///
+/// # Errors
+///
+/// [`PccheckError::InvalidConfig`] when `job` is not one of `cfg`'s
+/// tenants, or when a run the fuse outlasts left a commit unacknowledged;
+/// any other error of the set-up, of a checkpoint the crash did not stop,
+/// of the audit or of recovery. The injected crash itself is absorbed.
+pub fn run_to_crash(
+    cfg: &ForensicsRunConfig,
+    job: JobId,
+    k: u64,
+    policy: CrashPolicy,
+) -> Result<Option<ForensicsRun>, PccheckError> {
+    let Some((device, counters, checkpoints)) = crash(cfg, job, k, policy)? else {
+        return Ok(None);
+    };
     let report = pccheck_monitor::audit(Arc::clone(&device))?;
     device.recover();
-    let (recovered, trace) =
-        recover_instrumented_with(Arc::clone(&device), &Telemetry::disabled(), options)?;
-    Ok(ForensicsRun {
+    let recovered = recover_job(&device, job, RestoreOptions::default().readers)?;
+    Ok(Some(ForensicsRun {
         job,
         device,
         report,
-        crashed_counter,
+        counters,
         recovered,
-        expected_payload,
-        trace,
-        baselines,
-    })
+        config: cfg.clone(),
+        checkpoints,
+    }))
 }
 
-/// A fresh device of `topology` with room for `geometry`, and its fuse.
+/// The durable image [`run_to_crash`]'s crash leaves, read before
+/// power-on (recovery appends flight records); `None` when the fuse never
+/// fired.
+///
+/// # Errors
+///
+/// Those of [`run_to_crash`]'s set-up, and device read errors.
+pub fn crashed_image(
+    cfg: &ForensicsRunConfig,
+    job: JobId,
+    k: u64,
+) -> Result<Option<Vec<u8>>, PccheckError> {
+    let Some((device, ..)) = crash(cfg, job, k, CrashPolicy::DropUnpersisted)? else {
+        return Ok(None);
+    };
+    let mut image = vec![0; device.capacity().as_u64() as usize];
+    device.read_durable_at(0, &mut image)?;
+    Ok(Some(image))
+}
+
+/// A device, the persist fuse of its whole power domain (`arm(n)` lets `n`
+/// more persists through and crashes on the next) and whether it fired.
+type Fused = (
+    Arc<dyn PersistentDevice>,
+    Box<dyn Fn(u64)>,
+    Box<dyn Fn() -> bool>,
+);
+
+/// Device `d` with its own fuse's `arm` and crashed-state probe.
+fn fused<D: PersistentDevice + 'static>(d: D, arm: fn(&D, u64), fired: fn(&D) -> bool) -> Fused {
+    let d = Arc::new(d);
+    let (a, f) = (Arc::clone(&d), Arc::clone(&d));
+    (
+        d,
+        Box::new(move |n| arm(&a, n)),
+        Box::new(move || fired(&f)),
+    )
+}
+
+/// A fresh device of `topology` with room for `geometry`, whose SSDs crash
+/// under `policy`.
 fn fused_device(
     topology: DeviceTopology,
     geometry: StoreGeometry,
-) -> Result<FusedDevice, PccheckError> {
+    policy: CrashPolicy,
+) -> Result<Fused, PccheckError> {
     let cap = geometry.required_capacity() + ByteSize::from_kb(4);
-    // `arm_fuse` abstracts over the SSD's persist fuse and the striped
-    // controller's — both crash the whole store's power domain.
+    let ssd = |cap| SsdDevice::with_crash_policy(DeviceConfig::fast_for_tests(cap), policy);
+    let member = |cap| Arc::new(ssd(cap)) as Arc<dyn PersistentDevice>;
     Ok(match topology {
-        DeviceTopology::Single => {
-            let ssd = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-            let fuse = Arc::clone(&ssd);
-            (ssd, Box::new(move |n| fuse.arm_crash_after_persists(n)))
-        }
-        DeviceTopology::Striped { ways } => {
-            let members: Vec<Arc<dyn PersistentDevice>> = (0..ways.max(1))
-                .map(|_| {
-                    Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)))
-                        as Arc<dyn PersistentDevice>
-                })
-                .collect();
-            let array = Arc::new(StripedDevice::new(members, ByteSize::from_kb(1)));
-            let fuse = Arc::clone(&array);
-            (array, Box::new(move |n| fuse.arm_crash_after_persists(n)))
-        }
+        DeviceTopology::Single => fused(
+            ssd(cap),
+            SsdDevice::arm_crash_after_persists,
+            SsdDevice::is_crashed,
+        ),
+        DeviceTopology::Striped { ways } => fused(
+            StripedDevice::new(
+                (0..ways.max(1)).map(|_| member(cap)).collect(),
+                ByteSize::from_kb(1),
+            ),
+            StripedDevice::arm_crash_after_persists,
+            StripedDevice::is_crashed,
+        ),
         DeviceTopology::Tiered => {
-            // The tier covers the superblock + slot region (where the
-            // fatal payload persist lands); the flight ring, the
-            // directory and the slot state words spill over the boundary
-            // to the second SSD.
+            // The tier covers the superblock + slot region; the flight
+            // ring, the directory and the slot state words spill over the
+            // boundary to the second SSD.
             let tier_cap = ByteSize::from_bytes(StoreLayout::new(geometry)?.flight());
-            let tier = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(tier_cap)));
-            let spill = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
-            let fuse = Arc::clone(&tier);
-            let tiered = Arc::new(TieredDevice::new(
-                tier as Arc<dyn PersistentDevice>,
-                spill as Arc<dyn PersistentDevice>,
-            ));
-            (tiered, Box::new(move |n| fuse.arm_crash_after_persists(n)))
+            fused(
+                TieredDevice::new(member(tier_cap), member(cap)),
+                TieredDevice::arm_crash_after_persists,
+                TieredDevice::is_crashed,
+            )
         }
     })
 }
 
 impl ForensicsRun {
-    /// The agreement every crash point owes every tenant: the audit of
-    /// the frozen device is clean; every bystander tenant recovers its own
-    /// baseline bit-exactly; the slots' state-word lattice agrees with
-    /// what the tenants recovered (no slot decides `Torn`, no `InFlight`
-    /// counter is recovered, the newest `Committed` slot is one of the
-    /// recovered heads); the audit's prediction for the driven tenant is
-    /// the checkpoint recovery restored, and that checkpoint's payload is
-    /// bit-exact.
+    /// The agreement every crash owes every tenant: the audit of the
+    /// frozen device is clean; one reader recovers for the driven tenant
+    /// what the default readers did; for each tenant, the audit predicts the
+    /// checkpoint recovery restores, whose bytes are exactly the state the
+    /// driver took at its iteration and which is no older than the
+    /// tenant's last acknowledged commit; the slots' state-word lattice
+    /// agrees with what each tenant recovered (no slot decides `Torn`, no
+    /// `InFlight` counter is recovered, no `Committed` slot of a tenant's
+    /// namespace is newer than what it recovered); and the store makes
+    /// progress: reopened, it commits one more checkpoint of the driven
+    /// tenant, acknowledged at an iteration other than its step, which
+    /// recovers bit-exactly.
     ///
     /// # Errors
     ///
@@ -828,337 +535,163 @@ impl ForensicsRun {
         if !self.report.is_clean() {
             return Err(format!("audit not clean:\n{}", self.report.render()));
         }
-        let mut heads = vec![self.recovered.counter];
-        for (job, baseline) in self.baselines.iter().filter(|(job, _)| *job != self.job) {
-            let options = RestoreOptions {
-                job: Some(*job),
-                ..RestoreOptions::default()
-            };
-            let telemetry = Telemetry::disabled();
-            let (bystander, _) =
-                recover_instrumented_with(Arc::clone(&self.device), &telemetry, options)
-                    .map_err(|e| format!("bystander job {job} did not recover: {e}"))?;
-            if bystander.payload != *baseline {
+        let key = |r: &Recovered| -> Option<(u64, u64, u64, u64)> {
+            r.as_ref()
+                .map(|(r, t)| (r.counter, r.iteration, t.chain_links, fnv1a(&r.payload)))
+        };
+        let mut heads = Vec::new();
+        for &job in &self.config.tenants {
+            let recovered = recover_job(&self.device, job, 1)
+                .map_err(|e| format!("job {job} did not recover: {e}"))?;
+            if job == self.job && key(&recovered) != key(&self.recovered) {
                 return Err(format!(
-                    "bystander job {job} recovered checkpoint {}, not its baseline",
-                    bystander.counter
+                    "job {job}: the default readers recovered {:?}, one reader {:?} \
+                     (counter, iteration, links, payload digest)",
+                    key(&self.recovered),
+                    key(&recovered)
                 ));
             }
-            heads.push(bystander.counter);
+            let recovered = recovered.map(|(r, _)| r);
+            self.check_tenant(job, recovered.as_ref())?;
+            heads.push((job, recovered.map(|r| r.counter)));
         }
-        let mut newest_committed = None;
-        for (slot, &outcome) in self.report.slot_outcomes.iter().enumerate() {
-            match outcome {
-                SlotOutcome::Torn { .. } => {
-                    return Err(format!("slot {slot} decides {outcome}"));
-                }
-                SlotOutcome::InFlight { counter } if heads.contains(&counter) => {
+        // Recovery appends flight records only: the directory and the slot
+        // words are still the ones the crash left.
+        let view = RawStoreView::load(self.device.as_ref())
+            .map_err(|e| format!("the crashed store does not load: {e}"))?;
+        for (ns, &(job, head)) in view.namespaces.iter().zip(&heads) {
+            for slot in ns.desc.slot_range() {
+                let outcome = self.report.slot_outcomes[slot as usize];
+                let disagrees = match outcome {
+                    SlotOutcome::Torn { .. } => true,
+                    SlotOutcome::InFlight { counter } => head == Some(counter),
+                    SlotOutcome::Committed { counter } => head < Some(counter),
+                    _ => false,
+                };
+                if ns.desc.job != job || disagrees {
                     return Err(format!(
-                        "recovery restored checkpoint {counter}, in flight in slot {slot}"
+                        "job {job} recovered checkpoint {head:?}, slot {slot} of job {} \
+                         decides {outcome}",
+                        ns.desc.job
                     ));
                 }
-                SlotOutcome::Committed { counter } => {
-                    newest_committed = newest_committed.max(Some(counter));
-                }
-                _ => {}
             }
         }
-        if let Some(counter) = newest_committed.filter(|c| !heads.contains(c)) {
+        self.check_progress()
+    }
+
+    /// `job`'s share of [`verify`](Self::verify): prediction, bytes and
+    /// age of what it `recovered`.
+    fn check_tenant(
+        &self,
+        job: JobId,
+        recovered: Option<&RecoveredCheckpoint>,
+    ) -> Result<(), String> {
+        let predicted = self.report.expected_recovery(job).map(|m| m.counter);
+        let restored = recovered.map(|r| r.counter);
+        if predicted != restored {
             return Err(format!(
-                "the newest committed slot holds checkpoint {counter}, the tenants \
-                 recovered {heads:?}"
+                "job {job}: audit predicted checkpoint {predicted:?}, recovery restored {restored:?}"
             ));
         }
-        let predicted = self.report.expected_recovery(self.job).map(|m| m.counter);
-        if predicted != Some(self.recovered.counter) {
+        let mut taken = self.checkpoints.iter().filter(|c| c.job == job);
+        let acked = taken.clone().filter(|c| c.acked).map(|c| c.iteration).max();
+        let Some(recovered) = recovered else {
+            return acked.map_or(Ok(()), |acked| {
+                Err(format!(
+                    "job {job} recovered nothing, its iteration {acked} acknowledged"
+                ))
+            });
+        };
+        let iteration = recovered.iteration;
+        if acked.is_some_and(|acked| iteration < acked) {
             return Err(format!(
-                "audit predicted counter {predicted:?}, recovery restored {}",
-                self.recovered.counter
+                "job {job} recovered iteration {iteration}, older than its acknowledged {acked:?}"
             ));
         }
-        if self.recovered.payload != self.expected_payload {
-            return Err("recovered payload is not bit-exact".into());
+        match taken.find(|c| c.iteration == iteration) {
+            Some(c) if c.state == recovered.payload => Ok(()),
+            Some(_) => Err(format!(
+                "job {job}'s iteration {iteration} recovered, not bit-exact"
+            )),
+            None => Err(format!(
+                "job {job} recovered iteration {iteration}, which it never checkpointed"
+            )),
         }
-        Ok(())
+    }
+
+    /// The progress check of [`verify`](Self::verify), on its own thread:
+    /// a lease that never comes back panics rather than hanging the caller.
+    fn check_progress(&self) -> Result<(), String> {
+        let (device, job, cfg) = (Arc::clone(&self.device), self.job, self.config.clone());
+        must_not_hang("a checkpoint after recovery", move || {
+            let store = CheckpointStore::open(Arc::clone(&device))
+                .map_err(|e| format!("the recovered store does not open: {e}"))?;
+            let pipeline = cfg.pipeline(&Arc::new(store));
+            let iteration = cfg.crash_iteration + 1;
+            let state = cfg.baselines.state(iteration, cfg.state_bytes);
+            let (mode, at) = (cfg.baselines.mode(), (iteration, iteration + 1));
+            let acked = checkpoint(&pipeline, mode, job, at, &state, drop)
+                .map_err(|e| format!("no checkpoint after recovery: {e}"))?;
+            drop(pipeline);
+            let recovered = recover_job(&device, job, 1)
+                .map_err(|e| format!("the checkpoint after recovery does not recover: {e}"))?;
+            match recovered {
+                Some((r, _)) if acked && r.iteration == iteration && r.payload == state => Ok(()),
+                other => Err(format!(
+                    "the checkpoint after recovery (acknowledged: {acked}) recovered as {:?}",
+                    other.map(|(r, _)| (r.counter, r.iteration))
+                )),
+            }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pccheck_monitor::{CheckpointVerdict, InFlightPhase};
-
-    fn scenario(point: CrashPoint) -> ForensicsRun {
-        run_crash_scenario(
-            point,
-            &ForensicsRunConfig::default(),
-            RestoreOptions::default(),
-        )
-        .unwrap()
-    }
-
-    fn in_flight_phase(run: &ForensicsRun) -> InFlightPhase {
-        match run.report.checkpoints.get(&run.crashed_counter) {
-            Some(CheckpointVerdict::InFlight { phase, .. }) => *phase,
-            other => panic!(
-                "expected in-flight verdict for counter {}, got {other:?}",
-                run.crashed_counter
-            ),
-        }
-    }
 
     #[test]
-    fn crash_between_claim_and_publish_is_decidable_from_the_state_word() {
-        let run = scenario(CrashPoint::ClaimPublish);
-        assert!(run.report.is_clean(), "{}", run.report.render());
-        assert_eq!(in_flight_phase(&run), InFlightPhase::Begun);
-        assert_eq!(run.recovered.counter, 1, "baseline survives");
-        assert_eq!(
-            run.report.expected_recovery(DEFAULT_JOB).map(|m| m.counter),
-            Some(run.recovered.counter)
-        );
-        // The slot's durable state word alone classifies the claim.
-        let in_flight: Vec<_> = run
-            .report
-            .slot_outcomes
-            .iter()
-            .filter_map(|o| match o {
-                pccheck::SlotOutcome::InFlight { counter } => Some(*counter),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(in_flight, vec![run.crashed_counter]);
-    }
-
-    #[test]
-    fn crash_during_copy_is_classified_begun() {
-        let run = scenario(CrashPoint::DuringCopy);
-        assert!(run.report.is_clean(), "{}", run.report.render());
-        assert_eq!(in_flight_phase(&run), InFlightPhase::Begun);
-        assert_eq!(run.recovered.counter, 1, "baseline survives");
-        assert_eq!(
-            run.report.expected_recovery(DEFAULT_JOB).map(|m| m.counter),
-            Some(run.recovered.counter),
-            "forensic prediction matches what recovery restored"
-        );
-    }
-
-    #[test]
-    fn crash_during_persist_is_classified_copied() {
-        let run = scenario(CrashPoint::DuringPersist);
-        assert!(run.report.is_clean(), "{}", run.report.render());
-        assert_eq!(in_flight_phase(&run), InFlightPhase::Copied);
-        assert_eq!(run.recovered.counter, 1);
-        assert_eq!(
-            run.report.expected_recovery(DEFAULT_JOB).map(|m| m.counter),
-            Some(run.recovered.counter)
-        );
-    }
-
-    #[test]
-    fn crash_between_persist_and_commit_is_classified_persisted() {
-        let run = scenario(CrashPoint::BetweenPersistAndCommit);
-        assert!(run.report.is_clean(), "{}", run.report.render());
-        assert_eq!(in_flight_phase(&run), InFlightPhase::Persisted);
-        // The payload is durable but unpublished: recovery must NOT use it.
-        assert_eq!(run.recovered.counter, 1);
-        assert_eq!(run.recovered.iteration, 100);
-        assert_eq!(
-            run.report.expected_recovery(DEFAULT_JOB).map(|m| m.counter),
-            Some(run.recovered.counter)
-        );
-    }
-
-    #[test]
-    fn crash_after_commit_recovers_the_new_checkpoint() {
-        let run = scenario(CrashPoint::AfterCommit);
-        assert!(run.report.is_clean(), "{}", run.report.render());
-        assert_eq!(run.crashed_counter, 2);
-        match run.report.checkpoints.get(&2) {
-            Some(CheckpointVerdict::Committed {
-                iteration,
-                payload_valid,
-                ..
-            }) => {
-                assert_eq!(*iteration, 200);
-                assert!(payload_valid);
-            }
-            other => panic!("expected committed verdict, got {other:?}"),
-        }
-        assert_eq!(run.recovered.counter, 2);
-        assert_eq!(run.recovered.iteration, 200);
-        assert_eq!(run.recovered.payload, synthetic_payload(200, 4 * 1024));
-    }
-
-    #[test]
-    fn crash_mid_dedup_chain_recovers_through_the_pinned_base() {
-        let run = scenario(CrashPoint::DedupChain);
-        assert!(run.report.is_clean(), "{}", run.report.render());
-        assert_eq!(run.crashed_counter, 3, "the stranded second frame");
-        assert_eq!(run.recovered.counter, 2, "the committed frame survives");
-        assert_eq!(run.recovered.iteration, 150);
-        assert_eq!(run.trace.chain_links, 1, "one base link resolved");
-        // The reconstructed state is the sparse mutation of the baseline.
-        let base = synthetic_payload(100, 4 * 1024);
-        let expected = sparse_payload(&base, 150, &[(0, 512), (2048, 512)]);
-        assert_eq!(run.recovered.payload, expected);
-        assert_eq!(
-            run.report.expected_recovery(DEFAULT_JOB).map(|m| m.counter),
-            Some(run.recovered.counter),
-            "forensic prediction matches the frame walk"
-        );
-        assert!(run
-            .report
-            .expected_recovery(DEFAULT_JOB)
-            .is_some_and(|m| m.is_delta()));
-    }
-
-    #[test]
-    fn recovery_trace_measures_every_phase() {
-        let run = scenario(CrashPoint::DuringPersist);
-        assert!(run.trace.total_nanos > 0);
-        assert!(run.trace.candidates_scanned >= 1);
-        assert_eq!(run.trace.fallbacks, 0);
-        assert_eq!(run.trace.counter, run.recovered.counter);
-    }
-
-    #[test]
-    fn striped_store_survives_every_crash_point() {
-        for point in CrashPoint::ALL {
-            let run = run_crash_scenario(
-                point,
-                &ForensicsRunConfig::striped(2),
-                RestoreOptions::default(),
-            )
-            .unwrap();
-            assert!(run.report.is_clean(), "{point}: {}", run.report.render());
-            match point {
-                CrashPoint::AfterCommit => {
-                    assert_eq!(run.recovered.counter, 2, "{point}");
-                    assert_eq!(run.recovered.iteration, 200, "{point}");
-                    assert_eq!(run.recovered.payload, synthetic_payload(200, 4 * 1024));
-                }
-                CrashPoint::DedupChain => {
-                    assert_eq!(run.recovered.counter, 2, "{point}: frame survives");
-                    assert_eq!(run.recovered.iteration, 150, "{point}");
-                }
-                _ => {
-                    assert_eq!(run.recovered.counter, 1, "{point}: baseline survives");
-                    assert_eq!(run.recovered.iteration, 100, "{point}");
-                }
-            }
-            assert_eq!(
-                run.report.expected_recovery(DEFAULT_JOB).map(|m| m.counter),
-                Some(run.recovered.counter),
-                "{point}: forensic prediction matches recovery"
-            );
-        }
-    }
-
-    #[test]
-    fn tiered_store_survives_every_crash_point() {
-        for point in CrashPoint::ALL {
-            let run = run_crash_scenario(
-                point,
-                &ForensicsRunConfig::tiered(),
-                RestoreOptions::default(),
-            )
-            .unwrap();
-            assert!(run.report.is_clean(), "{point}: {}", run.report.render());
-            match point {
-                CrashPoint::AfterCommit => {
-                    assert_eq!(run.recovered.counter, 2, "{point}");
-                    assert_eq!(run.recovered.payload, synthetic_payload(200, 4 * 1024));
-                }
-                CrashPoint::DedupChain => {
-                    assert_eq!(run.recovered.counter, 2, "{point}: frame survives");
-                    assert_eq!(run.recovered.iteration, 150, "{point}");
-                }
-                _ => {
-                    assert_eq!(run.recovered.counter, 1, "{point}: baseline survives");
-                }
-            }
-            assert_eq!(
-                run.report.expected_recovery(DEFAULT_JOB).map(|m| m.counter),
-                Some(run.recovered.counter),
-                "{point}: forensic prediction matches recovery"
-            );
-        }
-    }
-
-    /// The tentpole cross-check: on every topology and at every crash
-    /// point, the parallel restore path (4 readers) must recover the same
-    /// checkpoint, bit for bit, as the sequential one (1 reader) — and the
-    /// forensic auditor must bless the store either way.
-    #[test]
-    fn parallel_restore_is_bit_identical_to_sequential_at_every_crash_point() {
-        let topologies = [ForensicsRunConfig::striped(2), ForensicsRunConfig::tiered()];
-        for cfg in &topologies {
-            for point in CrashPoint::ALL {
-                let parallel = run_crash_scenario(
-                    point,
-                    cfg,
-                    RestoreOptions {
-                        readers: 4,
-                        job: None,
-                    },
-                )
-                .unwrap();
-                assert!(
-                    parallel.report.is_clean(),
-                    "{point}/{:?}: {}",
-                    cfg.topology,
-                    parallel.report.render()
-                );
-                // Re-run recovery sequentially on the same recovered store
-                // image and compare everything that matters.
-                let (sequential, seq_trace) = recover_instrumented_with(
-                    Arc::clone(&parallel.device),
-                    &Telemetry::disabled(),
-                    RestoreOptions {
-                        readers: 1,
-                        job: None,
-                    },
-                )
-                .unwrap();
-                assert_eq!(
-                    parallel.recovered.payload, sequential.payload,
-                    "{point}/{:?}: parallel and sequential restores diverge",
-                    cfg.topology
-                );
-                assert_eq!(parallel.recovered.counter, sequential.counter);
-                assert_eq!(parallel.recovered.iteration, sequential.iteration);
-                assert_eq!(parallel.trace.chain_links, seq_trace.chain_links);
-            }
-        }
-    }
-
-    #[test]
-    fn a_fuse_that_does_not_fire_is_reported() {
+    fn every_topology_crashes_on_the_armed_persist() {
         let geometry = ForensicsRunConfig::default().geometry();
         for topology in [
             DeviceTopology::Single,
             DeviceTopology::Striped { ways: 2 },
             DeviceTopology::Tiered,
         ] {
-            let (device, arm_fuse) = fused_device(topology, geometry).unwrap();
-            let fire = |after| persist_into_fuse(device.as_ref(), &*arm_fuse, after, 0, 512);
-            assert!(
-                fire(1).is_err(),
-                "{topology:?}: a fuse armed one persist too late goes unreported"
-            );
-            assert!(
-                fire(0).is_ok(),
-                "{topology:?}: the armed persist did not crash"
-            );
+            let (device, arm, fired) =
+                fused_device(topology, geometry, CrashPolicy::DropUnpersisted).unwrap();
+            arm(1);
+            device.write_at(0, &[7; 512]).unwrap();
+            device.persist(0, 512).unwrap();
+            assert!(!fired(), "{topology:?}: fired one persist early");
+            assert!(device.persist(0, 512).is_err(), "{topology:?}");
+            assert!(fired(), "{topology:?}: the armed persist did not crash");
         }
     }
 
     #[test]
-    fn crash_point_names_round_trip() {
-        for p in CrashPoint::ALL {
-            assert_eq!(CrashPoint::from_name(p.name()), Some(p));
-        }
-        assert_eq!(CrashPoint::from_name("nope"), None);
+    fn the_crashed_image_audits_like_the_crashed_device() {
+        let cfg = ForensicsRunConfig::default();
+        let run = run_to_crash(&cfg, DEFAULT_JOB, 30, CrashPolicy::DropUnpersisted);
+        let run = run.unwrap().unwrap();
+        let image = crashed_image(&cfg, DEFAULT_JOB, 30).unwrap().unwrap();
+        let cap = ByteSize::from_bytes(image.len() as u64);
+        let copy = Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
+        copy.write_at(0, &image).unwrap();
+        copy.persist(0, cap.as_u64()).unwrap();
+        let report = pccheck_monitor::audit(copy).unwrap();
+        assert!(report.is_clean(), "{}", report.render());
+        assert_eq!(report.render(), run.report.render());
+        assert!(crashed_image(&cfg, DEFAULT_JOB, 10_000).unwrap().is_none());
+    }
+
+    #[test]
+    fn a_fuse_the_run_outlasts_ends_the_sweep() {
+        let cfg = ForensicsRunConfig::default();
+        // `None` also says that every commit of the run was acknowledged.
+        let run = run_to_crash(&cfg, DEFAULT_JOB, 10_000, CrashPolicy::DropUnpersisted);
+        assert!(run.unwrap().is_none());
+        assert!(run_to_crash(&cfg, 7, 0, CrashPolicy::DropUnpersisted).is_err());
     }
 }

@@ -5,6 +5,9 @@
 //! sections (counters, queues, maps), so a holder that panicked left
 //! nothing half-done, and a poisoned lock is recovered rather than
 //! propagated — here and nowhere else. The guards are `std`'s own.
+//!
+//! [`must_not_hang`] is the workspace's one hang guard for tests and test
+//! oracles: a run that must return, on a thread of its own.
 
 use std::sync::{self, PoisonError};
 use std::time::Duration;
@@ -94,6 +97,32 @@ impl Condvar {
     /// Wakes every waiter.
     pub fn notify_all(&self) {
         self.0.notify_all();
+    }
+}
+
+/// Runs `body` on its own thread and panics, instead of hanging the
+/// caller, if `body` has not returned within a minute; a panic in `body` is
+/// re-raised on the caller. The clock only ever decides that a run has
+/// hung; no passing run reads it.
+pub fn must_not_hang<T: Send + 'static>(
+    what: &str,
+    body: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (tx, rx) = sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let _ = tx.send(body());
+    });
+    match rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(out) => {
+            handle.join().expect("body returned");
+            out
+        }
+        // `body` panicked: re-raise its message.
+        Err(sync::mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(handle.join().expect_err("sender dropped unsent"))
+        }
+        // Nothing can join a thread that hangs: it is left behind.
+        Err(sync::mpsc::RecvTimeoutError::Timeout) => panic!("hung: {what}"),
     }
 }
 

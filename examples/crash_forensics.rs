@@ -1,17 +1,18 @@
-//! Crash forensics: kill a checkpoint at every step of the commit
-//! protocol, then let the post-crash auditor reconstruct what happened
-//! from the store's persistent flight ring.
+//! Crash forensics: crash a run of checkpoints on every persist it makes,
+//! then let the post-crash auditor reconstruct what happened from the
+//! store's persistent flight ring.
 //!
-//! For each injected crash point this prints the full forensic report —
-//! every checkpoint classified as committed / in-flight (with the exact
-//! phase the crash caught it in) / superseded — followed by what recovery
-//! actually restored, demonstrating that the audit's prediction and the
-//! recovery path agree.
+//! For each persist `k` this prints the full forensic report — every
+//! checkpoint classified as committed / in-flight (with the exact phase the
+//! crash caught it in) / superseded — followed by what recovery actually
+//! restored, demonstrating that the audit's prediction and the recovery
+//! path agree.
 //!
 //! Run with: `cargo run --release --example crash_forensics`
 
-use pccheck::{RestoreOptions, DEFAULT_JOB};
-use pccheck_harness::forensics_run::{run_crash_scenario, CrashPoint, ForensicsRunConfig};
+use pccheck::DEFAULT_JOB;
+use pccheck_device::CrashPolicy;
+use pccheck_harness::forensics_run::{run_to_crash, ForensicsRunConfig};
 
 fn main() {
     let cfg = ForensicsRunConfig::default();
@@ -21,26 +22,28 @@ fn main() {
         cfg.state_bytes / 1024,
         cfg.flight_records
     );
-    for point in CrashPoint::ALL {
-        println!("\n=== crash injected: {point} ===");
-        let run =
-            run_crash_scenario(point, &cfg, RestoreOptions::default()).expect("scenario runs");
+    for k in 0.. {
+        let run = run_to_crash(&cfg, DEFAULT_JOB, k, CrashPolicy::DropUnpersisted)
+            .expect("scenario runs");
+        let Some(run) = run else {
+            println!("\nthe run makes {k} persists; the fuse armed for #{k} never fires");
+            break;
+        };
+        println!("\n=== crash injected on persist #{k} ===");
         print!("{}", run.report.render());
-        println!(
-            "recovery restored checkpoint #{} (iteration {}) in {:.1} us \
-             ({} candidate(s) scanned, {} fallback(s))",
-            run.recovered.counter,
-            run.recovered.iteration,
-            run.trace.total_nanos as f64 / 1e3,
-            run.trace.candidates_scanned,
-            run.trace.fallbacks,
-        );
-        let predicted = run.report.expected_recovery(DEFAULT_JOB).map(|m| m.counter);
-        assert_eq!(
-            predicted,
-            Some(run.recovered.counter),
-            "audit prediction must match recovery"
-        );
+        match &run.recovered {
+            Some((recovered, trace)) => println!(
+                "recovery restored checkpoint #{} (iteration {}) in {:.1} us \
+                 ({} candidate(s) scanned, {} fallback(s))",
+                recovered.counter,
+                recovered.iteration,
+                trace.total_nanos as f64 / 1e3,
+                trace.candidates_scanned,
+                trace.fallbacks,
+            ),
+            None => println!("recovery found no committed checkpoint"),
+        }
+        run.verify().expect("audit, lattice and recovery agree");
         println!("audit predicted the same target: agreement ✓");
     }
     println!("\nEvery crash left the store invariant-clean: the interrupted");

@@ -5,8 +5,10 @@
 //!
 //! Run with: `cargo run --release --example spot_training`
 
+use pccheck_device::CrashPolicy;
 use pccheck_gpu::ModelZoo;
-use pccheck_harness::forensics_run::{run_crash_scenario, CrashPoint, ForensicsRunConfig};
+use pccheck_harness::forensics_run::{run_to_crash, ForensicsRunConfig};
+use pccheck_monitor::{CheckpointVerdict, InFlightPhase};
 use pccheck_sim::{SimConfig, StrategyCfg};
 use pccheck_trace::{GoodputReplay, PreemptionTrace};
 
@@ -57,21 +59,39 @@ fn main() {
     // Each preemption above pays the recovery protocol (scan the slots,
     // load the newest committed payload, verify its digest) before the
     // shard reload + recompute terms. Measure it on a concrete crashed
-    // store rather than modeling it:
-    let run = run_crash_scenario(
-        CrashPoint::BetweenPersistAndCommit,
-        &ForensicsRunConfig::default(),
-        pccheck::RestoreOptions::default(),
-    )
-    .expect("crash scenario");
+    // store rather than modeling it: crash on the first persist that finds
+    // a checkpoint's payload durable but not yet committed, with an older
+    // one committed to fall back on.
+    let cfg = ForensicsRunConfig::default();
+    let run = (0..)
+        .map_while(|k| {
+            run_to_crash(&cfg, pccheck::DEFAULT_JOB, k, CrashPolicy::DropUnpersisted)
+                .expect("crash scenario")
+        })
+        .find(|run| {
+            let last = run
+                .counters
+                .last()
+                .and_then(|c| run.report.checkpoints.get(c));
+            let persisted = matches!(
+                last,
+                Some(CheckpointVerdict::InFlight {
+                    phase: InFlightPhase::Persisted,
+                    ..
+                })
+            );
+            persisted && run.recovered.is_some()
+        })
+        .expect("some persist lands between payload persist and commit");
+    let (_, trace) = run.recovered.as_ref().expect("found with a recovery");
     println!(
         "\nmeasured recovery protocol after a mid-checkpoint preemption: \
          {:.1} us (scan {:.1} us, load {:.1} us, verify {:.1} us), \
          forensic audit {}",
-        run.trace.total_nanos as f64 / 1e3,
-        run.trace.scan_nanos as f64 / 1e3,
-        run.trace.load_nanos as f64 / 1e3,
-        run.trace.verify_nanos as f64 / 1e3,
+        trace.total_nanos as f64 / 1e3,
+        trace.scan_nanos as f64 / 1e3,
+        trace.load_nanos as f64 / 1e3,
+        trace.verify_nanos as f64 / 1e3,
         if run.report.is_clean() {
             "clean"
         } else {

@@ -17,14 +17,14 @@
 //! The crash-forensics pair exercises the flight recorder end to end:
 //!
 //! ```bash
-//! pccheckctl crashdemo /tmp/crashed.pcc during-persist  # die mid-checkpoint
-//! pccheckctl forensics /tmp/crashed.pcc                 # audit the wreck
+//! pccheckctl crashdemo /tmp/crashed.pcc 20   # crash on the 21st persist
+//! pccheckctl forensics /tmp/crashed.pcc      # audit the wreck
 //! ```
 //!
-//! `crashdemo` formats a flight-recorder-enabled store, commits a baseline
-//! checkpoint, drives a second one exactly to the chosen protocol step, and
-//! exits without persisting — the page-cache overlay dies with the process,
-//! leaving the file as a power failure would. `forensics` replays the
+//! `crashdemo` formats a flight-recorder-enabled store on a simulated SSD,
+//! takes a baseline and two sparse mutations through the codec pipeline,
+//! powers the device off on its `k`-th persist (0-based), and writes the
+//! durable image the crash left into the file. `forensics` replays the
 //! flight ring against the slot metadata and exits nonzero if any commit-
 //! protocol invariant is violated.
 //!
@@ -47,9 +47,7 @@ use pccheck::{
 };
 use pccheck_device::{DeviceConfig, FileDevice, PersistentDevice, SsdDevice, StripedDevice};
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingState};
-use pccheck_harness::forensics_run::{
-    commit_checkpoint, drive_to_crash_point, synthetic_payload, CrashPoint, ForensicsRunConfig,
-};
+use pccheck_harness::forensics_run::{crashed_image, Baselines, ForensicsRunConfig};
 use pccheck_harness::profile_run::{self, ProfileRunConfig};
 use pccheck_harness::telemetry_run::{run_instrumented, InstrumentedRunConfig, STRATEGIES};
 use pccheck_monitor::{armed_watchdog, SloConfig};
@@ -74,7 +72,7 @@ fn usage() -> ExitCode {
     eprintln!("       pccheckctl info <store-file>");
     eprintln!("       pccheckctl recover <store-file> [readers]");
     eprintln!("       pccheckctl telemetry <out-dir> [strategy]");
-    eprintln!("       pccheckctl crashdemo <store-file> [crash-point]");
+    eprintln!("       pccheckctl crashdemo <store-file> <k>");
     eprintln!("       pccheckctl forensics <store-file>");
     eprintln!("       pccheckctl device <store-file> [stripe-ways]");
     eprintln!("       pccheckctl serve <addr> [iterations]");
@@ -97,11 +95,9 @@ fn usage() -> ExitCode {
         STRATEGIES.join("|")
     );
     eprintln!("             summary.txt, events.jsonl, trace.json into <out-dir>");
-    eprintln!("  crashdemo  die mid-checkpoint at a chosen protocol step:");
-    eprintln!(
-        "             {}",
-        CrashPoint::ALL.map(|p| p.name()).join("|")
-    );
+    eprintln!("  crashdemo  run the crash scenario's checkpoints through the pipeline,");
+    eprintln!("             crash on persist #<k> (0-based) and write the crashed");
+    eprintln!("             durable image into <store-file>");
     eprintln!("  forensics  audit a (crashed) store's flight ring + metadata;");
     eprintln!("             exits nonzero on any invariant violation");
     eprintln!("  device     run a short checkpointed demo against a single file");
@@ -305,39 +301,20 @@ fn cmd_telemetry(out_dir: &str, strategy: &str) -> Result<(), Box<dyn std::error
     Ok(())
 }
 
-fn cmd_crashdemo(path: &str, point_name: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let point = CrashPoint::from_name(point_name)
-        .ok_or_else(|| format!("unknown crash point {point_name:?} (see usage)"))?;
-    let geometry = ForensicsRunConfig {
+fn cmd_crashdemo(path: &str, k: u64) -> Result<(), Box<dyn std::error::Error>> {
+    let cfg = ForensicsRunConfig {
         state_bytes: CRASH_STATE_BYTES,
         slots: SLOTS,
         flight_records: CRASH_FLIGHT_RECORDS,
+        baselines: Baselines::Codec,
         ..ForensicsRunConfig::default()
-    }
-    .geometry();
-    let cap = geometry.required_capacity() + ByteSize::from_kb(4);
-    let device: Arc<dyn PersistentDevice> =
-        Arc::new(FileDevice::create(path, DeviceConfig::fast_for_tests(cap))?);
-    let store = CheckpointStore::format(Arc::clone(&device), geometry)?;
-    let baseline = commit_checkpoint(
-        &store,
-        DEFAULT_JOB,
-        100,
-        &synthetic_payload(100, CRASH_STATE_BYTES),
-    )?;
-    println!("committed baseline checkpoint #{baseline} (iteration 100)");
-    let (counter, slot) = drive_to_crash_point(
-        &store,
-        DEFAULT_JOB,
-        point,
-        200,
-        &synthetic_payload(200, CRASH_STATE_BYTES),
-    )?;
-    println!("drove checkpoint #{counter} (slot {slot}) to `{point}` and crashed there");
-    println!("unpersisted page-cache state dies with this process; the file keeps");
-    println!("only what was persisted — audit it with: pccheckctl forensics {path}");
-    // Deliberately no drain/persist: dropping the device discards the
-    // overlay, exactly like a power failure at `point`.
+    };
+    let image = crashed_image(&cfg, DEFAULT_JOB, k)?
+        .ok_or_else(|| format!("the run makes no more than {k} persists: nothing crashed"))?;
+    std::fs::write(path, image)?;
+    println!("crashed a run of codec checkpoints on its persist #{k}");
+    println!("wrote the durable image the crash left to {path}; audit it with:");
+    println!("pccheckctl forensics {path}");
     Ok(())
 }
 
@@ -763,11 +740,10 @@ fn main() -> ExitCode {
                 .max(1),
         ),
         "telemetry" => cmd_telemetry(path, args.get(3).map_or("pccheck", |s| s.as_str())),
-        "crashdemo" => cmd_crashdemo(
-            path,
-            args.get(3)
-                .map_or("between-persist-and-commit", |s| s.as_str()),
-        ),
+        "crashdemo" => match args.get(3).and_then(|s| s.parse::<u64>().ok()) {
+            Some(k) => cmd_crashdemo(path, k),
+            None => return usage(),
+        },
         "forensics" => cmd_forensics(path),
         "device" => cmd_device(
             path,

@@ -1,0 +1,123 @@
+//! The crash sweep, shared by `tests/crash_consistency.rs` (single-tenant
+//! rows of the crash matrix) and `tests/multi_tenant_crash.rs` (shared-store
+//! rows). Both run one driver, `forensics_run::run_to_crash`, over every
+//! persist of the product's pipeline.
+
+use std::collections::BTreeSet;
+
+use pccheck::{recovery, PccheckError, DEFAULT_JOB};
+use pccheck_device::CrashPolicy;
+use pccheck_harness::forensics_run::{crash_matrix, run_to_crash, Baselines, ForensicsRunConfig};
+use pccheck_monitor::CheckpointVerdict;
+
+/// Sweeps every `crash_matrix()` row that `pick` selects, each on a thread
+/// of its own. A row keeps its matrix index, so a repro names the same row
+/// whichever test ran it.
+pub(crate) fn sweep_crash_matrix(pick: impl Fn(&ForensicsRunConfig) -> bool) {
+    std::thread::scope(|s| {
+        for (row, cfg) in crash_matrix().into_iter().enumerate() {
+            if pick(&cfg) {
+                s.spawn(move || sweep_row(row, &cfg));
+            }
+        }
+    });
+}
+
+/// Prints a failing run's one-line repro when the sweep panics while it is
+/// alive, whatever panicked: a check, an error, or the progress check's
+/// hang guard.
+struct Repro(String);
+
+impl Drop for Repro {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("{}", self.0);
+        }
+    }
+}
+
+/// One row of the crash sweep. Every driven tenant's run takes the same
+/// baselines first, so a crash inside them leaves the same image whichever
+/// tenant is driven: after the first tenant, the sweep starts at the first
+/// `k` that crashed the first tenant's own mutations.
+fn sweep_row(row: usize, cfg: &ForensicsRunConfig) {
+    let mut seen = BTreeSet::new();
+    let mut linked = false;
+    let mut replayed = 0;
+    for (i, &job) in cfg.tenants.iter().enumerate() {
+        for k in replayed.. {
+            let seed = (row as u64) << 40 | job << 32 | k;
+            let policies = [
+                CrashPolicy::DropUnpersisted,
+                CrashPolicy::RandomPartial { seed },
+            ];
+            let mut fired = 0;
+            for policy in policies {
+                let _repro = Repro(format!(
+                    "repro: row {row} ({:?}, {:?}), tenant {job}, k {k}, {policy:?}",
+                    cfg.topology, cfg.baselines
+                ));
+                let run = run_to_crash(cfg, job, k, policy).unwrap_or_else(|e| panic!("{e}"));
+                let Some(run) = run else {
+                    continue;
+                };
+                fired += 1;
+                if let Err(why) = run.verify() {
+                    panic!("{why}");
+                }
+                // The first tenant's baseline is its first lease; a second
+                // one is a mutation.
+                if i == 0 && run.counters.len() < 2 {
+                    replayed = k + 1;
+                }
+                for counter in &run.counters {
+                    match run.report.checkpoints.get(counter) {
+                        Some(CheckpointVerdict::InFlight { phase, .. }) => {
+                            seen.insert(phase.name());
+                        }
+                        Some(CheckpointVerdict::Committed { .. }) => {
+                            seen.insert("committed");
+                        }
+                        _ => {}
+                    }
+                }
+                linked |= run
+                    .report
+                    .expected_recovery(job)
+                    .is_some_and(|m| m.is_delta());
+                if cfg.tenants != [DEFAULT_JOB] {
+                    assert!(
+                        matches!(
+                            recovery::recover(run.device),
+                            Err(PccheckError::InvalidConfig(_))
+                        ),
+                        "a shared store has no default tenant to recover"
+                    );
+                }
+            }
+            match fired {
+                0 => break,
+                2 => {}
+                _ => panic!("row {row}, tenant {job}, k {k}: the fuse fired under one policy only"),
+            }
+        }
+    }
+    let phases = [
+        "begun",
+        "copied",
+        "persisted",
+        "meta_persisted",
+        "committed",
+    ];
+    assert!(
+        phases.iter().all(|p| seen.contains(p)),
+        "row {row} ({:?}, {:?}): the driven tenants were seen only {seen:?}",
+        cfg.topology,
+        cfg.baselines
+    );
+    assert!(
+        linked || cfg.baselines == Baselines::Raw,
+        "row {row} ({:?}): no crash recovered a linked frame",
+        cfg.topology
+    );
+}

@@ -4,11 +4,13 @@
 //! yields a *complete, verified* checkpoint whose iteration never goes
 //! backwards across crashes.
 
+mod common;
+
 use std::sync::Arc;
 
 use pccheck::{
     recovery, CheckpointStore, FrameTable, PcCheckConfig, PcCheckEngine, PccheckError,
-    RestoreOptions, StoreGeometry, DEFAULT_JOB,
+    StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_device::{CrashPolicy, DeviceConfig, PersistentDevice, SsdDevice};
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingState};
@@ -170,116 +172,22 @@ fn repeated_crash_recover_cycles_never_regress() {
     assert_eq!(last_recovered, 15);
 }
 
-/// Pinned-crash-point forensics, the single-tenant rows of the crash
-/// matrix (`tests/multi_tenant_crash.rs` runs the shared-store rows): at
-/// every protocol step, on a flat, a striped and a tiered device, over an
-/// all-`Raw` and a codec-packed baseline, the auditor's verdict — taken
-/// from the frozen device *before* power-on — must agree with the slots'
-/// state-word lattice and with what recovery then actually restores, bit
-/// for bit, and must classify the interrupted checkpoint by the exact
-/// phase the crash caught it in.
+/// The crash sweep over the single-tenant rows of the crash matrix (flat,
+/// striped and tiered devices; all-`Raw` and codec-packed checkpoints;
+/// `tests/multi_tenant_crash.rs` sweeps the shared-store rows): the tenant
+/// is driven through the real pipeline and the device crashes on its
+/// `k`-th persist, for every `k` until the run outlasts the fuse, once
+/// dropping every unsynced byte and once tearing the unsynced cache lines
+/// under a seed derived from `(row, tenant, k)`. Every crash must pass
+/// `ForensicsRun::verify`: a clean audit of the frozen device, prediction
+/// == recovery, bit-exact bytes no older than the last acknowledged
+/// commit, a state-word lattice that agrees, and a store that checkpoints
+/// again. Over each row the tenant is caught in every in-flight phase and
+/// committed, and a codec row recovers a linked frame. A failure names its
+/// repro.
 #[test]
 fn forensic_verdicts_match_actual_recovery_at_every_crash_point() {
-    use pccheck_harness::forensics_run::{crash_matrix, run_crash_scenario, CrashPoint};
-    use pccheck_monitor::{CheckpointVerdict, InFlightPhase};
-
-    let mut rows = crash_matrix();
-    rows.retain(|cfg| cfg.tenants == [DEFAULT_JOB]);
-    for (cfg, point) in rows
-        .iter()
-        .flat_map(|cfg| CrashPoint::ALL.map(|point| (cfg, point)))
-    {
-        let run = run_crash_scenario(point, cfg, RestoreOptions::default()).expect("scenario runs");
-        // Clean audit, lattice == recovery, prediction == recovery,
-        // payload bit-exact.
-        run.verify()
-            .unwrap_or_else(|why| panic!("{point}/{:?}/{:?}: {why}", cfg.topology, cfg.baselines));
-        let verdict = run
-            .report
-            .checkpoints
-            .get(&run.crashed_counter)
-            .expect("interrupted checkpoint is in the report");
-        match point {
-            CrashPoint::ClaimPublish => assert!(
-                // The crash landed between the slot claim and any
-                // subsequent write: the durable state word alone carries
-                // the evidence, and the auditor synthesizes a Begun
-                // in-flight verdict from it.
-                matches!(
-                    verdict,
-                    CheckpointVerdict::InFlight {
-                        phase: InFlightPhase::Begun,
-                        ..
-                    }
-                ),
-                "{point}: {verdict:?}"
-            ),
-            CrashPoint::DuringCopy => assert!(
-                matches!(
-                    verdict,
-                    CheckpointVerdict::InFlight {
-                        phase: InFlightPhase::Begun,
-                        ..
-                    }
-                ),
-                "{point}: {verdict:?}"
-            ),
-            CrashPoint::DuringPersist => assert!(
-                matches!(
-                    verdict,
-                    CheckpointVerdict::InFlight {
-                        phase: InFlightPhase::Copied,
-                        ..
-                    }
-                ),
-                "{point}: {verdict:?}"
-            ),
-            CrashPoint::BetweenPersistAndCommit => assert!(
-                matches!(
-                    verdict,
-                    CheckpointVerdict::InFlight {
-                        phase: InFlightPhase::Persisted,
-                        ..
-                    }
-                ),
-                "{point}: {verdict:?}"
-            ),
-            CrashPoint::AfterCommit => {
-                assert!(
-                    matches!(
-                        verdict,
-                        CheckpointVerdict::Committed {
-                            payload_valid: true,
-                            ..
-                        }
-                    ),
-                    "{point}: {verdict:?}"
-                );
-                assert_eq!(run.recovered.counter, run.crashed_counter);
-            }
-            CrashPoint::DedupChain => {
-                // The stranded second frame died with its payload durable
-                // but no meta, and recovery must land on the committed
-                // *linked* head — resolved through its pinned base.
-                assert!(
-                    matches!(
-                        verdict,
-                        CheckpointVerdict::InFlight {
-                            phase: InFlightPhase::Persisted,
-                            ..
-                        }
-                    ),
-                    "{point}: {verdict:?}"
-                );
-                assert!(
-                    run.report
-                        .expected_recovery(DEFAULT_JOB)
-                        .is_some_and(|m| m.is_delta()),
-                    "{point}: recovery target must carry a base link"
-                );
-            }
-        }
-    }
+    common::sweep_crash_matrix(|cfg| cfg.tenants == [DEFAULT_JOB]);
 }
 
 /// The auditor also understands stores the *engine* wrote: run a real

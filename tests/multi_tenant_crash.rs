@@ -11,10 +11,13 @@
 //! * the audit's per-namespace recovery prediction matches what that
 //!   tenant's recovery actually restores.
 //!
-//! The last test runs the shared-store rows of the pinned crash matrix
-//! (`tests/crash_consistency.rs` runs the single-tenant rows): the same
-//! six crash points, driven in each tenant's namespace in turn while the
-//! bystanders must recover their own baselines bit-exactly.
+//! The last test sweeps the shared-store rows of the crash matrix
+//! (`tests/crash_consistency.rs` sweeps the single-tenant rows): each
+//! tenant in turn is driven through the real pipeline and crashed on
+//! every persist while the bystanders must recover their own baselines
+//! bit-exactly.
+
+mod common;
 
 use std::sync::Arc;
 
@@ -246,44 +249,15 @@ fn crash_with_one_tenant_idle_and_one_bursting() {
     check_namespace(&t, 2, 4);
 }
 
-/// Pinned-crash-point forensics on shared stores: on a flat, a striped
-/// and a tiered device, over all-`Raw` and codec-packed baselines, each of
-/// jobs 1..=3 in turn is driven to every crash point while the other two
-/// hold their baselines. The audit of the frozen device, the state-word
-/// lattice, that tenant's recovery and the bit-exact payload must agree,
-/// the bystanders must recover their baselines bit-exactly — and asking
-/// for nobody in particular must not hand out a neighbour's checkpoint.
+/// The crash sweep over the shared-store rows of the crash matrix: on a
+/// flat, a striped and a tiered device, over all-`Raw` and codec-packed
+/// baselines, each of jobs 1..=3 in turn is driven through the real
+/// pipeline and crashed on its `k`-th persist, for every `k`, while the
+/// other two hold their baselines. The audit, the state-word lattice,
+/// that tenant's recovery and the bit-exact payload must agree, the
+/// bystanders must recover their baselines bit-exactly — and asking for
+/// nobody in particular must not hand out a neighbour's checkpoint.
 #[test]
 fn forensic_verdicts_match_actual_recovery_for_every_tenant_at_every_crash_point() {
-    use pccheck_harness::forensics_run::{crash_matrix, run_crash_scenario, CrashPoint};
-
-    for cfg in crash_matrix() {
-        if cfg.tenants == [DEFAULT_JOB] {
-            continue;
-        }
-        let cases = cfg
-            .tenants
-            .iter()
-            .flat_map(|&job| CrashPoint::ALL.map(|point| (job, point)));
-        for (job, point) in cases {
-            let options = RestoreOptions {
-                job: Some(job),
-                ..RestoreOptions::default()
-            };
-            let run = run_crash_scenario(point, &cfg, options).expect("scenario runs");
-            run.verify().unwrap_or_else(|why| {
-                panic!(
-                    "job {job} at {point}/{:?}/{:?}: {why}",
-                    cfg.topology, cfg.baselines
-                )
-            });
-            assert!(
-                matches!(
-                    recovery::recover(run.device),
-                    Err(PccheckError::InvalidConfig(_))
-                ),
-                "a shared store has no default tenant to recover"
-            );
-        }
-    }
+    common::sweep_crash_matrix(|cfg| cfg.tenants != [DEFAULT_JOB]);
 }
