@@ -38,7 +38,7 @@ use crate::TwoSlots;
 /// ```
 /// use std::sync::Arc;
 /// use pccheck_baselines::GpmCheckpointer;
-/// use pccheck_device::{DeviceConfig, PersistentDevice, PmemDevice, PmemWriteMode};
+/// use pccheck_device::{DeviceConfig, PersistentDevice, PmemDevice};
 /// use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingState};
 /// use pccheck_util::ByteSize;
 ///
@@ -47,10 +47,8 @@ use crate::TwoSlots;
 ///     GpuConfig::fast_for_tests(),
 ///     TrainingState::synthetic(ByteSize::from_kb(4), 1),
 /// );
-/// let device: Arc<dyn PersistentDevice> = Arc::new(PmemDevice::new(
-///     DeviceConfig::fast_for_tests(ByteSize::from_kb(64)),
-///     PmemWriteMode::NtStore,
-/// ));
+/// let device: Arc<dyn PersistentDevice> =
+///     Arc::new(PmemDevice::new(DeviceConfig::fast_for_tests(ByteSize::from_kb(64))));
 /// let ckpt = GpmCheckpointer::new(device, gpu.state_size())?;
 /// gpu.update();
 /// ckpt.checkpoint(&gpu, 1); // stalls until durable
@@ -138,7 +136,7 @@ impl Checkpointer for GpmCheckpointer {
 mod tests {
     use super::*;
     use pccheck::recovery::{recover, verify_against_state};
-    use pccheck_device::{DeviceConfig, PmemDevice, PmemWriteMode, SsdDevice};
+    use pccheck_device::{DeviceConfig, PmemDevice, SsdDevice};
     use pccheck_gpu::{GpuConfig, TrainingState};
 
     fn gpu(state: u64) -> Gpu {
@@ -152,10 +150,7 @@ mod tests {
     fn works_on_pmem_with_per_thread_fence() {
         let g = gpu(300);
         let cap = CheckpointStore::required_capacity(g.state_size(), 2) + ByteSize::from_kb(1);
-        let pmem = Arc::new(PmemDevice::new(
-            DeviceConfig::fast_for_tests(cap),
-            PmemWriteMode::NtStore,
-        ));
+        let pmem = Arc::new(PmemDevice::new(DeviceConfig::fast_for_tests(cap)));
         let dev: Arc<dyn PersistentDevice> = pmem.clone();
         let ckpt = GpmCheckpointer::new(dev, g.state_size()).unwrap();
         g.update();

@@ -904,11 +904,6 @@ impl DedupIndex {
     pub(crate) fn generation_counter(&self, job: JobId) -> Option<u64> {
         self.generations.get(&job).map(|g| g.head)
     }
-
-    /// Drops every generation.
-    pub(crate) fn clear(&mut self) {
-        self.generations.clear();
-    }
 }
 
 #[cfg(test)]

@@ -51,8 +51,9 @@ pub struct PcCheckConfig {
     /// no space, so existing capacity-sized stores are unaffected.
     pub flight_records: u32,
     /// Whether checkpoints go through the chunk codec (content-defined
-    /// compression + dedup framing). Off by default: legacy stores and
-    /// callers see byte-for-byte the pre-codec persist path.
+    /// compression + dedup framing). Off by default: every checkpoint is
+    /// then an all-`Raw` frame. Fixed for the engine's life; to change it,
+    /// drain and build a new engine over the same store.
     pub codec: bool,
 }
 

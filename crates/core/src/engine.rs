@@ -50,7 +50,7 @@ use pccheck_device::{HostBufferPool, PersistentDevice};
 use pccheck_gpu::{
     CheckpointOutcome, Checkpointer, Gpu, OwnedWeightsGuard, SnapshotSource, StateDigest, Version,
 };
-use pccheck_telemetry::{CheckpointCounters, CountersSnapshot, FlightEventKind, Phase, Telemetry};
+use pccheck_telemetry::{CheckpointCounters, FlightEventKind, Phase, Telemetry};
 use pccheck_util::ByteSize;
 
 use crate::codec::{read_table, FrameTable};
@@ -60,50 +60,6 @@ use crate::layout::StoreGeometry;
 use crate::pipeline::{CopyMode, DeferredLease, FenceMode, PersistPipeline, PipelineCtx};
 use crate::pool::{Order, WorkerPool};
 use crate::store::{CheckpointStore, CommitOutcome, JobId, Namespace, DEFAULT_JOB};
-
-/// Cumulative engine statistics.
-///
-/// A thin wrapper over [`pccheck_telemetry::CheckpointCounters`] — the
-/// same counter block the telemetry layer uses, kept engine-local so the
-/// accessors work with telemetry disabled. Prefer
-/// [`snapshot`](EngineStats::snapshot) when reading more than one counter:
-/// it returns one mutually consistent view instead of independent loads.
-#[derive(Debug, Default)]
-pub struct EngineStats {
-    counters: CheckpointCounters,
-}
-
-impl EngineStats {
-    /// Checkpoints that became the latest committed state.
-    pub fn committed(&self) -> u64 {
-        self.counters.committed()
-    }
-
-    /// Checkpoints that lost the commit race to a newer one.
-    pub fn superseded(&self) -> u64 {
-        self.counters.superseded()
-    }
-
-    /// Checkpoint requests accepted.
-    pub fn requested(&self) -> u64 {
-        self.counters.requested()
-    }
-
-    /// Checkpoints that failed (device error, crash injection).
-    pub fn failed(&self) -> u64 {
-        self.counters.failed()
-    }
-
-    /// Payload bytes of committed checkpoints.
-    pub fn bytes_persisted(&self) -> u64 {
-        self.counters.bytes_persisted()
-    }
-
-    /// One mutually consistent view of all counters.
-    pub fn snapshot(&self) -> CountersSnapshot {
-        self.counters.snapshot()
-    }
-}
 
 /// The `N` concurrency tickets, numbered in the order `checkpoint()`
 /// handed them out — which is also the order they stage in, lease a slot
@@ -269,7 +225,7 @@ pub struct PcCheckEngine {
     /// from this namespace and commits move its commit pointer.
     ns: Arc<Namespace>,
     in_flight: Arc<InFlight>,
-    stats: Arc<EngineStats>,
+    stats: Arc<CheckpointCounters>,
     telemetry: Telemetry,
     first_error: Arc<Mutex<Option<PccheckError>>>,
     last_committed: Arc<Mutex<Option<CheckpointOutcome>>>,
@@ -338,16 +294,14 @@ impl PcCheckEngine {
             HostBufferPool::new(config.chunk_size, config.dram_chunks),
         )
         .with_writers(config.writer_threads)
-        .with_fence(fence)
-        .with_codec(config.codec);
+        .with_fence(fence);
         Self::over(config, Arc::new(pipeline), DEFAULT_JOB)
     }
 
     /// Creates a per-job facade over a *shared* pipeline: the store,
     /// staging pool, writer pool, and QoS arbiter all belong to the
     /// daemon; this engine only schedules `job`'s checkpoints over them.
-    /// `config.codec` opts this tenant's checkpoints into the codec when
-    /// the shared pipeline has it on.
+    /// `config.codec` opts this tenant's checkpoints into the codec.
     ///
     /// # Errors
     ///
@@ -396,7 +350,7 @@ impl PcCheckEngine {
             store,
             ns,
             in_flight: Arc::new(InFlight::default()),
-            stats: Arc::new(EngineStats::default()),
+            stats: Arc::new(CheckpointCounters::new()),
             telemetry: Telemetry::disabled(),
             first_error: Arc::new(Mutex::new(None)),
             last_committed: Arc::new(Mutex::new(last)),
@@ -420,8 +374,11 @@ impl PcCheckEngine {
         &self.store
     }
 
-    /// Engine statistics.
-    pub fn stats(&self) -> &EngineStats {
+    /// Engine statistics: the same counter block the telemetry layer
+    /// uses, kept engine-local so it counts with telemetry disabled.
+    /// [`snapshot`](CheckpointCounters::snapshot) reads them all as one
+    /// consistent view.
+    pub fn stats(&self) -> &CheckpointCounters {
         &self.stats
     }
 
@@ -443,7 +400,7 @@ impl PcCheckEngine {
     /// is cleared once returned). The trait-level
     /// [`drain`](Checkpointer::drain) keeps its infallible signature;
     /// failures it observes stay visible through
-    /// [`stats().failed()`](EngineStats::failed), the telemetry `fail`
+    /// [`stats().failed()`](CheckpointCounters::failed), the telemetry `fail`
     /// event, and the next `try_drain` call.
     ///
     /// # Errors
@@ -534,7 +491,7 @@ impl PcCheckEngine {
         // staged in DRAM: the weights are held for the copy, never for the
         // persist, and — unless streamed, or a codec copy out of DRAM —
         // not for the lease either.
-        let mode = if config.codec && pipeline.codec_enabled() {
+        let mode = if config.codec {
             CopyMode::Codec
         } else if config.pipelined {
             CopyMode::Streamed
@@ -561,7 +518,7 @@ impl Checkpointer for PcCheckEngine {
             .telemetry
             .span_requested(self.name(), iteration, gpu.state_size().as_u64());
         let ticket = self.in_flight.acquire(self.config.max_concurrent);
-        self.stats.counters.incr_requested();
+        self.stats.incr_requested();
         let guard = gpu.lock_weights_shared_owned();
         // The ticket + weights-lock wait is the only stall this call
         // imposes on the training thread.
@@ -606,7 +563,7 @@ impl Checkpointer for PcCheckEngine {
             }));
             match result {
                 Ok(Ok((CommitOutcome::Committed, digest))) => {
-                    stats.counters.incr_committed(total_bytes);
+                    stats.incr_committed(total_bytes);
                     telemetry.committed(span, iteration, total_bytes);
                     let mut l = last.lock();
                     if l.is_none_or(|o| o.iteration < iteration) {
@@ -614,7 +571,7 @@ impl Checkpointer for PcCheckEngine {
                     }
                 }
                 Ok(Ok((CommitOutcome::SupersededBy { counter }, _))) => {
-                    stats.counters.incr_superseded();
+                    stats.incr_superseded();
                     telemetry.superseded(span, counter);
                 }
                 Ok(Err(e)) => {
@@ -622,7 +579,7 @@ impl Checkpointer for PcCheckEngine {
                     // The previous committed checkpoint remains valid; the
                     // failure stays visible through the `failed` counter,
                     // the telemetry `fail` event, and `try_drain`.
-                    stats.counters.incr_failed();
+                    stats.incr_failed();
                     telemetry.failed(span, &e);
                     let mut slot = first_error.lock();
                     if slot.is_none() {
@@ -630,7 +587,7 @@ impl Checkpointer for PcCheckEngine {
                     }
                 }
                 Err(payload) => {
-                    stats.counters.incr_failed();
+                    stats.incr_failed();
                     telemetry.failed(span, "checkpoint panicked");
                     panicked.lock().get_or_insert(payload);
                 }
@@ -658,8 +615,9 @@ impl Checkpointer for PcCheckEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::meta::SlotState;
     use crate::testutil::GatedDevice;
-    use pccheck_device::{DeviceConfig, PmemDevice, PmemWriteMode, SsdDevice};
+    use pccheck_device::{DeviceConfig, PmemDevice, SsdDevice};
     use pccheck_gpu::{GpuConfig, TrainingState};
     use pccheck_util::sync::must_not_hang;
 
@@ -800,10 +758,7 @@ mod tests {
         // and the data survives a crash.
         let gpu = tiny_gpu(300, 4);
         let cap = capacity(&gpu, 64, 3);
-        let pmem = Arc::new(PmemDevice::new(
-            DeviceConfig::fast_for_tests(cap),
-            PmemWriteMode::NtStore,
-        ));
+        let pmem = Arc::new(PmemDevice::new(DeviceConfig::fast_for_tests(cap)));
         let device: Arc<dyn PersistentDevice> = pmem.clone();
         let config = PcCheckConfig::builder()
             .max_concurrent(2)
@@ -834,10 +789,7 @@ mod tests {
         // after a crash, the payload does not verify.
         let gpu = tiny_gpu(300, 5);
         let cap = capacity(&gpu, 64, 3);
-        let pmem = Arc::new(PmemDevice::new(
-            DeviceConfig::fast_for_tests(cap),
-            PmemWriteMode::NtStore,
-        ));
+        let pmem = Arc::new(PmemDevice::new(DeviceConfig::fast_for_tests(cap)));
         let device: Arc<dyn PersistentDevice> = pmem.clone();
         let config = PcCheckConfig::builder()
             .max_concurrent(1)
@@ -1029,9 +981,20 @@ mod tests {
             "both snapshots sit in DRAM at once, not one snapshot's {chunks} chunks"
         );
 
-        // Admit exactly one snapshot's worth of writes: the pool spends
-        // all of them on the older checkpoint, which commits alone.
-        device.allow(chunks as u64);
+        // Admit the older checkpoint's slot, the one claimed by the lower
+        // counter. The pool serves its chunks before the newer one's, so it
+        // commits alone; a pool that served the newer checkpoint first
+        // would leave both writers waiting at the gate with it unwritten.
+        let store = engine.store();
+        let older = (0..store.num_slots())
+            .filter_map(|slot| match store.slot_commit_state(slot) {
+                SlotState::Claimed { counter } => Some((counter, slot)),
+                _ => None,
+            })
+            .min()
+            .expect("checkpoint 1 holds a slot")
+            .1;
+        device.allow_slot(store, older);
         must_not_hang("the older checkpoint commits on its own", {
             let (engine, device) = (Arc::clone(&engine), Arc::clone(&device));
             move || {
@@ -1044,6 +1007,7 @@ mod tests {
         });
         let head = engine.store().latest_committed(engine.namespace()).unwrap();
         assert_eq!(head.iteration, 1, "the older one committed first");
+        assert_eq!(head.slot, older);
         let slot = engine.store().slot_payload_offset(head.slot);
         let admitted = device.admitted();
         assert_eq!(admitted.len(), chunks);
@@ -1454,7 +1418,6 @@ mod tests {
         let engine = PcCheckEngine::new(config, device, gpu.state_size())
             .unwrap()
             .with_telemetry(telemetry.clone());
-        assert!(engine.pipeline().codec_enabled());
         for iter in 1..=4 {
             gpu.update();
             engine.checkpoint(&gpu, iter);
@@ -1757,6 +1720,17 @@ mod tests {
         (device, Arc::new(engine))
     }
 
+    /// Drains `engine` and builds a new one over its store with the codec
+    /// `on` or off: how a deployment changes the codec.
+    fn reopened(engine: &PcCheckEngine, on: bool) -> Arc<PcCheckEngine> {
+        engine.try_drain().unwrap();
+        let config = PcCheckConfig {
+            codec: on,
+            ..engine.config.clone()
+        };
+        Arc::new(PcCheckEngine::with_store(config, Arc::clone(engine.store())).unwrap())
+    }
+
     /// Recovers `device`'s default job and checks it holds `gpu`'s state,
     /// checkpointed as its step count (recovery verifies a state digest
     /// folded with the iteration it was committed as).
@@ -1787,13 +1761,15 @@ mod tests {
                 engine.checkpoint(&gpu, iteration);
                 engine.try_drain().unwrap();
             }
+            let engine = if codec {
+                engine
+            } else {
+                reopened(&engine, false)
+            };
             let (store, ns) = (engine.store(), engine.namespace());
             let head = store.latest_committed(ns).unwrap();
             assert_eq!(head.delta.map(|link| link.chain_depth), Some(1));
             assert_eq!(store.free_slot_count(ns), 1, "a root and a head pinned");
-            if !codec {
-                engine.pipeline().set_codec_enabled(false);
-            }
             device.gate_payloads(store);
             gpu.update_sparse(0.05);
             engine.checkpoint(&gpu, 3);
@@ -1830,8 +1806,14 @@ mod tests {
                     (engine, device)
                 }
             });
+            // A reopened engine counts from its own start, checkpoint 3.
             let stats = engine.stats();
-            assert_eq!((stats.committed(), stats.superseded()), (4, 0), "in order");
+            let committed = if codec { 4 } else { 2 };
+            assert_eq!(
+                (stats.committed(), stats.superseded()),
+                (committed, 0),
+                "in order"
+            );
             assert_eq!(engine.last_committed().unwrap().digest, fourth);
             let rec = crate::recovery::recover(device as Arc<dyn PersistentDevice>).unwrap();
             assert_eq!(rec.iteration, 4);
@@ -1896,8 +1878,7 @@ mod tests {
         }
         let pipeline = Arc::new(
             PersistPipeline::new(store, HostBufferPool::new(ByteSize::from_bytes(256), 6))
-                .with_writers(2)
-                .with_codec(true),
+                .with_writers(2),
         );
         let config = PcCheckConfig::builder()
             .max_concurrent(2)
@@ -2004,7 +1985,8 @@ mod tests {
 
     /// The carry over random histories: dense and sparse steps, guards
     /// taken by others, restores, a second GPU of the same layout through
-    /// the same engine, the codec switched off and on, failed writes.
+    /// the same engine, a round on an engine reopened with the codec off
+    /// (then reopened with it on), failed writes.
     /// After every drain the engine acknowledges the GPU's state and
     /// recovery returns it bit-exact. Each history runs twice: in chunks
     /// smaller than a digest block, which are always copied, and in chunks
@@ -2023,7 +2005,7 @@ mod tests {
     fn carry_case(seed: u64, size: u64, chunk: u64) {
         let mut rng = pccheck_util::rng::Rng::seeded(seed);
         let gpus = [compressible_gpu(size, seed), compressible_gpu(size, !seed)];
-        let (device, engine) = codec_engine_in(&gpus[0], chunk);
+        let (device, mut engine) = codec_engine_in(&gpus[0], chunk);
         let mut on = 0;
         for _ in 0..16 {
             let codec_off = match rng.range(0..8) {
@@ -2059,7 +2041,7 @@ mod tests {
                 }
             };
             if codec_off {
-                engine.pipeline().set_codec_enabled(false);
+                engine = reopened(&engine, false);
             }
             // Checkpoints are named by step count, and the engine
             // acknowledges only newer ones: a GPU that was switched to or
@@ -2075,7 +2057,9 @@ mod tests {
             while engine.try_drain().is_err() {
                 engine.checkpoint(gpu, gpu.step_count());
             }
-            engine.pipeline().set_codec_enabled(true);
+            if codec_off {
+                engine = reopened(&engine, true);
+            }
             let out = engine.last_committed().unwrap();
             let acknowledged = (out.iteration, out.digest);
             assert_eq!(acknowledged, (gpu.step_count(), gpu.digest()));

@@ -89,7 +89,7 @@ pub use codec::{
     FrameTable,
 };
 pub use config::PcCheckConfig;
-pub use engine::{EngineStats, PcCheckEngine};
+pub use engine::PcCheckEngine;
 pub use error::PccheckError;
 pub use meta::{CheckMeta, DeltaLink, SlotState, SLOT_STATE_SIZE};
 pub use pipeline::{Copied, CopyMode, PersistPipeline, PipelineCtx};

@@ -1124,11 +1124,10 @@ pub struct PersistPipeline {
     carries: Arc<Mutex<HashMap<JobId, Carry>>>,
 }
 
-/// Shared chunk-codec state: the on/off switch and the content-addressed
-/// index of chunk homes as of each job's latest codec commit.
+/// Shared chunk-codec state: the content-addressed index of chunk homes
+/// as of each job's latest codec commit.
 #[derive(Debug, Default)]
 struct CodecState {
-    enabled: AtomicBool,
     dedup: Mutex<DedupIndex>,
     /// Validation samples that failed so far.
     mismatches: AtomicU64,
@@ -1198,28 +1197,6 @@ impl PersistPipeline {
     pub fn with_writers(mut self, writers: usize) -> Self {
         self.workers = Arc::new(WorkerPool::new("pccheck-writer", writers));
         self
-    }
-
-    /// Enables or disables the chunk codec at build time.
-    pub fn with_codec(self, enabled: bool) -> Self {
-        self.set_codec_enabled(enabled);
-        self
-    }
-
-    /// Flips the chunk codec. Disabling also drops the dedup index —
-    /// re-enabling starts from a cold index rather than trusting
-    /// generations whose age is unknown, as a restart with the codec back
-    /// on would.
-    pub(crate) fn set_codec_enabled(&self, enabled: bool) {
-        let was = self.codec.enabled.swap(enabled, Ordering::AcqRel);
-        if was && !enabled {
-            self.codec.dedup.lock().clear();
-        }
-    }
-
-    /// Whether the chunk codec is currently enabled.
-    pub(crate) fn codec_enabled(&self) -> bool {
-        self.codec.enabled.load(Ordering::Acquire)
     }
 
     /// Sets the fence mode.
@@ -2002,8 +1979,7 @@ mod tests {
             store,
             HostBufferPool::new(ByteSize::from_bytes(chunk), pool_chunks),
         )
-        .with_writers(2)
-        .with_codec(true);
+        .with_writers(2);
         (device, pipeline)
     }
 
@@ -2057,8 +2033,7 @@ mod tests {
             }
             let pipeline =
                 PersistPipeline::new(store, HostBufferPool::new(ByteSize::from_bytes(CHUNK), 32))
-                    .with_writers(WRITERS)
-                    .with_codec(true);
+                    .with_writers(WRITERS);
             let pool = pipeline.staging_pool();
             let telemetry = Telemetry::enabled();
             let span = telemetry.span_requested("test", 1, TOTAL);
@@ -2260,8 +2235,7 @@ mod tests {
         ];
         let pipeline =
             PersistPipeline::new(store, HostBufferPool::new(ByteSize::from_bytes(256), 16))
-                .with_writers(2)
-                .with_codec(true);
+                .with_writers(2);
         let telemetry = Telemetry::disabled();
         let ctx = test_ctx(&telemetry);
         let commit = |job: usize, iter: u64, data: &[u8]| {
@@ -2803,47 +2777,5 @@ mod tests {
         let layout = gpu.with_weights(|s| s.layout());
         let restored = TrainingState::restore(&layout, &rec.payload, caught).digest();
         assert_eq!(restored, gpu.digest(), "the catching checkpoint is exact");
-    }
-
-    #[test]
-    fn disabling_codec_clears_dedup_generations() {
-        let (_device, pipeline) = framed_rig(4096, 256, 16);
-        let mut data = vec![0u8; 4096];
-        pccheck_util::rng::fill_deterministic(&mut data[..2048], 7);
-        let tail = data[..2048].to_vec();
-        data[2048..].copy_from_slice(&tail);
-        let src = VecSource {
-            data: data.clone(),
-            step: 1,
-        };
-        let telemetry = Telemetry::disabled();
-        let ctx = test_ctx(&telemetry);
-        let (_, o) = pipeline
-            .checkpoint_framed(ctx, &default_ns(&pipeline), &src, 1, CopyMode::Codec)
-            .unwrap();
-        assert!(o.frame.saved_bytes > 0);
-        assert!(pipeline
-            .codec
-            .dedup
-            .lock()
-            .generation_counter(DEFAULT_JOB)
-            .is_some());
-        pipeline.set_codec_enabled(false);
-        assert!(
-            pipeline
-                .codec
-                .dedup
-                .lock()
-                .generation_counter(DEFAULT_JOB)
-                .is_none(),
-            "disable drops generations; re-enable starts cold"
-        );
-        pipeline.set_codec_enabled(true);
-        assert!(pipeline
-            .codec
-            .dedup
-            .lock()
-            .generation_counter(DEFAULT_JOB)
-            .is_none());
     }
 }

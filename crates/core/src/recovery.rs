@@ -481,8 +481,7 @@ mod tests {
             Arc::clone(&store),
             HostBufferPool::new(ByteSize::from_bytes(256), 8),
         )
-        .with_writers(2)
-        .with_codec(true);
+        .with_writers(2);
         let telemetry = Telemetry::disabled();
         let ctx = PipelineCtx {
             telemetry: &telemetry,

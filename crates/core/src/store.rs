@@ -578,7 +578,7 @@ impl CheckpointStore {
     /// the durable word may lag — it records high-water claims, not the
     /// recycle step).
     #[cfg(test)]
-    fn slot_commit_state(&self, slot: u32) -> SlotState {
+    pub(crate) fn slot_commit_state(&self, slot: u32) -> SlotState {
         SlotState::unpack(self.slot_states[slot as usize].load(Ordering::Acquire))
     }
 

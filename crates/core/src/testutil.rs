@@ -26,6 +26,8 @@ struct Gate {
     arrived: u64,
     /// Arrivals `..allowed` are admitted (`u64::MAX`: open).
     allowed: u64,
+    /// Payload areas whose writes are admitted whatever their turn.
+    open_areas: Vec<Range<u64>>,
     /// Payload writes blocked at the gate right now.
     waiting: usize,
     /// Admitted payload writes until one fails (0: disarmed).
@@ -80,6 +82,16 @@ impl GatedDevice {
         self.changed.notify_all();
     }
 
+    /// Admits every payload write into `store`'s `slot`, whatever its
+    /// turn: those waiting now and those still to come.
+    pub(crate) fn allow_slot(&self, store: &CheckpointStore, slot: u32) {
+        let start = store.slot_payload_offset(slot);
+        let mut gate = self.gate.lock();
+        gate.open_areas
+            .push(start..start + store.slot_size().as_u64());
+        self.changed.notify_all();
+    }
+
     /// Admits every payload write from now on.
     pub(crate) fn open(&self) {
         self.allow(u64::MAX);
@@ -128,7 +140,7 @@ impl PersistentDevice for GatedDevice {
             gate.arrived += 1;
             gate.waiting += 1;
             self.changed.notify_all();
-            while turn >= gate.allowed {
+            while turn >= gate.allowed && !gate.open_areas.iter().any(|a| a.contains(&offset)) {
                 gate = self.changed.wait(gate);
             }
             gate.waiting -= 1;

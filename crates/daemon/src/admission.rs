@@ -26,10 +26,6 @@ pub struct SystemParams {
     pub pcie_bandwidth: Bandwidth,
     /// Acceptable slowdown `q ≥ 1`.
     pub max_slowdown: f64,
-    /// Whether tenants may opt into the chunk codec at all. Operators
-    /// turn this off fleet-wide (e.g., CPU-starved hosts) and every
-    /// admission downgrades the request to a raw persist path.
-    pub(crate) allow_codec: bool,
 }
 
 impl Default for SystemParams {
@@ -39,7 +35,6 @@ impl Default for SystemParams {
             storage_bandwidth: Bandwidth::from_mb_per_sec(2000.0),
             pcie_bandwidth: Bandwidth::from_mb_per_sec(12000.0),
             max_slowdown: 1.05,
-            allow_codec: true,
         }
     }
 }
@@ -55,9 +50,6 @@ pub enum Admission {
         concurrent: usize,
         /// Slots the namespace needs: `N + 1`.
         slots: u32,
-        /// Whether the chunk codec was granted (requested by the spec
-        /// AND allowed system-wide).
-        codec: bool,
     },
     /// The job fits its own budget but the shared store has no room for
     /// it right now; it waits in FIFO order.
@@ -129,11 +121,7 @@ pub fn decide(
             "slot budget exhausted: job needs {slots} slots, {free_slots} remain"
         ));
     }
-    Admission::Admitted {
-        concurrent,
-        slots,
-        codec: spec.codec && system.allow_codec,
-    }
+    Admission::Admitted { concurrent, slots }
 }
 
 #[cfg(test)]
@@ -164,8 +152,7 @@ mod tests {
             d,
             Admission::Admitted {
                 concurrent: 3,
-                slots: 4,
-                codec: false
+                slots: 4
             }
         );
     }
@@ -206,8 +193,7 @@ mod tests {
             d,
             Admission::Admitted {
                 concurrent: 2,
-                slots: 3,
-                codec: false
+                slots: 3
             }
         );
     }
@@ -232,26 +218,5 @@ mod tests {
             &SystemParams::default(),
         );
         assert!(matches!(d, Admission::Rejected(_)), "{d:?}");
-    }
-
-    #[test]
-    fn codec_grant_requires_both_the_tenant_and_the_operator() {
-        let sys = SystemParams::default();
-        let mut s = spec(64, 2, 1024);
-        s.codec = true;
-        let d = decide(&s, ByteSize::from_kb(64), 32, 4, &sys);
-        assert!(
-            matches!(d, Admission::Admitted { codec: true, .. }),
-            "{d:?}"
-        );
-        let strict = SystemParams {
-            allow_codec: false,
-            ..SystemParams::default()
-        };
-        let d = decide(&s, ByteSize::from_kb(64), 32, 4, &strict);
-        assert!(
-            matches!(d, Admission::Admitted { codec: false, .. }),
-            "{d:?}"
-        );
     }
 }

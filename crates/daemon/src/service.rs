@@ -58,8 +58,8 @@ pub struct JobSpec {
     /// checkpoint cadence the way real iteration time does.
     pub pacing: std::time::Duration,
     /// Whether this tenant asks for the chunk codec (compression +
-    /// dedup framing). Granted only if the operator's
-    /// `SystemParams::allow_codec` also permits it.
+    /// dedup framing). A daemon whose [`DaemonConfig::codec`] is off
+    /// serves it raw.
     pub codec: bool,
     /// When nonzero, the sim worker trains on a *compressible* state
     /// built from tiled `compress_period`-byte blocks instead of the
@@ -163,8 +163,8 @@ pub struct DaemonConfig {
     pub chunk_size: ByteSize,
     /// Shared staging-pool chunks.
     pub dram_chunks: usize,
-    /// Whether the shared pipeline stands up codec infrastructure at
-    /// all (per-tenant grants still gate each job's framed path).
+    /// Whether tenants that ask for the chunk codec get it; off, every
+    /// tenant persists raw.
     pub codec: bool,
     /// QoS arbiter tuning.
     pub qos: QosConfig,
@@ -262,7 +262,6 @@ impl Daemon {
         let pipeline = Arc::new(
             PersistPipeline::new(Arc::clone(&store), pool)
                 .with_writers(config.writer_threads)
-                .with_codec(config.codec)
                 .with_qos(Arc::clone(&qos)),
         );
         // A service never ends, so its recorders keep metrics only: an
@@ -357,12 +356,8 @@ impl Daemon {
                 self.state.lock().pending.push_back(spec);
                 Ok(SubmitOutcome::Queued(reason))
             }
-            Admission::Admitted {
-                concurrent,
-                slots,
-                codec,
-            } => {
-                let status = self.start_job(spec, concurrent, slots, codec)?;
+            Admission::Admitted { concurrent, slots } => {
+                let status = self.start_job(spec, concurrent, slots)?;
                 Ok(SubmitOutcome::Admitted(status))
             }
         }
@@ -373,11 +368,9 @@ impl Daemon {
         spec: JobSpec,
         concurrent: usize,
         slots: u32,
-        codec: bool,
     ) -> Result<JobStatus, PccheckError> {
-        // The grant is only real if the shared pipeline stood the codec
-        // infrastructure up; a raw daemon serves codec tenants raw.
-        let codec = codec && self.config.codec;
+        // A raw daemon serves codec tenants raw.
+        let codec = spec.codec && self.config.codec;
         let id = {
             let mut state = self.state.lock();
             state.next_id += 1;
@@ -527,12 +520,8 @@ impl Daemon {
                 free_ns,
                 &self.config.system,
             ) {
-                Admission::Admitted {
-                    concurrent,
-                    slots,
-                    codec,
-                } => {
-                    if self.start_job(spec, concurrent, slots, codec).is_err() {
+                Admission::Admitted { concurrent, slots } => {
+                    if self.start_job(spec, concurrent, slots).is_err() {
                         return;
                     }
                 }
@@ -805,6 +794,29 @@ mod tests {
         assert_eq!(raw_snap.dedup_chunks, 0);
         let report = daemon.shutdown().unwrap();
         assert!(report.is_clean(), "{:?}", report.violations);
+    }
+
+    #[test]
+    fn a_raw_daemon_serves_a_codec_tenant_raw() {
+        let daemon = Daemon::new(DaemonConfig {
+            codec: false,
+            ..DaemonConfig::sim_default()
+        })
+        .unwrap();
+        let packed = JobSpec {
+            codec: true,
+            compress_period: 32,
+            ..JobSpec::sim("packed")
+        };
+        let SubmitOutcome::Admitted(status) = daemon.submit(packed).unwrap() else {
+            panic!("codec job should admit");
+        };
+        assert!(!status.codec, "a raw daemon grants no codec");
+        daemon.join_all().unwrap();
+        let snap = daemon.job_telemetry("packed").unwrap().snapshot().unwrap();
+        assert!(snap.counters.committed >= 1);
+        assert_eq!((snap.codec_bytes_saved, snap.dedup_chunks), (0, 0));
+        assert!(daemon.shutdown().unwrap().is_clean());
     }
 
     #[test]

@@ -774,7 +774,7 @@ impl PersistentDevice for TieredDevice {
 mod tests {
     use super::*;
     use crate::device::DeviceConfig;
-    use crate::pmem::{PmemDevice, PmemWriteMode};
+    use crate::pmem::PmemDevice;
     use crate::ssd::SsdDevice;
 
     fn ssd(cap: u64) -> Arc<SsdDevice> {
@@ -979,7 +979,7 @@ mod tests {
             write_bandwidth: Bandwidth::from_gb_per_sec(4.01),
             throttled: true,
         };
-        let pmem = Arc::new(PmemDevice::new(optane, PmemWriteMode::NtStore));
+        let pmem = Arc::new(PmemDevice::new(optane));
         let spill = ssd(spill_cap);
         let dev = TieredDevice::new(
             pmem.clone() as Arc<dyn PersistentDevice>,

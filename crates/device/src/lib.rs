@@ -11,7 +11,7 @@
 //! * **Persistence boundaries.** Writes land in a volatile view first
 //!   (page cache for SSD, CPU caches / WC buffers for PMEM) and only survive
 //!   a crash once an explicit persist operation ([`PersistentDevice::persist`])
-//!   completes — `msync` for SSD, `sfence`/`clwb+sfence` for PMEM. PMEM
+//!   completes — `msync` for SSD, `sfence` for PMEM. PMEM
 //!   fences are *per-thread*, matching §4.1's observation that the spawning
 //!   thread cannot fence its workers' stores.
 //! * **Bandwidth contention.** Each device meters writes through a shared
@@ -60,7 +60,7 @@ pub use error::DeviceError;
 pub use file::FileDevice;
 pub use network::{NetworkConfig, NetworkLink};
 pub use observer::{IoObserver, MemberIoOp};
-pub use pmem::{PmemDevice, PmemWriteMode};
+pub use pmem::PmemDevice;
 pub use region::CrashPolicy;
 pub use ssd::SsdDevice;
 

@@ -1,15 +1,16 @@
 //! Simulated persistent main memory (Intel Optane AppDirect / future CXL).
 //!
-//! §3.3 of the paper compares two write paths to PMEM: non-temporal stores
+//! §3.3 of the paper measures two write paths to PMEM — non-temporal stores
 //! (bypassing the cache, 4.01 GB/s on their machine) and `clwb` cache
-//! write-back (2.46 GB/s), each requiring a fence for persistence. §4.1
-//! further notes the fence is *internal to each CPU*: the orchestrator
-//! thread cannot fence stores issued by its worker threads, so every PMEM
-//! writer must fence its own data.
+//! write-back (2.46 GB/s) — each requiring a fence for persistence. The
+//! device runs one path, at its configured bandwidth. §4.1 further notes
+//! the fence is *internal to each CPU*: the orchestrator thread cannot
+//! fence stores issued by its worker threads, so every PMEM writer must
+//! fence its own data.
 //!
-//! [`PmemDevice`] models both: stores are tracked per-thread until that
-//! thread calls [`PmemDevice::sfence`]; only then do they become durable.
-//! The generic [`PersistentDevice::persist`] maps to the calling thread's
+//! [`PmemDevice`] models that: stores are tracked per-thread until that
+//! thread fences them; only then do they become durable.
+//! The generic [`PersistentDevice::persist`] is the calling thread's
 //! fence, so the same engine code drives SSD and PMEM while honoring the
 //! different persistence granularity.
 
@@ -26,17 +27,6 @@ use crate::error::DeviceError;
 use crate::region::{CrashPolicy, MemRegion};
 use crate::Result;
 
-/// How stores reach the persistence domain (§3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PmemWriteMode {
-    /// Non-temporal stores: bypass the cache, then `sfence`. The faster path
-    /// for write-once checkpoint data (4.01 GB/s measured in the paper).
-    #[default]
-    NtStore,
-    /// Regular stores plus `clwb` write-back, then `sfence` (2.46 GB/s).
-    ClwbWriteBack,
-}
-
 #[derive(Debug)]
 struct PmemState {
     region: MemRegion,
@@ -50,23 +40,19 @@ struct PmemState {
 /// # Examples
 ///
 /// ```
-/// use pccheck_device::{DeviceConfig, PersistentDevice, PmemDevice, PmemWriteMode};
+/// use pccheck_device::{DeviceConfig, PersistentDevice, PmemDevice};
 /// use pccheck_util::ByteSize;
 ///
 /// # fn main() -> Result<(), pccheck_device::DeviceError> {
-/// let pmem = PmemDevice::new(
-///     DeviceConfig::fast_for_tests(ByteSize::from_kb(4)),
-///     PmemWriteMode::NtStore,
-/// );
+/// let pmem = PmemDevice::new(DeviceConfig::fast_for_tests(ByteSize::from_kb(4)));
 /// pmem.write_at(0, b"header")?; // nt-store
-/// pmem.sfence()?;               // persistence fence for *this* thread
+/// pmem.persist(0, 6)?;          // persistence fence for *this* thread
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug)]
 pub struct PmemDevice {
     config: DeviceConfig,
-    mode: PmemWriteMode,
     state: RwLock<PmemState>,
     bucket: Arc<TokenBucket>,
     stats: DeviceStats,
@@ -75,16 +61,12 @@ pub struct PmemDevice {
 
 impl PmemDevice {
     /// Creates a PMEM device with the conservative crash policy.
-    pub fn new(config: DeviceConfig, mode: PmemWriteMode) -> Self {
-        Self::with_crash_policy(config, mode, CrashPolicy::DropUnpersisted)
+    pub fn new(config: DeviceConfig) -> Self {
+        Self::with_crash_policy(config, CrashPolicy::DropUnpersisted)
     }
 
     /// Creates a PMEM device with an explicit crash policy.
-    pub fn with_crash_policy(
-        config: DeviceConfig,
-        mode: PmemWriteMode,
-        crash_policy: CrashPolicy,
-    ) -> Self {
+    pub fn with_crash_policy(config: DeviceConfig, crash_policy: CrashPolicy) -> Self {
         let bucket = Arc::new(TokenBucket::new(config.write_bandwidth));
         PmemDevice {
             state: RwLock::new(PmemState {
@@ -95,19 +77,12 @@ impl PmemDevice {
             bucket,
             stats: DeviceStats::default(),
             crash_policy,
-            mode,
             config,
         }
     }
 
-    /// The configured write path.
-    pub fn mode(&self) -> PmemWriteMode {
-        self.mode
-    }
-
-    /// Persistence fence for the calling thread: all of its earlier stores
-    /// become durable. Matches `sfence` after nt-stores, or
-    /// `clwb`-per-line + `sfence` for the write-back path. Each pending
+    /// Persistence fence for the calling thread (`sfence` after
+    /// nt-stores): all of its earlier stores become durable. Each pending
     /// store range persists through `MemRegion::persist`, which hands each
     /// page the range leaves clean to the media instead of copying it, so
     /// the fence holds the state lock for page moves (and the odd edge-page
@@ -116,7 +91,7 @@ impl PmemDevice {
     /// # Errors
     ///
     /// Returns [`DeviceError::Crashed`] while crashed.
-    pub fn sfence(&self) -> Result<()> {
+    fn sfence(&self) -> Result<()> {
         let tid = std::thread::current().id();
         let mut state = self.state.write();
         if state.crashed {
@@ -246,11 +221,8 @@ impl PersistentDevice for PmemDevice {
 mod tests {
     use super::*;
 
-    fn fast(cap: u64, mode: PmemWriteMode) -> PmemDevice {
-        PmemDevice::new(
-            DeviceConfig::fast_for_tests(ByteSize::from_bytes(cap)),
-            mode,
-        )
+    fn fast(cap: u64) -> PmemDevice {
+        PmemDevice::new(DeviceConfig::fast_for_tests(ByteSize::from_bytes(cap)))
     }
 
     #[test]
@@ -262,7 +234,7 @@ mod tests {
             write_bandwidth: Bandwidth::from_bytes_per_sec(1000.0),
             throttled: true,
         };
-        let pmem = Arc::new(PmemDevice::new(cfg, PmemWriteMode::NtStore));
+        let pmem = Arc::new(PmemDevice::new(cfg));
         pmem.crash_now();
         let (done, result) = std::sync::mpsc::channel();
         let writer = Arc::clone(&pmem);
@@ -278,7 +250,7 @@ mod tests {
 
     #[test]
     fn stores_are_not_durable_until_fence() {
-        let pmem = fast(4096, PmemWriteMode::NtStore);
+        let pmem = fast(4096);
         pmem.write_at(0, &[0x55; 64]).unwrap();
         assert_eq!(pmem.unfenced_bytes().as_u64(), 64);
         let mut buf = [0u8; 64];
@@ -292,7 +264,7 @@ mod tests {
 
     #[test]
     fn fence_only_covers_calling_thread() {
-        let pmem = Arc::new(fast(4096, PmemWriteMode::NtStore));
+        let pmem = Arc::new(fast(4096));
         // A worker thread stores without fencing...
         {
             let pmem = Arc::clone(&pmem);
@@ -319,7 +291,7 @@ mod tests {
 
     #[test]
     fn each_thread_fencing_its_own_data_persists_everything() {
-        let pmem = Arc::new(fast(4096, PmemWriteMode::NtStore));
+        let pmem = Arc::new(fast(4096));
         std::thread::scope(|s| {
             for i in 0..4u64 {
                 let pmem = Arc::clone(&pmem);
@@ -339,7 +311,7 @@ mod tests {
 
     #[test]
     fn generic_persist_acts_as_fence() {
-        let pmem = fast(1024, PmemWriteMode::ClwbWriteBack);
+        let pmem = fast(1024);
         pmem.write_at(0, &[1; 10]).unwrap();
         pmem.persist(0, 10).unwrap();
         let mut buf = [0u8; 10];
@@ -349,7 +321,7 @@ mod tests {
 
     #[test]
     fn persist_validates_bounds() {
-        let pmem = fast(16, PmemWriteMode::NtStore);
+        let pmem = fast(16);
         assert!(matches!(
             pmem.persist(10, 10),
             Err(DeviceError::OutOfBounds { .. })
@@ -358,7 +330,7 @@ mod tests {
 
     #[test]
     fn crash_clears_pending_and_rejects_io() {
-        let pmem = fast(1024, PmemWriteMode::NtStore);
+        let pmem = fast(1024);
         pmem.write_at(0, &[9; 8]).unwrap();
         pmem.crash_now();
         assert_eq!(pmem.write_at(0, &[1]), Err(DeviceError::Crashed));
@@ -376,7 +348,6 @@ mod tests {
         // algorithm must tolerate that (new data where it did not fence).
         let pmem = PmemDevice::with_crash_policy(
             DeviceConfig::fast_for_tests(ByteSize::from_kb(4)),
-            PmemWriteMode::NtStore,
             CrashPolicy::RandomPartial { seed: 11 },
         );
         pmem.write_at(0, &[0xEE; 1024]).unwrap();

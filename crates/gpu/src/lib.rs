@@ -11,8 +11,7 @@
 //! * **An iteration cadence `t`** — [`models`] catalogs the paper's Table 3
 //!   workloads with calibrated iteration times and checkpoint sizes.
 //! * **The GPU→DRAM copy path** — [`CopyEngine`] models DMA copy engines
-//!   over PCIe with pinned-memory bandwidth (§3.3's preferred path) or the
-//!   kernel-copy path GPM uses (which occupies the compute engine).
+//!   over PCIe with pinned-memory bandwidth (§3.3's preferred path).
 //! * **The update/snapshot race** — [`Gpu`] guards the weights with a
 //!   readers–writer discipline: checkpoint copies hold read access while
 //!   the next update needs exclusive access, reproducing the `T→U` stall in
@@ -44,7 +43,7 @@ pub mod tensor;
 pub mod training;
 
 pub use checkpoint::{CheckpointOutcome, Checkpointer, NullCheckpointer};
-pub use copy::{CopyEngine, CopyEngineConfig, CopyPath};
+pub use copy::{CopyEngine, CopyEngineConfig};
 pub use gpu::{Gpu, GpuConfig, OwnedWeightsGuard, RestoreTarget, SnapshotSource, Version};
 pub use models::{GpuKind, ModelSpec, ModelZoo};
 pub use tensor::{StateDigest, Tensor, TrainingState};

@@ -154,8 +154,7 @@ pub fn measure(payload: Payload, sparsity: f64) -> ExtCompressRow {
         store,
         HostBufferPool::new(ByteSize::from_bytes(chunk_bytes), POOL_CHUNKS),
     )
-    .with_writers(2)
-    .with_codec(true);
+    .with_writers(2);
     let telemetry = Telemetry::disabled();
     let ctx = PipelineCtx {
         telemetry: &telemetry,

@@ -154,7 +154,6 @@ impl ForensicsRunConfig {
     fn pipeline(&self, store: &Arc<CheckpointStore>) -> PersistPipeline {
         let chunk = ByteSize::from_bytes(self.state_bytes / FRAME_CHUNKS as u64);
         PersistPipeline::new(Arc::clone(store), HostBufferPool::new(chunk, FRAME_CHUNKS))
-            .with_codec(self.baselines == Baselines::Codec)
     }
 
     /// Every checkpoint the driver takes when it drives `job`, in order:

@@ -3,8 +3,7 @@
 //! One module per paper figure/table. Every experiment returns plain row
 //! structs *and* can emit the CSV the original artifact's scripts produce,
 //! so `cargo run -p pccheck-harness --bin figN` regenerates the paper's
-//! plots' data. The `pccheck-bench` crate wraps the same entry points as
-//! `cargo bench` targets.
+//! plots' data.
 
 pub mod ext_compress;
 pub mod ext_h100;

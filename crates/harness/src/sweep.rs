@@ -30,7 +30,7 @@ pub(crate) fn iterations_for(interval: u64) -> u64 {
 }
 
 /// Runs one strategy at one interval on the SSD/A100 testbed.
-pub fn run_point(model: &ModelSpec, strategy: StrategyCfg, interval: u64) -> SimReport {
+pub(crate) fn run_point(model: &ModelSpec, strategy: StrategyCfg, interval: u64) -> SimReport {
     SimConfig::ssd_a100(model, interval, iterations_for(interval))
         .with_strategy(strategy)
         .run()

@@ -1,6 +1,6 @@
 //! Lifecycle counters with a consistent snapshot.
 //!
-//! The engine's original `EngineStats` exposed three independent `Relaxed`
+//! The engine's first statistics block exposed three independent `Relaxed`
 //! loads; a caller summing them mid-flight could observe a committed
 //! checkpoint whose request was not yet counted. [`CheckpointCounters`]
 //! keeps the one-atomic-add hot path but adds

@@ -107,10 +107,10 @@ pub struct MemoryRecorder {
     gpu_copy_bytes: AtomicU64,
     persist_chunk_bytes: AtomicU64,
     restore_chunk_bytes: AtomicU64,
-    dirty_ratio_permille: Gauge,
+    dirty_ratio_permille: AtomicU64,
     codec_bytes_saved: AtomicU64,
     dedup_chunks: AtomicU64,
-    compression_ratio_permille: Gauge,
+    compression_ratio_permille: AtomicU64,
 }
 
 impl Default for MemoryRecorder {
@@ -145,10 +145,10 @@ impl MemoryRecorder {
             gpu_copy_bytes: AtomicU64::new(0),
             persist_chunk_bytes: AtomicU64::new(0),
             restore_chunk_bytes: AtomicU64::new(0),
-            dirty_ratio_permille: Gauge::default(),
+            dirty_ratio_permille: AtomicU64::new(0),
             codec_bytes_saved: AtomicU64::new(0),
             dedup_chunks: AtomicU64::new(0),
-            compression_ratio_permille: Gauge::default(),
+            compression_ratio_permille: AtomicU64::new(0),
         }
     }
 
@@ -233,11 +233,10 @@ impl MemoryRecorder {
             gpu_copy_bytes: self.gpu_copy_bytes.load(Ordering::Acquire),
             persist_chunk_bytes: self.persist_chunk_bytes.load(Ordering::Acquire),
             restore_chunk_bytes: self.restore_chunk_bytes.load(Ordering::Acquire),
-            dirty_ratio_permille: self.dirty_ratio_permille.current(),
-            dirty_ratio_permille_peak: self.dirty_ratio_permille.peak(),
+            dirty_ratio_permille: self.dirty_ratio_permille.load(Ordering::Acquire),
             codec_bytes_saved: self.codec_bytes_saved.load(Ordering::Acquire),
             dedup_chunks: self.dedup_chunks.load(Ordering::Acquire),
-            compression_ratio_permille: self.compression_ratio_permille.current(),
+            compression_ratio_permille: self.compression_ratio_permille.load(Ordering::Acquire),
             window_nanos: self.now_nanos(),
         }
     }
@@ -280,8 +279,6 @@ pub struct TelemetrySnapshot {
     /// Last observed dirty-byte ratio of a framed checkpoint's snapshot,
     /// in permille (dirty bytes / full state bytes × 1000).
     pub dirty_ratio_permille: u64,
-    /// High-water mark of the dirty-ratio gauge.
-    pub(crate) dirty_ratio_permille_peak: u64,
     /// Total payload bytes the chunk codec (compression + dedup) avoided
     /// persisting versus raw payloads of the same checkpoints.
     pub codec_bytes_saved: u64,
@@ -612,7 +609,7 @@ impl Telemetry {
     /// bytes, in permille).
     pub fn gauge_dirty_ratio(&self, permille: u64) {
         if let Some(r) = &self.inner {
-            r.dirty_ratio_permille.set(permille);
+            r.dirty_ratio_permille.store(permille, Ordering::Release);
         }
     }
 
@@ -636,7 +633,8 @@ impl Telemetry {
     /// (physical payload bytes / logical bytes, in permille).
     pub fn gauge_compression_ratio(&self, permille: u64) {
         if let Some(r) = &self.inner {
-            r.compression_ratio_permille.set(permille);
+            r.compression_ratio_permille
+                .store(permille, Ordering::Release);
         }
     }
 
@@ -894,7 +892,6 @@ mod tests {
         t.gauge_dirty_ratio(40);
         let snap = t.snapshot().unwrap();
         assert_eq!(snap.dirty_ratio_permille, 40);
-        assert_eq!(snap.dirty_ratio_permille_peak, 100);
 
         let d = Telemetry::disabled();
         d.gauge_dirty_ratio(1);

@@ -165,13 +165,16 @@ fn cmd_demo(path: &str, iterations: u64) -> Result<(), Box<dyn std::error::Error
     Ok(())
 }
 
-fn open_store(path: &str) -> Result<CheckpointStore, Box<dyn std::error::Error>> {
-    let device: Arc<dyn PersistentDevice> = Arc::new(FileDevice::open(path, device_config())?);
-    Ok(CheckpointStore::open(device)?)
+/// Opens the store file at `path` as a device of the file's length, so
+/// `demo` and `crashdemo` images (whose geometries differ) both open.
+fn open_device(path: &str) -> Result<Arc<dyn PersistentDevice>, Box<dyn std::error::Error>> {
+    let len = std::fs::metadata(path)?.len();
+    let config = DeviceConfig::fast_for_tests(ByteSize::from_bytes(len));
+    Ok(Arc::new(FileDevice::open(path, config)?))
 }
 
 fn cmd_info(path: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let store = open_store(path)?;
+    let store = CheckpointStore::open(open_device(path)?)?;
     println!(
         "store: {} slots x {} payload",
         store.num_slots(),
@@ -225,17 +228,20 @@ fn cmd_info(path: &str) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_recover(path: &str, readers: usize) -> Result<(), Box<dyn std::error::Error>> {
-    let device: Arc<dyn PersistentDevice> = Arc::new(FileDevice::open(path, device_config())?);
     let options = RestoreOptions {
         readers,
         ..RestoreOptions::default()
     };
     let telemetry = Telemetry::disabled();
-    let (rec, trace) = recover_instrumented_with(device, &telemetry, options)?;
-    // Rebuild the state and verify the digest end to end (the demo always
-    // uses the same layout, derived from the state size).
-    let layout = TrainingState::synthetic(ByteSize::from_bytes(STATE_BYTES), SEED).layout();
-    recovery::verify_against_state(&rec, &layout)?;
+    let (rec, trace) = recover_instrumented_with(open_device(path)?, &telemetry, options)?;
+    // The restore verified the frame's state digest. A `demo` image also
+    // holds the demo's layout (derived from the state size): rebuild that
+    // state and check its digest end to end.
+    let demo = (rec.payload.len() as u64 == STATE_BYTES)
+        .then(|| TrainingState::synthetic(ByteSize::from_bytes(STATE_BYTES), SEED));
+    if let Some(state) = &demo {
+        recovery::verify_against_state(&rec, &state.layout())?;
+    }
     println!(
         "recovered iteration {} ({} bytes) with {readers} reader(s), digest verified: {:016x}",
         rec.iteration,
@@ -259,11 +265,11 @@ fn cmd_recover(path: &str, readers: usize) -> Result<(), Box<dyn std::error::Err
         ms(trace.verify_nanos)
     );
     println!("  total  {:>9.3} ms", ms(trace.total_nanos));
-    // Prove the state is usable: restore and advance one step.
-    let gpu = Gpu::new(
-        GpuConfig::fast_for_tests(),
-        TrainingState::synthetic(ByteSize::from_bytes(STATE_BYTES), SEED),
-    );
+    // Prove a demo state is usable: restore and advance one step.
+    let Some(state) = demo else {
+        return Ok(());
+    };
+    let gpu = Gpu::new(GpuConfig::fast_for_tests(), state);
     rec.restore_into(&gpu);
     gpu.update();
     println!(
@@ -319,12 +325,7 @@ fn cmd_crashdemo(path: &str, k: u64) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_forensics(path: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let file_len = std::fs::metadata(path)?.len();
-    let device: Arc<dyn PersistentDevice> = Arc::new(FileDevice::open(
-        path,
-        DeviceConfig::fast_for_tests(ByteSize::from_bytes(file_len)),
-    )?);
-    let report = pccheck_monitor::audit(device)?;
+    let report = pccheck_monitor::audit(open_device(path)?)?;
     print!("{}", report.render());
     if report.is_clean() {
         println!("verdict: clean — the commit protocol's invariants hold");

@@ -38,7 +38,6 @@ fn pipeline_for(store: &Arc<CheckpointStore>) -> PersistPipeline {
         HostBufferPool::new(ByteSize::from_bytes(CHUNK), 16),
     )
     .with_writers(2)
-    .with_codec(true)
 }
 
 #[test]

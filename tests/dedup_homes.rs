@@ -81,7 +81,6 @@ fn framed_pipeline(store: &Arc<CheckpointStore>, state: u64, chunk: u64) -> Pers
         ),
     )
     .with_writers(2)
-    .with_codec(true)
 }
 
 fn ctx(telemetry: &Telemetry) -> PipelineCtx<'_> {

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use pccheck::{recovery, CheckpointStore, PcCheckConfig, PcCheckEngine};
-use pccheck_device::{DeviceConfig, PersistentDevice, PmemDevice, PmemWriteMode, SsdDevice};
+use pccheck_device::{DeviceConfig, PersistentDevice, PmemDevice, SsdDevice};
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingLoop, TrainingState};
 use pccheck_util::{Bandwidth, ByteSize, SimDuration};
 
@@ -119,10 +119,7 @@ fn pmem_end_to_end_with_training_loop() {
     let size = ByteSize::from_kb(128);
     let gpu = gpu_with_state(size, 5);
     let cap = CheckpointStore::required_capacity(size, 3) + ByteSize::from_kb(4);
-    let pmem = Arc::new(PmemDevice::new(
-        DeviceConfig::fast_for_tests(cap),
-        PmemWriteMode::NtStore,
-    ));
+    let pmem = Arc::new(PmemDevice::new(DeviceConfig::fast_for_tests(cap)));
     let engine = pccheck_engine(pmem.clone(), size, 2);
     let lp = TrainingLoop::new(gpu.clone(), SimDuration::ZERO).with_interval(5);
     lp.run(15, &engine);

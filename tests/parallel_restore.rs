@@ -132,7 +132,7 @@ fn parallel_and_sequential_recovery_agree_on_dedup_chains() {
     gpu.update();
 
     let (ssd, store) = store_on(MAX_CHAIN + 2);
-    let pipe = pipeline_for(&store).with_codec(true);
+    let pipe = pipeline_for(&store);
     let telemetry = Telemetry::disabled();
     let ctx = PipelineCtx {
         telemetry: &telemetry,

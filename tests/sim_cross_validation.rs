@@ -20,8 +20,8 @@ use std::sync::Arc;
 use pccheck::{CheckpointStore, PcCheckConfig, PcCheckEngine};
 use pccheck_baselines::CheckFreqCheckpointer;
 use pccheck_device::{DeviceConfig, PersistentDevice, SsdDevice};
+use pccheck_gpu::CopyEngineConfig;
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingLoop, TrainingState};
-use pccheck_gpu::{CopyEngineConfig, CopyPath};
 use pccheck_sim::{MediaKind, SimConfig, StrategyCfg};
 use pccheck_telemetry::{EventKind, Phase, Telemetry};
 use pccheck_util::{Bandwidth, ByteSize, SimDuration};
@@ -37,8 +37,6 @@ const ITERS: u64 = 100;
 fn scaled_gpu(seed: u64) -> Gpu {
     let copy = CopyEngineConfig {
         pcie_bandwidth: Bandwidth::from_mb_per_sec(PCIE_MBPS),
-        path: CopyPath::DmaPinned,
-        ddio: true,
         throttled: true,
     };
     let config = GpuConfig {

@@ -13,7 +13,7 @@ use pccheck_baselines::{
 };
 use pccheck_device::{
     DeviceConfig, HostBufferPool, NetworkConfig, NetworkLink, PersistentDevice, PmemDevice,
-    PmemWriteMode, SsdDevice,
+    SsdDevice,
 };
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, StateDigest, TrainingLoop, TrainingState};
 use pccheck_telemetry::{SpanId, Telemetry};
@@ -38,7 +38,7 @@ fn fresh_pmem(slots: u32) -> Arc<PmemDevice> {
     let cap = CheckpointStore::required_capacity(ByteSize::from_bytes(SIZE), slots)
         + ByteSize::from_kb(4);
     let config = DeviceConfig::fast_for_tests(cap);
-    Arc::new(PmemDevice::new(config, PmemWriteMode::NtStore))
+    Arc::new(PmemDevice::new(config))
 }
 
 /// The storage baseline called `name`, over `device`, recording to
