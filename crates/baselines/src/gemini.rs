@@ -119,6 +119,7 @@ impl GeminiCheckpointer {
     ///   checkpoint (including after a peer failure, which clears its DRAM —
     ///   Gemini's fundamental exposure).
     /// * [`PccheckError::Device`] if the peer is unreachable.
+    // api: a test oracle, listed in DESIGN §4 ("Test oracles").
     pub fn recover_from_remote(
         link: &NetworkLink,
         checkpoint_size: ByteSize,

@@ -189,7 +189,7 @@ impl ChunkEncoding {
     }
 
     /// Whether the chunk's bytes are physically present in this frame.
-    pub fn is_materialized(self) -> bool {
+    pub(crate) fn is_materialized(self) -> bool {
         matches!(self, ChunkEncoding::Raw | ChunkEncoding::Lz)
     }
 }
@@ -281,6 +281,7 @@ impl FrameTable {
     }
 
     /// Encoded size of this table.
+    // api: a test oracle, listed in DESIGN §4 ("Test oracles").
     pub fn encoded_len(&self) -> u64 {
         Self::encoded_len_for(self.records.len())
     }

@@ -82,6 +82,7 @@ impl CoordinatorHub {
     }
 
     /// Rounds completed so far.
+    // api: a test oracle, listed in DESIGN §4 ("Test oracles").
     pub fn completed_rounds(&self) -> u64 {
         self.round.lock().completed_rounds
     }

@@ -279,6 +279,7 @@ impl PcCheckEngine {
     /// Returns [`PccheckError::InvalidConfig`] if the configuration is
     /// invalid, the store has no default namespace, or that namespace has
     /// fewer than `N+1` slots.
+    // api: a test oracle, listed in DESIGN §4 ("Test oracles").
     pub fn with_store(
         config: PcCheckConfig,
         store: Arc<CheckpointStore>,
@@ -1133,7 +1134,15 @@ mod tests {
             if matches!(e.kind, EventKind::Requested { .. }) {
                 let terminals = events
                     .iter()
-                    .filter(|t| t.span == e.span && t.kind.is_terminal())
+                    .filter(|t| {
+                        t.span == e.span
+                            && matches!(
+                                t.kind,
+                                EventKind::Committed { .. }
+                                    | EventKind::Superseded { .. }
+                                    | EventKind::Failed { .. }
+                            )
+                    })
                     .count();
                 assert_eq!(terminals, 1, "{} must terminate once", e.span);
             }

@@ -91,7 +91,7 @@ pub use codec::{
 pub use config::PcCheckConfig;
 pub use engine::PcCheckEngine;
 pub use error::PccheckError;
-pub use meta::{CheckMeta, DeltaLink, SlotState, SLOT_STATE_SIZE};
+pub use meta::{CheckMeta, DeltaLink, SlotState};
 pub use pipeline::{Copied, CopyMode, PersistPipeline, PipelineCtx};
 pub use qos::{QosArbiter, QosConfig};
 pub use recovery::{

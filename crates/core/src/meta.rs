@@ -101,11 +101,6 @@ impl CheckMeta {
             delta,
         })
     }
-
-    /// Whether the payload references (and so pins) earlier checkpoints.
-    pub fn is_delta(&self) -> bool {
-        self.delta.is_some()
-    }
 }
 
 /// Serialized size of a namespace descriptor: one cache line.
@@ -171,7 +166,7 @@ impl NamespaceDesc {
 }
 
 /// Serialized size of a per-slot commit-state record: one cache line.
-pub const SLOT_STATE_SIZE: u64 = 64;
+pub(crate) const SLOT_STATE_SIZE: u64 = 64;
 
 const STATE_MAGIC: u32 = 0x5043_5331; // "PCS1"
 
@@ -233,7 +228,7 @@ impl SlotState {
     /// Packs into the in-memory `AtomicU64` word: counter in the high 62
     /// bits, tag in the low 2. The counter is capped at 48 bits by
     /// `PackedCheckAddr::pack` long before this limit matters.
-    pub fn pack(self) -> u64 {
+    pub(crate) fn pack(self) -> u64 {
         let (tag, counter) = match self {
             SlotState::Free => (STATE_TAG_FREE, 0),
             SlotState::Claimed { counter } => (STATE_TAG_CLAIMED, counter),
@@ -388,7 +383,7 @@ mod tests {
         let m = sample();
         let buf = m.encode();
         assert_eq!(CheckMeta::decode(&buf), Some(m));
-        assert!(!m.is_delta());
+        assert!(m.delta.is_none());
     }
 
     #[test]
@@ -396,7 +391,7 @@ mod tests {
         let m = sample_delta();
         let decoded = CheckMeta::decode(&m.encode()).expect("delta record decodes");
         assert_eq!(decoded, m);
-        assert!(decoded.is_delta());
+        assert!(decoded.delta.is_some());
         let link = decoded.delta.unwrap();
         assert_eq!(link.base_counter, 41);
         assert_eq!(link.base_slot, 2);

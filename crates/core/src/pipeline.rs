@@ -23,7 +23,7 @@
 //! write/persist stage latencies ([`Telemetry::stage_write`] /
 //! [`Telemetry::stage_persist`]) and the per-device submission-queue
 //! gauges sampled from [`PersistentDevice::queue_depths`] — including
-//! every member of a striped or tiered composite device.
+//! every member of a striped device.
 //!
 //! # One payload format
 //!
@@ -1220,6 +1220,7 @@ impl PersistPipeline {
     }
 
     /// The DRAM staging pool.
+    // api: a test oracle, listed in DESIGN §4 ("Test oracles").
     pub fn staging_pool(&self) -> &HostBufferPool {
         &self.pool
     }
@@ -2276,7 +2277,7 @@ mod tests {
             .iter()
             .all(|(_, home)| home.counter != 1 && home.counter != 2));
         let head = pipeline.store().latest_committed(&tenants[1]).unwrap();
-        assert!(!head.is_delta());
+        assert!(head.delta.is_none());
     }
 
     #[test]
@@ -2477,7 +2478,10 @@ mod tests {
             .store()
             .latest_committed(&default_ns(&pipeline))
             .unwrap();
-        assert!(meta.is_delta(), "base references pin the base via a link");
+        assert!(
+            meta.delta.is_some(),
+            "base references pin the base via a link"
+        );
         assert_eq!(meta.delta.unwrap().base_counter, 3);
 
         // Newest recovers through the base-reference resolution path.

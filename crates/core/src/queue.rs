@@ -44,9 +44,8 @@ const SPINS_BEFORE_PARK: usize = 64;
 /// let q = SlotQueue::with_capacity(4);
 /// q.enqueue(7).unwrap();
 /// q.enqueue(9).unwrap();
-/// assert_eq!(q.dequeue(), Some(7));
-/// assert_eq!(q.dequeue(), Some(9));
-/// assert_eq!(q.dequeue(), None);
+/// assert_eq!(q.dequeue_blocking(), 7);
+/// assert_eq!(q.dequeue_blocking(), 9);
 /// ```
 #[derive(Debug)]
 pub struct SlotQueue {
@@ -170,7 +169,7 @@ impl SlotQueue {
 
     /// Dequeues a value, or returns `None` if the queue is empty
     /// (Listing 1 spins on this until a slot frees up).
-    pub fn dequeue(&self) -> Option<u32> {
+    pub(crate) fn dequeue(&self) -> Option<u32> {
         let mut pos = self.head.load(Ordering::Relaxed);
         loop {
             let cell = &self.cells[pos & self.mask];

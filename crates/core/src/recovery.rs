@@ -539,7 +539,7 @@ mod tests {
         let head = store
             .latest_committed(&store.namespace(DEFAULT_JOB).unwrap())
             .unwrap();
-        assert!(head.is_delta());
+        assert!(head.delta.is_some());
         // Corrupt the last packed chunk byte of the framed payload; the
         // frame table itself stays intact.
         let off = store.slot_payload_offset(head.slot) + head.payload_len - 1;

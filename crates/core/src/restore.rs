@@ -928,7 +928,10 @@ mod tests {
                 .unwrap();
         }
         let head = store.latest_committed(&ns(&store)).unwrap();
-        assert!(head.is_delta(), "clean chunks reference the pinned base");
+        assert!(
+            head.delta.is_some(),
+            "clean chunks reference the pinned base"
+        );
         let want = gpu.digest();
         drop(store);
         ssd.crash_now();

@@ -542,11 +542,6 @@ impl CheckpointStore {
         self.layout.geometry().slots
     }
 
-    /// Device offset of `slot`'s meta record.
-    pub fn slot_meta_offset(&self, slot: u32) -> u64 {
-        self.layout.slot_meta(slot)
-    }
-
     /// Device offset of `slot`'s payload.
     pub fn slot_payload_offset(&self, slot: u32) -> u64 {
         self.layout.slot_payload(slot)
@@ -896,6 +891,7 @@ impl CheckpointStore {
     /// Returns [`PccheckError::InvalidConfig`] for a `delta` link with
     /// `base_counter == 0` (reserved to mean "full"); propagates device
     /// errors.
+    // api: a test oracle, listed in DESIGN §4 ("Test oracles").
     pub fn commit_with_delta(
         &self,
         lease: SlotLease,
@@ -920,7 +916,7 @@ impl CheckpointStore {
         // Lines 16-18: persist the checkpoint's own record before
         // publishing it (BARRIER(cur_check)).
         let rec = meta.encode();
-        let meta_off = self.slot_meta_offset(lease.slot);
+        let meta_off = self.layout.slot_meta(lease.slot);
         self.device.write_at(meta_off, &rec)?;
         self.device.persist(meta_off, META_RECORD_SIZE)?;
         self.flight.record(
@@ -1054,7 +1050,7 @@ impl CheckpointStore {
             // from its slot record (authoritative, already durable).
             let mut rec = [0u8; META_RECORD_SIZE as usize];
             self.device
-                .read_durable_at(self.slot_meta_offset(current.slot()), &mut rec)?;
+                .read_durable_at(self.layout.slot_meta(current.slot()), &mut rec)?;
             self.device.write_at(ns.check_rec, &rec)?;
             self.device.persist(ns.check_rec, META_RECORD_SIZE)?;
             let prev = commit
@@ -1146,6 +1142,7 @@ impl CheckpointStore {
     ///
     /// Returns [`PccheckError::CorruptCheckpoint`] if the slot has been
     /// recycled or torn since `meta` was read; propagates device errors.
+    // api: a test oracle, listed in DESIGN §4 ("Test oracles").
     pub fn read_checkpoint(&self, meta: &CheckMeta) -> Result<Vec<u8>, PccheckError> {
         let check = || match read_slot_meta(self.device.as_ref(), &self.layout, meta.slot)? {
             Some(m) if m == *meta => Ok(()),
@@ -1563,7 +1560,7 @@ mod tests {
             digest: 0,
             delta: None,
         };
-        let off = st.slot_meta_offset(lease.slot);
+        let off = st.layout().slot_meta(lease.slot);
         dev.write_at(off, &meta.encode()).unwrap();
         dev.persist(off, META_RECORD_SIZE).unwrap();
         dev.crash_now();
@@ -1768,7 +1765,7 @@ mod tests {
         // A full checkpoint releases the whole displaced chain.
         full_checkpoint(&st, 4, b"full");
         assert_eq!(st.free_slot_count(&ns(&st)), 3);
-        assert!(!st.latest_committed(&ns(&st)).unwrap().is_delta());
+        assert!(st.latest_committed(&ns(&st)).unwrap().delta.is_none());
     }
 
     #[test]
@@ -2210,7 +2207,7 @@ mod tests {
             digest: StateDigest::of_payload(b"two", 2).0,
             delta: None,
         };
-        let off = st.slot_meta_offset(lease.slot);
+        let off = st.layout().slot_meta(lease.slot);
         dev.write_at(off, &meta.encode()).unwrap();
         dev.persist(off, META_RECORD_SIZE).unwrap();
         let (slot, counter) = (lease.slot, lease.counter);

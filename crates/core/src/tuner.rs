@@ -158,10 +158,8 @@ mod tests {
 
     /// `Tw(N)` when `N` checkpoints share the storage bandwidth equally.
     fn shared_write_time(inputs: &TunerInputs, n: usize) -> SimDuration {
-        inputs
-            .storage_bandwidth
-            .shared_by(n)
-            .transfer_time(inputs.checkpoint_size)
+        let share = inputs.storage_bandwidth.as_bytes_per_sec() / n as f64;
+        Bandwidth::from_bytes_per_sec(share).transfer_time(inputs.checkpoint_size)
     }
 
     #[test]

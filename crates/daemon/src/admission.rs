@@ -39,6 +39,13 @@ impl Default for SystemParams {
     }
 }
 
+/// The largest QoS weight a job may ask for. The arbiter credits a job
+/// `weight * quantum` bytes a ring pass and caps its deficit at twice
+/// that, so a weight near `u64::MAX / quantum` wraps the credit (2^46 at
+/// the default 256 KiB quantum wraps it to 0, and `acquire` never
+/// returns); at 2^16 the cap is 2^35 bytes at that quantum.
+pub(crate) const MAX_WEIGHT: u64 = 1 << 16;
+
 /// The admission decision for one submitted job.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Admission {
@@ -79,6 +86,12 @@ pub fn decide(
     }
     if spec.max_concurrent == 0 {
         return Admission::Rejected("max_concurrent must be >= 1".into());
+    }
+    if spec.weight > MAX_WEIGHT {
+        return Admission::Rejected(format!(
+            "QoS weight {} exceeds the maximum {MAX_WEIGHT}",
+            spec.weight
+        ));
     }
     let tuner = match Tuner::new(TunerInputs {
         checkpoint_size: spec.state,
@@ -218,5 +231,30 @@ mod tests {
             &SystemParams::default(),
         );
         assert!(matches!(d, Admission::Rejected(_)), "{d:?}");
+    }
+
+    #[test]
+    fn a_weight_past_the_maximum_is_rejected_naming_it() {
+        let heavy = |weight| JobSpec {
+            weight,
+            ..spec(64, 2, 1024)
+        };
+        let decide_for = |weight| {
+            decide(
+                &heavy(weight),
+                ByteSize::from_kb(64),
+                32,
+                4,
+                &SystemParams::default(),
+            )
+        };
+        for weight in [MAX_WEIGHT + 1, 1 << 46, u64::MAX] {
+            let d = decide_for(weight);
+            assert!(
+                matches!(&d, Admission::Rejected(why) if why.contains(&MAX_WEIGHT.to_string())),
+                "weight {weight}: {d:?}"
+            );
+        }
+        assert!(matches!(decide_for(MAX_WEIGHT), Admission::Admitted { .. }));
     }
 }

@@ -272,6 +272,8 @@ mod tests {
             "/submit?name=big&state_kb=18014398509481985",
             "/submit?name=big&budget_kb=18014398509481985",
             "/submit?name=wide&state_kb=1&budget_kb=1099511627776&n=4294967296",
+            // 2^46 x the 2^18-byte quantum wraps the arbiter's credit to 0.
+            "/submit?name=heavy&weight=70368744177664",
         ] {
             let err = http_get(addr, hostile).unwrap_err();
             assert!(err.contains("400"), "{hostile}: {err}");

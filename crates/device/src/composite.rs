@@ -1,28 +1,22 @@
-//! Composite persistent devices: RAID-0-style striping and tiering.
+//! A composite persistent device: RAID-0-style striping.
 //!
 //! The paper's testbeds persist to a single pd-ssd volume or a single
 //! Optane DIMM, which caps the persist phase at one device's bandwidth.
-//! These composites open the multi-device axis while preserving the exact
+//! [`StripedDevice`] opens the multi-device axis while preserving the exact
 //! persistence semantics the commit protocol depends on, because every
 //! operation is delegated range-by-range to member devices that already
-//! model them faithfully:
+//! model them faithfully. It interleaves fixed-size stripes across `N`
+//! members, so chunked checkpoint writes fan out over the members' token
+//! buckets and aggregate write/persist bandwidth scales with `N` — the
+//! `ext_striping` experiment measures exactly this, and `ext_restore` the
+//! same fan-out on the read side.
 //!
-//! * [`StripedDevice`] interleaves fixed-size stripes across `N` members
-//!   (RAID-0). Chunked checkpoint writes fan out over the members' token
-//!   buckets, so aggregate write/persist bandwidth scales with `N` — the
-//!   `ext_striping` experiment measures exactly this, and `ext_restore`
-//!   the same fan-out on the read side.
-//! * [`TieredDevice`] places the first `tier.capacity()` bytes on a hot
-//!   tier (typically PMEM) and spills the rest to a backing device
-//!   (typically SSD). Store headers, `CHECK_ADDR`, and hot slots get
-//!   fence-grade latency while bulk payload bytes ride the cheaper media.
-//!
-//! Both composites apply *queue-depth-aware backpressure*: each member has
-//! a bounded submission gate, and an I/O that would push a member's queue
+//! The array applies *queue-depth-aware backpressure*: each member has a
+//! bounded submission gate, and an I/O that would push a member's queue
 //! past the configured depth blocks until earlier submissions complete.
 //! Durable reads ([`PersistentDevice::read_durable_at`]) are delegated even
 //! while crashed, so `RawStoreView`, the forensic auditor, and recovery all
-//! work unchanged on a striped or tiered store.
+//! work unchanged on a striped store.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -37,7 +31,7 @@ use crate::error::DeviceError;
 use crate::observer::{IoObserver, MemberIoOp};
 use crate::Result;
 
-/// Default per-member submission-queue bound for composites.
+/// Default per-member submission-queue bound of a stripe set.
 pub(crate) const DEFAULT_MEMBER_QUEUE_DEPTH: u64 = 16;
 
 /// A bounded submission gate: at most `limit` in-flight operations per
@@ -74,7 +68,7 @@ impl MemberGate {
 
 /// A controller-level persist-crash fuse, mirroring
 /// [`SsdDevice::arm_crash_after_persists`](crate::SsdDevice::arm_crash_after_persists)
-/// for a whole composite: `-1` disarmed; `n >= 0` means `n` more persists
+/// for the whole array: `-1` disarmed; `n >= 0` means `n` more persists
 /// succeed, whichever members they land on, and the next one powers the
 /// whole device off before its range lands anywhere.
 #[derive(Debug)]
@@ -419,362 +413,10 @@ impl PersistentDevice for StripedDevice {
     }
 }
 
-/// [`TieredDevice`]'s member names, hot tier first: the observer's and the
-/// stats report's labels.
-const TIER_LABELS: [&str; 2] = ["tier", "spill"];
-
-/// A hot tier (typically PMEM) backed by a spill device (typically SSD).
-///
-/// Logical offsets `[0, tier.capacity())` live on the hot tier; everything
-/// beyond spills to the backing device at `offset - tier.capacity()`.
-/// Because the store places its header, `CHECK_ADDR`, and the first slots
-/// at low offsets, the commit protocol's fences hit the fast media while
-/// bulk payload bytes overflow to the cheap one.
-///
-/// Persist calls are split at the boundary and delegated, so a PMEM tier
-/// keeps its per-thread fence semantics: only the calling thread's stores
-/// are completed by the tier-side fence.
-#[derive(Debug)]
-pub struct TieredDevice {
-    tier: Arc<dyn PersistentDevice>,
-    spill: Arc<dyn PersistentDevice>,
-    tier_cap: u64,
-    gates: [MemberGate; 2],
-    queue_limit: u64,
-    stats: DeviceStats,
-    crashed: AtomicBool,
-    fuse: PersistFuse,
-    /// Optional per-member I/O observer (telemetry actor lanes).
-    observer: RwLock<Option<Arc<dyn IoObserver>>>,
-}
-
-impl TieredDevice {
-    /// Creates a tiered device from a hot tier and a spill device.
-    pub fn new(tier: Arc<dyn PersistentDevice>, spill: Arc<dyn PersistentDevice>) -> Self {
-        let tier_cap = tier.capacity().as_u64();
-        TieredDevice {
-            tier,
-            spill,
-            tier_cap,
-            gates: [MemberGate::default(), MemberGate::default()],
-            queue_limit: DEFAULT_MEMBER_QUEUE_DEPTH,
-            stats: DeviceStats::default(),
-            crashed: AtomicBool::new(false),
-            fuse: PersistFuse::default(),
-            observer: RwLock::new(None),
-        }
-    }
-
-    /// Overrides the per-member submission-queue bound (backpressure).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `limit` is zero.
-    #[cfg(test)]
-    fn with_queue_limit(mut self, limit: u64) -> Self {
-        assert!(limit > 0, "queue limit must be positive");
-        self.queue_limit = limit;
-        self
-    }
-
-    /// Arms a controller-level crash fuse: the next `n` persists succeed,
-    /// on either member, and the one after powers off both members before
-    /// its range becomes durable on either. The fuse disarms itself after
-    /// firing.
-    pub fn arm_crash_after_persists(&self, n: u64) {
-        self.fuse.arm(n);
-    }
-
-    /// Registers an [`IoObserver`] that receives one callback per
-    /// member-level operation, labeled `tier` / `spill` to match
-    /// [`stats_report`](PersistentDevice::stats_report).
-    pub fn set_io_observer(&self, observer: Arc<dyn IoObserver>) {
-        *self.observer.write() = Some(observer);
-    }
-
-    fn observe(&self, member: usize, op: MemberIoOp, bytes: u64, dur_nanos: u64) {
-        if let Some(obs) = self.observer.read().as_ref() {
-            obs.member_io(TIER_LABELS[member], op, bytes, dur_nanos);
-        }
-    }
-
-    /// Returns `true` while the device is powered off.
-    pub fn is_crashed(&self) -> bool {
-        self.crashed.load(Ordering::Relaxed)
-    }
-
-    fn check_alive(&self) -> Result<()> {
-        if self.is_crashed() {
-            Err(DeviceError::Crashed)
-        } else {
-            Ok(())
-        }
-    }
-
-    fn check_bounds(&self, offset: u64, len: u64) -> Result<()> {
-        let capacity = self.capacity().as_u64();
-        if offset.checked_add(len).is_none_or(|end| end > capacity) {
-            return Err(DeviceError::OutOfBounds {
-                offset,
-                len,
-                capacity,
-            });
-        }
-        Ok(())
-    }
-
-    /// Splits `[offset, offset+len)` at the tier boundary:
-    /// `(tier_part, spill_part)`, each `(member_offset, buf_offset, len)`.
-    #[allow(clippy::type_complexity)]
-    fn split(
-        &self,
-        offset: u64,
-        len: u64,
-    ) -> (Option<(u64, usize, u64)>, Option<(u64, usize, u64)>) {
-        let end = offset + len;
-        let tier_part = if offset < self.tier_cap {
-            Some((offset, 0usize, end.min(self.tier_cap) - offset))
-        } else {
-            None
-        };
-        let spill_part = if end > self.tier_cap {
-            let start = offset.max(self.tier_cap);
-            Some((
-                start - self.tier_cap,
-                (start - offset) as usize,
-                end - start,
-            ))
-        } else {
-            None
-        };
-        (tier_part, spill_part)
-    }
-
-    fn power_off(&self) {
-        if !self.crashed.swap(true, Ordering::Relaxed) {
-            self.tier.crash_now();
-            self.spill.crash_now();
-        }
-    }
-}
-
-impl PersistentDevice for TieredDevice {
-    fn capacity(&self) -> ByteSize {
-        ByteSize::from_bytes(self.tier_cap + self.spill.capacity().as_u64())
-    }
-
-    fn bandwidth(&self) -> Bandwidth {
-        // The hot tier sets the pace for the latency-critical protocol
-        // traffic; report it as the headline figure.
-        self.tier.bandwidth()
-    }
-
-    fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-        let _ticket = self.submit();
-        self.check_bounds(offset, data.len() as u64)?;
-        self.check_alive()?;
-        let (tier_part, spill_part) = self.split(offset, data.len() as u64);
-        if let Some((off, buf_off, len)) = tier_part {
-            let chunk = &data[buf_off..buf_off + len as usize];
-            self.gates[0].run(self.queue_limit, || {
-                let begin = Instant::now();
-                let result = self.tier.write_at(off, chunk);
-                if result.is_ok() {
-                    self.observe(0, MemberIoOp::Write, len, begin.elapsed().as_nanos() as u64);
-                }
-                result
-            })?;
-        }
-        if let Some((off, buf_off, len)) = spill_part {
-            let chunk = &data[buf_off..buf_off + len as usize];
-            self.gates[1].run(self.queue_limit, || {
-                let begin = Instant::now();
-                let result = self.spill.write_at(off, chunk);
-                if result.is_ok() {
-                    self.observe(1, MemberIoOp::Write, len, begin.elapsed().as_nanos() as u64);
-                }
-                result
-            })?;
-        }
-        self.stats.record_write(data.len() as u64);
-        Ok(())
-    }
-
-    fn persist(&self, offset: u64, len: u64) -> Result<()> {
-        let _ticket = self.submit();
-        self.check_bounds(offset, len)?;
-        self.check_alive()?;
-        if self.fuse.fires() {
-            self.power_off();
-            return Err(DeviceError::Crashed);
-        }
-        let (tier_part, spill_part) = self.split(offset, len);
-        if let Some((off, _, part_len)) = tier_part {
-            if let Err(e) = self.gates[0].run(self.queue_limit, || {
-                let begin = Instant::now();
-                let result = self.tier.persist(off, part_len);
-                if result.is_ok() {
-                    self.observe(
-                        0,
-                        MemberIoOp::Persist,
-                        part_len,
-                        begin.elapsed().as_nanos() as u64,
-                    );
-                }
-                result
-            }) {
-                self.power_off();
-                return Err(e);
-            }
-        }
-        if let Some((off, _, part_len)) = spill_part {
-            if let Err(e) = self.gates[1].run(self.queue_limit, || {
-                let begin = Instant::now();
-                let result = self.spill.persist(off, part_len);
-                if result.is_ok() {
-                    self.observe(
-                        1,
-                        MemberIoOp::Persist,
-                        part_len,
-                        begin.elapsed().as_nanos() as u64,
-                    );
-                }
-                result
-            }) {
-                self.power_off();
-                return Err(e);
-            }
-        }
-        self.stats.record_persist(len);
-        Ok(())
-    }
-
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        self.check_bounds(offset, buf.len() as u64)?;
-        self.check_alive()?;
-        let (tier_part, spill_part) = self.split(offset, buf.len() as u64);
-        if let Some((off, buf_off, len)) = tier_part {
-            self.tier
-                .read_at(off, &mut buf[buf_off..buf_off + len as usize])?;
-        }
-        if let Some((off, buf_off, len)) = spill_part {
-            self.spill
-                .read_at(off, &mut buf[buf_off..buf_off + len as usize])?;
-        }
-        Ok(())
-    }
-
-    fn read_durable_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        self.check_bounds(offset, buf.len() as u64)?;
-        let total = buf.len() as u64;
-        let (tier_part, spill_part) = self.split(offset, total);
-        match (tier_part, spill_part) {
-            // A boundary-straddling read drives both medias concurrently —
-            // the tier and the spill device have independent bandwidth.
-            (Some((t_off, _, t_len)), Some((s_off, s_buf_off, _))) => {
-                let (tier_buf, spill_buf) = buf.split_at_mut(s_buf_off);
-                debug_assert_eq!(tier_buf.len() as u64, t_len);
-                std::thread::scope(|s| {
-                    let spill_read = s.spawn(|| {
-                        self.gates[1].run(self.queue_limit, || {
-                            let begin = Instant::now();
-                            let spill_len = spill_buf.len() as u64;
-                            let result = self.spill.read_durable_at(s_off, spill_buf);
-                            if result.is_ok() {
-                                self.observe(
-                                    1,
-                                    MemberIoOp::Read,
-                                    spill_len,
-                                    begin.elapsed().as_nanos() as u64,
-                                );
-                            }
-                            result
-                        })
-                    });
-                    let tier_result = self.gates[0].run(self.queue_limit, || {
-                        let begin = Instant::now();
-                        let tier_len = tier_buf.len() as u64;
-                        let result = self.tier.read_durable_at(t_off, tier_buf);
-                        if result.is_ok() {
-                            self.observe(
-                                0,
-                                MemberIoOp::Read,
-                                tier_len,
-                                begin.elapsed().as_nanos() as u64,
-                            );
-                        }
-                        result
-                    });
-                    let spill_result = spill_read.join().expect("spill reader panicked");
-                    tier_result.and(spill_result)
-                })?;
-            }
-            (Some((off, buf_off, len)), None) => {
-                self.gates[0].run(self.queue_limit, || {
-                    let begin = Instant::now();
-                    let result = self
-                        .tier
-                        .read_durable_at(off, &mut buf[buf_off..buf_off + len as usize]);
-                    if result.is_ok() {
-                        self.observe(0, MemberIoOp::Read, len, begin.elapsed().as_nanos() as u64);
-                    }
-                    result
-                })?;
-            }
-            (None, Some((off, buf_off, len))) => {
-                self.gates[1].run(self.queue_limit, || {
-                    let begin = Instant::now();
-                    let result = self
-                        .spill
-                        .read_durable_at(off, &mut buf[buf_off..buf_off + len as usize]);
-                    if result.is_ok() {
-                        self.observe(1, MemberIoOp::Read, len, begin.elapsed().as_nanos() as u64);
-                    }
-                    result
-                })?;
-            }
-            (None, None) => {}
-        }
-        self.stats.record_read(total);
-        Ok(())
-    }
-
-    fn crash_now(&self) {
-        self.power_off();
-    }
-
-    fn recover(&self) {
-        self.tier.recover();
-        self.spill.recover();
-        self.crashed.store(false, Ordering::Relaxed);
-    }
-
-    fn stats(&self) -> &DeviceStats {
-        &self.stats
-    }
-
-    fn queue_depths(&self) -> Vec<u64> {
-        vec![
-            self.stats.queue_depth(),
-            self.tier.stats().queue_depth(),
-            self.spill.stats().queue_depth(),
-        ]
-    }
-
-    fn stats_report(&self) -> Vec<DeviceStatsReport> {
-        vec![
-            DeviceStatsReport::from_stats("device", &self.stats),
-            DeviceStatsReport::from_stats(TIER_LABELS[0], self.tier.stats()),
-            DeviceStatsReport::from_stats(TIER_LABELS[1], self.spill.stats()),
-        ]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::device::DeviceConfig;
-    use crate::pmem::PmemDevice;
     use crate::ssd::SsdDevice;
 
     fn ssd(cap: u64) -> Arc<SsdDevice> {
@@ -972,82 +614,6 @@ mod tests {
             Err(DeviceError::OutOfBounds { capacity, .. }) if capacity == cap
         ));
     }
-
-    fn tiered(tier_cap: u64, spill_cap: u64) -> (TieredDevice, Arc<PmemDevice>, Arc<SsdDevice>) {
-        let optane = DeviceConfig {
-            capacity: ByteSize::from_bytes(tier_cap),
-            write_bandwidth: Bandwidth::from_gb_per_sec(4.01),
-            throttled: true,
-        };
-        let pmem = Arc::new(PmemDevice::new(optane));
-        let spill = ssd(spill_cap);
-        let dev = TieredDevice::new(
-            pmem.clone() as Arc<dyn PersistentDevice>,
-            spill.clone() as Arc<dyn PersistentDevice>,
-        );
-        (dev, pmem, spill)
-    }
-
-    #[test]
-    fn tiered_splits_at_the_boundary() {
-        let (dev, pmem, spill) = tiered(256, 4096);
-        assert_eq!(dev.capacity().as_u64(), 256 + 4096);
-        let data: Vec<u8> = (0..200u32).map(|i| i as u8).collect();
-        dev.write_at(200, &data).unwrap(); // 56 bytes tier, 144 spill
-        dev.persist(200, 200).unwrap();
-        assert_eq!(pmem.stats().bytes_written().as_u64(), 56);
-        assert_eq!(spill.stats().bytes_written().as_u64(), 144);
-        let mut buf = vec![0u8; 200];
-        dev.read_at(200, &mut buf).unwrap();
-        assert_eq!(buf, data);
-    }
-
-    #[test]
-    fn tiered_persist_survives_crash_on_both_medias() {
-        let (dev, _, _) = tiered(256, 4096);
-        dev.write_at(200, &[0x5A; 200]).unwrap();
-        dev.persist(200, 200).unwrap();
-        dev.crash_now();
-        assert!(dev.is_crashed());
-        let mut buf = [0u8; 200];
-        dev.read_durable_at(200, &mut buf).unwrap();
-        assert!(buf.iter().all(|&x| x == 0x5A));
-        dev.recover();
-        let mut again = [0u8; 200];
-        dev.read_at(200, &mut again).unwrap();
-        assert!(again.iter().all(|&x| x == 0x5A));
-    }
-
-    #[test]
-    fn tiered_controller_fuse_counts_persists_on_either_member() {
-        let (dev, _, _) = tiered(256, 4096);
-        dev.write_at(0, &[0x11; 64]).unwrap();
-        dev.write_at(1000, &[0x22; 64]).unwrap();
-        dev.arm_crash_after_persists(1);
-        dev.persist(1000, 64).unwrap(); // a spill persist counts
-        assert_eq!(dev.persist(0, 64), Err(DeviceError::Crashed));
-        assert!(dev.is_crashed());
-        let mut buf = [0u8; 64];
-        dev.read_durable_at(1000, &mut buf).unwrap();
-        assert!(buf.iter().all(|&x| x == 0x22), "earlier persist survives");
-        dev.read_durable_at(0, &mut buf).unwrap();
-        assert!(buf.iter().all(|&x| x == 0), "fatal persist never landed");
-        // Fuse disarmed itself.
-        dev.recover();
-        dev.write_at(0, &[0x11; 64]).unwrap();
-        dev.persist(0, 64).unwrap();
-    }
-
-    #[test]
-    fn tiered_stats_report_names_members() {
-        let (dev, _, _) = tiered(256, 1024);
-        let report = dev.stats_report();
-        assert_eq!(report.len(), 3);
-        assert_eq!(report[1].name, "tier");
-        assert_eq!(report[2].name, "spill");
-        assert_eq!(dev.queue_depths().len(), 3);
-    }
-
     #[derive(Debug, Default)]
     struct CountingObserver {
         calls: Mutex<Vec<(String, MemberIoOp, u64)>>,
@@ -1114,79 +680,5 @@ mod tests {
             .collect();
         assert_eq!(legs, expected);
         assert!(calls.iter().all(|c| c.1 == MemberIoOp::Read));
-    }
-
-    #[test]
-    fn tiered_io_observer_labels_tier_and_spill() {
-        let (dev, _, _) = tiered(256, 4096);
-        let obs = Arc::new(CountingObserver::default());
-        dev.set_io_observer(obs.clone());
-        dev.write_at(200, &[1u8; 112]).unwrap(); // 56 bytes tier, 56 spill
-        dev.persist(200, 112).unwrap();
-        let mut buf = [0u8; 112];
-        dev.read_durable_at(200, &mut buf).unwrap();
-
-        let calls = obs.calls.lock();
-        assert!(calls
-            .iter()
-            .any(|c| c.0 == "tier" && c.1 == MemberIoOp::Write && c.2 == 56));
-        assert!(calls
-            .iter()
-            .any(|c| c.0 == "spill" && c.1 == MemberIoOp::Write && c.2 == 56));
-        assert!(calls
-            .iter()
-            .any(|c| c.0 == "tier" && c.1 == MemberIoOp::Persist));
-        assert!(calls
-            .iter()
-            .any(|c| c.0 == "spill" && c.1 == MemberIoOp::Read));
-    }
-
-    #[test]
-    fn tiered_racing_writers_spill_deterministically() {
-        // 4 KiB hot tier, 256-byte aligned writes: the spill boundary sits
-        // on a write boundary, so no matter how the 4 writers interleave,
-        // exactly the first 16 writes' offsets land on the tier and the
-        // other 48 spill — the split depends only on offsets, never timing.
-        let (dev, pmem, spill) = tiered(4096, 64 * 1024);
-        let dev = Arc::new(dev.with_queue_limit(1));
-        std::thread::scope(|s| {
-            for w in 0..4u64 {
-                let dev = Arc::clone(&dev);
-                s.spawn(move || {
-                    for i in 0..16u64 {
-                        let off = (w * 16 + i) * 256;
-                        dev.write_at(off, &[w as u8 + 1; 256]).unwrap();
-                        dev.persist(off, 256).unwrap();
-                    }
-                });
-            }
-        });
-
-        assert_eq!(pmem.stats().bytes_written().as_u64(), 4096);
-        assert_eq!(spill.stats().bytes_written().as_u64(), 12 * 1024);
-        // The queue gate admits one composite-issued op per member at a
-        // time even with four writers racing.
-        assert!(pmem.stats().peak_queue_depth() <= 1);
-        assert!(spill.stats().peak_queue_depth() <= 1);
-
-        // The composite's own totals are exactly the sum of its members'.
-        let report = dev.stats_report();
-        assert_eq!(report[0].name, "device");
-        assert_eq!(
-            report[0].bytes_written,
-            report[1].bytes_written + report[2].bytes_written
-        );
-        assert_eq!(
-            report[0].bytes_persisted,
-            report[1].bytes_persisted + report[2].bytes_persisted
-        );
-        assert_eq!(report[0].bytes_written, 16 * 1024);
-
-        // Every writer's lane reads back intact across the tier boundary.
-        for w in 0..4u64 {
-            let mut buf = [0u8; 256];
-            dev.read_at(w * 16 * 256, &mut buf).unwrap();
-            assert!(buf.iter().all(|&x| x == w as u8 + 1));
-        }
     }
 }

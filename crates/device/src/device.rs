@@ -93,6 +93,7 @@ impl DeviceStats {
     }
 
     /// Total bytes returned by durable reads (the recovery path).
+    // api: a test oracle, listed in DESIGN §4 ("Test oracles").
     pub fn bytes_read(&self) -> ByteSize {
         ByteSize::from_bytes(self.bytes_read.load(Ordering::Relaxed))
     }
@@ -113,12 +114,12 @@ impl DeviceStats {
     }
 }
 
-/// One entry (a device or a composite member) in a
+/// One entry (a device or a stripe member) in a
 /// [`stats_report`](PersistentDevice::stats_report).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceStatsReport {
     /// Role of this entry: `"device"` for the target itself, or a member
-    /// label like `"stripe-0"` / `"pmem-tier"` inside a composite.
+    /// label like `"stripe-0"` inside a striped device.
     pub name: String,
     /// Total bytes accepted by `write_at`.
     pub bytes_written: u64,
@@ -259,7 +260,7 @@ mod tests {
     fn with_bandwidth_overrides() {
         let cfg = DeviceConfig::fast_for_tests(ByteSize::from_mb_u64(1))
             .with_bandwidth(Bandwidth::from_gb_per_sec(2.0));
-        assert!((cfg.write_bandwidth.as_gb_per_sec() - 2.0).abs() < 1e-12);
+        assert_eq!(cfg.write_bandwidth, Bandwidth::from_gb_per_sec(2.0));
     }
 
     #[test]

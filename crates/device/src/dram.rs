@@ -108,6 +108,7 @@ impl HostBufferPool {
 
     /// Chunks the pool has allocated — its resident DRAM in chunks. It
     /// never shrinks, and it equals [`peak_outstanding`](Self::peak_outstanding).
+    // api: a test oracle, listed in DESIGN §4 ("Test oracles").
     pub fn resident_chunks(&self) -> usize {
         self.shared.state.lock().resident
     }

@@ -53,7 +53,7 @@ pub mod pmem;
 pub mod region;
 pub mod ssd;
 
-pub use composite::{StripedDevice, TieredDevice};
+pub use composite::StripedDevice;
 pub use device::{DeviceConfig, DeviceStats, PersistentDevice};
 pub use dram::{HostBuffer, HostBufferPool};
 pub use error::DeviceError;

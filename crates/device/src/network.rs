@@ -179,6 +179,7 @@ impl RemoteMemory {
     }
 
     /// Fails the peer: its DRAM contents are gone.
+    // api: a test oracle, listed in DESIGN §4 ("Test oracles").
     pub fn fail_peer(&self) {
         let mut state = self.state.write();
         state.failed = true;
@@ -186,6 +187,7 @@ impl RemoteMemory {
     }
 
     /// Restores the peer with empty memory (a replacement VM).
+    // api: a test oracle, listed in DESIGN §4 ("Test oracles").
     pub fn replace_peer(&self) {
         self.state.write().failed = false;
     }

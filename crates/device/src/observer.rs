@@ -1,11 +1,10 @@
-//! Per-member I/O observation for composite devices.
+//! Per-member I/O observation for the striped device.
 //!
-//! A [`StripedDevice`](crate::StripedDevice) or
-//! [`TieredDevice`](crate::TieredDevice) fans one logical operation out to
-//! several member devices, and the interesting question for observability
+//! A [`StripedDevice`](crate::StripedDevice) fans one logical operation out
+//! to several member devices, and the interesting question for observability
 //! is *which member* did the work and *how long its leg took* — the
 //! controller-level [`DeviceStats`](crate::DeviceStats) only sees the
-//! aggregate. An [`IoObserver`] registered on a composite receives one
+//! aggregate. An [`IoObserver`] registered on the array receives one
 //! callback per member-level operation, timed around the member call
 //! itself (queue-gate wait excluded — backpressure is already visible
 //! through the queue-depth gauges).
@@ -28,10 +27,10 @@ pub enum MemberIoOp {
     Read,
 }
 
-/// Receives one callback per member-level I/O on a composite device.
+/// Receives one callback per member-level I/O on a striped device.
 ///
-/// `member` is the composite's stable label for the member (`"stripe-0"`,
-/// `"tier"`, `"spill"` — the same names
+/// `member` is the array's stable label for the member (`"stripe-0"`,
+/// `"stripe-1"`, … — the same names
 /// [`stats_report`](crate::PersistentDevice::stats_report) uses), `bytes`
 /// the length of the leg, and `dur_nanos` the wall time the member call
 /// took. Callbacks run on the I/O thread inside the member's submission

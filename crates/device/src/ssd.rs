@@ -103,6 +103,7 @@ impl SsdDevice {
     /// overlapping the range fails with [`DeviceError::ReadFault`]. Models
     /// a latent sector error discovered during recovery — the device stays
     /// up, writes still land, only the faulted bytes are lost.
+    // api: a test oracle, listed in DESIGN §4 ("Test oracles").
     pub fn arm_read_fault_at(&self, offset: u64, len: u64) {
         *self.read_fault.write() = Some((offset, len));
     }

@@ -72,6 +72,7 @@ impl CopyEngine {
     }
 
     /// Total bytes metered through this engine (all concurrent copies).
+    // api: a test oracle, listed in DESIGN §4 ("Test oracles").
     pub fn bytes_copied(&self) -> u64 {
         self.copied.load(Ordering::Relaxed)
     }

@@ -218,6 +218,7 @@ impl Gpu {
     }
 
     /// Runs `f` with read access to the weights.
+    // api: a test oracle, listed in DESIGN §4 ("Test oracles").
     pub fn with_weights<R>(&self, f: impl FnOnce(&TrainingState) -> R) -> R {
         f(&self.inner.state.read())
     }

@@ -228,13 +228,6 @@ impl ModelZoo {
             Self::bloom_7b(),
         ]
     }
-
-    /// Looks a model up by (case-insensitive) name.
-    pub fn by_name(name: &str) -> Option<ModelSpec> {
-        Self::all()
-            .into_iter()
-            .find(|m| m.name.eq_ignore_ascii_case(name))
-    }
 }
 
 #[cfg(test)]
@@ -306,13 +299,6 @@ mod tests {
     fn pcie_hierarchy_is_sane() {
         assert!(GpuKind::TitanRtx.pcie_bandwidth() < GpuKind::A100.pcie_bandwidth());
         assert!(GpuKind::A100.pcie_bandwidth() < GpuKind::H100.pcie_bandwidth());
-    }
-
-    #[test]
-    fn lookup_by_name() {
-        assert_eq!(ModelZoo::by_name("bloom-7b").unwrap().name, "BLOOM-7B");
-        assert_eq!(ModelZoo::by_name("VGG16").unwrap().name, "VGG16");
-        assert!(ModelZoo::by_name("GPT-5").is_none());
     }
 
     #[test]

@@ -274,6 +274,7 @@ impl TrainingState {
     /// # Panics
     ///
     /// Panics if `buf` is not exactly [`size`](Self::size) bytes.
+    // api: a test oracle, listed in DESIGN §4 ("Test oracles").
     pub fn serialize_into(&self, buf: &mut [u8]) {
         assert_eq!(
             buf.len() as u64,
@@ -410,7 +411,7 @@ mod tests {
 
     #[test]
     fn of_payload_agrees_with_the_state_digest_in_every_form() {
-        use pccheck_util::fnv::{block_digests, fold_blocks, DIGEST_BLOCK};
+        use pccheck_util::fnv::{chunk_digest, fold_blocks, DIGEST_BLOCK};
         check(DEFAULT_CASES, |r| {
             // Empty tensors, and tensors straddling block boundaries.
             let tensors = (0..r.range(1..6))
@@ -442,11 +443,7 @@ mod tests {
             }
             assert_eq!(fold.finish(), want.0);
             // Out-of-order form: block values computed back to front.
-            let mut blocks: Vec<u64> = buf
-                .chunks(DIGEST_BLOCK)
-                .rev()
-                .flat_map(block_digests)
-                .collect();
+            let mut blocks: Vec<u64> = buf.chunks(DIGEST_BLOCK).rev().map(chunk_digest).collect();
             blocks.reverse();
             assert_eq!(fold_blocks(step, buf.len() as u64, blocks), want.0);
             // A different step, a zero-extended payload and a one-bit flip

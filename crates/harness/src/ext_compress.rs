@@ -48,7 +48,7 @@ pub(crate) const MIXED_STATE_BYTES: u64 = 4 * 1024 * 1024;
 pub(crate) const MIXED_CHUNK_BYTES: u64 = 16 * 1024;
 
 /// Checkpoints per run.
-pub const CHECKPOINTS: u64 = 8;
+pub(crate) const CHECKPOINTS: u64 = 8;
 
 /// Staging chunks of every run, far fewer than either state's chunks.
 pub(crate) const POOL_CHUNKS: usize = 4;
@@ -133,7 +133,7 @@ pub struct ExtCompressRow {
     pub recovered_bit_identical: bool,
 }
 
-/// Runs [`CHECKPOINTS`] checkpoints at one (payload, sparsity) point and
+/// Runs `CHECKPOINTS` checkpoints at one (payload, sparsity) point and
 /// returns the measured row.
 pub fn measure(payload: Payload, sparsity: f64) -> ExtCompressRow {
     let (state_bytes, chunk_bytes) = (payload.state_bytes(), payload.chunk_bytes());

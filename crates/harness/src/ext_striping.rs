@@ -17,7 +17,7 @@ pub(crate) const WAYS: [u32; 3] = [1, 2, 4];
 
 /// Writer threads per checkpoint — enough that `p` per-writer caps exceed
 /// the 4-way aggregate bandwidth, so the device array is the bottleneck.
-pub const WRITERS: usize = 16;
+pub(crate) const WRITERS: usize = 16;
 
 /// Checkpoint sizes swept (the small and large ends of Table 3).
 pub fn sizes() -> Vec<ByteSize> {

@@ -66,7 +66,10 @@ pub fn write_csv<W: std::io::Write>(rows: &[SweepRow], out: W) -> std::io::Resul
 /// Runs one model's panel.
 #[cfg(test)]
 pub(crate) fn run_model(name: &str) -> Vec<SweepRow> {
-    let model = ModelZoo::by_name(name).expect("known model");
+    let model = ModelZoo::all()
+        .into_iter()
+        .find(|m| m.name == name)
+        .expect("known model");
     sweep_ssd(&model, &strategies_for(&model), &PAPER_INTERVALS)
 }
 

@@ -15,19 +15,18 @@
 //!
 //! Each run audits the frozen device with [`pccheck_monitor::forensics`],
 //! powers it on and recovers the driven tenant; [`ForensicsRun::verify`]
-//! is the one checker tests, `pccheckctl` and CI share, over the stores of
-//! [`crash_matrix`].
+//! is the one checker tests, `pccheckctl` and CI share, over flat and
+//! striped stores of one tenant or several.
 
 use std::sync::Arc;
 
 use pccheck::{
     raw_frame, recover_instrumented_with, CheckpointStore, CommitOutcome, CopyMode, FrameTable,
     JobId, PccheckError, PersistPipeline, PipelineCtx, RawStoreView, RecoveredCheckpoint,
-    RecoveryTrace, RestoreOptions, SlotOutcome, StoreGeometry, StoreLayout, DEFAULT_JOB,
+    RecoveryTrace, RestoreOptions, SlotOutcome, StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_device::{
     CrashPolicy, DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice, StripedDevice,
-    TieredDevice,
 };
 use pccheck_gpu::StateDigest;
 use pccheck_monitor::ForensicReport;
@@ -48,11 +47,6 @@ pub enum DeviceTopology {
         /// Number of stripe members.
         ways: u32,
     },
-    /// A [`TieredDevice`]: a hot tier holding the slot region with the
-    /// flight ring and slot state words spilling to a second SSD. The crash
-    /// fires the *controller* fuse, which counts persists on either
-    /// member and powers both off, like a shared power domain.
-    Tiered,
 }
 
 /// How a scenario frames the checkpoints it commits.
@@ -181,33 +175,6 @@ impl ForensicsRunConfig {
     }
 }
 
-/// The one table both tenancies' crash tests run: flat, striped and tiered
-/// devices, each as a single-tenant store and as one shared by jobs 1..=3,
-/// each over all-`Raw` and over codec-packed checkpoints. A test drives
-/// every tenant of a row through every `k` of [`run_to_crash`].
-pub fn crash_matrix() -> Vec<ForensicsRunConfig> {
-    let topologies = [
-        DeviceTopology::Single,
-        DeviceTopology::Striped { ways: 2 },
-        DeviceTopology::Tiered,
-    ];
-    let mut rows = Vec::new();
-    for topology in topologies {
-        for tenants in [vec![DEFAULT_JOB], vec![1, 2, 3]] {
-            for baselines in [Baselines::Raw, Baselines::Codec] {
-                let tenants = tenants.clone();
-                rows.push(ForensicsRunConfig {
-                    topology,
-                    tenants,
-                    baselines,
-                    ..ForensicsRunConfig::default()
-                });
-            }
-        }
-    }
-    rows
-}
-
 /// One checkpoint the driver takes.
 #[derive(Debug)]
 struct Driven {
@@ -239,6 +206,7 @@ pub struct ForensicsRun {
 
 /// `base` with each `(offset, len)` range overwritten by deterministic
 /// bytes seeded from `iteration` — a sparse mutation of the full state.
+// api: a test oracle, listed in DESIGN §4 ("Test oracles").
 pub fn sparse_payload(base: &[u8], iteration: u64, ranges: &[(u64, u64)]) -> Vec<u8> {
     let mut full = base.to_vec();
     for &(off, len) in ranges {
@@ -278,6 +246,7 @@ fn tiled_payload(seed: u64, len: u64) -> Vec<u8> {
 /// # Errors
 ///
 /// Propagates device/store errors; `job` must have a namespace.
+// api: a test oracle, listed in DESIGN §4 ("Test oracles").
 pub fn commit_checkpoint(
     store: &CheckpointStore,
     job: JobId,
@@ -362,7 +331,7 @@ fn crash(
         )));
     }
     let geometry = cfg.geometry();
-    let (device, arm, fired) = fused_device(cfg.topology, geometry, policy)?;
+    let (device, arm, fired) = fused_device(cfg.topology, geometry, policy);
     let store = Arc::new(CheckpointStore::format(Arc::clone(&device), geometry)?);
     for &tenant in cfg.tenants.iter().filter(|&&t| t != DEFAULT_JOB) {
         store.allocate_namespace(tenant, cfg.slots)?;
@@ -477,40 +446,26 @@ fn fused<D: PersistentDevice + 'static>(d: D, arm: fn(&D, u64), fired: fn(&D) ->
 
 /// A fresh device of `topology` with room for `geometry`, whose SSDs crash
 /// under `policy`.
-fn fused_device(
-    topology: DeviceTopology,
-    geometry: StoreGeometry,
-    policy: CrashPolicy,
-) -> Result<Fused, PccheckError> {
+fn fused_device(topology: DeviceTopology, geometry: StoreGeometry, policy: CrashPolicy) -> Fused {
     let cap = geometry.required_capacity() + ByteSize::from_kb(4);
-    let ssd = |cap| SsdDevice::with_crash_policy(DeviceConfig::fast_for_tests(cap), policy);
-    let member = |cap| Arc::new(ssd(cap)) as Arc<dyn PersistentDevice>;
-    Ok(match topology {
+    let ssd = || SsdDevice::with_crash_policy(DeviceConfig::fast_for_tests(cap), policy);
+    match topology {
         DeviceTopology::Single => fused(
-            ssd(cap),
+            ssd(),
             SsdDevice::arm_crash_after_persists,
             SsdDevice::is_crashed,
         ),
         DeviceTopology::Striped { ways } => fused(
             StripedDevice::new(
-                (0..ways.max(1)).map(|_| member(cap)).collect(),
+                (0..ways.max(1))
+                    .map(|_| Arc::new(ssd()) as Arc<dyn PersistentDevice>)
+                    .collect(),
                 ByteSize::from_kb(1),
             ),
             StripedDevice::arm_crash_after_persists,
             StripedDevice::is_crashed,
         ),
-        DeviceTopology::Tiered => {
-            // The tier covers the superblock + slot region; the flight
-            // ring, the directory and the slot state words spill over the
-            // boundary to the second SSD.
-            let tier_cap = ByteSize::from_bytes(StoreLayout::new(geometry)?.flight());
-            fused(
-                TieredDevice::new(member(tier_cap), member(cap)),
-                TieredDevice::arm_crash_after_persists,
-                TieredDevice::is_crashed,
-            )
-        }
-    })
+    }
 }
 
 impl ForensicsRun {
@@ -653,13 +608,9 @@ mod tests {
     #[test]
     fn every_topology_crashes_on_the_armed_persist() {
         let geometry = ForensicsRunConfig::default().geometry();
-        for topology in [
-            DeviceTopology::Single,
-            DeviceTopology::Striped { ways: 2 },
-            DeviceTopology::Tiered,
-        ] {
+        for topology in [DeviceTopology::Single, DeviceTopology::Striped { ways: 2 }] {
             let (device, arm, fired) =
-                fused_device(topology, geometry, CrashPolicy::DropUnpersisted).unwrap();
+                fused_device(topology, geometry, CrashPolicy::DropUnpersisted);
             arm(1);
             device.write_at(0, &[7; 512]).unwrap();
             device.persist(0, 512).unwrap();

@@ -9,7 +9,7 @@
 //! stale replica) stands out.
 //!
 //! [`UpdateMagnitudeDetector`] consumes `(iteration, changed_fraction)`
-//! observations — typically produced by [`crate::diff()`] over consecutive
+//! observations — the changed fraction of the state between consecutive
 //! checkpoints — normalizes by the iteration gap, and flags deviations
 //! beyond a configurable multiple of the trailing window's spread.
 

@@ -867,7 +867,7 @@ mod tests {
         let mut head = st.latest_committed(&ns(&st)).unwrap();
         let link = head.delta.as_mut().unwrap();
         link.base_slot = (link.base_slot + 1) % 4;
-        let (off, rec) = (st.slot_meta_offset(head.slot), head.encode());
+        let (off, rec) = (st.layout().slot_meta(head.slot), head.encode());
         dev.write_at(off, &rec).unwrap();
         dev.persist(off, rec.len() as u64).unwrap();
         dev.crash_now();
@@ -1078,7 +1078,7 @@ mod tests {
                 digest,
                 delta: None,
             };
-            let off = st.slot_meta_offset(lease.slot);
+            let off = st.layout().slot_meta(lease.slot);
             dev.write_at(off, &meta.encode()).unwrap();
             dev.persist(off, pccheck::meta::META_RECORD_SIZE).unwrap();
             std::mem::forget(lease);
@@ -1115,9 +1115,9 @@ mod tests {
         let forged = pccheck::SlotState::Committed {
             counter: head.counter + 10,
         };
-        let off = st.layout().slot_state(head.slot);
-        dev.write_at(off, &forged.encode()).unwrap();
-        dev.persist(off, pccheck::SLOT_STATE_SIZE).unwrap();
+        let (off, word) = (st.layout().slot_state(head.slot), forged.encode());
+        dev.write_at(off, &word).unwrap();
+        dev.persist(off, word.len() as u64).unwrap();
         dev.crash_now();
         let report = audit(Arc::clone(&dev)).unwrap();
         assert!(!report.is_clean());

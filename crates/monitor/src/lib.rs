@@ -11,8 +11,6 @@
 //! * [`CheckpointInspector`] — enumerate the store's checkpoint history
 //!   (PCcheck's `N+1` slots double as a short history), load payloads, and
 //!   reconstruct training states.
-//! * [`diff`](mod@diff) — byte/tensor-level deltas between checkpoints: how much of
-//!   the state changed between two captured iterations.
 //! * [`detector`] — an update-magnitude anomaly detector: flags checkpoint
 //!   intervals whose per-iteration change rate deviates from the trailing
 //!   window, the signature of a silent corruption or divergence event.
@@ -62,13 +60,11 @@
 //! ```
 
 pub mod detector;
-pub mod diff;
 pub mod forensics;
 pub mod inspect;
 pub mod watchdog;
 
 pub use detector::UpdateMagnitudeDetector;
-pub use diff::diff;
 pub use forensics::{audit, CheckpointVerdict, ForensicReport, InFlightPhase};
 pub use inspect::CheckpointInspector;
 pub use watchdog::armed_watchdog;

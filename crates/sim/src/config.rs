@@ -239,14 +239,17 @@ mod tests {
     use super::*;
     use pccheck_gpu::ModelZoo;
 
+    /// Binary gigabytes, the unit the assertions below state rates in.
+    const GIB: f64 = pccheck_util::units::GIB as f64;
+
     #[test]
     fn ssd_profile_matches_testbed() {
         let cfg = SimConfig::ssd_a100(&ModelZoo::opt_1_3b(), 10, 100);
         assert_eq!(cfg.iter_time, SimDuration::from_secs(2));
         // Raw device rate; the per-writer cap reproduces the paper's
         // measured single-threaded 16 GB / 37 s.
-        assert!((cfg.storage_bandwidth.as_gb_per_sec() - 1.5).abs() < 1e-9);
-        assert!((cfg.per_writer_cap().unwrap().as_gb_per_sec() - 0.4324).abs() < 1e-3);
+        assert!((cfg.storage_bandwidth.as_bytes_per_sec() / GIB - 1.5).abs() < 1e-9);
+        assert!((cfg.per_writer_cap().unwrap().as_bytes_per_sec() / GIB - 0.4324).abs() < 1e-3);
         assert_eq!(cfg.media, MediaKind::Ssd);
         assert!((cfg.checkpoint_size.as_gb() - 16.2).abs() < 1e-9);
     }
@@ -308,15 +311,17 @@ mod tests {
         let cfg = SimConfig::ssd_a100(&ModelZoo::opt_1_3b(), 10, 100);
         assert_eq!(cfg.stripe_ways, 1);
         assert!(
-            (cfg.effective_storage_bandwidth().as_gb_per_sec()
-                - cfg.storage_bandwidth.as_gb_per_sec())
-            .abs()
+            (cfg.effective_storage_bandwidth().as_bytes_per_sec() / GIB
+                - cfg.storage_bandwidth.as_bytes_per_sec() / GIB)
+                .abs()
                 < 1e-12
         );
         let striped = cfg.clone().with_stripe_ways(4);
         // Per-member profile number untouched; aggregate ×4.
-        assert!((striped.storage_bandwidth.as_gb_per_sec() - 1.5).abs() < 1e-9);
-        assert!((striped.effective_storage_bandwidth().as_gb_per_sec() - 6.0).abs() < 1e-9);
+        assert!((striped.storage_bandwidth.as_bytes_per_sec() / GIB - 1.5).abs() < 1e-9);
+        assert!(
+            (striped.effective_storage_bandwidth().as_bytes_per_sec() / GIB - 6.0).abs() < 1e-9
+        );
         // Per-writer cap derives from the member, not the aggregate.
         assert_eq!(striped.per_writer_cap(), cfg.per_writer_cap());
         // Zero clamps to a single device rather than dividing by zero.

@@ -218,14 +218,6 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Whether this event closes its span.
-    pub fn is_terminal(&self) -> bool {
-        matches!(
-            self,
-            EventKind::Committed { .. } | EventKind::Superseded { .. } | EventKind::Failed { .. }
-        )
-    }
-
     /// Stable lowercase name used by the exporters.
     pub fn name(&self) -> &'static str {
         match self {
@@ -288,18 +280,5 @@ mod tests {
         for (i, p) in Phase::ALL.iter().enumerate() {
             assert_eq!(p.index(), i);
         }
-    }
-
-    #[test]
-    fn terminal_kinds() {
-        assert!(EventKind::Committed {
-            iteration: 1,
-            bytes: 0
-        }
-        .is_terminal());
-        assert!(EventKind::Superseded { by_counter: 2 }.is_terminal());
-        assert!(EventKind::Failed { error: "x".into() }.is_terminal());
-        assert!(!EventKind::Queued.is_terminal());
-        assert!(!EventKind::Stall { nanos: 1 }.is_terminal());
     }
 }

@@ -33,9 +33,11 @@ use pccheck_device::PersistentDevice;
 use pccheck_util::sync::Mutex;
 
 /// Serialized size of one flight record: one cache line.
+// api: a test oracle, listed in DESIGN §4 ("Test oracles").
 pub const FLIGHT_RECORD_SIZE: u64 = 64;
 
 /// Bytes occupied by the ring header cell.
+// api: a test oracle, listed in DESIGN §4 ("Test oracles").
 pub const FLIGHT_HEADER_SIZE: u64 = 64;
 
 /// Cells a ring scan reads per device op (32 KiB).
@@ -250,7 +252,7 @@ impl RingScan {
     }
 
     /// The highest sequence number observed, if any record survived.
-    pub fn max_seq(&self) -> Option<u64> {
+    pub(crate) fn max_seq(&self) -> Option<u64> {
         self.records.last().map(|r| r.seq)
     }
 }
@@ -465,6 +467,7 @@ impl FlightRing {
     /// # Errors
     ///
     /// Propagates device read errors as strings.
+    // api: a test oracle, listed in DESIGN §4 ("Test oracles").
     pub fn read_all(&self) -> Result<RingScan, String> {
         Self::scan_region(self.device.as_ref(), self.base, self.capacity)
     }

@@ -111,4 +111,4 @@ pub use registry::{
     http_get, validate_prometheus_text, HttpListener, HttpResponse, HttpRoute, MetricsRegistry,
     MetricsServer,
 };
-pub use watchdog::{SloConfig, SloRule, SloViolation, SloWatchdog, BLACKBOX_SCHEMA};
+pub use watchdog::{SloConfig, SloRule, SloViolation, SloWatchdog};

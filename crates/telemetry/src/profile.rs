@@ -554,6 +554,7 @@ impl RunProfile {
     }
 
     /// Critical-path share of a phase by name (0.0 when absent).
+    // api: a test oracle, listed in DESIGN §4 ("Test oracles").
     pub fn critical_share(&self, phase: &str) -> f64 {
         self.phases
             .iter()

@@ -653,14 +653,14 @@ impl Telemetry {
     }
 }
 
-/// Bridges composite-device member I/O into the telemetry stream.
+/// Bridges striped-device member I/O into the telemetry stream.
 ///
-/// Register on a [`StripedDevice`](pccheck_device::StripedDevice) or
-/// [`TieredDevice`](pccheck_device::TieredDevice) via `set_io_observer`:
+/// Register on a [`StripedDevice`](pccheck_device::StripedDevice) via
+/// `set_io_observer`:
 /// every member-level write/persist/read then lands in the timeline as an
 /// [`EventKind::ActorSpan`] under [`SpanId::NONE`] (device members outlive
 /// any single checkpoint span), so the Chrome-trace exporter renders one
-/// lane per member (`stripe-0`, `tier`, `spill`, …).
+/// lane per member (`stripe-0`, `stripe-1`, …).
 #[derive(Debug, Clone)]
 pub struct TelemetryIoObserver {
     telemetry: Telemetry,

@@ -154,6 +154,7 @@ impl MetricsRegistry {
     /// Prometheus text exposition (format version 0.0.4) of the current
     /// recorder state. Stable names: `pccheck_*`, `_total` counters,
     /// nanosecond histograms with power-of-two `le` bounds.
+    // api: a test oracle, listed in DESIGN §4 ("Test oracles").
     pub fn prometheus_text(&self) -> String {
         let mut out = String::new();
         let Some(snap) = self.telemetry.snapshot() else {

@@ -35,7 +35,7 @@ use crate::recorder::Telemetry;
 use crate::registry::MetricsRegistry;
 
 /// Schema identifier stamped into `violation.json`.
-pub const BLACKBOX_SCHEMA: &str = "pccheck.blackbox.v1";
+pub(crate) const BLACKBOX_SCHEMA: &str = "pccheck.blackbox.v1";
 
 const HIST_BUCKETS: usize = 64;
 

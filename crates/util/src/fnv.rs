@@ -19,7 +19,7 @@
 //!   these three forms of the one definition, so a digest folded while a
 //!   chunk is hot on the persist path verifies out of order on the
 //!   recovery path. All three get their block values from
-//!   [`block_digests`], which walks four blocks at a time;
+//!   `block_digests`, which walks four blocks at a time;
 //!   [`whole_blocks`] says which blocks a piece of the state can hand it.
 //! - `record_digest` / [`content_address`]: a frame record's content
 //!   address, a fold of the same block values over the record's own bytes.
@@ -158,7 +158,7 @@ const _: () = assert!(DIGEST_BLOCK.is_multiple_of(8));
 /// so whole groups of four blocks are walked together, one accumulator
 /// each, and the multiplier always has a chain ready. Only the short last
 /// group goes block by block.
-pub fn block_digests(range: &[u8]) -> impl Iterator<Item = u64> + '_ {
+pub(crate) fn block_digests(range: &[u8]) -> impl Iterator<Item = u64> + '_ {
     let groups = range.chunks_exact(LANES * DIGEST_BLOCK);
     let rest = groups.remainder().chunks(DIGEST_BLOCK).map(chunk_digest);
     groups.flat_map(group_digests).chain(rest)
@@ -188,7 +188,7 @@ fn group_digests(group: &[u8]) -> [u64; LANES] {
 /// How the blocks of a `total`-byte state divide the `len`-byte piece at
 /// `off`, as `(head, whole)`: `head` bytes that belong to a block an
 /// earlier piece opened, then `whole` bytes of blocks the piece wholly
-/// covers — what [`block_digests`] takes; the state's short last block
+/// covers — what `block_digests` takes; the state's short last block
 /// counts as one. The bytes after those open a block a later piece closes.
 /// A piece that starts and ends on block boundaries is all `whole`.
 pub fn whole_blocks(off: u64, len: usize, total: u64) -> (usize, usize) {
@@ -203,7 +203,7 @@ pub fn whole_blocks(off: u64, len: usize, total: u64) -> (usize, usize) {
 }
 
 /// The state digest, out-of-order form: `blocks` are the
-/// [`block_digests`] of every block of a `len`-byte state captured at
+/// `block_digests` of every block of a `len`-byte state captured at
 /// `step`, computed independently in any order and handed over by index.
 pub fn fold_blocks(step: u64, len: u64, blocks: impl IntoIterator<Item = u64>) -> u64 {
     [step, len].into_iter().chain(blocks).fold(FNV_SEED, mix)

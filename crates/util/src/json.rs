@@ -372,9 +372,12 @@ impl<'a> Parser<'a> {
         }
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| self.error("number out of range"))
+        // `parse` rounds a literal past `f64::MAX` (`1e999`) to infinity
+        // rather than failing: only a finite value is a JSON number.
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(JsonValue::Number(n)),
+            _ => Err(self.error("number out of range")),
+        }
     }
 }
 
@@ -455,11 +458,50 @@ mod tests {
             "[1 2]",
             "\"\\ud800\"",
             "\"\\ud800\\u0041\"",
+            "1e999",
+            "-1e999",
         ] {
             assert!(JsonValue::parse(bad).is_err(), "{bad:?} should be rejected");
         }
         let err = JsonValue::parse("[1,,2]").unwrap_err();
         assert!(err.offset > 0 && err.to_string().contains("byte"));
+    }
+
+    /// Every number a parsed document holds is finite.
+    fn numbers_are_finite(v: &JsonValue) -> bool {
+        match v {
+            JsonValue::Number(n) => n.is_finite(),
+            JsonValue::Array(items) => items.iter().all(numbers_are_finite),
+            JsonValue::Object(members) => members.iter().all(|(_, v)| numbers_are_finite(v)),
+            _ => true,
+        }
+    }
+
+    #[test]
+    fn mutated_documents_never_panic_and_hold_only_finite_numbers() {
+        use crate::rng::{check, DEFAULT_CASES};
+        // Numbers near both ends of the `f64` range, so one more exponent
+        // digit overflows; escapes, nesting and every literal.
+        const DOC: &str = r#"{"schema":"pccheck.v1","max":1.7976931348623157e308,
+            "tiny":-4.9e-324,"rows":[0,-0.5,12e3,{"k":"a\"b\u00e9\n"}],
+            "ok":true,"no":false,"none":null,"nested":[[[]],{}]}"#;
+        const ALPHABET: &[u8] = b"0123456789eE+-.\"\\{}[],: tfnu";
+        assert!(JsonValue::parse(DOC).is_ok());
+        check(DEFAULT_CASES, |r| {
+            let mut doc = DOC.as_bytes().to_vec();
+            for _ in 0..r.range(1..4) {
+                let at = r.range(0..doc.len() as u64 + 1) as usize;
+                match r.range(0..3) {
+                    0 if at < doc.len() => doc[at] ^= 1 << r.range(0..8),
+                    1 => doc.truncate(at),
+                    _ => doc.insert(at, ALPHABET[r.range(0..ALPHABET.len() as u64) as usize]),
+                }
+            }
+            let text = String::from_utf8_lossy(&doc);
+            if let Ok(v) = JsonValue::parse(&text) {
+                assert!(numbers_are_finite(&v), "{text:?} parsed to {v:?}");
+            }
+        });
     }
 
     #[test]

@@ -150,6 +150,7 @@ pub fn check(cases: u64, property: impl Fn(&mut Rng)) {
 }
 
 /// Case count of a property test that has no reason to pick its own.
+// api: a test oracle, listed in DESIGN §4 ("Test oracles").
 pub const DEFAULT_CASES: u64 = 256;
 
 #[cfg(test)]

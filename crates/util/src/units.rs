@@ -221,7 +221,7 @@ impl Bandwidth {
     /// use pccheck_util::Bandwidth;
     /// // §5.2.1: the measured inter-VM network bandwidth was 15 Gbps.
     /// let net = Bandwidth::from_gbit_per_sec(15.0);
-    /// assert!((net.as_gb_per_sec() - 15.0 / 8.0 * 1e9 / (1u64 << 30) as f64).abs() < 1e-6);
+    /// assert_eq!(net.as_bytes_per_sec(), 15.0 / 8.0 * 1e9);
     /// ```
     pub fn from_gbit_per_sec(gbitps: f64) -> Self {
         Self::from_bytes_per_sec(gbitps * 1e9 / 8.0)
@@ -233,24 +233,13 @@ impl Bandwidth {
     }
 
     /// Returns the rate in binary gigabytes per second.
-    pub fn as_gb_per_sec(self) -> f64 {
+    pub(crate) fn as_gb_per_sec(self) -> f64 {
         self.0 / GIB as f64
     }
 
     /// Time to transfer `size` at this rate.
     pub fn transfer_time(self, size: ByteSize) -> SimDuration {
         SimDuration::from_secs_f64(size.as_u64() as f64 / self.0)
-    }
-
-    /// This bandwidth divided evenly among `n` concurrent streams
-    /// (processor-sharing model).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn shared_by(self, n: usize) -> Bandwidth {
-        assert!(n > 0, "cannot share bandwidth among zero streams");
-        Bandwidth(self.0 / n as f64)
     }
 
     /// Scales this bandwidth by `factor`.
@@ -324,9 +313,8 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_sharing_and_scaling() {
+    fn bandwidth_scaling() {
         let bw = Bandwidth::from_gb_per_sec(4.0);
-        assert!((bw.shared_by(4).as_gb_per_sec() - 1.0).abs() < 1e-12);
         assert!((bw.scaled(0.5).as_gb_per_sec() - 2.0).abs() < 1e-12);
     }
 

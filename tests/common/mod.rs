@@ -7,8 +7,31 @@ use std::collections::BTreeSet;
 
 use pccheck::{recovery, PccheckError, DEFAULT_JOB};
 use pccheck_device::CrashPolicy;
-use pccheck_harness::forensics_run::{crash_matrix, run_to_crash, Baselines, ForensicsRunConfig};
+use pccheck_harness::forensics_run::{run_to_crash, Baselines, DeviceTopology, ForensicsRunConfig};
 use pccheck_monitor::CheckpointVerdict;
+
+/// The one table both tenancies' crash tests run: a flat and a striped
+/// device, each as a single-tenant store and as one shared by jobs 1..=3,
+/// each over all-`Raw` and over codec-packed checkpoints — 2 × 2 × 2 = 8
+/// rows. The sweep drives every tenant of a row through every `k` of
+/// `run_to_crash`.
+pub(crate) fn crash_matrix() -> Vec<ForensicsRunConfig> {
+    let mut rows = Vec::new();
+    for topology in [DeviceTopology::Single, DeviceTopology::Striped { ways: 2 }] {
+        for tenants in [vec![DEFAULT_JOB], vec![1, 2, 3]] {
+            for baselines in [Baselines::Raw, Baselines::Codec] {
+                let tenants = tenants.clone();
+                rows.push(ForensicsRunConfig {
+                    topology,
+                    tenants,
+                    baselines,
+                    ..ForensicsRunConfig::default()
+                });
+            }
+        }
+    }
+    rows
+}
 
 /// Sweeps every `crash_matrix()` row that `pick` selects, each on a thread
 /// of its own. A row keeps its matrix index, so a repro names the same row
@@ -84,7 +107,7 @@ fn sweep_row(row: usize, cfg: &ForensicsRunConfig) {
                 linked |= run
                     .report
                     .expected_recovery(job)
-                    .is_some_and(|m| m.is_delta());
+                    .is_some_and(|m| m.delta.is_some());
                 if cfg.tenants != [DEFAULT_JOB] {
                     assert!(
                         matches!(

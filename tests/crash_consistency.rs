@@ -172,8 +172,8 @@ fn repeated_crash_recover_cycles_never_regress() {
     assert_eq!(last_recovered, 15);
 }
 
-/// The crash sweep over the single-tenant rows of the crash matrix (flat,
-/// striped and tiered devices; all-`Raw` and codec-packed checkpoints;
+/// The crash sweep over the single-tenant rows of the crash matrix (flat
+/// and striped devices; all-`Raw` and codec-packed checkpoints;
 /// `tests/multi_tenant_crash.rs` sweeps the shared-store rows): the tenant
 /// is driven through the real pipeline and the device crashes on its
 /// `k`-th persist, for every `k` until the run outlasts the fuse, once

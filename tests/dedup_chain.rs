@@ -2,8 +2,8 @@
 //! checkpointed as chunk-framed commits (sparse updates persisting their
 //! clean chunks as `DedupBase` references into a pinned base) on one
 //! store and as plain full checkpoints on another must recover to
-//! *bit-identical* state, verified both by direct comparison and by
-//! `pccheck_monitor::diff` over the tensor layout.
+//! *bit-identical* state, verified by direct comparison and by restoring
+//! both into GPUs that match the live weights.
 
 use std::sync::Arc;
 
@@ -78,7 +78,12 @@ fn dedup_chain_restore_is_bit_identical_to_full_checkpoints() {
             copied.frame.saved_bytes > 0,
             "compressible state must pack, got {copied:?}"
         );
-        if store_a.latest_committed(&ns_a).expect("head").is_delta() {
+        if store_a
+            .latest_committed(&ns_a)
+            .expect("head")
+            .delta
+            .is_some()
+        {
             linked_commits += 1;
         }
 
@@ -110,13 +115,7 @@ fn dedup_chain_restore_is_bit_identical_to_full_checkpoints() {
         "the frame walk must reproduce the full checkpoint byte for byte"
     );
 
-    // The forensic differ over the tensor layout agrees: zero changed bytes
-    // in every tensor.
-    let layout = gpu.with_weights(|w| w.layout());
-    let report = pccheck_monitor::diff(&rec_a.payload, &rec_b.payload, &layout);
-    assert_eq!(report.changed_bytes, 0, "diff report: {report:?}");
-
-    // And both restores load back into a GPU that matches the live weights.
+    // The recovered state loads back into a GPU that matches the live weights.
     let live = gpu.with_weights(|w| w.digest());
     let restored = Gpu::new(
         GpuConfig::fast_for_tests(),

@@ -461,7 +461,10 @@ fn a_flipped_byte_in_either_home_makes_recovery_fall_back() {
         let physical = home_table
             .records
             .iter()
-            .find(|r| r.kind.is_materialized() && r.digest == referenced.digest)
+            .find(|r| {
+                matches!(r.kind, ChunkEncoding::Raw | ChunkEncoding::Lz)
+                    && r.digest == referenced.digest
+            })
             .expect("the home materializes the chunk");
         let off = t.store.slot_payload_offset(home_slot) + home_table.encoded_len() + physical.a;
         let mut byte = [0u8; 1];

@@ -218,7 +218,11 @@ fn check_stale_lap_cell_is_rejected(capacity: u32, cell: u32, lap_gap: u64) {
     let ring = FlightRing::open(Arc::clone(&device), 0).expect("reopen");
     ring.append(FlightEventKind::RecoveryStart, 0, u32::MAX, 0, 0, 0);
     assert_eq!(
-        ring.read_all().expect("rescan").max_seq(),
+        ring.read_all()
+            .expect("rescan")
+            .records
+            .last()
+            .map(|r| r.seq),
         Some(fresh_seq + 1)
     );
 }

@@ -250,7 +250,7 @@ fn crash_with_one_tenant_idle_and_one_bursting() {
 }
 
 /// The crash sweep over the shared-store rows of the crash matrix: on a
-/// flat, a striped and a tiered device, over all-`Raw` and codec-packed
+/// flat and a striped device, over all-`Raw` and codec-packed
 /// baselines, each of jobs 1..=3 in turn is driven through the real
 /// pipeline and crashed on its `k`-th persist, for every `k`, while the
 /// other two hold their baselines. The audit, the state-word lattice,

@@ -607,7 +607,10 @@ fn head_rotted(built: &Built) -> Option<Arc<dyn PersistentDevice>> {
     let (head, _) = built.head();
     let payload = built.store.read_checkpoint(head).expect("head payload");
     let table = FrameTable::decode(&payload).expect("head table");
-    let held = table.records.iter().find(|r| r.kind.is_materialized())?;
+    let held = table
+        .records
+        .iter()
+        .find(|r| matches!(r.kind, ChunkEncoding::Raw | ChunkEncoding::Lz))?;
     let packed = built.store.slot_payload_offset(head.slot) + table.encoded_len();
     Some(Arc::new(BitRot {
         inner: built.ssd.clone(),
@@ -742,7 +745,7 @@ fn a_range_the_head_needs(built: &Built) -> (u64, u64) {
         .records
         .iter()
         .find(|r| {
-            r.kind.is_materialized()
+            matches!(r.kind, ChunkEncoding::Raw | ChunkEncoding::Lz)
                 && (r.digest, r.logical_len) == (named.digest, named.logical_len)
         })
         .expect("the home materialized what the head names");

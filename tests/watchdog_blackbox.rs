@@ -18,7 +18,7 @@ use pccheck_device::{DeviceConfig, PersistentDevice, SsdDevice, StripedDevice};
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingState};
 use pccheck_monitor::{armed_watchdog, SloConfig};
 use pccheck_telemetry::{
-    validate_prometheus_text, EventKind, Phase, Telemetry, TelemetryIoObserver, BLACKBOX_SCHEMA,
+    validate_prometheus_text, EventKind, Phase, Telemetry, TelemetryIoObserver,
 };
 use pccheck_util::{Bandwidth, ByteSize};
 
@@ -106,7 +106,7 @@ fn watchdog_fires_on_stall_and_bundle_has_hierarchical_trace() {
         assert!(!body.is_empty(), "{file} is empty");
     }
     let vjson = std::fs::read_to_string(bundle.join("violation.json")).unwrap();
-    assert!(vjson.contains(BLACKBOX_SCHEMA));
+    assert!(vjson.contains("pccheck.blackbox.v1"));
     assert!(vjson.contains("stall_fraction"));
     let prom = std::fs::read_to_string(bundle.join("metrics.prom")).unwrap();
     assert!(
