@@ -428,9 +428,9 @@ pub(crate) enum JobSource {
     Verbatim { slot: u32, at: u64 },
     /// An LZ block of `phys_len` bytes.
     Lz { slot: u32, at: u64, phys_len: u64 },
-    /// The bytes job `of` landed — always a `Verbatim` or `Lz` job of
-    /// equal length: `DedupSelf` records and repeated base content resolve
-    /// to the one job that reads the content.
+    /// The bytes job `of` landed — always an earlier `Verbatim` or `Lz`
+    /// job of equal length and address: `DedupSelf` records and repeated
+    /// base content resolve to the one job that reads the content.
     Copy { of: usize },
 }
 
@@ -466,9 +466,10 @@ impl RestorePlan {
     /// that read it.
     ///
     /// `None` on an unreadable head, a torn table or one bound to another
-    /// commit, a missing home, or a record whose physical range leaves the
-    /// payload that should hold it: the caller falls back, as on any other
-    /// verification failure.
+    /// commit, a missing home, a record whose physical range leaves the
+    /// payload that should hold it, or a `DedupSelf` whose content address
+    /// is not the one of the record it names: the caller falls back, as on
+    /// any other verification failure.
     pub(crate) fn compile(
         meta: &CheckMeta,
         commits: &[CheckMeta],
@@ -478,7 +479,7 @@ impl RestorePlan {
         let mut homes: HashMap<(u64, u32), Option<Home>> = HashMap::new();
         // The job that reads each distinct base chunk.
         let mut resolved: HashMap<(u64, u64), usize> = HashMap::new();
-        let mut jobs = Vec::with_capacity(table.records.len());
+        let mut jobs: Vec<Job> = Vec::with_capacity(table.records.len());
         let mut off = 0u64;
         for (i, r) in table.records.iter().enumerate() {
             let source = match r.kind {
@@ -497,6 +498,14 @@ impl RestorePlan {
                     }
                 },
             };
+            // A copy lands its source's bytes, so it has its source's
+            // address or the table lies: the executor takes a copy's block
+            // values from its source and digests nothing of it.
+            if let JobSource::Copy { of } = source {
+                if jobs[of].digest != r.digest {
+                    return None;
+                }
+            }
             jobs.push(Job {
                 off,
                 len: r.logical_len,
@@ -1228,6 +1237,65 @@ mod tests {
         );
     }
 
+    /// A copy takes its source's block values only where both sit on the
+    /// block grid, and only for blocks it wholly covers; every other block
+    /// of it — off the grid, or the state's short last block, which its
+    /// source cuts — is digested after the join, and the fold still holds.
+    #[test]
+    fn copies_on_and_off_the_block_grid_fold_to_the_state() {
+        const B: usize = pccheck_util::fnv::DIGEST_BLOCK;
+        let bytes = |len, seed| {
+            let mut v = vec![0u8; len];
+            pccheck_util::rng::fill_deterministic(&mut v, seed);
+            v
+        };
+        let (x, y, w) = (bytes(2 * B + 100, 11), bytes(B - 100, 12), bytes(2 * B, 13));
+        // Each record lands raw (`None`) or copies record `i` (`Some(i)`).
+        let cases: [&[(&[u8], Option<u32>)]; 4] = [
+            &[(&x, None), (&x, Some(0))],
+            &[(&y, None), (&x, None), (&x, Some(1))],
+            &[(&x, None), (&y, None), (&x, Some(0))],
+            &[(&w, None), (&w, Some(0))],
+        ];
+        for (case, records) in cases.into_iter().enumerate() {
+            let logical: Vec<u8> = records.iter().flat_map(|(b, _)| b.to_vec()).collect();
+            let mut packed = Vec::new();
+            let mut record = |&(bytes, copy_of): &(&[u8], Option<u32>)| {
+                let len = bytes.len() as u64;
+                let (kind, aux, a, b) = match copy_of {
+                    Some(i) => (ChunkEncoding::DedupSelf, i, 0, 0),
+                    None => {
+                        packed.extend_from_slice(bytes);
+                        (ChunkEncoding::Raw, 0, packed.len() as u64 - len, len)
+                    }
+                };
+                let digest = content_address(bytes);
+                FrameRecord {
+                    kind,
+                    aux,
+                    logical_len: len,
+                    a,
+                    b,
+                    digest,
+                }
+            };
+            let table = FrameTable {
+                counter: 9,
+                logical_len: logical.len() as u64,
+                full_digest: state_digest(3, &logical),
+                records: records.iter().map(&mut record).collect(),
+            };
+            let table_bytes = table.encode();
+            let payload = [&table_bytes[..], &packed].concat();
+            let meta = meta_for(&table_bytes, payload.len() as u64);
+            assert_eq!(
+                walk_slots(&[(meta, &payload[..])], &meta),
+                Some((logical, table.full_digest)),
+                "case {case}"
+            );
+        }
+    }
+
     /// The bug the head-sniffing format had: a state that happens to open
     /// with the frame magic is still just a state.
     #[test]
@@ -1434,6 +1502,16 @@ mod tests {
         assert!(
             walk(&payload, &meta).is_none(),
             "raw record shorter than its logical length"
+        );
+
+        // The bytes a `DedupSelf` lands are its source's, which verify; the
+        // record's own address must still be what vouches for them.
+        let mut self_unlike_its_source = f.table.clone();
+        self_unlike_its_source.records[2].digest ^= 1;
+        let (payload, meta) = resealed(&self_unlike_its_source);
+        assert!(
+            walk(&payload, &meta).is_none(),
+            "DedupSelf addressed unlike the record it copies"
         );
 
         let head = (f.meta, &f.payload[..]);

@@ -7,7 +7,9 @@
 //! (striped members especially), LZ decoding, digest computation and the
 //! DRAM→GPU upload. Here a recovery candidate — a frame, like every
 //! checkpoint ([`crate::codec`]) — compiles to a plan of independent jobs,
-//! one per record, and one executor runs it on `r` **reader threads**:
+//! one per record, and one executor runs it on `r` **readers**: the
+//! recovering thread is reader 0, so a fan-out spawns `r − 1` scoped
+//! threads, and a one-reader restore none.
 //!
 //! * **Jobs land where they will live.** The destination lends itself as
 //!   disjoint pieces — one `Vec<u8>`, or the tensor-shaped staging of a
@@ -19,15 +21,18 @@
 //! * **Homes are read by range.** A frame's `DedupBase` records resolve at
 //!   plan time to the physical ranges their homes materialized the content
 //!   at: a recovery reads what the frame references, never a home's slot.
-//! * **Verification overlaps I/O, one digest pass per byte.** Each reader
-//!   makes one pass over the bytes it just landed: it files the digests of
-//!   the [`pccheck_util::fnv`] blocks the job wholly covers and, from the
-//!   same values when the job starts on a block boundary, checks the
-//!   record's content address. Blocks cut by a job boundary are digested
-//!   from the destination after the join. The candidate is accepted on the
-//!   fold of the block values against the frame's state digest, before
-//!   anything is handed over: a rejected `RestoreTarget` is dropped, never
-//!   finished.
+//! * **Verification overlaps I/O, one digest pass per byte read.** Each
+//!   reader makes one pass over the bytes a source job just read: it files
+//!   the digests of the [`pccheck_util::fnv`] blocks the job wholly covers
+//!   and, from the same values when the job starts on a block boundary,
+//!   checks the record's content address. A copy job digests nothing: its
+//!   bytes are its source's, verified in the first fan-out, the plan held
+//!   it to its source's address, and it files its source's value of each
+//!   block at the same offset when both start on a block boundary. Blocks
+//!   no job filed are digested from the destination after the join. The
+//!   candidate is accepted on the fold of the block values against the
+//!   frame's state digest, before anything is handed over: a rejected
+//!   `RestoreTarget` is dropped, never finished.
 //!
 //! [`recover_instrumented_with`] rebuilds the crate's recovery flow on top
 //! of this: candidates fall back newest-first on *any* failure (digest
@@ -55,7 +60,8 @@ use crate::store::{CheckpointStore, JobId, DEFAULT_JOB};
 /// Knobs for the parallel recovery flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RestoreOptions {
-    /// Parallel reader threads (`r`). 1 reproduces the sequential path.
+    /// Readers (`r`): the recovering thread and `r − 1` scoped threads
+    /// it spawns for each fan-out. 1 reads on the calling thread alone.
     pub readers: usize,
     /// The tenant to recover; `None` is [`DEFAULT_JOB`], the tenant of a
     /// single-tenant store. Candidates outside its namespace's slot range
@@ -134,7 +140,8 @@ struct Reader {
     media_nanos: u64,
 }
 
-/// Runs `work(k, reader)` for every `k < count` on up to `readers` threads;
+/// Runs `work(k, reader)` for every `k < count` on up to `readers`
+/// readers — the calling thread and one scoped thread per further reader;
 /// a `false` stops every reader at once. Returns the readers that ran and
 /// whether all the work succeeded.
 ///
@@ -151,41 +158,42 @@ fn fan_out(
     let readers = readers.min(count) as u64;
     let run = (count as u64).div_ceil(readers.max(1));
     let (next, failed) = (AtomicU64::new(0), AtomicBool::new(false));
-    std::thread::scope(|s| {
-        for r in 0..readers {
-            let (next, failed) = (&next, &failed);
-            s.spawn(move || {
-                let actor_start = ctx.telemetry.now_nanos();
-                let mut reader = Reader::default();
-                while !failed.load(Ordering::Acquire) {
-                    let claim = next.fetch_add(1, Ordering::Relaxed);
-                    if claim >= run * readers {
-                        break;
-                    }
-                    let k = ((claim % readers) * run + claim / readers) as usize;
-                    // `k >= count` is past the end of the short last run.
-                    if k < count && !work(k, &mut reader) {
-                        failed.store(true, Ordering::Release);
-                    }
-                }
-                if reader.bytes > 0 {
-                    ctx.telemetry.actor_span_split(
-                        ctx.span,
-                        format_args!("reader-{r}"),
-                        actor_start,
-                        reader.bytes,
-                        reader.media_nanos,
-                    );
-                }
-            });
+    let run_reader = |r: u64| {
+        let actor_start = ctx.telemetry.now_nanos();
+        let mut reader = Reader::default();
+        while !failed.load(Ordering::Acquire) {
+            let claim = next.fetch_add(1, Ordering::Relaxed);
+            if claim >= run * readers {
+                break;
+            }
+            let k = ((claim % readers) * run + claim / readers) as usize;
+            // `k >= count` is past the end of the short last run.
+            if k < count && !work(k, &mut reader) {
+                failed.store(true, Ordering::Release);
+            }
         }
+        if reader.bytes > 0 {
+            ctx.telemetry.actor_span_split(
+                ctx.span,
+                format_args!("reader-{r}"),
+                actor_start,
+                reader.bytes,
+                reader.media_nanos,
+            );
+        }
+    };
+    std::thread::scope(|s| {
+        for r in 1..readers {
+            s.spawn(move || run_reader(r));
+        }
+        run_reader(0);
     });
     (readers, !failed.into_inner())
 }
 
 /// The one executor: lands `plan` in `pieces` — disjoint memory whose
 /// concatenation is the logical payload, or it panics — on up to `readers`
-/// threads, source jobs first, copy jobs second, and accepts it iff every
+/// readers, source jobs first, copy jobs second, and accepts it iff every
 /// job landed intact and the fold of the block digests — seeded with the
 /// plan's iteration and length — equals the plan's digest: corruption
 /// anywhere is caught here at the latest, before the caller hands a byte
@@ -212,10 +220,11 @@ fn execute(
     // Lands one job in `segs`: one device read (or LZ decode out of the
     // reader's scratch, or copy of what an earlier job landed) straight
     // into a single segment — or, when the job straddles pieces, into a
-    // spill buffer that is then scattered. Either way one pass over the
-    // bytes that land files the digests of the blocks the job wholly
-    // covers and checks the record's content address. `false` on a read
-    // fault, a malformed LZ block or a content-address mismatch.
+    // spill buffer that is then scattered. Either way a source job's one
+    // pass over the bytes it read files the digests of the blocks it
+    // wholly covers and checks the record's content address; a copy files
+    // its source's values. `false` on a read fault, a malformed LZ block
+    // or a content-address mismatch.
     let land = |job: &Job, segs: &mut [&mut [u8]], landed: &[Segments], reader: &mut Reader| {
         let mut read = |slot, at, buf: &mut [u8]| {
             let start = telemetry.now_nanos();
@@ -248,10 +257,28 @@ fn execute(
 
         let v0 = Instant::now();
         // Relaxed: the scope's join orders every store before the fold
-        // reads the cells. A job that fails its check fails the plan, so
-        // what it filed is never folded.
+        // reads the cells — and every source's before a copy reads them. A
+        // job that fails its check fails the plan, so what it filed is
+        // never folded.
         let file = |i: usize, value| blocks[i].store(value, Ordering::Relaxed);
-        let intact = filled && file_blocks(job.off, whole, plan.len, file) == job.digest;
+        let intact = match job.source {
+            // The bytes are the source's, verified in the first fan-out, and
+            // the plan gave the copy its source's address: digest nothing,
+            // file the source's value of each block at the same offset.
+            // That needs both jobs to start on a block boundary; a block
+            // either cannot take stays unfiled for the tail below.
+            JobSource::Copy { of } => {
+                let src = &plan.jobs[of];
+                if job.off.is_multiple_of(block) && src.off.is_multiple_of(block) {
+                    let (to, from) = ((job.off / block) as usize, (src.off / block) as usize);
+                    for k in 0..(job.len / block) as usize {
+                        file(to + k, blocks[from + k].load(Ordering::Relaxed));
+                    }
+                }
+                true
+            }
+            _ => filled && file_blocks(job.off, whole, plan.len, file) == job.digest,
+        };
         verify_nanos.fetch_add(v0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         if !intact {
             return false;
@@ -346,7 +373,7 @@ fn execute_into_memory(
     (report, report.ok.then_some(out))
 }
 
-/// Materializes the frame committed as `meta` on `readers` threads with no
+/// Materializes the frame committed as `meta` on `readers` readers with no
 /// store open: `read` reads slot payloads, `commits` are the commit records a
 /// frame's `DedupBase` records may name as homes. The forensics auditor's
 /// entry to the plan and the executor recovery runs.
@@ -385,7 +412,7 @@ impl RestorePipeline {
         RestorePipeline { store, readers: 1 }
     }
 
-    /// Sets the number of parallel reader threads (`r`).
+    /// Sets the number of readers (`r`), the calling thread included.
     pub fn with_readers(mut self, readers: usize) -> Self {
         self.readers = readers.max(1);
         self

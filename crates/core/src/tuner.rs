@@ -31,8 +31,6 @@ pub struct TunerInputs {
     pub iter_time: SimDuration,
     /// Storage write bandwidth `T_S`.
     pub storage_bandwidth: Bandwidth,
-    /// GPU→CPU PCIe bandwidth `T_G`.
-    pub pcie_bandwidth: Bandwidth,
     /// Total storage budget `S` for checkpoints.
     pub storage_budget: ByteSize,
     /// Acceptable slowdown `q ≥ 1` (e.g., 1.03 for 3% overhead).
@@ -150,7 +148,6 @@ mod tests {
             checkpoint_size: ByteSize::from_gb(16.2),
             iter_time: SimDuration::from_secs(2),
             storage_bandwidth: Bandwidth::from_gb_per_sec(16.0 / 37.0),
-            pcie_bandwidth: Bandwidth::from_gb_per_sec(12.0),
             storage_budget: ByteSize::from_gb(100.0),
             max_slowdown: 1.05,
         }
@@ -224,7 +221,6 @@ mod tests {
             checkpoint_size: ByteSize::from_gb(1.1),
             iter_time: SimDuration::from_millis(60),
             storage_bandwidth: Bandwidth::from_gb_per_sec(16.0 / 37.0),
-            pcie_bandwidth: Bandwidth::from_gb_per_sec(12.0),
             storage_budget: ByteSize::from_gb(50.0),
             max_slowdown: 1.05,
         };

@@ -22,8 +22,6 @@ pub struct SystemParams {
     pub iter_time: SimDuration,
     /// Aggregate storage write bandwidth `T_S` of the shared stripe.
     pub storage_bandwidth: Bandwidth,
-    /// GPU→CPU PCIe bandwidth `T_G`.
-    pub pcie_bandwidth: Bandwidth,
     /// Acceptable slowdown `q ≥ 1`.
     pub max_slowdown: f64,
 }
@@ -33,7 +31,6 @@ impl Default for SystemParams {
         SystemParams {
             iter_time: SimDuration::from_millis(100),
             storage_bandwidth: Bandwidth::from_mb_per_sec(2000.0),
-            pcie_bandwidth: Bandwidth::from_mb_per_sec(12000.0),
             max_slowdown: 1.05,
         }
     }
@@ -97,7 +94,6 @@ pub fn decide(
         checkpoint_size: spec.state,
         iter_time: system.iter_time,
         storage_bandwidth: system.storage_bandwidth,
-        pcie_bandwidth: system.pcie_bandwidth,
         storage_budget: spec.storage_budget,
         max_slowdown: system.max_slowdown,
     }) {

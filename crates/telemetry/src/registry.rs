@@ -1048,6 +1048,43 @@ mod tests {
         let _ = SpanId::NONE;
     }
 
+    /// Byte flips, truncations and inserted lines over a real exposition:
+    /// the validator answers every document and panics on none.
+    #[test]
+    fn mutated_expositions_never_panic_the_validator() {
+        use pccheck_util::rng::{check, DEFAULT_CASES};
+        const LINES: [&str; 5] = [
+            "pccheck_x 1",
+            "pccheck_x_bucket{le=\"+Inf\"} 0",
+            "pccheck_x{job=\"a\\\"",
+            "# HELP pccheck_x",
+            "{} 1e999",
+        ];
+        let text = active_registry().prometheus_text();
+        let samples = text
+            .lines()
+            .filter(|l| !l.starts_with('#') && !l.is_empty());
+        assert_eq!(validate_prometheus_text(&text), Ok(samples.count()));
+        check(DEFAULT_CASES, |r| {
+            let mut doc = text.as_bytes().to_vec();
+            for _ in 0..r.range(1..4) {
+                let at = r.range(0..doc.len() as u64 + 1) as usize;
+                match r.range(0..3) {
+                    0 if at < doc.len() => doc[at] ^= 1 << r.range(0..8),
+                    1 => doc.truncate(at),
+                    _ => {
+                        // A whole line, at the start of the line `at` is in.
+                        let start = doc[..at].iter().rposition(|&b| b == b'\n');
+                        let start = start.map_or(0, |newline| newline + 1);
+                        let line = LINES[r.range(0..LINES.len() as u64) as usize];
+                        doc.splice(start..start, format!("{line}\n").into_bytes());
+                    }
+                }
+            }
+            let _ = validate_prometheus_text(&String::from_utf8_lossy(&doc));
+        });
+    }
+
     #[test]
     fn validator_checks_label_well_formedness() {
         assert_eq!(validate_prometheus_text("pccheck_x{job=\"a\"} 1"), Ok(1));

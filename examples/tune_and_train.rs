@@ -15,9 +15,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         checkpoint_size: model.checkpoint_size,
         iter_time: model.iter_time(GpuKind::A100),
         storage_bandwidth: Bandwidth::from_gb_per_sec(1.5), // raw pd-ssd rate
-        pcie_bandwidth: GpuKind::A100.pcie_bandwidth(),
-        storage_budget: ByteSize::from_gb(100.0), // ~6 slots of 16.2 GB
-        max_slowdown: 1.05,                       // accept 5% overhead
+        storage_budget: ByteSize::from_gb(100.0),           // ~6 slots of 16.2 GB
+        max_slowdown: 1.05,                                 // accept 5% overhead
     };
     let tuner = Tuner::new(inputs)?;
     println!(

@@ -694,8 +694,8 @@ fn recoveries_into_one_gpu_land_every_commit_bit_exactly() {
 const LAYOUT: [u64; 4] = [3000, 0, 5000, 4100];
 
 /// Three commits of a [`LAYOUT`] state in 1000-byte records: an all-`Raw`
-/// one, a codec frame, and a head — a codec frame naming both as homes,
-/// or all-`Raw`.
+/// one, a codec frame, and a head — a codec frame naming both as homes and
+/// copying one of its own records, or all-`Raw`.
 fn chained_store(framed_head: bool) -> Built {
     let shapes = Shapes::default();
     let mut r = Rng::seeded(5);
@@ -713,6 +713,8 @@ fn chained_store(framed_head: bool) -> Built {
     payload[2500..4500].iter_mut().for_each(|b| *b ^= 0x5A);
     built.commit_framed(&mut r, 2, &payload, 1000, &shapes);
     payload[9000..9700].iter_mut().for_each(|b| *b ^= 0x3C);
+    // Record 11 repeats record 9's new content: a codec head copies it.
+    payload.copy_within(9000..10000, 11000);
     if framed_head {
         built.commit_framed(&mut r, 3, &payload, 1000, &shapes);
         assert_eq!(shapes.all_raw_and_codec_home.get(), 1, "head names both");
@@ -753,9 +755,31 @@ fn a_range_the_head_needs(built: &Built) -> (u64, u64) {
     (packed + held.a, held.b)
 }
 
+/// The device range of the head record that a `DedupSelf` record of
+/// `built`'s codec head copies: read once, landed twice.
+fn a_range_copies_copy_from(built: &Built) -> (u64, u64) {
+    let (head, _) = built.head();
+    let payload = built.store.read_checkpoint(head).expect("head payload");
+    let table = FrameTable::decode(&payload).expect("head table");
+    let copy = table
+        .records
+        .iter()
+        .find(|r| r.kind == ChunkEncoding::DedupSelf);
+    let source = table.records[copy.expect("the head copies a record").aux as usize];
+    let packed = built.store.slot_payload_offset(head.slot) + table.encoded_len();
+    (packed + source.a, source.b)
+}
+
 fn overwrite(ssd: &SsdDevice, at: u64, bytes: &[u8]) {
     ssd.write_at(at, bytes).unwrap();
     ssd.persist(at, bytes.len() as u64).unwrap();
+}
+
+/// Flips a bit of the durable byte in the middle of the range `(at, len)`.
+fn flip_middle_byte(ssd: &SsdDevice, (at, len): (u64, u64)) {
+    let mut byte = [0u8];
+    ssd.read_durable_at(at + len / 2, &mut byte).unwrap();
+    overwrite(ssd, at + len / 2, &[byte[0] ^ 0x10]);
 }
 
 /// A device on which a slot is recycled under the reader: the first
@@ -806,10 +830,11 @@ impl PersistentDevice for RecycledUnderRead {
 fn a_fault_in_the_head_or_in_a_home_rejects_the_head_and_falls_back() {
     type Fault = fn(&Built) -> Arc<dyn PersistentDevice>;
     let flipped_byte: Fault = |built| {
-        let (at, len) = a_range_the_head_needs(built);
-        let mut byte = [0u8];
-        built.ssd.read_durable_at(at + len / 2, &mut byte).unwrap();
-        overwrite(&built.ssd, at + len / 2, &[byte[0] ^ 0x10]);
+        flip_middle_byte(&built.ssd, a_range_the_head_needs(built));
+        built.device()
+    };
+    let flipped_copy_source: Fault = |built| {
+        flip_middle_byte(&built.ssd, a_range_copies_copy_from(built));
         built.device()
     };
     let read_fault: Fault = |built| {
@@ -833,9 +858,16 @@ fn a_fault_in_the_head_or_in_a_home_rejects_the_head_and_falls_back() {
     };
     // A fault in the codec home fails that home as a candidate too, so
     // the codec head falls back to commit 1; the all-Raw head's own fault
-    // leaves commit 2 intact.
-    let cases: [(&str, bool, Fault, u64); 6] = [
+    // leaves commit 2 intact, and so does the codec head's fault in its
+    // own packed range.
+    let cases: [(&str, bool, Fault, u64); 7] = [
         ("byte flipped in a home range", true, flipped_byte, 1),
+        (
+            "byte flipped in a range that copy jobs copy from",
+            true,
+            flipped_copy_source,
+            2,
+        ),
         ("read fault on a home range", true, read_fault, 1),
         (
             "home recycled after the plan",
