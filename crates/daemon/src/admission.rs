@@ -1,40 +1,16 @@
 //! Admission control: the §3.4 storage math applied per tenant.
 //!
-//! The single-job tuner already knows the constraint that matters here:
-//! a tenant with storage budget `S` and checkpoint size `m` can run at
+//! A tenant with storage budget `S` and checkpoint size `m` can run at
 //! most `N ≤ S/m − 1` concurrent checkpoints (the `+1` slot is the one
-//! being recycled). The daemon reuses [`Tuner`] verbatim for that bound
-//! and layers the *shared-store* constraints on top: the slot range and
-//! namespace directory are finite, so a job that fits its own budget may
-//! still have to wait for capacity.
+//! being recycled) — the bound `pccheck::Tuner::max_concurrent` computes
+//! for a single job. Admission applies it per tenant and layers the
+//! *shared-store* constraints on top: the slot range and namespace
+//! directory are finite, so a job that fits its own budget may still have
+//! to wait for capacity.
 
-use pccheck::{Tuner, TunerInputs};
-use pccheck_util::{Bandwidth, ByteSize, SimDuration};
+use pccheck_util::ByteSize;
 
 use crate::service::JobSpec;
-
-/// System-wide model parameters fed to each tenant's [`Tuner`] (the
-/// "System Parameters" column of Table 2; the per-tenant "User
-/// Constraints" come from the [`JobSpec`]).
-#[derive(Debug, Clone)]
-pub struct SystemParams {
-    /// Modeled iteration time `t` for admission math.
-    pub iter_time: SimDuration,
-    /// Aggregate storage write bandwidth `T_S` of the shared stripe.
-    pub storage_bandwidth: Bandwidth,
-    /// Acceptable slowdown `q ≥ 1`.
-    pub max_slowdown: f64,
-}
-
-impl Default for SystemParams {
-    fn default() -> Self {
-        SystemParams {
-            iter_time: SimDuration::from_millis(100),
-            storage_bandwidth: Bandwidth::from_mb_per_sec(2000.0),
-            max_slowdown: 1.05,
-        }
-    }
-}
 
 /// The largest QoS weight a job may ask for. The arbiter credits a job
 /// `weight * quantum` bytes a ring pass and caps its deficit at twice
@@ -70,7 +46,6 @@ pub fn decide(
     slot_size: ByteSize,
     free_slots: u32,
     free_namespaces: u32,
-    system: &SystemParams,
 ) -> Admission {
     if spec.state.is_zero() {
         return Admission::Rejected("checkpoint size must be nonzero".into());
@@ -90,19 +65,9 @@ pub fn decide(
             spec.weight
         ));
     }
-    let tuner = match Tuner::new(TunerInputs {
-        checkpoint_size: spec.state,
-        iter_time: system.iter_time,
-        storage_bandwidth: system.storage_bandwidth,
-        storage_budget: spec.storage_budget,
-        max_slowdown: system.max_slowdown,
-    }) {
-        Ok(t) => t,
-        // The tuner's own validation is the rejection: a budget that
-        // cannot hold two checkpoints means N would be 0.
-        Err(e) => return Admission::Rejected(format!("tuner admission: {e}")),
-    };
-    let cap = tuner.max_concurrent();
+    // §3.4: N ≤ S/m − 1; a budget under two checkpoints leaves N = 0.
+    let fit = spec.storage_budget.as_u64() / spec.state.as_u64();
+    let cap = usize::try_from(fit).unwrap_or(usize::MAX).saturating_sub(1);
     if cap == 0 {
         return Admission::Rejected(format!(
             "storage budget {} holds fewer than 2 checkpoints of {}",
@@ -150,13 +115,7 @@ mod tests {
     #[test]
     fn budget_clamps_concurrency_to_the_section_3_4_bound() {
         // S/m = 4 → N ≤ 3 even though the job asked for 8.
-        let d = decide(
-            &spec(64, 8, 256),
-            ByteSize::from_kb(64),
-            32,
-            4,
-            &SystemParams::default(),
-        );
+        let d = decide(&spec(64, 8, 256), ByteSize::from_kb(64), 32, 4);
         assert_eq!(
             d,
             Admission::Admitted {
@@ -168,36 +127,23 @@ mod tests {
 
     #[test]
     fn budget_below_two_checkpoints_is_rejected() {
-        let d = decide(
-            &spec(64, 2, 100),
-            ByteSize::from_kb(64),
-            32,
-            4,
-            &SystemParams::default(),
-        );
+        let d = decide(&spec(64, 2, 100), ByteSize::from_kb(64), 32, 4);
         assert!(matches!(d, Admission::Rejected(_)), "{d:?}");
     }
 
     #[test]
     fn oversized_state_is_rejected_not_queued() {
-        let d = decide(
-            &spec(128, 1, 1024),
-            ByteSize::from_kb(64),
-            32,
-            4,
-            &SystemParams::default(),
-        );
+        let d = decide(&spec(128, 1, 1024), ByteSize::from_kb(64), 32, 4);
         assert!(matches!(d, Admission::Rejected(_)), "{d:?}");
     }
 
     #[test]
     fn exhausted_store_queues_a_job_that_fits_its_own_budget() {
-        let sys = SystemParams::default();
-        let d = decide(&spec(64, 2, 1024), ByteSize::from_kb(64), 2, 4, &sys);
+        let d = decide(&spec(64, 2, 1024), ByteSize::from_kb(64), 2, 4);
         assert!(matches!(d, Admission::Queued(_)), "{d:?}");
-        let d = decide(&spec(64, 2, 1024), ByteSize::from_kb(64), 8, 0, &sys);
+        let d = decide(&spec(64, 2, 1024), ByteSize::from_kb(64), 8, 0);
         assert!(matches!(d, Admission::Queued(_)), "{d:?}");
-        let d = decide(&spec(64, 2, 1024), ByteSize::from_kb(64), 3, 1, &sys);
+        let d = decide(&spec(64, 2, 1024), ByteSize::from_kb(64), 3, 1);
         assert_eq!(
             d,
             Admission::Admitted {
@@ -211,20 +157,13 @@ mod tests {
     fn a_concurrency_whose_slots_overflow_u32_is_rejected() {
         // A budget of 2^40 KiB holds 2^40 one-KiB checkpoints, so the
         // §3.4 bound does not clamp N = 2^32, and N + 1 slots overflow.
-        let d = decide(
-            &spec(1, 1 << 32, 1 << 40),
-            ByteSize::from_kb(64),
-            32,
-            4,
-            &SystemParams::default(),
-        );
+        let d = decide(&spec(1, 1 << 32, 1 << 40), ByteSize::from_kb(64), 32, 4);
         assert!(matches!(d, Admission::Rejected(_)), "{d:?}");
         let d = decide(
             &spec(1, u32::MAX as usize, 1 << 40),
             ByteSize::from_kb(64),
             32,
             4,
-            &SystemParams::default(),
         );
         assert!(matches!(d, Admission::Rejected(_)), "{d:?}");
     }
@@ -235,15 +174,7 @@ mod tests {
             weight,
             ..spec(64, 2, 1024)
         };
-        let decide_for = |weight| {
-            decide(
-                &heavy(weight),
-                ByteSize::from_kb(64),
-                32,
-                4,
-                &SystemParams::default(),
-            )
-        };
+        let decide_for = |weight| decide(&heavy(weight), ByteSize::from_kb(64), 32, 4);
         for weight in [MAX_WEIGHT + 1, 1 << 46, u64::MAX] {
             let d = decide_for(weight);
             assert!(

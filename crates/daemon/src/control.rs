@@ -15,14 +15,10 @@
 //! * `/shutdown` — ask the daemon's serve loop to exit.
 
 use pccheck_telemetry::{HttpListener, HttpResponse, HttpRoute};
+use pccheck_util::json::escape_json;
 use pccheck_util::ByteSize;
 
 use crate::service::{Daemon, JobSpec, JobStatus, SubmitOutcome};
-
-/// JSON string escape for names that came in off the wire.
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
 
 fn status_json(s: &JobStatus) -> String {
     format!(
@@ -30,7 +26,7 @@ fn status_json(s: &JobStatus) -> String {
          \"committed\":{},\"bytes_persisted\":{},\"qos_share\":{:.4},\
          \"last_iteration\":{},\"codec\":{}}}",
         s.id,
-        json_escape(&s.name),
+        escape_json(&s.name),
         s.state.name(),
         s.concurrent,
         s.committed,
@@ -128,12 +124,12 @@ fn handle(daemon: &Daemon, target: &str) -> (&'static str, String) {
                     "200 OK",
                     format!(
                         "{{\"state\":\"queued\",\"reason\":\"{}\"}}\n",
-                        json_escape(&reason)
+                        escape_json(&reason)
                     ),
                 ),
                 Err(msg) => (
                     "400 Bad Request",
-                    format!("{{\"error\":\"{}\"}}\n", json_escape(&msg)),
+                    format!("{{\"error\":\"{}\"}}\n", escape_json(&msg)),
                 ),
             }
         }
@@ -147,11 +143,11 @@ fn handle(daemon: &Daemon, target: &str) -> (&'static str, String) {
             match daemon.drain(name) {
                 Ok(()) => (
                     "200 OK",
-                    format!("{{\"drained\":\"{}\"}}\n", json_escape(name)),
+                    format!("{{\"drained\":\"{}\"}}\n", escape_json(name)),
                 ),
                 Err(e) => (
                     "400 Bad Request",
-                    format!("{{\"error\":\"{}\"}}\n", json_escape(&e.to_string())),
+                    format!("{{\"error\":\"{}\"}}\n", escape_json(&e.to_string())),
                 ),
             }
         }

@@ -33,7 +33,7 @@ use pccheck_telemetry::{MetricsRegistry, Telemetry};
 use pccheck_util::sync::Mutex;
 use pccheck_util::ByteSize;
 
-use crate::admission::{self, Admission, SystemParams};
+use crate::admission::{self, Admission};
 
 /// One tenant's submission: its checkpoint geometry, §3.4 user
 /// constraints, and the synthetic workload the daemon drives for it.
@@ -168,8 +168,6 @@ pub struct DaemonConfig {
     pub codec: bool,
     /// QoS arbiter tuning.
     pub qos: QosConfig,
-    /// System parameters for per-tenant admission math.
-    pub system: SystemParams,
 }
 
 impl DaemonConfig {
@@ -187,7 +185,6 @@ impl DaemonConfig {
             dram_chunks: 16,
             codec: true,
             qos: QosConfig::default(),
-            system: SystemParams::default(),
         }
     }
 }
@@ -341,13 +338,7 @@ impl Daemon {
             }
         }
         let (free_slots, free_ns) = self.free_capacity();
-        match admission::decide(
-            &spec,
-            self.config.slot_size,
-            free_slots,
-            free_ns,
-            &self.config.system,
-        ) {
+        match admission::decide(&spec, self.config.slot_size, free_slots, free_ns) {
             Admission::Rejected(reason) => Err(PccheckError::InvalidConfig(format!(
                 "job {:?} rejected: {reason}",
                 spec.name
@@ -513,13 +504,7 @@ impl Daemon {
                 return;
             };
             let (free_slots, free_ns) = self.free_capacity();
-            match admission::decide(
-                &spec,
-                self.config.slot_size,
-                free_slots,
-                free_ns,
-                &self.config.system,
-            ) {
+            match admission::decide(&spec, self.config.slot_size, free_slots, free_ns) {
                 Admission::Admitted { concurrent, slots } => {
                     if self.start_job(spec, concurrent, slots).is_err() {
                         return;

@@ -1,5 +1,5 @@
 //! Extension: chunk-codec compressibility × dedup-hit-rate sweep.
-use pccheck_harness::{ext_compress, profile_run, result_path};
+use pccheck_harness::{ext_compress, result_path};
 
 fn main() -> std::io::Result<()> {
     let rows = ext_compress::run();
@@ -33,7 +33,5 @@ fn main() -> std::io::Result<()> {
     let path = result_path("ext_compress.csv");
     ext_compress::write_csv(&rows, std::fs::File::create(&path)?)?;
     println!("wrote {}", path.display());
-    let profile = profile_run::drop_profile("ext_compress")?;
-    println!("dropped profile {}", profile.display());
     Ok(())
 }

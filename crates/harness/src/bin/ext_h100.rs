@@ -1,5 +1,5 @@
 //! Extension: OPT-1.3B on the Azure H100/NVMe testbed vs A100/pd-ssd.
-use pccheck_harness::{ext_h100, profile_run, result_path};
+use pccheck_harness::{ext_h100, result_path};
 
 fn main() -> std::io::Result<()> {
     let rows = ext_h100::run();
@@ -17,7 +17,5 @@ fn main() -> std::io::Result<()> {
     let path = result_path("ext_h100.csv");
     ext_h100::write_csv(&rows, std::fs::File::create(&path)?)?;
     println!("wrote {}", path.display());
-    let profile = profile_run::drop_profile("ext_h100")?;
-    println!("dropped profile {}", profile.display());
     Ok(())
 }

@@ -1,5 +1,5 @@
 //! Extension: just-in-time checkpointing vs PCcheck under bulk preemptions.
-use pccheck_harness::{ext_jit, profile_run, result_path};
+use pccheck_harness::{ext_jit, result_path};
 
 fn main() -> std::io::Result<()> {
     let rows = ext_jit::run(42);
@@ -17,7 +17,5 @@ fn main() -> std::io::Result<()> {
     let path = result_path("ext_jit.csv");
     ext_jit::write_csv(&rows, std::fs::File::create(&path)?)?;
     println!("wrote {}", path.display());
-    let profile = profile_run::drop_profile("ext_jit")?;
-    println!("dropped profile {}", profile.display());
     Ok(())
 }

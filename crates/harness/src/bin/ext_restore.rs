@@ -1,5 +1,5 @@
 //! Extension: parallel-restore sweep — recovery latency vs readers × stripe width.
-use pccheck_harness::{ext_restore, profile_run, result_path};
+use pccheck_harness::{ext_restore, result_path};
 
 fn main() -> std::io::Result<()> {
     let rows = ext_restore::run();
@@ -21,7 +21,5 @@ fn main() -> std::io::Result<()> {
     let path = result_path("ext_restore.csv");
     ext_restore::write_csv(&rows, std::fs::File::create(&path)?)?;
     println!("wrote {}", path.display());
-    let profile = profile_run::drop_profile("ext_restore")?;
-    println!("dropped profile {}", profile.display());
     Ok(())
 }

@@ -1,5 +1,5 @@
 //! Extension: striped-device sweep of the Figure-11 persist micro-benchmark.
-use pccheck_harness::{ext_striping, profile_run, result_path};
+use pccheck_harness::{ext_striping, result_path};
 
 fn main() -> std::io::Result<()> {
     let rows = ext_striping::run();
@@ -20,7 +20,5 @@ fn main() -> std::io::Result<()> {
     let path = result_path("ext_striping.csv");
     ext_striping::write_csv(&rows, std::fs::File::create(&path)?)?;
     println!("wrote {}", path.display());
-    let profile = profile_run::drop_profile("ext_striping")?;
-    println!("dropped profile {}", profile.display());
     Ok(())
 }

@@ -1,9 +1,9 @@
 //! Profiled concrete runs: one canonical checkpoint workload, one
 //! archived [`RunProfile`] per run name.
 //!
-//! Every `ext_*` invocation drops a profile of the same
-//! canonical workload into `results/profiles/<run>.profile.json`, so
-//! consecutive runs on the same machine are directly diffable with
+//! `pccheckctl profile <run>` runs the canonical workload and archives its
+//! profile as `results/profiles/<run>.profile.json`, so two runs on the
+//! same machine are directly diffable with
 //! [`diff_profiles`](pccheck_telemetry::diff_profiles) (absolute mode) and
 //! any run is diffable against the checked-in CI baseline (shares mode —
 //! scale-invariant, so machine speed drops out and only the *shape* of the
@@ -86,18 +86,14 @@ pub struct ProfiledRun {
     pub telemetry: Telemetry,
 }
 
-/// The on-disk profile archive every harness binary shares.
-pub(crate) fn profiles_dir() -> PathBuf {
-    PathBuf::from(crate::RESULTS_DIR).join("profiles")
-}
-
-/// Opens the shared archive, creating `results/profiles/` if needed.
+/// Opens the shared on-disk profile archive, creating `results/profiles/`
+/// if needed.
 ///
 /// # Errors
 ///
 /// Propagates directory-creation failures.
 pub fn archive() -> std::io::Result<ProfileArchive> {
-    ProfileArchive::open(profiles_dir())
+    ProfileArchive::open(PathBuf::from(crate::RESULTS_DIR).join("profiles"))
 }
 
 /// Runs the canonical profiled workload under `cfg` and returns its
@@ -157,19 +153,6 @@ pub fn run_profiled(run: &str, cfg: &ProfileRunConfig) -> Result<ProfiledRun, Pc
     Ok(ProfiledRun { profile, telemetry })
 }
 
-/// Harness hook: runs the canonical workload and archives its profile
-/// under `run`, returning the stored path. The `ext_*` binaries call this
-/// so every invocation leaves a diffable artifact behind.
-///
-/// # Errors
-///
-/// Surfaces engine and archive I/O failures as `std::io::Error`.
-pub fn drop_profile(run: &str) -> std::io::Result<PathBuf> {
-    let profiled = run_profiled(run, &ProfileRunConfig::default())
-        .map_err(|e| std::io::Error::other(e.to_string()))?;
-    archive()?.store(&profiled.profile)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,14 +201,5 @@ mod tests {
             actor.starts_with("writer-") || actor.starts_with("stripe-"),
             "{actor}"
         );
-    }
-
-    #[test]
-    fn drop_profile_archives_under_results() {
-        let path = drop_profile("unit_drop").unwrap();
-        assert!(path.ends_with("unit_drop.profile.json"));
-        let loaded = archive().unwrap().load("unit_drop").unwrap();
-        assert_eq!(loaded.run, "unit_drop");
-        let _ = std::fs::remove_file(path);
     }
 }

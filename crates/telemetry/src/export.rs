@@ -10,28 +10,11 @@
 
 use std::fmt::Write as _;
 
-use crate::accounting::RunAccounting;
-use crate::event::{Event, EventKind, Phase};
-use crate::recorder::TelemetrySnapshot;
+use pccheck_util::json::escape_json;
 
-/// Escapes `s` as JSON string *contents* (no surrounding quotes).
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::accounting::RunAccounting;
+use crate::event::{Event, EventKind};
+use crate::recorder::TelemetrySnapshot;
 
 /// Formats a float as a JSON number (`null` for non-finite values).
 pub(crate) fn json_f64(v: f64) -> String {
@@ -75,99 +58,10 @@ pub(crate) fn human_bytes(bytes: u64) -> String {
     }
 }
 
-/// Human-readable run report: counters, per-phase latency table,
-/// stall/goodput accounting.
+/// Human-readable run report: the metrics' human view (as in
+/// `pccheckctl top`), then stall/goodput accounting.
 pub fn render_summary(snapshot: &TelemetrySnapshot, accounting: &RunAccounting) -> String {
-    let mut out = String::new();
-    let c = &snapshot.counters;
-    let _ = writeln!(out, "== checkpoint lifecycle ==");
-    let _ = writeln!(
-        out,
-        "  requested {}  committed {}  superseded {}  failed {}  in-flight {} (peak {})",
-        c.requested,
-        c.committed,
-        c.superseded,
-        c.failed,
-        snapshot.in_flight,
-        snapshot.in_flight_peak
-    );
-    let _ = writeln!(
-        out,
-        "  persisted {}  gpu-copied {}  free-slot queue depth {} (peak {})",
-        human_bytes(c.bytes_persisted),
-        human_bytes(snapshot.gpu_copy_bytes),
-        snapshot.queue_depth,
-        snapshot.queue_depth_peak
-    );
-    if snapshot.restore_chunk_bytes > 0 {
-        let _ = writeln!(
-            out,
-            "  restore-read {} (device\u{2192}DRAM chunk fetches)",
-            human_bytes(snapshot.restore_chunk_bytes)
-        );
-    }
-    if snapshot.codec_bytes_saved > 0 || snapshot.dedup_chunks > 0 {
-        let _ = writeln!(
-            out,
-            "  codec saved {} ({} dedup chunks, last frame {}\u{2030} of logical)",
-            human_bytes(snapshot.codec_bytes_saved),
-            snapshot.dedup_chunks,
-            snapshot.compression_ratio_permille
-        );
-    }
-    let _ = writeln!(out, "\n== phase latency ==");
-    let _ = writeln!(
-        out,
-        "  {:<12} {:>7} {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "phase", "count", "mean", "p50", "p95", "p99", "max"
-    );
-    for phase in Phase::ALL {
-        let s = snapshot.phase(phase);
-        if s.count == 0 {
-            continue;
-        }
-        let _ = writeln!(
-            out,
-            "  {:<12} {:>7} {:>10} {:>10} {:>10} {:>10} {:>10}",
-            phase.name(),
-            s.count,
-            human_nanos(s.mean_nanos()),
-            human_nanos(s.p50_nanos),
-            human_nanos(s.p95_nanos),
-            human_nanos(s.p99_nanos),
-            human_nanos(s.max_nanos),
-        );
-    }
-    for (name, s) in [
-        ("dev-write", &snapshot.write_stage),
-        ("dev-persist", &snapshot.persist_stage),
-        ("dev-read", &snapshot.read_stage),
-    ] {
-        if s.count == 0 {
-            continue;
-        }
-        let _ = writeln!(
-            out,
-            "  {:<12} {:>7} {:>10} {:>10} {:>10} {:>10} {:>10}",
-            name,
-            s.count,
-            human_nanos(s.mean_nanos()),
-            human_nanos(s.p50_nanos),
-            human_nanos(s.p95_nanos),
-            human_nanos(s.p99_nanos),
-            human_nanos(s.max_nanos),
-        );
-    }
-    if snapshot.device_queue_peak.iter().any(|&p| p > 0) {
-        let peaks: Vec<String> = snapshot
-            .device_queue_peak
-            .iter()
-            .enumerate()
-            .filter(|&(_, &p)| p > 0)
-            .map(|(i, p)| format!("dev{i}={p}"))
-            .collect();
-        let _ = writeln!(out, "  submission-queue peaks: {}", peaks.join("  "));
-    }
+    let mut out = crate::registry::render_human(snapshot);
     let _ = writeln!(out, "\n== stall / goodput (Fig. 8/9) ==");
     let _ = writeln!(
         out,
@@ -393,7 +287,7 @@ pub(crate) fn chrome_trace_with(events: &[Event], extra_entries: &[String]) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::SpanId;
+    use crate::event::{Phase, SpanId};
     use crate::recorder::Telemetry;
 
     fn sample_run() -> Telemetry {
@@ -414,9 +308,7 @@ mod tests {
     }
 
     #[test]
-    fn escaping_handles_specials() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
+    fn json_f64_writes_non_finite_as_null() {
         assert_eq!(json_f64(f64::NAN), "null");
         assert_eq!(json_f64(2.5), "2.5");
     }
@@ -505,7 +397,7 @@ mod tests {
         let snap = t.snapshot().unwrap();
         let acc = RunAccounting::from_events(&t.events());
         let text = render_summary(&snap, &acc);
-        assert!(text.contains("restore-read 4.00 KiB"));
+        assert!(text.contains("restore_chunk_bytes 4.00 KiB"), "{text}");
         assert!(text.contains("restore_read"));
         assert!(text.contains("restore_verify"));
         assert!(text.contains("restore_upload"));

@@ -25,10 +25,10 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use pccheck_util::json::JsonValue;
+use pccheck_util::json::{escape_json, JsonValue};
 
 use crate::event::{Event, EventKind, Phase, SpanId};
-use crate::export::{escape_json, human_bytes, human_nanos, json_f64, micros};
+use crate::export::{human_bytes, human_nanos, json_f64, micros};
 
 /// Schema tag carried by every emitted profile document.
 pub(crate) const PROFILE_SCHEMA: &str = "pccheck.profile.v1";

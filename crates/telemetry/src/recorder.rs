@@ -96,10 +96,12 @@ pub struct MemoryRecorder {
     next_shard: AtomicUsize,
     shards: [Mutex<Vec<Vec<Event>>>; SHARDS],
     phase_hist: [LatencyHistogram; Phase::ALL.len()],
-    stall_hist: LatencyHistogram,
-    write_stage_hist: LatencyHistogram,
-    persist_stage_hist: LatencyHistogram,
-    read_stage_hist: LatencyHistogram,
+    // The non-phase histograms, raw buckets for the exposition layers
+    // (as `phase_hist` is for each phase's).
+    pub(crate) stall_hist: LatencyHistogram,
+    pub(crate) write_stage_hist: LatencyHistogram,
+    pub(crate) persist_stage_hist: LatencyHistogram,
+    pub(crate) read_stage_hist: LatencyHistogram,
     counters: CheckpointCounters,
     in_flight: Gauge,
     queue_depth: Gauge,
@@ -181,26 +183,6 @@ impl MemoryRecorder {
     /// bucket counts rather than a [`HistogramSummary`].
     pub(crate) fn phase_hist(&self, phase: Phase) -> &LatencyHistogram {
         &self.phase_hist[phase.index()]
-    }
-
-    /// The training-thread stall histogram (raw buckets).
-    pub(crate) fn stall_hist(&self) -> &LatencyHistogram {
-        &self.stall_hist
-    }
-
-    /// The per-chunk device-write-stage histogram (raw buckets).
-    pub(crate) fn write_stage_hist(&self) -> &LatencyHistogram {
-        &self.write_stage_hist
-    }
-
-    /// The per-chunk device-persist-stage histogram (raw buckets).
-    pub(crate) fn persist_stage_hist(&self) -> &LatencyHistogram {
-        &self.persist_stage_hist
-    }
-
-    /// The per-chunk device-read-stage histogram (raw buckets).
-    pub(crate) fn read_stage_hist(&self) -> &LatencyHistogram {
-        &self.read_stage_hist
     }
 
     /// All recorded events merged into one timeline ordered by timestamp.

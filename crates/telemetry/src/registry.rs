@@ -1,23 +1,29 @@
 //! The live metrics registry: on-demand exposition of every counter,
 //! gauge, and histogram a [`Telemetry`] recorder holds.
 //!
-//! PRs 1–5 made the recorder rich but *post-hoc*: the numbers were only
-//! reachable by draining the run and rendering a summary. The registry
-//! closes that gap for live consumers (the multi-tenant daemon,
-//! peer-health watchdogs, `pccheckctl serve`): [`MetricsRegistry`]
-//! snapshots the shared recorder on demand into a stable schema and
-//! renders it as Prometheus text exposition ([`prometheus_text`]) or a
-//! single JSON object ([`json`]); [`MetricsServer`] serves both over a
-//! minimal hand-rolled HTTP listener (`GET /metrics`, `GET
-//! /metrics.json`) so `pccheckctl serve` and `examples/metrics_server.rs`
-//! stay dependency-free.
+//! Every exposed metric is declared once, in one of two tables: a row of
+//! `SCALARS` names a counter or gauge (Prometheus name and help, JSON
+//! place and key, whether each job's JSON object carries it, and its
+//! reader over a [`TelemetrySnapshot`]); an entry of `HISTOGRAMS` names a
+//! histogram family (Prometheus name and help, JSON key, the recorder
+//! histogram and the snapshot summary). Every exposition walks the
+//! tables: [`prometheus_text`] (text exposition), [`json`] (one
+//! schema-tagged object), and the human views that `pccheckctl top`
+//! ([`console_view`]) and the run summary
+//! ([`render_summary`](crate::render_summary)) share. Adding a counter is
+//! its recorder atomic, setter, snapshot field and one row, plus its row
+//! in README's metrics table, which a test holds to these tables.
+//! [`MetricsServer`] serves the two documents over a minimal hand-rolled
+//! HTTP listener (`GET /metrics`, `GET /metrics.json`).
 //!
 //! Metric names are part of the schema: `pccheck_` prefix, `_total`
-//! suffix on monotonic counters, nanosecond histograms with power-of-two
-//! `le` bounds matching `LatencyHistogram`'s buckets.
+//! suffix on monotonic counters (and only on them), nanosecond
+//! histograms with power-of-two `le` bounds matching
+//! `LatencyHistogram`'s buckets.
 //!
 //! [`prometheus_text`]: MetricsRegistry::prometheus_text
 //! [`json`]: MetricsRegistry::json
+//! [`console_view`]: MetricsRegistry::console_view
 
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -26,15 +32,342 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use pccheck_util::json::escape_json;
 use pccheck_util::sync::Mutex;
 
 use crate::event::Phase;
-use crate::histogram::LatencyHistogram;
-use crate::recorder::{Telemetry, TelemetrySnapshot};
+use crate::export::{human_bytes, human_nanos, json_f64};
+use crate::histogram::{HistogramSummary, LatencyHistogram};
+use crate::recorder::{MemoryRecorder, Telemetry, TelemetrySnapshot, MAX_TRACKED_DEVICES};
 
 /// Schema identifier stamped into the JSON exposition so downstream
 /// scrapers can detect format changes.
 pub(crate) const METRICS_SCHEMA: &str = "pccheck.metrics.v1";
+
+/// A scalar's value in one snapshot.
+#[derive(Debug, Clone, Copy)]
+enum Value {
+    Int(u64),
+    Float(f64),
+    /// One value per tracked device: `device="<i>"` series and a JSON
+    /// array. A per-device family has no `job` series.
+    PerDevice([u64; MAX_TRACKED_DEVICES]),
+}
+
+/// Where a scalar sits in the JSON document, in document order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum JsonAt {
+    /// At the root, before the `counters` object.
+    Head,
+    Counters,
+    Gauges,
+    /// At the root, after the `gauges` object.
+    Tail,
+}
+
+/// One scalar family, declared once: every exposition derives from its
+/// row. A family whose name ends in `_total` is a counter, any other a
+/// gauge; each registered job adds a `job="<name>"` series.
+struct Scalar {
+    /// Prometheus family name.
+    prom: &'static str,
+    /// Prometheus `# HELP` text.
+    help: &'static str,
+    /// Place and key in the JSON document. The human views name the value
+    /// by this key and print it in the unit the key ends in (see
+    /// [`human`]).
+    json: (JsonAt, &'static str),
+    /// Whether each job's object under the JSON `jobs` member carries it
+    /// too, under the same key.
+    job_json: bool,
+    read: fn(&TelemetrySnapshot) -> Value,
+}
+
+impl Scalar {
+    fn kind(&self) -> &'static str {
+        if self.prom.ends_with("_total") {
+            "counter"
+        } else {
+            "gauge"
+        }
+    }
+}
+
+/// Every scalar the registry exposes, in exposition order.
+const SCALARS: [Scalar; 20] = [
+    Scalar {
+        prom: "pccheck_checkpoints_requested_total",
+        help: "Checkpoint requests accepted.",
+        json: (JsonAt::Counters, "requested"),
+        job_json: true,
+        read: |s| Value::Int(s.counters.requested),
+    },
+    Scalar {
+        prom: "pccheck_checkpoints_committed_total",
+        help: "Checkpoints that became the latest committed state.",
+        json: (JsonAt::Counters, "committed"),
+        job_json: true,
+        read: |s| Value::Int(s.counters.committed),
+    },
+    Scalar {
+        prom: "pccheck_checkpoints_superseded_total",
+        help: "Checkpoints that lost the commit race.",
+        json: (JsonAt::Counters, "superseded"),
+        job_json: true,
+        read: |s| Value::Int(s.counters.superseded),
+    },
+    Scalar {
+        prom: "pccheck_checkpoints_failed_total",
+        help: "Checkpoints that failed.",
+        json: (JsonAt::Counters, "failed"),
+        job_json: true,
+        read: |s| Value::Int(s.counters.failed),
+    },
+    Scalar {
+        prom: "pccheck_bytes_persisted_total",
+        help: "Payload bytes of committed checkpoints.",
+        json: (JsonAt::Counters, "bytes_persisted"),
+        job_json: true,
+        read: |s| Value::Int(s.counters.bytes_persisted),
+    },
+    Scalar {
+        prom: "pccheck_gpu_copy_bytes_total",
+        help: "Bytes moved by the GPU-to-DRAM copy phase.",
+        json: (JsonAt::Counters, "gpu_copy_bytes"),
+        job_json: false,
+        read: |s| Value::Int(s.gpu_copy_bytes),
+    },
+    Scalar {
+        prom: "pccheck_persist_chunk_bytes_total",
+        help: "Bytes moved by the DRAM-to-device persist phase.",
+        json: (JsonAt::Counters, "persist_chunk_bytes"),
+        job_json: false,
+        read: |s| Value::Int(s.persist_chunk_bytes),
+    },
+    Scalar {
+        prom: "pccheck_restore_chunk_bytes_total",
+        help: "Bytes moved by the device-to-DRAM restore-read phase.",
+        json: (JsonAt::Counters, "restore_chunk_bytes"),
+        job_json: false,
+        read: |s| Value::Int(s.restore_chunk_bytes),
+    },
+    Scalar {
+        prom: "pccheck_codec_bytes_saved_total",
+        help: "Payload bytes the chunk codec avoided persisting.",
+        json: (JsonAt::Counters, "codec_bytes_saved"),
+        job_json: false,
+        read: |s| Value::Int(s.codec_bytes_saved),
+    },
+    Scalar {
+        prom: "pccheck_dedup_chunks_total",
+        help: "Chunks stored as dedup references instead of bytes.",
+        json: (JsonAt::Counters, "dedup_chunks"),
+        job_json: false,
+        read: |s| Value::Int(s.dedup_chunks),
+    },
+    Scalar {
+        prom: "pccheck_in_flight",
+        help: "Checkpoints between request and terminal event.",
+        json: (JsonAt::Gauges, "in_flight"),
+        job_json: false,
+        read: |s| Value::Int(s.in_flight),
+    },
+    Scalar {
+        prom: "pccheck_in_flight_peak",
+        help: "High-water mark of concurrent in-flight checkpoints.",
+        json: (JsonAt::Gauges, "in_flight_peak"),
+        job_json: false,
+        read: |s| Value::Int(s.in_flight_peak),
+    },
+    Scalar {
+        prom: "pccheck_queue_depth",
+        help: "Last observed free-slot queue depth.",
+        json: (JsonAt::Gauges, "queue_depth"),
+        job_json: false,
+        read: |s| Value::Int(s.queue_depth),
+    },
+    Scalar {
+        prom: "pccheck_queue_depth_peak",
+        help: "High-water mark of the free-slot queue depth.",
+        json: (JsonAt::Gauges, "queue_depth_peak"),
+        job_json: false,
+        read: |s| Value::Int(s.queue_depth_peak),
+    },
+    Scalar {
+        prom: "pccheck_dirty_ratio_permille",
+        help: "Last observed snapshot dirty ratio (framed path), permille.",
+        json: (JsonAt::Gauges, "dirty_ratio_permille"),
+        job_json: false,
+        read: |s| Value::Int(s.dirty_ratio_permille),
+    },
+    Scalar {
+        prom: "pccheck_compression_ratio_permille",
+        help: "Last observed framed physical/logical size ratio, permille.",
+        json: (JsonAt::Gauges, "compression_ratio_permille"),
+        job_json: false,
+        read: |s| Value::Int(s.compression_ratio_permille),
+    },
+    Scalar {
+        prom: "pccheck_window_nanos",
+        help: "Nanoseconds since the recorder epoch.",
+        json: (JsonAt::Head, "window_nanos"),
+        job_json: false,
+        read: |s| Value::Int(s.window_nanos),
+    },
+    Scalar {
+        prom: "pccheck_stall_fraction",
+        help: "Fraction of the window the training thread spent stalled.",
+        json: (JsonAt::Gauges, "stall_fraction"),
+        job_json: true,
+        read: |s| Value::Float(s.stall_fraction()),
+    },
+    Scalar {
+        prom: "pccheck_device_queue_depth",
+        help: "Last observed submission-queue depth per tracked device.",
+        json: (JsonAt::Tail, "device_queue_depth"),
+        job_json: false,
+        read: |s| Value::PerDevice(s.device_queue_depth),
+    },
+    Scalar {
+        prom: "pccheck_device_queue_peak",
+        help: "High-water submission-queue depth per tracked device.",
+        json: (JsonAt::Tail, "device_queue_peak"),
+        job_json: false,
+        read: |s| Value::PerDevice(s.device_queue_peak),
+    },
+];
+
+/// A job's values that are no series of their own, after its rows with
+/// `job_json`: JSON key (its suffix the human unit, as in [`Scalar::json`])
+/// and a reader over the job's snapshot and every job's snapshot.
+type JobExtra = (&'static str, fn(&TelemetrySnapshot, &[View]) -> Value);
+
+const JOB_EXTRAS: [JobExtra; 2] = [
+    ("commit_p99_nanos", |s, _| {
+        Value::Int(s.phase(Phase::Commit).p99_nanos)
+    }),
+    // The job's fraction of all jobs' committed payload bytes: the
+    // realized QoS bandwidth split across tenants.
+    ("share", |s, jobs| {
+        let total: u64 = jobs.iter().map(|j| j.snap.counters.bytes_persisted).sum();
+        Value::Float(if total > 0 {
+            s.counters.bytes_persisted as f64 / total as f64
+        } else {
+            0.0
+        })
+    }),
+];
+
+/// One histogram family, declared once.
+struct Histogram {
+    /// Prometheus family name.
+    prom: &'static str,
+    /// Prometheus `# HELP` text.
+    help: &'static str,
+    /// Key in the JSON `histograms` object; for a phased family, the
+    /// prefix of `<prefix><phase name>`.
+    json: &'static str,
+    /// One `phase="<name>"` series per [`Phase`], and those again for
+    /// each registered job, instead of one aggregate series.
+    phased: bool,
+    /// The recorder histogram behind a series (an unphased family's
+    /// ignores the phase).
+    hist: fn(&MemoryRecorder, Phase) -> &LatencyHistogram,
+    /// The snapshot summary of the same series.
+    summary: fn(&TelemetrySnapshot, Phase) -> &HistogramSummary,
+}
+
+impl Histogram {
+    /// The family's series: its phase argument and its `phase` label.
+    fn series(&self) -> impl Iterator<Item = (Phase, Option<&'static str>)> {
+        let phased = self.phased;
+        let n = if phased { Phase::ALL.len() } else { 1 };
+        Phase::ALL[..n]
+            .iter()
+            .map(move |&p| (p, phased.then(|| p.name())))
+    }
+}
+
+/// Every histogram family the registry exposes, in exposition order.
+const HISTOGRAMS: [Histogram; 5] = [
+    Histogram {
+        prom: "pccheck_phase_latency_nanos",
+        help: "Checkpoint/recovery lifecycle phase latency.",
+        json: "phase_",
+        phased: true,
+        hist: |r, p| r.phase_hist(p),
+        summary: |s, p| s.phase(p),
+    },
+    Histogram {
+        prom: "pccheck_stall_nanos",
+        help: "Training-thread stall time per checkpoint() call.",
+        json: "stall",
+        phased: false,
+        hist: |r, _| &r.stall_hist,
+        summary: |s, _| &s.stall,
+    },
+    Histogram {
+        prom: "pccheck_dev_write_nanos",
+        help: "Per-chunk device write latency.",
+        json: "dev_write",
+        phased: false,
+        hist: |r, _| &r.write_stage_hist,
+        summary: |s, _| &s.write_stage,
+    },
+    Histogram {
+        prom: "pccheck_dev_persist_nanos",
+        help: "Per-chunk device persist (fence) latency.",
+        json: "dev_persist",
+        phased: false,
+        hist: |r, _| &r.persist_stage_hist,
+        summary: |s, _| &s.persist_stage,
+    },
+    Histogram {
+        prom: "pccheck_dev_read_nanos",
+        help: "Per-chunk device read latency (restore path).",
+        json: "dev_read",
+        phased: false,
+        hist: |r, _| &r.read_stage_hist,
+        summary: |s, _| &s.read_stage,
+    },
+];
+
+/// One recorder at one instant: the aggregate, or a registered job.
+struct View {
+    /// The job's name; `None` for the aggregate.
+    job: Option<String>,
+    recorder: Arc<MemoryRecorder>,
+    snap: TelemetrySnapshot,
+}
+
+impl View {
+    fn new(job: Option<String>, recorder: &Arc<MemoryRecorder>) -> Self {
+        View {
+            job,
+            snap: recorder.snapshot(),
+            recorder: Arc::clone(recorder),
+        }
+    }
+
+    /// The view's Prometheus labels: none, or `job="<name>"`.
+    fn labels(&self) -> Option<String> {
+        let job = self.job.as_deref()?;
+        Some(format!("job=\"{}\"", prom_label_escape(job)))
+    }
+
+    /// Its JSON-object columns under the document's `jobs` member: the
+    /// rows with `job_json`, then [`JOB_EXTRAS`].
+    fn job_columns(&self, jobs: &[View]) -> Vec<(&'static str, Value)> {
+        let rows = SCALARS.iter().filter(|row| row.job_json);
+        rows.map(|row| (row.json.1, (row.read)(&self.snap)))
+            .chain(
+                JOB_EXTRAS
+                    .iter()
+                    .map(|(key, read)| (*key, read(&self.snap, jobs))),
+            )
+            .collect()
+    }
+}
 
 /// On-demand exposition over a shared [`Telemetry`] recorder.
 ///
@@ -65,6 +398,16 @@ fn prom_label_escape(value: &str) -> String {
         .replace('\n', "\\n")
 }
 
+/// `name`, followed by `labels` (comma-separated pairs) in braces unless
+/// there are none.
+fn prom_series(name: &str, labels: &str) -> String {
+    if labels.is_empty() {
+        name.to_string()
+    } else {
+        format!("{name}{{{labels}}}")
+    }
+}
+
 /// Emits one Prometheus histogram from raw bucket counts: cumulative
 /// `_bucket{le=...}` series (only buckets that move the count, plus
 /// `+Inf`), then `_sum` and `_count`.
@@ -85,13 +428,9 @@ fn prom_histogram(out: &mut String, name: &str, labels: &str, hist: &LatencyHist
         );
     }
     let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {total}");
-    if labels.is_empty() {
-        let _ = writeln!(out, "{name}_sum {}", hist.sum_nanos());
-        let _ = writeln!(out, "{name}_count {total}");
-    } else {
-        let _ = writeln!(out, "{name}_sum{{{labels}}} {}", hist.sum_nanos());
-        let _ = writeln!(out, "{name}_count{{{labels}}} {total}");
-    }
+    let sum = prom_series(&format!("{name}_sum"), labels);
+    let count = prom_series(&format!("{name}_count"), labels);
+    let _ = writeln!(out, "{sum} {}\n{count} {total}", hist.sum_nanos());
 }
 
 fn prom_metric(out: &mut String, name: &str, kind: &str, help: &str) {
@@ -99,13 +438,78 @@ fn prom_metric(out: &mut String, name: &str, kind: &str, help: &str) {
     let _ = writeln!(out, "# TYPE {name} {kind}");
 }
 
+/// A value as JSON.
+fn json_value(value: Value) -> String {
+    match value {
+        Value::Int(n) => n.to_string(),
+        Value::Float(f) => json_f64(f),
+        Value::PerDevice(values) => {
+            let values: Vec<String> = values.iter().map(u64::to_string).collect();
+            format!("[{}]", values.join(","))
+        }
+    }
+}
+
 /// Serializes one histogram summary as a JSON object (no surrounding key).
-fn json_summary(s: &crate::histogram::HistogramSummary) -> String {
+fn json_summary(s: &HistogramSummary) -> String {
     format!(
         "{{\"count\":{},\"sum_nanos\":{},\"min_nanos\":{},\"max_nanos\":{},\
          \"p50_nanos\":{},\"p95_nanos\":{},\"p99_nanos\":{}}}",
         s.count, s.sum_nanos, s.min_nanos, s.max_nanos, s.p50_nanos, s.p95_nanos, s.p99_nanos
     )
+}
+
+/// A value for the human views, in the unit its JSON `key` ends in:
+/// bytes, nanoseconds or permille; a fraction as a percentage; a
+/// per-device value as its JSON array.
+fn human(key: &str, value: Value) -> String {
+    match value {
+        Value::Float(f) => format!("{:.2}%", f * 100.0),
+        Value::Int(n) if key.contains("bytes") => human_bytes(n),
+        Value::Int(n) if key.ends_with("_nanos") => human_nanos(n),
+        Value::Int(n) if key.ends_with("_permille") => format!("{n}\u{2030}"),
+        value => json_value(value),
+    }
+}
+
+/// The human views' shared body (`pccheckctl top` and the run summary):
+/// every [`SCALARS`] value, four to a line, then a latency row per
+/// nonempty [`HISTOGRAMS`] series.
+pub(crate) fn render_human(snap: &TelemetrySnapshot) -> String {
+    let mut out = String::from("== checkpoint lifecycle ==\n");
+    let cells: Vec<String> = SCALARS
+        .iter()
+        .map(|row| format!("{} {}", row.json.1, human(row.json.1, (row.read)(snap))))
+        .collect();
+    for line in cells.chunks(4) {
+        let _ = writeln!(out, "  {}", line.join("  "));
+    }
+    let _ = writeln!(out, "\n== phase latency ==");
+    let _ = writeln!(
+        out,
+        "  {:<15} {:>7} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "series", "count", "mean", "p50", "p95", "p99", "max"
+    );
+    for family in &HISTOGRAMS {
+        for (phase, name) in family.series() {
+            let s = (family.summary)(snap, phase);
+            if s.count == 0 {
+                continue;
+            }
+            let _ = writeln!(
+                out,
+                "  {:<15} {:>7} {:>10} {:>10} {:>10} {:>10} {:>10}",
+                name.unwrap_or(family.json),
+                s.count,
+                human_nanos(s.mean_nanos()),
+                human_nanos(s.p50_nanos),
+                human_nanos(s.p95_nanos),
+                human_nanos(s.p99_nanos),
+                human_nanos(s.max_nanos),
+            );
+        }
+    }
+    out
 }
 
 impl MetricsRegistry {
@@ -135,14 +539,16 @@ impl MetricsRegistry {
         }
     }
 
-    /// One consistent per-job rollup: registered jobs whose handles are
-    /// enabled, each with a fresh snapshot.
-    fn jobs_snapshot(&self) -> Vec<(String, TelemetrySnapshot)> {
-        self.jobs
-            .lock()
+    /// The aggregate, then every registered job whose handle is enabled,
+    /// each freshly snapshotted; `None` when this registry's handle is
+    /// disabled.
+    fn views(&self) -> Option<Vec<View>> {
+        let aggregate = View::new(None, self.telemetry.recorder()?);
+        let jobs = self.jobs.lock();
+        let jobs = jobs
             .iter()
-            .filter_map(|(name, t)| t.snapshot().map(|s| (name.clone(), s)))
-            .collect()
+            .filter_map(|(name, t)| Some(View::new(Some(name.clone()), t.recorder()?)));
+        Some(std::iter::once(aggregate).chain(jobs).collect())
     }
 
     /// One consistent rollup of everything the recorder holds (`None`
@@ -157,225 +563,51 @@ impl MetricsRegistry {
     // api: a test oracle, listed in DESIGN §4 ("Test oracles").
     pub fn prometheus_text(&self) -> String {
         let mut out = String::new();
-        let Some(snap) = self.telemetry.snapshot() else {
+        let Some(views) = self.views() else {
             let _ = writeln!(out, "# pccheck telemetry disabled: no metrics");
             return out;
         };
-        let jobs = self.jobs_snapshot();
         // Family-major: HELP/TYPE once, then the aggregate series, then
         // one `job`-labelled series per registered tenant.
-        type Sel = fn(&TelemetrySnapshot) -> u64;
-        let counters: [(&str, &str, Sel); 10] = [
-            (
-                "pccheck_checkpoints_requested_total",
-                "Checkpoint requests accepted.",
-                |s: &TelemetrySnapshot| s.counters.requested,
-            ),
-            (
-                "pccheck_checkpoints_committed_total",
-                "Checkpoints that became the latest committed state.",
-                |s| s.counters.committed,
-            ),
-            (
-                "pccheck_checkpoints_superseded_total",
-                "Checkpoints that lost the commit race.",
-                |s| s.counters.superseded,
-            ),
-            (
-                "pccheck_checkpoints_failed_total",
-                "Checkpoints that failed.",
-                |s| s.counters.failed,
-            ),
-            (
-                "pccheck_bytes_persisted_total",
-                "Payload bytes of committed checkpoints.",
-                |s| s.counters.bytes_persisted,
-            ),
-            (
-                "pccheck_gpu_copy_bytes_total",
-                "Bytes moved by the GPU-to-DRAM copy phase.",
-                |s| s.gpu_copy_bytes,
-            ),
-            (
-                "pccheck_persist_chunk_bytes_total",
-                "Bytes moved by the DRAM-to-device persist phase.",
-                |s| s.persist_chunk_bytes,
-            ),
-            (
-                "pccheck_restore_chunk_bytes_total",
-                "Bytes moved by the device-to-DRAM restore-read phase.",
-                |s| s.restore_chunk_bytes,
-            ),
-            (
-                "pccheck_codec_bytes_saved_total",
-                "Payload bytes the chunk codec avoided persisting.",
-                |s| s.codec_bytes_saved,
-            ),
-            (
-                "pccheck_dedup_chunks_total",
-                "Chunks stored as dedup references instead of bytes.",
-                |s| s.dedup_chunks,
-            ),
-        ];
-        for (name, help, sel) in counters {
-            prom_metric(&mut out, name, "counter", help);
-            let _ = writeln!(out, "{name} {}", sel(&snap));
-            for (job, js) in &jobs {
-                let _ = writeln!(
-                    out,
-                    "{name}{{job=\"{}\"}} {}",
-                    prom_label_escape(job),
-                    sel(js)
-                );
-            }
-        }
-        let gauges: [(&str, &str, Sel); 7] = [
-            (
-                "pccheck_in_flight",
-                "Checkpoints between request and terminal event.",
-                |s: &TelemetrySnapshot| s.in_flight,
-            ),
-            (
-                "pccheck_in_flight_peak",
-                "High-water mark of concurrent in-flight checkpoints.",
-                |s| s.in_flight_peak,
-            ),
-            (
-                "pccheck_queue_depth",
-                "Last observed free-slot queue depth.",
-                |s| s.queue_depth,
-            ),
-            (
-                "pccheck_queue_depth_peak",
-                "High-water mark of the free-slot queue depth.",
-                |s| s.queue_depth_peak,
-            ),
-            (
-                "pccheck_dirty_ratio_permille",
-                "Last observed snapshot dirty ratio (framed path), permille.",
-                |s| s.dirty_ratio_permille,
-            ),
-            (
-                "pccheck_compression_ratio_permille",
-                "Last observed framed physical/logical size ratio, permille.",
-                |s| s.compression_ratio_permille,
-            ),
-            (
-                "pccheck_window_nanos",
-                "Nanoseconds since the recorder epoch.",
-                |s| s.window_nanos,
-            ),
-        ];
-        for (name, help, sel) in gauges {
-            prom_metric(&mut out, name, "gauge", help);
-            let _ = writeln!(out, "{name} {}", sel(&snap));
-            for (job, js) in &jobs {
-                let _ = writeln!(
-                    out,
-                    "{name}{{job=\"{}\"}} {}",
-                    prom_label_escape(job),
-                    sel(js)
-                );
-            }
-        }
-        prom_metric(
-            &mut out,
-            "pccheck_stall_fraction",
-            "gauge",
-            "Fraction of the window the training thread spent stalled.",
-        );
-        let _ = writeln!(out, "pccheck_stall_fraction {}", snap.stall_fraction());
-        for (job, js) in &jobs {
-            let _ = writeln!(
-                out,
-                "pccheck_stall_fraction{{job=\"{}\"}} {}",
-                prom_label_escape(job),
-                js.stall_fraction()
-            );
-        }
-        prom_metric(
-            &mut out,
-            "pccheck_device_queue_depth",
-            "gauge",
-            "Last observed submission-queue depth per tracked device.",
-        );
-        for (i, depth) in snap.device_queue_depth.iter().enumerate() {
-            let _ = writeln!(out, "pccheck_device_queue_depth{{device=\"{i}\"}} {depth}");
-        }
-        prom_metric(
-            &mut out,
-            "pccheck_device_queue_peak",
-            "gauge",
-            "High-water submission-queue depth per tracked device.",
-        );
-        for (i, peak) in snap.device_queue_peak.iter().enumerate() {
-            let _ = writeln!(out, "pccheck_device_queue_peak{{device=\"{i}\"}} {peak}");
-        }
-        if let Some(r) = self.telemetry.recorder() {
-            prom_metric(
-                &mut out,
-                "pccheck_phase_latency_nanos",
-                "histogram",
-                "Checkpoint/recovery lifecycle phase latency.",
-            );
-            for phase in Phase::ALL {
-                let hist = r.phase_hist(phase);
-                if hist.count() == 0 {
-                    continue;
+        for row in &SCALARS {
+            prom_metric(&mut out, row.prom, row.kind(), row.help);
+            for view in &views {
+                let labels = view.labels().unwrap_or_default();
+                match (row.read)(&view.snap) {
+                    Value::PerDevice(values) if view.job.is_none() => {
+                        for (i, v) in values.iter().enumerate() {
+                            let _ = writeln!(out, "{}{{device=\"{i}\"}} {v}", row.prom);
+                        }
+                    }
+                    Value::PerDevice(_) => {}
+                    value => {
+                        let _ = writeln!(
+                            out,
+                            "{} {}",
+                            prom_series(row.prom, &labels),
+                            json_value(value)
+                        );
+                    }
                 }
-                prom_histogram(
-                    &mut out,
-                    "pccheck_phase_latency_nanos",
-                    &format!("phase=\"{}\"", phase.name()),
-                    hist,
-                );
             }
-            for (job, t) in self.jobs.lock().iter() {
-                let Some(jr) = t.recorder() else { continue };
-                for phase in Phase::ALL {
-                    let hist = jr.phase_hist(phase);
+        }
+        for family in &HISTOGRAMS {
+            prom_metric(&mut out, family.prom, "histogram", family.help);
+            let views = if family.phased {
+                &views[..]
+            } else {
+                &views[..1]
+            };
+            for view in views {
+                for (phase, name) in family.series() {
+                    let hist = (family.hist)(&view.recorder, phase);
                     if hist.count() == 0 {
                         continue;
                     }
-                    prom_histogram(
-                        &mut out,
-                        "pccheck_phase_latency_nanos",
-                        &format!(
-                            "phase=\"{}\",job=\"{}\"",
-                            phase.name(),
-                            prom_label_escape(job)
-                        ),
-                        hist,
-                    );
+                    let phase = name.map(|name| format!("phase=\"{name}\""));
+                    let labels: Vec<String> = phase.into_iter().chain(view.labels()).collect();
+                    prom_histogram(&mut out, family.prom, &labels.join(","), hist);
                 }
-            }
-            for (name, help, hist) in [
-                (
-                    "pccheck_stall_nanos",
-                    "Training-thread stall time per checkpoint() call.",
-                    r.stall_hist(),
-                ),
-                (
-                    "pccheck_dev_write_nanos",
-                    "Per-chunk device write latency.",
-                    r.write_stage_hist(),
-                ),
-                (
-                    "pccheck_dev_persist_nanos",
-                    "Per-chunk device persist (fence) latency.",
-                    r.persist_stage_hist(),
-                ),
-                (
-                    "pccheck_dev_read_nanos",
-                    "Per-chunk device read latency (restore path).",
-                    r.read_stage_hist(),
-                ),
-            ] {
-                if hist.count() == 0 {
-                    continue;
-                }
-                prom_metric(&mut out, name, "histogram", help);
-                prom_histogram(&mut out, name, "", hist);
             }
         }
         out
@@ -385,203 +617,82 @@ impl MetricsRegistry {
     /// `METRICS_SCHEMA` tag (hand-rolled, like every exporter in this
     /// crate).
     pub fn json(&self) -> String {
-        let Some(snap) = self.telemetry.snapshot() else {
+        let Some(views) = self.views() else {
             return format!("{{\"schema\":\"{METRICS_SCHEMA}\",\"enabled\":false}}\n");
         };
-        let c = &snap.counters;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"schema\":\"{METRICS_SCHEMA}\",\"enabled\":true,\
-             \"window_nanos\":{},\"counters\":{{\
-             \"requested\":{},\"committed\":{},\"superseded\":{},\
-             \"failed\":{},\"bytes_persisted\":{},\"gpu_copy_bytes\":{},\
-             \"persist_chunk_bytes\":{},\"restore_chunk_bytes\":{},\
-             \"codec_bytes_saved\":{},\
-             \"dedup_chunks\":{}}},\"gauges\":{{\
-             \"in_flight\":{},\"in_flight_peak\":{},\"queue_depth\":{},\
-             \"queue_depth_peak\":{},\"dirty_ratio_permille\":{},\
-             \"compression_ratio_permille\":{},\
-             \"stall_fraction\":{}}}",
-            snap.window_nanos,
-            c.requested,
-            c.committed,
-            c.superseded,
-            c.failed,
-            c.bytes_persisted,
-            snap.gpu_copy_bytes,
-            snap.persist_chunk_bytes,
-            snap.restore_chunk_bytes,
-            snap.codec_bytes_saved,
-            snap.dedup_chunks,
-            snap.in_flight,
-            snap.in_flight_peak,
-            snap.queue_depth,
-            snap.queue_depth_peak,
-            snap.dirty_ratio_permille,
-            snap.compression_ratio_permille,
-            snap.stall_fraction(),
-        );
-        let depths: Vec<String> = snap.device_queue_depth.iter().map(u64::to_string).collect();
-        let peaks: Vec<String> = snap.device_queue_peak.iter().map(u64::to_string).collect();
-        let _ = write!(
-            out,
-            ",\"device_queue_depth\":[{}],\"device_queue_peak\":[{}],\"histograms\":{{",
-            depths.join(","),
-            peaks.join(",")
-        );
-        let mut first = true;
-        for phase in Phase::ALL {
-            let s = snap.phase(phase);
-            if s.count == 0 {
-                continue;
-            }
-            let _ = write!(
-                out,
-                "{}\"phase_{}\":{}",
-                if first { "" } else { "," },
-                phase.name(),
-                json_summary(s)
-            );
-            first = false;
-        }
-        for (name, s) in [
-            ("stall", &snap.stall),
-            ("dev_write", &snap.write_stage),
-            ("dev_persist", &snap.persist_stage),
-            ("dev_read", &snap.read_stage),
+        let snap = &views[0].snap;
+        let mut out = format!("{{\"schema\":\"{METRICS_SCHEMA}\",\"enabled\":true");
+        for (at, object) in [
+            (JsonAt::Head, None),
+            (JsonAt::Counters, Some("counters")),
+            (JsonAt::Gauges, Some("gauges")),
+            (JsonAt::Tail, None),
         ] {
-            if s.count == 0 {
-                continue;
-            }
-            let _ = write!(
-                out,
-                "{}\"{}\":{}",
-                if first { "" } else { "," },
-                name,
-                json_summary(s)
-            );
-            first = false;
+            let members: Vec<String> = SCALARS
+                .iter()
+                .filter(|row| row.json.0 == at)
+                .map(|row| format!("\"{}\":{}", row.json.1, json_value((row.read)(snap))))
+                .collect();
+            let members = members.join(",");
+            let _ = match object {
+                Some(object) => write!(out, ",\"{object}\":{{{members}}}"),
+                None if members.is_empty() => Ok(()),
+                None => write!(out, ",{members}"),
+            };
         }
-        let _ = write!(out, "}}");
-        let jobs = self.jobs_snapshot();
+        let histograms: Vec<String> = HISTOGRAMS
+            .iter()
+            .flat_map(|family| {
+                family.series().filter_map(move |(phase, name)| {
+                    let s = (family.summary)(snap, phase);
+                    let key = format!("{}{}", family.json, name.unwrap_or(""));
+                    (s.count > 0).then(|| format!("\"{key}\":{}", json_summary(s)))
+                })
+            })
+            .collect();
+        let _ = write!(out, ",\"histograms\":{{{}}}", histograms.join(","));
+        let jobs = &views[1..];
         if !jobs.is_empty() {
-            let total: u64 = jobs.iter().map(|(_, s)| s.counters.bytes_persisted).sum();
-            let _ = write!(out, ",\"jobs\":{{");
-            for (i, (name, s)) in jobs.iter().enumerate() {
-                let share = if total > 0 {
-                    s.counters.bytes_persisted as f64 / total as f64
-                } else {
-                    0.0
-                };
-                let _ = write!(
-                    out,
-                    "{}\"{}\":{{\"requested\":{},\"committed\":{},\
-                     \"superseded\":{},\"failed\":{},\"bytes_persisted\":{},\
-                     \"stall_fraction\":{},\"commit_p99_nanos\":{},\"share\":{}}}",
-                    if i == 0 { "" } else { "," },
-                    prom_label_escape(name),
-                    s.counters.requested,
-                    s.counters.committed,
-                    s.counters.superseded,
-                    s.counters.failed,
-                    s.counters.bytes_persisted,
-                    s.stall_fraction(),
-                    s.phase(Phase::Commit).p99_nanos,
-                    share,
-                );
-            }
-            let _ = write!(out, "}}");
+            let objects: Vec<String> = jobs
+                .iter()
+                .map(|view| {
+                    let columns: Vec<String> = view
+                        .job_columns(jobs)
+                        .into_iter()
+                        .map(|(key, value)| format!("\"{key}\":{}", json_value(value)))
+                        .collect();
+                    let name = escape_json(view.job.as_deref().unwrap_or_default());
+                    format!("\"{name}\":{{{}}}", columns.join(","))
+                })
+                .collect();
+            let _ = write!(out, ",\"jobs\":{{{}}}", objects.join(","));
         }
-        let _ = writeln!(out, "}}");
+        out.push_str("}\n");
         out
     }
 
-    /// A compact one-screen console view (the `pccheckctl top` refresh
-    /// body): lifecycle counts, stall fraction, hot-phase latencies, and
-    /// queue pressure.
+    /// A one-screen console view (the `pccheckctl top` refresh body): the
+    /// run summary's lifecycle and latency sections, then one row per
+    /// registered job.
     pub fn console_view(&self) -> String {
-        let mut out = String::new();
-        let Some(snap) = self.telemetry.snapshot() else {
-            let _ = writeln!(out, "telemetry disabled");
-            return out;
+        let Some(views) = self.views() else {
+            return "telemetry disabled\n".to_string();
         };
-        let c = &snap.counters;
-        let _ = writeln!(
-            out,
-            "ckpt req {} ok {} lost {} fail {} | in-flight {}/{} | stall {:.2}%",
-            c.requested,
-            c.committed,
-            c.superseded,
-            c.failed,
-            snap.in_flight,
-            snap.in_flight_peak,
-            snap.stall_fraction() * 100.0
-        );
-        for phase in [
-            Phase::TicketWait,
-            Phase::GpuCopy,
-            Phase::Persist,
-            Phase::Commit,
-        ] {
-            let s = snap.phase(phase);
-            if s.count == 0 {
-                continue;
+        let mut out = render_human(&views[0].snap);
+        let jobs = &views[1..];
+        if let Some(first) = jobs.first() {
+            let _ = write!(out, "\n== jobs ==\n  {:<12}", "job");
+            let keys = first.job_columns(jobs);
+            for (key, _) in &keys {
+                let _ = write!(out, " {key:>10}");
             }
-            let _ = writeln!(
-                out,
-                "  {:<11} n={:<6} p50 {:>9}ns p99 {:>9}ns max {:>9}ns",
-                phase.name(),
-                s.count,
-                s.p50_nanos,
-                s.p99_nanos,
-                s.max_nanos
-            );
-        }
-        let peaks: Vec<String> = snap
-            .device_queue_peak
-            .iter()
-            .enumerate()
-            .filter(|&(_, &p)| p > 0)
-            .map(|(i, p)| format!("dev{i}={}/{p}", snap.device_queue_depth[i]))
-            .collect();
-        if !peaks.is_empty() {
-            let _ = writeln!(out, "  queues: {}", peaks.join(" "));
-        }
-        if snap.codec_bytes_saved > 0 || snap.dedup_chunks > 0 {
-            let _ = writeln!(
-                out,
-                "  codec: saved {} B, {} dedup chunks, ratio {}‰",
-                snap.codec_bytes_saved, snap.dedup_chunks, snap.compression_ratio_permille
-            );
-        }
-        let jobs = self.jobs_snapshot();
-        if !jobs.is_empty() {
-            // Share = this job's fraction of all committed payload bytes —
-            // the realized QoS bandwidth split across tenants.
-            let total: u64 = jobs.iter().map(|(_, s)| s.counters.bytes_persisted).sum();
-            let _ = writeln!(
-                out,
-                "  {:<12} {:>6} {:>12} {:>8} {:>14} {:>6}",
-                "job", "ok", "commit-p99", "stall", "bytes", "share"
-            );
-            for (name, s) in &jobs {
-                let share = if total > 0 {
-                    100.0 * s.counters.bytes_persisted as f64 / total as f64
-                } else {
-                    0.0
-                };
-                let _ = writeln!(
-                    out,
-                    "  {:<12} {:>6} {:>10}ns {:>7.2}% {:>14} {:>5.1}%",
-                    name,
-                    s.counters.committed,
-                    s.phase(Phase::Commit).p99_nanos,
-                    s.stall_fraction() * 100.0,
-                    s.counters.bytes_persisted,
-                    share
-                );
+            for view in jobs {
+                let _ = write!(out, "\n  {:<12}", view.job.as_deref().unwrap_or_default());
+                for (key, value) in view.job_columns(jobs) {
+                    let _ = write!(out, " {:>w$}", human(key, value), w = key.len().max(10));
+                }
             }
+            out.push('\n');
         }
         out
     }
@@ -945,7 +1056,10 @@ pub fn validate_prometheus_text(text: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
     use crate::event::SpanId;
+    use pccheck_util::json::JsonValue;
 
     fn active_registry() -> MetricsRegistry {
         let t = Telemetry::enabled();
@@ -1019,10 +1133,13 @@ mod tests {
     fn console_view_shows_lifecycle_and_phases() {
         let reg = active_registry();
         let view = reg.console_view();
-        assert!(view.contains("ckpt req 1 ok 1"));
+        assert!(view.contains("requested 1  committed 1"), "{view}");
         assert!(view.contains("persist"));
-        assert!(view.contains("dev0="));
-        assert!(view.contains("codec: saved 1024 B"), "{view}");
+        assert!(view.contains("device_queue_depth [2,0,"), "{view}");
+        assert!(
+            view.contains("codec_bytes_saved 1.00 KiB  dedup_chunks 3"),
+            "{view}"
+        );
     }
 
     #[test]
@@ -1162,6 +1279,147 @@ mod tests {
             "job list is shared across clones"
         );
         assert!(clone.prometheus_text().contains("{job=\"late\"}"));
+    }
+
+    /// A registry whose every value is set by an explicit call (no
+    /// `phase_done`, whose latency is the clock's), so two runs render the
+    /// same documents except for the window and the stall fraction, which
+    /// divides by it.
+    fn golden_registry() -> MetricsRegistry {
+        let t = Telemetry::enabled();
+        let spans: Vec<SpanId> = (1..=4)
+            .map(|i| t.span_requested("pccheck", i, 4096))
+            .collect();
+        t.chunk(spans[0], Phase::GpuCopy, 0, 4096);
+        t.chunk(spans[0], Phase::Persist, 0, 4096);
+        t.chunk(spans[0], Phase::RestoreRead, 0, 2048);
+        t.committed(spans[0], 1, 4096);
+        t.superseded(spans[1], 1);
+        t.failed(spans[2], "device gone");
+        t.stall(spans[0], 1_500);
+        t.stall(spans[1], 40_000);
+        t.stage_write(800);
+        t.stage_persist(3_000);
+        t.stage_read(90_000);
+        t.gauge_queue_depth(3);
+        t.gauge_queue_depth(1);
+        t.gauge_device_queue(0, 2);
+        t.gauge_device_queue(0, 1);
+        t.gauge_device_queue(2, 5);
+        t.gauge_dirty_ratio(250);
+        t.add_codec_bytes_saved(1024);
+        t.add_dedup_chunks(3);
+        t.gauge_compression_ratio(750);
+        let r = t.recorder().expect("enabled");
+        for (phase, nanos) in [
+            (Phase::GpuCopy, 12_000),
+            (Phase::Persist, 700_000),
+            (Phase::Persist, 1_300_000),
+            (Phase::Commit, 5_000),
+        ] {
+            r.phase_hist(phase).record(nanos);
+        }
+        let reg = MetricsRegistry::new(t);
+        for (name, commits) in [("alpha", 2u64), ("beta", 3)] {
+            let j = Telemetry::enabled();
+            for i in 1..=commits {
+                let span = j.span_requested(name, i, 1024);
+                j.stall(span, 100 * i);
+                j.committed(span, i, 1024);
+            }
+            let jr = j.recorder().expect("enabled");
+            jr.phase_hist(Phase::Commit).record(2_000 * commits);
+            reg.register_job(name, j);
+        }
+        reg
+    }
+
+    /// `text` with the sample values of the clock-dependent families
+    /// replaced by `_`.
+    fn normalize_prometheus(text: &str) -> String {
+        text.lines()
+            .map(|line| {
+                let clocked = ["pccheck_window_nanos", "pccheck_stall_fraction"]
+                    .iter()
+                    .any(|name| {
+                        line.strip_prefix(name)
+                            .is_some_and(|rest| rest.starts_with([' ', '{']))
+                    });
+                match line.rsplit_once(' ') {
+                    Some((series, _)) if clocked => format!("{series} _\n"),
+                    _ => format!("{line}\n"),
+                }
+            })
+            .collect()
+    }
+
+    /// `value` with every `window_nanos` and `stall_fraction` member,
+    /// at any depth, set to `null`.
+    fn normalize_json(value: JsonValue) -> JsonValue {
+        match value {
+            JsonValue::Object(members) => JsonValue::Object(
+                members
+                    .into_iter()
+                    .map(|(k, v)| {
+                        let v = match k.as_str() {
+                            "window_nanos" | "stall_fraction" => JsonValue::Null,
+                            _ => normalize_json(v),
+                        };
+                        (k, v)
+                    })
+                    .collect(),
+            ),
+            other => other,
+        }
+    }
+
+    /// Every exposition of a fixed registry, byte for byte (Prometheus)
+    /// and member for member in order (JSON), against the checked-in
+    /// documents.
+    #[test]
+    fn golden_registry_renders_the_checked_in_expositions() {
+        let reg = golden_registry();
+        assert_eq!(
+            normalize_prometheus(&reg.prometheus_text()),
+            normalize_prometheus(include_str!("../testdata/metrics.golden.prom"))
+        );
+        let parse = |doc: &str| normalize_json(JsonValue::parse(doc).expect("JSON parses"));
+        assert_eq!(
+            parse(&reg.json()),
+            parse(include_str!("../testdata/metrics.golden.json"))
+        );
+    }
+
+    #[test]
+    fn job_names_are_json_escaped() {
+        let reg = MetricsRegistry::new(Telemetry::enabled());
+        reg.register_job("a\tb", Telemetry::enabled());
+        let doc = JsonValue::parse(&reg.json()).expect("a control character in a job name");
+        assert!(doc.get("jobs").and_then(|jobs| jobs.get("a\tb")).is_some());
+    }
+
+    /// README's metrics table, one family per row, is the declared set of
+    /// families with their types.
+    #[test]
+    fn readme_metrics_table_matches_the_declared_families() {
+        let readme = include_str!("../../../README.md");
+        let table: BTreeSet<(&str, &str)> = readme
+            .lines()
+            .skip_while(|line| !line.starts_with("| Metric | Type |"))
+            .skip(2)
+            .take_while(|line| line.starts_with('|'))
+            .map(|line| {
+                let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+                let name = cells[1].trim_matches('`').split('{').next().unwrap_or("");
+                (name, cells[2])
+            })
+            .collect();
+        let declared: BTreeSet<(&str, &str)> = SCALARS
+            .iter()
+            .map(|row| (row.prom, row.kind()))
+            .chain(HISTOGRAMS.iter().map(|family| (family.prom, "histogram")))
+            .collect();
+        assert_eq!(table, declared);
     }
 
     #[test]

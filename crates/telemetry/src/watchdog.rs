@@ -26,10 +26,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use pccheck_util::json::escape_json;
 use pccheck_util::sync::Mutex;
 
 use crate::event::Phase;
-use crate::export::chrome_trace;
+use crate::export::{chrome_trace, json_f64};
 use crate::histogram::LatencyHistogram;
 use crate::recorder::Telemetry;
 use crate::registry::MetricsRegistry;
@@ -216,7 +217,7 @@ impl SloWatchdog {
                 at_nanos: telemetry.now_nanos(),
                 commit_buckets: r.phase_hist(Phase::Commit).bucket_counts(),
                 restore_buckets: r.phase_hist(Phase::RestoreRead).bucket_counts(),
-                stall_sum_nanos: r.stall_hist().sum_nanos(),
+                stall_sum_nanos: r.stall_hist.sum_nanos(),
             },
             None => Baseline {
                 at_nanos: 0,
@@ -338,9 +339,9 @@ impl SloWatchdog {
             }
             vjson.push_str(&format!(
                 "{{\"rule\":\"{}\",\"observed\":{},\"threshold\":{}}}",
-                v.rule.name(),
-                v.observed,
-                v.threshold
+                escape_json(v.rule.name()),
+                json_f64(v.observed),
+                json_f64(v.threshold)
             ));
         }
         vjson.push_str("]}\n");

@@ -1,7 +1,8 @@
-//! A minimal dependency-free JSON reader.
+//! A minimal dependency-free JSON reader, and the string escaper.
 //!
 //! The workspace emits all of its JSON by hand (telemetry exporters, bench
-//! artifacts, profile summaries) and deliberately avoids a serialization
+//! artifacts, profile summaries, the daemon's control plane), every string
+//! through [`escape_json`], and deliberately avoids a serialization
 //! stack; this module is the matching *reader* so the profile differ can
 //! load archived `pccheck.profile.v1` artifacts and the test suite can
 //! validate exporter output for well-formedness — the role `serde_json`
@@ -22,6 +23,7 @@
 //! ```
 
 use std::fmt;
+use std::fmt::Write as _;
 
 /// Maximum object/array nesting the parser accepts.
 const MAX_DEPTH: usize = 128;
@@ -139,6 +141,27 @@ impl JsonValue {
             _ => None,
         }
     }
+}
+
+/// Escapes `s` as JSON string *contents* (no surrounding quotes): `"`,
+/// `\\` and every control character, so that [`JsonValue::parse`] reads
+/// `s` back. The one escaper for every hand-written JSON document.
+pub fn escape_json(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 struct Parser<'a> {
@@ -384,6 +407,18 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn escape_json_round_trips_every_ascii_character() {
+        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape_json("\u{1}"), "\\u0001");
+        let all: String = (0u8..0x80)
+            .map(char::from)
+            .chain(['\u{e9}', '\u{1F600}'])
+            .collect();
+        let doc = format!("\"{}\"", escape_json(&all));
+        assert_eq!(JsonValue::parse(&doc).unwrap().as_str(), Some(all.as_str()));
+    }
 
     #[test]
     fn scalars_parse() {

@@ -16,13 +16,15 @@
 //!
 //! `smoke` is the same lifecycle against ephemeral ports, self-scraping
 //! and asserting everything a CI gate needs: per-job counters present
-//! and nonzero, QoS shares accounted, forensics clean.
+//! and nonzero, `/metrics.json` agreeing with them on every job's
+//! commits, QoS shares accounted, forensics clean.
 
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use pccheck_daemon::{ControlServer, Daemon, DaemonConfig};
 use pccheck_telemetry::{http_get, validate_prometheus_text, MetricsServer};
+use pccheck_util::json::JsonValue;
 
 fn usage() -> ExitCode {
     eprintln!("usage: pccheckd smoke [jobs]");
@@ -85,14 +87,27 @@ fn run_service(
     }
     daemon.join_all()?;
 
-    // Gate 1: the exposition parses and carries nonzero per-job counters.
+    // Gate 1: the exposition parses and carries nonzero per-job counters,
+    // and the JSON document agrees with it on every job's commits.
     let prom = http_get(metrics.addr(), "/metrics")?;
     let samples = validate_prometheus_text(&prom)?;
+    let doc = JsonValue::parse(&http_get(metrics.addr(), "/metrics.json")?)?;
     for i in 0..jobs {
         let needle = format!("pccheck_checkpoints_committed_total{{job=\"smoke-{i}\"}}");
-        match sample_value(&prom, &needle) {
-            Some(v) if v >= 1.0 => {}
+        let committed = match sample_value(&prom, &needle) {
+            Some(v) if v >= 1.0 => v,
             other => return Err(format!("{needle}: expected >= 1 commit, got {other:?}").into()),
+        };
+        let json = doc
+            .get("jobs")
+            .and_then(|jobs| jobs.get(&format!("smoke-{i}")))
+            .and_then(|job| job.get("committed"))
+            .and_then(JsonValue::as_f64);
+        if json != Some(committed) {
+            return Err(format!(
+                "/metrics.json smoke-{i} committed {json:?}, {needle} {committed}"
+            )
+            .into());
         }
         let bytes = format!("pccheck_bytes_persisted_total{{job=\"smoke-{i}\"}}");
         match sample_value(&prom, &bytes) {
@@ -100,7 +115,9 @@ fn run_service(
             other => return Err(format!("{bytes}: expected > 0, got {other:?}").into()),
         }
     }
-    println!("metrics: {samples} samples, per-job counters present for {jobs} job(s)");
+    println!(
+        "metrics: {samples} samples, per-job counters present and equal in JSON for {jobs} job(s)"
+    );
 
     // Gate 2: the control plane agrees and QoS shares are accounted.
     let list = http_get(control.addr(), "/jobs")?;
