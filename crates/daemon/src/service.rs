@@ -263,7 +263,9 @@ impl Daemon {
         );
         // A service never ends, so its recorders keep metrics only: an
         // event timeline would grow with uptime and nothing here reads it.
-        let registry = MetricsRegistry::new(Telemetry::metrics());
+        // Its unlabelled series total the jobs' recorders, and its device
+        // queue gauges are the shared device's own.
+        let registry = MetricsRegistry::new(Telemetry::metrics()).with_device(Arc::clone(&device));
         Ok(Daemon {
             config,
             device,
@@ -664,6 +666,36 @@ mod tests {
                 row.name
             )));
         }
+        let report = daemon.shutdown().unwrap();
+        assert!(report.is_clean(), "{:?}", report.violations);
+    }
+
+    #[test]
+    fn unlabelled_series_total_every_jobs_recorder() {
+        use pccheck_util::JsonValue;
+        let daemon = Daemon::new(DaemonConfig::sim_default()).unwrap();
+        for name in ["sum-a", "sum-b"] {
+            daemon.submit(JobSpec::sim(name)).unwrap();
+        }
+        daemon.join_all().unwrap();
+        let committed: u64 = daemon.jobs().iter().map(|row| row.committed).sum();
+        assert!(committed >= 2);
+        let text = daemon.registry().prometheus_text();
+        let line = format!("pccheck_checkpoints_committed_total {committed}");
+        assert!(text.lines().any(|l| l == line), "no `{line}` in\n{text}");
+        let snap = daemon.registry().snapshot().unwrap();
+        assert_eq!(snap.counters.committed, committed);
+        let doc = JsonValue::parse(&daemon.registry().json()).unwrap();
+        let counters = doc.get("counters").unwrap();
+        assert_eq!(
+            counters.get("committed").and_then(JsonValue::as_u64),
+            Some(committed)
+        );
+        let peaks = doc.get("device_queue_peak").and_then(JsonValue::as_array);
+        assert!(
+            peaks.unwrap().iter().any(|p| p.as_u64() > Some(0)),
+            "the jobs sampled the shared device's queue: {peaks:?}"
+        );
         let report = daemon.shutdown().unwrap();
         assert!(report.is_clean(), "{:?}", report.violations);
     }

@@ -1,104 +1,49 @@
-//! Runs every figure/table experiment and writes all CSVs under results/.
-fn main() -> std::io::Result<()> {
-    use pccheck_harness::*;
-    macro_rules! step {
-        ($name:expr, $body:expr) => {{
-            println!("== {} ==", $name);
-            $body;
-        }};
+//! Runs the experiments of `pccheck_harness::EXPERIMENTS` and writes each
+//! one's CSV under `results/`: every experiment, or those named.
+//!
+//! ```text
+//! all_experiments            # all of them
+//! all_experiments <name>...  # only these
+//! ```
+//!
+//! An unknown name exits 2 before anything runs and lists the valid ones.
+
+use std::io::Write;
+use std::process::ExitCode;
+
+use pccheck_harness::{result_path, Experiment, EXPERIMENTS};
+
+fn main() -> ExitCode {
+    let names: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(unknown) = names
+        .iter()
+        .find(|name| !EXPERIMENTS.iter().any(|e| e.name == name.as_str()))
+    {
+        let valid: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        eprintln!(
+            "all_experiments: unknown experiment `{unknown}`; valid names: {}",
+            valid.join(" ")
+        );
+        return ExitCode::from(2);
     }
-    step!("table1+3", {
-        let t1 = tables::table1(pccheck_util::ByteSize::from_gb(4.0), 3);
-        tables::write_table1_csv(
-            &t1,
-            std::fs::File::create(result_path("table1_footprint.csv"))?,
-        )?;
-        tables::write_table3_csv(std::fs::File::create(result_path("table3_models.csv"))?)?;
-    });
-    step!(
-        "fig1",
-        fig1_motivation::write_csv(
-            &fig1_motivation::run(),
-            std::fs::File::create(result_path("fig1_motivation.csv"))?
-        )?
-    );
-    step!(
-        "fig2",
-        fig2_goodput_motivation::write_csv(
-            &fig2_goodput_motivation::run(42),
-            std::fs::File::create(result_path("fig2_goodput_motivation.csv"))?
-        )?
-    );
-    step!(
-        "fig8",
-        fig8_throughput::write_csv(
-            &fig8_throughput::run(),
-            std::fs::File::create(result_path("fig8_throughput.csv"))?
-        )?
-    );
-    step!(
-        "fig9",
-        fig9_goodput::write_csv(
-            &fig9_goodput::run(42),
-            std::fs::File::create(result_path("fig9_goodput.csv"))?
-        )?
-    );
-    step!(
-        "fig10",
-        fig10_pmem::write_csv(
-            &fig10_pmem::run(),
-            std::fs::File::create(result_path("fig10_pmem.csv"))?
-        )?
-    );
-    step!(
-        "fig11",
-        fig11_persist_micro::write_csv(
-            &fig11_persist_micro::run(),
-            std::fs::File::create(result_path("fig11_persist_micro.csv"))?
-        )?
-    );
-    step!(
-        "fig12",
-        fig12_concurrency::write_csv(
-            &fig12_concurrency::run(),
-            std::fs::File::create(result_path("fig12_concurrency.csv"))?
-        )?
-    );
-    step!(
-        "fig13",
-        fig13_threads::write_csv(
-            &fig13_threads::run(),
-            std::fs::File::create(result_path("fig13_threads.csv"))?
-        )?
-    );
-    step!(
-        "fig14",
-        fig14_dram::write_csv(
-            &fig14_dram::run(),
-            std::fs::File::create(result_path("fig14_dram.csv"))?
-        )?
-    );
-    step!(
-        "ext_h100",
-        ext_h100::write_csv(
-            &ext_h100::run(),
-            std::fs::File::create(result_path("ext_h100.csv"))?
-        )?
-    );
-    step!(
-        "ext_jit",
-        ext_jit::write_csv(
-            &ext_jit::run(42),
-            std::fs::File::create(result_path("ext_jit.csv"))?
-        )?
-    );
-    step!(
-        "ext_compress",
-        ext_compress::write_csv(
-            &ext_compress::run(),
-            std::fs::File::create(result_path("ext_compress.csv"))?
-        )?
-    );
-    println!("all experiments written to results/");
+    let picked = EXPERIMENTS
+        .iter()
+        .filter(|e| names.is_empty() || names.iter().any(|name| name == e.name));
+    for experiment in picked {
+        if let Err(err) = write(experiment) {
+            eprintln!("all_experiments: {}: {err}", experiment.name);
+            return ExitCode::FAILURE;
+        }
+    }
+    ExitCode::SUCCESS
+}
+
+/// Runs one experiment into its file under `results/`.
+fn write(experiment: &Experiment) -> std::io::Result<()> {
+    let path = result_path(experiment.csv);
+    let mut out = std::io::BufWriter::new(std::fs::File::create(&path)?);
+    (experiment.write)(&mut out)?;
+    out.flush()?;
+    println!("wrote {}", path.display());
     Ok(())
 }

@@ -34,7 +34,7 @@ pub(crate) const SPARSITIES: [f64; 3] = [0.05, 0.50, 1.00];
 pub(crate) const MIXED_SPARSITY: f64 = 0.05;
 
 /// Training-state size per run of the period sweep.
-pub const STATE_BYTES: u64 = 256 * 1024;
+pub(crate) const STATE_BYTES: u64 = 256 * 1024;
 
 /// Staging/codec chunk size of the period sweep.
 pub(crate) const CHUNK_BYTES: u64 = 8 * 1024;
@@ -55,7 +55,7 @@ pub(crate) const POOL_CHUNKS: usize = 4;
 
 /// What the training state is made of.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Payload {
+pub(crate) enum Payload {
     /// Every tensor tiles one block of this many bytes (`0` = RNG-dense
     /// incompressible state).
     Tiled(usize),
@@ -111,31 +111,31 @@ impl Payload {
 
 /// One sweep row.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ExtCompressRow {
+pub(crate) struct ExtCompressRow {
     /// Composition of the state (`period` column: the tile period, `0` =
     /// incompressible, or `mixed`).
-    pub payload: Payload,
+    pub(crate) payload: Payload,
     /// Fraction of each tensor mutated per step.
-    pub sparsity: f64,
+    pub(crate) sparsity: f64,
     /// Checkpoints committed.
-    pub checkpoints: u64,
+    pub(crate) checkpoints: u64,
     /// Bytes the codec-off path would persist (checkpoints × state size).
-    pub logical_bytes: u64,
+    pub(crate) logical_bytes: u64,
     /// Bytes the codec path actually persisted, frame tables included.
-    pub persisted_bytes: u64,
+    pub(crate) persisted_bytes: u64,
     /// `logical_bytes / persisted_bytes`.
-    pub bytes_saved_ratio: f64,
+    pub(crate) bytes_saved_ratio: f64,
     /// Checkpoints whose codec frame paid (the rest went out all-`Raw`).
-    pub framed: u64,
+    pub(crate) framed: u64,
     /// Chunks stored as dedup references across the run.
-    pub dedup_chunks: u64,
+    pub(crate) dedup_chunks: u64,
     /// Cold recovery reproduced the final state bit-for-bit.
-    pub recovered_bit_identical: bool,
+    pub(crate) recovered_bit_identical: bool,
 }
 
 /// Runs `CHECKPOINTS` checkpoints at one (payload, sparsity) point and
 /// returns the measured row.
-pub fn measure(payload: Payload, sparsity: f64) -> ExtCompressRow {
+pub(crate) fn measure(payload: Payload, sparsity: f64) -> ExtCompressRow {
     let (state_bytes, chunk_bytes) = (payload.state_bytes(), payload.chunk_bytes());
     let gpu = Gpu::new(GpuConfig::fast_for_tests(), payload.state());
     gpu.update();
@@ -199,7 +199,7 @@ pub fn measure(payload: Payload, sparsity: f64) -> ExtCompressRow {
 }
 
 /// Runs the full period × sparsity sweep, then the mixed-state row.
-pub fn run() -> Vec<ExtCompressRow> {
+pub(crate) fn run() -> Vec<ExtCompressRow> {
     let mut rows = Vec::new();
     for &period in &PERIODS {
         for &sparsity in &SPARSITIES {
@@ -215,7 +215,7 @@ pub fn run() -> Vec<ExtCompressRow> {
 /// # Errors
 ///
 /// Returns any I/O error.
-pub fn write_csv<W: std::io::Write>(rows: &[ExtCompressRow], out: W) -> std::io::Result<()> {
+pub(crate) fn write_csv<W: std::io::Write>(rows: &[ExtCompressRow], out: W) -> std::io::Result<()> {
     let mut w = CsvWriter::new(
         out,
         &[
@@ -303,21 +303,6 @@ mod tests {
             "a clean RNG-dense chunk must stay a reference: persisted / logical = {ratio:.4}"
         );
         assert!(row.recovered_bit_identical);
-    }
-
-    /// The sweep is deterministic, so its checked-in results are its
-    /// output byte for byte: a change to what the codec writes shows up
-    /// here before it shows up in a regenerated file.
-    #[test]
-    fn the_checked_in_results_are_the_sweep_byte_for_byte() {
-        let pinned = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../results/ext_compress.csv"
-        );
-        let pinned = std::fs::read_to_string(pinned).unwrap();
-        let mut ran = Vec::new();
-        write_csv(&run(), &mut ran).unwrap();
-        assert_eq!(String::from_utf8(ran).unwrap(), pinned);
     }
 
     #[test]

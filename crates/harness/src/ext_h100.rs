@@ -15,7 +15,7 @@ use crate::sweep::{iterations_for, SweepRow};
 use crate::PAPER_INTERVALS;
 
 /// Runs the OPT-1.3B sweep on both the A100/pd-ssd and H100/NVMe testbeds.
-pub fn run() -> Vec<SweepRow> {
+pub(crate) fn run() -> Vec<SweepRow> {
     let model = ModelZoo::opt_1_3b();
     let strategies = [
         StrategyCfg::CheckFreq,
@@ -56,7 +56,7 @@ pub fn run() -> Vec<SweepRow> {
 /// # Errors
 ///
 /// Returns any I/O error.
-pub fn write_csv<W: std::io::Write>(rows: &[SweepRow], out: W) -> std::io::Result<()> {
+pub(crate) fn write_csv<W: std::io::Write>(rows: &[SweepRow], out: W) -> std::io::Result<()> {
     let mut w = CsvWriter::new(
         out,
         &[

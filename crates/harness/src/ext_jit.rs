@@ -20,17 +20,17 @@ pub(crate) const BURST_PROBS: [f64; 5] = [0.0, 0.2, 0.4, 0.6, 0.8];
 
 /// One row: goodput of both schemes at one bulk-preemption rate.
 #[derive(Debug, Clone, PartialEq)]
-pub struct JitRow {
+pub(crate) struct JitRow {
     /// Probability that a preemption arrives as a bulk revocation.
-    pub burst_prob: f64,
+    pub(crate) burst_prob: f64,
     /// JIT goodput (iterations/second).
-    pub jit_goodput: f64,
+    pub(crate) jit_goodput: f64,
     /// PCcheck periodic goodput at interval 10.
-    pub pccheck_goodput: f64,
+    pub(crate) pccheck_goodput: f64,
 }
 
 /// Runs the sweep on OPT-1.3B with the GCP preemption rate.
-pub fn run(seed: u64) -> Vec<JitRow> {
+pub(crate) fn run(seed: u64) -> Vec<JitRow> {
     let model = ModelZoo::opt_1_3b();
     let iter_time = model.iter_time(GpuKind::A100);
     let load = load_time(&model);
@@ -68,7 +68,7 @@ pub fn run(seed: u64) -> Vec<JitRow> {
 /// # Errors
 ///
 /// Returns any I/O error.
-pub fn write_csv<W: std::io::Write>(rows: &[JitRow], out: W) -> std::io::Result<()> {
+pub(crate) fn write_csv<W: std::io::Write>(rows: &[JitRow], out: W) -> std::io::Result<()> {
     let mut w = CsvWriter::new(out, &["burst_prob", "jit_goodput", "pccheck_goodput"]);
     for r in rows {
         w.row(&[

@@ -30,7 +30,7 @@ use pccheck_util::{Bandwidth, ByteSize, CsvWriter};
 use crate::HostPayload;
 
 /// Reader counts swept.
-pub const READERS: [usize; 3] = [1, 2, 4];
+pub(crate) const READERS: [usize; 3] = [1, 2, 4];
 
 /// Stripe widths swept (1 = a single SSD, no striping).
 pub(crate) const WAYS: [u32; 2] = [1, 4];
@@ -53,23 +53,23 @@ pub(crate) const READ_CHUNK: u64 = 128 * 1024;
 
 /// Payload sizes swept by [`run`]. The larger size gives every 4-reader
 /// run a whole stripe unit, so reader `k` maps to member `k`.
-pub fn sizes() -> Vec<ByteSize> {
+pub(crate) fn sizes() -> Vec<ByteSize> {
     vec![ByteSize::from_mb_u64(16), ByteSize::from_mb_u64(32)]
 }
 
 /// One sweep row.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ExtRestoreRow {
+pub(crate) struct ExtRestoreRow {
     /// Checkpoint payload size.
-    pub size: ByteSize,
+    pub(crate) size: ByteSize,
     /// Stripe members backing the store.
-    pub ways: u32,
+    pub(crate) ways: u32,
     /// Parallel restore readers.
-    pub readers: usize,
+    pub(crate) readers: usize,
     /// Wall-clock fetch+verify time (seconds).
-    pub restore_secs: f64,
+    pub(crate) restore_secs: f64,
     /// Speedup over the 1-reader run on the same geometry.
-    pub speedup: f64,
+    pub(crate) speedup: f64,
 }
 
 /// A formatted store on a (possibly striped) throttled device set with one
@@ -179,7 +179,7 @@ pub(crate) fn run_with(sizes: &[ByteSize]) -> Vec<ExtRestoreRow> {
 }
 
 /// Runs the full sweep.
-pub fn run() -> Vec<ExtRestoreRow> {
+pub(crate) fn run() -> Vec<ExtRestoreRow> {
     run_with(&sizes())
 }
 
@@ -188,7 +188,7 @@ pub fn run() -> Vec<ExtRestoreRow> {
 /// # Errors
 ///
 /// Returns any I/O error.
-pub fn write_csv<W: std::io::Write>(rows: &[ExtRestoreRow], out: W) -> std::io::Result<()> {
+pub(crate) fn write_csv<W: std::io::Write>(rows: &[ExtRestoreRow], out: W) -> std::io::Result<()> {
     let mut w = CsvWriter::new(
         out,
         &["size_mb", "ways", "readers", "restore_secs", "speedup"],

@@ -20,25 +20,25 @@ pub(crate) const WAYS: [u32; 3] = [1, 2, 4];
 pub(crate) const WRITERS: usize = 16;
 
 /// Checkpoint sizes swept (the small and large ends of Table 3).
-pub fn sizes() -> Vec<ByteSize> {
+pub(crate) fn sizes() -> Vec<ByteSize> {
     vec![ByteSize::from_gb(1.1), ByteSize::from_gb(16.2)]
 }
 
 /// One sweep row.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ExtStripingRow {
+pub(crate) struct ExtStripingRow {
     /// Checkpoint size.
-    pub size: ByteSize,
+    pub(crate) size: ByteSize,
     /// Stripe members.
-    pub ways: u32,
+    pub(crate) ways: u32,
     /// End-to-end solo persist time (seconds).
-    pub persist_secs: f64,
+    pub(crate) persist_secs: f64,
     /// Speedup over the 1-way run of the same size.
-    pub speedup: f64,
+    pub(crate) speedup: f64,
 }
 
 /// Measures the solo per-checkpoint write time at one stripe width.
-pub fn measure(size: ByteSize, ways: u32) -> f64 {
+pub(crate) fn measure(size: ByteSize, ways: u32) -> f64 {
     let mut cfg = SimConfig::ssd_a100(&ModelZoo::vgg16(), 2000, 2500)
         .with_strategy(StrategyCfg::pccheck(1, WRITERS))
         .with_stripe_ways(ways);
@@ -53,7 +53,7 @@ pub fn measure(size: ByteSize, ways: u32) -> f64 {
 }
 
 /// Runs the sweep.
-pub fn run() -> Vec<ExtStripingRow> {
+pub(crate) fn run() -> Vec<ExtStripingRow> {
     let mut rows = Vec::new();
     for size in sizes() {
         let baseline = measure(size, 1);
@@ -79,7 +79,7 @@ pub fn run() -> Vec<ExtStripingRow> {
 /// # Errors
 ///
 /// Returns any I/O error.
-pub fn write_csv<W: std::io::Write>(rows: &[ExtStripingRow], out: W) -> std::io::Result<()> {
+pub(crate) fn write_csv<W: std::io::Write>(rows: &[ExtStripingRow], out: W) -> std::io::Result<()> {
     let mut w = CsvWriter::new(out, &["size_gb", "ways", "persist_secs", "speedup"]);
     for r in rows {
         w.row(&[

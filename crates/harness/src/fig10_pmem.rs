@@ -9,7 +9,7 @@ use crate::sweep::{iterations_for, SweepRow};
 use crate::PAPER_INTERVALS;
 
 /// Runs the PMEM BERT sweep.
-pub fn run() -> Vec<SweepRow> {
+pub(crate) fn run() -> Vec<SweepRow> {
     let model = ModelZoo::bert();
     let strategies = [
         StrategyCfg::CheckFreq,
@@ -43,7 +43,7 @@ pub fn run() -> Vec<SweepRow> {
 /// # Errors
 ///
 /// Returns any I/O error.
-pub fn write_csv<W: std::io::Write>(rows: &[SweepRow], out: W) -> std::io::Result<()> {
+pub(crate) fn write_csv<W: std::io::Write>(rows: &[SweepRow], out: W) -> std::io::Result<()> {
     crate::fig8_throughput::write_csv(rows, out)
 }
 

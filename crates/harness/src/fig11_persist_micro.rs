@@ -22,18 +22,18 @@ pub(crate) fn paper_sizes() -> Vec<ByteSize> {
 
 /// One Figure 11 row.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Fig11Row {
+pub(crate) struct Fig11Row {
     /// Checkpoint size.
-    pub size: ByteSize,
+    pub(crate) size: ByteSize,
     /// Strategy name.
-    pub strategy: String,
+    pub(crate) strategy: String,
     /// End-to-end time from snapshot start to durable (seconds).
-    pub persist_secs: f64,
+    pub(crate) persist_secs: f64,
 }
 
 /// Measures the solo per-checkpoint write time for one strategy and size.
 /// The interval is huge so exactly one checkpoint runs, free of contention.
-pub fn measure(strategy: StrategyCfg, size: ByteSize) -> f64 {
+pub(crate) fn measure(strategy: StrategyCfg, size: ByteSize) -> f64 {
     let mut cfg = SimConfig::ssd_a100(&ModelZoo::vgg16(), 2000, 2500).with_strategy(strategy);
     if matches!(strategy, StrategyCfg::Gemini) {
         // The microbenchmark transfers one checkpoint with no concurrent
@@ -48,7 +48,7 @@ pub fn measure(strategy: StrategyCfg, size: ByteSize) -> f64 {
 }
 
 /// Runs the sweep.
-pub fn run() -> Vec<Fig11Row> {
+pub(crate) fn run() -> Vec<Fig11Row> {
     let strategies = [
         StrategyCfg::CheckFreq,
         StrategyCfg::Gpm,
@@ -73,7 +73,7 @@ pub fn run() -> Vec<Fig11Row> {
 /// # Errors
 ///
 /// Returns any I/O error.
-pub fn write_csv<W: std::io::Write>(rows: &[Fig11Row], out: W) -> std::io::Result<()> {
+pub(crate) fn write_csv<W: std::io::Write>(rows: &[Fig11Row], out: W) -> std::io::Result<()> {
     let mut w = CsvWriter::new(out, &["size_gb", "strategy", "persist_secs"]);
     for r in rows {
         w.row(&[

@@ -13,17 +13,17 @@ pub(crate) const N_VALUES: [usize; 3] = [1, 2, 4];
 
 /// One Figure 12 row.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Fig12Row {
+pub(crate) struct Fig12Row {
     /// Checkpoint interval.
-    pub interval: u64,
+    pub(crate) interval: u64,
     /// Concurrent checkpoints `N`.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Slowdown over no checkpointing.
-    pub slowdown: f64,
+    pub(crate) slowdown: f64,
 }
 
 /// Runs the sweep.
-pub fn run() -> Vec<Fig12Row> {
+pub(crate) fn run() -> Vec<Fig12Row> {
     let model = ModelZoo::vgg16();
     let mut rows = Vec::new();
     for &interval in &PAPER_INTERVALS {
@@ -49,7 +49,7 @@ pub fn run() -> Vec<Fig12Row> {
 /// # Errors
 ///
 /// Returns any I/O error.
-pub fn write_csv<W: std::io::Write>(rows: &[Fig12Row], out: W) -> std::io::Result<()> {
+pub(crate) fn write_csv<W: std::io::Write>(rows: &[Fig12Row], out: W) -> std::io::Result<()> {
     let mut w = CsvWriter::new(out, &["interval", "n", "slowdown"]);
     for r in rows {
         w.row(&[&r.interval, &r.n, &format_args!("{:.4}", r.slowdown)])?;

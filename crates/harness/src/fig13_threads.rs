@@ -9,7 +9,7 @@ use pccheck_util::CsvWriter;
 use crate::sweep::iterations_for;
 
 /// Fixed checkpoint interval (the paper uses 10).
-pub const INTERVAL: u64 = 10;
+pub(crate) const INTERVAL: u64 = 10;
 /// Concurrency levels swept.
 pub(crate) const N_VALUES: [usize; 3] = [1, 2, 3];
 /// Writer-thread counts swept.
@@ -17,17 +17,17 @@ pub(crate) const P_VALUES: [usize; 3] = [1, 2, 3];
 
 /// One Figure 13 row.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Fig13Row {
+pub(crate) struct Fig13Row {
     /// Concurrent checkpoints `N`.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Writer threads per checkpoint `p`.
-    pub p: usize,
+    pub(crate) p: usize,
     /// Slowdown over no checkpointing.
-    pub slowdown: f64,
+    pub(crate) slowdown: f64,
 }
 
 /// Runs the sweep.
-pub fn run() -> Vec<Fig13Row> {
+pub(crate) fn run() -> Vec<Fig13Row> {
     let model = ModelZoo::opt_350m();
     let iters = iterations_for(INTERVAL);
     let ideal = SimConfig::ssd_a100(&model, INTERVAL, iters)
@@ -54,7 +54,7 @@ pub fn run() -> Vec<Fig13Row> {
 /// # Errors
 ///
 /// Returns any I/O error.
-pub fn write_csv<W: std::io::Write>(rows: &[Fig13Row], out: W) -> std::io::Result<()> {
+pub(crate) fn write_csv<W: std::io::Write>(rows: &[Fig13Row], out: W) -> std::io::Result<()> {
     let mut w = CsvWriter::new(out, &["n", "p", "slowdown"]);
     for r in rows {
         w.row(&[&r.n, &r.p, &format_args!("{:.4}", r.slowdown)])?;

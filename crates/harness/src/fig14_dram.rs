@@ -10,7 +10,7 @@ use pccheck_util::{ByteSize, CsvWriter};
 use crate::sweep::iterations_for;
 
 /// Fixed checkpoint interval (the paper uses 15).
-pub const INTERVAL: u64 = 15;
+pub(crate) const INTERVAL: u64 = 15;
 /// DRAM budgets as multiples of the checkpoint size `m`.
 pub(crate) const DRAM_FACTORS: [f64; 3] = [1.0, 1.5, 2.0];
 /// Pipelined variants: chunks per checkpoint (the paper's `p_2`, `p_4`).
@@ -18,13 +18,13 @@ pub(crate) const PIPELINE_CHUNKS: [u64; 2] = [2, 4];
 
 /// One Figure 14 row.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Fig14Row {
+pub(crate) struct Fig14Row {
     /// DRAM budget as a multiple of `m`.
-    pub dram_factor: f64,
+    pub(crate) dram_factor: f64,
     /// Variant label: `nopipe`, `p2`, `p4`.
-    pub variant: String,
+    pub(crate) variant: String,
     /// Throughput (iterations/second).
-    pub throughput: f64,
+    pub(crate) throughput: f64,
 }
 
 fn configure(dram_factor: f64, chunks_per_ckpt: Option<u64>) -> SimConfig {
@@ -54,7 +54,7 @@ fn configure(dram_factor: f64, chunks_per_ckpt: Option<u64>) -> SimConfig {
 }
 
 /// Runs the sweep.
-pub fn run() -> Vec<Fig14Row> {
+pub(crate) fn run() -> Vec<Fig14Row> {
     let mut rows = Vec::new();
     for &factor in &DRAM_FACTORS {
         let nopipe = configure(factor, None).run();
@@ -80,7 +80,7 @@ pub fn run() -> Vec<Fig14Row> {
 /// # Errors
 ///
 /// Returns any I/O error.
-pub fn write_csv<W: std::io::Write>(rows: &[Fig14Row], out: W) -> std::io::Result<()> {
+pub(crate) fn write_csv<W: std::io::Write>(rows: &[Fig14Row], out: W) -> std::io::Result<()> {
     let mut w = CsvWriter::new(out, &["dram_factor", "variant", "throughput"]);
     for r in rows {
         w.row(&[

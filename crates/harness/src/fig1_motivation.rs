@@ -26,16 +26,16 @@ use crate::PAPER_INTERVALS;
 
 /// One Figure 1 row.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Fig1Row {
+pub(crate) struct Fig1Row {
     /// Checkpoint interval.
-    pub interval: u64,
+    pub(crate) interval: u64,
     /// CheckFreq slowdown vs no checkpointing.
-    pub checkfreq_slowdown: f64,
+    pub(crate) checkfreq_slowdown: f64,
     /// Gemini slowdown vs no checkpointing.
-    pub gemini_slowdown: f64,
+    pub(crate) gemini_slowdown: f64,
     /// Worst-case recovery time at this interval (seconds): the CheckFreq
     /// model's redo/load terms plus the measured protocol overhead.
-    pub recovery_secs: f64,
+    pub(crate) recovery_secs: f64,
     /// Measured recovery-protocol time (seconds): scan + load + verify on
     /// a concrete store, from [`recover_instrumented`]'s trace.
     pub(crate) recovery_protocol_measured_secs: f64,
@@ -72,7 +72,7 @@ fn measured_protocol_secs() -> f64 {
 }
 
 /// Runs the experiment.
-pub fn run() -> Vec<Fig1Row> {
+pub(crate) fn run() -> Vec<Fig1Row> {
     let model = ModelZoo::bloom_7b();
     let iter_time = model.iter_time(pccheck_gpu::GpuKind::A100);
     let load = load_time(&model);
@@ -106,7 +106,7 @@ pub fn run() -> Vec<Fig1Row> {
 /// # Errors
 ///
 /// Returns any I/O error.
-pub fn write_csv<W: std::io::Write>(rows: &[Fig1Row], out: W) -> std::io::Result<()> {
+pub(crate) fn write_csv<W: std::io::Write>(rows: &[Fig1Row], out: W) -> std::io::Result<()> {
     let mut w = CsvWriter::new(
         out,
         &[

@@ -11,7 +11,7 @@ use crate::sweep::{goodput_sweep, GoodputRow};
 use crate::PAPER_INTERVALS;
 
 /// Runs the experiment (seeded trace for reproducibility).
-pub fn run(seed: u64) -> Vec<GoodputRow> {
+pub(crate) fn run(seed: u64) -> Vec<GoodputRow> {
     let trace = PreemptionTrace::synthetic_gcp_a100(seed);
     goodput_sweep(
         &ModelZoo::bloom_7b(),
@@ -30,7 +30,7 @@ pub fn run(seed: u64) -> Vec<GoodputRow> {
 /// # Errors
 ///
 /// Returns any I/O error.
-pub fn write_csv<W: std::io::Write>(rows: &[GoodputRow], out: W) -> std::io::Result<()> {
+pub(crate) fn write_csv<W: std::io::Write>(rows: &[GoodputRow], out: W) -> std::io::Result<()> {
     let mut w = CsvWriter::new(
         out,
         &[
@@ -55,25 +55,25 @@ pub fn write_csv<W: std::io::Write>(rows: &[GoodputRow], out: W) -> std::io::Res
     w.flush()
 }
 
-/// Peak goodput per strategy across intervals, as a fraction of the ideal
-/// peak (the paper: CheckFreq reaches only 66%, Gemini 58% of ideal).
-pub fn peak_fraction_of_ideal(rows: &[GoodputRow], strategy_prefix: &str) -> f64 {
-    let peak = |p: &str| {
-        rows.iter()
-            .filter(|r| r.strategy.starts_with(p))
-            .map(|r| r.goodput)
-            .fold(0.0f64, f64::max)
-    };
-    let ideal = peak("ideal");
-    if ideal == 0.0 {
-        return 0.0;
-    }
-    peak(strategy_prefix) / ideal
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Peak goodput per strategy across intervals, as a fraction of the ideal
+    /// peak (the paper: CheckFreq reaches only 66%, Gemini 58% of ideal).
+    fn peak_fraction_of_ideal(rows: &[GoodputRow], strategy_prefix: &str) -> f64 {
+        let peak = |p: &str| {
+            rows.iter()
+                .filter(|r| r.strategy.starts_with(p))
+                .map(|r| r.goodput)
+                .fold(0.0f64, f64::max)
+        };
+        let ideal = peak("ideal");
+        if ideal == 0.0 {
+            return 0.0;
+        }
+        peak(strategy_prefix) / ideal
+    }
 
     #[test]
     fn figure2_shapes_hold() {

@@ -25,7 +25,7 @@ pub(crate) fn strategies_for(model: &ModelSpec) -> Vec<StrategyCfg> {
 }
 
 /// Runs the full six-model sweep.
-pub fn run() -> Vec<SweepRow> {
+pub(crate) fn run() -> Vec<SweepRow> {
     let mut rows = Vec::new();
     for model in ModelZoo::figure8_models() {
         rows.extend(sweep_ssd(&model, &strategies_for(&model), &PAPER_INTERVALS));
@@ -38,7 +38,7 @@ pub fn run() -> Vec<SweepRow> {
 /// # Errors
 ///
 /// Returns any I/O error.
-pub fn write_csv<W: std::io::Write>(rows: &[SweepRow], out: W) -> std::io::Result<()> {
+pub(crate) fn write_csv<W: std::io::Write>(rows: &[SweepRow], out: W) -> std::io::Result<()> {
     let mut w = CsvWriter::new(
         out,
         &[

@@ -10,7 +10,7 @@ use crate::sweep::{goodput_sweep, GoodputRow};
 use crate::PAPER_INTERVALS;
 
 /// Runs the full six-model goodput sweep with a seeded trace.
-pub fn run(seed: u64) -> Vec<GoodputRow> {
+pub(crate) fn run(seed: u64) -> Vec<GoodputRow> {
     let trace = PreemptionTrace::synthetic_gcp_a100(seed);
     let mut rows = Vec::new();
     for model in ModelZoo::figure8_models() {
@@ -29,7 +29,7 @@ pub(crate) fn run_model(model: &ModelSpec, trace: &PreemptionTrace) -> Vec<Goodp
 /// # Errors
 ///
 /// Returns any I/O error.
-pub fn write_csv<W: std::io::Write>(rows: &[GoodputRow], out: W) -> std::io::Result<()> {
+pub(crate) fn write_csv<W: std::io::Write>(rows: &[GoodputRow], out: W) -> std::io::Result<()> {
     let mut w = CsvWriter::new(
         out,
         &[

@@ -8,17 +8,17 @@ use pccheck_util::SimDuration;
 
 /// One (strategy, interval) measurement for a workload.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SweepRow {
+pub(crate) struct SweepRow {
     /// Workload name.
-    pub model: String,
+    pub(crate) model: String,
     /// Strategy name.
-    pub strategy: String,
+    pub(crate) strategy: String,
     /// Checkpoint interval in iterations.
-    pub interval: u64,
+    pub(crate) interval: u64,
     /// Absolute throughput (iterations/second).
-    pub throughput: f64,
+    pub(crate) throughput: f64,
     /// Slowdown relative to the no-checkpoint run (≥ 1).
-    pub slowdown: f64,
+    pub(crate) slowdown: f64,
     /// Mean end-to-end checkpoint write time `Tw` (seconds).
     pub(crate) write_time_secs: f64,
 }
@@ -65,24 +65,24 @@ pub(crate) fn sweep_ssd(
 
 /// One goodput measurement.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GoodputRow {
+pub(crate) struct GoodputRow {
     /// Workload name.
-    pub model: String,
+    pub(crate) model: String,
     /// Strategy name.
-    pub strategy: String,
+    pub(crate) strategy: String,
     /// Checkpoint interval in iterations.
-    pub interval: u64,
+    pub(crate) interval: u64,
     /// Useful iterations/second over the trace window.
-    pub goodput: f64,
+    pub(crate) goodput: f64,
     /// Rollbacks replayed.
-    pub rollbacks: usize,
+    pub(crate) rollbacks: usize,
     /// Average iterations lost per rollback.
-    pub avg_lost_iterations: f64,
+    pub(crate) avg_lost_iterations: f64,
 }
 
 /// Checkpoint load time for goodput replays: reading `m` back from the
 /// device at its (read ≈ write) bandwidth.
-pub fn load_time(model: &ModelSpec) -> SimDuration {
+pub(crate) fn load_time(model: &ModelSpec) -> SimDuration {
     let cfg = SimConfig::ssd_a100(model, 10, 10);
     cfg.storage_bandwidth.transfer_time(cfg.checkpoint_size)
 }

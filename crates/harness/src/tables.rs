@@ -6,15 +6,15 @@ use pccheck_util::{ByteSize, CsvWriter};
 
 /// One Table 1 row.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Table1Row {
+pub(crate) struct Table1Row {
     /// Algorithm name.
-    pub algorithm: String,
+    pub(crate) algorithm: String,
     /// The footprint for a checkpoint of size `m`.
-    pub footprint: Footprint,
+    pub(crate) footprint: Footprint,
 }
 
 /// Builds Table 1 for checkpoint size `m` and PCcheck concurrency `n`.
-pub fn table1(m: ByteSize, n: usize) -> Vec<Table1Row> {
+pub(crate) fn table1(m: ByteSize, n: usize) -> Vec<Table1Row> {
     vec![
         Table1Row {
             algorithm: "CheckFreq".into(),
@@ -40,7 +40,10 @@ pub fn table1(m: ByteSize, n: usize) -> Vec<Table1Row> {
 /// # Errors
 ///
 /// Returns any I/O error.
-pub fn write_table1_csv<W: std::io::Write>(rows: &[Table1Row], out: W) -> std::io::Result<()> {
+pub(crate) fn write_table1_csv<W: std::io::Write>(
+    rows: &[Table1Row],
+    out: W,
+) -> std::io::Result<()> {
     let mut w = CsvWriter::new(
         out,
         &["algorithm", "gpu_mem", "dram_min", "dram_max", "storage"],
@@ -62,7 +65,7 @@ pub fn write_table1_csv<W: std::io::Write>(rows: &[Table1Row], out: W) -> std::i
 /// # Errors
 ///
 /// Returns any I/O error.
-pub fn write_table3_csv<W: std::io::Write>(out: W) -> std::io::Result<()> {
+pub(crate) fn write_table3_csv<W: std::io::Write>(out: W) -> std::io::Result<()> {
     let mut w = CsvWriter::new(
         out,
         &[
@@ -92,7 +95,7 @@ pub fn write_table3_csv<W: std::io::Write>(out: W) -> std::io::Result<()> {
 }
 
 /// Table 3's rows (the six evaluated models).
-pub fn table3() -> Vec<ModelSpec> {
+pub(crate) fn table3() -> Vec<ModelSpec> {
     ModelZoo::figure8_models()
 }
 

@@ -9,8 +9,11 @@
 //! * **Fig. 9 (goodput under preemption)** — useful iterations per second
 //!   given a preemption rate, using the run's measured effective iteration
 //!   time and its *empirical* rollback depth: at each iteration completion,
-//!   how much work would a failure right then lose? The math mirrors
-//!   `pccheck-trace`'s offline `GoodputReplay` so both agree.
+//!   how much work would a failure right then lose? The formula and the
+//!   walk are `pccheck_util::goodput`'s, which `pccheck-trace`'s offline
+//!   `GoodputReplay` calls too.
+
+use pccheck_util::goodput::{goodput, mean_rollback_depth, Mark};
 
 use crate::event::{Event, EventKind};
 
@@ -59,28 +62,23 @@ impl RunAccounting {
         ordered.sort_by_key(|e| e.at_nanos);
 
         let mut acc = RunAccounting::default();
-        let mut best_committed: u64 = 0;
-        let mut total_lost: u64 = 0;
-        for event in ordered {
+        for event in &ordered {
             acc.window_nanos = acc.window_nanos.max(event.at_nanos);
             match &event.kind {
                 EventKind::Stall { nanos } => acc.stall_nanos += nanos,
-                EventKind::Committed { iteration, .. } => {
-                    acc.committed += 1;
-                    best_committed = best_committed.max(*iteration);
-                }
+                EventKind::Committed { .. } => acc.committed += 1,
                 EventKind::Superseded { .. } => acc.superseded += 1,
                 EventKind::Failed { .. } => acc.failed += 1,
-                EventKind::IterationEnd { iteration } => {
-                    acc.iterations += 1;
-                    total_lost += iteration.saturating_sub(best_committed);
-                }
+                EventKind::IterationEnd { .. } => acc.iterations += 1,
                 _ => {}
             }
         }
-        if acc.iterations > 0 {
-            acc.avg_rollback_depth = total_lost as f64 / acc.iterations as f64;
-        }
+        acc.avg_rollback_depth =
+            mean_rollback_depth(ordered.iter().filter_map(|event| match event.kind {
+                EventKind::IterationEnd { iteration } => Some(Mark::Boundary(iteration)),
+                EventKind::Committed { iteration, .. } => Some(Mark::Commit(iteration)),
+                _ => None,
+            }));
         acc
     }
 
@@ -128,12 +126,15 @@ impl RunAccounting {
             return None;
         }
         let t_eff = 1.0 / throughput;
-        let window = self.window_secs();
-        let recovery_per_failure = load_time_secs + self.avg_rollback_depth * t_eff;
-        let total_recovery = (rollbacks as f64 * recovery_per_failure).min(window);
-        let progress = window - total_recovery;
+        let (goodput, total_recovery) = goodput(
+            self.window_secs(),
+            t_eff,
+            rollbacks,
+            load_time_secs,
+            self.avg_rollback_depth,
+        );
         Some(GoodputEstimate {
-            goodput: (progress / t_eff / window).max(0.0),
+            goodput,
             failure_free_throughput: throughput,
             rollbacks,
             avg_lost_iterations: self.avg_rollback_depth,

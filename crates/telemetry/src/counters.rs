@@ -98,6 +98,18 @@ impl CheckpointCounters {
         self.bytes_persisted.load(Ordering::Acquire)
     }
 
+    /// Adds every count of `other`: the metrics registry's fold of a
+    /// service's recorders.
+    pub(crate) fn add(&self, other: &CountersSnapshot) {
+        self.requested.fetch_add(other.requested, Ordering::Release);
+        self.bytes_persisted
+            .fetch_add(other.bytes_persisted, Ordering::Release);
+        self.committed.fetch_add(other.committed, Ordering::Release);
+        self.superseded
+            .fetch_add(other.superseded, Ordering::Release);
+        self.failed.fetch_add(other.failed, Ordering::Release);
+    }
+
     fn read_all(&self) -> CountersSnapshot {
         // Read order is load-bearing: terminals before bytes before
         // requested. Writers bump `requested` first and `bytes_persisted`

@@ -79,6 +79,19 @@ impl LatencyHistogram {
         self.max.fetch_max(nanos, Ordering::Relaxed);
     }
 
+    /// Adds every sample of `other`: the metrics registry's fold of a
+    /// service's recorders.
+    pub(crate) fn add(&self, other: &LatencyHistogram) {
+        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
+            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+        self.count.fetch_add(other.count(), Ordering::Relaxed);
+        self.sum.fetch_add(other.sum_nanos(), Ordering::Relaxed);
+        self.min
+            .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.max.fetch_max(other.max_nanos(), Ordering::Relaxed);
+    }
+
     /// Number of samples recorded.
     pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)

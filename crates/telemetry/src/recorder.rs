@@ -26,6 +26,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use pccheck_device::PersistentDevice;
 use pccheck_util::sync::Mutex;
 
 use crate::counters::{CheckpointCounters, CountersSnapshot};
@@ -68,6 +69,20 @@ impl Gauge {
     fn set(&self, value: u64) {
         self.current.store(value, Ordering::Release);
         self.peak.fetch_max(value, Ordering::AcqRel);
+    }
+
+    /// Adds `other`'s level and peak: several jobs' own levels sum to
+    /// theirs together, and their peaks to a bound on the joint peak.
+    fn add(&self, other: &Gauge) {
+        self.current.fetch_add(other.current(), Ordering::AcqRel);
+        self.peak.fetch_add(other.peak(), Ordering::AcqRel);
+    }
+
+    /// Raises the level to `current` and the peak to `peak`: jobs that
+    /// sample one shared gauge each saw a part of the same history.
+    fn raise(&self, current: u64, peak: u64) {
+        self.current.fetch_max(current, Ordering::AcqRel);
+        self.peak.fetch_max(peak, Ordering::AcqRel);
     }
 
     fn current(&self) -> u64 {
@@ -152,6 +167,77 @@ impl MemoryRecorder {
             dedup_chunks: AtomicU64::new(0),
             compression_ratio_permille: AtomicU64::new(0),
         }
+    }
+
+    /// A metrics-only recorder on `self`'s clock holding `self`'s values
+    /// and every one of `others`': what the metrics registry renders as a
+    /// service's unlabelled series. Counts, histograms and the job-owned
+    /// levels (checkpoints in flight, the free-slot queue) add up; the
+    /// device queue gauges, which every job samples from the same shared
+    /// devices, and the last-observed ratios take the largest value.
+    pub(crate) fn fold<'a>(&'a self, others: impl IntoIterator<Item = &'a MemoryRecorder>) -> Self {
+        let fold = MemoryRecorder {
+            epoch: self.epoch,
+            ..Self::with_timeline(false)
+        };
+        for r in std::iter::once(self).chain(others) {
+            for (mine, theirs) in fold.histograms().into_iter().zip(r.histograms()) {
+                mine.add(theirs);
+            }
+            fold.counters.add(&r.counters.snapshot());
+            fold.in_flight.add(&r.in_flight);
+            fold.queue_depth.add(&r.queue_depth);
+            for (mine, theirs) in fold.device_queues.iter().zip(&r.device_queues) {
+                mine.raise(theirs.current(), theirs.peak());
+            }
+            let sums = [
+                (&fold.gpu_copy_bytes, &r.gpu_copy_bytes),
+                (&fold.persist_chunk_bytes, &r.persist_chunk_bytes),
+                (&fold.restore_chunk_bytes, &r.restore_chunk_bytes),
+                (&fold.codec_bytes_saved, &r.codec_bytes_saved),
+                (&fold.dedup_chunks, &r.dedup_chunks),
+            ];
+            for (mine, theirs) in sums {
+                mine.fetch_add(theirs.load(Ordering::Acquire), Ordering::AcqRel);
+            }
+            let ratios = [
+                (&fold.dirty_ratio_permille, &r.dirty_ratio_permille),
+                (
+                    &fold.compression_ratio_permille,
+                    &r.compression_ratio_permille,
+                ),
+            ];
+            for (mine, theirs) in ratios {
+                mine.fetch_max(theirs.load(Ordering::Acquire), Ordering::AcqRel);
+            }
+        }
+        fold
+    }
+
+    /// Raises the device queue gauges to what `device` counts itself: its
+    /// current depths and its exact high-water marks, indexed as
+    /// [`PersistentDevice::queue_depths`] orders them. A pipeline's
+    /// samples, taken as each of its writes returns, miss the sampling
+    /// write itself.
+    pub(crate) fn observe_device(&self, device: &dyn PersistentDevice) {
+        let depths = device.queue_depths();
+        let reports = device.stats_report();
+        for ((gauge, depth), report) in self.device_queues.iter().zip(depths).zip(&reports) {
+            gauge.raise(depth, report.peak_queue_depth);
+        }
+    }
+
+    /// Every latency histogram, phases first.
+    fn histograms(&self) -> Vec<&LatencyHistogram> {
+        self.phase_hist
+            .iter()
+            .chain([
+                &self.stall_hist,
+                &self.write_stage_hist,
+                &self.persist_stage_hist,
+                &self.read_stage_hist,
+            ])
+            .collect()
     }
 
     fn now_nanos(&self) -> u64 {

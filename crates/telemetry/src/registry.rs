@@ -11,8 +11,9 @@
 //! schema-tagged object), and the human views that `pccheckctl top`
 //! ([`console_view`]) and the run summary
 //! ([`render_summary`](crate::render_summary)) share. Adding a counter is
-//! its recorder atomic, setter, snapshot field and one row, plus its row
-//! in README's metrics table, which a test holds to these tables.
+//! its recorder atomic, setter, snapshot field, its line in
+//! `MemoryRecorder::fold` and one row, plus its row in README's metrics
+//! table, which a test holds to these tables.
 //! [`MetricsServer`] serves the two documents over a minimal hand-rolled
 //! HTTP listener (`GET /metrics`, `GET /metrics.json`).
 //!
@@ -32,6 +33,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use pccheck_device::PersistentDevice;
 use pccheck_util::json::escape_json;
 use pccheck_util::sync::Mutex;
 
@@ -376,17 +378,22 @@ impl View {
 ///
 /// A multi-tenant service additionally registers one recorder per job
 /// ([`register_job`]): every counter/gauge family then also carries
-/// `job="<name>"`-labelled series, the JSON document gains a `"jobs"`
-/// object, and [`console_view`] renders one row per job. The job list is
-/// shared across clones, so a [`MetricsServer`] sees jobs submitted
-/// after it was bound.
+/// `job="<name>"`-labelled series, the unlabelled series total this
+/// registry's recorder and every job's, the JSON document gains a
+/// `"jobs"` object, and [`console_view`] renders one row per job. The job
+/// list is shared across clones, so a [`MetricsServer`] sees jobs
+/// submitted after it was bound. A service whose jobs share one device
+/// names it ([`with_device`]) so the device queue gauges are its own.
 ///
 /// [`register_job`]: MetricsRegistry::register_job
 /// [`console_view`]: MetricsRegistry::console_view
+/// [`with_device`]: MetricsRegistry::with_device
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
     telemetry: Telemetry,
     jobs: Arc<Mutex<Vec<(String, Telemetry)>>>,
+    /// The device a service's jobs share, read at render time.
+    device: Option<Arc<dyn PersistentDevice>>,
 }
 
 /// Escapes a label value for Prometheus text exposition (`\`, `"`, and
@@ -518,7 +525,15 @@ impl MetricsRegistry {
         MetricsRegistry {
             telemetry,
             jobs: Arc::new(Mutex::new(Vec::new())),
+            device: None,
         }
+    }
+
+    /// Reads the device queue gauges of the aggregate from `device`'s own
+    /// counts at every render: the device a service's jobs share.
+    pub fn with_device(mut self, device: Arc<dyn PersistentDevice>) -> Self {
+        self.device = Some(device);
+        self
     }
 
     /// The handle this registry snapshots.
@@ -541,20 +556,38 @@ impl MetricsRegistry {
 
     /// The aggregate, then every registered job whose handle is enabled,
     /// each freshly snapshotted; `None` when this registry's handle is
-    /// disabled.
+    /// disabled. The aggregate is this registry's recorder folded with
+    /// every job's ([`MemoryRecorder::fold`]) and raised to its device's
+    /// queue gauges, so a service whose jobs record into their own
+    /// handles reports their totals unlabelled.
     fn views(&self) -> Option<Vec<View>> {
-        let aggregate = View::new(None, self.telemetry.recorder()?);
-        let jobs = self.jobs.lock();
-        let jobs = jobs
+        let own = self.telemetry.recorder()?;
+        let jobs: Vec<View> = self
+            .jobs
+            .lock()
             .iter()
-            .filter_map(|(name, t)| Some(View::new(Some(name.clone()), t.recorder()?)));
-        Some(std::iter::once(aggregate).chain(jobs).collect())
+            .filter_map(|(name, t)| Some(View::new(Some(name.clone()), t.recorder()?)))
+            .collect();
+        let aggregate = if jobs.is_empty() && self.device.is_none() {
+            Arc::clone(own)
+        } else {
+            let fold = own.fold(jobs.iter().map(|job| &*job.recorder));
+            if let Some(device) = &self.device {
+                fold.observe_device(&**device);
+            }
+            Arc::new(fold)
+        };
+        Some(
+            std::iter::once(View::new(None, &aggregate))
+                .chain(jobs)
+                .collect(),
+        )
     }
 
-    /// One consistent rollup of everything the recorder holds (`None`
-    /// when the handle is disabled).
+    /// The unlabelled series as one snapshot: this registry's recorder
+    /// folded with every job's (`None` when the handle is disabled).
     pub fn snapshot(&self) -> Option<TelemetrySnapshot> {
-        self.telemetry.snapshot()
+        self.views().map(|views| views[0].snap)
     }
 
     /// Prometheus text exposition (format version 0.0.4) of the current

@@ -10,8 +10,12 @@
 //!   checkpoint; the average rollback depth is measured empirically from
 //!   the simulation's commit log,
 //! * recovery additionally pays the checkpoint load time `l`.
+//!
+//! The formula and the rollback-depth walk are `pccheck_util::goodput`'s,
+//! which the online `RunAccounting` shares.
 
 use pccheck_sim::SimReport;
+use pccheck_util::goodput::{goodput, mean_rollback_depth, Mark};
 use pccheck_util::SimDuration;
 
 use crate::preemption::PreemptionTrace;
@@ -57,13 +61,15 @@ impl GoodputReplay {
         let t_eff = 1.0 / report.throughput; // seconds per iteration
         let avg_lost = Self::average_rollback_depth(report);
         let rollbacks = trace.coalesced(BULK_COALESCE_GAP).len();
-        let recovery_per_failure = self.load_time.as_secs_f64() + avg_lost * t_eff;
-        let window = trace.window().as_secs_f64();
-        let total_recovery = (rollbacks as f64 * recovery_per_failure).min(window);
-        let progress = window - total_recovery;
-        let seen = progress / t_eff;
+        let (goodput, total_recovery) = goodput(
+            trace.window().as_secs_f64(),
+            t_eff,
+            rollbacks as u64,
+            self.load_time.as_secs_f64(),
+            avg_lost,
+        );
         GoodputResult {
-            goodput: (seen / window).max(0.0),
+            goodput,
             failure_free_throughput: report.throughput,
             rollbacks,
             avg_lost_iterations: avg_lost,
@@ -83,12 +89,15 @@ impl GoodputReplay {
         let t = iter_time.as_secs_f64();
         let avg_lost = interval as f64 / 2.0;
         let rollbacks = trace.coalesced(BULK_COALESCE_GAP).len();
-        let recovery_per_failure = self.load_time.as_secs_f64() + avg_lost * t;
-        let window = trace.window().as_secs_f64();
-        let total_recovery = (rollbacks as f64 * recovery_per_failure).min(window);
-        let progress = window - total_recovery;
+        let (goodput, total_recovery) = goodput(
+            trace.window().as_secs_f64(),
+            t,
+            rollbacks as u64,
+            self.load_time.as_secs_f64(),
+            avg_lost,
+        );
         GoodputResult {
-            goodput: (progress / t / window).max(0.0),
+            goodput,
             failure_free_throughput: 1.0 / t,
             rollbacks,
             avg_lost_iterations: avg_lost,
@@ -100,22 +109,17 @@ impl GoodputReplay {
     /// completion, how many iterations would be lost if the failure struck
     /// right then?
     fn average_rollback_depth(report: &SimReport) -> f64 {
-        if report.iteration_times.is_empty() {
-            return 0.0;
-        }
-        // Walk iteration completions and the commit log in tandem.
-        let mut commit_idx = 0usize;
-        let mut best_committed: u64 = 0;
-        let mut total_lost = 0u64;
+        // Interleave iteration completions and the commit log: a commit
+        // counts for every completion at or after its time.
+        let mut commits = report.commits.iter().peekable();
+        let mut timeline = Vec::with_capacity(report.iteration_times.len() + report.commits.len());
         for (i, &t) in report.iteration_times.iter().enumerate() {
-            while commit_idx < report.commits.len() && report.commits[commit_idx].time <= t {
-                best_committed = best_committed.max(report.commits[commit_idx].iteration);
-                commit_idx += 1;
+            while let Some(commit) = commits.next_if(|c| c.time <= t) {
+                timeline.push(Mark::Commit(commit.iteration));
             }
-            let done = (i + 1) as u64;
-            total_lost += done.saturating_sub(best_committed);
+            timeline.push(Mark::Boundary((i + 1) as u64));
         }
-        total_lost as f64 / report.iteration_times.len() as f64
+        mean_rollback_depth(timeline)
     }
 }
 

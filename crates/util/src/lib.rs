@@ -11,6 +11,8 @@
 //! * [`stats`] — summary statistics (mean/stddev/percentiles) used when
 //!   aggregating repeated experiment runs.
 //! * [`csv`] — a tiny dependency-free CSV writer for experiment output.
+//! * [`goodput`] — §5.2.3's goodput formula and rollback-depth walk, for
+//!   the offline trace replays and the online accounting alike.
 //! * [`json`] — a tiny dependency-free JSON reader (the workspace emits
 //!   JSON by hand; this is the matching parser for artifacts and tests).
 //! * [`rng`] — the deterministic seeded generator, so every experiment is
@@ -33,6 +35,7 @@
 
 pub mod csv;
 pub mod fnv;
+pub mod goodput;
 pub mod json;
 pub mod rng;
 pub mod stats;

@@ -88,10 +88,12 @@ fn run_service(
     daemon.join_all()?;
 
     // Gate 1: the exposition parses and carries nonzero per-job counters,
-    // and the JSON document agrees with it on every job's commits.
+    // the JSON document agrees with it on every job's commits, and the
+    // unlabelled series total the jobs' (commits, device queue peak).
     let prom = http_get(metrics.addr(), "/metrics")?;
     let samples = validate_prometheus_text(&prom)?;
     let doc = JsonValue::parse(&http_get(metrics.addr(), "/metrics.json")?)?;
+    let mut total = 0.0;
     for i in 0..jobs {
         let needle = format!("pccheck_checkpoints_committed_total{{job=\"smoke-{i}\"}}");
         let committed = match sample_value(&prom, &needle) {
@@ -114,9 +116,21 @@ fn run_service(
             Some(v) if v > 0.0 => {}
             other => return Err(format!("{bytes}: expected > 0, got {other:?}").into()),
         }
+        total += committed;
+    }
+    let unlabelled = sample_value(&prom, "pccheck_checkpoints_committed_total");
+    if unlabelled != Some(total) {
+        return Err(format!(
+            "pccheck_checkpoints_committed_total {unlabelled:?}, the jobs' sum {total}"
+        )
+        .into());
+    }
+    let peaks = doc.get("device_queue_peak").and_then(JsonValue::as_array);
+    if !peaks.is_some_and(|peaks| peaks.iter().any(|p| p.as_f64() > Some(0.0))) {
+        return Err(format!("/metrics.json device_queue_peak all zero: {peaks:?}").into());
     }
     println!(
-        "metrics: {samples} samples, per-job counters present and equal in JSON for {jobs} job(s)"
+        "metrics: {samples} samples, per-job counters present and equal in JSON for {jobs} job(s), unlabelled commits {total}"
     );
 
     // Gate 2: the control plane agrees and QoS shares are accounted.

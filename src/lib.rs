@@ -15,7 +15,8 @@
 //! * [`pccheck_sim`] — the discrete-event simulator.
 //! * [`pccheck_trace`] — preemption traces, goodput and JIT replays.
 //! * [`pccheck_monitor`] — checkpoint inspection and anomaly detection.
-//! * [`pccheck_harness`] — per-figure experiment drivers.
+//! * [`pccheck_harness`] — the experiment table (one row per figure,
+//!   table and extension) and the scenario drivers.
 //! * [`pccheck_telemetry`] — checkpoint-lifecycle tracing, latency
 //!   histograms, stall/goodput accounting, and trace exporters.
 
