@@ -21,9 +21,8 @@
 //! from the others only in its [`CopyMode`], its staging pool and the
 //! thread that calls it. It also owns the pipeline's telemetry: per-chunk
 //! write/persist stage latencies ([`Telemetry::stage_write`] /
-//! [`Telemetry::stage_persist`]) and the per-device submission-queue
-//! gauges sampled from [`PersistentDevice::queue_depths`] — including
-//! every member of a striped device.
+//! [`Telemetry::stage_persist`]). The device's submission queues are the
+//! device's to count: an exposition reads them from the device itself.
 //!
 //! # One payload format
 //!
@@ -110,7 +109,6 @@
 //!    cancelled — so no job outlives the lease it writes under, and the
 //!    pool is as usable afterwards as before.
 //!
-//! [`PersistentDevice::queue_depths`]: pccheck_device::PersistentDevice::queue_depths
 //! [`Version`]: pccheck_gpu::Version
 
 use std::any::Any;
@@ -485,9 +483,9 @@ struct ChunkIo {
 }
 
 impl ChunkIo {
-    /// Writes one payload chunk, feeding the write-stage histogram and the
-    /// per-device submission-queue gauges. Returns the nanoseconds spent in
-    /// the device call (media time, for the writer's queue-wait split).
+    /// Writes one payload chunk, feeding the write-stage histogram.
+    /// Returns the nanoseconds spent in the device call (media time, for
+    /// the writer's queue-wait split).
     fn write_chunk(
         &self,
         ctx: PipelineCtx<'_>,
@@ -501,7 +499,6 @@ impl ChunkIo {
         if ctx.telemetry.is_enabled() {
             media = ctx.telemetry.now_nanos().saturating_sub(start);
             ctx.telemetry.stage_write(media);
-            self.sample_device_queues(ctx);
         }
         Ok(media)
     }
@@ -523,26 +520,6 @@ impl ChunkIo {
             ctx.telemetry.stage_persist(media);
         }
         Ok(media)
-    }
-
-    /// Samples the device's submission queues into the per-device gauges
-    /// and, when a QoS arbiter is attached, feeds the summed depth into
-    /// its backpressure cap. Composite devices report the controller at
-    /// index 0 and each member after it.
-    fn sample_device_queues(&self, ctx: PipelineCtx<'_>) {
-        if self.qos.is_none() && !ctx.telemetry.is_enabled() {
-            return;
-        }
-        let depths = self.store.device().queue_depths();
-        if let Some(q) = &self.qos {
-            q.observe_queue_depth(depths.iter().copied().sum());
-        }
-        if !ctx.telemetry.is_enabled() {
-            return;
-        }
-        for (i, depth) in depths.iter().enumerate() {
-            ctx.telemetry.gauge_device_queue(i, *depth);
-        }
     }
 
     /// Writes one chunk and, in [`FenceMode::PerWriter`], fences it; emits
@@ -1225,7 +1202,7 @@ impl PersistPipeline {
         &self.pool
     }
 
-    /// Leases a free slot from `ns` and refreshes the queue-depth gauges
+    /// Leases a free slot from `ns` and refreshes the queue-depth gauge
     /// with that namespace's free-slot count.
     pub fn lease(&self, ctx: PipelineCtx<'_>, ns: &Arc<Namespace>) -> SlotLease {
         let lease = self.try_lease(ctx, ns, true);
@@ -1246,7 +1223,6 @@ impl PersistPipeline {
         };
         ctx.telemetry
             .gauge_queue_depth(self.io.store.free_slot_count(ns) as u64);
-        self.io.sample_device_queues(ctx);
         Some(lease)
     }
 
@@ -1674,7 +1650,7 @@ impl PersistPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pccheck_device::{DeviceConfig, PersistentDevice, SsdDevice, StripedDevice};
+    use pccheck_device::{DeviceConfig, PersistentDevice, SsdDevice};
     use pccheck_gpu::{Gpu, GpuConfig, TrainingState};
     use pccheck_telemetry::Telemetry;
 
@@ -1821,42 +1797,6 @@ mod tests {
         // 4 chunk writes and the table, but exactly one (deferred) fence.
         assert_eq!(snap.write_stage.count, 5);
         assert_eq!(snap.persist_stage.count, 1);
-    }
-
-    #[test]
-    fn device_queue_gauges_cover_striped_members() {
-        let g = gpu(600, 19);
-        g.update();
-        let members: Vec<Arc<dyn PersistentDevice>> = (0..2)
-            .map(|_| {
-                Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(
-                    ByteSize::from_kb(64),
-                ))) as Arc<dyn PersistentDevice>
-            })
-            .collect();
-        let striped: Arc<dyn PersistentDevice> =
-            Arc::new(StripedDevice::new(members, ByteSize::from_bytes(256)));
-        let slot = FrameTable::slot_size_for(g.state_size(), ByteSize::from_kb(4));
-        let store =
-            Arc::new(CheckpointStore::format(striped, StoreGeometry::single(slot, 2)).unwrap());
-        let pipeline = PersistPipeline::new(store, HostBufferPool::new(ByteSize::from_kb(4), 1));
-        let telemetry = Telemetry::enabled();
-        let span = telemetry.span_requested("test", 1, 600);
-        let ctx = PipelineCtx {
-            telemetry: &telemetry,
-            span,
-        };
-        let guard = g.lock_weights_shared_owned();
-        let ns = default_ns(&pipeline);
-        pipeline
-            .checkpoint_framed(ctx, &ns, guard, 1, CopyMode::Staged)
-            .unwrap();
-        // Controller + two members were sampled (values may be zero since
-        // sampling happens after each op completes, but the gauge slots
-        // exist and the store's own stats saw the traffic).
-        let report = pipeline.store().device().stats_report();
-        assert_eq!(report.len(), 3);
-        assert!(report[0].bytes_persisted >= 600);
     }
 
     #[test]

@@ -14,10 +14,9 @@
 //!   `weight * quantum` bytes. Ring order means a job waiting for `b`
 //!   bytes is served after at most `ceil(b / (weight * quantum))` full
 //!   passes — the **starvation bound**, asserted at serve time.
-//! * An outstanding-lease cap (modulated by the shared device's observed
-//!   queue depth, fed from the pipeline's per-device gauges) bounds how
-//!   far ahead any mix of jobs can run; requesters over the cap sleep on
-//!   a condvar and are woken by grant release.
+//! * An outstanding-lease cap (`max_outstanding` grants) bounds how far
+//!   ahead any mix of jobs can run; requesters over the cap sleep on a
+//!   condvar and are woken by grant release.
 //!
 //! A single registered job bypasses arbitration entirely (deficit math,
 //! cap, and condvar are all skipped), so the single-tenant fast path
@@ -44,9 +43,6 @@ pub struct QosConfig {
     pub quantum: u64,
     /// Maximum concurrently outstanding grants across all jobs.
     pub(crate) max_outstanding: usize,
-    /// Device queue depth above which the outstanding cap halves
-    /// (backpressure from the shared device's gauges).
-    pub(crate) queue_depth_high: u64,
 }
 
 impl Default for QosConfig {
@@ -54,7 +50,6 @@ impl Default for QosConfig {
         QosConfig {
             quantum: DEFAULT_QUANTUM,
             max_outstanding: 8,
-            queue_depth_high: 32,
         }
     }
 }
@@ -80,7 +75,6 @@ struct QosState {
     jobs: Vec<JobState>,
     ring_cursor: usize,
     outstanding: usize,
-    effective_cap: usize,
     peak_outstanding: usize,
 }
 
@@ -114,14 +108,12 @@ pub struct QosArbiter {
 
 impl QosArbiter {
     pub fn new(cfg: QosConfig) -> Self {
-        let cap = cfg.max_outstanding.max(1);
         QosArbiter {
             cfg,
             state: Mutex::new(QosState {
                 jobs: Vec::new(),
                 ring_cursor: 0,
                 outstanding: 0,
-                effective_cap: cap,
                 peak_outstanding: 0,
             }),
             cv: Condvar::new(),
@@ -160,14 +152,13 @@ impl QosArbiter {
             s.peak_outstanding = s.peak_outstanding.max(s.outstanding);
             return QosGrant {
                 arb: Arc::clone(self),
-                job,
-                bytes,
             };
         }
 
         s.jobs[idx].wanted = s.jobs[idx].wanted.max(bytes);
+        let limit = self.cfg.max_outstanding.max(1);
         loop {
-            if s.outstanding < s.effective_cap {
+            if s.outstanding < limit {
                 if s.jobs[idx].deficit >= bytes {
                     // Serve: debit and assert the starvation bound. Each
                     // full ring pass credits us weight*quantum, so a
@@ -193,8 +184,6 @@ impl QosArbiter {
                     s.peak_outstanding = s.peak_outstanding.max(s.outstanding);
                     return QosGrant {
                         arb: Arc::clone(self),
-                        job,
-                        bytes,
                     };
                 }
                 // Blocked on deficit only: run one top-up step — credit
@@ -223,27 +212,10 @@ impl QosArbiter {
         }
     }
 
-    fn release(&self, _job: JobId, _bytes: u64) {
+    fn release(&self) {
         let mut s = self.state.lock();
         s.outstanding -= 1;
         self.cv.notify_all();
-    }
-
-    /// Feeds the shared device's sampled queue depth into the cap: above
-    /// the high-water mark, halve the outstanding cap so queued jobs
-    /// stop piling latency onto the device; at or below it, restore.
-    pub(crate) fn observe_queue_depth(&self, depth: u64) {
-        let mut s = self.state.lock();
-        let full = self.cfg.max_outstanding.max(1);
-        let new_cap = if depth > self.cfg.queue_depth_high {
-            (full / 2).max(1)
-        } else {
-            full
-        };
-        if new_cap > s.effective_cap {
-            self.cv.notify_all();
-        }
-        s.effective_cap = new_cap;
     }
 
     /// Per-job cumulative served bytes, in registration order — the
@@ -261,12 +233,6 @@ impl QosArbiter {
     pub fn peak_outstanding(&self) -> usize {
         self.state.lock().peak_outstanding
     }
-
-    /// The currently effective outstanding-grant cap.
-    #[cfg(test)]
-    fn effective_cap(&self) -> usize {
-        self.state.lock().effective_cap
-    }
 }
 
 /// RAII lease from [`QosArbiter::acquire`]; releases its outstanding
@@ -274,13 +240,11 @@ impl QosArbiter {
 #[derive(Debug)]
 pub struct QosGrant {
     arb: Arc<QosArbiter>,
-    job: JobId,
-    bytes: u64,
 }
 
 impl Drop for QosGrant {
     fn drop(&mut self) {
-        self.arb.release(self.job, self.bytes);
+        self.arb.release();
     }
 }
 
@@ -294,7 +258,6 @@ mod tests {
         Arc::new(QosArbiter::new(QosConfig {
             quantum: 1024,
             max_outstanding: cap,
-            queue_depth_high: 32,
         }))
     }
 
@@ -371,18 +334,6 @@ mod tests {
         drop(arb.acquire(8, 1024));
         let shares = arb.shares();
         assert_eq!(shares, vec![(7, 3 * 1024), (8, 1024)]);
-    }
-
-    #[test]
-    fn queue_depth_backpressure_halves_cap() {
-        let arb = arbiter(8);
-        arb.register_job(1, 1);
-        arb.register_job(2, 1);
-        assert_eq!(arb.effective_cap(), 8);
-        arb.observe_queue_depth(100);
-        assert_eq!(arb.effective_cap(), 4);
-        arb.observe_queue_depth(1);
-        assert_eq!(arb.effective_cap(), 8);
     }
 
     /// The request `job` is waiting on inside `acquire`, 0 when none.

@@ -453,10 +453,6 @@ impl RestorePipeline {
         if ctx.telemetry.is_enabled() {
             let media = ctx.telemetry.now_nanos().saturating_sub(start);
             ctx.telemetry.stage_read(media);
-            // Controller at index 0, composite members after it.
-            for (i, depth) in self.store.device().queue_depths().iter().enumerate() {
-                ctx.telemetry.gauge_device_queue(i, *depth);
-            }
         }
         ctx.telemetry
             .chunk(ctx.span, Phase::RestoreRead, at, buf.len() as u64);

@@ -694,7 +694,7 @@ mod tests {
         let peaks = doc.get("device_queue_peak").and_then(JsonValue::as_array);
         assert!(
             peaks.unwrap().iter().any(|p| p.as_u64() > Some(0)),
-            "the jobs sampled the shared device's queue: {peaks:?}"
+            "the shared device counted its own queue: {peaks:?}"
         );
         let report = daemon.shutdown().unwrap();
         assert!(report.is_clean(), "{:?}", report.violations);

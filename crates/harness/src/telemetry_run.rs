@@ -63,7 +63,8 @@ pub struct InstrumentedRun {
     pub strategy: String,
     /// Wall-clock training report.
     pub report: TrainingReport,
-    /// Aggregated histograms/counters/gauges.
+    /// Aggregated histograms/counters/gauges, with the device queue
+    /// gauges read from the run's device after training.
     pub snapshot: TelemetrySnapshot,
     /// Stall/goodput accounting derived from the event stream.
     pub accounting: RunAccounting,
@@ -76,8 +77,8 @@ fn ssd_for(state: ByteSize, slots: u32) -> Arc<dyn PersistentDevice> {
     Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)))
 }
 
-/// A built checkpointer, plus the underlying device when its store
-/// speaks the PCcheck recovery format (used by the optional restore leg).
+/// A built checkpointer, plus the device it persists to (Gemini's remote
+/// memory is none).
 type Built = (Box<dyn Checkpointer>, Option<Arc<dyn PersistentDevice>>);
 
 /// Builds the checkpointer `strategy` names, recording to `telemetry`.
@@ -101,26 +102,30 @@ fn build_checkpointer(
             .with_telemetry(telemetry.clone());
             Ok((Box::new(engine), Some(device)))
         }
-        "traditional" => Ok((
-            Box::new(
-                TraditionalCheckpointer::new(ssd_for(state, 2), state)?
-                    .with_telemetry(telemetry.clone()),
-            ),
-            None,
-        )),
-        "checkfreq" => Ok((
-            Box::new(
-                CheckFreqCheckpointer::new(ssd_for(state, 2), state)?
-                    .with_telemetry(telemetry.clone()),
-            ),
-            None,
-        )),
-        "gpm" => Ok((
-            Box::new(
-                GpmCheckpointer::new(ssd_for(state, 2), state)?.with_telemetry(telemetry.clone()),
-            ),
-            None,
-        )),
+        "traditional" => {
+            let device = ssd_for(state, 2);
+            let ckpt = TraditionalCheckpointer::new(Arc::clone(&device), state)?;
+            Ok((
+                Box::new(ckpt.with_telemetry(telemetry.clone())),
+                Some(device),
+            ))
+        }
+        "checkfreq" => {
+            let device = ssd_for(state, 2);
+            let ckpt = CheckFreqCheckpointer::new(Arc::clone(&device), state)?;
+            Ok((
+                Box::new(ckpt.with_telemetry(telemetry.clone())),
+                Some(device),
+            ))
+        }
+        "gpm" => {
+            let device = ssd_for(state, 2);
+            let ckpt = GpmCheckpointer::new(Arc::clone(&device), state)?;
+            Ok((
+                Box::new(ckpt.with_telemetry(telemetry.clone())),
+                Some(device),
+            ))
+        }
         "gemini" => {
             let cap = GeminiCheckpointer::required_remote_capacity(state);
             let link = Arc::new(NetworkLink::new(NetworkConfig::fast_for_tests(), cap));
@@ -159,13 +164,16 @@ pub fn run_instrumented(
         .with_interval(cfg.interval)
         .with_telemetry(telemetry.clone());
     let report = lp.run(cfg.iterations, ckpt.as_ref());
-    if let (true, Some(device)) = (cfg.restore_leg, device) {
-        recover_instrumented(device, &telemetry)?;
+    if let (true, "pccheck", Some(device)) = (cfg.restore_leg, strategy, &device) {
+        recover_instrumented(Arc::clone(device), &telemetry)?;
     }
     let accounting = RunAccounting::from_events(&telemetry.events());
-    let snapshot = telemetry
+    let mut snapshot = telemetry
         .snapshot()
         .expect("telemetry was constructed enabled");
+    if let Some(device) = &device {
+        snapshot.observe_device(device.as_ref());
+    }
     Ok(InstrumentedRun {
         strategy: strategy.to_string(),
         report,
@@ -189,6 +197,10 @@ mod tests {
         assert_eq!(run.snapshot.counters.terminated(), 4);
         assert_eq!(run.accounting.iterations, 20);
         assert!(run.snapshot.phase(Phase::Persist).count >= 1);
+        assert!(
+            run.snapshot.device_queue_peak[0] >= 1,
+            "the device's own peak"
+        );
         assert!(run.accounting.throughput() > 0.0);
         // Online accounting agrees with the training report's iteration
         // count and produces a finite slowdown.

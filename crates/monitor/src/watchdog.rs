@@ -18,12 +18,13 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use pccheck_device::PersistentDevice;
-use pccheck_telemetry::{SloConfig, SloWatchdog, Telemetry};
+use pccheck_telemetry::{MetricsRegistry, SloConfig, SloWatchdog, Telemetry};
 
 use crate::forensics::audit;
 
 /// Build an [`SloWatchdog`] whose black-box bundles include a rendered
-/// forensic audit of `device`'s store as `flight.txt`.
+/// forensic audit of `device`'s store as `flight.txt`, and whose metric
+/// expositions read their device queue gauges from `device`.
 ///
 /// The returned watchdog is driven through
 /// [`check_now`](SloWatchdog::check_now). If the
@@ -35,8 +36,9 @@ pub fn armed_watchdog(
     config: SloConfig,
     out_dir: impl Into<PathBuf>,
 ) -> Arc<SloWatchdog> {
+    let registry = MetricsRegistry::new(telemetry).with_device(Arc::clone(&device));
     Arc::new(
-        SloWatchdog::new(telemetry, config, out_dir).with_flight_dump(move || {
+        SloWatchdog::new(registry, config, out_dir).with_flight_dump(move || {
             audit(Arc::clone(&device))
                 .ok()
                 .map(|report| report.render())

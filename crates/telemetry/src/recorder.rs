@@ -41,11 +41,11 @@ const SHARDS: usize = 8;
 /// caught mid-growth.
 const BLOCK_EVENTS: usize = 4096;
 
-/// How many devices the per-device queue-depth gauges can track. Composite
+/// How many devices a snapshot's per-device queue arrays hold. Composite
 /// devices report the controller at index 0 and members after it; indices
-/// beyond this limit are silently dropped. Sized for a 4-way stripe plus
-/// its controller with headroom, so restore fan-out across a wide stripe
-/// stays observable per member.
+/// beyond this limit are not shown. Sized for a 4-way stripe plus its
+/// controller with headroom, so restore fan-out across a wide stripe stays
+/// observable per member.
 pub(crate) const MAX_TRACKED_DEVICES: usize = 8;
 
 /// Monotonic gauge pair: current value plus high-water mark.
@@ -76,13 +76,6 @@ impl Gauge {
     fn add(&self, other: &Gauge) {
         self.current.fetch_add(other.current(), Ordering::AcqRel);
         self.peak.fetch_add(other.peak(), Ordering::AcqRel);
-    }
-
-    /// Raises the level to `current` and the peak to `peak`: jobs that
-    /// sample one shared gauge each saw a part of the same history.
-    fn raise(&self, current: u64, peak: u64) {
-        self.current.fetch_max(current, Ordering::AcqRel);
-        self.peak.fetch_max(peak, Ordering::AcqRel);
     }
 
     fn current(&self) -> u64 {
@@ -120,7 +113,6 @@ pub struct MemoryRecorder {
     counters: CheckpointCounters,
     in_flight: Gauge,
     queue_depth: Gauge,
-    device_queues: [Gauge; MAX_TRACKED_DEVICES],
     gpu_copy_bytes: AtomicU64,
     persist_chunk_bytes: AtomicU64,
     restore_chunk_bytes: AtomicU64,
@@ -158,7 +150,6 @@ impl MemoryRecorder {
             counters: CheckpointCounters::new(),
             in_flight: Gauge::default(),
             queue_depth: Gauge::default(),
-            device_queues: std::array::from_fn(|_| Gauge::default()),
             gpu_copy_bytes: AtomicU64::new(0),
             persist_chunk_bytes: AtomicU64::new(0),
             restore_chunk_bytes: AtomicU64::new(0),
@@ -173,8 +164,7 @@ impl MemoryRecorder {
     /// and every one of `others`': what the metrics registry renders as a
     /// service's unlabelled series. Counts, histograms and the job-owned
     /// levels (checkpoints in flight, the free-slot queue) add up; the
-    /// device queue gauges, which every job samples from the same shared
-    /// devices, and the last-observed ratios take the largest value.
+    /// last-observed ratios take the largest value.
     pub(crate) fn fold<'a>(&'a self, others: impl IntoIterator<Item = &'a MemoryRecorder>) -> Self {
         let fold = MemoryRecorder {
             epoch: self.epoch,
@@ -187,9 +177,6 @@ impl MemoryRecorder {
             fold.counters.add(&r.counters.snapshot());
             fold.in_flight.add(&r.in_flight);
             fold.queue_depth.add(&r.queue_depth);
-            for (mine, theirs) in fold.device_queues.iter().zip(&r.device_queues) {
-                mine.raise(theirs.current(), theirs.peak());
-            }
             let sums = [
                 (&fold.gpu_copy_bytes, &r.gpu_copy_bytes),
                 (&fold.persist_chunk_bytes, &r.persist_chunk_bytes),
@@ -212,19 +199,6 @@ impl MemoryRecorder {
             }
         }
         fold
-    }
-
-    /// Raises the device queue gauges to what `device` counts itself: its
-    /// current depths and its exact high-water marks, indexed as
-    /// [`PersistentDevice::queue_depths`] orders them. A pipeline's
-    /// samples, taken as each of its writes returns, miss the sampling
-    /// write itself.
-    pub(crate) fn observe_device(&self, device: &dyn PersistentDevice) {
-        let depths = device.queue_depths();
-        let reports = device.stats_report();
-        for ((gauge, depth), report) in self.device_queues.iter().zip(depths).zip(&reports) {
-            gauge.raise(depth, report.peak_queue_depth);
-        }
     }
 
     /// Every latency histogram, phases first.
@@ -292,8 +266,8 @@ impl MemoryRecorder {
             write_stage: self.write_stage_hist.summary(),
             persist_stage: self.persist_stage_hist.summary(),
             read_stage: self.read_stage_hist.summary(),
-            device_queue_depth: std::array::from_fn(|i| self.device_queues[i].current()),
-            device_queue_peak: std::array::from_fn(|i| self.device_queues[i].peak()),
+            device_queue_depth: [0; MAX_TRACKED_DEVICES],
+            device_queue_peak: [0; MAX_TRACKED_DEVICES],
             in_flight: self.in_flight.current(),
             in_flight_peak: self.in_flight.peak(),
             queue_depth: self.queue_depth.current(),
@@ -326,10 +300,12 @@ pub struct TelemetrySnapshot {
     /// Per-chunk device-read latency (the `read_durable_at` leg of the
     /// restore pipeline).
     pub(crate) read_stage: HistogramSummary,
-    /// Last observed submission-queue depth per tracked device.
+    /// Submission-queue depth per tracked device, as the device counted
+    /// it when [`observe_device`](Self::observe_device) read it; zeros
+    /// until then.
     pub device_queue_depth: [u64; MAX_TRACKED_DEVICES],
-    /// High-water mark of the submission-queue depth per tracked device.
-    pub(crate) device_queue_peak: [u64; MAX_TRACKED_DEVICES],
+    /// The device's own high-water mark of each of those queues.
+    pub device_queue_peak: [u64; MAX_TRACKED_DEVICES],
     /// Checkpoints currently between request and terminal event.
     pub in_flight: u64,
     /// High-water mark of concurrent in-flight checkpoints.
@@ -373,6 +349,21 @@ impl TelemetrySnapshot {
             return 0.0;
         }
         (self.stall.sum_nanos as f64 / self.window_nanos as f64).min(1.0)
+    }
+
+    /// Fills the per-device queue arrays from what `device` counts itself:
+    /// its current submission-queue depths and exact high-water marks,
+    /// indexed as [`PersistentDevice::queue_depths`] orders them (a
+    /// composite's controller at 0, its members after it). The depths are
+    /// read first, so no peak reads below its depth.
+    pub fn observe_device(&mut self, device: &dyn PersistentDevice) {
+        let depths = device.queue_depths();
+        let reports = device.stats_report();
+        let devices = depths.into_iter().zip(&reports).take(MAX_TRACKED_DEVICES);
+        for (i, (depth, report)) in devices.enumerate() {
+            self.device_queue_depth[i] = depth;
+            self.device_queue_peak[i] = report.peak_queue_depth;
+        }
     }
 }
 
@@ -639,16 +630,6 @@ impl Telemetry {
         }
     }
 
-    /// Updates the submission-queue-depth gauge for tracked device `index`.
-    /// Indices at or beyond `MAX_TRACKED_DEVICES` are ignored.
-    pub fn gauge_device_queue(&self, index: usize, depth: u64) {
-        if let Some(r) = &self.inner {
-            if index < MAX_TRACKED_DEVICES {
-                r.device_queues[index].set(depth);
-            }
-        }
-    }
-
     /// Feeds one per-chunk device-write latency sample into the pipeline's
     /// write-stage histogram.
     pub fn stage_write(&self, nanos: u64) {
@@ -866,7 +847,6 @@ mod tests {
             t.anomaly(6, 2.0, 1.0, 2.0);
             t.iteration_end(6);
             t.gauge_queue_depth(2);
-            t.gauge_device_queue(1, 4);
             t.gauge_dirty_ratio(125);
             t.gauge_compression_ratio(400);
             t.add_codec_bytes_saved(2048);
@@ -931,25 +911,18 @@ mod tests {
         t.stage_persist(50);
         t.stage_read(25);
         t.stage_read(75);
-        t.gauge_device_queue(0, 3);
-        t.gauge_device_queue(0, 1);
-        t.gauge_device_queue(2, 7);
-        t.gauge_device_queue(MAX_TRACKED_DEVICES, 99); // out of range: dropped
         let snap = t.snapshot().unwrap();
         assert_eq!(snap.write_stage.count, 2);
         assert_eq!(snap.write_stage.sum_nanos, 400);
         assert_eq!(snap.persist_stage.count, 1);
         assert_eq!(snap.read_stage.count, 2);
         assert_eq!(snap.read_stage.sum_nanos, 100);
-        assert_eq!(snap.device_queue_depth, [1, 0, 7, 0, 0, 0, 0, 0]);
-        assert_eq!(snap.device_queue_peak, [3, 0, 7, 0, 0, 0, 0, 0]);
 
         // Disabled handles stay inert.
         let d = Telemetry::disabled();
         d.stage_write(1);
         d.stage_persist(1);
         d.stage_read(1);
-        d.gauge_device_queue(0, 1);
         assert!(d.snapshot().is_none());
     }
 

@@ -225,7 +225,7 @@ const SCALARS: [Scalar; 20] = [
     },
     Scalar {
         prom: "pccheck_device_queue_depth",
-        help: "Last observed submission-queue depth per tracked device.",
+        help: "Current submission-queue depth per tracked device.",
         json: (JsonAt::Tail, "device_queue_depth"),
         job_json: false,
         read: |s| Value::PerDevice(s.device_queue_depth),
@@ -382,8 +382,9 @@ impl View {
 /// registry's recorder and every job's, the JSON document gains a
 /// `"jobs"` object, and [`console_view`] renders one row per job. The job
 /// list is shared across clones, so a [`MetricsServer`] sees jobs
-/// submitted after it was bound. A service whose jobs share one device
-/// names it ([`with_device`]) so the device queue gauges are its own.
+/// submitted after it was bound. The per-device queue gauges are read
+/// from the device the registry names ([`with_device`]) at every render;
+/// a registry that names none renders them as zeros.
 ///
 /// [`register_job`]: MetricsRegistry::register_job
 /// [`console_view`]: MetricsRegistry::console_view
@@ -530,7 +531,7 @@ impl MetricsRegistry {
     }
 
     /// Reads the device queue gauges of the aggregate from `device`'s own
-    /// counts at every render: the device a service's jobs share.
+    /// counts at every render ([`TelemetrySnapshot::observe_device`]).
     pub fn with_device(mut self, device: Arc<dyn PersistentDevice>) -> Self {
         self.device = Some(device);
         self
@@ -557,9 +558,9 @@ impl MetricsRegistry {
     /// The aggregate, then every registered job whose handle is enabled,
     /// each freshly snapshotted; `None` when this registry's handle is
     /// disabled. The aggregate is this registry's recorder folded with
-    /// every job's ([`MemoryRecorder::fold`]) and raised to its device's
-    /// queue gauges, so a service whose jobs record into their own
-    /// handles reports their totals unlabelled.
+    /// every job's ([`MemoryRecorder::fold`]), so a service whose jobs
+    /// record into their own handles reports their totals unlabelled, and
+    /// its snapshot holds its device's queue counts.
     fn views(&self) -> Option<Vec<View>> {
         let own = self.telemetry.recorder()?;
         let jobs: Vec<View> = self
@@ -568,20 +569,16 @@ impl MetricsRegistry {
             .iter()
             .filter_map(|(name, t)| Some(View::new(Some(name.clone()), t.recorder()?)))
             .collect();
-        let aggregate = if jobs.is_empty() && self.device.is_none() {
+        let aggregate = if jobs.is_empty() {
             Arc::clone(own)
         } else {
-            let fold = own.fold(jobs.iter().map(|job| &*job.recorder));
-            if let Some(device) = &self.device {
-                fold.observe_device(&**device);
-            }
-            Arc::new(fold)
+            Arc::new(own.fold(jobs.iter().map(|job| &*job.recorder)))
         };
-        Some(
-            std::iter::once(View::new(None, &aggregate))
-                .chain(jobs)
-                .collect(),
-        )
+        let mut total = View::new(None, &aggregate);
+        if let Some(device) = &self.device {
+            total.snap.observe_device(&**device);
+        }
+        Some(std::iter::once(total).chain(jobs).collect())
     }
 
     /// The unlabelled series as one snapshot: this registry's recorder
@@ -1092,7 +1089,9 @@ mod tests {
     use std::collections::BTreeSet;
 
     use crate::event::SpanId;
+    use pccheck_device::{DeviceConfig, SsdDevice, StripedDevice};
     use pccheck_util::json::JsonValue;
+    use pccheck_util::ByteSize;
 
     fn active_registry() -> MetricsRegistry {
         let t = Telemetry::enabled();
@@ -1104,7 +1103,6 @@ mod tests {
         t.phase_done(span, Phase::Commit, s);
         t.stall(span, 1500);
         t.stage_write(800);
-        t.gauge_device_queue(0, 2);
         t.add_codec_bytes_saved(1024);
         t.add_dedup_chunks(3);
         t.gauge_compression_ratio(750);
@@ -1168,7 +1166,6 @@ mod tests {
         let view = reg.console_view();
         assert!(view.contains("requested 1  committed 1"), "{view}");
         assert!(view.contains("persist"));
-        assert!(view.contains("device_queue_depth [2,0,"), "{view}");
         assert!(
             view.contains("codec_bytes_saved 1.00 KiB  dedup_chunks 3"),
             "{view}"
@@ -1315,10 +1312,10 @@ mod tests {
     }
 
     /// A registry whose every value is set by an explicit call (no
-    /// `phase_done`, whose latency is the clock's), so two runs render the
-    /// same documents except for the window and the stall fraction, which
-    /// divides by it.
-    fn golden_registry() -> MetricsRegistry {
+    /// `phase_done`, whose latency is the clock's) and whose device gauges
+    /// are `device`'s, so two runs render the same documents except for
+    /// the window and the stall fraction, which divides by it.
+    fn golden_registry(device: Arc<dyn PersistentDevice>) -> MetricsRegistry {
         let t = Telemetry::enabled();
         let spans: Vec<SpanId> = (1..=4)
             .map(|i| t.span_requested("pccheck", i, 4096))
@@ -1336,9 +1333,6 @@ mod tests {
         t.stage_read(90_000);
         t.gauge_queue_depth(3);
         t.gauge_queue_depth(1);
-        t.gauge_device_queue(0, 2);
-        t.gauge_device_queue(0, 1);
-        t.gauge_device_queue(2, 5);
         t.gauge_dirty_ratio(250);
         t.add_codec_bytes_saved(1024);
         t.add_dedup_chunks(3);
@@ -1352,7 +1346,7 @@ mod tests {
         ] {
             r.phase_hist(phase).record(nanos);
         }
-        let reg = MetricsRegistry::new(t);
+        let reg = MetricsRegistry::new(t).with_device(device);
         for (name, commits) in [("alpha", 2u64), ("beta", 3)] {
             let j = Telemetry::enabled();
             for i in 1..=commits {
@@ -1411,7 +1405,20 @@ mod tests {
     /// documents.
     #[test]
     fn golden_registry_renders_the_checked_in_expositions() {
-        let reg = golden_registry();
+        // The device gauges are a 2-way stripe's own queues: two
+        // submissions on the controller, one since completed, and five in
+        // flight on the second member.
+        let members: Vec<Arc<dyn PersistentDevice>> = (0..2)
+            .map(|_| {
+                let config = DeviceConfig::fast_for_tests(ByteSize::from_kb(64));
+                Arc::new(SsdDevice::new(config)) as Arc<dyn PersistentDevice>
+            })
+            .collect();
+        let striped = Arc::new(StripedDevice::new(members.clone(), ByteSize::from_kb(4)));
+        let controller = striped.submit();
+        drop(striped.submit());
+        let member: Vec<_> = (0..5).map(|_| members[1].submit()).collect();
+        let reg = golden_registry(striped.clone());
         assert_eq!(
             normalize_prometheus(&reg.prometheus_text()),
             normalize_prometheus(include_str!("../testdata/metrics.golden.prom"))
@@ -1421,6 +1428,7 @@ mod tests {
             parse(&reg.json()),
             parse(include_str!("../testdata/metrics.golden.json"))
         );
+        drop((controller, member));
     }
 
     #[test]

@@ -3,12 +3,11 @@
 //!
 //! PCcheck's pitch is checkpointing that stays out of training's way; the
 //! watchdog is the component that notices when it stops being true. An
-//! [`SloWatchdog`] holds a [`Telemetry`] handle and an [`SloConfig`] of
-//! thresholds — p99 commit latency, training-stall fraction, device
-//! queue-depth saturation, restore-read p99 — and evaluates them over the
-//! window since the previous check by diffing raw histogram buckets
-//! (cumulative histograms cannot regress, so a bucket diff *is* the
-//! window's sample set). On violation it:
+//! [`SloWatchdog`] holds a [`MetricsRegistry`] and an [`SloConfig`] of
+//! thresholds — p99 commit latency, training-stall fraction, restore-read
+//! p99 — and evaluates them over the window since the previous check by
+//! diffing raw histogram buckets (cumulative histograms cannot regress,
+//! so a bucket diff *is* the window's sample set). On violation it:
 //!
 //! 1. emits an anomaly event on the existing telemetry stream, so the
 //!    violation lands in the same timeline as the spans that caused it;
@@ -48,9 +47,6 @@ pub enum SloRule {
     /// Training-thread stall time over the window exceeded the allowed
     /// fraction.
     StallFraction,
-    /// A tracked device's current submission-queue depth reached the
-    /// saturation threshold.
-    QueueSaturation,
     /// Window p99 of the `RestoreRead` phase exceeded the threshold.
     RestoreReadP99,
 }
@@ -61,7 +57,6 @@ impl SloRule {
         match self {
             SloRule::CommitP99 => "commit_p99",
             SloRule::StallFraction => "stall_fraction",
-            SloRule::QueueSaturation => "queue_saturation",
             SloRule::RestoreReadP99 => "restore_read_p99",
         }
     }
@@ -79,7 +74,7 @@ pub struct SloViolation {
     /// The rule that tripped.
     pub rule: SloRule,
     /// Observed value (nanoseconds for latency rules, a fraction for
-    /// stall, a depth for queue saturation).
+    /// stall).
     pub observed: f64,
     /// The configured threshold the observation exceeded.
     pub threshold: f64,
@@ -103,9 +98,6 @@ pub struct SloConfig {
     pub p99_commit_nanos: Option<u64>,
     /// Maximum fraction of the window the training thread may stall.
     pub max_stall_fraction: Option<f64>,
-    /// Saturation threshold on any tracked device's current
-    /// submission-queue depth.
-    pub max_device_queue_depth: Option<u64>,
     /// Maximum window p99 of the `RestoreRead` phase, nanoseconds.
     pub p99_restore_read_nanos: Option<u64>,
     /// Minimum samples a latency rule needs in the window before it
@@ -129,7 +121,6 @@ pub(crate) type FlightDumpFn = Arc<dyn Fn() -> Option<String> + Send + Sync>;
 
 /// Rolling-window SLO evaluator with black-box capture.
 pub struct SloWatchdog {
-    telemetry: Telemetry,
     registry: MetricsRegistry,
     config: SloConfig,
     out_dir: PathBuf,
@@ -173,14 +164,13 @@ fn bucket_diff(now: &[u64; HIST_BUCKETS], then: &[u64; HIST_BUCKETS]) -> [u64; H
 }
 
 impl SloWatchdog {
-    /// A watchdog over `telemetry`, writing black-box bundles under
-    /// `out_dir` (created lazily at first capture). The first window
-    /// starts now.
-    pub fn new(telemetry: Telemetry, config: SloConfig, out_dir: impl Into<PathBuf>) -> Self {
-        let baseline = Self::observe(&telemetry);
+    /// A watchdog over `registry`'s telemetry, writing black-box bundles
+    /// (with `registry`'s expositions) under `out_dir` (created lazily at
+    /// first capture). The first window starts now.
+    pub fn new(registry: MetricsRegistry, config: SloConfig, out_dir: impl Into<PathBuf>) -> Self {
+        let baseline = Self::observe(registry.telemetry());
         SloWatchdog {
-            registry: MetricsRegistry::new(telemetry.clone()),
-            telemetry,
+            registry,
             config,
             out_dir: out_dir.into(),
             baseline: Mutex::new(baseline),
@@ -233,11 +223,11 @@ impl SloWatchdog {
     /// event and captures a black-box bundle. Returns the violations
     /// (empty when everything held, or telemetry is disabled).
     pub fn check_now(&self) -> Vec<SloViolation> {
-        let Some(recorder) = self.telemetry.recorder() else {
+        let telemetry = self.registry.telemetry();
+        if !telemetry.is_enabled() {
             return Vec::new();
-        };
-        let now = Self::observe(&self.telemetry);
-        let snap = recorder.snapshot();
+        }
+        let now = Self::observe(telemetry);
         let mut violations = Vec::new();
         let window_start;
         {
@@ -273,22 +263,6 @@ impl SloWatchdog {
                     }
                 }
             }
-            if let Some(limit) = self.config.max_device_queue_depth {
-                let depth = snap
-                    .device_queue_depth
-                    .iter()
-                    .copied()
-                    .max()
-                    .unwrap_or(0)
-                    .max(snap.queue_depth);
-                if depth >= limit {
-                    violations.push(SloViolation {
-                        rule: SloRule::QueueSaturation,
-                        observed: depth as f64,
-                        threshold: limit as f64,
-                    });
-                }
-            }
             if let Some(limit) = self.config.p99_restore_read_nanos {
                 let diff = bucket_diff(&now.restore_buckets, &base.restore_buckets);
                 if diff.iter().sum::<u64>() >= min_samples {
@@ -310,8 +284,7 @@ impl SloWatchdog {
                 .iter()
                 .max_by(|a, b| a.ratio().total_cmp(&b.ratio()))
                 .expect("non-empty");
-            self.telemetry
-                .anomaly(0, worst.observed, worst.threshold, worst.ratio());
+            telemetry.anomaly(0, worst.observed, worst.threshold, worst.ratio());
             if let Err(e) = self.capture(&violations, window_start) {
                 // Capture failures must not take down the workload the
                 // watchdog observes; the count/last-bundle state simply
@@ -328,7 +301,7 @@ impl SloWatchdog {
         let dir = self.out_dir.join(format!("blackbox-{seq}"));
         fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
 
-        let window_end = self.telemetry.now_nanos();
+        let window_end = self.registry.telemetry().now_nanos();
         let mut vjson = format!(
             "{{\"schema\":\"{BLACKBOX_SCHEMA}\",\"window_start_nanos\":{window_start},\
              \"window_end_nanos\":{window_end},\"violations\":["
@@ -353,7 +326,8 @@ impl SloWatchdog {
 
         // Chrome trace of the offending window only.
         let window: Vec<_> = self
-            .telemetry
+            .registry
+            .telemetry()
             .events()
             .into_iter()
             .filter(|e| e.at_nanos >= window_start)
@@ -387,11 +361,10 @@ mod tests {
     fn quiet_run_trips_nothing() {
         let t = Telemetry::enabled();
         let wd = SloWatchdog::new(
-            t.clone(),
+            MetricsRegistry::new(t.clone()),
             SloConfig {
                 p99_commit_nanos: Some(u64::MAX),
                 max_stall_fraction: Some(1.0),
-                max_device_queue_depth: Some(u64::MAX),
                 p99_restore_read_nanos: Some(u64::MAX),
                 min_window_samples: 1,
             },
@@ -409,7 +382,7 @@ mod tests {
     #[test]
     fn disabled_telemetry_never_fires() {
         let wd = SloWatchdog::new(
-            Telemetry::disabled(),
+            MetricsRegistry::new(Telemetry::disabled()),
             SloConfig {
                 max_stall_fraction: Some(0.0),
                 ..SloConfig::default()
@@ -424,7 +397,7 @@ mod tests {
         let t = Telemetry::enabled();
         let dir = temp_dir("stall");
         let wd = SloWatchdog::new(
-            t.clone(),
+            MetricsRegistry::new(t.clone()),
             SloConfig {
                 max_stall_fraction: Some(0.05),
                 ..SloConfig::default()
@@ -480,7 +453,7 @@ mod tests {
         let t = Telemetry::enabled();
         let dir = temp_dir("p99");
         let wd = SloWatchdog::new(
-            t.clone(),
+            MetricsRegistry::new(t.clone()),
             SloConfig {
                 p99_commit_nanos: Some(1_000_000), // 1 ms
                 min_window_samples: 3,
@@ -503,31 +476,6 @@ mod tests {
             r.phase_hist(Phase::Commit).record(1_000);
         }
         assert!(wd.check_now().is_empty(), "old window leaked");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn queue_saturation_trips_on_current_depth() {
-        let t = Telemetry::enabled();
-        let dir = temp_dir("queue");
-        let wd = SloWatchdog::new(
-            t.clone(),
-            SloConfig {
-                max_device_queue_depth: Some(4),
-                ..SloConfig::default()
-            },
-            &dir,
-        );
-        t.gauge_device_queue(1, 3);
-        assert!(wd.check_now().is_empty());
-        t.gauge_device_queue(1, 6);
-        let violations = wd.check_now();
-        assert_eq!(violations.len(), 1);
-        assert_eq!(violations[0].rule, SloRule::QueueSaturation);
-        assert_eq!(violations[0].observed, 6.0);
-        // Depth falling back below the limit clears the condition.
-        t.gauge_device_queue(1, 0);
-        assert!(wd.check_now().is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 

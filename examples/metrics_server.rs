@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use pccheck::{CheckpointStore, PcCheckConfig, PcCheckEngine};
-use pccheck_device::{DeviceConfig, SsdDevice};
+use pccheck_device::{DeviceConfig, PersistentDevice, SsdDevice};
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingState};
 use pccheck_telemetry::{
     http_get, validate_prometheus_text, MetricsRegistry, MetricsServer, Telemetry,
@@ -21,19 +21,23 @@ use pccheck_telemetry::{
 use pccheck_util::ByteSize;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // The workload: a checkpointed training run with the shared telemetry
+    // handle attached, same shape as the quickstart. The registry reads
+    // the device queue gauges from the device itself.
+    let state = ByteSize::from_kb(512);
+    let cap = CheckpointStore::required_capacity(state, 3) + ByteSize::from_kb(4);
+    let device: Arc<dyn PersistentDevice> =
+        Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
     let telemetry = Telemetry::enabled();
-    let server = MetricsServer::bind("127.0.0.1:0", MetricsRegistry::new(telemetry.clone()))?;
+    let registry = MetricsRegistry::new(telemetry.clone()).with_device(Arc::clone(&device));
+    let server = MetricsServer::bind("127.0.0.1:0", registry)?;
     let addr = server.addr();
     println!("metrics live at http://{addr}/metrics (and /metrics.json)");
 
-    // The workload: a checkpointed training run with the shared telemetry
-    // handle attached, same shape as the quickstart.
-    let state = ByteSize::from_kb(512);
     let gpu = Gpu::new(
         GpuConfig::fast_for_tests(),
         TrainingState::synthetic(state, 11),
     );
-    let cap = CheckpointStore::required_capacity(state, 3) + ByteSize::from_kb(4);
     let engine = PcCheckEngine::new(
         PcCheckConfig::builder()
             .max_concurrent(2)
@@ -41,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .chunk_size(ByteSize::from_kb(64))
             .dram_chunks(8)
             .build()?,
-        Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap))),
+        device,
         gpu.state_size(),
     )?
     .with_telemetry(telemetry.clone());
@@ -69,7 +73,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let samples = validate_prometheus_text(&prom)?;
     println!("final scrape:     {samples} samples, exposition parses");
     for line in prom.lines() {
-        if line.starts_with("pccheck_checkpoints_") || line.starts_with("pccheck_stall_fraction") {
+        if line.starts_with("pccheck_checkpoints_")
+            || line.starts_with("pccheck_stall_fraction")
+            || line.starts_with("pccheck_device_queue_peak{device=\"0\"}")
+        {
             println!("  {line}");
         }
     }

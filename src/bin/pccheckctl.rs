@@ -38,6 +38,7 @@
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -387,7 +388,9 @@ fn cmd_device(path: &str, ways: u32) -> Result<(), Box<dyn std::error::Error>> {
 
 fn cmd_serve(addr: &str, iterations: u64) -> Result<(), Box<dyn std::error::Error>> {
     let telemetry = Telemetry::enabled();
-    let server = MetricsServer::bind(addr, MetricsRegistry::new(telemetry.clone()))?;
+    let device: Arc<dyn PersistentDevice> = Arc::new(SsdDevice::new(device_config()));
+    let registry = MetricsRegistry::new(telemetry.clone()).with_device(Arc::clone(&device));
+    let server = MetricsServer::bind(addr, registry)?;
     println!(
         "serving GET /metrics and GET /metrics.json at http://{}",
         server.addr()
@@ -403,7 +406,7 @@ fn cmd_serve(addr: &str, iterations: u64) -> Result<(), Box<dyn std::error::Erro
             .chunk_size(ByteSize::from_kb(128))
             .dram_chunks(8)
             .build()?,
-        Arc::new(SsdDevice::new(device_config())),
+        device,
         gpu.state_size(),
     )?
     .with_telemetry(telemetry.clone());
@@ -421,7 +424,14 @@ fn cmd_serve(addr: &str, iterations: u64) -> Result<(), Box<dyn std::error::Erro
     engine.drain();
     let prom = http_get(server.addr(), "/metrics")?;
     let samples = validate_prometheus_text(&prom)?;
-    println!("final self-scrape: {samples} samples, exposition parses");
+    // Every checkpoint went through the device's queue, and the device
+    // counts its own high-water mark.
+    let series = "pccheck_device_queue_peak{device=\"0\"} ";
+    let peak = match prom.lines().find_map(|line| line.strip_prefix(series)) {
+        Some(peak) if peak != "0" => peak,
+        peak => return Err(format!("{series}is {peak:?} after training").into()),
+    };
+    println!("final self-scrape: {samples} samples, exposition parses, device queue peak {peak}");
     server.shutdown();
     Ok(())
 }
@@ -453,7 +463,8 @@ fn cmd_top(target: &str, refreshes: u64) -> Result<(), Box<dyn std::error::Error
     // Local mode: run a workload on a background thread and render the
     // registry's console view while it progresses.
     let telemetry = Telemetry::enabled();
-    let registry = MetricsRegistry::new(telemetry.clone());
+    let device: Arc<dyn PersistentDevice> = Arc::new(SsdDevice::new(device_config()));
+    let registry = MetricsRegistry::new(telemetry.clone()).with_device(Arc::clone(&device));
     let worker = {
         let telemetry = telemetry.clone();
         std::thread::spawn(move || -> Result<(), pccheck::PccheckError> {
@@ -468,7 +479,7 @@ fn cmd_top(target: &str, refreshes: u64) -> Result<(), Box<dyn std::error::Error
                     .chunk_size(ByteSize::from_kb(128))
                     .dram_chunks(8)
                     .build()?,
-                Arc::new(SsdDevice::new(device_config())),
+                device,
                 gpu.state_size(),
             )?
             .with_telemetry(telemetry);
@@ -720,68 +731,72 @@ fn cmd_diff(base: &str, cand: &str, mode: &str) -> Result<(), Box<dyn std::error
     Ok(())
 }
 
+/// The positional `args[at]` as a `T`: `None` when absent, and a usage
+/// error naming `<name>` when it does not parse.
+fn arg<T: FromStr>(args: &[String], at: usize, name: &str) -> Result<Option<T>, String> {
+    args.get(at)
+        .map(|s| {
+            s.parse()
+                .map_err(|_| format!("<{name}> {s:?} does not parse"))
+        })
+        .transpose()
+}
+
+/// Parses `cmd`'s arguments, then runs it. A usage error (an unknown
+/// command, or an argument that is missing, does not parse, or is one
+/// `cmd` does not take) is `Err`, and nothing has run.
+fn run(
+    cmd: &str,
+    path: &str,
+    args: &[String],
+) -> Result<Result<(), Box<dyn std::error::Error>>, String> {
+    // How many positionals each command takes after its name.
+    let takes = match cmd {
+        "job" => return Ok(cmd_job(args)),
+        "info" | "forensics" => 1,
+        "profile" | "diff" => 3,
+        _ => 2,
+    };
+    if let Some(extra) = args.get(2 + takes) {
+        return Err(format!("unexpected argument {extra:?}"));
+    }
+    Ok(match cmd {
+        "demo" => cmd_demo(path, arg(args, 3, "iterations")?.unwrap_or(20)),
+        "info" => cmd_info(path),
+        "recover" => cmd_recover(path, arg(args, 3, "readers")?.unwrap_or(4).max(1)),
+        "telemetry" => cmd_telemetry(path, args.get(3).map_or("pccheck", String::as_str)),
+        "crashdemo" => cmd_crashdemo(path, arg(args, 3, "k")?.ok_or("missing <k>")?),
+        "forensics" => cmd_forensics(path),
+        "device" => cmd_device(path, arg(args, 3, "stripe-ways")?.unwrap_or(1)),
+        "serve" => cmd_serve(path, arg(args, 3, "iterations")?.unwrap_or(200)),
+        "top" => cmd_top(path, arg(args, 3, "refreshes")?.unwrap_or(5).max(1)),
+        "watchdog" => cmd_watchdog(path, arg(args, 3, "iterations")?.unwrap_or(30)),
+        "profile" => cmd_profile(
+            path,
+            arg(args, 3, "stripe-ways")?.unwrap_or(4),
+            arg(args, 4, "throttle-mb")?,
+        ),
+        "diff" => cmd_diff(
+            path,
+            args.get(3).ok_or("missing <candidate>")?,
+            args.get(4).map_or("abs", String::as_str),
+        ),
+        other => return Err(format!("unknown command {other:?}")),
+    })
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     let (cmd, path) = match (args.get(1), args.get(2)) {
         (Some(c), Some(p)) => (c.as_str(), p.as_str()),
         _ => return usage(),
     };
-    let iterations = args
-        .get(3)
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(20);
-    let result = match cmd {
-        "demo" => cmd_demo(path, iterations),
-        "info" => cmd_info(path),
-        "recover" => cmd_recover(
-            path,
-            args.get(3)
-                .and_then(|s| s.parse::<usize>().ok())
-                .unwrap_or(4)
-                .max(1),
-        ),
-        "telemetry" => cmd_telemetry(path, args.get(3).map_or("pccheck", |s| s.as_str())),
-        "crashdemo" => match args.get(3).and_then(|s| s.parse::<u64>().ok()) {
-            Some(k) => cmd_crashdemo(path, k),
-            None => return usage(),
-        },
-        "forensics" => cmd_forensics(path),
-        "device" => cmd_device(
-            path,
-            args.get(3).and_then(|s| s.parse::<u32>().ok()).unwrap_or(1),
-        ),
-        "serve" => cmd_serve(
-            path,
-            args.get(3)
-                .and_then(|s| s.parse::<u64>().ok())
-                .unwrap_or(200),
-        ),
-        "top" => cmd_top(
-            path,
-            args.get(3)
-                .and_then(|s| s.parse::<u64>().ok())
-                .unwrap_or(5)
-                .max(1),
-        ),
-        "watchdog" => cmd_watchdog(
-            path,
-            args.get(3)
-                .and_then(|s| s.parse::<u64>().ok())
-                .unwrap_or(30),
-        ),
-        "profile" => cmd_profile(
-            path,
-            args.get(3)
-                .and_then(|s| s.parse::<usize>().ok())
-                .unwrap_or(4),
-            args.get(4).and_then(|s| s.parse::<f64>().ok()),
-        ),
-        "diff" => match args.get(3) {
-            Some(cand) => cmd_diff(path, cand, args.get(4).map_or("abs", |s| s.as_str())),
-            None => return usage(),
-        },
-        "job" => cmd_job(&args),
-        _ => return usage(),
+    let result = match run(cmd, path, &args) {
+        Ok(result) => result,
+        Err(e) => {
+            eprintln!("pccheckctl {cmd}: {e}");
+            return usage();
+        }
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

@@ -88,8 +88,9 @@ fn run_service(
     daemon.join_all()?;
 
     // Gate 1: the exposition parses and carries nonzero per-job counters,
-    // the JSON document agrees with it on every job's commits, and the
-    // unlabelled series total the jobs' (commits, device queue peak).
+    // the JSON document agrees with it on every job's commits, the
+    // unlabelled commits total the jobs', and the shared device's own
+    // queue peak is nonzero.
     let prom = http_get(metrics.addr(), "/metrics")?;
     let samples = validate_prometheus_text(&prom)?;
     let doc = JsonValue::parse(&http_get(metrics.addr(), "/metrics.json")?)?;
@@ -125,12 +126,17 @@ fn run_service(
         )
         .into());
     }
-    let peaks = doc.get("device_queue_peak").and_then(JsonValue::as_array);
-    if !peaks.is_some_and(|peaks| peaks.iter().any(|p| p.as_f64() > Some(0.0))) {
+    let peaks: Vec<u64> = doc
+        .get("device_queue_peak")
+        .and_then(JsonValue::as_array)
+        .map_or(Vec::new(), |peaks| {
+            peaks.iter().filter_map(JsonValue::as_u64).collect()
+        });
+    if !peaks.iter().any(|&p| p > 0) {
         return Err(format!("/metrics.json device_queue_peak all zero: {peaks:?}").into());
     }
     println!(
-        "metrics: {samples} samples, per-job counters present and equal in JSON for {jobs} job(s), unlabelled commits {total}"
+        "metrics: {samples} samples, per-job counters present and equal in JSON for {jobs} job(s), unlabelled commits {total}, device queue peaks {peaks:?}"
     );
 
     // Gate 2: the control plane agrees and QoS shares are accounted.

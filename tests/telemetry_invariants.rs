@@ -167,13 +167,23 @@ fn concurrent_spans_terminate_exactly_once_with_monotone_phases() {
     assert!(snap.counters.committed >= 1, "some checkpoint must commit");
 }
 
-/// Drives racing checkpoint writers and live-store recovery readers
-/// against `device`, then checks that every pressure gauge settles: the
-/// in-flight gauge returns to zero, the device's live submission queues
-/// are empty, and a final quiescent checkpoint re-samples the per-device
-/// queue gauges back to zero.
-fn gauges_drain_to_zero_on(device: Arc<dyn PersistentDevice>, expected_queues: usize) {
+/// Racing checkpoint writers and live-store recovery readers on a 2-way
+/// stripe, then a registry over that stripe: every pressure gauge
+/// settles once the engine drains. The in-flight gauge returns to zero,
+/// and the device queue gauges, which the registry reads from the stripe
+/// itself, show a high-water mark on the controller and on each member
+/// and an empty queue on every one of them.
+#[test]
+fn striped_device_gauges_return_to_zero_after_drain() {
     let size = ByteSize::from_kb(64);
+    let cap = CheckpointStore::required_capacity(size, 4) + ByteSize::from_kb(4);
+    let members: Vec<Arc<dyn PersistentDevice>> = (0..2)
+        .map(|_| {
+            Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap))) as Arc<dyn PersistentDevice>
+        })
+        .collect();
+    let device: Arc<dyn PersistentDevice> =
+        Arc::new(StripedDevice::new(members, ByteSize::from_kb(16)));
     let telemetry = Telemetry::enabled();
     let engine = PcCheckEngine::new(
         PcCheckConfig::builder()
@@ -189,6 +199,7 @@ fn gauges_drain_to_zero_on(device: Arc<dyn PersistentDevice>, expected_queues: u
     .expect("engine constructs")
     .with_telemetry(telemetry.clone());
     let engine = Arc::new(engine);
+    let registry = MetricsRegistry::new(telemetry.clone()).with_device(Arc::clone(&device));
 
     // Seed one committed checkpoint so the racing readers always find a
     // durable candidate.
@@ -199,6 +210,13 @@ fn gauges_drain_to_zero_on(device: Arc<dyn PersistentDevice>, expected_queues: u
     seed_gpu.update();
     engine.checkpoint(&seed_gpu, 1);
     engine.try_drain().expect("seed checkpoint commits");
+    // Controller + two stripe members, each with the seed's writes on it.
+    let snap = registry.snapshot().expect("telemetry enabled");
+    let peaks = &snap.device_queue_peak[..3];
+    assert!(
+        peaks.iter().all(|&p| p >= 1),
+        "each queue's peak: {peaks:?}"
+    );
 
     let writers: Vec<_> = (0..2u64)
         .map(|d| {
@@ -233,42 +251,28 @@ fn gauges_drain_to_zero_on(device: Arc<dyn PersistentDevice>, expected_queues: u
     reader.join().expect("reader thread");
     engine.try_drain().expect("no background errors");
 
-    // One quiescent checkpoint after the drain: its single writer
-    // re-samples every device-queue gauge with the queues idle.
-    seed_gpu.update();
-    engine.checkpoint(&seed_gpu, 9999);
-    engine.try_drain().expect("quiescent checkpoint commits");
-
-    let snap = telemetry.snapshot().expect("telemetry enabled");
-    // 1 seed + 16 raced + 3 recoveries + 1 quiescent, all terminated.
-    assert_eq!(snap.counters.requested, 21);
-    assert_eq!(snap.counters.terminated(), 21);
+    let snap = registry.snapshot().expect("telemetry enabled");
+    // 1 seed + 16 raced + 3 recoveries, all terminated.
+    assert_eq!(snap.counters.requested, 20);
+    assert_eq!(snap.counters.terminated(), 20);
     assert_eq!(snap.counters.in_flight(), 0);
     assert_eq!(snap.in_flight, 0, "in-flight gauge returns to zero");
     assert!(snap.in_flight_peak >= 1);
     assert!(snap.queue_depth_peak >= 1, "free-slot gauge saw pressure");
-    let live = device.queue_depths();
-    assert_eq!(live.len(), expected_queues);
-    assert!(live.iter().all(|&d| d == 0), "live queues idle: {live:?}");
+    assert_eq!(device.queue_depths().len(), 3);
     assert!(
         snap.device_queue_depth.iter().all(|&d| d == 0),
-        "sampled queue gauges return to zero: {:?}",
+        "device queues drain to zero: {:?}",
         snap.device_queue_depth
     );
-}
-
-#[test]
-fn striped_device_gauges_return_to_zero_after_drain() {
-    let cap = CheckpointStore::required_capacity(ByteSize::from_kb(64), 4) + ByteSize::from_kb(4);
-    let members: Vec<Arc<dyn PersistentDevice>> = (0..2)
-        .map(|_| {
-            Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap))) as Arc<dyn PersistentDevice>
-        })
-        .collect();
-    let device: Arc<dyn PersistentDevice> =
-        Arc::new(StripedDevice::new(members, ByteSize::from_kb(16)));
-    // Controller + two stripe members.
-    gauges_drain_to_zero_on(device, 3);
+    let peaks = &snap.device_queue_peak[..3];
+    assert!(
+        peaks.iter().all(|&p| p >= 1),
+        "each queue's peak: {peaks:?}"
+    );
+    // The recorder alone counts no device queue.
+    let blind = MetricsRegistry::new(telemetry).snapshot().expect("enabled");
+    assert!(blind.device_queue_peak.iter().all(|&p| p == 0));
 }
 
 /// The full Chrome-trace exporter output, parsed back with the crate's

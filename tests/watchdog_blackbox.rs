@@ -113,6 +113,16 @@ fn watchdog_fires_on_stall_and_bundle_has_hierarchical_trace() {
         validate_prometheus_text(&prom).is_ok(),
         "prom exposition parses"
     );
+    // The bundle's device gauges are the stripe's own: every checkpoint
+    // went through the controller's and each member's queue.
+    for device in 0..3 {
+        let series = format!("pccheck_device_queue_peak{{device=\"{device}\"}} ");
+        let peak = prom.lines().find_map(|line| line.strip_prefix(&series));
+        assert!(
+            peak.is_some_and(|peak| peak != "0"),
+            "{series}{peak:?} in the bundle"
+        );
+    }
     let flight = std::fs::read_to_string(bundle.join("flight.txt")).unwrap();
     assert!(
         flight.contains("forensic audit"),
