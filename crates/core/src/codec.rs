@@ -17,17 +17,25 @@
 //! [`FrameTable::decode`] reads `FRAME_MAGIC`: nothing classifies a
 //! payload by its head, so no state's first bytes can make it unrecoverable.
 //!
-//! Each [`FrameRecord`] describes one logical chunk, in logical order:
+//! Each [`FrameRecord`] describes one logical range of the state, in
+//! logical order: a staging chunk, or — where the update dirtied a chunk
+//! only in part — its dirty run or the clean head or tail beside it, cut
+//! on [`DIGEST_BLOCK`] boundaries. Records follow the dirty runs, so a
+//! sparse update persists the blocks it changed, not the chunks they fall
+//! in:
 //!
 //! - [`ChunkEncoding::Raw`] — stored verbatim at `phys_off..+phys_len` in
 //!   the packed region (`phys_len == logical_len`).
 //! - [`ChunkEncoding::Lz`] — stored LZ-compressed (`phys_len <
 //!   logical_len`); see the block format below.
 //! - [`ChunkEncoding::DedupSelf`] — byte-identical to an *earlier*
-//!   materialized chunk of this same frame; stores only its index.
-//! - [`ChunkEncoding::DedupBase`] — byte-identical to a materialized chunk
-//!   of an earlier checkpoint, the chunk's *home*, which the record names
-//!   by `(counter, slot)`. One frame may name several homes; all of them
+//!   materialized record of this same frame; stores only its index.
+//! - [`ChunkEncoding::DedupBase`] — byte-identical to the logical range
+//!   `[b, b + logical_len)` of an earlier checkpoint, the range's *home*,
+//!   which the record names by `(counter, slot)`. The range lies inside one
+//!   record the home materialized: any part of a `Raw` one — a clean run
+//!   names the home that holds it verbatim at its own offset — or the
+//!   whole of an `Lz` one. One frame may name several homes; all of them
 //!   lie on the link chain the commit's [`DeltaLink`] starts, which pins
 //!   their slots, so the referenced bytes cannot be recycled while this
 //!   checkpoint is live.
@@ -83,16 +91,20 @@
 //! # Dedup index lifetime
 //!
 //! The `DedupIndex` holds one *generation* per job: a map from content
-//! address to the chunk's **home** ([`DedupHome`]) — the checkpoint that
-//! physically holds the bytes, with that checkpoint's chain depth. A
-//! committed frame installs the next generation wholesale: its own
-//! `Raw`/`Lz` chunks, homed at itself, plus every base hit it took,
-//! carried forward unchanged. A clean chunk therefore stays a one-hop
-//! reference to the same home for as long as it stays clean; it is never
-//! a reference to a reference, and the read side never follows more than
-//! one hop. A generation answers only while the commit that installed it
-//! is still the job's head, because that head's link chain is what pins
-//! every home in it.
+//! address to the record's **home** ([`DedupHome`]) — the checkpoint that
+//! physically holds the bytes, with that checkpoint's chain depth — and,
+//! per digest block, the `Raw` record that holds the block verbatim at its
+//! own logical offset, with the block's value. A committed frame installs
+//! the next generation wholesale: its own `Raw`/`Lz` records, homed at
+//! themselves, plus every base hit it took, carried forward unchanged; a
+//! block of a `Raw` record is homed there, and a block a reference to its
+//! home's bytes at its own offset covers keeps its block home in that
+//! same home — a block inherits its home while it stays clean. A clean
+//! range therefore stays a one-hop reference to the same home for as long
+//! as it stays clean; it is never a reference to a reference, and the read
+//! side never follows more than one hop. A generation answers only while
+//! the commit that installed it is still the job's head, because that
+//! head's link chain is what pins every home in it.
 //!
 //! The persist path bounds each hit, not each checkpoint: a hit is taken
 //! iff `home.depth + 1` fits both the planner's chain cap (7) and the
@@ -103,18 +115,28 @@
 //! link chain, which is linear, so the older homes of a frame lie on the
 //! youngest one's chain and the store's chain pinning covers them all;
 //! heads the new frame does not reference are released at its commit.
-//! Chunks whose home sits at the bound are materialized again. Entries are
-//! capped per generation; overflow chunks simply stay materialized.
+//! Records whose home sits at the bound are materialized again. Content
+//! entries are capped per generation; overflow chunks simply stay
+//! materialized. Whole chunks are served by content address, which also
+//! finds a duplicate at another offset (or an `Lz` home); the clean head
+//! or tail of a chunk the update cut is served by its blocks' homes, when
+//! one home record holds every block of it with the values the last
+//! snapshot carried.
 //!
 //! `DedupSelf` references are byte-compared before they are emitted. Base
 //! hits are not: the staged bytes of the home are long gone, so a hit
-//! rests on the 64-bit content address (plus equal length) at persist time
-//! and on restore-side verification — every chunk re-checks its
-//! [`content_address`] and the frame its end-to-end digest, so a colliding
-//! reference fails the candidate instead of returning wrong bytes.
+//! rests on the 64-bit content address (plus equal length) — or on the
+//! 64-bit values of its blocks — at persist time and on restore-side
+//! verification: every record re-checks its [`content_address`] and the
+//! frame its end-to-end digest, so a reference whose address collides
+//! fails the candidate instead of returning wrong bytes (one whose block
+//! values collide is as undetectable as a collision of the state digest
+//! itself).
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pccheck_util::fnv::{content_address, fnv1a};
@@ -153,18 +175,18 @@ pub(crate) const ENTROPY_SKIP_BITS: f64 = 7.2;
 /// A kept compressed chunk must save at least `logical/16` bytes.
 const MIN_GAIN_SHIFT: u32 = 4;
 
-/// How one logical chunk is stored in the frame's packed region.
+/// How one record's logical range is stored in the frame's packed region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChunkEncoding {
     /// Verbatim bytes at `phys_off..+phys_len`.
     Raw,
     /// LZ-compressed bytes at `phys_off..+phys_len`.
     Lz,
-    /// Byte-identical to an earlier materialized chunk of this frame.
+    /// Byte-identical to an earlier materialized record of this frame.
     DedupSelf,
-    /// Byte-identical to a materialized chunk of the earlier checkpoint
-    /// the record names (the chunk's home), pinned through the commit's
-    /// `DeltaLink` chain.
+    /// Byte-identical to a logical range of the earlier checkpoint the
+    /// record names (the range's home), which one record of the home
+    /// materialized, pinned through the commit's `DeltaLink` chain.
     DedupBase,
 }
 
@@ -194,7 +216,8 @@ impl ChunkEncoding {
     }
 }
 
-/// One logical chunk's entry in a [`FrameTable`].
+/// One logical range's entry in a [`FrameTable`]: a chunk, or the dirty
+/// run or clean head or tail of one (module docs, "Frame layout").
 ///
 /// Field meaning depends on `kind`:
 ///
@@ -205,7 +228,9 @@ impl ChunkEncoding {
 /// | DedupBase  | home slot         | home counter   | home logical offset  |
 ///
 /// Physical offsets are relative to the start of the packed region (the
-/// byte right after the encoded table).
+/// byte right after the encoded table). A `DedupBase` names the home's
+/// logical range `[b, b + logical_len)`, which one materialized record of
+/// the home holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameRecord {
     /// Storage class of this chunk.
@@ -460,16 +485,17 @@ impl RestorePlan {
     /// Compiles the checkpoint committed as `meta`, reading frame tables
     /// only: one job per record. `Raw` and `Lz` records read their packed
     /// range; `DedupSelf` copies the job of the record it names;
-    /// `DedupBase` reads the range its home — found among `commits` by
-    /// `(counter, slot)`, its table read and bound once — materialized the
-    /// content at, each distinct `(digest, len)` once: repeats copy the job
-    /// that read it.
+    /// `DedupBase` reads the logical range `[b, b + logical_len)` of its
+    /// home — found among `commits` by `(counter, slot)`, its table read and
+    /// bound once — from the one record of the home that holds it, each
+    /// distinct `(digest, len)` once: repeats copy the job that read it.
     ///
     /// `None` on an unreadable head, a torn table or one bound to another
-    /// commit, a missing home, a record whose physical range leaves the
-    /// payload that should hold it, or a `DedupSelf` whose content address
-    /// is not the one of the record it names: the caller falls back, as on
-    /// any other verification failure.
+    /// commit, a missing home, a home range that leaves the home's payload,
+    /// straddles two of its records or cuts into an `Lz` one, a record
+    /// whose physical range leaves the payload that should hold it, or a
+    /// `DedupSelf` whose content address is not the one of the record it
+    /// names: the caller falls back, as on any other verification failure.
     pub(crate) fn compile(
         meta: &CheckMeta,
         commits: &[CheckMeta],
@@ -580,42 +606,62 @@ fn physical(meta: &CheckMeta, packed: u64, r: &FrameRecord) -> Option<JobSource>
 }
 
 /// A dedup home as a plan holds it: its commit record, where its packed
-/// region starts and which materialized record holds each `(digest,
-/// logical_len)` (the first, for repeats). None of its packed bytes are
-/// read here.
+/// region starts, and its records with the logical offset each starts at,
+/// in logical order. None of its packed bytes are read here.
 struct Home {
     meta: CheckMeta,
     packed: u64,
-    by_content: HashMap<(u64, u64), FrameRecord>,
+    records: Vec<(u64, FrameRecord)>,
 }
 
 impl Home {
     /// Finds checkpoint `counter` in `slot` among `commits` and binds its
-    /// table to that record. The content index is built once per home, so
-    /// resolving a frame of references stays linear.
+    /// table to that record, once per home, so resolving a frame of
+    /// references stays linear.
     fn bind(commits: &[CheckMeta], read: &SlotRead<'_>, counter: u64, slot: u32) -> Option<Home> {
         let meta = *commits
             .iter()
             .find(|c| c.counter == counter && c.slot == slot)?;
         let table = read_table(&meta, read)?;
-        let mut by_content = HashMap::new();
-        for r in table.records.iter().filter(|r| r.kind.is_materialized()) {
-            by_content.entry((r.digest, r.logical_len)).or_insert(*r);
-        }
+        let mut off = 0u64;
+        let records = table.records.iter().map(|r| {
+            off += r.logical_len; // `decode` summed these without overflow
+            (off - r.logical_len, *r)
+        });
         Some(Home {
             meta,
             packed: table.encoded_len(),
-            by_content,
+            records: records.collect(),
         })
     }
 
     /// The range holding the bytes a [`ChunkEncoding::DedupBase`] record
-    /// names: the home's materialized record carrying the same content
-    /// address (a reference always names the chunk's home, the frame that
-    /// materialized it, so one hop always suffices).
+    /// names: the home's logical range `[b, b + logical_len)`, which must
+    /// lie inside one record the home materialized — any part of a `Raw`
+    /// one, the whole of an `Lz` one. A reference always names the home
+    /// that holds the bytes, so one hop always suffices.
     fn source(&self, r: &FrameRecord) -> Option<JobSource> {
-        let held = self.by_content.get(&(r.digest, r.logical_len))?;
-        physical(&self.meta, self.packed, held)
+        let k = (self.records).partition_point(|(off, held)| off + held.logical_len <= r.b);
+        let &(off, held) = self.records.get(k)?;
+        let end = r.b.checked_add(r.logical_len)?;
+        if r.b < off || end > off + held.logical_len {
+            return None;
+        }
+        match held.kind {
+            ChunkEncoding::Raw if held.b == held.logical_len => {
+                let part = FrameRecord {
+                    logical_len: r.logical_len,
+                    a: held.a.checked_add(r.b - off)?,
+                    b: r.logical_len,
+                    ..held
+                };
+                physical(&self.meta, self.packed, &part)
+            }
+            ChunkEncoding::Lz if (r.b, r.logical_len) == (off, held.logical_len) => {
+                physical(&self.meta, self.packed, &held)
+            }
+            _ => None,
+        }
     }
 }
 
@@ -837,6 +883,7 @@ pub(crate) struct Generation {
     /// chain pins every home below.
     head: u64,
     homes: HashMap<u64, DedupHome>, // digest -> home
+    blocks: Arc<BlockHomes>,
 }
 
 impl Generation {
@@ -847,6 +894,89 @@ impl Generation {
             .get(&digest)
             .copied()
             .filter(|home| home.len == len)
+    }
+
+    /// The home record holding [`DIGEST_BLOCK`] `b` verbatim at its own
+    /// logical offset, and the block's value there.
+    ///
+    /// [`DIGEST_BLOCK`]: pccheck_util::fnv::DIGEST_BLOCK
+    pub(crate) fn block(&self, b: usize) -> Option<(DedupHome, u64)> {
+        self.blocks.get(b)
+    }
+
+    /// The block homes, for the next generation to inherit from.
+    pub(crate) fn blocks(&self) -> &BlockHomes {
+        &self.blocks
+    }
+}
+
+/// Where each digest block of a committed state lies verbatim: the `Raw`
+/// record that holds it at the block's own logical offset — in the
+/// committing frame, or in a home that frame referenced — and the block's
+/// value, so a later plan can tell whether the bytes it would serve are
+/// that block's.
+#[derive(Debug, Default)]
+pub(crate) struct BlockHomes {
+    /// The home records, each named once per run of blocks.
+    records: Vec<DedupHome>,
+    /// By block: the index of its home record, or `UNHOMED`.
+    of: Vec<u32>,
+    /// By block: the committed state's value, shared with the digests the
+    /// frame folded, which nothing writes once the frame has drained.
+    values: Arc<[AtomicU64]>,
+}
+
+/// A block no record homes.
+const UNHOMED: u32 = u32::MAX;
+
+impl BlockHomes {
+    /// No home yet for any block of the state whose block values are
+    /// `values`.
+    pub(crate) fn new(values: &Arc<[AtomicU64]>) -> BlockHomes {
+        BlockHomes {
+            records: Vec::new(),
+            of: vec![UNHOMED; values.len()],
+            values: Arc::clone(values),
+        }
+    }
+
+    /// Homes `blocks` in `record`.
+    pub(crate) fn home(&mut self, blocks: Range<usize>, record: DedupHome) {
+        self.records.push(record);
+        self.of[blocks].fill(self.records.len() as u32 - 1);
+    }
+
+    /// Homes each of `blocks` where `from` homes it in a record of the
+    /// checkpoint `(counter, slot)`, whose logical state this one holds at
+    /// those blocks' offsets: that record holds them verbatim.
+    pub(crate) fn inherit(
+        &mut self,
+        blocks: Range<usize>,
+        from: &BlockHomes,
+        (counter, slot): (u64, u32),
+    ) {
+        let Some(theirs) = from.of.get(blocks.clone()) else {
+            return;
+        };
+        let mut b = blocks.start;
+        for run in theirs.chunk_by(|x, y| x == y) {
+            let record = from.records.get(run[0] as usize);
+            if let Some(&record) = record.filter(|r| (r.counter, r.slot) == (counter, slot)) {
+                if self.records.last() != Some(&record) {
+                    self.records.push(record);
+                }
+                self.of[b..b + run.len()].fill(self.records.len() as u32 - 1);
+            }
+            b += run.len();
+        }
+    }
+
+    fn get(&self, b: usize) -> Option<(DedupHome, u64)> {
+        let k = *self.of.get(b).filter(|&&k| k != UNHOMED)?;
+        Some((
+            self.records[k as usize],
+            self.values[b].load(Ordering::Relaxed),
+        ))
     }
 }
 
@@ -869,14 +999,15 @@ const DEDUP_GENERATION_CAP: usize = 8192;
 impl DedupIndex {
     /// Replaces `job`'s generation with the homes of the just-committed
     /// checkpoint `head`: `(digest, home)` for each chunk it materialized
-    /// (homed at itself) and each base hit it carried forward. A late
-    /// install from a commit an already-installed newer one displaced is
-    /// dropped.
+    /// (homed at itself) and each base hit it carried forward, and its
+    /// block homes. A late install from a commit an already-installed
+    /// newer one displaced is dropped.
     pub(crate) fn install(
         &mut self,
         job: JobId,
         head: u64,
         homes: impl IntoIterator<Item = (u64, DedupHome)>,
+        blocks: &Arc<BlockHomes>,
     ) {
         if self.generations.get(&job).is_some_and(|g| g.head > head) {
             return;
@@ -891,6 +1022,7 @@ impl DedupIndex {
         let generation = Generation {
             head,
             homes: by_digest,
+            blocks: Arc::clone(blocks),
         };
         self.generations.insert(job, Arc::new(generation));
     }
@@ -1070,6 +1202,7 @@ mod tests {
             0,
             7,
             vec![(111, home(7, 2, 0, 64, 1)), (222, home(5, 0, 64, 64, 0))],
+            &Arc::default(),
         );
         assert_eq!(idx.lookup(0, 7, 111, 64), Some(home(7, 2, 0, 64, 1)));
         assert_eq!(
@@ -1082,20 +1215,20 @@ mod tests {
         // Length mismatch is a digest collision, not a hit.
         assert!(idx.lookup(0, 7, 111, 32).is_none());
         // Installing the next generation evicts the old one.
-        idx.install(0, 8, vec![(333, home(8, 0, 0, 64, 0))]);
+        idx.install(0, 8, vec![(333, home(8, 0, 0, 64, 0))], &Arc::default());
         assert!(idx.lookup(0, 8, 111, 64).is_none());
         assert_eq!(idx.lookup(0, 8, 333, 64).unwrap().slot, 0);
         assert_eq!(idx.generation_counter(0), Some(8));
         // A displaced commit installing late does not roll it back.
-        idx.install(0, 7, vec![(111, home(7, 2, 0, 64, 1))]);
+        idx.install(0, 7, vec![(111, home(7, 2, 0, 64, 1))], &Arc::default());
         assert_eq!(idx.generation_counter(0), Some(8));
     }
 
     #[test]
     fn dedup_index_is_per_job() {
         let mut idx = DedupIndex::default();
-        idx.install(1, 5, vec![(42, home(5, 0, 0, 128, 0))]);
-        idx.install(2, 9, vec![(42, home(9, 1, 0, 128, 0))]);
+        idx.install(1, 5, vec![(42, home(5, 0, 0, 128, 0))], &Arc::default());
+        idx.install(2, 9, vec![(42, home(9, 1, 0, 128, 0))], &Arc::default());
         assert_eq!(idx.lookup(1, 5, 42, 128).unwrap().counter, 5);
         assert_eq!(idx.lookup(2, 9, 42, 128).unwrap().counter, 9);
         assert!(idx.lookup(3, 5, 42, 128).is_none());
@@ -1105,7 +1238,12 @@ mod tests {
     fn dedup_index_caps_generation_size() {
         let mut idx = DedupIndex::default();
         let n = DEDUP_GENERATION_CAP as u64;
-        idx.install(0, 1, (0..=n).map(|d| (d, home(1, 0, d * 8, 8, 0))));
+        idx.install(
+            0,
+            1,
+            (0..=n).map(|d| (d, home(1, 0, d * 8, 8, 0))),
+            &Arc::default(),
+        );
         assert!(idx.lookup(0, 1, 0, 8).is_some());
         assert!(idx.lookup(0, 1, n - 1, 8).is_some());
         assert!(idx.lookup(0, 1, n, 8).is_none());
@@ -1549,6 +1687,71 @@ mod tests {
         assert!(
             walk_slots(&[head, (shrunk, &f.base_payload[..])], &f.meta).is_none(),
             "referenced range past the dedup base's committed length"
+        );
+
+        // A home range must lie inside one record the home materialized:
+        // the all-`Raw` base holds two 64-byte records.
+        for (b, why) in [
+            (100, "a home range that leaves its home's payload"),
+            (32, "a home range that straddles two home records"),
+        ] {
+            let mut table = f.table.clone();
+            table.records[3].b = b;
+            let (payload, meta) = resealed(&table);
+            assert!(walk(&payload, &meta).is_none(), "{why}");
+        }
+
+        // A frame of one reference to `[b, b + bytes.len())` of `home`,
+        // walked with `home` as the only other commit.
+        let naming = |home: (CheckMeta, &[u8]), b: u64, bytes: &[u8]| {
+            let table = FrameTable {
+                counter: 10,
+                logical_len: bytes.len() as u64,
+                full_digest: state_digest(3, bytes),
+                records: vec![FrameRecord {
+                    kind: ChunkEncoding::DedupBase,
+                    aux: home.0.slot,
+                    logical_len: bytes.len() as u64,
+                    a: home.0.counter,
+                    b,
+                    digest: content_address(bytes),
+                }],
+            };
+            let payload = table.encode();
+            let meta = CheckMeta {
+                counter: 10,
+                slot: 2,
+                ..meta_for(&payload, payload.len() as u64)
+            };
+            walk_slots(&[(meta, &payload[..]), home], &meta)
+        };
+
+        // The fixture frame as a home: its `Lz` record may be named whole,
+        // never in part; part of a `Raw` record of the base may.
+        let text = &f.logical[64..320];
+        let whole = Some((text.to_vec(), state_digest(3, text)));
+        assert_eq!(naming(head, 64, text), whole, "a whole Lz home record");
+        assert!(
+            naming(head, 128, &text[64..128]).is_none(),
+            "a home range that cuts into an Lz home record"
+        );
+        let part = &f.base_payload[FrameTable::encoded_len_for(2) as usize + 96..][..32];
+        let want = Some((part.to_vec(), state_digest(3, part)));
+        assert_eq!(naming(base, 96, part), want, "part of a Raw home record");
+
+        // A home whose `Raw` record claims a packed offset at the end of the
+        // address space: the part a reference takes must not wrap.
+        let mut wraps = FrameTable::decode(&f.base_payload).expect("the base is framed");
+        wraps.records[1].a = u64::MAX - 8;
+        let wraps = wraps.encode();
+        let wraps_meta = CheckMeta {
+            digest: checksum(&wraps),
+            ..f.base_meta
+        };
+        let wraps = [&wraps[..], &f.base_payload[wraps.len()..]].concat();
+        assert!(
+            naming((wraps_meta, &wraps[..]), 96, part).is_none(),
+            "a home record whose packed range wraps"
         );
 
         for pos in table_len..f.payload.len() {

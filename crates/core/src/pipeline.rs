@@ -61,20 +61,28 @@
 //! [`Version`] (a `Carry`, no bytes). The next codec copy asks the source
 //! what changed since ([`SnapshotSource::dirty_since`]) and observes the
 //! dedup generation of the job's head once, under the codec index's lock
-//! with the weights held. It *serves* each clean chunk of whole digest
-//! blocks whose carried address that observation has a home for below the
-//! depth bound — its record is that `DedupBase`, its values the carried
-//! ones — and copies the rest, plus one chunk it could have served,
-//! rotating: that chunk's digest job checks its address against the
-//! carried one, and a mismatch (the tracker missed a write) raises an
+//! with the weights held. Records follow the dirty runs on digest-block
+//! boundaries: it *serves* each clean chunk of whole digest blocks whose
+//! carried address that observation has a home for below the depth bound,
+//! and cuts a chunk the update dirtied in part — or one whose address has
+//! no home — into its longest clean head and tail that one home record
+//! holds verbatim at their own offsets (per block, the generation keeps
+//! that record and the block's value, which must be the carried one), each
+//! served from there, and the run between them, which it copies. A served
+//! record is that `DedupBase`, naming its home range, its values the
+//! carried ones; a cut adds a 40-byte record for at least one served 4 KiB
+//! block, and the table's room is the plan's record count, so no frame
+//! outgrows its slot. It copies the rest, plus one record it could have
+//! served, rotating: that record's digest job checks its address against
+//! the carried one, and a mismatch (the tracker missed a write) raises an
 //! `anomaly` event and retires every carry planned before it.
 //!
 //! *A codec frame streams*: producer → digest job → one in-order classifier
 //! (self-dedup, byte-exact against the first occurrence's bytes, held or
-//! read back from the slot; base dedup; materialize) → compress → write,
-//! each buffer freed when its write returns. Packed offsets follow logical
-//! order and the table is written last, so the frame depends on neither
-//! the pool's size nor the order the jobs ran in.
+//! read back from the slot; the planned home, or base dedup; materialize)
+//! → compress → write, each buffer freed when its write returns. Packed
+//! offsets follow logical order and the table is written last, so the
+//! frame depends on neither the pool's size nor the order the jobs ran in.
 //!
 //! *The digests are taken out of order, on that pool.* The state digest is
 //! a fold over per-block values ([`pccheck_util::fnv`]) and a record's
@@ -113,6 +121,7 @@
 
 use std::any::Any;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -122,12 +131,14 @@ use pccheck_util::sync::{Condvar, Mutex};
 use pccheck_device::{HostBuffer, HostBufferPool};
 use pccheck_gpu::{SnapshotSource, StateDigest, Version};
 use pccheck_telemetry::{FlightEventKind, Phase, SpanId, Telemetry};
-use pccheck_util::fnv::{chunk_digest, file_blocks, fold_blocks, whole_blocks, DIGEST_BLOCK};
+use pccheck_util::fnv::{
+    chunk_digest, file_blocks, fold_blocks, record_digest, whole_blocks, DIGEST_BLOCK,
+};
 use pccheck_util::ByteSize;
 
 use crate::codec::{
-    compress_gated, lz_decompress, ChunkEncoding, DedupHome, DedupIndex, FrameRecord, FrameTable,
-    Generation,
+    compress_gated, lz_decompress, BlockHomes, ChunkEncoding, DedupHome, DedupIndex, FrameRecord,
+    FrameTable, Generation, FRAME_RECORD_SIZE,
 };
 use crate::error::PccheckError;
 use crate::meta::{checksum, DeltaLink};
@@ -158,10 +169,11 @@ pub enum CopyMode {
     /// snapshot before the first write, so the pool must hold it.
     Staged,
     /// The chunk codec, streamed: the copy plans from its job's last
-    /// snapshot, copies only the chunks the head's dedup generation cannot
-    /// serve, and deduplicates, compresses or keeps verbatim each chunk it
-    /// copied, writing it — and freeing its buffer — once its packed offset
-    /// is known. Any pool size serves it.
+    /// snapshot, copies only the blocks the head's dedup generation cannot
+    /// serve — a chunk's dirty run, not the whole chunk — and deduplicates,
+    /// compresses or keeps verbatim each record it copied, writing it — and
+    /// freeing its buffer — once its packed offset is known. Any pool size
+    /// serves it.
     Codec,
 }
 
@@ -189,11 +201,12 @@ impl AsRef<[u8]> for StagedChunk {
 }
 
 /// The digests of one snapshot, gathered out of order: the state digest's
-/// block values by block index and each chunk's content address by chunk
-/// index, filed by whoever had the bytes in hand — or carried from the last
-/// snapshot — and folded by the coordinator once the checkpoint's batch has
-/// drained (module docs, "Who waits for what"). Same definitions as
-/// [`pccheck_util::fnv`]'s in-order forms, without their order.
+/// block values by block index and the content address of each chunk
+/// filed whole by chunk index, filed by whoever had the bytes in hand — or
+/// carried from the last snapshot — and folded by the coordinator once the
+/// checkpoint's batch has drained (module docs, "Who waits for what").
+/// Same definitions as [`pccheck_util::fnv`]'s in-order forms, without
+/// their order.
 struct Digests {
     /// The iteration the checkpoint's commit records, which the state
     /// digest folds in.
@@ -203,12 +216,15 @@ struct Digests {
     chunk: u64,
     /// Relaxed: every job hands the batch's mutex to [`Batch::wait`], which
     /// orders the stores before the fold's loads, and a later snapshot
-    /// reads a chunk's values only after `filed` says they are in.
-    blocks: Vec<AtomicU64>,
-    addresses: Vec<AtomicU64>,
-    /// By chunk: its address and the blocks it wholly covers are filed
-    /// (release, after them).
+    /// reads a block's value only after `filed` says it is in.
+    /// Shared with the generation a codec frame of this snapshot installs.
+    blocks: Arc<[AtomicU64]>,
+    /// By block: its value is filed (release, after it).
     filed: Vec<AtomicBool>,
+    /// By chunk: its content address, when a record covered it whole.
+    addresses: Vec<AtomicU64>,
+    /// By chunk: its address is filed (release, after it and its blocks).
+    whole: Vec<AtomicBool>,
 }
 
 impl std::fmt::Debug for Digests {
@@ -221,17 +237,28 @@ impl std::fmt::Debug for Digests {
     }
 }
 
+/// The digest blocks of `[off, off + len)`, a range that starts on a block
+/// boundary and ends on one or at the state's end.
+fn block_range(off: u64, len: u64) -> Range<usize> {
+    let block = DIGEST_BLOCK as u64;
+    (off / block) as usize..(off + len).div_ceil(block) as usize
+}
+
 impl Digests {
     fn of(iteration: u64, total: ByteSize, chunk: u64) -> Arc<Self> {
-        let cells = |n: u64| (0..n).map(|_| AtomicU64::new(0)).collect();
-        let n_chunks = total.as_u64().div_ceil(chunk);
+        let flags = |n: u64| (0..n).map(|_| AtomicBool::new(false)).collect();
+        let (n_blocks, n_chunks) = (
+            total.as_u64().div_ceil(DIGEST_BLOCK as u64),
+            total.as_u64().div_ceil(chunk),
+        );
         Arc::new(Digests {
             iteration,
             len: total.as_u64(),
             chunk,
-            blocks: cells(total.as_u64().div_ceil(DIGEST_BLOCK as u64)),
-            addresses: cells(n_chunks),
-            filed: (0..n_chunks).map(|_| AtomicBool::new(false)).collect(),
+            blocks: (0..n_blocks).map(|_| AtomicU64::new(0)).collect(),
+            filed: flags(n_blocks),
+            addresses: (0..n_chunks).map(|_| AtomicU64::new(0)).collect(),
+            whole: flags(n_chunks),
         })
     }
 
@@ -252,38 +279,60 @@ impl Digests {
         whole_blocks(off, len, self.len) == (0, len)
     }
 
-    /// Chunk `i`'s content address, once filed.
-    fn address(&self, i: usize) -> Option<u64> {
-        let filed = self.filed[i].load(Ordering::Acquire);
-        filed.then(|| self.addresses[i].load(Ordering::Relaxed))
+    fn set(&self, b: usize, value: u64) {
+        self.blocks[b].store(value, Ordering::Relaxed);
+        self.filed[b].store(true, Ordering::Release);
     }
 
-    /// Files chunk `i`'s values from `from`, a snapshot of the same
-    /// geometry that has filed them and whose chunk `i` held the same
-    /// bytes: the blocks the chunk wholly covers and its content address.
-    fn carry(&self, from: &Digests, i: usize) {
-        let (off, len) = self.extent(i);
-        let (head, whole) = whole_blocks(off, len, self.len);
-        let first = ((off + head as u64) / DIGEST_BLOCK as u64) as usize;
-        let copy = |cell: &AtomicU64, from: &AtomicU64| {
-            cell.store(from.load(Ordering::Relaxed), Ordering::Relaxed)
-        };
-        for b in first..first + whole.div_ceil(DIGEST_BLOCK) {
-            copy(&self.blocks[b], &from.blocks[b]);
-        }
-        copy(&self.addresses[i], &from.addresses[i]);
-        self.filed[i].store(true, Ordering::Release);
+    /// Block `b`'s value, once filed.
+    fn value(&self, b: usize) -> Option<u64> {
+        let filed = self.filed[b].load(Ordering::Acquire);
+        filed.then(|| self.blocks[b].load(Ordering::Relaxed))
     }
 
-    /// A chunk's pool job: one pass over `chunk`, staged from offset `off`,
-    /// files the values of the blocks it wholly covers and its content
-    /// address, which it returns.
-    fn file(&self, off: u64, chunk: &[u8]) -> u64 {
-        let store = |cell: &AtomicU64, value| cell.store(value, Ordering::Relaxed);
-        let address = file_blocks(off, chunk, self.len, |i, v| store(&self.blocks[i], v));
+    /// The content address of `[off, off + len)`, a run of whole blocks,
+    /// from their values, once every one is filed: no byte is read.
+    fn address(&self, off: u64, len: u64) -> Option<u64> {
+        let blocks = block_range(off, len);
+        let filed = blocks
+            .clone()
+            .all(|b| self.filed[b].load(Ordering::Acquire));
+        filed.then(|| record_digest(len, blocks.map(|b| self.blocks[b].load(Ordering::Relaxed))))
+    }
+
+    /// Chunk `i`'s content address, once a record that covered it whole
+    /// has filed it.
+    fn chunk_address(&self, i: usize) -> Option<u64> {
+        let whole = self.whole[i].load(Ordering::Acquire);
+        whole.then(|| self.addresses[i].load(Ordering::Relaxed))
+    }
+
+    /// Keeps `address`, that of the record `[off, off + len)`, for its
+    /// chunk if the record is the whole chunk.
+    fn file_address(&self, off: u64, len: u64, address: u64) {
         let i = (off / self.chunk) as usize;
-        store(&self.addresses[i], address);
-        self.filed[i].store(true, Ordering::Release);
+        if off.is_multiple_of(self.chunk) && len == self.extent(i).1 as u64 {
+            self.addresses[i].store(address, Ordering::Relaxed);
+            self.whole[i].store(true, Ordering::Release);
+        }
+    }
+
+    /// Files the record `[off, off + len)`, a run of whole blocks whose
+    /// address is `address`, from `from`: a snapshot of the same geometry
+    /// that has filed its blocks and held the same bytes there.
+    fn carry(&self, from: &Digests, off: u64, len: u64, address: u64) {
+        for b in block_range(off, len) {
+            self.set(b, from.blocks[b].load(Ordering::Relaxed));
+        }
+        self.file_address(off, len, address);
+    }
+
+    /// A record's pool job: one pass over `piece`, staged from offset
+    /// `off`, files the values of the blocks it wholly covers and its
+    /// content address, which it returns.
+    fn file(&self, off: u64, piece: &[u8]) -> u64 {
+        let address = file_blocks(off, piece, self.len, |b, value| self.set(b, value));
+        self.file_address(off, piece.len() as u64, address);
         address
     }
 
@@ -295,8 +344,7 @@ impl Digests {
         let (head, whole) = whole_blocks(off, chunk.len(), self.len);
         open.extend_from_slice(&chunk[..head]);
         if open.len() == DIGEST_BLOCK || (head > 0 && off + head as u64 == self.len) {
-            let cell = &self.blocks[(off / DIGEST_BLOCK as u64) as usize];
-            cell.store(chunk_digest(open), Ordering::Relaxed);
+            self.set((off / DIGEST_BLOCK as u64) as usize, chunk_digest(open));
             open.clear();
         }
         open.extend_from_slice(&chunk[head + whole..]);
@@ -318,17 +366,16 @@ impl Digests {
     }
 }
 
-/// The producer's copy of chunk `i` of `src` into `buf`: the one GPU→DRAM
-/// memcpy, then the blocks a chunk boundary cuts.
-fn stage_chunk(
+/// The producer's copy of `[off, off + len)` of `src` into `buf`: the one
+/// GPU→DRAM memcpy, then the blocks a chunk boundary cuts.
+fn stage(
     ctx: PipelineCtx<'_>,
     src: &impl SnapshotSource,
     digests: &Digests,
     open: &mut Vec<u8>,
-    i: usize,
+    (off, len): (u64, usize),
     mut buf: HostBuffer,
 ) -> StagedChunk {
-    let (off, len) = digests.extent(i);
     src.copy_range_to_host(off, &mut buf.as_mut_slice()[..len]);
     ctx.telemetry
         .chunk(ctx.span, Phase::GpuCopy, off, len as u64);
@@ -346,21 +393,41 @@ fn stage_chunk(
 struct Carry {
     version: Version,
     digests: Arc<Digests>,
-    /// Where the next validation sample starts looking for a served chunk.
-    cursor: usize,
+    /// The logical offset where the next validation sample starts looking
+    /// for a served record.
+    cursor: u64,
     /// [`CodecState::mismatches`] when it was planned: a sample that fails
     /// after that retires it.
     mismatches: u64,
 }
 
+/// One record of a codec frame as planned: the logical range it covers
+/// and, if the observation serves it, from where.
+#[derive(Debug, Clone, Copy)]
+struct Unit {
+    off: u64,
+    len: u64,
+    served: Option<Served>,
+}
+
+/// A record served without being copied: the home that holds its bytes
+/// and its address, carried from the last snapshot.
+#[derive(Debug, Clone, Copy)]
+struct Served {
+    home: DedupHome,
+    address: u64,
+}
+
 /// What a codec copy decided while it held the weights.
 struct Plan {
-    /// The carry the served chunks take their values from.
+    /// The carry the served records take their values from.
     from: Option<Arc<Digests>>,
-    /// By chunk: whether the observation serves it; if not, it is copied.
-    served: Vec<bool>,
-    /// The chunk copied to validate the carry, and its carried address.
-    sample: Option<(usize, u64)>,
+    /// The frame's records, in logical order: one per chunk, but a chunk
+    /// the observation serves only in part is cut into its served runs and
+    /// the run between them.
+    units: Vec<Unit>,
+    /// The served record copied to validate the carry.
+    sample: Option<usize>,
     /// Bytes changed since the carried snapshot: the whole state when
     /// there was none to plan from.
     dirty: u64,
@@ -379,6 +446,81 @@ impl Observation {
     fn serves(&self, digest: u64, len: u64) -> Option<DedupHome> {
         let home = self.generation.as_ref()?.home(digest, len)?;
         (home.depth < self.max_depth).then_some(home)
+    }
+
+    /// The home record that may serve digest block `b` of a snapshot whose
+    /// filed value there is `value`: one that holds the block verbatim at
+    /// its own offset, with that value.
+    fn serves_block(&self, b: usize, value: Option<u64>) -> Option<DedupHome> {
+        let (home, held) = self.generation.as_ref()?.block(b)?;
+        (home.depth < self.max_depth && value == Some(held)).then_some(home)
+    }
+
+    /// Chunk `i`'s records, planned from `last` with `dirty` its digest
+    /// blocks from the first written since to the last: the whole chunk,
+    /// served if it is clean and its carried address has a home; otherwise
+    /// its longest head and longest tail of clean blocks that one home
+    /// record holds verbatim, each served from that record, around the run
+    /// that is copied. A chunk that shares a block with another is copied
+    /// whole.
+    fn chunk_units(
+        &self,
+        digests: &Digests,
+        last: &Digests,
+        dirty: Option<Range<usize>>,
+        i: usize,
+        units: &mut Vec<Unit>,
+    ) {
+        let (off, len) = digests.extent(i);
+        let whole = Unit {
+            off,
+            len: len as u64,
+            served: None,
+        };
+        if !digests.uncut(i) {
+            return units.push(whole);
+        }
+        let blocks = block_range(off, len as u64);
+        // The dirty run's blocks `[lo, hi)`; a clean chunk's is empty, at
+        // its end.
+        let Range { start: lo, end: hi } = dirty.unwrap_or(blocks.end..blocks.end);
+        if lo == blocks.end {
+            let address = (last.chunk_address(i)).or_else(|| last.address(off, len as u64));
+            if let Some(served) = address.and_then(|address| {
+                let home = self.serves(address, len as u64)?;
+                Some(Served { home, address })
+            }) {
+                return units.push(Unit {
+                    served: Some(served),
+                    ..whole
+                });
+            }
+        }
+        let serves = |b: usize| self.serves_block(b, last.value(b));
+        let (head, tail) = (serves(blocks.start), serves(blocks.end - 1));
+        let held = |home: Option<DedupHome>| move |&b: &usize| home.is_some() && serves(b) == home;
+        let head_end = blocks.start + (blocks.start..lo).take_while(held(head)).count();
+        let floor = head_end.max(hi);
+        let tail_start = blocks.end - (floor..blocks.end).rev().take_while(held(tail)).count();
+        let at = |b: usize| (b as u64 * DIGEST_BLOCK as u64).min(digests.len);
+        let runs = [
+            (blocks.start, head_end, head),
+            (head_end, tail_start, None),
+            (tail_start, blocks.end, tail),
+        ];
+        let runs = runs.into_iter().filter(|&(from, to, _)| from < to);
+        units.extend(runs.map(|(from, to, home)| {
+            let (off, len) = (at(from), at(to) - at(from));
+            let served = home.map(|home| Served {
+                home: DedupHome {
+                    logical_off: off,
+                    len,
+                    ..home
+                },
+                address: last.address(off, len).expect("a served block is filed"),
+            });
+            Unit { off, len, served }
+        }));
     }
 }
 
@@ -754,17 +896,20 @@ impl Batch {
 }
 
 /// A codec copy's frame on its way through the writer pool (module docs, "A
-/// codec frame streams"): chunks arrive in any order — copied ones from
+/// codec frame streams"): records arrive in any order — copied ones from
 /// their digest jobs, served ones from the producer — one classifier takes
-/// them in logical order, and each materialized chunk is placed at its
+/// them in logical order, and each materialized record is placed at its
 /// packed offset, in logical order, once it is compressed, then written.
 struct Frame {
-    /// Filed by the chunks' digest jobs, or carried for the served ones.
+    /// Filed by the copied records' digest jobs, or carried for the served
+    /// ones.
     digests: Arc<Digests>,
     observed: Observation,
-    /// By chunk: whether it is served rather than copied.
-    served: Vec<bool>,
-    /// Where the packed chunks start: the table's room.
+    /// The planned records.
+    units: Vec<Unit>,
+    /// The served record that is copied all the same.
+    sample: Option<usize>,
+    /// Where the packed records start: the table's room.
     table_len: u64,
     state: Mutex<FrameState>,
 }
@@ -789,8 +934,9 @@ impl AsRef<[u8]> for Packed {
 /// The classifier's and the placer's progress through one frame.
 #[derive(Default)]
 struct FrameState {
-    /// Copied chunks by index, from their digest job until classified.
-    arrived: HashMap<usize, StagedChunk>,
+    /// Copied records by index, with their addresses, from their digest
+    /// job until classified.
+    arrived: HashMap<usize, (StagedChunk, u64)>,
     /// The records of the chunks classified so far, in logical order; a
     /// materialized one's encoding and packed extent are settled when it
     /// is placed.
@@ -817,20 +963,26 @@ impl Frame {
     fn new(
         digests: &Arc<Digests>,
         observed: Observation,
-        served: Vec<bool>,
+        plan: &Plan,
         at: Option<SlotRef>,
     ) -> Arc<Frame> {
         Arc::new(Frame {
             digests: Arc::clone(digests),
             observed,
-            served,
-            table_len: FrameTable::encoded_len_for(digests.n_chunks()),
+            units: plan.units.clone(),
+            sample: plan.sample,
+            table_len: FrameTable::encoded_len_for(plan.units.len()),
             state: Mutex::new(FrameState {
-                arrived: HashMap::with_capacity(digests.n_chunks()),
+                arrived: HashMap::with_capacity(plan.units.len()),
                 at,
                 ..FrameState::default()
             }),
         })
+    }
+
+    /// Whether record `i` is copied: it is not served, or it is the sample.
+    fn copies(&self, i: usize) -> bool {
+        self.units[i].served.is_none() || self.sample == Some(i)
     }
 
     /// Hands the frame its slot: `batch` moves to the lease's counter, and
@@ -848,20 +1000,20 @@ impl Frame {
         }
     }
 
-    /// A job's share of the frame, after `arrival` (copied chunk `i`, its
-    /// digests filed) or none: classifies every chunk it completes the
-    /// logical order up to, compresses those it materialized, and writes
-    /// what that lets it place. Returns the job's `(bytes written, busy
-    /// nanos)`.
+    /// A job's share of the frame, after `arrival` (copied record `i`, its
+    /// digests filed, and its address) or none: classifies every record it
+    /// completes the logical order up to, compresses those it materialized,
+    /// and writes what that lets it place. Returns the job's `(bytes
+    /// written, busy nanos)`.
     fn advance(
         &self,
         batch: &Batch,
-        arrival: Option<(usize, StagedChunk)>,
+        arrival: Option<(usize, StagedChunk, u64)>,
     ) -> Result<(u64, u64), PccheckError> {
         let (fresh, placed) = {
             let mut s = self.state.lock();
-            if let Some((i, piece)) = arrival {
-                s.arrived.insert(i, piece);
+            if let Some((i, piece, address)) = arrival {
+                s.arrived.insert(i, (piece, address));
             }
             let fresh = self.classify(&mut s, batch)?;
             (fresh, self.place(&mut s))
@@ -884,34 +1036,34 @@ impl Frame {
         Ok((bytes, busy))
     }
 
-    /// Classifies the chunks that are served or have arrived, in logical
+    /// Classifies the records that are served or have arrived, in logical
     /// order from the first unclassified one: self-dedup (byte-exact), then
+    /// the planned home if the record's address is the carried one, then
     /// base dedup against the observation, then materialize. Returns the
-    /// chunks it materialized, for the caller to compress.
+    /// records it materialized, for the caller to compress.
     fn classify(
         &self,
         s: &mut FrameState,
         batch: &Batch,
     ) -> Result<Vec<(usize, StagedChunk)>, PccheckError> {
         let mut fresh = Vec::new();
-        while let Some(&served) = self.served.get(s.records.len()) {
+        while let Some(&unit) = self.units.get(s.records.len()) {
             let i = s.records.len();
-            let piece = match s.arrived.remove(&i) {
-                None if !served => break,
-                piece => piece,
+            let (piece, digest) = match s.arrived.remove(&i) {
+                Some((piece, address)) => (Some(piece), address),
+                None if self.copies(i) => break,
+                None => (None, unit.served.expect("not copied, so served").address),
             };
-            let len = self.digests.extent(i).1;
-            let digest = self.digests.address(i).expect("filed before classified");
             let record = |kind, aux, a, b| FrameRecord {
                 kind,
                 aux,
-                logical_len: len as u64,
+                logical_len: unit.len,
                 a,
                 b,
                 digest,
             };
-            // A served chunk is no self-dedup: an earlier chunk of its address
-            // and length would have been served too.
+            // A served record is no self-dedup: an earlier record of its
+            // address and length would have been served too.
             let first = piece.as_ref().and(s.firsts.get(&digest).cloned());
             let classified = match (first, piece) {
                 (Some((j, held)), Some(piece))
@@ -919,22 +1071,26 @@ impl Frame {
                 {
                     record(ChunkEncoding::DedupSelf, j as u32, 0, 0)
                 }
-                (_, piece) => match self.observed.serves(digest, len as u64) {
-                    Some(home) => {
-                        s.homes.push((digest, home));
-                        let (slot, counter) = (home.slot, home.counter);
-                        record(ChunkEncoding::DedupBase, slot, counter, home.logical_off)
+                (_, piece) => {
+                    let planned = unit.served.filter(|served| served.address == digest);
+                    let home = planned.map(|served| served.home);
+                    match home.or_else(|| self.observed.serves(digest, unit.len)) {
+                        Some(home) => {
+                            s.homes.push((digest, home));
+                            let (slot, counter) = (home.slot, home.counter);
+                            record(ChunkEncoding::DedupBase, slot, counter, home.logical_off)
+                        }
+                        None => {
+                            let piece = piece.expect("a served record has a home");
+                            let held = Arc::downgrade(&piece.buf);
+                            s.firsts.entry(digest).or_insert((i, held));
+                            fresh.push((i, piece));
+                            // Placeholder; the encoding and packed extent
+                            // are settled when it is placed.
+                            record(ChunkEncoding::Raw, 0, 0, 0)
+                        }
                     }
-                    None => {
-                        let piece = piece.expect("a served chunk has a home");
-                        let held = Arc::downgrade(&piece.buf);
-                        s.firsts.entry(digest).or_insert((i, held));
-                        fresh.push((i, piece));
-                        // Placeholder; the encoding and packed extent are
-                        // settled when it is placed.
-                        record(ChunkEncoding::Raw, 0, 0, 0)
-                    }
-                },
+                }
             };
             s.records.push(classified);
         }
@@ -1019,13 +1175,13 @@ impl Frame {
     }
 
     /// The frame's table and what its commit binds besides its checksum,
-    /// once every chunk is placed. A frame that packed nothing is the
+    /// once every record is placed. A frame that packed nothing is the
     /// all-`Raw` frame, and installs no homes.
     fn finish(&self, ctx: PipelineCtx<'_>, lease: &SlotLease) -> (FrameTable, FramedPlan) {
         let mut s = self.state.lock();
         let records = std::mem::take(&mut s.records);
-        let n = self.digests.n_chunks();
-        assert_eq!((records.len(), s.placed), (n, n), "every chunk is placed");
+        let n = self.units.len();
+        assert_eq!((records.len(), s.placed), (n, n), "every record is placed");
         let (logical, phys) = (self.digests.len, s.phys);
         let table = FrameTable {
             counter: lease.counter,
@@ -1033,6 +1189,11 @@ impl Frame {
             full_digest: self.digests.fold().0,
             records,
         };
+        assert_eq!(
+            table.encoded_len(),
+            self.table_len,
+            "the table fills its room"
+        );
         if phys >= logical {
             return (table, FramedPlan::default());
         }
@@ -1057,16 +1218,30 @@ impl Frame {
                 chain_depth: home.depth + 1,
             });
         let depth = link.map_or(0, |l| l.chain_depth);
-        let materialized = table.records.iter().enumerate();
-        for (i, r) in materialized.filter(|(_, r)| r.kind.is_materialized()) {
+        let mut blocks = BlockHomes::new(&self.digests.blocks);
+        for (r, unit) in table.records.iter().zip(&self.units) {
             let home = DedupHome {
                 counter: lease.counter,
                 slot: lease.slot,
-                logical_off: self.digests.extent(i).0,
-                len: r.logical_len,
+                logical_off: unit.off,
+                len: unit.len,
                 depth,
             };
-            homes.push((r.digest, home));
+            // Block homes: a `Raw` record holds its blocks verbatim at their
+            // own offsets; a reference to its home's bytes at its own offset
+            // keeps each block's home that is a record of that home.
+            let (head, whole) = whole_blocks(unit.off, unit.len as usize, logical);
+            let covered = block_range(unit.off + head as u64, whole as u64);
+            match (r.kind, &self.observed.generation) {
+                (ChunkEncoding::Raw, _) => blocks.home(covered, home),
+                (ChunkEncoding::DedupBase, Some(g)) if r.b == unit.off => {
+                    blocks.inherit(covered, g.blocks(), (r.a, r.aux));
+                }
+                _ => {}
+            }
+            if r.kind.is_materialized() {
+                homes.push((r.digest, home));
+            }
         }
         let plan = FramedPlan {
             payload_digest: 0,
@@ -1074,6 +1249,7 @@ impl Frame {
             saved_bytes,
             dedup_chunks,
             homes,
+            blocks: Arc::new(blocks),
         };
         (table, plan)
     }
@@ -1149,6 +1325,9 @@ pub struct FramedPlan {
     /// materialized chunks homed at itself plus every base hit it took,
     /// carried forward unchanged. Commit installs it.
     pub homes: Vec<(u64, DedupHome)>,
+    /// The next generation's block homes: where each digest block of the
+    /// state lies verbatim at its own offset. Commit installs them.
+    pub(crate) blocks: Arc<BlockHomes>,
 }
 
 impl PersistPipeline {
@@ -1229,13 +1408,13 @@ impl PersistPipeline {
     /// A codec copy's plan, made while it holds the weights (module docs, "A
     /// codec copy plans from the last snapshot"): observes the generation of
     /// `ns`'s head, takes the job's carry and leaves `digests` as the next
-    /// one, and names the chunks the observation serves but one — the
-    /// first at or after the carry's cursor, which is copied to be checked
+    /// one, cuts each chunk into the records the observation serves and
+    /// the run it does not ([`Observation::chunk_units`]), and names the
+    /// served records but one — the first at or after the carry's cursor
+    /// that the frame can afford to copy, which is copied to be checked
     /// against its carried address (`stream_frame`). A carry of another
     /// source or geometry, older than the source's log reaches, or planned
-    /// before a sample failed serves nothing, nor does a chunk that shares a
-    /// digest block with another (the block's value needs both chunks'
-    /// bytes).
+    /// before a sample failed serves nothing.
     fn plan(
         &self,
         src: &impl SnapshotSource,
@@ -1260,14 +1439,22 @@ impl PersistPipeline {
             }
         };
         let (chunk, total, n) = (digests.chunk, digests.len, digests.n_chunks());
-        let mut plan = Plan {
-            from: None,
-            served: vec![false; n],
-            sample: None,
-            dirty: total,
+        // Every chunk copied whole: the plan without a carry to serve from.
+        let copy_all = || {
+            let whole = |i| {
+                let (off, len) = digests.extent(i);
+                let (served, len) = (None, len as u64);
+                Unit { off, len, served }
+            };
+            Plan {
+                from: None,
+                units: (0..n).map(whole).collect(),
+                sample: None,
+                dirty: total,
+            }
         };
         let Some(version) = src.version() else {
-            return (observed, plan);
+            return (observed, copy_all());
         };
         let mut cursor = 0;
         let mismatches = self.codec.mismatches.load(Ordering::Acquire);
@@ -1279,28 +1466,53 @@ impl PersistPipeline {
         let ranges = last
             .as_ref()
             .and_then(|last| src.dirty_since(last.version.seq));
-        if let (Some(last), Some(ranges)) = (last, ranges) {
-            let mut clean = vec![true; n];
-            for &(off, len) in ranges.iter().filter(|&&(off, len)| len > 0 && off < total) {
-                let end = (off + len - 1).min(total - 1) / chunk;
-                clean[(off / chunk) as usize..=end as usize].fill(false);
+        let plan = match (last, ranges) {
+            (Some(last), Some(ranges)) => {
+                // By chunk: its digest blocks from the first written to the
+                // last, if any.
+                let mut dirty: Vec<Option<Range<usize>>> = vec![None; n];
+                for &(off, len) in ranges.iter().filter(|&&(off, len)| len > 0 && off < total) {
+                    let end = (off + len).min(total);
+                    let block = DIGEST_BLOCK as u64;
+                    let written = (off / block) as usize..end.div_ceil(block) as usize;
+                    let chunks = (off / chunk) as usize..=((end - 1) / chunk) as usize;
+                    for (i, run) in chunks.clone().zip(&mut dirty[chunks]) {
+                        let (at, len) = digests.extent(i);
+                        let own = block_range(at, len as u64);
+                        let (lo, hi) = (written.start.max(own.start), written.end.min(own.end));
+                        let run = run.get_or_insert(lo..hi);
+                        *run = run.start.min(lo)..run.end.max(hi);
+                    }
+                }
+                let mut units = Vec::with_capacity(n);
+                for (i, dirty) in dirty.into_iter().enumerate() {
+                    observed.chunk_units(digests, &last.digests, dirty, i, &mut units);
+                }
+                // Each record a cut adds is paid for by a served run of
+                // whole blocks; the sample must leave enough served that the
+                // frame fits its slot should it materialize.
+                let added = ((units.len() - n) * FRAME_RECORD_SIZE) as u64;
+                let serving: u64 = units
+                    .iter()
+                    .filter(|u| u.served.is_some())
+                    .map(|u| u.len)
+                    .sum();
+                let from = units.partition_point(|u| u.off < last.cursor);
+                let sample = (0..units.len())
+                    .map(|j| (from + j) % units.len())
+                    .find(|&j| units[j].served.is_some() && serving - units[j].len >= added);
+                if let Some(j) = sample {
+                    cursor = (units[j].off + units[j].len) % total;
+                }
+                Plan {
+                    from: Some(last.digests),
+                    units,
+                    sample,
+                    dirty: ranges.iter().map(|&(_, len)| len).sum::<u64>().min(total),
+                }
             }
-            plan.dirty = ranges.iter().map(|&(_, len)| len).sum::<u64>().min(total);
-            for (i, served) in plan.served.iter_mut().enumerate() {
-                let carried = (last.digests.address(i)).filter(|_| clean[i] && digests.uncut(i));
-                let len = digests.extent(i).1 as u64;
-                *served = carried.is_some_and(|d| observed.serves(d, len).is_some());
-            }
-            let sample = (0..n)
-                .map(|k| (last.cursor + k) % n)
-                .find(|&i| plan.served[i]);
-            if let Some(i) = sample {
-                plan.served[i] = false;
-                plan.sample = Some((i, last.digests.address(i).expect("served, so filed")));
-                cursor = (i + 1) % n;
-            }
-            plan.from = Some(last.digests);
-        }
+            _ => copy_all(),
+        };
         let digests = Arc::clone(digests);
         (self.carries.lock()).insert(
             job,
@@ -1392,7 +1604,8 @@ impl PersistPipeline {
                 let batch = Batch::open(&self.io, ctx, job, Some(lease));
                 let start = ctx.telemetry.now_nanos();
                 for i in (0..n_chunks).take_while(|_| !batch.aborted()) {
-                    let piece = stage_chunk(ctx, &src, &digests, &mut open, i, pool.acquire());
+                    let extent = digests.extent(i);
+                    let piece = stage(ctx, &src, &digests, &mut open, extent, pool.acquire());
                     write(&batch, lease, i, piece);
                 }
                 drop(src);
@@ -1413,7 +1626,7 @@ impl PersistPipeline {
                 let buffers = pool.acquire_many(n_chunks);
                 let start = ctx.telemetry.now_nanos();
                 let staged: Vec<StagedChunk> = (buffers.into_iter().enumerate())
-                    .map(|(i, buf)| stage_chunk(ctx, &src, &digests, &mut open, i, buf))
+                    .map(|(i, buf)| stage(ctx, &src, &digests, &mut open, digests.extent(i), buf))
                     .collect();
                 drop(src);
                 ctx.telemetry.phase_done(ctx.span, Phase::GpuCopy, start);
@@ -1449,7 +1662,6 @@ impl PersistPipeline {
         let all_raw = || (digests.all_raw(lease.counter), FramedPlan::default());
         let (table, plan) = codec.unwrap_or_else(all_raw);
         let table_bytes = table.encode();
-        assert_eq!(table_bytes.len() as u64, packed, "the table fills its room");
         self.io
             .write_and_fence_chunk(ctx, SlotRef::of(lease), 0, &table_bytes)?;
         Ok(Copied {
@@ -1464,13 +1676,13 @@ impl PersistPipeline {
     }
 
     /// The codec's producer (module docs, "A codec frame streams"): plans,
-    /// files each served chunk's carried values, then copies the sample and,
-    /// in order, every chunk not served into pooled buffers whose digest
-    /// jobs feed the frame (the sample's also checks it against its carried
-    /// address). Leases at once if a slot can be had without waiting, and
-    /// before it waits for DRAM otherwise. Drops `src`, closes the `GpuCopy` phase and returns when
-    /// it started; the frame may still be classifying, compressing and
-    /// writing on the writer pool.
+    /// files each served record's carried values, then copies the sample
+    /// and, in order, every record not served into pooled buffers whose
+    /// digest jobs feed the frame (the sample's also checks it against its
+    /// carried address). Leases at once if a slot can be had without
+    /// waiting, and before it waits for DRAM otherwise. Drops `src`, closes
+    /// the `GpuCopy` phase and returns when it started; the frame may still
+    /// be classifying, compressing and writing on the writer pool.
     fn stream_frame(
         &self,
         ctx: PipelineCtx<'_>,
@@ -1487,14 +1699,21 @@ impl PersistPipeline {
         let lease = slot.lease(false);
         let batch = Batch::open(&self.io, ctx, ns.job(), lease);
         let mut leased = lease.is_some();
-        // A served chunk takes its values from the carry.
-        for i in (0..digests.n_chunks()).filter(|&i| plan.served[i]) {
-            digests.carry(plan.from.as_ref().expect("served from a carry"), i);
+        let frame = Frame::new(digests, observed, &plan, lease.map(SlotRef::of));
+        // A served record takes its values from the carry. So does the
+        // sample, until its digest job files what it read over them: a
+        // plan that follows before that job has run serves the sample's
+        // blocks, as it would any served record's, rather than copy its
+        // chunk whole.
+        for unit in &plan.units {
+            if let Some(served) = unit.served {
+                let from = plan.from.as_ref().expect("served from a carry");
+                digests.carry(from, unit.off, unit.len, served.address);
+            }
         }
-        let frame = Frame::new(digests, observed, plan.served, lease.map(SlotRef::of));
         let mut open = Vec::new();
         let mut copy = |i: usize| {
-            let off = digests.extent(i).0;
+            let Unit { off, len, served } = frame.units[i];
             let buf = match self.pool.try_acquire_many(1) {
                 Some(mut one) => one.remove(0),
                 None => {
@@ -1506,29 +1725,29 @@ impl PersistPipeline {
                     self.pool.acquire()
                 }
             };
-            let piece = stage_chunk(ctx, &src, digests, &mut open, i, buf);
+            let piece = stage(ctx, &src, digests, &mut open, (off, len as usize), buf);
             let (frame, codec) = (Arc::clone(&frame), Arc::clone(&self.codec));
-            let carried = plan.sample.filter(|s| s.0 == i).map(|s| s.1);
+            // Only the sample is both copied and served.
+            let carried = served.map(|served| served.address);
             batch.submit(&self.workers, move |batch| {
                 let (address, digesting) = batch.busy(|| frame.digests.file(off, piece.as_ref()));
                 if carried.is_some_and(|carried| carried != address) {
-                    // The source's tracker missed a write: this chunk is the
+                    // The source's tracker missed a write: this record is the
                     // GPU's, and no carry planned before now serves again.
                     codec.mismatches.fetch_add(1, Ordering::AcqRel);
                     let iteration = frame.digests.iteration;
                     (batch.telemetry).anomaly(iteration, 1.0, 0.0, f64::INFINITY);
                 }
-                let (bytes, busy) = frame.advance(batch, Some((i, piece)))?;
+                let (bytes, busy) = frame.advance(batch, Some((i, piece, address)))?;
                 Ok((bytes, digesting + busy))
             });
         };
         // The sample is copied first and, like the plan, outside the
         // `GpuCopy` phase: it checks the carry (its bytes land in the frame
         // all the same).
-        let sample = plan.sample.map(|(i, _)| i);
-        sample.into_iter().for_each(&mut copy);
+        plan.sample.into_iter().for_each(&mut copy);
         let start = ctx.telemetry.now_nanos();
-        let copied = (0..digests.n_chunks()).filter(|&i| !frame.served[i] && Some(i) != sample);
+        let copied = (0..plan.units.len()).filter(|&i| frame.copies(i) && Some(i) != plan.sample);
         for i in copied.take_while(|_| !batch.aborted()) {
             copy(i);
         }
@@ -1639,7 +1858,7 @@ impl PersistPipeline {
             frame.link,
         )?;
         if let (CommitOutcome::Committed, Some(mut dedup)) = (outcome, install) {
-            dedup.install(job, counter, frame.homes.iter().copied());
+            dedup.install(job, counter, frame.homes.iter().copied(), &frame.blocks);
         }
         ctx.telemetry
             .phase_done(ctx.span, Phase::Commit, commit_start);

@@ -9,7 +9,7 @@
 //! physical bytes the framed path persisted against the logical bytes the
 //! raw path would have written — the persist-bytes reduction
 //! `high_redundancy_sweep_saves_at_least_three_x` asserts — plus how many
-//! checkpoints actually framed and how many chunks resolved as dedup
+//! checkpoints actually framed and how many records resolved as dedup
 //! references. Every run finishes with a cold recovery and checks the
 //! reconstructed payload bit-for-bit against the final device-side state.
 
@@ -40,8 +40,11 @@ pub(crate) const STATE_BYTES: u64 = 256 * 1024;
 pub(crate) const CHUNK_BYTES: u64 = 8 * 1024;
 
 /// Training-state size of the mixed-state row: large enough that the 5%
-/// of the dense tensor a step dirties spans several chunks, so that the
-/// codec and not chunk rounding sets the persisted share.
+/// of the dense tensor a step dirties spans several chunks. Records follow
+/// the dirty runs on digest-block boundaries, so the clean head of the
+/// chunk a dirty tail starts in is a `DedupBase` naming its home range,
+/// not bytes written again: the codec, not chunk rounding, sets the
+/// persisted share.
 pub(crate) const MIXED_STATE_BYTES: u64 = 4 * 1024 * 1024;
 
 /// Staging/codec chunk size of the mixed-state row.
@@ -127,7 +130,8 @@ pub(crate) struct ExtCompressRow {
     pub(crate) bytes_saved_ratio: f64,
     /// Checkpoints whose codec frame paid (the rest went out all-`Raw`).
     pub(crate) framed: u64,
-    /// Chunks stored as dedup references across the run.
+    /// Records stored as dedup references across the run: whole chunks,
+    /// and the clean runs of chunks an update cut.
     pub(crate) dedup_chunks: u64,
     /// Cold recovery reproduced the final state bit-for-bit.
     pub(crate) recovered_bit_identical: bool,

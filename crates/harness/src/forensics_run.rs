@@ -4,9 +4,11 @@
 //! [`PersistPipeline`] (lease → copy → seal → commit, one writer): every
 //! tenant's baseline, then two sparse mutations of the driven tenant's. A
 //! codec row copies under [`CopyMode::Codec`], so its first mutation
-//! commits as a frame linked to the baseline; a `Raw` row copies under
-//! [`CopyMode::Streamed`]. The device's persist fuse crashes the run's
-//! power domain on its `k`-th persist ([`run_to_crash`]); under
+//! commits as a frame linked to the baseline, and takes a third mutation
+//! that cuts a chunk off the chunk grid, so its frame is cut at the dirty
+//! run; a `Raw` row copies under [`CopyMode::Streamed`]. The device's
+//! persist fuse crashes the run's power domain on its `k`-th persist
+//! ([`run_to_crash`]); under
 //! [`CrashPolicy::DropUnpersisted`] every durable image the run can leave
 //! is one of these persist prefixes, so sweeping `k` from 0 until the fuse
 //! no longer fires tries every crash instant of the run, and
@@ -28,13 +30,11 @@ use pccheck::{
 use pccheck_device::{
     CrashPolicy, DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice, StripedDevice,
 };
-use pccheck_gpu::StateDigest;
+use pccheck_gpu::{SnapshotSource, StateDigest, Version};
 use pccheck_monitor::ForensicReport;
 use pccheck_telemetry::{SpanId, Telemetry};
 use pccheck_util::sync::must_not_hang;
 use pccheck_util::{fnv1a, ByteSize};
-
-use crate::HostPayload;
 
 /// Device topology a crash scenario runs against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,9 +55,11 @@ pub enum Baselines {
     /// Every checkpoint is a byte ramp seeded by its iteration, copied
     /// under [`CopyMode::Streamed`]: an all-`Raw` frame.
     Raw,
-    /// Every checkpoint is a state of 32-byte tiles copied under
-    /// [`CopyMode::Codec`]: compressed records and `DedupSelf` copies, and
-    /// `DedupBase` hits on the tenant's previous commit.
+    /// Every checkpoint is a state of 32-byte tiles and pseudo-random
+    /// bytes copied under [`CopyMode::Codec`]: compressed and `Raw`
+    /// records, `DedupSelf` copies, and `DedupBase` hits on the tenant's
+    /// previous commits — of whole chunks, and of the clean part of a chunk
+    /// a mutation cut.
     Codec,
 }
 
@@ -92,9 +94,9 @@ pub struct ForensicsRunConfig {
     pub flight_records: u32,
     /// Iteration captured by the first tenant's baseline checkpoint.
     pub baseline_iteration: u64,
-    /// Iteration captured by the driven tenant's last checkpoint; its
-    /// first sparse mutation captures the iteration halfway from its
-    /// baseline's.
+    /// Iteration captured by the driven tenant's second sparse mutation;
+    /// its first captures the iteration halfway from its baseline's, and a
+    /// codec row's third the one after this.
     pub crash_iteration: u64,
     /// Device topology backing the store.
     pub topology: DeviceTopology,
@@ -151,26 +153,42 @@ impl ForensicsRunConfig {
     }
 
     /// Every checkpoint the driver takes when it drives `job`, in order:
-    /// each tenant's baseline, then two sparse mutations of `job`'s.
+    /// each tenant's baseline, then two sparse mutations of `job`'s — on
+    /// the chunk grid — and, in a codec row, a third that writes the second
+    /// half of chunk 1 and leaves its first half clean.
     fn checkpoints(&self, job: JobId) -> Vec<Driven> {
         let len = self.state_bytes;
-        let driven = |job, iteration, state| Driven {
+        let driven = |job, iteration, state, seq, dirty| Driven {
             job,
             iteration,
             state,
+            seq,
+            dirty,
             acked: false,
         };
         let mut out: Vec<Driven> = (self.tenants.iter().zip(self.baseline_iteration..))
             .map(|(&tenant, iteration)| {
-                driven(tenant, iteration, self.baselines.state(iteration, len))
+                let state = self.baselines.state(iteration, len);
+                driven(tenant, iteration, state, 0, Vec::new())
             })
             .collect();
         let base = out.iter().find(|c| c.job == job).expect("job is a tenant");
         let mid = base.iteration + self.crash_iteration.saturating_sub(base.iteration) / 2;
-        let first = sparse_payload(&base.state, mid, &[(0, len / 8), (len / 2, len / 8)]);
-        let second = sparse_payload(&first, self.crash_iteration, &[(len / 4, len / 8)]);
-        out.push(driven(job, mid, first));
-        out.push(driven(job, self.crash_iteration, second));
+        let mut mutations = vec![
+            (mid, vec![(0, len / 8), (len / 2, len / 8)]),
+            (self.crash_iteration, vec![(len / 4, len / 8)]),
+        ];
+        if self.baselines == Baselines::Codec {
+            mutations.push((
+                self.crash_iteration + 1,
+                vec![(len / 8 + len / 16, len / 16)],
+            ));
+        }
+        let mut state = base.state.clone();
+        for (seq, (iteration, dirty)) in (1..).zip(mutations) {
+            state = sparse_payload(&state, iteration, &dirty);
+            out.push(driven(job, iteration, state.clone(), seq, dirty));
+        }
         out
     }
 }
@@ -181,8 +199,65 @@ struct Driven {
     job: JobId,
     iteration: u64,
     state: Vec<u8>,
+    /// Its place in its tenant's checkpoints, 0 for the baseline.
+    seq: u64,
+    /// The ranges its mutation wrote over the tenant's previous state.
+    dirty: Vec<(u64, u64)>,
     /// Whether its commit was acknowledged (`Committed`) before the crash.
     acked: bool,
+}
+
+impl Driven {
+    /// The checkpoint's snapshot, with its place in its tenant's history:
+    /// the codec serves what its mutation left clean.
+    fn snapshot(&self) -> Snapshot<'_> {
+        Snapshot {
+            state: &self.state,
+            step: self.iteration,
+            history: Some((self.seq, &self.dirty)),
+        }
+    }
+}
+
+/// The [`Version::source`] of every driven tenant's history: GPUs take
+/// theirs counting up from 0, and a scenario's pipeline serves no GPU.
+const DRIVER_SOURCE: u64 = u64::MAX;
+
+/// A snapshot the driver copies: a state and the step it captures, and —
+/// when it has one — its place in its tenant's history and the ranges
+/// written since the checkpoint before it.
+struct Snapshot<'a> {
+    state: &'a [u8],
+    step: u64,
+    history: Option<(u64, &'a [(u64, u64)])>,
+}
+
+impl SnapshotSource for Snapshot<'_> {
+    fn size(&self) -> ByteSize {
+        ByteSize::from_bytes(self.state.len() as u64)
+    }
+
+    fn step_count(&self) -> u64 {
+        self.step
+    }
+
+    fn copy_range_to_host(&self, offset: u64, dst: &mut [u8]) {
+        let at = offset as usize;
+        dst.copy_from_slice(&self.state[at..at + dst.len()]);
+    }
+
+    fn version(&self) -> Option<Version> {
+        let (seq, _) = self.history?;
+        Some(Version {
+            source: DRIVER_SOURCE,
+            seq,
+        })
+    }
+
+    fn dirty_since(&self, seq: u64) -> Option<Vec<(u64, u64)>> {
+        let (at, dirty) = self.history?;
+        (seq + 1 == at).then(|| dirty.to_vec())
+    }
 }
 
 /// Everything one crash scenario produces.
@@ -221,19 +296,20 @@ pub fn sparse_payload(base: &[u8], iteration: u64, ranges: &[(u64, u64)]) -> Vec
 /// eighths.
 const FRAME_CHUNKS: usize = 8;
 
-/// A [`Baselines::Codec`] state seeded by `seed`: 32-byte tiles, so every
-/// chunk compresses, shifted by 128 in every odd eighth — so each chunk
-/// from the third on is a `DedupSelf` copy of chunk 0 or of chunk 1, and a
-/// restore that copies from the wrong job lands the wrong bytes.
+/// A [`Baselines::Codec`] state seeded by `seed`: 32-byte tiles in every
+/// even eighth, so those chunks compress, and one chunk of pseudo-random
+/// bytes repeated in every odd eighth, which stays `Raw` — so each chunk
+/// from the third on is a `DedupSelf` copy of chunk 0 or of chunk 1, a
+/// restore that copies from the wrong job lands the wrong bytes, and the
+/// clean part of chunk 1 has a home that holds it verbatim.
 fn tiled_payload(seed: u64, len: u64) -> Vec<u8> {
     let chunk = (len / FRAME_CHUNKS as u64).max(1);
+    let mut noise = vec![0u8; chunk as usize];
+    pccheck_util::rng::fill_deterministic(&mut noise, seed);
     (0..len)
-        .map(|i| {
-            let shift = ((i / chunk) % 2) as u8 * 128;
-            (seed as u8)
-                .wrapping_mul(31)
-                .wrapping_add(i as u8 % 32)
-                .wrapping_add(shift)
+        .map(|i| match (i / chunk) % 2 {
+            0 => (seed as u8).wrapping_mul(31).wrapping_add(i as u8 % 32),
+            _ => noise[(i % chunk) as usize],
         })
         .collect()
 }
@@ -264,15 +340,15 @@ pub fn commit_checkpoint(
 }
 
 /// Takes one checkpoint of `job` through `pipeline` — lease, copy under
-/// `mode`, seal, commit — of `state` captured at `step` and acknowledged
-/// at `iteration`. `leased` sees the counter before the copy starts.
-/// Returns whether the commit was acknowledged as the tenant's newest.
+/// `mode`, seal, commit — of `src`, acknowledged at `iteration`. `leased`
+/// sees the counter before the copy starts. Returns whether the commit was
+/// acknowledged as the tenant's newest.
 fn checkpoint(
     pipeline: &PersistPipeline,
     mode: CopyMode,
     job: JobId,
-    (iteration, step): (u64, u64),
-    state: &[u8],
+    iteration: u64,
+    src: Snapshot<'_>,
     leased: impl FnOnce(u64),
 ) -> Result<bool, PccheckError> {
     let telemetry = Telemetry::disabled();
@@ -282,12 +358,8 @@ fn checkpoint(
     };
     let lease = pipeline.lease(ctx, &pipeline.store().namespace(job)?);
     leased(lease.counter);
-    let src = HostPayload {
-        data: state.to_vec(),
-        step,
-    };
-    let total = ByteSize::from_bytes(state.len() as u64);
-    let copied = pipeline.copy(ctx, &src, &lease, iteration, total, mode)?;
+    let total = src.size();
+    let copied = pipeline.copy(ctx, src, &lease, iteration, total, mode)?;
     pipeline.seal(ctx, &lease, iteration, &copied)?;
     Ok(pipeline.commit(ctx, lease, iteration, &copied)? == CommitOutcome::Committed)
 }
@@ -346,8 +418,8 @@ fn crash(
                 counters.push(counter);
             }
         };
-        let at = (c.iteration, c.iteration);
-        match checkpoint(&pipeline, cfg.baselines.mode(), c.job, at, &c.state, leased) {
+        let (mode, src) = (cfg.baselines.mode(), c.snapshot());
+        match checkpoint(&pipeline, mode, c.job, c.iteration, src, leased) {
             Ok(acked) => c.acked = acked,
             // Only the crash may stop the run.
             Err(_) if fired() => break,
@@ -582,10 +654,14 @@ impl ForensicsRun {
             let store = CheckpointStore::open(Arc::clone(&device))
                 .map_err(|e| format!("the recovered store does not open: {e}"))?;
             let pipeline = cfg.pipeline(&Arc::new(store));
-            let iteration = cfg.crash_iteration + 1;
+            let iteration = cfg.crash_iteration + 2;
             let state = cfg.baselines.state(iteration, cfg.state_bytes);
-            let (mode, at) = (cfg.baselines.mode(), (iteration, iteration + 1));
-            let acked = checkpoint(&pipeline, mode, job, at, &state, drop)
+            let src = Snapshot {
+                state: &state,
+                step: iteration + 1,
+                history: None,
+            };
+            let acked = checkpoint(&pipeline, cfg.baselines.mode(), job, iteration, src, drop)
                 .map_err(|e| format!("no checkpoint after recovery: {e}"))?;
             drop(pipeline);
             let recovered = recover_job(&device, job, 1)

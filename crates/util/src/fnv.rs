@@ -21,8 +21,9 @@
 //!   recovery path. All three get their block values from
 //!   `block_digests`, which walks four blocks at a time;
 //!   [`whole_blocks`] says which blocks a piece of the state can hand it.
-//! - `record_digest` / [`content_address`]: a frame record's content
-//!   address, a fold of the same block values over the record's own bytes.
+//! - [`record_digest`] / [`content_address`]: a frame record's content
+//!   address, a fold of the same block values over the record's own bytes
+//!   — from values already in hand, or from the bytes.
 //!   [`file_blocks`] takes both digests of a piece in one pass, which is
 //!   every pass on a block-aligned geometry.
 
@@ -210,13 +211,15 @@ pub fn fold_blocks(step: u64, len: u64, blocks: impl IntoIterator<Item = u64>) -
 }
 
 /// A frame record's content address: a fold, seeded with the record's
-/// length, of the [`block_digests`] of its own bytes — blocks counted from
-/// the record's first byte, the last one short.
-pub(crate) fn record_digest(len: u64, blocks: impl IntoIterator<Item = u64>) -> u64 {
+/// length, of the `block_digests` of its own bytes — blocks counted from
+/// the record's first byte, the last one short. A record that starts on a
+/// block boundary has the state's blocks for its own, so their values,
+/// filed or carried, give its address without its bytes.
+pub fn record_digest(len: u64, blocks: impl IntoIterator<Item = u64>) -> u64 {
     [len].into_iter().chain(blocks).fold(FNV_SEED, mix)
 }
 
-/// `record_digest` of `record`'s bytes.
+/// [`record_digest`] of `record`'s bytes.
 pub fn content_address(record: &[u8]) -> u64 {
     record_digest(record.len() as u64, block_digests(record))
 }

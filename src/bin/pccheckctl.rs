@@ -36,6 +36,7 @@
 //! workload under tight SLOs until the watchdog trips and captures a
 //! black-box bundle — the CI smoke for the whole observability layer.
 
+use std::io::Write;
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -43,8 +44,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pccheck::{
-    recover_instrumented_with, recovery, CheckpointStore, PcCheckConfig, PcCheckEngine,
-    RestoreOptions, DEFAULT_JOB,
+    bind_frame_table, recover_instrumented_with, recovery, CheckMeta, CheckpointStore,
+    ChunkEncoding, PcCheckConfig, PcCheckEngine, RestoreOptions, DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, FileDevice, PersistentDevice, SsdDevice, StripedDevice};
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingState};
@@ -67,6 +68,37 @@ const SEED: u64 = 2025;
 /// Crashdemo geometry: small enough to audit instantly, flight ring on.
 const CRASH_STATE_BYTES: u64 = 64 * 1024;
 const CRASH_FLIGHT_RECORDS: u32 = 128;
+
+/// Writes to standard output, which every line a command prints goes
+/// through. A reader that stops reading (`pccheckctl info store.pcc | head
+/// -2`) ends the command quietly, as a finished one; any other error
+/// writing it ends the command with a message and status 1.
+fn emit(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("pccheckctl: writing standard output: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    () => {
+        emit(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn usage() -> ExitCode {
     eprintln!("usage: pccheckctl demo <store-file> [iterations]");
@@ -151,7 +183,7 @@ fn cmd_demo(path: &str, iterations: u64) -> Result<(), Box<dyn std::error::Error
         gpu.state_size(),
     )?;
     let interval = 5u64;
-    println!("training {iterations} iterations, checkpointing every {interval} into {path}");
+    outln!("training {iterations} iterations, checkpointing every {interval} into {path}");
     for iter in 1..=iterations {
         gpu.update();
         if iter % interval == 0 {
@@ -160,8 +192,8 @@ fn cmd_demo(path: &str, iterations: u64) -> Result<(), Box<dyn std::error::Error
     }
     engine.drain();
     match engine.last_committed() {
-        Some(out) => println!("done: latest committed {out}"),
-        None => println!("done: no checkpoint boundary reached (run more iterations)"),
+        Some(out) => outln!("done: latest committed {out}"),
+        None => outln!("done: no checkpoint boundary reached (run more iterations)"),
     }
     Ok(())
 }
@@ -176,35 +208,44 @@ fn open_device(path: &str) -> Result<Arc<dyn PersistentDevice>, Box<dyn std::err
 
 fn cmd_info(path: &str) -> Result<(), Box<dyn std::error::Error>> {
     let store = CheckpointStore::open(open_device(path)?)?;
-    println!(
+    outln!(
         "store: {} slots x {} payload",
         store.num_slots(),
         store.slot_size()
     );
     for desc in store.namespaces() {
         let ns = store.namespace(desc.job)?;
-        println!(
+        outln!(
             "job {}: slots {:?}, {} free",
             desc.job,
             desc.slot_range(),
             store.free_slot_count(&ns)
         );
         match store.latest_committed(&ns) {
-            Some(m) => println!(
-                "  latest committed: counter {} iteration {} ({} bytes)",
-                m.counter, m.iteration, m.payload_len
-            ),
-            None => println!("  latest committed: none"),
+            Some(m) => {
+                outln!(
+                    "  latest committed: counter {} iteration {} ({} bytes)",
+                    m.counter,
+                    m.iteration,
+                    m.payload_len
+                );
+                outln!("  head frame: {}", record_mix(&store, &m));
+            }
+            None => outln!("  latest committed: none"),
         }
-        println!("  history:");
+        outln!("  history:");
         for meta in store.history(&ns)? {
             let kind = match meta.delta {
                 Some(link) => format!("base->c{} depth {}", link.base_counter, link.chain_depth),
                 None => "full".to_string(),
             };
-            println!(
+            outln!(
                 "    counter {:>4} iteration {:>6} {:>10} bytes digest {:016x} {}",
-                meta.counter, meta.iteration, meta.payload_len, meta.digest, kind
+                meta.counter,
+                meta.iteration,
+                meta.payload_len,
+                meta.digest,
+                kind
             );
         }
     }
@@ -212,13 +253,13 @@ fn cmd_info(path: &str) -> Result<(), Box<dyn std::error::Error>> {
     // the durable state word (Free/Claimed/Committed + counter) next to
     // the decision it supports (DESIGN §13).
     let view = pccheck::RawStoreView::load(store.device().as_ref())?;
-    println!("slots:");
+    outln!("slots:");
     for slot in 0..store.num_slots() {
         let word = match view.slot_state.get(slot as usize).copied().flatten() {
             Some(state) => state.to_string(),
             None => "torn".to_string(),
         };
-        println!(
+        outln!(
             "  slot {:>3} state {:<14} outcome {}",
             slot,
             word,
@@ -226,6 +267,32 @@ fn cmd_info(path: &str) -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     Ok(())
+}
+
+/// The record mix of the frame committed as `meta`: how many records of
+/// each encoding it holds, and the packed bytes they take — a frame cut at
+/// a dirty run shows as more records than chunks.
+fn record_mix(store: &CheckpointStore, meta: &CheckMeta) -> String {
+    let table = store.read_checkpoint(meta).ok();
+    let Some(table) = table.and_then(|payload| bind_frame_table(&payload, meta)) else {
+        return "unreadable".to_string();
+    };
+    let encodings = [
+        ChunkEncoding::Raw,
+        ChunkEncoding::Lz,
+        ChunkEncoding::DedupSelf,
+        ChunkEncoding::DedupBase,
+    ];
+    let mix = encodings.map(|kind| {
+        let records = table.records.iter().filter(|r| r.kind == kind);
+        // A reference's `b` is an offset in its home, not bytes here.
+        let packed: u64 = match kind {
+            ChunkEncoding::Raw | ChunkEncoding::Lz => records.clone().map(|r| r.b).sum(),
+            _ => 0,
+        };
+        format!("{kind:?} {} ({packed} B)", records.count())
+    });
+    format!("{} records: {}", table.records.len(), mix.join(", "))
 }
 
 fn cmd_recover(path: &str, readers: usize) -> Result<(), Box<dyn std::error::Error>> {
@@ -243,29 +310,29 @@ fn cmd_recover(path: &str, readers: usize) -> Result<(), Box<dyn std::error::Err
     if let Some(state) = &demo {
         recovery::verify_against_state(&rec, &state.layout())?;
     }
-    println!(
+    outln!(
         "recovered iteration {} ({} bytes) with {readers} reader(s), digest verified: {:016x}",
         rec.iteration,
         rec.payload.len(),
         rec.digest
     );
     let ms = |nanos: u64| nanos as f64 / 1e6;
-    println!(
+    outln!(
         "  scan   {:>9.3} ms  ({} candidate(s), {} fallback(s))",
         ms(trace.scan_nanos),
         trace.candidates_scanned,
         trace.fallbacks
     );
-    println!(
+    outln!(
         "  load   {:>9.3} ms  ({} base link(s) resolved)",
         ms(trace.load_nanos),
         trace.chain_links
     );
-    println!(
+    outln!(
         "  verify {:>9.3} ms  (digest compute inside load, summed over readers)",
         ms(trace.verify_nanos)
     );
-    println!("  total  {:>9.3} ms", ms(trace.total_nanos));
+    outln!("  total  {:>9.3} ms", ms(trace.total_nanos));
     // Prove a demo state is usable: restore and advance one step.
     let Some(state) = demo else {
         return Ok(());
@@ -273,7 +340,7 @@ fn cmd_recover(path: &str, readers: usize) -> Result<(), Box<dyn std::error::Err
     let gpu = Gpu::new(GpuConfig::fast_for_tests(), state);
     rec.restore_into(&gpu);
     gpu.update();
-    println!(
+    outln!(
         "resumed training: now at step {} (digest {})",
         gpu.step_count(),
         gpu.digest()
@@ -287,9 +354,10 @@ fn cmd_telemetry(out_dir: &str, strategy: &str) -> Result<(), Box<dyn std::error
         interval: 5,
         ..InstrumentedRunConfig::default()
     };
-    println!(
+    outln!(
         "instrumented run: {strategy}, {} iterations, checkpoint every {}",
-        cfg.iterations, cfg.interval
+        cfg.iterations,
+        cfg.interval
     );
     let run = run_instrumented(strategy, &cfg)?;
     std::fs::create_dir_all(out_dir)?;
@@ -299,8 +367,8 @@ fn cmd_telemetry(out_dir: &str, strategy: &str) -> Result<(), Box<dyn std::error
     std::fs::write(dir.join("summary.txt"), &summary)?;
     std::fs::write(dir.join("events.jsonl"), json_lines(&events))?;
     std::fs::write(dir.join("trace.json"), chrome_trace(&events))?;
-    print!("{summary}");
-    println!(
+    out!("{summary}");
+    outln!(
         "wrote {} events to {}/{{summary.txt,events.jsonl,trace.json}}",
         events.len(),
         out_dir
@@ -319,17 +387,17 @@ fn cmd_crashdemo(path: &str, k: u64) -> Result<(), Box<dyn std::error::Error>> {
     let image = crashed_image(&cfg, DEFAULT_JOB, k)?
         .ok_or_else(|| format!("the run makes no more than {k} persists: nothing crashed"))?;
     std::fs::write(path, image)?;
-    println!("crashed a run of codec checkpoints on its persist #{k}");
-    println!("wrote the durable image the crash left to {path}; audit it with:");
-    println!("pccheckctl forensics {path}");
+    outln!("crashed a run of codec checkpoints on its persist #{k}");
+    outln!("wrote the durable image the crash left to {path}; audit it with:");
+    outln!("pccheckctl forensics {path}");
     Ok(())
 }
 
 fn cmd_forensics(path: &str) -> Result<(), Box<dyn std::error::Error>> {
     let report = pccheck_monitor::audit(open_device(path)?)?;
-    print!("{}", report.render());
+    out!("{}", report.render());
     if report.is_clean() {
-        println!("verdict: clean — the commit protocol's invariants hold");
+        outln!("verdict: clean — the commit protocol's invariants hold");
         Ok(())
     } else {
         Err(format!("{} invariant violation(s) found", report.violations.len()).into())
@@ -365,7 +433,7 @@ fn cmd_device(path: &str, ways: u32) -> Result<(), Box<dyn std::error::Error>> {
         gpu.state_size(),
     )?;
     let (iterations, interval) = (20u64, 5u64);
-    println!("exercising {ways}-way store at {path}: {iterations} iterations, checkpoint every {interval}");
+    outln!("exercising {ways}-way store at {path}: {iterations} iterations, checkpoint every {interval}");
     for iter in 1..=iterations {
         gpu.update();
         if iter % interval == 0 {
@@ -373,14 +441,22 @@ fn cmd_device(path: &str, ways: u32) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     engine.drain();
-    println!(
+    outln!(
         "{:<10} {:>14} {:>16} {:>12} {:>8}",
-        "device", "bytes_written", "bytes_persisted", "persist_ops", "peak_qd"
+        "device",
+        "bytes_written",
+        "bytes_persisted",
+        "persist_ops",
+        "peak_qd"
     );
     for r in device.stats_report() {
-        println!(
+        outln!(
             "{:<10} {:>14} {:>16} {:>12} {:>8}",
-            r.name, r.bytes_written, r.bytes_persisted, r.persist_ops, r.peak_queue_depth
+            r.name,
+            r.bytes_written,
+            r.bytes_persisted,
+            r.persist_ops,
+            r.peak_queue_depth
         );
     }
     Ok(())
@@ -391,7 +467,7 @@ fn cmd_serve(addr: &str, iterations: u64) -> Result<(), Box<dyn std::error::Erro
     let device: Arc<dyn PersistentDevice> = Arc::new(SsdDevice::new(device_config()));
     let registry = MetricsRegistry::new(telemetry.clone()).with_device(Arc::clone(&device));
     let server = MetricsServer::bind(addr, registry)?;
-    println!(
+    outln!(
         "serving GET /metrics and GET /metrics.json at http://{}",
         server.addr()
     );
@@ -411,7 +487,7 @@ fn cmd_serve(addr: &str, iterations: u64) -> Result<(), Box<dyn std::error::Erro
     )?
     .with_telemetry(telemetry.clone());
     let interval = 5u64;
-    println!("training {iterations} iterations, checkpointing every {interval}; scrape away");
+    outln!("training {iterations} iterations, checkpointing every {interval}; scrape away");
     for iter in 1..=iterations {
         gpu.update();
         if iter % interval == 0 {
@@ -431,7 +507,7 @@ fn cmd_serve(addr: &str, iterations: u64) -> Result<(), Box<dyn std::error::Erro
         Some(peak) if peak != "0" => peak,
         peak => return Err(format!("{series}is {peak:?} after training").into()),
     };
-    println!("final self-scrape: {samples} samples, exposition parses, device queue peak {peak}");
+    outln!("final self-scrape: {samples} samples, exposition parses, device queue peak {peak}");
     server.shutdown();
     Ok(())
 }
@@ -441,14 +517,14 @@ fn cmd_top(target: &str, refreshes: u64) -> Result<(), Box<dyn std::error::Error
         // Remote mode: poll a running `pccheckctl serve` endpoint.
         for round in 1..=refreshes {
             let prom = http_get(addr, "/metrics")?;
-            println!("-- {addr} refresh {round}/{refreshes} --");
+            outln!("-- {addr} refresh {round}/{refreshes} --");
             for line in prom.lines() {
                 if line.starts_with("pccheck_checkpoints_")
                     || line.starts_with("pccheck_in_flight")
                     || line.starts_with("pccheck_queue_depth")
                     || line.starts_with("pccheck_stall_fraction")
                 {
-                    println!("  {line}");
+                    outln!("  {line}");
                 }
             }
             if round < refreshes {
@@ -496,8 +572,8 @@ fn cmd_top(target: &str, refreshes: u64) -> Result<(), Box<dyn std::error::Error
     };
     for round in 1..=refreshes {
         std::thread::sleep(Duration::from_millis(300));
-        println!("-- refresh {round}/{refreshes} --");
-        print!("{}", registry.console_view());
+        outln!("-- refresh {round}/{refreshes} --");
+        out!("{}", registry.console_view());
     }
     worker.join().map_err(|_| "workload thread panicked")??;
     Ok(())
@@ -546,7 +622,7 @@ fn cmd_watchdog(out_dir: &str, iterations: u64) -> Result<(), Box<dyn std::error
         },
         out_dir,
     );
-    println!(
+    outln!(
         "throttled workload: {iterations} iterations, checkpoint every iteration, SLO stall<=5%"
     );
     // Checkpoint back-to-back: with N=1 each call after the first blocks in
@@ -563,7 +639,7 @@ fn cmd_watchdog(out_dir: &str, iterations: u64) -> Result<(), Box<dyn std::error
         return Err("watchdog did not fire (expected a stall-fraction violation)".into());
     }
     for v in &violations {
-        println!(
+        outln!(
             "violation: {} observed {:.3} > allowed {:.3}",
             v.rule.name(),
             v.observed,
@@ -590,7 +666,7 @@ fn cmd_watchdog(out_dir: &str, iterations: u64) -> Result<(), Box<dyn std::error
     if !flight.contains("forensic audit") {
         return Err("flight.txt is not a forensic audit".into());
     }
-    println!(
+    outln!(
         "black-box bundle at {} ({samples} metric samples, forensic audit attached)",
         bundle.display()
     );
@@ -613,7 +689,7 @@ fn cmd_profile(
 ) -> Result<(), Box<dyn std::error::Error>> {
     if std::path::Path::new(target).is_file() {
         let profile = RunProfile::from_json(&std::fs::read_to_string(target)?)?;
-        print!("{}", render_profile(&profile));
+        out!("{}", render_profile(&profile));
         return Ok(());
     }
     let cfg = ProfileRunConfig {
@@ -627,9 +703,9 @@ fn cmd_profile(
     let path = archive.store(&run.profile)?;
     let trace_path = archive.dir().join(format!("{target}.trace.json"));
     std::fs::write(&trace_path, chrome_trace_annotated(&run.telemetry.events()))?;
-    print!("{}", render_profile(&run.profile));
-    println!("archived {}", path.display());
-    println!("annotated trace {}", trace_path.display());
+    out!("{}", render_profile(&run.profile));
+    outln!("archived {}", path.display());
+    outln!("annotated trace {}", trace_path.display());
     Ok(())
 }
 
@@ -657,9 +733,15 @@ fn cmd_job(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     match sub {
         "list" => {
             let body = http_get(addr, "/jobs")?;
-            println!(
+            outln!(
                 "{:<14} {:>4} {:<8} {:>3} {:>9} {:>14} {:>7}",
-                "job", "id", "state", "N", "commits", "bytes", "share"
+                "job",
+                "id",
+                "state",
+                "N",
+                "commits",
+                "bytes",
+                "share"
             );
             // The daemon emits a flat array of flat objects; split on the
             // object boundary rather than pulling in a JSON parser.
@@ -667,7 +749,7 @@ fn cmd_job(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 if obj.trim().is_empty() {
                     continue;
                 }
-                println!(
+                outln!(
                     "{:<14} {:>4} {:<8} {:>3} {:>9} {:>14} {:>7}",
                     json_field(obj, "name").unwrap_or("?"),
                     json_field(obj, "id").unwrap_or("?"),
@@ -690,18 +772,18 @@ fn cmd_job(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 query.push_str(&format!("&{k}={v}"));
             }
             let body = http_get(addr, &query)?;
-            println!("{}", body.trim());
+            outln!("{}", body.trim());
             Ok(())
         }
         "drain" => {
             let name = args.get(4).ok_or("drain needs a job name")?;
             let body = http_get(addr, &format!("/drain?name={name}"))?;
-            println!("{}", body.trim());
+            outln!("{}", body.trim());
             Ok(())
         }
         "shutdown" => {
             let body = http_get(addr, "/shutdown")?;
-            println!("{}", body.trim());
+            outln!("{}", body.trim());
             Ok(())
         }
         other => {
@@ -722,7 +804,7 @@ fn cmd_diff(base: &str, cand: &str, mode: &str) -> Result<(), Box<dyn std::error
     let mut regressed = false;
     for m in modes {
         let d = diff_profiles(&base_profile, &cand_profile, m, &DiffThresholds::default());
-        print!("{}", render_diff(&d));
+        out!("{}", render_diff(&d));
         regressed |= d.regressed;
     }
     if regressed {

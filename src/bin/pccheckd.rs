@@ -170,31 +170,48 @@ fn run_service(
     Ok(())
 }
 
+/// The `[jobs]` positional at `args[at]`, clamped to 1..=16: 4 when absent,
+/// and a usage error naming it when it does not parse.
+fn jobs_arg(args: &[String], at: usize) -> Result<usize, String> {
+    let Some(s) = args.get(at) else {
+        return Ok(4);
+    };
+    let jobs = s.parse::<usize>();
+    let jobs = jobs.map_err(|_| format!("<jobs> {s:?} does not parse"))?;
+    Ok(jobs.clamp(1, 16))
+}
+
+/// Parses the command line into `(metrics addr, control addr, jobs,
+/// verbose)`. A usage error (an unknown command, or an argument that is
+/// missing, does not parse, or is one the command does not take) is `Err`,
+/// and no daemon has started.
+fn parse(args: &[String]) -> Result<(&str, &str, usize, bool), String> {
+    let (takes, service) = match args.get(1).map(String::as_str) {
+        Some("smoke") => (1, ("127.0.0.1:0", "127.0.0.1:0", false)),
+        Some("serve") => match (args.get(2), args.get(3)) {
+            (Some(m), Some(c)) => (3, (m.as_str(), c.as_str(), true)),
+            _ => return Err("serve needs <metrics-addr> <ctl-addr>".into()),
+        },
+        Some(other) => return Err(format!("unknown command {other:?}")),
+        None => return Err("missing command".into()),
+    };
+    if let Some(extra) = args.get(2 + takes) {
+        return Err(format!("unexpected argument {extra:?}"));
+    }
+    let (metrics, control, verbose) = service;
+    Ok((metrics, control, jobs_arg(args, 1 + takes)?, verbose))
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
-    let result = match args.get(1).map(String::as_str) {
-        Some("smoke") => {
-            let jobs = args
-                .get(2)
-                .and_then(|s| s.parse::<usize>().ok())
-                .unwrap_or(4)
-                .clamp(1, 16);
-            run_service("127.0.0.1:0", "127.0.0.1:0", jobs, false)
+    let (metrics, control, jobs, verbose) = match parse(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("pccheckd: {e}");
+            return usage();
         }
-        Some("serve") => match (args.get(2), args.get(3)) {
-            (Some(m), Some(c)) => {
-                let jobs = args
-                    .get(4)
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .unwrap_or(4)
-                    .clamp(1, 16);
-                run_service(m, c, jobs, true)
-            }
-            _ => return usage(),
-        },
-        _ => return usage(),
     };
-    match result {
+    match run_service(metrics, control, jobs, verbose) {
         Ok(()) => {
             println!("pccheckd: all gates passed");
             ExitCode::SUCCESS

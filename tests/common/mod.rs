@@ -4,11 +4,17 @@
 //! persist of the product's pipeline.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
-use pccheck::{recovery, PccheckError, DEFAULT_JOB};
+use pccheck::{recovery, CheckpointStore, FrameTable, PccheckError, DEFAULT_JOB};
 use pccheck_device::CrashPolicy;
-use pccheck_harness::forensics_run::{run_to_crash, Baselines, DeviceTopology, ForensicsRunConfig};
+use pccheck_harness::forensics_run::{
+    run_to_crash, Baselines, DeviceTopology, ForensicsRun, ForensicsRunConfig,
+};
 use pccheck_monitor::CheckpointVerdict;
+
+/// State size of a codec row: eight chunks of two digest blocks each.
+const CODEC_STATE_BYTES: u64 = 64 * 1024;
 
 /// The one table both tenancies' crash tests run: a flat and a striped
 /// device, each as a single-tenant store and as one shared by jobs 1..=3,
@@ -21,10 +27,17 @@ pub(crate) fn crash_matrix() -> Vec<ForensicsRunConfig> {
         for tenants in [vec![DEFAULT_JOB], vec![1, 2, 3]] {
             for baselines in [Baselines::Raw, Baselines::Codec] {
                 let tenants = tenants.clone();
+                // A codec row's chunks span two digest blocks, so its third
+                // mutation cuts one at the block between them.
+                let state_bytes = match baselines {
+                    Baselines::Raw => ForensicsRunConfig::default().state_bytes,
+                    Baselines::Codec => CODEC_STATE_BYTES,
+                };
                 rows.push(ForensicsRunConfig {
                     topology,
                     tenants,
                     baselines,
+                    state_bytes,
                     ..ForensicsRunConfig::default()
                 });
             }
@@ -66,6 +79,7 @@ impl Drop for Repro {
 fn sweep_row(row: usize, cfg: &ForensicsRunConfig) {
     let mut seen = BTreeSet::new();
     let mut linked = false;
+    let mut cut = false;
     let mut replayed = 0;
     for (i, &job) in cfg.tenants.iter().enumerate() {
         for k in replayed.. {
@@ -85,6 +99,7 @@ fn sweep_row(row: usize, cfg: &ForensicsRunConfig) {
                     continue;
                 };
                 fired += 1;
+                cut = cut || recovered_a_cut_frame(&run);
                 if let Err(why) = run.verify() {
                     panic!("{why}");
                 }
@@ -143,4 +158,23 @@ fn sweep_row(row: usize, cfg: &ForensicsRunConfig) {
         "row {row} ({:?}): no crash recovered a linked frame",
         cfg.topology
     );
+    assert!(
+        cut || cfg.baselines == Baselines::Raw,
+        "row {row} ({:?}): no crash recovered a frame cut at a dirty run",
+        cfg.topology
+    );
+}
+
+/// Whether the checkpoint `run` recovered is a frame of more records than
+/// the scenario's eight chunks: one a mutation cut at its dirty run. Read
+/// before `verify`, whose progress check commits over the crashed image.
+fn recovered_a_cut_frame(run: &ForensicsRun) -> bool {
+    let Some(meta) = run.report.expected_recovery(run.job) else {
+        return false;
+    };
+    let store = CheckpointStore::open(Arc::clone(&run.device)).expect("the crashed store opens");
+    let payload = store
+        .read_checkpoint(&meta)
+        .expect("the recovered checkpoint reads");
+    FrameTable::decode(&payload).is_some_and(|table| table.records.len() > 8)
 }

@@ -11,9 +11,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pccheck::{
-    recover_instrumented_with, recovery, CheckMeta, CheckpointStore, ChunkEncoding, CommitOutcome,
-    CopyMode, FrameTable, Namespace, PcCheckConfig, PcCheckEngine, PccheckError, PersistPipeline,
-    PipelineCtx, RestoreOptions, StoreGeometry, DEFAULT_JOB,
+    compress_gated, recover_instrumented_with, recover_into_gpu, recovery, CheckMeta,
+    CheckpointStore, ChunkEncoding, CommitOutcome, CopyMode, FrameTable, Namespace, PcCheckConfig,
+    PcCheckEngine, PccheckError, PersistPipeline, PipelineCtx, RestoreOptions, StoreGeometry,
+    DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, Tensor, TrainingState};
@@ -262,6 +263,119 @@ fn clean_chunks_keep_one_home_across_eight_commits_on_three_slots() {
         let rec = recovery::recover(ssd.clone()).expect("recoverable");
         assert_eq!(rec.iteration, iter);
         assert_eq!(rec.payload, serialized(&gpu), "iteration {iter}");
+    }
+}
+
+/// Three RNG-dense tensors over eight 16 KiB chunks (four digest blocks
+/// each), sized so that a quarter-tail update cuts chunks on the block grid
+/// and off it — `on`'s dirty tail starts on a block boundary inside chunk
+/// 2; `off`'s starts mid-block inside chunk 5 and ends mid-block inside
+/// chunk 6; `tail`'s starts mid-block inside chunk 7 — and a tiled ninth
+/// chunk, which compresses, so the first frame pays and homes the rest.
+fn cut_state(seed: u64) -> TrainingState {
+    TrainingState::from_tensors(vec![
+        Tensor::synthetic("on", ByteSize::from_bytes(49_152), seed),
+        Tensor::synthetic("off", ByteSize::from_bytes(50_000), seed),
+        Tensor::synthetic("tail", ByteSize::from_bytes(31_920), seed),
+        Tensor::compressible("opt", ByteSize::from_bytes(16_384), seed, 64),
+    ])
+}
+
+#[test]
+fn a_sparse_update_writes_the_blocks_it_changed_not_the_chunks_they_fall_in() {
+    const STATE: u64 = 144 * 1024;
+    const CHUNK: u64 = 16 * 1024;
+    const BLOCK: u64 = 4096;
+    use ChunkEncoding::{DedupBase as Base, Lz, Raw};
+    let (ssd, store) = ssd_store(STATE, CHUNK, 3, 0);
+    let pipeline = framed_pipeline(&store, STATE, CHUNK);
+    let telemetry = Telemetry::disabled();
+    let gpu = Gpu::new(GpuConfig::fast_for_tests(), cut_state(1));
+    assert_eq!(gpu.state_size().as_u64(), STATE);
+
+    let mut root = None;
+    for iter in 1..=3u64 {
+        if iter > 1 {
+            // Dirty: [36 KiB, 48 KiB), [86 652, 99 152), [123 092, 128 KiB)
+            // and [140 KiB, 144 KiB).
+            gpu.update_sparse(0.25);
+        }
+        let guard = gpu.lock_weights_shared_owned();
+        let (out, copied) = pipeline
+            .checkpoint_framed(ctx(&telemetry), &ns(&store), &guard, iter, CopyMode::Codec)
+            .expect("framed checkpoint");
+        drop(guard);
+        assert_eq!(out, CommitOutcome::Committed);
+        let head = store.latest_committed(&ns(&store)).expect("head");
+        let (table, homes) = head_frame(&store, &head);
+        let root = *root.get_or_insert((head.counter, head.slot));
+        if iter > 1 {
+            // Each chunk the update cut is its dirty run plus the clean
+            // head or tail beside it, served from the root, which holds
+            // those blocks `Raw` at the same offsets.
+            let k = |blocks: u64| blocks * BLOCK;
+            let want = [
+                (Base, 0, k(4)),
+                (Base, k(4), k(4)),
+                (Base, k(8), k(1)),
+                (Raw, k(9), k(3)),
+                (Base, k(12), k(4)),
+                (Base, k(16), k(4)),
+                (Base, k(20), k(1)),
+                (Raw, k(21), k(3)),
+                (Raw, k(24), k(1)),
+                (Base, k(25), k(3)),
+                (Base, k(28), k(2)),
+                (Raw, k(30), k(2)),
+                // The root holds the tiled chunk `Lz`: no block of it is
+                // verbatim there, so it is copied whole.
+                (Lz, k(32), k(4)),
+            ];
+            let mut off = 0;
+            let got: Vec<_> = (table.records.iter())
+                .map(|r| {
+                    off += r.logical_len;
+                    (r.kind, off - r.logical_len, r.logical_len)
+                })
+                .collect();
+            assert_eq!(got, want, "iteration {iter}");
+            for r in table.records.iter().filter(|r| r.kind == Base) {
+                assert_eq!((r.a, r.aux), root, "iteration {iter}: served from the root");
+            }
+            for (r, &(_, at, _)) in table.records.iter().zip(&want) {
+                if r.kind == Base {
+                    assert_eq!(r.b, at, "a clean run names its own offset in its home");
+                }
+            }
+            assert_eq!(homes, [root]);
+            assert_eq!(head.delta.map(|l| l.chain_depth), Some(1));
+            // The table of thirteen records, the dirty runs' 36 KiB and
+            // the tiled chunk's LZ bytes — where every cut chunk written
+            // whole took the table of nine and 64 KiB.
+            let lz = compress_gated(&serialized(&gpu)[k(32) as usize..]).expect("tiles compress");
+            let lz = lz.len() as u64;
+            let written = FrameTable::encoded_len_for(13) + k(9) + lz;
+            assert_eq!((copied.payload_len, written), (37_432 + lz, 37_432 + lz));
+            assert_eq!(copied.frame.dedup_chunks, 8);
+        }
+
+        let live = serialized(&gpu);
+        ssd.crash_now();
+        ssd.recover();
+        for readers in [1, 4] {
+            let options = RestoreOptions { readers, job: None };
+            let device = ssd.clone() as Arc<dyn PersistentDevice>;
+            let (rec, _) = recover_instrumented_with(Arc::clone(&device), &telemetry, options)
+                .expect("recoverable");
+            assert_eq!(
+                (rec.iteration, rec.payload == live),
+                (iter, true),
+                "{readers} readers"
+            );
+            let target = Gpu::new(GpuConfig::fast_for_tests(), cut_state(9));
+            recover_into_gpu(device, &target, &telemetry, options).expect("recovers into a GPU");
+            assert_eq!(serialized(&target), live, "{readers} readers into a GPU");
+        }
     }
 }
 
