@@ -611,6 +611,10 @@ fn commit_recycle_handoff_stays_decidable_and_monotone() {
         second.join().unwrap();
         auditor.join().unwrap();
         assert_eq!(slot.audit(), SlotDecision::Committed(2));
-        assert_eq!(slot.head.load(Ordering::Acquire), 2, "fetch_max is monotone");
+        assert_eq!(
+            slot.head.load(Ordering::Acquire),
+            2,
+            "fetch_max is monotone"
+        );
     });
 }

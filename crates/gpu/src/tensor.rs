@@ -81,12 +81,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if `period == 0`.
-    pub fn compressible(
-        name: impl Into<String>,
-        size: ByteSize,
-        seed: u64,
-        period: usize,
-    ) -> Self {
+    pub fn compressible(name: impl Into<String>, size: ByteSize, seed: u64, period: usize) -> Self {
         assert!(period > 0, "period must be positive");
         let name = name.into();
         let mut data = vec![0u8; size.as_usize()];

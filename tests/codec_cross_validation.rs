@@ -134,8 +134,7 @@ fn framed_store_recovers_bit_identical_to_raw_store() {
     assert_eq!(a.iteration, b.iteration);
     assert_eq!(a.iteration, CHECKPOINTS);
     assert_eq!(
-        a.payload,
-        b.payload,
+        a.payload, b.payload,
         "framed recovery must be bit-identical to raw recovery"
     );
     assert_eq!(a.payload, *states.last().expect("nonempty"));

@@ -553,7 +553,10 @@ fn codec_counters_flow_through_the_exposition_path() {
     assert_eq!(raw_snap.compression_ratio_permille, 0);
     let raw_text = MetricsRegistry::new(raw_telemetry).prometheus_text();
     validate_prometheus_text(&raw_text).expect("zeroed exposition parses");
-    assert!(raw_text.contains("pccheck_codec_bytes_saved_total 0"), "{raw_text}");
+    assert!(
+        raw_text.contains("pccheck_codec_bytes_saved_total 0"),
+        "{raw_text}"
+    );
 }
 
 #[test]
