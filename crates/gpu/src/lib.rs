@@ -17,9 +17,9 @@
 //!   the next update needs exclusive access, reproducing the `T→U` stall in
 //!   Figure 6 of the paper.
 //!
-//! Checkpointing strategies (PCcheck in `pccheck`, the baselines in
-//! `pccheck-baselines`) implement the [`Checkpointer`] trait and get driven
-//! by [`TrainingLoop`].
+//! Checkpointing strategies (PCcheck and the baselines, each a row of
+//! `pccheck`'s strategy table) implement the [`Checkpointer`] trait and get
+//! driven by [`TrainingLoop`].
 //!
 //! # Examples
 //!

@@ -6,12 +6,13 @@
 //! the substance:
 //!
 //! * [`pccheck`] — the paper's contribution (concurrent checkpoint engine,
-//!   commit protocol, tuner, recovery, distributed coordination).
+//!   commit protocol, tuner, recovery, distributed coordination) and the
+//!   strategy table whose rows are the baselines: traditional, CheckFreq,
+//!   GPM and Gemini.
 //! * [`pccheck_device`] — simulated SSD/PMEM/DRAM/network substrates plus
 //!   a real file-backed device.
 //! * [`pccheck_gpu`] — the training substrate (model zoo, verifiable
 //!   states, copy engine, training loop).
-//! * [`pccheck_baselines`] — CheckFreq, GPM, Gemini, traditional.
 //! * [`pccheck_sim`] — the discrete-event simulator.
 //! * [`pccheck_trace`] — preemption traces, goodput and JIT replays.
 //! * [`pccheck_monitor`] — checkpoint inspection and anomaly detection.
@@ -21,7 +22,6 @@
 //!   histograms, stall/goodput accounting, and trace exporters.
 
 pub use pccheck;
-pub use pccheck_baselines;
 pub use pccheck_device;
 pub use pccheck_gpu;
 pub use pccheck_harness;

@@ -379,6 +379,71 @@ fn a_sparse_update_writes_the_blocks_it_changed_not_the_chunks_they_fall_in() {
     }
 }
 
+/// An RNG-dense state packs nothing, so its first frame is all `Raw`; that
+/// frame still homes its blocks, so each later sparse checkpoint writes
+/// only the 4 KiB blocks its update dirtied (plus its table) and serves the
+/// rest from the blocks the earlier frames hold.
+#[test]
+fn a_dense_state_that_packs_nothing_still_writes_only_its_dirty_blocks() {
+    const STATE: u64 = 128 * 1024;
+    const CHUNK: u64 = 16 * 1024;
+    const BLOCK: usize = 4096;
+    let (ssd, store) = ssd_store(STATE, CHUNK, 3, 0);
+    let pipeline = framed_pipeline(&store, STATE, CHUNK);
+    let telemetry = Telemetry::disabled();
+    let gpu = Gpu::new(
+        GpuConfig::fast_for_tests(),
+        TrainingState::synthetic(ByteSize::from_bytes(STATE), 11),
+    );
+    let mut before = serialized(&gpu);
+    for iter in 1..=4u64 {
+        if iter > 1 {
+            gpu.update_sparse(0.05);
+        }
+        let live = serialized(&gpu);
+        let dirty_blocks = (live.chunks(BLOCK).zip(before.chunks(BLOCK)))
+            .filter(|(now, was)| now != was)
+            .count() as u64;
+        before = live.clone();
+        let guard = gpu.lock_weights_shared_owned();
+        let (out, copied) = pipeline
+            .checkpoint_framed(ctx(&telemetry), &ns(&store), &guard, iter, CopyMode::Codec)
+            .expect("framed checkpoint");
+        drop(guard);
+        assert_eq!(out, CommitOutcome::Committed);
+        if iter > 1 {
+            let head = store.latest_committed(&ns(&store)).expect("head");
+            let (table, _) = head_frame(&store, &head);
+            let bound = table.encoded_len() + dirty_blocks * BLOCK as u64;
+            assert!(
+                copied.payload_len <= bound,
+                "iteration {iter}: wrote {} bytes, {dirty_blocks} dirty blocks allow {bound}",
+                copied.payload_len
+            );
+        }
+
+        ssd.crash_now();
+        ssd.recover();
+        for readers in [1, 4] {
+            let options = RestoreOptions { readers, job: None };
+            let device = ssd.clone() as Arc<dyn PersistentDevice>;
+            let (rec, _) = recover_instrumented_with(Arc::clone(&device), &telemetry, options)
+                .expect("recoverable");
+            assert_eq!(
+                (rec.iteration, rec.payload == live),
+                (iter, true),
+                "iteration {iter}, {readers} readers"
+            );
+            let target = Gpu::new(
+                GpuConfig::fast_for_tests(),
+                TrainingState::synthetic(ByteSize::from_bytes(STATE), 12),
+            );
+            recover_into_gpu(device, &target, &telemetry, options).expect("recovers into a GPU");
+            assert_eq!(serialized(&target), live, "{readers} readers into a GPU");
+        }
+    }
+}
+
 #[test]
 fn a_frame_whose_base_was_displaced_is_withdrawn_not_committed() {
     const STATE: u64 = 64 * 1024;

@@ -17,8 +17,7 @@
 
 use std::sync::Arc;
 
-use pccheck::{CheckpointStore, PcCheckConfig, PcCheckEngine};
-use pccheck_baselines::CheckFreqCheckpointer;
+use pccheck::{CheckpointStore, PcCheckConfig, PcCheckEngine, StrategyRow};
 use pccheck_device::{DeviceConfig, PersistentDevice, SsdDevice};
 use pccheck_gpu::CopyEngineConfig;
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, TrainingLoop, TrainingState};
@@ -99,6 +98,14 @@ fn pccheck_engine(gpu: &Gpu, dram_chunks: usize) -> PcCheckEngine {
     .expect("engine")
 }
 
+/// The CheckFreq row over `ssd`.
+fn checkfreq(ssd: Arc<SsdDevice>, gpu: &Gpu) -> PcCheckEngine {
+    StrategyRow::named("checkfreq")
+        .expect("a strategy row")
+        .build(1, ssd, gpu.state_size())
+        .expect("constructs")
+}
+
 /// Structural-agreement band: concrete/simulated throughput ratio. Inside
 /// it, both models tell the same story; a missing admission stall or
 /// weights-lock would push the ratio past 2–3x.
@@ -123,8 +130,7 @@ fn pccheck_concrete_matches_simulator() {
 fn checkfreq_concrete_matches_simulator() {
     let gpu = scaled_gpu(2);
     let ssd = scaled_ssd(2);
-    let ckpt = CheckFreqCheckpointer::new(ssd as Arc<dyn PersistentDevice>, gpu.state_size())
-        .expect("constructs");
+    let ckpt = checkfreq(ssd, &gpu);
     let concrete = concrete_throughput(&ckpt, &gpu);
     let simulated = sim_config(StrategyCfg::CheckFreq).run().throughput;
     assert_structural_agreement("checkfreq", concrete, simulated);
@@ -186,12 +192,7 @@ fn ordering_agrees_between_models() {
 
     let gpu_cf = scaled_gpu(3);
     let cf_events = Telemetry::enabled();
-    let cf = CheckFreqCheckpointer::new(
-        scaled_ssd(2) as Arc<dyn PersistentDevice>,
-        gpu_cf.state_size(),
-    )
-    .expect("constructs")
-    .with_telemetry(cf_events.clone());
+    let cf = checkfreq(scaled_ssd(2), &gpu_cf).with_telemetry(cf_events.clone());
     run_concrete_at_1(&cf, &gpu_cf);
 
     assert!(

@@ -6,10 +6,7 @@ use std::sync::Arc;
 
 use pccheck::{
     bind_frame_table, recovery, CheckpointStore, CopyMode, FrameTable, PcCheckConfig,
-    PcCheckEngine, PersistPipeline, PipelineCtx, StoreGeometry, DEFAULT_JOB,
-};
-use pccheck_baselines::{
-    CheckFreqCheckpointer, GeminiCheckpointer, GpmCheckpointer, TraditionalCheckpointer,
+    PcCheckEngine, PersistPipeline, PipelineCtx, StoreGeometry, StrategyRow, DEFAULT_JOB,
 };
 use pccheck_device::{
     DeviceConfig, HostBufferPool, NetworkConfig, NetworkLink, PersistentDevice, PmemDevice,
@@ -41,6 +38,14 @@ fn fresh_pmem(slots: u32) -> Arc<PmemDevice> {
     Arc::new(PmemDevice::new(config))
 }
 
+/// The baseline row called `name`, built over `device`.
+fn baseline(name: &str, device: Arc<dyn PersistentDevice>, size: ByteSize) -> PcCheckEngine {
+    StrategyRow::named(name)
+        .expect("a strategy row")
+        .build(1, device, size)
+        .expect("constructs")
+}
+
 /// The storage baseline called `name`, over `device`, recording to
 /// `telemetry`.
 fn storage_baseline(
@@ -49,23 +54,16 @@ fn storage_baseline(
     size: ByteSize,
     telemetry: Telemetry,
 ) -> Box<dyn Checkpointer> {
-    match name {
-        "traditional" => Box::new(
-            TraditionalCheckpointer::new(device, size)
-                .expect("constructs")
-                .with_telemetry(telemetry),
-        ),
-        "checkfreq" => Box::new(
-            CheckFreqCheckpointer::new(device, size)
-                .expect("constructs")
-                .with_telemetry(telemetry),
-        ),
-        _ => Box::new(
-            GpmCheckpointer::new(device, size)
-                .expect("constructs")
-                .with_telemetry(telemetry),
-        ),
-    }
+    Box::new(baseline(name, device, size).with_telemetry(telemetry))
+}
+
+/// A link to a peer's DRAM with room for the Gemini row's store.
+fn fresh_link(size: ByteSize) -> Arc<NetworkLink> {
+    let gemini = StrategyRow::named("gemini").expect("a strategy row");
+    Arc::new(NetworkLink::new(
+        NetworkConfig::fast_for_tests(),
+        gemini.required_capacity(1, size),
+    ))
 }
 
 fn run_training(gpu: &Gpu, ckpt: &dyn Checkpointer) {
@@ -90,7 +88,7 @@ fn storage_backed_strategies_all_recover_identically() {
     {
         let gpu = fresh_gpu(11);
         let ssd = fresh_ssd(2);
-        let ckpt = TraditionalCheckpointer::new(ssd.clone(), gpu.state_size()).expect("constructs");
+        let ckpt = baseline("traditional", ssd.clone(), gpu.state_size());
         run_training(&gpu, &ckpt);
         ssd.crash_now();
         ssd.recover();
@@ -105,7 +103,7 @@ fn storage_backed_strategies_all_recover_identically() {
     {
         let gpu = fresh_gpu(11);
         let ssd = fresh_ssd(2);
-        let ckpt = CheckFreqCheckpointer::new(ssd.clone(), gpu.state_size()).expect("constructs");
+        let ckpt = baseline("checkfreq", ssd.clone(), gpu.state_size());
         run_training(&gpu, &ckpt);
         ssd.crash_now();
         ssd.recover();
@@ -120,7 +118,7 @@ fn storage_backed_strategies_all_recover_identically() {
     {
         let gpu = fresh_gpu(11);
         let ssd = fresh_ssd(2);
-        let ckpt = GpmCheckpointer::new(ssd.clone(), gpu.state_size()).expect("constructs");
+        let ckpt = baseline("gpm", ssd.clone(), gpu.state_size());
         run_training(&gpu, &ckpt);
         ssd.crash_now();
         ssd.recover();
@@ -160,15 +158,10 @@ fn storage_backed_strategies_all_recover_identically() {
     // Gemini (remote DRAM instead of storage).
     {
         let gpu = fresh_gpu(11);
-        let link = Arc::new(NetworkLink::new(
-            NetworkConfig::fast_for_tests(),
-            GeminiCheckpointer::required_remote_capacity(gpu.state_size()),
-        ));
-        let ckpt =
-            GeminiCheckpointer::new(Arc::clone(&link), gpu.state_size()).expect("constructs");
+        let link = fresh_link(gpu.state_size());
+        let ckpt = baseline("gemini", link.clone(), gpu.state_size());
         run_training(&gpu, &ckpt);
-        let rec =
-            GeminiCheckpointer::recover_from_remote(&link, gpu.state_size()).expect("recoverable");
+        let rec = recovery::recover(link).expect("recoverable");
         assert_eq!(rec.iteration, 9);
         let fresh = fresh_gpu(0);
         rec.restore_into(&fresh);
@@ -211,14 +204,11 @@ fn every_baseline_recovers_a_checkpoint_acknowledged_at_another_iteration() {
             restored(&name, ckpt.as_ref(), rec);
         }
     }
-    let link = Arc::new(NetworkLink::new(
-        NetworkConfig::fast_for_tests(),
-        GeminiCheckpointer::required_remote_capacity(size),
-    ));
-    let gemini = GeminiCheckpointer::new(Arc::clone(&link), size).expect("constructs");
+    let link = fresh_link(size);
+    let gemini = baseline("gemini", link.clone(), size);
     gemini.checkpoint(&gpu, 100);
     gemini.drain();
-    let rec = GeminiCheckpointer::recover_from_remote(&link, size).expect("remote");
+    let rec = recovery::recover(link).expect("remote");
     restored("gemini", &gemini, rec);
 }
 
@@ -371,10 +361,7 @@ fn every_copy_verb_and_every_strategy_acknowledges_the_gpu_digest() {
         )
         .expect("engine")
     };
-    let link = Arc::new(NetworkLink::new(
-        NetworkConfig::fast_for_tests(),
-        GeminiCheckpointer::required_remote_capacity(size),
-    ));
+    let link = fresh_link(size);
     // (what moved the bytes, the state it moved, the digest it reported)
     let table: Vec<(&str, &Gpu, StateDigest)> = vec![
         ("copy staged", &dense, copy_verb(&dense, "copy staged")),
@@ -408,31 +395,22 @@ fn every_copy_verb_and_every_strategy_acknowledges_the_gpu_digest() {
         (
             "traditional",
             &dense,
-            acknowledged(
-                &dense,
-                &TraditionalCheckpointer::new(fresh_ssd(2), size).expect("new"),
-            ),
+            acknowledged(&dense, &baseline("traditional", fresh_ssd(2), size)),
         ),
         (
             "checkfreq",
             &dense,
-            acknowledged(
-                &dense,
-                &CheckFreqCheckpointer::new(fresh_ssd(2), size).expect("new"),
-            ),
+            acknowledged(&dense, &baseline("checkfreq", fresh_ssd(2), size)),
         ),
         (
             "gpm",
             &dense,
-            acknowledged(
-                &dense,
-                &GpmCheckpointer::new(fresh_ssd(2), size).expect("new"),
-            ),
+            acknowledged(&dense, &baseline("gpm", fresh_ssd(2), size)),
         ),
         (
             "gemini",
             &dense,
-            acknowledged(&dense, &GeminiCheckpointer::new(link, size).expect("new")),
+            acknowledged(&dense, &baseline("gemini", link, size)),
         ),
     ];
     for (mover, gpu, reported) in table {
@@ -483,16 +461,13 @@ fn strategy_names_are_distinct() {
     let gpu = fresh_gpu(1);
     let ssd = fresh_ssd(3);
     let names: Vec<String> = vec![
-        TraditionalCheckpointer::new(fresh_ssd(2), gpu.state_size())
-            .expect("traditional")
+        baseline("traditional", fresh_ssd(2), gpu.state_size())
             .name()
             .into(),
-        CheckFreqCheckpointer::new(fresh_ssd(2), gpu.state_size())
-            .expect("checkfreq")
+        baseline("checkfreq", fresh_ssd(2), gpu.state_size())
             .name()
             .into(),
-        GpmCheckpointer::new(fresh_ssd(2), gpu.state_size())
-            .expect("gpm")
+        baseline("gpm", fresh_ssd(2), gpu.state_size())
             .name()
             .into(),
         PcCheckEngine::new(
