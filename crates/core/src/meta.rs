@@ -7,7 +7,7 @@
 //! recovery can detect torn or stale records after a crash.
 
 /// Serialized size of a metadata record: one cache line.
-pub const META_RECORD_SIZE: u64 = 64;
+pub(crate) const META_RECORD_SIZE: u64 = 64;
 
 const META_MAGIC: u32 = 0x5043_4B31; // "PCK1"
 
