@@ -50,10 +50,11 @@ pub struct PcCheckConfig {
     /// (the default) disables the flight recorder entirely and reserves
     /// no space, so existing capacity-sized stores are unaffected.
     pub flight_records: u32,
-    /// Whether checkpoints go through the chunk codec (content-defined
-    /// compression + dedup framing). Off by default: every checkpoint is
-    /// then an all-`Raw` frame. Fixed for the engine's life; to change it,
-    /// drain and build a new engine over the same store.
+    /// Whether the entropy gate may try LZ on each record a checkpoint
+    /// materializes. Every checkpoint is planned from the last one and
+    /// deduplicated either way; off (the default), no record is `Lz`.
+    /// Fixed for the engine's life; to change it, drain and build a new
+    /// engine over the same store.
     pub codec: bool,
 }
 
@@ -164,7 +165,7 @@ impl PcCheckConfigBuilder {
         self
     }
 
-    /// Enables the chunk codec (compression + dedup framing).
+    /// Lets the entropy gate try LZ on each materialized record.
     pub fn codec(mut self, on: bool) -> Self {
         self.config.codec = on;
         self

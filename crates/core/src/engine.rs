@@ -9,15 +9,15 @@
 //! 2. snapshots the GPU state chunk by chunk into pinned DRAM buffers from
 //!    the staging pool, holding the weights shared-lock only for the copy:
 //!    the copy verb consumes the guard and drops it when the last chunk is
-//!    staged, so `update()` never waits on a device write (a codec copy
-//!    copies only the chunks its last snapshot and its head's dedup homes
-//!    cannot serve, and leases its slot after the guard is gone unless one
-//!    is free at once, so `update()` waits for a slot only when DRAM runs
+//!    staged, so `update()` never waits on a device write (a copy copies
+//!    only the chunks its last snapshot and its head's dedup homes cannot
+//!    serve, and leases its slot after the guard is gone unless one is
+//!    free at once, so `update()` waits for a slot only when DRAM runs
 //!    out),
 //! 3. hands chunks to the pipeline's `p` resident writers, which write them
 //!    to the device at the leased slot's offsets, oldest checkpoint first
-//!    (pipelined mode overlaps 2 and 3; non-pipelined mode stages the full
-//!    checkpoint first),
+//!    (pipelined mode overlaps 2 and 3; non-pipelined mode stages every
+//!    chunk it copies first, and leases after),
 //! 4. persists the payload (per-writer fences on PMEM, or one deferred
 //!    `msync` on SSD when `single_sync` is set),
 //! 5. runs the store's lock-free commit protocol — atomic meta publish,
@@ -38,8 +38,8 @@
 //!
 //! The chunk → write → fence → commit mechanics live in the shared
 //! [`PersistPipeline`]; this module is the *scheduling policy* around it:
-//! `N` concurrency tickets, the coordinators, and the staged-vs-streamed
-//! copy choice.
+//! `N` concurrency tickets, the coordinators, and whether the copy stages
+//! the whole snapshot before it persists.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -59,7 +59,7 @@ use crate::codec::{read_table, FrameTable};
 use crate::config::PcCheckConfig;
 use crate::error::PccheckError;
 use crate::layout::StoreGeometry;
-use crate::pipeline::{CopyMode, DeferredLease, FenceMode, PersistPipeline, PipelineCtx};
+use crate::pipeline::{DeferredLease, FenceMode, PersistPipeline, PipelineCtx};
 use crate::pool::{Order, WorkerPool};
 use crate::store::{CheckpointStore, CommitOutcome, JobId, Namespace, DEFAULT_JOB};
 use crate::strategy::{Waits, STRATEGIES};
@@ -70,7 +70,8 @@ use crate::strategy::{Waits, STRATEGIES};
 ///
 /// Staging in ticket order means a newer checkpoint never holds staging
 /// DRAM while it waits for the lease of an older one that is still waiting
-/// for DRAM (a staged copy leases after it has staged, a codec copy may).
+/// for DRAM (a copy staged whole leases after it has staged, a pipelined
+/// copy may).
 /// Leasing in ticket order makes the store's counters follow request order.
 /// Committing in ticket order makes "the older checkpoint commits first"
 /// hold always, not just usually: the writer pool already drains the older
@@ -448,7 +449,6 @@ impl PcCheckEngine {
         iteration: u64,
         (in_flight, ticket): (&InFlight, u64),
     ) -> Result<(CommitOutcome, StateDigest), PccheckError> {
-        let total = guard.size();
         in_flight.stage_in_turn(ticket);
         let src = InTurn {
             guard,
@@ -462,7 +462,7 @@ impl PcCheckEngine {
             leased.set(Some((lease.counter, lease.slot)));
             Some(lease)
         });
-        let result = Self::run_leased(pipeline, config, ctx, src, slot, iteration, total, || {
+        let result = Self::run_leased(pipeline, config, ctx, src, slot, iteration, || {
             drop(in_flight.wait_turn(ticket))
         });
         if let (Err(_), Some((counter, slot))) = (&result, leased.get()) {
@@ -484,9 +484,8 @@ impl PcCheckEngine {
 
     /// The body of [`run_checkpoint`](Self::run_checkpoint): copy, persist,
     /// and commit — all through the shared pipeline, which leases the slot
-    /// when the copy first needs it; the staged-vs-streamed choice is this
-    /// engine's scheduling policy.
-    #[allow(clippy::too_many_arguments)]
+    /// when the copy first needs it; whether the copy stages the whole
+    /// snapshot first is this engine's scheduling policy.
     fn run_leased(
         pipeline: &PersistPipeline,
         config: &PcCheckConfig,
@@ -494,21 +493,14 @@ impl PcCheckEngine {
         src: InTurn<'_>,
         mut slot: DeferredLease<'_>,
         iteration: u64,
-        total: ByteSize,
         turn: impl FnOnce(),
     ) -> Result<(CommitOutcome, StateDigest), PccheckError> {
         // The copy consumes the guard and drops it when the snapshot is
         // staged in DRAM: the weights are held for the copy, never for the
-        // persist, and — unless streamed, or a codec copy out of DRAM —
-        // not for the lease either.
-        let mode = if config.codec {
-            CopyMode::Codec
-        } else if config.pipelined {
-            CopyMode::Streamed
-        } else {
-            CopyMode::Staged
-        };
-        let copied = pipeline.copy(ctx, src, &mut slot, iteration, total, mode)?;
+        // persist, and — unless a pipelined copy runs out of DRAM — not for
+        // the lease either.
+        let whole = !config.pipelined;
+        let copied = pipeline.copy(ctx, src, &mut slot, iteration, whole, config.codec)?;
         let lease = slot.into_lease().expect("a copy that returned has leased");
         pipeline.seal(ctx, &lease, iteration, &copied)?;
         // Durable; commit once every older checkpoint of this engine has.
@@ -1780,12 +1772,10 @@ mod tests {
         // Three slots, two of them pinned by a depth-1 chain (a root and a
         // head referencing it); checkpoint 3 takes the third and its writes
         // wait at the gate, so checkpoint 4 has no slot until 3 commits. A
-        // codec copy that cannot lease without waiting keeps its chunks in
-        // DRAM and leases after it has handed the weights back: the next
-        // update returns after one copy with the gate still shut. A
-        // streamed copy writes chunk 0 before it has staged the rest, so it
-        // still leases first, weights in hand, and the update waits for
-        // checkpoint 3's writes.
+        // copy that cannot lease without waiting keeps its chunks in DRAM
+        // and leases after it has handed the weights back, whether it may
+        // try LZ or not: the next update returns after one copy with the
+        // gate still shut.
         for codec in [true, false] {
             let gpu = compressible_gpu(512, 43);
             let (device, engine) = codec_engine(&gpu);
@@ -1803,6 +1793,7 @@ mod tests {
             let head = store.latest_committed(ns).unwrap();
             assert_eq!(head.delta.map(|link| link.chain_depth), Some(1));
             assert_eq!(store.free_slot_count(ns), 1, "a root and a head pinned");
+            let terminated = engine.stats().snapshot().terminated();
             device.gate_payloads(store);
             gpu.update_sparse(0.05);
             engine.checkpoint(&gpu, 3);
@@ -1816,21 +1807,15 @@ mod tests {
                     device.payload_bytes()
                 }
             });
-            let admitted = if codec {
-                must_not_hang("update() waited for a slot", move || {
-                    updated.join().unwrap()
-                })
-            } else {
-                device.open();
-                must_not_hang("the streamed copy never leased", move || {
-                    updated.join().unwrap()
-                })
-            };
-            assert_eq!(admitted == 0, codec, "codec={codec}: {admitted} bytes");
-            if codec {
-                let terminated = engine.stats().snapshot().terminated();
-                assert_eq!(terminated, 2, "checkpoint 3 is held at the gate");
-            }
+            let admitted = must_not_hang("update() waited for a slot", move || {
+                updated.join().unwrap()
+            });
+            assert_eq!(admitted, 0, "codec={codec}");
+            assert_eq!(
+                engine.stats().snapshot().terminated(),
+                terminated,
+                "codec={codec}: checkpoint 3 is held at the gate"
+            );
             device.open();
             let (engine, device) = must_not_hang("the gated checkpoints never drained", {
                 let (engine, device) = (Arc::clone(&engine), Arc::clone(&device));

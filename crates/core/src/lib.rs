@@ -97,7 +97,7 @@ pub use engine::PcCheckEngine;
 pub use error::PccheckError;
 pub use layout::{StoreGeometry, StoreLayout};
 pub use meta::{CheckMeta, DeltaLink, SlotState};
-pub use pipeline::{Copied, CopyMode, PersistPipeline, PipelineCtx};
+pub use pipeline::{Copied, PersistPipeline, PipelineCtx};
 pub use qos::{QosArbiter, QosConfig};
 pub use recovery::{
     recover, recover_instrumented, RecoveredCheckpoint, RecoveryModel, RecoveryTrace, Strategy,

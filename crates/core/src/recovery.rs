@@ -460,7 +460,7 @@ mod tests {
     /// chunks reference the base) and returns the device, the store, and
     /// the GPU at its final state.
     fn framed_chain_setup(iters: u64) -> (Arc<SsdDevice>, Arc<CheckpointStore>, Gpu) {
-        use crate::pipeline::{CopyMode, PersistPipeline, PipelineCtx};
+        use crate::pipeline::{PersistPipeline, PipelineCtx};
         use pccheck_device::HostBufferPool;
 
         let state = TrainingState::compressible(ByteSize::from_bytes(2048), 7, 32);
@@ -493,7 +493,7 @@ mod tests {
             }
             let guard = gpu.lock_weights_shared_owned();
             pipeline
-                .checkpoint_framed(ctx, &ns, &guard, iter, CopyMode::Codec)
+                .checkpoint_framed(ctx, &ns, &guard, iter, true)
                 .unwrap();
         }
         (ssd, store, gpu)

@@ -616,7 +616,7 @@ mod tests {
 
     use crate::codec::{raw_frame, FrameTable};
     use crate::layout::StoreGeometry;
-    use crate::pipeline::{CopyMode, PersistPipeline};
+    use crate::pipeline::PersistPipeline;
     use crate::store::Namespace;
 
     /// The tenant of a single-tenant store.
@@ -696,7 +696,6 @@ mod tests {
         .with_writers(2);
         let telemetry = Telemetry::disabled();
         let ctx = ctx(&telemetry);
-        let total = gpu.state_size();
         let mut digests = Vec::new();
         for iter in 1..=iters {
             gpu.update();
@@ -704,7 +703,7 @@ mod tests {
             let guard = gpu.lock_weights_shared_owned();
             let lease = pipeline.lease(ctx, &ns(pipeline.store()));
             let copied = pipeline
-                .copy(ctx, &guard, &lease, iter, total, CopyMode::Streamed)
+                .copy(ctx, &guard, &lease, iter, false, false)
                 .unwrap();
             drop(guard);
             pipeline.seal(ctx, &lease, iter, &copied).unwrap();
@@ -947,7 +946,7 @@ mod tests {
             }
             let guard = gpu.lock_weights_shared_owned();
             persist
-                .checkpoint_framed(pctx, &ns(&store), &guard, iter, CopyMode::Codec)
+                .checkpoint_framed(pctx, &ns(&store), &guard, iter, true)
                 .unwrap();
         }
         let head = store.latest_committed(&ns(&store)).unwrap();

@@ -278,15 +278,27 @@ mod tests {
             assert_eq!(engine.name(), row.name);
             let slots = engine.namespace().desc().slot_count as usize;
             assert_eq!(slots, row.in_flight.unwrap_or(2) + 1, "{}", row.name);
-            gpu.update();
-            engine.checkpoint(&gpu, 1);
-            engine.drain();
+            for iteration in 1..=2 {
+                gpu.update();
+                engine.checkpoint(&gpu, iteration);
+                engine.drain();
+            }
+            // An RNG-dense update leaves nothing to serve: the frame is all
+            // `Raw`, one record per chunk.
+            let store = engine.store();
+            let head = store.latest_committed(engine.namespace()).unwrap();
+            let table = FrameTable::decode(&store.read_checkpoint(&head).unwrap()).unwrap();
+            let chunk = engine.pipeline().staging_pool().chunk_size().as_u64();
+            let chunks = state.as_u64().div_ceil(chunk) as usize;
+            assert_eq!(table.records.len(), chunks, "{}", row.name);
+            let raw = |r: &crate::codec::FrameRecord| r.kind == crate::ChunkEncoding::Raw;
+            assert!(table.records.iter().all(raw), "{}: {table:?}", row.name);
             dev.crash_now();
             dev.recover();
             let rec = recover(dev).unwrap();
             let fresh = self::gpu(300, 2);
             rec.restore_into(&fresh);
-            assert_eq!((rec.iteration, fresh.digest()), (1, gpu.digest()));
+            assert_eq!((rec.iteration, fresh.digest()), (2, gpu.digest()));
         }
     }
 

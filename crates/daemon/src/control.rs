@@ -7,8 +7,9 @@
 //! * `/jobs` — one status object per job (running, drained, queued).
 //! * `/submit?name=<n>[&state_kb=..][&n=..][&weight=..][&budget_kb=..]`
 //!   `[&iters=..][&interval=..][&pacing_us=..][&codec=1][&period=..]` —
-//!   submit a sim-backed job (`codec=1` requests the chunk codec,
-//!   `period=P` trains on a P-byte-tiled compressible state). Any other
+//!   submit a sim-backed job (`codec=1` requests the chunk codec's LZ,
+//!   on top of the planning and dedup every job's frames get; `period=P`
+//!   trains on a P-byte-tiled compressible state). Any other
 //!   key is a 400 that names it, and so is a value that does not parse
 //!   or a KiB count past a `u64` byte count.
 //! * `/drain?name=<n>` — stop and drain a job (or unqueue it).

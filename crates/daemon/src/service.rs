@@ -57,9 +57,10 @@ pub struct JobSpec {
     /// trains flat-out (a saturating tenant); nonzero paces the
     /// checkpoint cadence the way real iteration time does.
     pub pacing: std::time::Duration,
-    /// Whether this tenant asks for the chunk codec (compression +
-    /// dedup framing). A daemon whose [`DaemonConfig::codec`] is off
-    /// serves it raw.
+    /// Whether this tenant asks for the chunk codec: LZ on the records
+    /// its frames materialize (every frame is planned and deduplicated
+    /// either way). A daemon whose [`DaemonConfig::codec`] is off serves
+    /// it without LZ.
     pub codec: bool,
     /// When nonzero, the sim worker trains on a *compressible* state
     /// built from tiled `compress_period`-byte blocks instead of the
@@ -163,8 +164,8 @@ pub struct DaemonConfig {
     pub chunk_size: ByteSize,
     /// Shared staging-pool chunks.
     pub dram_chunks: usize,
-    /// Whether tenants that ask for the chunk codec get it; off, every
-    /// tenant persists raw.
+    /// Whether tenants that ask for the chunk codec get it; off, no
+    /// tenant's frames hold an `Lz` record.
     pub codec: bool,
     /// QoS arbiter tuning.
     pub qos: QosConfig,
@@ -611,6 +612,7 @@ impl Daemon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pccheck::ChunkEncoding;
 
     #[test]
     fn four_sim_jobs_share_one_store_and_all_commit() {
@@ -833,6 +835,15 @@ mod tests {
         let snap = daemon.job_telemetry("packed").unwrap().snapshot().unwrap();
         assert!(snap.counters.committed >= 1);
         assert_eq!((snap.codec_bytes_saved, snap.dedup_chunks), (0, 0));
+        // Served raw: no record is LZ.
+        let store = daemon.store();
+        let head = store.latest_committed(&store.namespace(status.id).unwrap());
+        let payload = store.read_checkpoint(&head.unwrap()).unwrap();
+        let records = FrameTable::decode(&payload).unwrap().records;
+        assert!(
+            records.iter().all(|r| r.kind != ChunkEncoding::Lz),
+            "{records:?}"
+        );
         assert!(daemon.shutdown().unwrap().is_clean());
     }
 

@@ -16,8 +16,7 @@
 use std::sync::Arc;
 
 use pccheck::{
-    recover, CheckpointStore, CopyMode, FrameTable, PersistPipeline, PipelineCtx, StoreGeometry,
-    DEFAULT_JOB,
+    recover, CheckpointStore, FrameTable, PersistPipeline, PipelineCtx, StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
 use pccheck_gpu::{Gpu, GpuConfig, Tensor, TrainingState};
@@ -174,7 +173,7 @@ pub(crate) fn measure(payload: Payload, sparsity: f64) -> ExtCompressRow {
         }
         let guard = gpu.lock_weights_shared_owned();
         let (_, copied) = pipeline
-            .checkpoint_framed(ctx, &ns, &guard, iter, CopyMode::Codec)
+            .checkpoint_framed(ctx, &ns, &guard, iter, true)
             .unwrap();
         if iter == CHECKPOINTS {
             final_state = vec![0u8; state_bytes as usize];

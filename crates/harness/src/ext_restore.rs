@@ -20,8 +20,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pccheck::{
-    CheckpointStore, CopyMode, FrameTable, PersistPipeline, PipelineCtx, RestorePipeline,
-    StoreGeometry, DEFAULT_JOB,
+    CheckpointStore, FrameTable, PersistPipeline, PipelineCtx, RestorePipeline, StoreGeometry,
+    DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice, StripedDevice};
 use pccheck_telemetry::{SpanId, Telemetry};
@@ -100,12 +100,10 @@ fn committed_store(size: ByteSize, ways: u32) -> Arc<CheckpointStore> {
         CheckpointStore::format(device, StoreGeometry::single(slot, 2)).expect("format store"),
     );
     let ns = store.namespace(DEFAULT_JOB).expect("single-tenant store");
-    let src = HostPayload {
-        data: (0..size.as_u64())
-            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(7))
-            .collect(),
-        step: 1,
-    };
+    // RNG-dense, so no chunk repeats another and every chunk is read back.
+    let mut data = vec![0; size.as_u64() as usize];
+    pccheck_util::rng::fill_deterministic(&mut data, 7);
+    let src = HostPayload { data, step: 1 };
     let persist = PersistPipeline::new(
         Arc::clone(&store),
         HostBufferPool::new(ByteSize::from_bytes(READ_CHUNK), 8),
@@ -118,7 +116,7 @@ fn committed_store(size: ByteSize, ways: u32) -> Arc<CheckpointStore> {
     };
     let lease = persist.lease(ctx, &ns);
     let copied = persist
-        .copy(ctx, &src, &lease, 1, size, CopyMode::Streamed)
+        .copy(ctx, &src, &lease, 1, false, false)
         .expect("persist payload");
     persist.seal(ctx, &lease, 1, &copied).expect("seal");
     persist.commit(ctx, lease, 1, &copied).expect("commit");

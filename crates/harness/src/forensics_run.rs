@@ -2,11 +2,14 @@
 //!
 //! One driver takes each tenant's checkpoints through the product's own
 //! [`PersistPipeline`] (lease → copy → seal → commit, one writer): every
-//! tenant's baseline, then two sparse mutations of the driven tenant's. A
-//! codec row copies under [`CopyMode::Codec`], so its first mutation
-//! commits as a frame linked to the baseline, and takes a third mutation
-//! that cuts a chunk off the chunk grid, so its frame is cut at the dirty
-//! run; a `Raw` row copies under [`CopyMode::Streamed`]. The device's
+//! tenant's baseline, then two sparse mutations of the driven tenant's.
+//! Every copy plans its frame from the tenant's last snapshot. A codec row
+//! copies trying LZ, so its first mutation commits as a frame linked to the
+//! baseline, and takes a third mutation that cuts a chunk off the chunk
+//! grid, so its frame is cut at the dirty run; a `Raw` row's RNG-dense
+//! state copies without LZ, so its frames are `Raw` records for what
+//! changed and references for what did not. A row copies pipelined, or
+//! staged whole as the N = 1 strategy rows do. The device's
 //! persist fuse crashes the run's power domain on its `k`-th persist
 //! ([`run_to_crash`]); under
 //! [`CrashPolicy::DropUnpersisted`] every durable image the run can leave
@@ -23,9 +26,9 @@
 use std::sync::Arc;
 
 use pccheck::{
-    raw_frame, recover_instrumented_with, CheckpointStore, CommitOutcome, CopyMode, FrameTable,
-    JobId, PccheckError, PersistPipeline, PipelineCtx, RawStoreView, RecoveredCheckpoint,
-    RecoveryTrace, RestoreOptions, SlotOutcome, StoreGeometry, DEFAULT_JOB,
+    raw_frame, recover_instrumented_with, CheckpointStore, CommitOutcome, FrameTable, JobId,
+    PccheckError, PersistPipeline, PipelineCtx, RawStoreView, RecoveredCheckpoint, RecoveryTrace,
+    RestoreOptions, SlotOutcome, StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_device::{
     CrashPolicy, DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice, StripedDevice,
@@ -52,12 +55,12 @@ pub enum DeviceTopology {
 /// How a scenario frames the checkpoints it commits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Baselines {
-    /// Every checkpoint is a byte ramp seeded by its iteration, copied
-    /// under [`CopyMode::Streamed`]: an all-`Raw` frame.
+    /// Every baseline is RNG-dense bytes seeded by its iteration, copied
+    /// without LZ: `Raw` records, and `DedupBase` hits on the tenant's
+    /// previous commits for the chunks a mutation left clean.
     Raw,
     /// Every checkpoint is a state of 32-byte tiles and pseudo-random
-    /// bytes copied under [`CopyMode::Codec`]: compressed and `Raw`
-    /// records, `DedupSelf` copies, and `DedupBase` hits on the tenant's
+    /// bytes copied trying LZ: compressed and `Raw` records, `DedupSelf` copies, and `DedupBase` hits on the tenant's
     /// previous commits — of whole chunks, and of the clean part of a chunk
     /// a mutation cut.
     Codec,
@@ -67,18 +70,12 @@ impl Baselines {
     /// The state a tenant's baseline captures at `iteration`.
     fn state(self, iteration: u64, len: u64) -> Vec<u8> {
         match self {
-            Baselines::Raw => (0..len)
-                .map(|i| (iteration as u8).wrapping_mul(31).wrapping_add(i as u8))
-                .collect(),
+            Baselines::Raw => {
+                let mut state = vec![0; len as usize];
+                pccheck_util::rng::fill_deterministic(&mut state, iteration);
+                state
+            }
             Baselines::Codec => tiled_payload(iteration, len),
-        }
-    }
-
-    /// The copy mode every checkpoint of the scenario goes through.
-    fn mode(self) -> CopyMode {
-        match self {
-            Baselines::Raw => CopyMode::Streamed,
-            Baselines::Codec => CopyMode::Codec,
         }
     }
 }
@@ -107,6 +104,10 @@ pub struct ForensicsRunConfig {
     pub tenants: Vec<JobId>,
     /// How every checkpoint of the scenario is copied and framed.
     pub baselines: Baselines,
+    /// Whether every copy stages the whole snapshot before its first write
+    /// and leases after, as the N = 1 strategy rows' copies do, rather
+    /// than pipelining it with its persist.
+    pub whole: bool,
 }
 
 impl Default for ForensicsRunConfig {
@@ -120,6 +121,7 @@ impl Default for ForensicsRunConfig {
             topology: DeviceTopology::Single,
             tenants: vec![DEFAULT_JOB],
             baselines: Baselines::Raw,
+            whole: false,
         }
     }
 }
@@ -339,13 +341,13 @@ pub fn commit_checkpoint(
     Ok(counter)
 }
 
-/// Takes one checkpoint of `job` through `pipeline` — lease, copy under
-/// `mode`, seal, commit — of `src`, acknowledged at `iteration`. `leased`
-/// sees the counter before the copy starts. Returns whether the commit was
-/// acknowledged as the tenant's newest.
+/// Takes one checkpoint of `job` through `pipeline` — lease, copy as
+/// `cfg` says, seal, commit — of `src`, acknowledged at `iteration`.
+/// `leased` sees the counter before the copy starts. Returns whether the
+/// commit was acknowledged as the tenant's newest.
 fn checkpoint(
     pipeline: &PersistPipeline,
-    mode: CopyMode,
+    cfg: &ForensicsRunConfig,
     job: JobId,
     iteration: u64,
     src: Snapshot<'_>,
@@ -358,8 +360,8 @@ fn checkpoint(
     };
     let lease = pipeline.lease(ctx, &pipeline.store().namespace(job)?);
     leased(lease.counter);
-    let total = src.size();
-    let copied = pipeline.copy(ctx, src, &lease, iteration, total, mode)?;
+    let lz = cfg.baselines == Baselines::Codec;
+    let copied = pipeline.copy(ctx, src, &lease, iteration, cfg.whole, lz)?;
     pipeline.seal(ctx, &lease, iteration, &copied)?;
     Ok(pipeline.commit(ctx, lease, iteration, &copied)? == CommitOutcome::Committed)
 }
@@ -418,8 +420,7 @@ fn crash(
                 counters.push(counter);
             }
         };
-        let (mode, src) = (cfg.baselines.mode(), c.snapshot());
-        match checkpoint(&pipeline, mode, c.job, c.iteration, src, leased) {
+        match checkpoint(&pipeline, cfg, c.job, c.iteration, c.snapshot(), leased) {
             Ok(acked) => c.acked = acked,
             // Only the crash may stop the run.
             Err(_) if fired() => break,
@@ -661,7 +662,7 @@ impl ForensicsRun {
                 step: iteration + 1,
                 history: None,
             };
-            let acked = checkpoint(&pipeline, cfg.baselines.mode(), job, iteration, src, drop)
+            let acked = checkpoint(&pipeline, &cfg, job, iteration, src, drop)
                 .map_err(|e| format!("no checkpoint after recovery: {e}"))?;
             drop(pipeline);
             let recovered = recover_job(&device, job, 1)

@@ -22,9 +22,11 @@
 //! ```
 //!
 //! `crashdemo` formats a flight-recorder-enabled store on a simulated SSD,
-//! takes a baseline and two sparse mutations through the codec pipeline,
-//! powers the device off on its `k`-th persist (0-based), and writes the
-//! durable image the crash left into the file. `forensics` replays the
+//! takes a baseline and three sparse mutations through the pipeline, each
+//! copy staged whole and trying LZ, powers the device off on its `k`-th
+//! persist (0-based), and writes the durable image the crash left into the
+//! file. A copy staged whole records that it is copied before its first
+//! write, so each `k` crashes the same persist on every run. `forensics` replays the
 //! flight ring against the slot metadata and exits nonzero if any commit-
 //! protocol invariant is violated.
 //!
@@ -383,6 +385,7 @@ fn cmd_crashdemo(path: &str, k: u64) -> Result<(), Box<dyn std::error::Error>> {
         slots: SLOTS,
         flight_records: CRASH_FLIGHT_RECORDS,
         baselines: Baselines::Codec,
+        whole: true,
         ..ForensicsRunConfig::default()
     };
     let image = crashed_image(&cfg, DEFAULT_JOB, k)?

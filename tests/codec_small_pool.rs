@@ -7,8 +7,8 @@
 use std::sync::Arc;
 
 use pccheck::{
-    recover, CheckpointStore, CopyMode, FrameTable, PcCheckConfig, PcCheckEngine, PersistPipeline,
-    PipelineCtx, StoreGeometry, DEFAULT_JOB,
+    recover, CheckpointStore, FrameTable, PcCheckConfig, PcCheckEngine, PersistPipeline,
+    PipelineCtx, RecoveredCheckpoint, StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, SnapshotSource, TrainingState};
@@ -92,7 +92,7 @@ fn replay(
                     step: iteration,
                 };
                 let (_, copied) = pipeline
-                    .checkpoint_framed(ctx, &ns, &src, iteration, CopyMode::Codec)
+                    .checkpoint_framed(ctx, &ns, &src, iteration, true)
                     .expect("checkpoint commits");
                 framed += u64::from(copied.frame.saved_bytes > 0);
             }
@@ -130,9 +130,29 @@ fn framed_stores_on_pools_smaller_than_a_snapshot_recover_bit_identical_to_raw()
     }
 }
 
+/// The engine runs' raw twin: the same training run, each checkpoint
+/// committed as its all-`Raw` frame through the store's own calls, with no
+/// pipeline.
+fn raw_twin() -> RecoveredCheckpoint {
+    let gpu = Gpu::new(
+        GpuConfig::fast_for_tests(),
+        TrainingState::compressible(ByteSize::from_bytes(STATE), 11, 32),
+    );
+    let (device, store) = fresh_store();
+    for iter in 1..=8u64 {
+        gpu.update();
+        if iter % 2 == 0 {
+            let mut data = vec![0; STATE as usize];
+            gpu.lock_weights_shared().copy_range_to_host(0, &mut data);
+            commit_checkpoint(&store, DEFAULT_JOB, iter, &data).expect("commits");
+        }
+    }
+    recover(device).expect("raw store recovers")
+}
+
 #[test]
 fn codec_engines_on_pools_smaller_than_a_snapshot_recover_bit_identical_to_raw() {
-    let run = |codec: bool, dram_chunks: usize| {
+    let run = |dram_chunks: usize| {
         let telemetry = Telemetry::enabled();
         let state = ByteSize::from_kb(64);
         let cap = CheckpointStore::required_capacity(state, 3) + ByteSize::from_kb(4);
@@ -147,7 +167,7 @@ fn codec_engines_on_pools_smaller_than_a_snapshot_recover_bit_identical_to_raw()
             .writer_threads(1)
             .chunk_size(ByteSize::from_kb(16))
             .dram_chunks(dram_chunks)
-            .codec(codec)
+            .codec(true)
             .build()
             .expect("valid config");
         let engine = PcCheckEngine::new(config, Arc::clone(&device), gpu.state_size())
@@ -164,11 +184,10 @@ fn codec_engines_on_pools_smaller_than_a_snapshot_recover_bit_identical_to_raw()
         let saved = telemetry.snapshot().map_or(0, |s| s.codec_bytes_saved);
         (recover(device).expect("engine store recovers"), saved)
     };
-    let (raw, saved_off) = run(false, 4);
-    assert_eq!(saved_off, 0);
+    let raw = raw_twin();
     // A 64 KiB state is four 16 KiB chunks.
     for dram_chunks in [1, 3] {
-        let (with_codec, saved_on) = run(true, dram_chunks);
+        let (with_codec, saved_on) = run(dram_chunks);
         assert!(saved_on > 0, "{dram_chunks} chunks: the codec saves bytes");
         assert_eq!(with_codec.iteration, raw.iteration);
         assert_eq!(with_codec.payload, raw.payload, "{dram_chunks} chunks");

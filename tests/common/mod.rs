@@ -18,10 +18,11 @@ const CODEC_STATE_BYTES: u64 = 64 * 1024;
 
 /// The one table both tenancies' crash tests run: a flat and a striped
 /// device, each as a single-tenant store and as one shared by jobs 1..=3,
-/// each over all-`Raw` and over codec-packed checkpoints — 2 × 2 × 2 = 8
-/// rows — and the two-slot store every N = 1 strategy row formats, flat,
-/// single-tenant and all-`Raw`. The sweep drives every tenant of a row
-/// through every `k` of `run_to_crash`.
+/// each over RNG-dense checkpoints copied without LZ and over
+/// codec-packed ones — 2 × 2 × 2 = 8 pipelined rows — and the two-slot
+/// store every N = 1 strategy row formats, flat, single-tenant, RNG-dense
+/// and staged whole, as those rows copy. The sweep drives every tenant of a
+/// row through every `k` of `run_to_crash`.
 pub(crate) fn crash_matrix() -> Vec<ForensicsRunConfig> {
     let mut rows = Vec::new();
     for topology in [DeviceTopology::Single, DeviceTopology::Striped { ways: 2 }] {
@@ -46,6 +47,7 @@ pub(crate) fn crash_matrix() -> Vec<ForensicsRunConfig> {
     }
     rows.push(ForensicsRunConfig {
         slots: 2,
+        whole: true,
         ..ForensicsRunConfig::default()
     });
     rows

@@ -8,8 +8,7 @@
 use std::sync::Arc;
 
 use pccheck::{
-    recovery, CheckpointStore, CopyMode, FrameTable, PersistPipeline, PipelineCtx, StoreGeometry,
-    DEFAULT_JOB,
+    recovery, CheckpointStore, FrameTable, PersistPipeline, PipelineCtx, StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
 use pccheck_gpu::{Gpu, GpuConfig, TrainingState};
@@ -69,10 +68,9 @@ fn dedup_chain_restore_is_bit_identical_to_full_checkpoints() {
             gpu.update_sparse(0.10);
         }
         let guard = gpu.lock_weights_shared_owned();
-        let total = guard.size();
 
         let (_, copied) = pipe_a
-            .checkpoint_framed(ctx, &ns_a, &guard, iter, CopyMode::Codec)
+            .checkpoint_framed(ctx, &ns_a, &guard, iter, true)
             .expect("framed checkpoint");
         assert!(
             copied.frame.saved_bytes > 0,
@@ -89,7 +87,7 @@ fn dedup_chain_restore_is_bit_identical_to_full_checkpoints() {
 
         let lease = pipe_b.lease(ctx, &ns_b);
         let copied = pipe_b
-            .copy(ctx, &guard, &lease, iter, total, CopyMode::Streamed)
+            .copy(ctx, &guard, &lease, iter, false, false)
             .expect("full copy");
         drop(guard);
         pipe_b.seal(ctx, &lease, iter, &copied).expect("seal");

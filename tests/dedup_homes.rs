@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use pccheck::{
     compress_gated, recover_instrumented_with, recover_into_gpu, recovery, CheckMeta,
-    CheckpointStore, ChunkEncoding, CommitOutcome, CopyMode, FrameTable, Namespace, PcCheckConfig,
+    CheckpointStore, ChunkEncoding, CommitOutcome, FrameTable, Namespace, PcCheckConfig,
     PcCheckEngine, PccheckError, PersistPipeline, PipelineCtx, RestoreOptions, StoreGeometry,
     DEFAULT_JOB,
 };
@@ -229,7 +229,7 @@ fn clean_chunks_keep_one_home_across_eight_commits_on_three_slots() {
         }
         let guard = gpu.lock_weights_shared_owned();
         let (out, copied) = pipeline
-            .checkpoint_framed(ctx(&telemetry), &ns(&store), &guard, iter, CopyMode::Codec)
+            .checkpoint_framed(ctx(&telemetry), &ns(&store), &guard, iter, true)
             .expect("framed checkpoint");
         drop(guard);
         assert_eq!(out, CommitOutcome::Committed);
@@ -302,7 +302,7 @@ fn a_sparse_update_writes_the_blocks_it_changed_not_the_chunks_they_fall_in() {
         }
         let guard = gpu.lock_weights_shared_owned();
         let (out, copied) = pipeline
-            .checkpoint_framed(ctx(&telemetry), &ns(&store), &guard, iter, CopyMode::Codec)
+            .checkpoint_framed(ctx(&telemetry), &ns(&store), &guard, iter, true)
             .expect("framed checkpoint");
         drop(guard);
         assert_eq!(out, CommitOutcome::Committed);
@@ -382,64 +382,91 @@ fn a_sparse_update_writes_the_blocks_it_changed_not_the_chunks_they_fall_in() {
 /// An RNG-dense state packs nothing, so its first frame is all `Raw`; that
 /// frame still homes its blocks, so each later sparse checkpoint writes
 /// only the 4 KiB blocks its update dirtied (plus its table) and serves the
-/// rest from the blocks the earlier frames hold.
+/// rest from the blocks the earlier frames hold — whether the pipeline
+/// tries LZ or a codec-off engine copies.
 #[test]
 fn a_dense_state_that_packs_nothing_still_writes_only_its_dirty_blocks() {
     const STATE: u64 = 128 * 1024;
     const CHUNK: u64 = 16 * 1024;
     const BLOCK: usize = 4096;
-    let (ssd, store) = ssd_store(STATE, CHUNK, 3, 0);
-    let pipeline = framed_pipeline(&store, STATE, CHUNK);
-    let telemetry = Telemetry::disabled();
-    let gpu = Gpu::new(
-        GpuConfig::fast_for_tests(),
-        TrainingState::synthetic(ByteSize::from_bytes(STATE), 11),
-    );
-    let mut before = serialized(&gpu);
-    for iter in 1..=4u64 {
-        if iter > 1 {
-            gpu.update_sparse(0.05);
-        }
-        let live = serialized(&gpu);
-        let dirty_blocks = (live.chunks(BLOCK).zip(before.chunks(BLOCK)))
-            .filter(|(now, was)| now != was)
-            .count() as u64;
-        before = live.clone();
-        let guard = gpu.lock_weights_shared_owned();
-        let (out, copied) = pipeline
-            .checkpoint_framed(ctx(&telemetry), &ns(&store), &guard, iter, CopyMode::Codec)
-            .expect("framed checkpoint");
-        drop(guard);
-        assert_eq!(out, CommitOutcome::Committed);
-        if iter > 1 {
+    for codec_off_engine in [false, true] {
+        let (ssd, store) = ssd_store(STATE, CHUNK, 3, 0);
+        let pipeline = framed_pipeline(&store, STATE, CHUNK);
+        let engine = codec_off_engine.then(|| {
+            let config = PcCheckConfig::builder()
+                .max_concurrent(2)
+                .writer_threads(2)
+                .chunk_size(ByteSize::from_bytes(CHUNK))
+                .dram_chunks((2 * STATE / CHUNK) as usize)
+                .build()
+                .expect("valid config");
+            PcCheckEngine::with_store(config, Arc::clone(&store)).expect("engine")
+        });
+        let telemetry = Telemetry::disabled();
+        let gpu = Gpu::new(
+            GpuConfig::fast_for_tests(),
+            TrainingState::synthetic(ByteSize::from_bytes(STATE), 11),
+        );
+        let mut before = serialized(&gpu);
+        for iter in 1..=4u64 {
+            let leg = format!("codec-off engine {codec_off_engine}, iteration {iter}");
+            if iter > 1 {
+                gpu.update_sparse(0.05);
+            }
+            let live = serialized(&gpu);
+            let dirty_blocks = (live.chunks(BLOCK).zip(before.chunks(BLOCK)))
+                .filter(|(now, was)| now != was)
+                .count() as u64;
+            before = live.clone();
+            match &engine {
+                Some(engine) => {
+                    engine.checkpoint(&gpu, iter);
+                    engine.try_drain().expect("committed");
+                }
+                None => {
+                    let guard = gpu.lock_weights_shared_owned();
+                    let (out, _) = pipeline
+                        .checkpoint_framed(ctx(&telemetry), &ns(&store), &guard, iter, true)
+                        .expect("framed checkpoint");
+                    assert_eq!(out, CommitOutcome::Committed);
+                }
+            }
             let head = store.latest_committed(&ns(&store)).expect("head");
-            let (table, _) = head_frame(&store, &head);
-            let bound = table.encoded_len() + dirty_blocks * BLOCK as u64;
-            assert!(
-                copied.payload_len <= bound,
-                "iteration {iter}: wrote {} bytes, {dirty_blocks} dirty blocks allow {bound}",
-                copied.payload_len
-            );
-        }
+            assert_eq!(head.iteration, iter, "{leg}");
+            if iter > 1 {
+                let (table, _) = head_frame(&store, &head);
+                let bound = table.encoded_len() + dirty_blocks * BLOCK as u64;
+                assert!(
+                    head.payload_len <= bound,
+                    "{leg}: wrote {} bytes, {dirty_blocks} dirty blocks allow {bound}",
+                    head.payload_len
+                );
+            }
 
-        ssd.crash_now();
-        ssd.recover();
-        for readers in [1, 4] {
-            let options = RestoreOptions { readers, job: None };
-            let device = ssd.clone() as Arc<dyn PersistentDevice>;
-            let (rec, _) = recover_instrumented_with(Arc::clone(&device), &telemetry, options)
-                .expect("recoverable");
-            assert_eq!(
-                (rec.iteration, rec.payload == live),
-                (iter, true),
-                "iteration {iter}, {readers} readers"
-            );
-            let target = Gpu::new(
-                GpuConfig::fast_for_tests(),
-                TrainingState::synthetic(ByteSize::from_bytes(STATE), 12),
-            );
-            recover_into_gpu(device, &target, &telemetry, options).expect("recovers into a GPU");
-            assert_eq!(serialized(&target), live, "{readers} readers into a GPU");
+            ssd.crash_now();
+            ssd.recover();
+            for readers in [1, 4] {
+                let options = RestoreOptions { readers, job: None };
+                let device = ssd.clone() as Arc<dyn PersistentDevice>;
+                let (rec, _) = recover_instrumented_with(Arc::clone(&device), &telemetry, options)
+                    .expect("recoverable");
+                assert_eq!(
+                    (rec.iteration, rec.payload == live),
+                    (iter, true),
+                    "{leg}, {readers} readers"
+                );
+                let target = Gpu::new(
+                    GpuConfig::fast_for_tests(),
+                    TrainingState::synthetic(ByteSize::from_bytes(STATE), 12),
+                );
+                recover_into_gpu(device, &target, &telemetry, options)
+                    .expect("recovers into a GPU");
+                assert_eq!(
+                    serialized(&target),
+                    live,
+                    "{leg}, {readers} readers into a GPU"
+                );
+            }
         }
     }
 }
@@ -452,38 +479,40 @@ fn a_frame_whose_base_was_displaced_is_withdrawn_not_committed() {
     let pipeline = framed_pipeline(&store, STATE, CHUNK);
     let telemetry = Telemetry::disabled();
     let ctx = ctx(&telemetry);
-    let total = ByteSize::from_bytes(STATE);
     let gpu = mixed_gpu(STATE, 3);
 
     // A: a framed, unlinked head whose generation B will plan against.
     gpu.update();
     let guard = gpu.lock_weights_shared_owned();
     let (out, copied_a) = pipeline
-        .checkpoint_framed(ctx, &ns(&store), &guard, 1, CopyMode::Codec)
+        .checkpoint_framed(ctx, &ns(&store), &guard, 1, true)
         .expect("A");
     drop(guard);
     assert_eq!(out, CommitOutcome::Committed);
     assert!(copied_a.frame.saved_bytes > 0, "{copied_a:?}");
     let a = store.latest_committed(&ns(&store)).expect("A is head");
 
-    // C leases first (the older counter) and streams its all-Raw frame,
-    // but does not commit yet.
+    // C leases first (the older counter) and streams a frame that
+    // references nothing, through a pipeline with no history to plan or
+    // deduplicate from, but does not commit yet.
     gpu.update_sparse(0.1);
     let state_c = serialized(&gpu);
+    let fresh = framed_pipeline(&store, STATE, CHUNK);
     let guard = gpu.lock_weights_shared_owned();
-    let lease_c = pipeline.lease(ctx, &ns(&store));
-    let copied_c = pipeline
-        .copy(ctx, &guard, &lease_c, 2, total, CopyMode::Streamed)
+    let lease_c = fresh.lease(ctx, &ns(&store));
+    let copied_c = fresh
+        .copy(ctx, &guard, &lease_c, 2, false, false)
         .expect("C copies");
     drop(guard);
-    pipeline.seal(ctx, &lease_c, 2, &copied_c).expect("C seals");
+    assert!(copied_c.frame.link.is_none(), "{copied_c:?}");
+    fresh.seal(ctx, &lease_c, 2, &copied_c).expect("C seals");
 
     // B plans against head A and references its chunks.
     gpu.update_sparse(0.1);
     let guard = gpu.lock_weights_shared_owned();
     let lease_b = pipeline.lease(ctx, &ns(&store));
     let copied_b = pipeline
-        .copy(ctx, &guard, &lease_b, 3, total, CopyMode::Codec)
+        .copy(ctx, &guard, &lease_b, 3, false, true)
         .expect("B copies");
     drop(guard);
     let link = copied_b.frame.link.expect("B references A");
@@ -495,9 +524,7 @@ fn a_frame_whose_base_was_displaced_is_withdrawn_not_committed() {
     let c_counter = lease_c.counter;
     assert!(c_counter < lease_b.counter);
     assert_eq!(
-        pipeline
-            .commit(ctx, lease_c, 2, &copied_c)
-            .expect("C commits"),
+        fresh.commit(ctx, lease_c, 2, &copied_c).expect("C commits"),
         CommitOutcome::Committed
     );
     assert_eq!(
@@ -538,7 +565,7 @@ fn a_frame_whose_base_was_displaced_is_withdrawn_not_committed() {
     gpu.update_sparse(0.1);
     let guard = gpu.lock_weights_shared_owned();
     let (out, _) = pipeline
-        .checkpoint_framed(ctx, &ns(&store), &guard, 4, CopyMode::Codec)
+        .checkpoint_framed(ctx, &ns(&store), &guard, 4, true)
         .expect("D");
     drop(guard);
     assert_eq!(out, CommitOutcome::Committed);
@@ -569,7 +596,7 @@ fn two_homes() -> TwoHomes {
         gpu.update_sparse(fraction);
         let guard = gpu.lock_weights_shared_owned();
         let (out, copied) = pipeline
-            .checkpoint_framed(ctx(&telemetry), &ns(&store), &guard, iter, CopyMode::Codec)
+            .checkpoint_framed(ctx(&telemetry), &ns(&store), &guard, iter, true)
             .expect("framed checkpoint");
         drop(guard);
         assert_eq!(out, CommitOutcome::Committed);

@@ -14,8 +14,8 @@ use std::sync::Arc;
 use pccheck::store::SlotLease;
 use pccheck::{
     compress_gated, raw_frame, recover_instrumented_with, recover_into_gpu, recovery, CheckMeta,
-    CheckpointStore, ChunkEncoding, CopyMode, DeltaLink, FrameRecord, FrameTable, Namespace,
-    PersistPipeline, PipelineCtx, RestoreOptions, StoreGeometry, DEFAULT_JOB,
+    CheckpointStore, ChunkEncoding, DeltaLink, FrameRecord, FrameTable, Namespace, PersistPipeline,
+    PipelineCtx, RestoreOptions, StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_device::{
     DeviceConfig, DeviceStats, HostBufferPool, PersistentDevice, Result as DeviceResult, SsdDevice,
@@ -90,10 +90,9 @@ fn parallel_and_sequential_recovery_agree_on_full_checkpoints() {
             gpu.update();
         }
         let guard = gpu.lock_weights_shared_owned();
-        let total = guard.size();
         let lease = pipe.lease(ctx, &ns(&store));
         let copied = pipe
-            .copy(ctx, &guard, &lease, iter, total, CopyMode::Streamed)
+            .copy(ctx, &guard, &lease, iter, false, false)
             .expect("full copy");
         drop(guard);
         pipe.seal(ctx, &lease, iter, &copied).expect("seal");
@@ -144,7 +143,7 @@ fn parallel_and_sequential_recovery_agree_on_dedup_chains() {
             gpu.update_sparse(0.10);
         }
         let guard = gpu.lock_weights_shared_owned();
-        pipe.checkpoint_framed(ctx, &ns(&store), &guard, iter, CopyMode::Codec)
+        pipe.checkpoint_framed(ctx, &ns(&store), &guard, iter, true)
             .expect("framed checkpoint");
     }
     drop(pipe);

@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use pccheck::{
-    bind_frame_table, recovery, CheckpointStore, CopyMode, FrameTable, PcCheckConfig,
-    PcCheckEngine, PersistPipeline, PipelineCtx, StoreGeometry, StrategyRow, DEFAULT_JOB,
+    bind_frame_table, recovery, CheckpointStore, FrameTable, PcCheckConfig, PcCheckEngine,
+    PersistPipeline, PipelineCtx, StoreGeometry, StrategyRow, DEFAULT_JOB,
 };
 use pccheck_device::{
     DeviceConfig, HostBufferPool, NetworkConfig, NetworkLink, PersistentDevice, PmemDevice,
@@ -287,20 +287,19 @@ fn copy_verb_with(gpu: &Gpu, verb: &str, chunk: u64, pool_chunks: usize) -> Stat
     };
     let iteration = gpu.step_count();
     let guard = gpu.lock_weights_shared_owned();
-    let total = guard.size();
     // The codec packs the tiled state and declines the dense one after
     // staging it — the guard is its to release by then, so the all-Raw
     // frame is of what it already holds in DRAM.
     let lease = pipeline.lease(ctx, &ns);
-    let mode = match verb {
-        "copy staged" => CopyMode::Staged,
-        "copy streamed" => CopyMode::Streamed,
-        _ => CopyMode::Codec,
+    let (whole, lz) = match verb {
+        "copy staged" => (true, false),
+        "copy streamed" => (false, false),
+        _ => (false, true),
     };
     let copied = pipeline
-        .copy(ctx, &guard, &lease, iteration, total, mode)
+        .copy(ctx, &guard, &lease, iteration, whole, lz)
         .expect("copy");
-    if mode == CopyMode::Codec && verb != "copy codec if it pays" {
+    if lz && verb != "copy codec if it pays" {
         let packed = copied.frame.saved_bytes > 0;
         assert_eq!(packed, verb == "copy codec", "{verb}");
     }

@@ -441,8 +441,9 @@ fn chrome_trace_parses_with_actor_lane_referential_integrity() {
 /// A codec-enabled engine over a compressible state must surface its
 /// savings through the whole exposition path: the raw snapshot
 /// counters, the Prometheus text (which must still validate under the
-/// crate's own parser), and the JSON document — while a raw engine on
-/// the same path reports all three series as zero.
+/// crate's own parser), and the JSON document — while a codec-off engine
+/// on the same path packs no `Lz` record, its series carrying only what
+/// dedup saved.
 #[test]
 fn codec_counters_flow_through_the_exposition_path() {
     let size = ByteSize::from_kb(64);
@@ -522,8 +523,9 @@ fn codec_counters_flow_through_the_exposition_path() {
         "{json}"
     );
 
-    // A codec-off engine over the same exposition path reports zeros —
-    // the series exist but never move.
+    // A codec-off engine over the same exposition path compresses
+    // nothing: its frame holds no `Lz` record, and the series carry what
+    // its dedup of the tiled state saved.
     let raw_telemetry = Telemetry::enabled();
     let raw_device: Arc<dyn PersistentDevice> =
         Arc::new(SsdDevice::new(DeviceConfig::fast_for_tests(cap)));
@@ -548,13 +550,24 @@ fn codec_counters_flow_through_the_exposition_path() {
     raw_engine.checkpoint(&raw_gpu, 1);
     raw_engine.try_drain().expect("healthy device");
     let raw_snap = raw_telemetry.snapshot().expect("telemetry enabled");
-    assert_eq!(raw_snap.codec_bytes_saved, 0);
-    assert_eq!(raw_snap.dedup_chunks, 0);
-    assert_eq!(raw_snap.compression_ratio_permille, 0);
-    let raw_text = MetricsRegistry::new(raw_telemetry).prometheus_text();
-    validate_prometheus_text(&raw_text).expect("zeroed exposition parses");
+    let (store, ns) = (raw_engine.store(), raw_engine.namespace());
+    let head = store.latest_committed(ns).expect("committed");
+    let payload = store.read_checkpoint(&head).expect("head frame");
+    let table = pccheck::FrameTable::decode(&payload).expect("a frame");
     assert!(
-        raw_text.contains("pccheck_codec_bytes_saved_total 0"),
+        table
+            .records
+            .iter()
+            .all(|r| r.kind != pccheck::ChunkEncoding::Lz),
+        "{table:?}"
+    );
+    let raw_text = MetricsRegistry::new(raw_telemetry).prometheus_text();
+    validate_prometheus_text(&raw_text).expect("codec-off exposition parses");
+    assert!(
+        raw_text.contains(&format!(
+            "pccheck_codec_bytes_saved_total {}",
+            raw_snap.codec_bytes_saved
+        )),
         "{raw_text}"
     );
 }
