@@ -12,9 +12,9 @@ use std::time::Duration;
 
 use pccheck::{
     compress_gated, recover_instrumented_with, recover_into_gpu, recovery, CheckMeta,
-    CheckpointStore, ChunkEncoding, CommitOutcome, FrameTable, Namespace, PcCheckConfig,
-    PcCheckEngine, PccheckError, PersistPipeline, PipelineCtx, RestoreOptions, StoreGeometry,
-    DEFAULT_JOB,
+    CheckpointStore, ChunkEncoding, CommitOutcome, FrameRecord, FrameTable, Namespace,
+    PcCheckConfig, PcCheckEngine, PccheckError, PersistPipeline, PipelineCtx, RestoreOptions,
+    StoreGeometry, DEFAULT_JOB,
 };
 use pccheck_device::{DeviceConfig, HostBufferPool, PersistentDevice, SsdDevice};
 use pccheck_gpu::{Checkpointer, Gpu, GpuConfig, Tensor, TrainingState};
@@ -105,6 +105,16 @@ fn head_frame(store: &CheckpointStore, head: &CheckMeta) -> (FrameTable, Vec<(u6
     homes.sort_unstable();
     homes.dedup();
     (table, homes)
+}
+
+/// The record of `table` that starts at logical offset `off`.
+fn record_at(table: &FrameTable, off: u64) -> Option<FrameRecord> {
+    let mut at = 0;
+    let mut records = table.records.iter().map(|r| {
+        at += r.logical_len;
+        (at - r.logical_len, *r)
+    });
+    records.find(|&(at, _)| at == off).map(|(_, r)| r)
 }
 
 /// Drives `engine` through six checkpoints whose dirty set moves, on a
@@ -221,8 +231,31 @@ fn clean_chunks_keep_one_home_across_eight_commits_on_three_slots() {
     let telemetry = Telemetry::disabled();
     let gpu = mixed_gpu(STATE, 1);
     gpu.update();
+    // Each optimizer tensor's whole chunks repeat one tile-aligned chunk.
+    // The root frame materializes the tensor's first whole chunk `Lz` and
+    // names it from the rest; `update_sparse(0.05)` dirties each tensor's
+    // last 5%. So each clean whole chunk after the first is served from
+    // that one `Lz` record, at another logical offset: the tensor's first.
+    let mut repeats = Vec::new();
+    let mut start = 0;
+    for (k, share) in ByteSize::from_bytes(STATE).split_even(3).iter().enumerate() {
+        let len = share.as_u64();
+        let clean_end = start + len - (len as f64 * 0.05).ceil() as u64;
+        let first = start.div_ceil(CHUNK) * CHUNK;
+        let later = (first + CHUNK..clean_end - CHUNK + 1).step_by(CHUNK as usize);
+        if k > 0 {
+            repeats.extend(later.map(|off| (off, first)));
+        }
+        start += len;
+    }
+    assert_eq!(
+        repeats.len(),
+        18 + 18,
+        "adam_m's and adam_v's later clean chunks"
+    );
 
     let mut first_chunk_home = None;
+    let mut named = std::collections::HashMap::new();
     for iter in 1..=8u64 {
         if iter > 1 {
             gpu.update_sparse(0.05);
@@ -251,6 +284,27 @@ fn clean_chunks_keep_one_home_across_eight_commits_on_three_slots() {
                 home,
                 "iteration {iter}: a clean chunk never changes homes"
             );
+            let history = store.history(&ns(&store)).expect("history");
+            for &(off, first) in &repeats {
+                let r = record_at(&table, off).expect("a record starts at every chunk");
+                assert_eq!((r.kind, r.logical_len), (ChunkEncoding::DedupBase, CHUNK));
+                assert_eq!(
+                    r.b, first,
+                    "iteration {iter}: {off} names its tensor's first chunk"
+                );
+                let home = (history.iter())
+                    .find(|m| (m.counter, m.slot) == (r.a, r.aux))
+                    .expect("the home is committed");
+                let (home_table, _) = head_frame(&store, home);
+                let held = record_at(&home_table, first).expect("the home has a record there");
+                assert_eq!((held.kind, held.logical_len), (ChunkEncoding::Lz, CHUNK));
+                let name = (r.a, r.aux, r.b);
+                assert_eq!(
+                    *named.entry(off).or_insert(name),
+                    name,
+                    "iteration {iter}: {off} keeps its home"
+                );
+            }
             let ratio = payload_len as f64 / STATE as f64;
             assert!(
                 ratio <= 0.06,
