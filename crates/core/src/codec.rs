@@ -7,7 +7,7 @@
 //! chunks]`; there is no other payload format. A checkpoint the codec did
 //! not touch — codec off, a staging pool too small to hold the snapshot, a
 //! frame that would not pay — is the *all-`Raw` frame*
-//! (`FrameTable::all_raw`): one `Raw` record per chunk, each packed at its
+//! ([`raw_frame`]): one `Raw` record per chunk, each packed at its
 //! own logical offset behind the table. The table header binds the frame to
 //! its commit (checkpoint counter, and the commit record's digest is the
 //! checksum of the serialized table), names the logical (uncompressed)
@@ -265,35 +265,6 @@ pub struct FrameTable {
 }
 
 impl FrameTable {
-    /// The all-`Raw` frame of checkpoint `counter`: one `Raw` record per
-    /// `(logical_len, content address)`, in logical order, each packed at
-    /// its own logical offset, so the packed region is the state verbatim —
-    /// however it is written, from pool jobs' addresses or [`raw_frame`].
-    pub(crate) fn all_raw(
-        counter: u64,
-        full_digest: u64,
-        records: impl IntoIterator<Item = (u64, u64)>,
-    ) -> FrameTable {
-        let mut logical_len = 0u64;
-        let records = records.into_iter().map(|(len, digest)| {
-            logical_len += len;
-            FrameRecord {
-                kind: ChunkEncoding::Raw,
-                aux: 0,
-                logical_len: len,
-                a: logical_len - len,
-                b: len,
-                digest,
-            }
-        });
-        FrameTable {
-            records: records.collect(),
-            counter,
-            logical_len,
-            full_digest,
-        }
-    }
-
     /// Encoded size of a table holding `count` records.
     pub fn encoded_len_for(count: usize) -> u64 {
         (FRAME_HEADER + count * FRAME_RECORD_SIZE + 8) as u64
@@ -425,10 +396,30 @@ impl FrameTable {
 /// `payload`, a state whose state digest is `full_digest`, as checkpoint
 /// `counter`'s all-`Raw` frame of `record`-byte records, and the digest its
 /// commit records: for whoever holds a whole state in memory.
+/// Each record is packed at its own logical offset, so the packed region is
+/// the state verbatim.
 pub fn raw_frame(counter: u64, full_digest: u64, payload: &[u8], record: usize) -> (Vec<u8>, u64) {
-    let records = payload.chunks(record.max(1));
-    let records = records.map(|r| (r.len() as u64, content_address(r)));
-    let mut frame = FrameTable::all_raw(counter, full_digest, records).encode();
+    let raw = |(k, r): (usize, &[u8])| {
+        let (kind, aux, logical_len) = (ChunkEncoding::Raw, 0, r.len() as u64);
+        let (a, b, digest) = ((k * record.max(1)) as u64, logical_len, content_address(r));
+        FrameRecord {
+            kind,
+            aux,
+            logical_len,
+            a,
+            b,
+            digest,
+        }
+    };
+    let records = payload.chunks(record.max(1)).enumerate().map(raw).collect();
+    let logical_len = payload.len() as u64;
+    let table = FrameTable {
+        counter,
+        logical_len,
+        full_digest,
+        records,
+    };
+    let mut frame = table.encode();
     let digest = checksum(&frame);
     frame.extend_from_slice(payload);
     (frame, digest)
@@ -1014,12 +1005,6 @@ impl Homes {
         self.runs.sort_unstable_by_key(|&(off, _)| off);
         Arc::new(self)
     }
-
-    /// The home records, by logical offset.
-    #[cfg(test)]
-    pub(crate) fn records(&self) -> impl Iterator<Item = DedupHome> + '_ {
-        self.runs.iter().map(|(_, hit)| hit.home)
-    }
 }
 
 /// Index from each range of a job's latest framed commit to the home that
@@ -1054,21 +1039,6 @@ impl DedupIndex {
         let g = self.generations.get(&job)?;
         (g.head == head).then(|| Arc::clone(g))
     }
-
-    /// The hit that serves all of `[off, off + len)` in the generation
-    /// checkpoint `head` installed.
-    #[cfg(test)]
-    pub(crate) fn lookup(&self, job: JobId, head: u64, off: u64, len: u64) -> Option<Hit> {
-        let generation = self.observe(job, head)?;
-        let hit = generation.reach(off..off + len, false, None)?;
-        (hit.len == len).then_some(hit)
-    }
-
-    /// The checkpoint counter of `job`'s current generation, if any.
-    #[cfg(test)]
-    pub(crate) fn generation_counter(&self, job: JobId) -> Option<u64> {
-        self.generations.get(&job).map(|g| g.head)
-    }
 }
 
 #[cfg(test)]
@@ -1076,6 +1046,28 @@ mod tests {
     use super::*;
     use pccheck_util::fnv::state_digest;
     use pccheck_util::rng::{check, DEFAULT_CASES};
+
+    impl Homes {
+        /// The home records, by logical offset.
+        pub(crate) fn records(&self) -> impl Iterator<Item = DedupHome> + '_ {
+            self.runs.iter().map(|(_, hit)| hit.home)
+        }
+    }
+
+    impl DedupIndex {
+        /// The hit that serves all of `[off, off + len)` in the generation
+        /// checkpoint `head` installed.
+        pub(crate) fn lookup(&self, job: JobId, head: u64, off: u64, len: u64) -> Option<Hit> {
+            let generation = self.observe(job, head)?;
+            let hit = generation.reach(off..off + len, false, None)?;
+            (hit.len == len).then_some(hit)
+        }
+
+        /// The checkpoint counter of `job`'s current generation, if any.
+        pub(crate) fn generation_counter(&self, job: JobId) -> Option<u64> {
+            self.generations.get(&job).map(|g| g.head)
+        }
+    }
 
     fn sample_table() -> FrameTable {
         FrameTable {

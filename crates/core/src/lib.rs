@@ -77,6 +77,7 @@ pub mod footprint;
 pub mod layout;
 pub mod meta;
 pub mod pipeline;
+mod plan;
 mod pool;
 pub mod qos;
 pub mod queue;

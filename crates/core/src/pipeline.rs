@@ -28,14 +28,11 @@
 //!
 //! # One payload format
 //!
-//! Whatever writes it, a checkpoint is a frame (see [`crate::codec`]): a
-//! table, written last, in front of the packed chunks. The one copy verb,
-//! [`copy`](PersistPipeline::copy), plans every frame from its job's last
-//! snapshot and packs what it copied: deduplicated, and compressed where
-//! the copy may try LZ. A frame that packs nothing — every chunk changed,
-//! none deduplicated or compressed — is every chunk verbatim at its packed
-//! offset under an all-`Raw` table. Every commit binds the checksum of the
-//! table it lands on.
+//! Every checkpoint is a frame ([`crate::codec`]): its table, written last
+//! and bound by the commit's checksum, in front of the records
+//! [`copy`](PersistPipeline::copy) packed — deduplicated, and compressed
+//! where it may try LZ. A frame that packs nothing is every chunk verbatim
+//! under an all-`Raw` table.
 //!
 //! # Who waits for what
 //!
@@ -59,29 +56,10 @@
 //! leased checkpoint of their tenant, and move to the checkpoint's counter
 //! once it has one.
 //!
-//! *A copy plans from the last snapshot, not from a copy of it.* Per job
-//! the pipeline keeps the last snapshot's digests and source [`Version`] (a
-//! `Carry`, no bytes). The next copy asks the source what changed since
-//! ([`SnapshotSource::dirty_since`]) and observes the dedup generation of
-//! the job's head once, under the codec index's lock with the weights held.
-//! Records follow the dirty runs on digest-block boundaries: it *serves*
-//! each chunk of whole digest blocks whose clean head and tail one home
-//! record below the depth bound holds — at their own offsets or at another,
-//! any part of a `Raw` record or all of an `Lz` one — with the carried
-//! block values (by position, the generation keeps the home of each range
-//! and each block's value), and copies the run between them: all of a
-//! clean chunk one record holds is served, a chunk the update dirtied in
-//! part is cut. A served record is that `DedupBase`, naming its home
-//! range, its values the carried ones, filed before the plan hands its
-//! own carry on; a cut adds a 40-byte
-//! record for at least one served 4 KiB block, and the table's room is the
-//! plan's record count, so no frame outgrows its slot. It copies the rest,
-//! plus one record it could have served, rotating: that record's digest job
-//! checks its address against the carried one, and a mismatch (the tracker
-//! missed a write) raises an `anomaly` event and retires every carry
-//! planned before it. A dense update leaves nothing clean, so its frame
-//! copies every chunk and, unless a chunk repeats an earlier one or
-//! compresses, is all `Raw`, one record per chunk.
+//! *A copy plans from the last snapshot, not from a copy of it*: each
+//! frame's records follow the dirty runs since the job's carry, served
+//! from the head's homes where they can be (`plan.rs`, whose function
+//! decides what a frame serves, samples and hands on).
 //!
 //! *A frame streams*: producer → digest job → one in-order classifier
 //! (self-dedup, byte-exact against the first occurrence's bytes, held or
@@ -124,12 +102,9 @@
 //!    verb returns only once every job it queued has run or been
 //!    cancelled — so no job outlives the lease it writes under, and the
 //!    pool is as usable afterwards as before.
-//!
-//! [`Version`]: pccheck_gpu::Version
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -137,7 +112,7 @@ use std::sync::{Arc, Weak};
 use pccheck_util::sync::{Condvar, Mutex};
 
 use pccheck_device::{HostBuffer, HostBufferPool};
-use pccheck_gpu::{SnapshotSource, StateDigest, Version};
+use pccheck_gpu::{SnapshotSource, StateDigest};
 use pccheck_telemetry::{FlightEventKind, Phase, SpanId, Telemetry};
 use pccheck_util::fnv::{
     chunk_digest, file_blocks, fold_blocks, record_digest, whole_blocks, DIGEST_BLOCK,
@@ -145,11 +120,12 @@ use pccheck_util::fnv::{
 use pccheck_util::ByteSize;
 
 use crate::codec::{
-    block_range, compress_gated, lz_decompress, Carried, ChunkEncoding, DedupHome, DedupIndex,
-    FrameRecord, FrameTable, Generation, Hit, Homes, FRAME_RECORD_SIZE,
+    block_range, compress_gated, lz_decompress, ChunkEncoding, DedupHome, DedupIndex, FrameRecord,
+    FrameTable, Hit, Homes,
 };
 use crate::error::PccheckError;
 use crate::meta::{checksum, DeltaLink};
+use crate::plan::{plan, Carries, Observation, Plan, Unit};
 use crate::pool::{Order, WorkerPool};
 use crate::qos::QosArbiter;
 use crate::store::{CheckpointStore, CommitOutcome, JobId, Namespace, SlotLease};
@@ -196,22 +172,22 @@ impl AsRef<[u8]> for StagedChunk {
 /// A record's content address is a fold of its blocks' values, taken from
 /// them when it is needed. Same definitions as [`pccheck_util::fnv`]'s
 /// in-order forms, without their order.
-struct Digests {
+pub(crate) struct Digests {
     /// The iteration the checkpoint's commit records, which the state
     /// digest folds in.
     iteration: u64,
-    len: u64,
+    pub(crate) len: u64,
     /// The staging chunk size: chunk `i` starts at `i × chunk`.
-    chunk: u64,
+    pub(crate) chunk: u64,
     /// Relaxed: every job hands the batch's mutex to [`Batch::wait`], which
     /// orders the stores before the fold's loads, and a later snapshot
     /// reads a block's value only after `filed` says it is in — or, for a
     /// block its plan served, after taking the carry, which the plan hands
     /// on through the carries' mutex once it has carried those values.
     /// Shared with the generation a frame of this snapshot installs.
-    blocks: Arc<[AtomicU64]>,
+    pub(crate) blocks: Arc<[AtomicU64]>,
     /// By block: its value is filed (release, after it).
-    filed: Vec<AtomicBool>,
+    pub(crate) filed: Vec<AtomicBool>,
 }
 
 impl std::fmt::Debug for Digests {
@@ -225,7 +201,7 @@ impl std::fmt::Debug for Digests {
 }
 
 impl Digests {
-    fn of(iteration: u64, total: ByteSize, chunk: u64) -> Arc<Self> {
+    pub(crate) fn of(iteration: u64, total: ByteSize, chunk: u64) -> Arc<Self> {
         let n_blocks = total.as_u64().div_ceil(DIGEST_BLOCK as u64);
         Arc::new(Digests {
             iteration,
@@ -236,19 +212,19 @@ impl Digests {
         })
     }
 
-    fn n_chunks(&self) -> usize {
+    pub(crate) fn n_chunks(&self) -> usize {
         self.len.div_ceil(self.chunk) as usize
     }
 
     /// Chunk `i`'s offset and length.
-    fn extent(&self, i: usize) -> (u64, usize) {
+    pub(crate) fn extent(&self, i: usize) -> (u64, usize) {
         let off = i as u64 * self.chunk;
         (off, self.chunk.min(self.len - off) as usize)
     }
 
     /// Whether chunk `i` is a run of whole digest blocks: one that shares
     /// no block with another chunk.
-    fn uncut(&self, i: usize) -> bool {
+    pub(crate) fn uncut(&self, i: usize) -> bool {
         let (off, len) = self.extent(i);
         whole_blocks(off, len, self.len) == (0, len)
     }
@@ -260,7 +236,7 @@ impl Digests {
 
     /// The content address of `[off, off + len)`, a run of whole blocks,
     /// from their values, once every one is filed: no byte is read.
-    fn address(&self, off: u64, len: u64) -> Option<u64> {
+    pub(crate) fn address(&self, off: u64, len: u64) -> Option<u64> {
         let blocks = block_range(off, len);
         let filed = blocks
             .clone()
@@ -272,7 +248,7 @@ impl Digests {
     /// `from`: a snapshot of the same geometry that has filed its blocks —
     /// or carried them, if its plan served them — and held the same bytes
     /// there.
-    fn carry(&self, from: &Digests, off: u64, len: u64) {
+    pub(crate) fn carry(&self, from: &Digests, off: u64, len: u64) {
         for b in block_range(off, len) {
             self.set(b, from.blocks[b].load(Ordering::Relaxed));
         }
@@ -281,7 +257,7 @@ impl Digests {
     /// A record's pool job: one pass over `piece`, staged from offset
     /// `off`, files the values of the blocks it wholly covers and returns
     /// its content address.
-    fn file(&self, off: u64, piece: &[u8]) -> u64 {
+    pub(crate) fn file(&self, off: u64, piece: &[u8]) -> u64 {
         file_blocks(off, piece, self.len, |b, value| self.set(b, value))
     }
 
@@ -289,7 +265,7 @@ impl Digests {
     /// boundary cuts, which no job sees whole. `open` carries the head of
     /// the one such block that is open between two chunks — never more
     /// than a block of bytes, and none at all on an aligned geometry.
-    fn file_cut(&self, open: &mut Vec<u8>, off: u64, chunk: &[u8]) {
+    pub(crate) fn file_cut(&self, open: &mut Vec<u8>, off: u64, chunk: &[u8]) {
         let (head, whole) = whole_blocks(off, chunk.len(), self.len);
         open.extend_from_slice(&chunk[..head]);
         if open.len() == DIGEST_BLOCK || (head > 0 && off + head as u64 == self.len) {
@@ -300,147 +276,9 @@ impl Digests {
     }
 
     /// The state digest, once every block has been filed.
-    fn fold(&self) -> StateDigest {
+    pub(crate) fn fold(&self) -> StateDigest {
         let values = self.blocks.iter().map(|cell| cell.load(Ordering::Relaxed));
         StateDigest(fold_blocks(self.iteration, self.len, values))
-    }
-}
-
-/// The producer's copy of `[off, off + len)` of `src` into `buf`: the one
-/// GPU→DRAM memcpy, then the blocks a chunk boundary cuts.
-fn stage(
-    ctx: PipelineCtx<'_>,
-    src: &impl SnapshotSource,
-    digests: &Digests,
-    open: &mut Vec<u8>,
-    (off, len): (u64, usize),
-    mut buf: HostBuffer,
-) -> StagedChunk {
-    src.copy_range_to_host(off, &mut buf.as_mut_slice()[..len]);
-    ctx.telemetry
-        .chunk(ctx.span, Phase::GpuCopy, off, len as u64);
-    let piece = StagedChunk {
-        buf: Arc::new(buf),
-        len,
-    };
-    digests.file_cut(open, off, piece.as_ref());
-    piece
-}
-
-/// The last snapshot a job's copy planned from (module docs, "A copy plans
-/// from the last snapshot").
-#[derive(Debug)]
-struct Carry {
-    version: Version,
-    digests: Arc<Digests>,
-    /// The logical offset where the next validation sample starts looking
-    /// for a served record.
-    cursor: u64,
-    /// [`CodecState::mismatches`] when it was planned: a sample that fails
-    /// after that retires it.
-    mismatches: u64,
-    /// By chunk: the hit the plan served all of it from, if it did.
-    served: Vec<Option<Hit>>,
-}
-
-/// One record of a frame as planned: the logical range it covers
-/// and, if the observation serves it, from where.
-#[derive(Debug, Clone, Copy)]
-struct Unit {
-    off: u64,
-    len: u64,
-    served: Option<Served>,
-}
-
-/// A record served without being copied: where its home holds its bytes,
-/// and its address, carried from the last snapshot.
-#[derive(Debug, Clone, Copy)]
-struct Served {
-    hit: Hit,
-    address: u64,
-}
-
-/// What a copy decided while it held the weights.
-struct Plan {
-    /// The frame's records, in logical order: one per chunk, but a chunk
-    /// the observation serves only in part is cut into its served runs and
-    /// the run between them.
-    units: Vec<Unit>,
-    /// The served record copied to validate the carry.
-    sample: Option<usize>,
-    /// Bytes changed since the carried snapshot: the whole state when
-    /// there was none to plan from.
-    dirty: u64,
-}
-
-/// What one look at the codec index saw: the generation the job's head
-/// installed, if any, and how deep a home may sit to be referenced.
-struct Observation {
-    generation: Option<Arc<Generation>>,
-    max_depth: u32,
-}
-
-impl Observation {
-    /// The generation's one lookup ([`Generation::reach`]), below the depth
-    /// bound.
-    fn hit(&self, range: Range<u64>, back: bool, carried: Option<Carried<'_>>) -> Option<Hit> {
-        let hit = self.generation.as_ref()?.reach(range, back, carried)?;
-        (hit.home.depth < self.max_depth).then_some(hit)
-    }
-
-    /// Chunk `i`'s records, planned from `carry` with `dirty` its digest
-    /// blocks from the first written since to the last: its longest head
-    /// and longest tail of clean blocks that one home record holds with
-    /// the carried values — all of a clean chunk, when one does — each
-    /// served from that record, around the run that is copied. A chunk
-    /// that shares a block with another is copied whole. Returns the hit
-    /// that serves all of the chunk, if one does.
-    fn chunk_units(
-        &self,
-        digests: &Digests,
-        carry: &Carry,
-        dirty: Option<Range<usize>>,
-        i: usize,
-        units: &mut Vec<Unit>,
-    ) -> Option<Hit> {
-        let (off, len) = digests.extent(i);
-        let end = off + len as u64;
-        if !digests.uncut(i) {
-            let (len, served) = (len as u64, None);
-            units.push(Unit { off, len, served });
-            return None;
-        }
-        let at = |b: usize| (b as u64 * DIGEST_BLOCK as u64).min(digests.len);
-        // The dirty run `[lo, hi)`; a clean chunk's is empty, at its end.
-        let (lo, hi) = dirty.map_or((end, end), |run| (at(run.start), at(run.end)));
-        let last = &carry.digests;
-        let carried = Some((&*last.blocks, &*last.filed));
-        // A whole home record carries its address; a part of one folds its
-        // carried values.
-        let served = |off: u64, hit: Hit| {
-            let address = (hit.address())
-                .unwrap_or_else(|| last.address(off, hit.len).expect("a served block is filed"));
-            let (len, served) = (hit.len, Some(Served { hit, address }));
-            Unit { off, len, served }
-        };
-        // A clean chunk the carry served all of holds that home's bytes: if
-        // the observation names the same home for it, no value is compared.
-        let kept = carry.served[i]
-            .filter(|&hit| lo == end && self.hit(off..end, false, None) == Some(hit));
-        let head = kept.or_else(|| self.hit(off..lo, false, carried));
-        let head_end = off + head.map_or(0, |hit| hit.len);
-        units.extend(head.map(|hit| served(off, hit)));
-        if head_end == end {
-            return head;
-        }
-        let tail = self.hit(head_end.max(hi)..end, true, carried);
-        let tail_start = end - tail.map_or(0, |hit| hit.len);
-        if head_end < tail_start {
-            let (off, len, served) = (head_end, tail_start - head_end, None);
-            units.push(Unit { off, len, served });
-        }
-        units.extend(tail.map(|hit| served(tail_start, hit)));
-        None
     }
 }
 
@@ -545,41 +383,21 @@ struct ChunkIo {
 }
 
 impl ChunkIo {
-    /// Writes one payload chunk, feeding the write-stage histogram.
-    /// Returns the nanoseconds spent in the device call (media time, for
-    /// the writer's queue-wait split).
-    fn write_chunk(
+    /// Runs one device call on a slot's payload — a write or a fence —
+    /// feeding its stage's histogram. Returns the nanoseconds spent in it
+    /// (media time, for the writer's queue-wait split).
+    fn timed(
         &self,
         ctx: PipelineCtx<'_>,
-        slot: u32,
-        offset: u64,
-        data: &[u8],
+        stage: fn(&Telemetry, u64),
+        call: impl FnOnce(&CheckpointStore) -> Result<(), PccheckError>,
     ) -> Result<u64, PccheckError> {
         let start = ctx.telemetry.now_nanos();
-        self.store.write_slot(slot, offset, data)?;
+        call(&self.store)?;
         let mut media = 0;
         if ctx.telemetry.is_enabled() {
             media = ctx.telemetry.now_nanos().saturating_sub(start);
-            ctx.telemetry.stage_write(media);
-        }
-        Ok(media)
-    }
-
-    /// Fences one payload range, feeding the persist-stage histogram.
-    /// Returns the nanoseconds spent in the device call (media time).
-    fn persist_chunk(
-        &self,
-        ctx: PipelineCtx<'_>,
-        slot: u32,
-        offset: u64,
-        len: u64,
-    ) -> Result<u64, PccheckError> {
-        let start = ctx.telemetry.now_nanos();
-        self.store.persist_slot(slot, offset, len)?;
-        let mut media = 0;
-        if ctx.telemetry.is_enabled() {
-            media = ctx.telemetry.now_nanos().saturating_sub(start);
-            ctx.telemetry.stage_persist(media);
+            stage(ctx.telemetry, media);
         }
         Ok(media)
     }
@@ -600,9 +418,14 @@ impl ChunkIo {
             .qos
             .as_ref()
             .map(|q| q.acquire(at.tenant, data.len() as u64));
-        let mut media = self.write_chunk(ctx, at.slot, offset, data)?;
+        let (slot, len) = (at.slot, data.len() as u64);
+        let mut media = self.timed(ctx, Telemetry::stage_write, |store| {
+            store.write_slot(slot, offset, data)
+        })?;
         if self.fence == FenceMode::PerWriter {
-            media += self.persist_chunk(ctx, at.slot, offset, data.len() as u64)?;
+            media += self.timed(ctx, Telemetry::stage_persist, |store| {
+                store.persist_slot(slot, offset, len)
+            })?;
         }
         ctx.telemetry
             .chunk(ctx.span, Phase::Persist, offset, data.len() as u64);
@@ -731,25 +554,6 @@ impl Batch {
         (out, self.telemetry.now_nanos().saturating_sub(start))
     }
 
-    /// Queues the write (and, per the fence mode, the fence) of `data` at
-    /// payload offset `at` of `slot`, under the tenant's per-chunk QoS
-    /// grant.
-    fn write<D: AsRef<[u8]> + Send + 'static>(
-        self: &Arc<Self>,
-        workers: &WorkerPool,
-        slot: SlotRef,
-        at: u64,
-        data: D,
-    ) {
-        self.submit(workers, move |batch| {
-            let bytes = data.as_ref();
-            let media = batch
-                .io
-                .write_and_fence_chunk(batch.ctx(), slot, at, bytes)?;
-            Ok((bytes.len() as u64, media))
-        });
-    }
-
     fn complete(&self, w: usize, outcome: std::thread::Result<Result<(u64, u64), PccheckError>>) {
         let mut state = self.state.lock();
         let failure = match outcome {
@@ -818,10 +622,8 @@ struct Frame {
     /// ones.
     digests: Arc<Digests>,
     observed: Observation,
-    /// The planned records.
-    units: Vec<Unit>,
-    /// The served record that is copied all the same.
-    sample: Option<usize>,
+    /// The planned records, and the served one that is copied all the same.
+    plan: Plan,
     /// Where the packed records start: the table's room.
     table_len: u64,
     /// Whether the entropy gate may try LZ on a materialized record.
@@ -891,15 +693,13 @@ impl Frame {
     fn new(
         digests: &Arc<Digests>,
         observed: Observation,
-        plan: &Plan,
+        plan: Plan,
         lz: bool,
         at: Option<SlotRef>,
     ) -> Arc<Frame> {
         Arc::new(Frame {
             digests: Arc::clone(digests),
             observed,
-            units: plan.units.clone(),
-            sample: plan.sample,
             table_len: FrameTable::encoded_len_for(plan.units.len()),
             lz,
             state: Mutex::new(FrameState {
@@ -908,12 +708,8 @@ impl Frame {
                 at,
                 ..FrameState::default()
             }),
+            plan,
         })
-    }
-
-    /// Whether record `i` is copied: it is not served, or it is the sample.
-    fn copies(&self, i: usize) -> bool {
-        self.units[i].served.is_none() || self.sample == Some(i)
     }
 
     /// Hands the frame its slot: `batch` moves to the lease's counter, and
@@ -926,8 +722,8 @@ impl Frame {
             s.at = Some(SlotRef::of(lease));
             self.place(&mut s)
         };
-        for (at, dst, packed) in placed {
-            batch.write(workers, at, dst, packed);
+        for placed in placed {
+            batch.submit(workers, move |batch| Self::write(batch, vec![placed]));
         }
     }
 
@@ -983,11 +779,11 @@ impl Frame {
         batch: &Batch,
     ) -> Result<Vec<(usize, StagedChunk)>, PccheckError> {
         let mut fresh = Vec::new();
-        while let Some(&unit) = self.units.get(s.records.len()) {
+        while let Some(&unit) = self.plan.units.get(s.records.len()) {
             let i = s.records.len();
             let (piece, digest) = match s.arrived.remove(&i) {
                 Some((piece, address)) => (Some(piece), address),
-                None if self.copies(i) => break,
+                None if self.plan.copies(i) => break,
                 None => (None, unit.served.expect("not copied, so served").address),
             };
             let record = |kind, aux, a, b| FrameRecord {
@@ -1132,7 +928,7 @@ impl Frame {
     fn finish(&self, ctx: PipelineCtx<'_>, lease: &SlotLease) -> (FrameTable, FramedPlan) {
         let mut s = self.state.lock();
         let records = std::mem::take(&mut s.records);
-        let n = self.units.len();
+        let n = self.plan.units.len();
         assert_eq!((records.len(), s.placed), (n, n), "every record is placed");
         let (logical, phys) = (self.digests.len, s.phys);
         let table = FrameTable {
@@ -1165,13 +961,13 @@ impl Frame {
         // A materialized record is homed at itself, a `DedupSelf` at the
         // record it names; base hits were homed as they were taken.
         let mut next = std::mem::take(&mut s.next);
-        for (i, (r, unit)) in table.records.iter().zip(&self.units).enumerate() {
+        for (i, (r, unit)) in table.records.iter().zip(&self.plan.units).enumerate() {
             let j = match r.kind {
                 ChunkEncoding::Raw | ChunkEncoding::Lz => i,
                 ChunkEncoding::DedupSelf => r.aux as usize,
                 ChunkEncoding::DedupBase => continue,
             };
-            let (held, holder) = (table.records[j], self.units[j]);
+            let (held, holder) = (table.records[j], self.plan.units[j]);
             let home = DedupHome {
                 counter: lease.counter,
                 slot: lease.slot,
@@ -1209,20 +1005,12 @@ pub struct PersistPipeline {
     /// clones and by every checkpoint in flight. Its width is fixed at
     /// build.
     workers: Arc<WorkerPool>,
-    /// Chunk codec + dedup state, shared across clones (the dedup index
-    /// survives across checkpoints).
-    codec: Arc<CodecState>,
-    /// Each job's last codec snapshot's digests, shared across clones.
-    carries: Arc<Mutex<HashMap<JobId, Carry>>>,
-}
-
-/// Shared chunk-codec state: the index of the homes of each job's latest
-/// commit.
-#[derive(Debug, Default)]
-struct CodecState {
-    dedup: Mutex<DedupIndex>,
-    /// Validation samples that failed so far.
-    mismatches: AtomicU64,
+    /// The index of the homes of each job's latest commit, shared across
+    /// clones: it survives across checkpoints.
+    dedup: Arc<Mutex<DedupIndex>>,
+    /// Each job's carry and the count of failed samples, shared across
+    /// clones.
+    carries: Arc<Mutex<Carries>>,
 }
 
 /// What [`copy`](PersistPipeline::copy) left in the leased slot: the
@@ -1282,7 +1070,7 @@ impl PersistPipeline {
             },
             pool,
             workers: Arc::new(WorkerPool::new("pccheck-writer", 1)),
-            codec: Arc::new(CodecState::default()),
+            dedup: Arc::default(),
             carries: Arc::default(),
         }
     }
@@ -1344,135 +1132,6 @@ impl PersistPipeline {
         Some(lease)
     }
 
-    /// A copy's plan, made while it holds the weights (module docs, "A copy
-    /// plans from the last snapshot"): observes the generation of
-    /// `ns`'s head, takes the job's carry and, once every served record's
-    /// values are carried into `digests`, leaves it as the next one; cuts
-    /// each chunk into the records the observation serves and
-    /// the run it does not ([`Observation::chunk_units`]), and names the
-    /// served records but one — the first at or after the carry's cursor
-    /// that the frame can afford to copy, which is copied to be checked
-    /// against its carried address (`stream_frame`). A carry of another
-    /// source or geometry, older than the source's log reaches, or planned
-    /// before a sample failed serves nothing.
-    fn plan(
-        &self,
-        src: &impl SnapshotSource,
-        ns: &Namespace,
-        digests: &Arc<Digests>,
-    ) -> (Observation, Plan) {
-        // A chain of depth d pins d + 1 slots and the next checkpoint needs
-        // one more, so the lease's slot budget bounds the depth a hit may
-        // add: a committed chain always leaves a slot free.
-        const MAX_CHAIN: u32 = 7;
-        let job = ns.job();
-        let observed = {
-            // The head is read under the index's lock, which a commit
-            // holds from before its head advance until its generation is
-            // installed: head and generation are one observation, never a
-            // new head beside the old generation.
-            let dedup = self.codec.dedup.lock();
-            let head = self.io.store.head_counter(ns);
-            Observation {
-                generation: head.and_then(|head| dedup.observe(job, head)),
-                max_depth: MAX_CHAIN.min(ns.desc().slot_count.saturating_sub(2)),
-            }
-        };
-        let (chunk, total, n) = (digests.chunk, digests.len, digests.n_chunks());
-        // Every chunk copied whole: the plan without a carry to serve from.
-        let copy_all = || {
-            let whole = |i| {
-                let (off, len) = digests.extent(i);
-                let (served, len) = (None, len as u64);
-                Unit { off, len, served }
-            };
-            Plan {
-                units: (0..n).map(whole).collect(),
-                sample: None,
-                dirty: total,
-            }
-        };
-        let Some(version) = src.version() else {
-            return (observed, copy_all());
-        };
-        let (mut cursor, mut served) = (0, vec![None; n]);
-        let mismatches = self.codec.mismatches.load(Ordering::Acquire);
-        let last = self.carries.lock().remove(&job).filter(|last| {
-            let retired = last.mismatches != mismatches;
-            let same = last.version.source == version.source;
-            !retired && same && (last.digests.len, last.digests.chunk) == (total, chunk)
-        });
-        let ranges = last
-            .as_ref()
-            .and_then(|last| src.dirty_since(last.version.seq));
-        let plan = match (last, ranges) {
-            (Some(last), Some(ranges)) => {
-                // By chunk: its digest blocks from the first written to the
-                // last, if any.
-                let mut dirty: Vec<Option<Range<usize>>> = vec![None; n];
-                for &(off, len) in ranges.iter().filter(|&&(off, len)| len > 0 && off < total) {
-                    let end = (off + len).min(total);
-                    let block = DIGEST_BLOCK as u64;
-                    let written = (off / block) as usize..end.div_ceil(block) as usize;
-                    let chunks = (off / chunk) as usize..=((end - 1) / chunk) as usize;
-                    for (i, run) in chunks.clone().zip(&mut dirty[chunks]) {
-                        let (at, len) = digests.extent(i);
-                        let own = block_range(at, len as u64);
-                        let (lo, hi) = (written.start.max(own.start), written.end.min(own.end));
-                        let run = run.get_or_insert(lo..hi);
-                        *run = run.start.min(lo)..run.end.max(hi);
-                    }
-                }
-                let mut units = Vec::with_capacity(n);
-                for (i, dirty) in dirty.into_iter().enumerate() {
-                    served[i] = observed.chunk_units(digests, &last, dirty, i, &mut units);
-                }
-                // A served record takes its values from the carry — the
-                // sample too, until its digest job files what it read over
-                // them — before this plan's carry is handed on: a plan that
-                // follows at once serves the same blocks and takes their
-                // values from here.
-                for unit in units.iter().filter(|u| u.served.is_some()) {
-                    digests.carry(&last.digests, unit.off, unit.len);
-                }
-                // Each record a cut adds is paid for by a served run of
-                // whole blocks; the sample must leave enough served that the
-                // frame fits its slot should it materialize.
-                let added = ((units.len() - n) * FRAME_RECORD_SIZE) as u64;
-                let serving: u64 = units
-                    .iter()
-                    .filter(|u| u.served.is_some())
-                    .map(|u| u.len)
-                    .sum();
-                let from = units.partition_point(|u| u.off < last.cursor);
-                let sample = (0..units.len())
-                    .map(|j| (from + j) % units.len())
-                    .find(|&j| units[j].served.is_some() && serving - units[j].len >= added);
-                if let Some(j) = sample {
-                    cursor = (units[j].off + units[j].len) % total;
-                }
-                Plan {
-                    units,
-                    sample,
-                    dirty: ranges.iter().map(|&(_, len)| len).sum::<u64>().min(total),
-                }
-            }
-            _ => copy_all(),
-        };
-        let digests = Arc::clone(digests);
-        (self.carries.lock()).insert(
-            job,
-            Carry {
-                version,
-                digests,
-                cursor,
-                mismatches,
-                served,
-            },
-        );
-        (observed, plan)
-    }
-
     /// The one copy verb: plans the frame from the job's last snapshot,
     /// copies what the plan does not serve GPU→DRAM into pooled chunks —
     /// the calling thread copies, the writer pool digests, classifies,
@@ -1500,12 +1159,9 @@ impl PersistPipeline {
     /// `slot` is leased when the first write needs it (module docs, "Who
     /// waits for what").
     ///
-    /// The classifier takes every record in logical order: self-dedup (a
-    /// byte compare — exact), then base dedup, taking a hit iff `home.depth
-    /// + 1` fits the chain cap (7) and the lease's slot budget minus two;
-    /// the frame links to the youngest home it references (`codec` module
-    /// docs, "Dedup index lifetime"). A frame whose observed head is
-    /// displaced, and its homes released, before it commits is withdrawn by
+    /// The frame links to the youngest home it references (`codec` module
+    /// docs, "Dedup index lifetime"); one whose observed head is displaced,
+    /// and its homes released, before it commits is withdrawn by
     /// [`CheckpointStore::commit_with_delta`].
     ///
     /// The returned [`Copied::persist_start`] lets the caller close the
@@ -1572,16 +1228,17 @@ impl PersistPipeline {
         })
     }
 
-    /// The producer (module docs, "A frame streams"): plans, which files
-    /// each served record's carried values, then copies the sample and, in
-    /// order, every record not served into pooled buffers whose digest jobs
-    /// feed the frame (the sample's also checks it against its carried
-    /// address). Staged `whole`, it takes every buffer in one step and
-    /// leaves the lease to its caller; pipelined, it leases at once if a
-    /// slot can be had without waiting, and before it waits for DRAM
-    /// otherwise. Drops `src`, closes the `GpuCopy` phase and returns when
-    /// the `Persist` phase opens; the frame may still be classifying,
-    /// compressing and writing on the writer pool.
+    /// The producer (module docs, "A frame streams"): plans (`plan.rs`)
+    /// and files each served record's carried values before it hands its
+    /// carry on, then copies the sample and, in order, every record not
+    /// served into pooled buffers whose digest jobs feed the frame (the
+    /// sample's also checks it against its carried address). Staged
+    /// `whole`, it takes every buffer in one step and leaves the lease to
+    /// its caller; pipelined, it leases at once if a slot can be had
+    /// without waiting, and before it waits for DRAM otherwise. Drops
+    /// `src`, closes the `GpuCopy` phase and returns when the `Persist`
+    /// phase opens; the frame may still be classifying, compressing and
+    /// writing on the writer pool.
     fn stream_frame(
         &self,
         ctx: PipelineCtx<'_>,
@@ -1592,36 +1249,57 @@ impl PersistPipeline {
         lz: bool,
     ) -> (u64, Arc<Frame>, Arc<Batch>) {
         let ns = Arc::clone(slot.namespace());
-        let (observed, mut plan) = self.plan(&src, &ns, digests);
+        let job = ns.job();
+        let observed = {
+            // A commit holds the index's lock from before its head advance
+            // until its generation is installed: never a new head beside
+            // the old generation.
+            let dedup = self.dedup.lock();
+            let head = self.io.store.head_counter(&ns);
+            Observation::of(&dedup, job, head, ns.desc().slot_count)
+        };
+        let (last, retired) = self.carries.lock().last(job);
+        let dirty = (last.as_ref()).and_then(|last| src.dirty_since(last.version.seq));
+        // Staged whole, every buffer comes from the pool at once.
+        let staging = if whole {
+            self.pool.total_chunks()
+        } else {
+            usize::MAX
+        };
+        let plan = plan(
+            &observed,
+            last.as_ref(),
+            dirty.as_deref(),
+            src.version(),
+            digests,
+            retired,
+            staging,
+        );
+        let mut carries = self.carries.lock();
+        for step in plan.hand_off() {
+            carries.take(job, &plan, step);
+        }
+        drop(carries);
         // The dirty-ratio gauge: how much of the state changed since the
         // job's last snapshot.
         let permille = plan.dirty * 1000 / digests.len.max(1);
         ctx.telemetry.gauge_dirty_ratio(permille);
-        let copies = |plan: &Plan| {
-            let units = 0..plan.units.len();
-            units
-                .filter(|&i| plan.units[i].served.is_none() || plan.sample == Some(i))
-                .count()
-        };
-        // Each chunk copies at most one run, so only the sample can take a
-        // whole staging past the pool: it goes unchecked this time.
-        if whole && copies(&plan) > self.pool.total_chunks() {
-            plan.sample = None;
-        }
+        let staged = plan.copied().count() + usize::from(plan.sample.is_some());
         let mut reserved = match whole {
-            true => self.pool.acquire_many(copies(&plan)),
+            true => self.pool.acquire_many(staged),
             false => Vec::new(),
         }
         .into_iter();
         let lease = if whole { None } else { slot.lease(false) };
-        let batch = Batch::open(&self.io, ctx, ns.job(), lease);
+        let batch = Batch::open(&self.io, ctx, job, lease);
         let early = lease.is_some();
         let mut leased = early;
-        let frame = Frame::new(digests, observed, &plan, lz, lease.map(SlotRef::of));
+        let sample = plan.sample;
+        let frame = Frame::new(digests, observed, plan, lz, lease.map(SlotRef::of));
         let mut open = Vec::new();
         let mut copy = |i: usize| {
-            let Unit { off, len, served } = frame.units[i];
-            let buf = match reserved.next() {
+            let Unit { off, len, served } = frame.plan.units[i];
+            let mut buf = match reserved.next() {
                 Some(buf) => buf,
                 None => match self.pool.try_acquire_many(1) {
                     Some(mut one) => one.remove(0),
@@ -1635,8 +1313,13 @@ impl PersistPipeline {
                     }
                 },
             };
-            let piece = stage(ctx, &src, digests, &mut open, (off, len as usize), buf);
-            let (frame, codec) = (Arc::clone(&frame), Arc::clone(&self.codec));
+            // The one GPU→DRAM memcpy, then the blocks a chunk boundary cuts.
+            src.copy_range_to_host(off, &mut buf.as_mut_slice()[..len as usize]);
+            ctx.telemetry.chunk(ctx.span, Phase::GpuCopy, off, len);
+            let (buf, len) = (Arc::new(buf), len as usize);
+            let piece = StagedChunk { buf, len };
+            digests.file_cut(&mut open, off, piece.as_ref());
+            let (frame, carries) = (Arc::clone(&frame), Arc::clone(&self.carries));
             // Only the sample is both copied and served.
             let carried = served.map(|served| served.address);
             batch.submit(&self.workers, move |batch| {
@@ -1644,7 +1327,7 @@ impl PersistPipeline {
                 if carried.is_some_and(|carried| carried != address) {
                     // The source's tracker missed a write: this record is the
                     // GPU's, and no carry planned before now serves again.
-                    codec.mismatches.fetch_add(1, Ordering::AcqRel);
+                    carries.lock().retire();
                     let iteration = frame.digests.iteration;
                     (batch.telemetry).anomaly(iteration, 1.0, 0.0, f64::INFINITY);
                 }
@@ -1655,10 +1338,9 @@ impl PersistPipeline {
         // The sample is copied first and, like the plan, outside the
         // `GpuCopy` phase: it checks the carry (its bytes land in the frame
         // all the same).
-        plan.sample.into_iter().for_each(&mut copy);
+        sample.into_iter().for_each(&mut copy);
         let start = ctx.telemetry.now_nanos();
-        let copied = (0..plan.units.len()).filter(|&i| frame.copies(i) && Some(i) != plan.sample);
-        for i in copied.take_while(|_| !batch.aborted()) {
+        for i in frame.plan.copied().take_while(|_| !batch.aborted()) {
             copy(i);
         }
         drop(src);
@@ -1719,7 +1401,9 @@ impl PersistPipeline {
             // drain shows up as a `fence` actor leg so the ledger can tell
             // "media still flushing" from "device idle" inside Persist.
             let fence_start = ctx.telemetry.now_nanos();
-            let media = self.io.persist_chunk(ctx, lease.slot, 0, total.as_u64())?;
+            let media = self.io.timed(ctx, Telemetry::stage_persist, |store| {
+                store.persist_slot(lease.slot, 0, total.as_u64())
+            })?;
             ctx.telemetry
                 .actor_span_split(ctx.span, "fence", fence_start, total.as_u64(), media);
         }
@@ -1759,11 +1443,11 @@ impl PersistPipeline {
         let commit_start = ctx.telemetry.now_nanos();
         let (job, counter, frame) = (lease.job(), lease.counter, &copied.frame);
         // A frame's commit and the install of its generation are one
-        // step to the plan of the next frame (see `plan`): it waits here
+        // step to the plan of the next frame (`stream_frame`): it waits here
         // rather than meet the new head without its homes and copy every
         // chunk.
         let outcome = {
-            let mut dedup = self.codec.dedup.lock();
+            let mut dedup = self.dedup.lock();
             let outcome = self.io.store.commit_with_delta(
                 lease,
                 iteration,
@@ -1786,7 +1470,7 @@ impl PersistPipeline {
 mod tests {
     use super::*;
     use pccheck_device::{DeviceConfig, PersistentDevice, SsdDevice};
-    use pccheck_gpu::{Gpu, GpuConfig, TrainingState};
+    use pccheck_gpu::{Gpu, GpuConfig, TrainingState, Version};
     use pccheck_telemetry::Telemetry;
 
     use crate::layout::StoreGeometry;
